@@ -10,7 +10,6 @@ package countrymon
 // both exercises the full pipeline and prints the reproduced numbers.
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -183,11 +182,8 @@ func BenchmarkScannerRound(b *testing.B) {
 }
 
 // benchScanRound runs full scan rounds of a /18 (64 blocks, 16384 probes)
-// over the simulated wire, serially or fanned across in-process shards, and
-// reports wall-clock probe throughput. The parallel variant pins 8 workers
-// (COUNTRYMON_WORKERS), so recorded baselines compare the same shard count;
-// on a single-core host the two converge — the speedup needs real cores.
-func benchScanRound(b *testing.B, shards int, metrics *scanner.Metrics) {
+// over the simulated wire and reports wall-clock probe throughput.
+func benchScanRound(b *testing.B, metrics *scanner.Metrics) {
 	resp := simnet.ResponderFunc(func(dst netmodel.Addr, at time.Time) simnet.Reply {
 		if dst.HostByte() < 64 {
 			return simnet.Reply{Kind: simnet.EchoReply, RTT: 35 * time.Millisecond}
@@ -204,20 +200,9 @@ func benchScanRound(b *testing.B, shards int, metrics *scanner.Metrics) {
 	start := time.Now()
 	var probes uint64
 	for i := 0; i < b.N; i++ {
-		cfg := scanner.Config{Rate: -1, Seed: uint64(i) + 1, Epoch: uint32(i), Cooldown: time.Second,
-			Metrics: metrics}
-		var rd *scanner.RoundData
-		if shards > 1 {
-			rd, err = scanner.ScanParallel(context.Background(), ts, shards, cfg,
-				func(shard, total int) (scanner.Transport, scanner.Clock, error) {
-					net := simnet.New(local, resp, time.Unix(0, 0))
-					return net, net, nil
-				})
-		} else {
-			net := simnet.New(local, resp, time.Unix(0, 0))
-			cfg.Clock = net
-			rd, err = scanner.New(net, cfg).Run(ts)
-		}
+		net := simnet.New(local, resp, time.Unix(0, 0))
+		rd, err := scanner.New(net, scanner.Config{Rate: -1, Seed: uint64(i) + 1, Epoch: uint32(i),
+			Clock: net, Cooldown: time.Second, Metrics: metrics}).Run(ts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,17 +220,12 @@ func benchScanRound(b *testing.B, shards int, metrics *scanner.Metrics) {
 // BenchmarkScanRound is the registry-detached baseline: the instrumentation
 // sites are compiled in but every instrument is nil, so the pair with
 // BenchmarkScanRoundMetrics pins the disabled-path overhead (<3% budget).
-func BenchmarkScanRound(b *testing.B) { benchScanRound(b, 1, nil) }
-
-func BenchmarkScanRoundParallel(b *testing.B) {
-	b.Setenv(par.EnvWorkers, "8")
-	benchScanRound(b, 8, nil)
-}
+func BenchmarkScanRound(b *testing.B) { benchScanRound(b, nil) }
 
 // BenchmarkScanRoundMetrics runs the same round with a live registry
 // attached — what a campaign under -metrics pays.
 func BenchmarkScanRoundMetrics(b *testing.B) {
-	benchScanRound(b, 1, scanner.NewMetrics(obs.NewRegistry()))
+	benchScanRound(b, scanner.NewMetrics(obs.NewRegistry()))
 }
 
 func BenchmarkICMPEncodeDecode(b *testing.B) {

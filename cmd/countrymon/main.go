@@ -60,7 +60,6 @@ func main() {
 	load := flag.String("load", "", "load a dataset instead of generating")
 	lazy := flag.Bool("lazy", false, "open -load lazily: v4 resp columns decode on first touch")
 	packetRounds := flag.Int("packet-rounds", 0, "additionally run N packet-level scan rounds through the real scanner")
-	parallel := flag.Int("parallel", 1, "in-process scan shards per packet-level round (COUNTRYMON_WORKERS caps workers)")
 	vantages := flag.Int("vantages", 0, "run packet-level rounds over a supervised fleet of N vantages")
 	quorum := flag.Int("quorum", 0, "k of the fleet's k-of-n outage corroboration (0 = min(2, vantages))")
 	region := flag.String("region", "Kherson", "region to detail")
@@ -130,7 +129,7 @@ func main() {
 	}
 
 	if *packetRounds > 0 {
-		runPacketRounds(sc, store, *packetRounds, *parallel, *vantages, *quorum, reg, bus)
+		runPacketRounds(sc, store, *packetRounds, *vantages, *quorum, reg, bus)
 	}
 
 	log.Printf("classifying %d regions across %d months...", netmodel.NumRegions, store.Timeline().NumMonths())
@@ -215,12 +214,10 @@ func printOutages(d *signals.Detection, interval time.Duration, store *dataset.S
 
 // runPacketRounds replays the first N rounds through the real scanner over
 // the simulated wire and cross-checks the fast generator's counts. With
-// parallel > 1 each round fans out over in-process shards via ScanParallel,
-// which must agree with the serial scan bit-for-bit; with vantages > 0 the
-// rounds run through a supervised multi-vantage fleet instead, whose fused
-// output must agree just the same.
-func runPacketRounds(sc *sim.Scenario, store *dataset.Store, n, parallel, vantages, quorum int, reg *obs.Registry, bus *obs.Bus) {
-	log.Printf("packet-level validation: scanning %d rounds through the real scanner (parallel=%d, vantages=%d)...", n, parallel, vantages)
+// vantages > 0 the rounds run through a supervised multi-vantage fleet
+// instead, whose fused output must agree just the same.
+func runPacketRounds(sc *sim.Scenario, store *dataset.Store, n, vantages, quorum int, reg *obs.Registry, bus *obs.Bus) {
+	log.Printf("packet-level validation: scanning %d rounds through the real scanner (vantages=%d)...", n, vantages)
 	scanM := scanner.NewMetrics(reg)
 	// Scan a tractable subset: the Kherson Table-5 ASes.
 	var prefixes []netmodel.Prefix
@@ -274,12 +271,6 @@ func runPacketRounds(sc *sim.Scenario, store *dataset.Store, n, parallel, vantag
 			if err == nil && rep.SelfOutage {
 				log.Fatalf("fleet: self-outage in round %d with healthy sim vantages", round)
 			}
-		} else if parallel > 1 {
-			rd, err = scanner.ScanParallel(context.Background(), ts, parallel, cfg,
-				func(shard, shards int) (scanner.Transport, scanner.Clock, error) {
-					net := simnet.New(local, sc.Responder(), at)
-					return net, net, nil
-				})
 		} else {
 			net := simnet.New(local, sc.Responder(), at)
 			cfg.Clock = net

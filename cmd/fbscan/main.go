@@ -87,9 +87,6 @@ func main() {
 	shard := flag.Int("shard", 0, "this vantage's shard index")
 	shards := flag.Int("shards", 1, "total shards")
 	probes := flag.Int("probes", 1, "probes per address (retransmissions)")
-	parallel := flag.Int("parallel", 1, "in-process scan shards run concurrently (COUNTRYMON_WORKERS caps workers)")
-	batch := flag.Int("batch", 0, "transport batch size (0 = engine default)")
-	pipeline := flag.Bool("pipeline", false, "run sender and receiver as separate goroutines")
 	faultSpec := flag.String("faults", "", "fault-injection profile, e.g. \"seed=7,senderr=0.01,blackout=24h+8h\"")
 	vantages := flag.Int("vantages", 0, "run the campaign over a supervised fleet of N vantages (campaign mode only)")
 	quorum := flag.Int("quorum", 0, "k of the fleet's k-of-n outage corroboration (0 = min(2, vantages))")
@@ -158,9 +155,6 @@ func main() {
 		}
 	}
 
-	if *parallel > 1 && *shards > 1 {
-		log.Fatal("-parallel (in-process shards) and -shards (multi-vantage sharding) are mutually exclusive")
-	}
 	if *vantages > 0 && *shards > 1 {
 		log.Fatal("-vantages (supervised fleet) and -shards (manual sharding) are mutually exclusive")
 	}
@@ -179,7 +173,7 @@ func main() {
 		runCampaign(sc, prefixes, exclude, at, prof, injecting,
 			*rounds, *interval, *rate, *seed, cc, *checkpoint, *resume, *roundLog,
 			*streamSignals, *minCov,
-			*parallel, *batch, *pipeline, *vantages, *quorum, *vantageFaults, reg, bus)
+			*vantages, *quorum, *vantageFaults, reg, bus)
 		return
 	}
 	if *country != "" {
@@ -196,52 +190,34 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("scanning %d /24 blocks (%d addresses) at %v, %d pps, mode=%s, parallel=%d",
-		targets.NumBlocks(), targets.Len(), at, *rate, *mode, *parallel)
+	log.Printf("scanning %d /24 blocks (%d addresses) at %v, %d pps, mode=%s",
+		targets.NumBlocks(), targets.Len(), at, *rate, *mode)
 
 	local := netmodel.MustParseAddr("198.51.100.1")
 	cfg := scanner.Config{
 		Rate: *rate, Seed: *seed, Epoch: 1, Cooldown: 4 * time.Second,
 		Shard: *shard, Shards: *shards, ProbesPerAddr: *probes,
-		Batch: *batch, Pipelined: *pipeline,
 		Metrics: scanner.NewMetrics(reg), Events: bus,
 	}
-	// wrap layers fault injection over a shard's transport; each shard gets
-	// its own RNG stream so concurrent shards never contend on one RNG.
-	var (
-		fmu      sync.Mutex
-		faultTrs []*faults.Transport
-	)
-	wrap := func(tr scanner.Transport, clock scanner.Clock, shard int) (scanner.Transport, scanner.Clock) {
+	// wrap layers fault injection over the scan's transport.
+	var faultTrs []*faults.Transport
+	wrap := func(tr scanner.Transport, clock scanner.Clock) (scanner.Transport, scanner.Clock) {
 		if !injecting {
 			return tr, clock
 		}
-		p := prof
-		p.Seed = prof.Seed + uint64(shard)*0x9e3779b9
-		ftr := faults.NewTransport(tr, clock, p)
+		ftr := faults.NewTransport(tr, clock, prof)
 		ftr.Observe(faults.NewMetrics(reg))
-		fmu.Lock()
 		faultTrs = append(faultTrs, ftr)
-		fmu.Unlock()
 		return ftr, ftr
 	}
 
 	var rd *scanner.RoundData
 	switch *mode {
 	case "sim":
-		if *parallel > 1 {
-			rd, err = scanner.ScanParallel(context.Background(), targets, *parallel, cfg,
-				func(shard, shards int) (scanner.Transport, scanner.Clock, error) {
-					net := simnet.New(local, sc.Responder(), at)
-					tr, clock := wrap(net, net, shard)
-					return tr, clock, nil
-				})
-		} else {
-			net := simnet.New(local, sc.Responder(), at)
-			tr, clock := wrap(net, net, 0)
-			cfg.Clock = clock
-			rd, err = scanner.New(tr, cfg).Run(targets)
-		}
+		net := simnet.New(local, sc.Responder(), at)
+		tr, clock := wrap(net, net)
+		cfg.Clock = clock
+		rd, err = scanner.New(tr, cfg).Run(targets)
 	case "udp":
 		srv, serr := simnet.NewWireServer("127.0.0.1:0", sc.Responder())
 		if serr != nil {
@@ -249,25 +225,13 @@ func main() {
 		}
 		defer srv.Close()
 		cfg.Cooldown = 2 * time.Second
-		if *parallel > 1 {
-			rd, err = scanner.ScanParallel(context.Background(), targets, *parallel, cfg,
-				func(shard, shards int) (scanner.Transport, scanner.Clock, error) {
-					tun, derr := simnet.DialUDP(srv.Addr(), local)
-					if derr != nil {
-						return nil, nil, derr
-					}
-					tr, clock := wrap(tun, nil, shard)
-					return tr, clock, nil
-				})
-		} else {
-			tun, derr := simnet.DialUDP(srv.Addr(), local)
-			if derr != nil {
-				log.Fatal(derr)
-			}
-			defer tun.Close()
-			tr, _ := wrap(tun, nil, 0)
-			rd, err = scanner.New(tr, cfg).Run(targets)
+		tun, derr := simnet.DialUDP(srv.Addr(), local)
+		if derr != nil {
+			log.Fatal(derr)
 		}
+		defer tun.Close()
+		tr, _ := wrap(tun, nil)
+		rd, err = scanner.New(tr, cfg).Run(targets)
 	default:
 		log.Fatalf("unknown mode %q", *mode)
 		os.Exit(2)
@@ -305,7 +269,7 @@ func main() {
 	}
 }
 
-// sumCounters aggregates injected-fault tallies across per-shard transports.
+// sumCounters aggregates injected-fault tallies across fault transports.
 func sumCounters(trs []*faults.Transport) faults.Counters {
 	var sum faults.Counters
 	for _, t := range trs {
@@ -319,8 +283,8 @@ func sumCounters(trs []*faults.Transport) faults.Counters {
 	return sum
 }
 
-// vclock is a standalone virtual clock for parallel campaigns, where no
-// single shard transport owns the monitor's timeline.
+// vclock is a standalone virtual clock for fleet campaigns, where no single
+// vantage transport owns the monitor's timeline.
 type vclock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -342,14 +306,14 @@ func (c *vclock) Sleep(d time.Duration) {
 }
 
 // runCampaign drives a multi-round scan through Monitor.Run, with optional
-// checkpointing, resume, fault injection, in-process shard parallelism and
+// checkpointing, resume, fault injection, a supervised vantage fleet and
 // live observability. SIGINT/SIGTERM stop the campaign at the next round
 // boundary after a final checkpoint.
 func runCampaign(sc *sim.Scenario, prefixes, exclude []netmodel.Prefix, at time.Time,
 	prof faults.Profile, injecting bool, rounds int, interval time.Duration,
 	rate int, seed uint64, country, checkpoint, resume, roundLog string,
 	streamSignals bool, minCov float64,
-	parallel, batch int, pipeline bool, vantages, quorum int, vantageFaults string,
+	vantages, quorum int, vantageFaults string,
 	reg *obs.Registry, bus *obs.Bus) {
 
 	local := netmodel.MustParseAddr("198.51.100.1")
@@ -360,8 +324,7 @@ func runCampaign(sc *sim.Scenario, prefixes, exclude []netmodel.Prefix, at time.
 		CheckpointPath: checkpoint, ResumeFrom: resume,
 		RoundLogPath: roundLog, StreamSignals: streamSignals,
 		MinCoverage: minCov,
-		Batch:       batch, Pipelined: pipeline,
-		Registry: reg, Bus: bus,
+		Registry:    reg, Bus: bus,
 	}
 	var (
 		fmu      sync.Mutex
@@ -375,7 +338,6 @@ func runCampaign(sc *sim.Scenario, prefixes, exclude []netmodel.Prefix, at time.
 		profs := vantageProfiles(vantages, vantageFaults, prof, injecting, at)
 		injecting = injecting || vantageFaults != ""
 		opts.Clock = &vclock{now: at}
-		opts.ScanShards = parallel
 		opts.Quorum = quorum
 		for i := 0; i < vantages; i++ {
 			vp := profs[i]
@@ -397,28 +359,6 @@ func runCampaign(sc *sim.Scenario, prefixes, exclude []netmodel.Prefix, at time.
 					return ftr, ftr, nil
 				},
 			})
-		}
-	} else if parallel > 1 {
-		// Each round builds fresh per-shard networks anchored at the round's
-		// scheduled time; the monitor itself advances a standalone virtual
-		// clock between rounds.
-		opts.Clock = &vclock{now: at}
-		opts.ScanShards = parallel
-		opts.ShardTransport = func(round int, rat time.Time, shard, shards int) (countrymon.Transport, countrymon.Clock, error) {
-			net := simnet.New(local, sc.Responder(), rat)
-			var str countrymon.Transport = net
-			var clock countrymon.Clock = net
-			if injecting {
-				p := prof
-				p.Seed = prof.Seed + uint64(shard)*0x9e3779b9
-				ftr := faults.NewTransport(net, nil, p)
-				ftr.Observe(faults.NewMetrics(reg))
-				fmu.Lock()
-				faultTrs = append(faultTrs, ftr)
-				fmu.Unlock()
-				str, clock = ftr, ftr
-			}
-			return str, clock, nil
 		}
 	} else {
 		net := simnet.New(local, sc.Responder(), at)

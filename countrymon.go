@@ -147,32 +147,14 @@ type Options struct {
 	Rate int
 	Seed uint64
 
-	// ScanShards splits every scan round across this many in-process shards
-	// running concurrently (fanned over the par worker pool, capped by
-	// COUNTRYMON_WORKERS) and merges the per-shard results deterministically.
-	// Requires ShardTransport; values ≤ 1 scan serially over Transport.
-	ScanShards int
-	// ShardTransport builds the transport (and clock) one shard of round
-	// `round` (scheduled at `at`) scans over. Each shard needs its own
-	// transport so per-shard state never races; transports implementing
-	// io.Closer are closed when their shard finishes. When set alongside
-	// ScanShards > 1, Transport may be nil.
-	ShardTransport func(round int, at time.Time, shard, shards int) (Transport, Clock, error)
-	// Pipelined and Batch tune the scan engine: Pipelined splits sending and
-	// receiving onto separate goroutines, Batch sets the transport batch
-	// size (0 = scanner default). Both pass through to scanner.Config.
-	Pipelined bool
-	Batch     int
-
 	// Vantages runs every round over a supervised multi-vantage fleet
-	// (internal/fleet): each vantage scans its share of the round over its
-	// own transports, circuit breakers quarantine flapping vantages, failed
-	// shards fail over to healthy vantages within the round, and suspect
-	// block transitions need k-of-n corroboration before they count as
-	// down. When set, Transport may be nil and is ignored, as is
-	// ShardTransport (the fleet manages its own sharding; ScanShards > 1
-	// sets the fleet's shard count). A round on which no vantage produced
-	// usable data is recorded missing — a self-outage, not a target outage.
+	// (internal/fleet): each vantage scans its share of the round (one shard
+	// per vantage) over its own transports, circuit breakers quarantine
+	// flapping vantages, failed shards fail over to healthy vantages within
+	// the round, and suspect block transitions need k-of-n corroboration
+	// before they count as down. When set, Transport may be nil and is
+	// ignored. A round on which no vantage produced usable data is recorded
+	// missing — a self-outage, not a target outage.
 	Vantages []VantageSpec
 	// Quorum is k of the fleet's k-of-n corroboration: the coverage-weighted
 	// dark votes needed before a suspect block transitions to down (default
@@ -183,8 +165,8 @@ type Options struct {
 	// fleet supervisor (fleet.NewShared + Join): multi-country coordinators
 	// use this so several monitors draw on one vantage pool with one global
 	// rate budget. The campaign must have been joined with this monitor's
-	// target set. Mutually exclusive with Vantages and ShardTransport; when
-	// set, Transport may be nil and is ignored.
+	// target set. Mutually exclusive with Vantages; when set, Transport may
+	// be nil and is ignored.
 	Fleet *fleet.Campaign
 
 	// Country is the ISO code of the monitored country — the home country
@@ -236,7 +218,7 @@ type Options struct {
 	Registry *obs.Registry
 	// Bus, when non-nil, receives the structured campaign event stream
 	// (round started/scanned/salvaged/missing, checkpoint written, retry
-	// taken, shard merged, detection fired) for /events streaming.
+	// taken, detection fired) for /events streaming.
 	Bus *obs.Bus
 }
 
@@ -288,13 +270,8 @@ type Monitor struct {
 
 // New validates options and builds the monitor.
 func New(opts Options) (*Monitor, error) {
-	parallel := opts.ScanShards > 1 && opts.ShardTransport != nil
-	fleetMode := len(opts.Vantages) > 0 || opts.Fleet != nil
-	if opts.Transport == nil && !parallel && !fleetMode {
-		return nil, errors.New("countrymon: Transport is required (or ScanShards > 1 with ShardTransport, or Vantages, or Fleet)")
-	}
-	if fleetMode && opts.ShardTransport != nil {
-		return nil, errors.New("countrymon: fleet mode and ShardTransport are mutually exclusive (the fleet shards its own scans)")
+	if opts.Transport == nil && len(opts.Vantages) == 0 && opts.Fleet == nil {
+		return nil, errors.New("countrymon: no Transport, Vantages or Fleet to scan over")
 	}
 	if len(opts.Vantages) > 0 && opts.Fleet != nil {
 		return nil, errors.New("countrymon: Vantages and Fleet are mutually exclusive (Fleet is already a joined campaign)")
@@ -342,21 +319,14 @@ func New(opts Options) (*Monitor, error) {
 	case opts.Fleet != nil:
 		m.camp = opts.Fleet
 	case len(opts.Vantages) > 0:
-		shards := opts.ScanShards
-		if shards <= 1 {
-			shards = 0 // fleet default: one shard per vantage
-		}
 		sup, err := fleet.New(opts.Vantages, fleet.Config{
 			Targets: targets,
 			Scan: scanner.Config{
-				Rate:      opts.Rate,
-				Seed:      opts.Seed,
-				Batch:     opts.Batch,
-				Pipelined: opts.Pipelined,
-				Metrics:   m.scanM,
-				Events:    opts.Bus,
+				Rate:    opts.Rate,
+				Seed:    opts.Seed,
+				Metrics: m.scanM,
+				Events:  opts.Bus,
 			},
-			Shards:   shards,
 			Quorum:   opts.Quorum,
 			Registry: opts.Registry,
 			Bus:      opts.Bus,
@@ -492,21 +462,44 @@ func (m *Monitor) MarkMissing() error {
 	if !m.NextRound() {
 		return ErrCampaignComplete
 	}
-	m.store.SetCoverage(m.round, 0)
-	m.store.SetMissing(m.round)
+	return m.recordMissing("vantage")
+}
+
+// recordMissing records the current round as missing with zero coverage —
+// nothing of it was measured — and finishes it.
+func (m *Monitor) recordMissing(reason string) error {
+	round := m.round
+	m.store.SetCoverage(round, 0)
+	m.store.SetMissing(round)
 	m.metrics.roundsMissing.Inc()
 	m.metrics.coverage.Observe(0)
-	m.metrics.lastRound.Set(int64(m.round))
-	round := m.round
+	m.metrics.lastRound.Set(int64(round))
 	m.emit("round_missing", func() map[string]any {
-		return map[string]any{"round": round, "reason": "vantage"}
+		return map[string]any{"round": round, "reason": reason}
 	})
+	return m.finishRound(round)
+}
+
+// finishRound is the one epilogue every handled round — scanned, salvaged or
+// missing — passes through once the store holds its outcome: journal it, fold
+// it into the signals and the serve store, advance the campaign, checkpoint
+// when due. A journal failure returns before the round counts as handled, so
+// it is scanned again rather than lost.
+func (m *Monitor) finishRound(round int) error {
 	if err := m.journalRound(round); err != nil {
 		return err
 	}
 	m.foldRound(round)
 	m.round++
-	return m.maybeCheckpoint()
+	if err := m.maybeCheckpoint(); err != nil {
+		return err
+	}
+	if !m.NextRound() {
+		m.emit("campaign_complete", func() map[string]any {
+			return map[string]any{"rounds": m.tl.NumRounds()}
+		})
+	}
+	return nil
 }
 
 // ScanRound probes every target once and ingests the results at the current
@@ -536,61 +529,28 @@ func (m *Monitor) ScanRoundContext(ctx context.Context) (Stats, error) {
 	m.emit("round_start", func() map[string]any {
 		return map[string]any{"round": round, "at": roundAt(at)}
 	})
-	cfg := scanner.Config{
-		Rate:      m.opts.Rate,
-		Seed:      m.opts.Seed,
-		Epoch:     uint32(m.round + 1),
-		Clock:     m.opts.Clock,
-		Batch:     m.opts.Batch,
-		Pipelined: m.opts.Pipelined,
-		Metrics:   m.scanM,
-		Events:    m.bus,
-	}
 	var (
 		rd  *scanner.RoundData
 		err error
 	)
-	switch {
-	case m.camp != nil:
+	if m.camp != nil {
 		var rep *fleet.RoundReport
 		rd, rep, err = m.camp.ScanRound(ctx, round, at, m.prevBelief())
-		if err != nil {
-			return Stats{}, err
-		}
-		if rep.SelfOutage {
+		if err == nil && rep.SelfOutage {
 			// The fleet, not the target, was dark: record the round missing
 			// so signal derivation treats it exactly like a vantage outage
 			// and no block series carries fabricated zeros.
-			m.store.SetCoverage(m.round, 0)
-			m.store.SetMissing(m.round)
-			m.metrics.roundsMissing.Inc()
-			m.metrics.coverage.Observe(0)
-			m.metrics.lastRound.Set(int64(m.round))
-			m.emit("round_missing", func() map[string]any {
-				return map[string]any{"round": round, "reason": "fleet_self_outage"}
-			})
-			if err := m.journalRound(round); err != nil {
-				return Stats{}, err
-			}
-			m.foldRound(round)
-			m.round++
-			if err := m.maybeCheckpoint(); err != nil {
-				return Stats{}, err
-			}
-			if !m.NextRound() {
-				m.emit("campaign_complete", func() map[string]any {
-					return map[string]any{"rounds": m.tl.NumRounds()}
-				})
-			}
-			return Stats{}, nil
+			return Stats{}, m.recordMissing("fleet_self_outage")
 		}
-	case m.opts.ScanShards > 1 && m.opts.ShardTransport != nil:
-		rd, err = scanner.ScanParallel(ctx, m.targets, m.opts.ScanShards, cfg,
-			func(shard, shards int) (Transport, Clock, error) {
-				return m.opts.ShardTransport(round, at, shard, shards)
-			})
-	default:
-		rd, err = scanner.New(m.opts.Transport, cfg).RunContext(ctx, m.targets)
+	} else {
+		rd, err = scanner.New(m.opts.Transport, scanner.Config{
+			Rate:    m.opts.Rate,
+			Seed:    m.opts.Seed,
+			Epoch:   uint32(m.round + 1),
+			Clock:   m.opts.Clock,
+			Metrics: m.scanM,
+			Events:  m.bus,
+		}).RunContext(ctx, m.targets)
 	}
 	if err != nil {
 		return Stats{}, err
@@ -631,20 +591,7 @@ func (m *Monitor) ScanRoundContext(ctx context.Context) (Stats, error) {
 		}
 		return f
 	})
-	if err := m.journalRound(round); err != nil {
-		return rd.Stats, err
-	}
-	m.foldRound(round)
-	m.round++
-	if err := m.maybeCheckpoint(); err != nil {
-		return rd.Stats, err
-	}
-	if !m.NextRound() {
-		m.emit("campaign_complete", func() map[string]any {
-			return map[string]any{"rounds": m.tl.NumRounds()}
-		})
-	}
-	return rd.Stats, nil
+	return rd.Stats, m.finishRound(round)
 }
 
 // Checkpoint writes the store to Options.CheckpointPath atomically and
@@ -805,9 +752,8 @@ func (m *Monitor) AttachServe(s *serve.Store) {
 }
 
 // advanceServe seals a just-folded round into the attached serve store.
-// foldRound is the single chokepoint every handled round passes through
-// (ScanRoundContext, MarkMissing, and resume replay), so the watermark can
-// never skip a round.
+// foldRound runs once per handled round (from finishRound), so the
+// watermark can never skip a round.
 func (m *Monitor) advanceServe(round int) {
 	if m.serveStore != nil {
 		_ = m.serveStore.Advance(round)

@@ -1,10 +1,12 @@
 package countrymon
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"countrymon/internal/bgp"
+	"countrymon/internal/fleet"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/simnet"
 )
@@ -107,12 +109,16 @@ func TestMonitorApplyBGPSnapshot(t *testing.T) {
 }
 
 func TestMonitorValidation(t *testing.T) {
-	if _, err := New(Options{}); err == nil {
-		t.Error("missing transport accepted")
+	if _, err := New(Options{}); err == nil || !strings.Contains(err.Error(), "no Transport, Vantages or Fleet") {
+		t.Errorf("missing scan source: err = %v", err)
 	}
 	net := simnet.New(1, simnet.ResponderFunc(func(netmodel.Addr, time.Time) simnet.Reply {
 		return simnet.Reply{}
 	}), time.Unix(0, 0))
+	if _, err := New(Options{Vantages: []VantageSpec{{Name: "v0"}}, Fleet: new(fleet.Campaign)}); err == nil ||
+		!strings.Contains(err.Error(), "mutually exclusive") {
+		t.Errorf("Vantages with Fleet: err = %v", err)
+	}
 	if _, err := New(Options{Transport: net, Targets: []Prefix{netmodel.MustParsePrefix("10.0.0.0/24")}}); err == nil {
 		t.Error("missing End/Rounds accepted")
 	}

@@ -20,25 +20,26 @@ import (
 //	magic "CMDS" | version u32 | startUnixNano i64 | interval i64 | rounds u32
 //	nblocks u32 | blockIDs [nblocks]u32
 //	missing bitset [(rounds+63)/64]u64
-//	v3+: done bitset [(rounds+63)/64]u64
-//	v3+: npartial u32 | npartial × (round u32, coverage u16) — only rounds
+//	done bitset [(rounds+63)/64]u64
+//	npartial u32 | npartial × (round u32, coverage u16) — only rounds
 //	     below full coverage are listed (normally none)
-//	resp rows, v2/v3: nblocks × (rowLen u32 + RLE bytes)
-//	resp rows, v4:    column index [nblocks]u32 (encoded lengths), then the
-//	                  concatenated delta+RLE blob in block order
+//	resp rows, v3: nblocks × (rowLen u32 + RLE bytes)
+//	resp rows, v4: column index [nblocks]u32 (encoded lengths), then the
+//	               concatenated delta+RLE blob in block order
 //	routed rows: nblocks × words u64
 //	ntracked u32 | per tracked: blockIdx u32, rounds × u16 RTT ms
 
 const (
 	fileMagic = "CMDS"
-	// Version 1 stores resp rows raw; version 2 run-length codes them
-	// (rowLen u32 + RLE bytes), typically 5-20x smaller for real
-	// campaigns; version 3 adds the done bitset and per-round coverage
-	// used by checkpoint/resume and partial-round gating; version 4 delta
-	// codes rows before the RLE (plateau rows collapse into runs) and
-	// fronts them with a column index so OpenLazy can materialize rows on
-	// first touch instead of decoding the whole file at open.
-	fileVersion = 4
+	// Version 3 run-length codes resp rows (rowLen u32 + RLE bytes) and
+	// carries the done bitset and per-round coverage used by
+	// checkpoint/resume and partial-round gating; version 4 delta codes
+	// rows before the RLE (plateau rows collapse into runs) and fronts them
+	// with a column index so OpenLazy can materialize rows on first touch
+	// instead of decoding the whole file at open. Versions 1 and 2 (raw
+	// rows; RLE without the done bitset) are no longer read.
+	fileVersion    = 4
+	minFileVersion = 3
 )
 
 // enc is a sticky-error little-endian encoder. It replaces the
@@ -315,7 +316,7 @@ func readFrom(r io.Reader, lazyBuf []byte) (*Store, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if version < 1 || version > fileVersion {
+	if version < minFileVersion || version > fileVersion {
 		return nil, fmt.Errorf("dataset: unsupported version %d", version)
 	}
 	if rounds == 0 || rounds > 1<<22 || nblocks > 1<<22 {
@@ -360,42 +361,33 @@ func readFrom(r io.Reader, lazyBuf []byte) (*Store, error) {
 			s.missing[r] = true
 		}
 	}
-	if version >= 3 {
-		done := make([]uint64, (rounds+63)/64)
-		d.u64s(done)
-		if d.err != nil {
-			return nil, d.err
-		}
-		for r := 0; r < int(rounds); r++ {
-			s.done[r] = done[r/64]>>(r%64)&1 == 1
-		}
-		npartial := d.u32()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if npartial > rounds {
-			return nil, fmt.Errorf("dataset: implausible partial-round count %d", npartial)
-		}
-		for i := 0; i < int(npartial); i++ {
-			r := d.u32()
-			c := d.u16()
-			if d.err != nil {
-				return nil, d.err
-			}
-			if r >= rounds {
-				return nil, fmt.Errorf("dataset: partial round %d out of range", r)
-			}
-			s.coverage[r] = c
-		}
-	} else {
-		// Legacy files predate progress tracking: treat them as complete
-		// campaigns at full coverage (NewStore's default).
-		for r := range s.done {
-			s.done[r] = true
-		}
+	done := make([]uint64, (rounds+63)/64)
+	d.u64s(done)
+	if d.err != nil {
+		return nil, d.err
 	}
-	switch {
-	case version >= 4:
+	for r := 0; r < int(rounds); r++ {
+		s.done[r] = done[r/64]>>(r%64)&1 == 1
+	}
+	npartial := d.u32()
+	if d.err != nil {
+		return nil, d.err
+	}
+	if npartial > rounds {
+		return nil, fmt.Errorf("dataset: implausible partial-round count %d", npartial)
+	}
+	for i := 0; i < int(npartial); i++ {
+		r := d.u32()
+		c := d.u16()
+		if d.err != nil {
+			return nil, d.err
+		}
+		if r >= rounds {
+			return nil, fmt.Errorf("dataset: partial round %d out of range", r)
+		}
+		s.coverage[r] = c
+	}
+	if version == 4 {
 		lens := make([]uint32, nblocks)
 		d.u32s(lens)
 		if d.err != nil {
@@ -432,13 +424,7 @@ func readFrom(r io.Reader, lazyBuf []byte) (*Store, error) {
 				}
 			}
 		}
-	case version == 1:
-		for i := range s.resp {
-			if _, err := io.ReadFull(br, s.resp[i]); err != nil {
-				return nil, err
-			}
-		}
-	default: // v2/v3: per-row length prefix + plain RLE
+	} else { // v3: per-row length prefix + plain RLE
 		for i := range s.resp {
 			rowLen := d.u32()
 			if d.err != nil {

@@ -37,8 +37,8 @@ type Store struct {
 	// missing[r] marks vantage-point outages (no data).
 	missing []bool
 	// coverage[r] is the probed-target fraction of round r in 1/65535
-	// units. Full by default, so generated and legacy stores behave as
-	// before; the packet pipeline lowers it for salvaged partial rounds.
+	// units. Full by default; the packet pipeline lowers it for salvaged
+	// partial rounds.
 	coverage []uint16
 	// done[r] marks rounds the campaign has handled (scanned or marked
 	// missing) — the resume cursor for checkpoint/restart.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,9 +98,9 @@ func TestV4FileRoundTrip(t *testing.T) {
 	assertStoresEqual(t, s, got)
 }
 
-// writeV3 encodes the store in the legacy v3 layout (per-row length prefix
-// + plain RLE, no column index) so the decoder's backward-compat path stays
-// covered now that WriteTo emits v4.
+// writeV3 encodes the store in the v3 layout (per-row length prefix + plain
+// RLE, no column index) so the decoder's backward-compat path stays covered
+// now that WriteTo emits v4.
 func writeV3(t *testing.T, s *Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -163,6 +164,20 @@ func writeV3(t *testing.T, s *Store) []byte {
 		w(s.rtt[int(bi)])
 	}
 	return buf.Bytes()
+}
+
+// TestUnsupportedVersionsRejected: only v3 and v4 are read; the retired v1/v2
+// layouts and versions from the future fail at the header.
+func TestUnsupportedVersionsRejected(t *testing.T) {
+	raw := writeV3(t, v4Store(t))
+	for _, v := range []uint32{1, 2, 5} {
+		hdr := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(hdr[4:8], v)
+		_, err := ReadFrom(bytes.NewReader(hdr))
+		if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Errorf("version %d: err = %v, want unsupported version", v, err)
+		}
+	}
 }
 
 func TestV3FileStillReadable(t *testing.T) {

@@ -151,8 +151,8 @@ func NewTransport(inner scanner.Transport, clock scanner.Clock, prof Profile) *T
 func (t *Transport) Inner() scanner.Transport { return t.inner }
 
 // Close implements io.Closer by delegation (a no-op when the inner transport
-// has nothing to close), so per-shard wrapped transports are released by
-// scanner.ScanParallel like their inner transports would be.
+// has nothing to close), so a wrapped transport is released like its inner
+// transport would be.
 func (t *Transport) Close() error {
 	if c, ok := t.inner.(io.Closer); ok {
 		return c.Close()

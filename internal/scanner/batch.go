@@ -36,7 +36,7 @@ type BatchTransport interface {
 // AsBatch returns tr's batched view: the transport itself when it already
 // implements BatchTransport, else a shim that loops the packet-at-a-time
 // calls. The shim keeps per-packet semantics (call order, error identity)
-// exactly as the serial engine saw them, so plain test transports behave
+// exactly as a packet-at-a-time engine saw them, so plain test transports behave
 // identically under the batched engine.
 func AsBatch(tr Transport) BatchTransport {
 	if bt, ok := tr.(BatchTransport); ok {

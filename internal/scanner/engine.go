@@ -3,26 +3,22 @@ package scanner
 import (
 	"context"
 	"errors"
-	"runtime"
-	"sync"
 	"time"
 
 	"countrymon/internal/icmp"
 	"countrymon/internal/netmodel"
 )
 
-// The scan engine assembles probes into batches, paces each batch with one
-// rate-limiter release, and hands it to the transport's WriteBatch, while
-// replies come back through ReadBatch into reusable buffers. Two drivers
-// share this state: runSerial interleaves batch sends with opportunistic
-// drains on one goroutine (fully deterministic on a virtual clock), and
-// runPipelined splits sending and receiving onto two goroutines so the
-// receive path no longer steals send throughput on real transports.
+// The scan engine is one batched loop on one goroutine: it assembles probes
+// into batches, paces each batch with one rate-limiter release, hands it to
+// the transport's WriteBatch, drains whatever replies are already waiting
+// through ReadBatch into reusable buffers, and collects stragglers in the
+// cooldown. A round is rate-bound, not CPU-bound (the loop alone sustains
+// several times DefaultRate over real sockets), so nothing overlaps sending
+// with receiving, and a round on a virtual clock is fully deterministic.
 
-// roundRun is the mutable state of one scan round, split into sender-owned
-// and receiver-owned halves so the pipelined engine needs no locks on the
-// hot path; finalize merges the halves into RoundData in a fixed order, so
-// the result is independent of goroutine scheduling.
+// roundRun is the mutable state of one scan round, split into send-side and
+// receive-side halves; finalize merges them into RoundData.
 type roundRun struct {
 	cfg     Config
 	tr      BatchTransport
@@ -32,100 +28,35 @@ type roundRun struct {
 	rng     uint64 // deterministic jitter source for retry backoff
 	maxFail int    // error budget in addresses
 
-	// Sender-owned state.
+	// Send-side state.
 	send      Stats // Sent, SendErrors, Retries
 	probed    int
 	failed    int
 	sendErr   error // last abandoned-probe error
 	sendAbort bool  // error budget exhausted
 
-	// pub tracks the sender counters already published to the metrics
+	// pub tracks the send-side counters already published to the metrics
 	// registry, so each batch adds only its delta (one atomic add per batch,
 	// not per packet) while /metrics stays live mid-round.
 	pub      Stats
 	pubSlept time.Duration
 
-	// Receiver-owned state.
+	// Receive-side state.
 	recv     Stats // Received, Valid, Duplicates, Invalid, NonEcho, RecvErrors
 	blocks   []BlockResult
 	recvDead bool
 	recvErr  error
 
-	// abort is the first cancellation (context or Stop) observed; in
-	// pipelined mode both halves may race to set it.
-	mu    sync.Mutex
+	// abort is the cancellation (context or Stop) that ended the round early.
 	abort error
 }
 
-func (r *roundRun) setAbort(err error) {
-	r.mu.Lock()
+// run drives the round: replies are drained without waiting between batches
+// and stragglers are collected in the cooldown.
+func (r *roundRun) run(s *Scanner, ctx context.Context, cur *Cursor) {
+	rb := newRecvBufs(r.cfg.Batch)
+	r.sendBatches(s, ctx, cur, rb)
 	if r.abort == nil {
-		r.abort = err
-	}
-	r.mu.Unlock()
-}
-
-func (r *roundRun) abortState() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.abort
-}
-
-// runSerial drives the round on one goroutine: replies are drained without
-// waiting between batches and stragglers are collected in the cooldown.
-func (r *roundRun) runSerial(s *Scanner, ctx context.Context, cur *Cursor) {
-	rb := newRecvBufs(r.cfg.Batch)
-	r.sendBatches(s, ctx, cur, func() { r.drainPending(rb) })
-	if r.abortState() == nil {
-		r.cooldown(s, ctx, rb)
-	}
-}
-
-// runPipelined overlaps sending and receiving. The receiver polls with
-// wait 0 on virtual clocks — a blocking read would advance virtual time
-// underneath the sender's pacing — and blocks briefly on the wall clock.
-// Determinism on virtual clocks is preserved because the clock advances
-// only through the sender, replies are processed in delivery order by the
-// single receiver, and the halves merge in a fixed order.
-func (r *roundRun) runPipelined(s *Scanner, ctx context.Context, cur *Cursor) {
-	senderDone := make(chan struct{})
-	go func() {
-		defer close(senderDone)
-		r.sendBatches(s, ctx, cur, nil)
-	}()
-
-	rb := newRecvBufs(r.cfg.Batch)
-	var poll time.Duration
-	if _, wall := r.cfg.Clock.(RealClock); wall {
-		poll = time.Millisecond
-	}
-	running := true
-	for running && !r.recvDead {
-		select {
-		case <-senderDone:
-			running = false
-		default:
-		}
-		if err := s.interrupted(ctx); err != nil {
-			r.setAbort(err)
-			break
-		}
-		n, err := r.tr.ReadBatch(rb.pkts, rb.ats, poll)
-		for i := 0; i < n; i++ {
-			r.processReply(rb.pkts[i], rb.ats[i])
-		}
-		if err != nil {
-			if !r.recvFailure(err) {
-				break
-			}
-			continue
-		}
-		if n == 0 && poll == 0 {
-			runtime.Gosched()
-		}
-	}
-	<-senderDone
-	if r.abortState() == nil && !r.recvDead {
 		r.cooldown(s, ctx, rb)
 	}
 }
@@ -139,9 +70,8 @@ type addrSend struct {
 // sendBatches walks the shard cursor, packing whole addresses into batches
 // (all ProbesPerAddr probes of an address share a batch, so per-address
 // outcomes — probed, failed, error budget — resolve as the batch is
-// written). drain, when non-nil, runs between batches: the serial engine's
-// opportunistic reply collection.
-func (r *roundRun) sendBatches(s *Scanner, ctx context.Context, cur *Cursor, drain func()) {
+// written). Between batches the replies already waiting are drained into rb.
+func (r *roundRun) sendBatches(s *Scanner, ctx context.Context, cur *Cursor, rb *recvBufs) {
 	nb := r.cfg.Batch
 	ppa := r.cfg.ProbesPerAddr
 	bufs := make([][]byte, nb)
@@ -158,7 +88,7 @@ func (r *roundRun) sendBatches(s *Scanner, ctx context.Context, cur *Cursor, dra
 	done := false
 	for !done {
 		if err := s.interrupted(ctx); err != nil {
-			r.setAbort(err)
+			r.abort = err
 			return
 		}
 		pkts, dsts, pktAddr, addrs = pkts[:0], dsts[:0], pktAddr[:0], addrs[:0]
@@ -196,14 +126,12 @@ func (r *roundRun) sendBatches(s *Scanner, ctx context.Context, cur *Cursor, dra
 			return
 		}
 		seq += uint64(len(pkts))
-		if drain != nil {
-			drain()
-		}
+		r.drainPending(rb)
 	}
 }
 
-// publishSend adds the growth of the sender-owned counters since the last
-// publish to the metrics registry. Called once per batch by the sender only.
+// publishSend adds the growth of the send-side counters since the last
+// publish to the metrics registry. Called once per batch.
 func (r *roundRun) publishSend() {
 	m := r.cfg.Metrics
 	m.ProbesSent.Add(r.send.Sent - r.pub.Sent)
@@ -224,7 +152,7 @@ func (r *roundRun) encodeProbe(buf []byte, src, dst netmodel.Addr, now time.Time
 	}, now)
 }
 
-// writeBatch transmits one assembled batch with the serial engine's exact
+// writeBatch transmits one assembled batch with packet-at-a-time
 // per-probe semantics: transient failures retry with exponential backoff
 // and deterministic jitter (the unsent tail is re-stamped after the sleep
 // so timestamps track the real send instant), probes that exhaust their
@@ -295,7 +223,7 @@ func (r *roundRun) writeBatch(s *Scanner, ctx context.Context, pkts [][]byte, ds
 				backoff *= 2
 			}
 			if ierr := s.interrupted(ctx); ierr != nil {
-				r.setAbort(ierr)
+				r.abort = ierr
 				return false
 			}
 			now := r.cfg.Clock.Now()
@@ -318,7 +246,7 @@ func (r *roundRun) writeBatch(s *Scanner, ctx context.Context, pkts [][]byte, ds
 	return true
 }
 
-// recvBufs is the receiver's reusable buffer ring: ReadBatch refills the
+// recvBufs is the reusable receive buffer ring: ReadBatch refills the
 // same backing arrays every call, keeping the receive path allocation-free.
 type recvBufs struct {
 	pkts [][]byte
@@ -362,7 +290,7 @@ func (r *roundRun) cooldown(s *Scanner, ctx context.Context, rb *recvBufs) {
 	deadline := r.cfg.Clock.Now().Add(r.cfg.Cooldown)
 	for {
 		if err := s.interrupted(ctx); err != nil {
-			r.setAbort(err)
+			r.abort = err
 			return
 		}
 		left := deadline.Sub(r.cfg.Clock.Now())
@@ -391,8 +319,7 @@ func (r *roundRun) recvFailure(err error) bool {
 	return true
 }
 
-// processReply parses, validates and aggregates one inbound packet
-// (receiver-owned state only).
+// processReply parses, validates and aggregates one inbound packet.
 func (r *roundRun) processReply(pkt []byte, at time.Time) {
 	mt := r.cfg.Metrics
 	h, body, err := icmp.ParseIPv4(pkt)
@@ -440,8 +367,7 @@ func (r *roundRun) processReply(pkt []byte, at time.Time) {
 	mt.RepliesValid.Inc()
 }
 
-// finalize merges the sender- and receiver-owned halves into rd in a fixed
-// order. Both goroutines have finished by the time it runs.
+// finalize merges the send- and receive-side halves into rd.
 func (r *roundRun) finalize(rd *RoundData) {
 	st := r.send
 	st.Received = r.recv.Received
@@ -453,7 +379,7 @@ func (r *roundRun) finalize(rd *RoundData) {
 	rd.Stats = st
 	rd.Probed = r.probed
 	rd.RecvDead = r.recvDead
-	if r.recvDead || r.sendAbort || r.abortState() != nil || r.probed < rd.ShardTargets {
+	if r.recvDead || r.sendAbort || r.abort != nil || r.probed < rd.ShardTargets {
 		rd.Partial = true
 	}
 	rd.Err = r.sendErr

@@ -23,7 +23,7 @@ func (h *hideBatch) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
 func (h *hideBatch) LocalAddr() netmodel.Addr { return h.tr.LocalAddr() }
 
 // scanResult is the engine-observable outcome of a round; every engine
-// variant (serial, pipelined, any batch size, shimmed transport) must agree
+// variant (any batch size, native or shimmed transport) must agree
 // on all of it, Elapsed included (virtual time is deterministic).
 type scanResult struct {
 	Blocks []scanner.BlockResult
@@ -52,17 +52,6 @@ func runEngine(t *testing.T, mutate func(*scanner.Config), hide bool) scanResult
 		t.Fatalf("Valid = %d, want 256", rd.Stats.Valid)
 	}
 	return scanResult{Blocks: rd.Blocks, Stats: rd.Stats, Probed: rd.Probed}
-}
-
-// TestPipelinedMatchesSerial pins the tentpole determinism property: the
-// two-goroutine pipelined engine must produce results identical to the
-// single-goroutine serial engine on the virtual-time transport.
-func TestPipelinedMatchesSerial(t *testing.T) {
-	serial := runEngine(t, nil, false)
-	piped := runEngine(t, func(c *scanner.Config) { c.Pipelined = true }, false)
-	if !reflect.DeepEqual(serial, piped) {
-		t.Fatalf("pipelined result differs from serial:\nserial: %+v\npiped:  %+v", serial.Stats, piped.Stats)
-	}
 }
 
 // TestBatchShimMatchesNative: a transport without batch methods (driven
@@ -138,9 +127,10 @@ func TestMergeRounds(t *testing.T) {
 	}
 }
 
-// TestScanParallelMatchesSerial: sharding one round across in-process shards
-// and merging must reproduce the serial scan's blocks and aggregate counts.
-func TestScanParallelMatchesSerial(t *testing.T) {
+// TestShardUnionMatchesSerial: the union of a round's IterateShard shards,
+// each scanned on its own and merged with MergeRounds, must reproduce the
+// serial scan's blocks and aggregate counts.
+func TestShardUnionMatchesSerial(t *testing.T) {
 	ts := newTargets(t, "91.198.4.0/23")
 	start := time.Date(2022, 3, 2, 22, 0, 0, 0, time.UTC)
 	local := netmodel.MustParseAddr("198.51.100.1")
@@ -153,15 +143,19 @@ func TestScanParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	merged, err := scanner.ScanParallel(t.Context(), ts, 8, scanner.Config{
-		Rate: 100000, Seed: 42, Epoch: 7, Cooldown: time.Second,
-	}, func(shard, shards int) (scanner.Transport, scanner.Clock, error) {
+	const shards = 8
+	rds := make([]*scanner.RoundData, shards)
+	for i := range rds {
 		n := simnet.New(local, respondEvens(40*time.Millisecond), start)
-		return n, n, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		rds[i], err = scanner.New(n, scanner.Config{
+			Rate: 100000, Seed: 42, Epoch: 7, Clock: n, Cooldown: time.Second,
+			Shard: i, Shards: shards,
+		}).Run(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+	merged := scanner.MergeRounds(ts, rds)
 
 	// Response sets are identical to the serial scan. (RTT sums are not
 	// compared: per-shard pacing legitimately shifts send instants by

@@ -89,7 +89,7 @@ func (rl *RateLimiter) WaitN(n int) {
 
 // Slept returns the cumulative time this limiter has spent sleeping for
 // pacing — the scanner's scanner_rate_sleep_ns_total source. Like Wait/WaitN
-// it is single-caller (sender-goroutine) state.
+// it is single-caller state.
 func (rl *RateLimiter) Slept() time.Duration { return rl.slept }
 
 func (rl *RateLimiter) refill(now time.Time) {

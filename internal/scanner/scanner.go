@@ -79,21 +79,14 @@ type Config struct {
 	// raised to ProbesPerAddr when smaller, so all of an address's probes
 	// share a batch and the address resolves as the batch is written.
 	Batch int
-	// Pipelined runs the sender and a dedicated receiver as separate
-	// goroutines, so draining replies no longer steals send throughput.
-	// On a virtual clock the receiver only polls (reads with wait > 0
-	// would advance virtual time and distort pacing), which keeps the
-	// round deterministic; the mode pays off on real transports, where
-	// receiver blocking overlaps with send syscalls.
-	Pipelined bool
 
 	// Metrics, when built over a live registry (see NewMetrics), receives
 	// the round's hot-path instrumentation: probes sent, batch fill, rate
 	// sleep, reply validation results. Nil (or NewMetrics(nil)) disables it
 	// at the cost of a nil check per instrumentation point.
 	Metrics *Metrics
-	// Events, when non-nil, receives structured events (retry taken, shard
-	// merged) from the engine. Nil publishes nothing.
+	// Events, when non-nil, receives structured events (retry taken) from
+	// the engine. Nil publishes nothing.
 	Events *obs.Bus
 }
 
@@ -310,14 +303,10 @@ func (s *Scanner) RunContext(ctx context.Context, targets *TargetSet) (*RoundDat
 		maxFail: int(cfg.ErrorBudget * float64(rd.ShardTargets)),
 		blocks:  rd.Blocks,
 	}
-	if cfg.Pipelined {
-		r.runPipelined(s, ctx, cur)
-	} else {
-		r.runSerial(s, ctx, cur)
-	}
+	r.run(s, ctx, cur)
 	r.finalize(rd)
 	rd.Stats.Elapsed = cfg.Clock.Now().Sub(start)
-	return rd, r.abortState()
+	return rd, r.abort
 }
 
 // ShardLen is how many of the n permuted indices shard receives: every

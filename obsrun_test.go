@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -343,4 +344,125 @@ func mustGetBody(t *testing.T, url string) []byte {
 		t.Fatal(err)
 	}
 	return body
+}
+
+// TestRunPreRoundMarkMissing: a PreRound that marks its round missing has
+// handled that round — Step must not go on to scan the next one, which would
+// run it without its own PreRound — and marking the last round must end Run
+// cleanly.
+func TestRunPreRoundMarkMissing(t *testing.T) {
+	mon, err := New(smallOpts(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pre, handled []int
+	err = mon.Run(context.Background(), RunConfig{
+		PreRound: func(round int) error {
+			pre = append(pre, round)
+			if round != 1 {
+				return mon.MarkMissing()
+			}
+			return nil
+		},
+		Hooks: Hooks{OnRound: func(round int, st Stats) {
+			handled = append(handled, round)
+			if missing := round != 1; missing != (st.Sent == 0) {
+				t.Errorf("round %d: sent %d", round, st.Sent)
+			}
+		}},
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := []int{0, 1, 2}
+	if !reflect.DeepEqual(pre, want) || !reflect.DeepEqual(handled, want) {
+		t.Errorf("PreRound rounds %v, OnRound rounds %v, want both %v", pre, handled, want)
+	}
+	for r, missing := range []bool{true, false, true} {
+		if mon.Store().Missing(r) != missing || !mon.Store().Done(r) {
+			t.Errorf("round %d: missing=%v done=%v", r, mon.Store().Missing(r), mon.Store().Done(r))
+		}
+	}
+}
+
+// TestCampaignCompleteOnce: however the final round is handled, the campaign
+// announces its completion exactly once; a round whose journal write failed
+// is not handled at all.
+func TestCampaignCompleteOnce(t *testing.T) {
+	markLast := func(mon *Monitor) func(int) error {
+		return func(round int) error {
+			if round == mon.Timeline().NumRounds()-1 {
+				return mon.MarkMissing()
+			}
+			return nil
+		}
+	}
+	countComplete := func(n *int) func(obs.Event) {
+		return func(ev obs.Event) {
+			if ev.Kind == "campaign_complete" {
+				*n++
+			}
+		}
+	}
+	darkFleet := func(o *Options) {
+		o.Transport = nil
+		o.Clock = &testClock{now: o.Start}
+		o.Vantages = []VantageSpec{{Name: "v0", Transport: func(int, time.Time) (Transport, Clock, error) {
+			return nil, nil, errors.New("vantage unreachable")
+		}}}
+	}
+	for _, tc := range []struct {
+		name     string
+		opts     func(*Options)
+		preRound func(*Monitor) func(int) error
+		missing  bool // the final round
+	}{
+		{name: "scanned"},
+		{name: "mark missing", preRound: markLast, missing: true},
+		{name: "fleet self-outage", opts: darkFleet, missing: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const rounds = 2
+			opts := smallOpts(t, rounds)
+			if tc.opts != nil {
+				tc.opts(&opts)
+			}
+			mon, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			complete := 0
+			rc := RunConfig{Hooks: Hooks{OnEvent: countComplete(&complete)}}
+			if tc.preRound != nil {
+				rc.PreRound = tc.preRound(mon)
+			}
+			if err := mon.Run(context.Background(), rc); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if complete != 1 {
+				t.Errorf("campaign_complete emitted %d times, want 1", complete)
+			}
+			if mon.Round() != rounds || mon.Store().Missing(rounds-1) != tc.missing {
+				t.Errorf("round=%d missing(last)=%v", mon.Round(), mon.Store().Missing(rounds-1))
+			}
+		})
+	}
+
+	t.Run("journal failure", func(t *testing.T) {
+		opts := smallOpts(t, 1)
+		opts.RoundLogPath = t.TempDir() + "/c.cmrl"
+		mon, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon.roundLog.Close() // every later append fails
+		complete := 0
+		err = mon.Run(context.Background(), RunConfig{Hooks: Hooks{OnEvent: countComplete(&complete)}})
+		if err == nil || !strings.Contains(err.Error(), "round log") {
+			t.Fatalf("Run: %v, want the round log error", err)
+		}
+		if mon.Round() != 0 || complete != 0 {
+			t.Errorf("round=%d campaign_complete=%d after a failed journal write, want 0 and 0", mon.Round(), complete)
+		}
+	})
 }

@@ -2,17 +2,13 @@ package countrymon
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
-	"time"
 
 	"countrymon/internal/netmodel"
 	"countrymon/internal/par"
 	"countrymon/internal/regional"
-	"countrymon/internal/scanner"
 	"countrymon/internal/signals"
 	"countrymon/internal/sim"
-	"countrymon/internal/simnet"
 	"countrymon/internal/trinocular"
 )
 
@@ -142,54 +138,6 @@ func TestParallelPipelineMatchesSequential(t *testing.T) {
 			if ss[r] != ps[r] {
 				t.Fatalf("TRIN AS%d round %d: %v (seq) vs %v (parallel)", asn, r, ss[r], ps[r])
 			}
-		}
-	}
-}
-
-// TestScanParallelDeterministic pins the multi-shard scan engine's
-// determinism: the merged RoundData of an 8-shard ScanParallel round must be
-// identical — blocks, masks, counts, stats — whether the shards ran on one
-// worker or eight, and across repeated runs.
-func TestScanParallelDeterministic(t *testing.T) {
-	scanMerged := func(workers string) *scanner.RoundData {
-		t.Setenv(par.EnvWorkers, workers)
-		resp := simnet.ResponderFunc(func(dst netmodel.Addr, at time.Time) simnet.Reply {
-			if dst.HostByte()%3 == 0 {
-				return simnet.Reply{Kind: simnet.EchoReply, RTT: 35 * time.Millisecond}
-			}
-			return simnet.Reply{Kind: simnet.NoReply}
-		})
-		ts, err := scanner.NewTargetSet([]netmodel.Prefix{netmodel.MustParsePrefix("10.0.0.0/21")}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Unix(1700000000, 0)
-		rd, err := scanner.ScanParallel(t.Context(), ts, 8,
-			scanner.Config{Rate: 100000, Seed: 11, Epoch: 3, Cooldown: time.Second},
-			func(shard, shards int) (scanner.Transport, scanner.Clock, error) {
-				net := simnet.New(netmodel.MustParseAddr("198.51.100.1"), resp, start)
-				return net, net, nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rd
-	}
-
-	seq := scanMerged("1")
-	if seq.Stats.Valid == 0 || seq.Partial {
-		t.Fatalf("reference scan unhealthy: %+v", seq.Stats)
-	}
-	for _, workers := range []string{"8", "1"} {
-		parl := scanMerged(workers)
-		if !reflect.DeepEqual(seq.Blocks, parl.Blocks) {
-			t.Fatalf("workers=%s: merged blocks differ from workers=1", workers)
-		}
-		if seq.Stats != parl.Stats {
-			t.Fatalf("workers=%s: merged stats differ: %+v vs %+v", workers, seq.Stats, parl.Stats)
-		}
-		if seq.Probed != parl.Probed || seq.ShardTargets != parl.ShardTargets {
-			t.Fatalf("workers=%s: coverage differs", workers)
 		}
 	}
 }

@@ -51,7 +51,8 @@ func (m *Monitor) Run(ctx context.Context, rc RunConfig) error {
 }
 
 // Step handles exactly one round under Run's semantics — ctx check, PreRound,
-// scan, OnRound — and returns the round's scan statistics. It is the unit Run
+// scan (unless PreRound marked the round missing), OnRound — and returns the
+// round's scan statistics. It is the unit Run
 // loops over; campaign coordinators (internal/campaign) call it directly to
 // interleave rounds of several monitors on one goroutine. Like Run, a ctx
 // cancellation or PreRound error checkpoints before returning.
@@ -61,12 +62,20 @@ func (m *Monitor) Step(ctx context.Context, rc RunConfig) (Stats, error) {
 	if ctx.Err() != nil {
 		return Stats{}, m.checkpointBeforeReturn(ctx.Err())
 	}
+	round := m.round
 	if rc.PreRound != nil {
-		if err := rc.PreRound(m.round); err != nil {
+		if err := rc.PreRound(round); err != nil {
 			return Stats{}, m.checkpointBeforeReturn(err)
 		}
+		if m.round > round {
+			// PreRound handled the round itself (MarkMissing): scanning now
+			// would take the next round without its PreRound.
+			if rc.Hooks.OnRound != nil {
+				rc.Hooks.OnRound(round, Stats{})
+			}
+			return Stats{}, nil
+		}
 	}
-	round := m.round
 	st, err := m.ScanRoundContext(ctx)
 	if err != nil {
 		if ctx.Err() != nil {
