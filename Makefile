@@ -4,7 +4,7 @@ GO ?= go
 # baseline default), bump to e.g. 3s for stable timing comparisons.
 BENCHTIME ?= 1x
 
-.PHONY: all build test bench-check race vet fmt bench bench-smoke bench-diff bench-gate fuzz-smoke chaos-smoke metrics-lint scenario-smoke scorecards load-smoke campaign-smoke ci
+.PHONY: all build test bench-check race vet fmt loc bench bench-smoke bench-diff bench-gate fuzz-smoke chaos-smoke metrics-lint scenario-smoke scorecards load-smoke campaign-smoke ci
 
 all: build
 
@@ -30,6 +30,19 @@ fmt:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# Size report for simplicity PRs, so deltas are quoted the same way each
+# time: non-test Go lines outside bench/, countrymon.Options fields (one
+# per declaration line), and flags defined per CLI.
+loc:
+	@printf 'non-test Go lines (excl. bench/): '; \
+	find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
+	@printf 'countrymon.Options fields: '; \
+	awk '/^type Options struct \{/{f=1;next} f&&/^\}/{exit} f&&!/^[ \t]*(\/\/|$$)/{n++} END{print n}' countrymon.go
+	@for d in cmd/*/; do \
+		printf '%s flags: ' "$$(basename $$d)"; \
+		cat $$d*.go | grep -cE '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|[A-Za-z0-9]*Var)\(' || true; \
+	done
 
 # Record a benchmark baseline: every benchmark (including the workers=1 vs
 # workers=all scaling pairs) with memory stats, converted to JSON keyed by

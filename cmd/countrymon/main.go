@@ -58,7 +58,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "scenario seed")
 	save := flag.String("save", "", "write the generated dataset to this file")
 	load := flag.String("load", "", "load a dataset instead of generating")
-	lazy := flag.Bool("lazy", false, "open -load lazily: v4 resp columns decode on first touch")
 	packetRounds := flag.Int("packet-rounds", 0, "additionally run N packet-level scan rounds through the real scanner")
 	vantages := flag.Int("vantages", 0, "run packet-level rounds over a supervised fleet of N vantages")
 	quorum := flag.Int("quorum", 0, "k of the fleet's k-of-n outage corroboration (0 = min(2, vantages))")
@@ -105,12 +104,7 @@ func main() {
 	var store *dataset.Store
 	if *load != "" {
 		var err error
-		if *lazy {
-			store, err = dataset.OpenLazy(*load)
-		} else {
-			store, err = dataset.Load(*load)
-		}
-		if err != nil {
+		if store, err = dataset.Load(*load); err != nil {
 			log.Fatalf("load: %v", err)
 		}
 		log.Printf("loaded %s: %d blocks × %d rounds", *load, store.NumBlocks(), store.Timeline().NumRounds())

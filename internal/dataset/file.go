@@ -2,13 +2,11 @@ package dataset
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"countrymon/internal/netmodel"
@@ -23,23 +21,18 @@ import (
 //	done bitset [(rounds+63)/64]u64
 //	npartial u32 | npartial × (round u32, coverage u16) — only rounds
 //	     below full coverage are listed (normally none)
-//	resp rows, v3: nblocks × (rowLen u32 + RLE bytes)
-//	resp rows, v4: column index [nblocks]u32 (encoded lengths), then the
-//	               concatenated delta+RLE blob in block order
+//	resp rows: column index [nblocks]u32 (encoded lengths), then the
+//	           concatenated delta+RLE blob in block order
 //	routed rows: nblocks × words u64
 //	ntracked u32 | per tracked: blockIdx u32, rounds × u16 RTT ms
 
 const (
 	fileMagic = "CMDS"
-	// Version 3 run-length codes resp rows (rowLen u32 + RLE bytes) and
-	// carries the done bitset and per-round coverage used by
-	// checkpoint/resume and partial-round gating; version 4 delta codes
-	// rows before the RLE (plateau rows collapse into runs) and fronts them
-	// with a column index so OpenLazy can materialize rows on first touch
-	// instead of decoding the whole file at open. Versions 1 and 2 (raw
-	// rows; RLE without the done bitset) are no longer read.
-	fileVersion    = 4
-	minFileVersion = 3
+	// Version 4 — the only one read or written — delta codes resp rows
+	// before the RLE (plateau rows collapse into runs) and fronts them with
+	// a column index of encoded lengths. It carries the done bitset and
+	// per-round coverage used by checkpoint/resume and partial-round gating.
+	fileVersion = 4
 )
 
 // enc is a sticky-error little-endian encoder. It replaces the
@@ -182,7 +175,7 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	var blob, scratch []byte
 	for i := range s.resp {
 		n := len(blob)
-		blob = deltaRLEAppend(blob, s.respRow(i), &scratch)
+		blob = deltaRLEAppend(blob, s.resp[i], &scratch)
 		lens[i] = uint32(len(blob) - n)
 	}
 	e.u32s(lens)
@@ -285,20 +278,7 @@ func (d *dec) u16s(dst []uint16) {
 
 // ReadFrom deserializes a store written by WriteTo.
 func ReadFrom(r io.Reader) (*Store, error) {
-	return readFrom(r, nil)
-}
-
-// readFrom decodes any supported file version. With a non-nil lazyBuf, r
-// must be a *bytes.Reader over lazyBuf and the file must be v4: resp
-// columns are captured by reference into the buffer instead of decoded, and
-// materialize on first touch (see Store.respRow).
-func readFrom(r io.Reader, lazyBuf []byte) (*Store, error) {
-	var br io.Reader
-	if lazyBuf != nil {
-		br = r // already in memory, and offset math must stay exact
-	} else {
-		br = bufio.NewReaderSize(r, 1<<20)
-	}
+	br := bufio.NewReaderSize(r, 1<<20)
 	d := &dec{r: br}
 
 	magic := make([]byte, 4)
@@ -316,7 +296,7 @@ func readFrom(r io.Reader, lazyBuf []byte) (*Store, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if version < minFileVersion || version > fileVersion {
+	if version != fileVersion {
 		return nil, fmt.Errorf("dataset: unsupported version %d", version)
 	}
 	if rounds == 0 || rounds > 1<<22 || nblocks > 1<<22 {
@@ -338,15 +318,7 @@ func readFrom(r io.Reader, lazyBuf []byte) (*Store, error) {
 	for i, id := range ids {
 		blocks[i] = netmodel.BlockID(id)
 	}
-	var s *Store
-	if lazyBuf != nil {
-		if version != 4 {
-			return nil, fmt.Errorf("dataset: lazy open requires v4, got v%d", version)
-		}
-		s = newStoreShell(tl, blocks)
-	} else {
-		s = NewStore(tl, blocks)
-	}
+	s := NewStore(tl, blocks)
 	if len(s.blocks) != int(nblocks) {
 		return nil, fmt.Errorf("dataset: duplicate blocks in file")
 	}
@@ -387,62 +359,23 @@ func readFrom(r io.Reader, lazyBuf []byte) (*Store, error) {
 		}
 		s.coverage[r] = c
 	}
-	if version == 4 {
-		lens := make([]uint32, nblocks)
-		d.u32s(lens)
+	lens := make([]uint32, nblocks)
+	d.u32s(lens)
+	if d.err != nil {
+		return nil, d.err
+	}
+	for i := range s.resp {
+		if lens[i] > 2*rounds+64 {
+			return nil, fmt.Errorf("dataset: implausible column length %d", lens[i])
+		}
+		// The scratch buffer doubles as the per-column staging area; it is
+		// fully consumed by the decode before the next codec call reuses it.
+		rle := d.bytes(int(lens[i]))
 		if d.err != nil {
 			return nil, d.err
 		}
-		offs := make([]uint32, nblocks+1)
-		for i, l := range lens {
-			if l > 2*rounds+64 {
-				return nil, fmt.Errorf("dataset: implausible column length %d", l)
-			}
-			offs[i+1] = offs[i] + l
-		}
-		if lazyBuf != nil {
-			bs := r.(*bytes.Reader)
-			base := bs.Size() - int64(bs.Len())
-			total := int64(offs[nblocks])
-			if base+total > int64(len(lazyBuf)) {
-				return nil, io.ErrUnexpectedEOF
-			}
-			s.lazyBlob = lazyBuf[base : base+total]
-			s.lazyOffs = offs
-			s.lazyOnce = make([]sync.Once, nblocks)
-			if _, err := bs.Seek(total, io.SeekCurrent); err != nil {
-				return nil, err
-			}
-		} else {
-			for i := range s.resp {
-				rle := d.bytes(int(lens[i]))
-				if d.err != nil {
-					return nil, d.err
-				}
-				if err := deltaRLEDecode(s.resp[i], rle); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else { // v3: per-row length prefix + plain RLE
-		for i := range s.resp {
-			rowLen := d.u32()
-			if d.err != nil {
-				return nil, d.err
-			}
-			if rowLen > 2*rounds+64 {
-				return nil, fmt.Errorf("dataset: implausible RLE row length %d", rowLen)
-			}
-			// The scratch buffer doubles as the per-row RLE staging area; it
-			// is fully consumed by rleDecode before the next codec call
-			// reuses it.
-			rle := d.bytes(int(rowLen))
-			if d.err != nil {
-				return nil, d.err
-			}
-			if err := rleDecode(s.resp[i], rle); err != nil {
-				return nil, err
-			}
+		if err := deltaRLEDecode(s.resp[i], rle); err != nil {
+			return nil, err
 		}
 	}
 	for i := range s.routed {
@@ -511,23 +444,6 @@ func Load(path string) (*Store, error) {
 	}
 	defer f.Close()
 	return ReadFrom(f)
-}
-
-// OpenLazy reads a store file keeping v4 resp columns encoded: the header,
-// bitsets and column index are parsed up front, and each block's row is
-// delta+RLE decoded on first touch. Analyses that visit a subset of blocks
-// (single-AS queries, regional slices) skip the decode cost of everything
-// else. Pre-v4 files have no column index and fall back to an eager Load.
-func OpenLazy(path string) (*Store, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(buf) >= 8 && string(buf[:4]) == fileMagic &&
-		binary.LittleEndian.Uint32(buf[4:8]) == 4 {
-		return readFrom(bytes.NewReader(buf), buf)
-	}
-	return ReadFrom(bytes.NewReader(buf))
 }
 
 type countingWriter struct {

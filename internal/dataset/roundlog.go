@@ -114,7 +114,7 @@ func (l *RoundLog) Append(s *Store, round int) error {
 		return fmt.Errorf("dataset: round log append %d out of range", round)
 	}
 	for bi := 0; bi < l.nblocks; bi++ {
-		l.col[bi] = s.respRow(bi)[round]
+		l.col[bi] = s.resp[bi][round]
 	}
 	b := l.buf[:0]
 	var tmp [4]byte

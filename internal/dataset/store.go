@@ -12,7 +12,6 @@ package dataset
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"countrymon/internal/netmodel"
 	"countrymon/internal/scanner"
@@ -47,16 +46,6 @@ type Store struct {
 	// rtt[b] is per-round mean RTT in milliseconds for tracked blocks
 	// (nil for untracked blocks to bound memory).
 	rtt map[int][]uint16
-
-	// Lazy v4 state (OpenLazy): resp rows start nil and materialize from
-	// the encoded blob on first touch. lazyOffs has nblocks+1 prefix
-	// offsets into lazyBlob; lazyOnce makes materialization safe under
-	// concurrent readers. Nil lazyOnce means an eager store.
-	lazyBlob []byte
-	lazyOffs []uint32
-	lazyOnce []sync.Once
-	lazyMu   sync.Mutex
-	lazyErr  error
 }
 
 // RespCap is the saturation value of per-round responsive counts.
@@ -68,17 +57,6 @@ const coverageFull = 0xFFFF
 // NewStore allocates a store for the given blocks (sorted + deduplicated
 // internally) over the timeline.
 func NewStore(tl *timeline.Timeline, blocks []netmodel.BlockID) *Store {
-	s := newStoreShell(tl, blocks)
-	for i := range s.resp {
-		s.resp[i] = make([]uint8, tl.NumRounds())
-	}
-	return s
-}
-
-// newStoreShell is NewStore without the resp-row allocations — the lazy
-// open path fills those on first touch instead, which is the point of the
-// v4 column index.
-func newStoreShell(tl *timeline.Timeline, blocks []netmodel.BlockID) *Store {
 	bs := append([]netmodel.BlockID(nil), blocks...)
 	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
 	out := bs[:0]
@@ -104,40 +82,10 @@ func newStoreShell(tl *timeline.Timeline, blocks []netmodel.BlockID) *Store {
 	words := (tl.NumRounds() + 63) / 64
 	for i, b := range out {
 		s.index[b] = i
+		s.resp[i] = make([]uint8, tl.NumRounds())
 		s.routed[i] = make([]uint64, words)
 	}
 	return s
-}
-
-// respRow returns block bi's materialized per-round series, delta+RLE
-// decoding the v4 column on first touch for lazily opened stores. Safe for
-// concurrent readers; a corrupt column yields a zero row and records the
-// first error (see Err).
-func (s *Store) respRow(bi int) []uint8 {
-	if s.lazyOnce == nil {
-		return s.resp[bi]
-	}
-	s.lazyOnce[bi].Do(func() {
-		row := make([]uint8, s.tl.NumRounds())
-		src := s.lazyBlob[s.lazyOffs[bi]:s.lazyOffs[bi+1]]
-		if err := deltaRLEDecode(row, src); err != nil {
-			s.lazyMu.Lock()
-			if s.lazyErr == nil {
-				s.lazyErr = fmt.Errorf("dataset: block %d: %w", bi, err)
-			}
-			s.lazyMu.Unlock()
-		}
-		s.resp[bi] = row
-	})
-	return s.resp[bi]
-}
-
-// Err returns the first lazy-decode error encountered, if any. Eagerly
-// loaded stores surface decode errors at load time and always return nil.
-func (s *Store) Err() error {
-	s.lazyMu.Lock()
-	defer s.lazyMu.Unlock()
-	return s.lazyErr
 }
 
 // Timeline returns the campaign timeline.
@@ -244,7 +192,7 @@ func (s *Store) SetRound(blockIdx, round int, resp int, routed bool) {
 	if resp < 0 {
 		resp = 0
 	}
-	s.respRow(blockIdx)[round] = uint8(resp)
+	s.resp[blockIdx][round] = uint8(resp)
 	if routed {
 		s.routed[blockIdx][round/64] |= 1 << (round % 64)
 	} else {
@@ -283,10 +231,10 @@ func (s *Store) RTTTracked(blockIdx int) bool {
 }
 
 // Resp returns the responsive-IP count of block blockIdx in round r.
-func (s *Store) Resp(blockIdx, round int) int { return int(s.respRow(blockIdx)[round]) }
+func (s *Store) Resp(blockIdx, round int) int { return int(s.resp[blockIdx][round]) }
 
 // RespSeries returns the block's full per-round series (do not mutate).
-func (s *Store) RespSeries(blockIdx int) []uint8 { return s.respRow(blockIdx) }
+func (s *Store) RespSeries(blockIdx int) []uint8 { return s.resp[blockIdx] }
 
 // Routed reports whether the block was BGP-routed in round r.
 func (s *Store) Routed(blockIdx, round int) bool {
@@ -307,7 +255,7 @@ func (s *Store) AddRoundData(round int, rd *scanner.RoundData) {
 		if resp > RespCap {
 			resp = RespCap
 		}
-		s.respRow(bi)[round] = uint8(resp)
+		s.resp[bi][round] = uint8(resp)
 		if br.RTTCount > 0 {
 			if _, ok := s.rtt[bi]; ok {
 				s.rtt[bi][round] = uint16(br.MeanRTT().Milliseconds())
@@ -341,7 +289,7 @@ func (s *Store) MonthStats(blockIdx, month int) MonthlyBlockStats {
 	lo, hi := s.tl.MonthRounds(month)
 	var st MonthlyBlockStats
 	var sum int
-	resp := s.respRow(blockIdx)
+	resp := s.resp[blockIdx]
 	for r := lo; r < hi; r++ {
 		if s.missing[r] {
 			continue

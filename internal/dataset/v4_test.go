@@ -3,8 +3,6 @@ package dataset
 import (
 	"bytes"
 	"encoding/binary"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -98,132 +96,20 @@ func TestV4FileRoundTrip(t *testing.T) {
 	assertStoresEqual(t, s, got)
 }
 
-// writeV3 encodes the store in the v3 layout (per-row length prefix + plain
-// RLE, no column index) so the decoder's backward-compat path stays covered
-// now that WriteTo emits v4.
-func writeV3(t *testing.T, s *Store) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := func(v any) {
-		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	buf.WriteString(fileMagic)
-	w(uint32(3))
-	w(s.tl.Start().UnixNano())
-	w(int64(s.tl.Interval()))
-	w(uint32(s.tl.NumRounds()))
-	w(uint32(len(s.blocks)))
-	for _, b := range s.blocks {
-		w(uint32(b))
-	}
-	words := (s.tl.NumRounds() + 63) / 64
-	miss := make([]uint64, words)
-	done := make([]uint64, words)
-	for r := 0; r < s.tl.NumRounds(); r++ {
-		if s.missing[r] {
-			miss[r/64] |= 1 << (r % 64)
-		}
-		if s.done[r] {
-			done[r/64] |= 1 << (r % 64)
-		}
-	}
-	w(miss)
-	w(done)
-	var npartial uint32
-	for _, c := range s.coverage {
-		if c != coverageFull {
-			npartial++
-		}
-	}
-	w(npartial)
-	for r, c := range s.coverage {
-		if c != coverageFull {
-			w(uint32(r))
-			w(c)
-		}
-	}
-	for bi := range s.blocks {
-		rle := rleAppend(nil, s.respRow(bi))
-		w(uint32(len(rle)))
-		buf.Write(rle)
-	}
-	for _, row := range s.routed {
-		w(row)
-	}
-	var tracked []uint32
-	for bi := range s.blocks {
-		if s.RTTTracked(bi) {
-			tracked = append(tracked, uint32(bi))
-		}
-	}
-	w(uint32(len(tracked)))
-	for _, bi := range tracked {
-		w(bi)
-		w(s.rtt[int(bi)])
-	}
-	return buf.Bytes()
-}
-
-// TestUnsupportedVersionsRejected: only v3 and v4 are read; the retired v1/v2
-// layouts and versions from the future fail at the header.
+// TestUnsupportedVersionsRejected: v4 is the only layout read; the retired
+// v1–v3 layouts and versions from the future fail at the header.
 func TestUnsupportedVersionsRejected(t *testing.T) {
-	raw := writeV3(t, v4Store(t))
-	for _, v := range []uint32{1, 2, 5} {
-		hdr := append([]byte(nil), raw...)
-		binary.LittleEndian.PutUint32(hdr[4:8], v)
-		_, err := ReadFrom(bytes.NewReader(hdr))
+	var buf bytes.Buffer
+	if _, err := v4Store(t).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	for _, v := range []uint32{1, 2, 3, 5} {
+		binary.LittleEndian.PutUint32(raw[4:8], v)
+		_, err := ReadFrom(bytes.NewReader(raw))
 		if err == nil || !strings.Contains(err.Error(), "unsupported version") {
 			t.Errorf("version %d: err = %v, want unsupported version", v, err)
 		}
-	}
-}
-
-func TestV3FileStillReadable(t *testing.T) {
-	s := v4Store(t)
-	raw := writeV3(t, s)
-	got, err := ReadFrom(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStoresEqual(t, s, got)
-
-	// OpenLazy has no column index to work with pre-v4 and must fall back
-	// to an eager load.
-	path := filepath.Join(t.TempDir(), "v3.cmds")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := OpenLazy(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStoresEqual(t, s, lazy)
-}
-
-func TestOpenLazyMatchesEager(t *testing.T) {
-	s := v4Store(t)
-	path := filepath.Join(t.TempDir(), "v4.cmds")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := OpenLazy(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lazy.lazyOnce == nil {
-		t.Fatal("OpenLazy on a v4 file decoded eagerly")
-	}
-	// Touch rows out of order — materialization must be order-independent.
-	for _, bi := range []int{69, 0, 35, 1} {
-		if !bytes.Equal(lazy.RespSeries(bi), s.RespSeries(bi)) {
-			t.Fatalf("block %d: lazy row differs", bi)
-		}
-	}
-	assertStoresEqual(t, s, lazy)
-	if err := lazy.Err(); err != nil {
-		t.Fatalf("Err after full read: %v", err)
 	}
 }
 
@@ -239,7 +125,10 @@ func respSectionOffsets(raw []byte, nblocks, rounds int) (lensStart, blobStart i
 	return pos, pos + 4*nblocks
 }
 
-func TestOpenLazyCorruptColumnSurfacesError(t *testing.T) {
+// TestCorruptColumnRejected: a column that cannot decode to exactly one row
+// fails the open — it must never read as an all-zero block, which the
+// detectors would take for an outage. So does a file cut inside the blob.
+func TestCorruptColumnRejected(t *testing.T) {
 	s := v4Store(t)
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
@@ -247,6 +136,9 @@ func TestOpenLazyCorruptColumnSurfacesError(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	lensStart, blobStart := respSectionOffsets(raw, s.NumBlocks(), s.tl.NumRounds())
+	if _, err := ReadFrom(bytes.NewReader(raw[:blobStart+10])); err == nil {
+		t.Fatal("ReadFrom accepted a file truncated inside the blob")
+	}
 	colLen := int(binary.LittleEndian.Uint32(raw[lensStart:]))
 	if colLen == 0 {
 		t.Fatal("first column unexpectedly empty")
@@ -257,46 +149,8 @@ func TestOpenLazyCorruptColumnSurfacesError(t *testing.T) {
 	for i := 0; i < colLen; i++ {
 		raw[blobStart+i] = 0xFF
 	}
-	path := filepath.Join(t.TempDir(), "corrupt.cmds")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Eager open fails up front...
 	if _, err := ReadFrom(bytes.NewReader(raw)); err == nil {
-		t.Fatal("eager ReadFrom accepted a corrupt column")
-	}
-	// ...lazy open defers the failure to first touch of the bad column.
-	lazy, err := OpenLazy(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row := lazy.RespSeries(0); len(row) != s.tl.NumRounds() {
-		t.Fatalf("corrupt row length %d", len(row))
-	}
-	if lazy.Err() == nil {
-		t.Fatal("Err() nil after touching a corrupt column")
-	}
-	// Healthy columns still decode.
-	if !bytes.Equal(lazy.RespSeries(1), s.RespSeries(1)) {
-		t.Fatal("healthy column mis-decoded after a corrupt sibling")
-	}
-}
-
-func TestOpenLazyTruncatedBlob(t *testing.T) {
-	s := v4Store(t)
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	_, blobStart := respSectionOffsets(raw, s.NumBlocks(), s.tl.NumRounds())
-	path := filepath.Join(t.TempDir(), "trunc.cmds")
-	if err := os.WriteFile(path, raw[:blobStart+10], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenLazy(path); err == nil {
-		t.Fatal("OpenLazy accepted a file truncated inside the blob")
+		t.Fatal("ReadFrom accepted a corrupt column")
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 //	GET /v2/outages/events?entityType=region&entityCode=Kherson
 //	GET /v2/signals/raw?entityType=asn&entityCode=25482
 //
-// Responses follow the envelope {"type": ..., "data": [...]}.
+// Responses follow the envelope {"type": ..., "data": [...]}; an error is
+// {"error": msg} under its status code, as from every serve resource.
 
 // Event is one outage event as served by the API.
 type Event struct {
@@ -45,18 +46,16 @@ type envelope struct {
 	Err  string          `json:"error,omitempty"`
 }
 
-// Server exposes a Platform over HTTP. It does not derive series per
-// request: entities are materialized once, on first touch, into a fully
+// Server exposes a Platform over HTTP. It is a serve.Server over a fully
 // sealed serve.Store (the campaign is finished history from the platform's
-// point of view), detection is memoized there per entity, and rendered
-// response bytes are memoized per query — every repeat request is a map
+// point of view) with the two v2 endpoints mounted as cached resources: it
+// does not derive series per request. Entities are materialized once, on
+// first touch, detection is memoized there per entity, and rendered
+// response bytes are cached per query — every repeat request is a map
 // lookup plus a write.
 type Server struct {
-	p   *Platform
-	mux *http.ServeMux
-	// tls is the shared timeline store; every round is sealed at build time.
-	tls  *serve.Store
-	memo *serve.ResponseCache
+	*serve.Server
+	p *Platform
 }
 
 // NewServer builds the API server.
@@ -64,9 +63,9 @@ func NewServer(p *Platform) *Server {
 	tls := serve.NewStore(p.store.Timeline())
 	// A timeline always has at least one round, so sealing cannot fail.
 	_ = tls.AdvanceTo(p.store.Timeline().NumRounds())
-	s := &Server{p: p, mux: http.NewServeMux(), tls: tls, memo: serve.NewResponseCache(0)}
-	s.mux.HandleFunc("/v2/outages/events", s.handleEvents)
-	s.mux.HandleFunc("/v2/signals/raw", s.handleSignals)
+	s := &Server{Server: serve.NewServer(tls), p: p}
+	s.Handle("/v2/outages/events", "outages_events", s.renderEvents)
+	s.Handle("/v2/signals/raw", "signals_raw", s.renderSignals)
 	return s
 }
 
@@ -75,11 +74,11 @@ func NewServer(p *Platform) *Server {
 // store's sealed columns are the only copy anyone reads.
 func (s *Server) asEntity(asn netmodel.ASN) *serve.Entity {
 	code := strconv.FormatUint(uint64(asn), 10)
-	if e := s.tls.Entity(serve.EntityKey("asn", code)); e != nil {
+	if e := s.Store().Entity(serve.EntityKey("asn", code)); e != nil {
 		return e
 	}
 	src := serve.SeriesSource(s.p.ASSeries(asn))
-	e, _ := s.tls.Register("asn", code, src, serve.DetectWith(Config()))
+	e, _ := s.Store().Register("asn", code, src, serve.DetectWith(Config()))
 	return e
 }
 
@@ -87,38 +86,24 @@ func (s *Server) asEntity(asn netmodel.ASN) *serve.Entity {
 // detector instead of the sliding-window one.
 func (s *Server) regionEntity(region netmodel.Region) *serve.Entity {
 	code := region.String()
-	if e := s.tls.Entity(serve.EntityKey("region", code)); e != nil {
+	if e := s.Store().Entity(serve.EntityKey("region", code)); e != nil {
 		return e
 	}
 	src := serve.SeriesSource(s.p.RegionSeries(region))
-	e, _ := s.tls.Register("region", code, src, detectRegionSeries)
+	e, _ := s.Store().Register("region", code, src, detectRegionSeries)
 	return e
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-func renderEnvelope(typ string, data interface{}, errMsg string) []byte {
-	var raw json.RawMessage
-	if data != nil {
-		raw, _ = json.Marshal(data)
-	}
-	body, _ := json.Marshal(envelope{Type: typ, Data: raw, Err: errMsg})
-	return append(body, '\n')
-}
-
-func writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, typ string, data interface{}, errMsg string) {
-	writeRaw(w, status, renderEnvelope(typ, data, errMsg))
+// renderEnvelope renders a 200 body. Every round is sealed, so a body is a
+// function of the query alone: both resources are immutable.
+func renderEnvelope(typ string, data interface{}) ([]byte, bool, int, string) {
+	raw, _ := json.Marshal(data)
+	body, _ := json.Marshal(envelope{Type: typ, Data: raw})
+	return append(body, '\n'), true, 0, ""
 }
 
 // entity resolves entityType/entityCode query params.
-func (s *Server) entity(q url.Values) (isAS bool, asn netmodel.ASN, region netmodel.Region, err error) {
+func entity(q url.Values) (isAS bool, asn netmodel.ASN, region netmodel.Region, err error) {
 	code := q.Get("entityCode")
 	switch q.Get("entityType") {
 	case "asn":
@@ -144,16 +129,13 @@ func datasourceOf(k signals.Kind) string {
 	return "active-probing"
 }
 
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	memoKey := "events?" + r.URL.RawQuery
-	if body := s.memo.Get(memoKey); body != nil {
-		writeRaw(w, http.StatusOK, body)
-		return
-	}
-	isAS, asn, region, err := s.entity(r.URL.Query())
+func (s *Server) renderEvents(rawQuery string) ([]byte, bool, int, string) {
+	// As lenient as r.URL.Query(): a malformed pair is dropped, the rest
+	// of the query still answers.
+	q, _ := url.ParseQuery(rawQuery)
+	isAS, asn, region, err := entity(q)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, "outage.events", nil, err.Error())
-		return
+		return nil, false, http.StatusBadRequest, err.Error()
 	}
 	tl := s.p.store.Timeline()
 	var det *signals.Detection
@@ -163,15 +145,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if !s.p.Reported(asn) {
 			// Below the reporting floor: empty result, as the real
 			// platform returns for uncovered ASes.
-			body := renderEnvelope("outage.events", []Event{}, "")
-			s.memo.Put(memoKey, body)
-			writeRaw(w, http.StatusOK, body)
-			return
+			return renderEnvelope("outage.events", []Event{})
 		}
-		det = s.tls.Detection(s.asEntity(asn))
+		det = s.Store().Detection(s.asEntity(asn))
 	} else {
 		code = region.String()
-		det = s.tls.Detection(s.regionEntity(region))
+		det = s.Store().Detection(s.regionEntity(region))
 	}
 	events := make([]Event, 0, len(det.Outages))
 	for _, o := range det.Outages {
@@ -184,36 +163,25 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			Ongoing:    o.Ongoing,
 		})
 	}
-	body := renderEnvelope("outage.events", events, "")
-	s.memo.Put(memoKey, body)
-	writeRaw(w, http.StatusOK, body)
+	return renderEnvelope("outage.events", events)
 }
 
-func (s *Server) handleSignals(w http.ResponseWriter, r *http.Request) {
-	memoKey := "signals?" + r.URL.RawQuery
-	if body := s.memo.Get(memoKey); body != nil {
-		writeRaw(w, http.StatusOK, body)
-		return
-	}
-	isAS, asn, region, err := s.entity(r.URL.Query())
+func (s *Server) renderSignals(rawQuery string) ([]byte, bool, int, string) {
+	q, _ := url.ParseQuery(rawQuery) // lenient, as in renderEvents
+	isAS, asn, region, err := entity(q)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, "signals.raw", nil, err.Error())
-		return
+		return nil, false, http.StatusBadRequest, err.Error()
 	}
 	var ent *serve.Entity
 	if isAS {
 		if !s.p.HasCoverage(asn) {
-			body := renderEnvelope("signals.raw", []SignalPoint{}, "")
-			s.memo.Put(memoKey, body)
-			writeRaw(w, http.StatusOK, body)
-			return
+			return renderEnvelope("signals.raw", []SignalPoint{})
 		}
 		ent = s.asEntity(asn)
 	} else {
 		ent = s.regionEntity(region)
 	}
 	tl := s.p.store.Timeline()
-	q := r.URL.Query()
 	from, until := int64(0), int64(1<<62)
 	if v, err := strconv.ParseInt(q.Get("from"), 10, 64); err == nil {
 		from = v
@@ -232,9 +200,7 @@ func (s *Server) handleSignals(w http.ResponseWriter, r *http.Request) {
 		}
 		pts = append(pts, SignalPoint{Time: t, BGP: float64(ent.BGP(round)), TRIN: float64(ent.FBS(round))})
 	}
-	body := renderEnvelope("signals.raw", pts, "")
-	s.memo.Put(memoKey, body)
-	writeRaw(w, http.StatusOK, body)
+	return renderEnvelope("signals.raw", pts)
 }
 
 // Client consumes the API.

@@ -1,13 +1,13 @@
 package ioda
 
 import (
-	"io"
+	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
 	"countrymon/internal/netmodel"
+	"countrymon/internal/obs"
 )
 
 func apiFixture(t *testing.T) (*httptest.Server, *Client) {
@@ -104,36 +104,78 @@ func TestAPIErrors(t *testing.T) {
 	}
 }
 
-// TestAPIMemoizedResponses checks the serving rework: repeat queries are
-// answered from the response memo (byte-identical), the entity is
-// materialized in the shared timeline store exactly once, and time-filtered
-// variants memoize independently.
-func TestAPIMemoizedResponses(t *testing.T) {
-	srv, _ := apiFixture(t)
-	fetch := func(path string) string {
-		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var buf strings.Builder
-		if _, err := io.Copy(&buf, resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	for _, path := range []string{
-		"/v2/signals/raw?entityType=asn&entityCode=15895",
-		"/v2/outages/events?entityType=region&entityCode=Kherson",
-		"/v2/outages/events?entityType=asn&entityCode=25482", // below floor
+// allocWriter is a ResponseWriter that keeps its header map across
+// requests, as a reused connection does: the allocation check must measure
+// the handler, not map growth on a fresh writer.
+type allocWriter struct {
+	h      http.Header
+	status int
+	body   []byte
+}
+
+func (w *allocWriter) Header() http.Header { return w.h }
+func (w *allocWriter) WriteHeader(s int)   { w.status = s }
+func (w *allocWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body[:0], p...)
+	return len(p), nil
+}
+func (w *allocWriter) get(h http.Handler, req *http.Request) {
+	clear(w.h)
+	w.status, w.body = 0, w.body[:0]
+	h.ServeHTTP(w, req)
+}
+
+// TestCachedResources holds every cached JSON resource — the platform's two
+// v2 endpoints and the three /v1 ones of the serve.Server it is built on —
+// to the one serve path they share: the first GET renders a 200 with a
+// strong ETag, a repeat GET is a counted cache hit with the same bytes and
+// no allocation, If-None-Match answers 304, and each request is counted
+// under the resource's own serve_requests_total label. The v2 rows come
+// first: they materialize the entities the /v1 rows then read.
+func TestCachedResources(t *testing.T) {
+	_, p := fixture(t)
+	srv := NewServer(p)
+	reg := obs.NewRegistry()
+	srv.Observe(reg, obs.NewBus(16))
+	requests := reg.CounterVec("serve_requests_total", "", "endpoint")
+	hits := reg.Counter("serve_cache_hits_total", "")
+	for _, tc := range []struct{ endpoint, url string }{
+		{"signals_raw", "/v2/signals/raw?entityType=asn&entityCode=15895"},
+		{"signals_raw", "/v2/signals/raw?entityType=asn&entityCode=15895&from=1700000000"},
+		{"outages_events", "/v2/outages/events?entityType=region&entityCode=Kherson"},
+		{"outages_events", "/v2/outages/events?entityType=asn&entityCode=25482"}, // below the floor
+		{"series", "/v1/series?entity=asn/15895&limit=16"},
+		{"outages", "/v1/outages?entity=region/Kherson"},
+		{"entities", "/v1/entities"},
 	} {
-		a, b := fetch(path), fetch(path)
-		if a != b {
-			t.Errorf("repeat GET %s served different bytes", path)
+		counted, hit := requests.With(tc.endpoint).Value(), hits.Value()
+		req := httptest.NewRequest("GET", tc.url, nil)
+		w := &allocWriter{h: make(http.Header)}
+		w.get(srv, req)
+		etag := w.h.Get("Etag")
+		if w.status != 0 || len(w.body) == 0 || etag == "" {
+			t.Errorf("GET %s: status %d, %d bytes, ETag %q", tc.url, w.status, len(w.body), etag)
+			continue
 		}
-		if a == "" {
-			t.Errorf("GET %s served empty body", path)
+		first := string(w.body)
+		if allocs := testing.AllocsPerRun(10, func() { w.get(srv, req) }); allocs != 0 {
+			t.Errorf("GET %s: cached hit allocates %.1f objects/op, want 0", tc.url, allocs)
+		}
+		if string(w.body) != first || w.h.Get("Etag") != etag {
+			t.Errorf("GET %s: repeat served different bytes or ETag", tc.url)
+		}
+		req.Header.Set("If-None-Match", etag)
+		w.get(srv, req)
+		if w.status != http.StatusNotModified || len(w.body) != 0 {
+			t.Errorf("GET %s If-None-Match: status %d, %d bytes, want 304 and none", tc.url, w.status, len(w.body))
+		}
+		// One render, then AllocsPerRun's warm-up and 10 runs and the
+		// revalidation: 13 requests, 12 of them hits.
+		if got := requests.With(tc.endpoint).Value() - counted; got != 13 {
+			t.Errorf("GET %s: serve_requests_total{%s} moved by %d, want 13", tc.url, tc.endpoint, got)
+		}
+		if got := hits.Value() - hit; got != 12 {
+			t.Errorf("GET %s: %d cache hits, want 12", tc.url, got)
 		}
 	}
 }

@@ -176,9 +176,10 @@ func (p *Portal) withToken(h http.HandlerFunc) http.HandlerFunc {
 // AttachServe mounts the production read path under the portal: the serve
 // query API (series, outages, entities, live events) becomes reachable at
 // /data/v1/... behind the same research-access token as the raw exports.
+// The server matches routes on the path's tail, so it takes the request as
+// it arrived.
 func (p *Portal) AttachServe(s *serve.Server) {
-	strip := http.StripPrefix("/data", s)
-	p.mux.Handle("/data/v1/", p.withToken(strip.ServeHTTP))
+	p.mux.Handle("/data/v1/", p.withToken(s.ServeHTTP))
 }
 
 // Pagination bounds for the /data/blocks export.

@@ -30,32 +30,22 @@ var (
 	ctJSON      = []string{"application/json"}
 )
 
-// respCache memoizes rendered responses per endpoint, keyed by the raw
+// respCache memoizes one resource's rendered responses, keyed by the raw
 // query string. Lookups on the hot path are a single string-keyed map read
-// under RLock — allocation-free. The cache is bounded: inserts beyond cap
-// evict in insertion order (misses re-render, correctness never depends on
-// residency).
+// under RLock — allocation-free. The cache is bounded: inserts beyond
+// cacheCap evict in insertion order (misses re-render, correctness never
+// depends on residency).
 type respCache struct {
 	mu      sync.RWMutex
 	entries map[string]*cacheEntry
-	keys    []string // insertion ring for eviction
+	keys    []string // insertion ring for eviction, grown up to cacheCap
 	next    int
-	cap     int
-	hits    int64
-	misses  int64
 }
 
-const defaultCacheCap = 4096
+const cacheCap = 4096
 
-func newRespCache(capacity int) *respCache {
-	if capacity <= 0 {
-		capacity = defaultCacheCap
-	}
-	return &respCache{
-		entries: make(map[string]*cacheEntry, capacity),
-		keys:    make([]string, capacity),
-		cap:     capacity,
-	}
+func newRespCache() *respCache {
+	return &respCache{entries: make(map[string]*cacheEntry)}
 }
 
 // get returns the cached entry for key if still valid at epoch. Immutable
@@ -75,49 +65,18 @@ func (c *respCache) get(key string, epoch uint64) *cacheEntry {
 func (c *respCache) put(key string, e *cacheEntry) {
 	c.mu.Lock()
 	if _, exists := c.entries[key]; !exists {
-		if old := c.keys[c.next]; old != "" {
-			delete(c.entries, old)
-		}
 		// Copy the key: it usually aliases a request's URL buffer.
 		key = string(append([]byte(nil), key...))
-		c.keys[c.next] = key
-		c.next = (c.next + 1) % c.cap
+		if len(c.keys) < cacheCap {
+			c.keys = append(c.keys, key)
+		} else {
+			delete(c.entries, c.keys[c.next])
+			c.keys[c.next] = key
+			c.next = (c.next + 1) % cacheCap
+		}
 	}
 	c.entries[key] = e
 	c.mu.Unlock()
-}
-
-// len returns the number of resident entries.
-func (c *respCache) len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
-}
-
-// ResponseCache is the exported face of the response-byte memo for sibling
-// API layers (the IODA-shaped v2 API) whose content is immutable history:
-// entries never expire, the cache is bounded by FIFO eviction, and lookups
-// are allocation-free.
-type ResponseCache struct{ c *respCache }
-
-// NewResponseCache builds a bounded immutable-response memo (capacity <= 0
-// selects the default).
-func NewResponseCache(capacity int) *ResponseCache {
-	return &ResponseCache{c: newRespCache(capacity)}
-}
-
-// Get returns the memoized body for key, or nil.
-func (c *ResponseCache) Get(key string) []byte {
-	e := c.c.get(key, 0)
-	if e == nil {
-		return nil
-	}
-	return e.body
-}
-
-// Put memoizes body under key. The caller must not mutate body afterwards.
-func (c *ResponseCache) Put(key string, body []byte) {
-	c.c.put(key, &cacheEntry{body: body, immutable: true})
 }
 
 // writeEntry emits a cached response, handling conditional revalidation.

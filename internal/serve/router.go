@@ -84,15 +84,15 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			rt.writeCountry(w, cc)
 			return
 		}
-		// Dispatch into the country's server under the unprefixed name, so
-		// both spellings share one handler and one response cache. The
-		// request is shallow-copied: handlers read only URL and headers.
-		r2 := new(http.Request)
-		*r2 = *r
-		u2 := *r.URL
-		u2.Path = "/v1/" + rest
-		r2.URL = &u2
-		s.ServeHTTP(w, r2)
+		// /v1/countries/{cc}/X is that country's /v1/X: one route and one
+		// response cache under both spellings, called with the caller's own
+		// request — handlers read only the raw query and the headers.
+		h := s.routes["/v1/"+rest]
+		if h == nil {
+			http.NotFound(w, r)
+			return
+		}
+		h(w, r)
 		return
 	}
 	if rt.def == "" {

@@ -32,55 +32,90 @@ const (
 //	/v1/events                 live SSE / long-poll fan-out (obs bus)
 //	/metrics                   registry export
 //
-// Every JSON response is rendered once per (query, store state) and cached:
-// responses whose round window is pinned entirely inside sealed history are
-// immutable — strong ETag, `Cache-Control: immutable`, never re-rendered —
-// while live-edge responses are epoch-tagged and invalidate when a round
-// lands. The cached path re-serves bytes without allocating.
+// Every JSON response is a cached resource (see Handle): rendered once per
+// (query, store state) and re-served from its bytes. Responses whose round
+// window is pinned entirely inside sealed history are immutable — strong
+// ETag, `Cache-Control: immutable`, never re-rendered — while live-edge
+// responses are epoch-tagged and invalidate when a round lands. The cached
+// path re-serves bytes without allocating.
 type Server struct {
 	store *Store
-	mux   *http.ServeMux
 	bus   *obs.Bus
 	reg   *obs.Registry
 
-	seriesCache   *respCache
-	outagesCache  *respCache
-	entitiesCache *respCache
+	// routes maps a full path ("/v1/series") to its handler; resources are
+	// the cached ones among them, kept so Observe can resolve their
+	// request counters.
+	routes    map[string]http.HandlerFunc
+	resources []*resource
 
 	// Pre-resolved metric children: the hot path must not pay CounterVec
 	// label resolution per request. All nil (and nil-safe) until Observe.
-	reqSeries, reqOutages, reqEntities, reqEvents *obs.Counter
-	cacheHits, cacheMisses                        *obs.Counter
-	watermarkG                                    *obs.Gauge
-	liveClients                                   *obs.Gauge
+	reqEvents              *obs.Counter
+	cacheHits, cacheMisses *obs.Counter
+	watermarkG             *obs.Gauge
+	liveClients            *obs.Gauge
+}
+
+// Render produces a cached resource's response body for one raw query
+// string. A nil body is an error, answered with status and {"error": msg}.
+// An immutable body must be a function of the query and of sealed cells
+// only: it is cached forever and served under `Cache-Control: immutable`.
+// Any other body is valid for the store epoch the request observed.
+type Render func(rawQuery string) (body []byte, immutable bool, status int, msg string)
+
+// resource is one cached JSON endpoint: a renderer and the rendered-bytes
+// cache in front of it, keyed by raw query.
+type resource struct {
+	endpoint string // serve_requests_total label
+	render   Render
+	cache    *respCache
+	requests *obs.Counter // nil (and nil-safe) until Observe
 }
 
 // NewServer builds the query API over store.
 func NewServer(store *Store) *Server {
-	s := &Server{
-		store:         store,
-		mux:           http.NewServeMux(),
-		seriesCache:   newRespCache(0),
-		outagesCache:  newRespCache(0),
-		entitiesCache: newRespCache(0),
-	}
-	s.mux.HandleFunc("/v1/series", s.handleSeries)
-	s.mux.HandleFunc("/v1/outages", s.handleOutages)
-	s.mux.HandleFunc("/v1/entities", s.handleEntities)
-	s.mux.HandleFunc("/v1/events", s.handleEvents)
-	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+	s := &Server{store: store, routes: make(map[string]http.HandlerFunc)}
+	s.Handle("/v1/series", "series", s.renderSeries)
+	s.Handle("/v1/outages", "outages", s.renderOutages)
+	s.Handle("/v1/entities", "entities", s.renderEntities)
+	s.routes["/v1/events"] = s.handleEvents
+	s.routes["/metrics"] = func(w http.ResponseWriter, r *http.Request) {
 		obs.MetricsHandler(s.reg).ServeHTTP(w, r)
-	})
-	s.mux.HandleFunc("/", s.handleIndex)
+	}
 	return s
+}
+
+// Handle mounts one more cached JSON resource at path, counted as
+// serve_requests_total{endpoint}. Call it before Observe and before the
+// server takes requests.
+func (s *Server) Handle(path, endpoint string, render Render) {
+	res := &resource{endpoint: endpoint, render: render, cache: newRespCache()}
+	s.resources = append(s.resources, res)
+	s.routes[path] = func(w http.ResponseWriter, r *http.Request) { s.serveResource(res, w, r) }
 }
 
 // Store returns the underlying timeline store.
 func (s *Server) Store() *Store { return s.store }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. A route matches the tail of the path,
+// so a Server mounted under a prefix (the portal's /data) is handed the
+// caller's own request rather than a copy with the prefix stripped:
+// handlers read only the raw query and the headers.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+	path := r.URL.Path
+	for {
+		if h := s.routes[path]; h != nil {
+			h(w, r)
+			return
+		}
+		i := strings.IndexByte(strings.TrimPrefix(path, "/"), '/')
+		if i < 0 {
+			break
+		}
+		path = path[i+1:]
+	}
+	s.handleIndex(w, r)
 }
 
 // Observe registers the serving metrics and attaches the live event bus:
@@ -90,9 +125,9 @@ func (s *Server) Observe(reg *obs.Registry, bus *obs.Bus) {
 	s.reg = reg
 	s.bus = bus
 	req := reg.CounterVec("serve_requests_total", "Serve-API requests, by endpoint.", "endpoint")
-	s.reqSeries = req.With("series")
-	s.reqOutages = req.With("outages")
-	s.reqEntities = req.With("entities")
+	for _, res := range s.resources {
+		res.requests = req.With(res.endpoint)
+	}
 	s.reqEvents = req.With("events")
 	s.cacheHits = reg.Counter("serve_cache_hits_total", "Serve responses answered from the rendered-bytes cache.")
 	s.cacheMisses = reg.Counter("serve_cache_misses_total", "Serve responses that had to be rendered.")
@@ -102,49 +137,53 @@ func (s *Server) Observe(reg *obs.Registry, bus *obs.Bus) {
 	s.watermarkG.Set(int64(s.store.Watermark()))
 }
 
-// --- /v1/series ---
-
-func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	s.reqSeries.Inc()
+// serveResource is the one get-or-render path: a hit re-serves the cached
+// bytes, a miss renders at the epoch read before rendering, so an entry can
+// only ever be tagged older than its content, never newer.
+func (s *Server) serveResource(res *resource, w http.ResponseWriter, r *http.Request) {
+	res.requests.Inc()
 	key := r.URL.RawQuery
 	epoch := s.store.epoch.Load()
-	if e := s.seriesCache.get(key, epoch); e != nil {
+	e := res.cache.get(key, epoch)
+	if e != nil {
 		s.cacheHits.Inc()
-		writeEntry(w, r, e)
-		return
+	} else {
+		s.cacheMisses.Inc()
+		body, immutable, status, msg := res.render(key)
+		if body == nil {
+			writeError(w, status, msg)
+			return
+		}
+		e = newEntry(body, immutable, epoch)
+		res.cache.put(key, e)
 	}
-	s.cacheMisses.Inc()
-	e, status, msg := s.renderSeries(key, epoch)
-	if e == nil {
-		writeError(w, status, msg)
-		return
-	}
-	s.seriesCache.put(key, e)
 	writeEntry(w, r, e)
 }
 
-func (s *Server) renderSeries(rawQuery string, epoch uint64) (*cacheEntry, int, string) {
+// --- /v1/series ---
+
+func (s *Server) renderSeries(rawQuery string) ([]byte, bool, int, string) {
 	q, err := url.ParseQuery(rawQuery)
 	if err != nil {
-		return nil, http.StatusBadRequest, "malformed query"
+		return nil, false, http.StatusBadRequest, "malformed query"
 	}
 	ent := s.store.Entity(q.Get("entity"))
 	if ent == nil {
 		if q.Get("entity") == "" {
-			return nil, http.StatusBadRequest, "missing entity parameter"
+			return nil, false, http.StatusBadRequest, "missing entity parameter"
 		}
-		return nil, http.StatusNotFound, "unknown entity " + q.Get("entity")
+		return nil, false, http.StatusNotFound, "unknown entity " + q.Get("entity")
 	}
 	limit, ok := intParam(q, "limit", DefaultSeriesLimit)
 	if !ok || limit <= 0 {
-		return nil, http.StatusBadRequest, "invalid limit"
+		return nil, false, http.StatusBadRequest, "invalid limit"
 	}
 	if limit > MaxSeriesLimit {
 		limit = MaxSeriesLimit
 	}
 	offset, ok := intParam(q, "offset", 0)
 	if !ok || offset < 0 {
-		return nil, http.StatusBadRequest, "invalid offset"
+		return nil, false, http.StatusBadRequest, "invalid offset"
 	}
 	tl := s.store.tl
 
@@ -156,7 +195,7 @@ func (s *Server) renderSeries(rawQuery string, epoch uint64) (*cacheEntry, int, 
 	if v := q.Get("since"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			return nil, http.StatusBadRequest, "invalid since"
+			return nil, false, http.StatusBadRequest, "invalid since"
 		}
 		sinceRound = n
 	}
@@ -164,7 +203,7 @@ func (s *Server) renderSeries(rawQuery string, epoch uint64) (*cacheEntry, int, 
 	if v := q.Get("from"); v != "" {
 		sec, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			return nil, http.StatusBadRequest, "invalid from"
+			return nil, false, http.StatusBadRequest, "invalid from"
 		}
 		fromRound = tl.Round(time.Unix(sec, 0))
 	}
@@ -172,12 +211,13 @@ func (s *Server) renderSeries(rawQuery string, epoch uint64) (*cacheEntry, int, 
 	if v := q.Get("until"); v != "" {
 		sec, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			return nil, http.StatusBadRequest, "invalid until"
+			return nil, false, http.StatusBadRequest, "invalid until"
 		}
 		untilRound = tl.Round(time.Unix(sec, 0))
 	}
 
-	var entry *cacheEntry
+	var body []byte
+	var immutable bool
 	s.store.Snapshot(func(wm int) {
 		s.watermarkG.Set(int64(wm))
 		lo, hi, pinned := 0, wm, false
@@ -194,21 +234,26 @@ func (s *Server) renderSeries(rawQuery string, epoch uint64) (*cacheEntry, int, 
 			lo = hi
 		}
 		total := hi - lo
-		start := min(lo+offset, hi)
+		start := lo + min(offset, total)
 		end := min(start+limit, hi)
 
 		// Immutable only when the window is pinned in sealed history AND the
 		// months it touches are complete: IPS month validity still firms up
 		// while a month's rounds are landing.
-		immutable := pinned
+		immutable = pinned
 		if end > start {
 			_, mhi := tl.MonthRounds(tl.MonthOfRound(end - 1))
 			immutable = pinned && mhi <= wm
 		}
-		body := appendSeriesJSON(make([]byte, 0, 256+32*(end-start)), ent, tl, wm, total, offset, limit, start, end)
-		entry = newEntry(body, immutable, epoch)
+		// An immutable body may not embed live state: it reports the pinned
+		// window's own bound where a live one reports the watermark, so the
+		// same query renders the same bytes at every later watermark.
+		if immutable {
+			wm = hi
+		}
+		body = appendSeriesJSON(make([]byte, 0, 256+32*(end-start)), ent, tl, wm, total, offset, limit, start, end)
 	})
-	return entry, 0, ""
+	return body, immutable, 0, ""
 }
 
 func appendSeriesJSON(b []byte, e *Entity, tl *timeline.Timeline, wm, total, offset, limit, start, end int) []byte {
@@ -269,36 +314,17 @@ func appendFloatCol(b []byte, vals []float32) []byte {
 
 // --- /v1/outages ---
 
-func (s *Server) handleOutages(w http.ResponseWriter, r *http.Request) {
-	s.reqOutages.Inc()
-	key := r.URL.RawQuery
-	epoch := s.store.epoch.Load()
-	if e := s.outagesCache.get(key, epoch); e != nil {
-		s.cacheHits.Inc()
-		writeEntry(w, r, e)
-		return
-	}
-	s.cacheMisses.Inc()
-	e, status, msg := s.renderOutages(key, epoch)
-	if e == nil {
-		writeError(w, status, msg)
-		return
-	}
-	s.outagesCache.put(key, e)
-	writeEntry(w, r, e)
-}
-
-func (s *Server) renderOutages(rawQuery string, epoch uint64) (*cacheEntry, int, string) {
+func (s *Server) renderOutages(rawQuery string) ([]byte, bool, int, string) {
 	q, err := url.ParseQuery(rawQuery)
 	if err != nil {
-		return nil, http.StatusBadRequest, "malformed query"
+		return nil, false, http.StatusBadRequest, "malformed query"
 	}
 	ent := s.store.Entity(q.Get("entity"))
 	if ent == nil {
 		if q.Get("entity") == "" {
-			return nil, http.StatusBadRequest, "missing entity parameter"
+			return nil, false, http.StatusBadRequest, "missing entity parameter"
 		}
-		return nil, http.StatusNotFound, "unknown entity " + q.Get("entity")
+		return nil, false, http.StatusNotFound, "unknown entity " + q.Get("entity")
 	}
 	det := s.store.Detection(ent)
 	tl := s.store.tl
@@ -329,34 +355,15 @@ func (s *Server) renderOutages(rawQuery string, epoch uint64) (*cacheEntry, int,
 	b = append(b, `]}`...)
 	// Outage detection spans the whole sealed prefix, so the response always
 	// tracks the watermark: mutable tier.
-	return newEntry(b, false, epoch), 0, ""
+	return b, false, 0, ""
 }
 
 // --- /v1/entities ---
 
-func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
-	s.reqEntities.Inc()
-	key := r.URL.RawQuery
-	epoch := s.store.epoch.Load()
-	if e := s.entitiesCache.get(key, epoch); e != nil {
-		s.cacheHits.Inc()
-		writeEntry(w, r, e)
-		return
-	}
-	s.cacheMisses.Inc()
-	e, status, msg := s.renderEntities(key, epoch)
-	if e == nil {
-		writeError(w, status, msg)
-		return
-	}
-	s.entitiesCache.put(key, e)
-	writeEntry(w, r, e)
-}
-
-func (s *Server) renderEntities(rawQuery string, epoch uint64) (*cacheEntry, int, string) {
+func (s *Server) renderEntities(rawQuery string) ([]byte, bool, int, string) {
 	q, err := url.ParseQuery(rawQuery)
 	if err != nil {
-		return nil, http.StatusBadRequest, "malformed query"
+		return nil, false, http.StatusBadRequest, "malformed query"
 	}
 	typ := q.Get("type")
 	var b []byte
@@ -387,7 +394,7 @@ func (s *Server) renderEntities(rawQuery string, epoch uint64) (*cacheEntry, int
 		b = strconv.AppendInt(b, int64(n), 10)
 		b = append(b, '}')
 	})
-	return newEntry(b, false, epoch), 0, ""
+	return b, false, 0, ""
 }
 
 // --- /v1/events ---

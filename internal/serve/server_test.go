@@ -134,6 +134,12 @@ func TestSeriesDelta(t *testing.T) {
 
 func TestSeriesErrors(t *testing.T) {
 	s, _ := newTestServer(t, 10)
+	// An offset past the window is an empty page, however large: lo+offset
+	// used to overflow into a negative slice bound.
+	out, _ := getSeries(t, s, "/v1/series?entity=asn/6877&since=1&offset=9223372036854775807")
+	if out.Count != 0 || out.StartRound != 10 || out.Total != 9 {
+		t.Errorf("offset beyond the window: %+v", out)
+	}
 	for url, want := range map[string]int{
 		"/v1/series":                              http.StatusBadRequest,
 		"/v1/series?entity=asn/999":               http.StatusNotFound,
@@ -207,6 +213,33 @@ func TestCachingSemantics(t *testing.T) {
 	_, rec3 := getSeries(t, s, immURL)
 	if rec3.Body.String() != rec.Body.String() || rec3.Header().Get("Etag") != etag {
 		t.Fatal("immutable response changed after Advance")
+	}
+}
+
+// TestImmutableBodyIgnoresWatermark: an immutable response is a function of
+// the query and sealed cells only, so a cold cache (a fresh Server over the
+// same store, or an evicted entry) renders the very same bytes and ETag at
+// any later watermark.
+func TestImmutableBodyIgnoresWatermark(t *testing.T) {
+	s, st := newTestServer(t, 70)
+	tl := st.Timeline()
+	_, mhi := tl.MonthRounds(0)
+	url := "/v1/series?entity=asn/6877&from=" + strconv.FormatInt(tl.Time(0).Unix(), 10) +
+		"&until=" + strconv.FormatInt(tl.Time(mhi-1).Unix(), 10)
+	out, before := getSeries(t, s, url)
+	if cc := before.Header().Get("Cache-Control"); !strings.Contains(cc, "immutable") {
+		t.Fatalf("fixture: Cache-Control = %q", cc)
+	}
+	if out.Watermark != mhi || out.Total != mhi {
+		t.Errorf("pinned window reports watermark %d, total %d, want its bound %d", out.Watermark, out.Total, mhi)
+	}
+	if err := st.Advance(70); err != nil {
+		t.Fatal(err)
+	}
+	_, after := getSeries(t, NewServer(st), url)
+	if after.Body.String() != before.Body.String() || after.Header().Get("Etag") != before.Header().Get("Etag") {
+		t.Errorf("re-rendered immutable response changed:\n%s %s\n%s %s",
+			before.Header().Get("Etag"), before.Body.String()[:60], after.Header().Get("Etag"), after.Body.String()[:60])
 	}
 }
 
@@ -319,22 +352,38 @@ func (w *reusableWriter) reset() {
 	w.status, w.n = 0, 0
 }
 
-// TestCachedQueryZeroAlloc is the ISSUE's hard acceptance criterion: after
-// the first (rendering) request, serving the same query allocates nothing.
+// TestCachedQueryZeroAlloc is the hard acceptance criterion of the read
+// path: after the first (rendering) request, serving the same query
+// allocates nothing — directly, through the Router's country-scoped
+// spelling, and under a mount prefix such as the portal's /data.
 func TestCachedQueryZeroAlloc(t *testing.T) {
 	s, _ := newTestServer(t, 40)
 	s.Observe(obs.NewRegistry(), obs.NewBus(16))
-	req := httptest.NewRequest("GET", "/v1/series?entity=asn/6877&limit=20", nil)
-	w := &reusableWriter{h: make(http.Header)}
-	s.handleSeries(w, req) // warm the cache
-	if w.status == http.StatusNotFound || w.n == 0 {
-		t.Fatalf("warmup failed: status %d, %d bytes", w.status, w.n)
+	rt := NewRouter()
+	if err := rt.Add("UA", "Ukraine", s); err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		w.reset()
-		s.handleSeries(w, req)
-	})
-	if allocs != 0 {
-		t.Fatalf("cached query allocates %.1f objects/op, want 0", allocs)
+	for _, tc := range []struct {
+		h    http.Handler
+		path string
+	}{
+		{s, "/v1/series"},
+		{rt, "/v1/series"},
+		{rt, "/v1/countries/UA/series"},
+		{s, "/data/v1/series"},
+	} {
+		req := httptest.NewRequest("GET", tc.path+"?entity=asn/6877&limit=20", nil)
+		w := &reusableWriter{h: make(http.Header)}
+		tc.h.ServeHTTP(w, req) // warm the cache
+		if w.status != 0 || w.n == 0 {
+			t.Fatalf("%s: warmup failed: status %d, %d bytes", tc.path, w.status, w.n)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			w.reset()
+			tc.h.ServeHTTP(w, req)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: cached query allocates %.1f objects/op, want 0", tc.path, allocs)
+		}
 	}
 }
