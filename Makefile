@@ -4,7 +4,7 @@ GO ?= go
 # baseline default), bump to e.g. 3s for stable timing comparisons.
 BENCHTIME ?= 1x
 
-.PHONY: all build test bench-check race vet fmt loc bench bench-smoke bench-diff bench-gate fuzz-smoke chaos-smoke metrics-lint scenario-smoke scorecards load-smoke campaign-smoke ci
+.PHONY: all build test bench-check race vet fmt loc bench bench-smoke bench-diff bench-gate profile-round fuzz-smoke chaos-smoke metrics-lint scenario-smoke scorecards load-smoke campaign-smoke ci
 
 all: build
 
@@ -88,6 +88,18 @@ bench-gate:
 		> /tmp/bench_gate.txt
 	$(GO) run ./cmd/benchjson < /tmp/bench_gate.txt > /tmp/bench_gate.json
 	$(GO) run ./cmd/benchjson -gate -headline '$(GATE_HEADLINES)' BENCH_baseline.json /tmp/bench_gate.json
+
+# Profile the scan hot loop: BenchmarkScanRound as the gate runs it, with CPU
+# and heap profiles (and the test binary pprof needs) written to
+# .bench_build/, then the allocation sites ranked by object count.
+# -memprofilerate=1 records every allocation, so the counts are exact.
+profile-round:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkScanRound$$' -benchmem -benchtime=$(GATE_BENCHTIME) \
+		-o .bench_build/countrymon.test -memprofilerate=1 \
+		-cpuprofile .bench_build/round.cpu.pprof -memprofile .bench_build/round.mem.pprof .
+	$(GO) tool pprof -top -sample_index=alloc_objects -nodecount=25 \
+		.bench_build/countrymon.test .bench_build/round.mem.pprof
 
 # Seeded chaos soak: a three-vantage fleet campaign with scripted blackout,
 # stall and flap windows against individual vantages, asserting zero false

@@ -78,7 +78,7 @@ func FuzzParseICMP(f *testing.F) {
 			return
 		}
 		// An accepted message re-marshals to the very same bytes: Parse
-		// only admits checksum-valid messages and AppendMessage recomputes
+		// only admits checksum-valid messages and AppendMarshal recomputes
 		// the same checksum over the same fields.
 		out := Marshal(m)
 		if !bytes.Equal(out, data) {

@@ -47,13 +47,6 @@ func Marshal(m Message) []byte {
 	return AppendMarshal(nil, m)
 }
 
-// AppendMessage appends the encoded message to dst and returns the extended
-// slice (allocation-free with a reused buffer). It is AppendMarshal under
-// its historical name.
-func AppendMessage(dst []byte, m Message) []byte {
-	return AppendMarshal(dst, m)
-}
-
 // AppendMarshal appends the encoded message to dst in one pass — header,
 // payload and checksum written directly into the extended slice — and
 // returns it. With a reused buffer the encode performs no allocations.

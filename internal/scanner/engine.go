@@ -3,6 +3,7 @@ package scanner
 import (
 	"context"
 	"errors"
+	"sync"
 	"time"
 
 	"countrymon/internal/icmp"
@@ -13,9 +14,10 @@ import (
 // into batches, paces each batch with one rate-limiter release, hands it to
 // the transport's WriteBatch, drains whatever replies are already waiting
 // through ReadBatch into reusable buffers, and collects stragglers in the
-// cooldown. A round is rate-bound, not CPU-bound (the loop alone sustains
-// several times DefaultRate over real sockets), so nothing overlaps sending
-// with receiving, and a round on a virtual clock is fully deterministic.
+// cooldown. The buffers are one pooled scratch per RunContext. A round is
+// rate-bound, not CPU-bound (the loop alone sustains several times
+// DefaultRate over real sockets), so nothing overlaps sending with
+// receiving, and a round on a virtual clock is fully deterministic.
 
 // roundRun is the mutable state of one scan round, split into send-side and
 // receive-side halves; finalize merges them into RoundData.
@@ -27,6 +29,7 @@ type roundRun struct {
 	rl      *RateLimiter
 	rng     uint64 // deterministic jitter source for retry backoff
 	maxFail int    // error budget in addresses
+	sc      *scratch
 
 	// Send-side state.
 	send      Stats // Sent, SendErrors, Retries
@@ -54,11 +57,68 @@ type roundRun struct {
 // run drives the round: replies are drained without waiting between batches
 // and stragglers are collected in the cooldown.
 func (r *roundRun) run(s *Scanner, ctx context.Context, cur *Cursor) {
-	rb := newRecvBufs(r.cfg.Batch)
-	r.sendBatches(s, ctx, cur, rb)
+	r.sc = getScratch(r.cfg.Batch)
+	defer scratchPool.Put(r.sc)
+	r.sendBatches(s, ctx, cur)
 	if r.abort == nil {
-		r.cooldown(s, ctx, rb)
+		r.cooldown(s, ctx)
 	}
+}
+
+// scratch is the buffer set of one round: the send buffers with the batch
+// under assembly, and the receive ring ReadBatch refills. Send and receive
+// buffers are capped sub-slices of one backing array each, so a buffer that
+// outgrows its share reallocates instead of running into its neighbour.
+// Rounds take it from and return it to scratchPool; every buffer is
+// rewritten from [:0] before it is read, so nothing carries over.
+type scratch struct {
+	batch int
+
+	bufs    [][]byte        // per-packet encode buffers
+	pkts    [][]byte        // the batch handed to WriteBatch
+	dsts    []netmodel.Addr // destination per packet
+	pktAddr []int           // index into addrs per packet
+	addrs   []addrSend
+
+	recv [][]byte
+	ats  []time.Time
+}
+
+// Buffer capacities: a probe is 36 bytes, and 512 covers any ICMP error
+// quoting one with room to spare.
+const (
+	sendBufCap = 128
+	recvBufCap = 512
+)
+
+var scratchPool sync.Pool
+
+// getScratch returns a pooled scratch sized for batch, or builds one when the
+// pool is empty or holds another size.
+func getScratch(batch int) *scratch {
+	if sc, _ := scratchPool.Get().(*scratch); sc != nil && sc.batch == batch {
+		return sc
+	}
+	return &scratch{
+		batch:   batch,
+		bufs:    carve(batch, sendBufCap),
+		pkts:    make([][]byte, 0, batch),
+		dsts:    make([]netmodel.Addr, 0, batch),
+		pktAddr: make([]int, 0, batch),
+		addrs:   make([]addrSend, 0, batch),
+		recv:    carve(batch, recvBufCap),
+		ats:     make([]time.Time, batch),
+	}
+}
+
+// carve returns n empty buffers of capacity size over one allocation.
+func carve(n, size int) [][]byte {
+	mem := make([]byte, n*size)
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = mem[i*size : i*size : (i+1)*size]
+	}
+	return out
 }
 
 // addrSend tracks one address's in-flight probes within a batch.
@@ -70,18 +130,11 @@ type addrSend struct {
 // sendBatches walks the shard cursor, packing whole addresses into batches
 // (all ProbesPerAddr probes of an address share a batch, so per-address
 // outcomes — probed, failed, error budget — resolve as the batch is
-// written). Between batches the replies already waiting are drained into rb.
-func (r *roundRun) sendBatches(s *Scanner, ctx context.Context, cur *Cursor, rb *recvBufs) {
+// written). Between batches the replies already waiting are drained.
+func (r *roundRun) sendBatches(s *Scanner, ctx context.Context, cur *Cursor) {
 	nb := r.cfg.Batch
 	ppa := r.cfg.ProbesPerAddr
-	bufs := make([][]byte, nb)
-	for i := range bufs {
-		bufs[i] = make([]byte, 0, 128)
-	}
-	pkts := make([][]byte, 0, nb)
-	dsts := make([]netmodel.Addr, 0, nb)
-	pktAddr := make([]int, 0, nb)
-	addrs := make([]addrSend, 0, nb)
+	bufs, pkts, dsts, pktAddr, addrs := r.sc.bufs, r.sc.pkts, r.sc.dsts, r.sc.pktAddr, r.sc.addrs
 	src := r.tr.LocalAddr()
 	var seq uint64 // monotone probe counter, baked into the IPv4 ID field
 
@@ -126,7 +179,7 @@ func (r *roundRun) sendBatches(s *Scanner, ctx context.Context, cur *Cursor, rb 
 			return
 		}
 		seq += uint64(len(pkts))
-		r.drainPending(rb)
+		r.drainPending()
 	}
 }
 
@@ -246,31 +299,16 @@ func (r *roundRun) writeBatch(s *Scanner, ctx context.Context, pkts [][]byte, ds
 	return true
 }
 
-// recvBufs is the reusable receive buffer ring: ReadBatch refills the
-// same backing arrays every call, keeping the receive path allocation-free.
-type recvBufs struct {
-	pkts [][]byte
-	ats  []time.Time
-}
-
-func newRecvBufs(n int) *recvBufs {
-	rb := &recvBufs{pkts: make([][]byte, n), ats: make([]time.Time, n)}
-	for i := range rb.pkts {
-		rb.pkts[i] = make([]byte, 0, 512)
-	}
-	return rb
-}
-
 // drainOnce reads and processes one batch. It returns false when the caller
 // should stop reading: nothing was due within the wait, or the receive path
 // was declared dead.
-func (r *roundRun) drainOnce(rb *recvBufs, wait time.Duration) bool {
+func (r *roundRun) drainOnce(wait time.Duration) bool {
 	if r.recvDead {
 		return false
 	}
-	n, err := r.tr.ReadBatch(rb.pkts, rb.ats, wait)
+	n, err := r.tr.ReadBatch(r.sc.recv, r.sc.ats, wait)
 	for i := 0; i < n; i++ {
-		r.processReply(rb.pkts[i], rb.ats[i])
+		r.processReply(r.sc.recv[i], r.sc.ats[i])
 	}
 	if err != nil {
 		return r.recvFailure(err)
@@ -279,14 +317,14 @@ func (r *roundRun) drainOnce(rb *recvBufs, wait time.Duration) bool {
 }
 
 // drainPending drains all immediately available replies (no waiting).
-func (r *roundRun) drainPending(rb *recvBufs) {
-	for r.drainOnce(rb, 0) {
+func (r *roundRun) drainPending() {
+	for r.drainOnce(0) {
 	}
 }
 
 // cooldown collects stragglers until the cooldown window closes, the first
 // idle timeout, cancellation, or receive-path death.
-func (r *roundRun) cooldown(s *Scanner, ctx context.Context, rb *recvBufs) {
+func (r *roundRun) cooldown(s *Scanner, ctx context.Context) {
 	deadline := r.cfg.Clock.Now().Add(r.cfg.Cooldown)
 	for {
 		if err := s.interrupted(ctx); err != nil {
@@ -297,7 +335,7 @@ func (r *roundRun) cooldown(s *Scanner, ctx context.Context, rb *recvBufs) {
 		if left <= 0 {
 			return
 		}
-		if !r.drainOnce(rb, left) {
+		if !r.drainOnce(left) {
 			return
 		}
 	}

@@ -55,7 +55,7 @@ func (v *Validator) AppendProbe(buf []byte, dst netmodel.Addr, at time.Time) []b
 		ms = 0
 	}
 	binary.BigEndian.PutUint32(payload[4:], uint32(ms))
-	return icmp.AppendMessage(buf, icmp.Message{Type: icmp.TypeEchoRequest, ID: id, Seq: seq, Payload: payload[:]})
+	return icmp.AppendMarshal(buf, icmp.Message{Type: icmp.TypeEchoRequest, ID: id, Seq: seq, Payload: payload[:]})
 }
 
 // AppendProbeIPv4 appends the complete IPv4+ICMP probe datagram for h.Dst

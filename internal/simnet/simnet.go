@@ -11,7 +11,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -57,8 +56,7 @@ type Network struct {
 	now   time.Time
 	local netmodel.Addr
 	resp  Responder
-	queue replyHeap
-	seq   uint64 // tiebreaker for deterministic ordering
+	queue replyQueue
 
 	// Stats
 	sent, delivered, dropped uint64
@@ -113,68 +111,74 @@ func (n *Network) WriteBatch(pkts [][]byte) (int, error) {
 }
 
 func (n *Network) writeLocked(b []byte) error {
-	h, body, err := icmp.ParseIPv4(b)
+	h, req, err := parseProbe(b)
 	if err != nil {
-		return fmt.Errorf("simnet: outgoing packet: %w", err)
+		return err
 	}
-	if h.Protocol != icmp.ProtoICMP {
-		return fmt.Errorf("simnet: unsupported protocol %d", h.Protocol)
-	}
-	req, err := icmp.Parse(body)
-	if err != nil {
-		return fmt.Errorf("simnet: outgoing ICMP: %w", err)
-	}
-
 	n.sent++
 	at := n.now
 	r := n.resp.Respond(h.Dst, at)
-	switch r.Kind {
-	case NoReply:
+	rh, m, ok := replyFor(r.Kind, h, req, b)
+	if !ok {
 		n.dropped++
 		return nil
-	case EchoReply:
-		if req.Type != icmp.TypeEchoRequest {
-			n.dropped++
-			return nil
-		}
-		reply := icmp.MarshalIPv4(icmp.IPv4Header{
-			TTL: 55, Protocol: icmp.ProtoICMP, Src: h.Dst, Dst: h.Src,
-		}, icmp.EchoReplyFor(req))
-		n.push(reply, at.Add(r.RTT))
-	case HostUnreachable:
-		reply := icmp.MarshalIPv4(icmp.IPv4Header{
-			TTL: 55, Protocol: icmp.ProtoICMP, Src: h.Dst, Dst: h.Src,
-		}, icmp.DestUnreachable(icmp.CodeHostUnreachable, b))
-		n.push(reply, at.Add(r.RTT))
 	}
+	// Encoded straight into a queue slot; req's payload aliases b, which
+	// the caller reuses, and the encode copies it.
+	buf := n.queue.buffer(icmp.IPv4HeaderLen + icmp.HeaderLen + len(m.Payload))
+	n.queue.push(icmp.AppendMarshalIPv4(buf, rh, m), at.Add(r.RTT))
 	return nil
 }
 
-func (n *Network) push(pkt []byte, deliverAt time.Time) {
-	heap.Push(&n.queue, pendingReply{pkt: pkt, at: deliverAt, seq: n.seq})
-	n.seq++
+// parseProbe checks an outgoing datagram the way the far end would: IPv4
+// header checksum and length, protocol, ICMP checksum.
+func parseProbe(b []byte) (icmp.IPv4Header, icmp.Message, error) {
+	h, body, err := icmp.ParseIPv4(b)
+	if err != nil {
+		return h, icmp.Message{}, fmt.Errorf("simnet: outgoing packet: %w", err)
+	}
+	if h.Protocol != icmp.ProtoICMP {
+		return h, icmp.Message{}, fmt.Errorf("simnet: unsupported protocol %d", h.Protocol)
+	}
+	req, err := icmp.Parse(body)
+	if err != nil {
+		return h, icmp.Message{}, fmt.Errorf("simnet: outgoing ICMP: %w", err)
+	}
+	return h, req, nil
+}
+
+// replyFor is the far end's answer to the probe (h, req) carried by the
+// datagram orig: the IPv4 header and ICMP message to encode with
+// icmp.AppendMarshalIPv4, or ok == false for silence. Only echo requests are
+// echoed; a host unreachable quotes orig's IP header plus 8 bytes (RFC 792).
+// The message's payload aliases req or orig.
+func replyFor(kind ReplyKind, h icmp.IPv4Header, req icmp.Message, orig []byte) (icmp.IPv4Header, icmp.Message, bool) {
+	rh := icmp.IPv4Header{TTL: 55, Protocol: icmp.ProtoICMP, Src: h.Dst, Dst: h.Src}
+	switch kind {
+	case EchoReply:
+		if req.Type != icmp.TypeEchoRequest {
+			break
+		}
+		return rh, icmp.Message{Type: icmp.TypeEchoReply, ID: req.ID, Seq: req.Seq, Payload: req.Payload}, true
+	case HostUnreachable:
+		quote := orig[:min(len(orig), icmp.IPv4HeaderLen+8)]
+		return rh, icmp.Message{Type: icmp.TypeDestUnreachable, Code: icmp.CodeHostUnreachable, Payload: quote}, true
+	}
+	return rh, icmp.Message{}, false
 }
 
 // ReadPacket implements scanner.Transport. With wait == 0 it returns only
 // packets already due at the current virtual time; with wait > 0 it advances
 // the virtual clock to the next delivery within the window, or by the whole
-// window if nothing is pending.
+// window if nothing is due in it. The caller owns the returned bytes.
 func (n *Network) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.queue) > 0 {
-		head := n.queue[0]
-		if !head.at.After(n.now) {
-			heap.Pop(&n.queue)
-			n.delivered++
-			return head.pkt, head.at, nil
-		}
-		if wait > 0 && !head.at.After(n.now.Add(wait)) {
-			n.now = head.at
-			heap.Pop(&n.queue)
-			n.delivered++
-			return head.pkt, head.at, nil
-		}
+	if p, ok := n.queue.take(&n.now, wait); ok {
+		n.delivered++
+		pkt := append([]byte(nil), p.pkt...)
+		n.queue.release(p.pkt)
+		return pkt, p.at, nil
 	}
 	if wait > 0 {
 		n.now = n.now.Add(wait)
@@ -191,24 +195,20 @@ func (n *Network) ReadBatch(pkts [][]byte, ats []time.Time, wait time.Duration) 
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	count := 0
-	for count < len(pkts) && len(n.queue) > 0 {
-		head := n.queue[0]
-		switch {
-		case !head.at.After(n.now):
-			// Due now: deliver without moving the clock.
-		case count == 0 && wait > 0 && !head.at.After(n.now.Add(wait)):
-			// First packet within the wait window: advance to its delivery.
-			n.now = head.at
-		default:
-			return count, nil
+	for count < len(pkts) {
+		p, ok := n.queue.take(&n.now, wait)
+		if !ok {
+			break
 		}
-		heap.Pop(&n.queue)
+		wait = 0 // only the first packet is waited for
 		n.delivered++
-		pkts[count] = append(pkts[count][:0], head.pkt...)
-		ats[count] = head.at
+		pkts[count] = append(pkts[count][:0], p.pkt...)
+		ats[count] = p.at
+		n.queue.release(p.pkt)
 		count++
 	}
-	if count == 0 && wait > 0 {
+	if wait > 0 {
+		// Nothing was due within the window: consume it.
 		n.now = n.now.Add(wait)
 	}
 	return count, nil
@@ -218,7 +218,7 @@ func (n *Network) ReadBatch(pkts [][]byte, ats []time.Time, wait time.Duration) 
 func (n *Network) Pending() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.queue)
+	return n.queue.len()
 }
 
 // Counters returns (sent, delivered, dropped) packet counts.
@@ -226,29 +226,4 @@ func (n *Network) Counters() (sent, delivered, dropped uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.sent, n.delivered, n.dropped
-}
-
-type pendingReply struct {
-	pkt []byte
-	at  time.Time
-	seq uint64
-}
-
-type replyHeap []pendingReply
-
-func (h replyHeap) Len() int { return len(h) }
-func (h replyHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h replyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *replyHeap) Push(x interface{}) { *h = append(*h, x.(pendingReply)) }
-func (h *replyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
 }

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -30,8 +29,7 @@ type Network6 struct {
 	now   time.Time
 	local netip.Addr
 	resp  Responder6
-	queue replyHeap
-	seq   uint64
+	queue replyQueue
 }
 
 // New6 creates an IPv6 network with its virtual clock at start.
@@ -59,8 +57,12 @@ func (n *Network6) Sleep(d time.Duration) {
 	n.mu.Unlock()
 }
 
-// WritePacket implements scanner6.Transport.
+// WritePacket implements scanner6.Transport. b is not retained: every reply
+// is a fresh encoding, and the error path's quote is copied by
+// icmp6.TimeExceeded.
 func (n *Network6) WritePacket(b []byte) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	h, body, err := icmp6.ParseIPv6(b)
 	if err != nil {
 		return fmt.Errorf("simnet6: outgoing packet: %w", err)
@@ -72,11 +74,6 @@ func (n *Network6) WritePacket(b []byte) error {
 	if err != nil {
 		return fmt.Errorf("simnet6: outgoing ICMPv6: %w", err)
 	}
-	// The scanner's buffer is reused; copy what the error path quotes.
-	orig := append([]byte(nil), b...)
-
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	at := n.now
 	r := n.resp(h.Dst, at)
 	switch r.Kind {
@@ -91,27 +88,22 @@ func (n *Network6) WritePacket(b []byte) error {
 		if err != nil {
 			return err
 		}
-		n.push6(dg, at.Add(r.RTT))
+		n.queue.push(dg, at.Add(r.RTT))
 	case HostUnreachable:
 		router := r.Router
 		if !router.IsValid() {
 			router = h.Dst
 		}
-		msg := icmp6.TimeExceeded(router, h.Src, orig)
+		msg := icmp6.TimeExceeded(router, h.Src, b)
 		dg, err := icmp6.MarshalIPv6(icmp6.IPv6Header{
 			NextHeader: icmp6.NextHeaderICMPv6, HopLimit: 55, Src: router, Dst: h.Src,
 		}, msg)
 		if err != nil {
 			return err
 		}
-		n.push6(dg, at.Add(r.RTT))
+		n.queue.push(dg, at.Add(r.RTT))
 	}
 	return nil
-}
-
-func (n *Network6) push6(pkt []byte, deliverAt time.Time) {
-	heap.Push(&n.queue, pendingReply{pkt: pkt, at: deliverAt, seq: n.seq})
-	n.seq++
 }
 
 // ReadPacket implements scanner6.Transport with the same virtual-time
@@ -119,17 +111,8 @@ func (n *Network6) push6(pkt []byte, deliverAt time.Time) {
 func (n *Network6) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.queue) > 0 {
-		head := n.queue[0]
-		if !head.at.After(n.now) {
-			heap.Pop(&n.queue)
-			return head.pkt, head.at, nil
-		}
-		if wait > 0 && !head.at.After(n.now.Add(wait)) {
-			n.now = head.at
-			heap.Pop(&n.queue)
-			return head.pkt, head.at, nil
-		}
+	if p, ok := n.queue.take(&n.now, wait); ok {
+		return p.pkt, p.at, nil
 	}
 	if wait > 0 {
 		n.now = n.now.Add(wait)

@@ -102,6 +102,33 @@ func TestNetworkTimeoutAdvancesClock(t *testing.T) {
 	}
 }
 
+// A reply that is pending but due later than now+wait is a timeout like any
+// other: the wait is consumed, whichever read path is asked.
+func TestReadBatchConsumesWaitLikeReadPacket(t *testing.T) {
+	start := time.Unix(0, 0)
+	src := netmodel.MustParseAddr("198.51.100.1")
+	dst := netmodel.MustParseAddr("10.0.0.1")
+
+	single := New(src, echoAll(time.Hour), start)
+	single.WritePacket(probeFor(dst, src))
+	if _, _, err := single.ReadPacket(200 * time.Millisecond); err != scanner.ErrTimeout {
+		t.Fatalf("ReadPacket err = %v", err)
+	}
+
+	batch := New(src, echoAll(time.Hour), start)
+	batch.WritePacket(probeFor(dst, src))
+	if k, err := batch.ReadBatch(make([][]byte, 4), make([]time.Time, 4), 200*time.Millisecond); k != 0 || err != nil {
+		t.Fatalf("ReadBatch = %d, %v", k, err)
+	}
+
+	if want := start.Add(200 * time.Millisecond); !single.Now().Equal(want) || !batch.Now().Equal(want) {
+		t.Errorf("clock after a 200ms wait: ReadPacket %v, ReadBatch %v, want %v", single.Now(), batch.Now(), want)
+	}
+	if batch.Pending() != 1 {
+		t.Errorf("Pending = %d, want the undelivered reply", batch.Pending())
+	}
+}
+
 func TestNetworkDropsSilent(t *testing.T) {
 	n := New(netmodel.MustParseAddr("198.51.100.1"),
 		ResponderFunc(func(netmodel.Addr, time.Time) Reply { return Reply{Kind: NoReply} }),

@@ -68,31 +68,16 @@ func (s *WireServer) serve() {
 }
 
 func (s *WireServer) handle(pkt []byte, peer *net.UDPAddr) {
-	h, body, err := icmp.ParseIPv4(pkt)
-	if err != nil || h.Protocol != icmp.ProtoICMP {
-		return
-	}
-	req, err := icmp.Parse(body)
+	h, req, err := parseProbe(pkt)
 	if err != nil {
 		return
 	}
 	r := s.resp.Respond(h.Dst, time.Now())
-	var reply []byte
-	switch r.Kind {
-	case EchoReply:
-		if req.Type != icmp.TypeEchoRequest {
-			return
-		}
-		reply = icmp.MarshalIPv4(icmp.IPv4Header{
-			TTL: 55, Protocol: icmp.ProtoICMP, Src: h.Dst, Dst: h.Src,
-		}, icmp.EchoReplyFor(req))
-	case HostUnreachable:
-		reply = icmp.MarshalIPv4(icmp.IPv4Header{
-			TTL: 55, Protocol: icmp.ProtoICMP, Src: h.Dst, Dst: h.Src,
-		}, icmp.DestUnreachable(icmp.CodeHostUnreachable, pkt))
-	default:
+	rh, m, ok := replyFor(r.Kind, h, req, pkt)
+	if !ok {
 		return
 	}
+	reply := icmp.AppendMarshalIPv4(nil, rh, m)
 	if r.RTT > 0 {
 		time.Sleep(r.RTT)
 	}
