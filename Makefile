@@ -113,7 +113,8 @@ chaos-smoke:
 metrics-lint:
 	$(GO) run ./cmd/metricslint
 
-# Short native-fuzz smoke over the packet parsers and the columnar codecs:
+# Short native-fuzz smoke over the packet parsers, the columnar codecs, the
+# scenario parser and the fault-window span memo:
 # a few seconds each is enough to exercise the mutator beyond the seed
 # corpus in CI.
 fuzz-smoke:
@@ -122,6 +123,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dataset -fuzz '^FuzzRLE$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/dataset -fuzz '^FuzzColumnV4$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/scenario -fuzz '^FuzzScenarioParse$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/faults -fuzz '^FuzzWindowAt$$' -fuzztime 5s -run '^$$'
 
 # Scaled-down serving load test: 2k mixed poll/SSE/range clients against an
 # in-process serve stack for a few seconds, failing when the query p99

@@ -124,9 +124,10 @@ type Transport struct {
 	batchOnce sync.Once
 	batch     scanner.BatchTransport // batched view of inner, built lazily
 
-	mu  sync.Mutex
-	rng uint64
-	cnt Counters
+	mu      sync.Mutex
+	rng     uint64
+	cnt     Counters
+	verdict windowVerdict // windowAt's memo
 
 	// metrics shadows cnt onto a registry (see Observe); never nil.
 	metrics *Metrics
@@ -176,14 +177,51 @@ func (t *Transport) Now() time.Time { return t.clock.Now() }
 // Sleep implements scanner.Clock by delegation.
 func (t *Transport) Sleep(d time.Duration) { t.clock.Sleep(d) }
 
-// windowAt returns the first active scripted window at time now.
+// windowAt returns the first active scripted window at time now. The answer
+// can change only at a window's From or To or at a flap flip, so it is kept
+// together with the span between the nearest such edge on either side of now
+// and the window list is walked once per span, not once per packet. Callers
+// hold t.mu.
 func (t *Transport) windowAt(now time.Time) (Window, bool) {
-	for _, w := range t.prof.Windows {
-		if w.active(now) {
-			return w, true
+	if v := &t.verdict; (v.openFrom || !now.Before(v.from)) && (v.openUntil || now.Before(v.until)) {
+		return v.win, v.ok
+	}
+	v := windowVerdict{openFrom: true, openUntil: true}
+	edge := func(e time.Time) {
+		if e.After(now) {
+			if v.openUntil || e.Before(v.until) {
+				v.until, v.openUntil = e, false
+			}
+		} else if v.openFrom || e.After(v.from) {
+			v.from, v.openFrom = e, false
 		}
 	}
-	return Window{}, false
+	for _, w := range t.prof.Windows {
+		edge(w.From)
+		edge(w.To)
+		if w.Kind == Flap && w.Period > 0 && !now.Before(w.From) && now.Before(w.To) {
+			k := now.Sub(w.From) / w.Period
+			edge(w.From.Add(k * w.Period))
+			if next := (k + 1) * w.Period; next > 0 { // else past Duration's range: To bounds the span
+				edge(w.From.Add(next))
+			}
+		}
+		if !v.ok && w.active(now) {
+			v.win, v.ok = w, true
+		}
+	}
+	t.verdict = v
+	return v.win, v.ok
+}
+
+// windowVerdict is windowAt's last answer and the span [from, until) of clock
+// readings it holds for; a side with no edge is open. The zero value spans
+// nothing, so the first call walks the list.
+type windowVerdict struct {
+	win                 Window
+	ok                  bool
+	from, until         time.Time
+	openFrom, openUntil bool
 }
 
 // roll draws a deterministic Bernoulli sample.

@@ -187,6 +187,7 @@ func (s *Schedule) Out(r netmodel.Region, at time.Time) bool {
 // with batteries and generators (§5.1: Kyivstar sustains mobile service for
 // up to four hours without electricity).
 func (s *Schedule) OutSince(r netmodel.Region, at time.Time) (bool, float64) {
+	at = at.UTC()
 	d := s.DayIndex(at)
 	h := s.Hours(d, r)
 	if h <= 0 {
@@ -196,8 +197,7 @@ func (s *Schedule) OutSince(r netmodel.Region, at time.Time) (bool, float64) {
 		return true, 24
 	}
 	startHour := int(hash3(s.seed^0xab12, uint64(r), uint64(d)) % 24)
-	hour := at.UTC().Hour()
-	off := (hour - startHour + 24) % 24
+	off := (at.Hour() - startHour + 24) % 24
 	if float64(off) < h {
 		return true, float64(off) + float64(at.Minute())/60
 	}

@@ -79,3 +79,27 @@ func TestScriptedOutSinceWindows(t *testing.T) {
 		}
 	}
 }
+
+// TestOutSinceIgnoresCallerZone: the outage verdict and its running duration
+// belong to the instant, whatever zone the caller's clock carries (the
+// half-hour zone is the one that moved the minute term).
+func TestOutSinceIgnoresCallerZone(t *testing.T) {
+	start := time.Date(2023, 3, 1, 0, 0, 0, 0, time.UTC)
+	s := Scripted(start, 4, []Strike{{Day: 0, Days: 4, Hours: 8}}, 99)
+	zones := []*time.Location{time.FixedZone("+03:00", 3*3600), time.FixedZone("+05:30", 5*3600+1800)}
+	outs := 0
+	for at := start; at.Before(start.Add(72 * time.Hour)); at = at.Add(50 * time.Minute) {
+		out, since := s.OutSince(netmodel.Vinnytsia, at)
+		if out {
+			outs++
+		}
+		for _, z := range zones {
+			if o, d := s.OutSince(netmodel.Vinnytsia, at.In(z)); o != out || d != since {
+				t.Fatalf("%s in %s: OutSince = (%v, %g), in UTC (%v, %g)", at, z, o, d, out, since)
+			}
+		}
+	}
+	if outs == 0 {
+		t.Fatal("no sampled instant fell inside an outage window")
+	}
+}

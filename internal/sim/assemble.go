@@ -121,7 +121,7 @@ func Assemble(spec Spec) (*Scenario, error) {
 		events:      append([]Event(nil), spec.Events...),
 		leased:      spec.Leased,
 	}
-	sc.liveOrder.seed = cfg.Seed ^ 0x11fe
+	sc.liveOrder = newLiveOrderCache(cfg.Seed^0x11fe, space.Blocks())
 	sc.blocks = make([]BlockTraits, space.NumBlocks())
 	for i, blk := range space.Blocks() {
 		t, ok := bt[blk]

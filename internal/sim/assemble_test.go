@@ -9,25 +9,27 @@ import (
 	"countrymon/internal/power"
 )
 
+// testAS is the traits entry of an AS announcing the given prefixes.
+func testAS(asn netmodel.ASN, name string, hq netmodel.Region, prefixes ...string) ASTraits {
+	as := &netmodel.AS{ASN: asn, Name: name, HQ: hq}
+	for _, p := range prefixes {
+		as.Prefixes = append(as.Prefixes, netmodel.MustParsePrefix(p))
+	}
+	return ASTraits{AS: as}
+}
+
 // assembleSpec builds a small two-AS world with the given event order.
 func assembleSpec(t *testing.T, events []Event) Spec {
 	t.Helper()
 	start := time.Date(2023, 3, 1, 0, 0, 0, 0, time.UTC)
-	mkAS := func(asn netmodel.ASN, name string, hq netmodel.Region, prefixes ...string) ASTraits {
-		as := &netmodel.AS{ASN: asn, Name: name, HQ: hq}
-		for _, p := range prefixes {
-			as.Prefixes = append(as.Prefixes, netmodel.MustParsePrefix(p))
-		}
-		return ASTraits{AS: as}
-	}
 	spec := Spec{
 		Cfg: Config{
 			Seed: 42, Interval: 4 * time.Hour,
 			Start: start, End: SpecEnd(start, 30, 4*time.Hour),
 		},
 		ASes: []ASTraits{
-			mkAS(64500, "Alpha", netmodel.Kyiv, "100.64.0.0/23"),
-			mkAS(64501, "Beta", netmodel.Lviv, "100.64.2.0/24"),
+			testAS(64500, "Alpha", netmodel.Kyiv, "100.64.0.0/23"),
+			testAS(64501, "Beta", netmodel.Lviv, "100.64.2.0/24"),
 		},
 		Events: events,
 	}

@@ -1,6 +1,10 @@
 package sim
 
-import "sync"
+import (
+	"sync/atomic"
+
+	"countrymon/internal/netmodel"
+)
 
 // Deterministic hashing: every stochastic decision in the simulator is a
 // pure function of (seed, identifiers), so scenarios are exactly
@@ -24,37 +28,31 @@ func unitFloat(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 // liveOrderCache lazily computes each block's host liveness ranking: a
 // permutation of 0..255 per block, derived from the scenario seed. Rank 0 is
 // the "most alive" host; host h responds in a round iff rank(h) < count.
-// Reads vastly outnumber builds (every probe consults it, including the
-// parallel Trinocular fan-out), so lookups take only a read lock.
+// Every probe consults it, from the wire server's goroutines and the
+// parallel Trinocular fan-out alike, so a table is published once through an
+// atomic pointer and read with one load. Two goroutines racing to fill the
+// same slot build identical tables; either store wins.
 type liveOrderCache struct {
-	mu    sync.RWMutex
-	seed  uint64
-	ranks map[netmodel32]*[256]uint8
+	seed   uint64
+	blocks []netmodel.BlockID           // Space.Blocks(): block index → block
+	ranks  []atomic.Pointer[[256]uint8] // by block index, nil until first use
 }
 
-// netmodel32 avoids importing netmodel here just for the key type.
-type netmodel32 = uint32
+func newLiveOrderCache(seed uint64, blocks []netmodel.BlockID) liveOrderCache {
+	return liveOrderCache{seed: seed, blocks: blocks, ranks: make([]atomic.Pointer[[256]uint8], len(blocks))}
+}
 
-func (c *liveOrderCache) rank(block uint32, host uint8) uint8 {
-	c.mu.RLock()
-	r, ok := c.ranks[block]
-	c.mu.RUnlock()
-	if ok {
-		return r[host]
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ranks == nil {
-		c.ranks = make(map[uint32]*[256]uint8)
-	}
-	r, ok = c.ranks[block]
-	if !ok {
-		r = c.buildLocked(block)
+// rank returns the liveness rank of a host of the block at index bi.
+func (c *liveOrderCache) rank(bi int, host uint8) uint8 {
+	r := c.ranks[bi].Load()
+	if r == nil {
+		r = c.build(c.blocks[bi])
+		c.ranks[bi].Store(r)
 	}
 	return r[host]
 }
 
-func (c *liveOrderCache) buildLocked(block uint32) *[256]uint8 {
+func (c *liveOrderCache) build(block netmodel.BlockID) *[256]uint8 {
 	// Sort hosts by hash; equal hashes are impossible to matter (ties are
 	// broken by host number for determinism).
 	type hk struct {
@@ -75,11 +73,9 @@ func (c *liveOrderCache) buildLocked(block uint32) *[256]uint8 {
 		}
 		keys[j+1] = k
 	}
-	var ranks [256]uint8
+	ranks := new([256]uint8)
 	for pos := 0; pos < 256; pos++ {
 		ranks[keys[pos].host] = uint8(pos)
 	}
-	r := &ranks
-	c.ranks[block] = r
-	return r
+	return ranks
 }

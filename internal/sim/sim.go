@@ -21,6 +21,7 @@
 package sim
 
 import (
+	"sync/atomic"
 	"time"
 
 	"countrymon/internal/netmodel"
@@ -163,8 +164,9 @@ type Event struct {
 	RTTDeltaMS int     // for EffectReroute
 }
 
-// Scenario is a fully built simulation. It is immutable after Build and
-// safe for concurrent readers.
+// Scenario is a fully built simulation. What it describes is immutable after
+// Build and the caches it fills on use are atomic, so it is safe for
+// concurrent readers.
 type Scenario struct {
 	Cfg     Config
 	TL      *timeline.Timeline
@@ -197,6 +199,16 @@ type Scenario struct {
 
 	// liveOrder caches per-block host liveness ranks (lazily built).
 	liveOrder liveOrderCache
+
+	// memo[bi] is BlockStateAt's last evaluated (minute, state) of block bi.
+	// edgeMinutes[bi] lists the Unix minutes that hold an AS-activity or event
+	// edge of the block strictly inside them; minutes before memoFrom start
+	// before round 0; gridAligned says round and epoch edges all fall on
+	// minute starts. See steady.
+	memo        []atomic.Uint64
+	edgeMinutes [][]int64
+	memoFrom    int64
+	gridAligned bool
 
 	// leased are ASes present in Kherson but delegated to a foreign
 	// country (the Stream Kherson / Online Net limitation, §4.3): they are

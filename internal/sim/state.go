@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"countrymon/internal/dataset"
@@ -22,13 +23,97 @@ type BlockState struct {
 	Rerouted bool
 }
 
+// The per-block memo packs one evaluated (UTC minute, BlockState) pair into a
+// word: the minute above memoStateBits, then a valid bit (so the zero word
+// matches no minute), Routed, Rerouted, Resp (≤ 255) and RTTMS.
+const (
+	memoStateBits = 27
+	memoValid     = 1 << 26
+	memoRouted    = 1 << 25
+	memoRerouted  = 1 << 24
+)
+
+// memoTag is a memo word's part above the state: a valid entry for Unix
+// minute min.
+func memoTag(min uint64) uint64 { return min<<memoStateBits | memoValid }
+
+// memoHit reports whether memo word v is a valid entry for Unix minute min.
+func memoHit(v, min uint64) bool { return v&^(memoValid-1) == memoTag(min) }
+
 // BlockStateAt evaluates ground truth for block index bi at time at.
+//
+// A full block scan asks this 256 times per block within the same minute, so
+// the last evaluated minute of each block is memoised. The memo is exact:
+// every time input of stateAt is either a function of the UTC minute (hour,
+// day, the power schedule's hour and minute) or an edge (round start, dynamic
+// epoch, AS activity bound, event From/To), and a minute holding an edge
+// strictly inside it is never memoised (see steady).
 func (s *Scenario) BlockStateAt(bi int, at time.Time) BlockState {
-	round := s.TL.Round(at)
-	return s.stateAt(bi, round, at)
+	sec := at.Unix()
+	min := uint64(sec / 60)
+	if sec < 0 || min >= 1<<(64-memoStateBits) {
+		return s.stateAt(bi, s.TL.Round(at), at)
+	}
+	slot := &s.memo[bi]
+	if v := slot.Load(); memoHit(v, min) {
+		return BlockState{
+			Routed:   v&memoRouted != 0,
+			Rerouted: v&memoRerouted != 0,
+			Resp:     int(v >> 16 & 0xff),
+			RTTMS:    uint16(v),
+		}
+	}
+	st := s.stateAt(bi, s.TL.Round(at), at)
+	if s.steady(bi, int64(min)) {
+		v := memoTag(min) | uint64(st.Resp)<<16 | uint64(st.RTTMS)
+		if st.Routed {
+			v |= memoRouted
+		}
+		if st.Rerouted {
+			v |= memoRerouted
+		}
+		slot.Store(v)
+	}
+	return st
 }
 
+// steady reports whether block bi's state is the same at every instant of
+// Unix minute min, i.e. no edge of stateAt falls strictly inside it.
+func (s *Scenario) steady(bi int, min int64) bool {
+	// Before round 0 the dynamic epoch truncates toward zero, which closes its
+	// edges on the other side; nothing probes there, so it is not memoised.
+	if min < s.memoFrom {
+		return false
+	}
+	for _, m := range s.edgeMinutes[bi] {
+		if m == min {
+			return false
+		}
+	}
+	if s.gridAligned {
+		return true
+	}
+	// Round and epoch are non-decreasing in time: equal at both ends of the
+	// minute means constant across it.
+	lo := time.Unix(min*60, 0)
+	hi := lo.Add(time.Minute - 1)
+	return s.TL.Round(lo) == s.TL.Round(hi) && s.dynamicEpoch(lo) == s.dynamicEpoch(hi)
+}
+
+// dynamicEpoch is the index of the two-week dynamic-pool reallocation period
+// containing at.
+func (s *Scenario) dynamicEpoch(at time.Time) int {
+	return int(at.Sub(s.TL.Start()) / dynamicEpochLen)
+}
+
+const dynamicEpochLen = 14 * 24 * time.Hour
+
+// stateAt is the unmemoised evaluation (the fast generator's entry point,
+// and the oracle the memo is tested against).
 func (s *Scenario) stateAt(bi int, round int, at time.Time) BlockState {
+	// Hour, day and the power schedule are read in UTC whatever zone the
+	// caller's clock carries.
+	at = at.UTC()
 	bt := &s.blocks[bi]
 	as := s.blockAS[bi]
 
@@ -60,7 +145,7 @@ func (s *Scenario) stateAt(bi int, round int, at time.Time) BlockState {
 	// the set of active blocks shifts. This is the false-positive source
 	// ISP availability sensing exists to filter (§3.1, Baltra et al.).
 	if bt.Dynamic {
-		epoch := int(at.Sub(s.TL.Start()) / (14 * 24 * time.Hour))
+		epoch := s.dynamicEpoch(at)
 		// The fraction of the ISP's dynamic pool in use varies per epoch
 		// (consolidation and renumbering): the count of active blocks
 		// swings while total responsiveness is conserved — exactly the
@@ -237,8 +322,7 @@ func (s *Scenario) Responder() simnet.Responder {
 		if st.Resp <= 0 {
 			return simnet.Reply{Kind: simnet.NoReply}
 		}
-		rank := s.liveOrder.rank(uint32(dst.Block()), dst.HostByte())
-		if int(rank) >= st.Resp {
+		if int(s.liveOrder.rank(bi, dst.HostByte())) >= st.Resp {
 			return simnet.Reply{Kind: simnet.NoReply}
 		}
 		// Per-host RTT jitter around the block mean.
@@ -264,7 +348,8 @@ const repStride = 3
 // historical census would select them: ordered by long-term liveness, but
 // spread across ranks (see repStride).
 func (s *Scenario) Representatives(blk netmodel.BlockID, k int) []netmodel.Addr {
-	if s.Space.BlockIndex(blk) < 0 || k <= 0 {
+	bi := s.Space.BlockIndex(blk)
+	if bi < 0 || k <= 0 {
 		return nil
 	}
 	if k > 256/repStride {
@@ -273,7 +358,7 @@ func (s *Scenario) Representatives(blk netmodel.BlockID, k int) []netmodel.Addr 
 	out := make([]netmodel.Addr, k)
 	found := 0
 	for h := 0; h < 256 && found < k; h++ {
-		r := int(s.liveOrder.rank(uint32(blk), uint8(h)))
+		r := int(s.liveOrder.rank(bi, uint8(h)))
 		if r%repStride == 0 && r/repStride < k {
 			out[r/repStride] = blk.Addr(uint8(h))
 			found++
@@ -308,7 +393,7 @@ func (s *Scenario) ProbeFunc() func(addr netmodel.Addr, at time.Time) bool {
 		if !st.Routed || st.Resp <= 0 {
 			return false
 		}
-		if int(s.liveOrder.rank(uint32(addr.Block()), addr.HostByte())) >= st.Resp {
+		if int(s.liveOrder.rank(bi, addr.HostByte())) >= st.Resp {
 			return false
 		}
 		avail := MinProbeAvail + (MaxProbeAvail-MinProbeAvail)*unitFloat(hash2(s.Cfg.Seed^0xa7a, uint64(addr)))
@@ -360,4 +445,37 @@ func (s *Scenario) indexEvents() {
 			}
 		}
 	}
+	s.indexMemo()
 }
+
+// indexMemo sizes the BlockStateAt memo and records what steady needs: which
+// minutes of each block hold an edge strictly inside them, and whether the
+// round grid can put one there at all.
+func (s *Scenario) indexMemo() {
+	s.memo = make([]atomic.Uint64, len(s.blocks))
+	start := s.TL.Start()
+	s.memoFrom = start.Unix() / 60
+	if !onMinute(start) {
+		s.memoFrom++
+	}
+	s.gridAligned = onMinute(start) && s.TL.Interval()%time.Minute == 0
+	s.edgeMinutes = make([][]int64, len(s.blocks))
+	for bi := range s.blocks {
+		edge := func(e time.Time) {
+			if !onMinute(e) {
+				s.edgeMinutes[bi] = append(s.edgeMinutes[bi], e.Unix()/60)
+			}
+		}
+		if as := s.blockAS[bi]; as != nil {
+			edge(as.ActiveFrom)
+			edge(as.ActiveTo)
+		}
+		for _, ei := range s.blockEvents[bi] {
+			edge(s.events[ei].From)
+			edge(s.events[ei].To)
+		}
+	}
+}
+
+// onMinute reports whether t is the first instant of a UTC minute.
+func onMinute(t time.Time) bool { return t.Nanosecond() == 0 && t.Unix()%60 == 0 }
