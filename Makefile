@@ -91,13 +91,16 @@ bench-gate:
 
 # Profile the scan hot loop: BenchmarkScanRound as the gate runs it, with CPU
 # and heap profiles (and the test binary pprof needs) written to
-# .bench_build/, then the allocation sites ranked by object count.
-# -memprofilerate=1 records every allocation, so the counts are exact.
+# .bench_build/, then the CPU top 25 and the allocation sites ranked by
+# object count. -memprofilerate=1 records every allocation, so the counts
+# are exact.
 profile-round:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkScanRound$$' -benchmem -benchtime=$(GATE_BENCHTIME) \
 		-o .bench_build/countrymon.test -memprofilerate=1 \
 		-cpuprofile .bench_build/round.cpu.pprof -memprofile .bench_build/round.mem.pprof .
+	$(GO) tool pprof -top -nodecount=25 \
+		.bench_build/countrymon.test .bench_build/round.cpu.pprof
 	$(GO) tool pprof -top -sample_index=alloc_objects -nodecount=25 \
 		.bench_build/countrymon.test .bench_build/round.mem.pprof
 
@@ -113,13 +116,14 @@ chaos-smoke:
 metrics-lint:
 	$(GO) run ./cmd/metricslint
 
-# Short native-fuzz smoke over the packet parsers, the columnar codecs, the
-# scenario parser and the fault-window span memo:
+# Short native-fuzz smoke over the packet parsers, the word-wise checksum,
+# the columnar codecs, the scenario parser and the fault-window span memo:
 # a few seconds each is enough to exercise the mutator beyond the seed
 # corpus in CI.
 fuzz-smoke:
 	$(GO) test ./internal/icmp -fuzz '^FuzzParseIPv4$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/icmp -fuzz '^FuzzParseICMP$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/icmp -fuzz '^FuzzChecksum$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/dataset -fuzz '^FuzzRLE$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/dataset -fuzz '^FuzzColumnV4$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/scenario -fuzz '^FuzzScenarioParse$$' -fuzztime 5s -run '^$$'

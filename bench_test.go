@@ -234,8 +234,8 @@ func BenchmarkICMPEncodeDecode(b *testing.B) {
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pkt := icmp.MarshalIPv4(icmp.IPv4Header{TTL: 64, Protocol: icmp.ProtoICMP, Src: src, Dst: dst},
-			icmp.EchoRequest(uint16(i), uint16(i>>16), payload))
+		pkt := icmp.AppendMarshalIPv4(nil, icmp.IPv4Header{TTL: 64, Protocol: icmp.ProtoICMP, Src: src, Dst: dst},
+			icmp.Message{Type: icmp.TypeEchoRequest, ID: uint16(i), Seq: uint16(i >> 16), Payload: payload})
 		if _, _, err := icmp.ParseIPv4(pkt); err != nil {
 			b.Fatal(err)
 		}

@@ -152,11 +152,10 @@ func TestFlapAlternates(t *testing.T) {
 func probe(t *testing.T, inner scanner.Transport) []byte {
 	t.Helper()
 	v := scanner.NewValidator(1, 1, time.Unix(0, 0))
-	body := v.EncodeProbe(netmodel.MustParseAddr("10.0.0.1"), time.Unix(0, 0))
-	return icmp.MarshalIPv4(icmp.IPv4Header{
+	return v.AppendProbeIPv4(nil, icmp.IPv4Header{
 		TTL: 64, Protocol: icmp.ProtoICMP,
 		Src: inner.LocalAddr(), Dst: netmodel.MustParseAddr("10.0.0.1"),
-	}, body)
+	}, time.Unix(0, 0))
 }
 
 func TestParseProfile(t *testing.T) {

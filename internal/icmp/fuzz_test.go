@@ -18,12 +18,13 @@ func fuzzSeeds() [][]byte {
 	src := netmodel.AddrFromBytes([4]byte{198, 51, 100, 1})
 	dst := netmodel.AddrFromBytes([4]byte{91, 198, 4, 7})
 	payload := []byte{0, 0, 0, 7, 0, 1, 226, 64} // epoch + ms, as probes carry
-	req := EchoRequest(0xbeef, 0x0102, payload)
-	probe := MarshalIPv4(IPv4Header{TTL: 64, Protocol: ProtoICMP, Src: src, Dst: dst, ID: 42}, req)
-	reqMsg, _ := Parse(req)
-	reply := MarshalIPv4(IPv4Header{TTL: 55, Protocol: ProtoICMP, Src: dst, Dst: src}, EchoReplyFor(reqMsg))
-	unreach := MarshalIPv4(IPv4Header{TTL: 55, Protocol: ProtoICMP, Src: dst, Dst: src},
-		DestUnreachable(CodeHostUnreachable, probe))
+	reqMsg := Message{Type: TypeEchoRequest, ID: 0xbeef, Seq: 0x0102, Payload: payload}
+	req := AppendMarshal(nil, reqMsg)
+	probe := AppendMarshalIPv4(nil, IPv4Header{TTL: 64, Protocol: ProtoICMP, Src: src, Dst: dst, ID: 42}, reqMsg)
+	back := IPv4Header{TTL: 55, Protocol: ProtoICMP, Src: dst, Dst: src}
+	reply := AppendMarshalIPv4(nil, back, Message{Type: TypeEchoReply, ID: reqMsg.ID, Seq: reqMsg.Seq, Payload: payload})
+	unreach := AppendMarshalIPv4(nil, back,
+		Message{Type: TypeDestUnreachable, Code: CodeHostUnreachable, Payload: probe[:IPv4HeaderLen+8]})
 
 	seeds := [][]byte{probe, reply, unreach, req, {}, {0x45}}
 	seeds = append(seeds, probe[:len(probe)/2], reply[:IPv4HeaderLen], req[:HeaderLen-1])
@@ -52,9 +53,16 @@ func FuzzParseIPv4(f *testing.F) {
 		if len(body) > len(data)-IPv4HeaderLen {
 			t.Fatalf("body of %d bytes cannot fit a %d-byte packet", len(body), len(data))
 		}
-		// Re-marshaling the parsed view must parse identically (the encoder
-		// always emits IHL 5, so options are dropped, not corrupted).
-		out := MarshalIPv4(h, body)
+		// Re-marshaling the parsed view must parse identically (the encoders
+		// always emit IHL 5, so options are dropped, not corrupted). The
+		// body is arbitrary bytes, which only the reference encoder frames;
+		// where it is an ICMP message, AppendMarshalIPv4 must agree with it.
+		out := refMarshalIPv4(h, body)
+		if m, err := Parse(body); err == nil {
+			if one := AppendMarshalIPv4(nil, h, m); !bytes.Equal(one, out) {
+				t.Fatalf("AppendMarshalIPv4 %x, reference %x", one, out)
+			}
+		}
 		h2, body2, err := ParseIPv4(out)
 		if err != nil {
 			t.Fatalf("re-marshaled packet rejected: %v", err)
@@ -80,7 +88,7 @@ func FuzzParseICMP(f *testing.F) {
 		// An accepted message re-marshals to the very same bytes: Parse
 		// only admits checksum-valid messages and AppendMarshal recomputes
 		// the same checksum over the same fields.
-		out := Marshal(m)
+		out := AppendMarshal(nil, m)
 		if !bytes.Equal(out, data) {
 			t.Fatalf("accepted message does not round-trip:\nin:  %x\nout: %x", data, out)
 		}

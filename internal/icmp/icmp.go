@@ -42,68 +42,41 @@ func (m *Message) Echo() bool {
 	return m.Type == TypeEchoRequest || m.Type == TypeEchoReply
 }
 
-// Marshal encodes the message with a correct checksum.
-func Marshal(m Message) []byte {
-	return AppendMarshal(nil, m)
-}
-
-// AppendMarshal appends the encoded message to dst in one pass — header,
-// payload and checksum written directly into the extended slice — and
-// returns it. With a reused buffer the encode performs no allocations.
+// AppendMarshal appends the encoded message to dst and returns it. The
+// checksum is summed from the fields and the payload as they are written, so
+// no byte is read back; with a reused buffer the encode performs no
+// allocations.
 func AppendMarshal(dst []byte, m Message) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, HeaderLen+len(m.Payload))...)
-	b := dst[off:]
-	b[0] = byte(m.Type)
-	b[1] = m.Code
-	b[2], b[3] = 0, 0
-	binary.BigEndian.PutUint16(b[4:], m.ID)
-	binary.BigEndian.PutUint16(b[6:], m.Seq)
-	copy(b[HeaderLen:], m.Payload)
-	binary.BigEndian.PutUint16(b[2:], Checksum(b))
-	return dst
+	typeCode := uint32(m.Type)<<8 | uint32(m.Code)
+	cs := FoldChecksum(typeCode + uint32(m.ID) + uint32(m.Seq) + sum16(m.Payload))
+	dst = binary.BigEndian.AppendUint32(dst, typeCode<<16|uint32(cs))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(m.ID)<<16|uint32(m.Seq))
+	return append(dst, m.Payload...)
 }
 
 // Parse decodes an ICMPv4 message and verifies its checksum. The returned
 // payload aliases b.
 func Parse(b []byte) (Message, error) {
+	var m Message
+	err := m.Parse(b)
+	return m, err
+}
+
+// Parse is the package-level Parse into m, in place (see IPv4Header.Parse).
+// m is left untouched when an error is returned.
+func (m *Message) Parse(b []byte) error {
 	if len(b) < HeaderLen {
-		return Message{}, ErrShortPacket
+		return ErrShortPacket
 	}
 	if !VerifyChecksum(b) {
-		return Message{}, ErrBadChecksum
+		return ErrBadChecksum
 	}
-	m := Message{
-		Type:    Type(b[0]),
-		Code:    b[1],
-		ID:      binary.BigEndian.Uint16(b[4:]),
-		Seq:     binary.BigEndian.Uint16(b[6:]),
-		Payload: b[HeaderLen:],
-	}
-	return m, nil
-}
-
-// EchoRequest builds an encoded echo request with the given identifier,
-// sequence number and payload.
-func EchoRequest(id, seq uint16, payload []byte) []byte {
-	return Marshal(Message{Type: TypeEchoRequest, ID: id, Seq: seq, Payload: payload})
-}
-
-// EchoReplyFor builds the encoded echo reply answering the given request
-// message, echoing ID, Seq and payload as RFC 792 requires.
-func EchoReplyFor(req Message) []byte {
-	return Marshal(Message{Type: TypeEchoReply, ID: req.ID, Seq: req.Seq, Payload: req.Payload})
-}
-
-// DestUnreachable builds an encoded destination-unreachable message quoting
-// the original datagram (which should be the IP header + first 8 payload
-// bytes, per RFC 792).
-func DestUnreachable(code uint8, original []byte) []byte {
-	quote := original
-	if max := IPv4HeaderLen + 8; len(quote) > max {
-		quote = quote[:max]
-	}
-	return Marshal(Message{Type: TypeDestUnreachable, Code: code, Payload: quote})
+	m.Type = Type(b[0])
+	m.Code = b[1]
+	m.ID = binary.BigEndian.Uint16(b[4:])
+	m.Seq = binary.BigEndian.Uint16(b[6:])
+	m.Payload = b[HeaderLen:]
+	return nil
 }
 
 func (t Type) String() string {

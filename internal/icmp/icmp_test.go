@@ -49,7 +49,7 @@ func TestChecksumSelfVerifies(t *testing.T) {
 
 func TestEchoRoundTrip(t *testing.T) {
 	payload := []byte("countrymon probe")
-	pkt := EchoRequest(0xbeef, 42, payload)
+	pkt := AppendMarshal(nil, Message{Type: TypeEchoRequest, ID: 0xbeef, Seq: 42, Payload: payload})
 	m, err := Parse(pkt)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestEchoRoundTrip(t *testing.T) {
 		t.Error("Echo() = false")
 	}
 
-	reply := EchoReplyFor(m)
+	reply := AppendMarshal(nil, Message{Type: TypeEchoReply, ID: m.ID, Seq: m.Seq, Payload: m.Payload})
 	rm, err := Parse(reply)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestEchoRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsCorruption(t *testing.T) {
-	pkt := EchoRequest(1, 2, []byte("x"))
+	pkt := AppendMarshal(nil, Message{Type: TypeEchoRequest, ID: 1, Seq: 2, Payload: []byte("x")})
 	pkt[4] ^= 0xff // corrupt ID without fixing checksum
 	if _, err := Parse(pkt); err == nil {
 		t.Error("Parse accepted corrupted packet")
@@ -89,12 +89,13 @@ func TestParseRejectsCorruption(t *testing.T) {
 }
 
 func TestDestUnreachableQuotesOriginal(t *testing.T) {
-	orig := MarshalIPv4(IPv4Header{
+	orig := AppendMarshalIPv4(nil, IPv4Header{
 		TTL: 64, Protocol: ProtoICMP,
 		Src: netmodel.MustParseAddr("10.0.0.1"),
 		Dst: netmodel.MustParseAddr("10.0.0.2"),
-	}, EchoRequest(7, 9, bytes.Repeat([]byte{0xaa}, 32)))
-	du := DestUnreachable(CodeHostUnreachable, orig)
+	}, Message{Type: TypeEchoRequest, ID: 7, Seq: 9, Payload: bytes.Repeat([]byte{0xaa}, 32)})
+	// The quote RFC 792 asks for: the IP header plus 8 bytes.
+	du := AppendMarshal(nil, Message{Type: TypeDestUnreachable, Code: CodeHostUnreachable, Payload: orig[:IPv4HeaderLen+8]})
 	m, err := Parse(du)
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +115,9 @@ func TestDestUnreachableQuotesOriginal(t *testing.T) {
 func TestIPv4RoundTrip(t *testing.T) {
 	src := netmodel.MustParseAddr("185.66.1.9")
 	dst := netmodel.MustParseAddr("91.198.4.200")
-	payload := []byte("hello ukraine monitor")
-	pkt := MarshalIPv4(IPv4Header{TOS: 0, ID: 0x1234, TTL: 57, Protocol: ProtoICMP, Src: src, Dst: dst}, payload)
+	msg := Message{Type: TypeEchoRequest, ID: 3, Seq: 4, Payload: []byte("hello ukraine monitor")}
+	payload := AppendMarshal(nil, msg)
+	pkt := AppendMarshalIPv4(nil, IPv4Header{TOS: 0, ID: 0x1234, TTL: 57, Protocol: ProtoICMP, Src: src, Dst: dst}, msg)
 
 	h, body, err := ParseIPv4(pkt)
 	if err != nil {
@@ -133,7 +135,7 @@ func TestIPv4RoundTrip(t *testing.T) {
 }
 
 func TestParseIPv4Errors(t *testing.T) {
-	pkt := MarshalIPv4(IPv4Header{TTL: 1, Protocol: ProtoICMP}, nil)
+	pkt := AppendMarshalIPv4(nil, IPv4Header{TTL: 1, Protocol: ProtoICMP}, Message{})
 
 	if _, _, err := ParseIPv4(pkt[:10]); err == nil {
 		t.Error("short packet accepted")
@@ -154,9 +156,9 @@ func TestParseIPv4Errors(t *testing.T) {
 
 func TestIPv4ThenICMPEndToEnd(t *testing.T) {
 	// Full datagram as it would cross the simulated wire.
-	probe := EchoRequest(100, 200, []byte{1, 2, 3, 4})
-	dg := MarshalIPv4(IPv4Header{TTL: 64, Protocol: ProtoICMP,
-		Src: netmodel.MustParseAddr("192.0.2.1"), Dst: netmodel.MustParseAddr("91.198.4.7")}, probe)
+	dg := AppendMarshalIPv4(nil, IPv4Header{TTL: 64, Protocol: ProtoICMP,
+		Src: netmodel.MustParseAddr("192.0.2.1"), Dst: netmodel.MustParseAddr("91.198.4.7")},
+		Message{Type: TypeEchoRequest, ID: 100, Seq: 200, Payload: []byte{1, 2, 3, 4}})
 	h, body, err := ParseIPv4(dg)
 	if err != nil {
 		t.Fatal(err)

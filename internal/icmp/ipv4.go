@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"countrymon/internal/netmodel"
 )
@@ -24,7 +25,7 @@ type IPv4Header struct {
 	TTL      uint8
 	Protocol uint8
 	Src, Dst netmodel.Addr
-	Length   uint16 // total length incl. header; filled by Marshal if zero
+	Length   uint16 // total length incl. header: set by ParseIPv4, ignored by the encoder
 }
 
 var (
@@ -33,101 +34,63 @@ var (
 	ErrBadChecksum = errors.New("icmp: bad checksum")
 )
 
-// MarshalIPv4 encodes the header followed by the payload into a fresh slice.
-func MarshalIPv4(h IPv4Header, payload []byte) []byte {
-	return AppendIPv4(nil, h, payload)
-}
-
-// AppendIPv4 appends the encoded datagram to dst and returns the extended
-// slice; with a reused buffer the scanner's send path stays allocation-free.
-func AppendIPv4(dst []byte, h IPv4Header, payload []byte) []byte {
-	total := IPv4HeaderLen + len(payload)
-	off := len(dst)
-	dst = append(dst, make([]byte, total)...)
-	b := dst[off:]
-	b[0] = 0x45 // version 4, IHL 5
-	b[1] = h.TOS
-	binary.BigEndian.PutUint16(b[2:], uint16(total))
-	binary.BigEndian.PutUint16(b[4:], h.ID)
-	// flags+fragment offset zero: the monitor never fragments.
-	for i := 6; i < 12; i++ {
-		b[i] = 0
-	}
-	b[8] = h.TTL
-	b[9] = h.Protocol
-	src, dstA := h.Src.Bytes(), h.Dst.Bytes()
-	copy(b[12:16], src[:])
-	copy(b[16:20], dstA[:])
-	cs := Checksum(b[:IPv4HeaderLen])
-	binary.BigEndian.PutUint16(b[10:], cs)
-	copy(b[IPv4HeaderLen:], payload)
-	return dst
-}
-
-// AppendMarshalIPv4 appends a complete IPv4+ICMP datagram to dst in a
-// single pass: the ICMP message is encoded directly into its final position
-// after the IPv4 header, so hot send loops skip the intermediate
-// payload-buffer copy that AppendIPv4(dst, h, AppendMarshal(...)) pays.
-// With a reused buffer the encode performs no allocations.
+// AppendMarshalIPv4 appends a complete IPv4+ICMP datagram to dst: the IPv4
+// header, its checksum summed from the fields as they are written, then the
+// message as AppendMarshal encodes it. dst grows at most once, and with a
+// reused buffer the encode performs no allocations.
 func AppendMarshalIPv4(dst []byte, h IPv4Header, m Message) []byte {
 	total := IPv4HeaderLen + HeaderLen + len(m.Payload)
-	off := len(dst)
-	dst = append(dst, make([]byte, total)...)
-	b := dst[off:]
-	// ICMP region first: its checksum must cover the final bytes.
-	ic := b[IPv4HeaderLen:]
-	ic[0] = byte(m.Type)
-	ic[1] = m.Code
-	ic[2], ic[3] = 0, 0
-	binary.BigEndian.PutUint16(ic[4:], m.ID)
-	binary.BigEndian.PutUint16(ic[6:], m.Seq)
-	copy(ic[HeaderLen:], m.Payload)
-	binary.BigEndian.PutUint16(ic[2:], Checksum(ic))
-	b[0] = 0x45 // version 4, IHL 5
-	b[1] = h.TOS
-	binary.BigEndian.PutUint16(b[2:], uint16(total))
-	binary.BigEndian.PutUint16(b[4:], h.ID)
+	verTOS := 0x4500 | uint32(h.TOS) // version 4, IHL 5
+	length := uint32(uint16(total))
+	ttlProto := uint32(h.TTL)<<8 | uint32(h.Protocol)
+	src, dstA := uint32(h.Src), uint32(h.Dst)
+	cs := FoldChecksum(verTOS + length + uint32(h.ID) + ttlProto +
+		src>>16 + src&0xffff + dstA>>16 + dstA&0xffff)
+	dst = slices.Grow(dst, total)
+	dst = binary.BigEndian.AppendUint32(dst, verTOS<<16|length)
 	// flags+fragment offset zero: the monitor never fragments.
-	for i := 6; i < 12; i++ {
-		b[i] = 0
-	}
-	b[8] = h.TTL
-	b[9] = h.Protocol
-	src, dstA := h.Src.Bytes(), h.Dst.Bytes()
-	copy(b[12:16], src[:])
-	copy(b[16:20], dstA[:])
-	binary.BigEndian.PutUint16(b[10:], Checksum(b[:IPv4HeaderLen]))
-	return dst
+	dst = binary.BigEndian.AppendUint32(dst, uint32(h.ID)<<16)
+	dst = binary.BigEndian.AppendUint32(dst, ttlProto<<16|uint32(cs))
+	dst = binary.BigEndian.AppendUint32(dst, src)
+	dst = binary.BigEndian.AppendUint32(dst, dstA)
+	return AppendMarshal(dst, m)
 }
 
 // ParseIPv4 decodes an IPv4 packet, returning the header and its payload
 // (aliasing b). The header checksum is verified.
 func ParseIPv4(b []byte) (IPv4Header, []byte, error) {
+	var h IPv4Header
+	body, err := h.Parse(b)
+	return h, body, err
+}
+
+// Parse is ParseIPv4 into h, in place: per-packet loops keep one header and
+// read its fields where they were written instead of copying the struct out
+// of every call. h is left untouched when an error is returned.
+func (h *IPv4Header) Parse(b []byte) ([]byte, error) {
 	if len(b) < IPv4HeaderLen {
-		return IPv4Header{}, nil, ErrShortPacket
+		return nil, ErrShortPacket
 	}
 	if b[0]>>4 != 4 {
-		return IPv4Header{}, nil, ErrBadVersion
+		return nil, ErrBadVersion
 	}
 	ihl := int(b[0]&0x0f) * 4
 	if ihl < IPv4HeaderLen || len(b) < ihl {
-		return IPv4Header{}, nil, fmt.Errorf("%w: IHL %d", ErrShortPacket, ihl)
+		return nil, fmt.Errorf("%w: IHL %d", ErrShortPacket, ihl)
 	}
 	if !VerifyChecksum(b[:ihl]) {
-		return IPv4Header{}, nil, ErrBadChecksum
+		return nil, ErrBadChecksum
 	}
 	total := int(binary.BigEndian.Uint16(b[2:]))
 	if total < ihl || total > len(b) {
-		return IPv4Header{}, nil, fmt.Errorf("%w: total length %d", ErrShortPacket, total)
+		return nil, fmt.Errorf("%w: total length %d", ErrShortPacket, total)
 	}
-	h := IPv4Header{
-		TOS:      b[1],
-		ID:       binary.BigEndian.Uint16(b[4:]),
-		TTL:      b[8],
-		Protocol: b[9],
-		Src:      netmodel.AddrFromBytes([4]byte(b[12:16])),
-		Dst:      netmodel.AddrFromBytes([4]byte(b[16:20])),
-		Length:   uint16(total),
-	}
-	return h, b[ihl:total], nil
+	h.TOS = b[1]
+	h.ID = binary.BigEndian.Uint16(b[4:])
+	h.TTL = b[8]
+	h.Protocol = b[9]
+	h.Src = netmodel.Addr(binary.BigEndian.Uint32(b[12:]))
+	h.Dst = netmodel.Addr(binary.BigEndian.Uint32(b[16:]))
+	h.Length = uint16(total)
+	return b[ihl:total], nil
 }

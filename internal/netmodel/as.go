@@ -61,8 +61,15 @@ func dedupBlocks(bs []BlockID) []BlockID {
 type Space struct {
 	ases    []*AS
 	byASN   map[ASN]*AS
-	blockAS map[BlockID]ASN // origin AS per /24 block
-	blocks  []BlockID       // all blocks, sorted
+	byBlock map[BlockID]blockEntry
+	blocks  []BlockID // all blocks, sorted
+}
+
+// blockEntry is what the space knows of one /24 block: its origin AS and its
+// position in Blocks().
+type blockEntry struct {
+	origin ASN
+	index  int32
 }
 
 // BuildSpace indexes the given ASes. Overlapping /24 ownership is an error:
@@ -72,7 +79,7 @@ func BuildSpace(ases []*AS) (*Space, error) {
 	s := &Space{
 		ases:    ases,
 		byASN:   make(map[ASN]*AS, len(ases)),
-		blockAS: make(map[BlockID]ASN),
+		byBlock: make(map[BlockID]blockEntry),
 	}
 	for _, as := range ases {
 		if as == nil {
@@ -83,14 +90,17 @@ func BuildSpace(ases []*AS) (*Space, error) {
 		}
 		s.byASN[as.ASN] = as
 		for _, b := range as.Blocks() {
-			if owner, taken := s.blockAS[b]; taken {
-				return nil, fmt.Errorf("netmodel: block %v claimed by both %v and %v", b, owner, as.ASN)
+			if e, taken := s.byBlock[b]; taken {
+				return nil, fmt.Errorf("netmodel: block %v claimed by both %v and %v", b, e.origin, as.ASN)
 			}
-			s.blockAS[b] = as.ASN
+			s.byBlock[b] = blockEntry{origin: as.ASN}
 			s.blocks = append(s.blocks, b)
 		}
 	}
 	sort.Slice(s.blocks, func(i, j int) bool { return s.blocks[i] < s.blocks[j] })
+	for i, b := range s.blocks {
+		s.byBlock[b] = blockEntry{origin: s.byBlock[b].origin, index: int32(i)}
+	}
 	return s, nil
 }
 
@@ -114,7 +124,7 @@ func (s *Space) Lookup(asn ASN) *AS { return s.byASN[asn] }
 
 // OriginOf returns the AS originating the given /24 block, or 0 if the block
 // is not part of the modelled space.
-func (s *Space) OriginOf(b BlockID) ASN { return s.blockAS[b] }
+func (s *Space) OriginOf(b BlockID) ASN { return s.byBlock[b].origin }
 
 // Blocks returns all /24 blocks in the space, sorted. Callers must not
 // mutate the slice.
@@ -129,15 +139,14 @@ func (s *Space) NumAddrs() int { return len(s.blocks) * BlockSize }
 // BlockIndex returns the position of b in Blocks(), or -1. Dense per-block
 // arrays throughout the system are indexed this way.
 func (s *Space) BlockIndex(b BlockID) int {
-	i := sort.Search(len(s.blocks), func(i int) bool { return s.blocks[i] >= b })
-	if i < len(s.blocks) && s.blocks[i] == b {
-		return i
+	if e, ok := s.byBlock[b]; ok {
+		return int(e.index)
 	}
 	return -1
 }
 
 // ContainsAddr reports whether the address falls in a modelled block.
 func (s *Space) ContainsAddr(a Addr) bool {
-	_, ok := s.blockAS[a.Block()]
+	_, ok := s.byBlock[a.Block()]
 	return ok
 }

@@ -1,6 +1,9 @@
 package netmodel
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
 func twoASSpace(t *testing.T) *Space {
 	t.Helper()
@@ -63,19 +66,42 @@ func TestSpaceOrigin(t *testing.T) {
 }
 
 func TestSpaceBlockIndex(t *testing.T) {
-	s := twoASSpace(t)
-	blocks := s.Blocks()
-	for i, b := range blocks {
-		if got := s.BlockIndex(b); got != i {
-			t.Fatalf("BlockIndex(%v) = %d, want %d", b, got, i)
+	// The second space lists its ASes out of address order with prefixes
+	// that interleave, so input order and Blocks() order differ.
+	interleaved, err := BuildSpace([]*AS{
+		{ASN: 3, Prefixes: []Prefix{MustParsePrefix("10.0.4.0/23"), MustParsePrefix("10.0.0.0/24")}},
+		{ASN: 1, Prefixes: []Prefix{MustParsePrefix("10.0.2.0/23"), MustParsePrefix("10.0.7.0/24")}},
+		{ASN: 2, Prefixes: []Prefix{MustParsePrefix("9.255.255.0/24"), MustParsePrefix("10.0.9.0/24")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Space{"two ASes": twoASSpace(t), "interleaved": interleaved} {
+		blocks := s.Blocks()
+		for i := 1; i < len(blocks); i++ {
+			if blocks[i-1] >= blocks[i] {
+				t.Fatalf("%s: Blocks not strictly sorted at %d", name, i)
+			}
 		}
-	}
-	if got := s.BlockIndex(MustParseBlock("8.8.8.0/24")); got != -1 {
-		t.Errorf("BlockIndex(foreign) = %d, want -1", got)
-	}
-	for i := 1; i < len(blocks); i++ {
-		if blocks[i-1] >= blocks[i] {
-			t.Fatalf("Blocks not strictly sorted at %d", i)
+		// The index is the block's position in Blocks(): what a binary
+		// search of the sorted list finds, and -1 for every block it does
+		// not — the gaps between prefixes, both neighbours of the space and
+		// the ends of the address range.
+		probes := []BlockID{0, 1<<24 - 1, MustParseBlock("8.8.8.0/24")}
+		for _, b := range blocks {
+			probes = append(probes, b-1, b, b+1)
+		}
+		for _, b := range probes {
+			want := -1
+			if i := sort.Search(len(blocks), func(i int) bool { return blocks[i] >= b }); i < len(blocks) && blocks[i] == b {
+				want = i
+			}
+			if got := s.BlockIndex(b); got != want {
+				t.Errorf("%s: BlockIndex(%v) = %d, want %d", name, b, got, want)
+			}
+		}
+		if got := s.BlockIndex(MustParseBlock("8.8.8.0/24")); got != -1 {
+			t.Errorf("%s: BlockIndex(foreign) = %d, want -1", name, got)
 		}
 	}
 }

@@ -26,6 +26,7 @@ type roundRun struct {
 	tr      BatchTransport
 	targets *TargetSet
 	val     *Validator
+	stamp   probeStamp // the part of a probe this round's probes share
 	rl      *RateLimiter
 	rng     uint64 // deterministic jitter source for retry backoff
 	maxFail int    // error budget in addresses
@@ -135,7 +136,7 @@ func (r *roundRun) sendBatches(s *Scanner, ctx context.Context, cur *Cursor) {
 	nb := r.cfg.Batch
 	ppa := r.cfg.ProbesPerAddr
 	bufs, pkts, dsts, pktAddr, addrs := r.sc.bufs, r.sc.pkts, r.sc.dsts, r.sc.pktAddr, r.sc.addrs
-	src := r.tr.LocalAddr()
+	r.stamp.init(r.val, icmp.IPv4Header{TTL: r.cfg.TTL, Protocol: icmp.ProtoICMP, Src: r.tr.LocalAddr()})
 	var seq uint64 // monotone probe counter, baked into the IPv4 ID field
 
 	done := false
@@ -167,13 +168,13 @@ func (r *roundRun) sendBatches(s *Scanner, ctx context.Context, cur *Cursor) {
 		// probe at the single post-wait instant: embedded timestamps match
 		// the actual send time, so RTTs stay exact.
 		r.rl.WaitN(len(pkts))
-		now := r.cfg.Clock.Now()
+		r.stamp.sentAt(r.val, r.cfg.Clock.Now())
 		for i := range pkts {
-			bufs[i] = r.encodeProbe(bufs[i][:0], src, dsts[i], now, uint16(seq)+uint16(i))
+			bufs[i] = r.stamp.appendProbe(bufs[i][:0], dsts[i], uint16(seq)+uint16(i))
 			pkts[i] = bufs[i]
 		}
 		r.cfg.Metrics.BatchFill.Observe(float64(len(pkts)) / float64(nb))
-		ok := r.writeBatch(s, ctx, pkts, dsts, pktAddr, addrs, seq, src)
+		ok := r.writeBatch(s, ctx, pkts, dsts, pktAddr, addrs, seq)
 		r.publishSend()
 		if !ok {
 			return
@@ -197,14 +198,6 @@ func (r *roundRun) publishSend() {
 	}
 }
 
-// encodeProbe appends the full IPv4+ICMP probe datagram for dst to buf in
-// one pass (no intermediate payload buffer).
-func (r *roundRun) encodeProbe(buf []byte, src, dst netmodel.Addr, now time.Time, id uint16) []byte {
-	return r.val.AppendProbeIPv4(buf, icmp.IPv4Header{
-		TTL: r.cfg.TTL, Protocol: icmp.ProtoICMP, Src: src, Dst: dst, ID: id,
-	}, now)
-}
-
 // writeBatch transmits one assembled batch with packet-at-a-time
 // per-probe semantics: transient failures retry with exponential backoff
 // and deterministic jitter (the unsent tail is re-stamped after the sleep
@@ -212,7 +205,7 @@ func (r *roundRun) encodeProbe(buf []byte, src, dst netmodel.Addr, now time.Time
 // retries or fail hard are abandoned and counted, and every address
 // resolves as its last probe leaves the batch — including an error-budget
 // abort mid-batch. Returns false when the round must stop sending.
-func (r *roundRun) writeBatch(s *Scanner, ctx context.Context, pkts [][]byte, dsts []netmodel.Addr, pktAddr []int, addrs []addrSend, base uint64, src netmodel.Addr) bool {
+func (r *roundRun) writeBatch(s *Scanner, ctx context.Context, pkts [][]byte, dsts []netmodel.Addr, pktAddr []int, addrs []addrSend, base uint64) bool {
 	overBudget := false
 	finish := func(j int, sentOK bool) {
 		st := &addrs[pktAddr[j]]
@@ -279,9 +272,9 @@ func (r *roundRun) writeBatch(s *Scanner, ctx context.Context, pkts [][]byte, ds
 				r.abort = ierr
 				return false
 			}
-			now := r.cfg.Clock.Now()
+			r.stamp.sentAt(r.val, r.cfg.Clock.Now())
 			for j := i; j < len(pkts); j++ {
-				pkts[j] = r.encodeProbe(pkts[j][:0], src, dsts[j], now, uint16(base)+uint16(j))
+				pkts[j] = r.stamp.appendProbe(pkts[j][:0], dsts[j], uint16(base)+uint16(j))
 			}
 			continue
 		}
@@ -360,14 +353,15 @@ func (r *roundRun) recvFailure(err error) bool {
 // processReply parses, validates and aggregates one inbound packet.
 func (r *roundRun) processReply(pkt []byte, at time.Time) {
 	mt := r.cfg.Metrics
-	h, body, err := icmp.ParseIPv4(pkt)
+	var h icmp.IPv4Header
+	body, err := h.Parse(pkt)
 	if err != nil || h.Protocol != icmp.ProtoICMP {
 		r.recv.Invalid++
 		mt.RepliesInvalid.Inc()
 		return
 	}
-	m, err := icmp.Parse(body)
-	if err != nil {
+	var m icmp.Message
+	if err := m.Parse(body); err != nil {
 		r.recv.Invalid++
 		mt.RepliesInvalid.Inc()
 		return
@@ -383,13 +377,13 @@ func (r *roundRun) processReply(pkt []byte, at time.Time) {
 		mt.RepliesInvalid.Inc()
 		return
 	}
-	r.recv.Received++
 	bi := r.targets.BlockIndex(reply.From)
 	if bi < 0 {
 		r.recv.Invalid++
 		mt.RepliesInvalid.Inc()
 		return
 	}
+	r.recv.Received++
 	br := &r.blocks[bi]
 	host := reply.From.HostByte()
 	if br.Responded(host) {

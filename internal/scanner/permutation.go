@@ -103,7 +103,8 @@ func (c *Cursor) next() (uint64, bool) {
 	}
 	for {
 		v := c.cur
-		c.cur = mulmod(c.cur, pm.g, pm.p)
+		// cur and g are in [1, p-1], already reduced.
+		c.cur = mulmodReduced(c.cur, pm.g, pm.p)
 		if v-1 < pm.n { // v in [1, p-1]; emit v-1 if < n
 			c.emitted++
 			return v - 1, true
@@ -220,10 +221,12 @@ func primeFactors(n uint64) []uint64 {
 	return fs
 }
 
-func mulmod(a, b, m uint64) uint64 {
-	a %= m
-	b %= m
-	if a < 1<<32 && b < 1<<32 {
+func mulmod(a, b, m uint64) uint64 { return mulmodReduced(a%m, b%m, m) }
+
+// mulmodReduced is mulmod for operands already below m, which costs one
+// division instead of three: the group walk's step.
+func mulmodReduced(a, b, m uint64) uint64 {
+	if a|b < 1<<32 {
 		return a * b % m
 	}
 	hi, lo := bits.Mul64(a, b)

@@ -1,6 +1,8 @@
 package scanner
 
 import (
+	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -191,6 +193,60 @@ func TestMulmodLargeOperands(t *testing.T) {
 	// (p-1)^2 mod p == 1
 	if got := mulmod(a, b, p); got != 1 {
 		t.Errorf("mulmod((p-1)^2 mod p) = %d, want 1", got)
+	}
+}
+
+// mulmodThreeDivisions is mulmod as it was before the cursor's step dropped
+// the two operand reductions: the reference for the equality sweep.
+func mulmodThreeDivisions(a, b, m uint64) uint64 {
+	a %= m
+	b %= m
+	if a < 1<<32 && b < 1<<32 {
+		return a * b % m
+	}
+	hi, lo := bits.Mul64(a, b)
+	return bits.Rem64(hi, lo, m)
+}
+
+func TestMulmodReducedMatchesMulmod(t *testing.T) {
+	// Every pair of residues of the small primes a toy permutation uses.
+	for _, p := range []uint64{2, 3, 5, 7, 11, 13, 251, 257} {
+		for a := uint64(0); a < p; a++ {
+			for b := uint64(0); b < p; b++ {
+				want := mulmodThreeDivisions(a, b, p)
+				if got := mulmodReduced(a, b, p); got != want {
+					t.Fatalf("mulmodReduced(%d, %d, %d) = %d, want %d", a, b, p, got, want)
+				}
+				if got := mulmod(a+p, b+3*p, p); got != want {
+					t.Fatalf("mulmod(%d, %d, %d) = %d, want %d", a+p, b+3*p, p, got, want)
+				}
+			}
+		}
+	}
+	// Random 64-bit operands and moduli on both sides of the 32-bit
+	// fast-path boundary: mulmod keeps its contract for unreduced operands,
+	// and the reduced form agrees once they are reduced.
+	rng := rand.New(rand.NewSource(61))
+	for i := 0; i < 200000; i++ {
+		a, b, m := rng.Uint64(), rng.Uint64(), rng.Uint64()
+		switch i % 4 {
+		case 1:
+			m >>= 32
+		case 2:
+			m >>= 31
+		case 3:
+			a, b, m = a>>30, b>>33, m>>29
+		}
+		if m == 0 {
+			m = 1
+		}
+		want := mulmodThreeDivisions(a, b, m)
+		if got := mulmod(a, b, m); got != want {
+			t.Fatalf("mulmod(%d, %d, %d) = %d, want %d", a, b, m, got, want)
+		}
+		if got := mulmodReduced(a%m, b%m, m); got != want {
+			t.Fatalf("mulmodReduced(%d, %d, %d) = %d, want %d", a%m, b%m, m, got, want)
+		}
 	}
 }
 

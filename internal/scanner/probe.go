@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"encoding/binary"
+	"slices"
 	"time"
 
 	"countrymon/internal/icmp"
@@ -20,9 +21,12 @@ import (
 // time (ms since scan start).
 const probePayloadLen = 8
 
+// probeLen is the size of a probe datagram.
+const probeLen = icmp.IPv4HeaderLen + icmp.HeaderLen + probePayloadLen
+
 // Validator derives and checks probe identities for one scan.
 type Validator struct {
-	key   uint64
+	idKey uint64 // key ^ epoch<<33: idWord's input next to the address
 	epoch uint32
 	start time.Time
 }
@@ -30,50 +34,93 @@ type Validator struct {
 // NewValidator creates a validator with a per-campaign secret key and a
 // per-round epoch.
 func NewValidator(key uint64, epoch uint32, start time.Time) *Validator {
-	return &Validator{key: key, epoch: epoch, start: start}
+	return &Validator{idKey: key ^ uint64(epoch)<<33, epoch: epoch, start: start}
 }
 
-// idSeq computes the keyed 32-bit identity for a target address.
+// idWord computes the keyed 32-bit identity for a target address as it sits
+// on the wire: ICMP identifier above sequence number.
+func idWord(idKey uint64, dst netmodel.Addr) uint32 {
+	return uint32(splitmix(idKey ^ uint64(dst)<<1))
+}
+
+// idSeq is idWord split into its two fields.
 func (v *Validator) idSeq(dst netmodel.Addr) (id, seq uint16) {
-	h := splitmix(v.key ^ uint64(dst)<<1 ^ uint64(v.epoch)<<33)
-	return uint16(h >> 16), uint16(h)
+	w := idWord(v.idKey, dst)
+	return uint16(w >> 16), uint16(w)
 }
 
-// EncodeProbe builds the ICMP echo request for dst at the given send time.
-func (v *Validator) EncodeProbe(dst netmodel.Addr, at time.Time) []byte {
-	return v.AppendProbe(nil, dst, at)
+// probeStamp is everything the probes of one round, sent at one instant,
+// have in common: the header words that do not name the destination, the
+// payload, and the one's-complement sums over both. A probe then costs its
+// own three words — destination, IPv4 ID, keyed id/seq — and folding them
+// into the two sums.
+type probeStamp struct {
+	idKey    uint64
+	verLen   uint32 // version, IHL, TOS, total length
+	ttlProto uint32 // TTL and protocol, above the header checksum's half
+	src      uint32
+	epoch    uint32
+	ms       uint32 // send time, ms since the scan started
+	ipSum    uint32 // sum of verLen, ttlProto and src
+	icmpSum  uint32 // sum of type/code, epoch and ms
 }
 
-// AppendProbe appends the encoded echo request to buf (allocation-free with
-// a reused buffer).
-func (v *Validator) AppendProbe(buf []byte, dst netmodel.Addr, at time.Time) []byte {
-	id, seq := v.idSeq(dst)
-	var payload [probePayloadLen]byte
-	binary.BigEndian.PutUint32(payload[0:], v.epoch)
+const echoRequestWord = uint32(icmp.TypeEchoRequest) << 24 // type 8, code 0
+
+// sum32 adds the two 16-bit halves of a header word.
+func sum32(w uint32) uint32 { return w>>16 + w&0xffff }
+
+// init encodes and sums what v and h fix for a whole round: identity key and
+// epoch; TOS, TTL, protocol and source. h.ID and h.Dst belong to each probe,
+// and the send time is set by sentAt.
+func (s *probeStamp) init(v *Validator, h icmp.IPv4Header) {
+	s.idKey = v.idKey
+	s.verLen = 0x4500<<16 | uint32(h.TOS)<<16 | probeLen
+	s.ttlProto = uint32(h.TTL)<<24 | uint32(h.Protocol)<<16
+	s.src = uint32(h.Src)
+	s.epoch = v.epoch
+	s.ipSum = sum32(s.verLen) + sum32(s.ttlProto) + sum32(s.src)
+}
+
+// sentAt sets the send time the probes appended from here on carry.
+func (s *probeStamp) sentAt(v *Validator, at time.Time) {
 	ms := at.Sub(v.start).Milliseconds()
 	if ms < 0 {
 		ms = 0
 	}
-	binary.BigEndian.PutUint32(payload[4:], uint32(ms))
-	return icmp.AppendMarshal(buf, icmp.Message{Type: icmp.TypeEchoRequest, ID: id, Seq: seq, Payload: payload[:]})
+	s.ms = uint32(ms)
+	s.icmpSum = sum32(echoRequestWord) + sum32(s.epoch) + sum32(s.ms)
 }
 
-// AppendProbeIPv4 appends the complete IPv4+ICMP probe datagram for h.Dst
-// to buf in a single pass (icmp.AppendMarshalIPv4), skipping the
-// intermediate ICMP-payload buffer of AppendProbe + AppendIPv4. The probe
-// identity is derived from h.Dst; h.Protocol should be icmp.ProtoICMP.
+// appendProbe appends the probe datagram for dst, with IPv4 ID id, to buf.
+func (s *probeStamp) appendProbe(buf []byte, dst netmodel.Addr, id uint16) []byte {
+	idSeq := idWord(s.idKey, dst)
+	ipCS := icmp.FoldChecksum(s.ipSum + uint32(id) + sum32(uint32(dst)))
+	icmpCS := icmp.FoldChecksum(s.icmpSum + sum32(idSeq))
+	n := len(buf)
+	buf = slices.Grow(buf, probeLen)[:n+probeLen]
+	b := buf[n : n+probeLen]
+	binary.BigEndian.PutUint32(b[0:], s.verLen)
+	binary.BigEndian.PutUint32(b[4:], uint32(id)<<16) // never fragmented
+	binary.BigEndian.PutUint32(b[8:], s.ttlProto|uint32(ipCS))
+	binary.BigEndian.PutUint32(b[12:], s.src)
+	binary.BigEndian.PutUint32(b[16:], uint32(dst))
+	binary.BigEndian.PutUint32(b[20:], echoRequestWord|uint32(icmpCS))
+	binary.BigEndian.PutUint32(b[24:], idSeq)
+	binary.BigEndian.PutUint32(b[28:], s.epoch)
+	binary.BigEndian.PutUint32(b[32:], s.ms)
+	return buf
+}
+
+// AppendProbeIPv4 appends the complete IPv4+ICMP probe datagram for h.Dst,
+// sent at `at`, to buf: the round's stamp followed by the per-probe append
+// the engine runs. The probe identity is derived from h.Dst; h.Protocol
+// should be icmp.ProtoICMP.
 func (v *Validator) AppendProbeIPv4(buf []byte, h icmp.IPv4Header, at time.Time) []byte {
-	id, seq := v.idSeq(h.Dst)
-	var payload [probePayloadLen]byte
-	binary.BigEndian.PutUint32(payload[0:], v.epoch)
-	ms := at.Sub(v.start).Milliseconds()
-	if ms < 0 {
-		ms = 0
-	}
-	binary.BigEndian.PutUint32(payload[4:], uint32(ms))
-	return icmp.AppendMarshalIPv4(buf, h, icmp.Message{
-		Type: icmp.TypeEchoRequest, ID: id, Seq: seq, Payload: payload[:],
-	})
+	var s probeStamp
+	s.init(v, h)
+	s.sentAt(v, at)
+	return s.appendProbe(buf, h.Dst, h.ID)
 }
 
 // ProbeReply is a validated echo reply.

@@ -8,21 +8,43 @@ import (
 	"countrymon/internal/netmodel"
 )
 
+// probeMsg encodes v's probe for dst sent at `at` and parses it back the way
+// the far end does.
+func probeMsg(t *testing.T, v *Validator, dst netmodel.Addr, at time.Time) icmp.Message {
+	t.Helper()
+	pkt := v.AppendProbeIPv4(nil, icmp.IPv4Header{
+		TTL: 64, Protocol: icmp.ProtoICMP, Src: netmodel.MustParseAddr("198.51.100.1"), Dst: dst,
+	}, at)
+	h, body, err := icmp.ParseIPv4(pkt)
+	if err != nil || h.Dst != dst || h.Protocol != icmp.ProtoICMP {
+		t.Fatalf("probe header %+v: %v", h, err)
+	}
+	m, err := icmp.Parse(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// echoOf is the echo reply a host sends back for m, off the wire.
+func echoOf(t *testing.T, m icmp.Message) icmp.Message {
+	t.Helper()
+	reply, err := icmp.Parse(icmp.AppendMarshal(nil, icmp.Message{
+		Type: icmp.TypeEchoReply, ID: m.ID, Seq: m.Seq, Payload: m.Payload,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reply
+}
+
 func TestProbeRoundTrip(t *testing.T) {
 	start := time.Unix(1000, 0)
 	v := NewValidator(0xdeadbeef, 7, start)
 	dst := netmodel.MustParseAddr("91.198.4.9")
 
 	sent := start.Add(123 * time.Millisecond)
-	pkt := v.EncodeProbe(dst, sent)
-	m, err := icmp.Parse(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply, err2 := icmp.Parse(icmp.EchoReplyFor(m))
-	if err2 != nil {
-		t.Fatal(err2)
-	}
+	reply := echoOf(t, probeMsg(t, v, dst, sent))
 	recv := sent.Add(45 * time.Millisecond)
 	pr, ok := v.DecodeReply(dst, reply, recv)
 	if !ok {
@@ -41,9 +63,7 @@ func TestProbeRejectsWrongSource(t *testing.T) {
 	v := NewValidator(1, 1, start)
 	dst := netmodel.MustParseAddr("10.0.0.1")
 	other := netmodel.MustParseAddr("10.0.0.2")
-	pkt := v.EncodeProbe(dst, start)
-	m, _ := icmp.Parse(pkt)
-	reply, _ := icmp.Parse(icmp.EchoReplyFor(m))
+	reply := echoOf(t, probeMsg(t, v, dst, start))
 	if _, ok := v.DecodeReply(other, reply, start); ok {
 		t.Error("reply from wrong address accepted (spoofing not detected)")
 	}
@@ -54,9 +74,7 @@ func TestProbeRejectsWrongEpoch(t *testing.T) {
 	v1 := NewValidator(1, 1, start)
 	v2 := NewValidator(1, 2, start)
 	dst := netmodel.MustParseAddr("10.0.0.1")
-	pkt := v1.EncodeProbe(dst, start)
-	m, _ := icmp.Parse(pkt)
-	reply, _ := icmp.Parse(icmp.EchoReplyFor(m))
+	reply := echoOf(t, probeMsg(t, v1, dst, start))
 	if _, ok := v2.DecodeReply(dst, reply, start); ok {
 		t.Error("stale-epoch reply accepted")
 	}
@@ -66,7 +84,7 @@ func TestProbeRejectsEchoRequest(t *testing.T) {
 	start := time.Unix(0, 0)
 	v := NewValidator(1, 1, start)
 	dst := netmodel.MustParseAddr("10.0.0.1")
-	m, _ := icmp.Parse(v.EncodeProbe(dst, start))
+	m := probeMsg(t, v, dst, start)
 	if _, ok := v.DecodeReply(dst, m, start); ok {
 		t.Error("echo *request* accepted as reply")
 	}
@@ -77,7 +95,7 @@ func TestProbeRejectsShortPayload(t *testing.T) {
 	v := NewValidator(1, 1, start)
 	dst := netmodel.MustParseAddr("10.0.0.1")
 	id, seq := v.idSeq(dst)
-	reply, _ := icmp.Parse(icmp.Marshal(icmp.Message{Type: icmp.TypeEchoReply, ID: id, Seq: seq, Payload: []byte{1, 2}}))
+	reply, _ := icmp.Parse(icmp.AppendMarshal(nil, icmp.Message{Type: icmp.TypeEchoReply, ID: id, Seq: seq, Payload: []byte{1, 2}}))
 	if _, ok := v.DecodeReply(dst, reply, start); ok {
 		t.Error("short-payload reply accepted")
 	}
@@ -87,9 +105,7 @@ func TestProbeNegativeRTTClamped(t *testing.T) {
 	start := time.Unix(0, 0)
 	v := NewValidator(1, 1, start)
 	dst := netmodel.MustParseAddr("10.0.0.1")
-	pkt := v.EncodeProbe(dst, start.Add(500*time.Millisecond))
-	m, _ := icmp.Parse(pkt)
-	reply, _ := icmp.Parse(icmp.EchoReplyFor(m))
+	reply := echoOf(t, probeMsg(t, v, dst, start.Add(500*time.Millisecond)))
 	// Receive "before" send (clock skew); RTT must clamp to 0, not go negative.
 	pr, ok := v.DecodeReply(dst, reply, start.Add(100*time.Millisecond))
 	if !ok {

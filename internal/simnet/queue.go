@@ -1,7 +1,5 @@
 package simnet
 
-import "time"
-
 // slotSize is the capacity of one reply slot. It holds every reply the IPv4
 // wire produces for a scanner probe — an echo reply is 36 bytes, a host
 // unreachable quoting the probe 56 — and anything larger gets its own
@@ -10,16 +8,13 @@ const slotSize = 64
 
 // pendingReply is one encoded datagram waiting for its delivery time.
 type pendingReply struct {
-	pkt []byte
-	at  time.Time
+	at  int64  // delivery time, nanoseconds since the wire's start
 	seq uint64 // push order, the tiebreaker among equal delivery times
+	pkt []byte
 }
 
 func (a *pendingReply) before(b *pendingReply) bool {
-	if !a.at.Equal(b.at) {
-		return a.at.Before(b.at)
-	}
-	return a.seq < b.seq
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 // replyQueue holds the in-flight replies of a simulated wire, IPv4 or IPv6,
@@ -67,9 +62,10 @@ func (q *replyQueue) release(pkt []byte) {
 	}
 }
 
-// push enqueues pkt for delivery at `at`. The queue keeps pkt.
-func (q *replyQueue) push(pkt []byte, at time.Time) {
-	p := pendingReply{pkt: pkt, at: at, seq: q.seq}
+// push enqueues pkt for delivery at `at`, in nanoseconds since the wire's
+// start. The queue keeps pkt.
+func (q *replyQueue) push(pkt []byte, at int64) {
+	p := pendingReply{at: at, seq: q.seq, pkt: pkt}
 	q.seq++
 	q.heap = append(q.heap, p)
 	// Sift up, moving parents down into the hole instead of swapping.
@@ -116,22 +112,4 @@ func (q *replyQueue) pop() pendingReply {
 	}
 	h[i] = p
 	return top
-}
-
-// take pops the earliest reply if it is due: at *now, or — with wait > 0 —
-// no later than *now+wait, in which case *now moves to its delivery time.
-// This is the one delivery rule of the virtual clock, shared by every read
-// path of both wires.
-func (q *replyQueue) take(now *time.Time, wait time.Duration) (pendingReply, bool) {
-	if len(q.heap) == 0 {
-		return pendingReply{}, false
-	}
-	at := q.heap[0].at
-	if at.After(*now) {
-		if wait <= 0 || at.After(now.Add(wait)) {
-			return pendingReply{}, false
-		}
-		*now = at
-	}
-	return q.pop(), true
 }

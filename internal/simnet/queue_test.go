@@ -3,6 +3,7 @@ package simnet
 import (
 	"bytes"
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,14 +12,24 @@ import (
 	"countrymon/internal/netmodel"
 )
 
-// refHeap is the container/heap queue replyQueue replaced, kept as the
-// reference its pop order is checked against.
-type refHeap []pendingReply
+// refHeap is the container/heap queue replyQueue replaced, ordered on
+// (delivery offset, push order) by its own comparison, kept as the reference
+// the queue's pop order is checked against.
+type refEntry struct {
+	at  int64
+	seq uint64
+}
+type refHeap []refEntry
 
-func (h refHeap) Len() int            { return len(h) }
-func (h refHeap) Less(i, j int) bool  { return h[i].before(&h[j]) }
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
 func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(pendingReply)) }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(refEntry)) }
 func (h *refHeap) Pop() interface{} {
 	old := *h
 	v := old[len(old)-1]
@@ -28,25 +39,27 @@ func (h *refHeap) Pop() interface{} {
 
 func TestReplyQueueMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	base := time.Unix(1000, 0)
+	// Only a handful of distinct delivery offsets, so most comparisons fall
+	// through to push order; negative ones (a reply "due" before the wire
+	// started) and the ends of the range order like any other.
+	offsets := []int64{-3e6, -1, 0, 1, 2e6, 5e6, 5e6 + 1, 7e6, math.MinInt64, math.MaxInt64}
 	var q replyQueue
 	var ref refHeap
 	for op := 0; op < 10000; op++ {
-		// Two pushes for every pop on average, and only eight distinct
-		// delivery times, so most comparisons fall through to seq.
+		// Two pushes for every pop on average.
 		if rng.Intn(3) < 2 || q.len() == 0 {
-			at := base.Add(time.Duration(rng.Intn(8)) * time.Millisecond)
-			heap.Push(&ref, pendingReply{at: at, seq: q.seq})
+			at := offsets[rng.Intn(len(offsets))]
+			heap.Push(&ref, refEntry{at: at, seq: q.seq})
 			q.push(nil, at)
 			continue
 		}
-		got, want := q.pop(), heap.Pop(&ref).(pendingReply)
-		if got.seq != want.seq || !got.at.Equal(want.at) {
-			t.Fatalf("op %d: popped (%v, seq %d), reference (%v, seq %d)", op, got.at, got.seq, want.at, want.seq)
+		got, want := q.pop(), heap.Pop(&ref).(refEntry)
+		if got.seq != want.seq || got.at != want.at {
+			t.Fatalf("op %d: popped (%d, seq %d), reference (%d, seq %d)", op, got.at, got.seq, want.at, want.seq)
 		}
 	}
 	for q.len() > 0 {
-		if got, want := q.pop(), heap.Pop(&ref).(pendingReply); got.seq != want.seq {
+		if got, want := q.pop(), heap.Pop(&ref).(refEntry); got.seq != want.seq {
 			t.Fatalf("drain: popped seq %d, reference %d", got.seq, want.seq)
 		}
 	}
@@ -131,8 +144,8 @@ func TestReadBatchSlotsDoNotAlias(t *testing.T) {
 	n := New(src, echoAll(time.Millisecond), time.Unix(0, 0))
 	probes := probeBatch(32, src)
 	// An echo request too large for a slot takes the queue's oversize path.
-	big := icmp.MarshalIPv4(icmp.IPv4Header{TTL: 64, Protocol: icmp.ProtoICMP, Src: src, Dst: netmodel.MustParseAddr("10.9.9.9")},
-		icmp.EchoRequest(7, 9, bytes.Repeat([]byte{0xab}, 200)))
+	big := icmp.AppendMarshalIPv4(nil, icmp.IPv4Header{TTL: 64, Protocol: icmp.ProtoICMP, Src: src, Dst: netmodel.MustParseAddr("10.9.9.9")},
+		icmp.Message{Type: icmp.TypeEchoRequest, ID: 7, Seq: 9, Payload: bytes.Repeat([]byte{0xab}, 200)})
 	probes = append(probes, big)
 	if _, err := n.WriteBatch(probes); err != nil {
 		t.Fatal(err)

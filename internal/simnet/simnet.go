@@ -12,7 +12,6 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"countrymon/internal/icmp"
@@ -50,10 +49,10 @@ type ResponderFunc func(dst netmodel.Addr, at time.Time) Reply
 func (f ResponderFunc) Respond(dst netmodel.Addr, at time.Time) Reply { return f(dst, at) }
 
 // Network is a virtual-time transport. It is safe for concurrent use,
-// though the scanner drives it from one goroutine.
+// though the scanner drives it from one goroutine. Its Now and Sleep
+// (scanner.Clock) are the embedded virtual clock's.
 type Network struct {
-	mu    sync.Mutex
-	now   time.Time
+	vclock
 	local netmodel.Addr
 	resp  Responder
 	queue replyQueue
@@ -64,28 +63,13 @@ type Network struct {
 
 // New creates a network whose virtual clock starts at `start`.
 func New(local netmodel.Addr, resp Responder, start time.Time) *Network {
-	return &Network{now: start, local: local, resp: resp}
+	n := &Network{local: local, resp: resp}
+	n.init(start)
+	return n
 }
 
 // LocalAddr implements scanner.Transport.
 func (n *Network) LocalAddr() netmodel.Addr { return n.local }
-
-// Now implements scanner.Clock (virtual time).
-func (n *Network) Now() time.Time {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.now
-}
-
-// Sleep implements scanner.Clock by advancing virtual time.
-func (n *Network) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	n.mu.Lock()
-	n.now = n.now.Add(d)
-	n.mu.Unlock()
-}
 
 // WritePacket implements scanner.Transport: it parses the outgoing datagram,
 // consults the responder, and enqueues any reply for delivery RTT later.
@@ -111,60 +95,69 @@ func (n *Network) WriteBatch(pkts [][]byte) (int, error) {
 }
 
 func (n *Network) writeLocked(b []byte) error {
-	h, req, err := parseProbe(b)
-	if err != nil {
+	var p probe
+	if err := p.parse(b); err != nil {
 		return err
 	}
 	n.sent++
-	at := n.now
-	r := n.resp.Respond(h.Dst, at)
-	rh, m, ok := replyFor(r.Kind, h, req, b)
+	r := n.resp.Respond(p.h.Dst, n.now)
+	m, ok := p.reply(r.Kind, b)
 	if !ok {
 		n.dropped++
 		return nil
 	}
-	// Encoded straight into a queue slot; req's payload aliases b, which
-	// the caller reuses, and the encode copies it.
+	// Encoded straight into a queue slot; the reply's payload aliases b,
+	// which the caller reuses, and the encode copies it.
 	buf := n.queue.buffer(icmp.IPv4HeaderLen + icmp.HeaderLen + len(m.Payload))
-	n.queue.push(icmp.AppendMarshalIPv4(buf, rh, m), at.Add(r.RTT))
+	n.queue.push(p.appendReply(buf, m), n.after(r.RTT))
 	return nil
 }
 
-// parseProbe checks an outgoing datagram the way the far end would: IPv4
-// header checksum and length, protocol, ICMP checksum.
-func parseProbe(b []byte) (icmp.IPv4Header, icmp.Message, error) {
-	h, body, err := icmp.ParseIPv4(b)
-	if err != nil {
-		return h, icmp.Message{}, fmt.Errorf("simnet: outgoing packet: %w", err)
-	}
-	if h.Protocol != icmp.ProtoICMP {
-		return h, icmp.Message{}, fmt.Errorf("simnet: unsupported protocol %d", h.Protocol)
-	}
-	req, err := icmp.Parse(body)
-	if err != nil {
-		return h, icmp.Message{}, fmt.Errorf("simnet: outgoing ICMP: %w", err)
-	}
-	return h, req, nil
+// probe is an outgoing datagram as the far end decoded it. The request's
+// payload aliases the datagram.
+type probe struct {
+	h   icmp.IPv4Header
+	req icmp.Message
 }
 
-// replyFor is the far end's answer to the probe (h, req) carried by the
-// datagram orig: the IPv4 header and ICMP message to encode with
-// icmp.AppendMarshalIPv4, or ok == false for silence. Only echo requests are
+// parse checks an outgoing datagram the way the far end would — IPv4 header
+// checksum and length, protocol, ICMP checksum — decoding it into p in place.
+func (p *probe) parse(b []byte) error {
+	body, err := p.h.Parse(b)
+	if err != nil {
+		return fmt.Errorf("simnet: outgoing packet: %w", err)
+	}
+	if p.h.Protocol != icmp.ProtoICMP {
+		return fmt.Errorf("simnet: unsupported protocol %d", p.h.Protocol)
+	}
+	if err := p.req.Parse(body); err != nil {
+		return fmt.Errorf("simnet: outgoing ICMP: %w", err)
+	}
+	return nil
+}
+
+// reply is the far end's answer to p, carried by the datagram orig: the ICMP
+// message to send back, or ok == false for silence. Only echo requests are
 // echoed; a host unreachable quotes orig's IP header plus 8 bytes (RFC 792).
-// The message's payload aliases req or orig.
-func replyFor(kind ReplyKind, h icmp.IPv4Header, req icmp.Message, orig []byte) (icmp.IPv4Header, icmp.Message, bool) {
-	rh := icmp.IPv4Header{TTL: 55, Protocol: icmp.ProtoICMP, Src: h.Dst, Dst: h.Src}
+// The message's payload aliases orig.
+func (p *probe) reply(kind ReplyKind, orig []byte) (m icmp.Message, ok bool) {
 	switch kind {
 	case EchoReply:
-		if req.Type != icmp.TypeEchoRequest {
+		if p.req.Type != icmp.TypeEchoRequest {
 			break
 		}
-		return rh, icmp.Message{Type: icmp.TypeEchoReply, ID: req.ID, Seq: req.Seq, Payload: req.Payload}, true
+		return icmp.Message{Type: icmp.TypeEchoReply, ID: p.req.ID, Seq: p.req.Seq, Payload: p.req.Payload}, true
 	case HostUnreachable:
 		quote := orig[:min(len(orig), icmp.IPv4HeaderLen+8)]
-		return rh, icmp.Message{Type: icmp.TypeDestUnreachable, Code: icmp.CodeHostUnreachable, Payload: quote}, true
+		return icmp.Message{Type: icmp.TypeDestUnreachable, Code: icmp.CodeHostUnreachable, Payload: quote}, true
 	}
-	return rh, icmp.Message{}, false
+	return icmp.Message{}, false
+}
+
+// appendReply appends the datagram carrying m from the probed address back
+// to the prober: the one reply encoder of Network and WireServer.
+func (p *probe) appendReply(buf []byte, m icmp.Message) []byte {
+	return icmp.AppendMarshalIPv4(buf, icmp.IPv4Header{TTL: 55, Protocol: icmp.ProtoICMP, Src: p.h.Dst, Dst: p.h.Src}, m)
 }
 
 // ReadPacket implements scanner.Transport. With wait == 0 it returns only
@@ -174,14 +167,14 @@ func replyFor(kind ReplyKind, h icmp.IPv4Header, req icmp.Message, orig []byte) 
 func (n *Network) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if p, ok := n.queue.take(&n.now, wait); ok {
+	if p, ok := n.take(&n.queue, wait); ok {
 		n.delivered++
 		pkt := append([]byte(nil), p.pkt...)
 		n.queue.release(p.pkt)
-		return pkt, p.at, nil
+		return pkt, n.timeAt(p.at), nil
 	}
 	if wait > 0 {
-		n.now = n.now.Add(wait)
+		n.advance(wait)
 	}
 	return nil, time.Time{}, scanner.ErrTimeout
 }
@@ -196,20 +189,20 @@ func (n *Network) ReadBatch(pkts [][]byte, ats []time.Time, wait time.Duration) 
 	defer n.mu.Unlock()
 	count := 0
 	for count < len(pkts) {
-		p, ok := n.queue.take(&n.now, wait)
+		p, ok := n.take(&n.queue, wait)
 		if !ok {
 			break
 		}
 		wait = 0 // only the first packet is waited for
 		n.delivered++
 		pkts[count] = append(pkts[count][:0], p.pkt...)
-		ats[count] = p.at
+		ats[count] = n.timeAt(p.at)
 		n.queue.release(p.pkt)
 		count++
 	}
 	if wait > 0 {
 		// Nothing was due within the window: consume it.
-		n.now = n.now.Add(wait)
+		n.advance(wait)
 	}
 	return count, nil
 }

@@ -3,7 +3,6 @@ package simnet
 import (
 	"fmt"
 	"net/netip"
-	"sync"
 	"time"
 
 	"countrymon/internal/icmp6"
@@ -23,10 +22,9 @@ type Reply6 struct {
 type Responder6 func(dst netip.Addr, at time.Time) Reply6
 
 // Network6 is the IPv6 simulated wire: a virtual-time transport for
-// internal/scanner6, mirroring Network for IPv4.
+// internal/scanner6, mirroring Network for IPv4 on the same virtual clock.
 type Network6 struct {
-	mu    sync.Mutex
-	now   time.Time
+	vclock
 	local netip.Addr
 	resp  Responder6
 	queue replyQueue
@@ -34,28 +32,13 @@ type Network6 struct {
 
 // New6 creates an IPv6 network with its virtual clock at start.
 func New6(local netip.Addr, resp Responder6, start time.Time) *Network6 {
-	return &Network6{now: start, local: local, resp: resp}
+	n := &Network6{local: local, resp: resp}
+	n.init(start)
+	return n
 }
 
 // LocalAddr implements scanner6.Transport.
 func (n *Network6) LocalAddr() netip.Addr { return n.local }
-
-// Now implements scanner.Clock.
-func (n *Network6) Now() time.Time {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.now
-}
-
-// Sleep implements scanner.Clock.
-func (n *Network6) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	n.mu.Lock()
-	n.now = n.now.Add(d)
-	n.mu.Unlock()
-}
 
 // WritePacket implements scanner6.Transport. b is not retained: every reply
 // is a fresh encoding, and the error path's quote is copied by
@@ -74,8 +57,7 @@ func (n *Network6) WritePacket(b []byte) error {
 	if err != nil {
 		return fmt.Errorf("simnet6: outgoing ICMPv6: %w", err)
 	}
-	at := n.now
-	r := n.resp(h.Dst, at)
+	r := n.resp(h.Dst, n.now)
 	switch r.Kind {
 	case EchoReply:
 		if req.Type != icmp6.TypeEchoRequest {
@@ -88,7 +70,7 @@ func (n *Network6) WritePacket(b []byte) error {
 		if err != nil {
 			return err
 		}
-		n.queue.push(dg, at.Add(r.RTT))
+		n.queue.push(dg, n.after(r.RTT))
 	case HostUnreachable:
 		router := r.Router
 		if !router.IsValid() {
@@ -101,7 +83,7 @@ func (n *Network6) WritePacket(b []byte) error {
 		if err != nil {
 			return err
 		}
-		n.queue.push(dg, at.Add(r.RTT))
+		n.queue.push(dg, n.after(r.RTT))
 	}
 	return nil
 }
@@ -111,11 +93,11 @@ func (n *Network6) WritePacket(b []byte) error {
 func (n *Network6) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if p, ok := n.queue.take(&n.now, wait); ok {
-		return p.pkt, p.at, nil
+	if p, ok := n.take(&n.queue, wait); ok {
+		return p.pkt, n.timeAt(p.at), nil
 	}
 	if wait > 0 {
-		n.now = n.now.Add(wait)
+		n.advance(wait)
 	}
 	return nil, time.Time{}, scanner.ErrTimeout
 }

@@ -16,8 +16,8 @@ func echoAll(rtt time.Duration) Responder {
 }
 
 func probeFor(dst netmodel.Addr, src netmodel.Addr) []byte {
-	return icmp.MarshalIPv4(icmp.IPv4Header{TTL: 64, Protocol: icmp.ProtoICMP, Src: src, Dst: dst},
-		icmp.EchoRequest(1, 2, []byte{0, 0, 0, 0, 0, 0, 0, 0}))
+	return icmp.AppendMarshalIPv4(nil, icmp.IPv4Header{TTL: 64, Protocol: icmp.ProtoICMP, Src: src, Dst: dst},
+		icmp.Message{Type: icmp.TypeEchoRequest, ID: 1, Seq: 2, Payload: []byte{0, 0, 0, 0, 0, 0, 0, 0}})
 }
 
 func TestNetworkDeliversAfterRTT(t *testing.T) {

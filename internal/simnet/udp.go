@@ -7,7 +7,6 @@ import (
 	"syscall"
 	"time"
 
-	"countrymon/internal/icmp"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/scanner"
 )
@@ -68,16 +67,16 @@ func (s *WireServer) serve() {
 }
 
 func (s *WireServer) handle(pkt []byte, peer *net.UDPAddr) {
-	h, req, err := parseProbe(pkt)
-	if err != nil {
+	var p probe
+	if p.parse(pkt) != nil {
 		return
 	}
-	r := s.resp.Respond(h.Dst, time.Now())
-	rh, m, ok := replyFor(r.Kind, h, req, pkt)
+	r := s.resp.Respond(p.h.Dst, time.Now())
+	m, ok := p.reply(r.Kind, pkt)
 	if !ok {
 		return
 	}
-	reply := icmp.AppendMarshalIPv4(nil, rh, m)
+	reply := p.appendReply(nil, m)
 	if r.RTT > 0 {
 		time.Sleep(r.RTT)
 	}
