@@ -4,7 +4,7 @@ GO ?= go
 # baseline default), bump to e.g. 3s for stable timing comparisons.
 BENCHTIME ?= 1x
 
-.PHONY: all build test bench-check race vet fmt loc bench bench-smoke bench-diff bench-gate profile-round fuzz-smoke chaos-smoke metrics-lint scenario-smoke scorecards load-smoke campaign-smoke ci
+.PHONY: all build test bench-check race vet fmt loc bench bench-smoke bench-diff bench-gate profile-round profile-serve fuzz-smoke chaos-smoke metrics-lint scenario-smoke scorecards load-smoke campaign-smoke ci
 
 all: build
 
@@ -104,6 +104,19 @@ profile-round:
 	$(GO) tool pprof -top -sample_index=alloc_objects -nodecount=25 \
 		.bench_build/countrymon.test .bench_build/round.mem.pprof
 
+# Profile the read side: one re-detect at the paper's size, the outage
+# fetches that follow a seal, and the series render — the benchmarks behind
+# serve_mixed's detection and render classes — with one CPU profile per
+# package (a test binary holds one) into .bench_build/, top 25 of each.
+profile-serve:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkDetect$$' -benchtime=$(GATE_BENCHTIME) \
+		-o .bench_build/signals.test -cpuprofile .bench_build/detect.cpu.pprof ./internal/signals
+	$(GO) test -run '^$$' -bench '^(BenchmarkServeOutagesAfterSeal|BenchmarkServeRenderSeries)$$' -benchtime=$(GATE_BENCHTIME) \
+		-o .bench_build/serve.test -cpuprofile .bench_build/serve.cpu.pprof ./internal/serve
+	$(GO) tool pprof -top -nodecount=25 .bench_build/signals.test .bench_build/detect.cpu.pprof
+	$(GO) tool pprof -top -nodecount=25 .bench_build/serve.test .bench_build/serve.cpu.pprof
+
 # Seeded chaos soak: a three-vantage fleet campaign with scripted blackout,
 # stall and flap windows against individual vantages, asserting zero false
 # block-outage declarations against the sim ground truth plus determinism
@@ -117,9 +130,9 @@ metrics-lint:
 	$(GO) run ./cmd/metricslint
 
 # Short native-fuzz smoke over the packet parsers, the word-wise checksum,
-# the columnar codecs, the scenario parser and the fault-window span memo:
-# a few seconds each is enough to exercise the mutator beyond the seed
-# corpus in CI.
+# the columnar codecs, the scenario parser, the fault-window span memo and
+# one-pass detection against its per-window oracle: a few seconds each is
+# enough to exercise the mutator beyond the seed corpus in CI.
 fuzz-smoke:
 	$(GO) test ./internal/icmp -fuzz '^FuzzParseIPv4$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/icmp -fuzz '^FuzzParseICMP$$' -fuzztime 5s -run '^$$'
@@ -128,13 +141,19 @@ fuzz-smoke:
 	$(GO) test ./internal/dataset -fuzz '^FuzzColumnV4$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/scenario -fuzz '^FuzzScenarioParse$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/faults -fuzz '^FuzzWindowAt$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/signals -fuzz '^FuzzDetectMatchesOracle$$' -fuzztime 5s -run '^$$'
 
 # Scaled-down serving load test: 2k mixed poll/SSE/range clients against an
-# in-process serve stack for a few seconds, failing when the query p99
-# exceeds 5 ms. The full-size run (10k clients, the paper-facing capacity
-# number) is `go run ./cmd/loadgen` with defaults.
+# in-process serve stack for a few seconds, failing on any request error or
+# when the process spends more than 35 µs of CPU per completed query — 3 × the
+# median of five runs on the 2-vCPU recording VM (10.7, 11.6, 11.6, 11.8,
+# 11.8 µs). The query p50/p95/p99 are printed but not gated: 1 800 closed-loop
+# goroutines on two vCPUs put the scheduler's time slice in the p99 (16–17 ms
+# there, 28–38 ms at the parent commit, against the old 5 ms bound). The
+# full-size run (10k clients, the paper-facing capacity number) is
+# `go run ./cmd/loadgen` with defaults.
 load-smoke:
-	$(GO) run ./cmd/loadgen -clients 2000 -duration 3s -max-p99 5
+	$(GO) run ./cmd/loadgen -clients 2000 -duration 3s -max-cpu-us 35
 
 # Run the labeled scenario library through the full detection stack and fail
 # on any divergence from the committed golden scorecards.

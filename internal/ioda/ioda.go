@@ -194,9 +194,10 @@ func detectRegionSeries(es *signals.EntitySeries) *signals.Detection {
 	rounds := len(es.BGP)
 	d := &signals.Detection{Flags: make([]signals.Kind, rounds)}
 
-	// Fixed baseline: mean of the first month's measured rounds.
-	tl := es.TL
-	lo, hi := tl.MonthRounds(0)
+	// Fixed baseline: mean of the first month's measured rounds — of those
+	// sealed so far when the view is shorter than the month.
+	lo, hi := es.TL.MonthRounds(0)
+	hi = min(hi, rounds)
 	var bgpBase, fbsBase float64
 	n := 0
 	for r := lo; r < hi; r++ {

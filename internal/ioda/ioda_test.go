@@ -1,6 +1,7 @@
 package ioda
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"countrymon/internal/dataset"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/regional"
+	"countrymon/internal/serve"
 	"countrymon/internal/signals"
 	"countrymon/internal/sim"
 	"countrymon/internal/timeline"
@@ -141,5 +143,35 @@ func TestCoverageVersusReporting(t *testing.T) {
 	}
 	if reported >= covered {
 		t.Errorf("reported (%d) should be far below covered (%d)", reported, covered)
+	}
+}
+
+// A store that has sealed fewer rounds than the first month holds feeds the
+// fixed-baseline detector a view shorter than its baseline window: the
+// baseline is then the mean of what is sealed, not an index past the view.
+func TestDetectRegionSeriesShortSealedView(t *testing.T) {
+	_, p := fixture(t)
+	es := p.RegionSeries(netmodel.Kherson)
+	st := serve.NewStore(es.TL)
+	e, err := st.Register("region", "Kherson", serve.SeriesSource(es), detectRegionSeries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sealed = 10
+	if _, monthEnd := es.TL.MonthRounds(0); monthEnd <= sealed {
+		t.Fatalf("month 0 ends at round %d: the view would not be short", monthEnd)
+	}
+	if err := st.AdvanceTo(sealed); err != nil {
+		t.Fatal(err)
+	}
+	got := st.Detection(e)
+
+	short := *es
+	short.BGP, short.FBS, short.IPS, short.Missing = es.BGP[:sealed], es.FBS[:sealed], es.IPS[:sealed], es.Missing[:sealed]
+	if want := detectRegionSeries(&short); !reflect.DeepEqual(got, want) {
+		t.Errorf("detection over the sealed view = %+v, over the truncated series %+v", got, want)
+	}
+	if len(got.Flags) != sealed {
+		t.Errorf("detection covers %d rounds, want %d", len(got.Flags), sealed)
 	}
 }

@@ -7,13 +7,19 @@ import (
 
 	"countrymon/internal/obs"
 	"countrymon/internal/signals"
+	"countrymon/internal/timeline"
 )
 
 func benchStore(b *testing.B, entities, sealed int) *Store {
 	b.Helper()
-	st := NewStore(testTimeline())
+	return benchStoreOn(b, testTimeline(), entities, sealed, func(i int) Source { return patternSource{i} })
+}
+
+func benchStoreOn(b *testing.B, tl *timeline.Timeline, entities, sealed int, src func(i int) Source) *Store {
+	b.Helper()
+	st := NewStore(tl)
 	for i := 0; i < entities; i++ {
-		if _, err := st.Register("asn", "as"+string(rune('a'+i%26))+string(rune('a'+i/26)), patternSource{i}, DetectWith(signals.ASConfig())); err != nil {
+		if _, err := st.Register("asn", "as"+string(rune('a'+i%26))+string(rune('a'+i/26)), src(i), DetectWith(signals.ASConfig())); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,4 +79,37 @@ func BenchmarkServeAdvance(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rounds_per_sec_serve")
+}
+
+// BenchmarkServeOutagesAfterSeal measures what a landed round costs the
+// outage readers: seal one more round of the paper's timeline, then fetch
+// /v1/outages for every entity — each a re-detection over the whole sealed
+// history, since the seal invalidated every memo.
+func BenchmarkServeOutagesAfterSeal(b *testing.B) {
+	const entities = 50
+	tl := timeline.Default()
+	half := tl.NumRounds() / 2
+	// dipSource, not patternSource: a level with dips flags some hundred
+	// outages over the timeline, a round-to-round swing thousands.
+	st := benchStoreOn(b, tl, entities, half, func(i int) Source { return dipSource{i * 7} })
+	s := NewServer(st)
+	queries := make([]string, entities)
+	for i, e := range st.Entities() {
+		queries[i] = "entity=" + e.Key
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Past the last round the re-publish is idempotent and the memos
+		// hold: a benchtime that long would measure nothing.
+		if err := st.Advance(half + i); err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range queries {
+			if body, _, _, _ := s.renderOutages(q); body == nil {
+				b.Fatal("render failed")
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/entities, "us/entity")
 }

@@ -135,7 +135,7 @@ func (s *Store) Register(typ, code string, src Source, detect Detector) (*Entity
 	for r := 0; r < s.watermark; r++ {
 		e.copyRound(r)
 	}
-	e.copyIPSValidity(s.tl.NumMonths())
+	e.copyIPSValidity()
 	s.entities[key] = e
 	s.order = append(s.order, key)
 	s.epoch.Add(1)
@@ -152,8 +152,8 @@ func (e *Entity) copyRound(r int) {
 	e.bgp[r], e.fbs[r], e.ips[r], e.missing[r] = bgp, fbs, ips, missing
 }
 
-func (e *Entity) copyIPSValidity(months int) {
-	for m := 0; m < months; m++ {
+func (e *Entity) copyIPSValidity() {
+	for m := range e.ipsValid {
 		e.ipsValid[m] = e.src.IPSValidMonth(m)
 	}
 }
@@ -177,13 +177,12 @@ func (s *Store) Advance(round int) error {
 	if round+1 == s.watermark {
 		lo = round // idempotent re-publish of the newest sealed round
 	}
-	months := s.tl.NumMonths()
 	for _, key := range s.order {
 		e := s.entities[key]
 		for r := lo; r <= round; r++ {
 			e.copyRound(r)
 		}
-		e.copyIPSValidity(months)
+		e.copyIPSValidity()
 	}
 	if round+1 > s.watermark {
 		s.watermark = round + 1
@@ -277,27 +276,24 @@ func (e *Entity) Missing(r int) bool { return e.missing[r] }
 // O(sealed rounds) detection run, every later query reuses it. Entities
 // registered without a Detector return an empty detection.
 func (s *Store) Detection(e *Entity) *signals.Detection {
-	s.mu.RLock()
-	wm := s.watermark
-	s.mu.RUnlock()
-
 	e.detMu.Lock()
 	defer e.detMu.Unlock()
+	// One read-locked section inside detMu samples the watermark and detects:
+	// a reader that waited for the mutex sees the watermark of now, so the memo
+	// never moves backwards, and Advance cannot rewrite ipsValid mid-detection.
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	wm := s.watermark
 	if e.det != nil && e.detWM == wm {
 		return e.det
 	}
 	if e.detector == nil || wm == 0 {
-		e.det, e.detWM = &signals.Detection{Flags: make([]signals.Kind, wm)}, wm
-		return e.det
+		e.det = &signals.Detection{Flags: make([]signals.Kind, wm)}
+	} else {
+		e.det = e.detector(e.view(s.tl, wm))
 	}
-	// Re-acquire the read lock for the compute so Advance cannot rewrite
-	// ipsValid mid-detection. Sealed column cells are stable regardless.
-	s.mu.RLock()
-	es := e.view(s.tl, wm)
-	det := e.detector(es)
-	s.mu.RUnlock()
-	e.det, e.detWM = det, wm
-	return det
+	e.detWM = wm
+	return e.det
 }
 
 // --- Sources ---

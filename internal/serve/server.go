@@ -302,12 +302,19 @@ func appendSeriesJSON(b []byte, e *Entity, tl *timeline.Timeline, wm, total, off
 	return b
 }
 
+// appendFloatCol is the one float-cell formatter. Cells are mostly counts,
+// and a whole number in [1, 999999] prints as its digits under 'g' (exponent
+// form starts at 1e6): those skip AppendFloat's shortest-float search.
 func appendFloatCol(b []byte, vals []float32) []byte {
 	for i, v := range vals {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendFloat(b, float64(v), 'g', -1, 32)
+		if n := int64(v); v >= 1 && v <= 999999 && float32(n) == v {
+			b = strconv.AppendInt(b, n, 10)
+		} else {
+			b = strconv.AppendFloat(b, float64(v), 'g', -1, 32)
+		}
 	}
 	return b
 }

@@ -57,11 +57,6 @@ type EntitySeries struct {
 	Missing []bool
 }
 
-// IPSValid reports whether the IPS signal is evaluated at round r.
-func (e *EntitySeries) IPSValid(r int) bool {
-	return e.IPSValidMonth[e.TL.MonthOfRound(r)]
-}
-
 // Builder derives entity series from the measurement store.
 type Builder struct {
 	store *dataset.Store
@@ -70,8 +65,6 @@ type Builder struct {
 	// months caches tl.NumMonths(): the stride of the flattened per-block ×
 	// per-month arrays below.
 	months int
-	// monthOf caches the dense month index of every round.
-	monthOf []int32
 	// everMax[bi*months+m] is the partial E(b) aggregate: the maximum
 	// per-round responsive count of block bi seen in month m so far (over
 	// non-missing rounds). The streaming mode maintains it as rounds fold in.
@@ -124,16 +117,12 @@ func NewBuilderMinCoverage(store *dataset.Store, space *netmodel.Space, minCover
 		space:       space,
 		tl:          tl,
 		months:      months,
-		monthOf:     make([]int32, rounds),
 		everMax:     make([]uint8, store.NumBlocks()*months),
 		elig:        make([]bool, store.NumBlocks()*months),
 		asBlocks:    make(map[netmodel.ASN][]int),
 		missing:     store.EffectiveMissing(minCoverage),
 		minCoverage: minCoverage,
 		metrics:     &Metrics{},
-	}
-	for r := 0; r < rounds; r++ {
-		b.monthOf[r] = int32(tl.MonthOfRound(r))
 	}
 	// The ever-active aggregates are independent per block: one pass over
 	// the block's round series per worker-pool shard. MonthStats skips only
@@ -147,8 +136,8 @@ func NewBuilderMinCoverage(store *dataset.Store, space *netmodel.Space, minCover
 			if outage[r] {
 				continue
 			}
-			if c := resp[r]; c > b.everMax[base+int(b.monthOf[r])] {
-				b.everMax[base+int(b.monthOf[r])] = c
+			if i := base + tl.MonthOfRound(r); resp[r] > b.everMax[i] {
+				b.everMax[i] = resp[r]
 			}
 		}
 		for m := 0; m < months; m++ {
@@ -203,7 +192,7 @@ func (b *Builder) buildAS(asn netmodel.ASN) *EntitySeries {
 			if b.store.Routed(bi, r) {
 				es.BGP[r]++
 			}
-			if b.elig[base+int(b.monthOf[r])] && c > 0 {
+			if b.elig[base+b.tl.MonthOfRound(r)] && c > 0 {
 				es.FBS[r]++
 			}
 		}
@@ -243,7 +232,7 @@ func (b *Builder) buildRegion(rr *regional.RegionResult, cl *regional.Classifier
 			if es.Missing[r] {
 				continue
 			}
-			m := int(b.monthOf[r])
+			m := b.tl.MonthOfRound(r)
 			if !bc.EvalMonths[m] {
 				continue
 			}

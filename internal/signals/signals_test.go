@@ -150,12 +150,12 @@ func TestMissingRoundsBridgeOutages(t *testing.T) {
 func TestMovingAverage(t *testing.T) {
 	vals := []float32{10, 10, 10, 20, 20, 20}
 	missing := make([]bool, 6)
-	ma, ok := movingAverage(vals, missing, 6, 6)
+	ma, ok := MovingAverage(vals, missing, 6, 6)
 	if !ok || ma != 15 {
 		t.Errorf("ma = %f ok=%v", ma, ok)
 	}
 	missing[0], missing[1], missing[2], missing[3], missing[4] = true, true, true, true, true
-	if _, ok := movingAverage(vals, missing, 6, 6); ok {
+	if _, ok := MovingAverage(vals, missing, 6, 6); ok {
 		t.Error("sparse window should not produce a baseline")
 	}
 }

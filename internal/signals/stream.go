@@ -75,7 +75,7 @@ func (b *Builder) Fold(round int) error {
 	defer b.metrics.FoldSeconds.ObserveSince(time.Now())
 
 	b.missing[round] = b.store.EffectiveMissingAt(round, b.minCoverage)
-	month := int(b.monthOf[round])
+	month := b.tl.MonthOfRound(round)
 
 	// Advance the per-block ever-active maxima and collect threshold
 	// crossings. Eligibility only ever flips false→true as rounds land, so a

@@ -29,6 +29,11 @@ type Timeline struct {
 	start    time.Time
 	interval time.Duration
 	rounds   int
+	// monthOf[i] is round i's dense month and monthLo[m] the first round at or
+	// after month m's start (monthLo[NumMonths()] = rounds): month m owns
+	// [monthLo[m], monthLo[m+1]), empty when the interval steps over it.
+	monthOf []uint16
+	monthLo []int
 }
 
 // New builds a timeline of rounds at the given interval covering
@@ -42,7 +47,23 @@ func New(start, end time.Time, interval time.Duration) *Timeline {
 		panic("timeline: end before start")
 	}
 	rounds := int(end.Sub(start)/interval) + 1
-	return &Timeline{start: start.UTC(), interval: interval, rounds: rounds}
+	t := &Timeline{start: start.UTC(), interval: interval, rounds: rounds}
+	// Walk the month boundaries: one calendar computation per month, none per
+	// round. A Duration spans under 293 years of months, inside a uint16.
+	months := t.MonthIndex(t.Time(rounds-1)) + 1
+	t.monthOf = make([]uint16, rounds)
+	t.monthLo = make([]int, months+1)
+	for m := 1; m <= months; m++ {
+		lo := rounds
+		if m < months {
+			lo = int((t.MonthStart(m).Sub(t.start)-1)/interval) + 1 // ceiling: month m starts after round 0
+		}
+		t.monthLo[m] = lo
+		for i := t.monthLo[m-1]; i < lo; i++ {
+			t.monthOf[i] = uint16(m - 1)
+		}
+	}
+	return t
 }
 
 // Default returns the paper's campaign timeline: bi-hourly rounds from
@@ -109,11 +130,20 @@ func (t *Timeline) MonthIndex(at time.Time) int {
 	return m
 }
 
-// MonthOfRound returns the dense month index of round i.
-func (t *Timeline) MonthOfRound(i int) int { return t.MonthIndex(t.Time(i)) }
+// MonthOfRound returns the dense month index of round i. Rounds outside the
+// campaign answer from the calendar, out of line so that the lookup inlines.
+func (t *Timeline) MonthOfRound(i int) int {
+	if uint(i) < uint(len(t.monthOf)) {
+		return int(t.monthOf[i])
+	}
+	return t.monthOutside(i)
+}
 
-// NumMonths returns the number of distinct months the campaign touches.
-func (t *Timeline) NumMonths() int { return t.MonthOfRound(t.rounds-1) + 1 }
+func (t *Timeline) monthOutside(i int) int { return t.MonthIndex(t.Time(i)) }
+
+// NumMonths returns the number of months from round 0's to the last round's,
+// both included.
+func (t *Timeline) NumMonths() int { return len(t.monthLo) - 1 }
 
 // MonthStart returns the first day (UTC midnight) of dense month m.
 func (t *Timeline) MonthStart(m int) time.Time {
@@ -129,12 +159,8 @@ func (t *Timeline) MonthLabel(m int) string {
 // MonthRounds returns the half-open round range [lo, hi) belonging to dense
 // month m. An empty range is returned for months outside the campaign.
 func (t *Timeline) MonthRounds(m int) (lo, hi int) {
-	lo, hi = t.rounds, t.rounds
-	// The campaign spans a bounded number of months, so a linear scan per
-	// month boundary would be fine; binary search keeps it exact and cheap.
-	lo = t.searchRound(func(i int) bool { return t.MonthOfRound(i) >= m })
-	hi = t.searchRound(func(i int) bool { return t.MonthOfRound(i) > m })
-	return lo, hi
+	last := len(t.monthLo) - 1
+	return t.monthLo[min(max(m, 0), last)], t.monthLo[min(max(m+1, 0), last)]
 }
 
 // DayIndex returns a dense day index (day 0 contains round 0).
@@ -155,17 +181,4 @@ func (t *Timeline) NumDays() int { return t.DayOfRound(t.rounds-1) + 1 }
 // DayStart returns UTC midnight of dense day d.
 func (t *Timeline) DayStart(d int) time.Time {
 	return t.start.Truncate(24 * time.Hour).Add(time.Duration(d) * 24 * time.Hour)
-}
-
-func (t *Timeline) searchRound(pred func(int) bool) int {
-	lo, hi := 0, t.rounds
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if pred(mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }

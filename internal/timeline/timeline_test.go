@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"sort"
 	"testing"
 	"time"
 )
@@ -160,5 +161,47 @@ func TestVantageOutages(t *testing.T) {
 	days := float64(n) / float64(tl.RoundsPerDay())
 	if days < 60 || days > 75 {
 		t.Errorf("missing ~%0.1f days, want ≈69", days)
+	}
+}
+
+// searchMonthRounds is MonthRounds as it was before the month table: two
+// binary searches over the calendar month of each probed round.
+func searchMonthRounds(tl *Timeline, m int) (lo, hi int) {
+	monthOf := func(i int) int { return tl.MonthIndex(tl.Time(i)) }
+	lo = sort.Search(tl.NumRounds(), func(i int) bool { return monthOf(i) >= m })
+	hi = sort.Search(tl.NumRounds(), func(i int) bool { return monthOf(i) > m })
+	return lo, hi
+}
+
+// TestMonthTableMatchesCalendar holds the table New builds to the calendar
+// arithmetic it replaced, inside the campaign and past both ends.
+func TestMonthTableMatchesCalendar(t *testing.T) {
+	// 23:30 on the 31st here is already the next month in UTC.
+	west := time.FixedZone("EST", -5*3600)
+	for name, tl := range map[string]*Timeline{
+		"default":        Default(),
+		"6h":             New(DefaultStart, DefaultEnd, 6*time.Hour),
+		"7h from 23:30":  New(time.Date(2022, 12, 31, 23, 30, 0, 0, west), time.Date(2023, 12, 31, 23, 30, 0, 0, west), 7*time.Hour),
+		"leap February":  New(time.Date(2024, 1, 30, 5, 0, 0, 0, time.UTC), time.Date(2024, 3, 2, 0, 0, 0, 0, time.UTC), 2*time.Hour),
+		"45-day rounds":  New(time.Date(2022, 1, 20, 0, 0, 0, 0, time.UTC), time.Date(2024, 1, 20, 0, 0, 0, 0, time.UTC), 45*24*time.Hour),
+		"single round":   New(DefaultStart, DefaultStart, 2*time.Hour),
+		"month boundary": New(time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC), time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC), 24*time.Hour),
+	} {
+		rounds := tl.NumRounds()
+		for i := -3; i < rounds+200; i++ {
+			if got, want := tl.MonthOfRound(i), tl.MonthIndex(tl.Time(i)); got != want {
+				t.Fatalf("%s: MonthOfRound(%d) = %d, calendar says %d", name, i, got, want)
+			}
+		}
+		months := tl.MonthIndex(tl.Time(rounds-1)) + 1
+		if got := tl.NumMonths(); got != months {
+			t.Fatalf("%s: NumMonths = %d, calendar says %d", name, got, months)
+		}
+		for m := -2; m < months+3; m++ {
+			lo, hi := tl.MonthRounds(m)
+			if wlo, whi := searchMonthRounds(tl, m); lo != wlo || hi != whi {
+				t.Fatalf("%s: MonthRounds(%d) = [%d,%d), the search says [%d,%d)", name, m, lo, hi, wlo, whi)
+			}
+		}
 	}
 }
