@@ -4,7 +4,7 @@ GO ?= go
 # baseline default), bump to e.g. 3s for stable timing comparisons.
 BENCHTIME ?= 1x
 
-.PHONY: all build test bench-check race vet fmt loc bench bench-smoke bench-diff bench-gate profile-round profile-serve fuzz-smoke chaos-smoke metrics-lint scenario-smoke scorecards load-smoke campaign-smoke ci
+.PHONY: all build test bench-check race vet fmt loc bench bench-smoke bench-diff bench-gate profile-round profile-serve profile-analysis fuzz-smoke chaos-smoke metrics-lint scenario-smoke scorecards load-smoke campaign-smoke ci
 
 all: build
 
@@ -117,6 +117,19 @@ profile-serve:
 	$(GO) tool pprof -top -nodecount=25 .bench_build/signals.test .bench_build/detect.cpu.pprof
 	$(GO) tool pprof -top -nodecount=25 .bench_build/serve.test .bench_build/serve.cpu.pprof
 
+# Profile the analysis side: world construction, the fast generator and the
+# Trinocular baseline's campaign on the benchmark's analysis_batch world —
+# what Env.Warm spends most of its time in — with one CPU profile per package
+# into .bench_build/, top 25 of each.
+profile-analysis:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^(BenchmarkBuild|BenchmarkGenerateStore)$$' -benchtime=$(GATE_BENCHTIME) \
+		-o .bench_build/sim.test -cpuprofile .bench_build/sim.cpu.pprof ./internal/sim
+	$(GO) test -run '^$$' -bench '^BenchmarkRunnerRun$$' -benchtime=$(GATE_BENCHTIME) \
+		-o .bench_build/trinocular.test -cpuprofile .bench_build/trinocular.cpu.pprof ./internal/trinocular
+	$(GO) tool pprof -top -nodecount=25 .bench_build/sim.test .bench_build/sim.cpu.pprof
+	$(GO) tool pprof -top -nodecount=25 .bench_build/trinocular.test .bench_build/trinocular.cpu.pprof
+
 # Seeded chaos soak: a three-vantage fleet campaign with scripted blackout,
 # stall and flap windows against individual vantages, asserting zero false
 # block-outage declarations against the sim ground truth plus determinism
@@ -130,9 +143,10 @@ metrics-lint:
 	$(GO) run ./cmd/metricslint
 
 # Short native-fuzz smoke over the packet parsers, the word-wise checksum,
-# the columnar codecs, the scenario parser, the fault-window span memo and
-# one-pass detection against its per-window oracle: a few seconds each is
-# enough to exercise the mutator beyond the seed corpus in CI.
+# the columnar codecs, the scenario parser, the fault-window span memo,
+# one-pass detection against its per-window oracle and compiled ground truth
+# against its linear-scan oracle: a few seconds each is enough to exercise the
+# mutator beyond the seed corpus in CI.
 fuzz-smoke:
 	$(GO) test ./internal/icmp -fuzz '^FuzzParseIPv4$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/icmp -fuzz '^FuzzParseICMP$$' -fuzztime 5s -run '^$$'
@@ -142,6 +156,7 @@ fuzz-smoke:
 	$(GO) test ./internal/scenario -fuzz '^FuzzScenarioParse$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/faults -fuzz '^FuzzWindowAt$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/signals -fuzz '^FuzzDetectMatchesOracle$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/sim -fuzz '^FuzzStateAtMatchesOracle$$' -fuzztime 5s -run '^$$'
 
 # Scaled-down serving load test: 2k mixed poll/SSE/range clients against an
 # in-process serve stack for a few seconds, failing on any request error or

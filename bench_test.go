@@ -270,13 +270,20 @@ func BenchmarkDetect(b *testing.B) {
 }
 
 func BenchmarkSimStateGeneration(b *testing.B) {
-	// Per-round, per-block ground-truth evaluation throughput.
+	// Per-round, per-block ground-truth evaluation throughput: every block at
+	// one round start, then the next round — the coordinator's SetRouted loop,
+	// and a memo miss on every call.
 	sc := sim.MustBuild(sim.Config{Seed: 3, Scale: 0.02})
-	at := sc.TL.Time(sc.TL.NumRounds() / 2)
-	n := sc.Space.NumBlocks()
+	n, rounds := sc.Space.NumBlocks(), sc.TL.NumRounds()
+	resp := 0
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := sc.BlockStateAt(i%n, at)
-		_ = st
+	for i := 0; i < b.N; {
+		at := sc.TL.Time(i / n % rounds)
+		for bi := 0; bi < n && i < b.N; bi, i = bi+1, i+1 {
+			resp += sc.BlockStateAt(bi, at).Resp
+		}
 	}
+	benchResp = resp
 }
+
+var benchResp int

@@ -187,8 +187,27 @@ func (s *Schedule) Out(r netmodel.Region, at time.Time) bool {
 // with batteries and generators (§5.1: Kyivstar sustains mobile service for
 // up to four hours without electricity).
 func (s *Schedule) OutSince(r netmodel.Region, at time.Time) (bool, float64) {
+	return s.OutSinceAt(r, s.At(at))
+}
+
+// Instant is everything OutSince reads of a time: the schedule day (clamped
+// like DayIndex) and the UTC hour and minute. It is the same for every
+// region, so a caller asking about many regions at one time takes it once.
+type Instant struct {
+	Day          int32
+	Hour, Minute uint8
+}
+
+// At returns the schedule's view of time at, whatever zone at carries.
+func (s *Schedule) At(at time.Time) Instant {
 	at = at.UTC()
-	d := s.DayIndex(at)
+	hour, min, _ := at.Clock()
+	return Instant{Day: int32(s.DayIndex(at)), Hour: uint8(hour), Minute: uint8(min)}
+}
+
+// OutSinceAt is OutSince at an instant taken with At.
+func (s *Schedule) OutSinceAt(r netmodel.Region, in Instant) (bool, float64) {
+	d := int(in.Day)
 	h := s.Hours(d, r)
 	if h <= 0 {
 		return false, 0
@@ -197,9 +216,9 @@ func (s *Schedule) OutSince(r netmodel.Region, at time.Time) (bool, float64) {
 		return true, 24
 	}
 	startHour := int(hash3(s.seed^0xab12, uint64(r), uint64(d)) % 24)
-	off := (at.Hour() - startHour + 24) % 24
+	off := (int(in.Hour) - startHour + 24) % 24
 	if float64(off) < h {
-		return true, float64(off) + float64(at.Minute())/60
+		return true, float64(off) + float64(in.Minute)/60
 	}
 	return false, 0
 }

@@ -58,6 +58,9 @@ func Assemble(spec Spec) (*Scenario, error) {
 	if len(spec.ASes) == 0 {
 		return nil, fmt.Errorf("sim: assemble: at least one AS is required")
 	}
+	if len(spec.Events) > maxEvents {
+		return nil, fmt.Errorf("sim: assemble: %d events, the limit is %d", len(spec.Events), maxEvents)
+	}
 	tl := timeline.New(cfg.Start, cfg.End, cfg.Interval)
 
 	ases := make([]*netmodel.AS, len(spec.ASes))

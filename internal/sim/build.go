@@ -402,6 +402,15 @@ func (b *builder) buildNationalISPs() {
 	}
 }
 
+// nextASN returns the first number after asn that no AS built so far owns:
+// the synthetic ranges are long enough to reach numbers the named tables use
+// (Table 5's AS 49168 from Scale ≈ 0.85).
+func (b *builder) nextASN(asn netmodel.ASN) netmodel.ASN {
+	for asn++; b.traits[asn] != nil; asn++ {
+	}
+	return asn
+}
+
 func (b *builder) buildRegionalASes() {
 	asn := netmodel.ASN(48000)
 	for _, region := range netmodel.Regions() {
@@ -410,7 +419,7 @@ func (b *builder) buildRegionalASes() {
 		}
 		count := b.scaleCount(regionParams[region].RegionalAS)
 		for i := 0; i < count; i++ {
-			asn++
+			asn = b.nextASN(asn)
 			u := unitFloat(b.h(0x4e9, uint64(asn)))
 			size := 1 + int(39*u*u*u) // heavy tail of small providers
 			as := &netmodel.AS{ASN: asn, Name: fmt.Sprintf("%s-Net-%d", region, i+1), HQ: region}
@@ -426,7 +435,7 @@ func (b *builder) buildMultiRegionASes() {
 	asn := netmodel.ASN(62000)
 	count := b.scaleCount(470)
 	for i := 0; i < count; i++ {
-		asn++
+		asn = b.nextASN(asn)
 		h := b.h(0x3417, uint64(asn))
 		size := 3 + int(h%10)
 		as := &netmodel.AS{ASN: asn, Name: fmt.Sprintf("Multi-%d", i+1), HQ: weightedRegion(h >> 8)}

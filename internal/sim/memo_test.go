@@ -11,7 +11,7 @@ import (
 	"countrymon/internal/simnet"
 )
 
-// memoWorld is a small world whose every kind of stateAt edge falls strictly
+// memoWorld is a small world whose every kind of state edge falls strictly
 // inside a minute: event From/To, AS ActiveFrom/ActiveTo and — when start is
 // itself off-minute — every round start and dynamic epoch. The power rule is
 // armed (short backups under daily outages), so the state also moves from
@@ -94,14 +94,18 @@ func memoSweep(edges []time.Time) []time.Time {
 	return out
 }
 
-// checkMemo holds BlockStateAt to the unmemoised oracle for every block at
-// each instant, in the order given, reporting through fail.
-func checkMemo(s *Scenario, times []time.Time, fail func(format string, args ...any)) {
+// checkMemo holds BlockStateAt and the unmemoised stateAt to the oracle for
+// every block at each instant, in the order given, reporting through fail.
+func checkMemo(s *refWorld, times []time.Time, fail func(format string, args ...any)) {
 	for _, at := range times {
 		for bi := range s.blocks {
-			got, want := s.BlockStateAt(bi, at), s.stateAt(bi, s.TL.Round(at), at)
-			if got != want {
+			want := s.refStateAt(bi, s.TL.Round(at), at)
+			if got := s.BlockStateAt(bi, at); got != want {
 				fail("block %d at %s: memoised %+v, oracle %+v", bi, at.Format(time.RFC3339Nano), got, want)
+				return
+			}
+			if got := s.stateAt(bi, at); got != want {
+				fail("block %d at %s: unmemoised %+v, oracle %+v", bi, at.Format(time.RFC3339Nano), got, want)
 				return
 			}
 		}
@@ -125,8 +129,8 @@ func shuffled(times []time.Time, seed int64) []time.Time {
 }
 
 // TestMemoMatchesOracle is the memo's exactness check: whatever order the
-// instants around every edge are asked in, BlockStateAt answers what stateAt
-// computes.
+// instants around every edge are asked in, BlockStateAt answers what the
+// oracle computes.
 func TestMemoMatchesOracle(t *testing.T) {
 	for _, g := range memoGrids {
 		t.Run(g.name, func(t *testing.T) {
@@ -139,8 +143,9 @@ func TestMemoMatchesOracle(t *testing.T) {
 			for i, at := range forward {
 				backward[len(forward)-1-i] = at
 			}
+			ref := newRefWorld(s)
 			for _, order := range [][]time.Time{forward, backward, shuffled(forward, 1)} {
-				checkMemo(s, order, t.Fatalf)
+				checkMemo(ref, order, t.Fatalf)
 			}
 		})
 	}
@@ -158,16 +163,17 @@ func TestMemoConcurrent(t *testing.T) {
 		times = times[:len(times)/8]
 	}
 	resp := s.Responder()
+	ref := newRefWorld(s)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			order := shuffled(times, int64(w))
-			checkMemo(s, order, t.Errorf)
+			checkMemo(ref, order, t.Errorf)
 			for _, at := range order[:len(order)/16] {
 				for bi, blk := range s.Space.Blocks() {
-					st := s.stateAt(bi, s.TL.Round(at), at)
+					st := ref.refStateAt(bi, s.TL.Round(at), at)
 					host := uint8(at.Unix()) // any host
 					want := st.Routed && int(s.liveOrder.rank(bi, host)) < st.Resp
 					if got := resp.Respond(blk.Addr(host), at).Kind == simnet.EchoReply; got != want {
@@ -210,15 +216,16 @@ func TestMemoSkipsUnsteadyMinutes(t *testing.T) {
 // of the zone the caller's clock happens to carry.
 func TestStateIgnoresCallerZone(t *testing.T) {
 	g := memoGrids[0]
-	s, _ := memoWorld(t, g.start, g.interval)
+	world, _ := memoWorld(t, g.start, g.interval)
+	s := newRefWorld(world)
 	zones := []*time.Location{time.FixedZone("+03:00", 3*3600), time.FixedZone("+05:30", 5*3600+1800)}
 	// Hourly plus a quarter across two days: both sides of the day/night
 	// switch, of midnight in every zone, and of the power windows.
 	for at := g.start.Add(24 * time.Hour); at.Before(g.start.Add(72 * time.Hour)); at = at.Add(time.Hour + 15*time.Minute) {
 		for bi := range s.blocks {
-			want := s.stateAt(bi, s.TL.Round(at), at)
+			want := s.refStateAt(bi, s.TL.Round(at), at)
 			for _, z := range zones {
-				if got := s.stateAt(bi, s.TL.Round(at), at.In(z)); got != want {
+				if got := s.stateAt(bi, at.In(z)); got != want {
 					t.Fatalf("block %d at %s: stateAt in %s = %+v, in UTC %+v", bi, at, z, got, want)
 				}
 				if got := s.BlockStateAt(bi, at.In(z)); got != want {

@@ -21,6 +21,7 @@
 package sim
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -35,8 +36,8 @@ type Config struct {
 	Seed uint64
 	// Scale is the fraction of the paper-scale address space to model
 	// outside Kherson (Kherson's 34 ASes from Table 5 are always exact).
-	// 1.0 ≈ 2,000 ASes / 35K /24 blocks; the default 0.12 keeps the full
-	// three-year pipeline tractable on one core.
+	// 1.0 ≈ 2,000 ASes / 35K /24 blocks (seed 1 builds 1,952 and 33,190); the
+	// default 0.12 keeps the full three-year pipeline tractable on one core.
 	Scale float64
 	// Interval is the probing interval (the paper used 2h; experiments
 	// default to 6h to bound memory/time at the default scale).
@@ -71,6 +72,9 @@ type ASTraits struct {
 	// the whole campaign. Seven Kherson ASes cease announcing before 2025
 	// (§4.3); a few appear only later.
 	ActiveFrom, ActiveTo time.Time
+	// The same bounds on the owning scenario's clock (see Scenario.clock), an
+	// open bound at the clock's end; indexEvents fills them.
+	activeFrom, activeTo int64
 }
 
 // Active reports whether the AS announces prefixes at the given time.
@@ -165,8 +169,8 @@ type Event struct {
 }
 
 // Scenario is a fully built simulation. What it describes is immutable after
-// Build and the caches it fills on use are atomic, so it is safe for
-// concurrent readers.
+// Build and the caches it fills on use are atomic or built once, so it is safe
+// for concurrent readers.
 type Scenario struct {
 	Cfg     Config
 	TL      *timeline.Timeline
@@ -188,14 +192,12 @@ type Scenario struct {
 	// of the per-round state evaluation.
 	blockAS []*ASTraits
 	events  []Event
-
-	// eventBlocks[e] lists the block indices event e affects; eventRounds
-	// the half-open round interval.
-	eventBlocks [][]int32
-	eventRounds [][2]int32
-
-	// blockEvents[bi] lists indices into events affecting block bi.
-	blockEvents [][]int16
+	// index is the event script compiled per class of blocks (see
+	// indexEvents); rounds holds the instant of every round start, built on
+	// first use (see roundInstants).
+	index      eventIndex
+	rounds     []instant
+	roundsOnce sync.Once
 
 	// liveOrder caches per-block host liveness ranks (lazily built).
 	liveOrder liveOrderCache

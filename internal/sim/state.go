@@ -1,13 +1,14 @@
 package sim
 
 import (
-	"sort"
+	"math"
 	"sync/atomic"
 	"time"
 
 	"countrymon/internal/dataset"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/par"
+	"countrymon/internal/power"
 	"countrymon/internal/simnet"
 )
 
@@ -44,15 +45,15 @@ func memoHit(v, min uint64) bool { return v&^(memoValid-1) == memoTag(min) }
 //
 // A full block scan asks this 256 times per block within the same minute, so
 // the last evaluated minute of each block is memoised. The memo is exact:
-// every time input of stateAt is either a function of the UTC minute (hour,
-// day, the power schedule's hour and minute) or an edge (round start, dynamic
-// epoch, AS activity bound, event From/To), and a minute holding an edge
-// strictly inside it is never memoised (see steady).
+// every time input of the evaluation is either a function of the UTC minute
+// (hour, day, the power schedule's hour and minute) or an edge (round start,
+// dynamic epoch, AS activity bound, event From/To), and a minute holding an
+// edge strictly inside it is never memoised (see steady).
 func (s *Scenario) BlockStateAt(bi int, at time.Time) BlockState {
 	sec := at.Unix()
 	min := uint64(sec / 60)
 	if sec < 0 || min >= 1<<(64-memoStateBits) {
-		return s.stateAt(bi, s.TL.Round(at), at)
+		return s.stateAt(bi, at)
 	}
 	slot := &s.memo[bi]
 	if v := slot.Load(); memoHit(v, min) {
@@ -63,7 +64,7 @@ func (s *Scenario) BlockStateAt(bi int, at time.Time) BlockState {
 			RTTMS:    uint16(v),
 		}
 	}
-	st := s.stateAt(bi, s.TL.Round(at), at)
+	st := s.stateAt(bi, at)
 	if s.steady(bi, int64(min)) {
 		v := memoTag(min) | uint64(st.Resp)<<16 | uint64(st.RTTMS)
 		if st.Routed {
@@ -78,7 +79,7 @@ func (s *Scenario) BlockStateAt(bi int, at time.Time) BlockState {
 }
 
 // steady reports whether block bi's state is the same at every instant of
-// Unix minute min, i.e. no edge of stateAt falls strictly inside it.
+// Unix minute min, i.e. no edge of its evaluation falls strictly inside it.
 func (s *Scenario) steady(bi int, min int64) bool {
 	// Before round 0 the dynamic epoch truncates toward zero, which closes its
 	// edges on the other side; nothing probes there, so it is not memoised.
@@ -108,21 +109,79 @@ func (s *Scenario) dynamicEpoch(at time.Time) int {
 
 const dynamicEpochLen = 14 * 24 * time.Hour
 
-// stateAt is the unmemoised evaluation (the fast generator's entry point,
-// and the oracle the memo is tested against).
-func (s *Scenario) stateAt(bi int, round int, at time.Time) BlockState {
-	// Hour, day and the power schedule are read in UTC whatever zone the
-	// caller's clock carries.
+// clock puts t on the scenario's integer clock: nanoseconds since round 0,
+// ordered as time.Time.Before orders. Sub saturates, so an instant ≈292 years
+// or more from round 0 takes the clock's first or last tick, and instantAt
+// keeps what it is asked about off the last. The order is then exact for any
+// instant inside the clock against any edge (a saturated edge is before, or
+// after, everything inside); an instant beyond the clock is after every edge
+// beyond the near end and before every edge beyond the far end — Before's
+// answer still for edges in year 1 or 9999 — and an open upper bound stays open.
+func (s *Scenario) clock(t time.Time) int64 { return int64(t.Sub(s.TL.Start())) }
+
+// instant is everything the evaluation reads of a time and its round, and
+// nothing of the block: GenerateStore takes one per round, not per (block, round).
+type instant struct {
+	clock   int64         // see Scenario.clock; below math.MaxInt64
+	frac    float64       // address-churn decline: 0 at round 0, 1 at the last
+	dayKey  uint64        // UTC calendar day, the key of the frontline power hash
+	round   int           // the round at belongs to
+	power   power.Instant // the power schedule's day, hour and minute
+	epoch   int32         // dynamic-pool reallocation epoch
+	daytime bool          // 07:00–22:00 local (UTC+2)
+}
+
+// instantAt reads at, an instant of the given round, in UTC whatever zone the
+// caller's clock carries.
+func (s *Scenario) instantAt(round int, at time.Time) instant {
 	at = at.UTC()
+	pow := s.Power.At(at)
+	hour := (int(pow.Hour) + 2) % 24 // local time ≈ UTC+2..+3; use +2
+	return instant{
+		clock:   min(s.clock(at), math.MaxInt64-1),
+		frac:    float64(round) / float64(s.TL.NumRounds()-1),
+		dayKey:  uint64(at.YearDay() + at.Year()*400),
+		round:   round,
+		power:   pow,
+		epoch:   int32(s.dynamicEpoch(at)),
+		daytime: hour >= 7 && hour < 22,
+	}
+}
+
+// roundInstants returns the instant of every round start, a table built on
+// first use: GenerateStore reads all of it, BlockStateAt the entry of an instant
+// that is exactly a round start (all the Trinocular runner and SetRouted ask).
+func (s *Scenario) roundInstants() []instant {
+	s.roundsOnce.Do(func() {
+		rounds := make([]instant, s.TL.NumRounds())
+		for r := range rounds {
+			rounds[r] = s.instantAt(r, s.TL.Time(r))
+		}
+		s.rounds = rounds
+	})
+	return s.rounds
+}
+
+// stateAt is the unmemoised evaluation at any instant.
+func (s *Scenario) stateAt(bi int, at time.Time) BlockState {
+	round, start := s.TL.RoundAt(at)
+	if start {
+		return s.stateIn(bi, &s.roundInstants()[round])
+	}
+	in := s.instantAt(round, at)
+	return s.stateIn(bi, &in)
+}
+
+// stateIn evaluates block bi at an instant taken with instantAt.
+func (s *Scenario) stateIn(bi int, in *instant) BlockState {
 	bt := &s.blocks[bi]
 	as := s.blockAS[bi]
 
-	st := BlockState{Routed: as == nil || as.Active(at)}
-	month := s.TL.MonthOfRound(round)
+	st := BlockState{Routed: as == nil || in.clock >= as.activeFrom && in.clock < as.activeTo}
+	month := s.TL.MonthOfRound(in.round)
 
 	// Address-churn decline: activity interpolates from 1 to DeclineTo.
-	frac := float64(round) / float64(s.TL.NumRounds()-1)
-	mult := 1 + (float64(bt.DeclineTo)-1)*frac
+	mult := 1 + (float64(bt.DeclineTo)-1)*in.frac
 
 	movedAbroad := bt.Moved(month) && !bt.MoveRegion.Valid()
 	region := bt.HomeRegion
@@ -145,13 +204,13 @@ func (s *Scenario) stateAt(bi int, round int, at time.Time) BlockState {
 	// the set of active blocks shifts. This is the false-positive source
 	// ISP availability sensing exists to filter (§3.1, Baltra et al.).
 	if bt.Dynamic {
-		epoch := s.dynamicEpoch(at)
+		epoch := uint64(in.epoch) // sign-extends, as uint64(int) did
 		// The fraction of the ISP's dynamic pool in use varies per epoch
 		// (consolidation and renumbering): the count of active blocks
 		// swings while total responsiveness is conserved — exactly the
 		// block-level false positive availability sensing filters.
-		pa := 0.10 + 0.80*unitFloat(hash3(s.Cfg.Seed^0x90a1, uint64(bt.ASN), uint64(epoch)))
-		if unitFloat(hash3(s.Cfg.Seed^0x2ea1, uint64(bi), uint64(epoch))) < pa {
+		pa := 0.10 + 0.80*unitFloat(hash3(s.Cfg.Seed^0x90a1, uint64(bt.ASN), epoch))
+		if unitFloat(hash3(s.Cfg.Seed^0x2ea1, uint64(bi), epoch)) < pa {
 			m := 0.7 / pa
 			if m > 2.3 {
 				m = 2.3
@@ -172,10 +231,9 @@ func (s *Scenario) stateAt(bi int, round int, at time.Time) BlockState {
 	if !movedAbroad && region.Valid() {
 		applies := true
 		if region.Frontline() {
-			day := at.YearDay() + at.Year()*400
-			applies = hash3(s.Cfg.Seed^0xf18e, uint64(region), uint64(day))%100 < 35
+			applies = hash3(s.Cfg.Seed^0xf18e, uint64(region), in.dayKey)%100 < 35
 		}
-		if out, since := s.Power.OutSince(region, at); applies && out && since > float64(bt.BackupHours) {
+		if out, since := s.Power.OutSinceAt(region, in.power); applies && out && since > float64(bt.BackupHours) {
 			if bt.GridSensitive {
 				resp *= 0.05
 			} else {
@@ -184,12 +242,10 @@ func (s *Scenario) stateAt(bi int, round int, at time.Time) BlockState {
 		}
 	}
 
-	// Scripted events.
-	for _, ei := range s.blockEvents[bi] {
+	// Scripted events, in event order: the drops multiply one by one, as
+	// float64 products do not re-associate.
+	for _, ei := range s.index.activeAt(bi, in.clock) {
 		ev := &s.events[ei]
-		if at.Before(ev.From) || !at.Before(ev.To) {
-			continue
-		}
 		switch ev.Kind {
 		case EffectBGPDown:
 			st.Routed = false
@@ -205,18 +261,16 @@ func (s *Scenario) stateAt(bi int, round int, at time.Time) BlockState {
 		}
 	}
 
-	// Day/night cycles (local time ≈ UTC+2..+3; use +2).
-	hour := (at.Hour() + 2) % 24
-	day := hour >= 7 && hour < 22
+	// Day/night cycles.
 	if bt.Diurnal {
-		if day {
+		if in.daytime {
 			resp *= 1.0
 		} else {
 			resp *= 0.72
 		}
 	}
 	if diurnalOnly {
-		if day {
+		if in.daytime {
 			resp *= 0.8
 		} else {
 			resp = 0
@@ -232,7 +286,7 @@ func (s *Scenario) stateAt(bi int, round int, at time.Time) BlockState {
 	if resp > 0 {
 		w := int(resp)
 		fracPart := resp - float64(w)
-		if unitFloat(hash3(s.Cfg.Seed^0x5eed, uint64(bi), uint64(round))) < fracPart {
+		if unitFloat(hash3(s.Cfg.Seed^0x5eed, uint64(bi), uint64(in.round))) < fracPart {
 			w++
 		}
 		if w > int(bt.Density) {
@@ -249,7 +303,7 @@ func (s *Scenario) stateAt(bi int, round int, at time.Time) BlockState {
 	if movedAbroad {
 		base = 105 // transatlantic cloud
 	}
-	jitter := int(hash3(s.Cfg.Seed^0x177, uint64(bi), uint64(round))%9) - 4
+	jitter := int(hash3(s.Cfg.Seed^0x177, uint64(bi), uint64(in.round))%9) - 4
 	rtt := base + rttDelta + jitter
 	if rtt < 1 {
 		rtt = 1
@@ -279,25 +333,23 @@ func (s *Scenario) GenerateStore(trackRTT []netmodel.BlockID) *dataset.Store {
 			store.TrackRTT(bi)
 		}
 	}
-	rounds := s.TL.NumRounds()
-	times := make([]time.Time, rounds)
-	for r := 0; r < rounds; r++ {
-		times[r] = s.TL.Time(r)
+	rounds := s.roundInstants()
+	for r := range rounds {
 		if s.Missing[r] {
 			store.SetMissing(r)
 		}
 	}
 	// The campaign shards per block across the worker pool: every stochastic
-	// decision in stateAt is a pure hash of (seed, block, round), and each
+	// decision in stateIn is a pure hash of (seed, block, round), and each
 	// block owns its store rows, so the result is byte-identical to the
 	// sequential order at any worker count.
 	par.ForEach(len(s.blocks), func(bi int) {
 		tracked := store.RTTTracked(bi)
-		for r := 0; r < rounds; r++ {
+		for r := range rounds {
 			if s.Missing[r] {
 				continue
 			}
-			st := s.stateAt(bi, r, times[r])
+			st := s.stateIn(bi, &rounds[r])
 			store.SetRound(bi, r, st.Resp, st.Routed)
 			if tracked && st.Resp > 0 {
 				store.SetRTT(bi, r, st.RTTMS)
@@ -402,52 +454,6 @@ func (s *Scenario) ProbeFunc() func(addr netmodel.Addr, at time.Time) bool {
 	}
 }
 
-// indexEvents builds the event↔block indices after the scenario's blocks
-// and events are final. Events are sorted chronologically first (stable,
-// ties broken by name): downstream consumers — Events() listings, FindEvent
-// precedence, truth-window derivation — assume chronological order, and
-// event sources like Assemble accept events in any order.
-func (s *Scenario) indexEvents() {
-	sort.SliceStable(s.events, func(i, j int) bool {
-		if !s.events[i].From.Equal(s.events[j].From) {
-			return s.events[i].From.Before(s.events[j].From)
-		}
-		return s.events[i].Name < s.events[j].Name
-	})
-	// Per-block AS-traits table: stateAt runs once per (block, round) and a
-	// map lookup there dominates the generator's profile.
-	s.blockAS = make([]*ASTraits, len(s.blocks))
-	for bi := range s.blocks {
-		s.blockAS[bi] = s.asTraits[s.blocks[bi].ASN]
-	}
-	s.blockEvents = make([][]int16, len(s.blocks))
-	asnSet := make(map[netmodel.ASN]bool)
-	regionSet := make(map[netmodel.Region]bool)
-	blockSet := make(map[netmodel.BlockID]bool)
-	for ei := range s.events {
-		ev := &s.events[ei]
-		clear(asnSet)
-		clear(regionSet)
-		clear(blockSet)
-		for _, a := range ev.ASNs {
-			asnSet[a] = true
-		}
-		for _, r := range ev.Regions {
-			regionSet[r] = true
-		}
-		for _, b := range ev.Blocks {
-			blockSet[b] = true
-		}
-		for bi := range s.blocks {
-			bt := &s.blocks[bi]
-			if asnSet[bt.ASN] || regionSet[bt.HomeRegion] || blockSet[bt.Block] {
-				s.blockEvents[bi] = append(s.blockEvents[bi], int16(ei))
-			}
-		}
-	}
-	s.indexMemo()
-}
-
 // indexMemo sizes the BlockStateAt memo and records what steady needs: which
 // minutes of each block hold an edge strictly inside them, and whether the
 // round grid can put one there at all.
@@ -470,7 +476,7 @@ func (s *Scenario) indexMemo() {
 			edge(as.ActiveFrom)
 			edge(as.ActiveTo)
 		}
-		for _, ei := range s.blockEvents[bi] {
+		for _, ei := range s.index.blockEvents(bi) {
 			edge(s.events[ei].From)
 			edge(s.events[ei].To)
 		}

@@ -12,6 +12,7 @@ import (
 
 func TestGenerateStoreMatchesStateAt(t *testing.T) {
 	s := testScenario(t)
+	ref := newRefWorld(s)
 	store := s.GenerateStore(nil)
 	if store.NumBlocks() != s.Space.NumBlocks() {
 		t.Fatalf("store blocks = %d", store.NumBlocks())
@@ -24,7 +25,7 @@ func TestGenerateStoreMatchesStateAt(t *testing.T) {
 				}
 				continue
 			}
-			st := s.stateAt(bi, r, s.TL.Time(r))
+			st := ref.refStateAt(bi, r, s.TL.Time(r))
 			want := st.Resp
 			if want > 255 {
 				want = 255

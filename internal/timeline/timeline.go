@@ -90,14 +90,21 @@ func (t *Timeline) Time(i int) time.Time {
 // Round returns the index of the last round at or before the given time,
 // clamped to [0, NumRounds-1].
 func (t *Timeline) Round(at time.Time) int {
-	if at.Before(t.start) {
-		return 0
-	}
-	i := int(at.Sub(t.start) / t.interval)
-	if i >= t.rounds {
-		return t.rounds - 1
-	}
+	i, _ := t.RoundAt(at)
 	return i
+}
+
+// RoundAt is Round that also reports whether at is exactly that round's start.
+func (t *Timeline) RoundAt(at time.Time) (round int, start bool) {
+	d := at.Sub(t.start)
+	if d < 0 {
+		return 0, false
+	}
+	i := int(d / t.interval)
+	if i >= t.rounds {
+		return t.rounds - 1, false
+	}
+	return i, d%t.interval == 0
 }
 
 // RoundsPerDay returns the number of rounds in 24 hours (at least 1).

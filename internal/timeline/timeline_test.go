@@ -48,6 +48,31 @@ func TestRoundInverse(t *testing.T) {
 	}
 }
 
+// TestRoundAt: the start flag is true at exactly the instants Time returns,
+// whatever zone they carry, and RoundAt's round is Round's.
+func TestRoundAt(t *testing.T) {
+	start := time.Date(2023, 3, 1, 0, 0, 13, 500e6, time.UTC)
+	tl := New(start, start.Add(10*24*time.Hour), 3*time.Hour+7*time.Second)
+	zone := time.FixedZone("+05:30", 5*3600+1800)
+	for i := 0; i < tl.NumRounds(); i++ {
+		for _, d := range []time.Duration{-1, 0, 1, time.Second, tl.Interval() - 1} {
+			at := tl.Time(i).Add(d).In(zone)
+			round, onStart := tl.RoundAt(at)
+			if round != tl.Round(at) || onStart != (d == 0) {
+				t.Fatalf("RoundAt(Time(%d)%+d) = (%d, %v), Round %d", i, d, round, onStart, tl.Round(at))
+			}
+		}
+	}
+	for _, at := range []time.Time{
+		start.Add(-tl.Interval()), tl.End().Add(tl.Interval()), // on the grid's extension, outside the campaign
+		time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC),
+	} {
+		if round, onStart := tl.RoundAt(at); onStart || round != tl.Round(at) {
+			t.Errorf("RoundAt(%s) = (%d, %v), want Round's %d and no start", at, round, onStart, tl.Round(at))
+		}
+	}
+}
+
 func TestMonths(t *testing.T) {
 	tl := Default()
 	if got := tl.NumMonths(); got != 36 {
