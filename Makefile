@@ -4,7 +4,7 @@ GO ?= go
 # baseline default), bump to e.g. 3s for stable timing comparisons.
 BENCHTIME ?= 1x
 
-.PHONY: all build test bench-check race vet fmt loc bench bench-smoke bench-diff bench-gate profile-round profile-serve profile-analysis fuzz-smoke chaos-smoke metrics-lint scenario-smoke scorecards load-smoke campaign-smoke ci
+.PHONY: all build test bench-check race vet fmt loc bench bench-smoke bench-diff bench-gate profile-round profile-serve profile-analysis profile-campaign fuzz-smoke chaos-smoke metrics-lint scenario-smoke scorecards load-smoke campaign-smoke ci
 
 all: build
 
@@ -130,6 +130,21 @@ profile-analysis:
 	$(GO) tool pprof -top -nodecount=25 .bench_build/sim.test .bench_build/sim.cpu.pprof
 	$(GO) tool pprof -top -nodecount=25 .bench_build/trinocular.test .bench_build/trinocular.cpu.pprof
 
+# Profile a coordinated, faulted campaign: BenchmarkCampaignFaulted — two
+# countries on three shared vantages with a blackout and a stall injected, the
+# shape of the repo benchmark's campaign_chaos — with CPU and heap profiles
+# into .bench_build/, then the CPU top 25 and the allocation sites ranked by
+# object count (-memprofilerate=1: exact counts).
+profile-campaign:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkCampaignFaulted$$' -benchmem -benchtime=$(GATE_BENCHTIME) \
+		-o .bench_build/campaign.test -memprofilerate=1 \
+		-cpuprofile .bench_build/campaign.cpu.pprof -memprofile .bench_build/campaign.mem.pprof ./internal/campaign
+	$(GO) tool pprof -top -nodecount=25 \
+		.bench_build/campaign.test .bench_build/campaign.cpu.pprof
+	$(GO) tool pprof -top -sample_index=alloc_objects -nodecount=25 \
+		.bench_build/campaign.test .bench_build/campaign.mem.pprof
+
 # Seeded chaos soak: a three-vantage fleet campaign with scripted blackout,
 # stall and flap windows against individual vantages, asserting zero false
 # block-outage declarations against the sim ground truth plus determinism
@@ -143,10 +158,11 @@ metrics-lint:
 	$(GO) run ./cmd/metricslint
 
 # Short native-fuzz smoke over the packet parsers, the word-wise checksum,
-# the columnar codecs, the scenario parser, the fault-window span memo,
-# one-pass detection against its per-window oracle and compiled ground truth
-# against its linear-scan oracle: a few seconds each is enough to exercise the
-# mutator beyond the seed corpus in CI.
+# the columnar codecs, the scenario parser, the fault-window span memo, the
+# faults wrapper's batch path against its packet-at-a-time oracle, one-pass
+# detection against its per-window oracle and compiled ground truth against its
+# linear-scan oracle: a few seconds each is enough to exercise the mutator
+# beyond the seed corpus in CI.
 fuzz-smoke:
 	$(GO) test ./internal/icmp -fuzz '^FuzzParseIPv4$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/icmp -fuzz '^FuzzParseICMP$$' -fuzztime 5s -run '^$$'
@@ -155,6 +171,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dataset -fuzz '^FuzzColumnV4$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/scenario -fuzz '^FuzzScenarioParse$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/faults -fuzz '^FuzzWindowAt$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/faults -fuzz '^FuzzWriteBatchMatchesPacketLoop$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/signals -fuzz '^FuzzDetectMatchesOracle$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/sim -fuzz '^FuzzStateAtMatchesOracle$$' -fuzztime 5s -run '^$$'
 

@@ -4,6 +4,9 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"countrymon/internal/faults"
+	"countrymon/internal/scanner"
 )
 
 // BenchmarkCampaignTwoCountry is the coordinator's headline number: complete
@@ -11,8 +14,35 @@ import (
 // through the shared vantages, signals folded — measured in country-rounds
 // per second. Gated in CI against BENCH_baseline.json via the bare
 // rounds_per_sec headline.
-func BenchmarkCampaignTwoCountry(b *testing.B) {
-	spec := &Spec{
+func BenchmarkCampaignTwoCountry(b *testing.B) { benchCampaign(b, Options{}) }
+
+// BenchmarkCampaignFaulted is the same campaign with the shape of the repo
+// benchmark's campaign_chaos (and campaign_chaos_test.go's xcWrap) injected:
+// UA's view of v0 blacked out over rounds 5–8 and its view of v1 stalled over
+// rounds 14–15, so the faults wrapper, retries, steals, re-probes and fusion
+// all run. It is what `make profile-campaign` profiles; it is not gated.
+func BenchmarkCampaignFaulted(b *testing.B) {
+	start := benchSpec().Start
+	during := func(from, to int, kind faults.Kind) faults.Profile {
+		return faults.Profile{Seed: 1, Windows: []faults.Window{{
+			From: start.Add(time.Duration(from)*2*time.Hour - 30*time.Minute),
+			To:   start.Add(time.Duration(to)*2*time.Hour + 90*time.Minute),
+			Kind: kind,
+		}}}
+	}
+	benchCampaign(b, Options{WrapTransport: func(country, vantage string, tr scanner.Transport) scanner.Transport {
+		switch {
+		case country == "UA" && vantage == "v0":
+			return faults.NewTransport(tr, nil, during(5, 8, faults.Blackout))
+		case country == "UA" && vantage == "v1":
+			return faults.NewTransport(tr, nil, during(14, 15, faults.Stall))
+		}
+		return tr
+	}})
+}
+
+func benchSpec() *Spec {
+	return &Spec{
 		Countries: []CountrySpec{
 			{Code: "UA", Name: "Ukraine"},
 			{Code: "RO", Name: "Romania"},
@@ -24,6 +54,10 @@ func BenchmarkCampaignTwoCountry(b *testing.B) {
 		Rate:     2000,
 		Seed:     9,
 	}
+}
+
+func benchCampaign(b *testing.B, opts Options) {
+	spec := benchSpec()
 	if err := spec.Validate(); err != nil {
 		b.Fatal(err)
 	}
@@ -31,7 +65,7 @@ func BenchmarkCampaignTwoCountry(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		co, err := New(spec, Options{})
+		co, err := New(spec, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

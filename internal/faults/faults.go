@@ -108,7 +108,23 @@ type Counters struct {
 // scanner's retry/budget machinery treats it like a real flaky network.
 type Err struct{ Op string }
 
-func (e *Err) Error() string   { return "faults: injected " + e.Op + " error" }
+// errSend and errRecv are the two errors the transport injects, shared and
+// never written: a blacked-out round retries thousands of sends, and each
+// retry asks for the error and its text.
+var (
+	errSend = &Err{Op: "send"}
+	errRecv = &Err{Op: "recv"}
+)
+
+func (e *Err) Error() string {
+	switch e.Op {
+	case "send":
+		return "faults: injected send error"
+	case "recv":
+		return "faults: injected recv error"
+	}
+	return "faults: injected " + e.Op + " error"
+}
 func (e *Err) Transient() bool { return true }
 
 // Transport wraps an inner scanner.Transport with fault injection. It also
@@ -233,36 +249,90 @@ func (t *Transport) roll(p float64) bool {
 	return float64(t.rng>>11)/(1<<53) < p
 }
 
-// WritePacket implements scanner.Transport with injected send faults.
+// WritePacket implements scanner.Transport with injected send faults: the
+// one-packet case of WriteBatch.
 func (t *Transport) WritePacket(b []byte) error {
+	_, err := t.WriteBatch([][]byte{b})
+	return err
+}
+
+// failsSends reports whether sends fail under a window of kind k. Stall is
+// deliberately absent: a wedged receive path lets every send "succeed", which
+// is exactly what makes it poisonous — the scan completes with full coverage
+// and zero replies.
+func failsSends(k Kind) bool { return k == Blackout || k == SendErrors || k == Flap }
+
+// WriteBatch implements scanner.BatchTransport with injected send faults,
+// deciding once per batch what can only change between batches and per packet
+// what is drawn per packet. The scripted windows are evaluated once, at the
+// instant the call starts — the instant the engine stamped into every probe
+// of the batch: under a send-failing window the first packet fails and
+// nothing is written. Otherwise each packet rolls the dice in batch order
+// (send-error roll, then drop roll) and every maximal run of surviving
+// packets goes to the inner transport in one WriteBatch; a drop splits a run,
+// a send-error roll ends the call. A fault is counted only once the run
+// before it is out, t.mu is not held across the inner write, and when the
+// inner transport writes short the RNG is wound back to where the failing
+// packet's own rolls left it — so the RNG stream, the counters, the packets
+// the inner transport sees and every (n, err) are those of WritePacket called
+// in a loop, for every profile.
+//
+// On a clock that cannot move inside a write (simnet's) that is the whole
+// story. On a real clock (cmd/fbscan -faults) a window edge that falls inside
+// a batch takes effect at the next batch: at most one batch of packets late,
+// 64 packets or 8 ms at 8 000 pps.
+func (t *Transport) WriteBatch(pkts [][]byte) (int, error) {
+	if len(pkts) == 0 {
+		return 0, nil
+	}
 	now := t.clock.Now()
 	t.mu.Lock()
-	if w, ok := t.windowAt(now); ok {
-		switch w.Kind {
-		// Stall is deliberately absent: a wedged receive path lets every
-		// send "succeed", which is exactly what makes it poisonous — the
-		// scan completes with full coverage and zero replies.
-		case Blackout, SendErrors, Flap:
-			t.cnt.SendErrors++
-			t.metrics.SendErrors.Inc()
-			t.mu.Unlock()
-			return &Err{Op: "send"}
-		}
-	}
-	if t.roll(t.prof.SendErrorProb) {
+	if w, ok := t.windowAt(now); ok && failsSends(w.Kind) {
 		t.cnt.SendErrors++
 		t.metrics.SendErrors.Inc()
 		t.mu.Unlock()
-		return &Err{Op: "send"}
+		return 0, errSend
 	}
-	if t.roll(t.prof.DropProb) {
+	for start := 0; ; {
+		// Roll ahead to the end of the run: the first packet that fails or
+		// is dropped, or the end of the batch.
+		runRNG := t.rng
+		end, sendErr := start, false
+		for ; end < len(pkts); end++ {
+			if sendErr = t.roll(t.prof.SendErrorProb); sendErr || t.roll(t.prof.DropProb) {
+				break
+			}
+		}
+		t.mu.Unlock()
+		if end > start {
+			if n, err := t.batchInner().WriteBatch(pkts[start:end]); n < end-start {
+				// Packet start+n failed below: the packets after it were
+				// never attempted, so their rolls are undrawn by replaying
+				// the n+1 that were.
+				t.mu.Lock()
+				t.rng = runRNG
+				for i := 0; i <= n; i++ {
+					t.roll(t.prof.SendErrorProb)
+					t.roll(t.prof.DropProb)
+				}
+				t.mu.Unlock()
+				return start + n, err
+			}
+		}
+		if end == len(pkts) {
+			return end, nil
+		}
+		t.mu.Lock()
+		if sendErr {
+			t.cnt.SendErrors++
+			t.metrics.SendErrors.Inc()
+			t.mu.Unlock()
+			return end, errSend
+		}
 		t.cnt.Drops++
 		t.metrics.Drops.Inc()
-		t.mu.Unlock()
-		return nil
+		start = end + 1
 	}
-	t.mu.Unlock()
-	return t.inner.WritePacket(b)
 }
 
 // ReadPacket implements scanner.Transport with injected receive faults.
@@ -285,7 +355,7 @@ func (t *Transport) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
 			t.cnt.RecvErrors++
 			t.metrics.RecvErrors.Inc()
 			t.mu.Unlock()
-			return nil, time.Time{}, &Err{Op: "recv"}
+			return nil, time.Time{}, errRecv
 		}
 	}
 	t.mu.Unlock()
@@ -311,19 +381,6 @@ func (t *Transport) batchInner() scanner.BatchTransport {
 	return t.batch
 }
 
-// WriteBatch implements scanner.BatchTransport by injecting faults per
-// packet: the RNG roll order (send-error roll, then drop roll, per packet in
-// batch order) is identical to packet-at-a-time operation, so a seeded fault
-// profile reproduces exactly regardless of batching.
-func (t *Transport) WriteBatch(pkts [][]byte) (int, error) {
-	for i, b := range pkts {
-		if err := t.WritePacket(b); err != nil {
-			return i, err
-		}
-	}
-	return len(pkts), nil
-}
-
 // ReadBatch implements scanner.BatchTransport. Scripted windows gate the
 // whole call — during a blackout or stall nothing is delivered and the wait
 // is consumed, matching the serial path — while reply truncation rolls once
@@ -346,7 +403,7 @@ func (t *Transport) ReadBatch(pkts [][]byte, ats []time.Time, wait time.Duration
 			t.cnt.RecvErrors++
 			t.metrics.RecvErrors.Inc()
 			t.mu.Unlock()
-			return 0, &Err{Op: "recv"}
+			return 0, errRecv
 		}
 	}
 	t.mu.Unlock()

@@ -59,28 +59,24 @@ func dedupBlocks(bs []BlockID) []BlockID {
 // delegations plus the index structures everything else queries. A Space is
 // immutable after Build and safe for concurrent readers.
 type Space struct {
-	ases    []*AS
-	byASN   map[ASN]*AS
-	byBlock map[BlockID]blockEntry
-	blocks  []BlockID // all blocks, sorted
-}
-
-// blockEntry is what the space knows of one /24 block: its origin AS and its
-// position in Blocks().
-type blockEntry struct {
-	origin ASN
-	index  int32
+	ases   []*AS
+	byASN  map[ASN]*AS
+	table  BlockTable // block → position in blocks and origin AS
+	blocks []BlockID  // all blocks, sorted
 }
 
 // BuildSpace indexes the given ASes. Overlapping /24 ownership is an error:
 // the model assigns each block to exactly one origin AS, as the paper does
 // when grouping measurement data by AS.
 func BuildSpace(ases []*AS) (*Space, error) {
-	s := &Space{
-		ases:    ases,
-		byASN:   make(map[ASN]*AS, len(ases)),
-		byBlock: make(map[BlockID]blockEntry),
+	s := &Space{ases: ases, byASN: make(map[ASN]*AS, len(ases))}
+	claims := 0
+	for _, as := range ases {
+		if as != nil {
+			claims += as.NumBlocks()
+		}
 	}
+	s.table = newBlockTable(claims)
 	for _, as := range ases {
 		if as == nil {
 			return nil, fmt.Errorf("netmodel: nil AS")
@@ -90,16 +86,17 @@ func BuildSpace(ases []*AS) (*Space, error) {
 		}
 		s.byASN[as.ASN] = as
 		for _, b := range as.Blocks() {
-			if e, taken := s.byBlock[b]; taken {
-				return nil, fmt.Errorf("netmodel: block %v claimed by both %v and %v", b, e.origin, as.ASN)
+			sl := s.table.find(b)
+			if sl.pos != 0 {
+				return nil, fmt.Errorf("netmodel: block %v claimed by both %v and %v", b, sl.origin, as.ASN)
 			}
-			s.byBlock[b] = blockEntry{origin: as.ASN}
+			*sl = blockSlot{block: b, pos: 1, origin: as.ASN} // claimed; placed below
 			s.blocks = append(s.blocks, b)
 		}
 	}
 	sort.Slice(s.blocks, func(i, j int) bool { return s.blocks[i] < s.blocks[j] })
 	for i, b := range s.blocks {
-		s.byBlock[b] = blockEntry{origin: s.byBlock[b].origin, index: int32(i)}
+		s.table.find(b).pos = int32(i) + 1
 	}
 	return s, nil
 }
@@ -124,7 +121,7 @@ func (s *Space) Lookup(asn ASN) *AS { return s.byASN[asn] }
 
 // OriginOf returns the AS originating the given /24 block, or 0 if the block
 // is not part of the modelled space.
-func (s *Space) OriginOf(b BlockID) ASN { return s.byBlock[b].origin }
+func (s *Space) OriginOf(b BlockID) ASN { return s.table.find(b).origin }
 
 // Blocks returns all /24 blocks in the space, sorted. Callers must not
 // mutate the slice.
@@ -138,15 +135,7 @@ func (s *Space) NumAddrs() int { return len(s.blocks) * BlockSize }
 
 // BlockIndex returns the position of b in Blocks(), or -1. Dense per-block
 // arrays throughout the system are indexed this way.
-func (s *Space) BlockIndex(b BlockID) int {
-	if e, ok := s.byBlock[b]; ok {
-		return int(e.index)
-	}
-	return -1
-}
+func (s *Space) BlockIndex(b BlockID) int { return s.table.Index(b) }
 
 // ContainsAddr reports whether the address falls in a modelled block.
-func (s *Space) ContainsAddr(a Addr) bool {
-	_, ok := s.byBlock[a.Block()]
-	return ok
-}
+func (s *Space) ContainsAddr(a Addr) bool { return s.table.Index(a.Block()) >= 0 }

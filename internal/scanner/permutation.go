@@ -13,6 +13,7 @@ package scanner
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -25,6 +26,7 @@ type Permutation struct {
 	p     uint64 // prime > n
 	g     uint64 // generator of (Z/pZ)*
 	first uint64 // starting element, in [1, p-1]
+	inv   uint64 // ⌊(2⁶⁴−1)/p⌋ when p < 2³² (see step), else 0
 }
 
 // NewPermutation builds a permutation of 0..n-1 seeded deterministically.
@@ -44,7 +46,30 @@ func NewPermutation(n uint64, seed uint64) (*Permutation, error) {
 	}
 	// Choose a starting point in [1, p-1] from the seed.
 	first := splitmix(seed^0x9e3779b97f4a7c15)%(p-1) + 1
-	return &Permutation{n: n, p: p, g: g, first: first}, nil
+	pm := &Permutation{n: n, p: p, g: g, first: first}
+	if p < 1<<32 {
+		pm.inv = math.MaxUint64 / p
+	}
+	return pm, nil
+}
+
+// step is one step of the group walk, cur·g mod p for cur in [1, p-1]. Every
+// target set short of all of IPv4 has p < 2³², where the product x fits a
+// word and the division becomes a multiplication by inv: p·inv lies in
+// (2⁶⁴−1−p, 2⁶⁴−1], so q = ⌊x·inv/2⁶⁴⌋ is ⌊x/p⌋ or one less, x − q·p is below
+// 2p, and one conditional subtract leaves the residue itself.
+func (pm *Permutation) step(cur uint64) uint64 {
+	if pm.inv == 0 {
+		hi, lo := bits.Mul64(cur, pm.g)
+		return bits.Rem64(hi, lo, pm.p) // hi < p because cur, g < p
+	}
+	x := cur * pm.g
+	q, _ := bits.Mul64(x, pm.inv)
+	r := x - q*pm.p
+	if r >= pm.p {
+		r -= pm.p
+	}
+	return r
 }
 
 // Len returns the domain size.
@@ -70,51 +95,48 @@ func (pm *Permutation) IterateShard(shard, shards int) (*Cursor, error) {
 	if shards <= 0 || shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("scanner: invalid shard %d/%d", shard, shards)
 	}
-	c := &Cursor{pm: pm, cur: pm.first}
-	// Advance to this shard's first element.
-	for i := 0; i < shard; i++ {
-		if _, ok := c.next(); !ok {
-			break
-		}
+	c := &Cursor{pm: pm, cur: pm.first, stride: shards - 1}
+	if shard > 0 {
+		c.next(shard - 1) // advance to this shard's first element
 	}
-	c.stride = shards - 1
 	return c, nil
 }
 
 // Next returns the next index in the permuted order, or ok=false when the
 // cycle (or this shard's part of it) is exhausted.
-func (c *Cursor) Next() (uint64, bool) {
-	v, ok := c.next()
-	if !ok {
-		return 0, false
-	}
-	for i := 0; i < c.stride; i++ {
-		if _, more := c.next(); !more {
-			break
-		}
-	}
-	return v, true
-}
+func (c *Cursor) Next() (uint64, bool) { return c.next(c.stride) }
 
-func (c *Cursor) next() (uint64, bool) {
+// next emits the next index and walks on past the skip indices after it (the
+// other shards'), or as many as the cycle still holds. It is one loop over
+// locals: the walk is a chain of dependent multiplications, and a position
+// kept in the Cursor between steps adds a store and a load to every link.
+func (c *Cursor) next(skip int) (uint64, bool) {
 	pm := c.pm
-	if c.emitted >= pm.n {
+	left := pm.n - c.emitted
+	if left == 0 {
 		return 0, false
 	}
-	for {
-		v := c.cur
-		// cur and g are in [1, p-1], already reduced.
-		c.cur = mulmodReduced(c.cur, pm.g, pm.p)
+	if uint64(skip) < left {
+		left = uint64(skip) + 1
+	}
+	c.emitted += left
+	cur, first := c.cur, uint64(0)
+	for found := false; left > 0; {
+		v := cur
+		cur = pm.step(v)
 		if v-1 < pm.n { // v in [1, p-1]; emit v-1 if < n
-			c.emitted++
-			return v - 1, true
-		}
-		if c.cur == pm.first {
+			if !found {
+				first, found = v-1, true
+			}
+			left--
+		} else if cur == pm.first {
 			// Walked the full group without emitting n values: impossible
 			// unless state was corrupted.
 			return 0, false
 		}
 	}
+	c.cur = cur
+	return first, true
 }
 
 // primeAbove returns the smallest prime strictly greater than n.
@@ -224,7 +246,7 @@ func primeFactors(n uint64) []uint64 {
 func mulmod(a, b, m uint64) uint64 { return mulmodReduced(a%m, b%m, m) }
 
 // mulmodReduced is mulmod for operands already below m, which costs one
-// division instead of three: the group walk's step.
+// division instead of three.
 func mulmodReduced(a, b, m uint64) uint64 {
 	if a|b < 1<<32 {
 		return a * b % m

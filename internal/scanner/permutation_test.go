@@ -1,8 +1,10 @@
 package scanner
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -259,3 +261,148 @@ func TestPowmod(t *testing.T) {
 		}
 	}
 }
+
+// refStep is the group walk's step as it was before it multiplied by a
+// reciprocal — mulmodReduced, verbatim — and refWalk the order it gives: the
+// whole cycle, of which a shard takes every shards-th emitted index.
+func refStep(a, b, m uint64) uint64 {
+	if a|b < 1<<32 {
+		return a * b % m
+	}
+	hi, lo := bits.Mul64(a, b)
+	return bits.Rem64(hi, lo, m)
+}
+
+func refWalk(pm *Permutation, shard, shards int) []uint64 {
+	var out []uint64
+	cur := pm.first
+	for emitted := 0; uint64(emitted) < pm.n; {
+		v := cur
+		cur = refStep(cur, pm.g, pm.p)
+		if v-1 < pm.n {
+			if emitted%shards == shard {
+				out = append(out, v-1)
+			}
+			emitted++
+		}
+	}
+	return out
+}
+
+func TestStepMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	check := func(pm *Permutation, cur, g uint64) {
+		t.Helper()
+		pm.g = g
+		if got, want := pm.step(cur), refStep(cur, g, pm.p); got != want {
+			t.Fatalf("step(%d) with g=%d, p=%d = %d, reference %d", cur, g, pm.p, got, want)
+		}
+	}
+	// Every residue of every prime below 2 000, against generators at both
+	// ends of the range and a few inside it.
+	for n := uint64(1); n < 1999; n++ {
+		if !isPrime(n + 1) {
+			continue
+		}
+		pm, err := NewPermutation(n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := pm.p
+		for _, g := range []uint64{1, 2, p - 2, p - 1, pm.g, 1 + rng.Uint64()%(p-1), 1 + rng.Uint64()%(p-1)} {
+			for cur := uint64(1); cur < p; cur++ {
+				check(pm, cur, g)
+			}
+		}
+	}
+	// Primes just below 2³², where the product nearly fills the word, the
+	// largest of them (2³²−5), and the first prime above, which keeps Rem64.
+	domains := []uint64{1<<32 - 6, 1 << 32}
+	for i := 0; i < 48; i++ {
+		domains = append(domains, 1<<32-6-rng.Uint64()%(1<<20))
+	}
+	for i, n := range domains {
+		pm, err := NewPermutation(n, uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := pm.p
+		if (pm.inv != 0) != (p < 1<<32) {
+			t.Fatalf("p=%d: inv=%d", p, pm.inv)
+		}
+		for _, cur := range []uint64{1, 2, p - 2, p - 1} {
+			for _, g := range []uint64{1, 2, p - 2, p - 1, pm.g} {
+				check(pm, cur, g)
+			}
+		}
+		for k := 0; k < 200; k++ {
+			check(pm, 1+rng.Uint64()%(p-1), 1+rng.Uint64()%(p-1))
+		}
+	}
+	if p := primeAbove(1<<32 - 6); p != 1<<32-5 {
+		t.Fatalf("primeAbove(2³²−6) = %d, want 2³²−5", p)
+	}
+}
+
+func TestWalkMatchesReference(t *testing.T) {
+	for _, n := range []uint64{1, 2, 256 /* = p−1 */, 1000, 24576, 65536 /* = p−1 */} {
+		for _, seed := range []uint64{1, 42, 7919} {
+			pm, err := NewPermutation(n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{1, 3, 7} {
+				seen := make([]int, n)
+				for shard := 0; shard < shards; shard++ {
+					c, err := pm.IterateShard(shard, shards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := refWalk(pm, shard, shards)
+					if len(want) != ShardLen(n, shard, shards) {
+						t.Fatalf("n=%d shard %d/%d: reference emits %d, ShardLen %d", n, shard, shards, len(want), ShardLen(n, shard, shards))
+					}
+					var got []uint64
+					for v, ok := c.Next(); ok; v, ok = c.Next() {
+						got = append(got, v)
+						seen[v]++
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("n=%d seed=%d shard %d/%d: walk of %d indices differs from the reference's %d", n, seed, shard, shards, len(got), len(want))
+					}
+				}
+				for v, k := range seen {
+					if k != 1 {
+						t.Fatalf("n=%d seed=%d, %d shards: index %d emitted %d times", n, seed, shards, v, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkCursorWalk walks campaign_chaos's target set (96 blocks) once per
+// iteration, whole and as the first of three shards, which steps through the
+// other two shards' indices as well; ns/index is per emitted index.
+func BenchmarkCursorWalk(b *testing.B) {
+	for _, shards := range []int{1, 3} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			pm, err := NewPermutation(96*256, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sum, emitted uint64
+			for i := 0; i < b.N; i++ {
+				c, _ := pm.IterateShard(0, shards)
+				for v, ok := c.Next(); ok; v, ok = c.Next() {
+					sum += v
+					emitted++
+				}
+			}
+			walkSink = sum
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(emitted), "ns/index")
+		})
+	}
+}
+
+var walkSink uint64

@@ -3,6 +3,7 @@ package scanner_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -65,6 +66,41 @@ func (d *deadReceiver) ReadPacket(wait time.Duration) ([]byte, time.Time, error)
 		}
 	}
 	return nil, time.Time{}, d.err
+}
+
+// notNow advertises the method and answers no.
+type notNow struct{}
+
+func (notNow) Error() string   { return "not now" }
+func (notNow) Transient() bool { return false }
+
+// IsTransient asks an unwrapped error directly and a wrapped one through
+// errors.As; the verdict is errors.As's own in every case.
+func TestIsTransientVerdicts(t *testing.T) {
+	tr := &transientErr{"flaky"}
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{nil, false},
+		{errors.New("plain"), false},
+		{tr, true},
+		{fmt.Errorf("send: %w", tr), true},
+		{fmt.Errorf("outer: %w", fmt.Errorf("inner: %w", tr)), true},
+		{errors.Join(errors.New("plain"), tr), true},
+		{notNow{}, false},
+		{fmt.Errorf("send: %w", notNow{}), false},
+		{fmt.Errorf("send: %v", tr), false}, // flattened to text: the method is gone
+		{scanner.ErrTimeout, false},
+	} {
+		var viaAs interface{ Transient() bool }
+		if want := errors.As(tc.err, &viaAs) && viaAs.Transient(); want != tc.want {
+			t.Fatalf("%v: the table says %v, errors.As %v", tc.err, tc.want, want)
+		}
+		if got := scanner.IsTransient(tc.err); got != tc.want {
+			t.Errorf("IsTransient(%v) = %v, want %v", tc.err, got, tc.want)
+		}
+	}
 }
 
 func TestRetryRecoversTransientSendErrors(t *testing.T) {

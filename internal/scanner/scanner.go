@@ -22,6 +22,11 @@ var ErrStopped = errors.New("scanner: stopped")
 // method, as the fault-injection layer and flaky real transports do.
 // Timeouts are not transient sends; they never reach the send path.
 func IsTransient(err error) bool {
+	// An unwrapped error is asked directly, which is also the first thing
+	// errors.As would try: same verdict, and no escaping target per retry.
+	if t, ok := err.(interface{ Transient() bool }); ok {
+		return t.Transient()
+	}
 	var t interface{ Transient() bool }
 	return errors.As(err, &t) && t.Transient()
 }

@@ -1,6 +1,7 @@
 package scanner_test
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -206,6 +207,58 @@ func TestTargetSetAddrMapping(t *testing.T) {
 	}
 	if got := ts.Addr(257); got != netmodel.MustParseAddr("10.0.1.1") {
 		t.Errorf("Addr(257) = %v", got)
+	}
+}
+
+// TargetSet.BlockIndex against the map it used to be: over random prefixes of
+// mixed lengths with overlaps and exclusions, every address of a target block
+// maps to the block's sorted position and everything else — excluded blocks,
+// the neighbours of targets, both ends of the address range — to -1.
+func TestTargetSetBlockIndexMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		draw := func(n int) []netmodel.Prefix {
+			ps := make([]netmodel.Prefix, n)
+			for i := range ps {
+				base := netmodel.Addr(10<<24 | r.Intn(1<<14)<<10) // inside 10.0.0.0/8, /22-aligned
+				ps[i] = netmodel.MustNewPrefix(base|netmodel.Addr(r.Intn(1<<10)), uint8(18+r.Intn(9)))
+			}
+			return ps
+		}
+		prefixes, exclude := draw(1+r.Intn(12)), draw(r.Intn(4))
+		if seed%5 == 0 {
+			prefixes = append(prefixes, netmodel.MustParsePrefix("0.0.0.0/24"), netmodel.MustParsePrefix("255.255.255.0/24"))
+		}
+		ts, err := scanner.NewTargetSet(prefixes, exclude)
+		if err != nil {
+			continue // everything excluded
+		}
+		index := make(map[netmodel.BlockID]int, ts.NumBlocks())
+		for i, b := range ts.Blocks() {
+			index[b] = i
+		}
+		check := func(b netmodel.BlockID) {
+			want, ok := index[b]
+			if !ok {
+				want = -1
+			}
+			if got := ts.BlockIndex(b.Addr(uint8(r.Intn(256)))); got != want {
+				t.Fatalf("seed %d: BlockIndex(%v) = %d, map says %d", seed, b, got, want)
+			}
+		}
+		for _, b := range ts.Blocks() {
+			check(b)
+			check((b - 1) & 0xffffff)
+			check((b + 1) & 0xffffff)
+		}
+		for _, e := range exclude {
+			for _, b := range e.Blocks(nil) {
+				check(b)
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			check(netmodel.BlockID(r.Intn(1 << 24)))
+		}
 	}
 }
 

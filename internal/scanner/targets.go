@@ -13,7 +13,7 @@ import (
 // walks; index i maps to host i%256 of block i/256.
 type TargetSet struct {
 	blocks []netmodel.BlockID
-	index  map[netmodel.BlockID]int
+	index  netmodel.BlockTable
 }
 
 // NewTargetSet builds the target set from prefixes, excluding any /24 that
@@ -43,11 +43,7 @@ func NewTargetSet(prefixes []netmodel.Prefix, exclude []netmodel.Prefix) (*Targe
 	if len(out) == 0 {
 		return nil, errors.New("scanner: all targets excluded")
 	}
-	ts := &TargetSet{blocks: out, index: make(map[netmodel.BlockID]int, len(out))}
-	for i, b := range ts.blocks {
-		ts.index[b] = i
-	}
-	return ts, nil
+	return &TargetSet{blocks: out, index: netmodel.IndexBlocks(out)}, nil
 }
 
 func blockExcluded(b netmodel.BlockID, exclude []netmodel.Prefix) bool {
@@ -76,9 +72,4 @@ func (t *TargetSet) Addr(i uint64) netmodel.Addr {
 
 // BlockIndex returns the dense block index of the block containing a, or -1
 // if a is not a target.
-func (t *TargetSet) BlockIndex(a netmodel.Addr) int {
-	if i, ok := t.index[a.Block()]; ok {
-		return i
-	}
-	return -1
-}
+func (t *TargetSet) BlockIndex(a netmodel.Addr) int { return t.index.Index(a.Block()) }
