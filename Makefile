@@ -32,17 +32,22 @@ fmt:
 	fi
 
 # Size report for simplicity PRs, so deltas are quoted the same way each
-# time: non-test Go lines outside bench/, countrymon.Options fields (one
-# per declaration line), and flags defined per CLI.
+# time: non-test Go lines outside bench/, the field counts of the option and
+# config structs (one field per declaration line), and the flags each CLI
+# defines (on the flag package or on a FlagSet named fs) with their total.
+# $(call fields,FILE,TYPE) counts the fields of `type TYPE struct` in FILE.
+fields = awk '/^type $(2) struct \{/{f=1;next} f&&/^\}/{exit} f&&!/^[ \t]*(\/\/|$$)/{n++} END{print n+0}' $(1)
 loc:
 	@printf 'non-test Go lines (excl. bench/): '; \
 	find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
-	@printf 'countrymon.Options fields: '; \
-	awk '/^type Options struct \{/{f=1;next} f&&/^\}/{exit} f&&!/^[ \t]*(\/\/|$$)/{n++} END{print n}' countrymon.go
-	@for d in cmd/*/; do \
-		printf '%s flags: ' "$$(basename $$d)"; \
-		cat $$d*.go | grep -cE '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|[A-Za-z0-9]*Var)\(' || true; \
-	done
+	@printf 'countrymon.Options fields: '; $(call fields,countrymon.go,Options)
+	@printf 'scanner.Config fields: '; $(call fields,internal/scanner/scanner.go,Config)
+	@printf 'fleet.Config fields: '; $(call fields,internal/fleet/fleet.go,Config)
+	@printf 'fleet.CampaignConfig fields: '; $(call fields,internal/fleet/fleet.go,CampaignConfig)
+	@total=0; for d in cmd/*/; do \
+		n=$$(ls $$d*.go | grep -v '_test\.go$$' | xargs cat | grep -cE '\b(flag|fs)\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|[A-Za-z0-9]*Var)\('); \
+		printf '%s flags: %s\n' "$$(basename $$d)" "$$n"; total=$$((total + n)); \
+	done; echo "total flags: $$total"
 
 # Record a benchmark baseline: every benchmark (including the workers=1 vs
 # workers=all scaling pairs) with memory stats, converted to JSON keyed by

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
@@ -70,27 +69,6 @@ func xcWrap(country, vantage string, tr scanner.Transport) scanner.Transport {
 	return tr
 }
 
-// xcClock is chaos_test's testClock for the external test package.
-type xcClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (c *xcClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *xcClock) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
 // xcSoloUA runs country UA alone on its own three-vantage fleet through the
 // identical faults — the single-country chaos baseline the coordinated run
 // is held to.
@@ -123,17 +101,16 @@ func xcSoloUA(t *testing.T, spec *campaign.Spec) *countrymon.Monitor {
 		})
 	}
 	mon, err := countrymon.New(countrymon.Options{
-		Vantages:      vantages,
-		Clock:         &xcClock{now: spec.Start},
-		Targets:       targets,
-		Start:         spec.Start,
-		Interval:      spec.Interval,
-		Rounds:        spec.Rounds,
-		Rate:          spec.CountryRate("UA"),
-		Seed:          cs.Seed,
-		Origins:       origins,
-		Country:       "UA",
-		StreamSignals: true,
+		Vantages: vantages,
+		Clock:    scanner.NewVirtualClock(spec.Start),
+		Targets:  targets,
+		Start:    spec.Start,
+		Interval: spec.Interval,
+		Rounds:   spec.Rounds,
+		Rate:     spec.CountryRate("UA"),
+		Seed:     cs.Seed,
+		Origins:  origins,
+		Country:  "UA",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,12 +3,12 @@ package countrymon
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"countrymon/internal/faults"
 	"countrymon/internal/netmodel"
+	"countrymon/internal/scanner"
 	"countrymon/internal/simnet"
 )
 
@@ -19,28 +19,6 @@ import (
 // baseline does not also declare, (b) still detect the genuine outage in
 // the same rounds, and (c) produce byte-identical output regardless of
 // COUNTRYMON_WORKERS and across kill/resume.
-
-// testClock is a standalone virtual clock for fleet campaigns, where no
-// single transport owns time (each vantage builds fresh per-round networks).
-type testClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (c *testClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *testClock) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
 
 const chaosRounds = 120
 
@@ -90,7 +68,7 @@ func chaosOpts(ckpt string) Options {
 			chaosVantage("v2"),
 		},
 		Quorum:  2,
-		Clock:   &testClock{now: chaosStart},
+		Clock:   scanner.NewVirtualClock(chaosStart),
 		Targets: []Prefix{netmodel.MustParsePrefix("91.198.4.0/23")},
 		Start:   chaosStart, Rounds: chaosRounds, Interval: 2 * time.Hour,
 		Seed: 7,
@@ -209,7 +187,7 @@ func TestChaosKillResume(t *testing.T) {
 
 	opts := chaosOpts(ckpt)
 	opts.ResumeFrom = ckpt
-	opts.Clock = &testClock{now: chaosStart.Add(100 * 2 * time.Hour)}
+	opts.Clock = scanner.NewVirtualClock(chaosStart.Add(100 * 2 * time.Hour))
 	resumed := runChaosCampaign(t, opts, -1)
 	if got := storeBytes(t, resumed); !bytes.Equal(got, full) {
 		t.Fatalf("resumed chaos campaign diverged from uninterrupted run (%d vs %d bytes)", len(got), len(full))

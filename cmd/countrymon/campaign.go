@@ -1,59 +1,49 @@
 package main
 
 import (
-	"context"
-	"log"
 	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"countrymon/internal/campaign"
-	"countrymon/internal/obs"
 )
 
 // runCoordinated is the multi-country entry point behind -countries and
 // -config: compile the campaign spec into a coordinator over one shared
 // vantage fleet, drive every country's rounds in lockstep, print a
 // per-country summary, and optionally serve the country-scoped API.
-func runCoordinated(countries, config, serveAddr string, reg *obs.Registry, bus *obs.Bus) {
+func (e *env) runCoordinated(countries, config, serveAddr string) int {
 	var (
 		spec *campaign.Spec
 		err  error
 	)
-	switch {
-	case config != "" && countries != "":
-		log.Fatal("-countries and -config are mutually exclusive")
-	case config != "":
+	if config != "" {
 		spec, err = campaign.Load(config)
-	default:
+	} else {
 		spec, err = campaign.Quick(strings.Split(countries, ","))
 	}
 	if err != nil {
-		log.Fatal(err)
+		return e.fail("%v", err)
 	}
 
-	co, err := campaign.New(spec, campaign.Options{Registry: reg, Bus: bus})
+	co, err := campaign.New(spec, campaign.Options{Registry: e.reg, Bus: e.bus})
 	if err != nil {
-		log.Fatal(err)
+		return e.fail("%v", err)
 	}
 	defer co.Close()
 
-	log.Printf("coordinated campaign: %d countries over %d shared vantages, %d rounds every %v",
+	e.log.Printf("coordinated campaign: %d countries over %d shared vantages, %d rounds every %v",
 		len(spec.Countries), spec.Vantages, spec.Rounds, spec.Interval)
 	for _, c := range co.Countries() {
-		log.Printf("  %s (%s): share %.2f → %d pps, %d ASes, %d /24 blocks",
+		e.log.Printf("  %s (%s): share %.2f → %d pps, %d ASes, %d /24 blocks",
 			c.Code, c.Name, c.Share, spec.CountryRate(c.Code),
 			c.World.Space.NumASes(), c.World.Space.NumBlocks())
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	for co.NextRound() {
-		if err := co.StepRound(ctx); err != nil {
-			log.Fatalf("campaign: %v", err)
-		}
+	ctx, stop := interruptible()
+	err = co.Run(ctx)
+	stop()
+	if err != nil {
+		return e.fail("campaign: %v", err)
 	}
 
 	for _, c := range co.Countries() {
@@ -69,14 +59,14 @@ func runCoordinated(countries, config, serveAddr string, reg *obs.Registry, bus 
 			outages += len(c.Monitor.DetectAS(as.ASN).Outages)
 		}
 		rep := c.FleetReport()
-		log.Printf("%s: %d rounds (%d missing), %d AS outage events, fleet steals %d, quarantined %v",
+		e.log.Printf("%s: %d rounds (%d missing), %d AS outage events, fleet steals %d, quarantined %v",
 			c.Code, spec.Rounds, missing, outages, rep.Steals, rep.Quarantined)
 
 		for _, as := range c.World.Space.ASes() {
 			d := c.Monitor.DetectAS(as.ASN)
 			if len(d.Outages) > 0 {
-				log.Printf("%s: %v (%s) outage events:", c.Code, as.ASN, as.Name)
-				printOutages(d, spec.Interval, store, 5)
+				e.log.Printf("%s: %v (%s) outage events:", c.Code, as.ASN, as.Name)
+				printOutages(e.stdout, d, store, 5)
 			}
 		}
 	}
@@ -84,13 +74,14 @@ func runCoordinated(countries, config, serveAddr string, reg *obs.Registry, bus 
 	if serveAddr != "" {
 		for _, c := range co.Countries() {
 			if err := c.Store.AdvanceTo(spec.Rounds); err != nil {
-				log.Fatalf("campaign: seal %s: %v", c.Code, err)
+				return e.fail("campaign: seal %s: %v", c.Code, err)
 			}
 		}
-		log.Printf("serving /v1/countries and per-country /v1/countries/{cc}/... on http://%s (legacy /v1/* aliases country %s)",
+		e.log.Printf("serving /v1/countries and per-country /v1/countries/{cc}/... on http://%s (legacy /v1/* aliases country %s)",
 			serveAddr, co.Countries()[0].Code)
 		if err := http.ListenAndServe(serveAddr, co.Router()); err != nil {
-			log.Fatalf("serve: %v", err)
+			return e.fail("serve: %v", err)
 		}
 	}
+	return 0
 }

@@ -7,15 +7,25 @@
 //
 //	countrymon [-scale 0.12] [-interval 6] [-seed 1]
 //	           [-save data.cmds] [-load data.cmds]
-//	           [-packet-rounds N] [-vantages N] [-quorum k]
-//	           [-region Kherson] [-as 25482]
+//	           [-region Kherson] [-as 25482] [-min-coverage 0.8]
 //	           [-metrics :9090]
+//	countrymon -packet-rounds N [-vantages N] [-quorum k]
+//	           [-faults spec] [-vantage-faults "spec;spec;..."]
+//	           [-checkpoint file] [-resume file] [-roundlog file]
 //	countrymon -countries UA,RO [-serve :8080] [-metrics :9090]
 //	countrymon -config spec.json [-serve :8080]
 //
-// With -vantages N the packet-level rounds run through a supervised
-// multi-vantage fleet (internal/fleet) instead of a single scanner, with
-// -quorum controlling the k-of-n corroboration of suspect block outages.
+// With -packet-rounds N the command first runs a packet-level campaign: a
+// countrymon.Monitor scans the first N rounds of the scenario's timeline
+// over the simulated wire (the Kherson Table-5 ASes) and its store is
+// cross-checked against the fast generator ("0 mismatches"). -checkpoint,
+// -resume and -roundlog make the campaign durable (Ctrl-C stops at the next
+// round boundary after a final checkpoint), -faults injects transport faults
+// (internal/faults; window offsets count from the scenario's start),
+// -vantages N runs the rounds over a supervised fleet (internal/fleet:
+// breakers, shard failover, k-of-n -quorum corroboration) and -vantage-faults
+// scripts one profile per vantage (semicolon-separated, in vantage order; an
+// empty segment is a clean vantage).
 //
 // With -countries (synthetic per-country models, equal budget shares) or
 // -config (a full campaign.Spec document) the command instead runs a
@@ -27,77 +37,151 @@
 // With -metrics, live pipeline instrumentation — scanner counters, signal
 // build/detect timings, outage counts — is served on /metrics (Prometheus
 // text, ?format=json) and /events (SSE).
+//
+// Exit codes:
+//
+//	0   success — every campaign round at full coverage, fleet (if any) healthy
+//	1   a campaign round ended below -min-coverage, or a hard failure
+//	2   bad flags
+//	3   -resume or -load named a file of a different campaign
+//	    (countrymon.ResumeMismatchError)
+//	4   campaign completed degraded: a vantage was quarantined, a round ran
+//	    below -quorum, or the fleet itself went dark for a round
+//	130 interrupted by signal
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
+	"countrymon"
 	"countrymon/internal/analysis"
 	"countrymon/internal/dataset"
-	"countrymon/internal/fleet"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/obs"
 	"countrymon/internal/regional"
 	"countrymon/internal/render"
-	"countrymon/internal/scanner"
 	"countrymon/internal/signals"
 	"countrymon/internal/sim"
-	"countrymon/internal/simnet"
 )
 
-func main() {
-	log.SetFlags(0)
-	scale := flag.Float64("scale", 0.12, "scenario scale (1.0 = paper scale)")
-	interval := flag.Int("interval", 6, "probing interval in hours (paper: 2)")
-	seed := flag.Uint64("seed", 1, "scenario seed")
-	save := flag.String("save", "", "write the generated dataset to this file")
-	load := flag.String("load", "", "load a dataset instead of generating")
-	packetRounds := flag.Int("packet-rounds", 0, "additionally run N packet-level scan rounds through the real scanner")
-	vantages := flag.Int("vantages", 0, "run packet-level rounds over a supervised fleet of N vantages")
-	quorum := flag.Int("quorum", 0, "k of the fleet's k-of-n outage corroboration (0 = min(2, vantages))")
-	region := flag.String("region", "Kherson", "region to detail")
-	asn := flag.Uint("as", 25482, "AS to detail")
-	minCov := flag.Float64("min-coverage", signals.DefaultMinCoverage,
-		"treat rounds below this probed-target fraction as missing")
-	metricsAddr := flag.String("metrics", "", "serve /metrics and /events on this address (e.g. :9090)")
-	countries := flag.String("countries", "", "run a coordinated multi-country campaign over these codes (e.g. UA,RO) on synthetic models")
-	config := flag.String("config", "", "run a coordinated campaign from this campaign.Spec JSON file")
-	serveAddr := flag.String("serve", "", "after a coordinated campaign, serve the country-scoped API on this address (e.g. :8080)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var (
-		reg *obs.Registry
-		bus *obs.Bus
-	)
+// env is what every mode of the command shares: where output goes and the
+// optional observability sinks.
+type env struct {
+	stdout io.Writer
+	log    *log.Logger
+	reg    *obs.Registry
+	bus    *obs.Bus
+}
+
+// fail logs a hard failure and returns its exit code.
+func (e *env) fail(format string, a ...any) int {
+	e.log.Printf(format, a...)
+	return 1
+}
+
+// refuse reports why a campaign or dataset could not be set up: exit 3 for a
+// checkpoint or dataset of a different campaign, a hard failure otherwise.
+func (e *env) refuse(err error) int {
+	var mm *countrymon.ResumeMismatchError
+	if !errors.As(err, &mm) {
+		return e.fail("%v", err)
+	}
+	e.log.Print(mm)
+	e.log.Printf("countrymon: this run is %s over %d blocks; use the options the file was written with, or start a fresh one",
+		mm.WantTimeline, mm.WantBlocks)
+	return 3
+}
+
+// interruptible returns a context that SIGINT or SIGTERM cancels, for the
+// campaign loops: they stop at the next round boundary instead of dying
+// mid-round. Release it as soon as the loop returns, so whatever runs next
+// (the analysis, -serve) dies on a signal as usual.
+func interruptible() (context.Context, context.CancelFunc) {
+	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+}
+
+// run is main with its inputs and outputs as parameters: reports go to
+// stdout, progress and diagnostics to stderr, and the result is the process
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	e := &env{stdout: stdout, log: log.New(stderr, "", 0)}
+	fs := flag.NewFlagSet("countrymon", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Float64("scale", 0.12, "scenario scale (1.0 = paper scale)")
+	interval := fs.Int("interval", 6, "probing interval in hours (paper: 2)")
+	seed := fs.Uint64("seed", 1, "scenario seed")
+	save := fs.String("save", "", "write the generated dataset to this file")
+	load := fs.String("load", "", "load a dataset instead of generating")
+	region := fs.String("region", "Kherson", "region to detail")
+	asn := fs.Uint("as", 25482, "AS to detail")
+	minCov := fs.Float64("min-coverage", signals.DefaultMinCoverage,
+		"treat rounds below this probed-target fraction as missing")
+	metricsAddr := fs.String("metrics", "", "serve /metrics and /events on this address (e.g. :9090)")
+	var pr roundsFlags
+	fs.IntVar(&pr.n, "packet-rounds", 0, "first run an N-round packet-level campaign through the Monitor and cross-check it")
+	fs.IntVar(&pr.vantages, "vantages", 0, "run the packet-level campaign over a supervised fleet of N vantages")
+	fs.IntVar(&pr.quorum, "quorum", 0, "k of the fleet's k-of-n outage corroboration (0 = min(2, vantages))")
+	fs.StringVar(&pr.faults, "faults", "", "campaign fault-injection profile, e.g. \"seed=7,senderr=0.01,blackout=24h+8h\"")
+	fs.StringVar(&pr.vantageFaults, "vantage-faults", "", "per-vantage fault profiles, semicolon-separated in vantage order (overrides -faults for the fleet)")
+	fs.StringVar(&pr.checkpoint, "checkpoint", "", "campaign checkpoint file (atomic, written periodically)")
+	fs.StringVar(&pr.resume, "resume", "", "resume a killed campaign from this checkpoint file")
+	fs.StringVar(&pr.roundLog, "roundlog", "", "append-only per-round campaign journal (replayed over the checkpoint on restart)")
+	countries := fs.String("countries", "", "run a coordinated multi-country campaign over these codes (e.g. UA,RO) on synthetic models")
+	config := fs.String("config", "", "run a coordinated campaign from this campaign.Spec JSON file")
+	serveAddr := fs.String("serve", "", "after a coordinated campaign, serve the country-scoped API on this address (e.g. :8080)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	coordinated := *countries != "" || *config != ""
+	switch {
+	case *countries != "" && *config != "":
+		e.log.Print("-countries and -config are mutually exclusive")
+		return 2
+	case *serveAddr != "" && !coordinated:
+		e.log.Print("-serve needs a coordinated campaign (-countries or -config)")
+		return 2
+	case pr.n <= 0 && pr != (roundsFlags{}):
+		e.log.Print("-vantages, -quorum, -faults, -vantage-faults, -checkpoint, -resume and -roundlog need -packet-rounds")
+		return 2
+	case pr.vantageFaults != "" && pr.vantages <= 0:
+		e.log.Print("-vantage-faults needs -vantages")
+		return 2
+	}
+
 	if *metricsAddr != "" {
-		reg = obs.NewRegistry()
-		bus = obs.NewBus(0)
+		e.reg = obs.NewRegistry()
+		e.bus = obs.NewBus(0)
 		go func() {
-			log.Printf("observability on http://%s/metrics and /events", *metricsAddr)
-			if err := http.ListenAndServe(*metricsAddr, obs.Handler(reg, bus)); err != nil {
-				log.Printf("metrics server: %v", err)
+			e.log.Printf("observability on http://%s/metrics and /events", *metricsAddr)
+			if err := http.ListenAndServe(*metricsAddr, obs.Handler(e.reg, e.bus)); err != nil {
+				e.log.Printf("metrics server: %v", err)
 			}
 		}()
 	}
 
-	if *countries != "" || *config != "" {
-		runCoordinated(*countries, *config, *serveAddr, reg, bus)
-		return
-	}
-	if *serveAddr != "" {
-		log.Fatal("-serve needs a coordinated campaign (-countries or -config)")
+	if coordinated {
+		return e.runCoordinated(*countries, *config, *serveAddr)
 	}
 
 	cfg := sim.Config{Seed: *seed, Scale: *scale, Interval: time.Duration(*interval) * time.Hour}
-	log.Printf("building scenario (scale %.2f, %dh rounds)...", *scale, *interval)
+	e.log.Printf("building scenario (scale %.2f, %dh rounds)...", *scale, *interval)
 	sc := sim.MustBuild(cfg)
-	log.Printf("  %d ASes, %d /24 blocks, %d rounds over %s → %s",
+	e.log.Printf("  %d ASes, %d /24 blocks, %d rounds over %s → %s",
 		sc.Space.NumASes(), sc.Space.NumBlocks(), sc.TL.NumRounds(),
 		sc.TL.Start().Format("2006-01-02"), sc.TL.End().Format("2006-01-02"))
 
@@ -105,36 +189,44 @@ func main() {
 	if *load != "" {
 		var err error
 		if store, err = dataset.Load(*load); err != nil {
-			log.Fatalf("load: %v", err)
+			return e.fail("load: %v", err)
 		}
-		log.Printf("loaded %s: %d blocks × %d rounds", *load, store.NumBlocks(), store.Timeline().NumRounds())
+		// The analysis below reads the file against the scenario's space and
+		// geolocation: a dataset of another scale or interval would print a
+		// plausible report about the wrong world.
+		if err := countrymon.CheckResume(*load, store, sc.TL, sc.Space.Blocks()); err != nil {
+			return e.refuse(err)
+		}
+		e.log.Printf("loaded %s: %d blocks × %d rounds", *load, store.NumBlocks(), store.Timeline().NumRounds())
 	} else {
-		log.Printf("generating three-year campaign...")
+		e.log.Printf("generating three-year campaign...")
 		t0 := time.Now()
 		store = sc.GenerateStore(nil)
-		log.Printf("  done in %v", time.Since(t0).Round(time.Millisecond))
+		e.log.Printf("  done in %v", time.Since(t0).Round(time.Millisecond))
 	}
 	if *save != "" {
 		if err := store.Save(*save); err != nil {
-			log.Fatalf("save: %v", err)
+			return e.fail("save: %v", err)
 		}
 		fi, _ := os.Stat(*save)
-		log.Printf("saved %s (%d bytes)", *save, fi.Size())
+		e.log.Printf("saved %s (%d bytes)", *save, fi.Size())
 	}
 
-	if *packetRounds > 0 {
-		runPacketRounds(sc, store, *packetRounds, *vantages, *quorum, reg, bus)
+	if pr.n > 0 {
+		if code := e.runRounds(sc, store, pr, *seed, *minCov); code != 0 {
+			return code
+		}
 	}
 
-	log.Printf("classifying %d regions across %d months...", netmodel.NumRegions, store.Timeline().NumMonths())
+	e.log.Printf("classifying %d regions across %d months...", netmodel.NumRegions, store.Timeline().NumMonths())
 	cl := regional.NewClassifier(sc.Space, sc.GeoDB(), store)
 	res := cl.ClassifyAll(regional.DefaultParams())
 	counts := res.NationalCounts()
-	log.Printf("  regional %d / non-regional %d / temporal %d ASes",
+	e.log.Printf("  regional %d / non-regional %d / temporal %d ASes",
 		counts[regional.ASRegional], counts[regional.ASNonRegional], counts[regional.ASTemporal])
 
 	b := signals.NewBuilderMinCoverage(store, sc.Space, *minCov)
-	sigM := signals.NewMetrics(reg)
+	sigM := signals.NewMetrics(e.reg)
 	b.Observe(sigM)
 	tl := store.Timeline()
 
@@ -149,10 +241,10 @@ func main() {
 		}
 	}
 	effMissing := store.EffectiveMissing(*minCov)
-	log.Printf("data quality: %d vantage-outage rounds, %d partial rounds below %.0f%% coverage (both gated from signals)",
+	e.log.Printf("data quality: %d vantage-outage rounds, %d partial rounds below %.0f%% coverage (both gated from signals)",
 		outages, partial, 100**minCov)
 
-	fmt.Printf("\n%-16s %8s %8s %10s\n", "region", "events", "rounds", "hours")
+	fmt.Fprintf(stdout, "\n%-16s %8s %8s %10s\n", "region", "events", "rounds", "hours")
 	var rows []render.LabeledDetection
 	for _, r := range netmodel.Regions() {
 		d := signals.DetectObs(b.Region(res.Regions[r], cl), signals.RegionConfig(), sigM)
@@ -161,128 +253,48 @@ func main() {
 		if r.Frontline() {
 			fl = "  [frontline]"
 		}
-		fmt.Printf("%-16s %8d %8d %10.0f%s\n", r, len(d.Outages), d.TotalRounds(), hours, fl)
+		fmt.Fprintf(stdout, "%-16s %8d %8d %10.0f%s\n", r, len(d.Outages), d.TotalRounds(), hours, fl)
 		rows = append(rows, render.LabeledDetection{Label: r.String(), Detection: d, Missing: effMissing})
 	}
-	fmt.Println()
-	fmt.Print(render.Timeline(tl, rows, 100))
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, render.Timeline(tl, rows, 100))
 
 	target, _ := netmodel.RegionByName(*region)
 	if target.Valid() {
-		fmt.Printf("\n-- %s outage events (regional signal) --\n", target)
+		fmt.Fprintf(stdout, "\n-- %s outage events (regional signal) --\n", target)
 		d := signals.DetectObs(b.Region(res.Regions[target], cl), signals.RegionConfig(), sigM)
-		printOutages(d, tl.Interval(), store, 15)
+		printOutages(stdout, d, store, 15)
 	}
 
 	a := netmodel.ASN(*asn)
 	if sc.Space.Lookup(a) != nil {
-		fmt.Printf("\n-- %v (%s) outage events --\n", a, sc.Space.Lookup(a).Name)
+		fmt.Fprintf(stdout, "\n-- %v (%s) outage events --\n", a, sc.Space.Lookup(a).Name)
 		d := signals.DetectObs(b.AS(a), signals.ASConfig(), sigM)
-		printOutages(d, tl.Interval(), store, 15)
+		printOutages(stdout, d, store, 15)
 		daily := analysis.OutageHoursPerDay(d, tl)
 		total := 0.0
 		for _, v := range daily {
 			total += v
 		}
-		fmt.Printf("total outage hours: %.0f over %d events\n", total, len(d.Outages))
+		fmt.Fprintf(stdout, "total outage hours: %.0f over %d events\n", total, len(d.Outages))
 	}
+	return 0
 }
 
-func printOutages(d *signals.Detection, interval time.Duration, store *dataset.Store, limit int) {
+func printOutages(w io.Writer, d *signals.Detection, store *dataset.Store, limit int) {
 	tl := store.Timeline()
 	for i, o := range d.Outages {
 		if i >= limit {
-			fmt.Printf("... and %d more\n", len(d.Outages)-limit)
+			fmt.Fprintf(w, "... and %d more\n", len(d.Outages)-limit)
 			return
 		}
 		ongoing := ""
 		if o.Ongoing {
 			ongoing = " [ongoing/zero-BGP]"
 		}
-		fmt.Printf("%s → %s  %-14s %v%s\n",
+		fmt.Fprintf(w, "%s → %s  %-14s %v%s\n",
 			tl.Time(o.Start).Format("2006-01-02 15:04"),
 			tl.Time(o.End).Format("2006-01-02 15:04"),
-			o.Duration(interval).Round(time.Hour), o.Signals, ongoing)
+			o.Duration(tl.Interval()).Round(time.Hour), o.Signals, ongoing)
 	}
-}
-
-// runPacketRounds replays the first N rounds through the real scanner over
-// the simulated wire and cross-checks the fast generator's counts. With
-// vantages > 0 the rounds run through a supervised multi-vantage fleet
-// instead, whose fused output must agree just the same.
-func runPacketRounds(sc *sim.Scenario, store *dataset.Store, n, vantages, quorum int, reg *obs.Registry, bus *obs.Bus) {
-	log.Printf("packet-level validation: scanning %d rounds through the real scanner (vantages=%d)...", n, vantages)
-	scanM := scanner.NewMetrics(reg)
-	// Scan a tractable subset: the Kherson Table-5 ASes.
-	var prefixes []netmodel.Prefix
-	for _, asn := range sim.KhersonASNs() {
-		if as := sc.Space.Lookup(asn); as != nil {
-			prefixes = append(prefixes, as.Prefixes...)
-		}
-	}
-	ts, err := scanner.NewTargetSet(prefixes, nil)
-	if err != nil {
-		log.Fatalf("targets: %v", err)
-	}
-	local := netmodel.MustParseAddr("198.51.100.1")
-	baseCfg := scanner.Config{
-		Rate: scanner.DefaultRate * 10, Seed: 99,
-		Cooldown: 2 * time.Second,
-		Metrics:  scanM, Events: bus,
-	}
-	var sup *fleet.Supervisor
-	if vantages > 0 {
-		specs := make([]fleet.Spec, vantages)
-		for i := range specs {
-			specs[i] = fleet.Spec{
-				Name: fmt.Sprintf("v%d", i),
-				Transport: func(round int, at time.Time) (scanner.Transport, scanner.Clock, error) {
-					net := simnet.New(local, sc.Responder(), at)
-					return net, net, nil
-				},
-			}
-		}
-		sup, err = fleet.New(specs, fleet.Config{
-			Targets: ts, Scan: baseCfg, Quorum: quorum,
-			Registry: reg, Bus: bus,
-		})
-		if err != nil {
-			log.Fatalf("fleet: %v", err)
-		}
-	}
-	mismatches, checked := 0, 0
-	for round := 0; round < n && round < sc.TL.NumRounds(); round++ {
-		if sc.Missing[round] {
-			continue
-		}
-		at := sc.TL.Time(round)
-		cfg := baseCfg
-		cfg.Epoch = uint32(round + 1)
-		var rd *scanner.RoundData
-		if sup != nil {
-			var rep *fleet.RoundReport
-			rd, rep, err = sup.ScanRound(context.Background(), round, at, nil)
-			if err == nil && rep.SelfOutage {
-				log.Fatalf("fleet: self-outage in round %d with healthy sim vantages", round)
-			}
-		} else {
-			net := simnet.New(local, sc.Responder(), at)
-			cfg.Clock = net
-			rd, err = scanner.New(net, cfg).Run(ts)
-		}
-		if err != nil {
-			log.Fatalf("scan: %v", err)
-		}
-		for i := range rd.Blocks {
-			bi := store.BlockIndex(rd.Blocks[i].Block)
-			if bi < 0 {
-				continue
-			}
-			checked++
-			if int(rd.Blocks[i].RespCount) != store.Resp(bi, round) {
-				mismatches++
-			}
-		}
-	}
-	log.Printf("  %d block-rounds cross-checked, %d mismatches (scanner vs fast generator)", checked, mismatches)
 }

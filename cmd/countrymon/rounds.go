@@ -1,0 +1,236 @@
+package main
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"time"
+
+	"countrymon"
+	"countrymon/internal/dataset"
+	"countrymon/internal/faults"
+	"countrymon/internal/netmodel"
+	"countrymon/internal/scanner"
+	"countrymon/internal/sim"
+	"countrymon/internal/simnet"
+)
+
+// roundsFlags are the flags only the -packet-rounds campaign reads; all zero
+// when none of them was given.
+type roundsFlags struct {
+	n, vantages, quorum          int
+	faults, vantageFaults        string
+	checkpoint, resume, roundLog string
+}
+
+// runRounds is the single-country campaign behind -packet-rounds: a
+// countrymon.Monitor scans the first f.n rounds of the scenario's timeline
+// over the simulated wire — one scanner, or with -vantages a supervised
+// fleet — against the Kherson Table-5 ASes, with optional fault injection,
+// checkpointing, resume and the round journal, and the Monitor's store is
+// cross-checked against the fast generator's. SIGINT/SIGTERM stop the
+// campaign at the next round boundary after a final checkpoint. seed and
+// minCov are the analysis's -seed and -min-coverage. It returns the process
+// exit code (0 lets the analysis run).
+func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, seed uint64, minCov float64) int {
+	start, interval := sc.TL.Start(), sc.TL.Interval()
+	rounds := min(f.n, sc.TL.NumRounds())
+	profs, err := vantageProfiles(max(f.vantages, 1), f.faults, f.vantageFaults, start)
+	if err != nil {
+		e.log.Print(err)
+		return 2
+	}
+	var prefixes []netmodel.Prefix
+	for _, asn := range sim.KhersonASNs() {
+		if as := sc.Space.Lookup(asn); as != nil {
+			prefixes = append(prefixes, as.Prefixes...)
+		}
+	}
+
+	var (
+		fmu    sync.Mutex
+		faulty []*faults.Transport
+	)
+	// wire builds vantage vi's view of the simulated network from `at` on,
+	// behind the vantage's fault profile when it has one. The result is its
+	// own clock.
+	local := netmodel.MustParseAddr("198.51.100.1")
+	wire := func(vi int, at time.Time) countrymon.Transport {
+		net := simnet.New(local, sc.Responder(), at)
+		if profs[vi] == nil {
+			return net
+		}
+		p := *profs[vi]
+		p.Seed += uint64(vi) * 0x9e3779b9
+		ftr := faults.NewTransport(net, nil, p)
+		ftr.Observe(faults.NewMetrics(e.reg))
+		fmu.Lock()
+		faulty = append(faulty, ftr)
+		fmu.Unlock()
+		return ftr
+	}
+
+	opts := countrymon.Options{
+		Targets: prefixes,
+		Start:   start, Rounds: rounds, Interval: interval,
+		Rate: scanner.DefaultRate * 10, Seed: seed, Country: sc.Country,
+		CheckpointPath: f.checkpoint, ResumeFrom: f.resume, RoundLogPath: f.roundLog,
+		MinCoverage: minCov,
+		Registry:    e.reg, Bus: e.bus,
+	}
+	fleetNote := ""
+	if f.vantages > 0 {
+		// Every vantage builds a fresh network per scan, anchored at the
+		// round's scheduled time; the monitor's own clock only walks the
+		// timeline.
+		fleetNote = fmt.Sprintf(", fleet of %d vantages", f.vantages)
+		opts.Clock = scanner.NewVirtualClock(start)
+		opts.Quorum = f.quorum
+		for vi := 0; vi < f.vantages; vi++ {
+			opts.Vantages = append(opts.Vantages, countrymon.VantageSpec{
+				Name: fmt.Sprintf("v%d", vi),
+				Transport: func(round int, at time.Time) (countrymon.Transport, countrymon.Clock, error) {
+					return wire(vi, at), nil, nil
+				},
+			})
+		}
+	} else {
+		opts.Transport = wire(0, start)
+	}
+	mon, err := countrymon.New(opts)
+	if err != nil {
+		return e.refuse(err)
+	}
+	defer mon.Close()
+	if f.resume != "" {
+		e.log.Printf("resumed from %s at round %d of %d", f.resume, mon.Round(), rounds)
+	}
+	e.log.Printf("packet-level campaign: %d /24 blocks, %d rounds every %v through the Monitor%s",
+		mon.Store().NumBlocks(), rounds, interval, fleetNote)
+
+	ctx, stop := interruptible()
+	err = mon.Run(ctx, countrymon.RunConfig{
+		PreRound: func(round int) error {
+			if sc.Missing[round] {
+				return mon.MarkMissing()
+			}
+			return nil
+		},
+		Hooks: countrymon.Hooks{
+			OnRound: func(r int, stats countrymon.Stats) {
+				note := ""
+				switch {
+				case sc.Missing[r]:
+					note = "  [scenario vantage outage: recorded missing]"
+				case mon.Store().Missing(r):
+					note = "  [receive path dead: recorded missing]"
+				case mon.Store().Coverage(r) < 1:
+					note = fmt.Sprintf("  [partial: %.1f%% coverage]", 100*mon.Store().Coverage(r))
+				}
+				e.log.Printf("round %3d: sent %d valid %d%s", r, stats.Sent, stats.Valid, note)
+			},
+			OnCheckpoint: func(round int, path string) {
+				e.log.Printf("checkpoint: %d rounds -> %s", round, path)
+			},
+		},
+	})
+	stop()
+	switch {
+	case err == nil:
+	case errors.Is(err, context.Canceled):
+		msg := "no checkpoint configured"
+		if f.checkpoint != "" {
+			msg = "checkpoint written to " + f.checkpoint
+		}
+		e.log.Printf("countrymon: interrupted at round %d of %d (%s)", mon.Round(), rounds, msg)
+		return 130
+	default:
+		return e.fail("campaign: %v", err)
+	}
+
+	if len(faulty) > 0 {
+		var c faults.Counters
+		for _, t := range faulty {
+			tc := t.Counters()
+			c.SendErrors += tc.SendErrors
+			c.Drops += tc.Drops
+			c.RecvErrors += tc.RecvErrors
+			c.Truncated += tc.Truncated
+			c.Blackouts += tc.Blackouts
+		}
+		e.log.Printf("injected faults: %d send errors, %d drops, %d recv errors, %d truncated, %d silenced reads",
+			c.SendErrors, c.Drops, c.RecvErrors, c.Truncated, c.Blackouts)
+	}
+	rep, fleet := mon.FleetReport()
+	if rep.Suspects > 0 {
+		e.log.Printf("fleet fusion: %d suspect blocks (%d alive, %d down, %d held), %d steals",
+			rep.Suspects, rep.FusedAlive, rep.FusedDown, rep.FusedHeld, rep.Steals)
+	}
+
+	// Every fully covered round must read exactly what the fast generator
+	// computed for it; rounds below the gate are counted as failures instead
+	// (the scenario's own vantage outages are neither).
+	got := mon.Store()
+	checked, mismatches, low := 0, 0, 0
+	for r := 0; r < rounds; r++ {
+		switch {
+		case sc.Missing[r]:
+		case got.Missing(r) || got.Coverage(r) < minCov:
+			low++
+		case got.Done(r) && got.Coverage(r) >= 1:
+			for i, blk := range got.Blocks() {
+				if bi := store.BlockIndex(blk); bi >= 0 {
+					checked++
+					if got.Resp(i, r) != store.Resp(bi, r) {
+						mismatches++
+					}
+				}
+			}
+		}
+	}
+	e.log.Printf("  %d block-rounds cross-checked, %d mismatches (scanner vs fast generator)", checked, mismatches)
+
+	switch {
+	case low > 0:
+		e.log.Printf("countrymon: %d of %d rounds ended below the %.0f%% coverage threshold (gated from signals)",
+			low, rounds, 100*minCov)
+		return 1
+	case fleet && rep.Degraded():
+		e.log.Printf("countrymon: campaign completed degraded: quarantined=%v degraded_rounds=%d self_outages=%d",
+			rep.Quarantined, rep.DegradedRounds, rep.SelfOutages)
+		return 4
+	}
+	e.log.Printf("campaign complete: all %d rounds at full coverage", rounds)
+	return 0
+}
+
+// vantageProfiles resolves one fault profile per vantage, nil for a clean
+// one: perVantage assigns profiles positionally (semicolon-separated, empty
+// segments leave that vantage clean); without it the ambient profile, if any,
+// applies to every vantage. Window offsets count from base.
+func vantageProfiles(n int, ambient, perVantage string, base time.Time) ([]*faults.Profile, error) {
+	segs := strings.Split(perVantage, ";")
+	if perVantage == "" {
+		segs = make([]string, n)
+		for i := range segs {
+			segs[i] = ambient
+		}
+	}
+	if len(segs) > n {
+		return nil, fmt.Errorf("-vantage-faults has %d profiles for %d vantages", len(segs), n)
+	}
+	profs := make([]*faults.Profile, n)
+	for i, seg := range segs {
+		if seg = strings.TrimSpace(seg); seg == "" {
+			continue
+		}
+		p, err := faults.ParseProfile(seg, base)
+		if err != nil {
+			return nil, fmt.Errorf("fault profile of vantage %d: %w", i, err)
+		}
+		profs[i] = &p
+	}
+	return profs, nil
+}

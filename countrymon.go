@@ -197,17 +197,21 @@ type Options struct {
 	// Zero means signals.DefaultMinCoverage; negative disables the gate.
 	MinCoverage float64
 
-	// StreamSignals keeps derived signal series warm across the campaign:
-	// instead of rebuilding every queried series from scratch after each
-	// round, the monitor folds the new round into the already-built series
-	// at O(blocks) per round (signals.NewStreamingBuilder). Per-query
-	// results are byte-identical to the batch path.
+	// StreamSignals is read by nothing.
+	//
+	// Deprecated: ignored, the Monitor always folds each handled round into
+	// its warm signal series (signals.NewStreamingBuilder). The field stays
+	// declared only until the bench/ ledger stops naming it.
 	StreamSignals bool
 	// RoundLogPath enables the append-only per-round journal: each handled
-	// round is appended (one durable O(blocks) write) as it lands, and on
-	// startup any rounds in an existing journal that the checkpoint missed
-	// are replayed into the store before scanning resumes. Complements —
-	// does not replace — CheckpointPath snapshots.
+	// round is appended (one durable O(blocks) write) before it counts as
+	// handled, and on startup the complete records of an existing journal
+	// are replayed over the store (and over ResumeFrom's checkpoint, when
+	// both are given), so a killed campaign resumes at exactly its first
+	// unfinished round. A torn final record — a crash mid-append — is
+	// trimmed before the first new append. A journal alone is enough to
+	// resume; CheckpointPath snapshots only bound how much there is to
+	// replay.
 	RoundLogPath string
 
 	// Registry, when non-nil, receives the monitor's, scanner's and signal
@@ -252,7 +256,8 @@ type Monitor struct {
 	sigM     *signals.Metrics
 	campaign Stats
 
-	sigOnce  bool
+	// sigBuild is the warm streaming signals builder (nil until the first
+	// query, and again after an invalidation); space is its Space.
 	sigBuild *signals.Builder
 	space    *netmodel.Space
 
@@ -418,27 +423,38 @@ func (m *Monitor) resume(path string) error {
 	if err != nil {
 		return fmt.Errorf("countrymon: resume: %w", err)
 	}
-	ctl := st.Timeline()
-	want, got := m.store.Blocks(), st.Blocks()
-	mm := &ResumeMismatchError{
-		Path:         path,
-		WantTimeline: TimelineSpec{Start: m.tl.Start(), Interval: m.tl.Interval(), Rounds: m.tl.NumRounds()},
-		GotTimeline:  TimelineSpec{Start: ctl.Start(), Interval: ctl.Interval(), Rounds: ctl.NumRounds()},
-		WantBlocks:   len(want),
-		GotBlocks:    len(got),
-		FirstDiff:    -1,
-	}
-	if !mm.GotTimeline.Equal(mm.WantTimeline) || len(got) != len(want) {
-		return mm
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			mm.FirstDiff, mm.WantBlock, mm.GotBlock = i, want[i], got[i]
-			return mm
-		}
+	if err := CheckResume(path, st, m.tl, m.store.Blocks()); err != nil {
+		return err
 	}
 	m.store = st
 	m.round = st.NextUndone()
+	return nil
+}
+
+// CheckResume reports whether st — the checkpoint or dataset loaded from
+// path — describes the campaign with timeline tl over blocks: same start,
+// interval and round count, same block list. It returns nil or a
+// *ResumeMismatchError carrying both sides of the first conflict.
+func CheckResume(path string, st *dataset.Store, tl *timeline.Timeline, blocks []BlockID) error {
+	ctl := st.Timeline()
+	got := st.Blocks()
+	mm := &ResumeMismatchError{
+		Path:         path,
+		WantTimeline: TimelineSpec{Start: tl.Start(), Interval: tl.Interval(), Rounds: tl.NumRounds()},
+		GotTimeline:  TimelineSpec{Start: ctl.Start(), Interval: ctl.Interval(), Rounds: ctl.NumRounds()},
+		WantBlocks:   len(blocks),
+		GotBlocks:    len(got),
+		FirstDiff:    -1,
+	}
+	if !mm.GotTimeline.Equal(mm.WantTimeline) || len(got) != len(blocks) {
+		return mm
+	}
+	for i := range blocks {
+		if got[i] != blocks[i] {
+			mm.FirstDiff, mm.WantBlock, mm.GotBlock = i, blocks[i], got[i]
+			return mm
+		}
+	}
 	return nil
 }
 
@@ -724,19 +740,17 @@ func (m *Monitor) SetRouted(blk BlockID, round int, routed bool, origin ASN) {
 	m.invalidateFor(round, originsChanged)
 }
 
-func (m *Monitor) invalidate() { m.sigOnce = false }
+func (m *Monitor) invalidate() { m.sigBuild = nil }
 
-// foldRound advances a warm streaming builder past the just-handled round,
-// falling back to a full invalidation when streaming is off, no builder is
-// warm yet, or the fold fails.
+// foldRound advances the warm builder past the just-handled round; a failed
+// fold drops the builder, so the next query rebuilds it. Before the first
+// query there is nothing to fold into: the builder is built lazily over
+// whatever the store holds by then.
 func (m *Monitor) foldRound(round int) {
 	defer m.advanceServe(round)
-	if m.opts.StreamSignals && m.sigOnce && m.sigBuild != nil && m.sigBuild.Streaming() {
-		if err := m.sigBuild.Fold(round); err == nil {
-			return
-		}
+	if m.sigBuild != nil && m.sigBuild.Fold(round) != nil {
+		m.invalidate()
 	}
-	m.invalidate()
 }
 
 // AttachServe connects a serving read-path store to the monitor. Every round
@@ -784,13 +798,12 @@ func (s serveASSource) IPSValidMonth(month int) bool {
 	return month < len(es.IPSValidMonth) && es.IPSValidMonth[month]
 }
 
-// invalidateFor drops the cached signals builder unless a warm streaming
-// builder can absorb the change: routedness edits at or past the fold cursor
-// land when that round folds, while origin changes alter the AS grouping
-// itself and always force a rebuild.
+// invalidateFor drops the warm signals builder unless it can absorb the
+// change: routedness edits at or past the fold cursor land when that round
+// folds, while origin changes alter the AS grouping itself and always force
+// a rebuild.
 func (m *Monitor) invalidateFor(round int, originsChanged bool) {
-	if !originsChanged && m.opts.StreamSignals && m.sigOnce &&
-		m.sigBuild != nil && m.sigBuild.Streaming() && round >= m.sigBuild.NextFold() {
+	if !originsChanged && m.sigBuild != nil && round >= m.sigBuild.NextFold() {
 		return
 	}
 	m.invalidate()
@@ -827,19 +840,14 @@ func (m *Monitor) minCoverage() float64 {
 	}
 }
 
-// builder returns the (cached) signals builder and its Space.
+// builder returns the warm signals builder, building it (and its Space) over
+// the store's current contents when there is none.
 func (m *Monitor) builder() *signals.Builder {
-	if m.sigOnce && m.sigBuild != nil {
-		return m.sigBuild
-	}
-	m.space = m.buildSpace()
-	if m.opts.StreamSignals {
+	if m.sigBuild == nil {
+		m.space = m.buildSpace()
 		m.sigBuild = signals.NewStreamingBuilder(m.store, m.space, m.minCoverage())
-	} else {
-		m.sigBuild = signals.NewBuilderMinCoverage(m.store, m.space, m.minCoverage())
+		m.sigBuild.Observe(m.sigM)
 	}
-	m.sigBuild.Observe(m.sigM)
-	m.sigOnce = true
 	return m.sigBuild
 }
 

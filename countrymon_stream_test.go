@@ -3,6 +3,7 @@ package countrymon
 import (
 	"bytes"
 	"math"
+	"os"
 	"testing"
 	"time"
 
@@ -11,11 +12,11 @@ import (
 	"countrymon/internal/simnet"
 )
 
-// streamOpts builds the shared option set of the streaming-signals tests:
-// the standard outage scenario plus whatever durability knobs a variant
-// needs. Each call makes a fresh simnet, so independent runs see identical
+// streamOpts builds the shared option set of the signal-fold and journal
+// tests: the standard outage scenario plus a round log when a variant needs
+// one. Each call makes a fresh simnet, so independent runs see identical
 // virtual wire behaviour (rounds are scheduled on the timeline).
-func streamOpts(rounds int, stream bool, roundLog string) Options {
+func streamOpts(rounds int, roundLog string) Options {
 	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 	outFrom := start.Add(120 * 2 * time.Hour)
 	outTo := outFrom.Add(15 * 2 * time.Hour)
@@ -29,9 +30,15 @@ func streamOpts(rounds int, stream bool, roundLog string) Options {
 			netmodel.MustParseBlock("91.198.4.0/24"): 25482,
 			netmodel.MustParseBlock("91.198.5.0/24"): 25482,
 		},
-		StreamSignals: stream,
-		RoundLogPath:  roundLog,
+		RoundLogPath: roundLog,
 	}
+}
+
+// batchOracle builds the batch signals builder — the test oracle the Monitor
+// itself no longer constructs — over the monitor's finished store, with the
+// monitor's own origins and coverage gate.
+func batchOracle(mon *Monitor) *signals.Builder {
+	return signals.NewBuilderMinCoverage(mon.Store(), mon.buildSpace(), mon.minCoverage())
 }
 
 func sameEntitySeries(t *testing.T, label string, want, got *signals.EntitySeries) {
@@ -55,83 +62,71 @@ func sameEntitySeries(t *testing.T, label string, want, got *signals.EntitySerie
 	}
 }
 
-// TestMonitorStreamSignalsMatchesBatch runs the same campaign with and
-// without StreamSignals, querying the streaming monitor's signals every
-// round — so each subsequent round folds into a warm builder instead of
-// invalidating it — and requires bit-identical series and detections.
+// TestMonitorStreamSignalsMatchesBatch queries the monitor's signals before
+// and after every round — so the builder is warm from the empty store on and
+// every round folds into it — and requires series and detections
+// bit-identical to the batch oracle built once over the finished store.
 func TestMonitorStreamSignalsMatchesBatch(t *testing.T) {
 	const rounds = 200
-	run := func(stream bool) *Monitor {
-		mon, err := New(streamOpts(rounds, stream, ""))
-		if err != nil {
-			t.Fatal(err)
+	mon, err := New(streamOpts(rounds, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := mon.builder()
+	for mon.NextRound() {
+		round := mon.Round()
+		for _, blk := range mon.Store().Blocks() {
+			mon.SetRouted(blk, round, true, 25482)
 		}
-		for mon.NextRound() {
-			round := mon.Round()
-			for _, blk := range mon.Store().Blocks() {
-				mon.SetRouted(blk, round, true, 25482)
-			}
-			if _, err := mon.ScanRound(); err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-			if stream {
-				// Query mid-campaign: this materializes the streaming
-				// builder, and MarkMissing/fold keep it warm from here on.
-				if es := mon.ASSeries(25482); es == nil {
-					t.Fatal("nil series")
-				}
-			}
+		if _, err := mon.ScanRound(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
-		return mon
+		if es := mon.ASSeries(25482); es == nil {
+			t.Fatal("nil series")
+		}
+	}
+	if mon.builder() != warm {
+		t.Fatal("the builder was rebuilt mid-campaign instead of folding every round")
 	}
 
-	batch := run(false)
-	streamed := run(true)
-
-	sameEntitySeries(t, "AS25482", batch.ASSeries(25482), streamed.ASSeries(25482))
-	sameOutages(t, "DetectAS", streamed.DetectAS(25482).Outages, batch.DetectAS(25482).Outages)
-	if len(batch.DetectAS(25482).Outages) != 1 {
-		t.Fatalf("scenario outages = %+v, want the scripted one", batch.DetectAS(25482).Outages)
+	want := batchOracle(mon).AS(25482)
+	sameEntitySeries(t, "AS25482", want, mon.ASSeries(25482))
+	oracle := signals.Detect(want, signals.ASConfig())
+	sameOutages(t, "DetectAS", mon.DetectAS(25482).Outages, oracle.Outages)
+	if len(oracle.Outages) != 1 {
+		t.Fatalf("scenario outages = %+v, want the scripted one", oracle.Outages)
 	}
 }
 
 // TestMonitorStreamSignalsWithMissingRounds exercises the fold across
-// MarkMissing rounds: the streaming monitor skips two rounds as vantage
-// outages while keeping its builder warm, and must agree with a batch
-// monitor doing the same.
+// MarkMissing rounds: the monitor skips two rounds as vantage outages while
+// keeping its builder warm, and must agree with the batch oracle.
 func TestMonitorStreamSignalsWithMissingRounds(t *testing.T) {
 	const rounds = 120
-	run := func(stream bool) *Monitor {
-		mon, err := New(streamOpts(rounds, stream, ""))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for mon.NextRound() {
-			round := mon.Round()
-			if round == 50 || round == 51 {
-				if err := mon.MarkMissing(); err != nil {
-					t.Fatal(err)
-				}
-				if stream {
-					mon.ASSeries(25482)
-				}
-				continue
-			}
-			for _, blk := range mon.Store().Blocks() {
-				mon.SetRouted(blk, round, true, 25482)
-			}
-			if _, err := mon.ScanRound(); err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-			if stream {
-				mon.ASSeries(25482)
-			}
-		}
-		return mon
+	mon, err := New(streamOpts(rounds, ""))
+	if err != nil {
+		t.Fatal(err)
 	}
-	batch, streamed := run(false), run(true)
-	sameEntitySeries(t, "AS25482", batch.ASSeries(25482), streamed.ASSeries(25482))
-	if !streamed.ASSeries(25482).Missing[50] || !streamed.ASSeries(25482).Missing[51] {
+	for mon.NextRound() {
+		round := mon.Round()
+		if round == 50 || round == 51 {
+			if err := mon.MarkMissing(); err != nil {
+				t.Fatal(err)
+			}
+			mon.ASSeries(25482)
+			continue
+		}
+		for _, blk := range mon.Store().Blocks() {
+			mon.SetRouted(blk, round, true, 25482)
+		}
+		if _, err := mon.ScanRound(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		mon.ASSeries(25482)
+	}
+	got := mon.ASSeries(25482)
+	sameEntitySeries(t, "AS25482", batchOracle(mon).AS(25482), got)
+	if !got.Missing[50] || !got.Missing[51] {
 		t.Fatal("marked rounds not missing in streamed series")
 	}
 }
@@ -145,7 +140,7 @@ func TestRoundLogCrashResume(t *testing.T) {
 	const rounds = 60
 	dir := t.TempDir()
 
-	ref, err := New(streamOpts(rounds, true, dir+"/ref.cmrl"))
+	ref, err := New(streamOpts(rounds, dir+"/ref.cmrl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +153,7 @@ func TestRoundLogCrashResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	killed, err := New(streamOpts(rounds, true, dir+"/killed.cmrl"))
+	killed, err := New(streamOpts(rounds, dir+"/killed.cmrl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +162,7 @@ func TestRoundLogCrashResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := New(streamOpts(rounds, true, dir+"/killed.cmrl"))
+	res, err := New(streamOpts(rounds, dir+"/killed.cmrl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +186,92 @@ func TestRoundLogCrashResume(t *testing.T) {
 		res.DetectAS(25482).Outages, ref.DetectAS(25482).Outages)
 }
 
+// TestRoundLogTornTailTwice crashes a journalled campaign mid-append twice:
+// each kill leaves the last record short by a few bytes (or by most of it),
+// and each restart must replay the complete records, trim the torn one,
+// rescan that round and append behind clean bytes. A journal that kept the
+// torn bytes would survive the first restart and refuse the second.
+func TestRoundLogTornTailTwice(t *testing.T) {
+	const rounds = 40
+	dir := t.TempDir()
+
+	ref, err := New(streamOpts(rounds, dir+"/ref.cmrl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runRounds(t, ref, -1)
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var refBytes bytes.Buffer
+	if _, err := ref.Store().WriteTo(&refBytes); err != nil {
+		t.Fatal(err)
+	}
+	refLog, err := os.ReadFile(dir + "/ref.cmrl")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := dir + "/torn.cmrl"
+	// crash runs the campaign to stopAt, then tears cut bytes off the last
+	// record, as a kill between Write and the end of the fsync would.
+	crash := func(stopAt, wantResume int, cut int64) {
+		t.Helper()
+		mon, err := New(streamOpts(rounds, path))
+		if err != nil {
+			t.Fatalf("restart before round %d: %v", stopAt, err)
+		}
+		if mon.Round() != wantResume {
+			t.Fatalf("resumed at round %d, want %d", mon.Round(), wantResume)
+		}
+		runRounds(t, mon, stopAt)
+		if err := mon.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, fi.Size()-cut); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crash(12, 0, 3)   // round 11's record loses its last 3 bytes
+	crash(27, 11, 20) // round 26's record loses most of its routed bitset
+
+	res, err := New(streamOpts(rounds, path))
+	if err != nil {
+		t.Fatalf("second restart: %v", err)
+	}
+	if res.Round() != 26 {
+		t.Fatalf("resumed at round %d, want 26", res.Round())
+	}
+	runRounds(t, res, -1)
+	if err := res.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var resBytes bytes.Buffer
+	if _, err := res.Store().WriteTo(&resBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(refBytes.Bytes(), resBytes.Bytes()) {
+		t.Fatal("store after two torn-tail restarts differs from the uninterrupted run")
+	}
+	gotLog, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(refLog, gotLog) {
+		t.Fatalf("journal after two torn-tail restarts is %d bytes, the uninterrupted one %d",
+			len(gotLog), len(refLog))
+	}
+}
+
 // TestRoundLogRejectsMismatchedCampaign guards journal validation: a log
 // from a different campaign shape must not be silently adopted.
 func TestRoundLogRejectsMismatchedCampaign(t *testing.T) {
 	dir := t.TempDir()
-	mon, err := New(streamOpts(40, false, dir+"/a.cmrl"))
+	mon, err := New(streamOpts(40, dir+"/a.cmrl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +279,7 @@ func TestRoundLogRejectsMismatchedCampaign(t *testing.T) {
 	if err := mon.Close(); err != nil {
 		t.Fatal(err)
 	}
-	opts := streamOpts(80, false, dir+"/a.cmrl") // different round count
+	opts := streamOpts(80, dir+"/a.cmrl") // different round count
 	if _, err := New(opts); err == nil {
 		t.Fatal("mismatched round log accepted")
 	}

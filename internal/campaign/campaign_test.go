@@ -13,6 +13,7 @@ import (
 
 	countrymon "countrymon"
 	"countrymon/internal/par"
+	"countrymon/internal/scanner"
 )
 
 // testSpec is the standard two-country campaign: synthetic UA and RO models
@@ -95,17 +96,16 @@ func soloCountry(t *testing.T, spec *Spec, code string) *countrymon.Monitor {
 		})
 	}
 	mon, err := countrymon.New(countrymon.Options{
-		Vantages:      vantages,
-		Clock:         &vclock{now: spec.Start},
-		Targets:       targets,
-		Start:         spec.Start,
-		Interval:      spec.Interval,
-		Rounds:        spec.Rounds,
-		Rate:          spec.CountryRate(code),
-		Seed:          cs.Seed,
-		Origins:       origins,
-		Country:       code,
-		StreamSignals: true,
+		Vantages: vantages,
+		Clock:    scanner.NewVirtualClock(spec.Start),
+		Targets:  targets,
+		Start:    spec.Start,
+		Interval: spec.Interval,
+		Rounds:   spec.Rounds,
+		Rate:     spec.CountryRate(code),
+		Seed:     cs.Seed,
+		Origins:  origins,
+		Country:  code,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"time"
 
 	countrymon "countrymon"
@@ -70,28 +69,6 @@ type Coordinator struct {
 	countries []*Country
 	router    *serve.Router
 	round     int
-}
-
-// vclock is the campaign's virtual clock: fleet transports own per-scan
-// time, so this only anchors the Monitors' round scheduling.
-type vclock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (c *vclock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *vclock) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
 }
 
 // New compiles a validated spec into a running coordinator: one shared
@@ -194,8 +171,10 @@ func newCountry(spec *Spec, cs *CountrySpec, sup *fleet.Supervisor, opts Options
 	}
 
 	monOpts := countrymon.Options{
-		Fleet:    camp,
-		Clock:    &vclock{now: spec.Start},
+		Fleet: camp,
+		// Fleet transports own per-scan time; this clock only anchors the
+		// Monitor's round scheduling.
+		Clock:    scanner.NewVirtualClock(spec.Start),
 		Targets:  targets,
 		Start:    spec.Start,
 		Interval: spec.Interval,
@@ -203,12 +182,8 @@ func newCountry(spec *Spec, cs *CountrySpec, sup *fleet.Supervisor, opts Options
 		Seed:     cs.Seed,
 		Origins:  origins,
 		Country:  cs.Code,
-		// Streaming signals are load-bearing here, not an optimization: the
-		// coordinator feeds routedness per round with a serve store attached,
-		// and only the streaming builder absorbs those edits incrementally.
-		StreamSignals: true,
-		Registry:      opts.Registry,
-		Bus:           opts.Bus,
+		Registry: opts.Registry,
+		Bus:      opts.Bus,
 	}
 	if spec.CheckpointRoot != "" {
 		monOpts.CheckpointPath = filepath.Join(spec.CheckpointRoot, cs.Code+".ckpt")

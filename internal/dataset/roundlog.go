@@ -21,13 +21,29 @@ import (
 //	         routed bitset [(nblocks+63)/64]u64 (bit b = block b routed)
 //
 // Each record is one Write followed by one fsync, so a crash leaves at most
-// one truncated record at the tail — which replay tolerates silently.
+// one truncated record at the tail — which replay skips and the next open
+// trims, so new records never land behind torn bytes.
 const (
 	roundLogMagic   = "CMRL"
 	roundLogVersion = 1
 )
 
-const roundLogHeaderLen = 4 + 4 + 4 + 4
+const (
+	roundLogHeaderLen = 4 + 4 + 4 + 4
+	// roundLogRecordHeaderLen is a record's fixed part: round, flags,
+	// coverage, elen.
+	roundLogRecordHeaderLen = 4 + 1 + 2 + 4
+)
+
+// roundLogRecordLen returns the full framed length of the record whose fixed
+// part is hdr.
+func roundLogRecordLen(hdr []byte, nblocks int) (int, error) {
+	elen := int(binary.LittleEndian.Uint32(hdr[7:]))
+	if elen > 2*nblocks+64 {
+		return 0, fmt.Errorf("dataset: round log: implausible column length %d", elen)
+	}
+	return roundLogRecordHeaderLen + elen + 8*((nblocks+63)/64), nil
+}
 
 // RoundLog appends per-round records to a journal file. Not safe for
 // concurrent use; the campaign loop owns it.
@@ -41,7 +57,9 @@ type RoundLog struct {
 }
 
 // OpenRoundLog opens (or creates) the journal at path for appending rounds
-// of s. An existing log's header must match the store's dimensions.
+// of s. An existing log's header must match the store's dimensions; a torn
+// final record (a crash mid-append) is cut off, durably, before the log is
+// positioned for appending.
 func OpenRoundLog(path string, s *Store) (*RoundLog, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -82,12 +100,44 @@ func OpenRoundLog(path string, s *Store) (*RoundLog, error) {
 			f.Close()
 			return nil, err
 		}
-		if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		if err := l.trimTornTail(st.Size()); err != nil {
 			f.Close()
 			return nil, err
 		}
 	}
 	return l, nil
+}
+
+// trimTornTail walks the record framing of a size-byte journal, truncates it
+// at the end of its last complete record and leaves the file offset there.
+// Appending at the old end of file instead would put the next record behind
+// the torn bytes, where replay reads the two as one corrupt record.
+func (l *RoundLog) trimTornTail(size int64) error {
+	var hdr [roundLogRecordHeaderLen]byte
+	end := int64(roundLogHeaderLen)
+	for end+int64(len(hdr)) <= size {
+		if _, err := l.f.ReadAt(hdr[:], end); err != nil {
+			return err
+		}
+		n, err := roundLogRecordLen(hdr[:], l.nblocks)
+		if err != nil {
+			return err
+		}
+		if end+int64(n) > size {
+			break
+		}
+		end += int64(n)
+	}
+	if end < size {
+		if err := l.f.Truncate(end); err != nil {
+			return err
+		}
+		if err := l.f.Sync(); err != nil {
+			return err
+		}
+	}
+	_, err := l.f.Seek(end, io.SeekStart)
+	return err
 }
 
 func checkRoundLogHeader(hdr []byte, rounds, nblocks int) error {
@@ -184,28 +234,26 @@ func ReplayRoundLog(s *Store, path string) ([]int, error) {
 	col := make([]uint8, nblocks)
 	var applied []int
 	pos := roundLogHeaderLen
-	for pos < len(buf) {
-		if pos+11 > len(buf) {
-			break // truncated tail
-		}
+	for pos+roundLogRecordHeaderLen <= len(buf) {
 		round := int(binary.LittleEndian.Uint32(buf[pos:]))
 		flags := buf[pos+4]
 		cov := binary.LittleEndian.Uint16(buf[pos+5:])
-		elen := int(binary.LittleEndian.Uint32(buf[pos+7:]))
-		if elen > 2*nblocks+64 {
-			return applied, fmt.Errorf("dataset: round log: implausible column length %d", elen)
+		n, err := roundLogRecordLen(buf[pos:], nblocks)
+		if err != nil {
+			return applied, err
 		}
-		end := pos + 11 + elen + 8*words
+		end := pos + n
 		if end > len(buf) {
 			break // truncated tail
 		}
 		if round >= rounds {
 			return applied, fmt.Errorf("dataset: round log: round %d out of range", round)
 		}
-		if err := deltaRLEDecode(col, buf[pos+11:pos+11+elen]); err != nil {
+		col0 := pos + roundLogRecordHeaderLen
+		if err := deltaRLEDecode(col, buf[col0:end-8*words]); err != nil {
 			return applied, fmt.Errorf("dataset: round log round %d: %w", round, err)
 		}
-		routed := buf[pos+11+elen : end]
+		routed := buf[end-8*words : end]
 		for bi := 0; bi < nblocks; bi++ {
 			w := binary.LittleEndian.Uint64(routed[8*(bi/64):])
 			s.SetRound(bi, round, int(col[bi]), w>>(bi%64)&1 == 1)

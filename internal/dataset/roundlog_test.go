@@ -216,6 +216,80 @@ func TestRoundLogTruncatedTailTolerated(t *testing.T) {
 	}
 }
 
+// TestRoundLogTornTailTrimmedOnReopen tears the final record at every
+// possible length, then does what a restarted campaign does: replay, reopen,
+// rescan the torn round and carry on. The reopened journal must drop the torn
+// bytes before appending — otherwise the new record lands behind them and the
+// next replay reads the two as one corrupt (or, with only a few bytes
+// missing, silently spliced) record — and end byte-identical to a journal
+// that never crashed.
+func TestRoundLogTornTailTrimmedOnReopen(t *testing.T) {
+	src := roundLogStore(t)
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "ref.cmrl")
+	l, err := OpenRoundLog(ref, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int // journal size after each record
+	for r := 0; r < 5; r++ {
+		logRound(t, l, src, r, 0)
+		fi, err := os.Stat(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, int(fi.Size()))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The crash tears record 2; rounds 2, 3 and 4 follow the restart.
+	whole, last := sizes[2], sizes[2]-sizes[1]
+	for cut := 1; cut <= last; cut++ {
+		path := filepath.Join(dir, "torn.cmrl")
+		if err := os.WriteFile(path, want[:whole-cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		dst := roundLogStore(t)
+		applied, err := ReplayRoundLog(dst, path)
+		if err != nil || len(applied) != 2 {
+			t.Fatalf("cut %d: replay of the torn journal applied %v, err %v", cut, applied, err)
+		}
+		l, err := OpenRoundLog(path, dst)
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		for r := 2; r < 5; r++ {
+			logRound(t, l, dst, r, 0)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("cut %d: journal is %d bytes after the restart, an uninterrupted one %d: torn tail not trimmed",
+				cut, len(got), len(want))
+		}
+		again := roundLogStore(t)
+		applied, err = ReplayRoundLog(again, path)
+		if err != nil || len(applied) != 5 {
+			t.Fatalf("cut %d: second replay applied %v, err %v", cut, applied, err)
+		}
+		for r := 0; r < 5; r++ {
+			assertRoundEqual(t, src, again, r)
+		}
+	}
+}
+
 func TestRoundLogValidation(t *testing.T) {
 	src := roundLogStore(t)
 	dir := t.TempDir()

@@ -25,45 +25,31 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes the per-vantage circuit breaker.
-type BreakerConfig struct {
-	// Threshold is how many consecutive heartbeat failures trip the
-	// breaker (default 3).
-	Threshold int
-	// OpenRounds is the initial quarantine length in rounds (default 2);
-	// every failed half-open trial doubles it, up to MaxOpenRounds
-	// (default 16).
-	OpenRounds    int
-	MaxOpenRounds int
+// breakerConfig tunes a circuit breaker; every vantage runs defaultBreaker.
+type breakerConfig struct {
+	// threshold is how many consecutive heartbeat failures trip the breaker.
+	threshold int
+	// openRounds is the initial quarantine length in rounds; every failed
+	// half-open trial doubles it, up to maxOpenRounds.
+	openRounds    int
+	maxOpenRounds int
 }
 
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = 3
-	}
-	if c.OpenRounds <= 0 {
-		c.OpenRounds = 2
-	}
-	if c.MaxOpenRounds <= 0 {
-		c.MaxOpenRounds = 16
-	}
-	return c
-}
+var defaultBreaker = breakerConfig{threshold: 3, openRounds: 2, maxOpenRounds: 16}
 
 // breaker is the closed → open → half-open state machine guarding one
 // vantage. All transitions happen on the supervisor goroutine between scan
 // waves, in fixed vantage order, so fleet rounds stay deterministic.
 type breaker struct {
-	cfg         BreakerConfig
+	cfg         breakerConfig
 	state       BreakerState
 	consecFails int
 	quarantine  int // current quarantine length (rounds), doubles on relapse
 	trialAt     int // first round at which a half-open trial may run
 }
 
-func newBreaker(cfg BreakerConfig) breaker {
-	cfg = cfg.withDefaults()
-	return breaker{cfg: cfg, quarantine: cfg.OpenRounds}
+func newBreaker(cfg breakerConfig) breaker {
+	return breaker{cfg: cfg, quarantine: cfg.openRounds}
 }
 
 // beginRound advances open → half-open when the quarantine has expired and
@@ -82,14 +68,14 @@ func (b *breaker) success() bool {
 	b.consecFails = 0
 	if b.state == HalfOpen {
 		b.state = Closed
-		b.quarantine = b.cfg.OpenRounds
+		b.quarantine = b.cfg.openRounds
 		return true
 	}
 	return false
 }
 
 // failure records a missed heartbeat during round. A closed breaker trips
-// after Threshold consecutive failures; a half-open trial failure reopens
+// after threshold consecutive failures; a half-open trial failure reopens
 // immediately with a doubled quarantine. It reports whether the breaker
 // (re)opened.
 func (b *breaker) failure(round int) bool {
@@ -97,14 +83,14 @@ func (b *breaker) failure(round int) bool {
 	switch b.state {
 	case HalfOpen:
 		b.quarantine *= 2
-		if b.quarantine > b.cfg.MaxOpenRounds {
-			b.quarantine = b.cfg.MaxOpenRounds
+		if b.quarantine > b.cfg.maxOpenRounds {
+			b.quarantine = b.cfg.maxOpenRounds
 		}
 		b.state = Open
 		b.trialAt = round + 1 + b.quarantine
 		return true
 	case Closed:
-		if b.consecFails >= b.cfg.Threshold {
+		if b.consecFails >= b.cfg.threshold {
 			b.state = Open
 			b.trialAt = round + 1 + b.quarantine
 			return true

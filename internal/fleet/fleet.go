@@ -15,7 +15,7 @@
 //
 // One physical fleet can carry several campaigns (one per monitored
 // country): vantage identity — breakers, health EWMAs, quarantine — is
-// shared, while targets, rate budget, quorum, belief and the accounting of
+// shared, while targets, rate budget, belief and the accounting of
 // steals/degraded rounds/self-outages are per campaign (Join). A vantage
 // blackout observed during country A's round quarantines the vantage for
 // every campaign, and each campaign's report attributes only the steals and
@@ -72,23 +72,11 @@ type Config struct {
 	// and Rate is scaled by each campaign's RateShare so the per-vantage
 	// budget holds across campaigns.
 	Scan scanner.Config
-	// Shards is how many shards a round's primary scan splits into
-	// (default: the number of vantages).
-	Shards int
 	// Quorum is k of the k-of-n corroboration: the coverage-weighted dark
 	// votes needed before a suspect block transitions to down (default
 	// min(2, vantages); the effective quorum never exceeds the vantages
 	// that produced a verdict).
 	Quorum int
-	// MinShardCoverage is the heartbeat gate: a shard scan below this
-	// coverage counts as a missed heartbeat and is rescanned elsewhere
-	// (default 0.8).
-	MinShardCoverage float64
-	// Breaker tunes the per-vantage circuit breaker.
-	Breaker BreakerConfig
-	// HealthAlpha is the EWMA weight of the newest heartbeat in the
-	// per-vantage health score (default 0.3).
-	HealthAlpha float64
 
 	// Registry and Bus attach the fleet's instruments and event stream.
 	Registry *obs.Registry
@@ -157,16 +145,13 @@ type Supervisor struct {
 }
 
 // Campaign is one country's (or target set's) view of a shared fleet: its
-// own targets, rate budget, quorum, fused belief and accounting, over the
-// supervisor's shared vantages and breakers.
+// own targets, rate budget, fused belief and accounting, over the
+// supervisor's shared vantages, breakers and quorum.
 type Campaign struct {
 	s          *Supervisor
 	name       string
 	targets    *scanner.TargetSet
-	scan       scanner.Config // base Scan with Rate scaled by RateShare
-	shards     int
-	quorum     int
-	minCov     float64
+	scan       scanner.Config  // base Scan with Rate scaled by RateShare
 	transports []TransportFunc // per vantage index; nil entry = spec default
 
 	// lastResp is the fused per-block belief of the most recent usable
@@ -194,10 +179,6 @@ type CampaignConfig struct {
 	// what enforces the per-vantage budget globally. 0 defaults to 1 (the
 	// whole budget — a solo campaign).
 	RateShare float64
-	// Quorum, Shards and MinShardCoverage default to the supervisor's.
-	Quorum           int
-	Shards           int
-	MinShardCoverage float64
 	// Seed overrides the base scan seed when non-zero, so per-country scans
 	// stay reproducible against their solo equivalents.
 	Seed uint64
@@ -248,20 +229,11 @@ func NewShared(specs []Spec, cfg Config) (*Supervisor, error) {
 		}
 		seen[specs[i].Name] = true
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = len(specs)
-	}
 	if cfg.Quorum <= 0 {
 		cfg.Quorum = 2
 		if len(specs) < 2 {
 			cfg.Quorum = 1
 		}
-	}
-	if cfg.MinShardCoverage <= 0 {
-		cfg.MinShardCoverage = 0.8
-	}
-	if cfg.HealthAlpha <= 0 || cfg.HealthAlpha > 1 {
-		cfg.HealthAlpha = 0.3
 	}
 	s := &Supervisor{
 		cfg:   cfg,
@@ -270,7 +242,7 @@ func NewShared(specs []Spec, cfg Config) (*Supervisor, error) {
 		bus:   cfg.Bus,
 	}
 	for _, sp := range specs {
-		v := &vantage{spec: sp, br: newBreaker(cfg.Breaker), health: 1,
+		v := &vantage{spec: sp, br: newBreaker(defaultBreaker), health: 1,
 			healthG: s.m.health.With(sp.Name)}
 		v.healthG.Set(1000)
 		s.vantages = append(s.vantages, v)
@@ -303,15 +275,6 @@ func (s *Supervisor) Join(cfg CampaignConfig) (*Campaign, error) {
 		return nil, fmt.Errorf("fleet: campaign %q: rate shares exceed the fleet budget (%.3f + %.3f > 1)",
 			cfg.Name, s.shareUsed, cfg.RateShare)
 	}
-	if cfg.Quorum <= 0 {
-		cfg.Quorum = s.cfg.Quorum
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = s.cfg.Shards
-	}
-	if cfg.MinShardCoverage <= 0 {
-		cfg.MinShardCoverage = s.cfg.MinShardCoverage
-	}
 	scan := s.cfg.Scan
 	if scan.Rate > 0 {
 		scan.Rate = int(float64(scan.Rate)*cfg.RateShare + 0.5)
@@ -324,9 +287,6 @@ func (s *Supervisor) Join(cfg CampaignConfig) (*Campaign, error) {
 		name:       cfg.Name,
 		targets:    cfg.Targets,
 		scan:       scan,
-		shards:     cfg.Shards,
-		quorum:     cfg.Quorum,
-		minCov:     cfg.MinShardCoverage,
 		transports: make([]TransportFunc, len(s.vantages)),
 		lastResp:   make([]int, cfg.Targets.NumBlocks()),
 		openSeen:   make([]bool, len(s.vantages)),
@@ -397,14 +357,6 @@ func (s *Supervisor) Report() CampaignReport {
 // State returns a vantage's current breaker state (by fleet order index).
 func (s *Supervisor) State(i int) BreakerState { return s.vantages[i].br.state }
 
-// ScanRound scans the default campaign's round (see Campaign.ScanRound).
-func (s *Supervisor) ScanRound(ctx context.Context, round int, at time.Time, prev PrevFunc) (*scanner.RoundData, *RoundReport, error) {
-	if s.def == nil {
-		return nil, nil, errors.New("fleet: no default campaign (built with NewShared); use Join")
-	}
-	return s.def.ScanRound(ctx, round, at, prev)
-}
-
 // Name returns the campaign's label.
 func (c *Campaign) Name() string { return c.name }
 
@@ -424,6 +376,10 @@ type scanOut struct {
 	rd  *scanner.RoundData
 	err error
 }
+
+// minShardCoverage is the heartbeat gate: a shard scan below this coverage
+// counts as a missed heartbeat and is rescanned elsewhere.
+const minShardCoverage = 0.8
 
 // PrevFunc supplies the last believed response count of a block (by target
 // block index) for suspect detection; ok=false means no belief yet.
@@ -463,8 +419,8 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 		}
 	}
 
-	shards := c.shards
-	jobs, unassigned := c.assign(states, round, shards)
+	shards := n // a round's primary scan splits into one shard per vantage
+	jobs, unassigned := c.assign(states, round)
 	rep.Uncovered = unassigned
 
 	// Scan waves with same-round failover: failed shards are stolen by the
@@ -493,7 +449,7 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 			out := outs[i]
 			v := s.vantages[j.vi]
 			if out.err == nil && out.rd != nil && !out.rd.RecvDead &&
-				out.rd.Coverage() >= c.minCov {
+				out.rd.Coverage() >= minShardCoverage {
 				results[j.shard] = out.rd
 				owners[j.shard] = j.vi
 				okScans[j.vi]++
@@ -541,23 +497,23 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 		return nil, rep, nil
 	}
 
-	merged := c.merge(results, shards)
+	merged := c.merge(results)
 	c.corroborate(ctx, round, at, prev, merged, results, owners, poisoned, rep)
 	c.settleRound(rep, okScans, failScans, poisoned, merged, round)
 	return merged, rep, nil
 }
 
-// assign distributes the round's shards over eligible vantages: round-robin
-// in fixed vantage order with a rotating per-round offset, half-open
-// vantages capped at one trial shard. Returns the jobs in shard order and
-// how many shards found no vantage at all.
-func (c *Campaign) assign(states []BreakerState, round, shards int) ([]scanJob, int) {
+// assign distributes the round's shards (one per vantage) over eligible
+// vantages: round-robin in fixed vantage order with a rotating per-round
+// offset, half-open vantages capped at one trial shard. Returns the jobs in
+// shard order and how many shards found no vantage at all.
+func (c *Campaign) assign(states []BreakerState, round int) ([]scanJob, int) {
 	n := len(c.s.vantages)
-	jobs := make([]scanJob, 0, shards)
+	jobs := make([]scanJob, 0, n)
 	unassigned := 0
 	trialUsed := make([]bool, n)
 	cursor := round % n
-	for sh := 0; sh < shards; sh++ {
+	for sh := 0; sh < n; sh++ {
 		vi := -1
 		for try := 0; try < n; try++ {
 			cand := (cursor + try) % n
@@ -626,7 +582,8 @@ func (c *Campaign) scanShard(ctx context.Context, vi, shard, shards, round int, 
 
 // merge folds the per-shard results (placeholding unscanned shards, so their
 // targets count as a coverage hole) in shard order.
-func (c *Campaign) merge(results []*scanner.RoundData, shards int) *scanner.RoundData {
+func (c *Campaign) merge(results []*scanner.RoundData) *scanner.RoundData {
+	shards := len(results)
 	rds := make([]*scanner.RoundData, 0, shards)
 	for sh, rd := range results {
 		if rd == nil {
@@ -757,7 +714,7 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 				Full:    true,
 			})
 		}
-		fused, outcome := signals.FuseBlock(prevResp[bi], int(merged.Blocks[bi].RespCount), verdicts, c.quorum)
+		fused, outcome := signals.FuseBlock(prevResp[bi], int(merged.Blocks[bi].RespCount), verdicts, s.cfg.Quorum)
 		s.fuseM.Observe(outcome)
 		switch outcome {
 		case signals.FuseAlive:
@@ -825,6 +782,10 @@ func (c *Campaign) reprobe(ctx context.Context, vi, round int, at time.Time, ts 
 	return scanOut{rd: rd, err: err}
 }
 
+// healthAlpha is the EWMA weight of the newest heartbeat in the per-vantage
+// health score.
+const healthAlpha = 0.3
+
 // settleRound applies end-of-round heartbeats (including deferred half-open
 // trial verdicts and poisoning), updates health EWMAs and beliefs, and
 // aggregates the campaign report. All in fixed vantage order.
@@ -854,11 +815,11 @@ func (c *Campaign) settleRound(rep *RoundReport, okScans, failScans []int, poiso
 		if healthy {
 			outcome = 1
 		}
-		v.health = (1-s.cfg.HealthAlpha)*v.health + s.cfg.HealthAlpha*outcome
+		v.health = (1-healthAlpha)*v.health + healthAlpha*outcome
 		v.healthG.Set(int64(v.health*1000 + 0.5))
 	}
 
-	if rep.Healthy < c.quorum || rep.Uncovered > 0 {
+	if rep.Healthy < s.cfg.Quorum || rep.Uncovered > 0 {
 		rep.Degraded = true
 		if !rep.SelfOutage { // self-outage already counted the round
 			c.degradedC.Inc()

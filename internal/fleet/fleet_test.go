@@ -101,7 +101,7 @@ func assertTruth(t *testing.T, rd *scanner.RoundData, round int) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	b := newBreaker(BreakerConfig{Threshold: 3, OpenRounds: 2, MaxOpenRounds: 8})
+	b := newBreaker(breakerConfig{threshold: 3, openRounds: 2, maxOpenRounds: 8})
 	if st := b.beginRound(0); st != Closed {
 		t.Fatalf("initial state %v, want closed", st)
 	}
@@ -159,7 +159,7 @@ func TestHealthyRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, rep, err := s.ScanRound(context.Background(), 0, campaignStart, truthPrev)
+	rd, rep, err := s.Default().ScanRound(context.Background(), 0, campaignStart, truthPrev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestFailoverAndQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 5; r++ {
-		rd, rep, err := s.ScanRound(context.Background(), r, roundAt(r), truthPrev)
+		rd, rep, err := s.Default().ScanRound(context.Background(), r, roundAt(r), truthPrev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestStalledVantageCannotFakeAnOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 6; r++ {
-		rd, rep, err := s.ScanRound(context.Background(), r, roundAt(r), truthPrev)
+		rd, rep, err := s.Default().ScanRound(context.Background(), r, roundAt(r), truthPrev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestGenuineOutageStillDetected(t *testing.T) {
 	}
 	prev := density
 	for r := 0; r < 4; r++ {
-		rd, rep, err := s.ScanRound(context.Background(), r, roundAt(r),
+		rd, rep, err := s.Default().ScanRound(context.Background(), r, roundAt(r),
 			func(int) (int, bool) { return prev, true })
 		if err != nil {
 			t.Fatal(err)
@@ -314,12 +314,11 @@ func TestGenuineOutageStillDetected(t *testing.T) {
 func TestSelfOutage(t *testing.T) {
 	specs := []Spec{errSpec("v0"), errSpec("v1"), errSpec("v2")}
 	cfg := baseConfig(t)
-	cfg.Breaker = BreakerConfig{Threshold: 3, OpenRounds: 2}
 	s, err := New(specs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, rep, err := s.ScanRound(context.Background(), 0, campaignStart, truthPrev)
+	rd, rep, err := s.Default().ScanRound(context.Background(), 0, campaignStart, truthPrev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +327,7 @@ func TestSelfOutage(t *testing.T) {
 	}
 	// With every shard failing over every vantage, all three trip in round 0
 	// and round 1 is a self-outage before a single scan is attempted.
-	_, rep, err = s.ScanRound(context.Background(), 1, roundAt(1), truthPrev)
+	_, rep, err = s.Default().ScanRound(context.Background(), 1, roundAt(1), truthPrev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +355,7 @@ func fleetTranscript(t *testing.T) string {
 	}
 	var b strings.Builder
 	for r := 0; r < 6; r++ {
-		rd, rep, err := s.ScanRound(context.Background(), r, roundAt(r), truthPrev)
+		rd, rep, err := s.Default().ScanRound(context.Background(), r, roundAt(r), truthPrev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,7 +392,7 @@ func TestSingleVantageMatchesDirectScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, _, err := s.ScanRound(context.Background(), 0, campaignStart, truthPrev)
+	rd, _, err := s.Default().ScanRound(context.Background(), 0, campaignStart, truthPrev)
 	if err != nil {
 		t.Fatal(err)
 	}

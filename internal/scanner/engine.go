@@ -136,7 +136,7 @@ func (r *roundRun) sendBatches(s *Scanner, ctx context.Context, cur *Cursor) {
 	nb := r.cfg.Batch
 	ppa := r.cfg.ProbesPerAddr
 	bufs, pkts, dsts, pktAddr, addrs := r.sc.bufs, r.sc.pkts, r.sc.dsts, r.sc.pktAddr, r.sc.addrs
-	r.stamp.init(r.val, icmp.IPv4Header{TTL: r.cfg.TTL, Protocol: icmp.ProtoICMP, Src: r.tr.LocalAddr()})
+	r.stamp.init(r.val, icmp.IPv4Header{TTL: probeTTL, Protocol: icmp.ProtoICMP, Src: r.tr.LocalAddr()})
 	var seq uint64 // monotone probe counter, baked into the IPv4 ID field
 
 	done := false
@@ -198,6 +198,16 @@ func (r *roundRun) publishSend() {
 	}
 }
 
+// Constants of the send path: no caller ever chose other values.
+const (
+	probeTTL = 64 // outgoing TTL
+	// sendRetries is the number of extra send attempts after a transient
+	// transport error; retryBackoff is the delay before the first of them,
+	// doubled per attempt with ±50% deterministic jitter.
+	sendRetries  = 3
+	retryBackoff = 2 * time.Millisecond
+)
+
 // writeBatch transmits one assembled batch with packet-at-a-time
 // per-probe semantics: transient failures retry with exponential backoff
 // and deterministic jitter (the unsent tail is re-stamped after the sleep
@@ -228,7 +238,7 @@ func (r *roundRun) writeBatch(s *Scanner, ctx context.Context, pkts [][]byte, ds
 
 	i := 0
 	attempt := 0
-	backoff := r.cfg.RetryBackoff
+	backoff := retryBackoff
 	for i < len(pkts) {
 		n, err := r.tr.WriteBatch(pkts[i:])
 		for j := i; j < i+n; j++ {
@@ -252,9 +262,9 @@ func (r *roundRun) writeBatch(s *Scanner, ctx context.Context, pkts [][]byte, ds
 		if n > 0 {
 			// The previously failing probe got through; the one now at the
 			// head starts its own retry budget.
-			attempt, backoff = 0, r.cfg.RetryBackoff
+			attempt, backoff = 0, retryBackoff
 		}
-		if attempt < r.cfg.Retries && IsTransient(err) {
+		if attempt < sendRetries && IsTransient(err) {
 			r.send.Retries++
 			attempt++
 			if r.cfg.Events != nil {
@@ -287,7 +297,7 @@ func (r *roundRun) writeBatch(s *Scanner, ctx context.Context, pkts [][]byte, ds
 			r.sendAbort = true
 			return false
 		}
-		attempt, backoff = 0, r.cfg.RetryBackoff
+		attempt, backoff = 0, retryBackoff
 	}
 	return true
 }

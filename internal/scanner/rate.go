@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"sync"
 	"time"
 )
 
@@ -20,6 +21,34 @@ func (RealClock) Now() time.Time { return time.Now() }
 
 // Sleep implements Clock.
 func (RealClock) Sleep(d time.Duration) { time.Sleep(d) }
+
+// virtualClock is a standalone virtual clock: it starts where it is told and
+// moves only when slept on.
+type virtualClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+// NewVirtualClock returns a Clock that reads start until Sleep advances it,
+// for campaigns where no single transport owns time — a fleet's vantages
+// build a fresh network per scan, so the Monitor's round scheduling needs a
+// clock of its own. Safe for concurrent use.
+func NewVirtualClock(start time.Time) Clock { return &virtualClock{now: start} }
+
+func (c *virtualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *virtualClock) Sleep(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
 
 // RateLimiter is a token bucket limiting transmissions to a fixed packet
 // rate, as ZMap's --rate does. The paper's campaign used 8,000 pps (App. A).

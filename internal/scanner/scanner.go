@@ -49,7 +49,6 @@ type Transport interface {
 type Config struct {
 	Rate     int           // packets/second; 0 = unlimited. Default 8000.
 	Burst    int           // token bucket burst; default 64
-	TTL      uint8         // outgoing TTL; default 64
 	Cooldown time.Duration // how long to wait for stragglers; default 8s
 	Seed     uint64        // permutation + validation seed
 	Epoch    uint32        // scan round identifier baked into probes
@@ -60,13 +59,6 @@ type Config struct {
 	Shard         int   // this vantage's shard (default 0)
 	Shards        int   // total shards (default 1)
 
-	// Retries is the number of extra send attempts after a transient
-	// transport error (default 3; negative disables retrying). Each retry
-	// re-encodes the probe so its embedded timestamp stays accurate.
-	Retries int
-	// RetryBackoff is the delay before the first retry, doubled per
-	// attempt with ±50% deterministic jitter (default 2ms).
-	RetryBackoff time.Duration
 	// ErrorBudget is the fraction of this shard's targets that may fail
 	// to send (after retries) before the round is abandoned early and
 	// returned partial instead of erroring out (default 0.10; ≥1 never
@@ -102,9 +94,6 @@ func (c Config) withDefaults() Config {
 	if c.Burst == 0 {
 		c.Burst = 64
 	}
-	if c.TTL == 0 {
-		c.TTL = 64
-	}
 	if c.Cooldown == 0 {
 		c.Cooldown = 8 * time.Second
 	}
@@ -116,14 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbesPerAddr == 0 {
 		c.ProbesPerAddr = 1
-	}
-	if c.Retries == 0 {
-		c.Retries = 3
-	} else if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 2 * time.Millisecond
 	}
 	if c.ErrorBudget == 0 {
 		c.ErrorBudget = 0.10

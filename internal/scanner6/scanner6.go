@@ -89,17 +89,16 @@ type Config struct {
 	Rate     int
 	Seed     uint64
 	Epoch    uint32
-	HopLimit uint8
 	Cooldown time.Duration
 	Clock    scanner.Clock
 }
 
+// probeHopLimit is the outgoing hop limit of every probe.
+const probeHopLimit = 64
+
 func (c Config) withDefaults() Config {
 	if c.Rate == 0 {
 		c.Rate = scanner.DefaultRate
-	}
-	if c.HopLimit == 0 {
-		c.HopLimit = 64
 	}
 	if c.Cooldown == 0 {
 		c.Cooldown = 8 * time.Second
@@ -188,7 +187,7 @@ func (p *Prober) Run(hl *Hitlist) (*RoundData, error) {
 		binary.BigEndian.PutUint32(payload[4:], uint32(ms))
 		msg := icmp6.EchoRequest(src, dst, id, seq, payload[:])
 		dg, err := icmp6.MarshalIPv6(icmp6.IPv6Header{
-			NextHeader: icmp6.NextHeaderICMPv6, HopLimit: cfg.HopLimit,
+			NextHeader: icmp6.NextHeaderICMPv6, HopLimit: probeHopLimit,
 			Src: src, Dst: dst,
 		}, msg)
 		if err != nil {

@@ -39,9 +39,6 @@ func NewStreamingBuilder(store *dataset.Store, space *netmodel.Space, minCoverag
 	return b
 }
 
-// Streaming reports whether the builder accepts Fold.
-func (b *Builder) Streaming() bool { return b.streaming }
-
 // NextFold returns the next round Fold expects (rounds before it are already
 // folded into every warm series).
 func (b *Builder) NextFold() int { return b.nextFold }

@@ -198,14 +198,8 @@ func TestFoldRejectsBatchBuilder(t *testing.T) {
 	if err := batch.Fold(0); err == nil {
 		t.Fatal("Fold on a batch builder did not error")
 	}
-	if batch.Streaming() {
-		t.Fatal("batch builder claims streaming")
-	}
 
 	sb := NewStreamingBuilder(st, sc.Space, DefaultMinCoverage)
-	if !sb.Streaming() {
-		t.Fatal("streaming builder does not claim streaming")
-	}
 	if err := sb.Fold(tl.NumRounds()); err == nil {
 		t.Fatal("out-of-range fold did not error")
 	}

@@ -15,6 +15,7 @@ import (
 
 	"countrymon/internal/netmodel"
 	"countrymon/internal/obs"
+	"countrymon/internal/scanner"
 	"countrymon/internal/simnet"
 )
 
@@ -406,7 +407,7 @@ func TestCampaignCompleteOnce(t *testing.T) {
 	}
 	darkFleet := func(o *Options) {
 		o.Transport = nil
-		o.Clock = &testClock{now: o.Start}
+		o.Clock = scanner.NewVirtualClock(o.Start)
 		o.Vantages = []VantageSpec{{Name: "v0", Transport: func(int, time.Time) (Transport, Clock, error) {
 			return nil, nil, errors.New("vantage unreachable")
 		}}}

@@ -21,7 +21,7 @@ import (
 // serve store attached from round 0 and AS 25482 registered as an entity.
 func runServedCampaign(t *testing.T, rounds int) (*Monitor, *serve.Store, *serve.Entity) {
 	t.Helper()
-	mon, err := New(streamOpts(rounds, true, ""))
+	mon, err := New(streamOpts(rounds, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestMonitorServeStoreLive(t *testing.T) {
 
 func TestMonitorAttachServeMidCampaign(t *testing.T) {
 	const rounds = 120
-	mon, err := New(streamOpts(rounds, true, ""))
+	mon, err := New(streamOpts(rounds, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestServeResponsesWorkerInvariant(t *testing.T) {
 // bus publishes round events while the serve server fans them out over SSE.
 func TestMonitorServeEvents(t *testing.T) {
 	bus := obs.NewBus(64)
-	opts := streamOpts(6, true, "")
+	opts := streamOpts(6, "")
 	opts.Bus = bus
 	mon, err := New(opts)
 	if err != nil {
