@@ -61,9 +61,9 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
-// benchWorkersExperiment re-times an experiment at one worker versus the
-// default pool, so multi-core speedups show up as workers=1 / workers=all
-// ratios in the recorded baseline.
+// benchWorkersExperiment times an experiment at one worker and at the
+// default pool as two sub-benchmarks of one run, so what the fan-out buys on
+// this host reads off adjacent lines.
 func benchWorkersExperiment(b *testing.B, id string) {
 	benchEnvWarm(b)
 	b.Run("workers=1", func(b *testing.B) {
@@ -76,22 +76,7 @@ func benchWorkersExperiment(b *testing.B, id string) {
 	})
 }
 
-// BenchmarkEnvWarm times the full pipeline materialization (store →
-// classification/signals/baselines → detections) on a fresh Env, the main
-// beneficiary of the concurrent warm-up.
-func BenchmarkEnvWarm(b *testing.B) {
-	cfg := sim.Config{Seed: 1, Scale: 0.04}
-	for _, w := range []struct{ name, val string }{{"workers=1", "1"}, {"workers=all", ""}} {
-		b.Run(w.name, func(b *testing.B) {
-			b.Setenv(par.EnvWorkers, w.val)
-			for i := 0; i < b.N; i++ {
-				experiments.New(cfg).Warm()
-			}
-		})
-	}
-}
-
-// The two sweep benchmarks the ISSUE's acceptance criteria name: the F22
+// The two experiments that fan a grid out over internal/par: the F22
 // classification sensitivity grid and the F24 severity-threshold sweep.
 
 func BenchmarkSweepSensitivityASes(b *testing.B) { benchWorkersExperiment(b, "F22") }

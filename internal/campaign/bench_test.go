@@ -9,18 +9,17 @@ import (
 	"countrymon/internal/scanner"
 )
 
-// BenchmarkCampaignTwoCountry is the coordinator's headline number: complete
-// two-country campaigns — world build, fleet join, every round scanned
-// through the shared vantages, signals folded — measured in country-rounds
-// per second. Gated in CI against BENCH_baseline.json via the bare
-// rounds_per_sec headline.
+// BenchmarkCampaignTwoCountry times complete two-country campaigns — world
+// build, fleet join, every round scanned through the shared vantages, signals
+// folded — in country-rounds per second: the clean-fleet reading beside
+// BenchmarkCampaignFaulted, whose faults it leaves out.
 func BenchmarkCampaignTwoCountry(b *testing.B) { benchCampaign(b, Options{}) }
 
 // BenchmarkCampaignFaulted is the same campaign with the shape of the repo
 // benchmark's campaign_chaos (and campaign_chaos_test.go's xcWrap) injected:
 // UA's view of v0 blacked out over rounds 5–8 and its view of v1 stalled over
 // rounds 14–15, so the faults wrapper, retries, steals, re-probes and fusion
-// all run. It is what `make profile-campaign` profiles; it is not gated.
+// all run. It is what `make profile-campaign` profiles.
 func BenchmarkCampaignFaulted(b *testing.B) {
 	start := benchSpec().Start
 	during := func(from, to int, kind faults.Kind) faults.Profile {

@@ -152,7 +152,14 @@ func headline2(e *Env) *Report {
 		for asn, n := range m {
 			rows = append(rows, row{asn, n})
 		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n })
+		// Ties break on the ASN: map order must not pick the order, or
+		// at the k cut the membership, of what is printed.
+		sort.Slice(rows, func(i, j int) bool {
+			if rows[i].n != rows[j].n {
+				return rows[i].n > rows[j].n
+			}
+			return rows[i].asn < rows[j].asn
+		})
 		if len(rows) > k {
 			rows = rows[:k]
 		}

@@ -154,11 +154,6 @@ type Campaign struct {
 	scan       scanner.Config  // base Scan with Rate scaled by RateShare
 	transports []TransportFunc // per vantage index; nil entry = spec default
 
-	// lastResp is the fused per-block belief of the most recent usable
-	// round, the fallback prev when ScanRound's caller passes none.
-	lastResp []int
-	haveLast bool
-
 	rep      CampaignReport
 	openSeen []bool // per vantage: already listed in rep.Quarantined
 
@@ -288,7 +283,6 @@ func (s *Supervisor) Join(cfg CampaignConfig) (*Campaign, error) {
 		targets:    cfg.Targets,
 		scan:       scan,
 		transports: make([]TransportFunc, len(s.vantages)),
-		lastResp:   make([]int, cfg.Targets.NumBlocks()),
 		openSeen:   make([]bool, len(s.vantages)),
 
 		stealsC:      s.m.steals.With(cfg.Name),
@@ -387,7 +381,8 @@ type PrevFunc func(blockIdx int) (resp int, ok bool)
 
 // ScanRound scans round `round` (scheduled at `at`) across the fleet:
 // assignment, failover, merge, corroboration and fusion. prev supplies the
-// previous per-block belief (nil uses the campaign's internal belief).
+// previous per-block belief; nil means there is none yet, so no block is
+// suspect and nothing is re-probed.
 //
 // The returned RoundData is the merged, fusion-corrected round; it is nil
 // only on a self-outage (rep.SelfOutage) or a hard error. Shards no vantage
@@ -439,7 +434,7 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 	for len(jobs) > 0 {
 		outs := make([]scanOut, len(jobs))
 		par.ForEach(len(jobs), func(i int) {
-			outs[i] = c.scanShard(ctx, jobs[i].vi, jobs[i].shard, shards, round, at)
+			outs[i] = c.runScan(ctx, jobs[i].vi, round, at, c.targets, jobs[i].shard, shards)
 		})
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
@@ -493,13 +488,13 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 		s.emit("fleet_self_outage", func() map[string]any {
 			return map[string]any{"round": round, "eligible": rep.Eligible, "campaign": c.name}
 		})
-		c.settleRound(rep, okScans, failScans, poisoned, nil, round)
+		c.settleRound(rep, okScans, failScans, poisoned, round)
 		return nil, rep, nil
 	}
 
 	merged := c.merge(results)
 	c.corroborate(ctx, round, at, prev, merged, results, owners, poisoned, rep)
-	c.settleRound(rep, okScans, failScans, poisoned, merged, round)
+	c.settleRound(rep, okScans, failScans, poisoned, round)
 	return merged, rep, nil
 }
 
@@ -558,8 +553,10 @@ func (c *Campaign) transport(vi int) TransportFunc {
 	return c.s.vantages[vi].spec.Transport
 }
 
-// scanShard runs one vantage's scan of one shard over a fresh transport.
-func (c *Campaign) scanShard(ctx context.Context, vi, shard, shards, round int, at time.Time) scanOut {
+// runScan runs one vantage's scan of one shard of targets over a fresh
+// transport: a primary shard of the campaign's targets, or (shard 0 of 1) a
+// full re-probe of the suspect blocks.
+func (c *Campaign) runScan(ctx context.Context, vi, round int, at time.Time, targets *scanner.TargetSet, shard, shards int) scanOut {
 	tr, clk, err := c.transport(vi)(round, at)
 	if err != nil {
 		return scanOut{err: err}
@@ -576,7 +573,7 @@ func (c *Campaign) scanShard(ctx context.Context, vi, shard, shards, round int, 
 	cfg.Shard, cfg.Shards = shard, shards
 	cfg.Epoch = uint32(round + 1)
 	cfg.Clock = clk
-	rd, err := scanner.New(tr, cfg).RunContext(ctx, c.targets)
+	rd, err := scanner.New(tr, cfg).RunContext(ctx, targets)
 	return scanOut{rd: rd, err: err}
 }
 
@@ -610,21 +607,14 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 	merged *scanner.RoundData, results []*scanner.RoundData, owners []int,
 	poisoned []bool, rep *RoundReport) {
 	s := c.s
-
-	prevOf := func(bi int) (int, bool) {
-		if prev != nil {
-			return prev(bi)
-		}
-		if !c.haveLast {
-			return 0, false
-		}
-		return c.lastResp[bi], true
+	if prev == nil {
+		return
 	}
 
 	var suspects []int
 	prevResp := make(map[int]int)
 	for bi := range merged.Blocks {
-		p, ok := prevOf(bi)
+		p, ok := prev(bi)
 		if ok && p > 0 && int(merged.Blocks[bi].RespCount) < p {
 			suspects = append(suspects, bi)
 			prevResp[bi] = p
@@ -679,7 +669,7 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 	}
 	couts := make([]scanOut, len(corr))
 	par.ForEach(len(corr), func(i int) {
-		couts[i] = c.reprobe(ctx, corr[i], round, at, suspectTS)
+		couts[i] = c.runScan(ctx, corr[i], round, at, suspectTS, 0, 1)
 	})
 
 	// Fuse per suspect block, in block order.
@@ -760,36 +750,14 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 	})
 }
 
-// reprobe runs one vantage's full scan of the suspect blocks.
-func (c *Campaign) reprobe(ctx context.Context, vi, round int, at time.Time, ts *scanner.TargetSet) scanOut {
-	tr, clk, err := c.transport(vi)(round, at)
-	if err != nil {
-		return scanOut{err: err}
-	}
-	if cl, ok := tr.(io.Closer); ok {
-		defer cl.Close()
-	}
-	if clk == nil {
-		if cl, ok := tr.(scanner.Clock); ok {
-			clk = cl
-		}
-	}
-	cfg := c.scan
-	cfg.Shard, cfg.Shards = 0, 1
-	cfg.Epoch = uint32(round + 1)
-	cfg.Clock = clk
-	rd, err := scanner.New(tr, cfg).RunContext(ctx, ts)
-	return scanOut{rd: rd, err: err}
-}
-
 // healthAlpha is the EWMA weight of the newest heartbeat in the per-vantage
 // health score.
 const healthAlpha = 0.3
 
 // settleRound applies end-of-round heartbeats (including deferred half-open
-// trial verdicts and poisoning), updates health EWMAs and beliefs, and
-// aggregates the campaign report. All in fixed vantage order.
-func (c *Campaign) settleRound(rep *RoundReport, okScans, failScans []int, poisoned []bool, merged *scanner.RoundData, round int) {
+// trial verdicts and poisoning), updates health EWMAs, and aggregates the
+// campaign report. All in fixed vantage order.
+func (c *Campaign) settleRound(rep *RoundReport, okScans, failScans []int, poisoned []bool, round int) {
 	s := c.s
 	for vi, v := range s.vantages {
 		if okScans[vi] == 0 && failScans[vi] == 0 && !poisoned[vi] {
@@ -824,13 +792,6 @@ func (c *Campaign) settleRound(rep *RoundReport, okScans, failScans []int, poiso
 		if !rep.SelfOutage { // self-outage already counted the round
 			c.degradedC.Inc()
 		}
-	}
-
-	if merged != nil && !merged.RecvDead {
-		for bi := range merged.Blocks {
-			c.lastResp[bi] = int(merged.Blocks[bi].RespCount)
-		}
-		c.haveLast = true
 	}
 
 	c.rep.Steals += rep.Steals

@@ -311,6 +311,27 @@ func TestGenuineOutageStillDetected(t *testing.T) {
 	}
 }
 
+func TestNilPrevSuspectsNothing(t *testing.T) {
+	// Without a belief there is nothing to fall from: the same dark round
+	// that fuses every block down above is taken as read, round after round.
+	s, err := New([]Spec{
+		simSpec("v0", outageAfter(roundAt(1))),
+		simSpec("v1", outageAfter(roundAt(1))),
+	}, baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 3; r++ {
+		_, rep, err := s.Default().ScanRound(context.Background(), r, roundAt(r), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Suspects != 0 || rep.FusedDown != 0 {
+			t.Fatalf("round %d: %+v, want no suspects without a belief", r, rep)
+		}
+	}
+}
+
 func TestSelfOutage(t *testing.T) {
 	specs := []Spec{errSpec("v0"), errSpec("v1"), errSpec("v2")}
 	cfg := baseConfig(t)

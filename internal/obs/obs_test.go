@@ -201,8 +201,8 @@ func TestDisabledPathNoAllocs(t *testing.T) {
 }
 
 // BenchmarkDisabledCounter and BenchmarkEnabledCounter bracket the cost of
-// one instrumentation point with and without a registry; bench-diff tracks
-// them so the nil fast path stays free.
+// one instrumentation point with and without a registry: the nil fast path
+// must stay free (TestDisabledPathNoAllocs holds its allocations at 0).
 func BenchmarkDisabledCounter(b *testing.B) {
 	var c *Counter
 	b.ReportAllocs()
