@@ -112,12 +112,7 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 
 	ctx, stop := interruptible()
 	err = mon.Run(ctx, countrymon.RunConfig{
-		PreRound: func(round int) error {
-			if sc.Missing[round] {
-				return mon.MarkMissing()
-			}
-			return nil
-		},
+		PreRound: sc.PreRound(mon),
 		Hooks: countrymon.Hooks{
 			OnRound: func(r int, stats countrymon.Stats) {
 				note := ""

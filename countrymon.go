@@ -15,7 +15,7 @@
 //	    Transport: transport,          // e.g. simnet.Network or UDP tunnel
 //	    Clock:     clock,
 //	    Targets:   prefixes,           // e.g. from a RIPE delegation file
-//	    Start:     start, End: end, Interval: 2 * time.Hour,
+//	    Start:     start, Rounds: rounds, Interval: 2 * time.Hour,
 //	})
 //	for mon.NextRound() { mon.ScanRound() }
 //	det := mon.DetectAS(25482)
@@ -134,16 +134,15 @@ type Options struct {
 	Targets []Prefix
 	Exclude []Prefix
 
-	// Start, End and Interval define the measurement timeline. End may be
-	// zero for open-ended campaigns sized by Rounds.
+	// Start, Interval and Rounds define the measurement timeline: Rounds
+	// scans, Interval apart, the first at Start.
 	Start    time.Time
-	End      time.Time
 	Interval time.Duration
 	Rounds   int
 
-	// Rate is the probing rate in packets/second (default 8000, the
-	// campaign's ethical budget); Seed makes probe order and validation
-	// deterministic.
+	// Rate is the probing rate in packets/second (0 = the default 8000, the
+	// campaign's ethical budget; negative = unlimited); Seed makes probe
+	// order and validation deterministic.
 	Rate int
 	Seed uint64
 
@@ -210,8 +209,8 @@ type Options struct {
 	// both are given), so a killed campaign resumes at exactly its first
 	// unfinished round. A torn final record — a crash mid-append — is
 	// trimmed before the first new append. A journal alone is enough to
-	// resume; CheckpointPath snapshots only bound how much there is to
-	// replay.
+	// resume, and a checkpoint does not shorten the replay: the journal is
+	// never truncated and every record in it is replayed from the first.
 	RoundLogPath string
 
 	// Registry, when non-nil, receives the monitor's, scanner's and signal
@@ -287,11 +286,8 @@ func New(opts Options) (*Monitor, error) {
 	if opts.Start.IsZero() {
 		opts.Start = time.Now().UTC().Truncate(opts.Interval)
 	}
-	if opts.End.IsZero() {
-		if opts.Rounds <= 0 {
-			return nil, errors.New("countrymon: either End or Rounds must be set")
-		}
-		opts.End = opts.Start.Add(time.Duration(opts.Rounds-1) * opts.Interval)
+	if opts.Rounds <= 0 {
+		return nil, errors.New("countrymon: Rounds must be set")
 	}
 	if opts.Clock == nil {
 		if c, ok := opts.Transport.(Clock); ok {
@@ -307,7 +303,7 @@ func New(opts Options) (*Monitor, error) {
 	if opts.CheckpointPath != "" && opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 16
 	}
-	tl := timeline.New(opts.Start, opts.End, opts.Interval)
+	tl := timeline.New(opts.Start, opts.Start.Add(time.Duration(opts.Rounds-1)*opts.Interval), opts.Interval)
 	m := &Monitor{
 		opts:          opts,
 		tl:            tl,
@@ -324,8 +320,7 @@ func New(opts Options) (*Monitor, error) {
 	case opts.Fleet != nil:
 		m.camp = opts.Fleet
 	case len(opts.Vantages) > 0:
-		sup, err := fleet.New(opts.Vantages, fleet.Config{
-			Targets: targets,
+		sup, err := fleet.NewShared(opts.Vantages, fleet.Config{
 			Scan: scanner.Config{
 				Rate:    opts.Rate,
 				Seed:    opts.Seed,
@@ -336,19 +331,27 @@ func New(opts Options) (*Monitor, error) {
 			Registry: opts.Registry,
 			Bus:      opts.Bus,
 		})
+		if err == nil {
+			m.camp, err = sup.Join(fleet.CampaignConfig{Name: "default", Targets: targets})
+		}
 		if err != nil {
 			return nil, fmt.Errorf("countrymon: %w", err)
 		}
-		m.camp = sup.Default()
 	}
 	if opts.ResumeFrom != "" {
 		if err := m.resume(opts.ResumeFrom); err != nil {
 			return nil, err
 		}
 	}
+	// resumed names the file that last positioned the campaign cursor, if any.
+	resumed := opts.ResumeFrom
 	if opts.RoundLogPath != "" {
+		before := m.round
 		if err := m.attachRoundLog(); err != nil {
 			return nil, err
+		}
+		if m.round > before {
+			resumed = opts.RoundLogPath
 		}
 	}
 	// Re-derive the fleet's previous belief: the latest recovered round
@@ -359,10 +362,10 @@ func New(opts Options) (*Monitor, error) {
 			break
 		}
 	}
-	if opts.ResumeFrom != "" {
+	if resumed != "" {
 		m.metrics.resumeRound.Set(int64(m.round))
 		m.emit("resume", func() map[string]any {
-			return map[string]any{"round": m.round, "path": opts.ResumeFrom}
+			return map[string]any{"round": m.round, "path": resumed}
 		})
 	}
 	for b, asn := range opts.Origins {
@@ -485,15 +488,21 @@ func (m *Monitor) MarkMissing() error {
 // nothing of it was measured — and finishes it.
 func (m *Monitor) recordMissing(reason string) error {
 	round := m.round
-	m.store.SetCoverage(round, 0)
-	m.store.SetMissing(round)
-	m.metrics.roundsMissing.Inc()
+	m.storeMissing(round, 0)
 	m.metrics.coverage.Observe(0)
 	m.metrics.lastRound.Set(int64(round))
 	m.emit("round_missing", func() map[string]any {
 		return map[string]any{"round": round, "reason": reason}
 	})
 	return m.finishRound(round)
+}
+
+// storeMissing writes round into the store as missing — no usable data — at
+// the coverage its probes achieved, and counts it.
+func (m *Monitor) storeMissing(round int, coverage float64) {
+	m.store.SetCoverage(round, coverage)
+	m.store.SetMissing(round)
+	m.metrics.roundsMissing.Inc()
 }
 
 // finishRound is the one epilogue every handled round — scanned, salvaged or
@@ -575,11 +584,9 @@ func (m *Monitor) ScanRoundContext(ctx context.Context) (Stats, error) {
 	if rd.RecvDead {
 		// Probes may have gone out, but with the receive path dead the
 		// response counts are not trustworthy measurements. Record the
-		// achieved send coverage (consistently with salvaged rounds) before
-		// marking the round missing.
-		m.store.SetCoverage(m.round, rd.Coverage())
-		m.store.SetMissing(m.round)
-		m.metrics.roundsMissing.Inc()
+		// achieved send coverage (consistently with salvaged rounds) with
+		// the round marked missing.
+		m.storeMissing(round, rd.Coverage())
 		outcome = "round_missing"
 	} else {
 		m.store.AddRoundData(m.round, rd)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"countrymon/internal/netmodel"
+	"countrymon/internal/obs"
 	"countrymon/internal/signals"
 	"countrymon/internal/simnet"
 )
@@ -162,12 +163,23 @@ func TestRoundLogCrashResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := New(streamOpts(rounds, dir+"/killed.cmrl"))
+	resOpts := streamOpts(rounds, dir+"/killed.cmrl")
+	resOpts.Registry, resOpts.Bus = obs.NewRegistry(), obs.NewBus(0)
+	res, err := New(resOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Round() != 25 {
 		t.Fatalf("resumed at round %d, want 25 (journal replays every handled round)", res.Round())
+	}
+	// A resume the journal made is announced like one a checkpoint made.
+	evs := resOpts.Bus.Since(0)
+	if len(evs) != 1 || evs[0].Kind != "resume" ||
+		evs[0].Fields["round"] != 25 || evs[0].Fields["path"] != resOpts.RoundLogPath {
+		t.Fatalf("events after a journal-only resume = %+v, want one resume at round 25 naming the journal", evs)
+	}
+	if got := res.metrics.resumeRound.Value(); got != 25 {
+		t.Fatalf("monitor_resume_round = %d, want 25", got)
 	}
 	runRounds(t, res, -1)
 	if err := res.Close(); err != nil {

@@ -3,15 +3,18 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	countrymon "countrymon"
+	"countrymon/internal/dataset"
 	"countrymon/internal/par"
 	"countrymon/internal/scanner"
 )
@@ -162,6 +165,51 @@ func TestCampaignTwoCountryDeterminism(t *testing.T) {
 				t.Errorf("country %s: store differs at %s=%s", c.Code, par.EnvWorkers, workers)
 			}
 		}
+	}
+}
+
+// TestCampaignCancelOnScriptedMissingRound: a round the world scripts as a
+// vantage outage goes through Monitor.Step like any other, so a context
+// cancelled before it stops the country there — round not taken, progress
+// checkpointed — instead of the coordinator marking it missing on its own.
+func TestCampaignCancelOnScriptedMissingRound(t *testing.T) {
+	spec := testSpec(t, 6)
+	spec.CheckpointRoot = t.TempDir()
+	co, err := New(spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	ua := co.Country("UA")
+	ua.World.Missing[2] = true
+
+	ctx, cancel := context.WithCancel(context.Background())
+	for co.Round() < 2 {
+		if err := co.StepRound(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	if err := co.StepRound(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("StepRound after cancel = %v, want context.Canceled", err)
+	}
+	if got := ua.Monitor.Round(); got != 2 {
+		t.Fatalf("UA at round %d after a cancelled scripted-missing round, want 2", got)
+	}
+	st, err := dataset.Load(filepath.Join(spec.CheckpointRoot, "UA.ckpt"))
+	if err != nil {
+		t.Fatalf("no checkpoint before return: %v", err)
+	}
+	if got := st.NextUndone(); got != 2 {
+		t.Fatalf("checkpoint resumes at round %d, want 2", got)
+	}
+
+	// Uncancelled, the same round is recorded missing without a scan.
+	if err := co.StepRound(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if store := ua.Monitor.Store(); !store.Missing(2) || store.Coverage(2) != 0 {
+		t.Fatalf("round 2: missing %v coverage %v, want missing at zero coverage", store.Missing(2), store.Coverage(2))
 	}
 }
 

@@ -47,9 +47,10 @@ type Country struct {
 	Store   *serve.Store
 	Server  *serve.Server
 
-	camp    *fleet.Campaign
-	blocks  []netmodel.BlockID
-	origins map[netmodel.BlockID]netmodel.ASN
+	camp *fleet.Campaign
+	// run is the Monitor's per-round configuration: the world's ground-truth
+	// feed as PreRound.
+	run countrymon.RunConfig
 
 	scannedC *obs.Counter
 	missingC *obs.Counter
@@ -138,17 +139,7 @@ func newCountry(spec *Spec, cs *CountrySpec, sup *fleet.Supervisor, opts Options
 	if err != nil {
 		return nil, err
 	}
-	space := world.Space
-
-	var targets []netmodel.Prefix
-	for _, as := range space.ASes() {
-		targets = append(targets, as.Prefixes...)
-	}
-	blocks := space.Blocks()
-	origins := make(map[netmodel.BlockID]netmodel.ASN, len(blocks))
-	for _, blk := range blocks {
-		origins[blk] = space.OriginOf(blk)
-	}
+	targets, origins := world.Targets()
 	ts, err := scanner.NewTargetSet(targets, nil)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: country %s: %w", cs.Code, err)
@@ -197,7 +188,7 @@ func newCountry(spec *Spec, cs *CountrySpec, sup *fleet.Supervisor, opts Options
 	mon.AttachServe(store)
 	asCfg := signals.ASConfig()
 	var members []serve.Source
-	for _, as := range space.ASes() {
+	for _, as := range world.Space.ASes() {
 		src := mon.ServeASSource(as.ASN)
 		members = append(members, src)
 		code := strconv.FormatUint(uint64(as.ASN), 10)
@@ -217,7 +208,7 @@ func newCountry(spec *Spec, cs *CountrySpec, sup *fleet.Supervisor, opts Options
 		Code: cs.Code, Name: cs.Name,
 		Share: cs.Share, Seed: cs.Seed,
 		World: world, Monitor: mon, Store: store, Server: srv,
-		camp: camp, blocks: blocks, origins: origins,
+		camp: camp, run: countrymon.RunConfig{PreRound: world.PreRound(mon)},
 	}, nil
 }
 
@@ -307,26 +298,19 @@ func (co *Coordinator) Close() error {
 	return first
 }
 
-// step advances one country by one round: feed ground-truth routedness,
-// scan through the shared fleet (or mark the round missing), and bump the
-// country's metrics.
+// step advances one country by one round through Monitor.Step — the world
+// feeds ground-truth routedness or marks a scripted vantage outage missing,
+// then the shared fleet scans — and bumps the country's metrics by what the
+// store recorded.
 func (c *Country) step(ctx context.Context, r int) error {
-	if c.World.Missing[r] {
-		if err := c.Monitor.MarkMissing(); err != nil {
-			return err
-		}
-		c.missingC.Inc()
-		c.lastG.Set(int64(r))
-		return nil
-	}
-	at := c.World.TL.Time(r)
-	for bi, blk := range c.blocks {
-		c.Monitor.SetRouted(blk, r, c.World.BlockStateAt(bi, at).Routed, c.origins[blk])
-	}
-	if _, err := c.Monitor.Step(ctx, countrymon.RunConfig{}); err != nil {
+	if _, err := c.Monitor.Step(ctx, c.run); err != nil {
 		return err
 	}
-	c.scannedC.Inc()
+	if c.Monitor.Store().Missing(r) {
+		c.missingC.Inc()
+	} else {
+		c.scannedC.Inc()
+	}
 	c.lastG.Set(int64(r))
 	return nil
 }

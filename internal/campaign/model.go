@@ -108,7 +108,7 @@ var synPoolBase = netmodel.MustParseAddr("100.64.0.0").Block() + scenario.MaxBlo
 // on any machine. Each code gets its own /24 slice of CGNAT space so two
 // synthetic countries never share an address plan.
 func syntheticModel(c *CountrySpec, s *Spec) sim.CountryModel {
-	hash := func(salt uint64) uint64 { return mix64(mix64(c.Seed^salt) ^ codeBits(c.Code)) }
+	hash := func(salt uint64) uint64 { return netmodel.Mix64(netmodel.Mix64(c.Seed^salt) ^ codeBits(c.Code)) }
 	regions := netmodel.Regions()
 
 	spec := sim.Spec{
@@ -137,7 +137,7 @@ func syntheticModel(c *CountrySpec, s *Spec) sim.CountryModel {
 		region := regions[hash(uint64(0xb0+i))%uint64(len(regions))]
 		blocks := synMinBlocks + int(hash(uint64(0xc0+i))%3)
 		density := 100 + int(hash(uint64(0xd0+i))%120)
-		respRate := 0.78 + 0.12*unit(hash(uint64(0xe0+i)))
+		respRate := 0.78 + 0.12*netmodel.UnitFloat(hash(uint64(0xe0+i)))
 
 		model := &netmodel.AS{
 			ASN:  asn,
@@ -192,14 +192,3 @@ func codeBits(code string) uint64 {
 	}
 	return uint64(code[0]-'A')*26 + uint64(code[1]-'A')
 }
-
-// mix64/unit are the same splitmix finalizer construction sim and scenario
-// use for all stochastic-but-deterministic choices.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }

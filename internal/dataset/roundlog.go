@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -108,25 +109,42 @@ func OpenRoundLog(path string, s *Store) (*RoundLog, error) {
 	return l, nil
 }
 
-// trimTornTail walks the record framing of a size-byte journal, truncates it
-// at the end of its last complete record and leaves the file offset there.
-// Appending at the old end of file instead would put the next record behind
-// the torn bytes, where replay reads the two as one corrupt record.
-func (l *RoundLog) trimTornTail(size int64) error {
+// walkRoundLog walks the record framing of a size-byte journal read through
+// r: it calls rec (when non-nil) with the offset and framed length of every
+// complete record in file order and returns the offset past the last one —
+// where a torn final record, if there is one, begins.
+func walkRoundLog(r io.ReaderAt, size int64, nblocks int, rec func(off int64, n int) error) (int64, error) {
 	var hdr [roundLogRecordHeaderLen]byte
 	end := int64(roundLogHeaderLen)
 	for end+int64(len(hdr)) <= size {
-		if _, err := l.f.ReadAt(hdr[:], end); err != nil {
-			return err
+		if _, err := r.ReadAt(hdr[:], end); err != nil {
+			return end, err
 		}
-		n, err := roundLogRecordLen(hdr[:], l.nblocks)
+		n, err := roundLogRecordLen(hdr[:], nblocks)
 		if err != nil {
-			return err
+			return end, err
 		}
 		if end+int64(n) > size {
 			break
 		}
+		if rec != nil {
+			if err := rec(end, n); err != nil {
+				return end, err
+			}
+		}
 		end += int64(n)
+	}
+	return end, nil
+}
+
+// trimTornTail truncates a size-byte journal at the end of its last complete
+// record and leaves the file offset there. Appending at the old end of file
+// instead would put the next record behind the torn bytes, where replay reads
+// the two as one corrupt record.
+func (l *RoundLog) trimTornTail(size int64) error {
+	end, err := walkRoundLog(l.f, size, l.nblocks, nil)
+	if err != nil {
+		return err
 	}
 	if end < size {
 		if err := l.f.Truncate(end); err != nil {
@@ -136,7 +154,7 @@ func (l *RoundLog) trimTornTail(size int64) error {
 			return err
 		}
 	}
-	_, err := l.f.Seek(end, io.SeekStart)
+	_, err = l.f.Seek(end, io.SeekStart)
 	return err
 }
 
@@ -233,36 +251,25 @@ func ReplayRoundLog(s *Store, path string) ([]int, error) {
 	words := (nblocks + 63) / 64
 	col := make([]uint8, nblocks)
 	var applied []int
-	pos := roundLogHeaderLen
-	for pos+roundLogRecordHeaderLen <= len(buf) {
-		round := int(binary.LittleEndian.Uint32(buf[pos:]))
-		flags := buf[pos+4]
-		cov := binary.LittleEndian.Uint16(buf[pos+5:])
-		n, err := roundLogRecordLen(buf[pos:], nblocks)
-		if err != nil {
-			return applied, err
-		}
-		end := pos + n
-		if end > len(buf) {
-			break // truncated tail
-		}
+	_, err = walkRoundLog(bytes.NewReader(buf), int64(len(buf)), nblocks, func(off int64, n int) error {
+		rec := buf[off : off+int64(n)]
+		round := int(binary.LittleEndian.Uint32(rec))
 		if round >= rounds {
-			return applied, fmt.Errorf("dataset: round log: round %d out of range", round)
+			return fmt.Errorf("dataset: round log: round %d out of range", round)
 		}
-		col0 := pos + roundLogRecordHeaderLen
-		if err := deltaRLEDecode(col, buf[col0:end-8*words]); err != nil {
-			return applied, fmt.Errorf("dataset: round log round %d: %w", round, err)
+		routed := rec[n-8*words:]
+		if err := deltaRLEDecode(col, rec[roundLogRecordHeaderLen:n-8*words]); err != nil {
+			return fmt.Errorf("dataset: round log round %d: %w", round, err)
 		}
-		routed := buf[end-8*words : end]
 		for bi := 0; bi < nblocks; bi++ {
 			w := binary.LittleEndian.Uint64(routed[8*(bi/64):])
 			s.SetRound(bi, round, int(col[bi]), w>>(bi%64)&1 == 1)
 		}
-		s.coverage[round] = cov
-		s.missing[round] = flags&1 != 0
-		s.done[round] = flags&2 != 0
+		s.coverage[round] = binary.LittleEndian.Uint16(rec[5:])
+		s.missing[round] = rec[4]&1 != 0
+		s.done[round] = rec[4]&2 != 0
 		applied = append(applied, round)
-		pos = end
-	}
-	return applied, nil
+		return nil
+	})
+	return applied, err
 }

@@ -32,14 +32,7 @@ func ablationProbePolicy(e *Env) *Report {
 	// Single-IP policy: one probe (the block's most reliable address) per
 	// block per round; an AS's signal is its count of responding blocks.
 	singleSeries := func(asn netmodel.ASN) *signals.EntitySeries {
-		es := &signals.EntitySeries{
-			Name: "single/" + asn.String(), TL: tl,
-			BGP:           make([]float32, tl.NumRounds()),
-			FBS:           make([]float32, tl.NumRounds()),
-			IPS:           make([]float32, tl.NumRounds()),
-			IPSValidMonth: make([]bool, tl.NumMonths()),
-			Missing:       e.Store().MissingRounds(),
-		}
+		es := signals.NewSeries("single/"+asn.String(), tl, e.Store().MissingRounds())
 		as := sc.Space.Lookup(asn)
 		if as == nil {
 			return es
@@ -140,14 +133,7 @@ func ablationRegionalOff(e *Env) *Report {
 	nfl := netmodel.NonFrontlineRegions()
 
 	naiveRegion := func(region netmodel.Region) *signals.EntitySeries {
-		es := &signals.EntitySeries{
-			Name: "naive/" + region.String(), TL: tl,
-			BGP:           make([]float32, tl.NumRounds()),
-			FBS:           make([]float32, tl.NumRounds()),
-			IPS:           make([]float32, tl.NumRounds()),
-			IPSValidMonth: make([]bool, tl.NumMonths()),
-			Missing:       st.MissingRounds(),
-		}
+		es := signals.NewSeries("naive/"+region.String(), tl, st.MissingRounds())
 		rr := res.Regions[region]
 		for _, bc := range rr.Blocks { // all blocks with any presence
 			bi := bc.Index
@@ -313,12 +299,7 @@ func ablationAvailabilitySensing(e *Env) *Report {
 	// addresses hold steady — pure reallocation. Sensing must erase it.
 	tl2 := e.Store().Timeline()
 	mk := func() *signals.EntitySeries {
-		es := &signals.EntitySeries{
-			Name: "synthetic", TL: tl2,
-			BGP: make([]float32, tl2.NumRounds()), FBS: make([]float32, tl2.NumRounds()),
-			IPS: make([]float32, tl2.NumRounds()), IPSValidMonth: make([]bool, tl2.NumMonths()),
-			Missing: make([]bool, tl2.NumRounds()),
-		}
+		es := signals.NewSeries("synthetic", tl2, make([]bool, tl2.NumRounds()))
 		for i := range es.BGP {
 			es.BGP[i], es.FBS[i], es.IPS[i] = 40, 36, 2000
 			if i >= 500 && i < 560 {

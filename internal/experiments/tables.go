@@ -119,12 +119,7 @@ func table2(e *Env) *Report {
 	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 	tl := timeline.New(start, start.Add(1000*2*time.Hour), 2*time.Hour)
 	mk := func() *signals.EntitySeries {
-		es := &signals.EntitySeries{
-			Name: "ctl", TL: tl,
-			BGP: make([]float32, tl.NumRounds()), FBS: make([]float32, tl.NumRounds()),
-			IPS: make([]float32, tl.NumRounds()), IPSValidMonth: make([]bool, tl.NumMonths()),
-			Missing: make([]bool, tl.NumRounds()),
-		}
+		es := signals.NewSeries("ctl", tl, make([]bool, tl.NumRounds()))
 		for i := range es.BGP {
 			es.BGP[i], es.FBS[i], es.IPS[i] = 20, 18, 900
 		}

@@ -161,7 +161,7 @@ func NewTransport(inner scanner.Transport, clock scanner.Clock, prof Profile) *T
 		}
 	}
 	return &Transport{inner: inner, clock: clock, prof: prof,
-		rng: splitmix(prof.Seed ^ 0xfa17), metrics: &Metrics{}}
+		rng: netmodel.Mix64(prof.Seed ^ 0xfa17), metrics: &Metrics{}}
 }
 
 // Inner returns the wrapped transport.
@@ -245,7 +245,7 @@ func (t *Transport) roll(p float64) bool {
 	if p <= 0 {
 		return false
 	}
-	t.rng = splitmix(t.rng)
+	t.rng = netmodel.Mix64(t.rng)
 	return float64(t.rng>>11)/(1<<53) < p
 }
 
@@ -335,30 +335,42 @@ func (t *Transport) WriteBatch(pkts [][]byte) (int, error) {
 	}
 }
 
-// ReadPacket implements scanner.Transport with injected receive faults.
-func (t *Transport) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
+// recvGate applies the window scripted for this instant to a read of either
+// shape. During a blackout, stall or dark flap half-cycle the read is
+// silenced: nothing is delivered and the wait is consumed, so virtual clocks
+// keep moving and real callers don't spin. Inside a RecvErrors window it
+// returns the injected receive error.
+func (t *Transport) recvGate(wait time.Duration) (silenced bool, err error) {
 	now := t.clock.Now()
 	t.mu.Lock()
 	if w, ok := t.windowAt(now); ok {
 		switch w.Kind {
 		case Blackout, Stall, Flap:
-			// Silence: consume the wait so virtual clocks keep moving and
-			// real callers don't spin.
 			t.cnt.Blackouts++
 			t.metrics.Blackouts.Inc()
 			t.mu.Unlock()
 			if wait > 0 {
 				t.clock.Sleep(wait)
 			}
-			return nil, time.Time{}, scanner.ErrTimeout
+			return true, nil
 		case RecvErrors:
 			t.cnt.RecvErrors++
 			t.metrics.RecvErrors.Inc()
 			t.mu.Unlock()
-			return nil, time.Time{}, errRecv
+			return false, errRecv
 		}
 	}
 	t.mu.Unlock()
+	return false, nil
+}
+
+// ReadPacket implements scanner.Transport with injected receive faults.
+func (t *Transport) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
+	if silenced, err := t.recvGate(wait); silenced {
+		return nil, time.Time{}, scanner.ErrTimeout
+	} else if err != nil {
+		return nil, time.Time{}, err
+	}
 	pkt, at, err := t.inner.ReadPacket(wait)
 	if err == nil && len(pkt) > 0 {
 		t.mu.Lock()
@@ -387,26 +399,9 @@ func (t *Transport) batchInner() scanner.BatchTransport {
 // per delivered packet in delivery order, keeping the RNG stream aligned
 // with packet-at-a-time reads.
 func (t *Transport) ReadBatch(pkts [][]byte, ats []time.Time, wait time.Duration) (int, error) {
-	now := t.clock.Now()
-	t.mu.Lock()
-	if w, ok := t.windowAt(now); ok {
-		switch w.Kind {
-		case Blackout, Stall, Flap:
-			t.cnt.Blackouts++
-			t.metrics.Blackouts.Inc()
-			t.mu.Unlock()
-			if wait > 0 {
-				t.clock.Sleep(wait)
-			}
-			return 0, nil
-		case RecvErrors:
-			t.cnt.RecvErrors++
-			t.metrics.RecvErrors.Inc()
-			t.mu.Unlock()
-			return 0, errRecv
-		}
+	if silenced, err := t.recvGate(wait); silenced || err != nil {
+		return 0, err
 	}
-	t.mu.Unlock()
 	n, err := t.batchInner().ReadBatch(pkts, ats, wait)
 	if n > 0 {
 		t.mu.Lock()
@@ -537,13 +532,4 @@ func parseWindow(val string, base time.Time, kind Kind) (Window, error) {
 	}
 	from := base.Add(off)
 	return Window{From: from, To: from.Add(dur), Kind: kind, Period: period}, nil
-}
-
-// splitmix is SplitMix64 for deterministic fault decisions.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -63,10 +63,6 @@ type Spec struct {
 
 // Config configures a Supervisor.
 type Config struct {
-	// Targets is the target set of the default campaign. Optional with
-	// NewShared (campaigns then bring their own targets via Join); required
-	// by New.
-	Targets *scanner.TargetSet
 	// Scan is the base per-scan configuration (rate, seed, batching,
 	// metrics, events); Shard/Shards/Epoch/Clock are overridden per scan,
 	// and Rate is scaled by each campaign's RateShare so the per-vantage
@@ -141,7 +137,6 @@ type Supervisor struct {
 
 	campaigns []*Campaign
 	shareUsed float64
-	def       *Campaign // back-compat campaign built from Config.Targets
 }
 
 // Campaign is one country's (or target set's) view of a shared fleet: its
@@ -183,30 +178,9 @@ type CampaignConfig struct {
 	Transports map[string]TransportFunc
 }
 
-// New validates the configuration and builds a supervisor with one default
-// campaign over cfg.Targets (the single-country case).
-func New(specs []Spec, cfg Config) (*Supervisor, error) {
-	if cfg.Targets == nil {
-		return nil, errors.New("fleet: Targets required")
-	}
-	s, err := NewShared(specs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	def, err := s.Join(CampaignConfig{
-		Name:    "default",
-		Targets: cfg.Targets,
-		Seed:    cfg.Scan.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.def = def
-	return s, nil
-}
-
-// NewShared builds a supervisor with no campaign attached: a shared fleet
-// that countries join via Join. cfg.Targets is ignored.
+// NewShared validates the configuration and builds a supervisor with no
+// campaign attached: a fleet that campaigns — one per monitored country —
+// join via Join.
 func NewShared(specs []Spec, cfg Config) (*Supervisor, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("fleet: at least one vantage required")
@@ -315,10 +289,6 @@ func (s *Supervisor) Vantages() []string {
 	}
 	return names
 }
-
-// Default returns the campaign New built from Config.Targets (nil when the
-// supervisor was built with NewShared).
-func (s *Supervisor) Default() *Campaign { return s.def }
 
 // Campaigns returns the joined campaigns in join order.
 func (s *Supervisor) Campaigns() []*Campaign {

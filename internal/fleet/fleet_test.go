@@ -70,11 +70,19 @@ func errSpec(name string) Spec {
 	}}
 }
 
-func baseConfig(t *testing.T) Config {
-	return Config{
-		Targets: testTargets(t),
-		Scan:    scanner.Config{Seed: 7, Rate: 200000, Cooldown: time.Second},
+func baseConfig() Config {
+	return Config{Scan: scanner.Config{Seed: 7, Rate: 200000, Cooldown: time.Second}}
+}
+
+// newSolo builds a supervisor and joins its one campaign over targets: the
+// single-country fleet a Monitor under Options.Vantages runs.
+func newSolo(specs []Spec, cfg Config, targets *scanner.TargetSet) (*Supervisor, *Campaign, error) {
+	s, err := NewShared(specs, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
+	c, err := s.Join(CampaignConfig{Name: "default", Targets: targets})
+	return s, c, err
 }
 
 // truthPrev supplies the established belief: every block answered with
@@ -155,11 +163,11 @@ func TestHealthyRound(t *testing.T) {
 		simSpec("v1", aliveResponder()),
 		simSpec("v2", aliveResponder()),
 	}
-	s, err := New(specs, baseConfig(t))
+	s, c, err := newSolo(specs, baseConfig(), testTargets(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, rep, err := s.Default().ScanRound(context.Background(), 0, campaignStart, truthPrev)
+	rd, rep, err := c.ScanRound(context.Background(), 0, campaignStart, truthPrev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +189,14 @@ func TestFailoverAndQuarantine(t *testing.T) {
 		simSpec("v1", aliveResponder()),
 		simSpec("v2", aliveResponder()),
 	}
-	cfg := baseConfig(t)
+	cfg := baseConfig()
 	cfg.Registry = obs.NewRegistry()
-	s, err := New(specs, cfg)
+	s, c, err := newSolo(specs, cfg, testTargets(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 5; r++ {
-		rd, rep, err := s.Default().ScanRound(context.Background(), r, roundAt(r), truthPrev)
+		rd, rep, err := c.ScanRound(context.Background(), r, roundAt(r), truthPrev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,12 +243,12 @@ func TestStalledVantageCannotFakeAnOutage(t *testing.T) {
 		simSpec("v1", aliveResponder()),
 		simSpec("v2", aliveResponder()),
 	}
-	s, err := New(specs, baseConfig(t))
+	s, c, err := newSolo(specs, baseConfig(), testTargets(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 6; r++ {
-		rd, rep, err := s.Default().ScanRound(context.Background(), r, roundAt(r), truthPrev)
+		rd, rep, err := c.ScanRound(context.Background(), r, roundAt(r), truthPrev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,13 +282,13 @@ func TestGenuineOutageStillDetected(t *testing.T) {
 		simSpec("v1", outageAfter(outStart)),
 		simSpec("v2", outageAfter(outStart)),
 	}
-	s, err := New(specs, baseConfig(t))
+	s, c, err := newSolo(specs, baseConfig(), testTargets(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := density
 	for r := 0; r < 4; r++ {
-		rd, rep, err := s.Default().ScanRound(context.Background(), r, roundAt(r),
+		rd, rep, err := c.ScanRound(context.Background(), r, roundAt(r),
 			func(int) (int, bool) { return prev, true })
 		if err != nil {
 			t.Fatal(err)
@@ -314,15 +322,15 @@ func TestGenuineOutageStillDetected(t *testing.T) {
 func TestNilPrevSuspectsNothing(t *testing.T) {
 	// Without a belief there is nothing to fall from: the same dark round
 	// that fuses every block down above is taken as read, round after round.
-	s, err := New([]Spec{
+	_, c, err := newSolo([]Spec{
 		simSpec("v0", outageAfter(roundAt(1))),
 		simSpec("v1", outageAfter(roundAt(1))),
-	}, baseConfig(t))
+	}, baseConfig(), testTargets(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {
-		_, rep, err := s.Default().ScanRound(context.Background(), r, roundAt(r), nil)
+		_, rep, err := c.ScanRound(context.Background(), r, roundAt(r), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,12 +342,12 @@ func TestNilPrevSuspectsNothing(t *testing.T) {
 
 func TestSelfOutage(t *testing.T) {
 	specs := []Spec{errSpec("v0"), errSpec("v1"), errSpec("v2")}
-	cfg := baseConfig(t)
-	s, err := New(specs, cfg)
+	cfg := baseConfig()
+	s, c, err := newSolo(specs, cfg, testTargets(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, rep, err := s.Default().ScanRound(context.Background(), 0, campaignStart, truthPrev)
+	rd, rep, err := c.ScanRound(context.Background(), 0, campaignStart, truthPrev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +356,7 @@ func TestSelfOutage(t *testing.T) {
 	}
 	// With every shard failing over every vantage, all three trip in round 0
 	// and round 1 is a self-outage before a single scan is attempted.
-	_, rep, err = s.Default().ScanRound(context.Background(), 1, roundAt(1), truthPrev)
+	_, rep, err = c.ScanRound(context.Background(), 1, roundAt(1), truthPrev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,13 +378,13 @@ func fleetTranscript(t *testing.T) string {
 		simSpec("v2", aliveResponder()),
 		simSpec("v3", aliveResponder()),
 	}
-	s, err := New(specs, baseConfig(t))
+	s, c, err := newSolo(specs, baseConfig(), testTargets(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
 	for r := 0; r < 6; r++ {
-		rd, rep, err := s.Default().ScanRound(context.Background(), r, roundAt(r), truthPrev)
+		rd, rep, err := c.ScanRound(context.Background(), r, roundAt(r), truthPrev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,12 +416,13 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestSingleVantageMatchesDirectScan(t *testing.T) {
 	// A one-vantage fleet with nothing to corroborate must reproduce a
 	// direct scanner run bit for bit.
-	cfg := baseConfig(t)
-	s, err := New([]Spec{simSpec("v0", aliveResponder())}, cfg)
+	cfg := baseConfig()
+	targets := testTargets(t)
+	_, c, err := newSolo([]Spec{simSpec("v0", aliveResponder())}, cfg, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, _, err := s.Default().ScanRound(context.Background(), 0, campaignStart, truthPrev)
+	rd, _, err := c.ScanRound(context.Background(), 0, campaignStart, truthPrev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +431,7 @@ func TestSingleVantageMatchesDirectScan(t *testing.T) {
 	direct := cfg.Scan
 	direct.Epoch = 1
 	direct.Clock = net
-	want, err := scanner.New(net, direct).RunContext(context.Background(), cfg.Targets)
+	want, err := scanner.New(net, direct).RunContext(context.Background(), targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,17 +451,17 @@ func TestSingleVantageMatchesDirectScan(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, Config{}); err == nil {
+	if _, err := NewShared(nil, Config{}); err == nil {
 		t.Error("no vantages accepted")
 	}
-	if _, err := New([]Spec{{Name: "x"}}, Config{Targets: testTargets(t)}); err == nil {
+	if _, err := NewShared([]Spec{{Name: "x"}}, Config{}); err == nil {
 		t.Error("missing transport factory accepted")
 	}
 	dup := []Spec{simSpec("a", aliveResponder()), simSpec("a", aliveResponder())}
-	if _, err := New(dup, Config{Targets: testTargets(t)}); err == nil {
+	if _, err := NewShared(dup, Config{}); err == nil {
 		t.Error("duplicate vantage names accepted")
 	}
-	if _, err := New([]Spec{simSpec("a", aliveResponder())}, Config{}); err == nil {
+	if _, _, err := newSolo([]Spec{simSpec("a", aliveResponder())}, Config{}, nil); err == nil {
 		t.Error("missing targets accepted")
 	}
 }

@@ -99,15 +99,7 @@ func (p *Platform) HasCoverage(asn netmodel.ASN) bool { return p.trin.PerAS[asn]
 func (p *Platform) ASSeries(asn netmodel.ASN) *signals.EntitySeries {
 	tl := p.store.Timeline()
 	rounds := tl.NumRounds()
-	es := &signals.EntitySeries{
-		Name:          "IODA/" + asn.String(),
-		TL:            tl,
-		BGP:           make([]float32, rounds),
-		FBS:           make([]float32, rounds),
-		IPS:           make([]float32, rounds),
-		IPSValidMonth: make([]bool, tl.NumMonths()), // IPS never valid
-		Missing:       p.store.MissingRounds(),
-	}
+	es := signals.NewSeries("IODA/"+asn.String(), tl, p.store.MissingRounds()) // IPS never valid
 	if trin := p.trin.PerAS[asn]; trin != nil {
 		copy(es.FBS, trin)
 	}
@@ -139,15 +131,7 @@ func (p *Platform) DetectAS(asn netmodel.ASN) *signals.Detection {
 func (p *Platform) RegionSeries(region netmodel.Region) *signals.EntitySeries {
 	tl := p.store.Timeline()
 	rounds := tl.NumRounds()
-	es := &signals.EntitySeries{
-		Name:          "IODA/" + region.String(),
-		TL:            tl,
-		BGP:           make([]float32, rounds),
-		FBS:           make([]float32, rounds),
-		IPS:           make([]float32, rounds),
-		IPSValidMonth: make([]bool, tl.NumMonths()),
-		Missing:       p.store.MissingRounds(),
-	}
+	es := signals.NewSeries("IODA/"+region.String(), tl, p.store.MissingRounds())
 	member := make(map[netmodel.ASN]bool)
 	for asn, regions := range p.presence {
 		for _, r := range regions {

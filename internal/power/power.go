@@ -355,14 +355,7 @@ func hash3(a, b, c uint64) uint64 {
 	x := a
 	for _, v := range [...]uint64{b, c} {
 		x ^= v + 0x9e3779b97f4a7c15 + (x << 6) + (x >> 2)
-		x = mix64(x)
+		x = netmodel.Mix64(x)
 	}
 	return x
-}
-
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

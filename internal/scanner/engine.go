@@ -273,7 +273,7 @@ func (r *roundRun) writeBatch(s *Scanner, ctx context.Context, pkts [][]byte, ds
 					"backoff_ms": backoff.Milliseconds(), "error": err.Error(),
 				})
 			}
-			r.rng = splitmix(r.rng)
+			r.rng = netmodel.Mix64(r.rng)
 			r.cfg.Clock.Sleep(backoff/2 + time.Duration(r.rng%uint64(backoff)))
 			if backoff < time.Second {
 				backoff *= 2

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"countrymon/internal/netmodel"
 )
 
 // Permutation enumerates 0..N-1 in a pseudorandom order using iteration over
@@ -45,7 +47,7 @@ func NewPermutation(n uint64, seed uint64) (*Permutation, error) {
 		return nil, err
 	}
 	// Choose a starting point in [1, p-1] from the seed.
-	first := splitmix(seed^0x9e3779b97f4a7c15)%(p-1) + 1
+	first := netmodel.Mix64(seed^0x9e3779b97f4a7c15)%(p-1) + 1
 	pm := &Permutation{n: n, p: p, g: g, first: first}
 	if p < 1<<32 {
 		pm.inv = math.MaxUint64 / p
@@ -200,7 +202,7 @@ func findGenerator(p uint64, seed uint64) (uint64, error) {
 	factors := primeFactors(p - 1)
 	s := seed
 	for tries := 0; tries < 4096; tries++ {
-		s = splitmix(s)
+		s = netmodel.Mix64(s)
 		g := s%(p-2) + 2 // in [2, p-1]
 		ok := true
 		for _, q := range factors {
@@ -267,13 +269,4 @@ func powmod(base, exp, m uint64) uint64 {
 		exp >>= 1
 	}
 	return res
-}
-
-// splitmix is SplitMix64, used for deterministic seed-derived values.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -40,7 +40,7 @@ func NewValidator(key uint64, epoch uint32, start time.Time) *Validator {
 // idWord computes the keyed 32-bit identity for a target address as it sits
 // on the wire: ICMP identifier above sequence number.
 func idWord(idKey uint64, dst netmodel.Addr) uint32 {
-	return uint32(splitmix(idKey ^ uint64(dst)<<1))
+	return uint32(netmodel.Mix64(idKey ^ uint64(dst)<<1))
 }
 
 // idSeq is idWord split into its two fields.

@@ -47,7 +47,7 @@ type Transport interface {
 
 // Config controls one scan round.
 type Config struct {
-	Rate     int           // packets/second; 0 = unlimited. Default 8000.
+	Rate     int           // packets/second; 0 = DefaultRate (8000), negative = unlimited
 	Burst    int           // token bucket burst; default 64
 	Cooldown time.Duration // how long to wait for stragglers; default 8s
 	Seed     uint64        // permutation + validation seed
@@ -285,7 +285,7 @@ func (s *Scanner) RunContext(ctx context.Context, targets *TargetSet) (*RoundDat
 		targets: targets,
 		val:     NewValidator(cfg.Seed^0xc0ffee, cfg.Epoch, start),
 		rl:      NewRateLimiter(cfg.Clock, cfg.Rate, cfg.Burst),
-		rng:     splitmix(cfg.Seed ^ uint64(cfg.Epoch)<<32 ^ 0xfa17),
+		rng:     netmodel.Mix64(cfg.Seed ^ uint64(cfg.Epoch)<<32 ^ 0xfa17),
 		maxFail: int(cfg.ErrorBudget * float64(rd.ShardTargets)),
 		blocks:  rd.Blocks,
 	}

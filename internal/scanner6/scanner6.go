@@ -86,7 +86,7 @@ type Transport interface {
 
 // Config controls one probe round.
 type Config struct {
-	Rate     int
+	Rate     int // packets/second; 0 = scanner.DefaultRate, negative = unlimited
 	Seed     uint64
 	Epoch    uint32
 	Cooldown time.Duration
@@ -156,7 +156,17 @@ func idSeq(seed uint64, epoch uint32, dst netip.Addr) (uint16, uint16) {
 	return uint16(h >> 16), uint16(h)
 }
 
-// Run probes every hitlist address once.
+// maxRecvErrors is how many transient receive errors one round tolerates
+// before its receive path counts as dead (scanner.Config.MaxRecvErrors'
+// default).
+const maxRecvErrors = 32
+
+// Run probes every hitlist address once. A probe whose send fails transiently
+// is skipped and counted in Stats.SendErrors, and a transient read error is
+// counted in Stats.RecvErrors and read past. Any other send error and a dead
+// receive path — a non-transient read error, or more than maxRecvErrors
+// transient ones — fail the round: it is never reported as zero responsive
+// sites.
 func (p *Prober) Run(hl *Hitlist) (*RoundData, error) {
 	cfg := p.cfg
 	src := p.tr.LocalAddr()
@@ -193,11 +203,17 @@ func (p *Prober) Run(hl *Hitlist) (*RoundData, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.tr.WritePacket(dg); err != nil {
+		switch err := p.tr.WritePacket(dg); {
+		case err == nil:
+			rd.Stats.Sent++
+		case scanner.IsTransient(err):
+			rd.Stats.SendErrors++
+		default:
 			return nil, fmt.Errorf("scanner6: send to %v: %w", dst, err)
 		}
-		rd.Stats.Sent++
-		p.drain(rd, src, start, 0, siteIdx)
+		if err := p.drain(rd, start, 0, siteIdx); err != nil {
+			return nil, err
+		}
 	}
 	deadline := cfg.Clock.Now().Add(cfg.Cooldown)
 	for {
@@ -205,34 +221,46 @@ func (p *Prober) Run(hl *Hitlist) (*RoundData, error) {
 		if left <= 0 {
 			break
 		}
-		if !p.readOne(rd, src, start, left, siteIdx) {
-			break
+		if err := p.drain(rd, start, left, siteIdx); err != nil {
+			return nil, err
 		}
 	}
 	rd.Stats.Elapsed = cfg.Clock.Now().Sub(start)
 	return rd, nil
 }
 
-func (p *Prober) drain(rd *RoundData, src netip.Addr, start time.Time, wait time.Duration, siteIdx map[netip.Prefix]int) {
-	for p.readOne(rd, src, start, wait, siteIdx) {
+// drain reads and processes inbound packets until a read times out, waiting
+// up to wait for the first and polling for the rest. It returns an error once
+// the receive path is dead.
+func (p *Prober) drain(rd *RoundData, start time.Time, wait time.Duration, siteIdx map[netip.Prefix]int) error {
+	for {
+		pkt, at, err := p.tr.ReadPacket(wait)
+		switch {
+		case err == nil:
+			p.processReply(rd, start, pkt, at, siteIdx)
+		case errors.Is(err, scanner.ErrTimeout):
+			return nil
+		default:
+			rd.Stats.RecvErrors++
+			if !scanner.IsTransient(err) || rd.Stats.RecvErrors > maxRecvErrors {
+				return fmt.Errorf("scanner6: receive path dead after %d read errors: %w", rd.Stats.RecvErrors, err)
+			}
+		}
 		wait = 0
 	}
 }
 
-func (p *Prober) readOne(rd *RoundData, src netip.Addr, start time.Time, wait time.Duration, siteIdx map[netip.Prefix]int) bool {
-	pkt, at, err := p.tr.ReadPacket(wait)
-	if err != nil {
-		return false
-	}
+// processReply parses, validates and aggregates one inbound packet.
+func (p *Prober) processReply(rd *RoundData, start time.Time, pkt []byte, at time.Time, siteIdx map[netip.Prefix]int) {
 	h, body, err := icmp6.ParseIPv6(pkt)
 	if err != nil || h.NextHeader != icmp6.NextHeaderICMPv6 {
 		rd.Stats.Invalid++
-		return true
+		return
 	}
 	m, err := icmp6.Parse(h.Src, h.Dst, body)
 	if err != nil {
 		rd.Stats.Invalid++
-		return true
+		return
 	}
 	if m.IsError() {
 		// Harvest the emitting router (§6's visibility gain).
@@ -240,23 +268,23 @@ func (p *Prober) readOne(rd *RoundData, src netip.Addr, start time.Time, wait ti
 			rd.ErrorSources = append(rd.ErrorSources, es)
 		}
 		rd.Stats.NonEcho++
-		return true
+		return
 	}
 	if m.Type != icmp6.TypeEchoReply {
 		rd.Stats.NonEcho++
-		return true
+		return
 	}
 	id, seq := idSeq(p.cfg.Seed, p.cfg.Epoch, h.Src)
 	if m.ID != id || m.Seq != seq || len(m.Payload) < 8 ||
 		binary.BigEndian.Uint32(m.Payload[0:]) != p.cfg.Epoch {
 		rd.Stats.Invalid++
-		return true
+		return
 	}
 	rd.Stats.Received++
 	si, ok := siteIdx[Site(h.Src)]
 	if !ok {
 		rd.Stats.Invalid++
-		return true
+		return
 	}
 	sentMS := binary.BigEndian.Uint32(m.Payload[4:])
 	rtt := at.Sub(start) - time.Duration(sentMS)*time.Millisecond
@@ -266,5 +294,4 @@ func (p *Prober) readOne(rd *RoundData, src netip.Addr, start time.Time, wait ti
 	rd.Sites[si].Responses++
 	rd.Sites[si].RTTSum += rtt
 	rd.Stats.Valid++
-	return true
 }

@@ -1,6 +1,7 @@
 package scanner6_test
 
 import (
+	"errors"
 	"net/netip"
 	"testing"
 	"time"
@@ -102,6 +103,87 @@ func TestProbeRoundOverSimnet6(t *testing.T) {
 	}
 	if uint64(totalResp) != rd.Stats.Valid {
 		t.Errorf("site responses %d vs valid %d", totalResp, rd.Stats.Valid)
+	}
+}
+
+// flaky fails the wire's failWrite-th WritePacket and failRead-th ReadPacket
+// call (1-based, 0 = never) with err, once each.
+type flaky struct {
+	*simnet.Network6
+	failWrite, failRead int
+	err                 error
+	writes, reads       int
+}
+
+func (f *flaky) WritePacket(b []byte) error {
+	if f.writes++; f.writes == f.failWrite {
+		return f.err
+	}
+	return f.Network6.WritePacket(b)
+}
+
+func (f *flaky) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
+	if f.reads++; f.reads == f.failRead {
+		return nil, time.Time{}, f.err
+	}
+	return f.Network6.ReadPacket(wait)
+}
+
+type transportErr struct{ transient bool }
+
+func (e transportErr) Error() string   { return "flaky transport" }
+func (e transportErr) Transient() bool { return e.transient }
+
+// TestRunTransportErrors: a transient send error costs one probe and a
+// transient read error costs nothing, both counted; a hard error on either
+// side fails the round instead of reading as an unresponsive hitlist.
+func TestRunTransportErrors(t *testing.T) {
+	const targets = 8
+	var addrs []netip.Addr
+	for i := 1; i <= targets; i++ {
+		addrs = append(addrs, netip.AddrFrom16([16]byte{0x2a, 0x0d, 0x84, 0x80, 15: byte(i)}))
+	}
+	hl, err := scanner6.NewHitlist(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allUp := func(netip.Addr, time.Time) simnet.Reply6 {
+		return simnet.Reply6{Kind: simnet.EchoReply, RTT: 20 * time.Millisecond}
+	}
+	for _, tc := range []struct {
+		name                string
+		failWrite, failRead int
+		transient           bool
+		wantErr             bool
+		sent, valid         uint64
+		sendErrs, recvErrs  uint64
+	}{
+		{name: "clean", sent: targets, valid: targets},
+		{name: "transient send", failWrite: 3, transient: true, sent: targets - 1, valid: targets - 1, sendErrs: 1},
+		{name: "hard send", failWrite: 3, wantErr: true},
+		{name: "transient read", failRead: 5, transient: true, sent: targets, valid: targets, recvErrs: 1},
+		{name: "transient read in cooldown", failRead: targets + 1, transient: true, sent: targets, valid: targets, recvErrs: 1},
+		{name: "hard read", failRead: 5, wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wire := simnet.New6(v6("2001:db8::1"), allUp, timeline.DefaultStart)
+			tr := &flaky{Network6: wire, failWrite: tc.failWrite, failRead: tc.failRead, err: transportErr{tc.transient}}
+			rd, err := scanner6.New(tr, scanner6.Config{Seed: 7, Epoch: 1, Clock: wire, Cooldown: time.Second}).Run(hl)
+			if tc.wantErr {
+				if !errors.Is(err, tr.err) {
+					t.Fatalf("Run = %v, want the transport's hard error", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := rd.Stats
+			if st.Sent != tc.sent || st.Valid != tc.valid || st.SendErrors != tc.sendErrs || st.RecvErrors != tc.recvErrs {
+				t.Fatalf("sent %d valid %d send errors %d recv errors %d, want %d %d %d %d",
+					st.Sent, st.Valid, st.SendErrors, st.RecvErrors, tc.sent, tc.valid, tc.sendErrs, tc.recvErrs)
+			}
+		})
 	}
 }
 

@@ -92,7 +92,7 @@ func (s *Spec) Compile() (*Compiled, error) {
 			nameSeed := nameHash(ev.Name)
 			for _, asn := range scopeASNs(ev, regionASes) {
 				for _, blk := range asBlocks[asn] {
-					if hash3(s.Seed^0xe7e1, uint64(blk), nameSeed)%100 < uint64(ev.BlockPct) {
+					if netmodel.Hash3(s.Seed^0xe7e1, uint64(blk), nameSeed)%100 < uint64(ev.BlockPct) {
 						out.Blocks = append(out.Blocks, blk)
 					}
 				}
@@ -147,7 +147,7 @@ func (s *Spec) MustCompile() *Compiled {
 // blockTraits derives one block's behaviour from its AS profile. Each field
 // draws from an independent salted hash so trait membership is uncorrelated.
 func (s *Spec) blockTraits(as *ASSpec, blk netmodel.BlockID) sim.BlockTraits {
-	field := func(salt uint64) uint64 { return hash3(s.Seed^0x5eca, uint64(blk), salt) }
+	field := func(salt uint64) uint64 { return netmodel.Hash3(s.Seed^0x5eca, uint64(blk), salt) }
 	pick := func(salt uint64, pct int) bool { return field(salt)%100 < uint64(pct) }
 
 	// Density jitters ±1/8 around the profile so blocks are not clones.
@@ -161,7 +161,7 @@ func (s *Spec) blockTraits(as *ASSpec, blk netmodel.BlockID) sim.BlockTraits {
 	if density > 255 {
 		density = 255
 	}
-	rate := as.RespRate * (0.95 + 0.1*unitFloat(field(2)))
+	rate := as.RespRate * (0.95 + 0.1*netmodel.UnitFloat(field(2)))
 	if rate > 1 {
 		rate = 1
 	}

@@ -162,18 +162,3 @@ func (s *Spec) End() time.Time { return sim.SpecEnd(s.Start, s.Days, s.Interval)
 
 // Rounds returns the campaign's round count.
 func (s *Spec) Rounds() int { return s.Days * int(24*time.Hour/s.Interval) }
-
-// Deterministic hashing, same construction as internal/sim's: every
-// stochastic compile decision is a pure function of (seed, identifiers).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func hash2(a, b uint64) uint64 { return mix64(mix64(a) ^ b) }
-
-func hash3(a, b, c uint64) uint64 { return mix64(hash2(a, b) ^ mix64(c)) }
-
-func unitFloat(h uint64) float64 { return float64(h>>11) / (1 << 53) }

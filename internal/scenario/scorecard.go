@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -76,15 +77,7 @@ func (c *Compiled) RunScorecard() (*Scorecard, error) {
 	world := c.Sim
 	space := world.Space
 
-	var targets []netmodel.Prefix
-	origins := make(map[netmodel.BlockID]netmodel.ASN, space.NumBlocks())
-	for _, as := range space.ASes() {
-		targets = append(targets, as.Prefixes...)
-	}
-	for _, blk := range space.Blocks() {
-		origins[blk] = space.OriginOf(blk)
-	}
-
+	targets, origins := world.Targets()
 	mon, err := countrymon.New(countrymon.Options{
 		Transport: simnet.New(vantageAddr, world.Responder(), spec.Start),
 		Targets:   targets,
@@ -98,28 +91,19 @@ func (c *Compiled) RunScorecard() (*Scorecard, error) {
 		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
 
-	// The campaign: ground-truth routing is fed per round (the monitor's
-	// BGP view), scripted vantage outages are marked missing, and degraded
-	// windows are recorded as salvaged partial rounds.
-	blocks := space.Blocks()
-	for mon.NextRound() {
-		r := mon.Round()
-		if world.Missing[r] {
-			if err := mon.MarkMissing(); err != nil {
-				return nil, fmt.Errorf("scenario %s round %d: %w", spec.Name, r, err)
+	// The campaign: the world feeds ground-truth routing per round (the
+	// monitor's BGP view) and marks its scripted vantage outages missing;
+	// degraded windows are recorded as salvaged partial rounds.
+	err = mon.Run(context.Background(), countrymon.RunConfig{
+		PreRound: world.PreRound(mon),
+		Hooks: countrymon.Hooks{OnRound: func(r int, _ countrymon.Stats) {
+			if cov, ok := c.Degraded[r]; ok && !mon.Store().Missing(r) {
+				mon.Store().SetCoverage(r, cov)
 			}
-			continue
-		}
-		at := world.TL.Time(r)
-		for bi, blk := range blocks {
-			mon.SetRouted(blk, r, world.BlockStateAt(bi, at).Routed, origins[blk])
-		}
-		if _, err := mon.ScanRound(); err != nil {
-			return nil, fmt.Errorf("scenario %s round %d: %w", spec.Name, r, err)
-		}
-		if cov, ok := c.Degraded[r]; ok {
-			mon.Store().SetCoverage(r, cov)
-		}
+		}},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s round %d: %w", spec.Name, mon.Round(), err)
 	}
 
 	card := &Scorecard{

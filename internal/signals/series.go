@@ -11,11 +11,10 @@
 // for total BGP loss, and ISP availability sensing (Baltra & Heidemann) to
 // filter dynamic-reallocation false positives out of the FBS signal.
 //
-// Two builder modes share one implementation: the batch mode derives series
-// from a complete store (the oracle every test compares against), and the
-// streaming mode (NewStreamingBuilder, Fold) keeps already-built series warm
-// across a running campaign, folding each new round in as it lands at
-// O(blocks touched this round) instead of rebuilding the full campaign.
+// One Builder serves both uses: built over a complete store it is the batch
+// oracle every test compares against, and over a running campaign's store
+// Fold keeps its already-built series warm, folding each new round in as it
+// lands at O(blocks touched this round) instead of rebuilding the campaign.
 package signals
 
 import (
@@ -89,14 +88,13 @@ type Builder struct {
 	// metrics records series-build timings (see Observe); never nil.
 	metrics *Metrics
 
-	// Streaming state (see stream.go). foldMu guards the entity registry:
-	// series builds may run concurrently with each other (par.Cache), but
-	// Fold must not run concurrently with series queries — the campaign
-	// goroutine serializes them.
-	streaming bool
-	nextFold  int
-	foldMu    sync.Mutex
-	entities  []*foldEntity
+	// Fold state (see stream.go). foldMu guards the entity registry: series
+	// builds may run concurrently with each other (par.Cache), but Fold must
+	// not run concurrently with series queries — the campaign goroutine
+	// serializes them.
+	nextFold int
+	foldMu   sync.Mutex
+	entities []*foldEntity
 }
 
 // NewBuilder precomputes eligibility for all blocks and months, gating
@@ -123,6 +121,7 @@ func NewBuilderMinCoverage(store *dataset.Store, space *netmodel.Space, minCover
 		missing:     store.EffectiveMissing(minCoverage),
 		minCoverage: minCoverage,
 		metrics:     &Metrics{},
+		nextFold:    store.NextUndone(),
 	}
 	// The ever-active aggregates are independent per block: one pass over
 	// the block's round series per worker-pool shard. MonthStats skips only
@@ -178,7 +177,7 @@ func (b *Builder) AS(asn netmodel.ASN) *EntitySeries {
 
 func (b *Builder) buildAS(asn netmodel.ASN) *EntitySeries {
 	defer b.metrics.BuildSeconds.ObserveSince(time.Now())
-	es := b.newSeries(asn.String())
+	es := NewSeries(asn.String(), b.tl, b.missing)
 	rounds := b.tl.NumRounds()
 	for _, bi := range b.asBlocks[asn] {
 		resp := b.store.RespSeries(bi)
@@ -216,7 +215,7 @@ func (b *Builder) Region(rr *regional.RegionResult, cl *regional.Classifier) *En
 
 func (b *Builder) buildRegion(rr *regional.RegionResult, cl *regional.Classifier) *EntitySeries {
 	defer b.metrics.BuildSeconds.ObserveSince(time.Now())
-	es := b.newSeries(rr.Region.String())
+	es := NewSeries(rr.Region.String(), b.tl, b.missing)
 	rounds := b.tl.NumRounds()
 	fe := &foldEntity{es: es}
 	for _, bc := range rr.Blocks {
@@ -254,19 +253,21 @@ func (b *Builder) buildRegion(rr *regional.RegionResult, cl *regional.Classifier
 	return es
 }
 
-func (b *Builder) newSeries(name string) *EntitySeries {
-	rounds := b.tl.NumRounds()
+// NewSeries returns an all-zero series over tl with no month's IPS valid.
+// Missing aliases the given per-round mask, it is not copied.
+func NewSeries(name string, tl *timeline.Timeline, missing []bool) *EntitySeries {
+	rounds := tl.NumRounds()
 	// One backing array for all three signals instead of three small
 	// allocations; series construction dominates the sweep hot paths.
 	buf := make([]float32, 3*rounds)
 	return &EntitySeries{
 		Name:          name,
-		TL:            b.tl,
+		TL:            tl,
 		BGP:           buf[:rounds:rounds],
 		FBS:           buf[rounds : 2*rounds : 2*rounds],
 		IPS:           buf[2*rounds:],
-		IPSValidMonth: make([]bool, b.tl.NumMonths()),
-		Missing:       b.missing,
+		IPSValidMonth: make([]bool, tl.NumMonths()),
+		Missing:       missing,
 	}
 }
 

@@ -22,21 +22,18 @@ type foldEntity struct {
 	share  func(bi, m int) float32
 }
 
-// NewStreamingBuilder is NewBuilderMinCoverage plus streaming mode: series
-// built from it stay registered, and Fold advances them round by round as a
-// live campaign lands data, at O(blocks) per round instead of a full
-// rebuild. On a partially filled store (e.g. after resume) the initial build
-// covers everything already recorded and Fold picks up from the store's
-// resume cursor.
+// NewStreamingBuilder is NewBuilderMinCoverage under the name a live campaign
+// builds by: every series a Builder builds stays registered, and Fold advances
+// them round by round as the campaign lands data, at O(blocks) per round
+// instead of a full rebuild. On a partially filled store (e.g. after resume)
+// the initial build covers everything already recorded and Fold picks up from
+// the store's resume cursor.
 //
 // The contract mirrors a campaign loop: rounds fold in nondecreasing order,
 // a folded round's store cells are immutable afterwards (except the round
 // being re-folded), and Fold is not called concurrently with series queries.
 func NewStreamingBuilder(store *dataset.Store, space *netmodel.Space, minCoverage float64) *Builder {
-	b := NewBuilderMinCoverage(store, space, minCoverage)
-	b.streaming = true
-	b.nextFold = store.NextUndone()
-	return b
+	return NewBuilderMinCoverage(store, space, minCoverage)
 }
 
 // NextFold returns the next round Fold expects (rounds before it are already
@@ -44,9 +41,6 @@ func NewStreamingBuilder(store *dataset.Store, space *netmodel.Space, minCoverag
 func (b *Builder) NextFold() int { return b.nextFold }
 
 func (b *Builder) registerFold(fe *foldEntity) {
-	if !b.streaming {
-		return
-	}
 	b.foldMu.Lock()
 	b.entities = append(b.entities, fe)
 	b.foldMu.Unlock()
@@ -60,9 +54,6 @@ func (b *Builder) registerFold(fe *foldEntity) {
 // crossing, and only the affected month's IPSValidMonth is recomputed.
 // Rounds already strictly behind the fold cursor are a no-op.
 func (b *Builder) Fold(round int) error {
-	if !b.streaming {
-		return fmt.Errorf("signals: Fold on a batch builder")
-	}
 	if round < 0 || round >= b.tl.NumRounds() {
 		return fmt.Errorf("signals: Fold round %d out of range [0,%d)", round, b.tl.NumRounds())
 	}

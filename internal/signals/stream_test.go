@@ -186,18 +186,14 @@ func testStreamingFoldMatchesBatch(t *testing.T, resume bool) {
 	}
 }
 
-// TestFoldRejectsBatchBuilder pins the API contract: Fold is only valid on
-// a streaming builder and only within the timeline.
+// TestFoldRejectsBatchBuilder pins Fold's bounds: only within the timeline,
+// and a round behind the cursor is a no-op. (The name predates the single
+// Builder: there is no batch-only builder left to reject.)
 func TestFoldRejectsBatchBuilder(t *testing.T) {
 	sc := sim.MustBuild(sim.Config{Seed: 11, Scale: 0.02})
 	start := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
 	tl := timeline.New(start, start.Add(59*6*time.Hour), 6*time.Hour)
 	st := dataset.NewStore(tl, sc.Space.Blocks())
-
-	batch := NewBuilderMinCoverage(st, sc.Space, DefaultMinCoverage)
-	if err := batch.Fold(0); err == nil {
-		t.Fatal("Fold on a batch builder did not error")
-	}
 
 	sb := NewStreamingBuilder(st, sc.Space, DefaultMinCoverage)
 	if err := sb.Fold(tl.NumRounds()); err == nil {

@@ -51,7 +51,7 @@ var regionParams = map[netmodel.Region]regionParam{
 
 // weightedRegion picks a region proportional to its block weight.
 func weightedRegion(h uint64) netmodel.Region {
-	u := unitFloat(h)
+	u := netmodel.UnitFloat(h)
 	acc := 0.0
 	for _, r := range netmodel.Regions() {
 		acc += regionParams[r].Weight
@@ -200,7 +200,7 @@ func MustBuild(cfg Config) *Scenario {
 func (b *builder) h(vals ...uint64) uint64 {
 	x := b.seed
 	for _, v := range vals {
-		x = hash2(x, v)
+		x = netmodel.Hash2(x, v)
 	}
 	return x
 }
@@ -261,18 +261,18 @@ func (b *builder) addAS(as *netmodel.AS, n int, tr ASTraits) []netmodel.BlockID 
 func (b *builder) blockDefaults(t *BlockTraits, region netmodel.Region, regionalAS bool) {
 	t.HomeRegion = region
 	h := b.h(0x8811, uint64(t.Block))
-	u := unitFloat(h)
+	u := netmodel.UnitFloat(h)
 
 	frontline := region.Frontline()
 	switch {
 	case region == netmodel.Kherson:
 		t.Density = uint8(12 + h>>8%34) // 12..45
 		t.RespRate = float32(0.30 + 0.25*u)
-		t.DeclineTo = float32(0.25 + 0.20*unitFloat(h>>16))
+		t.DeclineTo = float32(0.25 + 0.20*netmodel.UnitFloat(h>>16))
 	case frontline:
 		t.Density = uint8(10 + h>>8%50) // 10..59
 		t.RespRate = float32(0.35 + 0.30*u)
-		t.DeclineTo = float32(0.30 + 0.35*unitFloat(h>>16))
+		t.DeclineTo = float32(0.30 + 0.35*netmodel.UnitFloat(h>>16))
 	default:
 		if u < 0.38 && !regionalAS {
 			// Sparse block: effectively unused address space.
@@ -282,8 +282,8 @@ func (b *builder) blockDefaults(t *BlockTraits, region netmodel.Region, regional
 			return
 		}
 		t.Density = uint8(20 + h>>8%160) // 20..179
-		t.RespRate = float32(0.50 + 0.35*unitFloat(h>>24))
-		t.DeclineTo = float32(0.75 + 0.30*unitFloat(h>>16))
+		t.RespRate = float32(0.50 + 0.35*netmodel.UnitFloat(h>>24))
+		t.DeclineTo = float32(0.75 + 0.30*netmodel.UnitFloat(h>>16))
 	}
 	t.Diurnal = h>>32%100 < 15
 	// Frontline providers are war-hardened (generators, PON, §6); the
@@ -294,14 +294,14 @@ func (b *builder) blockDefaults(t *BlockTraits, region netmodel.Region, regional
 		t.GridSensitive = h>>40%100 < 30
 	}
 	if t.GridSensitive {
-		t.BackupHours = float32(1.5 + 4.5*unitFloat(h>>48)) // 1.5..6h
+		t.BackupHours = float32(1.5 + 4.5*netmodel.UnitFloat(h>>48)) // 1.5..6h
 	} else {
-		t.BackupHours = float32(3 + 6*unitFloat(h>>48)) // 3..9h
+		t.BackupHours = float32(3 + 6*netmodel.UnitFloat(h>>48)) // 3..9h
 	}
 	t.Static = regionalAS && h>>56%100 < 75
 	// Persistent IP drift to a neighbouring region for ~10% of blocks.
 	if h>>4%100 < 10 {
-		t.DriftFrac = float32(0.1 + 0.3*unitFloat(h>>12))
+		t.DriftFrac = float32(0.1 + 0.3*netmodel.UnitFloat(h>>12))
 		t.DriftRegion = weightedRegion(b.h(0xd1, uint64(t.Block)))
 		if t.DriftRegion == region {
 			t.DriftRegion = netmodel.Kyiv
@@ -420,7 +420,7 @@ func (b *builder) buildRegionalASes() {
 		count := b.scaleCount(regionParams[region].RegionalAS)
 		for i := 0; i < count; i++ {
 			asn = b.nextASN(asn)
-			u := unitFloat(b.h(0x4e9, uint64(asn)))
+			u := netmodel.UnitFloat(b.h(0x4e9, uint64(asn)))
 			size := 1 + int(39*u*u*u) // heavy tail of small providers
 			as := &netmodel.AS{ASN: asn, Name: fmt.Sprintf("%s-Net-%d", region, i+1), HQ: region}
 			blocks := b.addAS(as, size, ASTraits{})
@@ -484,11 +484,11 @@ func (b *builder) applyChurn() {
 			moveFrac = 0.74 // only 26% of Kherson IPs remained (§4.1)
 			abroadShare = 0.29 / 0.74
 		}
-		hMove := mix64(h ^ 0x01)
-		hDest := mix64(h ^ 0x02)
-		hCountry := mix64(h ^ 0x03)
-		hMonth := mix64(h ^ 0x04)
-		if unitFloat(hMove) >= moveFrac {
+		hMove := netmodel.Mix64(h ^ 0x01)
+		hDest := netmodel.Mix64(h ^ 0x02)
+		hCountry := netmodel.Mix64(h ^ 0x03)
+		hMonth := netmodel.Mix64(h ^ 0x04)
+		if netmodel.UnitFloat(hMove) >= moveFrac {
 			continue
 		}
 		// Kherson's 13 regional providers keep their blocks home while
@@ -509,14 +509,14 @@ func (b *builder) applyChurn() {
 					t.MoveRegion = netmodel.RegionNone
 					t.MoveCountry = "US"
 				}
-			case unitFloat(mix64(h^0x05)) < 0.35 && months > 6:
-				t.MoveMonth = months - 3 - int16(mix64(h^0x06)%3)
+			case netmodel.UnitFloat(netmodel.Mix64(h^0x05)) < 0.35 && months > 6:
+				t.MoveMonth = months - 3 - int16(netmodel.Mix64(h^0x06)%3)
 				t.MoveRegion = netmodel.Kyiv
 			}
 			continue
 		}
 		t.MoveMonth = int16(1 + hMonth%uint64(months-2))
-		if unitFloat(hDest) < abroadShare {
+		if netmodel.UnitFloat(hDest) < abroadShare {
 			t.MoveRegion = netmodel.RegionNone
 			switch v := hCountry % 100; {
 			case v < 62:
@@ -591,7 +591,7 @@ func (b *builder) generateFrontlineNoise() {
 				ev.Kind = EffectSilent
 			} else {
 				ev.Kind = EffectIPSDrop
-				ev.Magnitude = 0.5 + 0.4*unitFloat(h>>40)
+				ev.Magnitude = 0.5 + 0.4*netmodel.UnitFloat(h>>40)
 			}
 			b.events = append(b.events, ev)
 		}
@@ -628,7 +628,7 @@ func (b *builder) generateFrontlineNoise() {
 				ev.Kind = EffectSilent
 			default:
 				ev.Kind = EffectIPSDrop
-				ev.Magnitude = 0.4 + 0.5*unitFloat(h>>40)
+				ev.Magnitude = 0.4 + 0.5*netmodel.UnitFloat(h>>40)
 			}
 			b.events = append(b.events, ev)
 		}

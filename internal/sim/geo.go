@@ -84,8 +84,8 @@ func (s *Scenario) blockGeoEntries(bi, month int, entries []geodb.Entry) []geodb
 	}
 
 	// Transient block drift: a /26 slice mislocates for one month.
-	h := hash3(s.Cfg.Seed^0xd41f7, uint64(bt.Block), uint64(int64(month)+7))
-	if country == s.Country && !bt.Static && unitFloat(h) < transientDriftProb {
+	h := netmodel.Hash3(s.Cfg.Seed^0xd41f7, uint64(bt.Block), uint64(int64(month)+7))
+	if country == s.Country && !bt.Static && netmodel.UnitFloat(h) < transientDriftProb {
 		target := netmodel.Region(1 + h>>32%uint64(netmodel.NumRegions))
 		if target != region {
 			sub := netmodel.Prefix{Base: bt.Block.First() + 128, Bits: 26}
@@ -103,7 +103,7 @@ func (s *Scenario) blockGeoEntries(bi, month int, entries []geodb.Entry) []geodb
 // months.
 func (s *Scenario) dynamicRegion(bi, month int) netmodel.Region {
 	epoch := (month + 1) / 3
-	h := hash3(s.Cfg.Seed^0xdba, uint64(bi), uint64(epoch))
+	h := netmodel.Hash3(s.Cfg.Seed^0xdba, uint64(bi), uint64(epoch))
 	return weightedRegion(h)
 }
 
@@ -159,7 +159,7 @@ func (s *Scenario) IPv6ChurnByRegion() map[netmodel.Region]float64 {
 		case netmodel.Luhansk, netmodel.Donetsk:
 			pct = -8
 		default:
-			pct = 10 + 50*unitFloat(hash2(s.Cfg.Seed^0x6666, uint64(r)))
+			pct = 10 + 50*netmodel.UnitFloat(netmodel.Hash2(s.Cfg.Seed^0x6666, uint64(r)))
 		}
 		out[r] = pct
 	}

@@ -94,8 +94,8 @@ func (s *refWorld) refStateAt(bi int, round int, at time.Time) BlockState {
 		// (consolidation and renumbering): the count of active blocks
 		// swings while total responsiveness is conserved — exactly the
 		// block-level false positive availability sensing filters.
-		pa := 0.10 + 0.80*unitFloat(hash3(s.Cfg.Seed^0x90a1, uint64(bt.ASN), uint64(epoch)))
-		if unitFloat(hash3(s.Cfg.Seed^0x2ea1, uint64(bi), uint64(epoch))) < pa {
+		pa := 0.10 + 0.80*netmodel.UnitFloat(netmodel.Hash3(s.Cfg.Seed^0x90a1, uint64(bt.ASN), uint64(epoch)))
+		if netmodel.UnitFloat(netmodel.Hash3(s.Cfg.Seed^0x2ea1, uint64(bi), uint64(epoch))) < pa {
 			m := 0.7 / pa
 			if m > 2.3 {
 				m = 2.3
@@ -117,7 +117,7 @@ func (s *refWorld) refStateAt(bi int, round int, at time.Time) BlockState {
 		applies := true
 		if region.Frontline() {
 			day := at.YearDay() + at.Year()*400
-			applies = hash3(s.Cfg.Seed^0xf18e, uint64(region), uint64(day))%100 < 35
+			applies = netmodel.Hash3(s.Cfg.Seed^0xf18e, uint64(region), uint64(day))%100 < 35
 		}
 		if out, since := s.Power.OutSince(region, at); applies && out && since > float64(bt.BackupHours) {
 			if bt.GridSensitive {
@@ -176,7 +176,7 @@ func (s *refWorld) refStateAt(bi int, round int, at time.Time) BlockState {
 	if resp > 0 {
 		w := int(resp)
 		fracPart := resp - float64(w)
-		if unitFloat(hash3(s.Cfg.Seed^0x5eed, uint64(bi), uint64(round))) < fracPart {
+		if netmodel.UnitFloat(netmodel.Hash3(s.Cfg.Seed^0x5eed, uint64(bi), uint64(round))) < fracPart {
 			w++
 		}
 		if w > int(bt.Density) {
@@ -189,11 +189,11 @@ func (s *refWorld) refStateAt(bi int, round int, at time.Time) BlockState {
 	}
 
 	// Round-trip time: base per region plus rerouting detours and jitter.
-	base := 32 + int(hash2(uint64(s.Cfg.Seed), uint64(region))%22)
+	base := 32 + int(netmodel.Hash2(uint64(s.Cfg.Seed), uint64(region))%22)
 	if movedAbroad {
 		base = 105 // transatlantic cloud
 	}
-	jitter := int(hash3(s.Cfg.Seed^0x177, uint64(bi), uint64(round))%9) - 4
+	jitter := int(netmodel.Hash3(s.Cfg.Seed^0x177, uint64(bi), uint64(round))%9) - 4
 	rtt := base + rttDelta + jitter
 	if rtt < 1 {
 		rtt = 1

@@ -54,8 +54,8 @@ func (s *Scenario) RIPEBase() *ripe.File {
 // allocDate spreads allocation dates over 1996..2021 with the bulk in the
 // 2004-2012 growth years (Fig 18's shape).
 func allocDate(seed uint64, base netmodel.Addr) time.Time {
-	h := hash2(seed^0x41fe, uint64(base))
-	u := unitFloat(h)
+	h := netmodel.Hash2(seed^0x41fe, uint64(base))
+	u := netmodel.UnitFloat(h)
 	var year int
 	switch {
 	case u < 0.10:
@@ -101,8 +101,8 @@ func (s *Scenario) RIPESnapshot(month int) *ripe.File {
 	out := &ripe.File{}
 	for i, rec := range base.Records {
 		if rec.CC == s.Country {
-			h := hash3(s.Cfg.Seed^0x5ec0, uint64(rec.Start), uint64(i))
-			if unitFloat(h) < recodeFraction {
+			h := netmodel.Hash3(s.Cfg.Seed^0x5ec0, uint64(rec.Start), uint64(i))
+			if netmodel.UnitFloat(h) < recodeFraction {
 				at := int(h >> 16 % uint64(months))
 				if month >= at {
 					rec.CC = recodeDest(h >> 32)
@@ -115,7 +115,7 @@ func (s *Scenario) RIPESnapshot(month int) *ripe.File {
 	// reserved pool.
 	added := int(float64(len(base.Records)) * addFraction)
 	for i := 0; i < added; i++ {
-		h := hash2(s.Cfg.Seed^0xadd, uint64(i))
+		h := netmodel.Hash2(s.Cfg.Seed^0xadd, uint64(i))
 		at := int(h % uint64(months))
 		if month < at {
 			continue

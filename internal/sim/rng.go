@@ -6,25 +6,6 @@ import (
 	"countrymon/internal/netmodel"
 )
 
-// Deterministic hashing: every stochastic decision in the simulator is a
-// pure function of (seed, identifiers), so scenarios are exactly
-// reproducible and state can be evaluated at any (block, time) without
-// history.
-
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func hash2(a, b uint64) uint64 { return mix64(mix64(a) ^ b) }
-
-func hash3(a, b, c uint64) uint64 { return mix64(hash2(a, b) ^ mix64(c)) }
-
-// unitFloat maps a hash to [0, 1).
-func unitFloat(h uint64) float64 { return float64(h>>11) / (1 << 53) }
-
 // liveOrderCache lazily computes each block's host liveness ranking: a
 // permutation of 0..255 per block, derived from the scenario seed. Rank 0 is
 // the "most alive" host; host h responds in a round iff rank(h) < count.
@@ -61,7 +42,7 @@ func (c *liveOrderCache) build(block netmodel.BlockID) *[256]uint8 {
 	}
 	var keys [256]hk
 	for i := 0; i < 256; i++ {
-		keys[i] = hk{h: hash3(c.seed, uint64(block), uint64(i)), host: uint8(i)}
+		keys[i] = hk{h: netmodel.Hash3(c.seed, uint64(block), uint64(i)), host: uint8(i)}
 	}
 	// Insertion sort on 256 elements is fine and allocation-free.
 	for i := 1; i < 256; i++ {

@@ -209,8 +209,8 @@ func (s *Scenario) stateIn(bi int, in *instant) BlockState {
 		// (consolidation and renumbering): the count of active blocks
 		// swings while total responsiveness is conserved — exactly the
 		// block-level false positive availability sensing filters.
-		pa := 0.10 + 0.80*unitFloat(hash3(s.Cfg.Seed^0x90a1, uint64(bt.ASN), epoch))
-		if unitFloat(hash3(s.Cfg.Seed^0x2ea1, uint64(bi), epoch)) < pa {
+		pa := 0.10 + 0.80*netmodel.UnitFloat(netmodel.Hash3(s.Cfg.Seed^0x90a1, uint64(bt.ASN), epoch))
+		if netmodel.UnitFloat(netmodel.Hash3(s.Cfg.Seed^0x2ea1, uint64(bi), epoch)) < pa {
 			m := 0.7 / pa
 			if m > 2.3 {
 				m = 2.3
@@ -231,7 +231,7 @@ func (s *Scenario) stateIn(bi int, in *instant) BlockState {
 	if !movedAbroad && region.Valid() {
 		applies := true
 		if region.Frontline() {
-			applies = hash3(s.Cfg.Seed^0xf18e, uint64(region), in.dayKey)%100 < 35
+			applies = netmodel.Hash3(s.Cfg.Seed^0xf18e, uint64(region), in.dayKey)%100 < 35
 		}
 		if out, since := s.Power.OutSinceAt(region, in.power); applies && out && since > float64(bt.BackupHours) {
 			if bt.GridSensitive {
@@ -286,7 +286,7 @@ func (s *Scenario) stateIn(bi int, in *instant) BlockState {
 	if resp > 0 {
 		w := int(resp)
 		fracPart := resp - float64(w)
-		if unitFloat(hash3(s.Cfg.Seed^0x5eed, uint64(bi), uint64(in.round))) < fracPart {
+		if netmodel.UnitFloat(netmodel.Hash3(s.Cfg.Seed^0x5eed, uint64(bi), uint64(in.round))) < fracPart {
 			w++
 		}
 		if w > int(bt.Density) {
@@ -299,11 +299,11 @@ func (s *Scenario) stateIn(bi int, in *instant) BlockState {
 	}
 
 	// Round-trip time: base per region plus rerouting detours and jitter.
-	base := 32 + int(hash2(uint64(s.Cfg.Seed), uint64(region))%22)
+	base := 32 + int(netmodel.Hash2(uint64(s.Cfg.Seed), uint64(region))%22)
 	if movedAbroad {
 		base = 105 // transatlantic cloud
 	}
-	jitter := int(hash3(s.Cfg.Seed^0x177, uint64(bi), uint64(in.round))%9) - 4
+	jitter := int(netmodel.Hash3(s.Cfg.Seed^0x177, uint64(bi), uint64(in.round))%9) - 4
 	rtt := base + rttDelta + jitter
 	if rtt < 1 {
 		rtt = 1
@@ -378,7 +378,7 @@ func (s *Scenario) Responder() simnet.Responder {
 			return simnet.Reply{Kind: simnet.NoReply}
 		}
 		// Per-host RTT jitter around the block mean.
-		j := int(hash3(s.Cfg.Seed^0x99, uint64(dst), uint64(at.Unix())/600)%7) - 3
+		j := int(netmodel.Hash3(s.Cfg.Seed^0x99, uint64(dst), uint64(at.Unix())/600)%7) - 3
 		rtt := int(st.RTTMS) + j
 		if rtt < 1 {
 			rtt = 1
@@ -448,9 +448,9 @@ func (s *Scenario) ProbeFunc() func(addr netmodel.Addr, at time.Time) bool {
 		if int(s.liveOrder.rank(bi, addr.HostByte())) >= st.Resp {
 			return false
 		}
-		avail := MinProbeAvail + (MaxProbeAvail-MinProbeAvail)*unitFloat(hash2(s.Cfg.Seed^0xa7a, uint64(addr)))
-		h := hash3(s.Cfg.Seed^0x10ff, uint64(addr), uint64(at.Unix()/600))
-		return unitFloat(h) < avail
+		avail := MinProbeAvail + (MaxProbeAvail-MinProbeAvail)*netmodel.UnitFloat(netmodel.Hash2(s.Cfg.Seed^0xa7a, uint64(addr)))
+		h := netmodel.Hash3(s.Cfg.Seed^0x10ff, uint64(addr), uint64(at.Unix()/600))
+		return netmodel.UnitFloat(h) < avail
 	}
 }
 

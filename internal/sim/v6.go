@@ -58,7 +58,7 @@ func (s *Scenario) V6Hitlist() (*scanner6.Hitlist, error) {
 			b := base
 			binary.BigEndian.PutUint16(b[4:6], uint16(site))
 			for hst := 0; hst < v6AddrsPerSite; hst++ {
-				h := hash3(s.Cfg.Seed^0x6f0, uint64(r)<<32|uint64(site), uint64(hst))
+				h := netmodel.Hash3(s.Cfg.Seed^0x6f0, uint64(r)<<32|uint64(site), uint64(hst))
 				binary.BigEndian.PutUint64(b[8:16], h|1)
 				addrs = append(addrs, netip.AddrFrom16(b))
 			}
@@ -71,7 +71,7 @@ func (s *Scenario) V6Hitlist() (*scanner6.Hitlist, error) {
 // given time: it interpolates between a starting share and the share implied
 // by the Fig-20 growth percentage.
 func (s *Scenario) v6Adoption(r netmodel.Region, at time.Time) float64 {
-	start := 0.15 + 0.25*unitFloat(hash2(s.Cfg.Seed^0x60a, uint64(r)))
+	start := 0.15 + 0.25*netmodel.UnitFloat(netmodel.Hash2(s.Cfg.Seed^0x60a, uint64(r)))
 	growth := s.IPv6ChurnByRegion()[r] / 100
 	frac := at.Sub(s.TL.Start()).Hours() / s.TL.End().Sub(s.TL.Start()).Hours()
 	if frac < 0 {
@@ -100,9 +100,9 @@ func (s *Scenario) V6Responder() simnet.Responder6 {
 			return simnet.Reply6{Kind: simnet.NoReply}
 		}
 		b := dst.As16()
-		hostHash := hash3(s.Cfg.Seed^0x6e5, uint64(binary.BigEndian.Uint64(b[0:8])), uint64(binary.BigEndian.Uint64(b[8:16])))
-		rtt := time.Duration(30+hash2(uint64(s.Cfg.Seed), uint64(r))%22) * time.Millisecond
-		if unitFloat(hostHash) < s.v6Adoption(r, at) {
+		hostHash := netmodel.Hash3(s.Cfg.Seed^0x6e5, uint64(binary.BigEndian.Uint64(b[0:8])), uint64(binary.BigEndian.Uint64(b[8:16])))
+		rtt := time.Duration(30+netmodel.Hash2(uint64(s.Cfg.Seed), uint64(r))%22) * time.Millisecond
+		if netmodel.UnitFloat(hostHash) < s.v6Adoption(r, at) {
 			return simnet.Reply6{Kind: simnet.EchoReply, RTT: rtt}
 		}
 		// ~7% of silent targets sit behind a router that answers with an
