@@ -93,8 +93,9 @@ profile-analysis:
 	$(GO) tool pprof -top -nodecount=25 .bench_build/trinocular.test .bench_build/trinocular.cpu.pprof
 
 # Profile a coordinated, faulted campaign: BenchmarkCampaignFaulted — two
-# countries on three shared vantages with a blackout and a stall injected, the
-# shape of the repo benchmark's campaign_chaos — with CPU and heap profiles
+# countries on three shared vantages with a blackout and a stall injected and
+# a live registry and bus attached, the obs-on shape of the repo benchmark's
+# campaign_chaos — with CPU and heap profiles
 # into .bench_build/, then the CPU top 25 and the allocation sites ranked by
 # object count (-memprofilerate=1: exact counts).
 profile-campaign:

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"countrymon/internal/faults"
+	"countrymon/internal/obs"
 	"countrymon/internal/scanner"
 )
 
@@ -19,7 +20,9 @@ func BenchmarkCampaignTwoCountry(b *testing.B) { benchCampaign(b, Options{}) }
 // benchmark's campaign_chaos (and campaign_chaos_test.go's xcWrap) injected:
 // UA's view of v0 blacked out over rounds 5–8 and its view of v1 stalled over
 // rounds 14–15, so the faults wrapper, retries, steals, re-probes and fusion
-// all run. It is what `make profile-campaign` profiles.
+// all run. Like campaign_chaos it is the obs-on shape — a live registry and a
+// default-capacity bus — so its profiles include what the metrics and events
+// cost. It is what `make profile-campaign` profiles.
 func BenchmarkCampaignFaulted(b *testing.B) {
 	start := benchSpec().Start
 	during := func(from, to int, kind faults.Kind) faults.Profile {
@@ -29,7 +32,7 @@ func BenchmarkCampaignFaulted(b *testing.B) {
 			Kind: kind,
 		}}}
 	}
-	benchCampaign(b, Options{WrapTransport: func(country, vantage string, tr scanner.Transport) scanner.Transport {
+	wrap := func(country, vantage string, tr scanner.Transport) scanner.Transport {
 		switch {
 		case country == "UA" && vantage == "v0":
 			return faults.NewTransport(tr, nil, during(5, 8, faults.Blackout))
@@ -37,7 +40,8 @@ func BenchmarkCampaignFaulted(b *testing.B) {
 			return faults.NewTransport(tr, nil, during(14, 15, faults.Stall))
 		}
 		return tr
-	}})
+	}
+	benchCampaign(b, Options{Registry: obs.NewRegistry(), Bus: obs.NewBus(0), WrapTransport: wrap})
 }
 
 func benchSpec() *Spec {

@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -144,5 +146,22 @@ func TestWriteToIdenticalBytesForIdenticalStores(t *testing.T) {
 	}
 	if !bytes.Equal(build().Bytes(), build().Bytes()) {
 		t.Error("WriteTo is not deterministic — checkpoint/resume byte-equality depends on it")
+	}
+}
+
+// TestWriteToAllocBytes: a checkpoint's working memory fits the file. The
+// Monitor writes one every CheckpointEvery rounds and a campaign-sized store
+// is tens of kilobytes, so a buffer sized for a paper-scale file would be
+// most of what a journalled round allocates.
+func TestWriteToAllocBytes(t *testing.T) {
+	s := testStore(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := s.WriteTo(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+		t.Errorf("WriteTo of a small store allocated %d bytes, budget %d", got, 256<<10)
 	}
 }

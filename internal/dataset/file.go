@@ -123,9 +123,16 @@ func (e *enc) u64s(vs []uint64) {
 	_, e.err = e.cw.Write(b)
 }
 
+// fileBuf is the bufio buffer WriteTo and ReadFrom take. It only has to
+// gather the header and index fields: the resp blob and any row or column
+// larger than it go through in one Write or ReadFull that bypasses it, so a
+// paper-scale file loses nothing to a buffer sized for what the Monitor
+// writes every few rounds — a campaign checkpoint of tens of kilobytes.
+const fileBuf = 64 << 10
+
 // WriteTo serializes the store.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := bufio.NewWriterSize(w, fileBuf)
 	cw := &countingWriter{w: bw}
 	e := &enc{cw: cw}
 
@@ -278,7 +285,7 @@ func (d *dec) u16s(dst []uint16) {
 
 // ReadFrom deserializes a store written by WriteTo.
 func ReadFrom(r io.Reader) (*Store, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, fileBuf)
 	d := &dec{r: br}
 
 	magic := make([]byte, 4)

@@ -427,8 +427,17 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 			s.emit("shard_failed", func() map[string]any {
 				f := map[string]any{"round": round, "shard": j.shard,
 					"vantage": v.spec.Name, "campaign": c.name}
-				if out.err != nil {
-					f["error"] = out.err.Error()
+				// A blacked-out shard comes back err == nil with a Partial
+				// RoundData: the cause is in the round, not the error.
+				cause := out.err
+				if rd := out.rd; rd != nil {
+					f["coverage"], f["send_errors"], f["recv_dead"] = rd.Coverage(), rd.Stats.SendErrors, rd.RecvDead
+					if cause == nil {
+						cause = rd.Err
+					}
+				}
+				if cause != nil {
+					f["error"] = cause.Error()
 				}
 				return f
 			})
@@ -581,13 +590,12 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 		return
 	}
 
-	var suspects []int
-	prevResp := make(map[int]int)
+	var suspects, prevResp []int // block index and prior belief, in parallel
 	for bi := range merged.Blocks {
 		p, ok := prev(bi)
 		if ok && p > 0 && int(merged.Blocks[bi].RespCount) < p {
 			suspects = append(suspects, bi)
-			prevResp[bi] = p
+			prevResp = append(prevResp, p)
 		}
 	}
 	rep.Suspects = len(suspects)
@@ -645,8 +653,9 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 	// Fuse per suspect block, in block order.
 	overridden := make([]int, n) // dark sample votes overridden per vantage
 	darkVotes := make([]int, n)
+	verdicts := make([]signals.VantageVerdict, 0, n+len(corr)) // FuseBlock copies what it keeps
 	for si, bi := range suspects {
-		var verdicts []signals.VantageVerdict
+		verdicts = verdicts[:0]
 		for vi, v := range s.vantages {
 			if sample[vi] == nil {
 				continue
@@ -674,7 +683,7 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 				Full:    true,
 			})
 		}
-		fused, outcome := signals.FuseBlock(prevResp[bi], int(merged.Blocks[bi].RespCount), verdicts, s.cfg.Quorum)
+		fused, outcome := signals.FuseBlock(prevResp[si], int(merged.Blocks[bi].RespCount), verdicts, s.cfg.Quorum)
 		s.fuseM.Observe(outcome)
 		switch outcome {
 		case signals.FuseAlive:

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"countrymon/internal/faults"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/obs"
 	"countrymon/internal/scanner"
@@ -336,6 +337,66 @@ func TestNilPrevSuspectsNothing(t *testing.T) {
 		}
 		if rep.Suspects != 0 || rep.FusedDown != 0 {
 			t.Fatalf("round %d: %+v, want no suspects without a belief", r, rep)
+		}
+	}
+}
+
+// TestBlackoutRoundFitsTheEventRing: a blacked-out vantage fails its shard and
+// then its share of the re-probe, some ten thousand send attempts in one
+// round. Reported per batch they leave the round's own story — which shard
+// failed and why, who stole it, what fusion decided — in a default-capacity
+// ring for a since= poller, with no gap behind the event it last read.
+func TestBlackoutRoundFitsTheEventRing(t *testing.T) {
+	ts, err := scanner.NewTargetSet([]netmodel.Prefix{ // 48 /24s: 4 096 addresses a shard
+		{Base: netmodel.MustParseAddr("198.18.0.0"), Bits: 19},
+		{Base: netmodel.MustParseAddr("198.18.32.0"), Bits: 20},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every block reads one host short of the belief, so all 48 are suspects
+	// and re-probed from every closed vantage — the dead one included.
+	belief := func(int) (int, bool) { return density + 1, true }
+	blackout := faults.Profile{Windows: []faults.Window{{
+		From: roundAt(0).Add(-time.Hour), To: roundAt(1), Kind: faults.Blackout,
+	}}}
+	v0 := simSpec("v0", aliveResponder())
+	clean := v0.Transport
+	v0.Transport = func(round int, at time.Time) (scanner.Transport, scanner.Clock, error) {
+		tr, clk, err := clean(round, at)
+		return faults.NewTransport(tr, clk, blackout), clk, err
+	}
+	cfg := baseConfig()
+	cfg.Bus = obs.NewBus(0)
+	cfg.Scan.Events = cfg.Bus
+	_, c, err := newSolo([]Spec{v0, simSpec("v1", aliveResponder()), simSpec("v2", aliveResponder())}, cfg, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	seq := cfg.Bus.Publish("poller_read_up_to_here", nil).Seq
+	rd, rep, err := c.ScanRound(context.Background(), 0, roundAt(0), belief)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.Coverage() < 1 || rep.Steals != 1 || rep.Suspects != 48 || rep.FusedAlive != 48 {
+		t.Fatalf("coverage %.3f, %+v; want v0's shard stolen and all 48 blocks corroborated alive", rd.Coverage(), rep)
+	}
+	evs := cfg.Bus.Since(seq)
+	if len(evs) == 0 || evs[0].Seq != seq+1 {
+		t.Errorf("the round wrapped the ring: %d events retained, none of them the round's first", len(evs))
+	}
+	kinds := make(map[string]int)
+	for _, ev := range evs {
+		kinds[ev.Kind]++
+		if ev.Kind == "shard_failed" && (ev.Fields["coverage"] != 0.0 || ev.Fields["send_errors"] != uint64(410) ||
+			ev.Fields["recv_dead"] != false || ev.Fields["error"] != (&faults.Err{Op: "send"}).Error()) {
+			t.Errorf("shard_failed does not say why: %v", ev.Fields)
+		}
+	}
+	for _, kind := range []string{"shard_failed", "shard_steal", "fleet_fusion", "retry"} {
+		if kinds[kind] == 0 {
+			t.Errorf("no %s event among the round's %v", kind, kinds)
 		}
 	}
 }

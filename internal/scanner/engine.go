@@ -45,6 +45,11 @@ type roundRun struct {
 	pub      Stats
 	pubSlept time.Duration
 
+	// The failed sends of the batch being written, which publishSend reports
+	// in one retry event: the last one's error and the longest backoff slept.
+	failErr   error
+	failSlept time.Duration
+
 	// Receive-side state.
 	recv     Stats // Received, Valid, Duplicates, Invalid, NonEcho, RecvErrors
 	blocks   []BlockResult
@@ -185,17 +190,32 @@ func (r *roundRun) sendBatches(s *Scanner, ctx context.Context, cur *Cursor) {
 }
 
 // publishSend adds the growth of the send-side counters since the last
-// publish to the metrics registry. Called once per batch.
+// publish to the metrics registry, and reports a batch that had failed sends
+// in one retry event: a storm of failures costs the event ring one slot per
+// batch, not one per attempt, and a clean batch publishes and allocates
+// nothing. Called once per batch, however writeBatch ended, so a scan's
+// events sum to its Stats.Retries and Stats.SendErrors.
 func (r *roundRun) publishSend() {
 	m := r.cfg.Metrics
+	retries, abandoned := r.send.Retries-r.pub.Retries, r.send.SendErrors-r.pub.SendErrors
 	m.ProbesSent.Add(r.send.Sent - r.pub.Sent)
-	m.SendErrors.Add(r.send.SendErrors - r.pub.SendErrors)
-	m.Retries.Add(r.send.Retries - r.pub.Retries)
+	m.SendErrors.Add(abandoned)
+	m.Retries.Add(retries)
 	r.pub.Sent, r.pub.SendErrors, r.pub.Retries = r.send.Sent, r.send.SendErrors, r.send.Retries
 	if slept := r.rl.Slept(); slept > r.pubSlept {
 		m.RateSleepNs.Add(uint64(slept - r.pubSlept))
 		r.pubSlept = slept
 	}
+	if r.failErr == nil {
+		return
+	}
+	if r.cfg.Events != nil {
+		r.cfg.Events.Publish("retry", map[string]any{
+			"shard": r.cfg.Shard, "retries": retries, "abandoned": abandoned,
+			"backoff_ms": r.failSlept.Milliseconds(), "error": r.failErr.Error(),
+		})
+	}
+	r.failErr, r.failSlept = nil, 0
 }
 
 // Constants of the send path: no caller ever chose other values.
@@ -264,17 +284,14 @@ func (r *roundRun) writeBatch(s *Scanner, ctx context.Context, pkts [][]byte, ds
 			// head starts its own retry budget.
 			attempt, backoff = 0, retryBackoff
 		}
+		r.failErr = err
 		if attempt < sendRetries && IsTransient(err) {
 			r.send.Retries++
 			attempt++
-			if r.cfg.Events != nil {
-				r.cfg.Events.Publish("retry", map[string]any{
-					"shard": r.cfg.Shard, "attempt": attempt,
-					"backoff_ms": backoff.Milliseconds(), "error": err.Error(),
-				})
-			}
 			r.rng = netmodel.Mix64(r.rng)
-			r.cfg.Clock.Sleep(backoff/2 + time.Duration(r.rng%uint64(backoff)))
+			sleep := backoff/2 + time.Duration(r.rng%uint64(backoff))
+			r.failSlept = max(r.failSlept, sleep)
+			r.cfg.Clock.Sleep(sleep)
 			if backoff < time.Second {
 				backoff *= 2
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"countrymon/internal/netmodel"
+	"countrymon/internal/obs"
 	"countrymon/internal/scanner"
 	"countrymon/internal/simnet"
 )
@@ -177,14 +178,18 @@ func TestHardSendErrorsSkippedNotFatal(t *testing.T) {
 			return inner.WritePacket(b)
 		},
 	}
+	bus := obs.NewBus(0)
 	sc := scanner.New(tr, scanner.Config{
 		Rate: 0, Seed: 11, Epoch: 1, Clock: net, Cooldown: 500 * time.Millisecond,
-		ErrorBudget: 0.5,
+		ErrorBudget: 0.5, Events: bus,
 	})
 	rd, err := sc.Run(ts)
 	if err != nil {
 		t.Fatalf("hard send errors within budget must not abort: %v", err)
 	}
+	// A probe abandoned without a retry is still a failed send its batch
+	// reports: four batches of 64, eight hard failures each.
+	checkRetryEvents(t, bus, rd, 4)
 	if !rd.Partial {
 		t.Error("skipped addresses must mark the round partial")
 	}

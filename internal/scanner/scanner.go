@@ -82,8 +82,9 @@ type Config struct {
 	// sleep, reply validation results. Nil (or NewMetrics(nil)) disables it
 	// at the cost of a nil check per instrumentation point.
 	Metrics *Metrics
-	// Events, when non-nil, receives structured events (retry taken) from
-	// the engine. Nil publishes nothing.
+	// Events, when non-nil, receives the engine's structured events: one
+	// "retry" per batch that had failed sends (shard, retries, abandoned,
+	// backoff_ms, error). Nil publishes nothing.
 	Events *obs.Bus
 }
 
