@@ -121,7 +121,8 @@ metrics-lint:
 	$(GO) run ./cmd/metricslint
 
 # Short native-fuzz smoke over the packet parsers, the word-wise checksum,
-# the columnar codecs, the scenario parser, the fault-window span memo, the
+# the columnar codecs, a store column's extent against its round-at-a-time
+# scan, the scenario parser, the fault-window span memo, the
 # faults wrapper's batch path against its packet-at-a-time oracle, one-pass
 # detection against its per-window oracle and compiled ground truth against its
 # linear-scan oracle: a few seconds each is enough to exercise the mutator
@@ -132,6 +133,7 @@ fuzz-smoke:
 	$(GO) test ./internal/icmp -fuzz '^FuzzChecksum$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/dataset -fuzz '^FuzzRLE$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/dataset -fuzz '^FuzzColumnV4$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/dataset -fuzz '^FuzzExtent$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/scenario -fuzz '^FuzzScenarioParse$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/faults -fuzz '^FuzzWindowAt$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/faults -fuzz '^FuzzWriteBatchMatchesPacketLoop$$' -fuzztime 5s -run '^$$'

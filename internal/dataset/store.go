@@ -1,8 +1,11 @@
 // Package dataset stores the measurement campaign's raw observations: for
 // every /24 block and every probing round, the number of responsive IPs,
-// BGP-routed state, and (for tracked blocks) round-trip times. Monthly
-// aggregates — the ever-active count E(b) and long-term availability A used
-// by block-eligibility rules — are derived on demand.
+// BGP-routed state, and (for tracked blocks) round-trip times. The read side
+// derives everything else on demand: MonthStats gives the monthly aggregates
+// (the ever-active count E(b) and long-term availability A used by
+// block-eligibility rules), EffectiveMissing the no-data mask, NextUndone the
+// resume cursor, and Extent the bound past which a block's column is all
+// zero.
 //
 // Two ingestion paths fill a Store with identical semantics: the packet-level
 // scanner (scanner.RoundData) and the fast statistical generator in
@@ -10,7 +13,9 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"countrymon/internal/netmodel"
@@ -239,6 +244,36 @@ func (s *Store) RespSeries(blockIdx int) []uint8 { return s.resp[blockIdx] }
 // Routed reports whether the block was BGP-routed in round r.
 func (s *Store) Routed(blockIdx, round int) bool {
 	return s.routed[blockIdx][round/64]>>(round%64)&1 == 1
+}
+
+// Extent returns one past the last round in which the block has a nonzero
+// responsive count or a routed bit (0 for an empty column): every cell at or
+// past it is zero, so a walk that sums or maxes a block's rounds can stop
+// there. It is a stateless backward scan — eight count bytes per load, then
+// the routed words — so no write path has a high-water mark to maintain.
+func (s *Store) Extent(blockIdx int) int {
+	resp := s.resp[blockIdx]
+	n := len(resp)
+	for n%8 != 0 && resp[n-1] == 0 {
+		n--
+	}
+	if n%8 == 0 {
+		for n > 0 && binary.LittleEndian.Uint64(resp[n-8:n]) == 0 {
+			n -= 8
+		}
+		for n > 0 && resp[n-1] == 0 {
+			n--
+		}
+	}
+	words := s.routed[blockIdx]
+	for w := len(words) - 1; w >= 0 && w*64+64 > n; w-- {
+		if words[w] != 0 {
+			// Clamped: a decoded file's padding bits past the last round
+			// must not push a walk off the end of the column.
+			return max(n, min(w*64+64-bits.LeadingZeros64(words[w]), len(resp)))
+		}
+	}
+	return n
 }
 
 // AddRoundData ingests a packet-level scan result for the given round.

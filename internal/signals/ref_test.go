@@ -1,0 +1,237 @@
+package signals
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"countrymon/internal/dataset"
+	"countrymon/internal/netmodel"
+	"countrymon/internal/par"
+	"countrymon/internal/regional"
+	"countrymon/internal/sim"
+	"countrymon/internal/timeline"
+)
+
+// The oracle: the ever-active pass, buildAS and buildRegion as they were
+// before each block's walk stopped at its dataset.Store.Extent — every block
+// × every round of the timeline, recorded or not. The bodies are kept
+// verbatim; only the names moved.
+
+func refNewBuilderMinCoverage(store *dataset.Store, space *netmodel.Space, minCoverage float64) *Builder {
+	tl := store.Timeline()
+	months := tl.NumMonths()
+	rounds := tl.NumRounds()
+	b := &Builder{
+		store:       store,
+		space:       space,
+		tl:          tl,
+		months:      months,
+		everMax:     make([]uint8, store.NumBlocks()*months),
+		elig:        make([]bool, store.NumBlocks()*months),
+		asBlocks:    make(map[netmodel.ASN][]int),
+		missing:     store.EffectiveMissing(minCoverage),
+		minCoverage: minCoverage,
+		metrics:     &Metrics{},
+		nextFold:    store.NextUndone(),
+	}
+	// The ever-active aggregates are independent per block: one pass over
+	// the block's round series per worker-pool shard. MonthStats skips only
+	// true vantage outages (not coverage-gated partial rounds), so the
+	// aggregation here must too.
+	outage := store.MissingRounds()
+	par.ForEach(store.NumBlocks(), func(bi int) {
+		resp := store.RespSeries(bi)
+		base := bi * months
+		for r := 0; r < rounds; r++ {
+			if outage[r] {
+				continue
+			}
+			if i := base + tl.MonthOfRound(r); resp[r] > b.everMax[i] {
+				b.everMax[i] = resp[r]
+			}
+		}
+		for m := 0; m < months; m++ {
+			b.elig[base+m] = b.everMax[base+m] >= MinEverActive
+		}
+	})
+	// Group blocks per AS sequentially so each AS's block list stays in
+	// ascending index order: series accumulation order (and thus float
+	// rounding) must not depend on the worker count.
+	for bi := 0; bi < store.NumBlocks(); bi++ {
+		blk := store.Blocks()[bi]
+		if asn := space.OriginOf(blk); asn != 0 {
+			b.asBlocks[asn] = append(b.asBlocks[asn], bi)
+		}
+	}
+	return b
+}
+
+func (b *Builder) refBuildAS(asn netmodel.ASN) *EntitySeries {
+	defer b.metrics.BuildSeconds.ObserveSince(time.Now())
+	es := NewSeries(asn.String(), b.tl, b.missing)
+	rounds := b.tl.NumRounds()
+	for _, bi := range b.asBlocks[asn] {
+		resp := b.store.RespSeries(bi)
+		base := bi * b.months
+		for r := 0; r < rounds; r++ {
+			if es.Missing[r] {
+				continue
+			}
+			c := float32(resp[r])
+			es.IPS[r] += c
+			if b.store.Routed(bi, r) {
+				es.BGP[r]++
+			}
+			if b.elig[base+b.tl.MonthOfRound(r)] && c > 0 {
+				es.FBS[r]++
+			}
+		}
+	}
+	b.fillIPSValidity(es)
+	b.registerFold(&foldEntity{es: es, blocks: b.asBlocks[asn]})
+	return es
+}
+
+func (b *Builder) refBuildRegion(rr *regional.RegionResult, cl *regional.Classifier) *EntitySeries {
+	defer b.metrics.BuildSeconds.ObserveSince(time.Now())
+	es := NewSeries(rr.Region.String(), b.tl, b.missing)
+	rounds := b.tl.NumRounds()
+	fe := &foldEntity{es: es}
+	for _, bc := range rr.Blocks {
+		if !bc.Regional {
+			continue
+		}
+		bi := bc.Index
+		fe.blocks = append(fe.blocks, bi)
+		fe.eval = append(fe.eval, bc.EvalMonths)
+		resp := b.store.RespSeries(bi)
+		base := bi * b.months
+		for r := 0; r < rounds; r++ {
+			if es.Missing[r] {
+				continue
+			}
+			m := b.tl.MonthOfRound(r)
+			if !bc.EvalMonths[m] {
+				continue
+			}
+			share := float32(cl.BlockShare(bi, m, rr.Region))
+			c := float32(resp[r]) * share
+			es.IPS[r] += c
+			if b.store.Routed(bi, r) {
+				es.BGP[r]++
+			}
+			if b.elig[base+m] && resp[r] > 0 {
+				es.FBS[r]++
+			}
+		}
+	}
+	region := rr.Region
+	fe.share = func(bi, m int) float32 { return float32(cl.BlockShare(bi, m, region)) }
+	b.fillIPSValidity(es)
+	b.registerFold(fe)
+	return es
+}
+
+// TestBoundedBuildMatchesFullTimelineWalk compares the Extent-bounded
+// builder with the full-timeline oracle bit for bit — every AS, two regions,
+// the ever-active maxima and Eligible for every block × month — on stores in
+// every state a builder meets: fresh, part-way through a campaign, resumed
+// from a checkpoint, with routed bits written ahead of the scan, with
+// missing and coverage-gated rounds at the prefix's end, and complete.
+func TestBoundedBuildMatchesFullTimelineWalk(t *testing.T) {
+	sc := sim.MustBuild(sim.Config{Seed: 11, Scale: 0.02})
+	blocks := sc.Space.Blocks()
+	start := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
+	tl := timeline.New(start, start.Add(479*6*time.Hour), 6*time.Hour)
+	rounds := tl.NumRounds()
+
+	// One classifier over a complete twin store, shared by both builders.
+	twin := dataset.NewStore(tl, blocks)
+	for r := 0; r < rounds; r++ {
+		fillRound(twin, r)
+	}
+	cl := regional.NewClassifier(sc.Space, sc.GeoDB(), twin)
+	res := cl.ClassifyAll(regional.DefaultParams())
+	regions := netmodel.Regions()[:2]
+
+	prefix := func(seed, k int) *dataset.Store {
+		s := dataset.NewStore(tl, blocks)
+		for r := 0; r < k; r++ {
+			fillSeededRound(s, seed, r)
+		}
+		return s
+	}
+	resumed := func(s *dataset.Store) *dataset.Store {
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out, err := dataset.ReadFrom(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	// routedAt sets the routed bit of every third block at round r, leaving
+	// its count alone — what PreRound's SetRouted leaves before a scan.
+	routedAt := func(s *dataset.Store, r int) *dataset.Store {
+		for bi := 0; bi < s.NumBlocks(); bi += 3 {
+			s.SetRound(bi, r, s.Resp(bi, r), true)
+		}
+		return s
+	}
+
+	type storeCase struct {
+		name  string
+		store *dataset.Store
+	}
+	var cases []storeCase
+	for _, seed := range []int{0, 5} {
+		add := func(name string, s *dataset.Store) {
+			cases = append(cases, storeCase{fmt.Sprintf("seed=%d/%s", seed, name), s})
+		}
+		add("fresh", dataset.NewStore(tl, blocks))
+		add("prefix", prefix(seed, 200))
+		add("prefix-word-edge", prefix(seed, 64))
+		add("resumed", resumed(prefix(seed, 200)))
+		add("routed-next", routedAt(prefix(seed, 200), 200))
+		add("routed-far", routedAt(prefix(seed, 200), rounds-1))
+		add("routed-only", routedAt(dataset.NewStore(tl, blocks), 130))
+		missingEnd := prefix(seed, 200)
+		missingEnd.SetMissing(199)
+		missingEnd.SetMissing(350) // an outage marked ahead of the scan
+		add("missing-end", missingEnd)
+		gatedEnd := prefix(seed, 200)
+		gatedEnd.SetCoverage(199, 0.5)
+		add("gated-end", gatedEnd)
+		add("complete", prefix(seed, rounds))
+	}
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want := refNewBuilderMinCoverage(c.store, sc.Space, DefaultMinCoverage)
+			got := NewBuilderMinCoverage(c.store, sc.Space, DefaultMinCoverage)
+			if !slices.Equal(want.everMax, got.everMax) {
+				t.Fatal("ever-active maxima differ from the full-timeline walk")
+			}
+			for bi := 0; bi < c.store.NumBlocks(); bi++ {
+				for m := 0; m < tl.NumMonths(); m++ {
+					if want.Eligible(bi, m) != got.Eligible(bi, m) {
+						t.Fatalf("block %d month %d: Eligible %v vs oracle %v",
+							bi, m, got.Eligible(bi, m), want.Eligible(bi, m))
+					}
+				}
+			}
+			for _, as := range sc.Space.ASes() {
+				assertSeriesEqual(t, as.ASN.String(), want.refBuildAS(as.ASN), got.AS(as.ASN))
+			}
+			for _, rg := range regions {
+				rr := res.Regions[rg]
+				assertSeriesEqual(t, rg.String(), want.refBuildRegion(rr, cl), got.Region(rr, cl))
+			}
+		})
+	}
+}

@@ -97,8 +97,10 @@ type Builder struct {
 	entities []*foldEntity
 }
 
-// NewBuilder precomputes eligibility for all blocks and months, gating
-// partial rounds at DefaultMinCoverage.
+// NewBuilder precomputes FBS eligibility for every block and month, gating
+// partial rounds at DefaultMinCoverage. The walk behind it, like every series
+// build, stops at each block's dataset.Store.Extent: it costs O(blocks ×
+// recorded rounds), not O(blocks × timeline), on a partially filled store.
 func NewBuilder(store *dataset.Store, space *netmodel.Space) *Builder {
 	return NewBuilderMinCoverage(store, space, DefaultMinCoverage)
 }
@@ -109,7 +111,6 @@ func NewBuilder(store *dataset.Store, space *netmodel.Space) *Builder {
 func NewBuilderMinCoverage(store *dataset.Store, space *netmodel.Space, minCoverage float64) *Builder {
 	tl := store.Timeline()
 	months := tl.NumMonths()
-	rounds := tl.NumRounds()
 	b := &Builder{
 		store:       store,
 		space:       space,
@@ -124,14 +125,15 @@ func NewBuilderMinCoverage(store *dataset.Store, space *netmodel.Space, minCover
 		nextFold:    store.NextUndone(),
 	}
 	// The ever-active aggregates are independent per block: one pass over
-	// the block's round series per worker-pool shard. MonthStats skips only
-	// true vantage outages (not coverage-gated partial rounds), so the
-	// aggregation here must too.
+	// the block's recorded rounds per worker-pool shard (cells past its
+	// Extent are zero and raise no maximum). MonthStats skips only true
+	// vantage outages (not coverage-gated partial rounds), so the aggregation
+	// here must too.
 	outage := store.MissingRounds()
 	par.ForEach(store.NumBlocks(), func(bi int) {
 		resp := store.RespSeries(bi)
 		base := bi * months
-		for r := 0; r < rounds; r++ {
+		for r, n := 0, store.Extent(bi); r < n; r++ {
 			if outage[r] {
 				continue
 			}
@@ -178,11 +180,12 @@ func (b *Builder) AS(asn netmodel.ASN) *EntitySeries {
 func (b *Builder) buildAS(asn netmodel.ASN) *EntitySeries {
 	defer b.metrics.BuildSeconds.ObserveSince(time.Now())
 	es := NewSeries(asn.String(), b.tl, b.missing)
-	rounds := b.tl.NumRounds()
+	// Each block stops at its Extent: the zero cells past it would only add
+	// zero, so the sums match a full-timeline walk bit for bit.
 	for _, bi := range b.asBlocks[asn] {
 		resp := b.store.RespSeries(bi)
 		base := bi * b.months
-		for r := 0; r < rounds; r++ {
+		for r, n := 0, b.store.Extent(bi); r < n; r++ {
 			if es.Missing[r] {
 				continue
 			}
@@ -216,7 +219,6 @@ func (b *Builder) Region(rr *regional.RegionResult, cl *regional.Classifier) *En
 func (b *Builder) buildRegion(rr *regional.RegionResult, cl *regional.Classifier) *EntitySeries {
 	defer b.metrics.BuildSeconds.ObserveSince(time.Now())
 	es := NewSeries(rr.Region.String(), b.tl, b.missing)
-	rounds := b.tl.NumRounds()
 	fe := &foldEntity{es: es}
 	for _, bc := range rr.Blocks {
 		if !bc.Regional {
@@ -227,7 +229,7 @@ func (b *Builder) buildRegion(rr *regional.RegionResult, cl *regional.Classifier
 		fe.eval = append(fe.eval, bc.EvalMonths)
 		resp := b.store.RespSeries(bi)
 		base := bi * b.months
-		for r := 0; r < rounds; r++ {
+		for r, n := 0, b.store.Extent(bi); r < n; r++ {
 			if es.Missing[r] {
 				continue
 			}

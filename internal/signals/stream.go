@@ -25,9 +25,10 @@ type foldEntity struct {
 // NewStreamingBuilder is NewBuilderMinCoverage under the name a live campaign
 // builds by: every series a Builder builds stays registered, and Fold advances
 // them round by round as the campaign lands data, at O(blocks) per round
-// instead of a full rebuild. On a partially filled store (e.g. after resume)
-// the initial build covers everything already recorded and Fold picks up from
-// the store's resume cursor.
+// instead of a full rebuild. On a partially filled store (e.g. after resume,
+// or empty at a campaign's start) the initial build walks each block only up
+// to its dataset.Store.Extent — O(blocks × recorded rounds), not the whole
+// planned timeline — and Fold picks up from the store's resume cursor.
 //
 // The contract mirrors a campaign loop: rounds fold in nondecreasing order,
 // a folded round's store cells are immutable afterwards (except the round
