@@ -68,13 +68,15 @@ profile-round:
 
 # Profile the read side: one re-detect at the paper's size, the outage
 # fetches that follow a seal, and the series render — the benchmarks behind
-# serve_mixed's detection and render classes — with one CPU profile per
-# package (a test binary holds one) into .bench_build/, top 25 of each.
+# serve_mixed's detection and render classes — plus a store's set-up
+# mid-campaign (200 entities, half the paper's timeline sealed; its B/op is
+# what the columns cost), with one CPU profile per package (a test binary
+# holds one) into .bench_build/, top 25 of each.
 profile-serve:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkDetect$$' -benchtime=0.5s \
 		-o .bench_build/signals.test -cpuprofile .bench_build/detect.cpu.pprof ./internal/signals
-	$(GO) test -run '^$$' -bench '^(BenchmarkServeOutagesAfterSeal|BenchmarkServeRenderSeries)$$' -benchtime=0.5s \
+	$(GO) test -run '^$$' -bench '^(BenchmarkServeOutagesAfterSeal|BenchmarkServeRenderSeries|BenchmarkServeRegisterHalfSealed)$$' -benchmem -benchtime=0.5s \
 		-o .bench_build/serve.test -cpuprofile .bench_build/serve.cpu.pprof ./internal/serve
 	$(GO) tool pprof -top -nodecount=25 .bench_build/signals.test .bench_build/detect.cpu.pprof
 	$(GO) tool pprof -top -nodecount=25 .bench_build/serve.test .bench_build/serve.cpu.pprof
@@ -124,9 +126,10 @@ metrics-lint:
 # the columnar codecs, a store column's extent against its round-at-a-time
 # scan, the scenario parser, the fault-window span memo, the
 # faults wrapper's batch path against its packet-at-a-time oracle, one-pass
-# detection against its per-window oracle and compiled ground truth against its
-# linear-scan oracle: a few seconds each is enough to exercise the mutator
-# beyond the seed corpus in CI.
+# detection against its per-window oracle, compiled ground truth against its
+# linear-scan oracle and a serve store's grown columns against the
+# full-length layout under a random Register/Advance schedule: a few seconds
+# each is enough to exercise the mutator beyond the seed corpus in CI.
 fuzz-smoke:
 	$(GO) test ./internal/icmp -fuzz '^FuzzParseIPv4$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/icmp -fuzz '^FuzzParseICMP$$' -fuzztime 5s -run '^$$'
@@ -139,6 +142,7 @@ fuzz-smoke:
 	$(GO) test ./internal/faults -fuzz '^FuzzWriteBatchMatchesPacketLoop$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/signals -fuzz '^FuzzDetectMatchesOracle$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/sim -fuzz '^FuzzStateAtMatchesOracle$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/serve -fuzz '^FuzzServeSchedule$$' -fuzztime 5s -run '^$$'
 
 # Run the labeled scenario library through the full detection stack and fail
 # on any divergence from the committed golden scorecards.

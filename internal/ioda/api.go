@@ -190,16 +190,18 @@ func (s *Server) renderSignals(rawQuery string) ([]byte, bool, int, string) {
 		until = v
 	}
 	var pts []SignalPoint
-	for round := 0; round < tl.NumRounds(); round++ {
-		if ent.Missing(round) {
-			continue
+	s.Store().Snapshot(func(wm int) {
+		for round := 0; round < wm; round++ {
+			if ent.Missing(round) {
+				continue
+			}
+			t := tl.Time(round).Unix()
+			if t < from || t > until {
+				continue
+			}
+			pts = append(pts, SignalPoint{Time: t, BGP: float64(ent.BGP(round)), TRIN: float64(ent.FBS(round))})
 		}
-		t := tl.Time(round).Unix()
-		if t < from || t > until {
-			continue
-		}
-		pts = append(pts, SignalPoint{Time: t, BGP: float64(ent.BGP(round)), TRIN: float64(ent.FBS(round))})
-	}
+	})
 	return renderEnvelope("signals.raw", pts)
 }
 

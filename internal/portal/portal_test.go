@@ -280,10 +280,32 @@ func TestBlocksDefaultCap(t *testing.T) {
 	}
 }
 
+// blockSource feeds a serve entity one /24's raw timeline: routedness as BGP,
+// full-block activity as FBS, the responsive count as IPS.
+type blockSource struct {
+	st *dataset.Store
+	bi int
+}
+
+func (b blockSource) Sample(r int) (bgp, fbs, ips float32, missing bool) {
+	if b.st.EffectiveMissingAt(r, 0.8) {
+		return 0, 0, 0, true
+	}
+	if b.st.Routed(b.bi, r) {
+		bgp = 1
+	}
+	if resp := b.st.Resp(b.bi, r); resp > 0 {
+		fbs, ips = 1, float32(resp)
+	}
+	return bgp, fbs, ips, false
+}
+
+func (blockSource) IPSValidMonth(int) bool { return false }
+
 func TestAttachServe(t *testing.T) {
 	p, srv := testPortal(t)
 	tls := serve.NewStore(p.store.Timeline())
-	if _, err := tls.Register("block", "91.198.4.0", serve.BlockSource(p.store, 0, 0.8), nil); err != nil {
+	if _, err := tls.Register("block", "91.198.4.0", blockSource{p.store, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tls.AdvanceTo(p.store.Timeline().NumRounds()); err != nil {

@@ -67,18 +67,39 @@ func BenchmarkServeRenderSeries(b *testing.B) {
 	}
 }
 
-// BenchmarkServeAdvance measures publishing one round into a store with many
-// registered entities — the per-round cost the Monitor pays on the campaign
-// goroutine.
+// BenchmarkServeAdvance measures sealing one fresh round into a store with
+// many registered entities — the per-round cost the Monitor pays on the
+// campaign goroutine — over the paper's timeline, so the monthly column
+// growth is in the number. Past the last round it starts a fresh store, off
+// the clock.
 func BenchmarkServeAdvance(b *testing.B) {
-	st := benchStore(b, 200, 40)
+	tl := timeline.Default()
+	src := func(i int) Source { return patternSource{i} }
+	st := benchStoreOn(b, tl, 200, 0, src)
+	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := st.Advance(40); err != nil { // idempotent re-publish
+	for i, r := 0, 0; i < b.N; i, r = i+1, r+1 {
+		if r == tl.NumRounds() {
+			b.StopTimer()
+			st, r = benchStoreOn(b, tl, 200, 0, src), 0
+			b.StartTimer()
+		}
+		if err := st.Advance(r); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rounds_per_sec_serve")
+}
+
+// BenchmarkServeRegisterHalfSealed measures setting a store up mid-campaign:
+// 200 entities registered on the paper's timeline, then half of it sealed in
+// one AdvanceTo. B/op is what the columns cost for the sealed half.
+func BenchmarkServeRegisterHalfSealed(b *testing.B) {
+	tl := timeline.Default()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchStoreOn(b, tl, 200, tl.NumRounds()/2, func(i int) Source { return patternSource{i} })
+	}
 }
 
 // BenchmarkServeOutagesAfterSeal measures what a landed round costs the

@@ -13,6 +13,10 @@
 // carry strong ETags and `Cache-Control: immutable`, and their rendered
 // bytes are reused verbatim until evicted.
 //
+// The columns hold the sealed rounds plus the rest of the watermark's month,
+// not the planned timeline: a store costs O(entities × sealed rounds), and
+// Advance reallocates them, copying the sealed prefix, once per month.
+//
 // The intended wiring for a live campaign is the streaming signals builder:
 // Monitor folds each round into the warm series (O(blocks)), then
 // Store.Advance copies the new round's values out of them (O(entities)).
@@ -27,7 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"countrymon/internal/dataset"
 	"countrymon/internal/signals"
 	"countrymon/internal/timeline"
 )
@@ -61,7 +64,11 @@ type Entity struct {
 	src      Source
 	detector Detector
 
-	// Columns, full campaign length; cells < watermark are sealed.
+	// Columns: the sealed rounds at registration, then, from the first
+	// Advance on, through the end of the watermark's month (grow). Cells
+	// below the watermark are sealed. Advance may swap the slices, so they
+	// are read under the store lock: inside Snapshot, or through
+	// BGP/FBS/IPS/Missing called there.
 	bgp, fbs, ips []float32
 	missing       []bool
 	ipsValid      []bool
@@ -119,19 +126,14 @@ func (s *Store) Register(typ, code string, src Source, detect Detector) (*Entity
 	if e, ok := s.entities[key]; ok {
 		return e, nil
 	}
-	rounds := s.tl.NumRounds()
-	buf := make([]float32, 3*rounds)
 	e := &Entity{
 		Key: key, Type: typ, Code: code,
 		src:      src,
 		detector: detect,
-		bgp:      buf[:rounds:rounds],
-		fbs:      buf[rounds : 2*rounds : 2*rounds],
-		ips:      buf[2*rounds:],
-		missing:  make([]bool, rounds),
 		ipsValid: make([]bool, s.tl.NumMonths()),
 		detWM:    -1,
 	}
+	e.grow(s.watermark, 0) // the next Advance grows it through its month
 	for r := 0; r < s.watermark; r++ {
 		e.copyRound(r)
 	}
@@ -145,6 +147,21 @@ func (s *Store) Register(typ, code string, src Source, detect Detector) (*Entity
 // DetectWith returns the standard Detector: signals.Detect at cfg.
 func DetectWith(cfg signals.Config) Detector {
 	return func(es *signals.EntitySeries) *signals.Detection { return signals.Detect(es, cfg) }
+}
+
+// grow reallocates e's columns to n rounds — one allocation for the three
+// float columns, one for the missing mask — keeping the sealed prefix [0, wm).
+// A view sliced before the swap keeps reading the old arrays, whose sealed
+// cells are the same.
+func (e *Entity) grow(n, wm int) {
+	buf := make([]float32, 3*n)
+	bgp, fbs, ips := buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+	copy(bgp, e.bgp[:wm])
+	copy(fbs, e.fbs[:wm])
+	copy(ips, e.ips[:wm])
+	missing := make([]bool, n)
+	copy(missing, e.missing[:wm])
+	e.bgp, e.fbs, e.ips, e.missing = bgp, fbs, ips, missing
 }
 
 func (e *Entity) copyRound(r int) {
@@ -177,8 +194,15 @@ func (s *Store) Advance(round int) error {
 	if round+1 == s.watermark {
 		lo = round // idempotent re-publish of the newest sealed round
 	}
+	// Columns reach through the month holding the new watermark, so its
+	// remaining rounds seal without reallocating; past the last month,
+	// MonthRounds clamps to NumRounds.
+	_, n := s.tl.MonthRounds(s.tl.MonthOfRound(round + 1))
 	for _, key := range s.order {
 		e := s.entities[key]
+		if len(e.bgp) < n {
+			e.grow(n, s.watermark)
+		}
 		for r := lo; r <= round; r++ {
 			e.copyRound(r)
 		}
@@ -260,15 +284,18 @@ func (e *Entity) view(tl *timeline.Timeline, wm int) *signals.EntitySeries {
 }
 
 // BGP returns the entity's sealed BGP value at round r (r < Watermark()).
+// Advance may swap the columns, so the four accessors are called inside
+// Snapshot, with r below its watermark, wherever rounds may still land.
 func (e *Entity) BGP(r int) float32 { return e.bgp[r] }
 
-// FBS returns the entity's sealed FBS value at round r.
+// FBS returns the entity's sealed FBS value at round r; read under Snapshot.
 func (e *Entity) FBS(r int) float32 { return e.fbs[r] }
 
-// IPS returns the entity's sealed IPS value at round r.
+// IPS returns the entity's sealed IPS value at round r; read under Snapshot.
 func (e *Entity) IPS(r int) float32 { return e.ips[r] }
 
-// Missing reports whether sealed round r carries no usable data.
+// Missing reports whether sealed round r carries no usable data; read under
+// Snapshot.
 func (e *Entity) Missing(r int) bool { return e.missing[r] }
 
 // Detection returns the entity's outage detection over the sealed prefix,
@@ -350,35 +377,3 @@ func (s sumSource) IPSValidMonth(m int) bool {
 	}
 	return false
 }
-
-// blockSource feeds an entity straight from the raw dataset store: one /24's
-// routedness (BGP 0/1), full-block activity (FBS 0/1) and responsive count
-// (IPS), coverage-gated like the signal pipeline.
-type blockSource struct {
-	st          *dataset.Store
-	bi          int
-	minCoverage float64
-}
-
-// BlockSource serves a single /24's raw timeline from the dataset store;
-// rounds below minCoverage count as missing, matching signal derivation.
-func BlockSource(st *dataset.Store, bi int, minCoverage float64) Source {
-	return blockSource{st: st, bi: bi, minCoverage: minCoverage}
-}
-
-func (b blockSource) Sample(r int) (float32, float32, float32, bool) {
-	if b.st.EffectiveMissingAt(r, b.minCoverage) {
-		return 0, 0, 0, true
-	}
-	var bgp, fbs float32
-	if b.st.Routed(b.bi, r) {
-		bgp = 1
-	}
-	resp := b.st.Resp(b.bi, r)
-	if resp > 0 {
-		fbs = 1
-	}
-	return bgp, fbs, float32(resp), false
-}
-
-func (b blockSource) IPSValidMonth(m int) bool { return false }
