@@ -123,7 +123,8 @@ metrics-lint:
 	$(GO) run ./cmd/metricslint
 
 # Short native-fuzz smoke over the packet parsers, the word-wise checksum,
-# the columnar codecs, a store column's extent against its round-at-a-time
+# the columnar codecs, the streamed column coder against its staged oracle,
+# a store column's extent against its round-at-a-time
 # scan, the scenario parser, the fault-window span memo, the
 # faults wrapper's batch path against its packet-at-a-time oracle, one-pass
 # detection against its per-window oracle, compiled ground truth against its
@@ -136,6 +137,7 @@ fuzz-smoke:
 	$(GO) test ./internal/icmp -fuzz '^FuzzChecksum$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/dataset -fuzz '^FuzzRLE$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/dataset -fuzz '^FuzzColumnV4$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/dataset -fuzz '^FuzzV4Column$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/dataset -fuzz '^FuzzExtent$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/scenario -fuzz '^FuzzScenarioParse$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/faults -fuzz '^FuzzWindowAt$$' -fuzztime 5s -run '^$$'

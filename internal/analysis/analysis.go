@@ -159,16 +159,6 @@ func (c CDF) At(v float64) float64 {
 	return float64(i) / float64(len(c.Sorted))
 }
 
-// MedianU32 returns the median of raw uint32 samples (radius metrics).
-func MedianU32(vals []uint32) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	s := append([]uint32(nil), vals...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return float64(s[len(s)/2])
-}
-
 // SNR computes the signal-to-noise ratio mean/σ of a series (Fig 27);
 // higher means a clearer signal. Constant nonzero series return +Inf capped
 // at 1e6.
@@ -272,31 +262,4 @@ func DailyStartCounts(outages []signals.Outage, tl *timeline.Timeline) []float64
 		out[tl.DayOfRound(o.Start)]++
 	}
 	return out
-}
-
-// FlagDays returns the set of days with any flagged round, for the
-// undetected-outage comparison of §5.4.
-func FlagDays(d *signals.Detection, tl *timeline.Timeline, want signals.Kind) map[int]bool {
-	days := make(map[int]bool)
-	for r, f := range d.Flags {
-		if f.Has(want) {
-			days[tl.DayOfRound(r)] = true
-		}
-	}
-	return days
-}
-
-// DisjointDays counts days present in a but not b, and vice versa.
-func DisjointDays(a, b map[int]bool) (onlyA, onlyB int) {
-	for d := range a {
-		if !b[d] {
-			onlyA++
-		}
-	}
-	for d := range b {
-		if !a[d] {
-			onlyB++
-		}
-	}
-	return onlyA, onlyB
 }

@@ -103,15 +103,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestMedianU32(t *testing.T) {
-	if got := MedianU32([]uint32{500, 50, 100}); got != 100 {
-		t.Errorf("median = %f", got)
-	}
-	if MedianU32(nil) != 0 {
-		t.Error("empty median")
-	}
-}
-
 func TestSNR(t *testing.T) {
 	stable := SNR([]float64{100, 100, 101, 99, 100})
 	noisy := SNR([]float64{100, 20, 150, 10, 120})
@@ -158,24 +149,11 @@ func TestChurn(t *testing.T) {
 	}
 }
 
-func TestDailyStartCountsAndDisjointDays(t *testing.T) {
+func TestDailyStartCounts(t *testing.T) {
 	tl := makeTL(48)
 	outages := []signals.Outage{{Start: 0, End: 3}, {Start: 13, End: 15}, {Start: 14, End: 20}}
 	counts := DailyStartCounts(outages, tl)
 	if counts[0] != 1 || counts[1] != 2 {
 		t.Errorf("counts = %v", counts[:2])
-	}
-
-	d := &signals.Detection{Flags: make([]signals.Kind, 48)}
-	d.Flags[2] = signals.SignalIPS
-	d.Flags[30] = signals.SignalBGP
-	ips := FlagDays(d, tl, signals.SignalIPS)
-	bgp := FlagDays(d, tl, signals.SignalBGP)
-	if !ips[0] || len(ips) != 1 {
-		t.Errorf("ips days = %v", ips)
-	}
-	onlyA, onlyB := DisjointDays(ips, bgp)
-	if onlyA != 1 || onlyB != 1 {
-		t.Errorf("disjoint = %d/%d", onlyA, onlyB)
 	}
 }

@@ -24,34 +24,63 @@ const (
 	maxRun          = 129
 )
 
-// rleAppend compresses src onto dst.
-func rleAppend(dst, src []byte) []byte {
-	i := 0
+// The v4 column coding runs src's byte-wise wrapping deltas through the RLE
+// above. Responsive-count rows are near-constant plateaus with occasional
+// steps, so the delta transform turns them into almost-all-zero streams that
+// collapse into maximal runs.
+//
+// appendColumn appends src's coding to dst and columnLen returns its length;
+// both are one token walk (columnWalk) that takes each delta as it goes, so
+// nothing is staged. A column is zero past its last nonzero cell, where the
+// deltas are one step down and then zeros: from there every token is a
+// maximal zero run whose length is known without reading the bytes, so the
+// walk stops scanning at that tail.
+func appendColumn(dst, src []byte) []byte {
+	dst, _ = columnWalk(dst, src, true)
+	return dst
+}
+
+func columnLen(src []byte) int {
+	_, n := columnWalk(nil, src, false)
+	return n
+}
+
+// columnWalk tokenizes src's deltas greedily — at each position the run
+// there is taken when it is at least minRun+1 long, or minRun long with no
+// literals pending; otherwise the byte joins the pending literals — and
+// returns the coding's length, appending it to dst only when emit is set.
+func columnWalk(dst, src []byte, emit bool) ([]byte, int) {
 	n := len(src)
-	litStart := -1
-	flushLits := func(end int) {
-		for litStart < end {
-			chunk := end - litStart
-			if chunk > maxLiteralChunk {
-				chunk = maxLiteralChunk
-			}
-			dst = append(dst, byte(chunk-1))
-			dst = append(dst, src[litStart:litStart+chunk]...)
-			litStart += chunk
-		}
-		litStart = -1
+	// Every delta at or past tail is zero: one past the step down from the
+	// last nonzero cell.
+	tail := byteExtent(src)
+	if tail > 0 && tail < n {
+		tail++
 	}
-	for i < n {
-		// Measure the run at i.
-		j := i + 1
-		for j < n && src[j] == src[i] && j-i < maxRun {
-			j++
+	size, litStart := 0, -1
+	for i := 0; i < n; {
+		var v byte
+		j := min(n, i+maxRun)
+		if i < tail {
+			v = delta(src, i)
+			// The run goes on while each byte is the last plus v.
+			seg, next, k := src[i:j], src[i], 1
+			for ; k < len(seg); k++ {
+				if next += v; seg[k] != next {
+					break
+				}
+			}
+			j = i + k
 		}
 		if j-i >= minRun+1 || (j-i >= minRun && litStart < 0) {
 			if litStart >= 0 {
-				flushLits(i)
+				dst, size = appendLiterals(dst, size, src, litStart, i, emit)
+				litStart = -1
 			}
-			dst = append(dst, byte(j-i-minRun+128), src[i])
+			if emit {
+				dst = append(dst, byte(j-i-minRun+128), v)
+			}
+			size += 2
 			i = j
 			continue
 		}
@@ -61,30 +90,36 @@ func rleAppend(dst, src []byte) []byte {
 		i++
 	}
 	if litStart >= 0 {
-		flushLits(n)
+		dst, size = appendLiterals(dst, size, src, litStart, n, emit)
 	}
-	return dst
+	return dst, size
 }
 
-// deltaRLEAppend compresses src onto dst as byte-wise wrapping deltas fed
-// through the RLE above (the v4 column coding). Responsive-count rows are
-// near-constant plateaus with occasional steps, so the delta transform turns
-// them into almost-all-zero streams that collapse into maximal runs.
-// scratch holds the transformed copy between calls (src is not modified).
-func deltaRLEAppend(dst, src []byte, scratch *[]byte) []byte {
-	if cap(*scratch) < len(src) {
-		*scratch = make([]byte, len(src))
+// appendLiterals codes the deltas of src[from:to] as literal chunks.
+func appendLiterals(dst []byte, size int, src []byte, from, to int, emit bool) ([]byte, int) {
+	for from < to {
+		chunk := min(to-from, maxLiteralChunk)
+		size += 1 + chunk
+		if emit {
+			dst = append(dst, byte(chunk-1))
+			for k := from; k < from+chunk; k++ {
+				dst = append(dst, delta(src, k))
+			}
+		}
+		from += chunk
 	}
-	d := (*scratch)[:len(src)]
-	var prev byte
-	for i, v := range src {
-		d[i] = v - prev
-		prev = v
-	}
-	return rleAppend(dst, d)
+	return dst, size
 }
 
-// deltaRLEDecode is the inverse of deltaRLEAppend: RLE-decode into dst, then
+// delta is src's wrapping step into cell k (from zero at k = 0).
+func delta(src []byte, k int) byte {
+	if k == 0 {
+		return src[0]
+	}
+	return src[k] - src[k-1]
+}
+
+// deltaRLEDecode is the inverse of appendColumn: RLE-decode into dst, then
 // undo the delta transform with an in-place prefix sum. dst must be exactly
 // the expected length.
 func deltaRLEDecode(dst, src []byte) error {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"runtime"
@@ -149,19 +150,86 @@ func TestWriteToIdenticalBytesForIdenticalStores(t *testing.T) {
 	}
 }
 
-// TestWriteToAllocBytes: a checkpoint's working memory fits the file. The
-// Monitor writes one every CheckpointEvery rounds and a campaign-sized store
-// is tens of kilobytes, so a buffer sized for a paper-scale file would be
-// most of what a journalled round allocates.
+// TestWriteToAllocBytes: a checkpoint's working memory is its buffer and one
+// column, not the file. The Monitor writes one every CheckpointEvery rounds,
+// so a store's worth of staging would be most of what a journalled round
+// allocates; here the file is ≈ 2.5 MB and the budget 160 KiB.
 func TestWriteToAllocBytes(t *testing.T) {
-	s := testStore(t)
+	s := benchStore(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := s.WriteTo(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
-		t.Errorf("WriteTo of a small store allocated %d bytes, budget %d", got, 256<<10)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 160<<10 {
+		t.Errorf("WriteTo of a 2 048-block × one-year store allocated %d bytes, budget %d", got, 160<<10)
+	}
+}
+
+// sweepStore is small enough to write or read once per byte offset of its
+// file in well under a second, with a tracked block and a partial round so
+// every section of the file is non-empty.
+func sweepStore(t *testing.T) (*Store, []byte) {
+	t.Helper()
+	s := testStore(t)
+	s.TrackRTT(2)
+	for r := 0; r < 300; r++ {
+		s.SetRound(0, r, 60+r/40, r%9 != 0)
+		s.SetRound(2, r, r%5, true)
+		s.SetRTT(2, r, uint16(40+r%7))
+		s.SetDone(r)
+	}
+	s.SetCoverage(12, 0.7)
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return s, buf.Bytes()
+}
+
+var errWriteFailed = errors.New("write failed")
+
+// failingWriter accepts budget bytes, then fails.
+type failingWriter struct{ budget int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) <= w.budget {
+		w.budget -= len(p)
+		return len(p), nil
+	}
+	n := w.budget
+	w.budget = 0
+	return n, errWriteFailed
+}
+
+// TestWriteToFailsAtEveryOffset: a checkpoint write that fails after k bytes
+// returns the writer's error and counts the k bytes the writer took — never
+// the bytes it buffered but could not write, which would make a torn file
+// read as a whole one to a caller that checks the count.
+func TestWriteToFailsAtEveryOffset(t *testing.T) {
+	s, raw := sweepStore(t)
+	for k := 0; k < len(raw); k++ {
+		n, err := s.WriteTo(&failingWriter{budget: k})
+		if !errors.Is(err, errWriteFailed) {
+			t.Fatalf("writer failing after %d of %d bytes: err = %v", k, len(raw), err)
+		}
+		if n != int64(k) {
+			t.Fatalf("writer failing after %d of %d bytes: WriteTo reported %d written", k, len(raw), n)
+		}
+	}
+}
+
+// TestReadFromRejectsEveryPrefix: a file torn anywhere — every strict prefix
+// of a written one — fails to open rather than loading as a shorter store.
+func TestReadFromRejectsEveryPrefix(t *testing.T) {
+	_, raw := sweepStore(t)
+	for k := 0; k < len(raw); k++ {
+		if _, err := ReadFrom(bytes.NewReader(raw[:k])); err == nil {
+			t.Fatalf("ReadFrom accepted the first %d of %d bytes", k, len(raw))
+		}
+	}
+	if _, err := ReadFrom(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
 	}
 }

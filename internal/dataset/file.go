@@ -41,7 +41,7 @@ const (
 // call, so serializing a store performs O(1) allocations regardless of how
 // many block rows it holds.
 type enc struct {
-	cw      *countingWriter
+	w       io.Writer
 	scratch []byte
 	err     error
 }
@@ -60,7 +60,7 @@ func (e *enc) raw(b []byte) {
 	if e.err != nil {
 		return
 	}
-	_, e.err = e.cw.Write(b)
+	_, e.err = e.w.Write(b)
 }
 
 func (e *enc) u16(v uint16) {
@@ -69,7 +69,7 @@ func (e *enc) u16(v uint16) {
 	}
 	b := e.bytes(2)
 	binary.LittleEndian.PutUint16(b, v)
-	_, e.err = e.cw.Write(b)
+	_, e.err = e.w.Write(b)
 }
 
 func (e *enc) u32(v uint32) {
@@ -78,7 +78,7 @@ func (e *enc) u32(v uint32) {
 	}
 	b := e.bytes(4)
 	binary.LittleEndian.PutUint32(b, v)
-	_, e.err = e.cw.Write(b)
+	_, e.err = e.w.Write(b)
 }
 
 func (e *enc) i64(v int64) {
@@ -87,7 +87,7 @@ func (e *enc) i64(v int64) {
 	}
 	b := e.bytes(8)
 	binary.LittleEndian.PutUint64(b, uint64(v))
-	_, e.err = e.cw.Write(b)
+	_, e.err = e.w.Write(b)
 }
 
 func (e *enc) u16s(vs []uint16) {
@@ -98,7 +98,7 @@ func (e *enc) u16s(vs []uint16) {
 	for i, v := range vs {
 		binary.LittleEndian.PutUint16(b[2*i:], v)
 	}
-	_, e.err = e.cw.Write(b)
+	_, e.err = e.w.Write(b)
 }
 
 func (e *enc) u32s(vs []uint32) {
@@ -109,7 +109,7 @@ func (e *enc) u32s(vs []uint32) {
 	for i, v := range vs {
 		binary.LittleEndian.PutUint32(b[4*i:], v)
 	}
-	_, e.err = e.cw.Write(b)
+	_, e.err = e.w.Write(b)
 }
 
 func (e *enc) u64s(vs []uint64) {
@@ -120,21 +120,22 @@ func (e *enc) u64s(vs []uint64) {
 	for i, v := range vs {
 		binary.LittleEndian.PutUint64(b[8*i:], v)
 	}
-	_, e.err = e.cw.Write(b)
+	_, e.err = e.w.Write(b)
 }
 
 // fileBuf is the bufio buffer WriteTo and ReadFrom take. It only has to
-// gather the header and index fields: the resp blob and any row or column
-// larger than it go through in one Write or ReadFull that bypasses it, so a
+// gather the header, index and per-column fields: any row or column larger
+// than it goes through in one Write or ReadFull that bypasses it, so a
 // paper-scale file loses nothing to a buffer sized for what the Monitor
 // writes every few rounds — a campaign checkpoint of tens of kilobytes.
 const fileBuf = 64 << 10
 
-// WriteTo serializes the store.
+// WriteTo serializes the store. Its count is taken below the buffer, so
+// after a failed write it is what w accepted, not what was buffered.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, fileBuf)
-	cw := &countingWriter{w: bw}
-	e := &enc{cw: cw}
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriterSize(cw, fileBuf)
+	e := &enc{w: bw}
 
 	e.raw([]byte(fileMagic))
 	e.u32(fileVersion)
@@ -176,17 +177,22 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 			e.u16(c)
 		}
 	}
-	// v4 resp section: the column index precedes the data, so the blob is
-	// staged up front (two amortized allocations for the whole store).
+	// v4 resp section: the column index precedes the data, so a count pass
+	// fills it, then each column is coded into one reused buffer and written
+	// — the working memory is the longest column, not the file.
 	lens := make([]uint32, len(s.resp))
-	var blob, scratch []byte
-	for i := range s.resp {
-		n := len(blob)
-		blob = deltaRLEAppend(blob, s.resp[i], &scratch)
-		lens[i] = uint32(len(blob) - n)
+	longest := 0
+	for i, resp := range s.resp {
+		n := columnLen(resp)
+		lens[i] = uint32(n)
+		longest = max(longest, n)
 	}
 	e.u32s(lens)
-	e.raw(blob)
+	col := make([]byte, 0, longest)
+	for _, resp := range s.resp {
+		col = appendColumn(col[:0], resp)
+		e.raw(col)
+	}
 	for _, row := range s.routed {
 		e.u64s(row)
 	}
@@ -200,10 +206,10 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 		e.u32(uint32(bi))
 		e.u16s(s.rtt[bi])
 	}
-	if e.err != nil {
-		return cw.n, e.err
+	if e.err == nil {
+		e.err = bw.Flush()
 	}
-	return cw.n, bw.Flush()
+	return cw.n, e.err
 }
 
 // dec is the sticky-error counterpart of enc: fixed-width values are read

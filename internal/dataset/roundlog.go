@@ -54,7 +54,6 @@ type RoundLog struct {
 	nblocks int
 	col     []uint8 // per-round resp column scratch
 	buf     []byte  // record staging buffer
-	scratch []byte  // delta transform scratch
 }
 
 // OpenRoundLog opens (or creates) the journal at path for appending rounds
@@ -181,10 +180,18 @@ func (l *RoundLog) Append(s *Store, round int) error {
 	if round < 0 || round >= l.rounds {
 		return fmt.Errorf("dataset: round log append %d out of range", round)
 	}
+	l.buf = l.record(l.buf[:0], s, round)
+	if _, err := l.f.Write(l.buf); err != nil {
+		return err
+	}
+	return l.f.Sync()
+}
+
+// record appends round's framed record to b.
+func (l *RoundLog) record(b []byte, s *Store, round int) []byte {
 	for bi := 0; bi < l.nblocks; bi++ {
 		l.col[bi] = s.resp[bi][round]
 	}
-	b := l.buf[:0]
 	var tmp [4]byte
 	binary.LittleEndian.PutUint32(tmp[:], uint32(round))
 	b = append(b, tmp[:4]...)
@@ -200,7 +207,7 @@ func (l *RoundLog) Append(s *Store, round int) error {
 	b = append(b, tmp[:2]...)
 	lenAt := len(b)
 	b = append(b, 0, 0, 0, 0)
-	b = deltaRLEAppend(b, l.col, &l.scratch)
+	b = appendColumn(b, l.col)
 	binary.LittleEndian.PutUint32(b[lenAt:], uint32(len(b)-lenAt-4))
 	for base := 0; base < l.nblocks; base += 64 {
 		limit := base + 64
@@ -217,11 +224,7 @@ func (l *RoundLog) Append(s *Store, round int) error {
 		binary.LittleEndian.PutUint64(wb[:], w)
 		b = append(b, wb[:]...)
 	}
-	l.buf = b
-	if _, err := l.f.Write(b); err != nil {
-		return err
-	}
-	return l.f.Sync()
+	return b
 }
 
 // Close closes the journal file.

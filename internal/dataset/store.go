@@ -253,24 +253,31 @@ func (s *Store) Routed(blockIdx, round int) bool {
 // the routed words — so no write path has a high-water mark to maintain.
 func (s *Store) Extent(blockIdx int) int {
 	resp := s.resp[blockIdx]
-	n := len(resp)
-	for n%8 != 0 && resp[n-1] == 0 {
-		n--
-	}
-	if n%8 == 0 {
-		for n > 0 && binary.LittleEndian.Uint64(resp[n-8:n]) == 0 {
-			n -= 8
-		}
-		for n > 0 && resp[n-1] == 0 {
-			n--
-		}
-	}
+	n := byteExtent(resp)
 	words := s.routed[blockIdx]
 	for w := len(words) - 1; w >= 0 && w*64+64 > n; w-- {
 		if words[w] != 0 {
 			// Clamped: a decoded file's padding bits past the last round
 			// must not push a walk off the end of the column.
 			return max(n, min(w*64+64-bits.LeadingZeros64(words[w]), len(resp)))
+		}
+	}
+	return n
+}
+
+// byteExtent returns one past the last nonzero byte of b (0 when all are
+// zero), scanning backward eight bytes per load once aligned.
+func byteExtent(b []byte) int {
+	n := len(b)
+	for n%8 != 0 && b[n-1] == 0 {
+		n--
+	}
+	if n%8 == 0 {
+		for n > 0 && binary.LittleEndian.Uint64(b[n-8:n]) == 0 {
+			n -= 8
+		}
+		for n > 0 && b[n-1] == 0 {
+			n--
 		}
 	}
 	return n

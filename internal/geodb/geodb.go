@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"countrymon/internal/netmodel"
 )
@@ -254,49 +252,4 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return n, bw.Flush()
-}
-
-// ReadSnapshot parses the CSV produced by WriteTo.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var entries []Entry
-	first := true
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if first {
-			first = false
-			if strings.HasPrefix(line, "prefix,") {
-				continue
-			}
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("geodb: bad line %q", line)
-		}
-		p, err := netmodel.ParsePrefix(parts[0])
-		if err != nil {
-			return nil, err
-		}
-		var region netmodel.Region
-		if parts[2] != "" {
-			var ok bool
-			region, ok = netmodel.RegionByName(parts[2])
-			if !ok {
-				return nil, fmt.Errorf("geodb: unknown region %q", parts[2])
-			}
-		}
-		rad, err := strconv.ParseUint(parts[3], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("geodb: bad radius %q", parts[3])
-		}
-		entries = append(entries, Entry{Prefix: p, Country: parts[1], Region: region, RadiusKM: uint32(rad)})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return NewSnapshot(entries), nil
 }

@@ -1,8 +1,12 @@
 package ioda
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"testing"
 	"time"
 
@@ -178,4 +182,66 @@ func TestCachedResources(t *testing.T) {
 			t.Errorf("GET %s: %d cache hits, want 12", tc.url, got)
 		}
 	}
+}
+
+// Client consumes the API over HTTP, the way the paper's analysis read the
+// real platform's; the API tests are its only user.
+type Client struct {
+	BaseURL string
+	HTTP    *http.Client
+}
+
+// NewClient builds a client for the given base URL.
+func NewClient(baseURL string) *Client {
+	return &Client{BaseURL: baseURL, HTTP: &http.Client{Timeout: 30 * time.Second}}
+}
+
+func (c *Client) get(path string, q url.Values, out interface{}) error {
+	u := c.BaseURL + path + "?" + q.Encode()
+	resp, err := c.HTTP.Get(u)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	var env envelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		return fmt.Errorf("ioda api: %w", err)
+	}
+	if env.Err != "" {
+		return fmt.Errorf("ioda api: %s", env.Err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("ioda api: status %d", resp.StatusCode)
+	}
+	return json.Unmarshal(env.Data, out)
+}
+
+// ASEvents fetches outage events for an AS.
+func (c *Client) ASEvents(asn netmodel.ASN) ([]Event, error) {
+	q := url.Values{"entityType": {"asn"}, "entityCode": {strconv.FormatUint(uint64(asn), 10)}}
+	var events []Event
+	err := c.get("/v2/outages/events", q, &events)
+	return events, err
+}
+
+// RegionEvents fetches outage events for a region.
+func (c *Client) RegionEvents(region netmodel.Region) ([]Event, error) {
+	q := url.Values{"entityType": {"region"}, "entityCode": {region.String()}}
+	var events []Event
+	err := c.get("/v2/outages/events", q, &events)
+	return events, err
+}
+
+// RawSignals fetches a raw signal series.
+func (c *Client) RawSignals(entityType, code string, from, until int64) ([]SignalPoint, error) {
+	q := url.Values{"entityType": {entityType}, "entityCode": {code}}
+	if from > 0 {
+		q.Set("from", strconv.FormatInt(from, 10))
+	}
+	if until > 0 {
+		q.Set("until", strconv.FormatInt(until, 10))
+	}
+	var pts []SignalPoint
+	err := c.get("/v2/signals/raw", q, &pts)
+	return pts, err
 }

@@ -17,7 +17,6 @@
 package par
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -122,45 +121,6 @@ func Do(fns ...func()) {
 		}()
 	}
 	wg.Wait()
-}
-
-// ForEachCtx is ForEach with error propagation and cancellation: once the
-// context is done or any fn returns an error, remaining indices are skipped.
-// It returns the error with the lowest index among those observed (so
-// error-free runs and single-error runs are deterministic), or ctx.Err().
-func ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
-	var (
-		mu      sync.Mutex
-		bestIdx = -1
-		bestErr error
-		stopped atomic.Bool
-	)
-	record := func(i int, err error) {
-		mu.Lock()
-		if bestIdx < 0 || i < bestIdx {
-			bestIdx, bestErr = i, err
-		}
-		mu.Unlock()
-		stopped.Store(true)
-	}
-	ForEach(n, func(i int) {
-		if stopped.Load() {
-			return
-		}
-		if err := ctx.Err(); err != nil {
-			stopped.Store(true)
-			return
-		}
-		if err := fn(i); err != nil {
-			record(i, err)
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	return bestErr
 }
 
 // Cache is a concurrency-safe memoization map with per-key once semantics:

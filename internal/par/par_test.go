@@ -1,8 +1,6 @@
 package par
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,32 +57,6 @@ func TestDoRunsAllStages(t *testing.T) {
 	Do(func() { a.Store(true) }, func() { b.Store(true) }, func() { c.Store(true) })
 	if !a.Load() || !b.Load() || !c.Load() {
 		t.Fatal("Do skipped a stage")
-	}
-}
-
-func TestForEachCtxPropagatesLowestError(t *testing.T) {
-	errBoom := errors.New("boom")
-	err := ForEachCtx(context.Background(), 100, func(i int) error {
-		if i == 42 {
-			return errBoom
-		}
-		return nil
-	})
-	if !errors.Is(err, errBoom) {
-		t.Fatalf("err = %v, want %v", err, errBoom)
-	}
-	if err := ForEachCtx(context.Background(), 100, func(int) error { return nil }); err != nil {
-		t.Fatalf("error-free run returned %v", err)
-	}
-}
-
-func TestForEachCtxCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := atomic.Int32{}
-	err := ForEachCtx(ctx, 1000, func(int) error { ran.Add(1); return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

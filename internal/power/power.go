@@ -70,23 +70,19 @@ func Generate(cfg Config) *Schedule {
 	attacks := Attacks2024()
 	for d := 0; d < days; d++ {
 		day := start.Add(time.Duration(d) * 24 * time.Hour)
+		grid := gridOutageHours(day, attacks)
 		row := make([]float32, netmodel.NumRegions+1)
 		for _, r := range netmodel.Regions() {
-			row[r] = float32(outageHours(day, r, attacks, cfg.Seed))
+			row[r] = float32(regionOutageHours(grid, day, r, cfg.Seed))
 		}
 		s.hours[d] = row
 	}
 	return s
 }
 
-// outageHours is the generator's core: average hours without electricity for
-// one region on one day.
-func outageHours(day time.Time, r netmodel.Region, attacks []time.Time, seed uint64) float64 {
-	if r.OccupiedSince2014() {
-		// Crimea and Sevastopol are on the Russian grid (§5.1) and did not
-		// share the Ukrainian grid's outages.
-		return 0
-	}
+// gridOutageHours is the generator's core: the Ukrainian grid's average hours
+// without electricity on one day, before any region's share of them.
+func gridOutageHours(day time.Time, attacks []time.Time) float64 {
 	h := 0.0
 	y, m, _ := day.Date()
 
@@ -123,7 +119,17 @@ func outageHours(day time.Time, r netmodel.Region, attacks []time.Time, seed uin
 			h += 8 * decay
 		}
 	}
+	return h
+}
 
+// regionOutageHours is one region's outage hours on a day whose grid-wide
+// hours are h.
+func regionOutageHours(h float64, day time.Time, r netmodel.Region, seed uint64) float64 {
+	if r.OccupiedSince2014() {
+		// Crimea and Sevastopol are on the Russian grid (§5.1) and did not
+		// share the Ukrainian grid's outages.
+		return 0
+	}
 	if h <= 0 {
 		return 0
 	}

@@ -228,13 +228,3 @@ func (d Diff) RecodedTotal() int {
 	}
 	return n
 }
-
-// AddrSeries returns, per snapshot, the total addresses delegated to cc —
-// Fig 18's series.
-func AddrSeries(snaps []*File, cc string) []uint64 {
-	out := make([]uint64, len(snaps))
-	for i, f := range snaps {
-		out[i] = f.CountryAddrCount(cc)
-	}
-	return out
-}

@@ -151,12 +151,3 @@ ripencc|UA|ipv4|45.155.0.0|512|20240101|allocated
 		t.Errorf("Added = %d", d.Added)
 	}
 }
-
-func TestAddrSeries(t *testing.T) {
-	f1, _ := Parse(strings.NewReader(sampleFile))
-	f2, _ := Parse(strings.NewReader("ripencc|UA|ipv4|91.198.4.0|256|20060912|allocated\n"))
-	s := AddrSeries([]*File{f1, f2}, "UA")
-	if s[0] != 9472 || s[1] != 256 {
-		t.Errorf("series = %v", s)
-	}
-}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -469,6 +470,7 @@ func (b *builder) buildLeasedASes() {
 // hash-selected fraction of their blocks to Kyiv/Chernihiv or abroad.
 func (b *builder) applyChurn() {
 	months := b.tl.NumMonths()
+	khersonRegional := KhersonRegionalASNs()
 	for blk, t := range b.bt {
 		if t.Dynamic || !t.HomeRegion.Valid() {
 			continue
@@ -498,7 +500,7 @@ func (b *builder) applyChurn() {
 		// late in the campaign — late enough that the ≥70%-of-routed-months
 		// rule still classifies them regional. This is what pushes
 		// Kherson's retained share down to ~26% (§4.1).
-		if isKhersonRegionalASN(t.ASN) {
+		if slices.Contains(khersonRegional, t.ASN) {
 			tr := b.traits[t.ASN]
 			months := int16(b.tl.NumMonths())
 			switch {
@@ -541,15 +543,6 @@ func (b *builder) applyChurn() {
 			}
 		}
 	}
-}
-
-func isKhersonRegionalASN(asn netmodel.ASN) bool {
-	for _, k := range khersonTable5() {
-		if k.ASN == asn {
-			return k.Regional
-		}
-	}
-	return false
 }
 
 // generateFrontlineNoise scripts the recurring kinetic disruptions of
