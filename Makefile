@@ -126,7 +126,8 @@ metrics-lint:
 # the columnar codecs, the streamed column coder against its staged oracle,
 # a store column's extent against its round-at-a-time
 # scan, the scenario parser, the fault-window span memo, the
-# faults wrapper's batch path against its packet-at-a-time oracle, one-pass
+# faults wrapper's batch path against its packet-at-a-time oracle, the
+# simulated wire's reply records against its encode-at-write oracle, one-pass
 # detection against its per-window oracle, compiled ground truth against its
 # linear-scan oracle and a serve store's grown columns against the
 # full-length layout under a random Register/Advance schedule: a few seconds
@@ -142,6 +143,7 @@ fuzz-smoke:
 	$(GO) test ./internal/scenario -fuzz '^FuzzScenarioParse$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/faults -fuzz '^FuzzWindowAt$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/faults -fuzz '^FuzzWriteBatchMatchesPacketLoop$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/simnet -fuzz '^FuzzNetworkMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/signals -fuzz '^FuzzDetectMatchesOracle$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/sim -fuzz '^FuzzStateAtMatchesOracle$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/serve -fuzz '^FuzzServeSchedule$$' -fuzztime 5s -run '^$$'

@@ -199,13 +199,13 @@ func findGenerator(p uint64, seed uint64) (uint64, error) {
 	if p == 2 {
 		return 1, nil
 	}
-	factors := primeFactors(p - 1)
+	factors, k := primeFactors(p - 1)
 	s := seed
 	for tries := 0; tries < 4096; tries++ {
 		s = netmodel.Mix64(s)
 		g := s%(p-2) + 2 // in [2, p-1]
 		ok := true
-		for _, q := range factors {
+		for _, q := range factors[:k] {
 			if powmod(g, (p-1)/q, p) == 1 {
 				ok = false
 				break
@@ -218,14 +218,15 @@ func findGenerator(p uint64, seed uint64) (uint64, error) {
 	return 0, fmt.Errorf("scanner: no generator found for p=%d", p)
 }
 
-// primeFactors returns the distinct prime factors of n by trial division;
-// n-1 for our primes is small enough (≤ a few billion) for this to be fast,
-// and it runs once per scan.
-func primeFactors(n uint64) []uint64 {
-	var fs []uint64
-	for _, q := range []uint64{2, 3} {
+// primeFactors returns the distinct prime factors of n, in increasing order,
+// as fs[:k], by trial division; n-1 for our primes is small enough (≤ a few
+// billion) for this to be fast, and it runs once per scan. A uint64 has at
+// most 15 distinct prime factors (the first 16 primes multiply past 2⁶⁴), so
+// they fit an array and cost the scan no allocation.
+func primeFactors(n uint64) (fs [15]uint64, k int) {
+	for _, q := range [2]uint64{2, 3} {
 		if n%q == 0 {
-			fs = append(fs, q)
+			fs[k], k = q, k+1
 			for n%q == 0 {
 				n /= q
 			}
@@ -233,16 +234,16 @@ func primeFactors(n uint64) []uint64 {
 	}
 	for q := uint64(5); q*q <= n; q += 2 {
 		if n%q == 0 {
-			fs = append(fs, q)
+			fs[k], k = q, k+1
 			for n%q == 0 {
 				n /= q
 			}
 		}
 	}
 	if n > 1 {
-		fs = append(fs, n)
+		fs[k], k = n, k+1
 	}
-	return fs
+	return fs, k
 }
 
 func mulmod(a, b, m uint64) uint64 { return mulmodReduced(a%m, b%m, m) }

@@ -176,6 +176,54 @@ func TestPrimeAbove(t *testing.T) {
 	}
 }
 
+// trialFactors is the textbook trial division primeFactors is checked
+// against: every q from 2 up, no wheel.
+func trialFactors(n uint64) []uint64 {
+	var fs []uint64
+	for q := uint64(2); q*q <= n; q++ {
+		if n%q == 0 {
+			fs = append(fs, q)
+			for n%q == 0 {
+				n /= q
+			}
+		}
+	}
+	if n > 1 {
+		fs = append(fs, n)
+	}
+	return fs
+}
+
+// TestPrimeFactorsMatchesTrialDivision over [2, 10⁶], the p-1 of every
+// prime the benchmark's target sets and the 2³² boundary reach, and the
+// uint64s with the most distinct prime factors there are.
+func TestPrimeFactorsMatchesTrialDivision(t *testing.T) {
+	check := func(n uint64) {
+		fs, k := primeFactors(n)
+		if got, want := fs[:k], trialFactors(n); !slices.Equal(got, want) {
+			t.Fatalf("primeFactors(%d) = %v, want %v", n, got, want)
+		}
+	}
+	for n := uint64(2); n <= 1e6; n++ {
+		check(n)
+	}
+	for _, p := range []uint64{257, 769, 1031, 1283, 1543, 1801, 2053, 2309, 2579, 2819, 3079, 3329,
+		3593, 3847, 4099, 4357, 4621, 4871, 5147, 5381, 5639, 5897, 10007, 10243, 10499, 11027, 12289,
+		24593, 65537, 1<<32 - 5, 4294967311} {
+		if primeAbove(p-1) != p {
+			t.Fatalf("%d is not the prime above %d", p, p-1)
+		}
+		check(p - 1)
+	}
+	primorial15 := uint64(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47)
+	for _, n := range []uint64{primorial15, primorial15 * 2, primorial15 * 29} {
+		check(n)
+		if fs, k := primeFactors(n); k != 15 || fs[14] != 47 {
+			t.Fatalf("primeFactors(%d) = %v", n, fs[:k])
+		}
+	}
+}
+
 func TestMulmodMatchesBigWhenSmall(t *testing.T) {
 	f := func(a, b uint32, m uint32) bool {
 		if m == 0 {

@@ -65,23 +65,28 @@ func FuseBlock(prev, merged int, verdicts []VantageVerdict, quorum int) (resp in
 	if quorum < 1 {
 		quorum = 1
 	}
-	// Deduplicate by vantage, preferring full-block evidence.
-	byVantage := make(map[string]VantageVerdict, len(verdicts))
-	order := make([]string, 0, len(verdicts))
+	// Deduplicate by vantage, preferring full-block evidence, in first-seen
+	// order so that darkWeight adds up in the same order on every call. A
+	// fleet has a handful of vantages: a linear scan of a stack array, which
+	// spills to the heap only past eight.
+	var buf [8]VantageVerdict
+	byVantage := buf[:0]
+next:
 	for _, v := range verdicts {
-		cur, ok := byVantage[v.Vantage]
-		if !ok {
-			order = append(order, v.Vantage)
-			byVantage[v.Vantage] = v
-			continue
+		for i := range byVantage {
+			cur := &byVantage[i]
+			if cur.Vantage != v.Vantage {
+				continue
+			}
+			if v.Full && !cur.Full || v.Full == cur.Full && v.Weight > cur.Weight {
+				*cur = v
+			}
+			continue next
 		}
-		if v.Full && !cur.Full || v.Full == cur.Full && v.Weight > cur.Weight {
-			byVantage[v.Vantage] = v
-		}
+		byVantage = append(byVantage, v)
 	}
 	alive, darkWeight := 0, 0.0
-	for _, name := range order {
-		v := byVantage[name]
+	for _, v := range byVantage {
 		if v.Resp > 0 {
 			if v.Full && v.Resp > alive {
 				alive = v.Resp
@@ -102,7 +107,7 @@ func FuseBlock(prev, merged int, verdicts []VantageVerdict, quorum int) (resp in
 			resp = alive
 		}
 		return resp, FuseAlive
-	case darkWeight >= float64(min(quorum, len(order)))-1e-9 && len(order) > 0:
+	case darkWeight >= float64(min(quorum, len(byVantage)))-1e-9 && len(byVantage) > 0:
 		return 0, FuseDown
 	default:
 		return prev, FuseHeld

@@ -3,6 +3,7 @@ package signals
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -233,5 +234,122 @@ func TestBoundedBuildMatchesFullTimelineWalk(t *testing.T) {
 				assertSeriesEqual(t, rg.String(), want.refBuildRegion(rr, cl), got.Region(rr, cl))
 			}
 		})
+	}
+}
+
+// The FuseBlock oracle: its body as it was when verdicts were deduplicated
+// through a map keyed by vantage plus a slice of first-seen names. Kept
+// verbatim; only the name moved.
+func refFuseBlock(prev, merged int, verdicts []VantageVerdict, quorum int) (resp int, outcome FuseOutcome) {
+	if quorum < 1 {
+		quorum = 1
+	}
+	// Deduplicate by vantage, preferring full-block evidence.
+	byVantage := make(map[string]VantageVerdict, len(verdicts))
+	order := make([]string, 0, len(verdicts))
+	for _, v := range verdicts {
+		cur, ok := byVantage[v.Vantage]
+		if !ok {
+			order = append(order, v.Vantage)
+			byVantage[v.Vantage] = v
+			continue
+		}
+		if v.Full && !cur.Full || v.Full == cur.Full && v.Weight > cur.Weight {
+			byVantage[v.Vantage] = v
+		}
+	}
+	alive, darkWeight := 0, 0.0
+	for _, name := range order {
+		v := byVantage[name]
+		if v.Resp > 0 {
+			if v.Full && v.Resp > alive {
+				alive = v.Resp
+			} else if alive == 0 {
+				alive = 1 // sample evidence: alive, but the count is partial
+			}
+		} else {
+			darkWeight += v.Weight
+		}
+	}
+	switch {
+	case alive > 0:
+		resp = merged
+		if alive > resp {
+			resp = alive
+		}
+		return resp, FuseAlive
+	case darkWeight >= float64(min(quorum, len(order)))-1e-9 && len(order) > 0:
+		return 0, FuseDown
+	default:
+		return prev, FuseHeld
+	}
+}
+
+// TestFuseBlockMatchesMapDedup: the stack-array dedup decides as the map did
+// on duplicate, full, partial and weighted verdict sets — including weights
+// whose float sum depends on the order they are added in, and more vantages
+// than the stack array holds — and on random sets; and a fleet-sized call
+// allocates nothing.
+func TestFuseBlockMatchesMapDedup(t *testing.T) {
+	cases := []struct {
+		name     string
+		verdicts []VantageVerdict
+		quorum   int
+	}{
+		{"no verdicts", nil, 2},
+		{"duplicate sample then full", []VantageVerdict{v("a", 3, 0.4, false), v("a", 0, 1, true), v("b", 0, 1, false)}, 2},
+		{"duplicate full then sample", []VantageVerdict{v("a", 0, 1, true), v("a", 9, 1, false), v("b", 0, 0.5, false)}, 2},
+		{"duplicate samples, heavier wins", []VantageVerdict{v("a", 0, 0.3, false), v("a", 4, 0.9, false), v("b", 0, 1, false)}, 1},
+		{"duplicate equal weights, first kept", []VantageVerdict{v("a", 0, 0.5, false), v("a", 7, 0.5, false), v("b", 0, 0.5, false)}, 1},
+		{"all full alive, best count", []VantageVerdict{v("a", 12, 1, true), v("b", 30, 1, true), v("c", 0, 1, true)}, 2},
+		{"partial coverage short of quorum", []VantageVerdict{v("a", 0, 0.6, false), v("b", 0, 0.35, false), v("c", 0, 0.0499999999, false)}, 1},
+		{"three weights summing to the quorum", []VantageVerdict{
+			v("a", 0, 0.1, false), v("b", 0, 0.2, false), v("c", 0, 0.7, false), v("a", 0, 0.05, false)}, 1},
+		{"quorum beyond the vantages", []VantageVerdict{v("a", 0, 1, false), v("b", 0, 1, false)}, 5},
+		{"quorum below one", []VantageVerdict{v("a", 0, 0.99999999995, false)}, 0},
+		{"more vantages than the stack array", func() []VantageVerdict {
+			var vs []VantageVerdict
+			for i := 0; i < 12; i++ {
+				vs = append(vs, v(fmt.Sprintf("v%d", i%10), 0, 0.1*float64(i%4)+0.05, i%5 == 0))
+			}
+			return vs
+		}(), 7},
+	}
+	check := func(name string, verdicts []VantageVerdict, quorum int) {
+		t.Helper()
+		for _, prev := range []int{1, 40} {
+			gotResp, gotOut := FuseBlock(prev, 17, verdicts, quorum)
+			wantResp, wantOut := refFuseBlock(prev, 17, verdicts, quorum)
+			if gotResp != wantResp || gotOut != wantOut {
+				t.Fatalf("%s (prev %d): FuseBlock = %d, %v; oracle %d, %v", name, prev, gotResp, gotOut, wantResp, wantOut)
+			}
+		}
+	}
+	outcomes := map[FuseOutcome]bool{}
+	for _, c := range cases {
+		check(c.name, c.verdicts, c.quorum)
+		_, o := FuseBlock(40, 17, c.verdicts, c.quorum)
+		outcomes[o] = true
+	}
+	if len(outcomes) != 3 {
+		t.Errorf("the table reaches %d of the 3 outcomes", len(outcomes))
+	}
+	rng := rand.New(rand.NewSource(29))
+	weights := []float64{0.1, 0.2, 0.3, 1.0 / 3, 0.7, 1}
+	for i := 0; i < 20000; i++ {
+		vs := make([]VantageVerdict, rng.Intn(14))
+		for j := range vs {
+			resp := 0
+			if rng.Intn(4) == 0 {
+				resp = rng.Intn(40)
+			}
+			vs[j] = v(fmt.Sprintf("v%d", rng.Intn(11)), resp, weights[rng.Intn(len(weights))], rng.Intn(3) == 0)
+		}
+		check(fmt.Sprintf("random set %d %+v", i, vs), vs, rng.Intn(5))
+	}
+
+	fleet := []VantageVerdict{v("v0", 0, 1, false), v("v1", 0, 0.8, false), v("v2", 3, 1, false), v("v1", 0, 1, true)}
+	if allocs := testing.AllocsPerRun(100, func() { FuseBlock(40, 17, fleet, 2) }); allocs != 0 {
+		t.Errorf("FuseBlock over a 3-vantage fleet: %.1f allocs, want 0", allocs)
 	}
 }

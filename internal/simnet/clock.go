@@ -67,20 +67,21 @@ func (c *vclock) timeAt(off int64) time.Time {
 	return c.start.Add(time.Duration(off))
 }
 
-// take pops q's earliest reply if it is due: now, or — with wait > 0 — no
-// later than wait from now, in which case the clock moves to its delivery
-// time. This is the one delivery rule of the virtual clock, shared by every
-// read path of both wires. c.mu must be held.
-func (c *vclock) take(q *replyQueue, wait time.Duration) (pendingReply, bool) {
+// due reports whether q's earliest reply is due: now, or — with wait > 0 —
+// no later than wait from now, in which case the clock moves to its delivery
+// time. The reply stays at q.heap[0] for the caller to read and then pop.
+// This is the one delivery rule of the virtual clock, shared by every read
+// path of both wires. c.mu must be held.
+func due[R any](c *vclock, q *replyQueue[R], wait time.Duration) bool {
 	if q.len() == 0 {
-		return pendingReply{}, false
+		return false
 	}
 	// at > off ≥ 0 below, so the difference cannot overflow.
 	if at := q.heap[0].at; at > c.off {
 		if wait <= 0 || at-c.off > int64(wait) {
-			return pendingReply{}, false
+			return false
 		}
 		c.set(at)
 	}
-	return q.pop(), true
+	return true
 }

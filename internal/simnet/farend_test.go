@@ -224,3 +224,34 @@ func TestHostUnreachableQuotesProbe(t *testing.T) {
 		t.Errorf("quote %x, want %x", m.Payload, probe[:icmp.IPv4HeaderLen+8])
 	}
 }
+
+// TestRereadMatchesParse: what a reply re-reads of its probe at delivery is
+// what parse decoded when the probe was written, for every datagram parse
+// accepts among the far end's cases and the differential script's shapes.
+func TestRereadMatchesParse(t *testing.T) {
+	src := netmodel.MustParseAddr("198.51.100.1")
+	pkts := [][]byte{probeFor(netmodel.MustParseAddr("10.0.0.2"), src)}
+	for _, c := range farEndCases(src) {
+		pkts = append(pkts, c.pkt)
+	}
+	for s := 0; s < 256; s++ {
+		pkts = append(pkts, diffProbe(netmodel.MustParseAddr("10.0.0.3")+netmodel.Addr(s), src, byte(s)))
+	}
+	accepted := 0
+	for i, b := range pkts {
+		var parsed, reread probe
+		if parsed.parse(b) != nil {
+			continue
+		}
+		accepted++
+		reread.reread(b)
+		if reread.h.Src != parsed.h.Src || reread.h.Dst != parsed.h.Dst || reread.req.Type != parsed.req.Type ||
+			reread.req.Code != parsed.req.Code || reread.req.ID != parsed.req.ID || reread.req.Seq != parsed.req.Seq ||
+			string(reread.req.Payload) != string(parsed.req.Payload) {
+			t.Errorf("datagram %d %x: reread %+v, parse %+v", i, b, reread, parsed)
+		}
+	}
+	if accepted < 150 {
+		t.Errorf("only %d datagrams accepted", accepted)
+	}
+}

@@ -5,8 +5,10 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"countrymon/internal/icmp"
 	"countrymon/internal/netmodel"
@@ -43,25 +45,27 @@ func TestReplyQueueMatchesContainerHeap(t *testing.T) {
 	// through to push order; negative ones (a reply "due" before the wire
 	// started) and the ends of the range order like any other.
 	offsets := []int64{-3e6, -1, 0, 1, 2e6, 5e6, 5e6 + 1, 7e6, math.MinInt64, math.MaxInt64}
-	var q replyQueue
+	var q replyQueue[struct{}]
 	var ref refHeap
 	for op := 0; op < 10000; op++ {
 		// Two pushes for every pop on average.
 		if rng.Intn(3) < 2 || q.len() == 0 {
 			at := offsets[rng.Intn(len(offsets))]
 			heap.Push(&ref, refEntry{at: at, seq: q.seq})
-			q.push(nil, at)
+			q.push(struct{}{}, at)
 			continue
 		}
-		got, want := q.pop(), heap.Pop(&ref).(refEntry)
+		got, want := q.heap[0], heap.Pop(&ref).(refEntry)
+		q.pop()
 		if got.seq != want.seq || got.at != want.at {
 			t.Fatalf("op %d: popped (%d, seq %d), reference (%d, seq %d)", op, got.at, got.seq, want.at, want.seq)
 		}
 	}
 	for q.len() > 0 {
-		if got, want := q.pop(), heap.Pop(&ref).(refEntry); got.seq != want.seq {
+		if got, want := q.heap[0], heap.Pop(&ref).(refEntry); got.seq != want.seq {
 			t.Fatalf("drain: popped seq %d, reference %d", got.seq, want.seq)
 		}
+		q.pop()
 	}
 	if ref.Len() != 0 {
 		t.Fatalf("reference still holds %d replies", ref.Len())
@@ -108,7 +112,7 @@ func TestBatchCycleZeroAlloc(t *testing.T) {
 			t.Fatalf("drained %d replies, want %d", got, len(probes))
 		}
 	}
-	cycle() // warm-up round: the queue and its first slab are built here
+	cycle() // warm-up round: the queue's heap is built here
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
 		t.Errorf("WriteBatch + ReadBatch cycle of 64 probes: %.1f allocs, want 0", allocs)
 	}
@@ -143,14 +147,14 @@ func TestReadBatchSlotsDoNotAlias(t *testing.T) {
 	src := netmodel.MustParseAddr("198.51.100.1")
 	n := New(src, echoAll(time.Millisecond), time.Unix(0, 0))
 	probes := probeBatch(32, src)
-	// An echo request too large for a slot takes the queue's oversize path.
+	// An echo request too large for a record is kept whole beside the queue.
 	big := icmp.AppendMarshalIPv4(nil, icmp.IPv4Header{TTL: 64, Protocol: icmp.ProtoICMP, Src: src, Dst: netmodel.MustParseAddr("10.9.9.9")},
 		icmp.Message{Type: icmp.TypeEchoRequest, ID: 7, Seq: 9, Payload: bytes.Repeat([]byte{0xab}, 200)})
 	probes = append(probes, big)
 	if _, err := n.WriteBatch(probes); err != nil {
 		t.Fatal(err)
 	}
-	// Nil slots: ReadBatch must give each its own storage, never the slab's.
+	// Nil slots: ReadBatch must give each its own storage, never the wire's.
 	slots := make([][]byte, len(probes))
 	ats := make([]time.Time, len(probes))
 	if k, err := n.ReadBatch(slots, ats, time.Second); k != len(probes) || err != nil {
@@ -181,7 +185,7 @@ func TestReadBatchSlotsDoNotAlias(t *testing.T) {
 		}
 		want[i] = append(want[i][:0], slots[i]...)
 	}
-	// ...and new traffic through the freed slab slots must not reach any.
+	// ...and new traffic through the same heap entries must not reach any.
 	for round := 0; round < 4; round++ {
 		if _, err := n.WriteBatch(probes); err != nil {
 			t.Fatal(err)
@@ -193,7 +197,67 @@ func TestReadBatchSlotsDoNotAlias(t *testing.T) {
 	}
 	for i := range slots {
 		if !bytes.Equal(slots[i], want[i]) {
-			t.Errorf("slot %d changed: aliases another slot or the slab", i)
+			t.Errorf("slot %d changed: aliases another slot or the wire", i)
 		}
+	}
+}
+
+// TestStalledWireBytes: a scan whose replies are never read — a stalled or
+// blacked-out vantage — costs its wire a record per reply, in a heap that
+// doubles, and nothing per datagram.
+func TestStalledWireBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under -race")
+	}
+	const probes = 4096
+	src := netmodel.MustParseAddr("198.51.100.1")
+	batch := probeBatch(probes, src)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	n := New(src, echoAll(time.Hour), time.Unix(0, 0))
+	if sent, err := n.WriteBatch(batch); sent != probes || err != nil {
+		t.Fatalf("WriteBatch = %d, %v", sent, err)
+	}
+	runtime.ReadMemStats(&after)
+	if n.Pending() != probes {
+		t.Fatalf("Pending = %d", n.Pending())
+	}
+	const slack = 16 << 10
+	size := uint64(unsafe.Sizeof(pendingReply[record]{}))
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 2*probes*size+slack; got > limit {
+		t.Errorf("%d replies in flight allocated %d bytes, want at most %d (2 × %d-byte entries + %d)", probes, got, limit, size, slack)
+	}
+}
+
+// TestSmallWireAllocs: a scan that never has 64 replies in flight — nearly
+// every per-scan wire of a fleet round — costs the Network and one heap.
+func TestSmallWireAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("append allocates under -race")
+	}
+	src := netmodel.MustParseAddr("198.51.100.1")
+	probes := probeBatch(63, src)
+	slots := make([][]byte, 16)
+	for i := range slots {
+		slots[i] = make([]byte, 0, 128)
+	}
+	ats := make([]time.Time, len(slots))
+	resp := echoAll(10 * time.Millisecond)
+	allocs := testing.AllocsPerRun(50, func() {
+		n := New(src, resp, time.Unix(0, 0))
+		if sent, err := n.WriteBatch(probes); sent != len(probes) || err != nil {
+			t.Fatalf("WriteBatch = %d, %v", sent, err)
+		}
+		for got := 0; got < len(probes); {
+			k, err := n.ReadBatch(slots, ats, time.Second)
+			if k == 0 || err != nil {
+				t.Fatalf("ReadBatch = %d, %v after %d replies", k, err, got)
+			}
+			got += k
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("a fresh wire with %d replies in flight: %.1f allocs, want at most 2", len(probes), allocs)
 	}
 }

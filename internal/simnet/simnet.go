@@ -11,6 +11,7 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -55,7 +56,8 @@ type Network struct {
 	vclock
 	local netmodel.Addr
 	resp  Responder
-	queue replyQueue
+	queue replyQueue[record]
+	long  map[uint64][]byte // probes longer than recordLen, by push order
 
 	// Stats
 	sent, delivered, dropped uint64
@@ -101,16 +103,54 @@ func (n *Network) writeLocked(b []byte) error {
 	}
 	n.sent++
 	r := n.resp.Respond(p.h.Dst, n.now)
-	m, ok := p.reply(r.Kind, b)
-	if !ok {
+	if _, ok := p.reply(r.Kind, b); !ok {
 		n.dropped++
 		return nil
 	}
-	// Encoded straight into a queue slot; the reply's payload aliases b,
-	// which the caller reuses, and the encode copies it.
-	buf := n.queue.buffer(icmp.IPv4HeaderLen + icmp.HeaderLen + len(m.Payload))
-	n.queue.push(p.appendReply(buf, m), n.after(r.RTT))
+	// The probe is copied, not kept: the caller reuses b.
+	rec := record{kind: r.Kind}
+	if len(b) <= recordLen {
+		rec.n = uint8(copy(rec.probe[:], b))
+	}
+	seq := n.queue.push(rec, n.after(r.RTT))
+	if rec.n == 0 {
+		if n.long == nil {
+			n.long = make(map[uint64][]byte)
+		}
+		n.long[seq] = append([]byte(nil), b...)
+	}
 	return nil
+}
+
+// recordLen is how much of a probe a reply in flight holds inline: all of a
+// scanner probe, an echo request with an 8-byte payload, and so all that its
+// echo reply (addresses, ID, sequence, payload) or host-unreachable quote
+// (the IP header plus 8 bytes) is built from.
+const recordLen = icmp.IPv4HeaderLen + icmp.HeaderLen + 8
+
+// record is an IPv4 reply in flight: the far end's verdict and the probe it
+// answers. The datagram is encoded only when the reply is delivered, straight
+// into the reader's buffer, so a reply that is never read costs the record
+// alone. A probe longer than recordLen is kept whole in Network.long under
+// the reply's push order instead, and n is 0.
+type record struct {
+	kind  ReplyKind
+	n     uint8 // bytes of probe in use
+	probe [recordLen]byte
+}
+
+// appendDelivery appends to buf the datagram of the reply p, read in place at
+// the top of the queue before it is popped. n.mu must be held.
+func (n *Network) appendDelivery(buf []byte, p *pendingReply[record]) []byte {
+	b := p.r.probe[:p.r.n]
+	if p.r.n == 0 {
+		b = n.long[p.seq]
+		delete(n.long, p.seq)
+	}
+	var pr probe
+	pr.reread(b)
+	m, _ := pr.reply(p.r.kind, b) // ok: the reply was queued only if so
+	return pr.appendReply(buf, m)
 }
 
 // probe is an outgoing datagram as the far end decoded it. The request's
@@ -134,6 +174,18 @@ func (p *probe) parse(b []byte) error {
 		return fmt.Errorf("simnet: outgoing ICMP: %w", err)
 	}
 	return nil
+}
+
+// reread decodes into p the fields parse decoded from b, which it accepted
+// when b was written, without checking b again: the far end re-reads a
+// reply's probe when the reply is delivered.
+func (p *probe) reread(b []byte) {
+	ihl := int(b[0]&0x0f) * 4
+	p.h.Src = netmodel.Addr(binary.BigEndian.Uint32(b[12:]))
+	p.h.Dst = netmodel.Addr(binary.BigEndian.Uint32(b[16:]))
+	body := b[ihl:binary.BigEndian.Uint16(b[2:])]
+	p.req = icmp.Message{Type: icmp.Type(body[0]), Code: body[1], ID: binary.BigEndian.Uint16(body[4:]),
+		Seq: binary.BigEndian.Uint16(body[6:]), Payload: body[icmp.HeaderLen:]}
 }
 
 // reply is the far end's answer to p, carried by the datagram orig: the ICMP
@@ -167,11 +219,12 @@ func (p *probe) appendReply(buf []byte, m icmp.Message) []byte {
 func (n *Network) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if p, ok := n.take(&n.queue, wait); ok {
+	if due(&n.vclock, &n.queue, wait) {
 		n.delivered++
-		pkt := append([]byte(nil), p.pkt...)
-		n.queue.release(p.pkt)
-		return pkt, n.timeAt(p.at), nil
+		p := &n.queue.heap[0]
+		pkt, at := n.appendDelivery(nil, p), n.timeAt(p.at)
+		n.queue.pop()
+		return pkt, at, nil
 	}
 	if wait > 0 {
 		n.advance(wait)
@@ -181,7 +234,7 @@ func (n *Network) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
 
 // ReadBatch implements scanner.BatchTransport: it delivers every reply due
 // at (or, for the first packet, within `wait` of) the current virtual time
-// under a single lock acquisition, copying each into the caller's reusable
+// under a single lock acquisition, encoding each into the caller's reusable
 // slot. Delivery order and clock movement are identical to repeated
 // ReadPacket calls, so batched reads stay deterministic.
 func (n *Network) ReadBatch(pkts [][]byte, ats []time.Time, wait time.Duration) (int, error) {
@@ -189,15 +242,15 @@ func (n *Network) ReadBatch(pkts [][]byte, ats []time.Time, wait time.Duration) 
 	defer n.mu.Unlock()
 	count := 0
 	for count < len(pkts) {
-		p, ok := n.take(&n.queue, wait)
-		if !ok {
+		if !due(&n.vclock, &n.queue, wait) {
 			break
 		}
 		wait = 0 // only the first packet is waited for
 		n.delivered++
-		pkts[count] = append(pkts[count][:0], p.pkt...)
+		p := &n.queue.heap[0]
+		pkts[count] = n.appendDelivery(pkts[count][:0], p)
 		ats[count] = n.timeAt(p.at)
-		n.queue.release(p.pkt)
+		n.queue.pop()
 		count++
 	}
 	if wait > 0 {

@@ -27,7 +27,7 @@ type Network6 struct {
 	vclock
 	local netip.Addr
 	resp  Responder6
-	queue replyQueue
+	queue replyQueue[[]byte]
 }
 
 // New6 creates an IPv6 network with its virtual clock at start.
@@ -93,8 +93,10 @@ func (n *Network6) WritePacket(b []byte) error {
 func (n *Network6) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if p, ok := n.take(&n.queue, wait); ok {
-		return p.pkt, n.timeAt(p.at), nil
+	if due(&n.vclock, &n.queue, wait) {
+		p := n.queue.heap[0]
+		n.queue.pop()
+		return p.r, n.timeAt(p.at), nil
 	}
 	if wait > 0 {
 		n.advance(wait)
