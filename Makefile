@@ -129,9 +129,11 @@ metrics-lint:
 # faults wrapper's batch path against its packet-at-a-time oracle, the
 # simulated wire's reply records against its encode-at-write oracle, one-pass
 # detection against its per-window oracle, compiled ground truth against its
-# linear-scan oracle and a serve store's grown columns against the
-# full-length layout under a random Register/Advance schedule: a few seconds
-# each is enough to exercise the mutator beyond the seed corpus in CI.
+# linear-scan oracle, a serve store's grown columns against the
+# full-length layout under a random Register/Advance schedule, the raw-query
+# reader against url.ParseQuery and the series render against its url.Values
+# oracle: a few seconds each is enough to exercise the mutator beyond the
+# seed corpus in CI.
 fuzz-smoke:
 	$(GO) test ./internal/icmp -fuzz '^FuzzParseIPv4$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/icmp -fuzz '^FuzzParseICMP$$' -fuzztime 5s -run '^$$'
@@ -147,6 +149,8 @@ fuzz-smoke:
 	$(GO) test ./internal/signals -fuzz '^FuzzDetectMatchesOracle$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/sim -fuzz '^FuzzStateAtMatchesOracle$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/serve -fuzz '^FuzzServeSchedule$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/query -fuzz '^FuzzGetMatchesParseQuery$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/serve -fuzz '^FuzzRenderSeriesMatchesRef$$' -fuzztime 5s -run '^$$'
 
 # Run the labeled scenario library through the full detection stack and fail
 # on any divergence from the committed golden scorecards.

@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
 	"countrymon/internal/netmodel"
+	"countrymon/internal/query"
 	"countrymon/internal/serve"
 	"countrymon/internal/signals"
 )
@@ -38,12 +38,6 @@ type SignalPoint struct {
 	Time int64   `json:"time"`
 	BGP  float64 `json:"bgp"`
 	TRIN float64 `json:"active_probing"`
-}
-
-type envelope struct {
-	Type string          `json:"type"`
-	Data json.RawMessage `json:"data"`
-	Err  string          `json:"error,omitempty"`
 }
 
 // Server exposes a Platform over HTTP. It is a serve.Server over a fully
@@ -94,18 +88,24 @@ func (s *Server) regionEntity(region netmodel.Region) *serve.Entity {
 	return e
 }
 
-// renderEnvelope renders a 200 body. Every round is sealed, so a body is a
-// function of the query alone: both resources are immutable.
-func renderEnvelope(typ string, data interface{}) ([]byte, bool, int, string) {
+// renderEnvelope appends a 200 body, {"type": typ, "data": data} and a
+// newline, to dst. Every round is sealed, so a body is a function of the
+// query alone: both resources are immutable.
+func renderEnvelope(dst []byte, typ string, data interface{}) ([]byte, bool, int, string) {
 	raw, _ := json.Marshal(data)
-	body, _ := json.Marshal(envelope{Type: typ, Data: raw})
-	return append(body, '\n'), true, 0, ""
+	b := append(dst, `{"type":`...)
+	b = strconv.AppendQuote(b, typ)
+	b = append(b, `,"data":`...)
+	b = append(b, raw...)
+	return append(b, "}\n"...), true, 0, ""
 }
 
-// entity resolves entityType/entityCode query params.
-func entity(q url.Values) (isAS bool, asn netmodel.ASN, region netmodel.Region, err error) {
-	code := q.Get("entityCode")
-	switch q.Get("entityType") {
+// entity resolves the entityType/entityCode query params. As lenient as
+// r.URL.Query(): a malformed pair is dropped, the rest of the query still
+// answers.
+func entity(rawQuery string) (isAS bool, asn netmodel.ASN, region netmodel.Region, err error) {
+	code := query.Get(rawQuery, "entityCode")
+	switch query.Get(rawQuery, "entityType") {
 	case "asn":
 		v, perr := strconv.ParseUint(code, 10, 32)
 		if perr != nil {
@@ -129,11 +129,8 @@ func datasourceOf(k signals.Kind) string {
 	return "active-probing"
 }
 
-func (s *Server) renderEvents(rawQuery string) ([]byte, bool, int, string) {
-	// As lenient as r.URL.Query(): a malformed pair is dropped, the rest
-	// of the query still answers.
-	q, _ := url.ParseQuery(rawQuery)
-	isAS, asn, region, err := entity(q)
+func (s *Server) renderEvents(dst []byte, rawQuery string) ([]byte, bool, int, string) {
+	isAS, asn, region, err := entity(rawQuery)
 	if err != nil {
 		return nil, false, http.StatusBadRequest, err.Error()
 	}
@@ -145,7 +142,7 @@ func (s *Server) renderEvents(rawQuery string) ([]byte, bool, int, string) {
 		if !s.p.Reported(asn) {
 			// Below the reporting floor: empty result, as the real
 			// platform returns for uncovered ASes.
-			return renderEnvelope("outage.events", []Event{})
+			return renderEnvelope(dst, "outage.events", []Event{})
 		}
 		det = s.Store().Detection(s.asEntity(asn))
 	} else {
@@ -163,19 +160,18 @@ func (s *Server) renderEvents(rawQuery string) ([]byte, bool, int, string) {
 			Ongoing:    o.Ongoing,
 		})
 	}
-	return renderEnvelope("outage.events", events)
+	return renderEnvelope(dst, "outage.events", events)
 }
 
-func (s *Server) renderSignals(rawQuery string) ([]byte, bool, int, string) {
-	q, _ := url.ParseQuery(rawQuery) // lenient, as in renderEvents
-	isAS, asn, region, err := entity(q)
+func (s *Server) renderSignals(dst []byte, rawQuery string) ([]byte, bool, int, string) {
+	isAS, asn, region, err := entity(rawQuery)
 	if err != nil {
 		return nil, false, http.StatusBadRequest, err.Error()
 	}
 	var ent *serve.Entity
 	if isAS {
 		if !s.p.HasCoverage(asn) {
-			return renderEnvelope("signals.raw", []SignalPoint{})
+			return renderEnvelope(dst, "signals.raw", []SignalPoint{})
 		}
 		ent = s.asEntity(asn)
 	} else {
@@ -183,10 +179,10 @@ func (s *Server) renderSignals(rawQuery string) ([]byte, bool, int, string) {
 	}
 	tl := s.p.store.Timeline()
 	from, until := int64(0), int64(1<<62)
-	if v, err := strconv.ParseInt(q.Get("from"), 10, 64); err == nil {
+	if v, err := strconv.ParseInt(query.Get(rawQuery, "from"), 10, 64); err == nil {
 		from = v
 	}
-	if v, err := strconv.ParseInt(q.Get("until"), 10, 64); err == nil {
+	if v, err := strconv.ParseInt(query.Get(rawQuery, "until"), 10, 64); err == nil {
 		until = v
 	}
 	var pts []SignalPoint
@@ -202,5 +198,5 @@ func (s *Server) renderSignals(rawQuery string) ([]byte, bool, int, string) {
 			pts = append(pts, SignalPoint{Time: t, BGP: float64(ent.BGP(round)), TRIN: float64(ent.FBS(round))})
 		}
 	})
-	return renderEnvelope("signals.raw", pts)
+	return renderEnvelope(dst, "signals.raw", pts)
 }

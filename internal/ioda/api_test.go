@@ -184,6 +184,45 @@ func TestCachedResources(t *testing.T) {
 	}
 }
 
+// envelope is the v2 response shape: the type, the data, or an error.
+type envelope struct {
+	Type string          `json:"type"`
+	Data json.RawMessage `json:"data"`
+	Err  string          `json:"error,omitempty"`
+}
+
+// TestEnvelopeMatchesMarshal holds the appended v2 body to the bytes
+// json.Marshal of an envelope gives, which is how the body was built before
+// it was appended to the render's scratch buffer: empty and nil data, every
+// field set, a float that prints in exponent form and a code json escapes.
+func TestEnvelopeMatchesMarshal(t *testing.T) {
+	for _, tc := range []struct {
+		typ  string
+		data interface{}
+	}{
+		{"outage.events", []Event{}},
+		{"outage.events", []Event{{EntityType: "asn", EntityCode: "AS6877", Datasource: "bgp", Start: 1646172000, Duration: 7200, Ongoing: true}}},
+		{"outage.events", []Event{{EntityType: "region", EntityCode: "<Kyiv & \"City\">"}, {}}},
+		{"signals.raw", []SignalPoint(nil)},
+		{"signals.raw", []SignalPoint{{Time: 1646172000, BGP: 0.5, TRIN: 1e-7}, {Time: 2, BGP: 3e21, TRIN: 241}}},
+	} {
+		raw, err := json.Marshal(tc.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(envelope{Type: tc.typ, Data: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		const prefix = "scratch"
+		got, immutable, _, _ := renderEnvelope([]byte(prefix), tc.typ, tc.data)
+		if string(got) != prefix+string(want) || !immutable {
+			t.Errorf("renderEnvelope(%s) = %q (immutable %v), want %q", tc.typ, got, immutable, want)
+		}
+	}
+}
+
 // Client consumes the API over HTTP, the way the paper's analysis read the
 // real platform's; the API tests are its only user.
 type Client struct {

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"countrymon/internal/query"
 )
 
 // WritePrometheus writes the registry in the Prometheus text exposition
@@ -156,7 +158,7 @@ func EventsHandler(bus *Bus) http.Handler {
 			http.Error(w, "no event bus attached", http.StatusServiceUnavailable)
 			return
 		}
-		since, _ := strconv.ParseUint(r.URL.Query().Get("since"), 10, 64)
+		since, _ := strconv.ParseUint(query.Get(r.URL.RawQuery, "since"), 10, 64)
 		if wantsJSON(r) {
 			serveEventsJSON(w, r, bus, since)
 			return
@@ -168,7 +170,7 @@ func EventsHandler(bus *Bus) http.Handler {
 func serveEventsJSON(w http.ResponseWriter, r *http.Request, bus *Bus, since uint64) {
 	evs := bus.Since(since)
 	if len(evs) == 0 {
-		if wait, err := time.ParseDuration(r.URL.Query().Get("wait")); err == nil && wait > 0 {
+		if wait, err := time.ParseDuration(query.Get(r.URL.RawQuery, "wait")); err == nil && wait > 0 {
 			ch, cancel := bus.Subscribe(1)
 			defer cancel()
 			select {
@@ -267,7 +269,7 @@ func serveEventsSSE(w http.ResponseWriter, r *http.Request, bus *Bus, since uint
 const sseResyncInterval = 250 * time.Millisecond
 
 func wantsJSON(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "json" {
+	if query.Get(r.URL.RawQuery, "format") == "json" {
 		return true
 	}
 	return strings.Contains(r.Header.Get("Accept"), "application/json")

@@ -23,6 +23,7 @@ import (
 	"countrymon/internal/dataset"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/obs"
+	"countrymon/internal/query"
 	"countrymon/internal/serve"
 )
 
@@ -161,7 +162,7 @@ func (p *Portal) handleOptOut(w http.ResponseWriter, r *http.Request) {
 
 func (p *Portal) withToken(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		token := r.URL.Query().Get("token")
+		token := query.Get(r.URL.RawQuery, "token")
 		p.mu.RLock()
 		ok := p.tokens[token]
 		p.mu.RUnlock()
@@ -205,8 +206,9 @@ type BlockRecord struct {
 func (p *Portal) handleBlocks(w http.ResponseWriter, r *http.Request) {
 	p.reqBlocks.Inc()
 	tl := p.store.Timeline()
+	raw := r.URL.RawQuery
 	month := 0
-	if v, err := strconv.Atoi(r.URL.Query().Get("month")); err == nil {
+	if v, err := strconv.Atoi(query.Get(raw, "month")); err == nil {
 		month = v
 	}
 	if month < 0 || month >= tl.NumMonths() {
@@ -214,7 +216,7 @@ func (p *Portal) handleBlocks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	limit := DefaultBlocksLimit
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := query.Get(raw, "limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
 			http.Error(w, "limit must be a positive integer", http.StatusBadRequest)
@@ -223,7 +225,7 @@ func (p *Portal) handleBlocks(w http.ResponseWriter, r *http.Request) {
 		limit = min(n, MaxBlocksLimit)
 	}
 	offset := 0
-	if v := r.URL.Query().Get("offset"); v != "" {
+	if v := query.Get(raw, "offset"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			http.Error(w, "offset must be a non-negative integer", http.StatusBadRequest)
@@ -288,7 +290,8 @@ type RespRecord struct {
 func (p *Portal) handleResponsiveness(w http.ResponseWriter, r *http.Request) {
 	p.reqResp.Inc()
 	tl := p.store.Timeline()
-	blk, err := netmodel.ParseBlock(r.URL.Query().Get("block"))
+	raw := r.URL.RawQuery
+	blk, err := netmodel.ParseBlock(query.Get(raw, "block"))
 	if err != nil {
 		http.Error(w, "block parameter must be a /24", http.StatusBadRequest)
 		return
@@ -299,7 +302,7 @@ func (p *Portal) handleResponsiveness(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	month := 0
-	if v, err := strconv.Atoi(r.URL.Query().Get("month")); err == nil {
+	if v, err := strconv.Atoi(query.Get(raw, "month")); err == nil {
 		month = v
 	}
 	if month < 0 || month >= tl.NumMonths() {

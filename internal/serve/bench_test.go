@@ -52,20 +52,28 @@ func BenchmarkServeCachedQuery(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req_per_sec")
 }
 
-// BenchmarkServeRenderSeries measures the miss path: parse, window
-// selection, columnar render, cache insert. The ratio against
-// BenchmarkServeCachedQuery is what the response cache buys.
+// BenchmarkServeRenderSeries measures the miss path: query lookup, window
+// selection, columnar render into a reused scratch buffer, cache entry. The
+// ratio against BenchmarkServeCachedQuery is what the response cache buys.
 func BenchmarkServeRenderSeries(b *testing.B) {
 	s := NewServer(benchStore(b, 50, 40))
+	const q = "entity=asn/asaa&limit=40"
+	var scratch []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body, _, _, _ := s.renderSeries("entity=asn/asaa&limit=40")
+		body, immutable, _, _ := s.renderSeries(scratch[:0], q)
 		if body == nil {
 			b.Fatal("render failed")
 		}
+		entrySink = newEntry(body, q, immutable, 0)
+		scratch = body
 	}
 }
+
+// entrySink keeps BenchmarkServeRenderSeries' entries reachable, so the
+// compiler cannot drop or stack-allocate what a miss allocates.
+var entrySink *cacheEntry
 
 // BenchmarkServeAdvance measures sealing one fresh round into a store with
 // many registered entities — the per-round cost the Monitor pays on the
@@ -127,7 +135,7 @@ func BenchmarkServeOutagesAfterSeal(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, q := range queries {
-			if body, _, _, _ := s.renderOutages(q); body == nil {
+			if body, _, _, _ := s.renderOutages(nil, q); body == nil {
 				b.Fatal("render failed")
 			}
 		}

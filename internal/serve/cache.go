@@ -6,15 +6,13 @@ import (
 )
 
 // cacheEntry is one rendered response: the exact bytes written to the wire
-// plus the preallocated header value slices assigned on every hit (direct
-// map assignment of a shared []string does not allocate; Header.Set would
-// build a fresh one-element slice per request).
+// plus the ETag header value assigned on every hit (direct map assignment of
+// a slice over etag does not allocate; Header.Set would build a fresh
+// one-element slice per request).
 type cacheEntry struct {
 	body []byte
-	// etag / contentType are 1-element slices assigned directly into the
-	// response header map.
-	etag        []string
-	contentType []string
+	etag [1]string
+	key  string // the cache key, owned by the entry
 	// immutable entries cover only sealed rounds and are valid forever;
 	// mutable entries are valid only while the store epoch matches.
 	immutable bool
@@ -62,20 +60,18 @@ func (c *respCache) get(key string, epoch uint64) *cacheEntry {
 	return e
 }
 
-func (c *respCache) put(key string, e *cacheEntry) {
+func (c *respCache) put(e *cacheEntry) {
 	c.mu.Lock()
-	if _, exists := c.entries[key]; !exists {
-		// Copy the key: it usually aliases a request's URL buffer.
-		key = string(append([]byte(nil), key...))
+	if _, exists := c.entries[e.key]; !exists {
 		if len(c.keys) < cacheCap {
-			c.keys = append(c.keys, key)
+			c.keys = append(c.keys, e.key)
 		} else {
 			delete(c.entries, c.keys[c.next])
-			c.keys[c.next] = key
+			c.keys[c.next] = e.key
 			c.next = (c.next + 1) % cacheCap
 		}
 	}
-	c.entries[key] = e
+	c.entries[e.key] = e
 	c.mu.Unlock()
 }
 
@@ -84,7 +80,7 @@ func (c *respCache) put(key string, e *cacheEntry) {
 // slices, the body bytes are written as-is.
 func writeEntry(w http.ResponseWriter, r *http.Request, e *cacheEntry) {
 	h := w.Header()
-	h["Etag"] = e.etag
+	h["Etag"] = e.etag[:]
 	if e.immutable {
 		h["Cache-Control"] = ccImmutable
 	} else {
@@ -94,6 +90,6 @@ func writeEntry(w http.ResponseWriter, r *http.Request, e *cacheEntry) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	h["Content-Type"] = e.contentType
+	h["Content-Type"] = ctJSON
 	w.Write(e.body)
 }

@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"countrymon/internal/obs"
+	"countrymon/internal/query"
 	"countrymon/internal/signals"
 	"countrymon/internal/timeline"
 )
@@ -57,12 +58,14 @@ type Server struct {
 	liveClients            *obs.Gauge
 }
 
-// Render produces a cached resource's response body for one raw query
-// string. A nil body is an error, answered with status and {"error": msg}.
-// An immutable body must be a function of the query and of sealed cells
-// only: it is cached forever and served under `Cache-Control: immutable`.
-// Any other body is valid for the store epoch the request observed.
-type Render func(rawQuery string) (body []byte, immutable bool, status int, msg string)
+// Render appends a cached resource's response body for one raw query string
+// to dst and returns it; dst is scratch space that the server copies the body
+// out of, once, into the cache entry. A nil body is an error, answered with
+// status and {"error": msg}. An immutable body must be a function of the
+// query and of sealed cells only: it is cached forever and served under
+// `Cache-Control: immutable`. Any other body is valid for the store epoch the
+// request observed.
+type Render func(dst []byte, rawQuery string) (body []byte, immutable bool, status int, msg string)
 
 // resource is one cached JSON endpoint: a renderer and the rendered-bytes
 // cache in front of it, keyed by raw query.
@@ -149,39 +152,41 @@ func (s *Server) serveResource(res *resource, w http.ResponseWriter, r *http.Req
 		s.cacheHits.Inc()
 	} else {
 		s.cacheMisses.Inc()
-		body, immutable, status, msg := res.render(key)
+		scratch := renderScratch.Get().(*[]byte)
+		body, immutable, status, msg := res.render((*scratch)[:0], key)
 		if body == nil {
+			renderScratch.Put(scratch)
 			writeError(w, status, msg)
 			return
 		}
-		e = newEntry(body, immutable, epoch)
-		res.cache.put(key, e)
+		e = newEntry(body, key, immutable, epoch)
+		*scratch = body[:0]
+		renderScratch.Put(scratch)
+		res.cache.put(e)
 	}
 	writeEntry(w, r, e)
 }
 
+// renderScratch holds the buffers renders append to. A body grows there, and
+// newEntry copies it out at its final size, so a render allocates its body
+// once whatever its length, and a cached body holds no spare capacity.
+var renderScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // --- /v1/series ---
 
-func (s *Server) renderSeries(rawQuery string) ([]byte, bool, int, string) {
-	q, err := url.ParseQuery(rawQuery)
-	if err != nil {
-		return nil, false, http.StatusBadRequest, "malformed query"
-	}
-	ent := s.store.Entity(q.Get("entity"))
+func (s *Server) renderSeries(dst []byte, rawQuery string) ([]byte, bool, int, string) {
+	ent, status, msg := s.queryEntity(rawQuery)
 	if ent == nil {
-		if q.Get("entity") == "" {
-			return nil, false, http.StatusBadRequest, "missing entity parameter"
-		}
-		return nil, false, http.StatusNotFound, "unknown entity " + q.Get("entity")
+		return nil, false, status, msg
 	}
-	limit, ok := intParam(q, "limit", DefaultSeriesLimit)
+	limit, ok := intParam(rawQuery, "limit", DefaultSeriesLimit)
 	if !ok || limit <= 0 {
 		return nil, false, http.StatusBadRequest, "invalid limit"
 	}
 	if limit > MaxSeriesLimit {
 		limit = MaxSeriesLimit
 	}
-	offset, ok := intParam(q, "offset", 0)
+	offset, ok := intParam(rawQuery, "offset", 0)
 	if !ok || offset < 0 {
 		return nil, false, http.StatusBadRequest, "invalid offset"
 	}
@@ -192,7 +197,7 @@ func (s *Server) renderSeries(rawQuery string) ([]byte, bool, int, string) {
 	// that lands inside sealed history pins the window — only then can the
 	// response be immutable.
 	sinceRound := -1
-	if v := q.Get("since"); v != "" {
+	if v := query.Get(rawQuery, "since"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			return nil, false, http.StatusBadRequest, "invalid since"
@@ -200,7 +205,7 @@ func (s *Server) renderSeries(rawQuery string) ([]byte, bool, int, string) {
 		sinceRound = n
 	}
 	fromRound := 0
-	if v := q.Get("from"); v != "" {
+	if v := query.Get(rawQuery, "from"); v != "" {
 		sec, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			return nil, false, http.StatusBadRequest, "invalid from"
@@ -208,7 +213,7 @@ func (s *Server) renderSeries(rawQuery string) ([]byte, bool, int, string) {
 		fromRound = tl.Round(time.Unix(sec, 0))
 	}
 	untilRound := -1
-	if v := q.Get("until"); v != "" {
+	if v := query.Get(rawQuery, "until"); v != "" {
 		sec, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			return nil, false, http.StatusBadRequest, "invalid until"
@@ -251,7 +256,7 @@ func (s *Server) renderSeries(rawQuery string) ([]byte, bool, int, string) {
 		if immutable {
 			wm = hi
 		}
-		body = appendSeriesJSON(make([]byte, 0, 256+32*(end-start)), ent, tl, wm, total, offset, limit, start, end)
+		body = appendSeriesJSON(dst, ent, tl, wm, total, offset, limit, start, end)
 	})
 	return body, immutable, 0, ""
 }
@@ -321,22 +326,15 @@ func appendFloatCol(b []byte, vals []float32) []byte {
 
 // --- /v1/outages ---
 
-func (s *Server) renderOutages(rawQuery string) ([]byte, bool, int, string) {
-	q, err := url.ParseQuery(rawQuery)
-	if err != nil {
-		return nil, false, http.StatusBadRequest, "malformed query"
-	}
-	ent := s.store.Entity(q.Get("entity"))
+func (s *Server) renderOutages(dst []byte, rawQuery string) ([]byte, bool, int, string) {
+	ent, status, msg := s.queryEntity(rawQuery)
 	if ent == nil {
-		if q.Get("entity") == "" {
-			return nil, false, http.StatusBadRequest, "missing entity parameter"
-		}
-		return nil, false, http.StatusNotFound, "unknown entity " + q.Get("entity")
+		return nil, false, status, msg
 	}
 	det := s.store.Detection(ent)
 	tl := s.store.tl
 	wm := len(det.Flags)
-	b := append([]byte(nil), `{"entity":`...)
+	b := append(dst, `{"entity":`...)
 	b = strconv.AppendQuote(b, ent.Key)
 	b = append(b, `,"watermark":`...)
 	b = strconv.AppendInt(b, int64(wm), 10)
@@ -367,13 +365,12 @@ func (s *Server) renderOutages(rawQuery string) ([]byte, bool, int, string) {
 
 // --- /v1/entities ---
 
-func (s *Server) renderEntities(rawQuery string) ([]byte, bool, int, string) {
-	q, err := url.ParseQuery(rawQuery)
-	if err != nil {
+func (s *Server) renderEntities(dst []byte, rawQuery string) ([]byte, bool, int, string) {
+	if !query.Valid(rawQuery) {
 		return nil, false, http.StatusBadRequest, "malformed query"
 	}
-	typ := q.Get("type")
-	var b []byte
+	typ := query.Get(rawQuery, "type")
+	b := dst
 	s.store.Snapshot(func(wm int) {
 		s.watermarkG.Set(int64(wm))
 		b = append(b, `{"watermark":`...)
@@ -431,16 +428,43 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 
 // --- shared helpers ---
 
-func newEntry(body []byte, immutable bool, epoch uint64) *cacheEntry {
-	h := fnv.New64a()
-	h.Write(body)
-	return &cacheEntry{
-		body:        body,
-		etag:        []string{`"` + strconv.FormatUint(h.Sum64(), 16) + `"`},
-		contentType: ctJSON,
-		immutable:   immutable,
-		epoch:       epoch,
+// queryEntity resolves the ?entity= of a series or outages query, or says
+// why it cannot: a malformed query, a missing parameter, an unknown key.
+func (s *Server) queryEntity(rawQuery string) (*Entity, int, string) {
+	if !query.Valid(rawQuery) {
+		return nil, http.StatusBadRequest, "malformed query"
 	}
+	key := query.Get(rawQuery, "entity")
+	if ent := s.store.Entity(key); ent != nil {
+		return ent, 0, ""
+	}
+	if key == "" {
+		return nil, http.StatusBadRequest, "missing entity parameter"
+	}
+	return nil, http.StatusNotFound, "unknown entity " + key
+}
+
+// newEntry builds the cache entry for a rendered body in three allocations:
+// the entry, the body copied out of the render's scratch buffer, and one
+// string holding the ETag and then the cache key (the key usually aliases a
+// request's URL buffer, so the entry keeps its own copy).
+func newEntry(scratch []byte, key string, immutable bool, epoch uint64) *cacheEntry {
+	h := fnv.New64a()
+	h.Write(scratch)
+	var buf [128]byte
+	b := append(buf[:0], '"')
+	b = strconv.AppendUint(b, h.Sum64(), 16)
+	b = append(b, '"')
+	n := len(b)
+	etagKey := string(append(b, key...))
+	e := &cacheEntry{
+		body:      append(make([]byte, 0, len(scratch)), scratch...),
+		key:       etagKey[n:],
+		immutable: immutable,
+		epoch:     epoch,
+	}
+	e.etag[0] = etagKey[:n]
+	return e
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
@@ -452,8 +476,8 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	w.Write(b)
 }
 
-func intParam(q url.Values, name string, def int) (int, bool) {
-	v := q.Get(name)
+func intParam(rawQuery, name string, def int) (int, bool) {
+	v := query.Get(rawQuery, name)
 	if v == "" {
 		return def, true
 	}

@@ -28,7 +28,7 @@ type seriesResp struct {
 	IPSValid   []bool    `json:"ips_valid"`
 }
 
-func newTestServer(t *testing.T, sealed int) (*Server, *Store) {
+func newTestServer(t testing.TB, sealed int) (*Server, *Store) {
 	t.Helper()
 	st := NewStore(testTimeline())
 	if _, err := st.Register("asn", "6877", patternSource{1}, DetectWith(signals.ASConfig())); err != nil {
@@ -385,5 +385,35 @@ func TestCachedQueryZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: cached query allocates %.1f objects/op, want 0", tc.path, allocs)
 		}
+	}
+}
+
+// TestMissAllocs pins what a render costs the heap: a /v1/series cache miss
+// allocates its body, its entry and the entry's ETag-and-key string, and
+// nothing per query parameter or per byte of body growth (11 allocations
+// when the query was parsed into url.Values and the body grew from a guess).
+func TestMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops scratch buffers at random under -race")
+	}
+	s, st := newTestServer(t, 40)
+	s.Observe(obs.NewRegistry(), obs.NewBus(16))
+	from := strconv.FormatInt(st.Timeline().Time(2).Unix(), 10)
+	reqs := make([]*http.Request, 300)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest("GET", "/v1/series?entity=asn/6877&from="+from+"&limit=30&offset="+strconv.Itoa(i), nil)
+	}
+	w := &reusableWriter{h: make(http.Header)}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		w.reset()
+		s.ServeHTTP(w, reqs[i])
+		i++
+	})
+	if w.status != 0 || w.n == 0 || s.cacheMisses.Value() != 201 {
+		t.Fatalf("status %d, %d bytes, %d misses: want 201 rendered 200s", w.status, w.n, s.cacheMisses.Value())
+	}
+	if allocs > 3 {
+		t.Errorf("a cache miss allocates %.1f objects, want at most 3", allocs)
 	}
 }
