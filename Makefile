@@ -131,9 +131,11 @@ metrics-lint:
 # detection against its per-window oracle, compiled ground truth against its
 # linear-scan oracle, a serve store's grown columns against the
 # full-length layout under a random Register/Advance schedule, the raw-query
-# reader against url.ParseQuery and the series render against its url.Values
-# oracle: a few seconds each is enough to exercise the mutator beyond the
-# seed corpus in CI.
+# reader against url.ParseQuery, the series render against its url.Values
+# oracle, a block's geolocation shares against the per-country-map oracle on
+# random snapshots and the Energy Map parser against its split-string oracle:
+# a few seconds each is enough to exercise the mutator beyond the seed corpus
+# in CI.
 fuzz-smoke:
 	$(GO) test ./internal/icmp -fuzz '^FuzzParseIPv4$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/icmp -fuzz '^FuzzParseICMP$$' -fuzztime 5s -run '^$$'
@@ -151,6 +153,8 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -fuzz '^FuzzServeSchedule$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/query -fuzz '^FuzzGetMatchesParseQuery$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/serve -fuzz '^FuzzRenderSeriesMatchesRef$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/geodb -fuzz '^FuzzBlockSharesMatchesRef$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/power -fuzz '^FuzzParseReportMatchesRef$$' -fuzztime 5s -run '^$$'
 
 # Run the labeled scenario library through the full detection stack and fail
 # on any divergence from the committed golden scorecards.

@@ -234,13 +234,7 @@ func Churn(before, after *geodb.Snapshot, blocks []netmodel.BlockID) *ChurnRepor
 			rep.TotalMoved += moved
 		case br.Valid() && !ar.Valid():
 			// Left Ukraine: attribute to the dominant destination country.
-			dest, destN := "", uint16(0)
-			for cc, n := range a.Abroad {
-				if n > destN {
-					dest, destN = cc, n
-				}
-			}
-			if dest != "" {
+			if dest, _ := after.DominantAbroad(blk, geodb.CountryUA); dest != "" {
 				rep.MovedAbroad[dest] += int64(bn)
 				rep.TotalMoved += int64(bn)
 			}

@@ -149,6 +149,26 @@ func TestChurn(t *testing.T) {
 	}
 }
 
+// TestChurnAbroadTieIsDeterministic: a Kherson block that leaves Ukraine
+// split 128/128 between two countries is attributed to the lower country
+// code, the same on every run (ranging a map used to decide the tie).
+func TestChurnAbroadTieIsDeterministic(t *testing.T) {
+	blk := netmodel.MustParseBlock("10.0.0.0/24")
+	before := geodb.NewSnapshot([]geodb.Entry{
+		{Prefix: netmodel.Prefix{Base: blk.First(), Bits: 24}, Country: "UA", Region: netmodel.Kherson, RadiusKM: 50},
+	})
+	after := geodb.NewSnapshot([]geodb.Entry{
+		{Prefix: netmodel.Prefix{Base: blk.First(), Bits: 25}, Country: "US", RadiusKM: 1000},
+		{Prefix: netmodel.Prefix{Base: blk.First() + 128, Bits: 25}, Country: "DE", RadiusKM: 1000},
+	})
+	for i := 0; i < 100; i++ {
+		rep := Churn(before, after, []netmodel.BlockID{blk})
+		if len(rep.MovedAbroad) != 1 || rep.MovedAbroad["DE"] != 256 || rep.TotalMoved != 256 {
+			t.Fatalf("run %d: MovedAbroad = %v, TotalMoved = %d; want all 256 to DE", i, rep.MovedAbroad, rep.TotalMoved)
+		}
+	}
+}
+
 func TestDailyStartCounts(t *testing.T) {
 	tl := makeTL(48)
 	outages := []signals.Outage{{Start: 0, End: 3}, {Start: 13, End: 15}, {Start: 14, End: 20}}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -37,18 +38,32 @@ func runExp(t *testing.T, id string) *Report {
 	return rep
 }
 
+// TestRegistryComplete: the registry holds exactly the paper's tables T1–T5,
+// figures F1–F28 and headlines H1–H5 plus the ablations A1–A6, each once.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"T1", "T2", "T3", "T4", "T5",
-		"F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10",
-		"F11", "F12", "F13", "F14", "F15", "F16", "F17", "F18", "F19", "F20",
-		"F21", "F22", "F23", "F24", "F25", "F26", "F27", "F28", "H1"}
-	for _, id := range want {
+	want := map[string]bool{}
+	for prefix, n := range map[string]int{"T": 5, "F": 28, "H": 5, "A": 6} {
+		for i := 1; i <= n; i++ {
+			want[prefix+strconv.Itoa(i)] = true
+		}
+	}
+	seen := map[string]bool{}
+	for _, ex := range All() {
+		if !want[ex.ID] {
+			t.Errorf("registry holds unexpected experiment %s", ex.ID)
+		}
+		if seen[ex.ID] {
+			t.Errorf("experiment %s registered twice", ex.ID)
+		}
+		seen[ex.ID] = true
+	}
+	for id := range want {
 		if _, ok := ByID(id); !ok {
 			t.Errorf("experiment %s missing from registry", id)
 		}
 	}
-	if len(All()) < len(want) {
-		t.Errorf("registry has %d experiments, want ≥ %d", len(All()), len(want))
+	if len(All()) != len(want) {
+		t.Errorf("registry has %d experiments, want %d", len(All()), len(want))
 	}
 }
 

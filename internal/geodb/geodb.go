@@ -83,11 +83,10 @@ func (s *Snapshot) Lookup(addr netmodel.Addr) (Entry, bool) {
 }
 
 // BlockShares returns, for one /24 block, how many of its 256 addresses the
-// snapshot locates in each region of the home country, plus how many fall
-// outside it (keyed by country code).
+// snapshot locates in each region of the home country. The rest of Located
+// lies abroad (or at home with no region); DominantAbroad says where.
 type BlockShares struct {
 	PerRegion [netmodel.NumRegions + 1]uint16 // indexed by Region
-	Abroad    map[string]uint16               // country -> count (excl. home)
 	Located   uint16                          // total addresses covered
 }
 
@@ -119,55 +118,98 @@ func (s *Snapshot) BlockShares(block netmodel.BlockID) BlockShares {
 // regions only for entries located in the given home country.
 func (s *Snapshot) BlockSharesFor(block netmodel.BlockID, country string) BlockShares {
 	var out BlockShares
-	// Walk the 256 addresses via entry ranges rather than per-IP lookups:
-	// find all entries overlapping the block.
+	s.locate(block, func(e *Entry, n uint16) {
+		out.Located += n
+		if e.Country == country && e.Region.Valid() {
+			out.PerRegion[e.Region] += n
+		}
+	})
+	return out
+}
+
+// DominantAbroad returns the country holding the most of the block's located
+// addresses that BlockSharesFor counts in no home region, and that count.
+// Ties go to the lowest country code; ("", 0) when there are none.
+func (s *Snapshot) DominantAbroad(block netmodel.BlockID, country string) (string, uint16) {
+	type tally struct {
+		cc string
+		n  uint16
+	}
+	var buf [8]tally
+	ts := buf[:0]
+	s.locate(block, func(e *Entry, n uint16) {
+		if e.Country == country && e.Region.Valid() {
+			return
+		}
+		for i := range ts {
+			if ts[i].cc == e.Country {
+				ts[i].n += n
+				return
+			}
+		}
+		ts = append(ts, tally{e.Country, n})
+	})
+	var cc string
+	var most uint16
+	for _, t := range ts {
+		if t.n > most || t.n == most && t.cc < cc {
+			cc, most = t.cc, t.n
+		}
+	}
+	return cc, most
+}
+
+// locate resolves each address of the block to its most specific entry and
+// calls f once per run of consecutive addresses resolved to the same entry,
+// with the run's length. Unlocated addresses are skipped.
+func (s *Snapshot) locate(block netmodel.BlockID, f func(e *Entry, n uint16)) {
+	// The candidates are the entries[lo:hi] that start inside the block and
+	// the nearest entry before it that overlaps it. An entry starting before
+	// a block overlaps it only by containing all of it, so those entries nest
+	// and the nearest is the most specific of them.
 	bp := netmodel.Prefix{Base: block.First(), Bits: 24}
-	i := sort.Search(len(s.entries), func(i int) bool {
+	lo := sort.Search(len(s.entries), func(i int) bool {
 		return s.entries[i].Prefix.Base >= bp.Base
 	})
-	// Include one covering entry that starts before the block, plus nested
-	// wider entries; collect candidates then resolve per address.
-	var cands []Entry
-	for j := i - 1; j >= 0 && len(cands) < 8; j-- {
+	var outer *Entry
+	for j := lo - 1; j >= 0; j-- {
 		if s.entries[j].Prefix.Overlaps(bp) {
-			cands = append(cands, s.entries[j])
+			outer = &s.entries[j]
+			break
 		}
 		if bp.Base-s.entries[j].Prefix.Base > 1<<24 {
 			break
 		}
 	}
-	for j := i; j < len(s.entries) && s.entries[j].Prefix.Base <= bp.Base+255; j++ {
-		if s.entries[j].Prefix.Overlaps(bp) {
-			cands = append(cands, s.entries[j])
-		}
+	hi := lo
+	for hi < len(s.entries) && s.entries[hi].Prefix.Base <= bp.Base+255 {
+		hi++
 	}
-	if len(cands) == 0 {
-		return out
+	if outer == nil && hi == lo {
+		return
 	}
-	// Resolve each address against the most specific candidate.
+	var run *Entry
+	var n uint16
 	for h := 0; h < netmodel.BlockSize; h++ {
 		a := block.Addr(uint8(h))
-		var best *Entry
-		for k := range cands {
-			e := &cands[k]
-			if e.Prefix.Contains(a) && (best == nil || e.Prefix.Bits > best.Prefix.Bits) {
+		best := outer
+		for j := lo; j < hi; j++ {
+			if e := &s.entries[j]; e.Prefix.Contains(a) && (best == nil || e.Prefix.Bits > best.Prefix.Bits) {
 				best = e
 			}
 		}
-		if best == nil {
+		if best == run {
+			n++
 			continue
 		}
-		out.Located++
-		if best.Country == country && best.Region.Valid() {
-			out.PerRegion[best.Region]++
-		} else {
-			if out.Abroad == nil {
-				out.Abroad = make(map[string]uint16, 2)
-			}
-			out.Abroad[best.Country]++
+		if run != nil {
+			f(run, n)
 		}
+		run, n = best, 1
 	}
-	return out
+	if run != nil {
+		f(run, n)
+	}
 }
 
 // RegionIPCounts sums located addresses per region across the snapshot with

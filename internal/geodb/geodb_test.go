@@ -69,9 +69,16 @@ func TestBlockShares(t *testing.T) {
 		t.Errorf("uncovered block Located = %d", empty.Located)
 	}
 	// Abroad block.
-	us := s.BlockShares(netmodel.MustParseBlock("52.0.0.0/24"))
-	if us.Abroad["US"] != 256 {
-		t.Errorf("US abroad = %d", us.Abroad["US"])
+	usBlk := netmodel.MustParseBlock("52.0.0.0/24")
+	us := s.BlockShares(usBlk)
+	if us.Located != 256 || us.PerRegion != [netmodel.NumRegions + 1]uint16{} {
+		t.Errorf("US block shares = %+v, want 256 located abroad", us)
+	}
+	if cc, n := s.DominantAbroad(usBlk, CountryUA); cc != "US" || n != 256 {
+		t.Errorf("DominantAbroad = %s/%d, want US/256", cc, n)
+	}
+	if cc, n := s.DominantAbroad(netmodel.MustParseBlock("91.198.4.0/24"), CountryUA); cc != "" || n != 0 {
+		t.Errorf("DominantAbroad of a home block = %q/%d", cc, n)
 	}
 }
 

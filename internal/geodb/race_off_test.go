@@ -1,0 +1,7 @@
+//go:build !race
+
+package geodb
+
+// raceEnabled reports whether the race detector instruments this build.
+// The allocation pins only hold in uninstrumented builds.
+const raceEnabled = false

@@ -13,11 +13,11 @@ package power
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"time"
 
 	"countrymon/internal/netmodel"
@@ -262,20 +262,28 @@ func (s *Schedule) TotalHoursYear(year int, regions []netmodel.Region) float64 {
 // restricted to the real dataset's coverage window: date, region, hours.
 func (s *Schedule) WriteReport(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "date,region,outage_hours"); err != nil {
+	if _, err := bw.WriteString("date,region,outage_hours\n"); err != nil {
 		return err
 	}
+	regions := netmodel.Regions()
+	line := make([]byte, 0, 64)
 	for d := 0; d < len(s.hours); d++ {
 		day := s.start.Add(time.Duration(d) * 24 * time.Hour)
 		if day.Before(ReportStart) || day.After(ReportEnd) {
 			continue
 		}
-		for _, r := range netmodel.Regions() {
+		for _, r := range regions {
 			h := s.Hours(d, r)
 			if h == 0 {
 				continue
 			}
-			if _, err := fmt.Fprintf(bw, "%s,%s,%.2f\n", day.Format("2006-01-02"), r, h); err != nil {
+			line = day.AppendFormat(line[:0], "2006-01-02")
+			line = append(line, ',')
+			line = append(line, r.String()...)
+			line = append(line, ',')
+			line = strconv.AppendFloat(line, h, 'f', 2, 64)
+			line = append(line, '\n')
+			if _, err := bw.Write(line); err != nil {
 				return err
 			}
 		}
@@ -287,47 +295,70 @@ func (s *Schedule) WriteReport(w io.Writer) error {
 type Report struct {
 	start time.Time
 	days  int
-	hours map[int][]float64 // day -> per-region hours
+	// window is the report window's days × regions table: day d's hours for
+	// region r are window[d*rowLen+r]. Nil until a line inside it is read.
+	window []float64
+	// outside holds the rows of days outside the window, by day.
+	outside map[int][]float64
 }
+
+// rowLen is the length of a report row, indexed by Region.
+const rowLen = netmodel.NumRegions + 1
+
+// maxReportLine bounds a report line; longer ones fail the parse.
+const maxReportLine = 1 << 20
 
 // ParseReport reads the CSV produced by WriteReport.
 func ParseReport(r io.Reader) (*Report, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	rep := &Report{start: ReportStart, hours: make(map[int][]float64)}
+	sc.Buffer(nil, maxReportLine)
+	rep := &Report{start: ReportStart}
+	windowDays := max(0, int(ReportEnd.Sub(ReportStart)/(24*time.Hour))+1)
 	first := true
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
 		if first {
 			first = false
-			if strings.HasPrefix(line, "date,") {
+			if bytes.HasPrefix(line, []byte("date,")) {
 				continue
 			}
 		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 3 {
+		date, rest, ok := bytes.Cut(line, []byte(","))
+		name, hours, ok2 := bytes.Cut(rest, []byte(","))
+		if !ok || !ok2 || bytes.IndexByte(hours, ',') >= 0 {
 			return nil, fmt.Errorf("power: bad report line %q", line)
 		}
-		day, err := time.Parse("2006-01-02", parts[0])
+		day, err := time.Parse("2006-01-02", string(date))
 		if err != nil {
-			return nil, fmt.Errorf("power: bad date %q: %v", parts[0], err)
+			return nil, fmt.Errorf("power: bad date %q: %v", date, err)
 		}
-		region, ok := netmodel.RegionByName(parts[1])
+		region, ok := netmodel.RegionByName(string(name))
 		if !ok {
-			return nil, fmt.Errorf("power: unknown region %q", parts[1])
+			return nil, fmt.Errorf("power: unknown region %q", name)
 		}
-		h, err := strconv.ParseFloat(parts[2], 64)
+		h, err := strconv.ParseFloat(string(hours), 64)
 		if err != nil || h < 0 || h > 24 {
-			return nil, fmt.Errorf("power: bad hours %q", parts[2])
+			return nil, fmt.Errorf("power: bad hours %q", hours)
 		}
 		d := int(day.Sub(rep.start) / (24 * time.Hour))
-		row := rep.hours[d]
-		if row == nil {
-			row = make([]float64, netmodel.NumRegions+1)
-			rep.hours[d] = row
+		var row []float64
+		switch {
+		case d >= 0 && d < windowDays:
+			if rep.window == nil {
+				rep.window = make([]float64, windowDays*rowLen)
+			}
+			row = rep.window[d*rowLen : (d+1)*rowLen]
+		default:
+			if row = rep.outside[d]; row == nil {
+				if rep.outside == nil {
+					rep.outside = make(map[int][]float64)
+				}
+				row = make([]float64, rowLen)
+				rep.outside[d] = row
+			}
 		}
 		row[region] = h
 		if d+1 > rep.days {
@@ -345,7 +376,10 @@ func (r *Report) Days() int { return r.days }
 
 // Hours returns the reported outage hours for a region on report day d.
 func (r *Report) Hours(d int, region netmodel.Region) float64 {
-	if row, ok := r.hours[d]; ok {
+	if d >= 0 && d < len(r.window)/rowLen {
+		return r.window[d*rowLen : (d+1)*rowLen][region]
+	}
+	if row, ok := r.outside[d]; ok {
 		return row[region]
 	}
 	return 0

@@ -79,15 +79,26 @@ type Classifier struct {
 	months  int
 	country string
 
-	// shares[bi][m] is the block's address distribution in month m.
-	shares [][]geodb.BlockShares
-	// radius[bi][m] is the dominant geolocation entry's confidence radius.
-	radius [][]uint16
-	// blockRouted[bi][m] reports BGP coverage during month m.
-	blockRouted [][]bool
-	// homeIPs[asn][m] is the AS's home-country-located address count (the
-	// N_t(e) denominator for AS shares).
-	homeIPs map[netmodel.ASN][]int32
+	// The per-block tables are blocks × months: block bi's month m is cell
+	// bi*months + m.
+	// shares is the block's address distribution in the month.
+	shares []geodb.BlockShares
+	// radius is the dominant geolocation entry's confidence radius.
+	radius []uint16
+	// blockRouted reports BGP coverage during the month.
+	blockRouted []bool
+
+	// asns lists the origin ASes in the order of their first block, asIndex
+	// inverts it, and blockAS[bi] is block bi's AS's index.
+	asns    []netmodel.ASN
+	asIndex map[netmodel.ASN]int32
+	blockAS []int32
+	// The per-AS tables are ASes × months, laid out like the block tables.
+	// homeIPs is the AS's home-country-located address count (the N_t(e)
+	// denominator for AS shares).
+	homeIPs []int32
+	// asRouted reports whether any of the AS's blocks was routed.
+	asRouted []bool
 }
 
 // NewClassifier builds the share tables from the monthly geolocation
@@ -101,66 +112,74 @@ func NewClassifier(space *netmodel.Space, db *geodb.DB, store *dataset.Store) *C
 // and AS denominators count only addresses the database locates in that
 // country.
 func NewClassifierCountry(space *netmodel.Space, db *geodb.DB, store *dataset.Store, country string) *Classifier {
-	months := db.Months()
+	months, blocks := db.Months(), space.NumBlocks()
 	c := &Classifier{
 		space:       space,
 		store:       store,
 		months:      months,
 		country:     country,
-		shares:      make([][]geodb.BlockShares, space.NumBlocks()),
-		radius:      make([][]uint16, space.NumBlocks()),
-		blockRouted: make([][]bool, space.NumBlocks()),
-		homeIPs:     make(map[netmodel.ASN][]int32),
+		shares:      make([]geodb.BlockShares, blocks*months),
+		radius:      make([]uint16, blocks*months),
+		blockRouted: make([]bool, blocks*months),
+		asIndex:     make(map[netmodel.ASN]int32),
+		blockAS:     make([]int32, blocks),
 	}
-	// Per-block share tables are independent: shard them across the worker
-	// pool. Each goroutine writes only its own rows.
-	par.ForEach(space.NumBlocks(), func(bi int) {
+	// Per-block rows are independent: shard them across the worker pool.
+	// Each goroutine writes only its own rows, capped so none can reach past.
+	par.ForEach(blocks, func(bi int) {
 		blk := space.Blocks()[bi]
-		c.shares[bi] = make([]geodb.BlockShares, months)
-		c.radius[bi] = make([]uint16, months)
-		c.blockRouted[bi] = make([]bool, months)
+		lo, hi := bi*months, (bi+1)*months
+		shares, radius, routed := c.shares[lo:hi:hi], c.radius[lo:hi:hi], c.blockRouted[lo:hi:hi]
 		si := store.BlockIndex(blk)
 		for m := 0; m < months; m++ {
 			snap := db.Month(m)
-			bs := snap.BlockSharesFor(blk, c.country)
-			c.shares[bi][m] = bs
+			shares[m] = snap.BlockSharesFor(blk, c.country)
 			if e, ok := snap.Lookup(blk.Addr(128)); ok {
-				c.radius[bi][m] = uint16(min32(e.RadiusKM, 65535))
+				radius[m] = uint16(min32(e.RadiusKM, 65535))
 			}
 			if si >= 0 {
 				st := store.MonthStats(si, m)
-				c.blockRouted[bi][m] = st.RoutedRounds > 0
+				routed[m] = st.RoutedRounds > 0
 			}
 		}
 	})
 
-	// AS denominators: group blocks per origin AS sequentially (map writes),
-	// then sum each AS's monthly home-country addresses in parallel.
-	// Integer addition is order-independent, so the result is identical to
-	// the sequential accumulation.
-	asBlocks := make(map[netmodel.ASN][]int32)
-	asns := make([]netmodel.ASN, 0, 64)
+	// Per-AS rows: each AS's monthly home-country addresses and routed
+	// months, summed over its blocks.
 	for bi, blk := range space.Blocks() {
 		asn := space.OriginOf(blk)
-		if _, ok := asBlocks[asn]; !ok {
-			asns = append(asns, asn)
-			c.homeIPs[asn] = make([]int32, months)
+		ai, ok := c.asIndex[asn]
+		if !ok {
+			ai = int32(len(c.asns))
+			c.asIndex[asn] = ai
+			c.asns = append(c.asns, asn)
 		}
-		asBlocks[asn] = append(asBlocks[asn], int32(bi))
+		c.blockAS[bi] = ai
 	}
-	par.ForEach(len(asns), func(ai int) {
-		asn := asns[ai]
-		home := c.homeIPs[asn]
-		for _, bi := range asBlocks[asn] {
-			for m := 0; m < months; m++ {
-				bs := &c.shares[bi][m]
-				for r := netmodel.Region(1); int(r) <= netmodel.NumRegions; r++ {
-					home[m] += int32(bs.PerRegion[r])
-				}
+	c.homeIPs = make([]int32, len(c.asns)*months)
+	c.asRouted = make([]bool, len(c.asns)*months)
+	for bi := 0; bi < blocks; bi++ {
+		a := int(c.blockAS[bi]) * months
+		for m := 0; m < months; m++ {
+			bs := &c.shares[bi*months+m]
+			for r := netmodel.Region(1); int(r) <= netmodel.NumRegions; r++ {
+				c.homeIPs[a+m] += int32(bs.PerRegion[r])
+			}
+			if c.blockRouted[bi*months+m] {
+				c.asRouted[a+m] = true
 			}
 		}
-	})
+	}
 	return c
+}
+
+// homeRow returns the AS's homeIPs row, nil for an AS the space lacks.
+func (c *Classifier) homeRow(asn netmodel.ASN) []int32 {
+	ai, ok := c.asIndex[asn]
+	if !ok {
+		return nil
+	}
+	return c.homeIPs[int(ai)*c.months : (int(ai)+1)*c.months]
 }
 
 // Country returns the classifier's home country code.
@@ -179,14 +198,14 @@ func (c *Classifier) Months() int { return c.months }
 // BlockShare returns block bi's share of addresses in region r during month
 // m (0..1).
 func (c *Classifier) BlockShare(bi, m int, r netmodel.Region) float64 {
-	return c.shares[bi][m].Share(r)
+	return c.BlockShares(bi, m).Share(r)
 }
 
 // BlockShares returns the raw per-region counts for block bi in month m.
-func (c *Classifier) BlockShares(bi, m int) *geodb.BlockShares { return &c.shares[bi][m] }
+func (c *Classifier) BlockShares(bi, m int) *geodb.BlockShares { return &c.shares[bi*c.months+m] }
 
 // BlockRadius returns the block's geolocation confidence radius in month m.
-func (c *Classifier) BlockRadius(bi, m int) uint16 { return c.radius[bi][m] }
+func (c *Classifier) BlockRadius(bi, m int) uint16 { return c.radius[bi*c.months+m] }
 
 // ASShare returns the AS's share of its home-country addresses located in
 // region r during month m.
@@ -196,9 +215,9 @@ func (c *Classifier) ASShare(asn netmodel.ASN, m int, r netmodel.Region) float64
 		if c.space.OriginOf(blk) != asn {
 			continue
 		}
-		n += int(c.shares[bi][m].PerRegion[r])
+		n += int(c.BlockShares(bi, m).PerRegion[r])
 	}
-	total := c.homeIPs[asn]
+	total := c.homeRow(asn)
 	if total == nil || total[m] == 0 {
 		return 0
 	}
@@ -208,7 +227,7 @@ func (c *Classifier) ASShare(asn netmodel.ASN, m int, r netmodel.Region) float64
 // MeanHomeIPs returns the AS's mean monthly count of home-country-located
 // addresses (Table 3's "IPS" column denominator).
 func (c *Classifier) MeanHomeIPs(asn netmodel.ASN) float64 {
-	home := c.homeIPs[asn]
+	home := c.homeRow(asn)
 	if home == nil {
 		return 0
 	}
@@ -228,7 +247,7 @@ func (c *Classifier) MeanRegionIPs(asn netmodel.ASN, region netmodel.Region) flo
 			continue
 		}
 		for m := 0; m < c.months; m++ {
-			sum += float64(c.shares[bi][m].PerRegion[region])
+			sum += float64(c.BlockShares(bi, m).PerRegion[region])
 		}
 	}
 	return sum / float64(c.months)
@@ -243,7 +262,7 @@ func (c *Classifier) MeanHomeBlocks(asn netmodel.ASN) float64 {
 			continue
 		}
 		for m := 0; m < c.months; m++ {
-			bs := &c.shares[bi][m]
+			bs := c.BlockShares(bi, m)
 			for r := netmodel.Region(1); int(r) <= netmodel.NumRegions; r++ {
 				if bs.PerRegion[r] > 0 {
 					sum++
@@ -264,7 +283,7 @@ func (c *Classifier) MeanRegionBlocks(asn netmodel.ASN, region netmodel.Region) 
 			continue
 		}
 		for m := 0; m < c.months; m++ {
-			if c.shares[bi][m].PerRegion[region] > 0 {
+			if c.BlockShares(bi, m).PerRegion[region] > 0 {
 				sum++
 			}
 		}
@@ -337,32 +356,42 @@ func (c *Classifier) Classify(region netmodel.Region, p Params) *RegionResult {
 		AS:          make(map[netmodel.ASN]ASClass),
 		regionalIdx: make(map[int]int),
 	}
+	months := c.months
 
-	// Block-level classification.
+	// Block-level classification, of the blocks present in the region in
+	// some month. Their EvalMonths rows are carved from one table, capped so
+	// an append to one cannot run into the next.
+	present := 0
+	for bi := range c.blockAS {
+		if c.presentIn(bi, region) {
+			present++
+		}
+	}
+	var eval []bool
+	if present > 0 {
+		res.Blocks = make([]BlockClassification, 0, present)
+		eval = make([]bool, present*months)
+	}
 	for bi, blk := range c.space.Blocks() {
-		present := false
+		if !c.presentIn(bi, region) {
+			continue
+		}
+		lo, hi := len(res.Blocks)*months, (len(res.Blocks)+1)*months
+		evalMonths := eval[lo:hi:hi]
 		routedMonths := 0
 		meet := 0
-		evalMonths := make([]bool, c.months)
 		shareSum, shareN := 0.0, 0
-		for m := 0; m < c.months; m++ {
-			share := c.shares[bi][m].Share(region)
-			if c.shares[bi][m].PerRegion[region] > 0 {
-				present = true
-			}
-			if !c.blockRouted[bi][m] {
+		for m := 0; m < months; m++ {
+			if !c.blockRouted[bi*months+m] {
 				continue
 			}
 			routedMonths++
-			if share >= p.M {
+			if share := c.BlockShares(bi, m).Share(region); share >= p.M {
 				meet++
 				evalMonths[m] = true
 				shareSum += share
 				shareN++
 			}
-		}
-		if !present {
-			continue
 		}
 		need := int(math.Ceil(p.TPerc * float64(routedMonths)))
 		regionalBlk := routedMonths > 0 && meet >= need && need > 0
@@ -376,70 +405,71 @@ func (c *Classifier) Classify(region netmodel.Region, p Params) *RegionResult {
 		res.Blocks = append(res.Blocks, bc)
 	}
 
-	// AS-level classification over the same months.
-	type asAgg struct {
-		inRegion    []int32 // addresses in region per month
-		routed      []bool
-		maxIPs      int32
-		maxShare    float64
-		meet, total int
-	}
-	aggs := make(map[netmodel.ASN]*asAgg)
-	for bi, blk := range c.space.Blocks() {
-		asn := c.space.OriginOf(blk)
-		a := aggs[asn]
-		if a == nil {
-			a = &asAgg{inRegion: make([]int32, c.months), routed: make([]bool, c.months)}
-			aggs[asn] = a
-		}
-		for m := 0; m < c.months; m++ {
-			a.inRegion[m] += int32(c.shares[bi][m].PerRegion[region])
-			if c.blockRouted[bi][m] {
-				a.routed[m] = true
-			}
+	// AS-level classification over the same months: each AS's addresses in
+	// the region per month, summed over its blocks.
+	inRegion := make([]int32, len(c.asns)*months)
+	for bi, ai := range c.blockAS {
+		row := inRegion[int(ai)*months:]
+		for m := 0; m < months; m++ {
+			row[m] += int32(c.BlockShares(bi, m).PerRegion[region])
 		}
 	}
-	for asn, a := range aggs {
-		home := c.homeIPs[asn]
+	for ai, asn := range c.asns {
+		row := inRegion[ai*months : (ai+1)*months]
+		routed := c.asRouted[ai*months : (ai+1)*months]
+		home := c.homeIPs[ai*months : (ai+1)*months]
 		present := false
-		for m := 0; m < c.months; m++ {
-			n := a.inRegion[m]
+		var maxIPs int32
+		var maxShare float64
+		meet, total := 0, 0
+		for m, n := range row {
 			if n == 0 {
 				continue
 			}
 			present = true
-			if n > a.maxIPs {
-				a.maxIPs = n
+			if n > maxIPs {
+				maxIPs = n
 			}
 			var share float64
 			if home[m] > 0 {
 				share = float64(n) / float64(home[m])
 			}
-			if share > a.maxShare {
-				a.maxShare = share
+			if share > maxShare {
+				maxShare = share
 			}
-			if !a.routed[m] {
+			if !routed[m] {
 				continue
 			}
-			a.total++
+			total++
 			if share >= p.M {
-				a.meet++
+				meet++
 			}
 		}
 		if !present {
 			continue
 		}
-		need := int(math.Ceil(p.TPerc * float64(a.total)))
+		need := int(math.Ceil(p.TPerc * float64(total)))
 		switch {
-		case a.total > 0 && need > 0 && a.meet >= need:
+		case total > 0 && need > 0 && meet >= need:
 			res.AS[asn] = ASRegional
-		case int(a.maxIPs) < p.TemporalIPs && a.maxShare < p.TemporalShare:
+		case int(maxIPs) < p.TemporalIPs && maxShare < p.TemporalShare:
 			res.AS[asn] = ASTemporal
 		default:
 			res.AS[asn] = ASNonRegional
 		}
 	}
 	return res
+}
+
+// presentIn reports whether block bi has an address in the region in any
+// month.
+func (c *Classifier) presentIn(bi int, region netmodel.Region) bool {
+	for i := bi * c.months; i < (bi+1)*c.months; i++ {
+		if c.shares[i].PerRegion[region] > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Result aggregates classifications across all 26 regions.
@@ -517,7 +547,7 @@ func (r *Result) TargetSet(c *Classifier) *TargetSet {
 				// Mean monthly address mass in the region.
 				sum, n := 0.0, 0
 				for m := 0; m < c.months; m++ {
-					sum += float64(c.shares[bc.Index][m].PerRegion[region])
+					sum += float64(c.BlockShares(bc.Index, m).PerRegion[region])
 					n++
 				}
 				if n > 0 {
@@ -534,9 +564,9 @@ func (r *Result) TargetSet(c *Classifier) *TargetSet {
 // region in a month, the dominant region's share (Fig 21's CDF input).
 func (c *Classifier) MultiLocalDominantShares() []float64 {
 	var out []float64
-	for bi := range c.shares {
+	for bi := range c.blockAS {
 		for m := 0; m < c.months; m++ {
-			bs := &c.shares[bi][m]
+			bs := c.BlockShares(bi, m)
 			regions := 0
 			for r := netmodel.Region(1); int(r) <= netmodel.NumRegions; r++ {
 				if bs.PerRegion[r] > 0 {
