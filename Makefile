@@ -82,8 +82,9 @@ profile-serve:
 	$(GO) tool pprof -top -nodecount=25 .bench_build/serve.test .bench_build/serve.cpu.pprof
 
 # Profile the analysis side: world construction, the fast generator and the
-# Trinocular baseline's campaign on the benchmark's analysis_batch world —
-# what Env.Warm spends most of its time in — with one CPU profile per package
+# Trinocular baseline's campaign (its probe reading the generated store, as
+# Env.Trinocular's does) on the benchmark's analysis_batch world — what
+# Env.Warm spends most of its time in — with one CPU profile per package
 # into .bench_build/, top 25 of each.
 profile-analysis:
 	mkdir -p .bench_build
@@ -133,7 +134,8 @@ metrics-lint:
 # full-length layout under a random Register/Advance schedule, the raw-query
 # reader against url.ParseQuery, the series render against its url.Values
 # oracle, a block's geolocation shares against the per-country-map oracle on
-# random snapshots and the Energy Map parser against its split-string oracle:
+# random snapshots, the Energy Map parser against its split-string oracle and
+# IODA's word-at-a-time routed counts against the per-bit walk on random stores:
 # a few seconds each is enough to exercise the mutator beyond the seed corpus
 # in CI.
 fuzz-smoke:
@@ -155,6 +157,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -fuzz '^FuzzRenderSeriesMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/geodb -fuzz '^FuzzBlockSharesMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/power -fuzz '^FuzzParseReportMatchesRef$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/ioda -fuzz '^FuzzRegionSeriesMatchesRef$$' -fuzztime 5s -run '^$$'
 
 # Run the labeled scenario library through the full detection stack and fail
 # on any divergence from the committed golden scorecards.

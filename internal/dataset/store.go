@@ -246,6 +246,10 @@ func (s *Store) Routed(blockIdx, round int) bool {
 	return s.routed[blockIdx][round/64]>>(round%64)&1 == 1
 }
 
+// RoutedWords returns the block's routed bitset, bit r%64 of word r/64 for
+// round r (do not mutate). Bits past the last round may be set.
+func (s *Store) RoutedWords(blockIdx int) []uint64 { return s.routed[blockIdx] }
+
 // Extent returns one past the last round in which the block has a nonzero
 // responsive count or a routed bit (0 for an empty column): every cell at or
 // past it is zero, so a walk that sums or maxes a block's rounds can stop

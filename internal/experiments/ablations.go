@@ -27,7 +27,7 @@ func ablationProbePolicy(e *Env) *Report {
 	sc := e.Scenario()
 	tl := e.Store().Timeline()
 	trin := e.Trinocular()
-	probe := sc.ProbeFunc()
+	probe := sc.RecordedProbe(e.Store())
 
 	// Single-IP policy: one probe (the block's most reliable address) per
 	// block per round; an AS's signal is its count of responding blocks.
@@ -46,7 +46,7 @@ func ablationProbePolicy(e *Env) *Report {
 				if es.Missing[round] {
 					continue
 				}
-				if probe(reps[0], tl.Time(round)) {
+				if probe(reps[0], round) {
 					es.FBS[round]++
 				}
 			}

@@ -170,8 +170,9 @@ func (e *Env) Signals() *signals.Builder {
 func (e *Env) Trinocular() *trinocular.Result {
 	e.trinOnce.Do(func() {
 		sc := e.Scenario()
-		e.trinInfo = trinocular.NewRunner(e.Store(), sc.Space, sc.Representatives, sc.ProbeFunc())
-		e.trin = e.trinInfo.Run(sc.ProbeFunc())
+		probe := sc.RecordedProbe(e.Store())
+		e.trinInfo = trinocular.NewRunner(e.Store(), sc.Space, sc.Representatives, probe)
+		e.trin = e.trinInfo.Run(probe)
 	})
 	return e.trin
 }

@@ -13,6 +13,8 @@
 package ioda
 
 import (
+	"math/bits"
+
 	"countrymon/internal/dataset"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/regional"
@@ -45,11 +47,15 @@ type Platform struct {
 	presence map[netmodel.ASN][]netmodel.Region
 	// blocksOf counts /24s per AS (reporting floor).
 	blocksOf map[netmodel.ASN]int
+	// measured masks a block's routed words to the store's measured rounds
+	// (see measuredMask).
+	measured []uint64
 }
 
 // New builds the platform. The regional classification result is used only
 // to learn *presence* (any class, including temporal) — the platform itself
-// performs no regionality filtering, faithfully to the original.
+// performs no regionality filtering, faithfully to the original. The store's
+// missing rounds are read here, once: the store must not change afterwards.
 func New(store *dataset.Store, space *netmodel.Space, trin *trinocular.Result, res *regional.Result) *Platform {
 	p := &Platform{
 		store:    store,
@@ -57,6 +63,7 @@ func New(store *dataset.Store, space *netmodel.Space, trin *trinocular.Result, r
 		trin:     trin,
 		presence: make(map[netmodel.ASN][]netmodel.Region),
 		blocksOf: make(map[netmodel.ASN]int),
+		measured: measuredMask(store.MissingRounds()),
 	}
 	for _, as := range space.ASes() {
 		p.blocksOf[as.ASN] = as.NumBlocks()
@@ -97,23 +104,39 @@ func (p *Platform) HasCoverage(asn netmodel.ASN) bool { return p.trin.PerAS[asn]
 // ASSeries builds the platform's view of one AS: BGP routed /24s and the
 // TRIN■ active-block signal; no IPS signal exists.
 func (p *Platform) ASSeries(asn netmodel.ASN) *signals.EntitySeries {
-	tl := p.store.Timeline()
-	rounds := tl.NumRounds()
-	es := signals.NewSeries("IODA/"+asn.String(), tl, p.store.MissingRounds()) // IPS never valid
+	es := signals.NewSeries("IODA/"+asn.String(), p.store.Timeline(), p.store.MissingRounds()) // IPS never valid
 	if trin := p.trin.PerAS[asn]; trin != nil {
 		copy(es.FBS, trin)
 	}
 	for bi, blk := range p.store.Blocks() {
-		if p.space.OriginOf(blk) != asn {
-			continue
-		}
-		for r := 0; r < rounds; r++ {
-			if !es.Missing[r] && p.store.Routed(bi, r) {
-				es.BGP[r]++
-			}
+		if p.space.OriginOf(blk) == asn {
+			countRouted(es.BGP, p.store.RoutedWords(bi), p.measured)
 		}
 	}
 	return es
+}
+
+// measuredMask returns a routed bitset's mask of the measured rounds: bit
+// r%64 of word r/64 is set for every round r not missing, and no bit past
+// the last round is.
+func measuredMask(missing []bool) []uint64 {
+	mask := make([]uint64, (len(missing)+63)/64)
+	for r, m := range missing {
+		if !m {
+			mask[r/64] |= 1 << (r % 64)
+		}
+	}
+	return mask
+}
+
+// countRouted adds one to bgp[r] for every round r set in both a block's
+// routed words and mask, a word at a time.
+func countRouted(bgp []float32, words, mask []uint64) {
+	for w, m := range mask {
+		for x := words[w] & m; x != 0; x &= x - 1 {
+			bgp[w*64+bits.TrailingZeros64(x)]++
+		}
+	}
 }
 
 // DetectAS runs the platform's outage detection for one AS. It returns nil
@@ -148,13 +171,8 @@ func (p *Platform) RegionSeries(region netmodel.Region) *signals.EntitySeries {
 		}
 	}
 	for bi, blk := range p.store.Blocks() {
-		if !member[p.space.OriginOf(blk)] {
-			continue
-		}
-		for r := 0; r < rounds; r++ {
-			if !es.Missing[r] && p.store.Routed(bi, r) {
-				es.BGP[r]++
-			}
+		if member[p.space.OriginOf(blk)] {
+			countRouted(es.BGP, p.store.RoutedWords(bi), p.measured)
 		}
 	}
 	return es

@@ -31,8 +31,9 @@ func fixture(t *testing.T) (*sim.Scenario, *Platform) {
 		fSt = fSc.GenerateStore(nil)
 		cl := regional.NewClassifier(fSc.Space, fSc.GeoDB(), fSt)
 		res := cl.ClassifyAll(regional.DefaultParams())
-		runner := trinocular.NewRunner(fSt, fSc.Space, fSc.Representatives, fSc.ProbeFunc())
-		trin := runner.Run(fSc.ProbeFunc())
+		probe := fSc.RecordedProbe(fSt)
+		runner := trinocular.NewRunner(fSt, fSc.Space, fSc.Representatives, probe)
+		trin := runner.Run(probe)
 		fP = New(fSt, fSc.Space, trin, res)
 	})
 	return fSc, fP

@@ -1,0 +1,121 @@
+package ioda
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"countrymon/internal/dataset"
+	"countrymon/internal/netmodel"
+	"countrymon/internal/timeline"
+	"countrymon/internal/trinocular"
+)
+
+// matchesRef holds every region's and every AS's series of p to the oracle's.
+func matchesRef(p *Platform) error {
+	for _, region := range netmodel.Regions() {
+		if got, want := p.RegionSeries(region), p.refRegionSeries(region); !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("region %v: series differ from the oracle's", region)
+		}
+	}
+	for _, as := range p.space.ASes() {
+		if got, want := p.ASSeries(as.ASN), p.refASSeries(as.ASN); !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("%v: series differ from the oracle's", as.ASN)
+		}
+	}
+	return nil
+}
+
+// randomPlatform is a platform over space's blocks and rounds six-hourly
+// rounds: random routed bits and missing rounds, every routed bit past the
+// last round set (a decoded file may carry them), random Trinocular counts
+// for some ASes and each AS present in a random set of regions.
+func randomPlatform(space *netmodel.Space, rounds int, seed int64) *Platform {
+	rng := rand.New(rand.NewSource(seed))
+	start := timeline.DefaultStart
+	st := dataset.NewStore(timeline.New(start, start.Add(time.Duration(rounds-1)*6*time.Hour), 6*time.Hour), space.Blocks())
+	for r := range rounds {
+		if rng.Intn(6) == 0 {
+			st.SetMissing(r)
+		}
+	}
+	for bi := range st.NumBlocks() {
+		for r := range rounds {
+			st.SetRound(bi, r, 0, rng.Intn(5) > 0)
+		}
+		if words := st.RoutedWords(bi); rounds%64 != 0 {
+			words[len(words)-1] |= ^uint64(0) << (rounds % 64)
+		}
+	}
+	p := &Platform{
+		store:    st,
+		space:    space,
+		trin:     &trinocular.Result{PerAS: make(map[netmodel.ASN][]float32)},
+		presence: make(map[netmodel.ASN][]netmodel.Region),
+		blocksOf: make(map[netmodel.ASN]int),
+		measured: measuredMask(st.MissingRounds()),
+	}
+	for _, as := range space.ASes() {
+		p.blocksOf[as.ASN] = as.NumBlocks()
+		if rng.Intn(3) > 0 {
+			counts := make([]float32, rounds)
+			for r := range counts {
+				counts[r] = float32(rng.Intn(40))
+			}
+			p.trin.PerAS[as.ASN] = counts
+		}
+		for _, region := range netmodel.Regions() {
+			if rng.Intn(4) == 0 {
+				p.presence[as.ASN] = append(p.presence[as.ASN], region)
+			}
+		}
+	}
+	return p
+}
+
+// TestRegionSeriesMatchesRef: reading the routed bitsets a word at a time
+// gives every region and every AS the series the per-bit walk does — on the
+// fixture, and on random stores whose round counts end inside a word, with
+// padding bits set past the last round.
+func TestRegionSeriesMatchesRef(t *testing.T) {
+	sc, p := fixture(t)
+	if err := matchesRef(p); err != nil {
+		t.Fatalf("fixture: %v", err)
+	}
+	for _, rounds := range []int{1, 63, 64, 65, 200, sc.TL.NumRounds()} {
+		if err := matchesRef(randomPlatform(sc.Space, rounds, int64(rounds))); err != nil {
+			t.Fatalf("%d random rounds: %v", rounds, err)
+		}
+	}
+}
+
+// fuzzSpace is a small address space for the fuzz target: six ASes of one to
+// four /24s.
+func fuzzSpace() *netmodel.Space {
+	var ases []*netmodel.AS
+	for i, p := range []string{"100.64.0.0/24", "100.64.2.0/23", "100.64.4.0/22", "100.64.8.0/24", "100.64.9.0/24", "100.64.12.0/23"} {
+		ases = append(ases, &netmodel.AS{ASN: netmodel.ASN(64500 + i), Prefixes: []netmodel.Prefix{netmodel.MustParsePrefix(p)}})
+	}
+	space, err := netmodel.BuildSpace(ases)
+	if err != nil {
+		panic(err)
+	}
+	return space
+}
+
+// FuzzRegionSeriesMatchesRef drives the word walk against the per-bit oracle
+// over random stores, round counts and regional presence.
+func FuzzRegionSeriesMatchesRef(f *testing.F) {
+	f.Add(int64(1), uint16(1))
+	f.Add(int64(2), uint16(64))
+	f.Add(int64(3), uint16(129))
+	f.Add(int64(4), uint16(1000))
+	space := fuzzSpace()
+	f.Fuzz(func(t *testing.T, seed int64, rounds uint16) {
+		if err := matchesRef(randomPlatform(space, 1+int(rounds)%1500, seed)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -145,7 +145,8 @@ func (c *Compiled) RunScorecard() (*Scorecard, error) {
 		}
 	}
 
-	// Trinocular baseline over the identical store and ground truth.
+	// Trinocular baseline over the identical store and ground truth: the
+	// store holds measured counts, so the probe evaluates ground truth.
 	probe := world.ProbeFunc()
 	runner := trinocular.NewRunner(mon.Store(), space, world.Representatives, probe)
 	res := runner.Run(probe)

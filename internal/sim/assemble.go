@@ -87,6 +87,9 @@ func Assemble(spec Spec) (*Scenario, error) {
 		if _, dup := bt[t.Block]; dup {
 			return nil, fmt.Errorf("sim: assemble: duplicate traits for block %v", t.Block)
 		}
+		if int(t.HomeRegion) > netmodel.NumRegions {
+			return nil, fmt.Errorf("sim: assemble: block %v has home region %d, past the last", t.Block, t.HomeRegion)
+		}
 		// Zero-value move script means "never moves": Moved() treats
 		// MoveMonth 0 as a scripted month-0 move, which no caller building
 		// traits literally ever wants.
@@ -134,6 +137,7 @@ func Assemble(spec Spec) (*Scenario, error) {
 		sc.blocks[i] = *t
 	}
 	sc.indexEvents()
+	sc.indexRegions()
 	return sc, nil
 }
 

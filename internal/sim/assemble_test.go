@@ -173,6 +173,12 @@ func TestAssembleDefaultsAndValidation(t *testing.T) {
 	if _, err := Assemble(bad); err == nil {
 		t.Fatal("blocks without traits accepted")
 	}
+	// A home region past the last has no evaluation constants.
+	bad = assembleSpec(t, nil)
+	bad.Blocks[0].HomeRegion = netmodel.Region(netmodel.NumRegions + 1)
+	if _, err := Assemble(bad); err == nil {
+		t.Fatal("home region past the last accepted")
+	}
 
 	// A scripted power schedule passes through.
 	withPower := assembleSpec(t, nil)

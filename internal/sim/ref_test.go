@@ -10,7 +10,9 @@ import (
 // compiled into per-class spans — a linear scan of the block's whole event
 // list with two time.Time.Before calls per event, everything that depends on
 // the instant re-derived per call, and the quadratic event × block index.
-// The bodies are kept verbatim; only the receiver moved.
+// The bodies are kept verbatim; only the receiver moved. The oracle divides
+// by NumRounds−1 for the decline fraction, so it is asked only about worlds
+// of two rounds or more (a one-round world is TestOneRoundWorldResponds').
 
 // refWorld is a scenario with the oracle's own event index.
 type refWorld struct {

@@ -191,7 +191,9 @@ type Scenario struct {
 	// blockAS[bi] is the AS traits of block bi (nil if unknown), hoisted out
 	// of the per-round state evaluation.
 	blockAS []*ASTraits
-	events  []Event
+	// regionKeys[r] is region r's hash-derived constants (see indexRegions).
+	regionKeys []regionKey
+	events     []Event
 	// index is the event script compiled per class of blocks (see
 	// indexEvents); rounds holds the instant of every round start, built on
 	// first use (see roundInstants).

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -137,9 +138,14 @@ func (s *Scenario) instantAt(round int, at time.Time) instant {
 	at = at.UTC()
 	pow := s.Power.At(at)
 	hour := (int(pow.Hour) + 2) % 24 // local time ≈ UTC+2..+3; use +2
+	// A one-round campaign has no decline to interpolate.
+	frac := 0.0
+	if n := s.TL.NumRounds(); n > 1 {
+		frac = float64(round) / float64(n-1)
+	}
 	return instant{
 		clock:   min(s.clock(at), math.MaxInt64-1),
-		frac:    float64(round) / float64(s.TL.NumRounds()-1),
+		frac:    frac,
 		dayKey:  uint64(at.YearDay() + at.Year()*400),
 		round:   round,
 		power:   pow,
@@ -164,18 +170,66 @@ func (s *Scenario) roundInstants() []instant {
 
 // stateAt is the unmemoised evaluation at any instant.
 func (s *Scenario) stateAt(bi int, at time.Time) BlockState {
+	keys := s.keysOf(bi)
 	round, start := s.TL.RoundAt(at)
 	if start {
-		return s.stateIn(bi, &s.roundInstants()[round])
+		return s.stateIn(bi, &keys, &s.roundInstants()[round])
 	}
 	in := s.instantAt(round, at)
-	return s.stateIn(bi, &in)
+	return s.stateIn(bi, &keys, &in)
 }
 
-// stateIn evaluates block bi at an instant taken with instantAt.
-func (s *Scenario) stateIn(bi int, in *instant) BlockState {
+// The evaluation's hashes of a block and a round or epoch are Hash3(salt, bi,
+// c) = Mix64(Hash2(salt, bi) ^ Mix64(c)): blockKeys holds the Hash2 halves,
+// constant per block, so GenerateStore takes them once per block and not per
+// (block, round).
+type blockKeys struct {
+	count, jitter     uint64 // count rounding and RTT jitter, per round
+	poolAS, poolBlock uint64 // dynamic-pool share and membership, per epoch; Dynamic blocks only
+}
+
+// keysOf returns block bi's hash halves: four mixes, eight for a Dynamic block.
+func (s *Scenario) keysOf(bi int) blockKeys {
+	seed := s.Cfg.Seed
+	k := blockKeys{
+		count:  netmodel.Hash2(seed^0x5eed, uint64(bi)),
+		jitter: netmodel.Hash2(seed^0x177, uint64(bi)),
+	}
+	if bt := &s.blocks[bi]; bt.Dynamic {
+		k.poolAS = netmodel.Hash2(seed^0x90a1, uint64(bt.ASN))
+		k.poolBlock = netmodel.Hash2(seed^0x2ea1, uint64(bi))
+	}
+	return k
+}
+
+// regionKey is what the evaluation hashes of a region alone: its RTT base and
+// the Hash2 half of the frontline power hash of (region, day).
+type regionKey struct {
+	rttBase   int
+	frontline uint64
+}
+
+func newRegionKey(seed uint64, r netmodel.Region) regionKey {
+	return regionKey{
+		rttBase:   32 + int(netmodel.Hash2(seed, uint64(r))%22),
+		frontline: netmodel.Hash2(seed^0xf18e, uint64(r)),
+	}
+}
+
+// indexRegions fills the region table: RegionNone and the country's regions.
+func (s *Scenario) indexRegions() {
+	s.regionKeys = make([]regionKey, netmodel.NumRegions+1)
+	for r := range s.regionKeys {
+		s.regionKeys[r] = newRegionKey(s.Cfg.Seed, netmodel.Region(r))
+	}
+}
+
+// stateIn evaluates block bi, whose hash halves are keys, at an instant taken
+// with instantAt.
+func (s *Scenario) stateIn(bi int, keys *blockKeys, in *instant) BlockState {
 	bt := &s.blocks[bi]
 	as := s.blockAS[bi]
+	roundMix := netmodel.Mix64(uint64(in.round)) // shared by the count-rounding and jitter hashes
 
 	st := BlockState{Routed: as == nil || in.clock >= as.activeFrom && in.clock < as.activeTo}
 	month := s.TL.MonthOfRound(in.round)
@@ -204,13 +258,13 @@ func (s *Scenario) stateIn(bi int, in *instant) BlockState {
 	// the set of active blocks shifts. This is the false-positive source
 	// ISP availability sensing exists to filter (§3.1, Baltra et al.).
 	if bt.Dynamic {
-		epoch := uint64(in.epoch) // sign-extends, as uint64(int) did
+		epochMix := netmodel.Mix64(uint64(in.epoch)) // sign-extends, as uint64(int) did
 		// The fraction of the ISP's dynamic pool in use varies per epoch
 		// (consolidation and renumbering): the count of active blocks
 		// swings while total responsiveness is conserved — exactly the
 		// block-level false positive availability sensing filters.
-		pa := 0.10 + 0.80*netmodel.UnitFloat(netmodel.Hash3(s.Cfg.Seed^0x90a1, uint64(bt.ASN), epoch))
-		if netmodel.UnitFloat(netmodel.Hash3(s.Cfg.Seed^0x2ea1, uint64(bi), epoch)) < pa {
+		pa := 0.10 + 0.80*netmodel.UnitFloat(netmodel.Mix64(keys.poolAS^epochMix))
+		if netmodel.UnitFloat(netmodel.Mix64(keys.poolBlock^epochMix)) < pa {
 			m := 0.7 / pa
 			if m > 2.3 {
 				m = 2.3
@@ -228,10 +282,11 @@ func (s *Scenario) stateIn(bi int, in *instant) BlockState {
 	// the scheduled windows only partially apply there — which is why
 	// frontline Internet outages correlate weakly with the reported power
 	// outages (§5.1: r = 0.298 vs 0.725).
+	rk := s.regionKeys[region] // Assemble refuses a home region past the table
 	if !movedAbroad && region.Valid() {
 		applies := true
 		if region.Frontline() {
-			applies = netmodel.Hash3(s.Cfg.Seed^0xf18e, uint64(region), in.dayKey)%100 < 35
+			applies = netmodel.Mix64(rk.frontline^netmodel.Mix64(in.dayKey))%100 < 35
 		}
 		if out, since := s.Power.OutSinceAt(region, in.power); applies && out && since > float64(bt.BackupHours) {
 			if bt.GridSensitive {
@@ -286,7 +341,7 @@ func (s *Scenario) stateIn(bi int, in *instant) BlockState {
 	if resp > 0 {
 		w := int(resp)
 		fracPart := resp - float64(w)
-		if netmodel.UnitFloat(netmodel.Hash3(s.Cfg.Seed^0x5eed, uint64(bi), uint64(in.round))) < fracPart {
+		if netmodel.UnitFloat(netmodel.Mix64(keys.count^roundMix)) < fracPart {
 			w++
 		}
 		if w > int(bt.Density) {
@@ -299,11 +354,11 @@ func (s *Scenario) stateIn(bi int, in *instant) BlockState {
 	}
 
 	// Round-trip time: base per region plus rerouting detours and jitter.
-	base := 32 + int(netmodel.Hash2(uint64(s.Cfg.Seed), uint64(region))%22)
+	base := rk.rttBase
 	if movedAbroad {
 		base = 105 // transatlantic cloud
 	}
-	jitter := int(netmodel.Hash3(s.Cfg.Seed^0x177, uint64(bi), uint64(in.round))%9) - 4
+	jitter := int(netmodel.Mix64(keys.jitter^roundMix)%9) - 4
 	rtt := base + rttDelta + jitter
 	if rtt < 1 {
 		rtt = 1
@@ -345,11 +400,12 @@ func (s *Scenario) GenerateStore(trackRTT []netmodel.BlockID) *dataset.Store {
 	// sequential order at any worker count.
 	par.ForEach(len(s.blocks), func(bi int) {
 		tracked := store.RTTTracked(bi)
+		keys := s.keysOf(bi)
 		for r := range rounds {
 			if s.Missing[r] {
 				continue
 			}
-			st := s.stateIn(bi, &rounds[r])
+			st := s.stateIn(bi, &keys, &rounds[r])
 			store.SetRound(bi, r, st.Resp, st.Routed)
 			if tracked && st.Resp > 0 {
 				store.SetRTT(bi, r, st.RTTMS)
@@ -432,26 +488,68 @@ const (
 )
 
 // ProbeFunc adapts the scenario to a single-address ground-truth probe (the
-// Trinocular baseline's view of the world). Outcomes are deterministic per
-// (address, round-quantized time): retrying the same address in the same
-// ten-minute window does not help, as with real rate limiting.
-func (s *Scenario) ProbeFunc() func(addr netmodel.Addr, at time.Time) bool {
-	return func(addr netmodel.Addr, at time.Time) bool {
+// Trinocular baseline's view of the world) over the scenario's rounds: the
+// answer for a round is evaluated at s.TL.Time(round). Outcomes are
+// deterministic per (address, round-quantized time): retrying the same
+// address in the same ten-minute window does not help, as with real rate
+// limiting.
+//
+// A caller whose store GenerateStore filled has that ground truth recorded
+// already and asks RecordedProbe instead; a Monitor's store holds measured
+// counts, which are not ground truth, so it is probed here.
+func (s *Scenario) ProbeFunc() func(addr netmodel.Addr, round int) bool {
+	return func(addr netmodel.Addr, round int) bool {
 		bi := s.Space.BlockIndex(addr.Block())
 		if bi < 0 {
 			return false
 		}
+		at := s.TL.Time(round)
 		st := s.BlockStateAt(bi, at)
-		if !st.Routed || st.Resp <= 0 {
-			return false
-		}
-		if int(s.liveOrder.rank(bi, addr.HostByte())) >= st.Resp {
-			return false
-		}
-		avail := MinProbeAvail + (MaxProbeAvail-MinProbeAvail)*netmodel.UnitFloat(netmodel.Hash2(s.Cfg.Seed^0xa7a, uint64(addr)))
-		h := netmodel.Hash3(s.Cfg.Seed^0x10ff, uint64(addr), uint64(at.Unix()/600))
-		return netmodel.UnitFloat(h) < avail
+		return s.probeAnswers(bi, addr, st.Routed, st.Resp, at)
 	}
+}
+
+// RecordedProbe is ProbeFunc over the scenario's own rounds for a store that
+// GenerateStore filled: a measured round's answer reads the block's routed
+// bit and count from st, which hold exactly what the evaluation gave (a count
+// is at most 255 and the block's Density, so SetRound's clamp never moved
+// it); a missing round holds nothing and is evaluated. It panics if st's
+// blocks or timeline are not the scenario's. That check is of the store's
+// shape only: a Monitor's store of this scenario has the same blocks and
+// rounds but measured counts, and passes it, so such a store must be probed
+// with ProbeFunc.
+func (s *Scenario) RecordedProbe(st *dataset.Store) func(addr netmodel.Addr, round int) bool {
+	tl := st.Timeline()
+	if !slices.Equal(st.Blocks(), s.Space.Blocks()) || !tl.Start().Equal(s.TL.Start()) ||
+		tl.Interval() != s.TL.Interval() || tl.NumRounds() != s.TL.NumRounds() {
+		panic("sim: RecordedProbe: the store is not of this scenario's blocks and rounds")
+	}
+	return func(addr netmodel.Addr, round int) bool {
+		bi := s.Space.BlockIndex(addr.Block())
+		if bi < 0 {
+			return false
+		}
+		at := s.TL.Time(round)
+		if st.Missing(round) {
+			bs := s.BlockStateAt(bi, at)
+			return s.probeAnswers(bi, addr, bs.Routed, bs.Resp, at)
+		}
+		return s.probeAnswers(bi, addr, st.Routed(bi, round), st.Resp(bi, round), at)
+	}
+}
+
+// probeAnswers is both probes' answer for addr, of block bi, at instant at of
+// a round in which the block's routed state and count are routed and resp.
+func (s *Scenario) probeAnswers(bi int, addr netmodel.Addr, routed bool, resp int, at time.Time) bool {
+	if !routed || resp <= 0 {
+		return false
+	}
+	if int(s.liveOrder.rank(bi, addr.HostByte())) >= resp {
+		return false
+	}
+	avail := MinProbeAvail + (MaxProbeAvail-MinProbeAvail)*netmodel.UnitFloat(netmodel.Hash2(s.Cfg.Seed^0xa7a, uint64(addr)))
+	h := netmodel.Hash3(s.Cfg.Seed^0x10ff, uint64(addr), uint64(at.Unix()/600))
+	return netmodel.UnitFloat(h) < avail
 }
 
 // indexMemo sizes the BlockStateAt memo and records what steady needs: which

@@ -10,12 +10,12 @@ var benchResult *Result
 
 // BenchmarkRunnerRun times the Trinocular baseline's campaign over the
 // benchmark's analysis_batch world (Scale 0.02, seed 1, six-hourly over three
-// years): one probe or a few per tracked block and round, each a ground-truth
-// evaluation at a round start.
+// years) the way the batch analysis runs it: one probe or a few per tracked
+// block and round, each reading the generated store's cell of that round.
 func BenchmarkRunnerRun(b *testing.B) {
 	sc := sim.MustBuild(sim.Config{Seed: 1, Scale: 0.02})
 	st := sc.GenerateStore(nil)
-	probe := sc.ProbeFunc()
+	probe := sc.RecordedProbe(st)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

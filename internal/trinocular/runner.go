@@ -49,9 +49,8 @@ func NewRunner(store *dataset.Store, space *netmodel.Space, reps Representatives
 		tm = months
 	}
 	_, trainEnd := tl.MonthRounds(tm - 1)
-	if trainEnd < calibrationSamples {
-		trainEnd = calibrationSamples
-	}
+	// At least calibrationSamples rounds, of those the store has.
+	trainEnd = min(max(trainEnd, calibrationSamples), tl.NumRounds())
 	// Eligibility and calibration are independent per block: evaluate all
 	// candidates across the worker pool, then append the selected ones in
 	// block order so tracker ordering never depends on scheduling.
@@ -85,10 +84,9 @@ func NewRunner(store *dataset.Store, space *netmodel.Space, reps Representatives
 			if store.Missing(round) {
 				continue
 			}
-			at := tl.Time(round)
 			for _, a := range addrs {
 				probes++
-				if probe(a, at) {
+				if probe(a, round) {
 					positives++
 				}
 			}
@@ -149,23 +147,18 @@ type Result struct {
 // Run probes every tracked block at every (non-missing) store round.
 //
 // A tracker's belief evolution depends only on its own probe history and the
-// probe function is a pure function of (address, time), so the campaign is
+// probe function is a pure function of (address, round), so the campaign is
 // tracker-major and shards trackers across the worker pool: each goroutine
 // owns one tracker's full timeline. Per-AS counts and the probe total are
 // then aggregated sequentially in tracker order, giving results identical to
 // the round-major sequential sweep.
 func (r *Runner) Run(probe Probe) *Result {
-	tl := r.store.Timeline()
-	rounds := tl.NumRounds()
+	rounds := r.store.Timeline().NumRounds()
 	res := &Result{
 		PerAS:   make(map[netmodel.ASN][]float32),
 		States:  make([][]State, len(r.trackers)),
 		Blocks:  make([]netmodel.BlockID, len(r.trackers)),
 		Missing: r.store.MissingRounds(),
-	}
-	times := make([]time.Time, rounds)
-	for round := 0; round < rounds; round++ {
-		times[round] = tl.Time(round)
 	}
 	probeCounts := make([]uint64, len(r.trackers))
 	par.ForEach(len(r.trackers), func(t int) {
@@ -176,7 +169,7 @@ func (r *Runner) Run(probe Probe) *Result {
 			if res.Missing[round] {
 				continue
 			}
-			state, probes := tr.Round(probe, times[round])
+			state, probes := tr.Round(probe, round)
 			sent += uint64(probes)
 			states[round] = state
 		}

@@ -10,14 +10,11 @@
 // TRIN■ signal used in the IODA comparisons (§5.4, Figs 15-17, 25-27).
 package trinocular
 
-import (
-	"time"
+import "countrymon/internal/netmodel"
 
-	"countrymon/internal/netmodel"
-)
-
-// Probe asks ground truth whether one address answers at one time.
-type Probe func(addr netmodel.Addr, at time.Time) bool
+// Probe asks ground truth whether one address answers in one round of the
+// runner's store timeline.
+type Probe func(addr netmodel.Addr, round int) bool
 
 // Belief thresholds from the baseline.
 const (
@@ -126,10 +123,10 @@ func (t *BlockTracker) update(positive bool) {
 	}
 }
 
-// Round performs one probing round at the given time: the scheduled single
-// probe, then adaptive probing while the belief is uncertain. It returns
-// the inferred state and the number of probes sent.
-func (t *BlockTracker) Round(probe Probe, at time.Time) (State, int) {
+// Round performs one probing round: the scheduled single probe, then
+// adaptive probing while the belief is uncertain. It returns the inferred
+// state and the number of probes sent.
+func (t *BlockTracker) Round(probe Probe, round int) (State, int) {
 	if len(t.EverActive) == 0 {
 		t.state = StateUnknown
 		return t.state, 0
@@ -139,7 +136,7 @@ func (t *BlockTracker) Round(probe Probe, at time.Time) (State, int) {
 	for {
 		addr := t.EverActive[t.cursor%len(t.EverActive)]
 		t.cursor++
-		positive := probe(addr, at)
+		positive := probe(addr, round)
 		t.update(positive)
 		probes++
 		if positive {

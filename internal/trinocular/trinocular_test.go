@@ -1,7 +1,10 @@
 package trinocular
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,8 +25,8 @@ func addrs(blk netmodel.BlockID, n int) []netmodel.Addr {
 func TestBeliefConvergesUp(t *testing.T) {
 	blk := netmodel.MustParseBlock("10.0.0.0/24")
 	tr := NewBlockTracker(blk, addrs(blk, 15), 0.6)
-	probe := Probe(func(netmodel.Addr, time.Time) bool { return true })
-	state, probes := tr.Round(probe, time.Unix(0, 0))
+	probe := Probe(func(netmodel.Addr, int) bool { return true })
+	state, probes := tr.Round(probe, 0)
 	if state != StateUp {
 		t.Fatalf("state = %v", state)
 	}
@@ -38,10 +41,10 @@ func TestBeliefConvergesUp(t *testing.T) {
 func TestBeliefConvergesDown(t *testing.T) {
 	blk := netmodel.MustParseBlock("10.0.0.0/24")
 	tr := NewBlockTracker(blk, addrs(blk, 15), 0.6)
-	probe := Probe(func(netmodel.Addr, time.Time) bool { return false })
+	probe := Probe(func(netmodel.Addr, int) bool { return false })
 	var state State
 	for i := 0; i < 3; i++ {
-		state, _ = tr.Round(probe, time.Unix(0, 0))
+		state, _ = tr.Round(probe, 0)
 	}
 	if state != StateDown {
 		t.Fatalf("state = %v belief=%f", state, tr.Belief())
@@ -53,8 +56,8 @@ func TestAdaptiveProbingOnUncertainty(t *testing.T) {
 	// tracker must probe adaptively within the round.
 	blk := netmodel.MustParseBlock("10.0.0.0/24")
 	tr := NewBlockTracker(blk, addrs(blk, 15), 0.15)
-	probe := Probe(func(netmodel.Addr, time.Time) bool { return false })
-	_, probes := tr.Round(probe, time.Unix(0, 0))
+	probe := Probe(func(netmodel.Addr, int) bool { return false })
+	_, probes := tr.Round(probe, 0)
 	if probes < 2 {
 		t.Errorf("expected adaptive probing, sent %d", probes)
 	}
@@ -69,18 +72,19 @@ func TestLowAvailabilityUnstable(t *testing.T) {
 	blk := netmodel.MustParseBlock("10.0.0.0/24")
 	tr := NewBlockTracker(blk, addrs(blk, 15), 0.2)
 	// 1 of 15 representative addresses is alive, and like any single
-	// unvalidated probe it misses ~12% of attempts (rate limiting).
-	probe := Probe(func(a netmodel.Addr, at time.Time) bool {
+	// unvalidated probe it misses ~12% of attempts (rate limiting). Rounds
+	// are ten minutes apart.
+	probe := Probe(func(a netmodel.Addr, round int) bool {
 		if a.HostByte() >= 1 {
 			return false
 		}
-		h := (uint64(a) * 2654435761) ^ (uint64(at.Unix()) * 2246822519)
+		h := (uint64(a) * 2654435761) ^ (uint64(round*600) * 2246822519)
 		h ^= h >> 13
 		return h%8 != 0
 	})
 	states := map[State]int{}
 	for i := 0; i < 400; i++ {
-		s, _ := tr.Round(probe, time.Unix(int64(i*600), 0))
+		s, _ := tr.Round(probe, i)
 		states[s]++
 	}
 	if len(states) < 2 || states[StateUp] == 0 {
@@ -112,14 +116,14 @@ func runnerFixture(t *testing.T) (*sim.Scenario, *dataset.Store) {
 
 func TestRunnerAgainstScenario(t *testing.T) {
 	sc, st := runnerFixture(t)
-	r := NewRunner(st, sc.Space, sc.Representatives, sc.ProbeFunc())
+	r := NewRunner(st, sc.Space, sc.Representatives, sc.RecordedProbe(st))
 	if r.NumBlocks() == 0 {
 		t.Fatal("no eligible blocks")
 	}
 	if r.NumBlocks() >= st.NumBlocks() {
 		t.Error("Trinocular eligibility should exclude sparse blocks")
 	}
-	res := r.Run(sc.ProbeFunc())
+	res := r.Run(sc.RecordedProbe(st))
 	if res.ProbesSent == 0 {
 		t.Fatal("no probes sent")
 	}
@@ -146,8 +150,8 @@ func TestRunnerAgainstScenario(t *testing.T) {
 
 func TestRunnerDetectsCableCut(t *testing.T) {
 	sc, st := runnerFixture(t)
-	r := NewRunner(st, sc.Space, sc.Representatives, sc.ProbeFunc())
-	res := r.Run(sc.ProbeFunc())
+	r := NewRunner(st, sc.Space, sc.Representatives, sc.RecordedProbe(st))
+	res := r.Run(sc.RecordedProbe(st))
 	// Status (AS25482) blocks must be inferred down during the May 1 2022
 	// cable cut if tracked.
 	series, ok := res.PerAS[25482]
@@ -168,12 +172,88 @@ func TestRunnerTenMinuteInterval(t *testing.T) {
 		Start: timeline.DefaultStart, End: timeline.DefaultStart.AddDate(0, 2, 0),
 		Interval: ProbeInterval})
 	st := sc.GenerateStore(nil)
-	r := NewRunner(st, sc.Space, sc.Representatives, sc.ProbeFunc())
+	probe := sc.ProbeFunc()
+	r := NewRunner(st, sc.Space, sc.Representatives, probe)
 	if r.NumBlocks() == 0 {
 		t.Skip("no eligible blocks at this scale")
 	}
-	res := r.Run(sc.ProbeFunc())
+	res := r.Run(probe)
 	if res.ProbesSent == 0 {
 		t.Fatal("no probes")
+	}
+}
+
+// TestRunnerShortStore: a store of fewer rounds than calibrationSamples
+// calibrates its trackers over the rounds it has, asking about each measured
+// one and none past the end, and runs a state per round.
+func TestRunnerShortStore(t *testing.T) {
+	for _, rounds := range []int{1, 6, 11} {
+		t.Run(fmt.Sprint(rounds, " rounds"), func(t *testing.T) {
+			sc := sim.MustBuild(sim.Config{Seed: 1, Scale: 0.02,
+				End: timeline.DefaultStart.Add(time.Duration(rounds-1)*6*time.Hour + time.Hour)})
+			st := sc.GenerateStore(nil)
+			if n := st.Timeline().NumRounds(); n != rounds {
+				t.Fatalf("%d rounds, want %d", n, rounds)
+			}
+			asked := make([]atomic.Bool, rounds)
+			rec := sc.RecordedProbe(st)
+			probe := func(a netmodel.Addr, round int) bool {
+				asked[round].Store(true)
+				return rec(a, round)
+			}
+			r := NewRunner(st, sc.Space, sc.Representatives, probe)
+			for round := range asked {
+				if asked[round].Load() == st.Missing(round) {
+					t.Errorf("round %d (missing %v): calibration asked %v", round, st.Missing(round), asked[round].Load())
+				}
+			}
+			if r.NumBlocks() == 0 {
+				t.Fatal("no eligible blocks")
+			}
+			res := r.Run(probe)
+			if len(res.States) != r.NumBlocks() {
+				t.Fatalf("%d state series for %d trackers", len(res.States), r.NumBlocks())
+			}
+			for tr, states := range res.States {
+				if len(states) != rounds {
+					t.Fatalf("tracker %d: %d states, want %d", tr, len(states), rounds)
+				}
+			}
+		})
+	}
+}
+
+// TestTrinocularRecordedMatchesEvaluated: a campaign whose probe reads the
+// generated store is the campaign whose probe evaluates ground truth — the
+// same trackers, states, per-AS counts and probes.
+func TestTrinocularRecordedMatchesEvaluated(t *testing.T) {
+	fixSc, fixSt := runnerFixture(t)
+	bench := sim.MustBuild(sim.Config{Seed: 1, Scale: 0.02})
+	worlds := map[string]struct {
+		sc *sim.Scenario
+		st *dataset.Store
+	}{
+		"fixture":     {fixSc, fixSt},
+		"bench world": {bench, bench.GenerateStore(nil)},
+	}
+	for name, w := range worlds {
+		t.Run(name, func(t *testing.T) {
+			rec, eval := w.sc.RecordedProbe(w.st), w.sc.ProbeFunc()
+			rr := NewRunner(w.st, w.sc.Space, w.sc.Representatives, rec)
+			re := NewRunner(w.st, w.sc.Space, w.sc.Representatives, eval)
+			if !reflect.DeepEqual(rr.Indeterminate, re.Indeterminate) || !reflect.DeepEqual(rr.storeIdx, re.storeIdx) {
+				t.Fatalf("recorded runner tracks %d blocks, evaluated %d, or their availabilities differ", rr.NumBlocks(), re.NumBlocks())
+			}
+			got, want := rr.Run(rec), re.Run(eval)
+			if got.ProbesSent != want.ProbesSent {
+				t.Fatalf("probes sent: recorded %d, evaluated %d", got.ProbesSent, want.ProbesSent)
+			}
+			if !reflect.DeepEqual(got.States, want.States) {
+				t.Fatal("states differ")
+			}
+			if !reflect.DeepEqual(got.PerAS, want.PerAS) {
+				t.Fatal("per-AS counts differ")
+			}
+		})
 	}
 }

@@ -55,8 +55,9 @@ func buildDetPipe(t *testing.T, workers string) *detPipe {
 	for _, r := range netmodel.Regions() {
 		p.regSeries[r] = b.Region(res.Regions[r], cl)
 	}
-	runner := trinocular.NewRunner(store, sc.Space, sc.Representatives, sc.ProbeFunc())
-	p.trin = runner.Run(sc.ProbeFunc())
+	probe := sc.RecordedProbe(store)
+	runner := trinocular.NewRunner(store, sc.Space, sc.Representatives, probe)
+	p.trin = runner.Run(probe)
 	return p
 }
 
