@@ -84,8 +84,15 @@ func (s *Server) regionEntity(region netmodel.Region) *serve.Entity {
 		return e
 	}
 	src := serve.SeriesSource(s.p.RegionSeries(region))
-	e, _ := s.Store().Register("region", code, src, detectRegionSeries)
+	e, _ := s.Store().Register("region", code, src, regionDetector)
 	return e
+}
+
+// regionDetector is detectRegionSeries as a serve.Detector. It hands back no
+// state, so the store's memo runs it over the whole sealed view each time;
+// NewServer seals every round before an entity registers, so that is once.
+func regionDetector(es *signals.EntitySeries, _ *signals.Detection, _ *signals.State, _ int) (*signals.Detection, *signals.State) {
+	return detectRegionSeries(es), nil
 }
 
 // renderEnvelope appends a 200 body, {"type": typ, "data": data} and a

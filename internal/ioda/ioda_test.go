@@ -154,7 +154,7 @@ func TestDetectRegionSeriesShortSealedView(t *testing.T) {
 	_, p := fixture(t)
 	es := p.RegionSeries(netmodel.Kherson)
 	st := serve.NewStore(es.TL)
-	e, err := st.Register("region", "Kherson", serve.SeriesSource(es), detectRegionSeries)
+	e, err := st.Register("region", "Kherson", serve.SeriesSource(es), regionDetector)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"countrymon/internal/dataset"
@@ -37,6 +38,9 @@ type Portal struct {
 	tokens  map[string]bool
 
 	mux *http.ServeMux
+	// data is the token-gated serve API AttachServe mounted at dataPrefix,
+	// dispatched before the mux (nil until then).
+	data http.HandlerFunc
 
 	// Observability (see Observe): per-endpoint request counters and the
 	// event bus opt-outs are announced on. All nil-safe.
@@ -66,8 +70,26 @@ func New(store *dataset.Store, anonKey []byte, tokens ...string) *Portal {
 	return p
 }
 
-// ServeHTTP implements http.Handler.
-func (p *Portal) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. A request for the attached serve API
+// whose path the mux would serve as it stands goes straight to it: the mux
+// would find the same handler, after building the path's trailing-slash
+// variant to probe for a redirect, on every request.
+func (p *Portal) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if p.data != nil {
+		if path := r.URL.EscapedPath(); strings.HasPrefix(path, dataPrefix) && canonical(path) {
+			p.data(w, r)
+			return
+		}
+	}
+	p.mux.ServeHTTP(w, r)
+}
+
+// canonical reports whether cleaning leaves a rooted path as it is, the
+// trailing slash aside; the mux redirects any other path to its clean form.
+func canonical(path string) bool {
+	return !strings.Contains(path, "//") && !strings.Contains(path, "/./") && !strings.Contains(path, "/../") &&
+		!strings.HasSuffix(path, "/.") && !strings.HasSuffix(path, "/..")
+}
 
 // Observe mounts the observability endpoints — /metrics (Prometheus text or
 // JSON) and /events (SSE or long-poll) — on the portal and starts counting
@@ -178,10 +200,14 @@ func (p *Portal) withToken(h http.HandlerFunc) http.HandlerFunc {
 // query API (series, outages, entities, live events) becomes reachable at
 // /data/v1/... behind the same research-access token as the raw exports.
 // The server matches routes on the path's tail, so it takes the request as
-// it arrived.
+// it arrived. Call it before serving.
 func (p *Portal) AttachServe(s *serve.Server) {
-	p.mux.Handle("/data/v1/", p.withToken(s.ServeHTTP))
+	p.data = p.withToken(s.ServeHTTP)
+	p.mux.Handle(dataPrefix, p.data)
 }
+
+// dataPrefix is where AttachServe mounts the serve API.
+const dataPrefix = "/data/v1/"
 
 // Pagination bounds for the /data/blocks export.
 const (

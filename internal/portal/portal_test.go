@@ -357,3 +357,59 @@ func TestTokenCheckZeroAlloc(t *testing.T) {
 		t.Fatalf("gate passed %d of 101 requests", served)
 	}
 }
+
+// hitWriter is a ResponseWriter that keeps nothing, for allocation counts.
+type hitWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *hitWriter) Header() http.Header         { return w.h }
+func (w *hitWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
+func (w *hitWriter) WriteHeader(code int)        { w.status = code }
+
+// TestPortalHitAllocs: a token-gated /data/v1 cache hit through the portal
+// allocates what it does through the serve API directly, nothing, while a
+// path the mux would clean still goes through the mux and its redirect.
+func TestPortalHitAllocs(t *testing.T) {
+	p, _ := testPortal(t)
+	tls := serve.NewStore(p.store.Timeline())
+	if _, err := tls.Register("block", "91.198.4.0", blockSource{p.store, 0}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tls.AdvanceTo(100); err != nil {
+		t.Fatal(err)
+	}
+	s := serve.NewServer(tls)
+	p.AttachServe(s)
+
+	const url = "/data/v1/series?entity=block/91.198.4.0&limit=40&token=researcher-token"
+	req := httptest.NewRequest("GET", url, nil)
+	w := &hitWriter{h: make(http.Header)}
+	p.ServeHTTP(w, req)
+	if w.status != 0 || w.n == 0 {
+		t.Fatalf("GET %s: status %d, %d bytes", url, w.status, w.n)
+	}
+	for _, h := range []struct {
+		name string
+		h    http.Handler
+	}{{"portal", p}, {"serve", s}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			clear(w.h)
+			w.n = 0
+			h.h.ServeHTTP(w, req)
+		})
+		if allocs != 0 || w.n == 0 {
+			t.Errorf("%s: a cache hit allocates %.1f objects (%d bytes served), want 0", h.name, allocs, w.n)
+		}
+	}
+
+	for _, path := range []string{"/data/v1//series", "/data/v1/./series", "/data/v1/x/../series", "/data/v1/series/.."} {
+		rec := httptest.NewRecorder()
+		p.ServeHTTP(rec, httptest.NewRequest("GET", path+"?entity=block/91.198.4.0&token=researcher-token", nil))
+		if rec.Code != http.StatusMovedPermanently {
+			t.Errorf("GET %s = %d, want the mux's redirect to the clean path", path, rec.Code)
+		}
+	}
+}

@@ -112,8 +112,8 @@ func BenchmarkServeRegisterHalfSealed(b *testing.B) {
 
 // BenchmarkServeOutagesAfterSeal measures what a landed round costs the
 // outage readers: seal one more round of the paper's timeline, then fetch
-// /v1/outages for every entity — each a re-detection over the whole sealed
-// history, since the seal invalidated every memo.
+// /v1/outages for every entity — each a detection memo the seal invalidated,
+// resumed at the first round of the live month.
 func BenchmarkServeOutagesAfterSeal(b *testing.B) {
 	const entities = 50
 	tl := timeline.Default()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -334,7 +335,7 @@ func TestDetectionMemoOncePerWatermark(t *testing.T) {
 	st := NewStore(testTimeline())
 	var mu sync.Mutex
 	runs := make(map[int]int)
-	e, err := st.Register("asn", "1", patternSource{1}, func(es *signals.EntitySeries) *signals.Detection {
+	e, err := st.Register("asn", "1", patternSource{1}, func(es *signals.EntitySeries, prev *signals.Detection, from *signals.State, mark int) (*signals.Detection, *signals.State) {
 		mu.Lock()
 		runs[len(es.BGP)]++
 		mu.Unlock()
@@ -343,7 +344,7 @@ func TestDetectionMemoOncePerWatermark(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			runtime.Gosched()
 		}
-		return signals.Detect(es, signals.ASConfig())
+		return signals.DetectFrom(es, signals.ASConfig(), prev, from, mark)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -389,5 +390,55 @@ func TestDetectionMemoOncePerWatermark(t *testing.T) {
 		if n != 1 {
 			t.Errorf("detector ran %d times at watermark %d", n, wm)
 		}
+	}
+}
+
+// TestDetectionHeldAcrossSeal: a reader holding the detection of one
+// watermark keeps it, element for element, while the next seal's memo
+// resumes from it — over month boundaries and with outages open across the
+// seal, whose next detection extends what the held one ends at its
+// watermark. Under -race, a resume that wrote into the held arrays is also a
+// race with the reader walking them.
+func TestDetectionHeldAcrossSeal(t *testing.T) {
+	tl := threeMonths(t)
+	st := NewStore(tl)
+	e, err := st.Register("asn", "1", dipSource{7}, DetectWith(signals.ASConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AdvanceTo(300); err != nil {
+		t.Fatal(err)
+	}
+	extended := 0
+	for wm := 300; wm < 800; wm++ {
+		held := st.Detection(e)
+		flags, outages := slices.Clone(held.Flags), slices.Clone(held.Outages)
+		walked := make(chan int)
+		go func() {
+			n := 0
+			for i := 0; i < 4; i++ {
+				for _, f := range held.Flags {
+					n += int(f)
+				}
+				for _, o := range held.Outages {
+					n += o.End - o.Start
+				}
+			}
+			walked <- n
+		}()
+		if err := st.Advance(wm); err != nil {
+			t.Fatal(err)
+		}
+		next := st.Detection(e)
+		<-walked
+		if !slices.Equal(held.Flags, flags) || !slices.Equal(held.Outages, outages) {
+			t.Fatalf("sealing round %d changed the detection a reader held", wm)
+		}
+		if k := len(held.Outages) - 1; k >= 0 && held.Outages[k].End == wm && len(next.Outages) > k && next.Outages[k].End > wm {
+			extended++
+		}
+	}
+	if extended == 0 {
+		t.Fatal("no outage stayed open across a seal")
 	}
 }

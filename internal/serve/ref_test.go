@@ -71,13 +71,43 @@ func threeMonths(t testing.TB) *timeline.Timeline {
 	return tl
 }
 
+// wholeRun is d made to run from round 0 at every call: the memo of a store
+// whose entities detect this way is, at each watermark, a detection of the
+// whole sealed view.
+func wholeRun(d Detector) Detector {
+	return func(es *signals.EntitySeries, _ *signals.Detection, _ *signals.State, mark int) (*signals.Detection, *signals.State) {
+		return d(es, nil, nil, mark)
+	}
+}
+
+// revisedSource is dipSource under revision: every bump of *rev moves the
+// salt of its samples, so the rounds it has yet to be asked for — the newest
+// sealed one too, when it is re-published — change; every second bump moves
+// the salt of its IPS validity, which flips months past and present.
+type revisedSource struct {
+	salt int
+	rev  *int
+}
+
+func (s revisedSource) Sample(r int) (bgp, fbs, ips float32, missing bool) {
+	return dipSource{s.salt + *s.rev}.Sample(r)
+}
+
+func (s revisedSource) IPSValidMonth(m int) bool {
+	return dipSource{s.salt + *s.rev/2}.IPSValidMonth(m)
+}
+
 // twin drives a store with grown columns and a full-length reference store
 // through one schedule, and after every step compares all a reader can see.
+// The reference's entities detect with wholeRun, so every detection and
+// outage body got serves from a resumed memo is held to a run from round 0.
 type twin struct {
 	tl       *timeline.Timeline
 	got, ref *Store
 	srv      *Server // over got for the whole schedule: its cache spans the growths
 	n        int     // entities registered
+	rev      int     // the revision every entity's source is at
+	revised  bool    // rev moved since the last Advance that wrote a round
 	// unpublished holds the entities registered since the last Advance that
 	// wrote a round: their columns still hold exactly the sealed rounds.
 	unpublished map[string]bool
@@ -93,15 +123,25 @@ func (w *twin) register(t *testing.T, salt int) {
 	code := strconv.Itoa(w.n)
 	detect := DetectWith([]signals.Config{signals.ASConfig(), signals.RegionConfig()}[w.n%2])
 	w.n++
-	e, err := w.got.Register("asn", code, dipSource{salt}, detect)
+	src := revisedSource{salt, &w.rev}
+	e, err := w.got.Register("asn", code, src, detect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.ref.refRegister("asn", code, dipSource{salt}, detect); err != nil {
+	if _, err := w.ref.refRegister("asn", code, src, wholeRun(detect)); err != nil {
 		t.Fatal(err)
 	}
 	w.unpublished[e.Key] = true
 	w.check(t, "Register "+e.Key)
+}
+
+// revise bumps every source's revision; it lands with the next Advance that
+// writes a round, where the long-lived server starts over: the immutable
+// series bodies it cached carry the IPS validity of months the revision
+// flips, which the response cache does not revisit.
+func (w *twin) revise() {
+	w.rev++
+	w.revised = true
 }
 
 func (w *twin) advance(t *testing.T, round int) {
@@ -128,6 +168,9 @@ func (w *twin) published(t *testing.T, step string, wm, round int, errGot, errRe
 	}
 	if errGot == nil && round >= 0 && round+1 >= wm {
 		clear(w.unpublished)
+		if w.revised {
+			w.srv, w.revised = NewServer(w.got), false
+		}
 	}
 	w.check(t, step)
 }
@@ -255,16 +298,27 @@ func TestGrownColumnsMatchFullLength(t *testing.T) {
 	j.advance(t, 3) // sealed: a no-op
 }
 
-// FuzzServeSchedule checks a random schedule of Register, Advance, AdvanceTo
-// and re-publish steps against the full-length reference. Each step is two
-// bytes: the operation and its argument. The timeline is threeMonths' at
-// 12 h rounds (months from rounds 0, 62 and 122, the last round, 184, alone),
-// so a check costs a sixth as much.
+// FuzzServeSchedule checks a random schedule of Register, Advance, AdvanceTo,
+// re-publish and source-revision steps against the full-length reference.
+// Each step is two bytes: the operation and its argument. The timeline is
+// threeMonths' at 12 h rounds (months from rounds 0, 62 and 122, the last
+// round, 184, alone), so a check costs a sixth as much.
 func FuzzServeSchedule(f *testing.F) {
 	start := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
 	tl := timeline.New(start, start.AddDate(0, 3, 0), 12*time.Hour)
 	f.Add([]byte{0, 7, 2, 20, 1, 3, 3, 0, 0, 200, 2, 45, 1, 1, 3, 0, 2, 80, 2, 255, 3, 0})
 	f.Add([]byte{2, 61, 3, 0, 1, 2, 0, 5, 2, 61, 1, 9, 3, 0, 2, 62, 0, 1, 1, 2})
+	// Revisions between seals, before a re-publish, and across the month
+	// boundaries at rounds 62 and 122.
+	f.Add([]byte{0, 3, 0, 8, 2, 70, 1, 2, 4, 0, 1, 2, 4, 0, 3, 0, 1, 2, 2, 52, 1, 2, 4, 0, 1, 2, 1, 2})
+	// Round 62, the first of month 1, is sealed and then re-published with a
+	// dip the revision puts there (salt 11 → 12): the memo resumes at 62, so
+	// it sees the dip.
+	f.Add([]byte{0, 11, 2, 62, 1, 2, 4, 0, 3, 0, 1, 2})
+	// A memo at watermark 70 resumes at 62; two revisions then make month 0
+	// valid for IPS (salt 12 → 13), which flags the dip at round 61: the next
+	// memo has to start over.
+	f.Add([]byte{0, 12, 2, 70, 4, 0, 4, 0, 1, 2})
 	f.Fuzz(func(t *testing.T, steps []byte) {
 		if len(steps) > 64 {
 			return
@@ -273,7 +327,7 @@ func FuzzServeSchedule(f *testing.F) {
 		for i := 0; i+1 < len(steps); i += 2 {
 			arg := int(steps[i+1])
 			wm := w.got.Watermark()
-			switch steps[i] % 4 {
+			switch steps[i] % 5 {
 			case 0:
 				if w.n < 6 {
 					w.register(t, arg)
@@ -284,6 +338,8 @@ func FuzzServeSchedule(f *testing.F) {
 				w.advanceTo(t, wm+arg) // jumps across months, or past the end
 			case 3:
 				w.advance(t, wm-1) // re-publish the newest sealed round
+			case 4:
+				w.revise()
 			}
 		}
 	})

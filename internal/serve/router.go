@@ -21,8 +21,8 @@ import (
 // default country's Server — the very same handler instance and response
 // caches the prefixed path hits — so bodies, ETags and cache semantics are
 // byte-identical between `/v1/series?q` and `/v1/countries/{default}/series?q`.
-// (ETags hash only body bytes, never the request path, which is what makes
-// the aliasing free.)
+// (An ETag is a CRC-32C/CRC-32 pair over the body bytes alone, never the
+// request path, which is what makes the aliasing free.)
 type Router struct {
 	order   []string           // country codes in Add order
 	servers map[string]*Server // code → country server

@@ -28,6 +28,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -48,10 +49,15 @@ type Source interface {
 	IPSValidMonth(m int) bool
 }
 
-// Detector turns an entity's sealed series into outage events. The default
-// is signals.Detect with the entity's configured thresholds; the IODA
-// adapter plugs in its fixed-baseline variant.
-type Detector func(es *signals.EntitySeries) *signals.Detection
+// Detector turns an entity's sealed series into outage events, as a pass
+// that resumes (signals.DetectFrom's shape): prev and from are the detection
+// and pass state an earlier call returned over a shorter sealed view, or nil
+// for a run from round 0, and the state returned is the pass's at round mark.
+// Whatever it resumes from, the detection it returns must be the one a run
+// from round 0 gives, in arrays of its own: readers may still hold prev. The
+// default is signals.DetectFrom with the entity's configured thresholds; the
+// IODA adapter plugs in its fixed-baseline variant.
+type Detector func(es *signals.EntitySeries, prev *signals.Detection, from *signals.State, mark int) (*signals.Detection, *signals.State)
 
 // Entity is one registered timeline: a country, region, AS or /24 block.
 // Its column cells at rounds below the store watermark are immutable.
@@ -74,10 +80,14 @@ type Entity struct {
 	ipsValid      []bool
 
 	// Cached detection over the sealed prefix (detMu; recomputed lazily
-	// when the watermark has moved past detWM).
-	detMu sync.Mutex
-	det   *signals.Detection
-	detWM int
+	// when the watermark has moved past detWM), the pass's state at the first
+	// round of the month holding detWM-1, where the next one resumes, and
+	// the IPS month validity it read.
+	detMu    sync.Mutex
+	det      *signals.Detection
+	detWM    int
+	detAt    *signals.State
+	detValid []bool
 }
 
 // Store is the in-memory columnar timeline store. Registration and Advance
@@ -144,9 +154,11 @@ func (s *Store) Register(typ, code string, src Source, detect Detector) (*Entity
 	return e, nil
 }
 
-// DetectWith returns the standard Detector: signals.Detect at cfg.
+// DetectWith returns the standard Detector: signals.DetectFrom at cfg.
 func DetectWith(cfg signals.Config) Detector {
-	return func(es *signals.EntitySeries) *signals.Detection { return signals.Detect(es, cfg) }
+	return func(es *signals.EntitySeries, prev *signals.Detection, from *signals.State, mark int) (*signals.Detection, *signals.State) {
+		return signals.DetectFrom(es, cfg, prev, from, mark)
+	}
 }
 
 // grow reallocates e's columns to n rounds — one allocation for the three
@@ -299,8 +311,13 @@ func (e *Entity) IPS(r int) float32 { return e.ips[r] }
 func (e *Entity) Missing(r int) bool { return e.missing[r] }
 
 // Detection returns the entity's outage detection over the sealed prefix,
-// memoized per watermark: the first query after a round lands pays one
-// O(sealed rounds) detection run, every later query reuses it. Entities
+// memoized per watermark: every later query at a watermark reuses the first
+// one's. That one resumes the last memo's pass at the first round of the
+// month that held its newest round (a seal changes nothing before it: the
+// re-published round is never earlier), so it costs a copy of the sealed
+// flags and detection over about a month of rounds. It runs from round 0
+// when there is no memo to resume, when the IPS validity of a month before
+// that round has changed since, or when the pass itself says so. Entities
 // registered without a Detector return an empty detection.
 func (s *Store) Detection(e *Entity) *signals.Detection {
 	e.detMu.Lock()
@@ -315,9 +332,25 @@ func (s *Store) Detection(e *Entity) *signals.Detection {
 		return e.det
 	}
 	if e.detector == nil || wm == 0 {
-		e.det = &signals.Detection{Flags: make([]signals.Kind, wm)}
+		e.det, e.detAt = &signals.Detection{Flags: make([]signals.Kind, wm)}, nil
 	} else {
-		e.det = e.detector(e.view(s.tl, wm))
+		from := e.detAt
+		if from != nil && from.Round() > 0 {
+			months := s.tl.MonthOfRound(from.Round()-1) + 1
+			if !slices.Equal(e.detValid[:months], e.ipsValid[:months]) {
+				from = nil
+			}
+		}
+		// A store sealed to the end of its timeline seals nothing more, so
+		// its memo keeps no state.
+		mark := -1
+		if wm < s.tl.NumRounds() {
+			mark, _ = s.tl.MonthRounds(s.tl.MonthOfRound(wm - 1))
+		}
+		e.det, e.detAt = e.detector(e.view(s.tl, wm), e.det, from, mark)
+		if e.detAt != nil {
+			e.detValid = append(e.detValid[:0], e.ipsValid...)
+		}
 	}
 	e.detWM = wm
 	return e.det

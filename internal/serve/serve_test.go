@@ -138,12 +138,12 @@ func TestSumSource(t *testing.T) {
 func TestDetectionMemoized(t *testing.T) {
 	st := NewStore(testTimeline())
 	calls := 0
-	det := func(es *signals.EntitySeries) *signals.Detection {
+	det := func(es *signals.EntitySeries, _ *signals.Detection, _ *signals.State, _ int) (*signals.Detection, *signals.State) {
 		calls++
 		return &signals.Detection{
 			Flags:   make([]signals.Kind, len(es.BGP)),
 			Outages: []signals.Outage{{Start: 1, End: 2, Signals: signals.SignalBGP}},
-		}
+		}, nil
 	}
 	e, _ := st.Register("region", "Kherson", patternSource{3}, det)
 	if err := st.AdvanceTo(20); err != nil {

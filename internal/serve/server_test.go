@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -260,14 +261,14 @@ func TestCacheHitServesIdenticalBytes(t *testing.T) {
 
 func TestOutagesEndpoint(t *testing.T) {
 	st := NewStore(testTimeline())
-	det := func(es *signals.EntitySeries) *signals.Detection {
+	det := func(es *signals.EntitySeries, _ *signals.Detection, _ *signals.State, _ int) (*signals.Detection, *signals.State) {
 		return &signals.Detection{
 			Flags: make([]signals.Kind, len(es.BGP)),
 			Outages: []signals.Outage{
 				{Start: 3, End: 7, Signals: signals.SignalBGP | signals.SignalIPS},
 				{Start: 12, End: 20, Signals: signals.SignalFBS, Ongoing: true},
 			},
-		}
+		}, nil
 	}
 	if _, err := st.Register("asn", "1", patternSource{0}, det); err != nil {
 		t.Fatal(err)
@@ -415,5 +416,51 @@ func TestMissAllocs(t *testing.T) {
 	}
 	if allocs > 3 {
 		t.Errorf("a cache miss allocates %.1f objects, want at most 3", allocs)
+	}
+}
+
+// TestETagContract pins what a client and a replica rely on: an ETag is a
+// digest of the body bytes alone — a golden value for a fixed body, so a
+// change of digest is a deliberate diff; the same tags from two stores built
+// apart with the same cells; another tag for a body one byte off.
+func TestETagContract(t *testing.T) {
+	body := []byte(`{"entity":"asn/6877","watermark":40,"outages":[]}`)
+	if got, want := newEntry(body, "entity=asn/6877", true, 0).etag[0], `"25fa7dfdc5f4a755"`; got != want {
+		t.Errorf("ETag of the golden body = %s, want %s", got, want)
+	}
+	for i := range body {
+		for _, flip := range []byte{1, 0x80, 0xff} {
+			b := slices.Clone(body)
+			b[i] ^= flip
+			if etagOf(b) == etagOf(body) {
+				t.Fatalf("byte %d ^ %#x leaves the ETag at %x", i, flip, etagOf(b))
+			}
+		}
+	}
+
+	// One store registers and then seals, the other seals round by round
+	// and registers late, in the other order: the same cells.
+	a, _ := newTestServer(t, 40)
+	st := NewStore(testTimeline())
+	for r := 0; r < 40; r++ {
+		if err := st.Advance(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Register("region", "Kherson", patternSource{2}, DetectWith(signals.RegionConfig())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Register("asn", "6877", patternSource{1}, DetectWith(signals.ASConfig())); err != nil {
+		t.Fatal(err)
+	}
+	b := NewServer(st)
+	for _, q := range []string{
+		"/v1/series?entity=asn/6877", "/v1/series?entity=region/Kherson&limit=10&offset=5",
+		"/v1/outages?entity=asn/6877", "/v1/outages?entity=region/Kherson",
+	} {
+		ra, rb := get(t, a, q), get(t, b, q)
+		if ra.Code != http.StatusOK || ra.Header().Get("Etag") == "" || ra.Header().Get("Etag") != rb.Header().Get("Etag") {
+			t.Errorf("GET %s: %d ETag %q, from the other store %d %q", q, ra.Code, ra.Header().Get("Etag"), rb.Code, rb.Header().Get("Etag"))
+		}
 	}
 }

@@ -426,6 +426,8 @@ func TestSlidesExactly(t *testing.T) {
 		{"negative cell", window, []float32{10, -1, 10}, false},
 		{"NaN", window, []float32{10, nan, 10}, false},
 		{"+Inf", window, []float32{10, inf, 10}, false},
+		{"+Inf alone", window, []float32{inf}, false},
+		{"NaN alone", window, []float32{nan}, false},
 		{"-Inf", window, []float32{10, -inf, 10}, false},
 		{"MaxFloat32 alone", window, []float32{math.MaxFloat32}, true},
 		{"MaxFloat32 beside 1", window, []float32{math.MaxFloat32, 1}, false},

@@ -3,6 +3,8 @@ package signals
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -352,4 +354,150 @@ func TestFuseBlockMatchesMapDedup(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { FuseBlock(40, 17, fleet, 2) }); allocs != 0 {
 		t.Errorf("FuseBlock over a 3-vantage fleet: %.1f allocs, want 0", allocs)
 	}
+}
+
+// The resume oracle: the one-pass Detect and its exactness guard as they
+// were before the pass carried its state across calls. The bodies are kept
+// verbatim; only the names changed.
+
+// refSlidesExactly reports whether a running sum over vals — drop the round
+// leaving the window, add the one entering — is bit-identical to
+// MovingAverage's fresh left-to-right sum of every window. Float addition is
+// order-independent when no partial sum rounds, and none does when every
+// value is finite and ≥ 0 (a partial sum is then at most its window's sum)
+// and a window's sum stays below 2^(q+53), q being the lowest bit set in any
+// value: every partial sum is a multiple of 2^q that a float64 holds exactly.
+// Counts and share-weighted regional sums pass; a negative, NaN, infinite or
+// subnormal cell, or values spanning more than 53 bits, do not.
+func refSlidesExactly(vals []float32, window int) bool {
+	hi, q := 0, 1<<20 // highest exponent field; lowest set bit as a power of two
+	for _, v := range vals {
+		b := math.Float32bits(v)
+		if b<<1 == 0 {
+			continue // ±0 adds nothing and sets no bit
+		}
+		exp := int(b >> 23) // with the sign bit: ≥ 256 when negative
+		if exp == 0 || exp >= 255 {
+			return false
+		}
+		hi = max(hi, exp)
+		q = min(q, exp-150+bits.TrailingZeros32(b|1<<23)) // v = (2^23 + fraction) × 2^(exp-150)
+	}
+	// Every value is below 2^(hi-126); a window holds at most 2^Len(window-1).
+	return hi-126+bits.Len(uint(window-1)) <= q+53
+}
+
+// refOnePass runs outage detection for one entity series in one pass: the three
+// seven-day baselines are running sums stepped once per round, bit-identical
+// to MovingAverage at every round — which a series failing refSlidesExactly gets.
+func refOnePass(es *EntitySeries, cfg Config) *Detection {
+	rounds := len(es.BGP)
+	window := cfg.WindowRounds
+	if window <= 0 {
+		window = es.TL.RoundsPerWeek()
+	}
+	d := &Detection{Flags: make([]Kind, rounds)}
+
+	exact := refSlidesExactly(es.BGP, window) && refSlidesExactly(es.FBS, window) && refSlidesExactly(es.IPS, window)
+	var sumBGP, sumFBS, sumIPS float64 // over the n measured rounds of [r-window, r)
+	n, month, monthEnd := 0, 0, 0      // month is r's, re-read when r reaches monthEnd
+
+	ongoingZeroBGP := false
+	inOutage := false
+	var cur Outage
+	for r := 0; r < rounds; r++ {
+		// Slide the window to [r-window, r): drop before adding, so a sum
+		// never holds more than window values.
+		if out := r - 1 - window; out >= 0 && !es.Missing[out] {
+			n--
+			sumBGP -= float64(es.BGP[out])
+			sumFBS -= float64(es.FBS[out])
+			sumIPS -= float64(es.IPS[out])
+		}
+		if r > 0 && !es.Missing[r-1] {
+			n++
+			sumBGP += float64(es.BGP[r-1])
+			sumFBS += float64(es.FBS[r-1])
+			sumIPS += float64(es.IPS[r-1])
+		}
+		if es.Missing[r] {
+			continue // a missing round neither flags nor ends an outage
+		}
+		if r >= monthEnd {
+			month = es.TL.MonthOfRound(r)
+			_, monthEnd = es.TL.MonthRounds(month)
+		}
+		var flags Kind
+
+		// One verdict for the three baselines: they share the missing mask
+		// (window ≥ 1, so ok implies n > 0).
+		ok := n*4 >= window
+		var maBGP, maFBS, maIPS float64
+		if ok && exact {
+			maBGP, maFBS, maIPS = sumBGP/float64(n), sumFBS/float64(n), sumIPS/float64(n)
+		} else if ok {
+			maBGP, _ = MovingAverage(es.BGP, es.Missing, r, window)
+			maFBS, _ = MovingAverage(es.FBS, es.Missing, r, window)
+			maIPS, _ = MovingAverage(es.IPS, es.Missing, r, window)
+		}
+
+		ipsBelow := func(frac float64) bool {
+			return ok && maIPS >= cfg.MinBaseline && float64(es.IPS[r]) < frac*maIPS
+		}
+
+		if ok && maBGP >= cfg.MinBaseline && float64(es.BGP[r]) < cfg.BGPFrac*maBGP {
+			flags |= SignalBGP
+		}
+		if ok && maFBS >= cfg.MinBaseline && float64(es.FBS[r]) < cfg.FBSFrac*maFBS {
+			fires := true
+			if cfg.FBSRequiresIPSBelow > 0 && !ipsBelow(cfg.FBSRequiresIPSBelow) {
+				fires = false
+			}
+			if cfg.AvailabilitySensing && maIPS > 0 &&
+				float64(es.IPS[r]) >= 0.98*maIPS {
+				// Blocks vanished but addresses kept answering elsewhere in
+				// the entity: dynamic reallocation, not an outage.
+				fires = false
+			}
+			if fires {
+				flags |= SignalFBS
+			}
+		}
+		if es.IPSValidMonth[month] && ipsBelow(cfg.IPSFrac) {
+			flags |= SignalIPS
+		}
+
+		// Zero-BGP ongoing flag: once everything is withdrawn, the outage
+		// persists until routes return, regardless of the moving average.
+		hadBGP := ok && maBGP >= cfg.MinBaseline
+		if es.BGP[r] == 0 && (hadBGP || ongoingZeroBGP) {
+			if flags == 0 {
+				flags |= SignalBGP
+			}
+			ongoingZeroBGP = true
+		} else if es.BGP[r] > 0 {
+			ongoingZeroBGP = false
+		}
+		d.Flags[r] = flags
+
+		// Merge consecutive flagged rounds into events.
+		if flags != 0 {
+			if !inOutage {
+				cur = Outage{Start: r}
+				inOutage = true
+			}
+			cur.Signals |= flags
+			if es.BGP[r] == 0 {
+				cur.Ongoing = true
+			}
+			cur.End = r + 1
+		} else if inOutage {
+			d.Outages = append(d.Outages, cur)
+			inOutage = false
+		}
+	}
+	if inOutage {
+		d.Outages = append(d.Outages, cur)
+	}
+	return d
 }
