@@ -150,6 +150,7 @@ fuzz-smoke:
 	$(GO) test ./internal/faults -fuzz '^FuzzWindowAt$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/faults -fuzz '^FuzzWriteBatchMatchesPacketLoop$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/simnet -fuzz '^FuzzNetworkMatchesRef$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/simnet -fuzz '^FuzzReplyQueueMatchesHeap$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/signals -fuzz '^FuzzDetectMatchesOracle$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/signals -fuzz '^FuzzDetectResumeMatchesWhole$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/sim -fuzz '^FuzzStateAtMatchesOracle$$' -fuzztime 5s -run '^$$'

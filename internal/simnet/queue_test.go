@@ -14,9 +14,9 @@ import (
 	"countrymon/internal/netmodel"
 )
 
-// refHeap is the container/heap queue replyQueue replaced, ordered on
-// (delivery offset, push order) by its own comparison, kept as the reference
-// the queue's pop order is checked against.
+// refHeap is a container/heap queue ordered on (delivery offset, push order)
+// by its own comparison: the reference the calendar queue's pop order is
+// checked against.
 type refEntry struct {
 	at  int64
 	seq uint64
@@ -39,37 +39,127 @@ func (h *refHeap) Pop() interface{} {
 	return v
 }
 
+// queueOffsets are delivery offsets from the last delivered reply's time at
+// every edge of the calendar — a bucket, a lap and two laps, each ± 1 ns —
+// beside an hour, negative ones (a reply "due" before the clock) and the
+// ends of the int64 range, which stand for themselves.
+var queueOffsets = []int64{
+	0, 1, -1, bucketWidth - 1, bucketWidth, bucketWidth + 1,
+	lapWidth - 1, lapWidth, lapWidth + 1, 2 * lapWidth, 2*lapWidth + 1, int64(time.Hour),
+	-bucketWidth, -lapWidth - 1, -3e6, math.MinInt64, math.MaxInt64,
+}
+
+// queueCheck drives a replyQueue whose replies are their push order beside
+// the reference heap, and compares every pop.
+type queueCheck struct {
+	t    *testing.T
+	q    replyQueue[uint64]
+	ref  refHeap
+	seq  uint64
+	base int64 // the last delivered reply's time, as a wire's clock would read
+}
+
+// push enqueues a reply due off past base, saturating; the ends of the
+// int64 range are taken as they are.
+func (c *queueCheck) push(off int64) {
+	at := c.base + off
+	switch {
+	case off == math.MinInt64 || off == math.MaxInt64:
+		at = off
+	case off > 0 && at < c.base:
+		at = math.MaxInt64
+	case off < 0 && at > c.base:
+		at = math.MinInt64
+	}
+	heap.Push(&c.ref, refEntry{at: at, seq: c.seq})
+	c.q.push(c.seq, at)
+	c.seq++
+}
+
+// pop checks the pop of script step op, or of the final drain when op < 0.
+func (c *queueCheck) pop(op int) {
+	c.t.Helper()
+	got := c.q.slab[c.q.top()]
+	want := heap.Pop(&c.ref).(refEntry)
+	c.q.pop()
+	if got.r != want.seq || got.at != want.at {
+		c.t.Fatalf("op %d: popped (%d, push %d), reference (%d, push %d)", op, got.at, got.r, want.at, want.seq)
+	}
+	if c.q.len() != c.ref.Len() {
+		c.t.Fatalf("op %d: len %d, reference %d", op, c.q.len(), c.ref.Len())
+	}
+	if got.at != math.MinInt64 && got.at != math.MaxInt64 {
+		c.base = got.at
+	}
+}
+
+func (c *queueCheck) drain() {
+	c.t.Helper()
+	for c.q.len() > 0 {
+		c.pop(-1)
+	}
+	if c.ref.Len() != 0 {
+		c.t.Fatalf("reference still holds %d replies", c.ref.Len())
+	}
+}
+
+// TestReplyQueueMatchesContainerHeap: the calendar queue pops what a
+// container/heap ordered on (delivery time, push order) pops, through
+// phases that fill it past a slab doubling and drain it to empty, with
+// offsets at every calendar edge (equal delivery times among them) and
+// offsets spread over three laps, which land out of order in a bucket.
 func TestReplyQueueMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	// Only a handful of distinct delivery offsets, so most comparisons fall
-	// through to push order; negative ones (a reply "due" before the wire
-	// started) and the ends of the range order like any other.
-	offsets := []int64{-3e6, -1, 0, 1, 2e6, 5e6, 5e6 + 1, 7e6, math.MinInt64, math.MaxInt64}
-	var q replyQueue[struct{}]
-	var ref refHeap
-	for op := 0; op < 10000; op++ {
-		// Two pushes for every pop on average.
-		if rng.Intn(3) < 2 || q.len() == 0 {
-			at := offsets[rng.Intn(len(offsets))]
-			heap.Push(&ref, refEntry{at: at, seq: q.seq})
-			q.push(struct{}{}, at)
+	c := &queueCheck{t: t}
+	pushShare := []int{1, 2, 3, 5, 9} // pushes per pop, a phase of 2 000 ops each
+	for op := 0; op < 200000; op++ {
+		if op%20000 == 19999 {
+			c.drain()
 			continue
 		}
-		got, want := q.heap[0], heap.Pop(&ref).(refEntry)
-		q.pop()
-		if got.seq != want.seq || got.at != want.at {
-			t.Fatalf("op %d: popped (%d, seq %d), reference (%d, seq %d)", op, got.at, got.seq, want.at, want.seq)
+		share := pushShare[op/2000%len(pushShare)]
+		if c.q.len() == 0 || rng.Intn(share+1) < share {
+			off := rng.Int63n(3 * lapWidth)
+			if rng.Intn(2) == 0 {
+				off = queueOffsets[rng.Intn(len(queueOffsets))]
+			}
+			c.push(off)
+			continue
 		}
+		c.pop(op)
 	}
-	for q.len() > 0 {
-		if got, want := q.heap[0], heap.Pop(&ref).(refEntry); got.seq != want.seq {
-			t.Fatalf("drain: popped seq %d, reference %d", got.seq, want.seq)
+	c.drain()
+	if len(c.q.slab) <= 64 {
+		t.Errorf("the queue never grew past its first slab (%d slots)", len(c.q.slab))
+	}
+}
+
+// FuzzReplyQueueMatchesHeap lets the fuzzer write the op script: a byte c
+// pops when c%4 == 0 and the queue is not empty, and otherwise pushes at
+// queueOffsets[c/4] past the last delivery, or for c/4 past the table at a
+// third of a bucket per step beyond it.
+func FuzzReplyQueueMatchesHeap(f *testing.F) {
+	push := func(k int) byte { return byte(4*k + 1) }
+	f.Add([]byte{push(0), push(0), push(1), push(2), push(0), 0, 0, 0, 0, 0})             // equal times, ± 1 ns
+	f.Add([]byte{push(8), push(6), push(7), 0, push(9), push(3), push(5), 0, 0, 0, 0, 0}) // the lap's edges
+	f.Add([]byte{push(11), push(16), push(15), 0, push(13), push(12), 0, 0, 0, 0})        // an hour, the ends, behind cur
+	f.Add([]byte{push(63), push(40), push(20), 0, push(50), push(18), 0, 0, 0, 0})        // spread over laps
+	f.Fuzz(func(t *testing.T, script []byte) {
+		c := &queueCheck{t: t}
+		for i, b := range script {
+			if b%4 == 0 && c.q.len() > 0 {
+				c.pop(i)
+				continue
+			}
+			k := int(b / 4)
+			off := int64(k-len(queueOffsets)) * bucketWidth / 3
+			if k < len(queueOffsets) {
+				off = queueOffsets[k]
+			}
+			c.push(off)
 		}
-		q.pop()
-	}
-	if ref.Len() != 0 {
-		t.Fatalf("reference still holds %d replies", ref.Len())
-	}
+		c.drain()
+	})
 }
 
 // probeBatch is n encoded echo requests to n distinct hosts.
@@ -112,7 +202,7 @@ func TestBatchCycleZeroAlloc(t *testing.T) {
 			t.Fatalf("drained %d replies, want %d", got, len(probes))
 		}
 	}
-	cycle() // warm-up round: the queue's heap is built here
+	cycle() // warm-up round: the queue's slab is built here
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
 		t.Errorf("WriteBatch + ReadBatch cycle of 64 probes: %.1f allocs, want 0", allocs)
 	}
@@ -185,7 +275,7 @@ func TestReadBatchSlotsDoNotAlias(t *testing.T) {
 		}
 		want[i] = append(want[i][:0], slots[i]...)
 	}
-	// ...and new traffic through the same heap entries must not reach any.
+	// ...and new traffic through the same queue slots must not reach any.
 	for round := 0; round < 4; round++ {
 		if _, err := n.WriteBatch(probes); err != nil {
 			t.Fatal(err)
@@ -203,7 +293,7 @@ func TestReadBatchSlotsDoNotAlias(t *testing.T) {
 }
 
 // TestStalledWireBytes: a scan whose replies are never read — a stalled or
-// blacked-out vantage — costs its wire a record per reply, in a heap that
+// blacked-out vantage — costs its wire a record per reply, in a slab that
 // doubles, and nothing per datagram.
 func TestStalledWireBytes(t *testing.T) {
 	if raceEnabled {
@@ -231,7 +321,7 @@ func TestStalledWireBytes(t *testing.T) {
 }
 
 // TestSmallWireAllocs: a scan that never has 64 replies in flight — nearly
-// every per-scan wire of a fleet round — costs the Network and one heap.
+// every per-scan wire of a fleet round — costs the Network and one slab.
 func TestSmallWireAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("append allocates under -race")

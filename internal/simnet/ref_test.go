@@ -251,7 +251,7 @@ func (n *refNetwork) Counters() (sent, delivered, dropped uint64) {
 //
 //	0, 1   WritePacket each / WriteBatch all of 1+arg%8 probes, each two
 //	       bytes: a verdict (kind v%3 of silent, echo, unreachable; RTT
-//	       diffRTTs[v/3%8]) and a shape (see diffProbe)
+//	       diffRTTs[v/3%len(diffRTTs)]) and a shape (see diffProbe)
 //	2      ReadPacket(diffWaits[arg%8])
 //	3      ReadBatch(diffWaits[arg%8]) into 1+r%9 slots, nil or already
 //	       holding bytes by r/9%2, r being the next byte
@@ -265,7 +265,11 @@ const (
 )
 
 var (
-	diffRTTs  = []time.Duration{0, time.Millisecond, 3 * time.Millisecond, 40 * time.Millisecond, -2 * time.Millisecond, time.Hour, math.MaxInt64, math.MinInt64}
+	// The first eight are the ones every older seed's bytes name; the rest
+	// lie on the calendar queue's edges: one bucket, one lap ± 1 ns and two
+	// laps.
+	diffRTTs = []time.Duration{0, time.Millisecond, 3 * time.Millisecond, 40 * time.Millisecond, -2 * time.Millisecond, time.Hour, math.MaxInt64, math.MinInt64,
+		bucketWidth, lapWidth - 1, lapWidth, lapWidth + 1, 2 * lapWidth}
 	diffWaits = []time.Duration{0, time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond, 50 * time.Millisecond, time.Second, 2 * time.Hour, math.MaxInt64}
 )
 
@@ -467,6 +471,14 @@ func diffSeeds() map[string][]byte {
 			diffOp(opWriteBatch, 3, echo(1), scanner, echo(1), 8*2+flipped, echo(1), scanner, echo(1), scanner),
 			diffOp(opWriteBatch, 1, unreach(1), 8*3+truncated, echo(1), scanner),
 			diffOp(opReadBatch, 5, 8)),
+		"lap-edge RTTs under equal delivery times": cat(
+			diffOp(opWriteBatch, 7, echo(10), scanner, echo(0), scanner, echo(8), scanner, unreach(10), scanner,
+				echo(9), scanner, echo(11), oversize, echo(12), scanner, echo(0), short),
+			diffOp(opRead, 0), diffOp(opRead, 3),
+			diffOp(opWrite, 4, echo(4), scanner, unreach(10), scanner, echo(9), scanner, echo(0), scanner, echo(4), short),
+			diffOp(opReadBatch, 0, 8), diffOp(opReadBatch, 4, 2), diffOp(opRead, 4),
+			diffOp(opWriteBatch, 3, echo(12), scanner, echo(11), scanner, echo(4), scanner, echo(12), short),
+			diffOp(opReadBatch, 5, 8), diffOp(opRead, 5), diffOp(opReadBatch, 5, 8), diffOp(opRead, 7)),
 		"interleaved reads and waits": cat(
 			diffOp(opWriteBatch, 7, echo(1), scanner, echo(2), scanner, echo(3), scanner, unreach(1), scanner,
 				echo(4), scanner, unreach(2), oversize, echo(0), scanner, echo(5), scanner),

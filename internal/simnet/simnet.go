@@ -57,7 +57,7 @@ type Network struct {
 	local netmodel.Addr
 	resp  Responder
 	queue replyQueue[record]
-	long  map[uint64][]byte // probes longer than recordLen, by push order
+	long  map[int32][]byte // probes longer than recordLen, by queue slot
 
 	// Stats
 	sent, delivered, dropped uint64
@@ -112,12 +112,12 @@ func (n *Network) writeLocked(b []byte) error {
 	if len(b) <= recordLen {
 		rec.n = uint8(copy(rec.probe[:], b))
 	}
-	seq := n.queue.push(rec, n.after(r.RTT))
+	slot := n.queue.push(rec, n.after(r.RTT))
 	if rec.n == 0 {
 		if n.long == nil {
-			n.long = make(map[uint64][]byte)
+			n.long = make(map[int32][]byte)
 		}
-		n.long[seq] = append([]byte(nil), b...)
+		n.long[slot] = append([]byte(nil), b...)
 	}
 	return nil
 }
@@ -132,20 +132,21 @@ const recordLen = icmp.IPv4HeaderLen + icmp.HeaderLen + 8
 // answers. The datagram is encoded only when the reply is delivered, straight
 // into the reader's buffer, so a reply that is never read costs the record
 // alone. A probe longer than recordLen is kept whole in Network.long under
-// the reply's push order instead, and n is 0.
+// the reply's queue slot instead, and n is 0.
 type record struct {
 	kind  ReplyKind
 	n     uint8 // bytes of probe in use
 	probe [recordLen]byte
 }
 
-// appendDelivery appends to buf the datagram of the reply p, read in place at
-// the top of the queue before it is popped. n.mu must be held.
-func (n *Network) appendDelivery(buf []byte, p *pendingReply[record]) []byte {
+// appendDelivery appends to buf the datagram of the reply in slot i, read in
+// place at the top of the queue before it is popped. n.mu must be held.
+func (n *Network) appendDelivery(buf []byte, i int32) []byte {
+	p := &n.queue.slab[i]
 	b := p.r.probe[:p.r.n]
 	if p.r.n == 0 {
-		b = n.long[p.seq]
-		delete(n.long, p.seq)
+		b = n.long[i]
+		delete(n.long, i)
 	}
 	var pr probe
 	pr.reread(b)
@@ -221,8 +222,8 @@ func (n *Network) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
 	defer n.mu.Unlock()
 	if due(&n.vclock, &n.queue, wait) {
 		n.delivered++
-		p := &n.queue.heap[0]
-		pkt, at := n.appendDelivery(nil, p), n.timeAt(p.at)
+		i := n.queue.top()
+		pkt, at := n.appendDelivery(nil, i), n.timeAt(n.queue.slab[i].at)
 		n.queue.pop()
 		return pkt, at, nil
 	}
@@ -247,9 +248,9 @@ func (n *Network) ReadBatch(pkts [][]byte, ats []time.Time, wait time.Duration) 
 		}
 		wait = 0 // only the first packet is waited for
 		n.delivered++
-		p := &n.queue.heap[0]
-		pkts[count] = n.appendDelivery(pkts[count][:0], p)
-		ats[count] = n.timeAt(p.at)
+		i := n.queue.top()
+		pkts[count] = n.appendDelivery(pkts[count][:0], i)
+		ats[count] = n.timeAt(n.queue.slab[i].at)
 		n.queue.pop()
 		count++
 	}

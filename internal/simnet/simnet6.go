@@ -94,7 +94,7 @@ func (n *Network6) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if due(&n.vclock, &n.queue, wait) {
-		p := n.queue.heap[0]
+		p := n.queue.slab[n.queue.top()]
 		n.queue.pop()
 		return p.r, n.timeAt(p.at), nil
 	}

@@ -83,11 +83,18 @@ func (s *WireServer) handle(pkt []byte, peer *net.UDPAddr) {
 	s.conn.WriteToUDP(reply, peer)
 }
 
-// UDPTransport implements scanner.Transport over the tunnel.
+// UDPTransport implements scanner.Transport over the tunnel. Reads come
+// from one goroutine.
 type UDPTransport struct {
 	conn  *net.UDPConn
 	local netmodel.Addr
-	rbuf  []byte // ReadBatch scratch; reads come from one goroutine
+	rbuf  []byte // read scratch
+	// ReadBatch's reads past the first: drain reads the socket into rbuf
+	// without waiting, leaving the result in rn and rerr.
+	raw   syscall.RawConn
+	drain func(fd uintptr) bool
+	rn    int
+	rerr  error
 }
 
 // DialUDP connects a transport to a WireServer.
@@ -96,7 +103,17 @@ func DialUDP(server *net.UDPAddr, local netmodel.Addr) (*UDPTransport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &UDPTransport{conn: conn, local: local}, nil
+	raw, err := conn.SyscallConn()
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	t := &UDPTransport{conn: conn, local: local, rbuf: make([]byte, 64*1024), raw: raw}
+	t.drain = func(fd uintptr) bool {
+		t.rn, t.rerr = syscall.Read(int(fd), t.rbuf)
+		return true // never wait for more
+	}
+	return t, nil
 }
 
 // LocalAddr implements scanner.Transport.
@@ -108,25 +125,35 @@ func (t *UDPTransport) WritePacket(b []byte) error {
 	return classifyErr(err)
 }
 
-// ReadPacket implements scanner.Transport.
+// ReadPacket implements scanner.Transport. The datagram is read into the
+// transport's scratch buffer and returned as an exact-size copy.
 func (t *UDPTransport) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
+	n, at, err := t.readWait(wait)
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	return append([]byte(nil), t.rbuf[:n]...), at, nil
+}
+
+// readWait reads one datagram into t.rbuf, waiting up to wait (1 ms if wait
+// ≤ 0) for it.
+func (t *UDPTransport) readWait(wait time.Duration) (int, time.Time, error) {
 	if wait <= 0 {
 		wait = time.Millisecond
 	}
 	if err := t.conn.SetReadDeadline(time.Now().Add(wait)); err != nil {
-		return nil, time.Time{}, err
+		return 0, time.Time{}, err
 	}
-	buf := make([]byte, 64*1024)
-	n, err := t.conn.Read(buf)
+	n, err := t.conn.Read(t.rbuf)
 	at := time.Now()
 	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() || errors.Is(err, os.ErrDeadlineExceeded) {
-			return nil, time.Time{}, scanner.ErrTimeout
+			return 0, time.Time{}, scanner.ErrTimeout
 		}
-		return nil, time.Time{}, classifyErr(err)
+		return 0, time.Time{}, classifyErr(err)
 	}
-	return buf[:n], at, nil
+	return n, at, nil
 }
 
 // WriteBatch implements scanner.BatchTransport. UDP writes are already one
@@ -142,36 +169,40 @@ func (t *UDPTransport) WriteBatch(pkts [][]byte) (int, error) {
 }
 
 // ReadBatch implements scanner.BatchTransport with a reused 64 KB scratch
-// buffer, so draining a burst of replies costs zero allocations instead of
-// one 64 KB buffer per packet. The first read honors `wait`; the rest only
-// take datagrams already queued in the socket buffer.
+// buffer, so draining a burst of replies costs no allocation per packet. The
+// first read honors `wait`; the rest take only the datagrams already queued
+// in the socket buffer, reading the socket directly until it reports EAGAIN
+// instead of waiting on it.
 func (t *UDPTransport) ReadBatch(pkts [][]byte, ats []time.Time, wait time.Duration) (int, error) {
-	if t.rbuf == nil {
-		t.rbuf = make([]byte, 64*1024)
+	if len(pkts) == 0 {
+		return 0, nil
 	}
-	count := 0
+	n, at, err := t.readWait(wait)
+	if err == scanner.ErrTimeout {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	pkts[0] = append(pkts[0][:0], t.rbuf[:n]...)
+	ats[0] = at
+	// The first read's deadline would fail the raw read once it passes.
+	if err := t.conn.SetReadDeadline(time.Time{}); err != nil {
+		return 1, err
+	}
+	count := 1
 	for count < len(pkts) {
-		deadline := time.Now()
-		if count == 0 {
-			if wait <= 0 {
-				wait = time.Millisecond
-			}
-			deadline = deadline.Add(wait)
-		}
-		if err := t.conn.SetReadDeadline(deadline); err != nil {
-			return count, err
-		}
-		n, err := t.conn.Read(t.rbuf)
-		at := time.Now()
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() || errors.Is(err, os.ErrDeadlineExceeded) {
-				return count, nil
-			}
+		if err := t.raw.Read(t.drain); err != nil {
 			return count, classifyErr(err)
 		}
-		pkts[count] = append(pkts[count][:0], t.rbuf[:n]...)
-		ats[count] = at
+		if t.rerr == syscall.EAGAIN {
+			break
+		}
+		if t.rerr != nil {
+			return count, classifyErr(t.rerr)
+		}
+		pkts[count] = append(pkts[count][:0], t.rbuf[:t.rn]...)
+		ats[count] = time.Now()
 		count++
 	}
 	return count, nil
