@@ -47,8 +47,14 @@ loc:
 	done; echo "total flags: $$total"; echo "CLIs (cmd/ packages): $$(ls -d cmd/*/ | wc -l)"
 	@wc -c README.md DESIGN.md CHANGES.md | awk '{printf "%s bytes: %s\n", $$2, $$1}'
 
-# One-iteration pass over every benchmark: catches bit-rot in the bench
-# harness without paying for stable timings.
+# One-iteration pass over every Go benchmark: catches bit-rot without paying
+# for stable timings. The paper's reports run through cmd/experiments and
+# every timing is the repo benchmark's (bench/), so the Go benchmarks are
+# only the ones the profile-* targets drive, the two disabled-path pairs
+# (BenchmarkScanRound vs BenchmarkScanRoundMetrics, obs' BenchmarkDisabledCounter
+# vs BenchmarkEnabledCounter) and the two paths no bench/ metric isolates
+# (netmodel's BenchmarkSpaceBlockIndex, faults' BenchmarkWriteBatchWrapped vs
+# BenchmarkWriteBatchDirect).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./... > /dev/null
 

@@ -57,8 +57,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	if len(list) == 0 {
 		list = experiments.All()
-		// Running everything: materialize the pipeline up front so the
-		// independent stages build concurrently instead of on first use.
+		// Running everything: materialize the pipeline up front, so the
+		// per-entity detections fill across the worker pool instead of one
+		// at a time on first use.
 		env.Warm()
 	}
 

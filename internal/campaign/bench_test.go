@@ -10,13 +10,9 @@ import (
 	"countrymon/internal/scanner"
 )
 
-// BenchmarkCampaignTwoCountry times complete two-country campaigns — world
+// BenchmarkCampaignFaulted times complete two-country campaigns — world
 // build, fleet join, every round scanned through the shared vantages, signals
-// folded — in country-rounds per second: the clean-fleet reading beside
-// BenchmarkCampaignFaulted, whose faults it leaves out.
-func BenchmarkCampaignTwoCountry(b *testing.B) { benchCampaign(b, Options{}) }
-
-// BenchmarkCampaignFaulted is the same campaign with the shape of the repo
+// folded — in country-rounds per second, with the shape of the repo
 // benchmark's campaign_chaos (and campaign_chaos_test.go's xcWrap) injected:
 // UA's view of v0 blacked out over rounds 5–8 and its view of v1 stalled over
 // rounds 14–15, so the faults wrapper, retries, steals, re-probes and fusion

@@ -46,6 +46,32 @@ func v4Store(t testing.TB) *Store {
 	return s
 }
 
+// benchStore builds a store of realistic shape: a year of 2-hour rounds over
+// a few thousand blocks, a slice of them RTT-tracked, with varied resp rows
+// so the RLE coder does real work.
+func benchStore(tb testing.TB) *Store {
+	tb.Helper()
+	start := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
+	tl := timeline.New(start, start.AddDate(1, 0, 0), 2*time.Hour)
+	blocks := make([]netmodel.BlockID, 2048)
+	for i := range blocks {
+		blocks[i] = netmodel.BlockID(i)
+	}
+	s := NewStore(tl, blocks)
+	for bi := range blocks {
+		for r := 0; r < tl.NumRounds(); r++ {
+			s.SetRound(bi, r, (bi*31+r*7)%97, r%3 != 0)
+		}
+		if bi%16 == 0 {
+			s.TrackRTT(bi)
+			for r := 0; r < tl.NumRounds(); r++ {
+				s.SetRTT(bi, r, uint16(20+(bi+r)%40))
+			}
+		}
+	}
+	return s
+}
+
 func assertStoresEqual(t *testing.T, want, got *Store) {
 	t.Helper()
 	if got.NumBlocks() != want.NumBlocks() || got.Timeline().NumRounds() != want.Timeline().NumRounds() {

@@ -7,13 +7,8 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
-	"io"
-	"os"
 	"sort"
-	"strconv"
 	"sync"
-	"time"
 
 	"countrymon/internal/dataset"
 	"countrymon/internal/ioda"
@@ -69,53 +64,6 @@ type Env struct {
 // New builds an Env for the given scenario configuration.
 func New(cfg sim.Config) *Env {
 	return &Env{cfg: cfg}
-}
-
-var (
-	defaultOnce sync.Once
-	defaultEnv  *Env
-)
-
-// Default returns the process-wide Env, sized by the COUNTRYMON_SCALE
-// (default 0.12), COUNTRYMON_INTERVAL_HOURS (default 6) and COUNTRYMON_SEED
-// (default 1) environment variables. Malformed values are reported on
-// stderr and ignored.
-func Default() *Env {
-	defaultOnce.Do(func() {
-		defaultEnv = New(ConfigFromEnv(os.Getenv, os.Stderr))
-	})
-	return defaultEnv
-}
-
-// ConfigFromEnv builds a scenario configuration from the COUNTRYMON_SCALE,
-// COUNTRYMON_INTERVAL_HOURS and COUNTRYMON_SEED variables as reported by
-// getenv. Unset variables fall back to defaults silently; set-but-malformed
-// (or non-positive) values are reported to warn and then ignored, instead of
-// silently running a differently-sized campaign than the caller asked for.
-func ConfigFromEnv(getenv func(string) string, warn io.Writer) sim.Config {
-	cfg := sim.Config{Seed: 1}
-	if v := getenv("COUNTRYMON_SCALE"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
-			cfg.Scale = f
-		} else {
-			fmt.Fprintf(warn, "countrymon: ignoring COUNTRYMON_SCALE=%q (want a positive float)\n", v)
-		}
-	}
-	if v := getenv("COUNTRYMON_INTERVAL_HOURS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			cfg.Interval = time.Duration(n) * time.Hour
-		} else {
-			fmt.Fprintf(warn, "countrymon: ignoring COUNTRYMON_INTERVAL_HOURS=%q (want a positive integer)\n", v)
-		}
-	}
-	if v := getenv("COUNTRYMON_SEED"); v != "" {
-		if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-			cfg.Seed = n
-		} else {
-			fmt.Fprintf(warn, "countrymon: ignoring COUNTRYMON_SEED=%q (want an unsigned integer)\n", v)
-		}
-	}
-	return cfg
 }
 
 // Config returns the scenario configuration.
@@ -239,20 +187,17 @@ func (e *Env) IODARegion(r netmodel.Region) *signals.Detection {
 	})
 }
 
-// Warm materializes the whole pipeline up front. After the store is built,
-// the classifier, signal builder, Trinocular baseline and power report are
-// independent of each other, so they run concurrently; the IODA platform and
-// target set then assemble from those, and finally every per-AS/per-region
-// detection both systems report on is filled in. Experiments after a Warm
-// only read caches.
+// Warm materializes the whole pipeline up front: the store, then the
+// classifier, signal builder, Trinocular baseline and power report, then the
+// IODA platform and target set they feed, and finally every per-AS/per-region
+// detection both systems report on. Experiments after a Warm only read
+// caches.
 func (e *Env) Warm() {
 	e.Store()
-	par.Do(
-		func() { e.Classifier() },
-		func() { e.Signals() },
-		func() { e.Trinocular() },
-		func() { e.PowerReport() },
-	)
+	e.Classifier()
+	e.Signals()
+	e.Trinocular()
+	e.PowerReport()
 	e.IODA()
 	e.TargetSet()
 	e.WarmDetections()

@@ -1,72 +1,14 @@
 package experiments
 
 import (
-	"strings"
+	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"countrymon/internal/netmodel"
+	"countrymon/internal/signals"
 	"countrymon/internal/sim"
 )
-
-func TestConfigFromEnvDefaults(t *testing.T) {
-	var warn strings.Builder
-	cfg := ConfigFromEnv(func(string) string { return "" }, &warn)
-	if cfg.Seed != 1 || cfg.Scale != 0 || cfg.Interval != 0 {
-		t.Fatalf("unset env produced %+v, want zero-value config with seed 1", cfg)
-	}
-	if warn.Len() != 0 {
-		t.Fatalf("unset env warned: %q", warn.String())
-	}
-}
-
-func TestConfigFromEnvParsesValidValues(t *testing.T) {
-	var warn strings.Builder
-	env := map[string]string{
-		"COUNTRYMON_SCALE":          "0.25",
-		"COUNTRYMON_INTERVAL_HOURS": "2",
-		"COUNTRYMON_SEED":           "42",
-	}
-	cfg := ConfigFromEnv(func(k string) string { return env[k] }, &warn)
-	if cfg.Scale != 0.25 || cfg.Interval != 2*time.Hour || cfg.Seed != 42 {
-		t.Fatalf("valid env produced %+v", cfg)
-	}
-	if warn.Len() != 0 {
-		t.Fatalf("valid env warned: %q", warn.String())
-	}
-}
-
-func TestConfigFromEnvWarnsOnMalformedValues(t *testing.T) {
-	cases := []struct {
-		key, val string
-	}{
-		{"COUNTRYMON_SCALE", "banana"},
-		{"COUNTRYMON_SCALE", "-1"},
-		{"COUNTRYMON_SCALE", "0"},
-		{"COUNTRYMON_INTERVAL_HOURS", "2.5"},
-		{"COUNTRYMON_INTERVAL_HOURS", "-6"},
-		{"COUNTRYMON_SEED", "-3"},
-		{"COUNTRYMON_SEED", "0x10"},
-	}
-	for _, tc := range cases {
-		var warn strings.Builder
-		cfg := ConfigFromEnv(func(k string) string {
-			if k == tc.key {
-				return tc.val
-			}
-			return ""
-		}, &warn)
-		if !strings.Contains(warn.String(), tc.key) || !strings.Contains(warn.String(), tc.val) {
-			t.Errorf("%s=%q: warning %q does not name the variable and value", tc.key, tc.val, warn.String())
-		}
-		// The malformed value must be ignored, leaving the default.
-		def := sim.Config{Seed: 1}
-		if cfg != def {
-			t.Errorf("%s=%q: config %+v, want defaults %+v", tc.key, tc.val, cfg, def)
-		}
-	}
-}
 
 // TestDetectionCachePerKeyOnce verifies the per-key once semantics of the
 // Env detection caches: concurrent callers for the same entity must share a
@@ -100,8 +42,9 @@ func TestDetectionCachePerKeyOnce(t *testing.T) {
 	}
 }
 
-// TestWarmMatchesLazyEvaluation checks that the concurrent warm-up leaves
-// the caches holding the same objects the lazy getters would build.
+// TestWarmMatchesLazyEvaluation checks that the warm-up leaves the caches
+// holding the same detections the lazy getters build: every target AS's and
+// every region's outages, ours and IODA's, event by event.
 func TestWarmMatchesLazyEvaluation(t *testing.T) {
 	e := New(sim.Config{Seed: 1, Scale: 0.02})
 	e.Warm()
@@ -111,15 +54,33 @@ func TestWarmMatchesLazyEvaluation(t *testing.T) {
 	}
 	lazy := New(sim.Config{Seed: 1, Scale: 0.02})
 	for _, asn := range e.TargetASNs() {
-		w, l := e.OurAS(asn), lazy.OurAS(asn)
-		if w.TotalRounds() != l.TotalRounds() {
-			t.Fatalf("AS%d: warmed detection has %d signal rounds, lazy %d", asn, w.TotalRounds(), l.TotalRounds())
-		}
+		sameOutages(t, fmt.Sprintf("AS%d ours", asn), e.OurAS(asn), lazy.OurAS(asn))
+		sameOutages(t, fmt.Sprintf("AS%d IODA", asn), e.IODAAS(asn), lazy.IODAAS(asn))
 	}
 	for _, r := range netmodel.Regions() {
-		w, l := e.OurRegion(r), lazy.OurRegion(r)
-		if w.TotalRounds() != l.TotalRounds() {
-			t.Fatalf("%s: warmed detection has %d signal rounds, lazy %d", r, w.TotalRounds(), l.TotalRounds())
+		sameOutages(t, fmt.Sprintf("%s ours", r), e.OurRegion(r), lazy.OurRegion(r))
+		sameOutages(t, fmt.Sprintf("%s IODA", r), e.IODARegion(r), lazy.IODARegion(r))
+	}
+}
+
+// sameOutages fails the test at the first outage (Start, End, Signals) in
+// which a warmed detection and a lazily built one differ. IODA reports
+// nothing below its floor, so both may be nil, but not only one.
+func sameOutages(t *testing.T, what string, warm, lazy *signals.Detection) {
+	t.Helper()
+	if (warm == nil) != (lazy == nil) {
+		t.Fatalf("%s: warmed detection nil=%t, lazy nil=%t", what, warm == nil, lazy == nil)
+	}
+	if warm == nil {
+		return
+	}
+	if len(warm.Outages) != len(lazy.Outages) {
+		t.Fatalf("%s: warmed detection has %d outages, lazy %d", what, len(warm.Outages), len(lazy.Outages))
+	}
+	for i, w := range warm.Outages {
+		l := lazy.Outages[i]
+		if w.Start != l.Start || w.End != l.End || w.Signals != l.Signals {
+			t.Fatalf("%s: outage %d is [%d, %d) %v warmed, [%d, %d) %v lazy", what, i, w.Start, w.End, w.Signals, l.Start, l.End, l.Signals)
 		}
 	}
 }

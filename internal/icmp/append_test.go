@@ -20,41 +20,6 @@ func benchMessage(i int) Message {
 	}
 }
 
-func BenchmarkAppendMarshal(b *testing.B) {
-	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	m := Message{Type: TypeEchoRequest, ID: 7, Seq: 9, Payload: payload}
-	buf := make([]byte, 0, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ID, m.Seq = uint16(i), uint16(i>>16)
-		buf = AppendMarshal(buf[:0], m)
-	}
-	if len(buf) != HeaderLen+len(payload) {
-		b.Fatalf("encoded %d bytes", len(buf))
-	}
-}
-
-func BenchmarkAppendMarshalIPv4(b *testing.B) {
-	h := IPv4Header{
-		TTL: 64, Protocol: ProtoICMP,
-		Src: netmodel.MustParseAddr("198.51.100.1"),
-		Dst: netmodel.MustParseAddr("91.198.4.7"),
-	}
-	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	m := Message{Type: TypeEchoRequest, ID: 7, Seq: 9, Payload: payload}
-	buf := make([]byte, 0, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ID, m.Seq, h.ID = uint16(i), uint16(i>>16), uint16(i)
-		buf = AppendMarshalIPv4(buf[:0], h, m)
-	}
-	if len(buf) != IPv4HeaderLen+HeaderLen+len(payload) {
-		b.Fatalf("encoded %d bytes", len(buf))
-	}
-}
-
 // TestAppendEncodersZeroAlloc pins the 0 allocs/op claim independent of
 // benchmark noise.
 func TestAppendEncodersZeroAlloc(t *testing.T) {

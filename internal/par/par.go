@@ -1,6 +1,6 @@
 // Package par is the deterministic worker-pool layer behind the analysis
 // pipeline's hot paths (store generation, classification, signal building,
-// the Trinocular baseline, experiment warm-up).
+// the Trinocular baseline, per-entity detection).
 //
 // Determinism contract: every helper assigns each index to exactly one
 // worker and collects results by index, so as long as the per-index function
@@ -103,24 +103,6 @@ func Map[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	ForEach(n, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// Do runs the given independent stage functions concurrently and waits for
-// all of them (the experiment-environment warm-up fan-out).
-func Do(fns ...func()) {
-	if len(fns) == 1 {
-		fns[0]()
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(fns))
-	for _, fn := range fns {
-		go func() {
-			defer wg.Done()
-			fn()
-		}()
-	}
-	wg.Wait()
 }
 
 // Cache is a concurrency-safe memoization map with per-key once semantics:

@@ -52,14 +52,6 @@ func TestWorkersEnvOverride(t *testing.T) {
 	}
 }
 
-func TestDoRunsAllStages(t *testing.T) {
-	var a, b, c atomic.Bool
-	Do(func() { a.Store(true) }, func() { b.Store(true) }, func() { c.Store(true) })
-	if !a.Load() || !b.Load() || !c.Load() {
-		t.Fatal("Do skipped a stage")
-	}
-}
-
 func TestCacheComputesOncePerKey(t *testing.T) {
 	var c Cache[int, int]
 	var computes atomic.Int32

@@ -1,7 +1,6 @@
 package scanner
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -428,29 +427,3 @@ func TestWalkMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkCursorWalk walks campaign_chaos's target set (96 blocks) once per
-// iteration, whole and as the first of three shards, which steps through the
-// other two shards' indices as well; ns/index is per emitted index.
-func BenchmarkCursorWalk(b *testing.B) {
-	for _, shards := range []int{1, 3} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			pm, err := NewPermutation(96*256, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var sum, emitted uint64
-			for i := 0; i < b.N; i++ {
-				c, _ := pm.IterateShard(0, shards)
-				for v, ok := c.Next(); ok; v, ok = c.Next() {
-					sum += v
-					emitted++
-				}
-			}
-			walkSink = sum
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(emitted), "ns/index")
-		})
-	}
-}
-
-var walkSink uint64

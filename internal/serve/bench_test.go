@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
-	"countrymon/internal/obs"
 	"countrymon/internal/signals"
 	"countrymon/internal/timeline"
 )
@@ -29,32 +26,8 @@ func benchStoreOn(b *testing.B, tl *timeline.Timeline, entities, sealed int, src
 	return st
 }
 
-// BenchmarkServeCachedQuery measures the hot read path: a query whose
-// rendered bytes are already cached — the repo benchmark's serve.hit_ns,
-// without the HTTP stack around it. allocs/op must stay 0, which
-// TestCachedQueryZeroAlloc enforces.
-func BenchmarkServeCachedQuery(b *testing.B) {
-	s := NewServer(benchStore(b, 50, 40))
-	s.Observe(obs.NewRegistry(), obs.NewBus(16))
-	req := httptest.NewRequest("GET", "/v1/series?entity=asn/asaa&limit=40", nil)
-	w := &reusableWriter{h: make(http.Header)}
-	handleSeries := s.routes["/v1/series"]
-	handleSeries(w, req)
-	if w.n == 0 {
-		b.Fatal("warmup request served no bytes")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.reset()
-		handleSeries(w, req)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req_per_sec")
-}
-
 // BenchmarkServeRenderSeries measures the miss path: query lookup, window
-// selection, columnar render into a reused scratch buffer, cache entry. The
-// ratio against BenchmarkServeCachedQuery is what the response cache buys.
+// selection, columnar render into a reused scratch buffer, cache entry.
 func BenchmarkServeRenderSeries(b *testing.B) {
 	s := NewServer(benchStore(b, 50, 40))
 	const q = "entity=asn/asaa&limit=40"
@@ -74,30 +47,6 @@ func BenchmarkServeRenderSeries(b *testing.B) {
 // entrySink keeps BenchmarkServeRenderSeries' entries reachable, so the
 // compiler cannot drop or stack-allocate what a miss allocates.
 var entrySink *cacheEntry
-
-// BenchmarkServeAdvance measures sealing one fresh round into a store with
-// many registered entities — the per-round cost the Monitor pays on the
-// campaign goroutine — over the paper's timeline, so the monthly column
-// growth is in the number. Past the last round it starts a fresh store, off
-// the clock.
-func BenchmarkServeAdvance(b *testing.B) {
-	tl := timeline.Default()
-	src := func(i int) Source { return patternSource{i} }
-	st := benchStoreOn(b, tl, 200, 0, src)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i, r := 0, 0; i < b.N; i, r = i+1, r+1 {
-		if r == tl.NumRounds() {
-			b.StopTimer()
-			st, r = benchStoreOn(b, tl, 200, 0, src), 0
-			b.StartTimer()
-		}
-		if err := st.Advance(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rounds_per_sec_serve")
-}
 
 // BenchmarkServeRegisterHalfSealed measures setting a store up mid-campaign:
 // 200 entities registered on the paper's timeline, then half of it sealed in

@@ -224,70 +224,3 @@ func TestFoldRejectsBatchBuilder(t *testing.T) {
 		t.Fatalf("NextFold = %d, want 2", got)
 	}
 }
-
-// benchCampaignStore builds a complete campaign over sim.Config's default
-// timeline — three years at the default 6 h interval, 4 357 rounds — at
-// small spatial scale (890 blocks): the per-round fold cost is O(blocks),
-// the rebuild cost O(blocks × rounds), so the long timeline is what
-// separates them.
-func benchCampaignStore(b *testing.B) (*dataset.Store, *netmodel.Space) {
-	b.Helper()
-	sc := sim.MustBuild(sim.Config{Seed: 5, Scale: 0.02})
-	return sc.GenerateStore(nil), sc.Space
-}
-
-// BenchmarkFoldRound measures folding one new round into a warm streaming
-// builder with every AS series materialized — the steady-state analysis
-// cost per campaign round.
-func BenchmarkFoldRound(b *testing.B) {
-	st, space := benchCampaignStore(b)
-	sb := NewStreamingBuilder(st, space, DefaultMinCoverage)
-	for _, as := range space.ASes() {
-		sb.AS(as.ASN)
-	}
-	last := st.Timeline().NumRounds() - 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	startT := time.Now()
-	for i := 0; i < b.N; i++ {
-		if err := sb.Fold(last); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if wall := time.Since(startT).Seconds(); wall > 0 {
-		b.ReportMetric(float64(b.N)/wall, "rounds_per_sec")
-		b.ReportMetric(wall*1e9/float64(b.N), "fold_ns_per_round")
-	}
-}
-
-// BenchmarkBuilderRebuild is the cost the fold replaces: a cold batch
-// rebuild with the same AS series materialized, per round handled.
-func BenchmarkBuilderRebuild(b *testing.B) {
-	st, space := benchCampaignStore(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bb := NewBuilderMinCoverage(st, space, DefaultMinCoverage)
-		for _, as := range space.ASes() {
-			bb.AS(as.ASN)
-		}
-	}
-}
-
-// BenchmarkFreshBuilder is a campaign's first signals build: a streaming
-// builder over an empty store with benchCampaignStore's timeline and
-// blocks, every AS series materialized — what a Monitor pays at start, before
-// any round has been recorded.
-func BenchmarkFreshBuilder(b *testing.B) {
-	full, space := benchCampaignStore(b)
-	st := dataset.NewStore(full.Timeline(), full.Blocks())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sb := NewStreamingBuilder(st, space, DefaultMinCoverage)
-		for _, as := range space.ASes() {
-			sb.AS(as.ASN)
-		}
-	}
-}

@@ -255,26 +255,3 @@ func TestResponderWarmPathZeroAlloc(t *testing.T) {
 }
 
 var benchReply simnet.Reply
-
-// BenchmarkResponderRespond times the far end's answer to one probe: hit asks
-// 256 hosts of a block within one minute (a full block scan), miss moves to a
-// new minute on every probe.
-func BenchmarkResponderRespond(b *testing.B) {
-	g := memoGrids[0]
-	s, _ := memoWorld(b, g.start, g.interval)
-	resp := s.Responder()
-	blk := s.Space.Blocks()[2]
-	base := s.TL.Time(9)
-	b.Run("hit", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchReply = resp.Respond(blk.Addr(uint8(i)), base)
-		}
-	})
-	b.Run("miss", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchReply = resp.Respond(blk.Addr(uint8(i)), base.Add(time.Duration(i%20000)*time.Minute))
-		}
-	})
-}
