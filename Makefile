@@ -73,11 +73,13 @@ profile-round:
 		.bench_build/countrymon.test .bench_build/round.mem.pprof
 
 # Profile the read side: one re-detect at the paper's size, the outage
-# fetches that follow a seal, and the series render — the benchmarks behind
-# serve_mixed's detection and render classes — plus a store's set-up
-# mid-campaign (200 entities, half the paper's timeline sealed; its B/op is
-# what the columns cost), with one CPU profile per package (a test binary
-# holds one) into .bench_build/, top 25 of each.
+# fetches that follow a seal, and the series render at serve_mixed's cold
+# shape (a pinned 84-row week of a series with runs, on the paper's timeline,
+# half of it sealed) — the benchmarks behind serve_mixed's detection and
+# render classes — plus a store's set-up mid-campaign (200 entities, half the
+# paper's timeline sealed; its B/op is what the columns cost), with one CPU
+# profile per package (a test binary holds one) into .bench_build/, top 25 of
+# each.
 profile-serve:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkDetect$$' -benchtime=0.5s \
@@ -139,7 +141,9 @@ metrics-lint:
 # linear-scan oracle, a serve store's grown columns against the
 # full-length layout under a random Register/Advance schedule, the raw-query
 # reader against url.ParseQuery, the series render against its url.Values
-# oracle, a block's geolocation shares against the per-country-map oracle on
+# oracle, every series body (the time column a store formats as it seals, the
+# repeated float cells copied) against per-cell AppendFloat and per-row Unix()
+# on random timelines, columns, schedules and windows, a block's geolocation shares against the per-country-map oracle on
 # random snapshots, the Energy Map parser against its split-string oracle and
 # IODA's word-at-a-time routed counts against the per-bit walk on random stores:
 # a few seconds each is enough to exercise the mutator beyond the seed corpus
@@ -163,6 +167,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -fuzz '^FuzzServeSchedule$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/query -fuzz '^FuzzGetMatchesParseQuery$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/serve -fuzz '^FuzzRenderSeriesMatchesRef$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/serve -fuzz '^FuzzSeriesBodyMatchesOracle$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/geodb -fuzz '^FuzzBlockSharesMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/power -fuzz '^FuzzParseReportMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/ioda -fuzz '^FuzzRegionSeriesMatchesRef$$' -fuzztime 5s -run '^$$'

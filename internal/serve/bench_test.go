@@ -1,16 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"strconv"
 	"testing"
 
 	"countrymon/internal/signals"
 	"countrymon/internal/timeline"
 )
-
-func benchStore(b *testing.B, entities, sealed int) *Store {
-	b.Helper()
-	return benchStoreOn(b, testTimeline(), entities, sealed, func(i int) Source { return patternSource{i} })
-}
 
 func benchStoreOn(b *testing.B, tl *timeline.Timeline, entities, sealed int, src func(i int) Source) *Store {
 	b.Helper()
@@ -26,11 +23,24 @@ func benchStoreOn(b *testing.B, tl *timeline.Timeline, entities, sealed int, src
 	return st
 }
 
-// BenchmarkServeRenderSeries measures the miss path: query lookup, window
-// selection, columnar render into a reused scratch buffer, cache entry.
+// BenchmarkServeRenderSeries measures the miss path at the shape of the
+// benchmark's cold readers: query lookup, window selection, the columnar
+// render of a pinned 84-row week into a reused scratch buffer, and the cache
+// entry. The entity is a dipSource on the paper's timeline, half of it
+// sealed: runs of equal cells between dips, so the render takes the repeat
+// path as a real series does.
 func BenchmarkServeRenderSeries(b *testing.B) {
-	s := NewServer(benchStore(b, 50, 40))
-	const q = "entity=asn/asaa&limit=40"
+	tl := timeline.Default()
+	half := tl.NumRounds() / 2
+	st := benchStoreOn(b, tl, 50, half, func(i int) Source { return dipSource{i * 7} })
+	s := NewServer(st)
+	// A week inside the last month complete at the watermark.
+	lo, _ := tl.MonthRounds(tl.MonthOfRound(half) - 1)
+	from, until := tl.Time(lo+100), tl.Time(lo+183)
+	q := "entity=asn/asaa&from=" + strconv.FormatInt(from.Unix(), 10) + "&until=" + strconv.FormatInt(until.Unix(), 10)
+	if body, immutable, _, _ := s.renderSeries(nil, q); !immutable || !bytes.Contains(body, []byte(`"count":84,`)) {
+		b.Fatalf("fixture: %s is not a pinned 84-row week: %.120s", q, body)
+	}
 	var scratch []byte
 	b.ReportAllocs()
 	b.ResetTimer()

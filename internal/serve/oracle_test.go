@@ -276,9 +276,11 @@ func TestBodiesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestAppendFloatColMatchesAppendFloat: the integer path prints the bytes
-// AppendFloat(v, 'g', -1, 32) prints, on every integer a float32 holds
-// exactly, around the switch of 'g' to exponent form, and off the integer path.
+// TestAppendFloatColMatchesAppendFloat: the integer path and the repeat path
+// print the bytes AppendFloat(v, 'g', -1, 32) prints, on every integer a
+// float32 holds exactly, around the switch of 'g' to exponent form, off the
+// integer path, and on runs of equal cells, where the bits decide what a
+// repeat is: 0 and -0 are equal floats, and a NaN equals no float.
 func TestAppendFloatColMatchesAppendFloat(t *testing.T) {
 	check := func(vals []float32) {
 		t.Helper()
@@ -291,12 +293,37 @@ func TestAppendFloatColMatchesAppendFloat(t *testing.T) {
 				t.Fatalf("cell %v (bits %#x) prints %q, AppendFloat prints %q", v, math.Float32bits(v), g, w)
 			}
 		}
-		t.Fatalf("columns differ though every cell matches")
+		t.Fatalf("columns differ though every cell matches:\n%s\nwant\n%s", got, want)
 	}
 
 	negZero := math.Float32frombits(1 << 31)
-	check([]float32{0, negZero, 1, -1, 0.5, 1.5, 999998.5, 999999, -999999, 999999.5, 1e6, -1e6, 1e6 + 1, 1e7, 1 << 24, 1<<24 + 2,
-		math.MaxFloat32, math.SmallestNonzeroFloat32, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))})
+	nan, otherNaN := float32(math.NaN()), math.Float32frombits(0xffc00001)
+	specials := []float32{0, negZero, 1, -1, 0.5, 1.5, 999998.5, 999999, -999999, 999999.5, 1e6, -1e6, 1e6 + 1, 1e7, 1 << 24, 1<<24 + 2,
+		math.MaxFloat32, math.SmallestNonzeroFloat32, nan, otherNaN, float32(math.Inf(1)), float32(math.Inf(-1))}
+	check(specials)
+
+	// A run of every length from 1 to 64 of each special value, then a run
+	// of the next one: the repeat copies the run's first cell, and the run
+	// after it starts afresh.
+	for i, v := range specials {
+		next := specials[(i+1)%len(specials)]
+		col := make([]float32, 0, 128)
+		for n := 1; n <= 64; n++ {
+			col = col[:0]
+			for j := 0; j < 2*n; j++ {
+				col = append(col, []float32{v, next}[j/n])
+			}
+			check(col)
+		}
+	}
+	// Equal floats of other bits, and NaNs of other payloads, alternate.
+	for _, pair := range [][2]float32{{0, negZero}, {negZero, 0}, {nan, otherNaN}, {nan, nan}} {
+		col := make([]float32, 65)
+		for i := range col {
+			col[i] = pair[i%2]
+		}
+		check(col)
+	}
 
 	// Every integer up to 2^24, past which a float32 skips some; under
 	// -short or the race detector, every integer the integer path can take

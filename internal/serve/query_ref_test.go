@@ -91,7 +91,7 @@ func (s *Server) refRenderSeries(rawQuery string) ([]byte, bool, int, string) {
 		if immutable {
 			wm = hi
 		}
-		body = appendSeriesJSON(make([]byte, 0, 256+32*(end-start)), ent, tl, wm, total, offset, limit, start, end)
+		body = appendSeriesJSON(make([]byte, 0, 256+32*(end-start)), s.store, ent, wm, total, offset, limit, start, end)
 	})
 	return body, immutable, 0, ""
 }

@@ -15,7 +15,10 @@
 //
 // The columns hold the sealed rounds plus the rest of the watermark's month,
 // not the planned timeline: a store costs O(entities × sealed rounds), and
-// Advance reallocates them, copying the sealed prefix, once per month.
+// Advance reallocates them, copying the sealed prefix, once per month. The
+// store's one time column, the series' unix seconds as text, grows at the same
+// points, and Advance formats each round into it once, as it seals the round:
+// a render copies it.
 //
 // The intended wiring for a live campaign is the streaming signals builder:
 // Monitor folds each round into the warm series (O(blocks)), then
@@ -29,6 +32,7 @@ package serve
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -101,6 +105,15 @@ type Store struct {
 	order     []string
 	watermark int
 
+	// The series time column: each sealed round's unix seconds, formatted
+	// once, when Advance seals the round, each followed by a comma; round r's
+	// text is timeText[timeOff[r]:timeOff[r+1]-1]. Both grow with the entity
+	// columns, through the end of the watermark's month, so the formatting
+	// appends into spare capacity. Swapped like the columns: read under the
+	// read lock.
+	timeText []byte
+	timeOff  []uint32
+
 	// epoch increments on every mutation (Advance or Register); the HTTP
 	// layer tags mutable cached responses with it.
 	epoch atomic.Uint64
@@ -108,7 +121,7 @@ type Store struct {
 
 // NewStore builds an empty store over the campaign timeline.
 func NewStore(tl *timeline.Timeline) *Store {
-	return &Store{tl: tl, entities: make(map[string]*Entity)}
+	return &Store{tl: tl, entities: make(map[string]*Entity), timeOff: []uint32{0}}
 }
 
 // Timeline returns the campaign timeline.
@@ -210,6 +223,16 @@ func (s *Store) Advance(round int) error {
 	// remaining rounds seal without reallocating; past the last month,
 	// MonthRounds clamps to NumRounds.
 	_, n := s.tl.MonthRounds(s.tl.MonthOfRound(round + 1))
+	if cap(s.timeOff) < n+1 {
+		s.growTime(n)
+	}
+	// Each round newly sealed gets its time text; a re-published round keeps
+	// its own, since its time never changes.
+	for r := s.watermark; r <= round; r++ {
+		s.timeText = strconv.AppendInt(s.timeText, s.tl.Time(r).Unix(), 10)
+		s.timeText = append(s.timeText, ',')
+		s.timeOff = append(s.timeOff, uint32(len(s.timeText)))
+	}
 	for _, key := range s.order {
 		e := s.entities[key]
 		if len(e.bgp) < n {
@@ -225,6 +248,49 @@ func (s *Store) Advance(round int) error {
 	}
 	s.epoch.Add(1)
 	return nil
+}
+
+// growTime reallocates the time column to hold n rounds, keeping the rounds
+// formatted so far: the text gets exactly the bytes the rounds up to n take,
+// so formatting them never outgrows it. Unix seconds run monotonically, so
+// when the first and the last of the new rounds print as wide and on the same
+// side of 0, every round between them does too.
+func (s *Store) growTime(n int) {
+	size := len(s.timeText)
+	first, last := s.tl.Time(s.watermark).Unix(), s.tl.Time(n-1).Unix()
+	if w := decimalLen(first); w == decimalLen(last) && (first < 0) == (last < 0) {
+		size += (n - s.watermark) * (w + 1)
+	} else {
+		for r := s.watermark; r < n; r++ {
+			size += decimalLen(s.tl.Time(r).Unix()) + 1
+		}
+	}
+	text := make([]byte, len(s.timeText), size)
+	copy(text, s.timeText)
+	off := make([]uint32, len(s.timeOff), n+1)
+	copy(off, s.timeOff)
+	s.timeText, s.timeOff = text, off
+}
+
+// decimalLen is the length of strconv.AppendInt(nil, x, 10).
+func decimalLen(x int64) int {
+	n, u := 1, uint64(x)
+	if x < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// appendTimes appends the time column's text for rounds [start, end), below
+// the watermark, without a trailing comma. Caller holds the read lock.
+func (s *Store) appendTimes(b []byte, start, end int) []byte {
+	if end <= start {
+		return b
+	}
+	return append(b, s.timeText[s.timeOff[start]:s.timeOff[end]-1]...)
 }
 
 // AdvanceTo seals every round below n — how a completed campaign's store is

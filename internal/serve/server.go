@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -12,7 +13,6 @@ import (
 	"countrymon/internal/obs"
 	"countrymon/internal/query"
 	"countrymon/internal/signals"
-	"countrymon/internal/timeline"
 )
 
 // Pagination bounds for /v1/series round windows.
@@ -256,12 +256,17 @@ func (s *Server) renderSeries(dst []byte, rawQuery string) ([]byte, bool, int, s
 		if immutable {
 			wm = hi
 		}
-		body = appendSeriesJSON(dst, ent, tl, wm, total, offset, limit, start, end)
+		body = appendSeriesJSON(dst, s.store, ent, wm, total, offset, limit, start, end)
 	})
 	return body, immutable, 0, ""
 }
 
-func appendSeriesJSON(b []byte, e *Entity, tl *timeline.Timeline, wm, total, offset, limit, start, end int) []byte {
+// appendSeriesJSON renders the series body of rounds [start, end) under the
+// store's read lock. Most of it is copied bytes: the time column from the
+// store, where Advance formatted each round once, and every float cell that
+// repeats the one before it from the body itself.
+func appendSeriesJSON(b []byte, st *Store, e *Entity, wm, total, offset, limit, start, end int) []byte {
+	tl := st.tl
 	b = append(b, `{"entity":`...)
 	b = strconv.AppendQuote(b, e.Key)
 	b = append(b, `,"watermark":`...)
@@ -277,12 +282,7 @@ func appendSeriesJSON(b []byte, e *Entity, tl *timeline.Timeline, wm, total, off
 	b = append(b, `,"count":`...)
 	b = strconv.AppendInt(b, int64(end-start), 10)
 	b = append(b, `,"time":[`...)
-	for r := start; r < end; r++ {
-		if r > start {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, tl.Time(r).Unix(), 10)
-	}
+	b = st.appendTimes(b, start, end)
 	b = append(b, `],"bgp":[`...)
 	b = appendFloatCol(b, e.bgp[start:end])
 	b = append(b, `],"fbs":[`...)
@@ -297,29 +297,48 @@ func appendSeriesJSON(b []byte, e *Entity, tl *timeline.Timeline, wm, total, off
 		b = strconv.AppendBool(b, e.missing[r])
 	}
 	b = append(b, `],"ips_valid":[`...)
-	for r := start; r < end; r++ {
-		if r > start {
-			b = append(b, ',')
+	// One month's rounds share a validity: a run at a time.
+	for r := start; r < end; {
+		m := tl.MonthOfRound(r)
+		_, hi := tl.MonthRounds(m)
+		valid := e.ipsValid[m]
+		for ; r < min(hi, end); r++ {
+			if r > start {
+				b = append(b, ',')
+			}
+			b = strconv.AppendBool(b, valid)
 		}
-		b = strconv.AppendBool(b, e.ipsValid[tl.MonthOfRound(r)])
 	}
 	b = append(b, `]}`...)
 	return b
 }
 
-// appendFloatCol is the one float-cell formatter. Cells are mostly counts,
-// and a whole number in [1, 999999] prints as its digits under 'g' (exponent
-// form starts at 1e6): those skip AppendFloat's shortest-float search.
+// appendFloatCol is the one float-cell formatter. A cell whose bits equal the
+// previous cell's copies that cell's bytes (a series is mostly runs: counts
+// that hold from round to round); comparing bits, not values, keeps a -0
+// after a 0 from printing as 0, and lets a NaN repeat. Other cells are mostly
+// counts, and a whole number in [1, 999999] prints as its digits under 'g'
+// (exponent form starts at 1e6): those skip AppendFloat's shortest-float
+// search.
 func appendFloatCol(b []byte, vals []float32) []byte {
+	var prev uint32
+	from, to := 0, 0 // the previous cell's bytes in b
 	for i, v := range vals {
+		bits := math.Float32bits(v)
 		if i > 0 {
 			b = append(b, ',')
+			if bits == prev {
+				b = append(b, b[from:to]...)
+				continue
+			}
 		}
+		from = len(b)
 		if n := int64(v); v >= 1 && v <= 999999 && float32(n) == v {
 			b = strconv.AppendInt(b, n, 10)
 		} else {
 			b = strconv.AppendFloat(b, float64(v), 'g', -1, 32)
 		}
+		to, prev = len(b), bits
 	}
 	return b
 }
