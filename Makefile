@@ -145,7 +145,9 @@ metrics-lint:
 # repeated float cells copied) against per-cell AppendFloat and per-row Unix()
 # on random timelines, columns, schedules and windows, a block's geolocation shares against the per-country-map oracle on
 # random snapshots, the Energy Map parser against its split-string oracle and
-# IODA's word-at-a-time routed counts against the per-bit walk on random stores:
+# IODA's word-at-a-time routed counts against the per-bit walk on random stores,
+# and the MRT RIB-dump reader, the one parser of outside routing bytes, against
+# its own write-back (a dump it accepts reads back as the same routes):
 # a few seconds each is enough to exercise the mutator beyond the seed corpus
 # in CI.
 fuzz-smoke:
@@ -171,6 +173,7 @@ fuzz-smoke:
 	$(GO) test ./internal/geodb -fuzz '^FuzzBlockSharesMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/power -fuzz '^FuzzParseReportMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/ioda -fuzz '^FuzzRegionSeriesMatchesRef$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/bgp -fuzz '^FuzzReadMRT$$' -fuzztime 5s -run '^$$'
 
 # Run the labeled scenario library through the full detection stack and fail
 # on any divergence from the committed golden scorecards.

@@ -731,8 +731,9 @@ func (m *Monitor) ApplyBGPSnapshot(snap *bgp.Snapshot, round int) {
 	m.invalidateFor(round, originsChanged)
 }
 
-// SetRouted marks a block's routedness directly (for pipelines that consume
-// table dumps rather than a live collector).
+// SetRouted marks one block's routedness directly, for callers that know it
+// per block (the simulator's ground truth, a caller's own table-dump
+// pipeline) rather than as a bgp.Snapshot.
 func (m *Monitor) SetRouted(blk BlockID, round int, routed bool, origin ASN) {
 	bi := m.store.BlockIndex(blk)
 	if bi < 0 {

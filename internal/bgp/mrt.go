@@ -62,7 +62,8 @@ func writeMRTRecord(w io.Writer, ts time.Time, subtype uint16, body []byte) erro
 
 // WriteMRT serializes the RIB as a TABLE_DUMP_V2 snapshot taken at ts, as a
 // single-peer collector view (RouteViews dumps carry one entry per peer;
-// the monitor's signal derivation only needs one).
+// the monitor's signal derivation only needs one). It refuses a route
+// without an AS_PATH or a NEXT_HOP.
 func (r *RIB) WriteMRT(w io.Writer, ts time.Time, collector netmodel.Addr, peer MRTPeer, viewName string) error {
 	bw := bufio.NewWriter(w)
 
@@ -88,6 +89,9 @@ func (r *RIB) WriteMRT(w io.Writer, ts time.Time, collector netmodel.Addr, peer 
 
 	// RIB_IPV4_UNICAST per route, sequence-numbered.
 	for seq, rt := range r.Routes() {
+		if err := checkMandatoryAttrs(rt); err != nil {
+			return err
+		}
 		attrs, err := marshalPathAttrs(rt.Origin, rt.Path, rt.NextHop)
 		if err != nil {
 			return err
@@ -112,7 +116,8 @@ func (r *RIB) WriteMRT(w io.Writer, ts time.Time, collector netmodel.Addr, peer 
 }
 
 // ReadMRT parses a TABLE_DUMP_V2 snapshot produced by WriteMRT (or any
-// single-view IPv4-unicast dump with 4-octet-AS peers).
+// single-view IPv4-unicast dump with 4-octet-AS peers). A RIB entry without
+// an AS_PATH or a NEXT_HOP is an ErrMRTFormat.
 func ReadMRT(r io.Reader) (*MRTDump, error) {
 	br := bufio.NewReader(r)
 	dump := &MRTDump{}
@@ -227,10 +232,23 @@ func (d *MRTDump) parseRIBEntry(b []byte) error {
 		if err := parsePathAttrs(b[off:off+attrLen], &rt.Origin, &rt.Path, &rt.NextHop); err != nil {
 			return err
 		}
+		if err := checkMandatoryAttrs(rt); err != nil {
+			return err
+		}
 		off += attrLen
 		if i == 0 { // first peer's view suffices for the monitor
 			d.Routes = append(d.Routes, rt)
 		}
+	}
+	return nil
+}
+
+// checkMandatoryAttrs rejects a route without an AS_PATH or a NEXT_HOP
+// (RFC 4271 §5.1.2–3): its origin would read as AS0, and every block it
+// covers would count as routed.
+func checkMandatoryAttrs(rt Route) error {
+	if len(rt.Path) == 0 || rt.NextHop == 0 {
+		return fmt.Errorf("%w: %v announced without AS_PATH or NEXT_HOP", ErrMRTFormat, rt.Prefix)
 	}
 	return nil
 }

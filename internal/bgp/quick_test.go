@@ -2,99 +2,9 @@ package bgp
 
 import (
 	"bytes"
-	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
-
-	"countrymon/internal/netmodel"
 )
-
-// randomUpdate generates structurally valid updates for round-trip checks.
-func randomUpdate(rng *rand.Rand) Update {
-	u := Update{}
-	nWd := rng.Intn(4)
-	for i := 0; i < nWd; i++ {
-		u.Withdrawn = append(u.Withdrawn, randomPrefix(rng))
-	}
-	if rng.Intn(3) > 0 { // announcements present
-		nPath := 1 + rng.Intn(6)
-		for i := 0; i < nPath; i++ {
-			u.ASPath = append(u.ASPath, netmodel.ASN(rng.Uint32()))
-		}
-		u.Origin = uint8(rng.Intn(3))
-		u.NextHop = netmodel.Addr(rng.Uint32() | 1)
-		nNLRI := 1 + rng.Intn(5)
-		for i := 0; i < nNLRI; i++ {
-			u.NLRI = append(u.NLRI, randomPrefix(rng))
-		}
-	}
-	return u
-}
-
-func randomPrefix(rng *rand.Rand) netmodel.Prefix {
-	bits := uint8(rng.Intn(25) + 8) // /8../32
-	return netmodel.MustNewPrefix(netmodel.Addr(rng.Uint32()), bits)
-}
-
-func TestQuickUpdateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		u := randomUpdate(rng)
-		b, err := MarshalUpdate(u)
-		if err != nil {
-			t.Fatalf("marshal %+v: %v", u, err)
-		}
-		msg, err := ParseMessage(b)
-		if err != nil {
-			t.Fatalf("parse: %v", err)
-		}
-		got := msg.(*Update)
-		if !reflect.DeepEqual(normalize(*got), normalize(u)) {
-			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, u)
-		}
-	}
-}
-
-// normalize maps nil and empty slices together for comparison.
-func normalize(u Update) Update {
-	if len(u.Withdrawn) == 0 {
-		u.Withdrawn = nil
-	}
-	if len(u.ASPath) == 0 {
-		u.ASPath = nil
-	}
-	if len(u.NLRI) == 0 {
-		u.NLRI = nil
-	}
-	if len(u.NLRI) == 0 {
-		u.Origin, u.NextHop = 0, 0
-	}
-	return u
-}
-
-func TestQuickParseMessageNeverPanics(t *testing.T) {
-	// Arbitrary bytes with a valid marker+length prefix must never panic,
-	// only error.
-	f := func(body []byte) bool {
-		b := make([]byte, 0, headerLen+len(body))
-		for i := 0; i < markerLen; i++ {
-			b = append(b, 0xff)
-		}
-		total := headerLen + len(body)
-		if total > maxMsgLen {
-			total = maxMsgLen
-		}
-		b = append(b, byte(total>>8), byte(total), 2) // UPDATE
-		b = append(b, body...)
-		_, err := ParseMessage(b[:min(len(b), total)])
-		_ = err
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestQuickMRTNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
@@ -105,11 +15,4 @@ func TestQuickMRTNeverPanics(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -35,8 +35,8 @@ func (r Route) PassesThrough(asn netmodel.ASN) bool {
 }
 
 // RIB is a routing information base keyed by exact prefix (best-path
-// selection is out of scope: the collector keeps the most recent
-// announcement, which matches how RouteViews table dumps are consumed).
+// selection is out of scope: a RIB keeps the latest route per prefix, one
+// peer's view, which matches how RouteViews table dumps are consumed).
 // It is safe for concurrent use.
 type RIB struct {
 	mu     sync.RWMutex
@@ -46,23 +46,6 @@ type RIB struct {
 // NewRIB returns an empty RIB.
 func NewRIB() *RIB {
 	return &RIB{routes: make(map[netmodel.Prefix]Route)}
-}
-
-// Apply folds an UPDATE into the RIB.
-func (r *RIB) Apply(u *Update) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, p := range u.Withdrawn {
-		delete(r.routes, p)
-	}
-	for _, p := range u.NLRI {
-		r.routes[p] = Route{
-			Prefix:  p,
-			Path:    append([]netmodel.ASN(nil), u.ASPath...),
-			NextHop: u.NextHop,
-			Origin:  u.Origin,
-		}
-	}
 }
 
 // Announce inserts a single route.

@@ -8,15 +8,15 @@ import (
 
 func TestRIBApplyAndSnapshot(t *testing.T) {
 	rib := NewRIB()
-	rib.Apply(&Update{
-		Origin: OriginIGP, ASPath: []netmodel.ASN{64512, 25482},
-		NextHop: netmodel.MustParseAddr("10.0.0.1"),
-		NLRI:    []netmodel.Prefix{netmodel.MustParsePrefix("193.151.240.0/23")},
+	rib.Announce(Route{
+		Prefix: netmodel.MustParsePrefix("193.151.240.0/23"),
+		Path:   []netmodel.ASN{64512, 25482}, NextHop: netmodel.MustParseAddr("10.0.0.1"),
+		Origin: OriginIGP,
 	})
-	rib.Apply(&Update{
-		Origin: OriginIGP, ASPath: []netmodel.ASN{64512, 20485, 15895},
-		NextHop: netmodel.MustParseAddr("10.0.0.1"),
-		NLRI:    []netmodel.Prefix{netmodel.MustParsePrefix("176.8.0.0/22")},
+	rib.Announce(Route{
+		Prefix: netmodel.MustParsePrefix("176.8.0.0/22"),
+		Path:   []netmodel.ASN{64512, 20485, 15895}, NextHop: netmodel.MustParseAddr("10.0.0.1"),
+		Origin: OriginIGP,
 	})
 	if rib.Len() != 2 {
 		t.Fatalf("Len = %d", rib.Len())
@@ -47,7 +47,7 @@ func TestRIBWithdraw(t *testing.T) {
 	rib := NewRIB()
 	p := netmodel.MustParsePrefix("10.0.0.0/24")
 	rib.Announce(Route{Prefix: p, Path: []netmodel.ASN{1}, NextHop: 1})
-	rib.Apply(&Update{Withdrawn: []netmodel.Prefix{p}})
+	rib.Withdraw(p)
 	if rib.Len() != 0 {
 		t.Fatal("withdraw did not remove route")
 	}
