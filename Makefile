@@ -143,8 +143,10 @@ metrics-lint:
 # reader against url.ParseQuery, the series render against its url.Values
 # oracle, every series body (the time column a store formats as it seals, the
 # repeated float cells copied) against per-cell AppendFloat and per-row Unix()
-# on random timelines, columns, schedules and windows, a block's geolocation shares against the per-country-map oracle on
-# random snapshots, the Energy Map parser against its split-string oracle and
+# on random timelines, columns, schedules and windows, a block's geolocation
+# shares against the per-country-map oracle and a lookup's containment-chain
+# walk against the backward scan, both on random snapshots, the Energy Map
+# parser against its split-string oracle and
 # IODA's word-at-a-time routed counts against the per-bit walk on random stores,
 # and the MRT RIB-dump reader, the one parser of outside routing bytes, against
 # its own write-back (a dump it accepts reads back as the same routes):
@@ -171,6 +173,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -fuzz '^FuzzRenderSeriesMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/serve -fuzz '^FuzzSeriesBodyMatchesOracle$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/geodb -fuzz '^FuzzBlockSharesMatchesRef$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/geodb -fuzz '^FuzzLookupMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/power -fuzz '^FuzzParseReportMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/ioda -fuzz '^FuzzRegionSeriesMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/bgp -fuzz '^FuzzReadMRT$$' -fuzztime 5s -run '^$$'

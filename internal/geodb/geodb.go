@@ -11,8 +11,10 @@ package geodb
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"countrymon/internal/netmodel"
@@ -30,23 +32,41 @@ type Entry struct {
 	RadiusKM uint32          // confidence radius, 5..5000 km
 }
 
-// Snapshot is one month's database. Entries must tile the covered space
-// without overlaps (the builder enforces longest-prefix semantics by
-// sorting; Lookup uses most-specific match).
+// Snapshot is one month's database. Entries may nest: a sub-/24 drift
+// carve-out inside its block's /24, or a block inside a wider range. The most
+// specific entry containing an address locates it.
+//
+// Two prefixes either nest or are disjoint, and the entries are sorted by
+// (Base, Bits), so the entries containing any one address form a chain, from
+// the most specific (the latest in sort order) to the widest. up links each
+// entry to the next one along its base's chain, so a query walks only the
+// entries that contain it, never the unrelated ones between.
 type Snapshot struct {
 	entries []Entry // sorted by (Base, Bits)
+	up      []int32 // up[j]: the latest entry before j containing j's base, or −1
 }
 
 // NewSnapshot builds a snapshot from entries (copied and sorted).
 func NewSnapshot(entries []Entry) *Snapshot {
 	es := append([]Entry(nil), entries...)
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Prefix.Base != es[j].Prefix.Base {
-			return es[i].Prefix.Base < es[j].Prefix.Base
+	slices.SortFunc(es, func(a, b Entry) int {
+		if c := cmp.Compare(a.Prefix.Base, b.Prefix.Base); c != 0 {
+			return c
 		}
-		return es[i].Prefix.Bits < es[j].Prefix.Bits
+		return cmp.Compare(a.Prefix.Bits, b.Prefix.Bits)
 	})
-	return &Snapshot{entries: es}
+	// The entries before j that contain j's base are a chain ending at the
+	// latest of them. Every entry between it and j starts inside it, so the
+	// walk from j−1 along up reaches it without passing it.
+	up := make([]int32, len(es))
+	for j := range es {
+		k := j - 1
+		for k >= 0 && !es[k].Prefix.Contains(es[j].Prefix.Base) {
+			k = int(up[k])
+		}
+		up[j] = int32(k)
+	}
+	return &Snapshot{entries: es, up: up}
 }
 
 // Len returns the number of entries.
@@ -55,31 +75,20 @@ func (s *Snapshot) Len() int { return len(s.entries) }
 // Entries returns the sorted entries (do not mutate).
 func (s *Snapshot) Entries() []Entry { return s.entries }
 
-// Lookup returns the most specific entry containing addr.
+// upTo returns the number of entries starting at or below a.
+func (s *Snapshot) upTo(a netmodel.Addr) int {
+	return sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Prefix.Base > a })
+}
+
+// Lookup returns the most specific entry containing addr: the first on the
+// chain of the last entry starting at or below addr that contains it.
 func (s *Snapshot) Lookup(addr netmodel.Addr) (Entry, bool) {
-	// Entries are sorted by base; candidates are those with Base <= addr.
-	// Scan backwards from the insertion point for the longest match; tiling
-	// means the first containing entry is the answer, but nested entries
-	// (sub-/24 drift carved out of a larger range) make a short backward
-	// scan necessary.
-	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Prefix.Base > addr })
-	best := Entry{}
-	found := false
-	for j := i - 1; j >= 0; j-- {
-		e := s.entries[j]
-		if e.Prefix.Contains(addr) {
-			if !found || e.Prefix.Bits > best.Prefix.Bits {
-				best, found = e, true
-			}
-		}
-		// Stop once entries can no longer contain addr: when the gap
-		// exceeds the widest possible prefix (a /0 would always contain,
-		// but our databases never go wider than /8).
-		if addr-e.Prefix.Base > 1<<24 {
-			break
+	for j := s.upTo(addr) - 1; j >= 0; j = int(s.up[j]) {
+		if e := s.entries[j]; e.Prefix.Contains(addr) {
+			return e, true
 		}
 	}
-	return best, found
+	return Entry{}, false
 }
 
 // BlockShares returns, for one /24 block, how many of its 256 addresses the
@@ -164,52 +173,91 @@ func (s *Snapshot) DominantAbroad(block netmodel.BlockID, country string) (strin
 // with the run's length. Unlocated addresses are skipped.
 func (s *Snapshot) locate(block netmodel.BlockID, f func(e *Entry, n uint16)) {
 	// The candidates are the entries[lo:hi] that start inside the block and
-	// the nearest entry before it that overlaps it. An entry starting before
-	// a block overlaps it only by containing all of it, so those entries nest
-	// and the nearest is the most specific of them.
-	bp := netmodel.Prefix{Base: block.First(), Bits: 24}
-	lo := sort.Search(len(s.entries), func(i int) bool {
-		return s.entries[i].Prefix.Base >= bp.Base
-	})
-	var outer *Entry
-	for j := lo - 1; j >= 0; j-- {
-		if s.entries[j].Prefix.Overlaps(bp) {
-			outer = &s.entries[j]
-			break
-		}
-		if bp.Base-s.entries[j].Prefix.Base > 1<<24 {
-			break
-		}
+	// the latest entry before them that contains the block's first address.
+	// An entry starting before a block overlaps it only by containing all of
+	// it, so that entry is the most specific of those.
+	first := block.First()
+	hi := s.upTo(first + netmodel.BlockSize - 1)
+	lo := hi
+	for lo > 0 && s.entries[lo-1].Prefix.Base >= first {
+		lo--
 	}
-	hi := lo
-	for hi < len(s.entries) && s.entries[hi].Prefix.Base <= bp.Base+255 {
-		hi++
+	o := lo - 1
+	for o >= 0 && !s.entries[o].Prefix.Contains(first) {
+		o = int(s.up[o])
 	}
-	if outer == nil && hi == lo {
+	var w sweep
+	if o >= 0 {
+		w.push(&s.entries[o], netmodel.BlockSize)
+	}
+	for j := lo; j < hi; j++ {
+		e := &s.entries[j]
+		start := int(e.Prefix.Base - first)
+		w.advance(start, f)
+		if w.depth > 0 && w.open[w.depth-1].e.Prefix == e.Prefix {
+			continue // of two equal prefixes, the first answers
+		}
+		end := netmodel.BlockSize
+		if e.Prefix.Bits > 24 {
+			end = start + 1<<(32-e.Prefix.Bits)
+		}
+		w.push(e, end)
+	}
+	w.advance(netmodel.BlockSize, f)
+	if w.run != nil {
+		f(w.run, w.n)
+	}
+}
+
+// sweep walks a block's addresses in order, over candidates taken in sort
+// order: each starts inside the open range below it or after it ends, so the
+// open ranges nest, at most one per prefix length, and the innermost locates
+// the addresses the sweep passes.
+type sweep struct {
+	open [33]struct {
+		e   *Entry
+		end int // the block offset the range ends before
+	}
+	depth int
+	pos   int    // the block offset of the next address to hand on
+	run   *Entry // the run being gathered: n addresses before pos
+	n     uint16
+}
+
+// push opens e's range, up to end, above the others.
+func (w *sweep) push(e *Entry, end int) {
+	w.open[w.depth].e, w.open[w.depth].end = e, end
+	w.depth++
+}
+
+// advance hands the addresses from pos up to end to the ranges that locate
+// them, closing each range the sweep passes the end of.
+func (w *sweep) advance(end int, f func(e *Entry, n uint16)) {
+	for w.depth > 0 && w.open[w.depth-1].end <= end {
+		w.depth--
+		w.emit(w.open[w.depth].e, w.open[w.depth].end, f)
+	}
+	var e *Entry
+	if w.depth > 0 {
+		e = w.open[w.depth-1].e
+	}
+	w.emit(e, end, f)
+}
+
+// emit adds the addresses from pos up to end to e's run, handing the run
+// before it to f when that run is another entry's; a nil e locates nothing.
+func (w *sweep) emit(e *Entry, end int, f func(e *Entry, n uint16)) {
+	if end == w.pos {
 		return
 	}
-	var run *Entry
-	var n uint16
-	for h := 0; h < netmodel.BlockSize; h++ {
-		a := block.Addr(uint8(h))
-		best := outer
-		for j := lo; j < hi; j++ {
-			if e := &s.entries[j]; e.Prefix.Contains(a) && (best == nil || e.Prefix.Bits > best.Prefix.Bits) {
-				best = e
-			}
+	if e != w.run {
+		if w.run != nil {
+			f(w.run, w.n)
 		}
-		if best == run {
-			n++
-			continue
-		}
-		if run != nil {
-			f(run, n)
-		}
-		run, n = best, 1
+		w.run, w.n = e, 0
 	}
-	if run != nil {
-		f(run, n)
-	}
+	w.n += uint16(end - w.pos)
+	w.pos = end
 }
 
 // RegionIPCounts sums located addresses per region across the snapshot with

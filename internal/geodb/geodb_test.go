@@ -44,6 +44,40 @@ func TestLookupMostSpecific(t *testing.T) {
 	}
 }
 
+// TestLookupFindsEnclosingWiderThanSlash8: an entry wider than /8 locates an
+// address however far below it the entries in between start.
+func TestLookupFindsEnclosingWiderThanSlash8(t *testing.T) {
+	s := NewSnapshot([]Entry{
+		{Prefix: netmodel.MustParsePrefix("0.0.0.0/1"), Country: "US", RadiusKM: 5000},
+		{Prefix: netmodel.MustParsePrefix("10.0.0.0/7"), Country: "UA", Region: netmodel.Kyiv, RadiusKM: 500},
+		{Prefix: netmodel.MustParsePrefix("10.5.0.0/24"), Country: "UA", Region: netmodel.Kherson, RadiusKM: 50},
+		{Prefix: netmodel.MustParsePrefix("90.0.0.0/24"), Country: "DE", RadiusKM: 1000},
+	})
+	for _, c := range []struct{ addr, want string }{
+		{"10.5.0.7", "10.5.0.0/24"},
+		{"11.255.0.1", "10.0.0.0/7"}, // 2²⁵ addresses above 10.5.0.0/24
+		{"90.0.0.1", "90.0.0.0/24"},
+		{"100.0.0.1", "0.0.0.0/1"}, // past 90.0.0.0/24 and the /7
+	} {
+		if e, ok := s.Lookup(netmodel.MustParseAddr(c.addr)); !ok || e.Prefix.String() != c.want {
+			t.Errorf("Lookup(%s) = %+v/%v, want %s", c.addr, e, ok, c.want)
+		}
+	}
+	if e, ok := s.Lookup(netmodel.MustParseAddr("200.0.0.1")); ok {
+		t.Errorf("Lookup(200.0.0.1) = %+v, want none", e)
+	}
+	if bs := s.BlockShares(netmodel.MustParseBlock("11.255.0.0/24")); bs.Located != 256 || bs.PerRegion[netmodel.Kyiv] != 256 {
+		t.Errorf("11.255.0.0/24 shares = %+v, want 256 in Kyiv", bs)
+	}
+	us := netmodel.MustParseBlock("100.0.0.0/24")
+	if bs := s.BlockShares(us); bs.Located != 256 || bs.PerRegion != [netmodel.NumRegions + 1]uint16{} {
+		t.Errorf("100.0.0.0/24 shares = %+v, want 256 located abroad", bs)
+	}
+	if cc, n := s.DominantAbroad(us, CountryUA); cc != "US" || n != 256 {
+		t.Errorf("DominantAbroad(100.0.0.0/24) = %s/%d, want US/256", cc, n)
+	}
+}
+
 func TestBlockShares(t *testing.T) {
 	s := sampleSnapshot()
 	bs := s.BlockShares(netmodel.MustParseBlock("91.198.4.0/24"))

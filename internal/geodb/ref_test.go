@@ -72,6 +72,35 @@ func (s *Snapshot) refBlockSharesFor(block netmodel.BlockID, country string) ref
 	return out
 }
 
+// refLookup is Lookup as it was when it stepped back through every entry
+// until one started more than 2²⁴ addresses below addr, kept verbatim as
+// Lookup's oracle. The cutoff is exact for entries no wider than /8.
+func (s *Snapshot) refLookup(addr netmodel.Addr) (Entry, bool) {
+	// Entries are sorted by base; candidates are those with Base <= addr.
+	// Scan backwards from the insertion point for the longest match; tiling
+	// means the first containing entry is the answer, but nested entries
+	// (sub-/24 drift carved out of a larger range) make a short backward
+	// scan necessary.
+	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Prefix.Base > addr })
+	best := Entry{}
+	found := false
+	for j := i - 1; j >= 0; j-- {
+		e := s.entries[j]
+		if e.Prefix.Contains(addr) {
+			if !found || e.Prefix.Bits > best.Prefix.Bits {
+				best, found = e, true
+			}
+		}
+		// Stop once entries can no longer contain addr: when the gap
+		// exceeds the widest possible prefix (a /0 would always contain,
+		// but our databases never go wider than /8).
+		if addr-e.Prefix.Base > 1<<24 {
+			break
+		}
+	}
+	return best, found
+}
+
 // testArea is the first of the 32 blocks randomSnapshot draws entries over,
 // eight million addresses into 10.0.0.0/8.
 var testArea = netmodel.MustParseBlock("10.129.0.0/24")
@@ -85,7 +114,10 @@ func prefixAt(a netmodel.Addr, bits uint8) netmodel.Prefix {
 // ranges from /8 to /23 around them (often more than eight deep, sometimes
 // only the /8, millions of addresses back past an unrelated range), /24s,
 // sub-/24 drift down to single addresses (sometimes a dozen or more in one
-// block), duplicates, region-less entries at home and abroad, and gaps.
+// block), duplicates, region-less entries at home and abroad, and gaps. Half
+// the time hundreds of unrelated /24s lie just below the area, between it
+// and the ranges that enclose it, as sim.GeoSnapshot lays a country out. No
+// entry is wider than /8, where refLookup's cutoff is exact.
 func randomSnapshot(rng *rand.Rand) *Snapshot {
 	ccs := []string{"UA", "UA", "UA", "US", "DE", "RU", ""}
 	entry := func(p netmodel.Prefix) Entry {
@@ -112,6 +144,11 @@ func randomSnapshot(rng *rand.Rand) *Snapshot {
 	for b := 0; b < 32; b++ {
 		if rng.IntN(2) == 0 {
 			es = append(es, entry(prefixAt(testArea.First()+netmodel.Addr(b*256), 24)))
+		}
+	}
+	if rng.IntN(2) == 0 {
+		for n := 100 + rng.IntN(400); n > 0; n-- {
+			es = append(es, entry(prefixAt(testArea.First()-netmodel.Addr(n*256), 24)))
 		}
 	}
 	for n := rng.IntN(24); n > 0; n-- {
@@ -230,9 +267,75 @@ func FuzzBlockSharesMatchesRef(f *testing.F) {
 	})
 }
 
+// checkLookupMatchesRef compares Lookup with the oracle at every address of
+// the test area and the block either side of it, and at a few far outside.
+func checkLookupMatchesRef(t *testing.T, s *Snapshot) {
+	t.Helper()
+	addrs := []netmodel.Addr{0, netmodel.MustParseAddr("9.0.0.1"), netmodel.MustParseAddr("11.0.0.1"),
+		netmodel.MustParseAddr("12.3.4.5"), netmodel.MustParseAddr("200.0.0.1"), ^netmodel.Addr(0)}
+	for a := (testArea - 1).First(); a < (testArea + 33).First(); a++ {
+		addrs = append(addrs, a)
+	}
+	for _, a := range addrs {
+		got, gotOK := s.Lookup(a)
+		want, wantOK := s.refLookup(a)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("Lookup(%v) = %+v/%v, oracle %+v/%v", a, got, gotOK, want, wantOK)
+		}
+	}
+}
+
+// TestLookupMatchesRef: on the sample snapshot and 200 random ones, walking
+// the containment chain gives the oracle's entry at every address.
+func TestLookupMatchesRef(t *testing.T) {
+	checkLookupMatchesRef(t, sampleSnapshot())
+	sparse := 0
+	for seed := uint64(0); seed < 200; seed++ {
+		s := randomSnapshot(rand.New(rand.NewPCG(seed, 0x9e0db)))
+		checkLookupMatchesRef(t, s)
+		// Count the snapshots where a block's most specific entry is a
+		// range starting more than 100 entries below the block.
+		for b := 0; b < 32; b++ {
+			a := (testArea + netmodel.BlockID(b)).First()
+			if e, ok := s.refLookup(a); ok && e.Prefix.Bits < 24 && s.upTo(a-1)-s.upTo(e.Prefix.Base-1) > 100 {
+				sparse++
+				break
+			}
+		}
+	}
+	if sparse == 0 {
+		t.Fatal("no snapshot puts 100 entries between a block and the range locating it: the generator misses a case")
+	}
+}
+
+// FuzzLookupMatchesRef is TestLookupMatchesRef on snapshots drawn from
+// fuzzed seeds.
+func FuzzLookupMatchesRef(f *testing.F) {
+	for _, seed := range []uint64{0, 1, 7, 42, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		checkLookupMatchesRef(t, randomSnapshot(rand.New(rand.NewPCG(seed, 0x9e0db))))
+	})
+}
+
+// TestNewSnapshotAllocs: building a snapshot allocates the snapshot, its
+// sorted copy and its containment index, and nothing per entry.
+func TestNewSnapshotAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	es := randomSnapshot(rand.New(rand.NewPCG(1, 0x9e0db))).Entries()
+	var sink *Snapshot
+	if allocs := testing.AllocsPerRun(50, func() { sink = NewSnapshot(es) }); allocs != 3 {
+		t.Errorf("NewSnapshot of %d entries allocates %.1f objects, want 3", len(es), allocs)
+	}
+	_ = sink
+}
+
 // TestBlockSharesZeroAlloc: counting a drifted block with addresses abroad,
-// and naming where they went, costs no heap (a candidate slice and a
-// per-country map per call before).
+// naming where they went and looking up its radius cost no heap (a
+// candidate slice and a per-country map per call before).
 func TestBlockSharesZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -245,13 +348,19 @@ func TestBlockSharesZeroAlloc(t *testing.T) {
 	if cc, n := s.DominantAbroad(blk, CountryUA); bs.Located != 256 || bs.PerRegion[netmodel.Kherson] != 144 || bs.PerRegion[netmodel.Kyiv] != 64 || cc != "US" || n != 32 {
 		t.Fatalf("shares %+v, abroad %s/%d: want 144 Kherson, 64 Kyiv, 32 US, 16 DE", bs, cc, n)
 	}
+	addr := blk.Addr(200)
+	if e, ok := s.Lookup(addr); !ok || e.Region != netmodel.Kyiv || e.Prefix.Bits != 26 {
+		t.Fatalf("Lookup(%v) = %+v/%v, want the Kyiv /26", addr, e, ok)
+	}
 	var sink BlockShares
+	var entry Entry
 	allocs := testing.AllocsPerRun(200, func() {
 		sink = s.BlockSharesFor(blk, CountryUA)
 		s.DominantAbroad(blk, CountryUA)
+		entry, _ = s.Lookup(addr)
 	})
 	if allocs != 0 {
-		t.Errorf("BlockSharesFor + DominantAbroad allocate %.1f objects per block, want 0", allocs)
+		t.Errorf("BlockSharesFor + DominantAbroad + Lookup allocate %.1f objects per block, want 0", allocs)
 	}
-	_ = sink
+	_, _ = sink, entry
 }
