@@ -10,6 +10,7 @@ import (
 	countrymon "countrymon"
 	"countrymon/internal/campaign"
 	"countrymon/internal/faults"
+	"countrymon/internal/fleet"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/scanner"
 	"countrymon/internal/simnet"
@@ -89,10 +90,10 @@ func xcSoloUA(t *testing.T, spec *campaign.Spec) *countrymon.Monitor {
 		origins[blk] = space.OriginOf(blk)
 	}
 	local := netmodel.MustParseAddr("203.0.113.1")
-	var vantages []countrymon.VantageSpec
+	var vantages []fleet.Spec
 	for i := 0; i < spec.Vantages; i++ {
 		vn := "v" + strconv.Itoa(i)
-		vantages = append(vantages, countrymon.VantageSpec{
+		vantages = append(vantages, fleet.Spec{
 			Name: vn,
 			Transport: func(round int, at time.Time) (countrymon.Transport, countrymon.Clock, error) {
 				net := simnet.New(local, world.Responder(), at)
@@ -100,8 +101,24 @@ func xcSoloUA(t *testing.T, spec *campaign.Spec) *countrymon.Monitor {
 			},
 		})
 	}
+	// A supervisor of its own with one campaign, scanning at UA's rate and
+	// seed: the fleet cmd/countrymon's -vantages builds.
+	ts, err := scanner.NewTargetSet(targets, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := fleet.NewShared(vantages, fleet.Config{Scan: scanner.Config{
+		Rate: spec.CountryRate("UA"), Seed: cs.Seed, Metrics: scanner.NewMetrics(nil),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp, err := sup.Join(fleet.CampaignConfig{Name: "default", Targets: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
 	mon, err := countrymon.New(countrymon.Options{
-		Vantages: vantages,
+		Fleet:    camp,
 		Clock:    scanner.NewVirtualClock(spec.Start),
 		Targets:  targets,
 		Start:    spec.Start,

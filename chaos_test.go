@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"countrymon/internal/faults"
+	"countrymon/internal/fleet"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/scanner"
 	"countrymon/internal/simnet"
@@ -41,9 +42,9 @@ func chaosWindow(from, to int, kind faults.Kind, period time.Duration) faults.Wi
 
 // chaosVantage builds a fleet vantage over the shared ground truth,
 // optionally fault-wrapped.
-func chaosVantage(name string, windows ...faults.Window) VantageSpec {
+func chaosVantage(name string, windows ...faults.Window) fleet.Spec {
 	local := netmodel.MustParseAddr("198.51.100.1")
-	return VantageSpec{
+	return fleet.Spec{
 		Name: name,
 		Transport: func(round int, at time.Time) (Transport, Clock, error) {
 			net := simnet.New(local, outageResponder(40, chaosOutFrom, chaosOutTo), at)
@@ -55,19 +56,43 @@ func chaosVantage(name string, windows ...faults.Window) VantageSpec {
 	}
 }
 
+// soloFleet joins one campaign, named "default", over opts' targets to a
+// fresh supervisor of specs. Its scans run at opts' rate and seed and report
+// into opts' registry and bus. It is the fleet a single-country Monitor
+// scans through, as cmd/countrymon's -vantages builds it.
+func soloFleet(t testing.TB, specs []fleet.Spec, opts Options, quorum int) *fleet.Campaign {
+	t.Helper()
+	targets, err := scanner.NewTargetSet(opts.Targets, opts.Exclude)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := fleet.NewShared(specs, fleet.Config{
+		Scan: scanner.Config{
+			Rate:    opts.Rate,
+			Seed:    opts.Seed,
+			Metrics: scanner.NewMetrics(opts.Registry),
+			Events:  opts.Bus,
+		},
+		Quorum:   quorum,
+		Registry: opts.Registry,
+		Bus:      opts.Bus,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp, err := sup.Join(fleet.CampaignConfig{Name: "default", Targets: targets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return camp
+}
+
 // chaosOpts is the shared fleet campaign configuration: v0 suffers a
 // blackout and later a receive-path stall, v1 flaps, v2 stays healthy.
-func chaosOpts(ckpt string) Options {
-	return Options{
-		Vantages: []VantageSpec{
-			chaosVantage("v0",
-				chaosWindow(10, 16, faults.Blackout, 0),
-				chaosWindow(30, 36, faults.Stall, 0)),
-			chaosVantage("v1",
-				chaosWindow(45, 50, faults.Flap, 45*time.Minute)),
-			chaosVantage("v2"),
-		},
-		Quorum:  2,
+// Every call joins a fresh supervisor, so each Monitor starts with fresh
+// breakers.
+func chaosOpts(t testing.TB, ckpt string) Options {
+	opts := Options{
 		Clock:   scanner.NewVirtualClock(chaosStart),
 		Targets: []Prefix{netmodel.MustParsePrefix("91.198.4.0/23")},
 		Start:   chaosStart, Rounds: chaosRounds, Interval: 2 * time.Hour,
@@ -78,14 +103,23 @@ func chaosOpts(ckpt string) Options {
 		},
 		CheckpointPath: ckpt, CheckpointEvery: 25,
 	}
+	opts.Fleet = soloFleet(t, []fleet.Spec{
+		chaosVantage("v0",
+			chaosWindow(10, 16, faults.Blackout, 0),
+			chaosWindow(30, 36, faults.Stall, 0)),
+		chaosVantage("v1",
+			chaosWindow(45, 50, faults.Flap, 45*time.Minute)),
+		chaosVantage("v2"),
+	}, opts, 2)
+	return opts
 }
 
 // chaosBaseline runs the same campaign through a single fault-free vantage:
 // the reference for which outages are real and when they are detected.
 func chaosBaseline(t *testing.T) *Monitor {
 	t.Helper()
-	opts := chaosOpts("")
-	opts.Vantages, opts.Quorum = nil, 0
+	opts := chaosOpts(t, "")
+	opts.Fleet = nil
 	net := simnet.New(netmodel.MustParseAddr("198.51.100.1"),
 		outageResponder(40, chaosOutFrom, chaosOutTo), chaosStart)
 	opts.Transport, opts.Clock = net, nil
@@ -120,7 +154,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatalf("baseline campaign: outages %+v, want one starting at round 60", baseAS.Outages)
 	}
 
-	chaos := runChaosCampaign(t, chaosOpts(""), -1)
+	chaos := runChaosCampaign(t, chaosOpts(t, ""), -1)
 
 	// (a) + (b): identical outage sets — zero false block-outage
 	// declarations AND the genuine outage detected in the same rounds (well
@@ -161,22 +195,22 @@ func TestChaosSoak(t *testing.T) {
 
 func TestChaosDeterministicAcrossWorkers(t *testing.T) {
 	t.Setenv("COUNTRYMON_WORKERS", "1")
-	serial := storeBytes(t, runChaosCampaign(t, chaosOpts(""), -1))
+	serial := storeBytes(t, runChaosCampaign(t, chaosOpts(t, ""), -1))
 	t.Setenv("COUNTRYMON_WORKERS", "8")
-	wide := storeBytes(t, runChaosCampaign(t, chaosOpts(""), -1))
+	wide := storeBytes(t, runChaosCampaign(t, chaosOpts(t, ""), -1))
 	if !bytes.Equal(serial, wide) {
 		t.Fatal("fleet campaign output depends on COUNTRYMON_WORKERS")
 	}
 }
 
 func TestChaosKillResume(t *testing.T) {
-	full := storeBytes(t, runChaosCampaign(t, chaosOpts(""), -1))
+	full := storeBytes(t, runChaosCampaign(t, chaosOpts(t, ""), -1))
 
 	// Kill at round 100 — past every fault window, with the fleet settled
 	// back to steady state — then resume from the checkpoint in a fresh
 	// monitor (fresh breakers) and finish.
 	ckpt := t.TempDir() + "/chaos.ckpt"
-	killed, err := New(chaosOpts(ckpt))
+	killed, err := New(chaosOpts(t, ckpt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +219,7 @@ func TestChaosKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := chaosOpts(ckpt)
+	opts := chaosOpts(t, ckpt)
 	opts.ResumeFrom = ckpt
 	opts.Clock = scanner.NewVirtualClock(chaosStart.Add(100 * 2 * time.Hour))
 	resumed := runChaosCampaign(t, opts, -1)

@@ -11,6 +11,7 @@ import (
 	"countrymon"
 	"countrymon/internal/dataset"
 	"countrymon/internal/faults"
+	"countrymon/internal/fleet"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/scanner"
 	"countrymon/internal/sim"
@@ -87,14 +88,17 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 		// timeline.
 		fleetNote = fmt.Sprintf(", fleet of %d vantages", f.vantages)
 		opts.Clock = scanner.NewVirtualClock(start)
-		opts.Quorum = f.quorum
-		for vi := 0; vi < f.vantages; vi++ {
-			opts.Vantages = append(opts.Vantages, countrymon.VantageSpec{
+		specs := make([]fleet.Spec, f.vantages)
+		for vi := range specs {
+			specs[vi] = fleet.Spec{
 				Name: fmt.Sprintf("v%d", vi),
-				Transport: func(round int, at time.Time) (countrymon.Transport, countrymon.Clock, error) {
+				Transport: func(round int, at time.Time) (scanner.Transport, scanner.Clock, error) {
 					return wire(vi, at), nil, nil
 				},
-			})
+			}
+		}
+		if opts.Fleet, err = e.joinFleet(specs, opts, f.quorum); err != nil {
+			return e.fail("%v", err)
 		}
 	} else {
 		opts.Transport = wire(0, start)
@@ -158,7 +162,7 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 		e.log.Printf("injected faults: %d send errors, %d drops, %d recv errors, %d truncated, %d silenced reads",
 			c.SendErrors, c.Drops, c.RecvErrors, c.Truncated, c.Blackouts)
 	}
-	rep, fleet := mon.FleetReport()
+	rep, inFleet := mon.FleetReport()
 	if rep.Suspects > 0 {
 		e.log.Printf("fleet fusion: %d suspect blocks (%d alive, %d down, %d held), %d steals",
 			rep.Suspects, rep.FusedAlive, rep.FusedDown, rep.FusedHeld, rep.Steals)
@@ -192,13 +196,39 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 		e.log.Printf("countrymon: %d of %d rounds ended below the %.0f%% coverage threshold (gated from signals)",
 			low, rounds, 100*minCov)
 		return 1
-	case fleet && rep.Degraded():
+	case inFleet && rep.Degraded():
 		e.log.Printf("countrymon: campaign completed degraded: quarantined=%v degraded_rounds=%d self_outages=%d",
 			rep.Quarantined, rep.DegradedRounds, rep.SelfOutages)
 		return 4
 	}
 	e.log.Printf("campaign complete: all %d rounds at full coverage", rounds)
 	return 0
+}
+
+// joinFleet builds the -vantages supervisor and joins one campaign, named
+// "default", over opts.Targets: the fleet a single-country campaign scans
+// through. Scans run at opts' rate and seed and report into the CLI's
+// registry and bus.
+func (e *env) joinFleet(specs []fleet.Spec, opts countrymon.Options, quorum int) (*fleet.Campaign, error) {
+	targets, err := scanner.NewTargetSet(opts.Targets, nil)
+	if err != nil {
+		return nil, err
+	}
+	sup, err := fleet.NewShared(specs, fleet.Config{
+		Scan: scanner.Config{
+			Rate:    opts.Rate,
+			Seed:    opts.Seed,
+			Metrics: scanner.NewMetrics(e.reg),
+			Events:  e.bus,
+		},
+		Quorum:   quorum,
+		Registry: e.reg,
+		Bus:      e.bus,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sup.Join(fleet.CampaignConfig{Name: "default", Targets: targets})
 }
 
 // vantageProfiles resolves one fault profile per vantage, nil for a clean

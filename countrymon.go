@@ -13,6 +13,7 @@
 //
 //	mon, _ := countrymon.New(countrymon.Options{
 //	    Transport: transport,          // e.g. simnet.Network or UDP tunnel
+//	    // or Fleet: a campaign joined to a fleet.NewShared supervisor
 //	    Clock:     clock,
 //	    Targets:   prefixes,           // e.g. from a RIPE delegation file
 //	    Start:     start, Rounds: rounds, Interval: 2 * time.Hour,
@@ -28,7 +29,6 @@
 //	    Hooks: countrymon.Hooks{
 //	        OnRound:      func(round int, st countrymon.Stats) { ... },
 //	        OnCheckpoint: func(round int, path string) { ... },
-//	        OnEvent:      func(ev obs.Event) { ... },
 //	    },
 //	})
 //
@@ -44,7 +44,8 @@
 // under it) to an internal/obs metrics registry and event bus. Every round,
 // checkpoint, retry and detection then shows up live on /metrics and
 // /events (see internal/obs and the README's Observability section); with
-// both nil the instrumentation reduces to nil checks.
+// both nil the instrumentation reduces to nil checks. The bus is the one
+// event stream: an in-process consumer reads it with Bus.Since.
 //
 // # Errors
 //
@@ -52,7 +53,9 @@
 // timeline is exhausted), ErrNoCheckpoint (Checkpoint without a configured
 // path), and ResumeMismatchError (ResumeFrom names a checkpoint of a
 // different campaign, carrying both conflicting timelines/blocks). Use
-// errors.Is / errors.As.
+// errors.Is / errors.As. New's other refusals — nothing to scan over, no
+// Rounds, bad Targets, a Fleet campaign joined over other blocks — are
+// plain errors.
 package countrymon
 
 import (
@@ -100,9 +103,6 @@ type (
 	Clock = scanner.Clock
 	// Stats summarizes one scan round.
 	Stats = scanner.Stats
-	// VantageSpec describes one vantage of a supervised fleet (see
-	// Options.Vantages and internal/fleet).
-	VantageSpec = fleet.Spec
 	// FleetReport aggregates a fleet campaign's resilience outcome:
 	// quarantined vantages, degraded rounds, steals and fusion tallies.
 	FleetReport = fleet.CampaignReport
@@ -146,26 +146,17 @@ type Options struct {
 	Rate int
 	Seed uint64
 
-	// Vantages runs every round over a supervised multi-vantage fleet
-	// (internal/fleet): each vantage scans its share of the round (one shard
-	// per vantage) over its own transports, circuit breakers quarantine
-	// flapping vantages, failed shards fail over to healthy vantages within
-	// the round, and suspect block transitions need k-of-n corroboration
-	// before they count as down. When set, Transport may be nil and is
-	// ignored. A round on which no vantage produced usable data is recorded
-	// missing — a self-outage, not a target outage.
-	Vantages []VantageSpec
-	// Quorum is k of the fleet's k-of-n corroboration: the coverage-weighted
-	// dark votes needed before a suspect block transitions to down (default
-	// min(2, len(Vantages))). Only meaningful with Vantages.
-	Quorum int
-
-	// Fleet attaches the monitor to an already-joined campaign of a shared
-	// fleet supervisor (fleet.NewShared + Join): multi-country coordinators
-	// use this so several monitors draw on one vantage pool with one global
-	// rate budget. The campaign must have been joined with this monitor's
-	// target set. Mutually exclusive with Vantages; when set, Transport may
-	// be nil and is ignored.
+	// Fleet runs every round over a campaign joined to a supervised
+	// multi-vantage fleet (fleet.NewShared, then Join): each vantage scans
+	// its share of the round over its own transports, circuit breakers
+	// quarantine flapping vantages, failed shards fail over to healthy
+	// vantages within the round, and suspect block transitions need k-of-n
+	// corroboration before they count as down. A round on which no vantage
+	// produced usable data is recorded missing — a self-outage, not a target
+	// outage. Several monitors may join one supervisor and so share its
+	// vantage pool and global rate budget. The campaign must have been
+	// joined over exactly this monitor's target blocks; New refuses any
+	// other. When set, Transport may be nil and is ignored.
 	Fleet *fleet.Campaign
 
 	// Country is the ISO code of the monitored country — the home country
@@ -237,16 +228,16 @@ type Monitor struct {
 	// sinceCkpt counts rounds handled since the last checkpoint write.
 	sinceCkpt int
 
-	// camp is the fleet campaign the monitor scans through (nil outside
-	// fleet mode): the sole campaign of a supervisor this monitor owns
-	// (Options.Vantages), or a joined handle on a shared supervisor
-	// (Options.Fleet). lastDataRound is the most recent round with ingested
-	// scan data — the fleet's previous belief for suspect detection — or -1.
+	// camp is the fleet campaign the monitor scans through (Options.Fleet;
+	// nil outside fleet mode). lastDataRound is the most recent round with
+	// ingested scan data — the fleet's previous belief for suspect
+	// detection — or -1.
 	camp          *fleet.Campaign
 	lastDataRound int
 
-	// Observability: bus and hooks receive events, metrics/scanM/sigM are
-	// the per-subsystem instruments (never nil; inert without a Registry),
+	// Observability: bus receives events, hooks are Run's callbacks (the
+	// checkpoint one fires from Checkpoint), metrics/scanM/sigM are the
+	// per-subsystem instruments (never nil; inert without a Registry),
 	// campaign accumulates Stats across scanned rounds.
 	bus      *obs.Bus
 	hooks    Hooks // active only during Run
@@ -274,11 +265,8 @@ type Monitor struct {
 
 // New validates options and builds the monitor.
 func New(opts Options) (*Monitor, error) {
-	if opts.Transport == nil && len(opts.Vantages) == 0 && opts.Fleet == nil {
-		return nil, errors.New("countrymon: no Transport, Vantages or Fleet to scan over")
-	}
-	if len(opts.Vantages) > 0 && opts.Fleet != nil {
-		return nil, errors.New("countrymon: Vantages and Fleet are mutually exclusive (Fleet is already a joined campaign)")
+	if opts.Transport == nil && opts.Fleet == nil {
+		return nil, errors.New("countrymon: no Transport or Fleet to scan over")
 	}
 	if opts.Interval <= 0 {
 		opts.Interval = timeline.DefaultInterval
@@ -316,27 +304,11 @@ func New(opts Options) (*Monitor, error) {
 		sigM:          signals.NewMetrics(opts.Registry),
 		lastDataRound: -1,
 	}
-	switch {
-	case opts.Fleet != nil:
+	if opts.Fleet != nil {
+		if err := checkFleetTargets(opts.Fleet, targets.Blocks()); err != nil {
+			return nil, err
+		}
 		m.camp = opts.Fleet
-	case len(opts.Vantages) > 0:
-		sup, err := fleet.NewShared(opts.Vantages, fleet.Config{
-			Scan: scanner.Config{
-				Rate:    opts.Rate,
-				Seed:    opts.Seed,
-				Metrics: m.scanM,
-				Events:  opts.Bus,
-			},
-			Quorum:   opts.Quorum,
-			Registry: opts.Registry,
-			Bus:      opts.Bus,
-		})
-		if err == nil {
-			m.camp, err = sup.Join(fleet.CampaignConfig{Name: "default", Targets: targets})
-		}
-		if err != nil {
-			return nil, fmt.Errorf("countrymon: %w", err)
-		}
 	}
 	if opts.ResumeFrom != "" {
 		if err := m.resume(opts.ResumeFrom); err != nil {
@@ -372,6 +344,26 @@ func New(opts Options) (*Monitor, error) {
 		m.origins[b] = asn
 	}
 	return m, nil
+}
+
+// checkFleetTargets returns an error naming the first difference between
+// the blocks camp was joined over and the monitor's own target blocks. The
+// fleet indexes a round's blocks in its target order and the monitor in its
+// store's, so any difference would credit one block's belief to another, or
+// index past the store.
+func checkFleetTargets(camp *fleet.Campaign, blocks []BlockID) error {
+	joined := camp.Targets().Blocks()
+	for i := range min(len(joined), len(blocks)) {
+		if joined[i] != blocks[i] {
+			return fmt.Errorf("countrymon: fleet campaign %q block %d is %v, Targets' is %v",
+				camp.Name(), i, joined[i], blocks[i])
+		}
+	}
+	if len(joined) != len(blocks) {
+		return fmt.Errorf("countrymon: fleet campaign %q has %d target blocks, Targets has %d",
+			camp.Name(), len(joined), len(blocks))
+	}
+	return nil
 }
 
 // attachRoundLog replays any existing journal at Options.RoundLogPath over
@@ -663,8 +655,8 @@ func (m *Monitor) prevBelief() fleet.PrevFunc {
 }
 
 // FleetReport returns the fleet campaign report when the monitor runs a
-// vantage fleet (Options.Vantages or Options.Fleet); ok is false otherwise.
-// On a shared fleet the report covers this monitor's campaign only.
+// vantage fleet (Options.Fleet); ok is false otherwise. The report covers
+// this monitor's campaign only, not the others joined to its supervisor.
 func (m *Monitor) FleetReport() (FleetReport, bool) {
 	if m.camp == nil {
 		return FleetReport{}, false

@@ -8,6 +8,7 @@ import (
 	"countrymon/internal/bgp"
 	"countrymon/internal/fleet"
 	"countrymon/internal/netmodel"
+	"countrymon/internal/scanner"
 	"countrymon/internal/simnet"
 )
 
@@ -109,21 +110,66 @@ func TestMonitorApplyBGPSnapshot(t *testing.T) {
 }
 
 func TestMonitorValidation(t *testing.T) {
-	if _, err := New(Options{}); err == nil || !strings.Contains(err.Error(), "no Transport, Vantages or Fleet") {
+	if _, err := New(Options{}); err == nil || !strings.Contains(err.Error(), "no Transport or Fleet") {
 		t.Errorf("missing scan source: err = %v", err)
 	}
 	net := simnet.New(1, simnet.ResponderFunc(func(netmodel.Addr, time.Time) simnet.Reply {
 		return simnet.Reply{}
 	}), time.Unix(0, 0))
-	if _, err := New(Options{Vantages: []VantageSpec{{Name: "v0"}}, Fleet: new(fleet.Campaign)}); err == nil ||
-		!strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("Vantages with Fleet: err = %v", err)
-	}
 	if _, err := New(Options{Transport: net, Targets: []Prefix{netmodel.MustParsePrefix("10.0.0.0/24")}}); err == nil {
 		t.Error("missing End/Rounds accepted")
 	}
 	if _, err := New(Options{Transport: net, Rounds: 1}); err == nil {
 		t.Error("missing targets accepted")
+	}
+}
+
+// TestFleetTargetsMustMatch: New refuses a fleet campaign joined over other
+// blocks than its Targets. The fleet indexes a round's blocks in its own
+// target order and the Monitor in its store's, so a mismatch would credit
+// one block's belief to another, or index past the store on the first
+// round with suspect blocks.
+func TestFleetTargetsMustMatch(t *testing.T) {
+	start := time.Unix(0, 0).UTC()
+	// Round 1 is dark, so every block turns suspect against round 0's
+	// belief and the fleet re-probes it.
+	vantage := fleet.Spec{Name: "v0", Transport: func(_ int, at time.Time) (Transport, Clock, error) {
+		net := simnet.New(netmodel.MustParseAddr("198.51.100.1"),
+			outageResponder(5, start.Add(time.Hour), start.Add(2*time.Hour)), at)
+		return net, net, nil
+	}}
+	over := func(prefix string) Options {
+		return Options{
+			Clock:   scanner.NewVirtualClock(start),
+			Targets: []Prefix{netmodel.MustParsePrefix(prefix)},
+			Start:   start, Rounds: 2, Interval: time.Hour, Seed: 1,
+		}
+	}
+	for _, tc := range []struct{ name, fleet, targets, err string }{
+		{"fleet wider, other blocks", "10.0.0.0/22", "10.0.2.0/24", "block 0 is 10.0.0.0/24, Targets' is 10.0.2.0/24"},
+		{"fleet wider, same first block", "10.0.0.0/22", "10.0.0.0/24", "has 4 target blocks, Targets has 1"},
+		{"targets wider", "10.0.0.0/24", "10.0.0.0/23", "has 1 target blocks, Targets has 2"},
+		{"same count, other blocks", "10.0.0.0/24", "10.0.1.0/24", "block 0 is 10.0.0.0/24, Targets' is 10.0.1.0/24"},
+		{"same blocks", "10.0.0.0/23", "10.0.0.0/23", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := over(tc.targets)
+			opts.Fleet = soloFleet(t, []fleet.Spec{vantage}, over(tc.fleet), 0)
+			mon, err := New(opts)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("New: err = %v, want one containing %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			runRounds(t, mon, -1)
+			if rep, _ := mon.FleetReport(); rep.Suspects != 2 {
+				t.Errorf("dark round: %d suspect blocks, want 2", rep.Suspects)
+			}
+		})
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	countrymon "countrymon"
 	"countrymon/internal/dataset"
+	"countrymon/internal/fleet"
 	"countrymon/internal/par"
 	"countrymon/internal/scanner"
 )
@@ -90,16 +91,32 @@ func soloCountry(t *testing.T, spec *Spec, code string) *countrymon.Monitor {
 	for _, blk := range space.Blocks() {
 		origins[blk] = space.OriginOf(blk)
 	}
-	var vantages []countrymon.VantageSpec
+	var vantages []fleet.Spec
 	for i := 0; i < spec.Vantages; i++ {
 		vn := "v" + strconv.Itoa(i)
-		vantages = append(vantages, countrymon.VantageSpec{
+		vantages = append(vantages, fleet.Spec{
 			Name:      vn,
 			Transport: countryTransport(code, vn, world, nil),
 		})
 	}
+	// A supervisor of its own with one campaign, scanning at the country's
+	// rate and seed: the fleet cmd/countrymon's -vantages builds.
+	ts, err := scanner.NewTargetSet(targets, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := fleet.NewShared(vantages, fleet.Config{Scan: scanner.Config{
+		Rate: spec.CountryRate(code), Seed: cs.Seed, Metrics: scanner.NewMetrics(nil),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp, err := sup.Join(fleet.CampaignConfig{Name: "default", Targets: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
 	mon, err := countrymon.New(countrymon.Options{
-		Vantages: vantages,
+		Fleet:    camp,
 		Clock:    scanner.NewVirtualClock(spec.Start),
 		Targets:  targets,
 		Start:    spec.Start,
@@ -147,7 +164,8 @@ func TestCampaignTwoCountryDeterminism(t *testing.T) {
 	}
 
 	// Solo equivalence, per country.
-	for _, code := range spec.Codes() {
+	for _, cs := range spec.Countries {
+		code := cs.Code
 		solo := storeBytes(t, soloCountry(t, spec, code))
 		if !bytes.Equal(got[code], solo) {
 			t.Errorf("country %s: coordinated store differs from solo run (%d vs %d bytes)",

@@ -256,15 +256,6 @@ func (s *Spec) CountryRate(code string) int {
 	return 0
 }
 
-// Codes returns the country codes in spec order.
-func (s *Spec) Codes() []string {
-	out := make([]string, len(s.Countries))
-	for i, c := range s.Countries {
-		out[i] = c.Code
-	}
-	return out
-}
-
 // validCode reports whether s is an uppercase ISO 3166-1 alpha-2 code.
 func validCode(s string) bool {
 	return len(s) == 2 &&

@@ -164,9 +164,6 @@ func NewTransport(inner scanner.Transport, clock scanner.Clock, prof Profile) *T
 		rng: netmodel.Mix64(prof.Seed ^ 0xfa17), metrics: &Metrics{}}
 }
 
-// Inner returns the wrapped transport.
-func (t *Transport) Inner() scanner.Transport { return t.inner }
-
 // Close implements io.Closer by delegation (a no-op when the inner transport
 // has nothing to close), so a wrapped transport is released like its inner
 // transport would be.

@@ -281,20 +281,6 @@ func (s *Supervisor) Join(cfg CampaignConfig) (*Campaign, error) {
 	return c, nil
 }
 
-// Vantages returns the vantage names in fleet order.
-func (s *Supervisor) Vantages() []string {
-	names := make([]string, len(s.vantages))
-	for i, v := range s.vantages {
-		names[i] = v.spec.Name
-	}
-	return names
-}
-
-// Campaigns returns the joined campaigns in join order.
-func (s *Supervisor) Campaigns() []*Campaign {
-	return append([]*Campaign(nil), s.campaigns...)
-}
-
 // Report returns the fleet-level aggregation so far: per-campaign tallies
 // summed (each round's steals and degradations are attributed to exactly
 // one campaign, so the sum counts each once), and every vantage whose
@@ -318,11 +304,11 @@ func (s *Supervisor) Report() CampaignReport {
 	return out
 }
 
-// State returns a vantage's current breaker state (by fleet order index).
-func (s *Supervisor) State(i int) BreakerState { return s.vantages[i].br.state }
-
 // Name returns the campaign's label.
 func (c *Campaign) Name() string { return c.name }
+
+// Targets returns the target set the campaign was joined over.
+func (c *Campaign) Targets() *scanner.TargetSet { return c.targets }
 
 // Report returns this campaign's aggregation so far.
 func (c *Campaign) Report() CampaignReport {

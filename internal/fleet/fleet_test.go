@@ -76,7 +76,7 @@ func baseConfig() Config {
 }
 
 // newSolo builds a supervisor and joins its one campaign over targets: the
-// single-country fleet a Monitor under Options.Vantages runs.
+// single-country fleet cmd/countrymon -vantages builds.
 func newSolo(specs []Spec, cfg Config, targets *scanner.TargetSet) (*Supervisor, *Campaign, error) {
 	s, err := NewShared(specs, cfg)
 	if err != nil {
@@ -209,7 +209,7 @@ func TestFailoverAndQuarantine(t *testing.T) {
 		}
 	}
 	// Threshold 3: v0 fails its shard in rounds 0, 1, 2 and trips.
-	if st := s.State(0); st != Open {
+	if st := s.vantages[0].br.state; st != Open {
 		t.Fatalf("v0 state %v, want open", st)
 	}
 	rep := s.Report()
@@ -259,7 +259,7 @@ func TestStalledVantageCannotFakeAnOutage(t *testing.T) {
 			t.Fatalf("round %d: %d blocks fused down — false outage", r, rep.FusedDown)
 		}
 	}
-	if st := s.State(0); st != Open {
+	if st := s.vantages[0].br.state; st != Open {
 		t.Fatalf("v0 state %v, want open (poisoned heartbeats must trip it)", st)
 	}
 	rep := s.Report()
@@ -311,7 +311,7 @@ func TestGenuineOutageStillDetected(t *testing.T) {
 	}
 	// A corroborated target outage is not a fleet problem: nobody tripped.
 	for i := range specs {
-		if st := s.State(i); st != Closed {
+		if st := s.vantages[i].br.state; st != Closed {
 			t.Fatalf("vantage %d state %v, want closed", i, st)
 		}
 	}

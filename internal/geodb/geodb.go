@@ -287,18 +287,6 @@ func (s *Snapshot) CountryIPCounts() map[string]int64 {
 	return out
 }
 
-// RadiusValues returns all radius values for entries matching the filter
-// (nil filter = all), weighted per entry (not per IP), for median analysis.
-func (s *Snapshot) RadiusValues(filter func(Entry) bool) []uint32 {
-	var out []uint32
-	for _, e := range s.entries {
-		if filter == nil || filter(e) {
-			out = append(out, e.RadiusKM)
-		}
-	}
-	return out
-}
-
 // DB is a sequence of monthly snapshots aligned with the campaign's dense
 // month indices.
 type DB struct {

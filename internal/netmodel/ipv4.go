@@ -87,9 +87,6 @@ func (b BlockID) First() Addr { return Addr(b) << 8 }
 // Addr returns the host-th address of the block.
 func (b BlockID) Addr(host uint8) Addr { return Addr(b)<<8 | Addr(host) }
 
-// Contains reports whether the address belongs to the block.
-func (b BlockID) Contains(a Addr) bool { return a.Block() == b }
-
 // String renders the block in CIDR notation, e.g. "176.8.28.0/24".
 func (b BlockID) String() string { return b.First().String() + "/24" }
 

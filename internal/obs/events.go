@@ -48,9 +48,8 @@ func NewBus(capacity int) *Bus {
 	return &Bus{ring: make([]Event, capacity), subs: make(map[uint64]chan Event)}
 }
 
-// Publish stamps and emits one event, returning it (with Seq assigned). On
-// a nil bus the event is still constructed and returned — un-sequenced —
-// so callers can hand it to local hooks without a bus attached.
+// Publish stamps and emits one event, returning it (with Seq assigned). A
+// nil bus publishes nothing and returns the event un-sequenced.
 func (b *Bus) Publish(kind string, fields map[string]any) Event {
 	ev := Event{Time: time.Now().UTC(), Kind: kind, Fields: fields}
 	if b == nil {

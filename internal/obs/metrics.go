@@ -340,16 +340,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return &GaugeVec{fam: f}
 }
 
-// Names returns the registered metric names in registration order.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
 // snapshot walks families in registration order under the registry lock,
 // handing each to visit with its children (if labeled) resolved.
 func (r *Registry) snapshot(visit func(f *family, children []*child)) {

@@ -8,19 +8,13 @@
 //
 // Volumes derive from the same ground truth as the scans: responsive users
 // generate requests, modulated by a strong human diurnal cycle and demand
-// noise. A small HTTP ingestion server is included so tests exercise a real
-// collection path.
+// noise.
 package passive
 
 import (
-	"encoding/json"
 	"math"
-	"net/http"
-	"sync"
-	"time"
 
 	"countrymon/internal/dataset"
-	"countrymon/internal/netmodel"
 	"countrymon/internal/regional"
 	"countrymon/internal/signals"
 )
@@ -119,77 +113,3 @@ func Detect(vol []float64, tl interface {
 	}
 	return d
 }
-
-// --- HTTP ingestion path ---
-
-// LogEntry is one reported traffic sample.
-type LogEntry struct {
-	Region   string  `json:"region"`
-	Requests float64 `json:"requests"`
-	// Slot is the reporting interval index (the CDN's fine-grained clock).
-	Slot int `json:"slot"`
-}
-
-// Collector aggregates request volumes reported over HTTP.
-type Collector struct {
-	mu   sync.Mutex
-	vols map[netmodel.Region]map[int]float64
-}
-
-// NewCollector builds an empty collector.
-func NewCollector() *Collector {
-	return &Collector{vols: make(map[netmodel.Region]map[int]float64)}
-}
-
-// ServeHTTP accepts POSTed LogEntry batches at any path.
-func (c *Collector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST log batches", http.StatusMethodNotAllowed)
-		return
-	}
-	var batch []LogEntry
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		http.Error(w, "bad JSON", http.StatusBadRequest)
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range batch {
-		region, ok := netmodel.RegionByName(e.Region)
-		if !ok || e.Requests < 0 || e.Slot < 0 {
-			http.Error(w, "bad entry", http.StatusBadRequest)
-			return
-		}
-		m := c.vols[region]
-		if m == nil {
-			m = make(map[int]float64)
-			c.vols[region] = m
-		}
-		m[e.Slot] += e.Requests
-	}
-	w.WriteHeader(http.StatusOK)
-}
-
-// Volume returns the aggregated request count for a region and slot.
-func (c *Collector) Volume(region netmodel.Region, slot int) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.vols[region][slot]
-}
-
-// Series returns the region's volume series over slots [0, n).
-func (c *Collector) Series(region netmodel.Region, n int) []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]float64, n)
-	for slot, v := range c.vols[region] {
-		if slot < n {
-			out[slot] = v
-		}
-	}
-	return out
-}
-
-// ReportInterval is the passive path's native resolution (Table 1: < 1 min;
-// we aggregate to the minute).
-const ReportInterval = time.Minute

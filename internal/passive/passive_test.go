@@ -1,10 +1,6 @@
 package passive
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -88,47 +84,6 @@ func TestPassiveCannotAttribute(t *testing.T) {
 		if o.Start <= seizure && seizure < o.End {
 			t.Log("note: passive flagged the seizure window at region level (volume coincidence)")
 		}
-	}
-}
-
-func TestCollectorHTTP(t *testing.T) {
-	col := NewCollector()
-	srv := httptest.NewServer(col)
-	defer srv.Close()
-
-	post := func(batch []LogEntry) *http.Response {
-		b, _ := json.Marshal(batch)
-		resp, err := http.Post(srv.URL+"/log", "application/json", bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp
-	}
-	resp := post([]LogEntry{
-		{Region: "Kherson", Requests: 120, Slot: 0},
-		{Region: "Kherson", Requests: 30, Slot: 0},
-		{Region: "Lviv", Requests: 500, Slot: 1},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if got := col.Volume(netmodel.Kherson, 0); got != 150 {
-		t.Errorf("Kherson slot 0 = %f", got)
-	}
-	series := col.Series(netmodel.Lviv, 3)
-	if series[1] != 500 || series[0] != 0 {
-		t.Errorf("series = %v", series)
-	}
-	// Rejections.
-	if resp := post([]LogEntry{{Region: "Atlantis", Requests: 1}}); resp.StatusCode != http.StatusBadRequest {
-		t.Error("unknown region accepted")
-	}
-	if resp := post([]LogEntry{{Region: "Lviv", Requests: -5}}); resp.StatusCode != http.StatusBadRequest {
-		t.Error("negative volume accepted")
-	}
-	if r2, _ := http.Get(srv.URL); r2.StatusCode != http.StatusMethodNotAllowed {
-		t.Error("GET accepted")
 	}
 }
 

@@ -32,10 +32,10 @@ import (
 type Portal struct {
 	store   *dataset.Store
 	anonKey []byte
+	tokens  map[string]bool // written only by New, so reads take no lock
 
 	mu      sync.RWMutex
 	optOuts []netmodel.Prefix
-	tokens  map[string]bool
 
 	mux *http.ServeMux
 	// data is the token-gated serve API AttachServe mounted at dataPrefix,
@@ -115,13 +115,6 @@ func (p *Portal) OptOuts() []netmodel.Prefix {
 	return append([]netmodel.Prefix(nil), p.optOuts...)
 }
 
-// AddToken approves a research-access token.
-func (p *Portal) AddToken(token string) {
-	p.mu.Lock()
-	p.tokens[token] = true
-	p.mu.Unlock()
-}
-
 func (p *Portal) handleInfo(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
@@ -184,11 +177,7 @@ func (p *Portal) handleOptOut(w http.ResponseWriter, r *http.Request) {
 
 func (p *Portal) withToken(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		token := query.Get(r.URL.RawQuery, "token")
-		p.mu.RLock()
-		ok := p.tokens[token]
-		p.mu.RUnlock()
-		if !ok {
+		if !p.tokens[query.Get(r.URL.RawQuery, "token")] {
 			http.Error(w, "access to the dataset requires an approved token", http.StatusForbidden)
 			return
 		}

@@ -182,9 +182,6 @@ func (c *Classifier) homeRow(asn netmodel.ASN) []int32 {
 	return c.homeIPs[int(ai)*c.months : (int(ai)+1)*c.months]
 }
 
-// Country returns the classifier's home country code.
-func (c *Classifier) Country() string { return c.country }
-
 func min32(a uint32, b uint32) uint32 {
 	if a < b {
 		return a

@@ -1,8 +1,8 @@
 // Package render draws the paper's timeline figures as text: per-entity
-// outage strips (Figs 8, 11, 25, 28), sparkline series (Figs 9, 13, 16) and
-// heat rows (Figs 10, 12, 26). Output is plain UTF-8 suitable for terminals
-// and logs; the experiments and the countrymon CLI use it to make the
-// reproduced figures legible rather than just tabulated.
+// outage strips (Figs 8, 11, 25, 28) stacked over a labelled year axis.
+// Output is plain UTF-8 suitable for terminals and logs; the experiments and
+// the countrymon CLI use it to make the reproduced figures legible rather
+// than just tabulated.
 package render
 
 import (
@@ -120,68 +120,4 @@ func axis(tl *timeline.Timeline, width int) string {
 		}
 	}
 	return line + "\n" + strings.TrimRight(string(lab), " ")
-}
-
-// Sparkline renders a numeric series as eight-level bars.
-func Sparkline(vals []float64, width int) string {
-	if len(vals) == 0 || width <= 0 {
-		return ""
-	}
-	levels := []rune("▁▂▃▄▅▆▇█")
-	if width > len(vals) {
-		width = len(vals)
-	}
-	max := 0.0
-	for _, v := range vals {
-		if v > max {
-			max = v
-		}
-	}
-	var b strings.Builder
-	for col := 0; col < width; col++ {
-		lo := col * len(vals) / width
-		hi := (col + 1) * len(vals) / width
-		if hi == lo {
-			hi = lo + 1
-		}
-		sum := 0.0
-		for i := lo; i < hi; i++ {
-			sum += vals[i]
-		}
-		v := sum / float64(hi-lo)
-		if max == 0 {
-			b.WriteRune(levels[0])
-			continue
-		}
-		idx := int(v / max * float64(len(levels)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(levels) {
-			idx = len(levels) - 1
-		}
-		b.WriteRune(levels[idx])
-	}
-	return b.String()
-}
-
-// HeatRow renders values 0..maxVal as a shaded row (Fig 10's day grid).
-func HeatRow(vals []float64, maxVal float64) string {
-	shades := []rune(" ░▒▓█")
-	var b strings.Builder
-	for _, v := range vals {
-		if maxVal <= 0 {
-			b.WriteRune(shades[0])
-			continue
-		}
-		idx := int(v / maxVal * float64(len(shades)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(shades) {
-			idx = len(shades) - 1
-		}
-		b.WriteRune(shades[idx])
-	}
-	return b.String()
 }

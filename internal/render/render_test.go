@@ -83,40 +83,3 @@ func TestTimeline(t *testing.T) {
 		t.Error("legend missing")
 	}
 }
-
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7}, 8)
-	runes := []rune(s)
-	if len(runes) != 8 {
-		t.Fatalf("len = %d", len(runes))
-	}
-	if runes[0] != '▁' || runes[7] != '█' {
-		t.Errorf("sparkline = %s", s)
-	}
-	// Monotone non-decreasing input gives monotone glyph levels.
-	prev := -1
-	levels := "▁▂▃▄▅▆▇█"
-	for _, r := range runes {
-		idx := strings.IndexRune(levels, r)
-		if idx < prev {
-			t.Fatalf("sparkline not monotone: %s", s)
-		}
-		prev = idx
-	}
-	if Sparkline(nil, 10) != "" {
-		t.Error("empty input should render empty")
-	}
-	if got := Sparkline([]float64{0, 0, 0}, 3); got != "▁▁▁" {
-		t.Errorf("all-zero sparkline = %q", got)
-	}
-}
-
-func TestHeatRow(t *testing.T) {
-	row := HeatRow([]float64{0, 6, 12, 18, 24}, 24)
-	if []rune(row)[0] != ' ' || []rune(row)[4] != '█' {
-		t.Errorf("heat row = %q", row)
-	}
-	if got := HeatRow([]float64{5}, 0); got != " " {
-		t.Errorf("zero-max heat = %q", got)
-	}
-}

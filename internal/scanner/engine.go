@@ -56,18 +56,18 @@ type roundRun struct {
 	recvDead bool
 	recvErr  error
 
-	// abort is the cancellation (context or Stop) that ended the round early.
+	// abort is the context cancellation that ended the round early.
 	abort error
 }
 
 // run drives the round: replies are drained without waiting between batches
 // and stragglers are collected in the cooldown.
-func (r *roundRun) run(s *Scanner, ctx context.Context, cur *Cursor) {
+func (r *roundRun) run(ctx context.Context, cur *Cursor) {
 	r.sc = getScratch(r.cfg.Batch)
 	defer scratchPool.Put(r.sc)
-	r.sendBatches(s, ctx, cur)
+	r.sendBatches(ctx, cur)
 	if r.abort == nil {
-		r.cooldown(s, ctx)
+		r.cooldown(ctx)
 	}
 }
 
@@ -137,7 +137,7 @@ type addrSend struct {
 // (all ProbesPerAddr probes of an address share a batch, so per-address
 // outcomes — probed, failed, error budget — resolve as the batch is
 // written). Between batches the replies already waiting are drained.
-func (r *roundRun) sendBatches(s *Scanner, ctx context.Context, cur *Cursor) {
+func (r *roundRun) sendBatches(ctx context.Context, cur *Cursor) {
 	nb := r.cfg.Batch
 	ppa := r.cfg.ProbesPerAddr
 	bufs, pkts, dsts, pktAddr, addrs := r.sc.bufs, r.sc.pkts, r.sc.dsts, r.sc.pktAddr, r.sc.addrs
@@ -146,7 +146,7 @@ func (r *roundRun) sendBatches(s *Scanner, ctx context.Context, cur *Cursor) {
 
 	done := false
 	for !done {
-		if err := s.interrupted(ctx); err != nil {
+		if err := interrupted(ctx); err != nil {
 			r.abort = err
 			return
 		}
@@ -179,7 +179,7 @@ func (r *roundRun) sendBatches(s *Scanner, ctx context.Context, cur *Cursor) {
 			pkts[i] = bufs[i]
 		}
 		r.cfg.Metrics.BatchFill.Observe(float64(len(pkts)) / float64(nb))
-		ok := r.writeBatch(s, ctx, pkts, dsts, pktAddr, addrs, seq)
+		ok := r.writeBatch(ctx, pkts, dsts, pktAddr, addrs, seq)
 		r.publishSend()
 		if !ok {
 			return
@@ -235,7 +235,7 @@ const (
 // retries or fail hard are abandoned and counted, and every address
 // resolves as its last probe leaves the batch — including an error-budget
 // abort mid-batch. Returns false when the round must stop sending.
-func (r *roundRun) writeBatch(s *Scanner, ctx context.Context, pkts [][]byte, dsts []netmodel.Addr, pktAddr []int, addrs []addrSend, base uint64) bool {
+func (r *roundRun) writeBatch(ctx context.Context, pkts [][]byte, dsts []netmodel.Addr, pktAddr []int, addrs []addrSend, base uint64) bool {
 	overBudget := false
 	finish := func(j int, sentOK bool) {
 		st := &addrs[pktAddr[j]]
@@ -295,7 +295,7 @@ func (r *roundRun) writeBatch(s *Scanner, ctx context.Context, pkts [][]byte, ds
 			if backoff < time.Second {
 				backoff *= 2
 			}
-			if ierr := s.interrupted(ctx); ierr != nil {
+			if ierr := interrupted(ctx); ierr != nil {
 				r.abort = ierr
 				return false
 			}
@@ -344,10 +344,10 @@ func (r *roundRun) drainPending() {
 
 // cooldown collects stragglers until the cooldown window closes, the first
 // idle timeout, cancellation, or receive-path death.
-func (r *roundRun) cooldown(s *Scanner, ctx context.Context) {
+func (r *roundRun) cooldown(ctx context.Context) {
 	deadline := r.cfg.Clock.Now().Add(r.cfg.Cooldown)
 	for {
-		if err := s.interrupted(ctx); err != nil {
+		if err := interrupted(ctx); err != nil {
 			r.abort = err
 			return
 		}

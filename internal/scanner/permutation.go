@@ -74,9 +74,6 @@ func (pm *Permutation) step(cur uint64) uint64 {
 	return r
 }
 
-// Len returns the domain size.
-func (pm *Permutation) Len() uint64 { return pm.n }
-
 // Cursor is an iteration position within a permutation cycle.
 type Cursor struct {
 	pm      *Permutation

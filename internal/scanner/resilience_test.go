@@ -283,27 +283,29 @@ func TestRunContextCancellation(t *testing.T) {
 
 func TestStopAbortsWedgedTransport(t *testing.T) {
 	// A transport that always fails sends with transient errors would retry
-	// forever round after round; Stop must cut it short.
+	// forever round after round; cancelling its context from another
+	// goroutine must cut it short.
 	ts := newTargets(t, "10.14.0.0/20") // 4096 targets
 	net := simnet.New(netmodel.MustParseAddr("198.51.100.1"), respondEvens(10*time.Millisecond), time.Unix(0, 0))
 	sc := scanner.New(&deadSender{inner: net}, scanner.Config{
 		Rate: 0, Seed: 15, Epoch: 1, Clock: net, ErrorBudget: 1,
 	})
+	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	var rd *scanner.RoundData
 	var err error
 	go func() {
-		rd, err = sc.Run(ts)
+		rd, err = sc.RunContext(ctx, ts)
 		close(done)
 	}()
-	sc.Stop()
+	cancel()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Stop did not abort the round")
+		t.Fatal("cancellation did not abort the round")
 	}
-	if !errors.Is(err, scanner.ErrStopped) {
-		t.Errorf("err = %v, want ErrStopped", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	if rd == nil || !rd.Partial {
 		t.Error("stopped round must return partial data")

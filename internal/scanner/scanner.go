@@ -3,7 +3,6 @@ package scanner
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"countrymon/internal/netmodel"
@@ -13,9 +12,6 @@ import (
 // ErrTimeout is returned by Transport.ReadPacket when no packet arrived
 // within the wait budget.
 var ErrTimeout = errors.New("scanner: read timeout")
-
-// ErrStopped is returned by RunContext when Stop was called mid-round.
-var ErrStopped = errors.New("scanner: stopped")
 
 // IsTransient reports whether a transport error is worth retrying: the
 // error (or one it wraps) advertises itself via a `Transient() bool`
@@ -194,7 +190,7 @@ type RoundData struct {
 	ShardTargets int
 	Probed       int
 	// Partial marks a salvaged round: the error budget ran out, the
-	// receive path died, or the round was stopped, so part of the target
+	// receive path died, or the round was cancelled, so part of the target
 	// set was never probed. Callers should gate such rounds on Coverage
 	// rather than treat them as full observations.
 	Partial bool
@@ -218,9 +214,8 @@ func (rd *RoundData) Coverage() float64 {
 
 // Scanner performs full-block ICMP scans over a transport.
 type Scanner struct {
-	cfg     Config
-	tr      Transport
-	stopped atomic.Bool
+	cfg Config
+	tr  Transport
 }
 
 // New builds a scanner.
@@ -228,16 +223,8 @@ func New(tr Transport, cfg Config) *Scanner {
 	return &Scanner{cfg: cfg.withDefaults(), tr: tr}
 }
 
-// Stop aborts the in-flight round at the next send or read boundary. It is
-// safe to call from another goroutine; the round returns partial data and
-// ErrStopped.
-func (s *Scanner) Stop() { s.stopped.Store(true) }
-
 // interrupted reports why the round should abort, or nil.
-func (s *Scanner) interrupted(ctx context.Context) error {
-	if s.stopped.Load() {
-		return ErrStopped
-	}
+func interrupted(ctx context.Context) error {
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
@@ -253,12 +240,12 @@ func (s *Scanner) Run(targets *TargetSet) (*RoundData, error) {
 }
 
 // RunContext is Run with cancellation: the round aborts at the next probe
-// or read boundary when ctx is done (or Stop is called), returning the
-// partial results gathered so far alongside the context error. Transient
-// send errors are retried with exponential backoff; addresses that still
-// fail are skipped and counted, and once more than ErrorBudget of the
-// shard's targets have failed the rest of the round is abandoned and the
-// result marked Partial — a degraded round is data, not an error.
+// or read boundary when ctx is done, returning the partial results gathered
+// so far alongside the context error. Transient send errors are retried
+// with exponential backoff; addresses that still fail are skipped and
+// counted, and once more than ErrorBudget of the shard's targets have
+// failed the rest of the round is abandoned and the result marked Partial —
+// a degraded round is data, not an error.
 func (s *Scanner) RunContext(ctx context.Context, targets *TargetSet) (*RoundData, error) {
 	cfg := s.cfg
 	pm, err := NewPermutation(targets.Len(), cfg.Seed)
@@ -290,7 +277,7 @@ func (s *Scanner) RunContext(ctx context.Context, targets *TargetSet) (*RoundDat
 		maxFail: int(cfg.ErrorBudget * float64(rd.ShardTargets)),
 		blocks:  rd.Blocks,
 	}
-	r.run(s, ctx, cur)
+	r.run(ctx, cur)
 	r.finalize(rd)
 	rd.Stats.Elapsed = cfg.Clock.Now().Sub(start)
 	return rd, r.abort

@@ -58,9 +58,6 @@ func NewHitlist(addrs []netip.Addr) (*Hitlist, error) {
 // Len returns the number of targets.
 func (h *Hitlist) Len() int { return len(h.addrs) }
 
-// Addrs returns the targets (do not mutate).
-func (h *Hitlist) Addrs() []netip.Addr { return h.addrs }
-
 // Sites returns the distinct /48 sites covered.
 func (h *Hitlist) Sites() []netip.Prefix {
 	var out []netip.Prefix
@@ -115,14 +112,6 @@ type SiteResult struct {
 	Targets   int
 	Responses int
 	RTTSum    time.Duration
-}
-
-// MeanRTT returns the site's mean RTT (0 without responses).
-func (s *SiteResult) MeanRTT() time.Duration {
-	if s.Responses == 0 {
-		return 0
-	}
-	return s.RTTSum / time.Duration(s.Responses)
 }
 
 // RoundData is one completed hitlist round.

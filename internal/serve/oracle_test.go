@@ -399,7 +399,7 @@ func TestDetectionMemoOncePerWatermark(t *testing.T) {
 			}
 		}()
 	}
-	for r := 0; r < st.Timeline().NumRounds(); r++ {
+	for r := 0; r < st.tl.NumRounds(); r++ {
 		if err := st.Advance(r); err != nil {
 			t.Error(err)
 		}

@@ -57,12 +57,6 @@ func (rt *Router) Add(code, name string, s *Server) error {
 	return nil
 }
 
-// Default returns the default country code (empty until the first Add).
-func (rt *Router) Default() string { return rt.def }
-
-// Countries returns the registered codes in Add order.
-func (rt *Router) Countries() []string { return append([]string(nil), rt.order...) }
-
 // Server returns the server for code, or nil.
 func (rt *Router) Server(code string) *Server { return rt.servers[code] }
 

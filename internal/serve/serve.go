@@ -124,9 +124,6 @@ func NewStore(tl *timeline.Timeline) *Store {
 	return &Store{tl: tl, entities: make(map[string]*Entity), timeOff: []uint32{0}}
 }
 
-// Timeline returns the campaign timeline.
-func (s *Store) Timeline() *timeline.Timeline { return s.tl }
-
 // EntityKey canonicalizes a type/code pair.
 func EntityKey(typ, code string) string { return typ + "/" + code }
 
@@ -309,9 +306,6 @@ func (s *Store) Watermark() int {
 	defer s.mu.RUnlock()
 	return s.watermark
 }
-
-// Epoch returns the mutation counter (bumped by Advance and Register).
-func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 
 // Entity returns the registered entity for key, or nil.
 func (s *Store) Entity(key string) *Entity {

@@ -61,7 +61,7 @@ func TestStoreAdvanceSeals(t *testing.T) {
 	if st.Watermark() != 10 {
 		t.Fatalf("watermark moved to %d after replays", st.Watermark())
 	}
-	if err := st.Advance(st.Timeline().NumRounds()); err == nil {
+	if err := st.Advance(st.tl.NumRounds()); err == nil {
 		t.Fatal("out-of-range Advance did not error")
 	}
 }

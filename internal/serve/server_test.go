@@ -70,7 +70,7 @@ func TestSeriesEndpoint(t *testing.T) {
 	if out.Entity != "asn/6877" || out.Watermark != 40 || out.Total != 40 || out.Count != 40 {
 		t.Fatalf("snapshot header wrong: %+v", out)
 	}
-	tl := st.Timeline()
+	tl := st.tl
 	for i := 0; i < out.Count; i++ {
 		bgp, fbs, ips, miss := (patternSource{1}).Sample(i)
 		if out.BGP[i] != bgp || out.FBS[i] != fbs || out.IPS[i] != ips || out.Missing[i] != miss {
@@ -166,7 +166,7 @@ func TestSeriesErrors(t *testing.T) {
 
 func TestCachingSemantics(t *testing.T) {
 	s, st := newTestServer(t, 70)
-	tl := st.Timeline()
+	tl := st.tl
 
 	// A window pinned inside sealed, month-complete history is immutable.
 	_, mhi := tl.MonthRounds(0)
@@ -223,7 +223,7 @@ func TestCachingSemantics(t *testing.T) {
 // any later watermark.
 func TestImmutableBodyIgnoresWatermark(t *testing.T) {
 	s, st := newTestServer(t, 70)
-	tl := st.Timeline()
+	tl := st.tl
 	_, mhi := tl.MonthRounds(0)
 	url := "/v1/series?entity=asn/6877&from=" + strconv.FormatInt(tl.Time(0).Unix(), 10) +
 		"&until=" + strconv.FormatInt(tl.Time(mhi-1).Unix(), 10)
@@ -300,7 +300,7 @@ func TestOutagesEndpoint(t *testing.T) {
 		t.Fatalf("outages payload wrong: %+v", out)
 	}
 	o := out.Outages[0]
-	tl := st.Timeline()
+	tl := st.tl
 	if o.StartRound != 3 || o.EndRound != 7 || o.Signals != "bgp+ips" || o.Ongoing {
 		t.Fatalf("first outage wrong: %+v", o)
 	}
@@ -399,7 +399,7 @@ func TestMissAllocs(t *testing.T) {
 	}
 	s, st := newTestServer(t, 40)
 	s.Observe(obs.NewRegistry(), obs.NewBus(16))
-	from := strconv.FormatInt(st.Timeline().Time(2).Unix(), 10)
+	from := strconv.FormatInt(st.tl.Time(2).Unix(), 10)
 	reqs := make([]*http.Request, 300)
 	for i := range reqs {
 		reqs[i] = httptest.NewRequest("GET", "/v1/series?entity=asn/6877&from="+from+"&limit=30&offset="+strconv.Itoa(i), nil)

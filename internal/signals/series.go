@@ -157,12 +157,6 @@ func NewBuilderMinCoverage(store *dataset.Store, space *netmodel.Space, minCover
 	return b
 }
 
-// Store returns the underlying measurement store.
-func (b *Builder) Store() *dataset.Store { return b.store }
-
-// Timeline returns the campaign timeline.
-func (b *Builder) Timeline() *timeline.Timeline { return b.tl }
-
 // Eligible reports FBS eligibility of block bi in month m.
 func (b *Builder) Eligible(bi, m int) bool { return b.elig[bi*b.months+m] }
 

@@ -141,15 +141,6 @@ func Assemble(spec Spec) (*Scenario, error) {
 	return sc, nil
 }
 
-// MustAssemble is Assemble that panics on error (for static scenario specs).
-func MustAssemble(spec Spec) *Scenario {
-	s, err := Assemble(spec)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // SpecEnd returns the End bound for a campaign of the given number of whole
 // days probed at interval: the last round lands interval before the next day
 // boundary, so NumRounds == days·24h/interval exactly.

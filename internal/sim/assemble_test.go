@@ -10,6 +10,25 @@ import (
 )
 
 // testAS is the traits entry of an AS announcing the given prefixes.
+// mustAssemble is Assemble for the tests' static specs: it panics on error.
+func mustAssemble(spec Spec) *Scenario {
+	s, err := Assemble(spec)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// currentRegion returns where block bi's addresses geolocate in the given
+// campaign month (RegionNone when abroad).
+func currentRegion(s *Scenario, bi, month int) netmodel.Region {
+	bt := &s.blocks[bi]
+	if !bt.Moved(month) {
+		return bt.HomeRegion
+	}
+	return bt.MoveRegion
+}
+
 func testAS(asn netmodel.ASN, name string, hq netmodel.Region, prefixes ...string) ASTraits {
 	as := &netmodel.AS{ASN: asn, Name: name, HQ: hq}
 	for _, p := range prefixes {
@@ -73,8 +92,8 @@ func TestAssembleSortsOutOfOrderEvents(t *testing.T) {
 	shuffled := []Event{evs[0], evs[2], evs[1]} // late first
 	ordered := []Event{evs[1], evs[2], evs[0]}
 
-	scShuf := MustAssemble(assembleSpec(t, shuffled))
-	scOrd := MustAssemble(assembleSpec(t, ordered))
+	scShuf := mustAssemble(assembleSpec(t, shuffled))
+	scOrd := mustAssemble(assembleSpec(t, ordered))
 
 	// Events() comes back chronological regardless of input order.
 	got := scShuf.Events()
@@ -116,7 +135,7 @@ func TestAssembleSortsOutOfOrderEvents(t *testing.T) {
 func TestAssembleDefaultsAndValidation(t *testing.T) {
 	start := time.Date(2023, 3, 1, 0, 0, 0, 0, time.UTC)
 	spec := assembleSpec(t, nil)
-	sc := MustAssemble(spec)
+	sc := mustAssemble(spec)
 
 	if got := sc.TL.NumRounds(); got != 30*6 {
 		t.Fatalf("rounds = %d, want %d", got, 30*6)
@@ -137,7 +156,7 @@ func TestAssembleDefaultsAndValidation(t *testing.T) {
 		if bt.MoveMonth != -1 {
 			t.Fatalf("block %v MoveMonth = %d, want -1", bt.Block, bt.MoveMonth)
 		}
-		if sc.CurrentRegion(bi, 0) != bt.HomeRegion {
+		if currentRegion(sc, bi, 0) != bt.HomeRegion {
 			t.Fatalf("block %v not at home in month 0", bt.Block)
 		}
 	}
@@ -185,7 +204,7 @@ func TestAssembleDefaultsAndValidation(t *testing.T) {
 	withPower.Power = power.Scripted(start, 30, []power.Strike{
 		{Day: 3, Days: 1, Hours: 24, Regions: []netmodel.Region{netmodel.Kyiv}},
 	}, 1)
-	sc = MustAssemble(withPower)
+	sc = mustAssemble(withPower)
 	if !sc.Power.Out(netmodel.Kyiv, start.Add(3*24*time.Hour+6*time.Hour)) {
 		t.Fatal("scripted 24h outage not visible")
 	}

@@ -20,7 +20,7 @@ func TestPreRoundMatchesHandLoop(t *testing.T) {
 	start := time.Date(2023, 3, 1, 0, 0, 0, 0, time.UTC)
 	spec := assembleSpec(t, assembleEvents(start))
 	spec.ASes[0].ActiveTo = start.Add(25 * 24 * time.Hour)
-	world := MustAssemble(spec)
+	world := mustAssemble(spec)
 	rounds := world.TL.NumRounds()
 	world.Missing[7] = true
 

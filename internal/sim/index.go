@@ -52,9 +52,9 @@ func (ix *eventIndex) activeAt(bi int, at int64) []int16 {
 
 // indexEvents compiles the event script after the scenario's blocks and
 // events are final. Events are sorted chronologically first (stable, ties
-// broken by name): downstream consumers — Events() listings, FindEvent
-// precedence, truth-window derivation — assume chronological order, and
-// event sources like Assemble accept events in any order.
+// broken by name): downstream consumers — Events() listings and
+// truth-window derivation — assume chronological order, and event sources
+// like Assemble accept events in any order.
 func (s *Scenario) indexEvents() {
 	slices.SortStableFunc(s.events, func(a, b Event) int {
 		return cmp.Or(a.From.Compare(b.From), cmp.Compare(a.Name, b.Name))

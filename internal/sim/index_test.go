@@ -66,6 +66,16 @@ func oracleWorlds(t testing.TB) map[string]*refWorld {
 var oracleZones = []*time.Location{time.UTC, time.FixedZone("+05:30", 5*3600+1800), time.FixedZone("-08:00", -8*3600)}
 
 // classMembers lists the blocks of every class.
+// findEvent returns the first scripted event named name.
+func findEvent(s *Scenario, name string) (Event, bool) {
+	for _, e := range s.events {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Event{}, false
+}
+
 func classMembers(s *Scenario) [][]int {
 	members := make([][]int, len(s.index.evOff)-1)
 	for bi, ci := range s.index.blockClass {
@@ -233,7 +243,7 @@ func TestHandBuiltSpans(t *testing.T) {
 	if a, b, c := 1-0.1, 1-0.7, 1-0.3; 137.0*a*b*c == 137.0*c*a*b {
 		t.Fatal("the scripted drops multiply to the same float64 in either order: pick other magnitudes")
 	}
-	s := newRefWorld(MustAssemble(spec))
+	s := newRefWorld(mustAssemble(spec))
 	if got, want := s.index.blockEvents(0), s.blockEvents[0]; !slices.Equal(got, want) || len(got) != 6 {
 		t.Fatalf("block 0 lists events %v, oracle %v, want 6 (one of them named five times over)", got, want)
 	}
@@ -279,7 +289,7 @@ func TestHandBuiltSpans(t *testing.T) {
 // TestClockBeyondItsEnds pins what the integer clock does with instants it
 // cannot hold, as Scenario.clock documents it.
 func TestClockBeyondItsEnds(t *testing.T) {
-	s := MustAssemble(handBuiltSpec())
+	s := mustAssemble(handBuiltSpec())
 	start := s.TL.Start()
 	year1, year9999 := time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)
 	if got := s.clock(year1); got != math.MinInt64 {
@@ -306,7 +316,7 @@ func TestClockBeyondItsEnds(t *testing.T) {
 	// the same end. The instant counts as after the near edge and before the
 	// far one, so an event lying wholly beyond an end holds nowhere.
 	bi := s.Space.BlockIndex(s.asTraits[64501].AS.Blocks()[0])
-	silent, _ := s.FindEvent("all-of-year-9999")
+	silent, _ := findEvent(s, "all-of-year-9999")
 	mid := silent.From.Add(24 * time.Hour)
 	if st := s.stateAt(bi, mid); st.Resp == 0 {
 		t.Errorf("inside an event that lies beyond the clock: %+v, want it not to hold", st)
@@ -320,7 +330,7 @@ func TestClockBeyondItsEnds(t *testing.T) {
 // instant that is exactly a round start and by nothing else, and no knob
 // selects it.
 func TestRoundTableServesGridInstants(t *testing.T) {
-	s := MustAssemble(handBuiltSpec())
+	s := mustAssemble(handBuiltSpec())
 	at := s.TL.Time(17)
 	for _, off := range []time.Duration{1, -1, time.Minute, s.TL.Interval() / 2} {
 		s.BlockStateAt(0, at.Add(off))
@@ -452,7 +462,7 @@ func FuzzStateAtMatchesOracle(f *testing.F) {
 			}
 			spec.Events = append(spec.Events, ev)
 		}
-		s := newRefWorld(MustAssemble(spec))
+		s := newRefWorld(mustAssemble(spec))
 		times := []time.Time{spec.Cfg.Start.Add(time.Duration(probe)), spec.Cfg.Start.Add(time.Duration(probe) << unit)}
 		for _, ev := range s.events {
 			times = append(times, ev.From.Add(-1), ev.From, ev.From.Add(1), ev.To.Add(-1), ev.To, ev.To.Add(1))

@@ -192,7 +192,7 @@ func TestMemoConcurrent(t *testing.T) {
 func TestMemoSkipsUnsteadyMinutes(t *testing.T) {
 	g := memoGrids[0]
 	s, _ := memoWorld(t, g.start, g.interval)
-	ev, _ := s.FindEvent("silent") // From is 30.5 s into its minute
+	ev, _ := findEvent(s, "silent") // From is 30.5 s into its minute
 	bi := s.Space.BlockIndex(s.asTraits[64500].AS.Blocks()[0])
 	inside := ev.From.Truncate(time.Minute)
 	for _, tc := range []struct {

@@ -37,12 +37,3 @@ func (m CountryModel) Build() (*Scenario, error) {
 	}
 	return Assemble(spec)
 }
-
-// MustBuild is Build that panics on error (for static country models).
-func (m CountryModel) MustBuild() *Scenario {
-	sc, err := m.Build()
-	if err != nil {
-		panic(err)
-	}
-	return sc
-}

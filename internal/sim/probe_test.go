@@ -107,7 +107,7 @@ func TestRecordedProbeMatchesProbeFunc(t *testing.T) {
 // TestRecordedProbeRejectsForeignStore: a store of other blocks or other
 // rounds is refused; one of the same blocks on an equal grid is not.
 func TestRecordedProbeRejectsForeignStore(t *testing.T) {
-	s := MustAssemble(handBuiltSpec())
+	s := mustAssemble(handBuiltSpec())
 	blocks, tl := s.Space.Blocks(), s.TL
 	grid := func(start time.Time, rounds int, interval time.Duration) *timeline.Timeline {
 		return timeline.New(start, start.Add(time.Duration(rounds-1)*interval), interval)

@@ -234,13 +234,3 @@ func (s *Scenario) Events() []Event { return s.events }
 
 // LeasedASes returns the foreign-delegated Kherson ASes (not probed).
 func (s *Scenario) LeasedASes() []*netmodel.AS { return s.leased }
-
-// FindEvent returns the first scripted event whose name matches.
-func (s *Scenario) FindEvent(name string) (Event, bool) {
-	for _, e := range s.events {
-		if e.Name == name {
-			return e, true
-		}
-	}
-	return Event{}, false
-}

@@ -367,16 +367,6 @@ func (s *Scenario) stateIn(bi int, keys *blockKeys, in *instant) BlockState {
 	return st
 }
 
-// CurrentRegion returns where the block's addresses geolocate in the given
-// campaign month (RegionNone when abroad).
-func (s *Scenario) CurrentRegion(bi, month int) netmodel.Region {
-	bt := &s.blocks[bi]
-	if !bt.Moved(month) {
-		return bt.HomeRegion
-	}
-	return bt.MoveRegion
-}
-
 // GenerateStore runs the fast statistical campaign: it evaluates every
 // block's state at every round and fills a dataset.Store, marking vantage
 // outages as missing. RTT series are tracked for the blocks listed in

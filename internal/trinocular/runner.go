@@ -117,18 +117,6 @@ func NewRunner(store *dataset.Store, space *netmodel.Space, reps Representatives
 // NumBlocks returns the number of tracked (eligible) blocks.
 func (r *Runner) NumBlocks() int { return len(r.trackers) }
 
-// NumIndeterminate returns how many tracked blocks have indeterminate-prone
-// availability (A < 0.3).
-func (r *Runner) NumIndeterminate() int {
-	n := 0
-	for _, ind := range r.Indeterminate {
-		if ind {
-			n++
-		}
-	}
-	return n
-}
-
 // Result is a completed Trinocular campaign.
 type Result struct {
 	// PerAS[asn][round] is the number of the AS's tracked blocks inferred
@@ -192,23 +180,6 @@ func (r *Runner) Run(probe Probe) *Result {
 		}
 	}
 	return res
-}
-
-// UpSeries returns the total up-block count per round (region/country
-// level).
-func (res *Result) UpSeries() []float32 {
-	if len(res.States) == 0 {
-		return nil
-	}
-	out := make([]float32, len(res.States[0]))
-	for t := range res.States {
-		for r, s := range res.States[t] {
-			if s == StateUp {
-				out[r]++
-			}
-		}
-	}
-	return out
 }
 
 // ProbeInterval documents the baseline's native probing interval (the IODA

@@ -95,12 +95,6 @@ func Eligible(everActive int, availability float64) bool {
 	return everActive >= MinEverActive && availability >= MinAvailability
 }
 
-// Belief returns the current belief that the block is up.
-func (t *BlockTracker) Belief() float64 { return t.belief }
-
-// State returns the block's inferred state.
-func (t *BlockTracker) State() State { return t.state }
-
 // update applies Bayes' rule for one probe outcome.
 func (t *BlockTracker) update(positive bool) {
 	var pUp, pDown float64

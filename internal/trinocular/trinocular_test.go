@@ -33,8 +33,8 @@ func TestBeliefConvergesUp(t *testing.T) {
 	if probes != 1 {
 		t.Errorf("a positive first probe should end the round, sent %d", probes)
 	}
-	if tr.Belief() < BeliefUp {
-		t.Errorf("belief = %f", tr.Belief())
+	if tr.belief < BeliefUp {
+		t.Errorf("belief = %f", tr.belief)
 	}
 }
 
@@ -47,7 +47,7 @@ func TestBeliefConvergesDown(t *testing.T) {
 		state, _ = tr.Round(probe, 0)
 	}
 	if state != StateDown {
-		t.Fatalf("state = %v belief=%f", state, tr.Belief())
+		t.Fatalf("state = %v belief=%f", state, tr.belief)
 	}
 }
 
@@ -138,13 +138,18 @@ func TestRunnerAgainstScenario(t *testing.T) {
 		t.Errorf("probes %d exceed budget %d", res.ProbesSent, max)
 	}
 	// Sanity: in a random mid-campaign round most eligible blocks are up.
-	up := res.UpSeries()
-	mid := len(up) / 2
+	mid := len(res.States[0]) / 2
 	if st.Missing(mid) {
 		mid++
 	}
-	if up[mid] < float32(r.NumBlocks())/4 {
-		t.Errorf("only %f of %d blocks up mid-campaign", up[mid], r.NumBlocks())
+	up := 0
+	for _, states := range res.States {
+		if states[mid] == StateUp {
+			up++
+		}
+	}
+	if float64(up) < float64(r.NumBlocks())/4 {
+		t.Errorf("only %d of %d blocks up mid-campaign", up, r.NumBlocks())
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"countrymon/internal/fleet"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/obs"
 	"countrymon/internal/scanner"
@@ -180,20 +181,23 @@ func TestRunCompletes(t *testing.T) {
 	opts := smallOpts(t, rounds)
 	opts.CheckpointPath = dir + "/c.cmds"
 	opts.CheckpointEvery = 2
+	opts.Bus = obs.NewBus(0)
 	mon, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []int
 	ckpts := 0
-	events := map[string]int{}
 	err = mon.Run(context.Background(), RunConfig{Hooks: Hooks{
 		OnRound:      func(round int, st Stats) { got = append(got, round) },
 		OnCheckpoint: func(round int, path string) { ckpts++ },
-		OnEvent:      func(ev obs.Event) { events[ev.Kind]++ },
 	}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	events := map[string]int{}
+	for _, ev := range opts.Bus.Since(0) {
+		events[ev.Kind]++
 	}
 	if len(got) != rounds {
 		t.Fatalf("OnRound fired for %v, want %d rounds", got, rounds)
@@ -398,23 +402,25 @@ func TestCampaignCompleteOnce(t *testing.T) {
 			return nil
 		}
 	}
-	countComplete := func(n *int) func(obs.Event) {
-		return func(ev obs.Event) {
+	countComplete := func(bus *obs.Bus) int {
+		n := 0
+		for _, ev := range bus.Since(0) {
 			if ev.Kind == "campaign_complete" {
-				*n++
+				n++
 			}
 		}
+		return n
 	}
-	darkFleet := func(o *Options) {
+	darkFleet := func(t *testing.T, o *Options) {
 		o.Transport = nil
 		o.Clock = scanner.NewVirtualClock(o.Start)
-		o.Vantages = []VantageSpec{{Name: "v0", Transport: func(int, time.Time) (Transport, Clock, error) {
+		o.Fleet = soloFleet(t, []fleet.Spec{{Name: "v0", Transport: func(int, time.Time) (Transport, Clock, error) {
 			return nil, nil, errors.New("vantage unreachable")
-		}}}
+		}}}, *o, 0)
 	}
 	for _, tc := range []struct {
 		name     string
-		opts     func(*Options)
+		opts     func(*testing.T, *Options)
 		preRound func(*Monitor) func(int) error
 		missing  bool // the final round
 	}{
@@ -425,22 +431,22 @@ func TestCampaignCompleteOnce(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const rounds = 2
 			opts := smallOpts(t, rounds)
+			opts.Bus = obs.NewBus(0)
 			if tc.opts != nil {
-				tc.opts(&opts)
+				tc.opts(t, &opts)
 			}
 			mon, err := New(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			complete := 0
-			rc := RunConfig{Hooks: Hooks{OnEvent: countComplete(&complete)}}
+			var rc RunConfig
 			if tc.preRound != nil {
 				rc.PreRound = tc.preRound(mon)
 			}
 			if err := mon.Run(context.Background(), rc); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if complete != 1 {
+			if complete := countComplete(opts.Bus); complete != 1 {
 				t.Errorf("campaign_complete emitted %d times, want 1", complete)
 			}
 			if mon.Round() != rounds || mon.Store().Missing(rounds-1) != tc.missing {
@@ -452,17 +458,17 @@ func TestCampaignCompleteOnce(t *testing.T) {
 	t.Run("journal failure", func(t *testing.T) {
 		opts := smallOpts(t, 1)
 		opts.RoundLogPath = t.TempDir() + "/c.cmrl"
+		opts.Bus = obs.NewBus(0)
 		mon, err := New(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mon.roundLog.Close() // every later append fails
-		complete := 0
-		err = mon.Run(context.Background(), RunConfig{Hooks: Hooks{OnEvent: countComplete(&complete)}})
+		err = mon.Run(context.Background(), RunConfig{})
 		if err == nil || !strings.Contains(err.Error(), "round log") {
 			t.Fatalf("Run: %v, want the round log error", err)
 		}
-		if mon.Round() != 0 || complete != 0 {
+		if complete := countComplete(opts.Bus); mon.Round() != 0 || complete != 0 {
 			t.Errorf("round=%d campaign_complete=%d after a failed journal write, want 0 and 0", mon.Round(), complete)
 		}
 	})

@@ -17,10 +17,6 @@ type Hooks struct {
 	OnRound func(round int, st Stats)
 	// OnCheckpoint fires after every successful checkpoint write.
 	OnCheckpoint func(round int, path string)
-	// OnEvent receives every structured event the monitor emits (round
-	// lifecycle, checkpoints, detections) — the same stream Options.Bus
-	// carries, delivered in-process.
-	OnEvent func(ev obs.Event)
 }
 
 // RunConfig configures one Run invocation.
@@ -107,20 +103,16 @@ func (m *Monitor) checkpointBeforeReturn(cause error) error {
 // nothing).
 func (m *Monitor) CampaignStats() Stats { return m.campaign }
 
-// emit publishes one structured event to the bus (when configured) and the
-// active OnEvent hook. It is a no-op — no field-map allocation — when
-// neither sink is attached.
+// emit publishes one structured event to the bus. It is a no-op — no
+// field-map allocation — without a bus.
 func (m *Monitor) emit(kind string, fields func() map[string]any) {
-	if m.bus == nil && m.hooks.OnEvent == nil {
+	if m.bus == nil {
 		return
 	}
-	ev := m.bus.Publish(kind, fields())
-	if m.hooks.OnEvent != nil {
-		m.hooks.OnEvent(ev)
-	}
+	m.bus.Publish(kind, fields())
 }
 
-// emitDetection reports a detection run on the bus/hook.
+// emitDetection reports a detection run on the bus.
 func (m *Monitor) emitDetection(entity string, d *Detection) {
 	m.emit("detection", func() map[string]any {
 		return map[string]any{
