@@ -16,6 +16,7 @@ import (
 	"countrymon/internal/par"
 	"countrymon/internal/power"
 	"countrymon/internal/regional"
+	"countrymon/internal/ripe"
 	"countrymon/internal/signals"
 	"countrymon/internal/sim"
 	"countrymon/internal/trinocular"
@@ -59,6 +60,9 @@ type Env struct {
 
 	powerOnce sync.Once
 	powerRep  *power.Report
+
+	ripeOnce sync.Once
+	ripeEnds [2]*ripe.File
 }
 
 // New builds an Env for the given scenario configuration.
@@ -233,4 +237,25 @@ func (e *Env) PowerReport() *power.Report {
 		e.powerRep = rep
 	})
 	return e.powerRep
+}
+
+// RIPEEnds returns the delegation files at the campaign's two ends, the
+// 2021 base and the last month's snapshot, each through the write → parse
+// path (the churn analysis must read delegated files, not ground truth).
+func (e *Env) RIPEEnds() (base, final *ripe.File) {
+	e.ripeOnce.Do(func() {
+		sc := e.Scenario()
+		for i, f := range []*ripe.File{sc.RIPEBase(), sc.RIPESnapshot(sc.TL.NumMonths() - 1)} {
+			var buf bytes.Buffer
+			if _, err := f.WriteTo(&buf); err != nil {
+				panic(err)
+			}
+			parsed, err := ripe.Parse(&buf)
+			if err != nil {
+				panic(err)
+			}
+			e.ripeEnds[i] = parsed
+		}
+	})
+	return e.ripeEnds[0], e.ripeEnds[1]
 }

@@ -330,8 +330,7 @@ func figure18(e *Env) *Report {
 		}
 	}
 	// Appendix B: 12% of prefixes recoded (1/3 to RU); ~7% net decline.
-	base := sc.RIPEBase()
-	final := sc.RIPESnapshot(sc.TL.NumMonths() - 1)
+	base, final := e.RIPEEnds()
 	d := ripe.DiffCountry(base, final, geodb.CountryUA)
 	r.addf("recoded ranges: %d of %d (%.1f%%); to RU: %d", d.RecodedTotal(), len(base.CountryRecords(geodb.CountryUA)),
 		100*float64(d.RecodedTotal())/float64(len(base.CountryRecords(geodb.CountryUA))), d.Recoded["RU"])

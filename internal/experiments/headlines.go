@@ -1,60 +1,18 @@
 package experiments
 
 import (
-	"net/netip"
 	"sort"
 	"time"
 
 	"countrymon/internal/netmodel"
 	"countrymon/internal/passive"
-	"countrymon/internal/scanner6"
 	"countrymon/internal/signals"
-	"countrymon/internal/simnet"
 )
 
 func init() {
 	register("H2", "Churn attribution: who moved the addresses (§4.1)", headline2)
 	register("H3", "Geolocation precision: regional vs non-regional radius (§4.3)", headline3)
 	register("H4", "Passive (CDN volume) vs active detection (Table 1)", headline4)
-	register("H5", "IPv6 hitlist probing feasibility (§6 future work)", headline5)
-}
-
-// headline5 runs the IPv6 hitlist prober end to end at campaign start and
-// end: adoption grows (Fig 20), responses aggregate per /48 site, and
-// ICMPv6 errors reveal routers that IPv4 NAT would hide.
-func headline5(e *Env) *Report {
-	r := newReport("H5", "IPv6 probing feasibility")
-	sc := e.Scenario()
-	hl, err := sc.V6Hitlist()
-	if err != nil {
-		r.addf("hitlist: %v", err)
-		return r
-	}
-	run := func(at time.Time) (*scanner6.RoundData, error) {
-		wire := simnet.New6(netip.MustParseAddr("2001:db8::1"), sc.V6Responder(), at)
-		p := scanner6.New(wire, scanner6.Config{Rate: 0, Seed: sc.Cfg.Seed, Epoch: 5, Clock: wire, Cooldown: time.Second})
-		return p.Run(hl)
-	}
-	early, err := run(sc.TL.Start())
-	if err != nil {
-		r.addf("probe: %v", err)
-		return r
-	}
-	late, err := run(sc.TL.End())
-	if err != nil {
-		r.addf("probe: %v", err)
-		return r
-	}
-	es := float64(early.Stats.Valid) / float64(early.Stats.Sent)
-	ls := float64(late.Stats.Valid) / float64(late.Stats.Sent)
-	r.addf("hitlist: %d addresses across %d /48 sites", hl.Len(), len(early.Sites))
-	r.addf("responsive share: %.1f%% (2022) → %.1f%% (2025)", es*100, ls*100)
-	r.addf("routers revealed by ICMPv6 errors: %d (2025 round)", len(late.ErrorSources))
-	r.metric("v6_share_2022", es)
-	r.metric("v6_share_2025", ls)
-	r.metric("v6_growth_ratio", ls/es)
-	r.metric("routers_harvested", float64(len(late.ErrorSources)))
-	return r
 }
 
 // headline4 contrasts the passive comparator with the active pipeline on

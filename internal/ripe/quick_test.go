@@ -11,36 +11,6 @@ import (
 	"countrymon/internal/netmodel"
 )
 
-// TestQuickPrefixExpansion: for arbitrary (start, count), the expanded
-// prefixes must exactly tile [start, start+count) without overlaps.
-func TestQuickPrefixExpansion(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 2000; trial++ {
-		start := netmodel.Addr(rng.Uint32())
-		count := uint64(rng.Intn(1<<14) + 1)
-		if uint64(start)+count > 1<<32 {
-			continue
-		}
-		r := Record{Start: start, Count: count}
-		ps := r.Prefixes(nil)
-		var total uint64
-		cursor := uint64(start)
-		for _, p := range ps {
-			if uint64(p.Base) != cursor {
-				t.Fatalf("trial %d: gap or overlap at %v (cursor %d)", trial, p, cursor)
-			}
-			if !p.Contains(p.Base) {
-				t.Fatalf("trial %d: malformed prefix %v", trial, p)
-			}
-			total += p.NumAddrs()
-			cursor += p.NumAddrs()
-		}
-		if total != count {
-			t.Fatalf("trial %d: covered %d of %d addrs", trial, total, count)
-		}
-	}
-}
-
 // TestQuickParseNeverPanics feeds arbitrary text to the parser.
 func TestQuickParseNeverPanics(t *testing.T) {
 	f := func(lines []string) bool {

@@ -4,15 +4,13 @@
 //	ripencc|UA|ipv4|91.198.4.0|256|20060912|allocated
 //
 // It also provides snapshot diffing for the churn analysis of Appendix B
-// (country-code changes, withdrawn and newly allocated ranges) and CIDR
-// expansion of the count-based ranges into prefixes for the scanner.
+// (country-code changes, withdrawn and newly allocated ranges).
 package ripe
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,27 +34,6 @@ type Record struct {
 	Count    uint64 // number of addresses (not necessarily a power of two)
 	Date     time.Time
 	Status   string
-}
-
-// Prefixes expands the record's address range into CIDR prefixes, appending
-// to dst.
-func (r Record) Prefixes(dst []netmodel.Prefix) []netmodel.Prefix {
-	start := uint64(r.Start)
-	count := r.Count
-	for count > 0 {
-		// Largest power-of-two chunk aligned at start and ≤ count.
-		maxAlign := uint64(1) << bits.TrailingZeros64(start|1<<32)
-		chunk := maxAlign
-		if chunk > count {
-			chunk = 1 << (63 - bits.LeadingZeros64(count))
-		}
-		bitsLen := uint8(32 - bits.TrailingZeros64(chunk))
-		p, _ := netmodel.NewPrefix(netmodel.Addr(start), bitsLen)
-		dst = append(dst, p)
-		start += chunk
-		count -= chunk
-	}
-	return dst
 }
 
 // Key identifies a delegation range independent of its metadata.
@@ -123,11 +100,23 @@ func Parse(r io.Reader) (*File, error) {
 }
 
 // WriteTo writes the file in delegated format, including a version header.
+// The header's date is the latest record date (00000000 when no record has
+// one), so the bytes depend on the file alone.
 func (f *File) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
+	var latest time.Time
+	for _, r := range f.Records {
+		if r.Date.After(latest) {
+			latest = r.Date
+		}
+	}
+	date := "00000000"
+	if !latest.IsZero() {
+		date = latest.Format("20060102")
+	}
 	k, err := fmt.Fprintf(bw, "2|ripencc|%s|%d|%d|19830705|00000000|+0200\n",
-		time.Now().UTC().Format("20060102"), len(f.Records), len(f.Records))
+		date, len(f.Records), len(f.Records))
 	n += int64(k)
 	if err != nil {
 		return n, err
@@ -157,16 +146,6 @@ func (f *File) CountryRecords(cc string) []Record {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
-}
-
-// CountryPrefixes expands a country's delegations into prefixes — the
-// scanner's target input.
-func (f *File) CountryPrefixes(cc string) []netmodel.Prefix {
-	var ps []netmodel.Prefix
-	for _, r := range f.CountryRecords(cc) {
-		ps = r.Prefixes(ps)
-	}
-	return ps
 }
 
 // CountryAddrCount sums the delegated address count for cc.

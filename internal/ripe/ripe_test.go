@@ -80,48 +80,39 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecordPrefixes(t *testing.T) {
-	cases := []struct {
-		start string
-		count uint64
-		want  []string
-	}{
-		{"91.198.4.0", 256, []string{"91.198.4.0/24"}},
-		{"91.198.4.0", 1024, []string{"91.198.4.0/22"}},
-		// Non-power-of-two count: 768 = 512 + 256.
-		{"91.198.4.0", 768, []string{"91.198.4.0/23", "91.198.6.0/24"}},
-		// Alignment constraint: starting at .1.0 a /23 is not aligned.
-		{"10.0.1.0", 512, []string{"10.0.1.0/24", "10.0.2.0/24"}},
+// TestWriteToBytes pins WriteTo's exact output: the header carries the
+// latest record date, so writing the same file twice gives the same bytes.
+func TestWriteToBytes(t *testing.T) {
+	f := &File{Records: []Record{
+		{Registry: "ripencc", CC: "UA", Type: "ipv4", Start: netmodel.MustParseAddr("91.198.4.0"), Count: 256,
+			Date: time.Date(2006, 9, 12, 0, 0, 0, 0, time.UTC), Status: StatusAllocated},
+		{Registry: "ripencc", CC: "CZ", Type: "ipv4", Start: netmodel.MustParseAddr("185.66.0.0"), Count: 768,
+			Date: time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC), Status: StatusAssigned},
+		{Registry: "ripencc", CC: "UA", Type: "ipv4", Start: netmodel.MustParseAddr("10.0.1.0"), Count: 512,
+			Status: StatusAllocated},
+	}}
+	const want = `2|ripencc|20150101|3|3|19830705|00000000|+0200
+ripencc|UA|ipv4|91.198.4.0|256|20060912|allocated
+ripencc|CZ|ipv4|185.66.0.0|768|20150101|assigned
+ripencc|UA|ipv4|10.0.1.0|512||allocated
+`
+	var buf bytes.Buffer
+	n, err := f.WriteTo(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		r := Record{Start: netmodel.MustParseAddr(c.start), Count: c.count}
-		ps := r.Prefixes(nil)
-		if len(ps) != len(c.want) {
-			t.Errorf("%s/%d: got %v, want %v", c.start, c.count, ps, c.want)
-			continue
-		}
-		total := uint64(0)
-		for i, p := range ps {
-			if p.String() != c.want[i] {
-				t.Errorf("%s/%d: prefix %d = %v, want %s", c.start, c.count, i, p, c.want[i])
-			}
-			total += p.NumAddrs()
-		}
-		if total != c.count {
-			t.Errorf("%s/%d: prefixes cover %d addrs", c.start, c.count, total)
-		}
+	if buf.String() != want {
+		t.Errorf("WriteTo wrote\n%s\nwant\n%s", buf.String(), want)
 	}
-}
-
-func TestCountryPrefixes(t *testing.T) {
-	f, _ := Parse(strings.NewReader(sampleFile))
-	ps := f.CountryPrefixes("UA")
-	var blocks int
-	for _, p := range ps {
-		blocks += p.NumBlocks()
+	if n != int64(len(want)) {
+		t.Errorf("WriteTo returned %d, want %d", n, len(want))
 	}
-	if blocks != 1+32+4 {
-		t.Errorf("UA /24 blocks = %d, want 37", blocks)
+	buf.Reset()
+	if _, err := (&File{}).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "2|ripencc|00000000|0|0|19830705|00000000|+0200\n"; got != want {
+		t.Errorf("empty file wrote %q, want %q", got, want)
 	}
 }
 

@@ -81,23 +81,6 @@ func NewRateLimiter(clock Clock, rate int, burst int) *RateLimiter {
 	return rl
 }
 
-// Wait blocks (via the clock) until one packet may be sent.
-func (rl *RateLimiter) Wait() {
-	if rl.interval == 0 {
-		return
-	}
-	now := rl.clock.Now()
-	rl.refill(now)
-	for rl.tokens <= 0 {
-		need := time.Duration(1-rl.tokens) * rl.interval
-		rl.clock.Sleep(need)
-		rl.slept += need
-		now = rl.clock.Now()
-		rl.refill(now)
-	}
-	rl.tokens--
-}
-
 // WaitN blocks until n packets may be sent, paying the whole batch's pacing
 // debt in one sleep. The bucket may go negative while the sleep refills it,
 // so WaitN(1) called k times and one WaitN(k) release sends at the same
@@ -117,8 +100,8 @@ func (rl *RateLimiter) WaitN(n int) {
 }
 
 // Slept returns the cumulative time this limiter has spent sleeping for
-// pacing — the scanner's scanner_rate_sleep_ns_total source. Like Wait/WaitN
-// it is single-caller state.
+// pacing — the scanner's scanner_rate_sleep_ns_total source. Like WaitN it
+// is single-caller state.
 func (rl *RateLimiter) Slept() time.Duration { return rl.slept }
 
 func (rl *RateLimiter) refill(now time.Time) {

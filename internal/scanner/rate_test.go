@@ -16,7 +16,7 @@ func TestRateLimiterPacing(t *testing.T) {
 	rl := NewRateLimiter(clock, 1000, 1) // 1ms per packet, burst 1
 	start := clock.Now()
 	for i := 0; i < 100; i++ {
-		rl.Wait()
+		rl.WaitN(1)
 	}
 	elapsed := clock.Now().Sub(start)
 	// First packet free (burst 1), the other 99 need 1ms each.
@@ -43,12 +43,12 @@ func TestRateLimiterBurst(t *testing.T) {
 	rl := NewRateLimiter(clock, 1000, 64)
 	start := clock.Now()
 	for i := 0; i < 64; i++ {
-		rl.Wait()
+		rl.WaitN(1)
 	}
 	if got := clock.Now().Sub(start); got != 0 {
 		t.Errorf("burst of 64 consumed %v of virtual time, want 0", got)
 	}
-	rl.Wait() // 65th must wait
+	rl.WaitN(1) // 65th must wait
 	if got := clock.Now().Sub(start); got == 0 {
 		t.Error("post-burst packet did not wait")
 	}
@@ -58,19 +58,19 @@ func TestRateLimiterRefillAfterIdle(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(0, 0)}
 	rl := NewRateLimiter(clock, 1000, 10)
 	for i := 0; i < 10; i++ {
-		rl.Wait()
+		rl.WaitN(1)
 	}
 	// Idle long enough to refill well past the burst cap.
 	clock.Sleep(time.Second)
 	start := clock.Now()
 	for i := 0; i < 10; i++ {
-		rl.Wait()
+		rl.WaitN(1)
 	}
 	if got := clock.Now().Sub(start); got != 0 {
 		t.Errorf("refilled burst consumed %v, want 0 (cap respected but full)", got)
 	}
 	// Burst cap: an 11th immediate packet must wait.
-	rl.Wait()
+	rl.WaitN(1)
 	if got := clock.Now().Sub(start); got == 0 {
 		t.Error("token bucket exceeded burst cap after idle")
 	}
@@ -81,7 +81,7 @@ func TestRateLimiterUnlimited(t *testing.T) {
 	rl := NewRateLimiter(clock, 0, 1)
 	start := clock.Now()
 	for i := 0; i < 10000; i++ {
-		rl.Wait()
+		rl.WaitN(1)
 	}
 	if got := clock.Now().Sub(start); got != 0 {
 		t.Errorf("unlimited limiter consumed %v", got)
@@ -95,7 +95,7 @@ func TestRateLimiterAggregateRate(t *testing.T) {
 	const packets = 40000
 	start := clock.Now()
 	for i := 0; i < packets; i++ {
-		rl.Wait()
+		rl.WaitN(1)
 	}
 	elapsed := clock.Now().Sub(start).Seconds()
 	got := float64(packets) / elapsed

@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// vclock is the virtual clock of a simulated wire, IPv4 or IPv6. It keeps
-// the current time twice: as nanoseconds since the wire's start, which is
-// what the reply queue orders on, and as the time.Time that offset stands
-// for, recomputed only when the clock moves. Reading the clock, handing it
-// to a Responder and timing a delivery at the current instant are then plain
-// copies. Its mutex guards the whole wire embedding it.
+// vclock is the virtual clock of the simulated wire. It keeps the current
+// time twice: as nanoseconds since the wire's start, which is what the reply
+// queue orders on, and as the time.Time that offset stands for, recomputed
+// only when the clock moves. Reading the clock, handing it to a Responder and
+// timing a delivery at the current instant are then plain copies. Its mutex
+// guards the whole wire embedding it.
 type vclock struct {
 	mu    sync.Mutex
 	start time.Time
@@ -71,7 +71,7 @@ func (c *vclock) timeAt(off int64) time.Time {
 // no later than wait from now, in which case the clock moves to its delivery
 // time. The reply stays queued at q.top() for the caller to read and then
 // pop. This is the one delivery rule of the virtual clock, shared by every read
-// path of both wires. c.mu must be held.
+// path of the wire. c.mu must be held.
 func due[R any](c *vclock, q *replyQueue[R], wait time.Duration) bool {
 	if q.len() == 0 {
 		return false

@@ -20,18 +20,18 @@ const (
 	lapWidth    = bucketWidth * bucketCount
 )
 
-// replyQueue holds the in-flight replies of a simulated wire — records on
-// the IPv4 wire, encoded datagrams on the IPv6 one — in delivery order:
-// (delivery time, push order), so equal delivery times pop in the order they
-// were pushed. It is a calendar queue (Brown, CACM 1988): each bucket is a
-// ring of slots linked through next and sorted by delivery time, a push
-// going after every entry due no later than it, and the queue keeps only
-// each bucket's tail, whose next is the bucket's head. A push appends at the
-// tail when it is due no earlier than the tail (the common case) and walks
-// the ring from the head otherwise; the earliest reply is the head of the
-// bucket cur when that head lies in the absolute bucket cur, so top()
-// advances cur over the wheel, and after a lap with no hit (nothing due
-// within a lap of cur) searches the heads directly.
+// replyQueue holds the in-flight replies of the simulated wire in delivery
+// order: (delivery time, push order), so equal delivery times pop in the
+// order they were pushed. The wire queues records; the payload R is a type
+// parameter so that a test can queue its own. It is a calendar queue (Brown,
+// CACM 1988): each bucket is a ring of slots linked through next and sorted
+// by delivery time, a push going after every entry due no later than it, and
+// the queue keeps only each bucket's tail, whose next is the bucket's head. A
+// push appends at the tail when it is due no earlier than the tail (the
+// common case) and walks the ring from the head otherwise; the earliest reply
+// is the head of the bucket cur when that head lies in the absolute bucket
+// cur, so top() advances cur over the wheel, and after a lap with no hit
+// (nothing due within a lap of cur) searches the heads directly.
 //
 // The entries live in one slab, reused through a free list, that doubles
 // from 64 slots: a fresh queue reaches n replies in flight in O(log n)
