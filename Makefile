@@ -170,6 +170,7 @@ fuzz-smoke:
 	$(GO) test ./internal/signals -fuzz '^FuzzDetectMatchesOracle$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/signals -fuzz '^FuzzDetectResumeMatchesWhole$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/sim -fuzz '^FuzzStateAtMatchesOracle$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/sim -fuzz '^FuzzGenerateStoreMatchesOracle$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/serve -fuzz '^FuzzServeSchedule$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/query -fuzz '^FuzzGetMatchesParseQuery$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/serve -fuzz '^FuzzRenderSeriesMatchesRef$$' -fuzztime 5s -run '^$$'

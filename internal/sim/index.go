@@ -50,6 +50,32 @@ func (ix *eventIndex) activeAt(bi int, at int64) []int16 {
 	return ix.active[ix.spanOff[lo+k-1]:ix.spanOff[lo+k]]
 }
 
+// spanCursor walks one class's spans forward. For clocks that never decrease
+// from call to call it answers what activeAt does, stepping over the edges
+// passed since the last call instead of searching for the span.
+type spanCursor struct {
+	ix               *eventIndex
+	first, next, end int // the class's edges are edges[first:end]; edges[next:end] lie after the last clock
+}
+
+// cursor starts a spanCursor over block bi's class, before its first edge.
+func (ix *eventIndex) cursor(bi int) spanCursor {
+	c := ix.blockClass[bi]
+	return spanCursor{ix: ix, first: ix.edgeOff[c], next: ix.edgeOff[c], end: ix.edgeOff[c+1]}
+}
+
+// at lists, in event order, the events holding at clock, which is no earlier
+// than the clock of the last call.
+func (cu *spanCursor) at(clock int64) []int16 {
+	for cu.next < cu.end && cu.ix.edges[cu.next] <= clock {
+		cu.next++
+	}
+	if cu.next == cu.first {
+		return nil
+	}
+	return cu.ix.active[cu.ix.spanOff[cu.next-1]:cu.ix.spanOff[cu.next]]
+}
+
 // indexEvents compiles the event script after the scenario's blocks and
 // events are final. Events are sorted chronologically first (stable, ties
 // broken by name): downstream consumers — Events() listings and

@@ -428,10 +428,38 @@ func TestAssembleEventLimit(t *testing.T) {
 	}
 }
 
+// scriptEvents decodes a fuzzed event script over the four-block world of
+// spec: each 8 bytes are one event (From and length in units of 2^(unit%63) ns
+// from origin, scope, kind, magnitude), at most 64 of them.
+func scriptEvents(spec Spec, origin time.Time, script []byte, unit uint8) []Event {
+	unit %= 63
+	when := func(v int16) time.Time { return origin.Add(time.Duration(v) << unit) }
+	blocks := spec.ASes[0].AS.Blocks()
+	var events []Event
+	for ; len(script) >= 8 && len(events) < 64; script = script[8:] {
+		from := int16(binary.LittleEndian.Uint16(script))
+		ev := Event{
+			Name: fmt.Sprint("e", script[6]), Kind: EffectKind(script[5] % 5),
+			Magnitude: float64(script[6]) / 256, RTTDeltaMS: int(script[7]),
+			From: when(from), To: when(from + int16(binary.LittleEndian.Uint16(script[2:]))),
+		}
+		if script[4]&1 != 0 {
+			ev.ASNs = []netmodel.ASN{64500 + netmodel.ASN(script[4]>>4&1)}
+		}
+		if script[4]&2 != 0 {
+			ev.Regions = []netmodel.Region{netmodel.Kyiv}
+		}
+		if script[4]&4 != 0 {
+			ev.Blocks = blocks[script[4]>>5&1:]
+		}
+		events = append(events, ev)
+	}
+	return events
+}
+
 // FuzzStateAtMatchesOracle scripts random event windows over the four-block
-// world and asks about random instants and every scripted edge: each 8 bytes
-// of script are one event (From and length in units of 2^unit ns from the
-// campaign start, scope, kind, magnitude).
+// world, from the campaign start (scriptEvents), and asks about random instants
+// and every scripted edge.
 func FuzzStateAtMatchesOracle(f *testing.F) {
 	f.Add([]byte{10, 0, 20, 0, 1, 2, 50, 0, 15, 0, 20, 0, 2, 2, 30, 0}, int64(12), uint8(46))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0xff, 0xff, 3, 1, 0, 0}, int64(-3), uint8(40))
@@ -440,28 +468,8 @@ func FuzzStateAtMatchesOracle(f *testing.F) {
 	base := handBuiltSpec()
 	f.Fuzz(func(t *testing.T, script []byte, probe int64, unit uint8) {
 		spec := base
-		spec.Events = nil
+		spec.Events = scriptEvents(spec, spec.Cfg.Start, script, unit)
 		unit %= 63
-		when := func(v int16) time.Time { return spec.Cfg.Start.Add(time.Duration(v) << unit) }
-		blocks := spec.ASes[0].AS.Blocks()
-		for ; len(script) >= 8 && len(spec.Events) < 64; script = script[8:] {
-			from := int16(binary.LittleEndian.Uint16(script))
-			ev := Event{
-				Name: fmt.Sprint("e", script[6]), Kind: EffectKind(script[5] % 5),
-				Magnitude: float64(script[6]) / 256, RTTDeltaMS: int(script[7]),
-				From: when(from), To: when(from + int16(binary.LittleEndian.Uint16(script[2:]))),
-			}
-			if script[4]&1 != 0 {
-				ev.ASNs = []netmodel.ASN{64500 + netmodel.ASN(script[4]>>4&1)}
-			}
-			if script[4]&2 != 0 {
-				ev.Regions = []netmodel.Region{netmodel.Kyiv}
-			}
-			if script[4]&4 != 0 {
-				ev.Blocks = blocks[script[4]>>5&1:]
-			}
-			spec.Events = append(spec.Events, ev)
-		}
 		s := newRefWorld(mustAssemble(spec))
 		times := []time.Time{spec.Cfg.Start.Add(time.Duration(probe)), spec.Cfg.Start.Add(time.Duration(probe) << unit)}
 		for _, ev := range s.events {

@@ -168,15 +168,19 @@ func (s *Scenario) roundInstants() []instant {
 	return s.rounds
 }
 
-// stateAt is the unmemoised evaluation at any instant.
+// stateAt is the unmemoised evaluation at any instant. It takes the block's
+// grid cut and events for this one instant: no table of them is built.
 func (s *Scenario) stateAt(bi int, at time.Time) BlockState {
 	keys := s.keysOf(bi)
 	round, start := s.TL.RoundAt(at)
+	var in *instant
 	if start {
-		return s.stateIn(bi, &keys, &s.roundInstants()[round])
+		in = &s.roundInstants()[round]
+	} else {
+		fresh := s.instantAt(round, at)
+		in = &fresh
 	}
-	in := s.instantAt(round, at)
-	return s.stateIn(bi, &keys, &in)
+	return s.stateIn(bi, &keys, in, nil, s.index.activeAt(bi, in.clock))
 }
 
 // The evaluation's hashes of a block and a round or epoch are Hash3(salt, bi,
@@ -224,9 +228,53 @@ func (s *Scenario) indexRegions() {
 	}
 }
 
+// gridCut is how far into a grid cut region r is at instant in: −1 for none
+// (the schedule has the power on, or it is a frontline day the schedule does
+// not apply to), the whole hours 0..23 of a partial-day cut, 24 for a whole
+// day. It reads nothing of a block, so GenerateStore takes it once per (round,
+// region) and the off-grid path once per evaluation.
+func (s *Scenario) gridCut(r netmodel.Region, in *instant) int8 {
+	if r.Frontline() && netmodel.Mix64(s.regionKeys[r].frontline^netmodel.Mix64(in.dayKey))%100 >= 35 {
+		return -1
+	}
+	out, since := s.Power.OutSinceAt(r, in.power)
+	if !out {
+		return -1
+	}
+	return int8(since) // a partial cut's minute adds less than an hour
+}
+
+// cutSince is OutSinceAt's outage length for a cut of the given hours at
+// instant in, rebuilt with OutSinceAt's own arithmetic.
+func cutSince(hours int8, in *instant) float64 {
+	if hours == 24 {
+		return 24
+	}
+	return float64(hours) + float64(in.power.Minute)/60
+}
+
+// gridCuts is gridCut of every region at every instant of rounds, one row of
+// len(regionKeys) per round (RegionNone's entry −1): the table of one
+// GenerateStore, which drops it on return.
+func (s *Scenario) gridCuts(rounds []instant) []int8 {
+	n := len(s.regionKeys)
+	cuts := make([]int8, len(rounds)*n)
+	for r := range rounds {
+		row := cuts[r*n : (r+1)*n]
+		row[netmodel.RegionNone] = -1
+		for g := 1; g < n; g++ {
+			row[g] = s.gridCut(netmodel.Region(g), &rounds[r])
+		}
+	}
+	return cuts
+}
+
 // stateIn evaluates block bi, whose hash halves are keys, at an instant taken
-// with instantAt.
-func (s *Scenario) stateIn(bi int, keys *blockKeys, in *instant) BlockState {
+// with instantAt. Two inputs are what the block shares with other blocks at
+// the instant: cuts is the instant's row of gridCuts, or nil to take the
+// block's one gridCut here, and active lists the events holding for the block
+// (eventIndex.activeAt, or a spanCursor's at).
+func (s *Scenario) stateIn(bi int, keys *blockKeys, in *instant, cuts []int8, active []int16) BlockState {
 	bt := &s.blocks[bi]
 	as := s.blockAS[bi]
 	roundMix := netmodel.Mix64(uint64(in.round)) // shared by the count-rounding and jitter hashes
@@ -282,13 +330,14 @@ func (s *Scenario) stateIn(bi int, keys *blockKeys, in *instant) BlockState {
 	// the scheduled windows only partially apply there — which is why
 	// frontline Internet outages correlate weakly with the reported power
 	// outages (§5.1: r = 0.298 vs 0.725).
-	rk := s.regionKeys[region] // Assemble refuses a home region past the table
 	if !movedAbroad && region.Valid() {
-		applies := true
-		if region.Frontline() {
-			applies = netmodel.Mix64(rk.frontline^netmodel.Mix64(in.dayKey))%100 < 35
+		var cut int8
+		if cuts != nil {
+			cut = cuts[region]
+		} else {
+			cut = s.gridCut(region, in)
 		}
-		if out, since := s.Power.OutSinceAt(region, in.power); applies && out && since > float64(bt.BackupHours) {
+		if cut >= 0 && cutSince(cut, in) > float64(bt.BackupHours) {
 			if bt.GridSensitive {
 				resp *= 0.05
 			} else {
@@ -299,7 +348,7 @@ func (s *Scenario) stateIn(bi int, keys *blockKeys, in *instant) BlockState {
 
 	// Scripted events, in event order: the drops multiply one by one, as
 	// float64 products do not re-associate.
-	for _, ei := range s.index.activeAt(bi, in.clock) {
+	for _, ei := range active {
 		ev := &s.events[ei]
 		switch ev.Kind {
 		case EffectBGPDown:
@@ -354,7 +403,7 @@ func (s *Scenario) stateIn(bi int, keys *blockKeys, in *instant) BlockState {
 	}
 
 	// Round-trip time: base per region plus rerouting detours and jitter.
-	base := rk.rttBase
+	base := s.regionKeys[region].rttBase // Assemble refuses a home region past the table
 	if movedAbroad {
 		base = 105 // transatlantic cloud
 	}
@@ -384,6 +433,8 @@ func (s *Scenario) GenerateStore(trackRTT []netmodel.BlockID) *dataset.Store {
 			store.SetMissing(r)
 		}
 	}
+	// The grid cut is a function of (round, region): one table for all blocks.
+	cuts, n := s.gridCuts(rounds), len(s.regionKeys)
 	// The campaign shards per block across the worker pool: every stochastic
 	// decision in stateIn is a pure hash of (seed, block, round), and each
 	// block owns its store rows, so the result is byte-identical to the
@@ -391,11 +442,13 @@ func (s *Scenario) GenerateStore(trackRTT []netmodel.BlockID) *dataset.Store {
 	par.ForEach(len(s.blocks), func(bi int) {
 		tracked := store.RTTTracked(bi)
 		keys := s.keysOf(bi)
+		spans := s.index.cursor(bi) // rounds ascend, and so do their clocks
 		for r := range rounds {
 			if s.Missing[r] {
 				continue
 			}
-			st := s.stateIn(bi, &keys, &rounds[r])
+			in := &rounds[r]
+			st := s.stateIn(bi, &keys, in, cuts[r*n:(r+1)*n], spans.at(in.clock))
 			store.SetRound(bi, r, st.Resp, st.Routed)
 			if tracked && st.Resp > 0 {
 				store.SetRTT(bi, r, st.RTTMS)
@@ -495,7 +548,7 @@ func (s *Scenario) ProbeFunc() func(addr netmodel.Addr, round int) bool {
 		}
 		at := s.TL.Time(round)
 		st := s.BlockStateAt(bi, at)
-		return s.probeAnswers(bi, addr, st.Routed, st.Resp, at)
+		return s.probeAnswers(bi, addr, st.Routed, st.Resp, at.Unix()/600)
 	}
 }
 
@@ -514,23 +567,28 @@ func (s *Scenario) RecordedProbe(st *dataset.Store) func(addr netmodel.Addr, rou
 		tl.Interval() != s.TL.Interval() || tl.NumRounds() != s.TL.NumRounds() {
 		panic("sim: RecordedProbe: the store is not of this scenario's blocks and rounds")
 	}
+	// Each round's ten-minute loss window, as ProbeFunc takes it per call.
+	windows := make([]int64, s.TL.NumRounds())
+	for r := range windows {
+		windows[r] = s.TL.Time(r).Unix() / 600
+	}
 	return func(addr netmodel.Addr, round int) bool {
 		bi := s.Space.BlockIndex(addr.Block())
 		if bi < 0 {
 			return false
 		}
-		at := s.TL.Time(round)
 		if st.Missing(round) {
-			bs := s.BlockStateAt(bi, at)
-			return s.probeAnswers(bi, addr, bs.Routed, bs.Resp, at)
+			bs := s.BlockStateAt(bi, s.TL.Time(round))
+			return s.probeAnswers(bi, addr, bs.Routed, bs.Resp, windows[round])
 		}
-		return s.probeAnswers(bi, addr, st.Routed(bi, round), st.Resp(bi, round), at)
+		return s.probeAnswers(bi, addr, st.Routed(bi, round), st.Resp(bi, round), windows[round])
 	}
 }
 
-// probeAnswers is both probes' answer for addr, of block bi, at instant at of
-// a round in which the block's routed state and count are routed and resp.
-func (s *Scenario) probeAnswers(bi int, addr netmodel.Addr, routed bool, resp int, at time.Time) bool {
+// probeAnswers is both probes' answer for addr, of block bi, in ten-minute
+// window (Unix seconds / 600) of a round in which the block's routed state and
+// count are routed and resp.
+func (s *Scenario) probeAnswers(bi int, addr netmodel.Addr, routed bool, resp int, window int64) bool {
 	if !routed || resp <= 0 {
 		return false
 	}
@@ -538,7 +596,7 @@ func (s *Scenario) probeAnswers(bi int, addr netmodel.Addr, routed bool, resp in
 		return false
 	}
 	avail := MinProbeAvail + (MaxProbeAvail-MinProbeAvail)*netmodel.UnitFloat(netmodel.Hash2(s.Cfg.Seed^0xa7a, uint64(addr)))
-	h := netmodel.Hash3(s.Cfg.Seed^0x10ff, uint64(addr), uint64(at.Unix()/600))
+	h := netmodel.Hash3(s.Cfg.Seed^0x10ff, uint64(addr), uint64(window))
 	return netmodel.UnitFloat(h) < avail
 }
 
