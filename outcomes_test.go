@@ -1,0 +1,216 @@
+package countrymon
+
+import (
+	"context"
+	"errors"
+	"math"
+	"reflect"
+	"testing"
+	"time"
+
+	"countrymon/internal/faults"
+	"countrymon/internal/fleet"
+	"countrymon/internal/netmodel"
+	"countrymon/internal/obs"
+	"countrymon/internal/scanner"
+	"countrymon/internal/simnet"
+)
+
+// TestRoundOutcomes drives one short campaign per way a round can end and
+// checks, for its last round, every place the outcome is recorded: Step's
+// Stats, the outcome event on the bus (kind and every field), the
+// monitor_rounds_total{outcome} counter and monitor_last_round gauge, and the
+// store's missing, done, coverage and first-block response cells.
+func TestRoundOutcomes(t *testing.T) {
+	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	// faulty puts the wire behind one fault window of kind, from `from`
+	// into round 0 to an hour after its start.
+	faulty := func(kind faults.Kind, from time.Duration) func(*testing.T, *Options) {
+		return func(t *testing.T, o *Options) {
+			net := o.Transport.(*simnet.Network)
+			o.Clock = net
+			o.Transport = faults.NewTransport(net, nil, faults.Profile{Seed: 1, Windows: []faults.Window{
+				{From: start.Add(from), To: start.Add(time.Hour), Kind: kind},
+			}})
+		}
+	}
+	// fleetOf scans through a one-vantage fleet whose wire, per (round,
+	// scan of that round), answers hosts below density(round, scan); a
+	// negative density is an unreachable vantage.
+	fleetOf := func(density func(round, scan int) int) func(*testing.T, *Options) {
+		return func(t *testing.T, o *Options) {
+			scans := map[int]int{}
+			o.Transport = nil
+			o.Clock = scanner.NewVirtualClock(o.Start)
+			o.Fleet = soloFleet(t, []fleet.Spec{{Name: "v0", Transport: func(round int, at time.Time) (Transport, Clock, error) {
+				d := density(round, scans[round])
+				scans[round]++
+				if d < 0 {
+					return nil, nil, errors.New("vantage unreachable")
+				}
+				net := simnet.New(netmodel.MustParseAddr("198.51.100.1"), outageResponder(uint8(d), start, start), at)
+				return net, net, nil
+			}}}, *o, 0)
+		}
+	}
+	full := Stats{Sent: 256, Received: 5, Valid: 5, Elapsed: 8024 * time.Millisecond}
+
+	for _, tc := range []struct {
+		name     string
+		rounds   int // the campaign's length; its last round is checked
+		opts     func(*testing.T, *Options)
+		preRound func(*Monitor) func(int) error
+
+		stats    Stats
+		kind     string
+		fields   map[string]any
+		outcome  string // monitor_rounds_total's label
+		missing  bool
+		coverage float64
+		resp     int
+	}{
+		{
+			name: "scanned", rounds: 1,
+			stats: full, kind: "round_scanned",
+			fields:  map[string]any{"round": 0, "sent": full.Sent, "valid": full.Valid, "coverage": 1.0},
+			outcome: "scanned", coverage: 1, resp: 5,
+		},
+		{
+			name: "salvaged", rounds: 1, opts: faulty(faults.Blackout, 10*time.Millisecond),
+			stats:   Stats{Sent: 128, SendErrors: 26, Retries: 78, Elapsed: 8*time.Second + 367521067},
+			kind:    "round_salvaged",
+			fields:  map[string]any{"round": 0, "sent": uint64(128), "valid": uint64(0), "coverage": 0.5},
+			outcome: "salvaged", coverage: 0.5,
+		},
+		{
+			name: "receive path dead", rounds: 1, opts: faulty(faults.RecvErrors, 0),
+			stats: Stats{Sent: 256, RecvErrors: 33, Elapsed: 24 * time.Millisecond},
+			kind:  "round_missing",
+			fields: map[string]any{"round": 0, "sent": uint64(256), "valid": uint64(0), "coverage": 1.0,
+				"reason": "recv_dead"},
+			outcome: "missing", missing: true, coverage: 1,
+		},
+		{
+			name: "marked missing by PreRound", rounds: 2,
+			preRound: func(mon *Monitor) func(int) error {
+				return func(round int) error {
+					if round == 1 {
+						return mon.MarkMissing()
+					}
+					return nil
+				}
+			},
+			kind:    "round_missing",
+			fields:  map[string]any{"round": 1, "reason": "vantage"},
+			outcome: "missing", missing: true,
+		},
+		{
+			name: "fleet self-outage", rounds: 2,
+			opts: fleetOf(func(round, _ int) int {
+				if round == 1 {
+					return -1
+				}
+				return 5
+			}),
+			kind:    "round_missing",
+			fields:  map[string]any{"round": 1, "reason": "fleet_self_outage"},
+			outcome: "missing", missing: true,
+		},
+		{
+			// The fleet's previous belief is the last round with data
+			// (round 0), not the self-outage between: the block reads
+			// depressed against it, so it is re-probed, and the re-probe's
+			// count is what the store keeps.
+			name: "fleet scanned after a self-outage", rounds: 3,
+			opts: fleetOf(func(round, scan int) int {
+				switch {
+				case round == 1:
+					return -1
+				case round == 2 && scan == 0:
+					return 3
+				}
+				return 5
+			}),
+			stats: Stats{Sent: 256, Received: 3, Valid: 3, Elapsed: 8024 * time.Millisecond},
+			kind:  "round_scanned",
+			fields: map[string]any{"round": 2, "sent": uint64(256), "valid": uint64(3),
+				"coverage": 1.0},
+			outcome: "scanned", coverage: 1, resp: 5,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := smallOpts(t, tc.rounds)
+			opts.Registry, opts.Bus = obs.NewRegistry(), obs.NewBus(0)
+			if tc.opts != nil {
+				tc.opts(t, &opts)
+			}
+			mon, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rc RunConfig
+			if tc.preRound != nil {
+				rc.PreRound = tc.preRound(mon)
+			}
+			outcomes := []string{"scanned", "salvaged", "missing"}
+			counter := opts.Registry.CounterVec("monitor_rounds_total", "", "outcome")
+			var (
+				st     Stats
+				seq    uint64
+				before []uint64 // monitor_rounds_total by outcome, before the last round
+			)
+			last := tc.rounds - 1
+			for mon.NextRound() {
+				seq, before = opts.Bus.Seq(), nil
+				for _, o := range outcomes {
+					before = append(before, counter.With(o).Value())
+				}
+				if st, err = mon.Step(context.Background(), rc); err != nil {
+					t.Fatalf("round %d: %v", mon.Round(), err)
+				}
+			}
+			if st != tc.stats {
+				t.Errorf("Step = %+v, want %+v", st, tc.stats)
+			}
+
+			var outcome *obs.Event
+			for _, ev := range opts.Bus.Since(seq) {
+				switch ev.Kind {
+				case "round_scanned", "round_salvaged", "round_missing":
+					if outcome != nil {
+						t.Errorf("second outcome event %s %v", ev.Kind, ev.Fields)
+					}
+					outcome = &ev
+				}
+			}
+			if outcome == nil {
+				t.Fatalf("round %d published no outcome event", last)
+			}
+			if outcome.Kind != tc.kind || !reflect.DeepEqual(outcome.Fields, tc.fields) {
+				t.Errorf("outcome event %s %#v, want %s %#v", outcome.Kind, outcome.Fields, tc.kind, tc.fields)
+			}
+
+			for i, o := range outcomes {
+				want := before[i]
+				if o == tc.outcome {
+					want++
+				}
+				if got := counter.With(o).Value(); got != want {
+					t.Errorf("monitor_rounds_total{outcome=%s} = %d, want %d", o, got, want)
+				}
+			}
+			if got := opts.Registry.Gauge("monitor_last_round", "").Value(); got != int64(last) {
+				t.Errorf("monitor_last_round = %d, want %d", got, last)
+			}
+
+			// The store keeps coverage in 16-bit fixed point.
+			s := mon.Store()
+			if s.Missing(last) != tc.missing || !s.Done(last) || math.Abs(s.Coverage(last)-tc.coverage) > 1e-4 ||
+				s.Resp(0, last) != tc.resp {
+				t.Errorf("store round %d: missing=%v done=%v coverage=%v resp=%d, want missing=%v done=true coverage=%v resp=%d",
+					last, s.Missing(last), s.Done(last), s.Coverage(last), s.Resp(0, last),
+					tc.missing, tc.coverage, tc.resp)
+			}
+		})
+	}
+}
