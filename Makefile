@@ -28,8 +28,8 @@ fmt:
 	fi
 
 # Size report for simplicity PRs, so deltas are quoted the same way each
-# time: non-test Go lines outside bench/, the field counts of the option,
-# hook and config structs (one field per declaration line), the flags each CLI
+# time: non-test Go lines outside bench/, the field counts of the option and
+# config structs (one field per declaration line), the flags each CLI
 # defines (on the flag package or on a FlagSet named fs) with their total and
 # the number of CLIs, and the bytes of the three docs every PR re-reads.
 # $(call fields,FILE,TYPE) counts the fields of `type TYPE struct` in FILE.
@@ -38,7 +38,6 @@ loc:
 	@printf 'non-test Go lines (excl. bench/): '; \
 	find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 	@printf 'countrymon.Options fields: '; $(call fields,countrymon.go,Options)
-	@printf 'countrymon.Hooks fields: '; $(call fields,run.go,Hooks)
 	@printf 'countrymon.RunConfig fields: '; $(call fields,run.go,RunConfig)
 	@printf 'scanner.Config fields: '; $(call fields,internal/scanner/scanner.go,Config)
 	@printf 'fleet.Config fields: '; $(call fields,internal/fleet/fleet.go,Config)

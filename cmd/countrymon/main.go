@@ -205,7 +205,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		e.log.Printf("  done in %v", time.Since(t0).Round(time.Millisecond))
 	}
 	if *save != "" {
-		if err := store.Save(*save); err != nil {
+		if err := store.SaveSync(*save); err != nil {
 			return e.fail("save: %v", err)
 		}
 		fi, _ := os.Stat(*save)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"os/signal"
@@ -128,6 +129,25 @@ func TestFleetCompletesDegraded(t *testing.T) {
 	sameFile(t, faulted, clean)
 }
 
+// TestFleetSelfOutage blacks out the only vantage of a fleet for rounds 2 to
+// 6: no vantage has data on them, so each is recorded missing as a fleet
+// self-outage — labelled so, not as a dead receive path — and counts against
+// coverage (exit 1).
+func TestFleetSelfOutage(t *testing.T) {
+	code, _, stderr := cm(with(small, "-packet-rounds", "12", "-vantages", "1",
+		"-vantage-faults", "blackout=20h+60h")...)
+	if code != 1 || strings.Contains(stderr, "receive path dead") ||
+		!strings.Contains(stderr, "countrymon: 5 of 12 rounds ended below the 80% coverage threshold") {
+		t.Fatalf("exit %d, want 1, stderr:\n%s", code, stderr)
+	}
+	for r := 2; r <= 6; r++ {
+		want := fmt.Sprintf("round %3d: sent 0 valid 0  [fleet self-outage: recorded missing]\n", r)
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+}
+
 // TestSoloBlackoutFailsCoverage: with one vantage there is nobody to steal
 // the blacked-out rounds, and a round below -min-coverage is exit 1.
 func TestSoloBlackoutFailsCoverage(t *testing.T) {
@@ -151,9 +171,9 @@ func (w *interruptAt) Write(p []byte) (int, error) {
 	if !w.sent && bytes.Contains(p, []byte(w.mark)) {
 		w.sent = true
 		syscall.Kill(os.Getpid(), syscall.SIGINT)
-		// The round hook runs on the campaign goroutine: hold it until the
-		// process has taken the signal, which is when run's context gets it
-		// too. The rounds left after mark absorb the goroutine hand-off.
+		// Round lines are written on the campaign goroutine: hold it until
+		// the process has taken the signal, which is when run's context gets
+		// it too. The rounds left after mark absorb the goroutine hand-off.
 		<-w.delivered
 	}
 	return w.Buffer.Write(p)

@@ -13,6 +13,7 @@ import (
 	"countrymon/internal/faults"
 	"countrymon/internal/fleet"
 	"countrymon/internal/netmodel"
+	"countrymon/internal/obs"
 	"countrymon/internal/scanner"
 	"countrymon/internal/sim"
 	"countrymon/internal/simnet"
@@ -73,13 +74,19 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 		return ftr
 	}
 
+	// The campaign's log lines read each round's outcome and checkpoints
+	// off the bus; without -metrics the bus is the campaign's own.
+	bus := e.bus
+	if bus == nil {
+		bus = obs.NewBus(0)
+	}
 	opts := countrymon.Options{
 		Targets: prefixes,
 		Start:   start, Rounds: rounds, Interval: interval,
 		Rate: scanner.DefaultRate * 10, Seed: seed, Country: sc.Country,
 		CheckpointPath: f.checkpoint, ResumeFrom: f.resume, RoundLogPath: f.roundLog,
 		MinCoverage: minCov,
-		Registry:    e.reg, Bus: e.bus,
+		Registry:    e.reg, Bus: bus,
 	}
 	fleetNote := ""
 	if f.vantages > 0 {
@@ -115,26 +122,29 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 		mon.Store().NumBlocks(), rounds, interval, fleetNote)
 
 	ctx, stop := interruptible()
-	err = mon.Run(ctx, countrymon.RunConfig{
-		PreRound: sc.PreRound(mon),
-		Hooks: countrymon.Hooks{
-			OnRound: func(r int, stats countrymon.Stats) {
-				note := ""
-				switch {
-				case sc.Missing[r]:
-					note = "  [scenario vantage outage: recorded missing]"
-				case mon.Store().Missing(r):
-					note = "  [receive path dead: recorded missing]"
-				case mon.Store().Coverage(r) < 1:
-					note = fmt.Sprintf("  [partial: %.1f%% coverage]", 100*mon.Store().Coverage(r))
-				}
-				e.log.Printf("round %3d: sent %d valid %d%s", r, stats.Sent, stats.Valid, note)
-			},
-			OnCheckpoint: func(round int, path string) {
-				e.log.Printf("checkpoint: %d rounds -> %s", round, path)
-			},
-		},
-	})
+	rc := countrymon.RunConfig{PreRound: sc.PreRound(mon)}
+	for mon.NextRound() {
+		r, seq := mon.Round(), bus.Seq()
+		var stats countrymon.Stats
+		stats, err = mon.Step(ctx, rc)
+		note := ""
+		for _, ev := range bus.Since(seq) {
+			switch ev.Kind {
+			case "checkpoint":
+				e.log.Printf("checkpoint: %d rounds -> %s", ev.Fields["round"], ev.Fields["path"])
+			case "round_missing":
+				reason, _ := ev.Fields["reason"].(string)
+				note = missingNote[reason]
+			}
+		}
+		if err != nil {
+			break
+		}
+		if note == "" && mon.Store().Coverage(r) < 1 {
+			note = fmt.Sprintf("  [partial: %.1f%% coverage]", 100*mon.Store().Coverage(r))
+		}
+		e.log.Printf("round %3d: sent %d valid %d%s", r, stats.Sent, stats.Valid, note)
+	}
 	stop()
 	switch {
 	case err == nil:
@@ -203,6 +213,14 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 	}
 	e.log.Printf("campaign complete: all %d rounds at full coverage", rounds)
 	return 0
+}
+
+// missingNote labels a round recorded missing by its round_missing event's
+// reason.
+var missingNote = map[string]string{
+	"vantage":           "  [scenario vantage outage: recorded missing]",
+	"recv_dead":         "  [receive path dead: recorded missing]",
+	"fleet_self_outage": "  [fleet self-outage: recorded missing]",
 }
 
 // joinFleet builds the -vantages supervisor and joins one campaign, named

@@ -23,20 +23,23 @@
 //
 // # Running a campaign
 //
-// Run drives the whole campaign under a context, with per-round hooks:
+// Step handles one round under a context — PreRound, then the scan unless
+// PreRound marked the round missing — and returns its Stats; Run loops over
+// Step until the campaign is done:
 //
-//	err := mon.Run(ctx, countrymon.RunConfig{
-//	    Hooks: countrymon.Hooks{
-//	        OnRound:      func(round int, st countrymon.Stats) { ... },
-//	        OnCheckpoint: func(round int, path string) { ... },
-//	    },
-//	})
+//	rc := countrymon.RunConfig{PreRound: func(round int) error { ... }}
+//	for mon.NextRound() {
+//	    st, err := mon.Step(ctx, rc)
+//	    ...
+//	}
 //
 // Cancelling ctx stops the campaign at the next round boundary; when a
-// CheckpointPath is configured, a final checkpoint is written before Run
+// CheckpointPath is configured, a final checkpoint is written before Step
 // returns, so the campaign resumes exactly where it stopped. The classic
-// zero-argument loop above keeps working: ScanRound is a thin wrapper over
-// ScanRoundContext(context.Background()).
+// zero-argument loop above keeps working: ScanRound is
+// Step(context.Background(), RunConfig{}). How each round ended (scanned,
+// salvaged or missing, and why) and each checkpoint written are events on
+// Options.Bus.
 //
 // # Observability
 //
@@ -229,18 +232,13 @@ type Monitor struct {
 	sinceCkpt int
 
 	// camp is the fleet campaign the monitor scans through (Options.Fleet;
-	// nil outside fleet mode). lastDataRound is the most recent round with
-	// ingested scan data — the fleet's previous belief for suspect
-	// detection — or -1.
-	camp          *fleet.Campaign
-	lastDataRound int
+	// nil outside fleet mode).
+	camp *fleet.Campaign
 
-	// Observability: bus receives events, hooks are Run's callbacks (the
-	// checkpoint one fires from Checkpoint), metrics/scanM/sigM are the
+	// Observability: bus receives events, metrics/scanM/sigM are the
 	// per-subsystem instruments (never nil; inert without a Registry),
 	// campaign accumulates Stats across scanned rounds.
 	bus      *obs.Bus
-	hooks    Hooks // active only during Run
 	metrics  *monMetrics
 	scanM    *scanner.Metrics
 	sigM     *signals.Metrics
@@ -293,16 +291,15 @@ func New(opts Options) (*Monitor, error) {
 	}
 	tl := timeline.New(opts.Start, opts.Start.Add(time.Duration(opts.Rounds-1)*opts.Interval), opts.Interval)
 	m := &Monitor{
-		opts:          opts,
-		tl:            tl,
-		targets:       targets,
-		store:         dataset.NewStore(tl, targets.Blocks()),
-		origins:       make(map[BlockID]ASN),
-		bus:           opts.Bus,
-		metrics:       newMonMetrics(opts.Registry),
-		scanM:         scanner.NewMetrics(opts.Registry),
-		sigM:          signals.NewMetrics(opts.Registry),
-		lastDataRound: -1,
+		opts:    opts,
+		tl:      tl,
+		targets: targets,
+		store:   dataset.NewStore(tl, targets.Blocks()),
+		origins: make(map[BlockID]ASN),
+		bus:     opts.Bus,
+		metrics: newMonMetrics(opts.Registry),
+		scanM:   scanner.NewMetrics(opts.Registry),
+		sigM:    signals.NewMetrics(opts.Registry),
 	}
 	if opts.Fleet != nil {
 		if err := checkFleetTargets(opts.Fleet, targets.Blocks()); err != nil {
@@ -324,14 +321,6 @@ func New(opts Options) (*Monitor, error) {
 		}
 		if m.round > before {
 			resumed = opts.RoundLogPath
-		}
-	}
-	// Re-derive the fleet's previous belief: the latest recovered round
-	// (from checkpoint and/or journal) that actually carries scan data.
-	for r := m.round - 1; r >= 0; r-- {
-		if m.store.Done(r) && !m.store.Missing(r) {
-			m.lastDataRound = r
-			break
 		}
 	}
 	if resumed != "" {
@@ -499,14 +488,15 @@ func (m *Monitor) storeMissing(round int, coverage float64) {
 
 // finishRound is the one epilogue every handled round — scanned, salvaged or
 // missing — passes through once the store holds its outcome: journal it, fold
-// it into the signals and the serve store, advance the campaign, checkpoint
-// when due. A journal failure returns before the round counts as handled, so
-// it is scanned again rather than lost.
+// it into the signals, seal it into the serve store, advance the campaign,
+// checkpoint when due, announce completion. A journal failure returns before
+// the round counts as handled, so it is scanned again rather than lost.
 func (m *Monitor) finishRound(round int) error {
 	if err := m.journalRound(round); err != nil {
 		return err
 	}
 	m.foldRound(round)
+	m.advanceServe(round)
 	m.round++
 	if err := m.maybeCheckpoint(); err != nil {
 		return err
@@ -519,20 +509,20 @@ func (m *Monitor) finishRound(round int) error {
 	return nil
 }
 
-// ScanRound probes every target once and ingests the results at the current
-// round index; it is ScanRoundContext without cancellation.
+// ScanRound handles the current round without cancellation or a PreRound:
+// it is Step(context.Background(), RunConfig{}).
 func (m *Monitor) ScanRound() (Stats, error) {
-	return m.ScanRoundContext(context.Background())
+	return m.Step(context.Background(), RunConfig{})
 }
 
-// ScanRoundContext probes every target once and ingests the results at the
-// current round index. A round salvaged by the scanner's error budget is
-// recorded with its achieved coverage (signals gate it via
-// Options.MinCoverage); a round whose receive path died is recorded as
+// scan probes every target once and ingests the results at the current round
+// index. A round salvaged by the scanner's error budget is recorded with its
+// achieved coverage (signals gate it via Options.MinCoverage); a round whose
+// receive path died, or on which the whole fleet was dark, is recorded as
 // missing, like a vantage outage. Only a hard scan failure — or ctx being
 // cancelled mid-round, which discards the partial round so it rescans on
 // resume — returns an error.
-func (m *Monitor) ScanRoundContext(ctx context.Context) (Stats, error) {
+func (m *Monitor) scan(ctx context.Context) (Stats, error) {
 	if !m.NextRound() {
 		return Stats{}, ErrCampaignComplete
 	}
@@ -582,7 +572,6 @@ func (m *Monitor) ScanRoundContext(ctx context.Context) (Stats, error) {
 		outcome = "round_missing"
 	} else {
 		m.store.AddRoundData(m.round, rd)
-		m.lastDataRound = m.round
 		if rd.Partial {
 			m.store.SetCoverage(m.round, rd.Coverage())
 			m.metrics.roundsSalvaged.Inc()
@@ -637,17 +626,18 @@ func (m *Monitor) Checkpoint() error {
 	m.emit("checkpoint", func() map[string]any {
 		return map[string]any{"round": m.round, "path": m.opts.CheckpointPath}
 	})
-	if m.hooks.OnCheckpoint != nil {
-		m.hooks.OnCheckpoint(m.round, m.opts.CheckpointPath)
-	}
 	return nil
 }
 
 // prevBelief returns the fleet's previous-belief lookup: each block's
-// response count from the most recent round with ingested data, or no
-// belief at all before the first such round.
+// response count from the most recent round with ingested data — handled and
+// not missing, whether scanned live or recovered from a checkpoint or the
+// journal — or no belief at all before the first such round.
 func (m *Monitor) prevBelief() fleet.PrevFunc {
-	last := m.lastDataRound
+	last := m.round - 1
+	for last >= 0 && (!m.store.Done(last) || m.store.Missing(last)) {
+		last--
+	}
 	if last < 0 {
 		return func(int) (int, bool) { return 0, false }
 	}
@@ -747,7 +737,6 @@ func (m *Monitor) invalidate() { m.sigBuild = nil }
 // query there is nothing to fold into: the builder is built lazily over
 // whatever the store holds by then.
 func (m *Monitor) foldRound(round int) {
-	defer m.advanceServe(round)
 	if m.sigBuild != nil && m.sigBuild.Fold(round) != nil {
 		m.invalidate()
 	}
@@ -766,7 +755,7 @@ func (m *Monitor) AttachServe(s *serve.Store) {
 }
 
 // advanceServe seals a just-folded round into the attached serve store.
-// foldRound runs once per handled round (from finishRound), so the
+// finishRound calls it once per handled round, right after foldRound, so the
 // watermark can never skip a round.
 func (m *Monitor) advanceServe(round int) {
 	if m.serveStore != nil {

@@ -416,22 +416,9 @@ func ReadFrom(r io.Reader) (*Store, error) {
 	return s, nil
 }
 
-// Save writes the store to a file.
-func (s *Store) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := s.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // SaveSync writes the store to a file and fsyncs it before closing, so the
-// bytes are durable — not just in the page cache — when it returns. Use it
-// for checkpoint temp files that are about to be renamed over live state: a
+// bytes are durable — not just in the page cache — when it returns. A
+// checkpoint temp file needs that before it is renamed over live state: a
 // rename is only crash-safe if the renamed content already hit the disk.
 func (s *Store) SaveSync(path string) error {
 	f, err := os.Create(path)

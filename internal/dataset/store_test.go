@@ -247,7 +247,7 @@ func TestSaveLoad(t *testing.T) {
 	s := testStore(t)
 	s.SetRound(1, 3, 99, true)
 	path := t.TempDir() + "/data.cmds"
-	if err := s.Save(path); err != nil {
+	if err := s.SaveSync(path); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(path)

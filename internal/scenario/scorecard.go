@@ -93,14 +93,20 @@ func (c *Compiled) RunScorecard() (*Scorecard, error) {
 
 	// The campaign: the world feeds ground-truth routing per round (the
 	// monitor's BGP view) and marks its scripted vantage outages missing;
-	// degraded windows are recorded as salvaged partial rounds.
+	// degraded windows are recorded as salvaged partial rounds, their
+	// coverage written before the scan so the round is journalled, folded
+	// and sealed with it.
+	preRound := world.PreRound(mon)
 	err = mon.Run(context.Background(), countrymon.RunConfig{
-		PreRound: world.PreRound(mon),
-		Hooks: countrymon.Hooks{OnRound: func(r int, _ countrymon.Stats) {
-			if cov, ok := c.Degraded[r]; ok && !mon.Store().Missing(r) {
+		PreRound: func(r int) error {
+			if err := preRound(r); err != nil || mon.Round() > r {
+				return err
+			}
+			if cov, ok := c.Degraded[r]; ok {
 				mon.Store().SetCoverage(r, cov)
 			}
-		}},
+			return nil
+		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s round %d: %w", spec.Name, mon.Round(), err)

@@ -117,9 +117,9 @@ func TestTypedErrors(t *testing.T) {
 	})
 }
 
-// TestRunCancelWritesCheckpoint cancels Run mid-campaign and requires the
-// final checkpoint to be on disk — current through the last handled round —
-// by the time Run returns.
+// TestRunCancelWritesCheckpoint cancels a campaign's Step loop mid-campaign
+// and requires the final checkpoint to be on disk — current through the last
+// handled round — by the time Step returns.
 func TestRunCancelWritesCheckpoint(t *testing.T) {
 	const rounds = 40
 	dir := t.TempDir()
@@ -134,34 +134,37 @@ func TestRunCancelWritesCheckpoint(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	var seen []int
-	err = mon.Run(ctx, RunConfig{
+	defer cancel()
+	rc := RunConfig{
 		PreRound: func(round int) error {
 			for _, blk := range mon.Store().Blocks() {
 				mon.SetRouted(blk, round, true, 25482)
 			}
 			return nil
 		},
-		Hooks: Hooks{
-			OnRound: func(round int, st Stats) {
-				seen = append(seen, round)
-				if round == 14 {
-					cancel()
-				}
-			},
-		},
-	})
+	}
+	var seen []int
+	for mon.NextRound() {
+		round := mon.Round()
+		if _, err = mon.Step(ctx, rc); err != nil {
+			break
+		}
+		seen = append(seen, round)
+		if round == 14 {
+			cancel()
+		}
+	}
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run = %v, want context.Canceled", err)
+		t.Fatalf("Step = %v, want context.Canceled", err)
 	}
 	if len(seen) == 0 || seen[len(seen)-1] != 14 {
 		t.Fatalf("rounds handled: %v, want to stop right after 14", seen)
 	}
 	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("no checkpoint after cancelled Run: %v", err)
+		t.Fatalf("no checkpoint after cancelled Step: %v", err)
 	}
 
-	// The checkpoint resumes exactly where Run stopped.
+	// The checkpoint resumes exactly where the campaign stopped.
 	res, _ := killResumeOpts(t, rounds, "")
 	res.ResumeFrom = ckpt
 	mon2, err := New(res)
@@ -173,8 +176,9 @@ func TestRunCancelWritesCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRunCompletes drives a campaign end to end through Run and checks hook
-// delivery and the completion contract.
+// TestRunCompletes drives a campaign end to end through Step, checks that
+// every round and checkpoint is reported (in Step's return and on the bus)
+// and the completion contract.
 func TestRunCompletes(t *testing.T) {
 	const rounds = 5
 	dir := t.TempDir()
@@ -187,23 +191,23 @@ func TestRunCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []int
-	ckpts := 0
-	err = mon.Run(context.Background(), RunConfig{Hooks: Hooks{
-		OnRound:      func(round int, st Stats) { got = append(got, round) },
-		OnCheckpoint: func(round int, path string) { ckpts++ },
-	}})
-	if err != nil {
-		t.Fatal(err)
+	for mon.NextRound() {
+		round := mon.Round()
+		if _, err := mon.Step(context.Background(), RunConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, round)
 	}
 	events := map[string]int{}
 	for _, ev := range opts.Bus.Since(0) {
 		events[ev.Kind]++
 	}
+	ckpts := events["checkpoint"]
 	if len(got) != rounds {
-		t.Fatalf("OnRound fired for %v, want %d rounds", got, rounds)
+		t.Fatalf("Step handled %v, want %d rounds", got, rounds)
 	}
 	if ckpts == 0 {
-		t.Error("OnCheckpoint never fired")
+		t.Error("no checkpoint event")
 	}
 	if events["round_scanned"] != rounds {
 		t.Errorf("round_scanned events = %d, want %d", events["round_scanned"], rounds)
@@ -353,15 +357,15 @@ func mustGetBody(t *testing.T, url string) []byte {
 
 // TestRunPreRoundMarkMissing: a PreRound that marks its round missing has
 // handled that round — Step must not go on to scan the next one, which would
-// run it without its own PreRound — and marking the last round must end Run
-// cleanly.
+// run it without its own PreRound — and marking the last round must end the
+// campaign cleanly.
 func TestRunPreRoundMarkMissing(t *testing.T) {
 	mon, err := New(smallOpts(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pre, handled []int
-	err = mon.Run(context.Background(), RunConfig{
+	rc := RunConfig{
 		PreRound: func(round int) error {
 			pre = append(pre, round)
 			if round != 1 {
@@ -369,19 +373,21 @@ func TestRunPreRoundMarkMissing(t *testing.T) {
 			}
 			return nil
 		},
-		Hooks: Hooks{OnRound: func(round int, st Stats) {
-			handled = append(handled, round)
-			if missing := round != 1; missing != (st.Sent == 0) {
-				t.Errorf("round %d: sent %d", round, st.Sent)
-			}
-		}},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	}
+	for mon.NextRound() {
+		round := mon.Round()
+		st, err := mon.Step(context.Background(), rc)
+		if err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+		handled = append(handled, round)
+		if missing := round != 1; missing != (st.Sent == 0) {
+			t.Errorf("round %d: sent %d", round, st.Sent)
+		}
 	}
 	want := []int{0, 1, 2}
 	if !reflect.DeepEqual(pre, want) || !reflect.DeepEqual(handled, want) {
-		t.Errorf("PreRound rounds %v, OnRound rounds %v, want both %v", pre, handled, want)
+		t.Errorf("PreRound rounds %v, Step rounds %v, want both %v", pre, handled, want)
 	}
 	for r, missing := range []bool{true, false, true} {
 		if mon.Store().Missing(r) != missing || !mon.Store().Done(r) {

@@ -8,35 +8,22 @@ import (
 	"countrymon/internal/obs"
 )
 
-// Hooks are per-round observation callbacks for Run. All fields are
-// optional; hooks run synchronously on the campaign goroutine, so they must
-// not block for long.
-type Hooks struct {
-	// OnRound fires after each round is handled (scanned, salvaged or
-	// missing) with the round index and its scan statistics.
-	OnRound func(round int, st Stats)
-	// OnCheckpoint fires after every successful checkpoint write.
-	OnCheckpoint func(round int, path string)
-}
-
-// RunConfig configures one Run invocation.
+// RunConfig configures one Run or Step invocation.
 type RunConfig struct {
-	Hooks Hooks
 	// PreRound, when non-nil, runs before each round is scanned — the place
 	// to apply BGP snapshots or decide to MarkMissing. Returning an error
 	// aborts the campaign (after a checkpoint, if one is configured).
 	PreRound func(round int) error
 }
 
-// Run drives the campaign to completion: every remaining round is scanned
-// in sequence, hooks fire per round and per checkpoint, and ctx cancellation
-// stops the campaign at the next round boundary — after writing a final
-// checkpoint when CheckpointPath is set, so the campaign resumes exactly
-// where it stopped. It returns nil on completion, ctx's error on
-// cancellation, or the first hard scan/checkpoint/PreRound error.
-//
-// Run replaces the hand-rolled `for mon.NextRound() { mon.ScanRound() }`
-// loop, which remains supported.
+// Run drives the campaign to completion: every remaining round is handled by
+// Step in sequence, and ctx cancellation stops the campaign at the next round
+// boundary — after writing a final checkpoint when CheckpointPath is set, so
+// the campaign resumes exactly where it stopped. It returns nil on
+// completion, ctx's error on cancellation, or the first hard
+// scan/checkpoint/PreRound error. Each round's outcome and each checkpoint
+// is published on Options.Bus; a caller that wants each round's Stats loops
+// over Step itself.
 func (m *Monitor) Run(ctx context.Context, rc RunConfig) error {
 	for m.NextRound() {
 		if _, err := m.Step(ctx, rc); err != nil {
@@ -46,15 +33,13 @@ func (m *Monitor) Run(ctx context.Context, rc RunConfig) error {
 	return nil
 }
 
-// Step handles exactly one round under Run's semantics — ctx check, PreRound,
-// scan (unless PreRound marked the round missing), OnRound — and returns the
-// round's scan statistics. It is the unit Run
-// loops over; campaign coordinators (internal/campaign) call it directly to
-// interleave rounds of several monitors on one goroutine. Like Run, a ctx
+// Step handles exactly one round — ctx check, PreRound, then the scan unless
+// PreRound marked the round missing — and returns the round's scan
+// statistics (zero for a round recorded missing without a scan). It is the
+// unit Run loops over; campaign coordinators (internal/campaign) call it
+// directly to interleave rounds of several monitors on one goroutine. A ctx
 // cancellation or PreRound error checkpoints before returning.
 func (m *Monitor) Step(ctx context.Context, rc RunConfig) (Stats, error) {
-	m.hooks = rc.Hooks
-	defer func() { m.hooks = Hooks{} }()
 	if ctx.Err() != nil {
 		return Stats{}, m.checkpointBeforeReturn(ctx.Err())
 	}
@@ -66,21 +51,15 @@ func (m *Monitor) Step(ctx context.Context, rc RunConfig) (Stats, error) {
 		if m.round > round {
 			// PreRound handled the round itself (MarkMissing): scanning now
 			// would take the next round without its PreRound.
-			if rc.Hooks.OnRound != nil {
-				rc.Hooks.OnRound(round, Stats{})
-			}
 			return Stats{}, nil
 		}
 	}
-	st, err := m.ScanRoundContext(ctx)
+	st, err := m.scan(ctx)
 	if err != nil {
 		if ctx.Err() != nil {
 			return Stats{}, m.checkpointBeforeReturn(ctx.Err())
 		}
 		return Stats{}, err
-	}
-	if rc.Hooks.OnRound != nil {
-		rc.Hooks.OnRound(round, st)
 	}
 	return st, nil
 }
