@@ -61,8 +61,9 @@ bench-smoke:
 
 # Profile the scan hot loop: BenchmarkScanRound with CPU and heap profiles
 # (and the test binary pprof needs) written to .bench_build/, then the CPU
-# top 25 and the allocation sites ranked by object count. -memprofilerate=1
-# records every allocation, so the counts are exact.
+# top 25 and the allocation sites ranked by object count, then by bytes (a
+# site can be few objects and most of the bytes). -memprofilerate=1 records
+# every allocation, so the counts are exact.
 profile-round:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkScanRound$$' -benchmem -benchtime=0.5s \
@@ -71,6 +72,8 @@ profile-round:
 	$(GO) tool pprof -top -nodecount=25 \
 		.bench_build/countrymon.test .bench_build/round.cpu.pprof
 	$(GO) tool pprof -top -sample_index=alloc_objects -nodecount=25 \
+		.bench_build/countrymon.test .bench_build/round.mem.pprof
+	$(GO) tool pprof -top -sample_index=alloc_space -nodecount=25 \
 		.bench_build/countrymon.test .bench_build/round.mem.pprof
 
 # Profile the read side: one re-detect at the paper's size, the outage
@@ -109,7 +112,7 @@ profile-analysis:
 # a live registry and bus attached, the obs-on shape of the repo benchmark's
 # campaign_chaos — with CPU and heap profiles
 # into .bench_build/, then the CPU top 25 and the allocation sites ranked by
-# object count (-memprofilerate=1: exact counts).
+# object count and then by bytes (-memprofilerate=1: exact counts).
 profile-campaign:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkCampaignFaulted$$' -benchmem -benchtime=0.5s \
@@ -118,6 +121,8 @@ profile-campaign:
 	$(GO) tool pprof -top -nodecount=25 \
 		.bench_build/campaign.test .bench_build/campaign.cpu.pprof
 	$(GO) tool pprof -top -sample_index=alloc_objects -nodecount=25 \
+		.bench_build/campaign.test .bench_build/campaign.mem.pprof
+	$(GO) tool pprof -top -sample_index=alloc_space -nodecount=25 \
 		.bench_build/campaign.test .bench_build/campaign.mem.pprof
 
 # Seeded chaos soak: a three-vantage fleet campaign with scripted blackout,

@@ -7,6 +7,7 @@ package countrymon
 // by the repo benchmark under bench/, so no other benchmark lives here.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -17,7 +18,10 @@ import (
 )
 
 // benchScanRound runs full scan rounds of a /18 (64 blocks, 16384 probes)
-// over the simulated wire and reports wall-clock probe throughput.
+// over the simulated wire and reports wall-clock probe throughput. Each
+// round is a campaign's next: the seed stays, the epoch moves on, the round
+// refills one RoundData, and its wire is closed after the scan, as the fleet
+// closes every per-scan transport, so the next wire starts on its slab.
 func benchScanRound(b *testing.B, metrics *scanner.Metrics) {
 	resp := simnet.ResponderFunc(func(dst netmodel.Addr, at time.Time) simnet.Reply {
 		if dst.HostByte() < 64 {
@@ -34,10 +38,12 @@ func benchScanRound(b *testing.B, metrics *scanner.Metrics) {
 	b.ResetTimer()
 	start := time.Now()
 	var probes uint64
+	var rd scanner.RoundData
 	for i := 0; i < b.N; i++ {
 		net := simnet.New(local, resp, time.Unix(0, 0))
-		rd, err := scanner.New(net, scanner.Config{Rate: -1, Seed: uint64(i) + 1, Epoch: uint32(i),
-			Clock: net, Cooldown: time.Second, Metrics: metrics}).Run(ts)
+		_, err := scanner.New(net, scanner.Config{Rate: -1, Seed: 1, Epoch: uint32(i),
+			Clock: net, Cooldown: time.Second, Metrics: metrics}).RunInto(context.Background(), ts, &rd)
+		net.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -234,6 +234,9 @@ type Monitor struct {
 	// camp is the fleet campaign the monitor scans through (Options.Fleet;
 	// nil outside fleet mode).
 	camp *fleet.Campaign
+	// rd is the solo scan's RoundData, refilled every round: the store
+	// copies a round's values out, and nothing else keeps it.
+	rd scanner.RoundData
 
 	// Observability: bus receives events, metrics/scanM/sigM are the
 	// per-subsystem instruments (never nil; inert without a Registry),
@@ -557,7 +560,7 @@ func (m *Monitor) scan(ctx context.Context) (Stats, error) {
 			Clock:   m.opts.Clock,
 			Metrics: m.scanM,
 			Events:  m.bus,
-		}).RunContext(ctx, m.targets)
+		}).RunInto(ctx, m.targets, &m.rd)
 	}
 	if err != nil {
 		return Stats{}, err

@@ -1,0 +1,11 @@
+package fleet
+
+import "countrymon/internal/scanner"
+
+// dropBuffers forgets the campaign's round buffers, so its next round scans
+// and merges into RoundData built from nothing — a campaign without reuse.
+func dropBuffers(c *Campaign) {
+	c.shardRD = make([]scanner.RoundData, len(c.shardRD))
+	c.corrRD = make([]scanner.RoundData, len(c.corrRD))
+	c.merged = scanner.RoundData{}
+}

@@ -152,6 +152,14 @@ type Campaign struct {
 	rep      CampaignReport
 	openSeen []bool // per vantage: already listed in rep.Quarantined
 
+	// The scans' working memory, which outlives each round: one RoundData
+	// per shard (a thief's rescan overwrites the failed scan's), one per
+	// vantage for its corroboration re-probe, and the merged round ScanRound
+	// returns.
+	shardRD []scanner.RoundData
+	corrRD  []scanner.RoundData
+	merged  scanner.RoundData
+
 	stealsC      *obs.Counter
 	degradedC    *obs.Counter
 	selfOutagesC *obs.Counter
@@ -258,6 +266,8 @@ func (s *Supervisor) Join(cfg CampaignConfig) (*Campaign, error) {
 		scan:       scan,
 		transports: make([]TransportFunc, len(s.vantages)),
 		openSeen:   make([]bool, len(s.vantages)),
+		shardRD:    make([]scanner.RoundData, len(s.vantages)),
+		corrRD:     make([]scanner.RoundData, len(s.vantages)),
 
 		stealsC:      s.m.steals.With(cfg.Name),
 		degradedC:    s.m.degraded.With(cfg.Name),
@@ -343,7 +353,9 @@ type PrevFunc func(blockIdx int) (resp int, ok bool)
 // The returned RoundData is the merged, fusion-corrected round; it is nil
 // only on a self-outage (rep.SelfOutage) or a hard error. Shards no vantage
 // could scan leave a coverage hole (RoundData.Partial), which the caller
-// gates like any salvaged round.
+// gates like any salvaged round. The campaign owns the RoundData and
+// overwrites it in its next ScanRound, so it is valid until then: a caller
+// that keeps a round copies what it keeps.
 func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev PrevFunc) (*scanner.RoundData, *RoundReport, error) {
 	s := c.s
 	rep := &RoundReport{Round: round}
@@ -390,7 +402,7 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 	for len(jobs) > 0 {
 		outs := make([]scanOut, len(jobs))
 		par.ForEach(len(jobs), func(i int) {
-			outs[i] = c.runScan(ctx, jobs[i].vi, round, at, c.targets, jobs[i].shard, shards)
+			outs[i] = c.runScan(ctx, jobs[i].vi, round, at, c.targets, jobs[i].shard, shards, &c.shardRD[jobs[i].shard])
 		})
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
@@ -519,9 +531,9 @@ func (c *Campaign) transport(vi int) TransportFunc {
 }
 
 // runScan runs one vantage's scan of one shard of targets over a fresh
-// transport: a primary shard of the campaign's targets, or (shard 0 of 1) a
-// full re-probe of the suspect blocks.
-func (c *Campaign) runScan(ctx context.Context, vi, round int, at time.Time, targets *scanner.TargetSet, shard, shards int) scanOut {
+// transport into rd: a primary shard of the campaign's targets, or (shard 0
+// of 1) a full re-probe of the suspect blocks.
+func (c *Campaign) runScan(ctx context.Context, vi, round int, at time.Time, targets *scanner.TargetSet, shard, shards int, rd *scanner.RoundData) scanOut {
 	tr, clk, err := c.transport(vi)(round, at)
 	if err != nil {
 		return scanOut{err: err}
@@ -538,7 +550,7 @@ func (c *Campaign) runScan(ctx context.Context, vi, round int, at time.Time, tar
 	cfg.Shard, cfg.Shards = shard, shards
 	cfg.Epoch = uint32(round + 1)
 	cfg.Clock = clk
-	rd, err := scanner.New(tr, cfg).RunContext(ctx, targets)
+	rd, err = scanner.New(tr, cfg).RunInto(ctx, targets, rd)
 	return scanOut{rd: rd, err: err}
 }
 
@@ -558,7 +570,7 @@ func (c *Campaign) merge(results []*scanner.RoundData) *scanner.RoundData {
 		}
 		rds = append(rds, rd)
 	}
-	return scanner.MergeRounds(c.targets, rds)
+	return scanner.MergeRounds(&c.merged, c.targets, rds)
 }
 
 // corroborate finds suspect blocks (believed alive, now reading depressed),
@@ -633,7 +645,7 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 	}
 	couts := make([]scanOut, len(corr))
 	par.ForEach(len(corr), func(i int) {
-		couts[i] = c.runScan(ctx, corr[i], round, at, suspectTS, 0, 1)
+		couts[i] = c.runScan(ctx, corr[i], round, at, suspectTS, 0, 1, &c.corrRD[corr[i]])
 	})
 
 	// Fuse per suspect block, in block order.

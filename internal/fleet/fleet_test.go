@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -524,5 +525,68 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, _, err := newSolo([]Spec{simSpec("a", aliveResponder())}, Config{}, nil); err == nil {
 		t.Error("missing targets accepted")
+	}
+}
+
+// TestReusedBuffersMatchFresh: a campaign that scans, rescans and merges
+// into the buffers of its earlier rounds reports every round exactly as one
+// that starts each round from fresh buffers. The world has a blackout on v0
+// (its shards are stolen), a stall on v1 (its shards read dark, so every
+// block is suspect and re-probed) and a target whose dark blocks change from
+// round to round, so the suspect sets the vantages re-probe differ in size.
+func TestReusedBuffersMatchFresh(t *testing.T) {
+	ts, err := scanner.NewTargetSet([]netmodel.Prefix{{Base: netmodel.MustParseAddr("198.51.96.0"), Bits: 21}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Round r darkens the first r%4 of the eight blocks.
+	alive := aliveResponder()
+	truth := simnet.ResponderFunc(func(dst netmodel.Addr, at time.Time) simnet.Reply {
+		r := int(at.Sub(campaignStart) / (2 * time.Hour))
+		if int(dst>>8&7) < r%4 {
+			return simnet.Reply{Kind: simnet.NoReply}
+		}
+		return alive.Respond(dst, at)
+	})
+	window := func(kind faults.Kind, from, to int) faults.Profile {
+		return faults.Profile{Windows: []faults.Window{{From: roundAt(from).Add(-time.Minute), To: roundAt(to), Kind: kind}}}
+	}
+	profiles := []faults.Profile{window(faults.Blackout, 1, 3), window(faults.Stall, 4, 6), {}}
+	campaign := func() *Campaign {
+		var specs []Spec
+		for i, prof := range profiles {
+			clean := simSpec(fmt.Sprintf("v%d", i), truth)
+			specs = append(specs, Spec{Name: clean.Name, Transport: func(round int, at time.Time) (scanner.Transport, scanner.Clock, error) {
+				tr, clk, err := clean.Transport(round, at)
+				return faults.NewTransport(tr, clk, prof), clk, err
+			}})
+		}
+		_, c, err := newSolo(specs, baseConfig(), ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	reused, fresh := campaign(), campaign()
+	steals, suspectSizes := 0, map[int]bool{}
+	for r := 0; r < 10; r++ {
+		dropBuffers(fresh)
+		rdA, repA, errA := reused.ScanRound(context.Background(), r, roundAt(r), truthPrev)
+		rdB, repB, errB := fresh.ScanRound(context.Background(), r, roundAt(r), truthPrev)
+		if errA != nil || errB != nil {
+			t.Fatalf("round %d: %v, %v", r, errA, errB)
+		}
+		if !reflect.DeepEqual(repA, repB) {
+			t.Fatalf("round %d: report %+v, from fresh buffers %+v", r, *repA, *repB)
+		}
+		if (rdA == nil) != (rdB == nil) || rdA != nil && !reflect.DeepEqual(*rdA, *rdB) {
+			t.Fatalf("round %d: merged round differs from the one from fresh buffers", r)
+		}
+		steals += repA.Steals
+		suspectSizes[repA.Suspects] = true
+	}
+	delete(suspectSizes, 0)
+	if steals == 0 || len(suspectSizes) < 3 {
+		t.Fatalf("the campaign stole %d shards and re-probed suspect sets of sizes %v: too tame to show a leak", steals, suspectSizes)
 	}
 }

@@ -25,9 +25,10 @@ type roundRun struct {
 	cfg     Config
 	tr      BatchTransport
 	targets *TargetSet
-	val     *Validator
+	cur     Cursor // this shard's walk of the targets' permutation
+	val     Validator
 	stamp   probeStamp // the part of a probe this round's probes share
-	rl      *RateLimiter
+	rl      RateLimiter
 	rng     uint64 // deterministic jitter source for retry backoff
 	maxFail int    // error budget in addresses
 	sc      *scratch
@@ -62,10 +63,10 @@ type roundRun struct {
 
 // run drives the round: replies are drained without waiting between batches
 // and stragglers are collected in the cooldown.
-func (r *roundRun) run(ctx context.Context, cur *Cursor) {
+func (r *roundRun) run(ctx context.Context) {
 	r.sc = getScratch(r.cfg.Batch)
 	defer scratchPool.Put(r.sc)
-	r.sendBatches(ctx, cur)
+	r.sendBatches(ctx)
 	if r.abort == nil {
 		r.cooldown(ctx)
 	}
@@ -137,11 +138,11 @@ type addrSend struct {
 // (all ProbesPerAddr probes of an address share a batch, so per-address
 // outcomes — probed, failed, error budget — resolve as the batch is
 // written). Between batches the replies already waiting are drained.
-func (r *roundRun) sendBatches(ctx context.Context, cur *Cursor) {
+func (r *roundRun) sendBatches(ctx context.Context) {
 	nb := r.cfg.Batch
 	ppa := r.cfg.ProbesPerAddr
 	bufs, pkts, dsts, pktAddr, addrs := r.sc.bufs, r.sc.pkts, r.sc.dsts, r.sc.pktAddr, r.sc.addrs
-	r.stamp.init(r.val, icmp.IPv4Header{TTL: probeTTL, Protocol: icmp.ProtoICMP, Src: r.tr.LocalAddr()})
+	r.stamp.init(&r.val, icmp.IPv4Header{TTL: probeTTL, Protocol: icmp.ProtoICMP, Src: r.tr.LocalAddr()})
 	var seq uint64 // monotone probe counter, baked into the IPv4 ID field
 
 	done := false
@@ -152,7 +153,7 @@ func (r *roundRun) sendBatches(ctx context.Context, cur *Cursor) {
 		}
 		pkts, dsts, pktAddr, addrs = pkts[:0], dsts[:0], pktAddr[:0], addrs[:0]
 		for len(pkts)+ppa <= nb {
-			idx, ok := cur.Next()
+			idx, ok := r.cur.Next()
 			if !ok {
 				done = true
 				break
@@ -173,7 +174,7 @@ func (r *roundRun) sendBatches(ctx context.Context, cur *Cursor) {
 		// probe at the single post-wait instant: embedded timestamps match
 		// the actual send time, so RTTs stay exact.
 		r.rl.WaitN(len(pkts))
-		r.stamp.sentAt(r.val, r.cfg.Clock.Now())
+		r.stamp.sentAt(&r.val, r.cfg.Clock.Now())
 		for i := range pkts {
 			bufs[i] = r.stamp.appendProbe(bufs[i][:0], dsts[i], uint16(seq)+uint16(i))
 			pkts[i] = bufs[i]
@@ -299,7 +300,7 @@ func (r *roundRun) writeBatch(ctx context.Context, pkts [][]byte, dsts []netmode
 				r.abort = ierr
 				return false
 			}
-			r.stamp.sentAt(r.val, r.cfg.Clock.Now())
+			r.stamp.sentAt(&r.val, r.cfg.Clock.Now())
 			for j := i; j < len(pkts); j++ {
 				pkts[j] = r.stamp.appendProbe(pkts[j][:0], dsts[j], uint16(base)+uint16(j))
 			}

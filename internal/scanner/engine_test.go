@@ -111,7 +111,7 @@ func TestMergeRounds(t *testing.T) {
 	b.Blocks[0].RTTSum = 60 * time.Millisecond
 	b.Blocks[0].RTTCount = 4
 
-	m := scanner.MergeRounds(ts, []*scanner.RoundData{a, b})
+	m := scanner.MergeRounds(nil, ts, []*scanner.RoundData{a, b})
 	if m.ShardTargets != 512 || m.Probed != 500 || !m.Partial {
 		t.Fatalf("merged scalars wrong: %+v", m)
 	}
@@ -155,7 +155,7 @@ func TestShardUnionMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	merged := scanner.MergeRounds(ts, rds)
+	merged := scanner.MergeRounds(nil, ts, rds)
 
 	// Response sets are identical to the serial scan. (RTT sums are not
 	// compared: per-shard pacing legitimately shifts send instants by

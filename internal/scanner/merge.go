@@ -1,19 +1,25 @@
 package scanner
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // MergeRounds combines per-shard RoundData (shards of one round over the
-// same target set) into a single round view. Shards probe disjoint address
-// sets, so block masks OR together and counters add; everything is folded in
-// slice order, making the result independent of how the shards were
-// scheduled.
-func MergeRounds(targets *TargetSet, rds []*RoundData) *RoundData {
-	out := &RoundData{
-		Targets: targets,
-		Blocks:  make([]BlockResult, targets.NumBlocks()),
+// same target set) into a single round view, written into out, which the
+// caller owns as RunInto's rd is owned: its Blocks are reused when their
+// capacity fits, every field is overwritten, and a nil out is allocated.
+// Shards probe disjoint address sets, so block masks OR together and
+// counters add; everything is folded in slice order, making the result
+// independent of how the shards were scheduled.
+func MergeRounds(out *RoundData, targets *TargetSet, rds []*RoundData) *RoundData {
+	if out == nil {
+		out = new(RoundData)
 	}
-	for i := range out.Blocks {
-		out.Blocks[i].Block = targets.Blocks()[i]
+	n := targets.NumBlocks()
+	*out = RoundData{Targets: targets, Blocks: slices.Grow(out.Blocks[:0], n)[:n]}
+	for i, id := range targets.Blocks() {
+		out.Blocks[i] = BlockResult{Block: id}
 	}
 	for _, rd := range rds {
 		out.ShardTargets += rd.ShardTargets

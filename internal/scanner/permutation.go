@@ -29,6 +29,7 @@ type Permutation struct {
 	g     uint64 // generator of (Z/pZ)*
 	first uint64 // starting element, in [1, p-1]
 	inv   uint64 // ⌊(2⁶⁴−1)/p⌋ when p < 2³² (see step), else 0
+	seed  uint64 // the seed it was built from, which TargetSet.permutation matches
 }
 
 // NewPermutation builds a permutation of 0..n-1 seeded deterministically.
@@ -48,7 +49,7 @@ func NewPermutation(n uint64, seed uint64) (*Permutation, error) {
 	}
 	// Choose a starting point in [1, p-1] from the seed.
 	first := netmodel.Mix64(seed^0x9e3779b97f4a7c15)%(p-1) + 1
-	pm := &Permutation{n: n, p: p, g: g, first: first}
+	pm := &Permutation{n: n, p: p, g: g, first: first, seed: seed}
 	if p < 1<<32 {
 		pm.inv = math.MaxUint64 / p
 	}
@@ -91,14 +92,24 @@ func (pm *Permutation) Iterate() *Cursor {
 // `shard` out of `shards` total, ZMap-style: the group walk is shared, and
 // each shard takes every shards-th emitted element starting at its offset.
 func (pm *Permutation) IterateShard(shard, shards int) (*Cursor, error) {
-	if shards <= 0 || shard < 0 || shard >= shards {
-		return nil, fmt.Errorf("scanner: invalid shard %d/%d", shard, shards)
+	c := new(Cursor)
+	if err := c.reset(pm, shard, shards); err != nil {
+		return nil, err
 	}
-	c := &Cursor{pm: pm, cur: pm.first, stride: shards - 1}
+	return c, nil
+}
+
+// reset positions c at the start of shard's part of pm's cycle, as
+// IterateShard does, in place: a scan keeps its cursor by value.
+func (c *Cursor) reset(pm *Permutation, shard, shards int) error {
+	if shards <= 0 || shard < 0 || shard >= shards {
+		return fmt.Errorf("scanner: invalid shard %d/%d", shard, shards)
+	}
+	*c = Cursor{pm: pm, cur: pm.first, stride: shards - 1}
 	if shard > 0 {
 		c.next(shard - 1) // advance to this shard's first element
 	}
-	return c, nil
+	return nil
 }
 
 // Next returns the next index in the permuted order, or ok=false when the

@@ -67,10 +67,18 @@ const DefaultRate = 8000
 // NewRateLimiter builds a limiter for `rate` packets per second with the
 // given burst allowance (minimum 1). A rate ≤ 0 disables limiting.
 func NewRateLimiter(clock Clock, rate int, burst int) *RateLimiter {
+	rl := new(RateLimiter)
+	rl.reset(clock, rate, burst)
+	return rl
+}
+
+// reset makes rl the limiter NewRateLimiter builds, in place: a scan keeps
+// its limiter by value.
+func (rl *RateLimiter) reset(clock Clock, rate int, burst int) {
 	if burst < 1 {
 		burst = 1
 	}
-	rl := &RateLimiter{clock: clock, burst: int64(burst), tokens: int64(burst)}
+	*rl = RateLimiter{clock: clock, burst: int64(burst), tokens: int64(burst)}
 	if rate > 0 {
 		rl.interval = time.Second / time.Duration(rate)
 		if rl.interval <= 0 {
@@ -78,7 +86,6 @@ func NewRateLimiter(clock Clock, rate int, burst int) *RateLimiter {
 		}
 	}
 	rl.last = clock.Now()
-	return rl
 }
 
 // WaitN blocks until n packets may be sent, paying the whole batch's pacing

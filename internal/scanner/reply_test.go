@@ -70,7 +70,7 @@ func replyRun(t *testing.T, v *Validator, exclude ...netmodel.Prefix) *roundRun 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &roundRun{cfg: Config{}.withDefaults(), targets: ts, val: v, blocks: make([]BlockResult, ts.NumBlocks())}
+	return &roundRun{cfg: Config{}.withDefaults(), targets: ts, val: *v, blocks: make([]BlockResult, ts.NumBlocks())}
 }
 
 // echoReply is the datagram the far end sends back for v's probe to from.

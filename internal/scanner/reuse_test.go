@@ -1,0 +1,205 @@
+package scanner_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"countrymon/internal/netmodel"
+	"countrymon/internal/scanner"
+	"countrymon/internal/simnet"
+)
+
+// stalled forwards sends but never surfaces a reply: every read consumes its
+// wait and times out, as a wedged receive path does.
+type stalled struct{ inner *simnet.Network }
+
+func (s *stalled) LocalAddr() netmodel.Addr   { return s.inner.LocalAddr() }
+func (s *stalled) WritePacket(b []byte) error { return s.inner.WritePacket(b) }
+func (s *stalled) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
+	s.inner.Sleep(wait)
+	return nil, time.Time{}, scanner.ErrTimeout
+}
+
+// cancelAfter forwards to inner and cancels the round's context once n
+// probes have gone out, so the round stops at its next batch boundary.
+type cancelAfter struct {
+	inner  scanner.Transport
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) LocalAddr() netmodel.Addr { return c.inner.LocalAddr() }
+func (c *cancelAfter) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
+	return c.inner.ReadPacket(wait)
+}
+func (c *cancelAfter) WritePacket(b []byte) error {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+	return c.inner.WritePacket(b)
+}
+
+// reuseRound builds one deterministic round — its transport, clock and
+// context — from nothing, so the same round can be scanned twice.
+type reuseRound func() (scanner.Transport, scanner.Clock, context.Context)
+
+func onWire(resp simnet.Responder, wrap func(*simnet.Network) scanner.Transport) reuseRound {
+	return func() (scanner.Transport, scanner.Clock, context.Context) {
+		net := simnet.New(netmodel.MustParseAddr("198.51.100.1"), resp, time.Unix(0, 0))
+		var tr scanner.Transport = net
+		if wrap != nil {
+			tr = wrap(net)
+		}
+		return tr, net, context.Background()
+	}
+}
+
+// TestRunIntoMatchesFresh: a scan into a RoundData that already holds a
+// round — a responsive one over a larger target set — equals a scan into a
+// fresh one in every field, whatever the second round turns out to be.
+func TestRunIntoMatchesFresh(t *testing.T) {
+	big := newTargets(t, "91.198.0.0/21")
+	small := newTargets(t, "91.198.4.0/23")
+	dark := simnet.ResponderFunc(func(netmodel.Addr, time.Time) simnet.Reply { return simnet.Reply{} })
+	full := func(rd *scanner.RoundData) bool { return !rd.Partial && rd.Probed == rd.ShardTargets }
+	rounds := []struct {
+		name  string
+		round reuseRound
+		is    func(*scanner.RoundData, error) bool // what the fresh round must be
+	}{
+		{"responsive", onWire(respondEvens(40*time.Millisecond), nil), func(rd *scanner.RoundData, err error) bool {
+			return full(rd) && rd.Stats.Valid > 0
+		}},
+		{"dark", onWire(dark, nil), func(rd *scanner.RoundData, err error) bool {
+			return full(rd) && rd.Stats.Valid == 0
+		}},
+		{"stalled", onWire(respondEvens(40*time.Millisecond), func(n *simnet.Network) scanner.Transport {
+			return &stalled{inner: n}
+		}), func(rd *scanner.RoundData, err error) bool {
+			return full(rd) && rd.Stats.Valid == 0 && rd.Stats.Sent > 0
+		}},
+		{"recv dead", onWire(respondEvens(40*time.Millisecond), func(n *simnet.Network) scanner.Transport {
+			return &deadReceiver{inner: n, err: &transientErr{"injected recv failure"}}
+		}), func(rd *scanner.RoundData, err error) bool {
+			return rd.RecvDead && rd.Err != nil
+		}},
+		{"send budget", onWire(respondEvens(40*time.Millisecond), func(n *simnet.Network) scanner.Transport {
+			return &deadSender{inner: n}
+		}), func(rd *scanner.RoundData, err error) bool {
+			return rd.Partial && !rd.RecvDead && rd.Err != nil && err == nil
+		}},
+		{"cancelled", func() (scanner.Transport, scanner.Clock, context.Context) {
+			tr, clk, _ := onWire(respondEvens(40*time.Millisecond), nil)()
+			ctx, cancel := context.WithCancel(context.Background())
+			return &cancelAfter{inner: tr, n: 300, cancel: cancel}, clk, ctx
+		}, func(rd *scanner.RoundData, err error) bool {
+			return rd.Partial && rd.Probed > 0 && errors.Is(err, context.Canceled)
+		}},
+	}
+	scan := func(round reuseRound, ts *scanner.TargetSet, epoch uint32, rd *scanner.RoundData) (*scanner.RoundData, error) {
+		tr, clk, ctx := round()
+		cfg := scanner.Config{Rate: 100000, Seed: 42, Epoch: epoch, Clock: clk, Cooldown: time.Second, MaxRecvErrors: 8}
+		return scanner.New(tr, cfg).RunInto(ctx, ts, rd)
+	}
+	for _, rc := range rounds {
+		for _, ts := range []*scanner.TargetSet{big, small} {
+			want, wantErr := scan(rc.round, ts, 2, nil)
+			if want == nil || !rc.is(want, wantErr) {
+				t.Fatalf("%s over %d blocks: the fresh round is not one (err %v): %+v", rc.name, ts.NumBlocks(), wantErr, want)
+			}
+			var rd scanner.RoundData
+			if _, err := scan(rounds[0].round, big, 1, &rd); err != nil {
+				t.Fatal(err)
+			}
+			if rd.Stats.Valid == 0 {
+				t.Fatal("the first round left nothing in the buffer to leak")
+			}
+			got, err := scan(rc.round, ts, 2, &rd)
+			if got != &rd {
+				t.Fatalf("%s over %d blocks: RunInto returned %p, not the buffer it was given", rc.name, ts.NumBlocks(), got)
+			}
+			if !reflect.DeepEqual(err, wantErr) {
+				t.Errorf("%s over %d blocks: err %v, fresh %v", rc.name, ts.NumBlocks(), err, wantErr)
+			}
+			if !reflect.DeepEqual(*got, *want) {
+				t.Errorf("%s over %d blocks: reused buffer differs from a fresh one:\n got %+v\nwant %+v",
+					rc.name, ts.NumBlocks(), got.Stats, want.Stats)
+			}
+		}
+	}
+}
+
+// TestMergeRoundsIntoUsedBuffer: a merge into a RoundData that holds an
+// earlier, larger merge equals a merge into a fresh one.
+func TestMergeRoundsIntoUsedBuffer(t *testing.T) {
+	big := newTargets(t, "91.198.0.0/21")
+	small := newTargets(t, "91.198.4.0/23")
+	shards := func(ts *scanner.TargetSet, resp simnet.Responder) []*scanner.RoundData {
+		var rds []*scanner.RoundData
+		for sh := 0; sh < 3; sh++ {
+			net := simnet.New(netmodel.MustParseAddr("198.51.100.1"), resp, time.Unix(0, 0))
+			rd, err := scanner.New(net, scanner.Config{
+				Rate: 100000, Seed: 42, Epoch: 1, Clock: net, Cooldown: time.Second, Shard: sh, Shards: 3,
+			}).Run(ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rds = append(rds, rd)
+		}
+		return rds
+	}
+	dark := simnet.ResponderFunc(func(netmodel.Addr, time.Time) simnet.Reply { return simnet.Reply{} })
+	for _, ts := range []*scanner.TargetSet{big, small} {
+		second := shards(ts, dark)
+		second[1] = &scanner.RoundData{Targets: ts, ShardTargets: second[1].ShardTargets, Partial: true}
+		want := scanner.MergeRounds(nil, ts, second)
+
+		var out scanner.RoundData
+		scanner.MergeRounds(&out, big, shards(big, respondEvens(40*time.Millisecond)))
+		if out.Stats.Valid == 0 {
+			t.Fatal("the first merge left nothing in the buffer to leak")
+		}
+		if got := scanner.MergeRounds(&out, ts, second); got != &out || !reflect.DeepEqual(*got, *want) {
+			t.Errorf("merge over %d blocks into a used buffer differs from a fresh one:\n got %+v\nwant %+v",
+				ts.NumBlocks(), out.Stats, want.Stats)
+		}
+	}
+}
+
+// TestPermutationFollowsSeed: a target set scanned under one seed, then
+// another, then the first again, probes in the order a fresh target set does
+// under each seed. Only the first 2 ms of each scan are answered, so which
+// hosts reply depends on the probe order.
+func TestPermutationFollowsSeed(t *testing.T) {
+	start := time.Unix(0, 0)
+	early := simnet.ResponderFunc(func(dst netmodel.Addr, at time.Time) simnet.Reply {
+		if at.Sub(start) < 2*time.Millisecond {
+			return simnet.Reply{Kind: simnet.EchoReply, RTT: 10 * time.Millisecond}
+		}
+		return simnet.Reply{}
+	})
+	scan := func(ts *scanner.TargetSet, seed uint64) []scanner.BlockResult {
+		net := simnet.New(netmodel.MustParseAddr("198.51.100.1"), early, start)
+		rd, err := scanner.New(net, scanner.Config{Rate: 100000, Seed: seed, Epoch: 1, Clock: net, Cooldown: time.Second}).Run(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rd.Blocks
+	}
+	shared := newTargets(t, "91.198.4.0/23")
+	orders := map[string]bool{}
+	for _, seed := range []uint64{1, 2, 1} {
+		got, want := scan(shared, seed), scan(newTargets(t, "91.198.4.0/23"), seed)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: a target set scanned before under another seed answers differently from a fresh one", seed)
+		}
+		orders[fmt.Sprint(got)] = true
+	}
+	if len(orders) != 2 {
+		t.Fatalf("%d distinct answer sets from two seeds: the responder does not reveal the probe order", len(orders))
+	}
+}

@@ -3,6 +3,7 @@ package scanner
 import (
 	"context"
 	"errors"
+	"slices"
 	"time"
 
 	"countrymon/internal/netmodel"
@@ -120,10 +121,14 @@ func (c Config) withDefaults() Config {
 		c.Batch = c.ProbesPerAddr
 	}
 	if c.Metrics == nil {
-		c.Metrics = &Metrics{} // all-nil instruments: inert
+		c.Metrics = &inertMetrics
 	}
 	return c
 }
+
+// inertMetrics stands in for a nil Config.Metrics: its instruments are all
+// nil, so nothing is ever written through it and every scan can share it.
+var inertMetrics Metrics
 
 // Stats summarizes one scan round.
 type Stats struct {
@@ -247,37 +252,49 @@ func (s *Scanner) Run(targets *TargetSet) (*RoundData, error) {
 // failed the rest of the round is abandoned and the result marked Partial —
 // a degraded round is data, not an error.
 func (s *Scanner) RunContext(ctx context.Context, targets *TargetSet) (*RoundData, error) {
+	return s.RunInto(ctx, targets, nil)
+}
+
+// RunInto is RunContext writing the round into rd, which the caller owns
+// and may hand to the next round: rd's Blocks are reused when their capacity
+// holds the target set's blocks, and every field of rd is overwritten, so
+// nothing of an earlier round survives. A nil rd is allocated. It returns
+// rd, or nil (leaving rd untouched) when the round could not start.
+func (s *Scanner) RunInto(ctx context.Context, targets *TargetSet, rd *RoundData) (*RoundData, error) {
 	cfg := s.cfg
-	pm, err := NewPermutation(targets.Len(), cfg.Seed)
+	pm, err := targets.permutation(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := pm.IterateShard(cfg.Shard, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-
-	start := cfg.Clock.Now()
-	rd := &RoundData{
-		Targets:      targets,
-		Blocks:       make([]BlockResult, targets.NumBlocks()),
-		ShardTargets: ShardLen(targets.Len(), cfg.Shard, cfg.Shards),
-	}
-	for i := range rd.Blocks {
-		rd.Blocks[i].Block = targets.Blocks()[i]
-	}
-
 	r := &roundRun{
 		cfg:     cfg,
 		tr:      AsBatch(s.tr),
 		targets: targets,
-		val:     NewValidator(cfg.Seed^0xc0ffee, cfg.Epoch, start),
-		rl:      NewRateLimiter(cfg.Clock, cfg.Rate, cfg.Burst),
 		rng:     netmodel.Mix64(cfg.Seed ^ uint64(cfg.Epoch)<<32 ^ 0xfa17),
-		maxFail: int(cfg.ErrorBudget * float64(rd.ShardTargets)),
-		blocks:  rd.Blocks,
 	}
-	r.run(ctx, cur)
+	if err := r.cur.reset(pm, cfg.Shard, cfg.Shards); err != nil {
+		return nil, err
+	}
+
+	start := cfg.Clock.Now()
+	if rd == nil {
+		rd = new(RoundData)
+	}
+	n := targets.NumBlocks()
+	*rd = RoundData{
+		Targets:      targets,
+		Blocks:       slices.Grow(rd.Blocks[:0], n)[:n],
+		ShardTargets: ShardLen(targets.Len(), cfg.Shard, cfg.Shards),
+	}
+	for i, id := range targets.Blocks() {
+		rd.Blocks[i] = BlockResult{Block: id}
+	}
+
+	r.val = *NewValidator(cfg.Seed^0xc0ffee, cfg.Epoch, start)
+	r.rl.reset(cfg.Clock, cfg.Rate, cfg.Burst)
+	r.maxFail = int(cfg.ErrorBudget * float64(rd.ShardTargets))
+	r.blocks = rd.Blocks
+	r.run(ctx)
 	r.finalize(rd)
 	rd.Stats.Elapsed = cfg.Clock.Now().Sub(start)
 	return rd, r.abort

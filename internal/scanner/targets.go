@@ -3,6 +3,7 @@ package scanner
 import (
 	"errors"
 	"sort"
+	"sync/atomic"
 
 	"countrymon/internal/netmodel"
 )
@@ -14,6 +15,9 @@ import (
 type TargetSet struct {
 	blocks []netmodel.BlockID
 	index  netmodel.BlockTable
+	// perm is the permutation the last scan of the set walked, kept for the
+	// next scan under the same seed (see permutation).
+	perm atomic.Pointer[Permutation]
 }
 
 // NewTargetSet builds the target set from prefixes, excluding any /24 that
@@ -44,6 +48,23 @@ func NewTargetSet(prefixes []netmodel.Prefix, exclude []netmodel.Prefix) (*Targe
 		return nil, errors.New("scanner: all targets excluded")
 	}
 	return &TargetSet{blocks: out, index: netmodel.IndexBlocks(out)}, nil
+}
+
+// permutation returns the permutation of t's targets under seed. A campaign
+// scans one set under one seed every round, so the last one built is kept
+// and handed to every scan that asks for the same seed. A Permutation is
+// read-only once built, so concurrent shard scans share it; two scans that
+// race to build it build the same one.
+func (t *TargetSet) permutation(seed uint64) (*Permutation, error) {
+	if pm := t.perm.Load(); pm != nil && pm.seed == seed {
+		return pm, nil
+	}
+	pm, err := NewPermutation(t.Len(), seed)
+	if err != nil {
+		return nil, err
+	}
+	t.perm.Store(pm)
+	return pm, nil
 }
 
 func blockExcluded(b netmodel.BlockID, exclude []netmodel.Prefix) bool {

@@ -13,6 +13,8 @@ package simnet
 import (
 	"encoding/binary"
 	"fmt"
+	"net"
+	"sync"
 	"time"
 
 	"countrymon/internal/icmp"
@@ -59,15 +61,51 @@ type Network struct {
 	queue replyQueue[record]
 	long  map[int32][]byte // probes longer than recordLen, by queue slot
 
+	// slab is the box Close hands the queue's slab to the pool in: the one
+	// New took it out of, or nil until Close needs one.
+	slab   *[]pendingReply[record]
+	closed bool // by Close: every write and read fails
+
 	// Stats
 	sent, delivered, dropped uint64
 }
 
-// New creates a network whose virtual clock starts at `start`.
+// slabs holds the reply slabs of closed networks for the next New. A fleet
+// builds a network per scan, and a slab grown by one round's scans (to
+// thousands of slots where a stalled receive path leaves its replies unread)
+// serves the next round's instead of regrowing from nothing.
+var slabs sync.Pool
+
+// New creates a network whose virtual clock starts at `start`. Its reply
+// queue starts on a slab a closed network released, when there is one.
 func New(local netmodel.Addr, resp Responder, start time.Time) *Network {
 	n := &Network{local: local, resp: resp}
+	if box, _ := slabs.Get().(*[]pendingReply[record]); box != nil {
+		n.slab, n.queue.slab = box, (*box)[:0]
+	}
 	n.init(start)
 	return n
+}
+
+// Close implements io.Closer: it releases the reply slab to the next New,
+// and every write or read after it returns net.ErrClosed. The replies still
+// in flight are dropped. Closing a closed network does nothing; in
+// particular it does not release the slab again, which would hand one slab
+// to two networks.
+func (n *Network) Close() error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	closed := n.closed
+	n.closed = true
+	if closed || cap(n.queue.slab) == 0 {
+		return nil
+	}
+	if n.slab == nil {
+		n.slab = new([]pendingReply[record])
+	}
+	*n.slab = n.queue.slab
+	slabs.Put(n.slab)
+	return nil
 }
 
 // LocalAddr implements scanner.Transport.
@@ -78,6 +116,9 @@ func (n *Network) LocalAddr() netmodel.Addr { return n.local }
 func (n *Network) WritePacket(b []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.closed {
+		return net.ErrClosed
+	}
 	return n.writeLocked(b)
 }
 
@@ -88,6 +129,9 @@ func (n *Network) WritePacket(b []byte) error {
 func (n *Network) WriteBatch(pkts [][]byte) (int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.closed {
+		return 0, net.ErrClosed
+	}
 	for i, b := range pkts {
 		if err := n.writeLocked(b); err != nil {
 			return i, err
@@ -220,6 +264,9 @@ func (p *probe) appendReply(buf []byte, m icmp.Message) []byte {
 func (n *Network) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.closed {
+		return nil, time.Time{}, net.ErrClosed
+	}
 	if due(&n.vclock, &n.queue, wait) {
 		n.delivered++
 		i := n.queue.top()
@@ -241,6 +288,9 @@ func (n *Network) ReadPacket(wait time.Duration) ([]byte, time.Time, error) {
 func (n *Network) ReadBatch(pkts [][]byte, ats []time.Time, wait time.Duration) (int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.closed {
+		return 0, net.ErrClosed
+	}
 	count := 0
 	for count < len(pkts) {
 		if !due(&n.vclock, &n.queue, wait) {
