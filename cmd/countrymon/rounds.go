@@ -60,7 +60,7 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 	// own clock.
 	local := netmodel.MustParseAddr("198.51.100.1")
 	wire := func(vi int, at time.Time) countrymon.Transport {
-		net := simnet.New(local, sc.Responder(), at)
+		net := simnet.New(local, sc, at)
 		if profs[vi] == nil {
 			return net
 		}

@@ -169,12 +169,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var rd *scanner.RoundData
 	switch *mode {
 	case "sim":
-		net := simnet.New(local, sc.Responder(), at)
+		net := simnet.New(local, sc, at)
 		tr, clock := wrap(net, net)
 		cfg.Clock = clock
 		rd, err = scanner.New(tr, cfg).Run(targets)
 	case "udp":
-		srv, serr := simnet.NewWireServer("127.0.0.1:0", sc.Responder())
+		srv, serr := simnet.NewWireServer("127.0.0.1:0", sc)
 		if serr != nil {
 			return fail(serr)
 		}

@@ -218,7 +218,7 @@ func newCountry(spec *Spec, cs *CountrySpec, sup *fleet.Supervisor, opts Options
 func countryTransport(country, vn string, world *sim.Scenario,
 	wrap func(string, string, scanner.Transport) scanner.Transport) fleet.TransportFunc {
 	return func(round int, at time.Time) (scanner.Transport, scanner.Clock, error) {
-		net := simnet.New(vantageAddr, world.Responder(), at)
+		net := simnet.New(vantageAddr, world, at)
 		var t scanner.Transport = net
 		if wrap != nil {
 			t = wrap(country, vn, t)

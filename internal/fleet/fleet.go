@@ -155,10 +155,11 @@ type Campaign struct {
 	// The scans' working memory, which outlives each round: one RoundData
 	// per shard (a thief's rescan overwrites the failed scan's), one per
 	// vantage for its corroboration re-probe, and the merged round ScanRound
-	// returns.
+	// returns; and the round's bookkeeping around them.
 	shardRD []scanner.RoundData
 	corrRD  []scanner.RoundData
 	merged  scanner.RoundData
+	scratch *roundScratch
 
 	stealsC      *obs.Counter
 	degradedC    *obs.Counter
@@ -268,6 +269,7 @@ func (s *Supervisor) Join(cfg CampaignConfig) (*Campaign, error) {
 		openSeen:   make([]bool, len(s.vantages)),
 		shardRD:    make([]scanner.RoundData, len(s.vantages)),
 		corrRD:     make([]scanner.RoundData, len(s.vantages)),
+		scratch:    newRoundScratch(len(s.vantages)),
 
 		stealsC:      s.m.steals.With(cfg.Name),
 		degradedC:    s.m.degraded.With(cfg.Name),
@@ -337,6 +339,86 @@ type scanOut struct {
 	err error
 }
 
+// roundScratch is a campaign's per-round bookkeeping. Its sizes depend only
+// on the fleet (n vantages, so n shards) and on the round's suspect count,
+// which stays much the same from round to round, so it is built once at Join
+// and each round clears what it reads before writing it.
+type roundScratch struct {
+	// ScanRound and assign, per vantage or per shard.
+	states             []BreakerState
+	jobs, next         []scanJob // one steal wave's jobs and the next's
+	outs               []scanOut // per job of a wave
+	results            []*scanner.RoundData
+	owners             []int
+	tried              [][]bool // per shard: the vantages that scanned it
+	okScans, failScans []int
+	poisoned           []bool
+	trialUsed          []bool
+
+	// merge: its input, and a placeholder for each shard no vantage scanned.
+	rds   []*scanner.RoundData
+	holes []scanner.RoundData
+
+	// corroborate, per suspect or per vantage.
+	suspects, prevResp    []int // block index and prior belief, in parallel
+	blocks                []netmodel.BlockID
+	sample                [][]int // per vantage: resp per suspect; nil = no data
+	sampleRows            [][]int // per vantage: the row sample[vi] reuses
+	weight                []float64
+	probed, due           []int
+	corr                  []int // the re-probing vantages
+	couts                 []scanOut
+	overridden, darkVotes []int
+	verdicts              []signals.VantageVerdict
+	suspectTS             scanner.TargetSet // refilled with blocks each round
+}
+
+func newRoundScratch(n int) *roundScratch {
+	sc := &roundScratch{
+		states:     make([]BreakerState, n),
+		jobs:       make([]scanJob, 0, n),
+		next:       make([]scanJob, 0, n),
+		outs:       make([]scanOut, 0, n),
+		results:    make([]*scanner.RoundData, n),
+		owners:     make([]int, n),
+		tried:      make([][]bool, n),
+		okScans:    make([]int, n),
+		failScans:  make([]int, n),
+		poisoned:   make([]bool, n),
+		trialUsed:  make([]bool, n),
+		rds:        make([]*scanner.RoundData, 0, n),
+		holes:      make([]scanner.RoundData, n),
+		sample:     make([][]int, n),
+		sampleRows: make([][]int, n),
+		weight:     make([]float64, n),
+		probed:     make([]int, n),
+		due:        make([]int, n),
+		corr:       make([]int, 0, n),
+		couts:      make([]scanOut, 0, n),
+		overridden: make([]int, n),
+		darkVotes:  make([]int, n),
+		verdicts:   make([]signals.VantageVerdict, 0, 2*n),
+	}
+	for i := range sc.tried {
+		sc.tried[i] = make([]bool, n)
+	}
+	return sc
+}
+
+// reset clears what a round reads before it writes: the per-shard results
+// (owners is read only where a result is set), the shards each vantage
+// tried, and the per-vantage tallies.
+func (sc *roundScratch) reset() {
+	clear(sc.results)
+	for _, tried := range sc.tried {
+		clear(tried)
+	}
+	clear(sc.okScans)
+	clear(sc.failScans)
+	clear(sc.poisoned)
+	clear(sc.trialUsed)
+}
+
 // minShardCoverage is the heartbeat gate: a shard scan below this coverage
 // counts as a missed heartbeat and is rescanned elsewhere.
 const minShardCoverage = 0.8
@@ -355,16 +437,18 @@ type PrevFunc func(blockIdx int) (resp int, ok bool)
 // could scan leave a coverage hole (RoundData.Partial), which the caller
 // gates like any salvaged round. The campaign owns the RoundData and
 // overwrites it in its next ScanRound, so it is valid until then: a caller
-// that keeps a round copies what it keeps.
+// that keeps a round copies what it keeps. The RoundReport is the caller's.
 func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev PrevFunc) (*scanner.RoundData, *RoundReport, error) {
 	s := c.s
 	rep := &RoundReport{Round: round}
 	n := len(s.vantages)
+	sc := c.scratch
+	sc.reset()
 
 	// Quarantine expiry: open breakers whose time is up go half-open. A
 	// breaker another campaign's round already tripped is observed (and
 	// attributed) here too.
-	states := make([]BreakerState, n)
+	states := sc.states
 	for i, v := range s.vantages {
 		before := v.br.state
 		states[i] = v.br.beginRound(round)
@@ -388,26 +472,21 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 
 	// Scan waves with same-round failover: failed shards are stolen by the
 	// next healthy vantage that has not tried them yet.
-	results := make([]*scanner.RoundData, shards)
-	owners := make([]int, shards)
-	tried := make([][]bool, shards)
-	for i := range tried {
-		tried[i] = make([]bool, n)
-	}
+	results, owners, tried := sc.results, sc.owners, sc.tried
 	for _, j := range jobs {
 		tried[j.shard][j.vi] = true
 	}
-	okScans := make([]int, n)   // successful shard scans per vantage this round
-	failScans := make([]int, n) // missed heartbeats per vantage this round
+	okScans := sc.okScans     // successful shard scans per vantage this round
+	failScans := sc.failScans // missed heartbeats per vantage this round
 	for len(jobs) > 0 {
-		outs := make([]scanOut, len(jobs))
-		par.ForEach(len(jobs), func(i int) {
-			outs[i] = c.runScan(ctx, jobs[i].vi, round, at, c.targets, jobs[i].shard, shards, &c.shardRD[jobs[i].shard])
+		wave, outs := jobs, sc.outs[:len(jobs)] // the closure's own, so jobs stays off the heap
+		par.ForEach(len(wave), func(i int) {
+			outs[i] = c.runScan(ctx, wave[i].vi, round, at, c.targets, wave[i].shard, shards, &c.shardRD[wave[i].shard])
 		})
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		var next []scanJob
+		next := sc.next[:0]
 		for i, j := range jobs { // jobs are in shard order: deterministic
 			out := outs[i]
 			v := s.vantages[j.vi]
@@ -453,10 +532,11 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 					"from": v.spec.Name, "to": s.vantages[thief].spec.Name}
 			})
 		}
+		sc.jobs, sc.next = next, jobs
 		jobs = next
 	}
 
-	poisoned := make([]bool, n)
+	poisoned := sc.poisoned
 	if allNil(results) {
 		rep.SelfOutage = true
 		rep.Degraded = true
@@ -481,9 +561,9 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 // shard order and how many shards found no vantage at all.
 func (c *Campaign) assign(states []BreakerState, round int) ([]scanJob, int) {
 	n := len(c.s.vantages)
-	jobs := make([]scanJob, 0, n)
+	jobs := c.scratch.jobs[:0]
 	unassigned := 0
-	trialUsed := make([]bool, n)
+	trialUsed := c.scratch.trialUsed
 	cursor := round % n
 	for sh := 0; sh < n; sh++ {
 		vi := -1
@@ -558,15 +638,16 @@ func (c *Campaign) runScan(ctx context.Context, vi, round int, at time.Time, tar
 // targets count as a coverage hole) in shard order.
 func (c *Campaign) merge(results []*scanner.RoundData) *scanner.RoundData {
 	shards := len(results)
-	rds := make([]*scanner.RoundData, 0, shards)
+	rds := c.scratch.rds[:0]
 	for sh, rd := range results {
 		if rd == nil {
-			rds = append(rds, &scanner.RoundData{
+			hole := &c.scratch.holes[sh]
+			*hole = scanner.RoundData{
 				Targets:      c.targets,
 				ShardTargets: scanner.ShardLen(c.targets.Len(), sh, shards),
 				Partial:      true,
-			})
-			continue
+			}
+			rd = hole
 		}
 		rds = append(rds, rd)
 	}
@@ -587,8 +668,9 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 	if prev == nil {
 		return
 	}
+	sc := c.scratch
 
-	var suspects, prevResp []int // block index and prior belief, in parallel
+	suspects, prevResp := sc.suspects[:0], sc.prevResp[:0] // block index and prior belief, in parallel
 	for bi := range merged.Blocks {
 		p, ok := prev(bi)
 		if ok && p > 0 && int(merged.Blocks[bi].RespCount) < p {
@@ -596,24 +678,32 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 			prevResp = append(prevResp, p)
 		}
 	}
+	sc.suspects, sc.prevResp = suspects, prevResp
 	rep.Suspects = len(suspects)
 	if len(suspects) == 0 {
 		return
 	}
 
 	// Per-vantage sample verdicts from the primary shards already scanned.
-	n := len(s.vantages)
-	sample := make([][]int, n) // per vantage: resp per suspect (by suspects index); nil = no data
-	weight := make([]float64, n)
-	probed := make([]int, n)
-	due := make([]int, n)
+	sample, weight, probed, due := sc.sample, sc.weight, sc.probed, sc.due
+	clear(sample)
+	clear(weight)
+	clear(probed)
+	clear(due)
 	for sh, rd := range results {
 		if rd == nil {
 			continue
 		}
 		vi := owners[sh]
 		if sample[vi] == nil {
-			sample[vi] = make([]int, len(suspects))
+			row := sc.sampleRows[vi]
+			if cap(row) < len(suspects) {
+				row = make([]int, len(suspects))
+			} else {
+				row = row[:len(suspects)]
+				clear(row)
+			}
+			sc.sampleRows[vi], sample[vi] = row, row
 		}
 		for si, bi := range suspects {
 			sample[vi][si] += int(rd.Blocks[bi].RespCount)
@@ -627,31 +717,33 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 		}
 	}
 
-	// Full-block corroboration re-probes from every closed vantage.
-	prefixes := make([]netmodel.Prefix, len(suspects))
-	for i, bi := range suspects {
-		blk := c.targets.Blocks()[bi]
-		prefixes[i] = netmodel.Prefix{Base: blk.First(), Bits: 24}
+	// Full-block corroboration re-probes from every closed vantage, over the
+	// suspect blocks: a sorted, duplicate-free subset of the targets, so the
+	// suspect set's block si is suspects[si].
+	blocks := sc.blocks[:0]
+	for _, bi := range suspects {
+		blocks = append(blocks, c.targets.Blocks()[bi])
 	}
-	suspectTS, err := scanner.NewTargetSet(prefixes, nil)
-	if err != nil {
-		return // cannot corroborate; fusion below works from samples alone
-	}
-	var corr []int
-	for vi, v := range s.vantages {
-		if v.br.state == Closed {
-			corr = append(corr, vi)
+	sc.blocks = blocks
+	suspectTS := &sc.suspectTS
+	corr := sc.corr[:0]
+	if err := suspectTS.Refill(blocks); err == nil { // else no re-probe: fusion below works from samples alone
+		for vi, v := range s.vantages {
+			if v.br.state == Closed {
+				corr = append(corr, vi)
+			}
 		}
 	}
-	couts := make([]scanOut, len(corr))
+	couts := sc.couts[:len(corr)]
 	par.ForEach(len(corr), func(i int) {
 		couts[i] = c.runScan(ctx, corr[i], round, at, suspectTS, 0, 1, &c.corrRD[corr[i]])
 	})
 
 	// Fuse per suspect block, in block order.
-	overridden := make([]int, n) // dark sample votes overridden per vantage
-	darkVotes := make([]int, n)
-	verdicts := make([]signals.VantageVerdict, 0, n+len(corr)) // FuseBlock copies what it keeps
+	overridden, darkVotes := sc.overridden, sc.darkVotes // dark sample votes overridden, and cast, per vantage
+	clear(overridden)
+	clear(darkVotes)
+	verdicts := sc.verdicts // FuseBlock copies what it keeps
 	for si, bi := range suspects {
 		verdicts = verdicts[:0]
 		for vi, v := range s.vantages {
@@ -670,13 +762,9 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 			if out.err != nil || out.rd == nil || out.rd.RecvDead {
 				continue
 			}
-			sbi := suspectTS.BlockIndex(c.targets.Blocks()[bi].First())
-			if sbi < 0 {
-				continue
-			}
 			verdicts = append(verdicts, signals.VantageVerdict{
 				Vantage: s.vantages[vi].spec.Name,
-				Resp:    int(out.rd.Blocks[sbi].RespCount),
+				Resp:    int(out.rd.Blocks[si].RespCount),
 				Weight:  out.rd.Coverage(),
 				Full:    true,
 			})

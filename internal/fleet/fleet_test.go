@@ -12,6 +12,7 @@ import (
 	"countrymon/internal/faults"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/obs"
+	"countrymon/internal/par"
 	"countrymon/internal/scanner"
 	"countrymon/internal/simnet"
 )
@@ -528,22 +529,28 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestReusedBuffersMatchFresh: a campaign that scans, rescans and merges
-// into the buffers of its earlier rounds reports every round exactly as one
-// that starts each round from fresh buffers. The world has a blackout on v0
-// (its shards are stolen), a stall on v1 (its shards read dark, so every
-// block is suspect and re-probed) and a target whose dark blocks change from
-// round to round, so the suspect sets the vantages re-probe differ in size.
+// TestReusedBuffersMatchFresh: a campaign that scans, rescans, merges and
+// re-probes into the buffers, bookkeeping and suspect set of its earlier
+// rounds reports every round exactly as one that starts each round from
+// nothing. The world has a blackout on v0 (its shards are stolen until its
+// breaker opens, and its half-open trial's samples are the only ones it
+// contributes to fusion), a stall on v1 (its shards read dark, so every block
+// is suspect and re-probed) and a target whose dark blocks change from round
+// to round, so the suspect set the vantages re-probe grows, shrinks, and
+// keeps its length with other blocks. Round 0 believes every block livelier
+// than it is, so every vantage's samples of it are non-zero: a row that is
+// reused uncleared would turn v0's trial verdict on a dark block to alive.
 func TestReusedBuffersMatchFresh(t *testing.T) {
 	ts, err := scanner.NewTargetSet([]netmodel.Prefix{{Base: netmodel.MustParseAddr("198.51.96.0"), Bits: 21}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Round r darkens the first r%4 of the eight blocks.
+	// dark[r] has bit b set when block b of the eight is dark in round r.
+	dark := []uint8{0, 0b1, 0b111, 0b100000, 0, 0, 0b110, 0b1010000, 0b111111, 0b1000, 0b10000000, 0}
 	alive := aliveResponder()
 	truth := simnet.ResponderFunc(func(dst netmodel.Addr, at time.Time) simnet.Reply {
 		r := int(at.Sub(campaignStart) / (2 * time.Hour))
-		if int(dst>>8&7) < r%4 {
+		if dark[r]>>(dst>>8&7)&1 == 1 {
 			return simnet.Reply{Kind: simnet.NoReply}
 		}
 		return alive.Respond(dst, at)
@@ -551,7 +558,7 @@ func TestReusedBuffersMatchFresh(t *testing.T) {
 	window := func(kind faults.Kind, from, to int) faults.Profile {
 		return faults.Profile{Windows: []faults.Window{{From: roundAt(from).Add(-time.Minute), To: roundAt(to), Kind: kind}}}
 	}
-	profiles := []faults.Profile{window(faults.Blackout, 1, 3), window(faults.Stall, 4, 6), {}}
+	profiles := []faults.Profile{window(faults.Blackout, 1, 4), window(faults.Stall, 4, 6), {}}
 	campaign := func() *Campaign {
 		var specs []Spec
 		for i, prof := range profiles {
@@ -568,11 +575,17 @@ func TestReusedBuffersMatchFresh(t *testing.T) {
 		return c
 	}
 	reused, fresh := campaign(), campaign()
-	steals, suspectSizes := 0, map[int]bool{}
-	for r := 0; r < 10; r++ {
+	steals := 0
+	var last []netmodel.BlockID // the suspect set last re-probed
+	seen := map[string]bool{}
+	for r := range dark {
+		prev := truthPrev
+		if r == 0 {
+			prev = func(int) (int, bool) { return density + 1, true }
+		}
 		dropBuffers(fresh)
-		rdA, repA, errA := reused.ScanRound(context.Background(), r, roundAt(r), truthPrev)
-		rdB, repB, errB := fresh.ScanRound(context.Background(), r, roundAt(r), truthPrev)
+		rdA, repA, errA := reused.ScanRound(context.Background(), r, roundAt(r), prev)
+		rdB, repB, errB := fresh.ScanRound(context.Background(), r, roundAt(r), prev)
 		if errA != nil || errB != nil {
 			t.Fatalf("round %d: %v, %v", r, errA, errB)
 		}
@@ -583,10 +596,57 @@ func TestReusedBuffersMatchFresh(t *testing.T) {
 			t.Fatalf("round %d: merged round differs from the one from fresh buffers", r)
 		}
 		steals += repA.Steals
-		suspectSizes[repA.Suspects] = true
+		if repA.Suspects == 0 {
+			continue
+		}
+		cur := reused.scratch.suspectTS.Blocks()
+		switch {
+		case last == nil:
+		case len(cur) > len(last):
+			seen["grew"] = true
+		case len(cur) < len(last):
+			seen["shrank"] = true
+		case !reflect.DeepEqual(cur, last):
+			seen["kept its length with other blocks"] = true
+		}
+		last = append(last[:0], cur...)
 	}
-	delete(suspectSizes, 0)
-	if steals == 0 || len(suspectSizes) < 3 {
-		t.Fatalf("the campaign stole %d shards and re-probed suspect sets of sizes %v: too tame to show a leak", steals, suspectSizes)
+	if steals == 0 || len(seen) < 3 {
+		t.Fatalf("the campaign stole %d shards and its suspect set only %v: too tame to show a leak", steals, seen)
+	}
+}
+
+// TestCampaignRoundAllocBudget pins what a warm coordinated round costs when
+// every block is suspect, so it is corroborated by a re-probe from all three
+// vantages: the campaign keeps its scan buffers, bookkeeping and suspect set
+// across rounds, so what is left is per scan or per round by design.
+func TestCampaignRoundAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	t.Setenv(par.EnvWorkers, "2") // a scan wave starts one goroutine, whatever the core count
+	specs := []Spec{simSpec("v0", aliveResponder()), simSpec("v1", aliveResponder()), simSpec("v2", aliveResponder())}
+	_, c, err := newSolo(specs, baseConfig(), testTargets(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	above := func(int) (int, bool) { return density + 1, true } // every block reads below its belief
+	r := 0
+	round := func() {
+		rd, rep, err := c.ScanRound(context.Background(), r, roundAt(r), above)
+		if err != nil || rd == nil || rep.Suspects != 2 || rep.FusedAlive != 2 {
+			t.Fatalf("round %d: %v, %+v", r, err, rep)
+		}
+		r++
+	}
+	round() // warm-up: builds every buffer, the suspect set and its permutation
+	// Per round: the RoundReport (the caller's), and for each of the two
+	// scan waves (shards, then the re-probe) the closure handed to
+	// par.ForEach, the pool it builds and the closure of the one goroutine
+	// it starts beside the caller. Per scan, six a round: the simulated wire
+	// (simnet.New's Network).
+	const budget = 1 + 2*3 + 6
+	if allocs := testing.AllocsPerRun(20, round); allocs > budget {
+		t.Errorf("a warm corroborated round allocates %.1f objects, budget %d", allocs, budget)
 	}
 }

@@ -7,8 +7,8 @@ import "math/bits"
 // a power of two long and at most half full, addressed by a multiplicative
 // hash of the block and probed linearly: a lookup is a multiply, a shift and
 // on average well under two slot compares, with nothing to chase. A table is
-// filled by the constructor that returns it and never written afterwards,
-// which is all concurrent readers need.
+// written only by the constructor that returns it and by Reindex, never while
+// anyone reads it, which is all concurrent readers need.
 type BlockTable struct {
 	slots []blockSlot
 	shift uint8 // 32 − log2(len(slots))
@@ -22,21 +22,37 @@ type blockSlot struct {
 	origin ASN
 }
 
-// newBlockTable returns an empty table with room for n blocks at a load of
-// at most one half, so a probe always ends at an empty slot.
+// tableLog is log2 of the slot count a table of n blocks needs: the least
+// power of two ≥ 2n, so the load is at most one half and a probe always ends
+// at an empty slot.
+func tableLog(n int) int { return bits.Len(uint(max(2*n, 2) - 1)) }
+
+// newBlockTable returns an empty table with room for n blocks.
 func newBlockTable(n int) BlockTable {
-	log := bits.Len(uint(max(2*n, 2) - 1)) // len(slots) = 2^log ≥ 2n
+	log := tableLog(n)
 	return BlockTable{slots: make([]blockSlot, 1<<log), shift: uint8(32 - log)}
 }
 
 // IndexBlocks builds the table of a duplicate-free block list: blocks[i] maps
 // to i.
 func IndexBlocks(blocks []BlockID) BlockTable {
-	t := newBlockTable(len(blocks))
+	var t BlockTable
+	t.Reindex(blocks)
+	return t
+}
+
+// Reindex makes t the table of another duplicate-free block list, as
+// IndexBlocks would build it. When the list needs as many slots as t has, the
+// slots are cleared and reused instead of reallocated.
+func (t *BlockTable) Reindex(blocks []BlockID) {
+	if len(t.slots) == 1<<tableLog(len(blocks)) {
+		clear(t.slots)
+	} else {
+		*t = newBlockTable(len(blocks))
+	}
 	for i, b := range blocks {
 		*t.find(b) = blockSlot{block: b, pos: int32(i) + 1}
 	}
-	return t
 }
 
 // find returns b's slot, or the empty slot b would be put in. The multiplier

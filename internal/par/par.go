@@ -73,28 +73,40 @@ func ForEachN(workers, n int, fn func(i int)) {
 	if batch < 1 {
 		batch = 1
 	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(int64(batch))) - batch
-				if lo >= n {
-					return
-				}
-				hi := lo + batch
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}
-		}()
+	p := &pool{n: n, batch: batch, fn: fn}
+	p.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go p.run()
 	}
-	wg.Wait()
+	p.work() // the calling goroutine is the last worker
+	p.wg.Wait()
+}
+
+// pool is one ForEachN call's shared state, held in one object so that a
+// call allocates it and one closure per goroutine it starts.
+type pool struct {
+	cursor   atomic.Int64
+	wg       sync.WaitGroup
+	n, batch int
+	fn       func(i int)
+}
+
+func (p *pool) run() {
+	defer p.wg.Done()
+	p.work()
+}
+
+// work runs fn over index batches until the cursor passes n.
+func (p *pool) work() {
+	for {
+		lo := int(p.cursor.Add(int64(p.batch))) - p.batch
+		if lo >= p.n {
+			return
+		}
+		for i, hi := lo, min(lo+p.batch, p.n); i < hi; i++ {
+			p.fn(i)
+		}
+	}
 }
 
 // Map runs fn across [0, n) on the pool and returns the results in index

@@ -203,3 +203,78 @@ func TestPermutationFollowsSeed(t *testing.T) {
 		t.Fatalf("%d distinct answer sets from two seeds: the responder does not reveal the probe order", len(orders))
 	}
 }
+
+// TestRefillMatchesNew: a target set refilled larger, then smaller, then to
+// the same length with other blocks is, after each fill, the set
+// NewTargetSet builds from the same blocks: the same block list, the same
+// index (a block of the fill before that is no longer a member is not
+// found), and the same round under one seed. Only the first 2 ms of a scan
+// are answered, so the round also shows that the probe order is the fresh
+// set's. A list that is empty, unsorted or has a duplicate is rejected and
+// leaves the set as it was.
+func TestRefillMatchesNew(t *testing.T) {
+	start := time.Unix(0, 0)
+	early := simnet.ResponderFunc(func(dst netmodel.Addr, at time.Time) simnet.Reply {
+		if at.Sub(start) < 2*time.Millisecond {
+			return simnet.Reply{Kind: simnet.EchoReply, RTT: 10 * time.Millisecond}
+		}
+		return simnet.Reply{}
+	})
+	scan := func(ts *scanner.TargetSet) scanner.RoundData {
+		net := simnet.New(netmodel.MustParseAddr("198.51.100.1"), early, start)
+		rd, err := scanner.New(net, scanner.Config{Rate: 100000, Seed: 3, Epoch: 1, Clock: net, Cooldown: time.Second}).Run(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd.Probed != int(ts.Len()) || rd.Stats.Valid == 0 {
+			t.Fatalf("a scan of %d blocks probed %d of %d targets, %d answered", ts.NumBlocks(), rd.Probed, ts.Len(), rd.Stats.Valid)
+		}
+		out := *rd
+		out.Targets = nil
+		return out
+	}
+
+	set := newTargets(t, "91.198.4.0/23")
+	scan(set) // leaves a permutation of the first fill's length behind
+	prev := set.Blocks()
+	fills := []struct {
+		name  string
+		cidrs []string
+	}{
+		{"larger", []string{"91.198.0.0/21"}},
+		{"smaller", []string{"10.0.0.0/24", "10.0.5.0/24", "172.16.9.0/24"}},
+		{"same length, other blocks", []string{"10.0.1.0/24", "10.0.7.0/24", "192.0.2.0/24"}},
+	}
+	for _, f := range fills {
+		want := newTargets(t, f.cidrs...)
+		if err := set.Refill(want.Blocks()); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if !reflect.DeepEqual(set.Blocks(), want.Blocks()) || set.Len() != want.Len() {
+			t.Fatalf("%s: blocks %v, NewTargetSet's %v", f.name, set.Blocks(), want.Blocks())
+		}
+		for _, b := range append(append([]netmodel.BlockID(nil), prev...), want.Blocks()...) {
+			if got, exp := set.BlockIndex(b.First()), want.BlockIndex(b.First()); got != exp {
+				t.Fatalf("%s: BlockIndex(%v) = %d, NewTargetSet's %d", f.name, b, got, exp)
+			}
+		}
+		if got, exp := scan(set), scan(want); !reflect.DeepEqual(got, exp) {
+			t.Fatalf("%s: the refilled set scans differently from a new one:\n got %+v\nwant %+v", f.name, got.Stats, exp.Stats)
+		}
+		prev = append([]netmodel.BlockID(nil), want.Blocks()...)
+	}
+
+	b := prev
+	for name, bad := range map[string][]netmodel.BlockID{
+		"empty":     nil,
+		"unsorted":  {b[1], b[0], b[2]},
+		"duplicate": {b[0], b[1], b[1], b[2]},
+	} {
+		if err := set.Refill(bad); err == nil {
+			t.Errorf("Refill accepted a %s list", name)
+		}
+		if !reflect.DeepEqual(set.Blocks(), prev) {
+			t.Fatalf("a rejected %s list changed the set to %v", name, set.Blocks())
+		}
+	}
+}

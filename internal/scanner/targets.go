@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -16,7 +17,7 @@ type TargetSet struct {
 	blocks []netmodel.BlockID
 	index  netmodel.BlockTable
 	// perm is the permutation the last scan of the set walked, kept for the
-	// next scan under the same seed (see permutation).
+	// next scan under the same seed and length (see permutation).
 	perm atomic.Pointer[Permutation]
 }
 
@@ -50,13 +51,33 @@ func NewTargetSet(prefixes []netmodel.Prefix, exclude []netmodel.Prefix) (*Targe
 	return &TargetSet{blocks: out, index: netmodel.IndexBlocks(out)}, nil
 }
 
+// Refill makes t the set of blocks, as a set built from their /24s would be,
+// reusing t's block list and index instead of building new ones. blocks must
+// be sorted and duplicate-free, as every TargetSet's are; exclusions are the
+// caller's to have applied. A zero TargetSet is empty until it is refilled.
+// Refill must not run while t is being scanned.
+func (t *TargetSet) Refill(blocks []netmodel.BlockID) error {
+	if len(blocks) == 0 {
+		return errors.New("scanner: no target blocks")
+	}
+	for i := 1; i < len(blocks); i++ {
+		if blocks[i] <= blocks[i-1] {
+			return fmt.Errorf("scanner: target blocks not sorted and distinct at %d (%v after %v)", i, blocks[i], blocks[i-1])
+		}
+	}
+	t.blocks = append(t.blocks[:0], blocks...)
+	t.index.Reindex(t.blocks)
+	return nil
+}
+
 // permutation returns the permutation of t's targets under seed. A campaign
 // scans one set under one seed every round, so the last one built is kept
-// and handed to every scan that asks for the same seed. A Permutation is
-// read-only once built, so concurrent shard scans share it; two scans that
-// race to build it build the same one.
+// and handed to every scan that asks for the same seed and length (a
+// Permutation depends on nothing else, so a set refilled to its old length
+// keeps it). A Permutation is read-only once built, so concurrent shard scans
+// share it; two scans that race to build it build the same one.
 func (t *TargetSet) permutation(seed uint64) (*Permutation, error) {
-	if pm := t.perm.Load(); pm != nil && pm.seed == seed {
+	if pm := t.perm.Load(); pm != nil && pm.seed == seed && pm.n == t.Len() {
 		return pm, nil
 	}
 	pm, err := NewPermutation(t.Len(), seed)

@@ -79,7 +79,7 @@ func (c *Compiled) RunScorecard() (*Scorecard, error) {
 
 	targets, origins := world.Targets()
 	mon, err := countrymon.New(countrymon.Options{
-		Transport: simnet.New(vantageAddr, world.Responder(), spec.Start),
+		Transport: simnet.New(vantageAddr, world, spec.Start),
 		Targets:   targets,
 		Start:     spec.Start,
 		Interval:  spec.Interval,

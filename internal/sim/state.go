@@ -458,33 +458,35 @@ func (s *Scenario) GenerateStore(trackRTT []netmodel.BlockID) *dataset.Store {
 	return store
 }
 
-// Responder exposes the scenario as a packet-level simnet.Responder so the
-// real scanner can probe it.
-func (s *Scenario) Responder() simnet.Responder {
-	return simnet.ResponderFunc(func(dst netmodel.Addr, at time.Time) simnet.Reply {
-		bi := s.Space.BlockIndex(dst.Block())
-		if bi < 0 {
-			return simnet.Reply{Kind: simnet.NoReply}
-		}
-		st := s.BlockStateAt(bi, at)
-		if !st.Routed {
-			return simnet.Reply{Kind: simnet.NoReply}
-		}
-		if st.Resp <= 0 {
-			return simnet.Reply{Kind: simnet.NoReply}
-		}
-		if int(s.liveOrder.rank(bi, dst.HostByte())) >= st.Resp {
-			return simnet.Reply{Kind: simnet.NoReply}
-		}
-		// Per-host RTT jitter around the block mean.
-		j := int(netmodel.Hash3(s.Cfg.Seed^0x99, uint64(dst), uint64(at.Unix())/600)%7) - 3
-		rtt := int(st.RTTMS) + j
-		if rtt < 1 {
-			rtt = 1
-		}
-		return simnet.Reply{Kind: simnet.EchoReply, RTT: time.Duration(rtt) * time.Millisecond}
-	})
+// Respond answers a probe of dst at `at` from the scenario's ground truth: a
+// *Scenario is a packet-level simnet.Responder, so the real scanner can probe
+// it.
+func (s *Scenario) Respond(dst netmodel.Addr, at time.Time) simnet.Reply {
+	bi := s.Space.BlockIndex(dst.Block())
+	if bi < 0 {
+		return simnet.Reply{Kind: simnet.NoReply}
+	}
+	st := s.BlockStateAt(bi, at)
+	if !st.Routed {
+		return simnet.Reply{Kind: simnet.NoReply}
+	}
+	if st.Resp <= 0 {
+		return simnet.Reply{Kind: simnet.NoReply}
+	}
+	if int(s.liveOrder.rank(bi, dst.HostByte())) >= st.Resp {
+		return simnet.Reply{Kind: simnet.NoReply}
+	}
+	// Per-host RTT jitter around the block mean.
+	j := int(netmodel.Hash3(s.Cfg.Seed^0x99, uint64(dst), uint64(at.Unix())/600)%7) - 3
+	rtt := int(st.RTTMS) + j
+	if rtt < 1 {
+		rtt = 1
+	}
+	return simnet.Reply{Kind: simnet.EchoReply, RTT: time.Duration(rtt) * time.Millisecond}
 }
+
+// Responder returns the scenario itself as a simnet.Responder.
+func (s *Scenario) Responder() simnet.Responder { return s }
 
 // repStride spreads a Trinocular-style ever-active selection across the
 // block's historical liveness ranks: census-derived E(b) sets include
