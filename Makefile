@@ -133,9 +133,9 @@ chaos-smoke:
 	$(GO) test -run '^TestChaos' -count=1 -v .
 
 # Check that every metric registered in code appears in the README's
-# catalogue table and vice versa.
+# catalogue table and vice versa (the test leg runs it too).
 metrics-lint:
-	$(GO) run ./cmd/metricslint
+	$(GO) test -run '^TestMetricCatalogue$$' -count=1 -v .
 
 # Short native-fuzz smoke over the packet parsers, the word-wise checksum,
 # the columnar codecs, the streamed column coder against its staged oracle,
@@ -188,7 +188,7 @@ fuzz-smoke:
 # Run the labeled scenario library through the full detection stack and fail
 # on any divergence from the committed golden scorecards.
 scenario-smoke:
-	$(GO) run ./cmd/scencheck
+	$(GO) test -run '^TestScorecardsMatchGoldens$$' -count=1 -v ./internal/scenario
 
 # Multi-country coordinator smoke: the two-country campaign must produce
 # per-country stores byte-identical to solo runs and to itself at
@@ -205,14 +205,15 @@ scorecards:
 	@if ! git diff --quiet || ! git diff --cached --quiet; then \
 		echo "scorecards: working tree is dirty; commit or stash first"; exit 1; \
 	fi
-	$(GO) run ./cmd/scencheck -write
+	$(GO) test -run '^TestScorecardsMatchGoldens$$' -count=1 ./internal/scenario -update
 
-# The full gate: formatting, static analysis, the metric-catalogue check,
-# tests, the nested bench module's check (all four BENCHMARK.json workloads,
-# both passes, zero failed operations), the race detector, the benchmark
-# smoke run and the fuzz smoke. Every leg is fatal. Performance is not gated
-# here: a timing means something only against the parent commit on the same
-# host, which is what paired `bash bench/run.sh` runs measure (README,
-# "Performance"). chaos-smoke, campaign-smoke and scenario-smoke re-run
-# tests that `test` and `race` already ran, so they are not legs.
-ci: fmt vet metrics-lint test bench-check race bench-smoke fuzz-smoke
+# The full gate: formatting, static analysis, tests (the metric-catalogue
+# check and the golden scorecards among them), the nested bench module's
+# check (all four BENCHMARK.json workloads, both passes, zero failed
+# operations), the race detector, the benchmark smoke run and the fuzz smoke.
+# Every leg is fatal. Performance is not gated here: a timing means something
+# only against the parent commit on the same host, which is what paired
+# `bash bench/run.sh` runs measure (README, "Performance"). chaos-smoke,
+# campaign-smoke, metrics-lint and scenario-smoke re-run tests that `test`
+# and `race` already ran, so they are not legs.
+ci: fmt vet test bench-check race bench-smoke fuzz-smoke

@@ -3,9 +3,12 @@
 // Usage:
 //
 //	experiments [-scale 0.12] [-interval 6] [-seed 1] [-markdown] [ids...]
+//	experiments -scorecard NAME|FILE
 //
 // With no ids, every registered experiment runs in order. -markdown emits
 // the EXPERIMENTS.md paper-vs-measured record instead of full reports.
+// -scorecard scores one labelled scenario, a library name or a scenario-DSL
+// file, against its ground truth instead.
 package main
 
 import (
@@ -33,11 +36,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	interval := fs.Int("interval", 6, "probing interval in hours (paper: 2)")
 	seed := fs.Uint64("seed", 1, "scenario seed")
 	markdown := fs.Bool("markdown", false, "emit EXPERIMENTS.md content")
+	scorecard := fs.String("scorecard", "", "score the labelled scenario `name|file` (a library name or a scenario-DSL file): print its P/R/latency table, then its scorecard JSON")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
+	}
+	if *scorecard != "" {
+		if fs.NArg() > 0 {
+			fmt.Fprintln(stderr, "-scorecard takes no experiment ids")
+			return 2
+		}
+		return scoreScenario(*scorecard, stdout, stderr)
 	}
 
 	var list []experiments.Experiment

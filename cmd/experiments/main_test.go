@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"countrymon/internal/par"
+	"countrymon/internal/scenario"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/ instead of comparing")
@@ -90,5 +91,39 @@ func TestReportsGolden(t *testing.T) {
 	t.Setenv(par.EnvWorkers, "1")
 	if serial := all(); serial != first {
 		t.Errorf("%s=1 changes the reports\n%s", par.EnvWorkers, firstDiff(serial, first))
+	}
+}
+
+// TestScorecard pins -scorecard: a library name prints the P/R/latency table
+// and then the scorecard's JSON, which is the committed golden scorecard byte
+// for byte; the scenario's file prints the same; and a name that is neither
+// exits 2 with the library listed on stderr.
+func TestScorecard(t *testing.T) {
+	code, stdout, stderr := exp("-scorecard", "ixp-failover")
+	if code != 0 {
+		t.Fatalf("-scorecard ixp-failover: exit %d\n%s", code, stderr)
+	}
+	golden(t, "scorecard.golden", []byte(stdout))
+	want, err := os.ReadFile("../../internal/scenario/testdata/ixp-failover.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := strings.Index(stdout, "\n{\n"); i < 0 || stdout[i+1:] != string(want) {
+		t.Errorf("the JSON after the table is not the golden scorecard\n%s", stdout)
+	}
+
+	code, fromFile, stderr := exp("-scorecard", "../../internal/scenario/library/ixp-failover.json")
+	if code != 0 || fromFile != stdout {
+		t.Errorf("the scenario's file: exit %d, stdout differs from the library name's: %v\n%s", code, fromFile != stdout, stderr)
+	}
+
+	code, stdout, stderr = exp("-scorecard", "no-such-scenario")
+	if code != 2 || stdout != "" {
+		t.Fatalf("unknown scenario: exit %d, stdout %q; want exit 2 and no stdout", code, stdout)
+	}
+	for _, name := range scenario.Names() {
+		if !strings.Contains(stderr, name) {
+			t.Errorf("unknown scenario: stderr does not list %s\n%s", name, stderr)
+		}
 	}
 }

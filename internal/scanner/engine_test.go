@@ -127,7 +127,7 @@ func TestMergeRounds(t *testing.T) {
 	}
 }
 
-// TestShardUnionMatchesSerial: the union of a round's IterateShard shards,
+// TestShardUnionMatchesSerial: the union of a round's Config.Shard shards,
 // each scanned on its own and merged with MergeRounds, must reproduce the
 // serial scan's blocks and aggregate counts.
 func TestShardUnionMatchesSerial(t *testing.T) {

@@ -88,19 +88,11 @@ func (pm *Permutation) Iterate() *Cursor {
 	return &Cursor{pm: pm, cur: pm.first}
 }
 
-// IterateShard returns a cursor that emits only the indices of shard
-// `shard` out of `shards` total, ZMap-style: the group walk is shared, and
-// each shard takes every shards-th emitted element starting at its offset.
-func (pm *Permutation) IterateShard(shard, shards int) (*Cursor, error) {
-	c := new(Cursor)
-	if err := c.reset(pm, shard, shards); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// reset positions c at the start of shard's part of pm's cycle, as
-// IterateShard does, in place: a scan keeps its cursor by value.
+// reset positions c at the start of shard's part of pm's cycle, in place (a
+// scan keeps its cursor by value). The cursor then emits only the indices of
+// shard `shard` out of `shards` total, ZMap-style: the group walk is shared,
+// and each shard takes every shards-th emitted element starting at its
+// offset.
 func (c *Cursor) reset(pm *Permutation, shard, shards int) error {
 	if shards <= 0 || shard < 0 || shard >= shards {
 		return fmt.Errorf("scanner: invalid shard %d/%d", shard, shards)

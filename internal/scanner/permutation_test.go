@@ -109,8 +109,8 @@ func TestShardsPartition(t *testing.T) {
 	seen := make([]int, n)
 	total := 0
 	for s := 0; s < shards; s++ {
-		c, err := pm.IterateShard(s, shards)
-		if err != nil {
+		var c Cursor
+		if err := c.reset(pm, s, shards); err != nil {
 			t.Fatal(err)
 		}
 		for {
@@ -134,13 +134,14 @@ func TestShardsPartition(t *testing.T) {
 
 func TestShardValidation(t *testing.T) {
 	pm, _ := NewPermutation(100, 1)
-	if _, err := pm.IterateShard(2, 2); err == nil {
+	var c Cursor
+	if err := c.reset(pm, 2, 2); err == nil {
 		t.Error("shard index == shards accepted")
 	}
-	if _, err := pm.IterateShard(-1, 2); err == nil {
+	if err := c.reset(pm, -1, 2); err == nil {
 		t.Error("negative shard accepted")
 	}
-	if _, err := pm.IterateShard(0, 0); err == nil {
+	if err := c.reset(pm, 0, 0); err == nil {
 		t.Error("zero shards accepted")
 	}
 }
@@ -401,8 +402,8 @@ func TestWalkMatchesReference(t *testing.T) {
 			for _, shards := range []int{1, 3, 7} {
 				seen := make([]int, n)
 				for shard := 0; shard < shards; shard++ {
-					c, err := pm.IterateShard(shard, shards)
-					if err != nil {
+					var c Cursor
+					if err := c.reset(pm, shard, shards); err != nil {
 						t.Fatal(err)
 					}
 					want := refWalk(pm, shard, shards)

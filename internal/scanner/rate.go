@@ -64,16 +64,9 @@ type RateLimiter struct {
 // DefaultRate is the campaign's probing rate in packets per second.
 const DefaultRate = 8000
 
-// NewRateLimiter builds a limiter for `rate` packets per second with the
-// given burst allowance (minimum 1). A rate ≤ 0 disables limiting.
-func NewRateLimiter(clock Clock, rate int, burst int) *RateLimiter {
-	rl := new(RateLimiter)
-	rl.reset(clock, rate, burst)
-	return rl
-}
-
-// reset makes rl the limiter NewRateLimiter builds, in place: a scan keeps
-// its limiter by value.
+// reset makes rl a limiter for `rate` packets per second with the given
+// burst allowance (minimum 1), in place: a scan keeps its limiter by value.
+// A rate ≤ 0 disables limiting.
 func (rl *RateLimiter) reset(clock Clock, rate int, burst int) {
 	if burst < 1 {
 		burst = 1

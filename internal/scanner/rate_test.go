@@ -13,7 +13,8 @@ func (c *fakeClock) Sleep(d time.Duration) { c.now = c.now.Add(d) }
 
 func TestRateLimiterPacing(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(0, 0)}
-	rl := NewRateLimiter(clock, 1000, 1) // 1ms per packet, burst 1
+	var rl RateLimiter
+	rl.reset(clock, 1000, 1) // 1ms per packet, burst 1
 	start := clock.Now()
 	for i := 0; i < 100; i++ {
 		rl.WaitN(1)
@@ -27,8 +28,9 @@ func TestRateLimiterPacing(t *testing.T) {
 
 func TestRateLimiterWaitN(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(0, 0)}
-	rl := NewRateLimiter(clock, 1000, 1) // 1ms per token, burst 1
-	rl.WaitN(64)                         // 1 token banked, 63 owed
+	var rl RateLimiter
+	rl.reset(clock, 1000, 1) // 1ms per token, burst 1
+	rl.WaitN(64)             // 1 token banked, 63 owed
 	if got := clock.now.Sub(time.Unix(0, 0)); got != 63*time.Millisecond {
 		t.Fatalf("WaitN(64) advanced %v, want 63ms", got)
 	}
@@ -40,7 +42,8 @@ func TestRateLimiterWaitN(t *testing.T) {
 
 func TestRateLimiterBurst(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(0, 0)}
-	rl := NewRateLimiter(clock, 1000, 64)
+	var rl RateLimiter
+	rl.reset(clock, 1000, 64)
 	start := clock.Now()
 	for i := 0; i < 64; i++ {
 		rl.WaitN(1)
@@ -56,7 +59,8 @@ func TestRateLimiterBurst(t *testing.T) {
 
 func TestRateLimiterRefillAfterIdle(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(0, 0)}
-	rl := NewRateLimiter(clock, 1000, 10)
+	var rl RateLimiter
+	rl.reset(clock, 1000, 10)
 	for i := 0; i < 10; i++ {
 		rl.WaitN(1)
 	}
@@ -78,7 +82,8 @@ func TestRateLimiterRefillAfterIdle(t *testing.T) {
 
 func TestRateLimiterUnlimited(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(0, 0)}
-	rl := NewRateLimiter(clock, 0, 1)
+	var rl RateLimiter
+	rl.reset(clock, 0, 1)
 	start := clock.Now()
 	for i := 0; i < 10000; i++ {
 		rl.WaitN(1)
@@ -91,7 +96,8 @@ func TestRateLimiterUnlimited(t *testing.T) {
 func TestRateLimiterAggregateRate(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(0, 0)}
 	const rate = 8000
-	rl := NewRateLimiter(clock, rate, 64)
+	var rl RateLimiter
+	rl.reset(clock, rate, 64)
 	const packets = 40000
 	start := clock.Now()
 	for i := 0; i < packets; i++ {

@@ -12,7 +12,7 @@
 // ground truth — per-entity precision over rounds, recall over labeled
 // windows, and detection latency. The library's scorecards are committed as
 // goldens, so an engine change that degrades detection against any labeled
-// adversity fails `make scenario-smoke`.
+// adversity fails `TestScorecardsMatchGoldens`.
 package scenario
 
 import (

@@ -2,12 +2,15 @@ package scenario
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"countrymon/internal/signals"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden scorecards under testdata/ instead of comparing")
 
 func runScorecard(t *testing.T, name string) *Scorecard {
 	t.Helper()
@@ -29,7 +32,8 @@ func runScorecard(t *testing.T, name string) *Scorecard {
 // TestScorecardsMatchGoldens is the engine-regression tripwire: any change to
 // the scanner, signal derivation, detection thresholds, coverage gating or
 // the Trinocular baseline that shifts detection quality on a labeled
-// adversity shows up as a byte diff against the committed scorecard.
+// adversity shows up as a byte diff against the committed scorecard. Under
+// -update it rewrites the goldens instead (`make scorecards`).
 func TestScorecardsMatchGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full detection stack over the scenario library")
@@ -39,6 +43,12 @@ func TestScorecardsMatchGoldens(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			got := runScorecard(t, name).Encode()
 			path := filepath.Join("testdata", name+".golden.json")
+			if *update {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
 			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatalf("missing golden (run `make scorecards`): %v", err)
