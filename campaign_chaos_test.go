@@ -3,17 +3,13 @@ package countrymon_test
 import (
 	"bytes"
 	"context"
-	"strconv"
 	"testing"
 	"time"
 
 	countrymon "countrymon"
 	"countrymon/internal/campaign"
 	"countrymon/internal/faults"
-	"countrymon/internal/fleet"
-	"countrymon/internal/netmodel"
 	"countrymon/internal/scanner"
-	"countrymon/internal/simnet"
 )
 
 // Cross-country chaos: a scripted vantage blackout that hits only country
@@ -89,31 +85,13 @@ func xcSoloUA(t *testing.T, spec *campaign.Spec) *countrymon.Monitor {
 	for _, blk := range space.Blocks() {
 		origins[blk] = space.OriginOf(blk)
 	}
-	local := netmodel.MustParseAddr("203.0.113.1")
-	var vantages []fleet.Spec
-	for i := 0; i < spec.Vantages; i++ {
-		vn := "v" + strconv.Itoa(i)
-		vantages = append(vantages, fleet.Spec{
-			Name: vn,
-			Transport: func(round int, at time.Time) (countrymon.Transport, countrymon.Clock, error) {
-				net := simnet.New(local, world.Responder(), at)
-				return xcWrap("UA", vn, net), net, nil
-			},
-		})
-	}
-	// A supervisor of its own with one campaign, scanning at UA's rate and
-	// seed: the fleet cmd/countrymon's -vantages builds.
-	ts, err := scanner.NewTargetSet(targets, nil)
+	// A pool of its own with one campaign, scanning at UA's rate and seed:
+	// the fleet cmd/countrymon's -vantages builds.
+	sup, err := campaign.NewFleet(spec.Vantages, 0, spec.CountryRate("UA"), cs.Seed, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := fleet.NewShared(vantages, fleet.Config{Scan: scanner.Config{
-		Rate: spec.CountryRate("UA"), Seed: cs.Seed, Metrics: scanner.NewMetrics(nil),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	camp, err := sup.Join(fleet.CampaignConfig{Name: "default", Targets: ts})
+	camp, err := campaign.JoinCountry(sup, "UA", world, targets, 0, 0, xcWrap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"net/http"
 	"strings"
 
@@ -10,7 +12,8 @@ import (
 // runCoordinated is the multi-country entry point behind -countries and
 // -config: compile the campaign spec into a coordinator over one shared
 // vantage fleet, drive every country's rounds in lockstep, print a
-// per-country summary, and optionally serve the country-scoped API.
+// per-country summary, and optionally serve the country-scoped API. Like
+// -packet-rounds, a SIGINT or SIGTERM during the rounds is exit 130.
 func (e *env) runCoordinated(countries, config, serveAddr string) int {
 	var (
 		spec *campaign.Spec
@@ -31,6 +34,8 @@ func (e *env) runCoordinated(countries, config, serveAddr string) int {
 	}
 	defer co.Close()
 
+	// A signal from here on stops the campaign at the next round boundary.
+	ctx, stop := interruptible()
 	e.log.Printf("coordinated campaign: %d countries over %d shared vantages, %d rounds every %v",
 		len(spec.Countries), spec.Vantages, spec.Rounds, spec.Interval)
 	for _, c := range co.Countries() {
@@ -39,11 +44,14 @@ func (e *env) runCoordinated(countries, config, serveAddr string) int {
 			c.World.Space.NumASes(), c.World.Space.NumBlocks())
 	}
 
-	ctx, stop := interruptible()
 	err = co.Run(ctx)
 	stop()
-	if err != nil {
-		return e.fail("campaign: %v", err)
+	switch {
+	case errors.Is(err, context.Canceled):
+		e.log.Printf("countrymon: interrupted at round %d of %d", co.Round(), spec.Rounds)
+		return 130
+	case err != nil:
+		return e.fail("%v", err)
 	}
 
 	for _, c := range co.Countries() {

@@ -10,7 +10,7 @@
 //	           [-region Kherson] [-as 25482] [-min-coverage 0.8]
 //	           [-metrics :9090]
 //	countrymon -packet-rounds N [-vantages N] [-quorum k]
-//	           [-faults spec] [-vantage-faults "spec;spec;..."]
+//	           [-faults spec | -faults "spec;spec;..."]
 //	           [-checkpoint file] [-resume file] [-roundlog file]
 //	countrymon -countries UA,RO [-serve :8080] [-metrics :9090]
 //	countrymon -config spec.json [-serve :8080]
@@ -20,12 +20,14 @@
 // over the simulated wire (the Kherson Table-5 ASes) and its store is
 // cross-checked against the fast generator ("0 mismatches"). -checkpoint,
 // -resume and -roundlog make the campaign durable (Ctrl-C stops at the next
-// round boundary after a final checkpoint), -faults injects transport faults
-// (internal/faults; window offsets count from the scenario's start),
-// -vantages N runs the rounds over a supervised fleet (internal/fleet:
-// breakers, shard failover, k-of-n -quorum corroboration) and -vantage-faults
-// scripts one profile per vantage (semicolon-separated, in vantage order; an
-// empty segment is a clean vantage).
+// round boundary after a final checkpoint), -vantages N runs the rounds over
+// a supervised fleet (internal/fleet: breakers, shard failover, k-of-n
+// -quorum corroboration), and -faults injects transport faults
+// (internal/faults; window offsets count from the scenario's start): one
+// profile applies to every vantage, a semicolon-separated list scripts one
+// per vantage in vantage order (an empty segment is a clean vantage). The
+// vantages, solo or fleet, are built by internal/campaign exactly as a
+// coordinated campaign's are.
 //
 // With -countries (synthetic per-country models, equal budget shares) or
 // -config (a full campaign.Spec document) the command instead runs a
@@ -133,8 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&pr.n, "packet-rounds", 0, "first run an N-round packet-level campaign through the Monitor and cross-check it")
 	fs.IntVar(&pr.vantages, "vantages", 0, "run the packet-level campaign over a supervised fleet of N vantages")
 	fs.IntVar(&pr.quorum, "quorum", 0, "k of the fleet's k-of-n outage corroboration (0 = min(2, vantages))")
-	fs.StringVar(&pr.faults, "faults", "", "campaign fault-injection profile, e.g. \"seed=7,senderr=0.01,blackout=24h+8h\"")
-	fs.StringVar(&pr.vantageFaults, "vantage-faults", "", "per-vantage fault profiles, semicolon-separated in vantage order (overrides -faults for the fleet)")
+	fs.StringVar(&pr.faults, "faults", "", "campaign fault-injection profile for every vantage, e.g. \"seed=7,senderr=0.01,blackout=24h+8h\", or one per vantage, semicolon-separated in vantage order (an empty segment is a clean vantage)")
 	fs.StringVar(&pr.checkpoint, "checkpoint", "", "campaign checkpoint file (atomic, written periodically)")
 	fs.StringVar(&pr.resume, "resume", "", "resume a killed campaign from this checkpoint file")
 	fs.StringVar(&pr.roundLog, "roundlog", "", "append-only per-round campaign journal (replayed over the checkpoint on restart)")
@@ -156,10 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		e.log.Print("-serve needs a coordinated campaign (-countries or -config)")
 		return 2
 	case pr.n <= 0 && pr != (roundsFlags{}):
-		e.log.Print("-vantages, -quorum, -faults, -vantage-faults, -checkpoint, -resume and -roundlog need -packet-rounds")
-		return 2
-	case pr.vantageFaults != "" && pr.vantages <= 0:
-		e.log.Print("-vantage-faults needs -vantages")
+		e.log.Print("-vantages, -quorum, -faults, -checkpoint, -resume and -roundlog need -packet-rounds")
 		return 2
 	}
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
@@ -100,15 +101,16 @@ func TestPacketRounds(t *testing.T) {
 }
 
 // TestFleetCompletesDegraded blacks out one of three vantages for rounds 2
-// to 6: the fleet steals its shards and quarantines it, no block reads
-// differently from the fast generator, and the process says so with exit 4.
-// Round 7 is a vantage outage the scenario scripts: recorded missing without
-// engaging the fleet, and held against nobody.
+// to 6 (-faults with one profile per vantage, the others clean): the fleet
+// steals its shards and quarantines it, no block reads differently from the
+// fast generator, and the process says so with exit 4. Round 7 is a vantage
+// outage the scenario scripts: recorded missing without engaging the fleet,
+// and held against nobody.
 func TestFleetCompletesDegraded(t *testing.T) {
 	dir := t.TempDir()
 	faulted, clean := filepath.Join(dir, "faulted.cmds"), filepath.Join(dir, "clean.cmds")
 	code, _, stderr := cm(with(small, "-packet-rounds", "12", "-vantages", "3", "-quorum", "2",
-		"-vantage-faults", "blackout=20h+60h", "-checkpoint", faulted)...)
+		"-faults", "blackout=20h+60h;;", "-checkpoint", faulted)...)
 	if code != 4 {
 		t.Fatalf("exit %d, want 4 (completed degraded)\n%s", code, stderr)
 	}
@@ -122,28 +124,37 @@ func TestFleetCompletesDegraded(t *testing.T) {
 			t.Errorf("stderr lacks %q:\n%s", want, stderr)
 		}
 	}
-	// Zero false outages: the checkpoint equals a single clean vantage's.
+	// Zero false outages: the checkpoint equals a single clean vantage's,
+	// and both are pinned by digest.
 	if code, _, stderr := cm(with(small, "-packet-rounds", "12", "-checkpoint", clean)...); code != 0 {
 		t.Fatalf("clean run: exit %d\n%s", code, stderr)
 	}
 	sameFile(t, faulted, clean)
+	data, err := os.ReadFile(faulted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "checkpoint12.sha256", []byte(fmt.Sprintf("%x\n", sha256.Sum256(data))))
 }
 
-// TestFleetSelfOutage blacks out the only vantage of a fleet for rounds 2 to
-// 6: no vantage has data on them, so each is recorded missing as a fleet
-// self-outage — labelled so, not as a dead receive path — and counts against
-// coverage (exit 1).
+// TestFleetSelfOutage blacks out every vantage of a fleet for rounds 2 to 6
+// with one -faults profile, which applies to each of them: no vantage has
+// data on those rounds, so each is recorded missing as a fleet self-outage —
+// labelled so, not as a dead receive path — and counts against coverage
+// (exit 1).
 func TestFleetSelfOutage(t *testing.T) {
-	code, _, stderr := cm(with(small, "-packet-rounds", "12", "-vantages", "1",
-		"-vantage-faults", "blackout=20h+60h")...)
-	if code != 1 || strings.Contains(stderr, "receive path dead") ||
-		!strings.Contains(stderr, "countrymon: 5 of 12 rounds ended below the 80% coverage threshold") {
-		t.Fatalf("exit %d, want 1, stderr:\n%s", code, stderr)
-	}
-	for r := 2; r <= 6; r++ {
-		want := fmt.Sprintf("round %3d: sent 0 valid 0  [fleet self-outage: recorded missing]\n", r)
-		if !strings.Contains(stderr, want) {
-			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+	for _, vantages := range []string{"1", "3"} {
+		code, _, stderr := cm(with(small, "-packet-rounds", "12", "-vantages", vantages,
+			"-faults", "blackout=20h+60h")...)
+		if code != 1 || strings.Contains(stderr, "receive path dead") ||
+			!strings.Contains(stderr, "countrymon: 5 of 12 rounds ended below the 80% coverage threshold") {
+			t.Fatalf("-vantages %s: exit %d, want 1, stderr:\n%s", vantages, code, stderr)
+		}
+		for r := 2; r <= 6; r++ {
+			want := fmt.Sprintf("round %3d: sent 0 valid 0  [fleet self-outage: recorded missing]\n", r)
+			if !strings.Contains(stderr, want) {
+				t.Errorf("-vantages %s: stderr lacks %q:\n%s", vantages, want, stderr)
+			}
 		}
 	}
 }
@@ -210,6 +221,20 @@ func TestInterruptResume(t *testing.T) {
 	sameFile(t, ckpt, ref)
 }
 
+// TestCoordinatedInterrupt: a SIGINT during a coordinated campaign stops it
+// at the next round boundary with exit 130, like -packet-rounds, and prints
+// no per-country summary.
+func TestCoordinatedInterrupt(t *testing.T) {
+	stderr := &interruptAt{mark: "coordinated campaign:", delivered: make(chan os.Signal, 1)}
+	signal.Notify(stderr.delivered, os.Interrupt)
+	defer signal.Stop(stderr.delivered)
+	code := run([]string{"-countries", "UA,RO"}, io.Discard, stderr)
+	if code != 130 || !strings.Contains(stderr.String(), "countrymon: interrupted at round ") ||
+		strings.Contains(stderr.String(), "AS outage events") {
+		t.Fatalf("interrupted run: exit %d, want 130\n%s", code, stderr)
+	}
+}
+
 // TestForeignFilesAreRefused: a checkpoint or dataset of another campaign —
 // here another -interval, another -scale — is exit 3 with both sides of the
 // conflict named, not a plausible report about the wrong world.
@@ -248,8 +273,9 @@ func TestFlagErrors(t *testing.T) {
 		{"-stream-signals"},
 		{"-checkpoint", "f.cmds"},
 		{"-vantages", "3"},
-		{"-packet-rounds", "2", "-vantage-faults", "blackout=1h+1h"},
-		{"-packet-rounds", "2", "-vantages", "2", "-vantage-faults", "a;b;c"},
+		{"-packet-rounds", "2", "-faults", "blackout=1h+1h;"},
+		{"-packet-rounds", "2", "-vantages", "2", "-faults", "a;b;c"},
+		{"-packet-rounds", "2", "-vantages", "2", "-faults", "blackout=1h+1h;;"},
 		{"-serve", ":0"},
 		{"-countries", "UA", "-config", "spec.json"},
 	} {

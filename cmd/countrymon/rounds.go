@@ -4,33 +4,33 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"countrymon"
+	"countrymon/internal/campaign"
 	"countrymon/internal/dataset"
 	"countrymon/internal/faults"
-	"countrymon/internal/fleet"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/obs"
 	"countrymon/internal/scanner"
 	"countrymon/internal/sim"
-	"countrymon/internal/simnet"
 )
 
 // roundsFlags are the flags only the -packet-rounds campaign reads; all zero
 // when none of them was given.
 type roundsFlags struct {
-	n, vantages, quorum          int
-	faults, vantageFaults        string
-	checkpoint, resume, roundLog string
+	n, vantages, quorum                  int
+	faults, checkpoint, resume, roundLog string
 }
 
 // runRounds is the single-country campaign behind -packet-rounds: a
 // countrymon.Monitor scans the first f.n rounds of the scenario's timeline
 // over the simulated wire — one scanner, or with -vantages a supervised
-// fleet — against the Kherson Table-5 ASes, with optional fault injection,
+// fleet, both built by internal/campaign like a coordinated country's —
+// against the Kherson Table-5 ASes, with optional per-vantage fault injection,
 // checkpointing, resume and the round journal, and the Monitor's store is
 // cross-checked against the fast generator's. SIGINT/SIGTERM stop the
 // campaign at the next round boundary after a final checkpoint. seed and
@@ -39,7 +39,7 @@ type roundsFlags struct {
 func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, seed uint64, minCov float64) int {
 	start, interval := sc.TL.Start(), sc.TL.Interval()
 	rounds := min(f.n, sc.TL.NumRounds())
-	profs, err := vantageProfiles(max(f.vantages, 1), f.faults, f.vantageFaults, start)
+	profs, err := vantageProfiles(max(f.vantages, 1), f.faults, start)
 	if err != nil {
 		e.log.Print(err)
 		return 2
@@ -55,18 +55,17 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 		fmu    sync.Mutex
 		faulty []*faults.Transport
 	)
-	// wire builds vantage vi's view of the simulated network from `at` on,
-	// behind the vantage's fault profile when it has one. The result is its
-	// own clock.
-	local := netmodel.MustParseAddr("198.51.100.1")
-	wire := func(vi int, at time.Time) countrymon.Transport {
-		net := simnet.New(local, sc, at)
+	// wrap puts vantage vn's view of the simulated network behind the
+	// vantage's fault profile when it has one. campaign names vantage i
+	// "v<i>", solo and fleet alike.
+	wrap := func(_, vn string, t scanner.Transport) scanner.Transport {
+		vi, _ := strconv.Atoi(strings.TrimPrefix(vn, "v"))
 		if profs[vi] == nil {
-			return net
+			return t
 		}
 		p := *profs[vi]
 		p.Seed += uint64(vi) * 0x9e3779b9
-		ftr := faults.NewTransport(net, nil, p)
+		ftr := faults.NewTransport(t, nil, p)
 		ftr.Observe(faults.NewMetrics(e.reg))
 		fmu.Lock()
 		faulty = append(faulty, ftr)
@@ -95,20 +94,17 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 		// timeline.
 		fleetNote = fmt.Sprintf(", fleet of %d vantages", f.vantages)
 		opts.Clock = scanner.NewVirtualClock(start)
-		specs := make([]fleet.Spec, f.vantages)
-		for vi := range specs {
-			specs[vi] = fleet.Spec{
-				Name: fmt.Sprintf("v%d", vi),
-				Transport: func(round int, at time.Time) (scanner.Transport, scanner.Clock, error) {
-					return wire(vi, at), nil, nil
-				},
-			}
+		sup, err := campaign.NewFleet(f.vantages, f.quorum, opts.Rate, seed, e.reg, e.bus)
+		if err == nil {
+			opts.Fleet, err = campaign.JoinCountry(sup, sc.Country, sc, prefixes, 1, seed, wrap)
 		}
-		if opts.Fleet, err = e.joinFleet(specs, opts, f.quorum); err != nil {
+		if err != nil {
 			return e.fail("%v", err)
 		}
 	} else {
-		opts.Transport = wire(0, start)
+		// One vantage scans the whole campaign over one network (the
+		// factory returns no error).
+		opts.Transport, opts.Clock, _ = campaign.VantageTransport(sc.Country, "v0", sc, wrap)(0, start)
 	}
 	mon, err := countrymon.New(opts)
 	if err != nil {
@@ -223,46 +219,19 @@ var missingNote = map[string]string{
 	"fleet_self_outage": "  [fleet self-outage: recorded missing]",
 }
 
-// joinFleet builds the -vantages supervisor and joins one campaign, named
-// "default", over opts.Targets: the fleet a single-country campaign scans
-// through. Scans run at opts' rate and seed and report into the CLI's
-// registry and bus.
-func (e *env) joinFleet(specs []fleet.Spec, opts countrymon.Options, quorum int) (*fleet.Campaign, error) {
-	targets, err := scanner.NewTargetSet(opts.Targets, nil)
-	if err != nil {
-		return nil, err
-	}
-	sup, err := fleet.NewShared(specs, fleet.Config{
-		Scan: scanner.Config{
-			Rate:    opts.Rate,
-			Seed:    opts.Seed,
-			Metrics: scanner.NewMetrics(e.reg),
-			Events:  e.bus,
-		},
-		Quorum:   quorum,
-		Registry: e.reg,
-		Bus:      e.bus,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sup.Join(fleet.CampaignConfig{Name: "default", Targets: targets})
-}
-
-// vantageProfiles resolves one fault profile per vantage, nil for a clean
-// one: perVantage assigns profiles positionally (semicolon-separated, empty
-// segments leave that vantage clean); without it the ambient profile, if any,
-// applies to every vantage. Window offsets count from base.
-func vantageProfiles(n int, ambient, perVantage string, base time.Time) ([]*faults.Profile, error) {
-	segs := strings.Split(perVantage, ";")
-	if perVantage == "" {
-		segs = make([]string, n)
-		for i := range segs {
-			segs[i] = ambient
+// vantageProfiles resolves -faults into one fault profile per vantage, nil
+// for a clean one: a single profile applies to every vantage, and a
+// semicolon-separated list assigns profiles in vantage order (an empty
+// segment leaves that vantage clean). Window offsets count from base.
+func vantageProfiles(n int, spec string, base time.Time) ([]*faults.Profile, error) {
+	segs := strings.Split(spec, ";")
+	if len(segs) == 1 { // one profile: every vantage's
+		for len(segs) < n {
+			segs = append(segs, spec)
 		}
 	}
 	if len(segs) > n {
-		return nil, fmt.Errorf("-vantage-faults has %d profiles for %d vantages", len(segs), n)
+		return nil, fmt.Errorf("-faults has %d profiles for %d vantages", len(segs), n)
 	}
 	profs := make([]*faults.Profile, n)
 	for i, seg := range segs {

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"countrymon/internal/scenario"
 )
@@ -15,11 +14,15 @@ import (
 // argument that is neither, or a file that does not parse and compile, exits
 // 2 with the library (name, days, rounds, description) listed on stderr.
 func scoreScenario(arg string, stdout, stderr io.Writer) int {
-	compiled, err := loadScenario(arg)
+	spec, err := scenario.Open(arg)
+	var compiled *scenario.Compiled
+	if err == nil {
+		compiled, err = spec.Compile()
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "-scorecard:", err)
 		for _, name := range scenario.Names() {
-			if spec, err := scenario.Load(name); err != nil {
+			if spec, err := scenario.Open(name); err != nil {
 				fmt.Fprintf(stderr, "%-20s %v\n", name, err)
 			} else {
 				fmt.Fprintf(stderr, "%-20s %3dd %4d rounds  %s\n", name, spec.Days, spec.Rounds(), spec.Description)
@@ -44,20 +47,4 @@ func scoreScenario(arg string, stdout, stderr io.Writer) int {
 	}
 	stdout.Write(card.Encode())
 	return 0
-}
-
-// loadScenario compiles the library scenario named arg or, when no library
-// scenario has that name, the scenario-DSL file at path arg.
-func loadScenario(arg string) (*scenario.Compiled, error) {
-	data, err := scenario.Source(arg)
-	if err != nil {
-		if data, err = os.ReadFile(arg); err != nil {
-			return nil, fmt.Errorf("%q names no library scenario (listed below) and no readable file: %w", arg, err)
-		}
-	}
-	spec, err := scenario.Parse(data)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Compile()
 }

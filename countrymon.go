@@ -300,10 +300,10 @@ func New(opts Options) (*Monitor, error) {
 		store:   dataset.NewStore(tl, targets.Blocks()),
 		origins: make(map[BlockID]ASN),
 		bus:     opts.Bus,
-		metrics: newMonMetrics(opts.Registry),
 		scanM:   scanner.NewMetrics(opts.Registry),
 		sigM:    signals.NewMetrics(opts.Registry),
 	}
+	m.metrics = newMonMetrics(opts.Registry, m.Country())
 	if opts.Fleet != nil {
 		if err := checkFleetTargets(opts.Fleet, targets.Blocks()); err != nil {
 			return nil, err

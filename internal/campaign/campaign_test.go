@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -15,9 +16,10 @@ import (
 
 	countrymon "countrymon"
 	"countrymon/internal/dataset"
-	"countrymon/internal/fleet"
+	"countrymon/internal/obs"
 	"countrymon/internal/par"
 	"countrymon/internal/scanner"
+	"countrymon/internal/scenario"
 )
 
 // testSpec is the standard two-country campaign: synthetic UA and RO models
@@ -91,27 +93,13 @@ func soloCountry(t *testing.T, spec *Spec, code string) *countrymon.Monitor {
 	for _, blk := range space.Blocks() {
 		origins[blk] = space.OriginOf(blk)
 	}
-	var vantages []fleet.Spec
-	for i := 0; i < spec.Vantages; i++ {
-		vn := "v" + strconv.Itoa(i)
-		vantages = append(vantages, fleet.Spec{
-			Name:      vn,
-			Transport: countryTransport(code, vn, world, nil),
-		})
-	}
-	// A supervisor of its own with one campaign, scanning at the country's
-	// rate and seed: the fleet cmd/countrymon's -vantages builds.
-	ts, err := scanner.NewTargetSet(targets, nil)
+	// A pool of its own with one campaign, scanning at the country's rate
+	// and seed: the fleet cmd/countrymon's -vantages builds.
+	sup, err := NewFleet(spec.Vantages, 0, spec.CountryRate(code), cs.Seed, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := fleet.NewShared(vantages, fleet.Config{Scan: scanner.Config{
-		Rate: spec.CountryRate(code), Seed: cs.Seed, Metrics: scanner.NewMetrics(nil),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	camp, err := sup.Join(fleet.CampaignConfig{Name: "default", Targets: ts})
+	camp, err := JoinCountry(sup, code, world, targets, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +170,49 @@ func TestCampaignTwoCountryDeterminism(t *testing.T) {
 			if !bytes.Equal(got[c.Code], storeBytes(t, c.Monitor)) {
 				t.Errorf("country %s: store differs at %s=%s", c.Code, par.EnvWorkers, workers)
 			}
+		}
+	}
+}
+
+// TestCampaignRoundCountersPerCountry: each Monitor of a coordinated
+// campaign counts its rounds under its own country, so a round only UA's
+// world scripts as a vantage outage is UA's missing round, not RO's, and
+// each country's series add up to the rounds it handled.
+func TestCampaignRoundCountersPerCountry(t *testing.T) {
+	spec := testSpec(t, 8)
+	reg := obs.NewRegistry()
+	co, err := New(spec, Options{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	co.Country("UA").World.Missing[2] = true
+	co.Country("UA").World.Missing[5] = true
+	if err := co.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	var text bytes.Buffer
+	reg.WritePrometheus(&text)
+	series := make(map[string]string) // name{labels} → value
+	for _, line := range strings.Split(text.String(), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			series[name] = value
+		}
+	}
+	for code, want := range map[string]map[string]string{
+		"UA": {"scanned": "6", "salvaged": "0", "missing": "2"},
+		"RO": {"scanned": "8", "salvaged": "0", "missing": "0"},
+	} {
+		for outcome, n := range want {
+			key := `monitor_rounds_total{country="` + code + `",outcome="` + outcome + `"}`
+			if got := series[key]; got != n {
+				t.Errorf("%s = %q, want %s", key, got, n)
+			}
+		}
+		key := `monitor_last_round{country="` + code + `"}`
+		if got := series[key]; got != "7" {
+			t.Errorf("%s = %q, want 7", key, got)
 		}
 	}
 }
@@ -303,6 +334,38 @@ func TestCampaignModelErrors(t *testing.T) {
 	missing.Model = "no-such-scenario"
 	if _, err := spec.World(&missing); err == nil {
 		t.Error("unknown scenario model accepted")
+	}
+}
+
+// TestCampaignModelFile: a country's model may be a scenario-DSL file at any
+// path, with or without a .json suffix, exactly as experiments -scorecard
+// reads one.
+func TestCampaignModelFile(t *testing.T) {
+	data, err := scenario.Source("ixp-failover")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scenario.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ixp-copy")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code := sc.Country
+	if code == "" {
+		code = "UA"
+	}
+	spec := &Spec{
+		Countries: []CountrySpec{{Code: code, Model: path}},
+		Rounds:    sc.Rounds(), Interval: sc.Interval, Start: sc.Start,
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spec.World(&spec.Countries[0]); err != nil {
+		t.Fatalf("model %s: %v", path, err)
 	}
 }
 

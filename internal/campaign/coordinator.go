@@ -51,10 +51,6 @@ type Country struct {
 	// run is the Monitor's per-round configuration: the world's ground-truth
 	// feed as PreRound.
 	run countrymon.RunConfig
-
-	scannedC *obs.Counter
-	missingC *obs.Counter
-	lastG    *obs.Gauge
 }
 
 // Coordinator runs per-country Monitors over one shared vantage fleet. It
@@ -81,48 +77,16 @@ func New(spec *Spec, opts Options) (*Coordinator, error) {
 		return nil, err
 	}
 
-	specs := make([]fleet.Spec, spec.Vantages)
-	for i := range specs {
-		name := "v" + strconv.Itoa(i)
-		specs[i] = fleet.Spec{Name: name, Transport: unusedTransport(name)}
-	}
-	sup, err := fleet.NewShared(specs, fleet.Config{
-		Scan: scanner.Config{
-			Rate:    spec.Rate,
-			Seed:    spec.Seed,
-			Metrics: scanner.NewMetrics(opts.Registry),
-			Events:  opts.Bus,
-		},
-		Quorum:   spec.Quorum,
-		Registry: opts.Registry,
-		Bus:      opts.Bus,
-	})
+	sup, err := NewFleet(spec.Vantages, spec.Quorum, spec.Rate, spec.Seed, opts.Registry, opts.Bus)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
+		return nil, err
 	}
-
 	co := &Coordinator{spec: spec, sup: sup, router: serve.NewRouter()}
-	var rounds *obs.CounterVec
-	var last *obs.GaugeVec
-	if opts.Registry != nil {
-		rounds = opts.Registry.CounterVec("campaign_rounds_total",
-			"Coordinated campaign rounds handled, by country and outcome.", "country", "outcome")
-		last = opts.Registry.GaugeVec("campaign_last_round",
-			"Most recently handled round index, by country.", "country")
-		opts.Registry.Gauge("campaign_countries",
-			"Countries in the coordinated campaign.").Set(int64(len(spec.Countries)))
-	}
-
 	for i := range spec.Countries {
 		cs := &spec.Countries[i]
 		c, err := newCountry(spec, cs, sup, opts)
 		if err != nil {
 			return nil, err
-		}
-		if rounds != nil {
-			c.scannedC = rounds.With(c.Code, "scanned")
-			c.missingC = rounds.With(c.Code, "missing")
-			c.lastG = last.With(c.Code)
 		}
 		if err := co.router.Add(c.Code, c.Name, c.Server); err != nil {
 			return nil, err
@@ -140,25 +104,9 @@ func newCountry(spec *Spec, cs *CountrySpec, sup *fleet.Supervisor, opts Options
 		return nil, err
 	}
 	targets, origins := world.Targets()
-	ts, err := scanner.NewTargetSet(targets, nil)
+	camp, err := JoinCountry(sup, cs.Code, world, targets, cs.Share, cs.Seed, opts.WrapTransport)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: country %s: %w", cs.Code, err)
-	}
-
-	transports := make(map[string]fleet.TransportFunc, spec.Vantages)
-	for i := 0; i < spec.Vantages; i++ {
-		vn := "v" + strconv.Itoa(i)
-		transports[vn] = countryTransport(cs.Code, vn, world, opts.WrapTransport)
-	}
-	camp, err := sup.Join(fleet.CampaignConfig{
-		Name:       cs.Code,
-		Targets:    ts,
-		RateShare:  cs.Share,
-		Seed:       cs.Seed,
-		Transports: transports,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("campaign: country %s: %w", cs.Code, err)
+		return nil, err
 	}
 
 	monOpts := countrymon.Options{
@@ -212,27 +160,75 @@ func newCountry(spec *Spec, cs *CountrySpec, sup *fleet.Supervisor, opts Options
 	}, nil
 }
 
-// countryTransport builds the per-scan transport factory for one (country,
-// vantage): a fresh packet-level simnet over the country's world, optionally
-// fault-wrapped. The simnet owns the scan's virtual time.
-func countryTransport(country, vn string, world *sim.Scenario,
-	wrap func(string, string, scanner.Transport) scanner.Transport) fleet.TransportFunc {
+// NewFleet builds the vantage pool a campaign's countries share: vantages
+// v0 … v(n-1) scanning at rate packets/second with seed under a k-of-n
+// quorum (0 = fleet default), reporting into reg and bus. A
+// vantage has no transport of its own: each country joins with its own
+// (JoinCountry), since each country is its own measurement world.
+func NewFleet(vantages, quorum, rate int, seed uint64, reg *obs.Registry, bus *obs.Bus) (*fleet.Supervisor, error) {
+	specs := make([]fleet.Spec, vantages)
+	for i := range specs {
+		name := "v" + strconv.Itoa(i)
+		specs[i] = fleet.Spec{Name: name, Transport: func(int, time.Time) (scanner.Transport, scanner.Clock, error) {
+			return nil, nil, fmt.Errorf("campaign: vantage %s scanned without a per-country transport", name)
+		}}
+	}
+	sup, err := fleet.NewShared(specs, fleet.Config{
+		Scan: scanner.Config{
+			Rate:    rate,
+			Seed:    seed,
+			Metrics: scanner.NewMetrics(reg),
+			Events:  bus,
+		},
+		Quorum:   quorum,
+		Registry: reg,
+		Bus:      bus,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	return sup, nil
+}
+
+// JoinCountry attaches one country to a pool from NewFleet: a fleet campaign named
+// code over targets, at share of the pool's rate and with seed, whose every
+// vantage scans the country's world through VantageTransport.
+func JoinCountry(sup *fleet.Supervisor, code string, world *sim.Scenario, targets []netmodel.Prefix, share float64, seed uint64,
+	wrap func(country, vantage string, t scanner.Transport) scanner.Transport) (*fleet.Campaign, error) {
+	ts, err := scanner.NewTargetSet(targets, nil)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: country %s: %w", code, err)
+	}
+	transports := make(map[string]fleet.TransportFunc)
+	for _, vn := range sup.Vantages() {
+		transports[vn] = VantageTransport(code, vn, world, wrap)
+	}
+	camp, err := sup.Join(fleet.CampaignConfig{
+		Name:       code,
+		Targets:    ts,
+		RateShare:  share,
+		Seed:       seed,
+		Transports: transports,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("campaign: country %s: %w", code, err)
+	}
+	return camp, nil
+}
+
+// VantageTransport builds the per-scan transport factory for one (country,
+// vantage): a fresh packet-level simnet over the country's world from the
+// scan's time on, passed through wrap (Options.WrapTransport's shape) when
+// it is non-nil. The simnet owns the scan's virtual time.
+func VantageTransport(country, vantage string, world *sim.Scenario,
+	wrap func(country, vantage string, t scanner.Transport) scanner.Transport) fleet.TransportFunc {
 	return func(round int, at time.Time) (scanner.Transport, scanner.Clock, error) {
 		net := simnet.New(vantageAddr, world, at)
 		var t scanner.Transport = net
 		if wrap != nil {
-			t = wrap(country, vn, t)
+			t = wrap(country, vantage, t)
 		}
 		return t, net, nil
-	}
-}
-
-// unusedTransport is the vantage-spec default factory. Every country joins
-// with a full per-vantage override (each country is its own measurement
-// world), so the default firing means a wiring bug, not a runtime condition.
-func unusedTransport(name string) fleet.TransportFunc {
-	return func(round int, at time.Time) (scanner.Transport, scanner.Clock, error) {
-		return nil, nil, fmt.Errorf("campaign: vantage %s scanned without a per-country transport", name)
 	}
 }
 
@@ -267,10 +263,9 @@ func (co *Coordinator) NextRound() bool { return co.round < co.spec.Rounds }
 // round is marked missing — without engaging the fleet, exactly like a solo
 // Monitor — and the others scan normally.
 func (co *Coordinator) StepRound(ctx context.Context) error {
-	r := co.round
 	for _, c := range co.countries {
-		if err := c.step(ctx, r); err != nil {
-			return fmt.Errorf("campaign: country %s round %d: %w", c.Code, r, err)
+		if _, err := c.Monitor.Step(ctx, c.run); err != nil {
+			return fmt.Errorf("campaign: country %s round %d: %w", c.Code, co.round, err)
 		}
 	}
 	co.round++
@@ -296,23 +291,6 @@ func (co *Coordinator) Close() error {
 		}
 	}
 	return first
-}
-
-// step advances one country by one round through Monitor.Step — the world
-// feeds ground-truth routedness or marks a scripted vantage outage missing,
-// then the shared fleet scans — and bumps the country's metrics by what the
-// store recorded.
-func (c *Country) step(ctx context.Context, r int) error {
-	if _, err := c.Monitor.Step(ctx, c.run); err != nil {
-		return err
-	}
-	if c.Monitor.Store().Missing(r) {
-		c.missingC.Inc()
-	} else {
-		c.scannedC.Inc()
-	}
-	c.lastG.Set(int64(r))
-	return nil
 }
 
 // FleetReport returns the country's per-campaign fleet accounting.

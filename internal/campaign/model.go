@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -13,13 +12,13 @@ import (
 
 // World resolves one country's ground-truth world from its model reference
 // under the campaign timeline. Every path ends in the same place — a
-// sim.CountryModel assembled into a *sim.Scenario — so nothing downstream
-// knows whether the country is the bundled war script, a scenario file or a
+// sim.Spec assembled into a *sim.Scenario — so nothing downstream knows
+// whether the country is the bundled war script, a scenario file or a
 // synthetic model.
 func (s *Spec) World(c *CountrySpec) (*sim.Scenario, error) {
 	switch {
 	case c.Model == "":
-		return syntheticModel(c, s).Build()
+		return sim.Assemble(syntheticModel(c, s))
 	case c.Model == "war":
 		if c.Code != sim.DefaultCountry {
 			return nil, fmt.Errorf("campaign: country %s: the war model is Ukraine (%s)", c.Code, sim.DefaultCountry)
@@ -34,7 +33,7 @@ func (s *Spec) World(c *CountrySpec) (*sim.Scenario, error) {
 		if err != nil {
 			return nil, fmt.Errorf("campaign: country %s: %w", c.Code, err)
 		}
-		world, err := model.Build()
+		world, err := sim.Assemble(model)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: country %s: %w", c.Code, err)
 		}
@@ -48,23 +47,11 @@ func (s *Spec) World(c *CountrySpec) (*sim.Scenario, error) {
 }
 
 // scenarioWorld compiles a scenario-DSL model (embedded library name or
-// *.json path) under the country's flag and checks it agrees with the
-// campaign timeline: countries of one campaign advance in lockstep, so a
-// scenario on a different cadence cannot join.
+// file path, scenario.Open) under the country's flag and checks it agrees
+// with the campaign timeline: countries of one campaign advance in
+// lockstep, so a scenario on a different cadence cannot join.
 func (s *Spec) scenarioWorld(c *CountrySpec) (*sim.Scenario, error) {
-	var (
-		sc  *scenario.Spec
-		err error
-	)
-	if strings.HasSuffix(c.Model, ".json") {
-		var data []byte
-		data, err = os.ReadFile(c.Model)
-		if err == nil {
-			sc, err = scenario.Parse(data)
-		}
-	} else {
-		sc, err = scenario.Load(c.Model)
-	}
+	sc, err := scenario.Open(c.Model)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: country %s: %w", c.Code, err)
 	}
@@ -107,7 +94,7 @@ var synPoolBase = netmodel.MustParseAddr("100.64.0.0").Block() + scenario.MaxBlo
 // country's (code, seed) and the campaign timeline: same spec, same world,
 // on any machine. Each code gets its own /24 slice of CGNAT space so two
 // synthetic countries never share an address plan.
-func syntheticModel(c *CountrySpec, s *Spec) sim.CountryModel {
+func syntheticModel(c *CountrySpec, s *Spec) sim.Spec {
 	hash := func(salt uint64) uint64 { return netmodel.Mix64(netmodel.Mix64(c.Seed^salt) ^ codeBits(c.Code)) }
 	regions := netmodel.Regions()
 
@@ -182,7 +169,7 @@ func syntheticModel(c *CountrySpec, s *Spec) sim.CountryModel {
 			Kind: sim.EffectIPSDrop, Magnitude: synDipLoss,
 		},
 	}
-	return sim.CountryModel{Code: c.Code, Name: c.Name, Spec: spec}
+	return spec
 }
 
 // codeBits packs a two-letter code into an integer for hashing and slicing.

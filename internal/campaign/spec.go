@@ -11,6 +11,10 @@
 // serve.Router; Run interleaves the countries' rounds in spec order, so a
 // vantage blackout hit during one country's scan is visible — breaker open,
 // shards stolen — to every other country's scan of the same round.
+//
+// NewFleet, JoinCountry and VantageTransport are that fleet assembly on its own:
+// cmd/countrymon -packet-rounds scans its one country through them, solo or
+// over -vantages, so both front doors build their vantages one way.
 package campaign
 
 import (
@@ -47,8 +51,8 @@ type CountrySpec struct {
 	//
 	//	""          compact synthetic model, a pure function of (code, seed)
 	//	"war"       the bundled Ukraine war generator (code must be UA)
-	//	"name"      a scenario from the embedded library
-	//	"*.json"    a scenario-DSL file on disk
+	//	"name"      a scenario from the embedded library, or else
+	//	"path"      a scenario-DSL file on disk (scenario.Open)
 	//
 	// Scenario-backed models must agree with the campaign timeline.
 	Model string `json:"model,omitempty"`

@@ -293,6 +293,15 @@ func (s *Supervisor) Join(cfg CampaignConfig) (*Campaign, error) {
 	return c, nil
 }
 
+// Vantages returns the fleet's vantage names, in vantage order.
+func (s *Supervisor) Vantages() []string {
+	names := make([]string, len(s.vantages))
+	for i, v := range s.vantages {
+		names[i] = v.spec.Name
+	}
+	return names
+}
+
 // Report returns the fleet-level aggregation so far: per-campaign tallies
 // summed (each round's steals and degradations are attributed to exactly
 // one campaign, so the sum counts each once), and every vantage whose

@@ -1,6 +1,10 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,7 +217,7 @@ func TestCompileLibrary(t *testing.T) {
 		t.Fatalf("library has %d scenarios, want >= 5", len(names))
 	}
 	for _, name := range names {
-		spec, err := Load(name)
+		spec, err := Open(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -233,5 +237,33 @@ func TestCompileLibrary(t *testing.T) {
 		if outages == 0 {
 			t.Errorf("%s: no labeled outage windows — recall is vacuous", name)
 		}
+	}
+}
+
+// TestOpenNameOrPath: Open reads a library name first and then any file,
+// whatever its suffix, and names both when it finds neither.
+func TestOpenNameOrPath(t *testing.T) {
+	data, err := Source("ixp-failover")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ixp-copy")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	byName, err := Open("ixp-failover")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPath, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(byName, byPath) {
+		t.Errorf("Open(%q) and Open of the same bytes at %s differ", "ixp-failover", path)
+	}
+	missing := filepath.Join(t.TempDir(), "no-such-scenario")
+	if _, err := Open(missing); err == nil || !strings.Contains(err.Error(), "names no library scenario and no readable file") {
+		t.Errorf("Open(%q) = %v, want an error naming both places it looked", missing, err)
 	}
 }

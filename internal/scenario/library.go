@@ -3,6 +3,7 @@ package scenario
 import (
 	"embed"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 )
@@ -33,11 +34,14 @@ func Source(name string) ([]byte, error) {
 	return data, nil
 }
 
-// Load parses an embedded library scenario by name.
-func Load(name string) (*Spec, error) {
-	data, err := Source(name)
+// Open parses the library scenario named nameOrPath or, when the library
+// has no scenario of that name, the scenario-DSL file at path nameOrPath.
+func Open(nameOrPath string) (*Spec, error) {
+	data, err := Source(nameOrPath)
 	if err != nil {
-		return nil, err
+		if data, err = os.ReadFile(nameOrPath); err != nil {
+			return nil, fmt.Errorf("scenario: %q names no library scenario and no readable file: %w", nameOrPath, err)
+		}
 	}
 	return Parse(data)
 }

@@ -14,7 +14,7 @@ var update = flag.Bool("update", false, "rewrite the golden scorecards under tes
 
 func runScorecard(t *testing.T, name string) *Scorecard {
 	t.Helper()
-	spec, err := Load(name)
+	spec, err := Open(name)
 	if err != nil {
 		t.Fatal(err)
 	}

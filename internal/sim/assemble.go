@@ -4,17 +4,24 @@ import (
 	"fmt"
 	"time"
 
+	"countrymon/internal/geodb"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/power"
 	"countrymon/internal/timeline"
 )
 
-// Spec assembles a Scenario directly from data instead of the scripted war
-// generator: the caller supplies the address space, per-block ground truth
-// and the event script, and Assemble wires up the same evaluation machinery
-// Build produces — the packet-level Responder, the statistical generator and
-// the Trinocular probe view all work identically. internal/scenario compiles
-// its declarative files through this.
+// DefaultCountry is the country code a Spec defaults to when it names none:
+// every scenario file and spec predating multi-country support describes
+// Ukraine, so the zero value keeps them meaning what they always meant.
+const DefaultCountry = geodb.CountryUA
+
+// Spec is one country expressed as data — address space, per-block ground
+// truth, event script — that Assemble turns into a Scenario with the same
+// evaluation machinery for every country: the packet-level Responder, the
+// statistical generator and the Trinocular probe view all work identically.
+// The bundled war generator (Ukraine) emits one, internal/scenario compiles
+// its declarative files into one, and internal/campaign derives synthetic
+// ones.
 type Spec struct {
 	// Cfg needs Seed, Interval, Start and End; Scale is ignored (the space
 	// is given explicitly).

@@ -130,11 +130,11 @@ type builder struct {
 }
 
 // Ukraine returns the bundled Ukraine country model: the paper's scripted
-// war generator, expressed as CountryModel data. The generator emits plain
-// Spec values — regions, ASes, blocks and events — and building the model
-// is nothing but Assemble over them, so Ukraine is one instance of the
+// war generator, expressed as Spec data. The generator emits plain Spec
+// values — regions, ASes, blocks and events — and building the model is
+// nothing but Assemble over them, so Ukraine is one instance of the
 // data-driven country model rather than a special-cased construction path.
-func Ukraine(cfg Config) (CountryModel, error) {
+func Ukraine(cfg Config) (Spec, error) {
 	cfg = cfg.withDefaults()
 	b := &builder{
 		cfg:             cfg,
@@ -171,22 +171,22 @@ func Ukraine(cfg Config) (CountryModel, error) {
 		for _, blk := range as.Blocks() {
 			t, ok := b.bt[blk]
 			if !ok {
-				return CountryModel{}, fmt.Errorf("sim: block %v has no traits", blk)
+				return Spec{}, fmt.Errorf("sim: block %v has no traits", blk)
 			}
 			spec.Blocks = append(spec.Blocks, *t)
 		}
 	}
-	return CountryModel{Code: "UA", Name: "Ukraine", Spec: spec}, nil
+	return spec, nil
 }
 
 // Build constructs the bundled Ukraine scenario deterministically from the
 // config: the Ukraine model assembled like any other country model.
 func Build(cfg Config) (*Scenario, error) {
-	m, err := Ukraine(cfg)
+	spec, err := Ukraine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return m.Build()
+	return Assemble(spec)
 }
 
 // MustBuild is Build that panics on error (scenario scripts are static).

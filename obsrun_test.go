@@ -227,7 +227,7 @@ func TestRunCompletes(t *testing.T) {
 // metricValue digs one sample out of the /metrics?format=json export:
 // plain counters/gauges by name, labeled families by name plus one
 // label=value selector.
-func metricValue(t *testing.T, doc map[string]json.RawMessage, name, label, value string) uint64 {
+func metricValue(t *testing.T, doc map[string]json.RawMessage, name string, labels map[string]string) uint64 {
 	t.Helper()
 	raw, ok := doc[name]
 	if !ok {
@@ -239,12 +239,13 @@ func metricValue(t *testing.T, doc map[string]json.RawMessage, name, label, valu
 		Series []struct {
 			Labels map[string]string `json:"labels"`
 			Value  uint64            `json:"value"`
+			Gauge  int64             `json:"gauge"`
 		} `json:"series"`
 	}
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatalf("metric %s: %v", name, err)
 	}
-	if label == "" {
+	if labels == nil {
 		if m.Value != nil {
 			return *m.Value
 		}
@@ -254,11 +255,11 @@ func metricValue(t *testing.T, doc map[string]json.RawMessage, name, label, valu
 		t.Fatalf("metric %s has no scalar value", name)
 	}
 	for _, s := range m.Series {
-		if s.Labels[label] == value {
-			return s.Value
+		if reflect.DeepEqual(s.Labels, labels) {
+			return s.Value + uint64(s.Gauge) // a series carries one of the two
 		}
 	}
-	t.Fatalf("metric %s has no series %s=%s", name, label, value)
+	t.Fatalf("metric %s has no series %v", name, labels)
 	return 0
 }
 
@@ -291,21 +292,23 @@ func TestMetricsMatchStats(t *testing.T) {
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatal(err)
 	}
+	country := mon.Country()
 	checks := []struct {
-		name, label, value string
-		want               uint64
+		name   string
+		labels map[string]string
+		want   uint64
 	}{
-		{"scanner_probes_sent_total", "", "", stats.Sent},
-		{"scanner_replies_total", "result", "valid", stats.Valid},
-		{"scanner_replies_total", "result", "duplicate", stats.Duplicates},
-		{"scanner_send_errors_total", "", "", stats.SendErrors},
-		{"scanner_retries_total", "", "", stats.Retries},
-		{"monitor_rounds_total", "outcome", "scanned", rounds},
-		{"monitor_last_round", "", "", rounds - 1},
+		{"scanner_probes_sent_total", nil, stats.Sent},
+		{"scanner_replies_total", map[string]string{"result": "valid"}, stats.Valid},
+		{"scanner_replies_total", map[string]string{"result": "duplicate"}, stats.Duplicates},
+		{"scanner_send_errors_total", nil, stats.SendErrors},
+		{"scanner_retries_total", nil, stats.Retries},
+		{"monitor_rounds_total", map[string]string{"country": country, "outcome": "scanned"}, rounds},
+		{"monitor_last_round", map[string]string{"country": country}, rounds - 1},
 	}
 	for _, c := range checks {
-		if got := metricValue(t, doc, c.name, c.label, c.value); got != c.want {
-			t.Errorf("%s{%s=%s} = %d, want %d", c.name, c.label, c.value, got, c.want)
+		if got := metricValue(t, doc, c.name, c.labels); got != c.want {
+			t.Errorf("%s%v = %d, want %d", c.name, c.labels, got, c.want)
 		}
 	}
 

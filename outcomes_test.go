@@ -19,8 +19,9 @@ import (
 // TestRoundOutcomes drives one short campaign per way a round can end and
 // checks, for its last round, every place the outcome is recorded: Step's
 // Stats, the outcome event on the bus (kind and every field), the
-// monitor_rounds_total{outcome} counter and monitor_last_round gauge, and the
-// store's missing, done, coverage and first-block response cells.
+// monitor_rounds_total{country,outcome} counter and monitor_last_round{country}
+// gauge, and the store's missing, done, coverage and first-block response
+// cells.
 func TestRoundOutcomes(t *testing.T) {
 	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 	// faulty puts the wire behind one fault window of kind, from `from`
@@ -153,7 +154,7 @@ func TestRoundOutcomes(t *testing.T) {
 				rc.PreRound = tc.preRound(mon)
 			}
 			outcomes := []string{"scanned", "salvaged", "missing"}
-			counter := opts.Registry.CounterVec("monitor_rounds_total", "", "outcome")
+			counter := opts.Registry.CounterVec("monitor_rounds_total", "", "country", "outcome")
 			var (
 				st     Stats
 				seq    uint64
@@ -163,7 +164,7 @@ func TestRoundOutcomes(t *testing.T) {
 			for mon.NextRound() {
 				seq, before = opts.Bus.Seq(), nil
 				for _, o := range outcomes {
-					before = append(before, counter.With(o).Value())
+					before = append(before, counter.With(mon.Country(), o).Value())
 				}
 				if st, err = mon.Step(context.Background(), rc); err != nil {
 					t.Fatalf("round %d: %v", mon.Round(), err)
@@ -195,12 +196,12 @@ func TestRoundOutcomes(t *testing.T) {
 				if o == tc.outcome {
 					want++
 				}
-				if got := counter.With(o).Value(); got != want {
-					t.Errorf("monitor_rounds_total{outcome=%s} = %d, want %d", o, got, want)
+				if got := counter.With(mon.Country(), o).Value(); got != want {
+					t.Errorf("monitor_rounds_total{country=%s,outcome=%s} = %d, want %d", mon.Country(), o, got, want)
 				}
 			}
-			if got := opts.Registry.Gauge("monitor_last_round", "").Value(); got != int64(last) {
-				t.Errorf("monitor_last_round = %d, want %d", got, last)
+			if got := opts.Registry.GaugeVec("monitor_last_round", "", "country").With(mon.Country()).Value(); got != int64(last) {
+				t.Errorf("monitor_last_round{country=%s} = %d, want %d", mon.Country(), got, last)
 			}
 
 			// The store keeps coverage in 16-bit fixed point.

@@ -102,38 +102,40 @@ func (m *Monitor) emitDetection(entity string, d *Detection) {
 }
 
 // monMetrics are the Monitor's own instruments (the scanner's live inside
-// scanner.Metrics). All fields are nil — inert — without a registry.
+// scanner.Metrics). Its counters and gauges carry the monitored country, so
+// the Monitors of a coordinated campaign keep apart on one registry. All
+// fields are nil — inert — without a registry.
 type monMetrics struct {
-	roundsScanned  *obs.Counter   // monitor_rounds_total{outcome=scanned}
-	roundsSalvaged *obs.Counter   // monitor_rounds_total{outcome=salvaged}
-	roundsMissing  *obs.Counter   // monitor_rounds_total{outcome=missing}
+	roundsScanned  *obs.Counter   // monitor_rounds_total{country,outcome=scanned}
+	roundsSalvaged *obs.Counter   // monitor_rounds_total{country,outcome=salvaged}
+	roundsMissing  *obs.Counter   // monitor_rounds_total{country,outcome=missing}
 	roundDur       *obs.Histogram // monitor_round_duration_seconds
 	coverage       *obs.Histogram // monitor_round_coverage
-	ckptTotal      *obs.Counter   // monitor_checkpoint_total
+	ckptTotal      *obs.Counter   // monitor_checkpoint_total{country}
 	ckptDur        *obs.Histogram // monitor_checkpoint_seconds
-	lastRound      *obs.Gauge     // monitor_last_round
-	resumeRound    *obs.Gauge     // monitor_resume_round
+	lastRound      *obs.Gauge     // monitor_last_round{country}
+	resumeRound    *obs.Gauge     // monitor_resume_round{country}
 }
 
-func newMonMetrics(reg *obs.Registry) *monMetrics {
+func newMonMetrics(reg *obs.Registry, country string) *monMetrics {
 	rounds := reg.CounterVec("monitor_rounds_total",
-		"Campaign rounds handled, by outcome.", "outcome")
+		"Campaign rounds handled, by country and outcome.", "country", "outcome")
 	return &monMetrics{
-		roundsScanned:  rounds.With("scanned"),
-		roundsSalvaged: rounds.With("salvaged"),
-		roundsMissing:  rounds.With("missing"),
+		roundsScanned:  rounds.With(country, "scanned"),
+		roundsSalvaged: rounds.With(country, "salvaged"),
+		roundsMissing:  rounds.With(country, "missing"),
 		roundDur: reg.Histogram("monitor_round_duration_seconds",
 			"Scan-round duration in campaign time.", 0),
 		coverage: reg.Histogram("monitor_round_coverage",
 			"Fraction of targets probed per round.", 0),
-		ckptTotal: reg.Counter("monitor_checkpoint_total",
-			"Checkpoint files written."),
+		ckptTotal: reg.CounterVec("monitor_checkpoint_total",
+			"Checkpoint files written, by country.", "country").With(country),
 		ckptDur: reg.Histogram("monitor_checkpoint_seconds",
 			"Checkpoint write latency (wall clock).", 0),
-		lastRound: reg.Gauge("monitor_last_round",
-			"Most recently handled round index."),
-		resumeRound: reg.Gauge("monitor_resume_round",
-			"Round the campaign resumed from (0 for fresh campaigns)."),
+		lastRound: reg.GaugeVec("monitor_last_round",
+			"Most recently handled round index, by country.", "country").With(country),
+		resumeRound: reg.GaugeVec("monitor_resume_round",
+			"Round the campaign resumed from (0 for fresh campaigns), by country.", "country").With(country),
 	}
 }
 
