@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-check race vet fmt loc bench-smoke profile-round profile-serve profile-analysis profile-campaign fuzz-smoke chaos-smoke metrics-lint scenario-smoke scorecards campaign-smoke ci
+.PHONY: all build test bench-check race vet fmt loc reach bench-smoke profile-round profile-serve profile-analysis profile-campaign fuzz-smoke chaos-smoke metrics-lint scenario-smoke scorecards campaign-smoke ci
 
 all: build
 
@@ -47,6 +47,28 @@ loc:
 		printf '%s flags: %s\n' "$$(basename $$d)" "$$n"; total=$$((total + n)); \
 	done; echo "total flags: $$total"; echo "CLIs (cmd/ packages): $$(ls -d cmd/*/ | wc -l)"
 	@wc -c README.md DESIGN.md CHANGES.md | awk '{printf "%s bytes: %s\n", $$2, $$1}'
+
+# Linker reachability (ROADMAP item 15): every declared non-test func or
+# method that no binary (the CLIs and bench/) links. Inlining is off, so a
+# function inlined everywhere still shows as linked; generic functions, init
+# and closures are skipped. `go tool nm` may warn once about the `linked`
+# file itself; the warning is harmless.
+reach:
+	@d=$$(mktemp -d); \
+	for c in cmd/*/; do $(GO) build -gcflags=all=-l -o "$$d/$$(basename "$$c")" "./$$c"; done; \
+	(cd bench && $(GO) build -gcflags=all=-l -o "$$d/bench" .); \
+	for b in "$$d"/*; do \
+	  $(GO) tool nm "$$b" | awk -v b="$$(basename "$$b")" '$$2 ~ /^[Tt]$$/ { s = $$3; if (s ~ /^main\./) s = b "/" s; print s }'; \
+	done | sort -u > "$$d/linked"; \
+	find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | while read -r f; do \
+	  dir=$$(dirname "$${f#./}"); \
+	  case $$dir in .) p=countrymon ;; cmd/*) p=$$(basename "$$dir")/main ;; *) p=countrymon/$$dir ;; esac; \
+	  grep -E '^func ' "$$f" | grep -vE '^func (\([^)]*\) )?[A-Za-z0-9_]+\[|^func \([^)]*\[' | \
+	    sed -nE "s#^func \(([A-Za-z0-9_]+ )?(\*?)([A-Za-z0-9_]+)\) ([A-Za-z0-9_]+)\(.*#$$p.(\2\3).\4#p; s#^func ([A-Za-z0-9_]+)\(.*#$$p.\1#p" | \
+	    sed -E 's#\.\(([A-Za-z0-9_]+)\)\.#.\1.#'; \
+	done | grep -vE '\.init$$' | sort -u > "$$d/declared"; \
+	comm -23 "$$d/declared" "$$d/linked"; \
+	rm -r "$$d"
 
 # One-iteration pass over every Go benchmark: catches bit-rot without paying
 # for stable timings. The paper's reports run through cmd/experiments and

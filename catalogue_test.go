@@ -13,8 +13,9 @@ import (
 )
 
 // registerRE matches a registration site: .Counter("name", .Gauge("name",
-// .Histogram("name", .CounterVec("name" or .GaugeVec("name".
-var registerRE = regexp.MustCompile(`\.(Counter|Gauge|Histogram|CounterVec|GaugeVec)\(\s*"([a-z][a-z0-9_]*)"`)
+// .Histogram("name", .CounterVec("name", .GaugeVec("name" or
+// .HistogramVec("name".
+var registerRE = regexp.MustCompile(`\.(Counter|Gauge|Histogram|CounterVec|GaugeVec|HistogramVec)\(\s*"([a-z][a-z0-9_]*)"`)
 
 // catalogueRowRE matches the first backticked cell of a markdown table row.
 var catalogueRowRE = regexp.MustCompile("^\\|\\s*`([a-z][a-z0-9_]*)`\\s*\\|")

@@ -328,7 +328,7 @@ func New(opts Options) (*Monitor, error) {
 	}
 	if resumed != "" {
 		m.metrics.resumeRound.Set(int64(m.round))
-		m.emit("resume", func() map[string]any {
+		m.bus.Emit("resume", func() map[string]any {
 			return map[string]any{"round": m.round, "path": resumed}
 		})
 	}
@@ -475,7 +475,7 @@ func (m *Monitor) recordMissing(reason string) error {
 	m.storeMissing(round, 0)
 	m.metrics.coverage.Observe(0)
 	m.metrics.lastRound.Set(int64(round))
-	m.emit("round_missing", func() map[string]any {
+	m.bus.Emit("round_missing", func() map[string]any {
 		return map[string]any{"round": round, "reason": reason}
 	})
 	return m.finishRound(round)
@@ -505,7 +505,7 @@ func (m *Monitor) finishRound(round int) error {
 		return err
 	}
 	if !m.NextRound() {
-		m.emit("campaign_complete", func() map[string]any {
+		m.bus.Emit("campaign_complete", func() map[string]any {
 			return map[string]any{"rounds": m.tl.NumRounds()}
 		})
 	}
@@ -536,7 +536,7 @@ func (m *Monitor) scan(ctx context.Context) (Stats, error) {
 		m.opts.Clock.Sleep(wait)
 	}
 	round := m.round
-	m.emit("round_start", func() map[string]any {
+	m.bus.Emit("round_start", func() map[string]any {
 		return map[string]any{"round": round, "at": roundAt(at)}
 	})
 	var (
@@ -588,7 +588,7 @@ func (m *Monitor) scan(ctx context.Context) (Stats, error) {
 	m.metrics.roundDur.Observe(rd.Stats.Elapsed.Seconds())
 	m.metrics.coverage.Observe(rd.Coverage())
 	m.metrics.lastRound.Set(int64(m.round))
-	m.emit(outcome, func() map[string]any {
+	m.bus.Emit(outcome, func() map[string]any {
 		f := map[string]any{
 			"round": round, "sent": rd.Stats.Sent, "valid": rd.Stats.Valid,
 			"coverage": rd.Coverage(),
@@ -626,7 +626,7 @@ func (m *Monitor) Checkpoint() error {
 	m.sinceCkpt = 0
 	m.metrics.ckptTotal.Inc()
 	m.metrics.ckptDur.ObserveSince(t0)
-	m.emit("checkpoint", func() map[string]any {
+	m.bus.Emit("checkpoint", func() map[string]any {
 		return map[string]any{"round": m.round, "path": m.opts.CheckpointPath}
 	})
 	return nil

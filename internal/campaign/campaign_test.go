@@ -16,6 +16,7 @@ import (
 
 	countrymon "countrymon"
 	"countrymon/internal/dataset"
+	"countrymon/internal/faults"
 	"countrymon/internal/obs"
 	"countrymon/internal/par"
 	"countrymon/internal/scanner"
@@ -67,9 +68,10 @@ func storeBytes(t *testing.T, mon *countrymon.Monitor) []byte {
 
 // soloCountry runs one country alone on its own three-vantage fleet with
 // the coordinator's exact per-country parameters: the same world, the same
-// transports, the same seed and — crucially — the budget share's scan rate
+// transports (passed through wrap, Options.WrapTransport's shape, when it is
+// non-nil), the same seed and — crucially — the budget share's scan rate
 // (pacing advances virtual time, so the rate shapes the observations).
-func soloCountry(t *testing.T, spec *Spec, code string) *countrymon.Monitor {
+func soloCountry(t *testing.T, spec *Spec, code string, wrap func(country, vantage string, t scanner.Transport) scanner.Transport) *countrymon.Monitor {
 	t.Helper()
 	var cs *CountrySpec
 	for i := range spec.Countries {
@@ -99,7 +101,7 @@ func soloCountry(t *testing.T, spec *Spec, code string) *countrymon.Monitor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	camp, err := JoinCountry(sup, code, world, targets, 0, 0, nil)
+	camp, err := JoinCountry(sup, code, world, targets, 0, 0, wrap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +156,7 @@ func TestCampaignTwoCountryDeterminism(t *testing.T) {
 	// Solo equivalence, per country.
 	for _, cs := range spec.Countries {
 		code := cs.Code
-		solo := storeBytes(t, soloCountry(t, spec, code))
+		solo := storeBytes(t, soloCountry(t, spec, code, nil))
 		if !bytes.Equal(got[code], solo) {
 			t.Errorf("country %s: coordinated store differs from solo run (%d vs %d bytes)",
 				code, len(got[code]), len(solo))
@@ -174,10 +176,40 @@ func TestCampaignTwoCountryDeterminism(t *testing.T) {
 	}
 }
 
+// TestCampaignCountryScansWithOwnSeed: a coordinated country probes in the
+// order its own CountrySpec.Seed sets, not the pool's. Every scan goes
+// through a seeded drop profile that loses whichever probes fall on its
+// draws, so the stored counts depend on the probe order, and a country's
+// store equals the solo run at its seed only if it scanned with that seed.
+func TestCampaignCountryScansWithOwnSeed(t *testing.T) {
+	drop := func(country, vantage string, tr scanner.Transport) scanner.Transport {
+		return faults.NewTransport(tr, nil, faults.Profile{Seed: 5, DropProb: 0.3})
+	}
+	spec := testSpec(t, 6)
+	co, err := New(spec, Options{WrapTransport: drop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if err := co.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range co.Countries() {
+		if c.Seed == spec.Seed {
+			t.Fatalf("country %s shares the pool's seed %d: the test cannot tell them apart", c.Code, c.Seed)
+		}
+		if !bytes.Equal(storeBytes(t, c.Monitor), storeBytes(t, soloCountry(t, spec, c.Code, drop))) {
+			t.Errorf("country %s: coordinated store differs from the solo run at its seed %d", c.Code, c.Seed)
+		}
+	}
+}
+
 // TestCampaignRoundCountersPerCountry: each Monitor of a coordinated
 // campaign counts its rounds under its own country, so a round only UA's
 // world scripts as a vantage outage is UA's missing round, not RO's, and
-// each country's series add up to the rounds it handled.
+// each country's series add up to the rounds it handled. Its summaries keep
+// apart too: coverage is observed for every round a country handled, the
+// round duration for every round it scanned.
 func TestCampaignRoundCountersPerCountry(t *testing.T) {
 	spec := testSpec(t, 8)
 	reg := obs.NewRegistry()
@@ -210,9 +242,15 @@ func TestCampaignRoundCountersPerCountry(t *testing.T) {
 				t.Errorf("%s = %q, want %s", key, got, n)
 			}
 		}
-		key := `monitor_last_round{country="` + code + `"}`
-		if got := series[key]; got != "7" {
-			t.Errorf("%s = %q, want 7", key, got)
+		label := `{country="` + code + `"}`
+		for name, n := range map[string]string{
+			"monitor_last_round":                   "7",
+			"monitor_round_coverage_count":         "8",
+			"monitor_round_duration_seconds_count": want["scanned"],
+		} {
+			if got := series[name+label]; got != n {
+				t.Errorf("%s%s = %q, want %s", name, label, got, n)
+			}
 		}
 	}
 }

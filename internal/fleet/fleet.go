@@ -510,7 +510,7 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 			if v.br.failure(round) {
 				c.transition(v, j.vi, round, Open)
 			}
-			s.emit("shard_failed", func() map[string]any {
+			s.bus.Emit("shard_failed", func() map[string]any {
 				f := map[string]any{"round": round, "shard": j.shard,
 					"vantage": v.spec.Name, "campaign": c.name}
 				// A blacked-out shard comes back err == nil with a Partial
@@ -536,7 +536,7 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 			next = append(next, scanJob{shard: j.shard, vi: thief})
 			rep.Steals++
 			c.stealsC.Inc()
-			s.emit("shard_steal", func() map[string]any {
+			s.bus.Emit("shard_steal", func() map[string]any {
 				return map[string]any{"round": round, "shard": j.shard, "campaign": c.name,
 					"from": v.spec.Name, "to": s.vantages[thief].spec.Name}
 			})
@@ -551,7 +551,7 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 		rep.Degraded = true
 		c.selfOutagesC.Inc()
 		c.degradedC.Inc()
-		s.emit("fleet_self_outage", func() map[string]any {
+		s.bus.Emit("fleet_self_outage", func() map[string]any {
 			return map[string]any{"round": round, "eligible": rep.Eligible, "campaign": c.name}
 		})
 		c.settleRound(rep, okScans, failScans, poisoned, round)
@@ -811,14 +811,14 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 				continue
 			}
 			poisoned[vi] = true
-			s.emit("vantage_poisoned", func() map[string]any {
+			s.bus.Emit("vantage_poisoned", func() map[string]any {
 				return map[string]any{"round": round, "vantage": v.spec.Name,
 					"campaign": c.name, "overridden": overridden[vi]}
 			})
 		}
 	}
 
-	s.emit("fleet_fusion", func() map[string]any {
+	s.bus.Emit("fleet_fusion", func() map[string]any {
 		return map[string]any{"round": round, "suspects": rep.Suspects, "campaign": c.name,
 			"alive": rep.FusedAlive, "down": rep.FusedDown, "held": rep.FusedHeld}
 	})
@@ -898,18 +898,10 @@ func (c *Campaign) transition(v *vantage, vi, round int, to BreakerState) {
 	if to == Open {
 		c.noteOpen(vi)
 	}
-	c.s.emit("breaker_transition", func() map[string]any {
+	c.s.bus.Emit("breaker_transition", func() map[string]any {
 		return map[string]any{"round": round, "vantage": v.spec.Name,
 			"campaign": c.name, "to": to.String(), "quarantine": v.br.quarantine}
 	})
-}
-
-// emit publishes one event when a bus is attached.
-func (s *Supervisor) emit(kind string, fields func() map[string]any) {
-	if s.bus == nil {
-		return
-	}
-	s.bus.Publish(kind, fields())
 }
 
 func allNil(rds []*scanner.RoundData) bool {

@@ -75,6 +75,15 @@ func (b *Bus) Publish(kind string, fields map[string]any) Event {
 	return ev
 }
 
+// Emit publishes an event whose fields are built only when there is a bus
+// to publish on: a nil bus builds no map, so a hot path emits through it at
+// the cost of one nil check.
+func (b *Bus) Emit(kind string, fields func() map[string]any) {
+	if b != nil {
+		b.Publish(kind, fields())
+	}
+}
+
 // Dropped returns the total number of per-subscriber drops: events a lagging
 // subscriber's channel could not absorb. The events themselves are never
 // lost — the ring retains them and SSE clients re-sync via Since — so this

@@ -24,31 +24,36 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 		}
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
-		switch {
-		case f.labels != nil:
-			for _, ch := range children {
-				if f.kind == kindGauge {
-					fmt.Fprintf(w, "%s%s %d\n", f.name, promLabels(f.labels, ch.values), ch.g.Value())
-				} else {
-					fmt.Fprintf(w, "%s%s %d\n", f.name, promLabels(f.labels, ch.values), ch.c.Value())
+		for _, ch := range children {
+			labels := promLabels(f.labels, ch.values, "")
+			switch x := ch.inst.(type) {
+			case *Counter:
+				fmt.Fprintf(w, "%s%s %d\n", f.name, labels, x.Value())
+			case *Gauge:
+				fmt.Fprintf(w, "%s%s %d\n", f.name, labels, x.Value())
+			case *Histogram:
+				s := x.Snapshot()
+				for _, q := range [...]struct {
+					label string
+					v     float64
+				}{{"0.5", s.P50}, {"0.95", s.P95}, {"0.99", s.P99}} {
+					fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(f.labels, ch.values, q.label), promFloat(q.v))
 				}
+				fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labels, promFloat(s.Sum))
+				fmt.Fprintf(w, "%s_count%s %d\n", f.name, labels, s.Count)
 			}
-		case f.kind == kindCounter:
-			fmt.Fprintf(w, "%s %d\n", f.name, f.counter.Value())
-		case f.kind == kindGauge:
-			fmt.Fprintf(w, "%s %d\n", f.name, f.gauge.Value())
-		case f.kind == kindSummary:
-			s := f.hist.Snapshot()
-			fmt.Fprintf(w, "%s{quantile=\"0.5\"} %s\n", f.name, promFloat(s.P50))
-			fmt.Fprintf(w, "%s{quantile=\"0.95\"} %s\n", f.name, promFloat(s.P95))
-			fmt.Fprintf(w, "%s{quantile=\"0.99\"} %s\n", f.name, promFloat(s.P99))
-			fmt.Fprintf(w, "%s_sum %s\n", f.name, promFloat(s.Sum))
-			fmt.Fprintf(w, "%s_count %d\n", f.name, s.Count)
 		}
 	})
 }
 
-func promLabels(names, values []string) string {
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// promLabels renders a child's label set, `{a="x",b="y"}`, with a summary's
+// quantile label last when quantile is set; "" when there is no label.
+func promLabels(names, values []string, quantile string) string {
+	if len(names) == 0 && quantile == "" {
+		return ""
+	}
 	var b strings.Builder
 	b.WriteByte('{')
 	for i, n := range names {
@@ -57,8 +62,16 @@ func promLabels(names, values []string) string {
 		}
 		b.WriteString(n)
 		b.WriteString(`="`)
-		b.WriteString(strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(values[i]))
-		b.WriteString(`"`)
+		labelEscaper.WriteString(&b, values[i])
+		b.WriteByte('"')
+	}
+	if quantile != "" {
+		if len(names) > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(`quantile="`)
+		b.WriteString(quantile)
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -68,22 +81,42 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// jsonSeries is one labeled sample in the JSON export: counter children
-// carry `value`, gauge children carry `gauge`.
-type jsonSeries struct {
-	Labels map[string]string `json:"labels"`
-	Value  *uint64           `json:"value,omitempty"`
-	Gauge  *int64            `json:"gauge,omitempty"`
-}
-
-// jsonMetric is one metric family in the JSON export.
-type jsonMetric struct {
-	Type    string        `json:"type"`
-	Help    string        `json:"help,omitempty"`
+// jsonSample is one child's value in the JSON export: a counter carries
+// `value`, a gauge `gauge`, a summary `summary`.
+type jsonSample struct {
 	Value   *uint64       `json:"value,omitempty"`
 	Gauge   *int64        `json:"gauge,omitempty"`
 	Summary *HistSnapshot `json:"summary,omitempty"`
-	Series  []jsonSeries  `json:"series,omitempty"`
+}
+
+// jsonSeries is one labeled child in the JSON export.
+type jsonSeries struct {
+	Labels map[string]string `json:"labels"`
+	jsonSample
+}
+
+// jsonMetric is one metric family in the JSON export: a plain family's one
+// child inline, a labeled family's children under `series`.
+type jsonMetric struct {
+	Type string `json:"type"`
+	Help string `json:"help,omitempty"`
+	jsonSample
+	Series []jsonSeries `json:"series,omitempty"`
+}
+
+func sampleOf(inst any) jsonSample {
+	switch x := inst.(type) {
+	case *Counter:
+		v := x.Value()
+		return jsonSample{Value: &v}
+	case *Gauge:
+		v := x.Value()
+		return jsonSample{Gauge: &v}
+	case *Histogram:
+		s := x.Snapshot()
+		return jsonSample{Summary: &s}
+	}
+	return jsonSample{}
 }
 
 // WriteJSON writes the registry as a JSON object keyed by metric name.
@@ -92,33 +125,16 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	if r != nil {
 		r.snapshot(func(f *family, children []*child) {
 			m := jsonMetric{Type: f.kind, Help: f.help}
-			switch {
-			case f.labels != nil:
-				m.Series = make([]jsonSeries, 0, len(children))
-				for _, ch := range children {
-					labels := make(map[string]string, len(f.labels))
-					for i, n := range f.labels {
-						labels[n] = ch.values[i]
-					}
-					s := jsonSeries{Labels: labels}
-					if f.kind == kindGauge {
-						g := ch.g.Value()
-						s.Gauge = &g
-					} else {
-						v := ch.c.Value()
-						s.Value = &v
-					}
-					m.Series = append(m.Series, s)
+			for _, ch := range children {
+				if len(f.labels) == 0 {
+					m.jsonSample = sampleOf(ch.inst)
+					continue
 				}
-			case f.kind == kindCounter:
-				v := f.counter.Value()
-				m.Value = &v
-			case f.kind == kindGauge:
-				v := f.gauge.Value()
-				m.Gauge = &v
-			case f.kind == kindSummary:
-				s := f.hist.Snapshot()
-				m.Summary = &s
+				labels := make(map[string]string, len(f.labels))
+				for i, n := range f.labels {
+					labels[n] = ch.values[i]
+				}
+				m.Series = append(m.Series, jsonSeries{Labels: labels, jsonSample: sampleOf(ch.inst)})
 			}
 			out[f.name] = m
 		})

@@ -1,16 +1,16 @@
 // Package obs is the campaign's observability layer: a dependency-free
 // metrics registry (atomic counters, gauges, windowed histograms with
-// p50/p95/p99, labeled families) and a structured event bus, exported over
-// HTTP as Prometheus text, JSON and server-sent events.
+// p50/p95/p99, each kind labelable through a Vec) and a structured event
+// bus, exported over HTTP as Prometheus text, JSON and server-sent events.
 //
 // The paper's monitor ran unattended for three years and its operators had
 // to distinguish vantage-side failure from real disruption (§3's "ongoing"
 // flag, ISP-availability sensing); this package gives the reproduction the
 // same live self-diagnosis. Every instrument is nil-safe — methods on a nil
-// *Counter, *Gauge, *Histogram, *CounterVec or *Bus are no-ops — so hot
-// paths carry their instrumentation unconditionally and pay only a nil
-// check when no registry is attached (pinned by the package's
-// no-allocation benchmark).
+// *Counter, *Gauge, *Histogram, *CounterVec, *GaugeVec, *HistogramVec or
+// *Bus are no-ops — so hot paths carry their instrumentation
+// unconditionally and pay only a nil check when no registry is attached
+// (pinned by the package's no-allocation test).
 //
 // Typical wiring:
 //
@@ -158,58 +158,30 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return snap
 }
 
-// CounterVec is a labeled counter family. With resolves one label
-// combination to its Counter; resolve once at setup and keep the pointer —
-// a map lookup has no place on a per-packet path.
-type CounterVec struct {
+// Vec is a metric family: one instrument per combination of its labels. With
+// resolves one combination to its instrument; resolve once at setup and keep
+// the pointer — a map lookup has no place on a per-packet path. A plain
+// Counter, Gauge or Histogram is the one child of a family with no labels.
+type Vec[T Counter | Gauge | Histogram] struct {
 	fam *family
 }
 
-// With returns the counter for the given label values (created on first
-// use). It returns nil — a valid, inert Counter receiver — on a nil vec or
-// a label-arity mismatch.
-func (v *CounterVec) With(values ...string) *Counter {
-	if v == nil || len(values) != len(v.fam.labels) {
-		return nil
-	}
-	key := strings.Join(values, "\x00")
-	f := v.fam
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ch, ok := f.children[key]
-	if !ok {
-		ch = &child{values: append([]string(nil), values...), c: &Counter{}}
-		f.children[key] = ch
-		f.childOrder = append(f.childOrder, key)
-	}
-	return ch.c
-}
+// CounterVec, GaugeVec and HistogramVec are the labeled families of each
+// instrument kind (e.g. a health gauge per vantage).
+type (
+	CounterVec   = Vec[Counter]
+	GaugeVec     = Vec[Gauge]
+	HistogramVec = Vec[Histogram]
+)
 
-// GaugeVec is a labeled gauge family: one instantaneous value per label
-// combination (e.g. a health score per vantage). With resolves a label
-// combination to its Gauge; resolve once at setup and keep the pointer.
-type GaugeVec struct {
-	fam *family
-}
-
-// With returns the gauge for the given label values (created on first use).
-// It returns nil — a valid, inert Gauge receiver — on a nil vec or a
+// With returns the instrument for the given label values (created on first
+// use). It returns nil — a valid, inert receiver — on a nil vec or a
 // label-arity mismatch.
-func (v *GaugeVec) With(values ...string) *Gauge {
+func (v *Vec[T]) With(values ...string) *T {
 	if v == nil || len(values) != len(v.fam.labels) {
 		return nil
 	}
-	key := strings.Join(values, "\x00")
-	f := v.fam
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ch, ok := f.children[key]
-	if !ok {
-		ch = &child{values: append([]string(nil), values...), g: &Gauge{}}
-		f.children[key] = ch
-		f.childOrder = append(f.childOrder, key)
-	}
-	return ch.g
+	return v.fam.resolve(values).(*T)
 }
 
 // metric kinds, mirrored in the export formats.
@@ -219,28 +191,46 @@ const (
 	kindSummary = "summary"
 )
 
-// family is one registered metric name: a plain instrument or a labeled set
-// of children.
+// family is one registered metric name and its children, one per label
+// combination resolved so far.
 type family struct {
 	name, help string
 	kind       string
 	labels     []string
+	window     int // a summary child's observation window
 
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-
-	mu         sync.Mutex // children map (label resolution is not hot)
-	children   map[string]*child
-	childOrder []string
+	mu       sync.Mutex // children and order (label resolution is not hot)
+	children map[string]*child
+	order    []*child // creation order; only ever appended to
 }
 
-// child is one label combination of a family; exactly one of c/g is set,
-// matching the family's kind.
+// child is one label combination of a family and its instrument: a *Counter,
+// *Gauge or *Histogram, matching the family's kind.
 type child struct {
 	values []string
-	c      *Counter
-	g      *Gauge
+	inst   any
+}
+
+// resolve returns the instrument for values, creating it on first use.
+func (f *family) resolve(values []string) any {
+	key := strings.Join(values, "\x00")
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ch, ok := f.children[key]
+	if !ok {
+		ch = &child{values: append([]string(nil), values...)}
+		switch f.kind {
+		case kindCounter:
+			ch.inst = &Counter{}
+		case kindGauge:
+			ch.inst = &Gauge{}
+		default:
+			ch.inst = &Histogram{ring: make([]float64, f.window)}
+		}
+		f.children[key] = ch
+		f.order = append(f.order, ch)
+	}
+	return ch.inst
 }
 
 // Registry holds named metric families in registration order. Registration
@@ -251,7 +241,7 @@ type child struct {
 // registry, giving every instrumented package a single code path.
 type Registry struct {
 	mu       sync.Mutex
-	order    []string
+	order    []*family // registration order; only ever appended to
 	families map[string]*family
 }
 
@@ -261,8 +251,11 @@ func NewRegistry() *Registry {
 }
 
 // register returns the existing family for name (validating its shape) or
-// inserts a fresh one built by mk.
-func (r *Registry) register(name, kind string, labels []string, mk func() *family) *family {
+// inserts a fresh, childless one. It returns nil on a nil registry.
+func (r *Registry) register(name, help, kind string, window int, labels []string) *family {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
@@ -272,94 +265,67 @@ func (r *Registry) register(name, kind string, labels []string, mk func() *famil
 		}
 		return f
 	}
-	f := mk()
+	f := &family{name: name, help: help, kind: kind, window: window,
+		labels: append([]string(nil), labels...), children: make(map[string]*child)}
 	r.families[name] = f
-	r.order = append(r.order, name)
+	r.order = append(r.order, f)
 	return f
+}
+
+func newVec[T Counter | Gauge | Histogram](f *family) *Vec[T] {
+	if f == nil {
+		return nil
+	}
+	return &Vec[T]{fam: f}
 }
 
 // Counter registers (or returns) a plain counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	f := r.register(name, kindCounter, nil, func() *family {
-		return &family{name: name, help: help, kind: kindCounter, counter: &Counter{}}
-	})
-	return f.counter
+	return r.CounterVec(name, help).With()
 }
 
 // Gauge registers (or returns) a gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	f := r.register(name, kindGauge, nil, func() *family {
-		return &family{name: name, help: help, kind: kindGauge, gauge: &Gauge{}}
-	})
-	return f.gauge
+	return r.GaugeVec(name, help).With()
 }
 
 // Histogram registers (or returns) a windowed histogram (window <= 0 uses
 // DefaultHistogramWindow).
 func (r *Registry) Histogram(name, help string, window int) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if window <= 0 {
-		window = DefaultHistogramWindow
-	}
-	f := r.register(name, kindSummary, nil, func() *family {
-		return &family{name: name, help: help, kind: kindSummary,
-			hist: &Histogram{ring: make([]float64, window)}}
-	})
-	return f.hist
+	return r.HistogramVec(name, help, window).With()
 }
 
 // CounterVec registers (or returns) a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	f := r.register(name, kindCounter, labels, func() *family {
-		return &family{name: name, help: help, kind: kindCounter,
-			labels: append([]string(nil), labels...), children: make(map[string]*child)}
-	})
-	return &CounterVec{fam: f}
+	return newVec[Counter](r.register(name, help, kindCounter, 0, labels))
 }
 
 // GaugeVec registers (or returns) a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	f := r.register(name, kindGauge, labels, func() *family {
-		return &family{name: name, help: help, kind: kindGauge,
-			labels: append([]string(nil), labels...), children: make(map[string]*child)}
-	})
-	return &GaugeVec{fam: f}
+	return newVec[Gauge](r.register(name, help, kindGauge, 0, labels))
 }
 
-// snapshot walks families in registration order under the registry lock,
-// handing each to visit with its children (if labeled) resolved.
+// HistogramVec registers (or returns) a labeled family of windowed
+// histograms, each child keeping its own window (window <= 0 uses
+// DefaultHistogramWindow).
+func (r *Registry) HistogramVec(name, help string, window int, labels ...string) *HistogramVec {
+	if window <= 0 {
+		window = DefaultHistogramWindow
+	}
+	return newVec[Histogram](r.register(name, help, kindSummary, window, labels))
+}
+
+// snapshot walks families in registration order, handing each to visit with
+// its children in creation order. Both lists are only ever appended to, so
+// the slice headers read under the locks stay valid after they are released.
 func (r *Registry) snapshot(visit func(f *family, children []*child)) {
 	r.mu.Lock()
-	order := append([]string(nil), r.order...)
-	fams := make([]*family, len(order))
-	for i, name := range order {
-		fams[i] = r.families[name]
-	}
+	fams := r.order
 	r.mu.Unlock()
 	for _, f := range fams {
-		var chs []*child
-		if f.labels != nil {
-			f.mu.Lock()
-			chs = make([]*child, len(f.childOrder))
-			for i, key := range f.childOrder {
-				chs[i] = f.children[key]
-			}
-			f.mu.Unlock()
-		}
+		f.mu.Lock()
+		chs := f.order
+		f.mu.Unlock()
 		visit(f, chs)
 	}
 }

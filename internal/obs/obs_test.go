@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -152,14 +153,102 @@ func TestGaugeVec(t *testing.T) {
 	}
 }
 
+func TestHistogramVec(t *testing.T) {
+	reg := NewRegistry()
+	v := reg.HistogramVec("test_round_seconds", "Round time.", 8, "country")
+	ua := v.With("UA")
+	if v.With("UA") != ua || reg.HistogramVec("test_round_seconds", "", 0, "country").With("UA") != ua {
+		t.Fatal("same labels resolved to a different histogram")
+	}
+	if v.With("UA", "extra") != nil {
+		t.Fatal("label-arity mismatch did not return nil")
+	}
+	ua.Observe(2)
+	ua.Observe(4)
+	v.With("RO").Observe(1)
+	if s := ua.Snapshot(); s.Count != 2 || s.Sum != 6 {
+		t.Fatalf("UA summary = %+v", s)
+	}
+
+	var prom strings.Builder
+	reg.WritePrometheus(&prom)
+	for _, want := range []string{
+		"# TYPE test_round_seconds summary\n",
+		`test_round_seconds{country="UA",quantile="0.5"} 4` + "\n",
+		`test_round_seconds_sum{country="UA"} 6` + "\n",
+		`test_round_seconds_count{country="UA"} 2` + "\n",
+		`test_round_seconds{country="RO",quantile="0.99"} 1` + "\n",
+		`test_round_seconds_count{country="RO"} 1` + "\n",
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("prometheus export missing %q\n%s", want, prom.String())
+		}
+	}
+
+	var buf strings.Builder
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]struct {
+		Summary *HistSnapshot `json:"summary"`
+		Series  []struct {
+			Labels  map[string]string `json:"labels"`
+			Summary *HistSnapshot     `json:"summary"`
+		} `json:"series"`
+	}
+	if err := json.Unmarshal([]byte(buf.String()), &out); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, buf.String())
+	}
+	m := out["test_round_seconds"]
+	if m.Summary != nil || len(m.Series) != 2 {
+		t.Fatalf("test_round_seconds = %+v", m)
+	}
+	if s := m.Series[0]; s.Labels["country"] != "UA" || s.Summary == nil || s.Summary.Count != 2 || s.Summary.P50 != 4 {
+		t.Fatalf("UA series = %+v", s)
+	}
+}
+
+// TestConcurrentResolveAndScrape: scrapes read the family and child lists
+// without holding their locks while other goroutines register families and
+// resolve children; under -race this holds that the lists are only appended.
+func TestConcurrentResolveAndScrape(t *testing.T) {
+	reg := NewRegistry()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				label := strconv.Itoa(g*100 + i)
+				reg.HistogramVec("test_conc_seconds", "", 4, "id").With(label).Observe(float64(i))
+				reg.CounterVec("test_conc_total", "", "id").With(label).Inc()
+				reg.Gauge("test_conc_"+label, "").Set(int64(i))
+			}
+		}(g)
+	}
+	for i := 0; i < 20; i++ {
+		reg.WritePrometheus(io.Discard)
+		if err := reg.WriteJSON(io.Discard); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
+	var prom strings.Builder
+	reg.WritePrometheus(&prom)
+	if n := strings.Count(prom.String(), "test_conc_seconds_count{"); n != 200 {
+		t.Fatalf("%d summary children exported, want 200", n)
+	}
+}
+
 func TestNilInstrumentsAreInert(t *testing.T) {
 	var (
-		c *Counter
-		g *Gauge
-		h *Histogram
-		v *CounterVec
-		b *Bus
-		r *Registry
+		c  *Counter
+		g  *Gauge
+		h  *Histogram
+		v  *CounterVec
+		hv *HistogramVec
+		b  *Bus
+		r  *Registry
 	)
 	c.Inc()
 	c.Add(3)
@@ -167,9 +256,15 @@ func TestNilInstrumentsAreInert(t *testing.T) {
 	h.Observe(1)
 	h.ObserveSince(time.Now())
 	v.With("x").Inc()
+	hv.With("x").Observe(1)
 	b.Publish("noop", nil)
+	b.Emit("noop", func() map[string]any {
+		t.Fatal("a nil bus built an event's fields")
+		return nil
+	})
 	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil ||
-		r.Histogram("x", "", 0) != nil || r.CounterVec("x", "", "l") != nil {
+		r.Histogram("x", "", 0) != nil || r.CounterVec("x", "", "l") != nil ||
+		r.GaugeVec("x", "", "l") != nil || r.HistogramVec("x", "", 0, "l") != nil {
 		t.Fatal("nil registry handed out live instruments")
 	}
 	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
@@ -187,13 +282,15 @@ func TestDisabledPathNoAllocs(t *testing.T) {
 		h *Histogram
 	)
 	vec := (*Registry)(nil).CounterVec("x", "", "kind")
-	child := vec.With("drop") // nil
+	child := vec.With("drop")                                                 // nil
+	hchild := (*Registry)(nil).HistogramVec("y", "", 0, "country").With("UA") // nil
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(64)
 		g.Set(3)
 		h.Observe(0.5)
 		child.Inc()
+		hchild.Observe(0.5)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled instrumentation allocated %v times per op", allocs)

@@ -210,12 +210,12 @@ func (r *roundRun) publishSend() {
 	if r.failErr == nil {
 		return
 	}
-	if r.cfg.Events != nil {
-		r.cfg.Events.Publish("retry", map[string]any{
+	r.cfg.Events.Emit("retry", func() map[string]any {
+		return map[string]any{
 			"shard": r.cfg.Shard, "retries": retries, "abandoned": abandoned,
 			"backoff_ms": r.failSlept.Milliseconds(), "error": r.failErr.Error(),
-		})
-	}
+		}
+	})
 	r.failErr, r.failSlept = nil, 0
 }
 

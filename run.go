@@ -82,18 +82,9 @@ func (m *Monitor) checkpointBeforeReturn(cause error) error {
 // nothing).
 func (m *Monitor) CampaignStats() Stats { return m.campaign }
 
-// emit publishes one structured event to the bus. It is a no-op — no
-// field-map allocation — without a bus.
-func (m *Monitor) emit(kind string, fields func() map[string]any) {
-	if m.bus == nil {
-		return
-	}
-	m.bus.Publish(kind, fields())
-}
-
 // emitDetection reports a detection run on the bus.
 func (m *Monitor) emitDetection(entity string, d *Detection) {
-	m.emit("detection", func() map[string]any {
+	m.bus.Emit("detection", func() map[string]any {
 		return map[string]any{
 			"entity": entity, "outages": len(d.Outages),
 			"flagged_rounds": d.TotalRounds(),
@@ -102,17 +93,17 @@ func (m *Monitor) emitDetection(entity string, d *Detection) {
 }
 
 // monMetrics are the Monitor's own instruments (the scanner's live inside
-// scanner.Metrics). Its counters and gauges carry the monitored country, so
-// the Monitors of a coordinated campaign keep apart on one registry. All
-// fields are nil — inert — without a registry.
+// scanner.Metrics). Each carries the monitored country, so the Monitors of a
+// coordinated campaign keep apart on one registry. All fields are nil —
+// inert — without a registry.
 type monMetrics struct {
 	roundsScanned  *obs.Counter   // monitor_rounds_total{country,outcome=scanned}
 	roundsSalvaged *obs.Counter   // monitor_rounds_total{country,outcome=salvaged}
 	roundsMissing  *obs.Counter   // monitor_rounds_total{country,outcome=missing}
-	roundDur       *obs.Histogram // monitor_round_duration_seconds
-	coverage       *obs.Histogram // monitor_round_coverage
+	roundDur       *obs.Histogram // monitor_round_duration_seconds{country}
+	coverage       *obs.Histogram // monitor_round_coverage{country}
 	ckptTotal      *obs.Counter   // monitor_checkpoint_total{country}
-	ckptDur        *obs.Histogram // monitor_checkpoint_seconds
+	ckptDur        *obs.Histogram // monitor_checkpoint_seconds{country}
 	lastRound      *obs.Gauge     // monitor_last_round{country}
 	resumeRound    *obs.Gauge     // monitor_resume_round{country}
 }
@@ -124,14 +115,14 @@ func newMonMetrics(reg *obs.Registry, country string) *monMetrics {
 		roundsScanned:  rounds.With(country, "scanned"),
 		roundsSalvaged: rounds.With(country, "salvaged"),
 		roundsMissing:  rounds.With(country, "missing"),
-		roundDur: reg.Histogram("monitor_round_duration_seconds",
-			"Scan-round duration in campaign time.", 0),
-		coverage: reg.Histogram("monitor_round_coverage",
-			"Fraction of targets probed per round.", 0),
+		roundDur: reg.HistogramVec("monitor_round_duration_seconds",
+			"Scan-round duration in campaign time.", 0, "country").With(country),
+		coverage: reg.HistogramVec("monitor_round_coverage",
+			"Fraction of targets probed per round.", 0, "country").With(country),
 		ckptTotal: reg.CounterVec("monitor_checkpoint_total",
 			"Checkpoint files written, by country.", "country").With(country),
-		ckptDur: reg.Histogram("monitor_checkpoint_seconds",
-			"Checkpoint write latency (wall clock).", 0),
+		ckptDur: reg.HistogramVec("monitor_checkpoint_seconds",
+			"Checkpoint write latency (wall clock).", 0, "country").With(country),
 		lastRound: reg.GaugeVec("monitor_last_round",
 			"Most recently handled round index, by country.", "country").With(country),
 		resumeRound: reg.GaugeVec("monitor_resume_round",
