@@ -33,12 +33,9 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 				fmt.Fprintf(w, "%s%s %d\n", f.name, labels, x.Value())
 			case *Histogram:
 				s := x.Snapshot()
-				for _, q := range [...]struct {
-					label string
-					v     float64
-				}{{"0.5", s.P50}, {"0.95", s.P95}, {"0.99", s.P99}} {
-					fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(f.labels, ch.values, q.label), promFloat(q.v))
-				}
+				fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(f.labels, ch.values, "0.5"), promFloat(s.P50))
+				fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(f.labels, ch.values, "0.95"), promFloat(s.P95))
+				fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(f.labels, ch.values, "0.99"), promFloat(s.P99))
 				fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labels, promFloat(s.Sum))
 				fmt.Fprintf(w, "%s_count%s %d\n", f.name, labels, s.Count)
 			}
