@@ -2,12 +2,14 @@ package countrymon
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"testing"
 	"time"
 
 	"countrymon/internal/faults"
 	"countrymon/internal/fleet"
+	"countrymon/internal/geodb"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/scanner"
 	"countrymon/internal/simnet"
@@ -67,12 +69,7 @@ func soloFleet(t testing.TB, specs []fleet.Spec, opts Options, quorum int) *flee
 		t.Fatal(err)
 	}
 	sup, err := fleet.NewShared(specs, fleet.Config{
-		Scan: scanner.Config{
-			Rate:    opts.Rate,
-			Seed:    opts.Seed,
-			Metrics: scanner.NewMetrics(opts.Registry),
-			Events:  opts.Bus,
-		},
+		Scan:     scanner.Config{Rate: opts.Rate, Seed: opts.Seed},
 		Quorum:   quorum,
 		Registry: opts.Registry,
 		Bus:      opts.Bus,
@@ -80,7 +77,9 @@ func soloFleet(t testing.TB, specs []fleet.Spec, opts Options, quorum int) *flee
 	if err != nil {
 		t.Fatal(err)
 	}
-	camp, err := sup.Join(fleet.CampaignConfig{Name: "default", Targets: targets})
+	// The campaign is the Monitor's country, so the scans report through the
+	// same scope as the Monitor.
+	camp, err := sup.Join(fleet.CampaignConfig{Name: cmp.Or(opts.Country, geodb.CountryUA), Targets: targets})
 	if err != nil {
 		t.Fatal(err)
 	}

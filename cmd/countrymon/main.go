@@ -224,7 +224,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		counts[regional.ASRegional], counts[regional.ASNonRegional], counts[regional.ASTemporal])
 
 	b := signals.NewBuilderMinCoverage(store, sc.Space, *minCov)
-	sigM := signals.NewMetrics(e.reg)
+	sigM := signals.NewMetrics(e.reg.Scope(sc.Country))
 	b.Observe(sigM)
 	tl := store.Timeline()
 

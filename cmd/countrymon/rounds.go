@@ -58,7 +58,7 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 	// wrap puts vantage vn's view of the simulated network behind the
 	// vantage's fault profile when it has one. campaign names vantage i
 	// "v<i>", solo and fleet alike.
-	wrap := func(_, vn string, t scanner.Transport) scanner.Transport {
+	wrap := func(country, vn string, t scanner.Transport) scanner.Transport {
 		vi, _ := strconv.Atoi(strings.TrimPrefix(vn, "v"))
 		if profs[vi] == nil {
 			return t
@@ -66,7 +66,7 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 		p := *profs[vi]
 		p.Seed += uint64(vi) * 0x9e3779b9
 		ftr := faults.NewTransport(t, nil, p)
-		ftr.Observe(faults.NewMetrics(e.reg))
+		ftr.Observe(faults.NewMetrics(e.reg.Scope(country)))
 		fmu.Lock()
 		faulty = append(faulty, ftr)
 		fmu.Unlock()

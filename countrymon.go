@@ -210,12 +210,14 @@ type Options struct {
 	// Registry, when non-nil, receives the monitor's, scanner's and signal
 	// pipeline's live metrics (round outcomes, durations, coverage,
 	// checkpoint latency, probe/reply counters — see the README's metric
-	// catalogue). It may be shared with other subsystems; registration is
+	// catalogue), through Country's scope: each series carries a `country`
+	// label. It may be shared with other subsystems; registration is
 	// idempotent.
 	Registry *obs.Registry
 	// Bus, when non-nil, receives the structured campaign event stream
 	// (round started/scanned/salvaged/missing, checkpoint written, retry
-	// taken, detection fired) for /events streaming.
+	// taken, detection fired) for /events streaming, each event through
+	// Country's scope.
 	Bus *obs.Bus
 }
 
@@ -299,11 +301,10 @@ func New(opts Options) (*Monitor, error) {
 		targets: targets,
 		store:   dataset.NewStore(tl, targets.Blocks()),
 		origins: make(map[BlockID]ASN),
-		bus:     opts.Bus,
-		scanM:   scanner.NewMetrics(opts.Registry),
-		sigM:    signals.NewMetrics(opts.Registry),
 	}
-	m.metrics = newMonMetrics(opts.Registry, m.Country())
+	reg := opts.Registry.Scope(m.Country())
+	m.bus, m.scanM, m.sigM = opts.Bus.Scope(m.Country()), scanner.NewMetrics(reg), signals.NewMetrics(reg)
+	m.metrics = newMonMetrics(reg)
 	if opts.Fleet != nil {
 		if err := checkFleetTargets(opts.Fleet, targets.Blocks()); err != nil {
 			return nil, err

@@ -25,8 +25,8 @@ var vantageAddr = netmodel.MustParseAddr("203.0.113.1")
 
 // Options tunes a Coordinator beyond what the Spec carries.
 type Options struct {
-	// Registry and Bus attach shared observability; per-country metrics are
-	// labeled with the country code.
+	// Registry and Bus attach shared observability: each country's Monitor,
+	// fleet campaign and Server report through the country's Scope of them.
 	Registry *obs.Registry
 	Bus      *obs.Bus
 	// WrapTransport, when non-nil, wraps every per-scan transport the
@@ -149,7 +149,7 @@ func newCountry(spec *Spec, cs *CountrySpec, sup *fleet.Supervisor, opts Options
 	}
 	srv := serve.NewServer(store)
 	if opts.Registry != nil && opts.Bus != nil {
-		srv.Observe(opts.Registry, opts.Bus)
+		srv.Observe(opts.Registry.Scope(cs.Code), opts.Bus.Scope(cs.Code))
 	}
 
 	return &Country{
@@ -162,9 +162,9 @@ func newCountry(spec *Spec, cs *CountrySpec, sup *fleet.Supervisor, opts Options
 
 // NewFleet builds the vantage pool a campaign's countries share: vantages
 // v0 … v(n-1) scanning at rate packets/second with seed under a k-of-n
-// quorum (0 = fleet default), reporting into reg and bus. A
-// vantage has no transport of its own: each country joins with its own
-// (JoinCountry), since each country is its own measurement world.
+// quorum (0 = fleet default), reporting into reg and bus (a joined country
+// through its Scope). A vantage has no transport of its own: each country
+// joins with its own (JoinCountry), its own measurement world.
 func NewFleet(vantages, quorum, rate int, seed uint64, reg *obs.Registry, bus *obs.Bus) (*fleet.Supervisor, error) {
 	specs := make([]fleet.Spec, vantages)
 	for i := range specs {
@@ -174,12 +174,7 @@ func NewFleet(vantages, quorum, rate int, seed uint64, reg *obs.Registry, bus *o
 		}}
 	}
 	sup, err := fleet.NewShared(specs, fleet.Config{
-		Scan: scanner.Config{
-			Rate:    rate,
-			Seed:    seed,
-			Metrics: scanner.NewMetrics(reg),
-			Events:  bus,
-		},
+		Scan:     scanner.Config{Rate: rate, Seed: seed},
 		Quorum:   quorum,
 		Registry: reg,
 		Bus:      bus,

@@ -650,3 +650,75 @@ func TestCampaignRoundAllocBudget(t *testing.T) {
 		t.Errorf("a warm corroborated round allocates %.1f objects, budget %d", allocs, budget)
 	}
 }
+
+// TestJoinScopesCampaign joins two campaigns to one fleet whose vantage v0
+// never comes up. Each campaign's tallies and events carry its country, and
+// the breaker every campaign shares stays unscoped. A caller-set
+// Scan.Metrics (registered unscoped on the same registry, as a benchmark
+// that assembles the fleet itself does) is kept, not re-registered through
+// the scope, so Join does not panic on a label-arity conflict.
+func TestJoinScopesCampaign(t *testing.T) {
+	for _, callerMetrics := range []bool{false, true} {
+		cfg := baseConfig()
+		cfg.Registry, cfg.Bus = obs.NewRegistry(), obs.NewBus(1<<12)
+		if callerMetrics {
+			cfg.Scan.Metrics, cfg.Scan.Events = scanner.NewMetrics(cfg.Registry), cfg.Bus
+		}
+		s, err := NewShared([]Spec{errSpec("v0"), simSpec("v1", aliveResponder()), simSpec("v2", aliveResponder())}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var camps []*Campaign
+		for _, cc := range []string{"UA", "RO"} {
+			c, err := s.Join(CampaignConfig{Name: cc, Targets: testTargets(t), RateShare: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			camps = append(camps, c)
+		}
+		for r := 0; r < 2; r++ {
+			for _, c := range camps {
+				if _, _, err := c.ScanRound(context.Background(), r, roundAt(r), truthPrev); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		kinds := make(map[string]int)
+		for _, ev := range cfg.Bus.Since(0) {
+			kinds[ev.Kind]++
+			_, hasCampaign := ev.Fields["campaign"]
+			switch ev.Kind {
+			case "breaker_transition", "vantage_poisoned":
+				if ev.Country != "" || !hasCampaign {
+					t.Errorf("shared %s event: country %q, campaign field %v", ev.Kind, ev.Country, hasCampaign)
+				}
+			case "retry": // the scans' own: on the caller's Scan.Events when it set them
+				if (ev.Country == "") != callerMetrics {
+					t.Errorf("retry event of country %q with caller metrics %v", ev.Country, callerMetrics)
+				}
+			default:
+				if ev.Country != "UA" && ev.Country != "RO" || hasCampaign {
+					t.Errorf("%s event: country %q, campaign field %v", ev.Kind, ev.Country, hasCampaign)
+				}
+			}
+		}
+		if kinds["shard_steal"] == 0 || kinds["breaker_transition"] == 0 {
+			t.Fatalf("events %v: want steals and v0's breaker opening", kinds)
+		}
+
+		var b strings.Builder
+		cfg.Registry.WritePrometheus(&b)
+		text := b.String()
+		sent := `scanner_probes_sent_total{country="UA"} `
+		if callerMetrics {
+			sent = "scanner_probes_sent_total "
+		}
+		for _, want := range []string{sent, `fleet_steals_total{country="UA"} 2`, `fleet_steals_total{country="RO"} 1`,
+			`fleet_breaker_transitions_total{to="open"} 1`, `signals_fusion_total{country="RO",outcome="alive"}`} {
+			if !strings.Contains(text, want) {
+				t.Errorf("caller metrics %v: no %q in\n%s", callerMetrics, want, text)
+			}
+		}
+	}
+}

@@ -9,12 +9,14 @@ import (
 // Event is one structured campaign event: a round starting or ending, a
 // checkpoint written, a retry taken, a detection firing. Seq is a
 // bus-assigned monotone sequence number, so pollers can resume from the
-// last event they saw.
+// last event they saw. Country is the Bus.Scope it was published through,
+// empty for an event of no one country's.
 type Event struct {
-	Seq    uint64         `json:"seq"`
-	Time   time.Time      `json:"time"`
-	Kind   string         `json:"kind"`
-	Fields map[string]any `json:"fields,omitempty"`
+	Seq     uint64         `json:"seq"`
+	Time    time.Time      `json:"time"`
+	Kind    string         `json:"kind"`
+	Country string         `json:"country,omitempty"`
+	Fields  map[string]any `json:"fields,omitempty"`
 }
 
 // Bus is a bounded in-memory event stream: every published event lands in a
@@ -23,18 +25,35 @@ type Event struct {
 // events dropped from its channel, never from the ring — slow consumers
 // must re-sync via Since. Publish on a nil bus is a no-op.
 type Bus struct {
-	mu      sync.Mutex
-	seq     uint64
-	ring    []Event // capacity-bounded, oldest overwritten
-	next    int
-	filled  bool
-	subs    map[uint64]chan Event
-	nextSub uint64
+	*stream
+	country string // a Scope's: stamped on what it publishes, filters what it reads
+}
+
+type stream struct { // shared by a bus and its scopes
+	mu     sync.Mutex
+	seq    uint64
+	ring   []Event // capacity-bounded, oldest overwritten
+	next   int
+	filled bool
+	subs   map[*subscriber]struct{}
 	// drops counts events discarded from lagging subscribers' channels
-	// (never from the ring). dropCounter, when set via CountDrops, mirrors
-	// every drop into a registry metric.
-	drops       atomic.Uint64
-	dropCounter atomic.Pointer[Counter]
+	// (never from the ring); dropCounters, set by CountDrops, mirror them
+	// by the subscriber's country.
+	drops        atomic.Uint64
+	dropCounters map[string]*Counter
+}
+
+// subscriber is one live subscription of a view of country; lagged is set
+// when Publish drops an event for it.
+type subscriber struct {
+	ch      chan Event
+	country string
+	lagged  atomic.Bool
+}
+
+// sees reports whether the view of country (every event for "") shows ev.
+func sees(country string, ev *Event) bool {
+	return country == "" || ev.Country == "" || ev.Country == country
 }
 
 // DefaultBusCapacity is the ring size when NewBus is called with cap <= 0.
@@ -45,7 +64,18 @@ func NewBus(capacity int) *Bus {
 	if capacity <= 0 {
 		capacity = DefaultBusCapacity
 	}
-	return &Bus{ring: make([]Event, capacity), subs: make(map[uint64]chan Event)}
+	return &Bus{stream: &stream{ring: make([]Event, capacity),
+		subs: make(map[*subscriber]struct{}), dropCounters: make(map[string]*Counter)}}
+}
+
+// Scope returns the bus's view for one country, over the same ring: what it
+// publishes carries Event.Country, and its Since and Subscribe see that
+// country's events plus the unscoped ones. A nil bus's scope is nil.
+func (b *Bus) Scope(country string) *Bus {
+	if b == nil {
+		return nil
+	}
+	return &Bus{stream: b.stream, country: country}
 }
 
 // Publish stamps and emits one event, returning it (with Seq assigned). A
@@ -55,6 +85,7 @@ func (b *Bus) Publish(kind string, fields map[string]any) Event {
 	if b == nil {
 		return ev
 	}
+	ev.Country = b.country
 	b.mu.Lock()
 	b.seq++
 	ev.Seq = b.seq
@@ -63,12 +94,16 @@ func (b *Bus) Publish(kind string, fields map[string]any) Event {
 	if b.next == 0 {
 		b.filled = true
 	}
-	for _, ch := range b.subs {
+	for s := range b.subs {
+		if !sees(s.country, &ev) {
+			continue
+		}
 		select {
-		case ch <- ev:
+		case s.ch <- ev:
 		default: // subscriber lagging: drop; the ring keeps the event
+			s.lagged.Store(true)
 			b.drops.Add(1)
-			b.dropCounter.Load().Inc()
+			b.dropCounters[s.country].Inc()
 		}
 	}
 	b.mu.Unlock()
@@ -95,16 +130,19 @@ func (b *Bus) Dropped() uint64 {
 	return b.drops.Load()
 }
 
-// CountDrops mirrors every future subscriber drop into c (typically a
-// `bus_dropped_events_total` counter registered by the serving layer).
+// CountDrops mirrors every future drop for a subscriber of this view's
+// country into c (typically a `bus_dropped_events_total` counter registered
+// by the serving layer).
 func (b *Bus) CountDrops(c *Counter) {
 	if b == nil {
 		return
 	}
-	b.dropCounter.Store(c)
+	b.mu.Lock()
+	b.dropCounters[b.country] = c
+	b.mu.Unlock()
 }
 
-// Seq returns the sequence number of the most recent event.
+// Seq returns the sequence number of the most recent event, of any country.
 func (b *Bus) Seq() uint64 {
 	if b == nil {
 		return 0
@@ -114,9 +152,8 @@ func (b *Bus) Seq() uint64 {
 	return b.seq
 }
 
-// Since returns the retained events with Seq > seq, oldest first. Events
-// older than the ring window are gone; callers detect the gap when the
-// first returned Seq exceeds seq+1.
+// Since returns the retained events with Seq > seq that the view sees,
+// oldest first. Events older than the ring window are gone.
 func (b *Bus) Since(seq uint64) []Event {
 	if b == nil {
 		return nil
@@ -125,9 +162,9 @@ func (b *Bus) Since(seq uint64) []Event {
 	defer b.mu.Unlock()
 	var out []Event
 	appendFrom := func(evs []Event) {
-		for _, ev := range evs {
-			if ev.Seq > seq {
-				out = append(out, ev)
+		for i := range evs {
+			if evs[i].Seq > seq && sees(b.country, &evs[i]) {
+				out = append(out, evs[i])
 			}
 		}
 	}
@@ -138,24 +175,25 @@ func (b *Bus) Since(seq uint64) []Event {
 	return out
 }
 
-// Subscribe returns a channel of future events (buffered by buf, minimum 1)
-// and a cancel function that must be called to release the subscription.
+// Subscribe returns a channel of the future events the view sees (buffered
+// by buf, minimum 1) and a cancel function that releases the subscription.
 func (b *Bus) Subscribe(buf int) (<-chan Event, func()) {
 	if b == nil {
 		return nil, func() {}
 	}
-	if buf < 1 {
-		buf = 1
-	}
-	ch := make(chan Event, buf)
+	s, cancel := b.subscribe(buf)
+	return s.ch, cancel
+}
+
+// subscribe registers a subscriber on a non-nil bus.
+func (b *Bus) subscribe(buf int) (*subscriber, func()) {
+	s := &subscriber{ch: make(chan Event, max(buf, 1)), country: b.country}
 	b.mu.Lock()
-	id := b.nextSub
-	b.nextSub++
-	b.subs[id] = ch
+	b.subs[s] = struct{}{}
 	b.mu.Unlock()
-	return ch, func() {
+	return s, func() {
 		b.mu.Lock()
-		delete(b.subs, id)
+		delete(b.subs, s)
 		b.mu.Unlock()
 	}
 }

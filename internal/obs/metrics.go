@@ -163,7 +163,8 @@ func (h *Histogram) Snapshot() HistSnapshot {
 // the pointer — a map lookup has no place on a per-packet path. A plain
 // Counter, Gauge or Histogram is the one child of a family with no labels.
 type Vec[T Counter | Gauge | Histogram] struct {
-	fam *family
+	fam     *family
+	country string // a scoped family's leading label value
 }
 
 // CounterVec, GaugeVec and HistogramVec are the labeled families of each
@@ -175,10 +176,17 @@ type (
 )
 
 // With returns the instrument for the given label values (created on first
-// use). It returns nil — a valid, inert receiver — on a nil vec or a
+// use), after the scope's country when the family was registered through a
+// Scope. It returns nil — a valid, inert receiver — on a nil vec or a
 // label-arity mismatch.
 func (v *Vec[T]) With(values ...string) *T {
-	if v == nil || len(values) != len(v.fam.labels) {
+	if v == nil {
+		return nil
+	}
+	if v.country != "" {
+		values = append([]string{v.country}, values...)
+	}
+	if len(values) != len(v.fam.labels) {
 		return nil
 	}
 	return v.fam.resolve(values).(*T)
@@ -240,14 +248,30 @@ func (f *family) resolve(values []string) any {
 // registration methods are nil-safe and return nil instruments on a nil
 // registry, giving every instrumented package a single code path.
 type Registry struct {
-	mu       sync.Mutex
-	order    []*family // registration order; only ever appended to
-	families map[string]*family
+	*families
+	country string // a Scope's: the leading label of what it registers
+}
+
+type families struct { // shared by a registry and its scopes
+	mu     sync.Mutex
+	order  []*family // registration order; only ever appended to
+	byName map[string]*family
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	return &Registry{families: &families{byName: make(map[string]*family)}}
+}
+
+// Scope returns the registry's view for one country: a family registered
+// through it carries a leading `country` label, which its Vec.With fills in,
+// so two countries' scopes register two series of one family in r. A nil
+// registry's scope is nil.
+func (r *Registry) Scope(country string) *Registry {
+	if r == nil {
+		return nil
+	}
+	return &Registry{families: r.families, country: country}
 }
 
 // register returns the existing family for name (validating its shape) or
@@ -256,9 +280,12 @@ func (r *Registry) register(name, help, kind string, window int, labels []string
 	if r == nil {
 		return nil
 	}
+	if r.country != "" {
+		labels = append([]string{"country"}, labels...)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
+	if f, ok := r.byName[name]; ok {
 		if f.kind != kind || len(f.labels) != len(labels) {
 			panic(fmt.Sprintf("obs: metric %q re-registered as %s(%d labels), was %s(%d labels)",
 				name, kind, len(labels), f.kind, len(f.labels)))
@@ -267,16 +294,16 @@ func (r *Registry) register(name, help, kind string, window int, labels []string
 	}
 	f := &family{name: name, help: help, kind: kind, window: window,
 		labels: append([]string(nil), labels...), children: make(map[string]*child)}
-	r.families[name] = f
+	r.byName[name] = f
 	r.order = append(r.order, f)
 	return f
 }
 
-func newVec[T Counter | Gauge | Histogram](f *family) *Vec[T] {
+func newVec[T Counter | Gauge | Histogram](r *Registry, f *family) *Vec[T] {
 	if f == nil {
 		return nil
 	}
-	return &Vec[T]{fam: f}
+	return &Vec[T]{fam: f, country: r.country}
 }
 
 // Counter registers (or returns) a plain counter.
@@ -297,12 +324,12 @@ func (r *Registry) Histogram(name, help string, window int) *Histogram {
 
 // CounterVec registers (or returns) a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return newVec[Counter](r.register(name, help, kindCounter, 0, labels))
+	return newVec[Counter](r, r.register(name, help, kindCounter, 0, labels))
 }
 
 // GaugeVec registers (or returns) a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return newVec[Gauge](r.register(name, help, kindGauge, 0, labels))
+	return newVec[Gauge](r, r.register(name, help, kindGauge, 0, labels))
 }
 
 // HistogramVec registers (or returns) a labeled family of windowed
@@ -312,7 +339,7 @@ func (r *Registry) HistogramVec(name, help string, window int, labels ...string)
 	if window <= 0 {
 		window = DefaultHistogramWindow
 	}
-	return newVec[Histogram](r.register(name, help, kindSummary, window, labels))
+	return newVec[Histogram](r, r.register(name, help, kindSummary, window, labels))
 }
 
 // snapshot walks families in registration order, handing each to visit with

@@ -267,6 +267,9 @@ func TestNilInstrumentsAreInert(t *testing.T) {
 		r.GaugeVec("x", "", "l") != nil || r.HistogramVec("x", "", 0, "l") != nil {
 		t.Fatal("nil registry handed out live instruments")
 	}
+	if r.Scope("UA") != nil || b.Scope("UA") != nil {
+		t.Fatal("a nil registry or bus has a live scope")
+	}
 	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil instrument recorded a value")
 	}
@@ -282,8 +285,8 @@ func TestDisabledPathNoAllocs(t *testing.T) {
 		h *Histogram
 	)
 	vec := (*Registry)(nil).CounterVec("x", "", "kind")
-	child := vec.With("drop")                                                 // nil
-	hchild := (*Registry)(nil).HistogramVec("y", "", 0, "country").With("UA") // nil
+	child := vec.With("drop")                                              // nil
+	hchild := (*Registry)(nil).Scope("UA").HistogramVec("y", "", 0).With() // nil
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(64)

@@ -298,11 +298,11 @@ func TestMetricsMatchStats(t *testing.T) {
 		labels map[string]string
 		want   uint64
 	}{
-		{"scanner_probes_sent_total", nil, stats.Sent},
-		{"scanner_replies_total", map[string]string{"result": "valid"}, stats.Valid},
-		{"scanner_replies_total", map[string]string{"result": "duplicate"}, stats.Duplicates},
-		{"scanner_send_errors_total", nil, stats.SendErrors},
-		{"scanner_retries_total", nil, stats.Retries},
+		{"scanner_probes_sent_total", map[string]string{"country": country}, stats.Sent},
+		{"scanner_replies_total", map[string]string{"country": country, "result": "valid"}, stats.Valid},
+		{"scanner_replies_total", map[string]string{"country": country, "result": "duplicate"}, stats.Duplicates},
+		{"scanner_send_errors_total", map[string]string{"country": country}, stats.SendErrors},
+		{"scanner_retries_total", map[string]string{"country": country}, stats.Retries},
 		{"monitor_rounds_total", map[string]string{"country": country, "outcome": "scanned"}, rounds},
 		{"monitor_last_round", map[string]string{"country": country}, rounds - 1},
 	}

@@ -93,9 +93,9 @@ func (m *Monitor) emitDetection(entity string, d *Detection) {
 }
 
 // monMetrics are the Monitor's own instruments (the scanner's live inside
-// scanner.Metrics). Each carries the monitored country, so the Monitors of a
-// coordinated campaign keep apart on one registry. All fields are nil —
-// inert — without a registry.
+// scanner.Metrics), registered through the monitored country's scope, so
+// the Monitors of a coordinated campaign keep apart on one registry. All
+// fields are nil — inert — without a registry.
 type monMetrics struct {
 	roundsScanned  *obs.Counter   // monitor_rounds_total{country,outcome=scanned}
 	roundsSalvaged *obs.Counter   // monitor_rounds_total{country,outcome=salvaged}
@@ -108,25 +108,19 @@ type monMetrics struct {
 	resumeRound    *obs.Gauge     // monitor_resume_round{country}
 }
 
-func newMonMetrics(reg *obs.Registry, country string) *monMetrics {
+func newMonMetrics(reg *obs.Registry) *monMetrics {
 	rounds := reg.CounterVec("monitor_rounds_total",
-		"Campaign rounds handled, by country and outcome.", "country", "outcome")
+		"Campaign rounds handled, by country and outcome.", "outcome")
 	return &monMetrics{
-		roundsScanned:  rounds.With(country, "scanned"),
-		roundsSalvaged: rounds.With(country, "salvaged"),
-		roundsMissing:  rounds.With(country, "missing"),
-		roundDur: reg.HistogramVec("monitor_round_duration_seconds",
-			"Scan-round duration in campaign time.", 0, "country").With(country),
-		coverage: reg.HistogramVec("monitor_round_coverage",
-			"Fraction of targets probed per round.", 0, "country").With(country),
-		ckptTotal: reg.CounterVec("monitor_checkpoint_total",
-			"Checkpoint files written, by country.", "country").With(country),
-		ckptDur: reg.HistogramVec("monitor_checkpoint_seconds",
-			"Checkpoint write latency (wall clock).", 0, "country").With(country),
-		lastRound: reg.GaugeVec("monitor_last_round",
-			"Most recently handled round index, by country.", "country").With(country),
-		resumeRound: reg.GaugeVec("monitor_resume_round",
-			"Round the campaign resumed from (0 for fresh campaigns), by country.", "country").With(country),
+		roundsScanned:  rounds.With("scanned"),
+		roundsSalvaged: rounds.With("salvaged"),
+		roundsMissing:  rounds.With("missing"),
+		roundDur:       reg.Histogram("monitor_round_duration_seconds", "Scan-round duration in campaign time.", 0),
+		coverage:       reg.Histogram("monitor_round_coverage", "Fraction of targets probed per round.", 0),
+		ckptTotal:      reg.Counter("monitor_checkpoint_total", "Checkpoint files written, by country."),
+		ckptDur:        reg.Histogram("monitor_checkpoint_seconds", "Checkpoint write latency (wall clock).", 0),
+		lastRound:      reg.Gauge("monitor_last_round", "Most recently handled round index, by country."),
+		resumeRound:    reg.Gauge("monitor_resume_round", "Round the campaign resumed from (0 for fresh campaigns), by country."),
 	}
 }
 
