@@ -174,10 +174,7 @@ func TestChaosSoak(t *testing.T) {
 
 	// The chaos was real: the sick vantage was quarantined at least once
 	// and shards were stolen mid-round.
-	rep, ok := chaos.FleetReport()
-	if !ok {
-		t.Fatal("fleet campaign has no fleet report")
-	}
+	rep := chaos.FleetReport()
 	if len(rep.Quarantined) == 0 {
 		t.Error("no vantage was ever quarantined by the scripted faults")
 	}

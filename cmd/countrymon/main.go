@@ -21,13 +21,14 @@
 // cross-checked against the fast generator ("0 mismatches"). -checkpoint,
 // -resume and -roundlog make the campaign durable (Ctrl-C stops at the next
 // round boundary after a final checkpoint), -vantages N runs the rounds over
-// a supervised fleet (internal/fleet: breakers, shard failover, k-of-n
-// -quorum corroboration), and -faults injects transport faults
+// a supervised fleet of N vantages (internal/fleet: breakers, shard failover,
+// k-of-n -quorum corroboration; without the flag, a fleet of one), and
+// -faults injects transport faults
 // (internal/faults; window offsets count from the scenario's start): one
 // profile applies to every vantage, a semicolon-separated list scripts one
 // per vantage in vantage order (an empty segment is a clean vantage). The
-// vantages, solo or fleet, are built by internal/campaign exactly as a
-// coordinated campaign's are.
+// vantages are built by internal/campaign exactly as a coordinated
+// campaign's are.
 //
 // With -countries (synthetic per-country models, equal budget shares) or
 // -config (a full campaign.Spec document) the command instead runs a
@@ -42,13 +43,13 @@
 //
 // Exit codes:
 //
-//	0   success — every campaign round at full coverage, fleet (if any) healthy
+//	0   success — every campaign round at full coverage, fleet healthy
 //	1   a campaign round ended below -min-coverage, or a hard failure
 //	2   bad flags
 //	3   -resume or -load named a file of a different campaign
 //	    (countrymon.ResumeMismatchError)
-//	4   campaign completed degraded: a vantage was quarantined, a round ran
-//	    below -quorum, or the fleet itself went dark for a round
+//	4   campaign completed degraded: a vantage was quarantined or a round ran
+//	    below -quorum (a round the whole fleet was dark for is missing: 1)
 //	130 interrupted by signal
 package main
 
@@ -133,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	metricsAddr := fs.String("metrics", "", "serve /metrics and /events on this address (e.g. :9090)")
 	var pr roundsFlags
 	fs.IntVar(&pr.n, "packet-rounds", 0, "first run an N-round packet-level campaign through the Monitor and cross-check it")
-	fs.IntVar(&pr.vantages, "vantages", 0, "run the packet-level campaign over a supervised fleet of N vantages")
+	fs.IntVar(&pr.vantages, "vantages", 0, "run the packet-level campaign over a supervised fleet of N vantages (0 = one)")
 	fs.IntVar(&pr.quorum, "quorum", 0, "k of the fleet's k-of-n outage corroboration (0 = min(2, vantages))")
 	fs.StringVar(&pr.faults, "faults", "", "campaign fault-injection profile for every vantage, e.g. \"seed=7,senderr=0.01,blackout=24h+8h\", or one per vantage, semicolon-separated in vantage order (an empty segment is a clean vantage)")
 	fs.StringVar(&pr.checkpoint, "checkpoint", "", "campaign checkpoint file (atomic, written periodically)")

@@ -160,10 +160,11 @@ func TestFleetSelfOutage(t *testing.T) {
 }
 
 // TestSoloBlackoutFailsCoverage: with one vantage there is nobody to steal
-// the blacked-out rounds, and a round below -min-coverage is exit 1.
+// the blacked-out rounds, so each is a self-outage of the fleet of one,
+// recorded missing, and a round below -min-coverage is exit 1.
 func TestSoloBlackoutFailsCoverage(t *testing.T) {
 	code, _, stderr := cm(with(small, "-packet-rounds", "6", "-faults", "seed=7,blackout=40h+30h")...)
-	if code != 1 || !strings.Contains(stderr, "round   5: sent 0 valid 0  [partial: 0.0% coverage]\n") ||
+	if code != 1 || !strings.Contains(stderr, "round   5: sent 0 valid 0  [fleet self-outage: recorded missing]\n") ||
 		!strings.Contains(stderr, "countrymon: 2 of 6 rounds ended below the 80% coverage threshold") {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}

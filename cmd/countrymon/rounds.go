@@ -28,8 +28,8 @@ type roundsFlags struct {
 
 // runRounds is the single-country campaign behind -packet-rounds: a
 // countrymon.Monitor scans the first f.n rounds of the scenario's timeline
-// over the simulated wire — one scanner, or with -vantages a supervised
-// fleet, both built by internal/campaign like a coordinated country's —
+// over the simulated wire — a supervised fleet of -vantages vantages (one
+// when 0), built by internal/campaign like a coordinated country's —
 // against the Kherson Table-5 ASes, with optional per-vantage fault injection,
 // checkpointing, resume and the round journal, and the Monitor's store is
 // cross-checked against the fast generator's. SIGINT/SIGTERM stop the
@@ -39,7 +39,8 @@ type roundsFlags struct {
 func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, seed uint64, minCov float64) int {
 	start, interval := sc.TL.Start(), sc.TL.Interval()
 	rounds := min(f.n, sc.TL.NumRounds())
-	profs, err := vantageProfiles(max(f.vantages, 1), f.faults, start)
+	vantages := max(f.vantages, 1)
+	profs, err := vantageProfiles(vantages, f.faults, start)
 	if err != nil {
 		e.log.Print(err)
 		return 2
@@ -57,7 +58,7 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 	)
 	// wrap puts vantage vn's view of the simulated network behind the
 	// vantage's fault profile when it has one. campaign names vantage i
-	// "v<i>", solo and fleet alike.
+	// "v<i>".
 	wrap := func(country, vn string, t scanner.Transport) scanner.Transport {
 		vi, _ := strconv.Atoi(strings.TrimPrefix(vn, "v"))
 		if profs[vi] == nil {
@@ -79,7 +80,10 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 	if bus == nil {
 		bus = obs.NewBus(0)
 	}
+	// Every vantage builds a fresh network per scan, anchored at the round's
+	// scheduled time; the monitor's own clock only walks the timeline.
 	opts := countrymon.Options{
+		Clock:   scanner.NewVirtualClock(start),
 		Targets: prefixes,
 		Start:   start, Rounds: rounds, Interval: interval,
 		Rate: scanner.DefaultRate * 10, Seed: seed, Country: sc.Country,
@@ -87,24 +91,16 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 		MinCoverage: minCov,
 		Registry:    e.reg, Bus: bus,
 	}
+	sup, err := campaign.NewFleet(vantages, f.quorum, opts.Rate, seed, e.reg, e.bus)
+	if err == nil {
+		opts.Fleet, err = campaign.JoinCountry(sup, sc.Country, sc, prefixes, 1, seed, wrap)
+	}
+	if err != nil {
+		return e.fail("%v", err)
+	}
 	fleetNote := ""
 	if f.vantages > 0 {
-		// Every vantage builds a fresh network per scan, anchored at the
-		// round's scheduled time; the monitor's own clock only walks the
-		// timeline.
 		fleetNote = fmt.Sprintf(", fleet of %d vantages", f.vantages)
-		opts.Clock = scanner.NewVirtualClock(start)
-		sup, err := campaign.NewFleet(f.vantages, f.quorum, opts.Rate, seed, e.reg, e.bus)
-		if err == nil {
-			opts.Fleet, err = campaign.JoinCountry(sup, sc.Country, sc, prefixes, 1, seed, wrap)
-		}
-		if err != nil {
-			return e.fail("%v", err)
-		}
-	} else {
-		// One vantage scans the whole campaign over one network (the
-		// factory returns no error).
-		opts.Transport, opts.Clock, _ = campaign.VantageTransport(sc.Country, "v0", sc, wrap)(0, start)
 	}
 	mon, err := countrymon.New(opts)
 	if err != nil {
@@ -168,7 +164,7 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 		e.log.Printf("injected faults: %d send errors, %d drops, %d recv errors, %d truncated, %d silenced reads",
 			c.SendErrors, c.Drops, c.RecvErrors, c.Truncated, c.Blackouts)
 	}
-	rep, inFleet := mon.FleetReport()
+	rep := mon.FleetReport()
 	if rep.Suspects > 0 {
 		e.log.Printf("fleet fusion: %d suspect blocks (%d alive, %d down, %d held), %d steals",
 			rep.Suspects, rep.FusedAlive, rep.FusedDown, rep.FusedHeld, rep.Steals)
@@ -202,7 +198,7 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 		e.log.Printf("countrymon: %d of %d rounds ended below the %.0f%% coverage threshold (gated from signals)",
 			low, rounds, 100*minCov)
 		return 1
-	case inFleet && rep.Degraded():
+	case rep.Degraded():
 		e.log.Printf("countrymon: campaign completed degraded: quarantined=%v degraded_rounds=%d self_outages=%d",
 			rep.Quarantined, rep.DegradedRounds, rep.SelfOutages)
 		return 4
@@ -215,7 +211,6 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 // reason.
 var missingNote = map[string]string{
 	"vantage":           "  [scenario vantage outage: recorded missing]",
-	"recv_dead":         "  [receive path dead: recorded missing]",
 	"fleet_self_outage": "  [fleet self-outage: recorded missing]",
 }
 

@@ -128,7 +128,8 @@ func ParseAddr(s string) (Addr, error) { return netmodel.ParseAddr(s) }
 type Options struct {
 	// Transport carries probes; Clock drives pacing (defaults to the wall
 	// clock). When Transport implements Clock (the simulated network
-	// does), it is used as the clock automatically.
+	// does), it is used as the clock automatically. New lends Transport,
+	// never closing it, to a fleet of one vantage (see Fleet).
 	Transport Transport
 	Clock     Clock
 
@@ -150,7 +151,8 @@ type Options struct {
 	Seed uint64
 
 	// Fleet runs every round over a campaign joined to a supervised
-	// multi-vantage fleet (fleet.NewShared, then Join): each vantage scans
+	// multi-vantage fleet (fleet.NewShared, then Join), in place of the
+	// one-vantage fleet New builds over Transport: each vantage scans
 	// its share of the round over its own transports, circuit breakers
 	// quarantine flapping vantages, failed shards fail over to healthy
 	// vantages within the round, and suspect block transitions need k-of-n
@@ -225,7 +227,6 @@ type Options struct {
 type Monitor struct {
 	opts    Options
 	tl      *timeline.Timeline
-	targets *scanner.TargetSet
 	store   *dataset.Store
 	origins map[BlockID]ASN
 	round   int
@@ -233,19 +234,15 @@ type Monitor struct {
 	// sinceCkpt counts rounds handled since the last checkpoint write.
 	sinceCkpt int
 
-	// camp is the fleet campaign the monitor scans through (Options.Fleet;
-	// nil outside fleet mode).
+	// camp is the fleet campaign the monitor scans through: Options.Fleet,
+	// or a one-vantage campaign over Options.Transport.
 	camp *fleet.Campaign
-	// rd is the solo scan's RoundData, refilled every round: the store
-	// copies a round's values out, and nothing else keeps it.
-	rd scanner.RoundData
 
-	// Observability: bus receives events, metrics/scanM/sigM are the
-	// per-subsystem instruments (never nil; inert without a Registry),
-	// campaign accumulates Stats across scanned rounds.
+	// Observability: bus receives events, metrics/sigM are the per-subsystem
+	// instruments (never nil; inert without a Registry; the scans' are
+	// camp's), campaign accumulates Stats across scanned rounds.
 	bus      *obs.Bus
 	metrics  *monMetrics
-	scanM    *scanner.Metrics
 	sigM     *signals.Metrics
 	campaign Stats
 
@@ -298,18 +295,19 @@ func New(opts Options) (*Monitor, error) {
 	m := &Monitor{
 		opts:    opts,
 		tl:      tl,
-		targets: targets,
 		store:   dataset.NewStore(tl, targets.Blocks()),
 		origins: make(map[BlockID]ASN),
 	}
 	reg := opts.Registry.Scope(m.Country())
-	m.bus, m.scanM, m.sigM = opts.Bus.Scope(m.Country()), scanner.NewMetrics(reg), signals.NewMetrics(reg)
+	m.bus, m.sigM = opts.Bus.Scope(m.Country()), signals.NewMetrics(reg)
 	m.metrics = newMonMetrics(reg)
-	if opts.Fleet != nil {
-		if err := checkFleetTargets(opts.Fleet, targets.Blocks()); err != nil {
-			return nil, err
-		}
-		m.camp = opts.Fleet
+	if m.camp = opts.Fleet; m.camp != nil {
+		err = checkFleetTargets(m.camp, targets.Blocks())
+	} else {
+		m.camp, err = soloCampaign(opts, targets, m.Country())
+	}
+	if err != nil {
+		return nil, err
 	}
 	if opts.ResumeFrom != "" {
 		if err := m.resume(opts.ResumeFrom); err != nil {
@@ -337,6 +335,25 @@ func New(opts Options) (*Monitor, error) {
 		m.origins[b] = asn
 	}
 	return m, nil
+}
+
+// lent is a caller's transport as a fleet borrows it: its batched view (the
+// transport itself when it batches natively, so a scan keeps its WriteBatch
+// path), without the Close a fleet calls after each scan.
+type lent struct{ scanner.BatchTransport }
+
+// soloCampaign joins targets to a fleet of one vantage that scans every
+// round over opts.Transport, lent, at opts.Rate and opts.Seed, reporting
+// through country's scope of opts.Registry and opts.Bus. The vantage is
+// named after the country, so solo Monitors sharing a registry keep their
+// unscoped fleet_vantage_health series apart. NewShared refuses only a
+// vantage without a factory or a name taken twice, so its error is dropped.
+func soloCampaign(opts Options, targets *scanner.TargetSet, country string) (*fleet.Campaign, error) {
+	var tr Transport = lent{scanner.AsBatch(opts.Transport)}
+	sup, _ := fleet.NewShared([]fleet.Spec{{Name: country, Transport: func(int, time.Time) (Transport, Clock, error) {
+		return tr, opts.Clock, nil
+	}}}, fleet.Config{Scan: scanner.Config{Rate: opts.Rate, Seed: opts.Seed}, Registry: opts.Registry, Bus: opts.Bus})
+	return sup.Join(fleet.CampaignConfig{Name: country, Targets: targets})
 }
 
 // checkFleetTargets returns an error naming the first difference between
@@ -473,21 +490,15 @@ func (m *Monitor) MarkMissing() error {
 // nothing of it was measured — and finishes it.
 func (m *Monitor) recordMissing(reason string) error {
 	round := m.round
-	m.storeMissing(round, 0)
+	m.store.SetCoverage(round, 0)
+	m.store.SetMissing(round)
+	m.metrics.roundsMissing.Inc()
 	m.metrics.coverage.Observe(0)
 	m.metrics.lastRound.Set(int64(round))
 	m.bus.Emit("round_missing", func() map[string]any {
 		return map[string]any{"round": round, "reason": reason}
 	})
 	return m.finishRound(round)
-}
-
-// storeMissing writes round into the store as missing — no usable data — at
-// the coverage its probes achieved, and counts it.
-func (m *Monitor) storeMissing(round int, coverage float64) {
-	m.store.SetCoverage(round, coverage)
-	m.store.SetMissing(round)
-	m.metrics.roundsMissing.Inc()
 }
 
 // finishRound is the one epilogue every handled round — scanned, salvaged or
@@ -519,13 +530,14 @@ func (m *Monitor) ScanRound() (Stats, error) {
 	return m.Step(context.Background(), RunConfig{})
 }
 
-// scan probes every target once and ingests the results at the current round
-// index. A round salvaged by the scanner's error budget is recorded with its
-// achieved coverage (signals gate it via Options.MinCoverage); a round whose
-// receive path died, or on which the whole fleet was dark, is recorded as
-// missing, like a vantage outage. Only a hard scan failure — or ctx being
-// cancelled mid-round, which discards the partial round so it rescans on
-// resume — returns an error.
+// scan probes every target once through the fleet campaign and ingests the
+// results at the current round index. A round on which no vantage produced
+// usable data — every shard below the fleet's heartbeat gate, whatever the
+// cause — is recorded missing, like a vantage outage; a round of usable
+// shards and uncovered holes is salvaged at its coverage (signals gate it via
+// Options.MinCoverage). Only a hard scan failure — or ctx being cancelled
+// mid-round, which discards the partial round so it rescans on resume —
+// returns an error.
 func (m *Monitor) scan(ctx context.Context) (Stats, error) {
 	if !m.NextRound() {
 		return Stats{}, ErrCampaignComplete
@@ -540,64 +552,35 @@ func (m *Monitor) scan(ctx context.Context) (Stats, error) {
 	m.bus.Emit("round_start", func() map[string]any {
 		return map[string]any{"round": round, "at": roundAt(at)}
 	})
-	var (
-		rd  *scanner.RoundData
-		err error
-	)
-	if m.camp != nil {
-		var rep *fleet.RoundReport
-		rd, rep, err = m.camp.ScanRound(ctx, round, at, m.prevBelief())
-		if err == nil && rep.SelfOutage {
-			// The fleet, not the target, was dark: record the round missing
-			// so signal derivation treats it exactly like a vantage outage
-			// and no block series carries fabricated zeros.
-			return Stats{}, m.recordMissing("fleet_self_outage")
-		}
-	} else {
-		rd, err = scanner.New(m.opts.Transport, scanner.Config{
-			Rate:    m.opts.Rate,
-			Seed:    m.opts.Seed,
-			Epoch:   uint32(m.round + 1),
-			Clock:   m.opts.Clock,
-			Metrics: m.scanM,
-			Events:  m.bus,
-		}).RunInto(ctx, m.targets, &m.rd)
-	}
+	rd, rep, err := m.camp.ScanRound(ctx, round, at, m.prevBelief())
 	if err != nil {
 		return Stats{}, err
 	}
-	outcome := "round_scanned"
-	if rd.RecvDead {
-		// Probes may have gone out, but with the receive path dead the
-		// response counts are not trustworthy measurements. Record the
-		// achieved send coverage (consistently with salvaged rounds) with
-		// the round marked missing.
-		m.storeMissing(round, rd.Coverage())
-		outcome = "round_missing"
-	} else {
-		m.store.AddRoundData(m.round, rd)
-		if rd.Partial {
-			m.store.SetCoverage(m.round, rd.Coverage())
-			m.metrics.roundsSalvaged.Inc()
-			outcome = "round_salvaged"
-		} else {
-			m.metrics.roundsScanned.Inc()
-		}
-		m.store.SetDone(m.round)
+	if rep.SelfOutage {
+		// The vantages, not the target, were dark: record the round missing
+		// so signal derivation treats it exactly like a vantage outage and
+		// no block series carries fabricated zeros.
+		return Stats{}, m.recordMissing("fleet_self_outage")
 	}
+	outcome := "round_scanned"
+	m.store.AddRoundData(round, rd)
+	if rd.Partial {
+		m.store.SetCoverage(round, rd.Coverage())
+		m.metrics.roundsSalvaged.Inc()
+		outcome = "round_salvaged"
+	} else {
+		m.metrics.roundsScanned.Inc()
+	}
+	m.store.SetDone(round)
 	m.campaign.Add(rd.Stats)
 	m.metrics.roundDur.Observe(rd.Stats.Elapsed.Seconds())
 	m.metrics.coverage.Observe(rd.Coverage())
-	m.metrics.lastRound.Set(int64(m.round))
+	m.metrics.lastRound.Set(int64(round))
 	m.bus.Emit(outcome, func() map[string]any {
-		f := map[string]any{
+		return map[string]any{
 			"round": round, "sent": rd.Stats.Sent, "valid": rd.Stats.Valid,
 			"coverage": rd.Coverage(),
 		}
-		if rd.RecvDead {
-			f["reason"] = "recv_dead"
-		}
-		return f
 	})
 	return rd.Stats, m.finishRound(round)
 }
@@ -648,15 +631,11 @@ func (m *Monitor) prevBelief() fleet.PrevFunc {
 	return func(bi int) (int, bool) { return m.store.Resp(bi, last), true }
 }
 
-// FleetReport returns the fleet campaign report when the monitor runs a
-// vantage fleet (Options.Fleet); ok is false otherwise. The report covers
-// this monitor's campaign only, not the others joined to its supervisor.
-func (m *Monitor) FleetReport() (FleetReport, bool) {
-	if m.camp == nil {
-		return FleetReport{}, false
-	}
-	return m.camp.Report(), true
-}
+// FleetReport returns the report of the fleet campaign the monitor scans
+// through: Options.Fleet's, or the one-vantage campaign's over
+// Options.Transport. It covers this monitor's campaign only, not the others
+// joined to its supervisor.
+func (m *Monitor) FleetReport() FleetReport { return m.camp.Report() }
 
 // Country returns the monitored country's ISO code (Options.Country,
 // defaulting to Ukraine).

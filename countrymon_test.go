@@ -132,12 +132,14 @@ func TestMonitorValidation(t *testing.T) {
 func TestFleetTargetsMustMatch(t *testing.T) {
 	start := time.Unix(0, 0).UTC()
 	// Round 1 is dark, so every block turns suspect against round 0's
-	// belief and the fleet re-probes it.
-	vantage := fleet.Spec{Name: "v0", Transport: func(_ int, at time.Time) (Transport, Clock, error) {
+	// belief and the fleet re-probes it from its second vantage too (a
+	// one-vantage fleet would not).
+	dark := func(_ int, at time.Time) (Transport, Clock, error) {
 		net := simnet.New(netmodel.MustParseAddr("198.51.100.1"),
 			outageResponder(5, start.Add(time.Hour), start.Add(2*time.Hour)), at)
 		return net, net, nil
-	}}
+	}
+	vantages := []fleet.Spec{{Name: "v0", Transport: dark}, {Name: "v1", Transport: dark}}
 	over := func(prefix string) Options {
 		return Options{
 			Clock:   scanner.NewVirtualClock(start),
@@ -154,7 +156,7 @@ func TestFleetTargetsMustMatch(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := over(tc.targets)
-			opts.Fleet = soloFleet(t, []fleet.Spec{vantage}, over(tc.fleet), 0)
+			opts.Fleet = soloFleet(t, vantages, over(tc.fleet), 0)
 			mon, err := New(opts)
 			if tc.err != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.err) {
@@ -166,7 +168,7 @@ func TestFleetTargetsMustMatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			runRounds(t, mon, -1)
-			if rep, _ := mon.FleetReport(); rep.Suspects != 2 {
+			if rep := mon.FleetReport(); rep.Suspects != 2 {
 				t.Errorf("dark round: %d suspect blocks, want 2", rep.Suspects)
 			}
 		})

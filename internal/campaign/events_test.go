@@ -162,6 +162,18 @@ func TestCampaignSeriesPerCountry(t *testing.T) {
 	}
 }
 
+// TestServeWatermarkFollowsSeals: with nobody reading, each country's
+// serve_watermark still reads the rounds its store has sealed.
+func TestServeWatermarkFollowsSeals(t *testing.T) {
+	co, reg, _ := quickObs(t, nil)
+	wm := reg.GaugeVec("serve_watermark", "", "country")
+	for _, c := range co.Countries() {
+		if got := wm.With(c.Code).Value(); got != 4 {
+			t.Errorf("serve_watermark{country=%q} = %d, want the 4 sealed rounds", c.Code, got)
+		}
+	}
+}
+
 // sharedEvents are the kinds of no one country: the state of a vantage the
 // countries share.
 var sharedEvents = map[string]bool{"breaker_transition": true, "vantage_poisoned": true}

@@ -13,8 +13,8 @@
 // shards stolen — to every other country's scan of the same round.
 //
 // NewFleet, JoinCountry and VantageTransport are that fleet assembly on its own:
-// cmd/countrymon -packet-rounds scans its one country through them, solo or
-// over -vantages, so both front doors build their vantages one way.
+// cmd/countrymon -packet-rounds scans its one country through them, over one
+// vantage or -vantages, so both front doors build their vantages one way.
 package campaign
 
 import (

@@ -22,8 +22,12 @@
 // degraded rounds of its own rounds, so two monitors sharing the supervisor
 // never double-count.
 //
-// Determinism: every scan runs over a fresh per-(vantage, round) transport
-// from the vantage's factory, results are slotted by shard index, and all
+// A fleet of one vantage has no second view: it neither re-probes suspects
+// nor opens a breaker (with nobody to take its shard, a quarantine would
+// only cost the clean rounds after its outage).
+//
+// Determinism: every scan runs over the transport the vantage's factory
+// returns for it, results are slotted by shard index, and all
 // state mutation — breaker transitions, steals, fusion, belief updates —
 // happens on the supervisor goroutine in fixed (shard, vantage) order
 // between scan waves. Fleet round output is byte-identical regardless of
@@ -47,8 +51,9 @@ import (
 // TransportFunc builds a fresh transport (and clock) for one scan in round
 // `round`, scheduled at `at`. It is called once per assigned shard and once
 // per corroboration re-probe, possibly from concurrent goroutines, so it
-// must be safe for concurrent use and must return independent transports.
-// Transports implementing io.Closer are closed when their scan finishes.
+// must be safe for concurrent use and must return independent transports —
+// except in a one-vantage fleet, whose scans run one at a time. Transports
+// implementing io.Closer are closed when their scan finishes.
 type TransportFunc func(round int, at time.Time) (scanner.Transport, scanner.Clock, error)
 
 // Spec describes one vantage.
@@ -150,7 +155,8 @@ type Campaign struct {
 	transports []TransportFunc // per vantage index; nil entry = spec default
 
 	rep      CampaignReport
-	openSeen []bool // per vantage: already listed in rep.Quarantined
+	openSeen []bool      // per vantage: already listed in rep.Quarantined
+	round    RoundReport // the last ScanRound's, which returns it
 
 	// The scans' working memory, which outlives each round: one RoundData
 	// per shard (a thief's rescan overwrites the failed scan's), one per
@@ -448,12 +454,13 @@ type PrevFunc func(blockIdx int) (resp int, ok bool)
 // The returned RoundData is the merged, fusion-corrected round; it is nil
 // only on a self-outage (rep.SelfOutage) or a hard error. Shards no vantage
 // could scan leave a coverage hole (RoundData.Partial), which the caller
-// gates like any salvaged round. The campaign owns the RoundData and
-// overwrites it in its next ScanRound, so it is valid until then: a caller
-// that keeps a round copies what it keeps. The RoundReport is the caller's.
+// gates like any salvaged round. The campaign owns the RoundData and the
+// RoundReport and overwrites both in its next ScanRound, so they are valid
+// until then: a caller that keeps a round copies what it keeps.
 func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev PrevFunc) (*scanner.RoundData, *RoundReport, error) {
 	s := c.s
-	rep := &RoundReport{Round: round}
+	rep := &c.round
+	*rep = RoundReport{Round: round}
 	n := len(s.vantages)
 	sc := c.scratch
 	sc.reset()
@@ -493,9 +500,14 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 	failScans := sc.failScans // missed heartbeats per vantage this round
 	for len(jobs) > 0 {
 		wave, outs := jobs, sc.outs[:len(jobs)] // the closure's own, so jobs stays off the heap
-		par.ForEach(len(wave), func(i int) {
-			outs[i] = c.runScan(ctx, wave[i].vi, round, at, c.targets, wave[i].shard, shards, &c.shardRD[wave[i].shard])
-		})
+		// A lone job runs here: no pool, and no closure for it.
+		if len(wave) == 1 {
+			outs[0] = c.runScan(ctx, wave[0].vi, round, at, c.targets, wave[0].shard, shards, &c.shardRD[wave[0].shard])
+		} else {
+			par.ForEach(len(wave), func(i int) {
+				outs[i] = c.runScan(ctx, wave[i].vi, round, at, c.targets, wave[i].shard, shards, &c.shardRD[wave[i].shard])
+			})
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
@@ -511,7 +523,7 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 				continue
 			}
 			failScans[j.vi]++
-			if v.br.failure(round) {
+			if n > 1 && v.br.failure(round) { // a lone vantage stays closed
 				c.transition(v, j.vi, round, Open)
 			}
 			c.bus.Emit("shard_failed", func() map[string]any {
@@ -677,7 +689,7 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 	merged *scanner.RoundData, results []*scanner.RoundData, owners []int,
 	poisoned []bool, rep *RoundReport) {
 	s := c.s
-	if prev == nil {
+	if prev == nil || len(s.vantages) == 1 { // one vantage: no second view to re-probe from
 		return
 	}
 	sc := c.scratch

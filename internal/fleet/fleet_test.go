@@ -640,12 +640,12 @@ func TestCampaignRoundAllocBudget(t *testing.T) {
 		r++
 	}
 	round() // warm-up: builds every buffer, the suspect set and its permutation
-	// Per round: the RoundReport (the caller's), and for each of the two
-	// scan waves (shards, then the re-probe) the closure handed to
-	// par.ForEach, the pool it builds and the closure of the one goroutine
-	// it starts beside the caller. Per scan, six a round: the simulated wire
-	// (simnet.New's Network).
-	const budget = 1 + 2*3 + 6
+	// Per round, for each of the two scan waves (shards, then the re-probe):
+	// the closure handed to par.ForEach, the pool it builds and the closure
+	// of the one goroutine it starts beside the caller. Per scan, six a
+	// round: the simulated wire (simnet.New's Network). The RoundReport is
+	// the campaign's.
+	const budget = 2*3 + 6
 	if allocs := testing.AllocsPerRun(20, round); allocs > budget {
 		t.Errorf("a warm corroborated round allocates %.1f objects, budget %d", allocs, budget)
 	}

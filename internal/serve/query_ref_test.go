@@ -66,7 +66,6 @@ func (s *Server) refRenderSeries(rawQuery string) ([]byte, bool, int, string) {
 	var body []byte
 	var immutable bool
 	s.store.Snapshot(func(wm int) {
-		s.watermarkG.Set(int64(wm))
 		lo, hi, pinned := 0, wm, false
 		switch {
 		case sinceRound >= 0:

@@ -36,6 +36,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"countrymon/internal/obs"
 	"countrymon/internal/signals"
 	"countrymon/internal/timeline"
 )
@@ -117,6 +118,10 @@ type Store struct {
 	// epoch increments on every mutation (Advance or Register); the HTTP
 	// layer tags mutable cached responses with it.
 	epoch atomic.Uint64
+
+	// watermarkG mirrors watermark as serve_watermark from the moment a
+	// Server observes the store (nil, and inert, before).
+	watermarkG *obs.Gauge
 }
 
 // NewStore builds an empty store over the campaign timeline.
@@ -243,6 +248,7 @@ func (s *Store) Advance(round int) error {
 	if round+1 > s.watermark {
 		s.watermark = round + 1
 	}
+	s.watermarkG.Set(int64(s.watermark))
 	s.epoch.Add(1)
 	return nil
 }

@@ -54,7 +54,6 @@ type Server struct {
 	// label resolution per request. All nil (and nil-safe) until Observe.
 	reqEvents              *obs.Counter
 	cacheHits, cacheMisses *obs.Counter
-	watermarkG             *obs.Gauge
 	liveClients            *obs.Gauge
 }
 
@@ -123,7 +122,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Observe registers the serving metrics and attaches the live event bus:
 // bus drops are mirrored into bus_dropped_events_total so slow-subscriber
-// pressure shows up in /metrics.
+// pressure shows up in /metrics, and serve_watermark follows the store's
+// watermark as rounds seal, read or not.
 func (s *Server) Observe(reg *obs.Registry, bus *obs.Bus) {
 	s.reg = reg
 	s.bus = bus
@@ -134,10 +134,13 @@ func (s *Server) Observe(reg *obs.Registry, bus *obs.Bus) {
 	s.reqEvents = req.With("events")
 	s.cacheHits = reg.Counter("serve_cache_hits_total", "Serve responses answered from the rendered-bytes cache.")
 	s.cacheMisses = reg.Counter("serve_cache_misses_total", "Serve responses that had to be rendered.")
-	s.watermarkG = reg.Gauge("serve_watermark", "Sealed rounds visible to the serve API.")
 	s.liveClients = reg.Gauge("serve_live_clients", "Currently connected /v1/events clients.")
 	bus.CountDrops(reg.Counter("bus_dropped_events_total", "Events dropped from lagging event-bus subscriber channels (the ring retains them)."))
-	s.watermarkG.Set(int64(s.store.Watermark()))
+	st := s.store
+	st.mu.Lock()
+	st.watermarkG = reg.Gauge("serve_watermark", "Sealed rounds visible to the serve API.")
+	st.watermarkG.Set(int64(st.watermark))
+	st.mu.Unlock()
 }
 
 // serveResource is the one get-or-render path: a hit re-serves the cached
@@ -224,7 +227,6 @@ func (s *Server) renderSeries(dst []byte, rawQuery string) ([]byte, bool, int, s
 	var body []byte
 	var immutable bool
 	s.store.Snapshot(func(wm int) {
-		s.watermarkG.Set(int64(wm))
 		lo, hi, pinned := 0, wm, false
 		switch {
 		case sinceRound >= 0:
@@ -391,7 +393,6 @@ func (s *Server) renderEntities(dst []byte, rawQuery string) ([]byte, bool, int,
 	typ := query.Get(rawQuery, "type")
 	b := dst
 	s.store.Snapshot(func(wm int) {
-		s.watermarkG.Set(int64(wm))
 		b = append(b, `{"watermark":`...)
 		b = strconv.AppendInt(b, int64(wm), 10)
 		b = append(b, `,"entities":[`...)

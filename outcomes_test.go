@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,23 +36,32 @@ func TestRoundOutcomes(t *testing.T) {
 			}})
 		}
 	}
-	// fleetOf scans through a one-vantage fleet whose wire, per (round,
+	// fleetOf scans through a fleet of n vantages whose wire, per (round,
 	// scan of that round), answers hosts below density(round, scan); a
-	// negative density is an unreachable vantage.
-	fleetOf := func(density func(round, scan int) int) func(*testing.T, *Options) {
+	// negative density is an unreachable vantage. A round's first n scans are
+	// its shards, in whatever order the vantages start them.
+	fleetOf := func(n int, density func(round, scan int) int) func(*testing.T, *Options) {
 		return func(t *testing.T, o *Options) {
+			var mu sync.Mutex
 			scans := map[int]int{}
-			o.Transport = nil
-			o.Clock = scanner.NewVirtualClock(o.Start)
-			o.Fleet = soloFleet(t, []fleet.Spec{{Name: "v0", Transport: func(round int, at time.Time) (Transport, Clock, error) {
+			factory := func(round int, at time.Time) (Transport, Clock, error) {
+				mu.Lock()
 				d := density(round, scans[round])
 				scans[round]++
+				mu.Unlock()
 				if d < 0 {
 					return nil, nil, errors.New("vantage unreachable")
 				}
 				net := simnet.New(netmodel.MustParseAddr("198.51.100.1"), outageResponder(uint8(d), start, start), at)
 				return net, net, nil
-			}}}, *o, 0)
+			}
+			specs := make([]fleet.Spec, n)
+			for i := range specs {
+				specs[i] = fleet.Spec{Transport: factory}
+			}
+			o.Transport = nil
+			o.Clock = scanner.NewVirtualClock(o.Start)
+			o.Fleet = soloFleet(t, specs, *o, 0)
 		}
 	}
 	full := Stats{Sent: 256, Received: 5, Valid: 5, Elapsed: 8024 * time.Millisecond}
@@ -77,19 +87,32 @@ func TestRoundOutcomes(t *testing.T) {
 			outcome: "scanned", coverage: 1, resp: 5,
 		},
 		{
-			name: "salvaged", rounds: 1, opts: faulty(faults.Blackout, 10*time.Millisecond),
-			stats:   Stats{Sent: 128, SendErrors: 26, Retries: 78, Elapsed: 8*time.Second + 367521067},
+			// A blackout late in the round leaves a hole smaller than the
+			// heartbeat gate's 20 %: the shard is usable, the round salvaged.
+			name: "salvaged", rounds: 1,
+			opts: func(t *testing.T, o *Options) {
+				o.Targets = []Prefix{netmodel.MustParsePrefix("10.0.0.0/22")}
+				faulty(faults.Blackout, 110*time.Millisecond)(t, o)
+			},
+			stats:   Stats{Sent: 896, Received: 14, Valid: 14, SendErrors: 103, Retries: 309, Elapsed: 9*time.Second + 567287128},
 			kind:    "round_salvaged",
-			fields:  map[string]any{"round": 0, "sent": uint64(128), "valid": uint64(0), "coverage": 0.5},
-			outcome: "salvaged", coverage: 0.5,
+			fields:  map[string]any{"round": 0, "sent": uint64(896), "valid": uint64(14), "coverage": 0.875},
+			outcome: "salvaged", coverage: 0.875, resp: 3,
 		},
 		{
+			// Half the round blacked out is below the heartbeat gate: no
+			// usable data, so the round is missing, not salvaged at 50 %.
+			name: "salvaged below the heartbeat gate", rounds: 1, opts: faulty(faults.Blackout, 10*time.Millisecond),
+			kind:    "round_missing",
+			fields:  map[string]any{"round": 0, "reason": "fleet_self_outage"},
+			outcome: "missing", missing: true,
+		},
+		{
+			// A dead receive path fails the heartbeat gate like a blackout.
 			name: "receive path dead", rounds: 1, opts: faulty(faults.RecvErrors, 0),
-			stats: Stats{Sent: 256, RecvErrors: 33, Elapsed: 24 * time.Millisecond},
-			kind:  "round_missing",
-			fields: map[string]any{"round": 0, "sent": uint64(256), "valid": uint64(0), "coverage": 1.0,
-				"reason": "recv_dead"},
-			outcome: "missing", missing: true, coverage: 1,
+			kind:    "round_missing",
+			fields:  map[string]any{"round": 0, "reason": "fleet_self_outage"},
+			outcome: "missing", missing: true,
 		},
 		{
 			name: "marked missing by PreRound", rounds: 2,
@@ -107,7 +130,7 @@ func TestRoundOutcomes(t *testing.T) {
 		},
 		{
 			name: "fleet self-outage", rounds: 2,
-			opts: fleetOf(func(round, _ int) int {
+			opts: fleetOf(1, func(round, _ int) int {
 				if round == 1 {
 					return -1
 				}
@@ -120,19 +143,20 @@ func TestRoundOutcomes(t *testing.T) {
 		{
 			// The fleet's previous belief is the last round with data
 			// (round 0), not the self-outage between: the block reads
-			// depressed against it, so it is re-probed, and the re-probe's
-			// count is what the store keeps.
+			// depressed against it on both shards, so it is re-probed from
+			// both vantages, and the re-probes' count is what the store
+			// keeps. (A one-vantage fleet re-probes nothing.)
 			name: "fleet scanned after a self-outage", rounds: 3,
-			opts: fleetOf(func(round, scan int) int {
+			opts: fleetOf(2, func(round, scan int) int {
 				switch {
 				case round == 1:
 					return -1
-				case round == 2 && scan == 0:
+				case round == 2 && scan < 2:
 					return 3
 				}
 				return 5
 			}),
-			stats: Stats{Sent: 256, Received: 3, Valid: 3, Elapsed: 8024 * time.Millisecond},
+			stats: Stats{Sent: 256, Received: 3, Valid: 3, Elapsed: 8008 * time.Millisecond},
 			kind:  "round_scanned",
 			fields: map[string]any{"round": 2, "sent": uint64(256), "valid": uint64(3),
 				"coverage": 1.0},
