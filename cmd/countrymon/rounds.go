@@ -58,7 +58,9 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 	)
 	// wrap puts vantage vn's view of the simulated network behind the
 	// vantage's fault profile when it has one. campaign names vantage i
-	// "v<i>".
+	// "v<i>". The fleet keeps what it returns and re-arms it per scan, so
+	// wrap runs once per kept transport and faulty holds each wrapper once,
+	// its counters summing every scan it served.
 	wrap := func(country, vn string, t scanner.Transport) scanner.Transport {
 		vi, _ := strconv.Atoi(strings.TrimPrefix(vn, "v"))
 		if profs[vi] == nil {
@@ -80,8 +82,9 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 	if bus == nil {
 		bus = obs.NewBus(0)
 	}
-	// Every vantage builds a fresh network per scan, anchored at the round's
-	// scheduled time; the monitor's own clock only walks the timeline.
+	// Every vantage scans over networks it keeps, each re-armed at the
+	// round's scheduled time; the monitor's own clock only walks the
+	// timeline.
 	opts := countrymon.Options{
 		Clock:   scanner.NewVirtualClock(start),
 		Targets: prefixes,

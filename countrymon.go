@@ -339,7 +339,10 @@ func New(opts Options) (*Monitor, error) {
 
 // lent is a caller's transport as a fleet borrows it: its batched view (the
 // transport itself when it batches natively, so a scan keeps its WriteBatch
-// path), without the Close a fleet calls after each scan.
+// path), without the Close a fleet calls after a scan over a transport it
+// does not keep, and without a Rearm: the caller's wire runs on for the
+// whole campaign, its clock never set back, so every scan borrows it as it
+// is.
 type lent struct{ scanner.BatchTransport }
 
 // soloCampaign joins targets to a fleet of one vantage that scans every
@@ -559,8 +562,10 @@ func (m *Monitor) scan(ctx context.Context) (Stats, error) {
 	if rep.SelfOutage {
 		// The vantages, not the target, were dark: record the round missing
 		// so signal derivation treats it exactly like a vantage outage and
-		// no block series carries fabricated zeros.
-		return Stats{}, m.recordMissing("fleet_self_outage")
+		// no block series carries fabricated zeros. What the failed scans
+		// sent still counts.
+		m.campaign.Add(rep.Failed)
+		return rep.Failed, m.recordMissing("fleet_self_outage")
 	}
 	outcome := "round_scanned"
 	m.store.AddRoundData(round, rd)

@@ -29,9 +29,10 @@ type Options struct {
 	// fleet campaign and Server report through the country's Scope of them.
 	Registry *obs.Registry
 	Bus      *obs.Bus
-	// WrapTransport, when non-nil, wraps every per-scan transport the
-	// coordinator builds — the chaos tests inject scripted vantage faults
-	// here, keyed by (country, vantage).
+	// WrapTransport, when non-nil, wraps every transport the coordinator
+	// builds — the chaos tests inject scripted vantage faults here, keyed by
+	// (country, vantage). A wrapped transport that re-arms is kept across
+	// scans (VantageTransport).
 	WrapTransport func(country, vantage string, t scanner.Transport) scanner.Transport
 }
 
@@ -211,10 +212,12 @@ func JoinCountry(sup *fleet.Supervisor, code string, world *sim.Scenario, target
 	return camp, nil
 }
 
-// VantageTransport builds the per-scan transport factory for one (country,
-// vantage): a fresh packet-level simnet over the country's world from the
-// scan's time on, passed through wrap (Options.WrapTransport's shape) when
-// it is non-nil. The simnet owns the scan's virtual time.
+// VantageTransport builds the transport factory for one (country, vantage):
+// a packet-level simnet over the country's world from the scan's time on,
+// passed through wrap (Options.WrapTransport's shape) when it is non-nil.
+// The simnet owns the scan's virtual time. The fleet keeps the transport and
+// re-arms it for the vantage's later scans when it can (a simnet can, and so
+// can a faults wrapper over one), so wrap runs once per kept transport.
 func VantageTransport(country, vantage string, world *sim.Scenario,
 	wrap func(country, vantage string, t scanner.Transport) scanner.Transport) fleet.TransportFunc {
 	return func(round int, at time.Time) (scanner.Transport, scanner.Clock, error) {

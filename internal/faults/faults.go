@@ -160,9 +160,11 @@ func NewTransport(inner scanner.Transport, clock scanner.Clock, prof Profile) *T
 			clock = scanner.RealClock{}
 		}
 	}
-	return &Transport{inner: inner, clock: clock, prof: prof,
-		rng: netmodel.Mix64(prof.Seed ^ 0xfa17), metrics: &Metrics{}}
+	return &Transport{inner: inner, clock: clock, prof: prof, rng: firstRNG(prof), metrics: &Metrics{}}
 }
+
+// firstRNG is the RNG state a wrapper of prof starts every scan at.
+func firstRNG(prof Profile) uint64 { return netmodel.Mix64(prof.Seed ^ 0xfa17) }
 
 // Close implements io.Closer by delegation (a no-op when the inner transport
 // has nothing to close), so a wrapped transport is released like its inner
@@ -172,6 +174,21 @@ func (t *Transport) Close() error {
 		return c.Close()
 	}
 	return nil
+}
+
+// Rearm implements scanner.Rearmer: it re-arms the inner transport and then
+// restarts the RNG at the profile's seed and forgets the window memo, so the
+// next scan draws what a fresh wrapper's would. The Counters and metrics keep
+// counting. It reports false, changing nothing of its own, when the inner
+// transport cannot re-arm.
+func (t *Transport) Rearm(at time.Time) bool {
+	if r, ok := t.inner.(scanner.Rearmer); !ok || !r.Rearm(at) {
+		return false
+	}
+	t.mu.Lock()
+	t.rng, t.verdict = firstRNG(t.prof), windowVerdict{}
+	t.mu.Unlock()
+	return true
 }
 
 // Counters returns a snapshot of the injected-fault tallies.

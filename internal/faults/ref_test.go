@@ -425,3 +425,74 @@ func benchWriteBatch(b *testing.B, wrapped bool) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
 }
+
+// rearmable is a recording inner transport that re-arms like the simulated
+// wire: its attempts and echoes are forgotten (its failure schedule starts
+// over) and its clock moves to the re-arm instant.
+type rearmable struct {
+	*recInner
+	clock *testClock
+}
+
+func (r rearmable) Rearm(at time.Time) bool {
+	*r.recInner = recInner{fail: r.fail}
+	r.clock.now = at
+	return true
+}
+
+// TestRearmMatchesNew: a wrapper re-armed after a scan of its own — its RNG
+// drawn on, its window memo set, its inner transport written to — sends,
+// drops, truncates and fails exactly as a fresh wrapper of the same profile
+// does, the rewind after a short inner write included, while its counters go
+// on from where the first scan left them. A wrapper whose inner transport
+// cannot re-arm refuses, and keeps its RNG where it was.
+func TestRearmMatchesNew(t *testing.T) {
+	start := windowBase.Add(90 * time.Minute)
+	fail := map[int]error{0: errInnerTransient, 5: errInnerHard, 70: errInnerTransient}
+	for name, noise := range noiseProfiles {
+		prof := noise
+		prof.Windows = []Window{{From: windowBase.Add(time.Hour), To: windowBase.Add(2 * time.Hour), Kind: Flap, Period: 7 * time.Minute}}
+		kept := &world{clock: &testClock{now: windowBase}, inner: &recInner{fail: fail}, m: NewMetrics(obs.NewRegistry())}
+		kept.tr = NewTransport(rearmable{kept.inner, kept.clock}, kept.clock, prof)
+		kept.tr.Observe(kept.m)
+		kept.bt = kept.tr
+		kept.submit(testPackets(65), time.Millisecond) // the first scan
+		kept.submit(testPackets(64), time.Millisecond)
+		first := kept.tr.Counters()
+		if !kept.tr.Rearm(start) {
+			t.Fatalf("%s: the wrapper did not re-arm", name)
+		}
+		kept.log = nil
+
+		fresh := newWorld(prof, start, fail, false)
+		for i, n := range []int{1, 2, 64, 65, 64} {
+			pkts := testPackets(n)
+			kept.submit(pkts, time.Millisecond)
+			fresh.submit(pkts, time.Millisecond)
+			desc := fmt.Sprintf("%s, submission %d (%d packets)", name, i, n)
+			if !reflect.DeepEqual(kept.log, fresh.log) || !reflect.DeepEqual(kept.inner.log, fresh.inner.log) {
+				t.Fatalf("%s: re-armed\n%q\n%q\nfresh\n%q\n%q", desc, kept.log, kept.inner.log, fresh.log, fresh.inner.log)
+			}
+			if kept.tr.rng != fresh.tr.rng || !kept.clock.now.Equal(fresh.clock.now) {
+				t.Fatalf("%s: RNG %#x at %v, fresh %#x at %v", desc, kept.tr.rng, kept.clock.now, fresh.tr.rng, fresh.clock.now)
+			}
+			got, want := kept.tr.Counters(), fresh.tr.Counters()
+			want.SendErrors += first.SendErrors
+			want.Drops += first.Drops
+			want.RecvErrors += first.RecvErrors
+			want.Truncated += first.Truncated
+			want.Blackouts += first.Blackouts
+			if got != want || kept.m.SendErrors.Value() != got.SendErrors || kept.m.Drops.Value() != got.Drops {
+				t.Fatalf("%s: counters %+v (metrics %d send errors, %d drops), want the first scan's plus the fresh wrapper's %+v",
+					desc, got, kept.m.SendErrors.Value(), kept.m.Drops.Value(), want)
+			}
+		}
+	}
+
+	tr := NewTransport(&recInner{}, &testClock{now: windowBase}, noiseProfiles["all three"])
+	tr.WriteBatch(testPackets(8))
+	rng := tr.rng
+	if tr.Rearm(start) || tr.rng != rng {
+		t.Errorf("a wrapper over a transport that cannot re-arm: re-armed, or moved its RNG %#x to %#x", rng, tr.rng)
+	}
+}

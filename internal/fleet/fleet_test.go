@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -642,10 +643,10 @@ func TestCampaignRoundAllocBudget(t *testing.T) {
 	round() // warm-up: builds every buffer, the suspect set and its permutation
 	// Per round, for each of the two scan waves (shards, then the re-probe):
 	// the closure handed to par.ForEach, the pool it builds and the closure
-	// of the one goroutine it starts beside the caller. Per scan, six a
-	// round: the simulated wire (simnet.New's Network). The RoundReport is
-	// the campaign's.
-	const budget = 2*3 + 6
+	// of the one goroutine it starts beside the caller. Nothing per scan:
+	// each runs over its slot's kept wire, re-armed. The RoundReport is the
+	// campaign's.
+	const budget = 2 * 3
 	if allocs := testing.AllocsPerRun(20, round); allocs > budget {
 		t.Errorf("a warm corroborated round allocates %.1f objects, budget %d", allocs, budget)
 	}
@@ -720,5 +721,71 @@ func TestJoinScopesCampaign(t *testing.T) {
 				t.Errorf("caller metrics %v: no %q in\n%s", callerMetrics, want, text)
 			}
 		}
+	}
+}
+
+// slotWire is a simulated wire that logs, per scan time, which wire each
+// scan re-armed: a fleet re-arms a transport before every scan over it, the
+// first included.
+type slotWire struct {
+	*simnet.Network
+	id  int
+	log func(at time.Time, id int)
+}
+
+func (w *slotWire) Rearm(at time.Time) bool {
+	w.log(at, w.id)
+	return w.Network.Rearm(at)
+}
+
+// TestKeptTransportPerSlot opens v0's and v1's breakers, so that v2 scans all
+// three shards of a round in one wave, concurrently. Each of those scans runs
+// over a wire of its own, and v2's factory builds one wire per slot for the
+// whole campaign: every later scan re-arms one. Every round still reads the
+// truth.
+func TestKeptTransportPerSlot(t *testing.T) {
+	t.Setenv(par.EnvWorkers, "3")
+	var (
+		mu    sync.Mutex
+		built int
+		uses  = map[time.Time][]int{} // scan time → the wires scans re-armed at it
+	)
+	log := func(at time.Time, id int) {
+		mu.Lock()
+		uses[at] = append(uses[at], id)
+		mu.Unlock()
+	}
+	v2 := Spec{Name: "v2", Transport: func(round int, at time.Time) (scanner.Transport, scanner.Clock, error) {
+		mu.Lock()
+		w := &slotWire{Network: simnet.New(netmodel.MustParseAddr("203.0.113.1"), aliveResponder(), at), id: built, log: log}
+		built++
+		mu.Unlock()
+		return w, w, nil
+	}}
+	_, c, err := newSolo([]Spec{errSpec("v0"), errSpec("v1"), v2}, baseConfig(), testTargets(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := 0 // rounds whose one wave was v2's three shards
+	for r := 0; r < 8; r++ {
+		rd, rep, err := c.ScanRound(context.Background(), r, roundAt(r), truthPrev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertTruth(t, rd, r)
+		if rep.Healthy != 1 || rep.Eligible != 1 || rep.Steals != 0 {
+			continue
+		}
+		alone++
+		ids := uses[roundAt(r)]
+		if len(ids) != 3 || ids[0] == ids[1] || ids[0] == ids[2] || ids[1] == ids[2] {
+			t.Errorf("round %d: v2's three shards ran over wires %v, want three distinct", r, ids)
+		}
+	}
+	if alone == 0 {
+		t.Fatal("v2 never scanned a round alone: the test shows nothing")
+	}
+	if built != 3 {
+		t.Errorf("v2's factory built %d wires, want one per slot: 3", built)
 	}
 }

@@ -42,6 +42,14 @@ type Transport interface {
 	LocalAddr() netmodel.Addr
 }
 
+// Rearmer is a Transport that can serve scan after scan: Rearm puts it back
+// in the state it was built in, its clock at `at`, and reports whether it
+// could. A fleet keeps a transport that re-arms for the next scan of its
+// vantage, and builds one per scan otherwise.
+type Rearmer interface {
+	Rearm(at time.Time) bool
+}
+
 // Config controls one scan round.
 type Config struct {
 	Rate     int           // packets/second; 0 = DefaultRate (8000), negative = unlimited

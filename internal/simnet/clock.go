@@ -19,7 +19,7 @@ type vclock struct {
 	now   time.Time // start.Add(off)
 }
 
-func (c *vclock) init(start time.Time) { c.start, c.now = start, start }
+func (c *vclock) init(start time.Time) { c.start, c.off, c.now = start, 0, start }
 
 // Now implements scanner.Clock (virtual time).
 func (c *vclock) Now() time.Time {

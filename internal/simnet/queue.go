@@ -53,6 +53,9 @@ type replyQueue[R any] struct {
 
 func (q *replyQueue[R]) len() int { return int(q.n) }
 
+// reset empties the queue, keeping its slab for the replies to come.
+func (q *replyQueue[R]) reset() { *q = replyQueue[R]{slab: q.slab[:0]} }
+
 // push enqueues r for delivery at `at`, in nanoseconds since the wire's
 // start, and returns the slot it sits in until it is popped.
 func (q *replyQueue[R]) push(r R, at int64) int32 {

@@ -320,8 +320,9 @@ func TestStalledWireBytes(t *testing.T) {
 	}
 }
 
-// TestSmallWireAllocs: a scan that never has 64 replies in flight — nearly
-// every per-scan wire of a fleet round — costs the Network and one slab.
+// TestSmallWireAllocs: a scan that never has 64 replies in flight costs a
+// fresh wire the Network and one slab, and a re-armed wire nothing: its next
+// scan runs on the slab the last one grew.
 func TestSmallWireAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("append allocates under -race")
@@ -334,8 +335,7 @@ func TestSmallWireAllocs(t *testing.T) {
 	}
 	ats := make([]time.Time, len(slots))
 	resp := echoAll(10 * time.Millisecond)
-	allocs := testing.AllocsPerRun(50, func() {
-		n := New(src, resp, time.Unix(0, 0))
+	scan := func(n *Network) {
 		if sent, err := n.WriteBatch(probes); sent != len(probes) || err != nil {
 			t.Fatalf("WriteBatch = %d, %v", sent, err)
 		}
@@ -346,8 +346,16 @@ func TestSmallWireAllocs(t *testing.T) {
 			}
 			got += k
 		}
+	}
+	fresh := testing.AllocsPerRun(50, func() { scan(New(src, resp, time.Unix(0, 0))) })
+	kept := New(src, resp, time.Unix(0, 0))
+	rearmed := testing.AllocsPerRun(50, func() {
+		if !kept.Rearm(time.Unix(0, 0)) {
+			t.Fatal("the wire did not re-arm")
+		}
+		scan(kept)
 	})
-	if allocs > 2 {
-		t.Errorf("a fresh wire with %d replies in flight: %.1f allocs, want at most 2", len(probes), allocs)
+	if fresh > 2 || rearmed > 0 {
+		t.Errorf("a wire with %d replies in flight: %.1f allocs fresh, %.1f re-armed; want at most 2 and 0", len(probes), fresh, rearmed)
 	}
 }

@@ -327,11 +327,18 @@ type diffWire interface {
 // many writes were refused.
 func runDiffScript(t *testing.T, script []byte) (n *Network, refused int) {
 	t.Helper()
+	return runDiffScriptOn(t, script, New)
+}
+
+// runDiffScriptOn is runDiffScript with the Network built by wire, which
+// must hand back a network equal to New(local, resp, start).
+func runDiffScriptOn(t *testing.T, script []byte, wire func(local netmodel.Addr, resp Responder, start time.Time) *Network) (n *Network, refused int) {
+	t.Helper()
 	start := time.Date(2022, 3, 2, 22, 0, 0, 123456789, time.FixedZone("EET", 2*3600))
 	src := netmodel.MustParseAddr("198.51.100.1")
 	verdicts := map[netmodel.Addr]Reply{}
 	resp := ResponderFunc(func(dst netmodel.Addr, _ time.Time) Reply { return verdicts[dst] })
-	n = New(src, resp, start)
+	n = wire(src, resp, start)
 	var got, want diffWire = n, newRef(src, resp, start)
 	errText := func(err error) string {
 		if err == nil {
@@ -520,4 +527,36 @@ func FuzzNetworkMatchesRef(f *testing.F) {
 		f.Add(script)
 	}
 	f.Fuzz(func(t *testing.T, script []byte) { runDiffScript(t, script) })
+}
+
+// TestRearmMatchesNew: a network re-armed after a stalled scan — replies
+// left in flight, some of them probes kept whole beside their records, the
+// clock hours on and the counters running — is New's network at the re-arm
+// instant: every seed script reads the same from it as from the oracle.
+func TestRearmMatchesNew(t *testing.T) {
+	stalled := func(local netmodel.Addr, resp Responder, start time.Time) *Network {
+		n := New(local, echoAll(time.Hour), start.Add(-48*time.Hour))
+		pkts := probeBatch(200, local)
+		for i := 0; i < len(pkts); i += 3 {
+			pkts[i] = diffProbe(netmodel.MustParseAddr("10.2.0.0")+netmodel.Addr(i), local, 8*5+1) // oversize
+		}
+		if k, err := n.WriteBatch(pkts); k != len(pkts) || err != nil {
+			t.Fatalf("stalled scan: WriteBatch = %d, %v", k, err)
+		}
+		n.Sleep(90 * time.Minute)
+		if _, _, err := n.ReadPacket(0); err != nil {
+			t.Fatalf("stalled scan: ReadPacket: %v", err)
+		}
+		if n.Pending() == 0 || len(n.long) == 0 {
+			t.Fatal("the stalled scan left nothing in flight")
+		}
+		n.resp = resp
+		if !n.Rearm(start) {
+			t.Fatal("the network did not re-arm")
+		}
+		return n
+	}
+	for name, script := range diffSeeds() {
+		t.Run(name, func(t *testing.T) { runDiffScriptOn(t, script, stalled) })
+	}
 }

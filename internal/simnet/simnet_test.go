@@ -193,46 +193,8 @@ func TestWireServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCloseReleasesOnce: closing a network twice releases its slab once, so
-// the next two networks do not share it, and a network on a released slab
-// delivers its own replies.
-func TestCloseReleasesOnce(t *testing.T) {
-	for slabs.Get() != nil { // start from an empty pool
-	}
-	start := time.Unix(0, 0)
-	src := netmodel.MustParseAddr("198.51.100.1")
-	old := New(src, echoAll(10*time.Millisecond), start)
-	if err := old.WritePacket(probeFor(netmodel.MustParseAddr("91.198.4.1"), src)); err != nil {
-		t.Fatal(err)
-	}
-	for range 2 {
-		if err := old.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, b := New(src, echoAll(10*time.Millisecond), start), New(src, echoAll(10*time.Millisecond), start)
-	if a.slab == nil && b.slab == nil && !raceEnabled { // -race drops a quarter of what is put
-		t.Fatal("the closed network's slab was not released")
-	}
-	dsts := []netmodel.Addr{netmodel.MustParseAddr("91.198.4.2"), netmodel.MustParseAddr("91.198.4.3")}
-	for i, n := range []*Network{a, b} {
-		if err := n.WritePacket(probeFor(dsts[i], src)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, n := range []*Network{a, b} {
-		pkt, _, err := n.ReadPacket(time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h, _, _ := icmp.ParseIPv4(pkt); h.Src != dsts[i] {
-			t.Errorf("network %d delivered a reply from %v, want %v: it shares a slab with the other", i, h.Src, dsts[i])
-		}
-	}
-}
-
 // TestUseAfterCloseFails: every write and read of a closed network returns
-// net.ErrClosed, before and after a second Close.
+// net.ErrClosed, before and after a second Close, and it does not re-arm.
 func TestUseAfterCloseFails(t *testing.T) {
 	src := netmodel.MustParseAddr("198.51.100.1")
 	n := New(src, echoAll(10*time.Millisecond), time.Unix(0, 0))
@@ -255,6 +217,9 @@ func TestUseAfterCloseFails(t *testing.T) {
 		}
 		if k, err := n.ReadBatch(make([][]byte, 1), make([]time.Time, 1), time.Second); k != 0 || !errors.Is(err, net.ErrClosed) {
 			t.Errorf("ReadBatch after Close: %d, %v", k, err)
+		}
+		if n.Rearm(time.Unix(0, 0)) {
+			t.Error("a closed network re-armed")
 		}
 	}
 }

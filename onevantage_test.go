@@ -23,8 +23,8 @@ import (
 func oneVantage(t *testing.T, opts Options, resp simnet.Responder, blackout []faults.Window) map[string]func() (Options, func() uint64) {
 	t.Helper()
 	local := netmodel.MustParseAddr("198.51.100.1")
-	wire := func(at time.Time) (*simnet.Network, Transport) {
-		net := simnet.New(local, resp, at)
+	wire := func(at time.Time) (*tallied, Transport) {
+		net := &tallied{Network: simnet.New(local, resp, at)}
 		if blackout == nil {
 			return net, net
 		}
@@ -35,11 +35,11 @@ func oneVantage(t *testing.T, opts Options, resp simnet.Responder, blackout []fa
 			o := opts
 			net, tr := wire(o.Start)
 			o.Transport, o.Clock = tr, net
-			return o, func() uint64 { sent, _, _ := net.Counters(); return sent }
+			return o, net.sent
 		},
 		"one-vantage Fleet": func() (Options, func() uint64) {
 			o := opts
-			var nets []*simnet.Network // one scan at a time: a lone vantage has no second view to re-probe from
+			var nets []*tallied // one scan at a time: a lone vantage has no second view to re-probe from
 			o.Clock = scanner.NewVirtualClock(o.Start)
 			o.Fleet = soloFleet(t, []fleet.Spec{{Transport: func(_ int, at time.Time) (Transport, Clock, error) {
 				net, tr := wire(at)
@@ -49,13 +49,30 @@ func oneVantage(t *testing.T, opts Options, resp simnet.Responder, blackout []fa
 			return o, func() uint64 {
 				var total uint64
 				for _, net := range nets {
-					sent, _, _ := net.Counters()
-					total += sent
+					total += net.sent()
 				}
 				return total
 			}
 		},
 	}
+}
+
+// tallied is a simulated wire that counts its probes across re-arms, each of
+// which restarts the wire's own counters.
+type tallied struct {
+	*simnet.Network
+	before uint64 // probes sent before the last re-arm
+}
+
+func (w *tallied) Rearm(at time.Time) bool {
+	sent, _, _ := w.Counters()
+	w.before += sent
+	return w.Network.Rearm(at)
+}
+
+func (w *tallied) sent() uint64 {
+	sent, _, _ := w.Counters()
+	return w.before + sent
 }
 
 // TestOneVantageProbeBudget: a vantage with no second view sends one probe

@@ -36,8 +36,8 @@ func TestRoundOutcomes(t *testing.T) {
 			}})
 		}
 	}
-	// fleetOf scans through a fleet of n vantages whose wire, per (round,
-	// scan of that round), answers hosts below density(round, scan); a
+	// fleetOf scans through a fleet of n vantages whose wire, built per
+	// (round, scan of that round), answers hosts below density(round, scan); a
 	// negative density is an unreachable vantage. A round's first n scans are
 	// its shards, in whatever order the vantages start them.
 	fleetOf := func(n int, density func(round, scan int) int) func(*testing.T, *Options) {
@@ -53,7 +53,7 @@ func TestRoundOutcomes(t *testing.T) {
 					return nil, nil, errors.New("vantage unreachable")
 				}
 				net := simnet.New(netmodel.MustParseAddr("198.51.100.1"), outageResponder(uint8(d), start, start), at)
-				return net, net, nil
+				return oneScan{net}, net, nil
 			}
 			specs := make([]fleet.Spec, n)
 			for i := range specs {
@@ -79,6 +79,10 @@ func TestRoundOutcomes(t *testing.T) {
 		missing  bool
 		coverage float64
 		resp     int
+		// reprobed: scans no kept round counts put probes on the wire too
+		// (steals, re-probes), so scanner_probes_sent_total exceeds
+		// CampaignStats().Sent; else the two are equal.
+		reprobed bool
 	}{
 		{
 			name: "scanned", rounds: 1,
@@ -102,7 +106,9 @@ func TestRoundOutcomes(t *testing.T) {
 		{
 			// Half the round blacked out is below the heartbeat gate: no
 			// usable data, so the round is missing, not salvaged at 50 %.
+			// What its failed scan sent before the blackout is its Stats.
 			name: "salvaged below the heartbeat gate", rounds: 1, opts: faulty(faults.Blackout, 10*time.Millisecond),
+			stats:   Stats{Sent: 128, SendErrors: 26, Retries: 78, Elapsed: 8*time.Second + 367521067},
 			kind:    "round_missing",
 			fields:  map[string]any{"round": 0, "reason": "fleet_self_outage"},
 			outcome: "missing", missing: true,
@@ -110,6 +116,7 @@ func TestRoundOutcomes(t *testing.T) {
 		{
 			// A dead receive path fails the heartbeat gate like a blackout.
 			name: "receive path dead", rounds: 1, opts: faulty(faults.RecvErrors, 0),
+			stats:   Stats{Sent: 256, RecvErrors: 33, Elapsed: 24 * time.Millisecond},
 			kind:    "round_missing",
 			fields:  map[string]any{"round": 0, "reason": "fleet_self_outage"},
 			outcome: "missing", missing: true,
@@ -160,7 +167,7 @@ func TestRoundOutcomes(t *testing.T) {
 			kind:  "round_scanned",
 			fields: map[string]any{"round": 2, "sent": uint64(256), "valid": uint64(3),
 				"coverage": 1.0},
-			outcome: "scanned", coverage: 1, resp: 5,
+			outcome: "scanned", coverage: 1, resp: 5, reprobed: true,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -227,6 +234,11 @@ func TestRoundOutcomes(t *testing.T) {
 			if got := opts.Registry.GaugeVec("monitor_last_round", "", "country").With(mon.Country()).Value(); got != int64(last) {
 				t.Errorf("monitor_last_round{country=%s} = %d, want %d", mon.Country(), got, last)
 			}
+			wire, kept := opts.Registry.Scope(mon.Country()).Counter("scanner_probes_sent_total", "").Value(), mon.CampaignStats().Sent
+			if tc.reprobed && wire <= kept || !tc.reprobed && wire != kept {
+				t.Errorf("scanner_probes_sent_total{country=%s} = %d, CampaignStats().Sent = %d: want %s", mon.Country(), wire, kept,
+					map[bool]string{true: "more on the wire", false: "equal"}[tc.reprobed])
+			}
 
 			// The store keeps coverage in 16-bit fixed point.
 			s := mon.Store()
@@ -239,3 +251,7 @@ func TestRoundOutcomes(t *testing.T) {
 		})
 	}
 }
+
+// oneScan is a wire that does not re-arm, so a fleet asks its factory for a
+// wire per scan.
+type oneScan struct{ scanner.BatchTransport }

@@ -78,8 +78,9 @@ func (m *Monitor) checkpointBeforeReturn(cause error) error {
 }
 
 // CampaignStats returns the accumulated scan statistics of every round
-// handled so far (scanned and salvaged rounds; rounds marked missing add
-// nothing).
+// handled so far: what the scans a scanned or salvaged round kept sent and
+// received, and what a fleet self-outage's failed scans did. A round marked
+// missing before its scan adds nothing.
 func (m *Monitor) CampaignStats() Stats { return m.campaign }
 
 // emitDetection reports a detection run on the bus.
