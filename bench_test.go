@@ -20,8 +20,9 @@ import (
 // benchScanRound runs full scan rounds of a /18 (64 blocks, 16384 probes)
 // over the simulated wire and reports wall-clock probe throughput. Each
 // round is a campaign's next: the seed stays, the epoch moves on, the round
-// refills one RoundData, and its wire is closed after the scan, as the fleet
-// closes every per-scan transport, so the next wire starts on its slab.
+// refills one RoundData, and one wire is re-armed for it, as a fleet re-arms
+// the transport it keeps for a vantage, so each round starts on the slab the
+// last one grew.
 func benchScanRound(b *testing.B, metrics *scanner.Metrics) {
 	resp := simnet.ResponderFunc(func(dst netmodel.Addr, at time.Time) simnet.Reply {
 		if dst.HostByte() < 64 {
@@ -39,11 +40,11 @@ func benchScanRound(b *testing.B, metrics *scanner.Metrics) {
 	start := time.Now()
 	var probes uint64
 	var rd scanner.RoundData
+	net := simnet.New(local, resp, time.Unix(0, 0))
 	for i := 0; i < b.N; i++ {
-		net := simnet.New(local, resp, time.Unix(0, 0))
+		net.Rearm(time.Unix(0, 0))
 		_, err := scanner.New(net, scanner.Config{Rate: -1, Seed: 1, Epoch: uint32(i),
 			Clock: net, Cooldown: time.Second, Metrics: metrics}).RunInto(context.Background(), ts, &rd)
-		net.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
