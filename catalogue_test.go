@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -166,15 +167,18 @@ var eventBuses = map[string]string{
 
 // TestEventCatalogue keeps README's event table honest both ways: every
 // event kind published anywhere in the tree must have a row, whose fields
-// are the keys its sites set and whose country column is `by country` or
-// `shared` as its sites' bus is a country's scope or not; and every row must
-// name a kind the code still publishes. Sites are found in the syntax of the
-// non-test Go files outside internal/obs (whose doc examples publish
-// nothing) and bench/ (whose synthetic events feed its own load). A site's
-// kind is a string literal or a variable assigned string literals in the
-// same function, its keys the literal keys of the maps it builds. A row is a
-// row of the README table headed `event`: the kind, the backticked field
-// keys and the country column.
+// are the json keys of the payload struct its sites publish and whose
+// country column is `by country` or `shared` as its sites' bus is a
+// country's scope or not; and every row must name a kind the code still
+// publishes. Sites are found in the syntax of the non-test Go files outside
+// internal/obs (whose doc examples publish nothing) and bench/ (whose
+// synthetic events feed its own load). A site's kind is a string literal or
+// a variable assigned string literals in the same function; its payload is
+// the struct of its own package that it builds, whose json tags must list
+// its keys in sorted order — the order encoding/json writes a map's keys,
+// so a payload encodes as the map of its keys would. A site that builds no
+// such struct (a map, say) fails. A row is a row of the README table headed
+// `event`: the kind, the backticked field keys and the country column.
 func TestEventCatalogue(t *testing.T) {
 	type kindInfo struct {
 		site  string // first site, "file:line"
@@ -182,10 +186,16 @@ func TestEventCatalogue(t *testing.T) {
 		scope string
 	}
 	code := make(map[string]*kindInfo)
-	err := eventSites(".", func(site, bus string, kinds []string, keys map[string]bool) {
+	err := eventSites(".", func(site, bus string, kinds []string, payload string, keys []string) {
 		scope, ok := eventBuses[bus]
 		if !ok {
 			t.Errorf("%s: events published on %s, a bus TestEventCatalogue does not know", site, bus)
+		}
+		switch {
+		case payload == "":
+			t.Errorf("%s: %v published without a payload struct of the site's package", site, kinds)
+		case !sort.StringsAreSorted(keys):
+			t.Errorf("%s: payload %s declares its keys [%s] out of sorted order, so it does not encode as the map of its keys", site, payload, strings.Join(keys, ", "))
 		}
 		for _, kind := range kinds {
 			k := code[kind]
@@ -196,7 +206,7 @@ func TestEventCatalogue(t *testing.T) {
 			if k.scope != scope {
 				t.Errorf("%s: %s published %s here, %s at %s", site, kind, scope, k.scope, k.site)
 			}
-			for key := range keys {
+			for _, key := range keys {
 				k.keys[key] = true
 			}
 		}
@@ -245,10 +255,19 @@ func TestEventCatalogue(t *testing.T) {
 
 // eventSites calls visit for every Emit and Publish call in the non-test Go
 // files under root (outside internal/obs, bench and testdata) with its
-// position, its receiver, the kinds it can publish and the field keys it sets.
-func eventSites(root string, visit func(site, bus string, kinds []string, keys map[string]bool)) error {
+// position, its receiver, the kinds it can publish and the payload struct it
+// builds: a struct type of the site's package named by a composite literal
+// in the call's payload argument, and its json keys in declaration order
+// (empty names when it builds none).
+func eventSites(root string, visit func(site, bus string, kinds []string, payload string, keys []string)) error {
+	type site struct {
+		pos, bus, dir string
+		kinds, types  []string
+	}
+	var sites []site
+	payloads := make(map[string][]string) // "dir.Type": the struct's json keys
 	fset := token.NewFileSet()
-	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -267,7 +286,18 @@ func eventSites(root string, visit func(site, bus string, kinds []string, keys m
 		if err != nil {
 			return err
 		}
+		dir := filepath.Dir(path)
 		for _, decl := range f.Decls {
+			if gen, ok := decl.(*ast.GenDecl); ok {
+				for _, spec := range gen.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						if st, ok := ts.Type.(*ast.StructType); ok {
+							payloads[dir+"."+ts.Name.Name] = jsonKeys(st)
+						}
+					}
+				}
+				continue
+			}
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
@@ -282,13 +312,65 @@ func eventSites(root string, visit func(site, bus string, kinds []string, keys m
 					return true
 				}
 				pos := fset.Position(call.Pos())
-				site := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-				visit(site, types.ExprString(sel.X), stringValues(fn.Body, call.Args[0]), fieldKeys(call.Args[1]))
+				sites = append(sites, site{pos: fmt.Sprintf("%s:%d", pos.Filename, pos.Line), bus: types.ExprString(sel.X),
+					dir: dir, kinds: stringValues(fn.Body, call.Args[0]), types: literalTypes(call.Args[1])})
 				return true
 			})
 		}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	for _, s := range sites {
+		payload, keys := "", []string(nil)
+		for _, name := range s.types {
+			if k, ok := payloads[s.dir+"."+name]; ok {
+				payload, keys = name, k
+			}
+		}
+		visit(s.pos, s.bus, s.kinds, payload, keys)
+	}
+	return nil
+}
+
+// literalTypes returns the type names of the composite literals built in e
+// whose type is a plain identifier: the candidates for a site's payload.
+func literalTypes(e ast.Expr) []string {
+	var names []string
+	ast.Inspect(e, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.CompositeLit); ok {
+			if id, ok := lit.Type.(*ast.Ident); ok {
+				names = append(names, id.Name)
+			}
+		}
+		return true
+	})
+	return names
+}
+
+// jsonKeys returns the keys encoding/json writes for st's exported fields,
+// in declaration order: each json tag's name, or the field's own name when
+// its tag has none; a field tagged "-" writes no key.
+func jsonKeys(st *ast.StructType) []string {
+	var keys []string
+	for _, field := range st.Fields.List {
+		tag := ""
+		if field.Tag != nil {
+			raw, _ := strconv.Unquote(field.Tag.Value)
+			tag, _, _ = strings.Cut(reflect.StructTag(raw).Get("json"), ",")
+		}
+		for _, name := range field.Names {
+			switch {
+			case !name.IsExported() || tag == "-":
+			case tag != "":
+				keys = append(keys, tag)
+			default:
+				keys = append(keys, name.Name)
+			}
+		}
+	}
+	return keys
 }
 
 // stringValues returns the string literals e can be: e itself, or every
@@ -315,36 +397,6 @@ func stringValues(body *ast.BlockStmt, e ast.Expr) []string {
 		return true
 	})
 	return out
-}
-
-// fieldKeys returns the string keys of the map literals built in e and of
-// the map entries e assigns.
-func fieldKeys(e ast.Expr) map[string]bool {
-	keys := make(map[string]bool)
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CompositeLit:
-			if _, ok := n.Type.(*ast.MapType); ok {
-				for _, elt := range n.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						if s, ok := stringLit(kv.Key); ok {
-							keys[s] = true
-						}
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if ix, ok := lhs.(*ast.IndexExpr); ok {
-					if s, ok := stringLit(ix.Index); ok {
-						keys[s] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return keys
 }
 
 func stringLit(e ast.Expr) (string, bool) {

@@ -124,12 +124,11 @@ func (e *env) runRounds(sc *sim.Scenario, store *dataset.Store, f roundsFlags, s
 		stats, err = mon.Step(ctx, rc)
 		note := ""
 		for _, ev := range bus.Since(seq) {
-			switch ev.Kind {
-			case "checkpoint":
-				e.log.Printf("checkpoint: %d rounds -> %s", ev.Fields["round"], ev.Fields["path"])
-			case "round_missing":
-				reason, _ := ev.Fields["reason"].(string)
-				note = missingNote[reason]
+			switch p := ev.Fields.(type) {
+			case countrymon.CheckpointEvent:
+				e.log.Printf("checkpoint: %d rounds -> %s", p.Round, p.Path)
+			case countrymon.RoundMissingEvent:
+				note = missingNote[p.Reason]
 			}
 		}
 		if err != nil {

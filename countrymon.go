@@ -327,9 +327,7 @@ func New(opts Options) (*Monitor, error) {
 	}
 	if resumed != "" {
 		m.metrics.resumeRound.Set(int64(m.round))
-		m.bus.Emit("resume", func() map[string]any {
-			return map[string]any{"round": m.round, "path": resumed}
-		})
+		m.bus.Emit("resume", func() any { return ResumeEvent{Round: m.round, Path: resumed} })
 	}
 	for b, asn := range opts.Origins {
 		m.origins[b] = asn
@@ -498,9 +496,7 @@ func (m *Monitor) recordMissing(reason string) error {
 	m.metrics.roundsMissing.Inc()
 	m.metrics.coverage.Observe(0)
 	m.metrics.lastRound.Set(int64(round))
-	m.bus.Emit("round_missing", func() map[string]any {
-		return map[string]any{"round": round, "reason": reason}
-	})
+	m.bus.Emit("round_missing", func() any { return RoundMissingEvent{Round: round, Reason: reason} })
 	return m.finishRound(round)
 }
 
@@ -520,9 +516,7 @@ func (m *Monitor) finishRound(round int) error {
 		return err
 	}
 	if !m.NextRound() {
-		m.bus.Emit("campaign_complete", func() map[string]any {
-			return map[string]any{"rounds": m.tl.NumRounds()}
-		})
+		m.bus.Emit("campaign_complete", func() any { return CampaignCompleteEvent{Rounds: m.tl.NumRounds()} })
 	}
 	return nil
 }
@@ -552,9 +546,7 @@ func (m *Monitor) scan(ctx context.Context) (Stats, error) {
 		m.opts.Clock.Sleep(wait)
 	}
 	round := m.round
-	m.bus.Emit("round_start", func() map[string]any {
-		return map[string]any{"round": round, "at": roundAt(at)}
-	})
+	m.bus.Emit("round_start", func() any { return RoundStartEvent{Round: round, At: obs.Time(at)} })
 	rd, rep, err := m.camp.ScanRound(ctx, round, at, m.prevBelief())
 	if err != nil {
 		return Stats{}, err
@@ -581,11 +573,8 @@ func (m *Monitor) scan(ctx context.Context) (Stats, error) {
 	m.metrics.roundDur.Observe(rd.Stats.Elapsed.Seconds())
 	m.metrics.coverage.Observe(rd.Coverage())
 	m.metrics.lastRound.Set(int64(round))
-	m.bus.Emit(outcome, func() map[string]any {
-		return map[string]any{
-			"round": round, "sent": rd.Stats.Sent, "valid": rd.Stats.Valid,
-			"coverage": rd.Coverage(),
-		}
+	m.bus.Emit(outcome, func() any {
+		return RoundScannedEvent{Round: round, Sent: rd.Stats.Sent, Valid: rd.Stats.Valid, Coverage: rd.Coverage()}
 	})
 	return rd.Stats, m.finishRound(round)
 }
@@ -615,9 +604,7 @@ func (m *Monitor) Checkpoint() error {
 	m.sinceCkpt = 0
 	m.metrics.ckptTotal.Inc()
 	m.metrics.ckptDur.ObserveSince(t0)
-	m.bus.Emit("checkpoint", func() map[string]any {
-		return map[string]any{"round": m.round, "path": m.opts.CheckpointPath}
-	})
+	m.bus.Emit("checkpoint", func() any { return CheckpointEvent{Round: m.round, Path: m.opts.CheckpointPath} })
 	return nil
 }
 

@@ -175,7 +175,7 @@ func TestRoundLogCrashResume(t *testing.T) {
 	// A resume the journal made is announced like one a checkpoint made.
 	evs := resOpts.Bus.Since(0)
 	if len(evs) != 1 || evs[0].Kind != "resume" ||
-		evs[0].Fields["round"] != 25 || evs[0].Fields["path"] != resOpts.RoundLogPath {
+		evs[0].Fields != (ResumeEvent{Round: 25, Path: resOpts.RoundLogPath}) {
 		t.Fatalf("events after a journal-only resume = %+v, want one resume at round 25 naming the journal", evs)
 	}
 	if got := res.metrics.resumeRound.Value(); got != 25 {

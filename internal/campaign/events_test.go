@@ -214,8 +214,8 @@ func TestCampaignEventsPerCountry(t *testing.T) {
 			if ev.Country != cc && !(ev.Country == "" && sharedEvents[ev.Kind]) {
 				t.Errorf("%s stream: %s event %d of country %q", cc, ev.Kind, ev.Seq, ev.Country)
 			}
-			if _, ok := ev.Fields["campaign"]; ok != sharedEvents[ev.Kind] {
-				t.Errorf("%s stream: %s event %d: campaign field %v", cc, ev.Kind, ev.Seq, ev.Fields["campaign"])
+			if _, ok := ev.Fields.(map[string]any)["campaign"]; ok != sharedEvents[ev.Kind] {
+				t.Errorf("%s stream: %s event %d: campaign field %v", cc, ev.Kind, ev.Seq, ev.Fields)
 			}
 		}
 	}

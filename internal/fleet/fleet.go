@@ -601,21 +601,17 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 			if n > 1 && v.br.failure(round) { // a lone vantage stays closed
 				c.transition(v, j.vi, round, Open)
 			}
-			c.bus.Emit("shard_failed", func() map[string]any {
-				f := map[string]any{"round": round, "shard": j.shard, "vantage": v.spec.Name}
+			c.bus.Emit("shard_failed", func() any {
+				ev := ShardFailedEvent{Round: round, Shard: j.shard, Vantage: v.spec.Name, Error: out.err}
 				// A blacked-out shard comes back err == nil with a Partial
 				// RoundData: the cause is in the round, not the error.
-				cause := out.err
 				if rd := out.rd; rd != nil {
-					f["coverage"], f["send_errors"], f["recv_dead"] = rd.Coverage(), rd.Stats.SendErrors, rd.RecvDead
-					if cause == nil {
-						cause = rd.Err
+					ev.Scanned, ev.Coverage, ev.SendErrors, ev.RecvDead = true, rd.Coverage(), rd.Stats.SendErrors, rd.RecvDead
+					if ev.Error == nil {
+						ev.Error = rd.Err
 					}
 				}
-				if cause != nil {
-					f["error"] = cause.Error()
-				}
-				return f
+				return ev
 			})
 			thief := s.thief(j, tried[j.shard])
 			if thief < 0 {
@@ -626,9 +622,8 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 			next = append(next, scanJob{shard: j.shard, vi: thief})
 			rep.Steals++
 			c.stealsC.Inc()
-			c.bus.Emit("shard_steal", func() map[string]any {
-				return map[string]any{"round": round, "shard": j.shard,
-					"from": v.spec.Name, "to": s.vantages[thief].spec.Name}
+			c.bus.Emit("shard_steal", func() any {
+				return ShardStealEvent{Round: round, Shard: j.shard, From: v.spec.Name, To: s.vantages[thief].spec.Name}
 			})
 		}
 		sc.jobs, sc.next = next, jobs
@@ -641,9 +636,7 @@ func (c *Campaign) ScanRound(ctx context.Context, round int, at time.Time, prev 
 		rep.Degraded = true
 		c.selfOutagesC.Inc()
 		c.degradedC.Inc()
-		c.bus.Emit("fleet_self_outage", func() map[string]any {
-			return map[string]any{"round": round, "eligible": rep.Eligible}
-		})
+		c.bus.Emit("fleet_self_outage", func() any { return FleetSelfOutageEvent{Round: round, Eligible: rep.Eligible} })
 		c.settleRound(rep, okScans, failScans, poisoned, round)
 		return nil, rep, nil
 	}
@@ -896,16 +889,14 @@ func (c *Campaign) corroborate(ctx context.Context, round int, at time.Time, pre
 				continue
 			}
 			poisoned[vi] = true
-			s.cfg.Bus.Emit("vantage_poisoned", func() map[string]any {
-				return map[string]any{"round": round, "vantage": v.spec.Name,
-					"campaign": c.name, "overridden": overridden[vi]}
+			s.cfg.Bus.Emit("vantage_poisoned", func() any {
+				return VantagePoisonedEvent{Round: round, Vantage: v.spec.Name, Campaign: c.name, Overridden: overridden[vi]}
 			})
 		}
 	}
 
-	c.bus.Emit("fleet_fusion", func() map[string]any {
-		return map[string]any{"round": round, "suspects": rep.Suspects,
-			"alive": rep.FusedAlive, "down": rep.FusedDown, "held": rep.FusedHeld}
+	c.bus.Emit("fleet_fusion", func() any {
+		return FleetFusionEvent{Round: round, Suspects: rep.Suspects, Alive: rep.FusedAlive, Down: rep.FusedDown, Held: rep.FusedHeld}
 	})
 }
 
@@ -983,9 +974,8 @@ func (c *Campaign) transition(v *vantage, vi, round int, to BreakerState) {
 	if to == Open {
 		c.noteOpen(vi)
 	}
-	c.s.cfg.Bus.Emit("breaker_transition", func() map[string]any {
-		return map[string]any{"round": round, "vantage": v.spec.Name,
-			"campaign": c.name, "to": to.String(), "quarantine": v.br.quarantine}
+	c.s.cfg.Bus.Emit("breaker_transition", func() any {
+		return BreakerTransitionEvent{Round: round, Vantage: v.spec.Name, Campaign: c.name, To: to.String(), Quarantine: v.br.quarantine}
 	})
 }
 

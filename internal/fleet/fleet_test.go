@@ -392,9 +392,9 @@ func TestBlackoutRoundFitsTheEventRing(t *testing.T) {
 	kinds := make(map[string]int)
 	for _, ev := range evs {
 		kinds[ev.Kind]++
-		if ev.Kind == "shard_failed" && (ev.Fields["coverage"] != 0.0 || ev.Fields["send_errors"] != uint64(410) ||
-			ev.Fields["recv_dead"] != false || ev.Fields["error"] != (&faults.Err{Op: "send"}).Error()) {
-			t.Errorf("shard_failed does not say why: %v", ev.Fields)
+		if p, ok := ev.Fields.(ShardFailedEvent); ev.Kind == "shard_failed" && (!ok || !p.Scanned || p.Coverage != 0 ||
+			p.SendErrors != 410 || p.RecvDead || p.Error == nil || p.Error.Error() != (&faults.Err{Op: "send"}).Error()) {
+			t.Errorf("shard_failed does not say why: %+v", ev.Fields)
 		}
 	}
 	for _, kind := range []string{"shard_failed", "shard_steal", "fleet_fusion", "retry"} {
@@ -625,9 +625,44 @@ func TestCampaignRoundAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
+	if allocs, _ := corroboratedRoundAllocs(t, nil); allocs > corroboratedRoundBudget {
+		t.Errorf("a warm corroborated round allocates %.1f objects, budget %d", allocs, corroboratedRoundBudget)
+	}
+}
+
+// TestCampaignRoundAllocBudgetWithBus is TestCampaignRoundAllocBudget's
+// round with a bus attached: each event the round publishes costs one
+// object, its boxed payload, and nothing else.
+func TestCampaignRoundAllocBudgetWithBus(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	allocs, events := corroboratedRoundAllocs(t, obs.NewBus(0))
+	if events < 1 {
+		t.Fatalf("%.1f events a round: no fleet_fusion to count", events)
+	}
+	if budget := corroboratedRoundBudget + events; allocs > budget {
+		t.Errorf("a warm corroborated round publishing %.1f events allocates %.1f objects, budget %.1f", events, allocs, budget)
+	}
+}
+
+// corroboratedRoundBudget is what a warm corroborated round allocates with
+// no bus. Per round, for each of the two scan waves (shards, then the
+// re-probe): the closure handed to par.ForEach, the pool it builds and the
+// closure of the one goroutine it starts beside the caller. Nothing per
+// scan: each runs over its slot's kept wire, re-armed. The RoundReport is
+// the campaign's.
+const corroboratedRoundBudget = 2 * 3
+
+// corroboratedRoundAllocs runs a three-vantage campaign, publishing on bus,
+// whose every block is suspect and corroborated alive each round, and
+// returns what a warm round allocates and how many events it publishes.
+func corroboratedRoundAllocs(t *testing.T, bus *obs.Bus) (allocs, events float64) {
 	t.Setenv(par.EnvWorkers, "2") // a scan wave starts one goroutine, whatever the core count
 	specs := []Spec{simSpec("v0", aliveResponder()), simSpec("v1", aliveResponder()), simSpec("v2", aliveResponder())}
-	_, c, err := newSolo(specs, baseConfig(), testTargets(t))
+	cfg := baseConfig()
+	cfg.Bus = bus
+	_, c, err := newSolo(specs, cfg, testTargets(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,15 +676,10 @@ func TestCampaignRoundAllocBudget(t *testing.T) {
 		r++
 	}
 	round() // warm-up: builds every buffer, the suspect set and its permutation
-	// Per round, for each of the two scan waves (shards, then the re-probe):
-	// the closure handed to par.ForEach, the pool it builds and the closure
-	// of the one goroutine it starts beside the caller. Nothing per scan:
-	// each runs over its slot's kept wire, re-armed. The RoundReport is the
-	// campaign's.
-	const budget = 2 * 3
-	if allocs := testing.AllocsPerRun(20, round); allocs > budget {
-		t.Errorf("a warm corroborated round allocates %.1f objects, budget %d", allocs, budget)
-	}
+	const runs = 20
+	seq := bus.Seq()
+	allocs = testing.AllocsPerRun(runs, round)
+	return allocs, float64(bus.Seq()-seq) / (runs + 1) // AllocsPerRun runs one more round, unmeasured, first
 }
 
 // TestJoinScopesCampaign joins two campaigns to one fleet whose vantage v0
@@ -688,7 +718,11 @@ func TestJoinScopesCampaign(t *testing.T) {
 		kinds := make(map[string]int)
 		for _, ev := range cfg.Bus.Since(0) {
 			kinds[ev.Kind]++
-			_, hasCampaign := ev.Fields["campaign"]
+			var hasCampaign bool
+			switch ev.Fields.(type) {
+			case BreakerTransitionEvent, VantagePoisonedEvent:
+				hasCampaign = true
+			}
 			switch ev.Kind {
 			case "breaker_transition", "vantage_poisoned":
 				if ev.Country != "" || !hasCampaign {

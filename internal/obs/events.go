@@ -10,14 +10,32 @@ import (
 // checkpoint written, a retry taken, a detection firing. Seq is a
 // bus-assigned monotone sequence number, so pollers can resume from the
 // last event they saw. Country is the Bus.Scope it was published through,
-// empty for an event of no one country's.
+// empty for an event of no one country's. Fields is the payload: the struct
+// its kind's emit site publishes (its json tags list its keys in sorted
+// order, so it encodes as the map of those keys would), a non-empty map
+// from Publish, or nil. Decoded from JSON, it is a map[string]any.
 type Event struct {
-	Seq     uint64         `json:"seq"`
-	Time    time.Time      `json:"time"`
-	Kind    string         `json:"kind"`
-	Country string         `json:"country,omitempty"`
-	Fields  map[string]any `json:"fields,omitempty"`
+	Seq     uint64    `json:"seq"`
+	Time    time.Time `json:"time"`
+	Kind    string    `json:"kind"`
+	Country string    `json:"country,omitempty"`
+	Fields  any       `json:"fields,omitempty"`
 }
+
+// Time is a time an event payload holds as it is and writes, as text, in
+// UTC to the second (RFC 3339).
+type Time time.Time
+
+// MarshalText writes t as UTC RFC 3339.
+func (t Time) MarshalText() ([]byte, error) {
+	return time.Time(t).UTC().AppendFormat(make([]byte, 0, len(time.RFC3339)), time.RFC3339), nil
+}
+
+// Error is an error an event payload holds as it is and writes as its text.
+type Error struct{ Err error }
+
+// MarshalText writes e's error text.
+func (e Error) MarshalText() ([]byte, error) { return []byte(e.Err.Error()), nil }
 
 // Bus is a bounded in-memory event stream: every published event lands in a
 // ring of the most recent events (the authority pollers replay from) and is
@@ -79,8 +97,26 @@ func (b *Bus) Scope(country string) *Bus {
 }
 
 // Publish stamps and emits one event, returning it (with Seq assigned). A
-// nil bus publishes nothing and returns the event un-sequenced.
+// nil bus publishes nothing and returns the event un-sequenced. A nil or
+// empty map publishes no Fields.
 func (b *Bus) Publish(kind string, fields map[string]any) Event {
+	if len(fields) == 0 {
+		return b.publish(kind, nil)
+	}
+	return b.publish(kind, fields)
+}
+
+// Emit publishes an event whose payload is built only when there is a bus
+// to publish on: a nil bus calls nothing, so a hot path emits through it at
+// the cost of one nil check, and a live one boxes the payload struct once.
+func (b *Bus) Emit(kind string, payload func() any) {
+	if b != nil {
+		b.publish(kind, payload())
+	}
+}
+
+// publish stamps and emits one event of payload fields.
+func (b *Bus) publish(kind string, fields any) Event {
 	ev := Event{Time: time.Now().UTC(), Kind: kind, Fields: fields}
 	if b == nil {
 		return ev
@@ -108,15 +144,6 @@ func (b *Bus) Publish(kind string, fields map[string]any) Event {
 	}
 	b.mu.Unlock()
 	return ev
-}
-
-// Emit publishes an event whose fields are built only when there is a bus
-// to publish on: a nil bus builds no map, so a hot path emits through it at
-// the cost of one nil check.
-func (b *Bus) Emit(kind string, fields func() map[string]any) {
-	if b != nil {
-		b.Publish(kind, fields())
-	}
 }
 
 // Dropped returns the total number of per-subscriber drops: events a lagging

@@ -258,7 +258,7 @@ func TestNilInstrumentsAreInert(t *testing.T) {
 	v.With("x").Inc()
 	hv.With("x").Observe(1)
 	b.Publish("noop", nil)
-	b.Emit("noop", func() map[string]any {
+	b.Emit("noop", func() any {
 		t.Fatal("a nil bus built an event's fields")
 		return nil
 	})
@@ -342,6 +342,27 @@ func TestBusRingAndSince(t *testing.T) {
 	}
 }
 
+// TestPublishOmitsEmptyFields: an event Publish makes of a nil or empty map
+// writes no "fields" key, on a bus or a nil one, as it did while Fields was
+// a map; one of a non-empty map writes its map.
+func TestPublishOmitsEmptyFields(t *testing.T) {
+	for _, c := range []struct {
+		fields map[string]any
+		want   string
+	}{{nil, ""}, {map[string]any{}, ""}, {map[string]any{"round": 1}, `,"fields":{"round":1}`}} {
+		for _, bus := range []*Bus{NewBus(4), nil} {
+			ev := bus.Publish("e", c.fields)
+			data, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, after, _ := strings.Cut(string(data), `"kind":"e"`); after != c.want+"}" {
+				t.Errorf("Publish(%#v) on bus %p encodes %s, want %q after the kind", c.fields, bus, data, c.want)
+			}
+		}
+	}
+}
+
 func TestBusSubscribe(t *testing.T) {
 	bus := NewBus(16)
 	ch, cancel := bus.Subscribe(8)
@@ -349,7 +370,7 @@ func TestBusSubscribe(t *testing.T) {
 	bus.Publish("round_start", map[string]any{"round": 1})
 	select {
 	case ev := <-ch:
-		if ev.Kind != "round_start" || ev.Fields["round"] != 1 {
+		if ev.Kind != "round_start" || ev.Fields.(map[string]any)["round"] != 1 {
 			t.Fatalf("event = %+v", ev)
 		}
 	case <-time.After(time.Second):

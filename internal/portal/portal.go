@@ -133,6 +133,11 @@ func (p *Portal) handleInfo(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "IP-level responsiveness is only released in anonymized form.")
 }
 
+// OptOutEvent is an opt_out event: the portal took an opt-out of Prefix.
+type OptOutEvent struct {
+	Prefix string `json:"prefix"`
+}
+
 func (p *Portal) handleOptOut(w http.ResponseWriter, r *http.Request) {
 	p.reqOptOut.Inc()
 	if r.Method != http.MethodPost {
@@ -168,8 +173,8 @@ func (p *Portal) handleOptOut(w http.ResponseWriter, r *http.Request) {
 		p.optOuts = append(p.optOuts, pre)
 	}
 	p.mu.Unlock()
-	if !dup && p.bus != nil {
-		p.bus.Publish("opt_out", map[string]any{"prefix": pre.String()})
+	if !dup {
+		p.bus.Emit("opt_out", func() any { return OptOutEvent{Prefix: pre.String()} })
 	}
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintf(w, "excluded %v from future probing rounds\n", pre)

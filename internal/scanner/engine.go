@@ -8,6 +8,7 @@ import (
 
 	"countrymon/internal/icmp"
 	"countrymon/internal/netmodel"
+	"countrymon/internal/obs"
 )
 
 // The scan engine is one batched loop on one goroutine: it assembles probes
@@ -210,13 +211,24 @@ func (r *roundRun) publishSend() {
 	if r.failErr == nil {
 		return
 	}
-	r.cfg.Events.Emit("retry", func() map[string]any {
-		return map[string]any{
-			"shard": r.cfg.Shard, "retries": retries, "abandoned": abandoned,
-			"backoff_ms": r.failSlept.Milliseconds(), "error": r.failErr.Error(),
-		}
+	r.cfg.Events.Emit("retry", func() any {
+		return RetryEvent{Shard: r.cfg.Shard, Retries: retries, Abandoned: abandoned,
+			BackoffMs: r.failSlept.Milliseconds(), Error: obs.Error{Err: r.failErr}}
 	})
 	r.failErr, r.failSlept = nil, 0
+}
+
+// RetryEvent is a retry event: one batch of a scan of Shard had a failed
+// send. Retries and Abandoned are the re-send attempts it made and the
+// probes it gave up, BackoffMs the longest backoff it slept and Error the
+// last failure. Its json tags list its keys in sorted order, so it encodes
+// as the map of those keys would.
+type RetryEvent struct {
+	Abandoned uint64    `json:"abandoned"`
+	BackoffMs int64     `json:"backoff_ms"`
+	Error     obs.Error `json:"error"`
+	Retries   uint64    `json:"retries"`
+	Shard     int       `json:"shard"`
 }
 
 // Constants of the send path: no caller ever chose other values.

@@ -51,10 +51,9 @@ func checkRetryEvents(t *testing.T, bus *obs.Bus, rd *scanner.RoundData, batches
 			continue
 		}
 		events++
-		r, _ := ev.Fields["retries"].(uint64)
-		a, _ := ev.Fields["abandoned"].(uint64)
-		retries += r
-		abandoned += a
+		p, _ := ev.Fields.(scanner.RetryEvent)
+		retries += p.Retries
+		abandoned += p.Abandoned
 	}
 	if events == 0 || events > batches {
 		t.Errorf("%d retry events over %d batches, want one per batch that had a failed send", events, batches)
@@ -67,8 +66,9 @@ func checkRetryEvents(t *testing.T, bus *obs.Bus, rd *scanner.RoundData, batches
 
 // TestRetryEventPerBatch: a blacked-out shard fails 820 addresses × 4 send
 // attempts before the error budget stops it. That is 13 batches, so 13 events
-// and an allocation bill linear in batches (the round's own nine objects plus
-// three per event) — not in attempts.
+// and an allocation bill linear in batches (the round's own objects, within
+// the 16 TestSendFailuresAllocateNothingWithoutEvents allows, plus one per
+// event: its boxed payload) — not in attempts.
 func TestRetryEventPerBatch(t *testing.T) {
 	bus := obs.NewBus(1 << 13) // room for an event per attempt, so a miscount is reported as one
 	scan, fill := faultedScanner(t, blackoutProfile, bus)
@@ -78,16 +78,15 @@ func TestRetryEventPerBatch(t *testing.T) {
 	}
 	batches := fill.Snapshot().Count
 	checkRetryEvents(t, bus, rd, batches)
-	ev := bus.Since(0)[0]
-	if ms, _ := ev.Fields["backoff_ms"].(int64); ev.Fields["shard"] != 0 || ev.Fields["retries"] != uint64(3*64) ||
-		ev.Fields["abandoned"] != uint64(64) || ms < 4 || ev.Fields["error"] != rd.Err.Error() {
-		t.Errorf("first batch's event %v; want shard 0, 192 retries, 64 abandoned, a third backoff's sleep and %q", ev.Fields, rd.Err)
+	ev, _ := bus.Since(0)[0].Fields.(scanner.RetryEvent)
+	if ev.Shard != 0 || ev.Retries != 3*64 || ev.Abandoned != 64 || ev.BackoffMs < 4 || ev.Error.Err != rd.Err {
+		t.Errorf("first batch's event %+v; want shard 0, 192 retries, 64 abandoned, a third backoff's sleep and %q", ev, rd.Err)
 	}
 
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	if allocs, budget := testing.AllocsPerRun(10, func() { scan() }), float64(16+4*batches); allocs > budget {
+	if allocs, budget := testing.AllocsPerRun(10, func() { scan() }), float64(16+batches); allocs > budget {
 		t.Errorf("a blacked-out scan of %d batches allocates %.0f objects, budget %.0f", batches, allocs, budget)
 	}
 }
@@ -107,7 +106,7 @@ func TestRetryEventSumsWhenRetriesSucceed(t *testing.T) {
 
 // TestSendFailuresAllocateNothingWithoutEvents: with no bus attached the
 // failure path costs no allocation at all — 2 460 retries and 820 abandoned
-// probes fit in what the round's own nine objects leave of a budget of 16.
+// probes fit in what the round's own two objects leave of a budget of 16.
 func TestSendFailuresAllocateNothingWithoutEvents(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")

@@ -331,7 +331,7 @@ func TestMetricsMatchStats(t *testing.T) {
 			continue
 		}
 		scanned++
-		sentSum += uint64(ev.Fields["sent"].(float64))
+		sentSum += uint64(ev.Fields.(map[string]any)["sent"].(float64))
 	}
 	if scanned != rounds {
 		t.Errorf("round_scanned events = %d, want %d", scanned, rounds)

@@ -135,10 +135,10 @@ func TestLoneVantageScansAfterBlackout(t *testing.T) {
 			if _, err := mon.ScanRound(); err != nil {
 				t.Fatal(err)
 			}
-			var reason any
+			var reason string
 			for _, ev := range o.Bus.Since(seq) {
-				if ev.Kind == "round_missing" {
-					reason = ev.Fields["reason"]
+				if p, ok := ev.Fields.(RoundMissingEvent); ok {
+					reason = p.Reason
 				}
 			}
 			st := mon.Store()

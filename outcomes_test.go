@@ -74,7 +74,7 @@ func TestRoundOutcomes(t *testing.T) {
 
 		stats    Stats
 		kind     string
-		fields   map[string]any
+		fields   any    // the outcome event's payload
 		outcome  string // monitor_rounds_total's label
 		missing  bool
 		coverage float64
@@ -87,7 +87,7 @@ func TestRoundOutcomes(t *testing.T) {
 		{
 			name: "scanned", rounds: 1,
 			stats: full, kind: "round_scanned",
-			fields:  map[string]any{"round": 0, "sent": full.Sent, "valid": full.Valid, "coverage": 1.0},
+			fields:  RoundScannedEvent{Round: 0, Sent: full.Sent, Valid: full.Valid, Coverage: 1},
 			outcome: "scanned", coverage: 1, resp: 5,
 		},
 		{
@@ -100,7 +100,7 @@ func TestRoundOutcomes(t *testing.T) {
 			},
 			stats:   Stats{Sent: 896, Received: 14, Valid: 14, SendErrors: 103, Retries: 309, Elapsed: 9*time.Second + 567287128},
 			kind:    "round_salvaged",
-			fields:  map[string]any{"round": 0, "sent": uint64(896), "valid": uint64(14), "coverage": 0.875},
+			fields:  RoundScannedEvent{Round: 0, Sent: 896, Valid: 14, Coverage: 0.875},
 			outcome: "salvaged", coverage: 0.875, resp: 3,
 		},
 		{
@@ -110,7 +110,7 @@ func TestRoundOutcomes(t *testing.T) {
 			name: "salvaged below the heartbeat gate", rounds: 1, opts: faulty(faults.Blackout, 10*time.Millisecond),
 			stats:   Stats{Sent: 128, SendErrors: 26, Retries: 78, Elapsed: 8*time.Second + 367521067},
 			kind:    "round_missing",
-			fields:  map[string]any{"round": 0, "reason": "fleet_self_outage"},
+			fields:  RoundMissingEvent{Round: 0, Reason: "fleet_self_outage"},
 			outcome: "missing", missing: true,
 		},
 		{
@@ -118,7 +118,7 @@ func TestRoundOutcomes(t *testing.T) {
 			name: "receive path dead", rounds: 1, opts: faulty(faults.RecvErrors, 0),
 			stats:   Stats{Sent: 256, RecvErrors: 33, Elapsed: 24 * time.Millisecond},
 			kind:    "round_missing",
-			fields:  map[string]any{"round": 0, "reason": "fleet_self_outage"},
+			fields:  RoundMissingEvent{Round: 0, Reason: "fleet_self_outage"},
 			outcome: "missing", missing: true,
 		},
 		{
@@ -132,7 +132,7 @@ func TestRoundOutcomes(t *testing.T) {
 				}
 			},
 			kind:    "round_missing",
-			fields:  map[string]any{"round": 1, "reason": "vantage"},
+			fields:  RoundMissingEvent{Round: 1, Reason: "vantage"},
 			outcome: "missing", missing: true,
 		},
 		{
@@ -144,7 +144,7 @@ func TestRoundOutcomes(t *testing.T) {
 				return 5
 			}),
 			kind:    "round_missing",
-			fields:  map[string]any{"round": 1, "reason": "fleet_self_outage"},
+			fields:  RoundMissingEvent{Round: 1, Reason: "fleet_self_outage"},
 			outcome: "missing", missing: true,
 		},
 		{
@@ -163,10 +163,9 @@ func TestRoundOutcomes(t *testing.T) {
 				}
 				return 5
 			}),
-			stats: Stats{Sent: 256, Received: 3, Valid: 3, Elapsed: 8008 * time.Millisecond},
-			kind:  "round_scanned",
-			fields: map[string]any{"round": 2, "sent": uint64(256), "valid": uint64(3),
-				"coverage": 1.0},
+			stats:   Stats{Sent: 256, Received: 3, Valid: 3, Elapsed: 8008 * time.Millisecond},
+			kind:    "round_scanned",
+			fields:  RoundScannedEvent{Round: 2, Sent: 256, Valid: 3, Coverage: 1},
 			outcome: "scanned", coverage: 1, resp: 5, reprobed: true,
 		},
 	} {

@@ -3,7 +3,6 @@ package countrymon
 import (
 	"context"
 	"errors"
-	"time"
 
 	"countrymon/internal/obs"
 )
@@ -85,11 +84,8 @@ func (m *Monitor) CampaignStats() Stats { return m.campaign }
 
 // emitDetection reports a detection run on the bus.
 func (m *Monitor) emitDetection(entity string, d *Detection) {
-	m.bus.Emit("detection", func() map[string]any {
-		return map[string]any{
-			"entity": entity, "outages": len(d.Outages),
-			"flagged_rounds": d.TotalRounds(),
-		}
+	m.bus.Emit("detection", func() any {
+		return DetectionEvent{Entity: entity, Outages: len(d.Outages), FlaggedRounds: d.TotalRounds()}
 	})
 }
 
@@ -124,6 +120,3 @@ func newMonMetrics(reg *obs.Registry) *monMetrics {
 		resumeRound:    reg.Gauge("monitor_resume_round", "Round the campaign resumed from (0 for fresh campaigns), by country."),
 	}
 }
-
-// roundAt formats a round's scheduled time for events.
-func roundAt(at time.Time) string { return at.UTC().Format(time.RFC3339) }
