@@ -647,18 +647,18 @@ func TestCampaignRoundAllocBudgetWithBus(t *testing.T) {
 }
 
 // corroboratedRoundBudget is what a warm corroborated round allocates with
-// no bus. Per round, for each of the two scan waves (shards, then the
-// re-probe): the closure handed to par.ForEach, the pool it builds and the
-// closure of the one goroutine it starts beside the caller. Nothing per
-// scan: each runs over its slot's kept wire, re-armed. The RoundReport is
-// the campaign's.
-const corroboratedRoundBudget = 2 * 3
+// no bus: nothing. Its two scan waves (shards, then the re-probe) hand
+// par.ForEach the campaign's waveFn and corrFn, built at Join, and wake a
+// parked par helper from a recycled call (6 objects while each wave built a
+// closure, a pool and a goroutine). Nothing per scan: each runs over its
+// slot's kept wire, re-armed. The RoundReport is the campaign's.
+const corroboratedRoundBudget = 0
 
 // corroboratedRoundAllocs runs a three-vantage campaign, publishing on bus,
 // whose every block is suspect and corroborated alive each round, and
 // returns what a warm round allocates and how many events it publishes.
 func corroboratedRoundAllocs(t *testing.T, bus *obs.Bus) (allocs, events float64) {
-	t.Setenv(par.EnvWorkers, "2") // a scan wave starts one goroutine, whatever the core count
+	t.Setenv(par.EnvWorkers, "2") // a scan wave recruits one helper, whatever the core count
 	specs := []Spec{simSpec("v0", aliveResponder()), simSpec("v1", aliveResponder()), simSpec("v2", aliveResponder())}
 	cfg := baseConfig()
 	cfg.Bus = bus

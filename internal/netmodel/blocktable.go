@@ -42,10 +42,12 @@ func IndexBlocks(blocks []BlockID) BlockTable {
 }
 
 // Reindex makes t the table of another duplicate-free block list, as
-// IndexBlocks would build it. When the list needs as many slots as t has, the
-// slots are cleared and reused instead of reallocated.
+// IndexBlocks would build it. When t's slots have the capacity the list
+// needs, they are cut to its slot count, cleared and reused instead of
+// reallocated, so a list that shrinks and grows back keeps its table.
 func (t *BlockTable) Reindex(blocks []BlockID) {
-	if len(t.slots) == 1<<tableLog(len(blocks)) {
+	if log := tableLog(len(blocks)); cap(t.slots) >= 1<<log {
+		t.slots, t.shift = t.slots[:1<<log], uint8(32-log)
 		clear(t.slots)
 	} else {
 		*t = newBlockTable(len(blocks))

@@ -182,6 +182,35 @@ func TestBlockTableMatchesMap(t *testing.T) {
 	}
 }
 
+// TestReindexMatchesIndexBlocks reindexes one table over lists that grow,
+// shrink to a smaller slot count, keep their slot count and grow back: each
+// time it must hold the slots IndexBlocks builds, and it must keep its slots
+// whenever their capacity suffices.
+func TestReindexMatchesIndexBlocks(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	var tab BlockTable
+	widest := 0
+	for _, n := range []int{5, 933, 31, 40, 1, 933, 934, 4096, 2} {
+		blocks := randomBlocks(r, n)
+		before := tab.slots[:cap(tab.slots)]
+		tab.Reindex(blocks)
+		fresh := IndexBlocks(blocks)
+		if tab.shift != fresh.shift || len(tab.slots) != len(fresh.slots) {
+			t.Fatalf("%d blocks: %d slots, shift %d; IndexBlocks builds %d, shift %d",
+				n, len(tab.slots), tab.shift, len(fresh.slots), fresh.shift)
+		}
+		for i := range fresh.slots {
+			if tab.slots[i] != fresh.slots[i] {
+				t.Fatalf("%d blocks: slot %d is %+v, IndexBlocks builds %+v", n, i, tab.slots[i], fresh.slots[i])
+			}
+		}
+		if reused := len(before) > 0 && &tab.slots[:1][0] == &before[0]; reused != (len(fresh.slots) <= widest) {
+			t.Fatalf("%d blocks (%d slots) after a table of %d slots: slots reused = %v", n, len(fresh.slots), widest, reused)
+		}
+		widest = max(widest, len(fresh.slots))
+	}
+}
+
 // A block claimed twice is refused with the error the map-backed build gave,
 // naming the block, its first claimant and the second — whichever of several
 // doubly-claimed blocks the ASes' own order reaches first.
