@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -35,22 +36,26 @@ const (
 // deltas are one step down and then zeros: from there every token is a
 // maximal zero run whose length is known without reading the bytes, so the
 // walk stops scanning at that tail.
-func appendColumn(dst, src []byte) []byte {
-	dst, _ = columnWalk(dst, src, true)
+//
+// The column is n cells long, and src holds its first ones: every cell past
+// src is zero. src is either the whole column or ends in a zero cell, so the
+// step down to the zero tail lies within it — a store that wrote a few
+// rounds of a long timeline codes its columns from a row of those rounds.
+func appendColumn(dst, src []byte, n int) []byte {
+	dst, _ = columnWalk(dst, src, n, true)
 	return dst
 }
 
-func columnLen(src []byte) int {
-	_, n := columnWalk(nil, src, false)
-	return n
+func columnLen(src []byte, n int) int {
+	_, size := columnWalk(nil, src, n, false)
+	return size
 }
 
 // columnWalk tokenizes src's deltas greedily — at each position the run
 // there is taken when it is at least minRun+1 long, or minRun long with no
 // literals pending; otherwise the byte joins the pending literals — and
 // returns the coding's length, appending it to dst only when emit is set.
-func columnWalk(dst, src []byte, emit bool) ([]byte, int) {
-	n := len(src)
+func columnWalk(dst, src []byte, n int, emit bool) ([]byte, int) {
 	// Every delta at or past tail is zero: one past the step down from the
 	// last nonzero cell.
 	tail := byteExtent(src)
@@ -63,8 +68,9 @@ func columnWalk(dst, src []byte, emit bool) ([]byte, int) {
 		j := min(n, i+maxRun)
 		if i < tail {
 			v = delta(src, i)
-			// The run goes on while each byte is the last plus v.
-			seg, next, k := src[i:j], src[i], 1
+			// The run goes on while each byte is the last plus v. It ends by
+			// tail, which src holds.
+			seg, next, k := src[i:min(j, len(src))], src[i], 1
 			for ; k < len(seg); k++ {
 				if next += v; seg[k] != next {
 					break
@@ -95,20 +101,43 @@ func columnWalk(dst, src []byte, emit bool) ([]byte, int) {
 	return dst, size
 }
 
-// appendLiterals codes the deltas of src[from:to] as literal chunks.
+// appendLiterals codes the deltas of cells [from, to) as literal chunks.
+// Only the column's last cells can lie past src, in the zero tail, where
+// every delta is zero.
 func appendLiterals(dst []byte, size int, src []byte, from, to int, emit bool) ([]byte, int) {
 	for from < to {
 		chunk := min(to-from, maxLiteralChunk)
 		size += 1 + chunk
 		if emit {
 			dst = append(dst, byte(chunk-1))
-			for k := from; k < from+chunk; k++ {
+			for k := from; k < min(from+chunk, len(src)); k++ {
 				dst = append(dst, delta(src, k))
+			}
+			for k := max(from, len(src)); k < from+chunk; k++ {
+				dst = append(dst, 0)
 			}
 		}
 		from += chunk
 	}
 	return dst, size
+}
+
+// byteExtent returns one past the last nonzero byte of b (0 when all are
+// zero), scanning backward eight bytes per load once aligned.
+func byteExtent(b []byte) int {
+	n := len(b)
+	for n%8 != 0 && b[n-1] == 0 {
+		n--
+	}
+	if n%8 == 0 {
+		for n > 0 && binary.LittleEndian.Uint64(b[n-8:n]) == 0 {
+			n -= 8
+		}
+		for n > 0 && b[n-1] == 0 {
+			n--
+		}
+	}
+	return n
 }
 
 // delta is src's wrapping step into cell k (from zero at k = 0).

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"path/filepath"
 	"testing"
 	"time"
@@ -11,8 +12,35 @@ import (
 	"countrymon/internal/timeline"
 )
 
-// naiveExtent is Extent one round at a time: the oracle of the word-wise
-// backward scan.
+// A block's extent is one past the last round in which it has a nonzero
+// count or routed bit (0 for an empty column). The tests below find it two
+// ways — through the per-segment walk the series builders take (Segment),
+// and one round at a time through Resp and Routed — and hold the two to each
+// other at every segment edge, after a round trip through a file and a
+// journal, and over fuzzed writes.
+
+// segmentExtent is a block's extent found through Segment, backward from
+// the last segment over the SegmentLen rounds of each: an unwritten segment
+// is all zero.
+func segmentExtent(s *Store, bi int) int {
+	for k := s.NumSegments() - 1; k >= 0; k-- {
+		resp, routed := s.Segment(k)
+		if resp == nil {
+			continue
+		}
+		n := s.SegmentLen(k)
+		e := byteExtent(resp[bi*SegmentRounds:][:n])
+		if w := routed[bi] << (64 - n) >> (64 - n); w != 0 { // the bits of the n rounds
+			e = max(e, 64-bits.LeadingZeros64(w))
+		}
+		if e > 0 {
+			return k*SegmentRounds + e
+		}
+	}
+	return 0
+}
+
+// naiveExtent is a block's extent one round at a time.
 func naiveExtent(s *Store, bi int) int {
 	for r := s.tl.NumRounds(); r > 0; r-- {
 		if s.Resp(bi, r-1) != 0 || s.Routed(bi, r-1) {
@@ -22,12 +50,42 @@ func naiveExtent(s *Store, bi int) int {
 	return 0
 }
 
-// assertExtents checks every block's Extent against the oracle.
+// assertExtents checks every block's extent through Segment against the
+// round-by-round scan, and every cell Segment returns against Resp and
+// Routed: a segment's cells are nil only when all of them read zero, and
+// otherwise hold a row of SegmentRounds counts and one routed word for
+// every block; SegmentLen counts the timeline's rounds among them.
 func assertExtents(t *testing.T, label string, s *Store) {
 	t.Helper()
+	rounds := s.tl.NumRounds()
+	for k := range s.NumSegments() {
+		lo := k * SegmentRounds
+		if n := s.SegmentLen(k); n != min(SegmentRounds, rounds-lo) {
+			t.Fatalf("%s: segment %d: SegmentLen %d, want %d", label, k, n, min(SegmentRounds, rounds-lo))
+		}
+		resp, routed := s.Segment(k)
+		if (resp == nil) != (routed == nil) || resp != nil && (len(resp) != s.NumBlocks()*SegmentRounds || len(routed) != s.NumBlocks()) {
+			t.Fatalf("%s: segment %d: %d counts and %d routed words for %d blocks", label, k, len(resp), len(routed), s.NumBlocks())
+		}
+	}
 	for bi := 0; bi < s.NumBlocks(); bi++ {
-		if got, want := s.Extent(bi), naiveExtent(s, bi); got != want {
-			t.Fatalf("%s: block %d: Extent = %d, naive scan %d", label, bi, got, want)
+		if got, want := segmentExtent(s, bi), naiveExtent(s, bi); got != want {
+			t.Fatalf("%s: block %d: extent through Segment = %d, naive scan %d", label, bi, got, want)
+		}
+		for k := range s.NumSegments() {
+			resp, routed := s.Segment(k)
+			lo := k * SegmentRounds
+			for j := range s.SegmentLen(k) {
+				var c int
+				var r bool
+				if resp != nil {
+					c, r = int(resp[bi*SegmentRounds+j]), routed[bi]>>j&1 == 1
+				}
+				if c != s.Resp(bi, lo+j) || r != s.Routed(bi, lo+j) {
+					t.Fatalf("%s: block %d round %d: Segment reads (%d, %v), Resp/Routed (%d, %v)",
+						label, bi, lo+j, c, r, s.Resp(bi, lo+j), s.Routed(bi, lo+j))
+				}
+			}
 		}
 	}
 }
@@ -96,11 +154,11 @@ func TestExtent(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			s := testStore(t)
 			c.write(s)
-			if got := s.Extent(0); got != c.want {
-				t.Fatalf("Extent = %d, want %d", got, c.want)
+			if got := segmentExtent(s, 0); got != c.want {
+				t.Fatalf("extent = %d, want %d", got, c.want)
 			}
-			if got := s.Extent(1); got != 0 {
-				t.Fatalf("untouched block: Extent = %d, want 0", got)
+			if got := segmentExtent(s, 1); got != 0 {
+				t.Fatalf("untouched block: extent = %d, want 0", got)
 			}
 			assertExtents(t, c.name, s)
 		})
@@ -122,26 +180,27 @@ func TestExtent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for bi, want := range []int{131, 0, 40} {
-			if e := got.Extent(bi); e != want {
-				t.Fatalf("block %d: Extent = %d, want %d", bi, e, want)
+			if e := segmentExtent(got, bi); e != want {
+				t.Fatalf("block %d: extent = %d, want %d", bi, e, want)
 			}
 		}
 		assertExtents(t, "ReadFrom", got)
 	})
 
 	// ReadFrom copies routed words verbatim, so a corrupt file can set the
-	// last word's bits past the final round: Extent must still stay a
-	// valid loop bound.
+	// last word's bits past the final round: a walk over SegmentLen rounds
+	// must not take them for rounds, or it would run off the end of the
+	// timeline.
 	t.Run("padding bits", func(t *testing.T) {
 		s := testStore(t)
 		if (last+1)%64 == 0 {
 			t.Fatal("test timeline fills its last routed word: no padding to set")
 		}
-		words := s.routed[0]
-		words[len(words)-1] |= 1 << 63
-		if got := s.Extent(0); got != last+1 {
-			t.Fatalf("Extent = %d, want %d (clamped to the column)", got, last+1)
+		s.writable(s.NumSegments() - 1).routed[0] |= 1 << 63
+		if got := segmentExtent(s, 0); got != 0 {
+			t.Fatalf("extent = %d, want 0 (the padding bit is past the timeline)", got)
 		}
+		assertExtents(t, "padding bits", s)
 	})
 
 	t.Run("ReplayRoundLog", func(t *testing.T) {
@@ -162,8 +221,8 @@ func TestExtent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for bi := 0; bi < src.NumBlocks(); bi++ {
-			if got, want := dst.Extent(bi), src.Extent(bi); got != want {
-				t.Fatalf("block %d: replayed Extent = %d, source %d", bi, got, want)
+			if got, want := segmentExtent(dst, bi), segmentExtent(src, bi); got != want {
+				t.Fatalf("block %d: replayed extent = %d, source %d", bi, got, want)
 			}
 		}
 		assertExtents(t, "ReplayRoundLog", dst)
@@ -172,7 +231,8 @@ func TestExtent(t *testing.T) {
 
 // FuzzExtent drives a two-block store through arbitrary SetRound sequences
 // — counts and routed bits set and cleared anywhere on a timeline of 1–300
-// rounds — and compares Extent with the one-round-at-a-time scan.
+// rounds — and compares the extent through Segment with the
+// one-round-at-a-time scan.
 func FuzzExtent(f *testing.F) {
 	f.Add(uint16(0), []byte{})
 	f.Add(uint16(130), []byte{0, 63, 1, 0, 64, 2, 0, 65, 0})

@@ -25,6 +25,10 @@ import (
 //	           concatenated delta+RLE blob in block order
 //	routed rows: nblocks × words u64
 //	ntracked u32 | per tracked: blockIdx u32, rounds × u16 RTT ms
+//
+// Every row is written to the planned length: the cells of segments a store
+// never wrote go out as zeros, and ReadFrom keeps only the segments that hold
+// a nonzero cell.
 
 const (
 	fileMagic = "CMDS"
@@ -179,22 +183,41 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	}
 	// v4 resp section: the column index precedes the data, so a count pass
 	// fills it, then each column is coded into one reused buffer and written
-	// — the working memory is the longest column, not the file.
-	lens := make([]uint32, len(s.resp))
+	// — the working memory is one row of the written rounds and the longest
+	// coded column, not the file. Every cell past the last written segment
+	// is zero, so the row holds the rounds up to it and one zero cell more,
+	// where a column steps down to its zero tail.
+	rounds := s.tl.NumRounds()
+	written := 0
+	for k, sg := range s.segs {
+		if sg != nil {
+			written = min(rounds, (k+1)<<segShift)
+		}
+	}
+	row := make([]byte, min(rounds, written+1))
+	lens := make([]uint32, len(s.blocks))
 	longest := 0
-	for i, resp := range s.resp {
-		n := columnLen(resp)
-		lens[i] = uint32(n)
+	for bi := range s.blocks {
+		n := columnLen(s.fillRow(row, bi), rounds)
+		lens[bi] = uint32(n)
 		longest = max(longest, n)
 	}
 	e.u32s(lens)
 	col := make([]byte, 0, longest)
-	for _, resp := range s.resp {
-		col = appendColumn(col[:0], resp)
+	for bi := range s.blocks {
+		col = appendColumn(col[:0], s.fillRow(row, bi), rounds)
 		e.raw(col)
 	}
-	for _, row := range s.routed {
-		e.u64s(row)
+	for bi := range s.blocks {
+		words := e.bytes(8 * len(s.segs))
+		for k, sg := range s.segs {
+			var w uint64
+			if sg != nil {
+				w = sg.routed[bi]
+			}
+			binary.LittleEndian.PutUint64(words[8*k:], w)
+		}
+		e.raw(words)
 	}
 	tracked := make([]int, 0, len(s.rtt))
 	for bi := range s.rtt {
@@ -210,6 +233,19 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 		e.err = bw.Flush()
 	}
 	return cw.n, e.err
+}
+
+// fillRow copies block bi's responsive counts from the written segments
+// into row, which holds a prefix of the timeline at least as long as the
+// last written segment, and returns it. The cells of segments never written
+// are left as they are: zero, in a row only ever filled by fillRow.
+func (s *Store) fillRow(row []byte, bi int) []byte {
+	for k, sg := range s.segs {
+		if sg != nil {
+			copy(row[k<<segShift:], sg.resp[bi<<segShift:(bi+1)<<segShift])
+		}
+	}
+	return row
 }
 
 // dec is the sticky-error counterpart of enc: fixed-width values are read
@@ -377,22 +413,38 @@ func ReadFrom(r io.Reader) (*Store, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	for i := range s.resp {
-		if lens[i] > 2*rounds+64 {
-			return nil, fmt.Errorf("dataset: implausible column length %d", lens[i])
+	// Each column is decoded into one planned-length row, and only the
+	// segments holding a nonzero cell are kept.
+	row := make([]byte, rounds)
+	for bi := range s.blocks {
+		if lens[bi] > 2*rounds+64 {
+			return nil, fmt.Errorf("dataset: implausible column length %d", lens[bi])
 		}
 		// The scratch buffer doubles as the per-column staging area; it is
 		// fully consumed by the decode before the next codec call reuses it.
-		rle := d.bytes(int(lens[i]))
+		rle := d.bytes(int(lens[bi]))
 		if d.err != nil {
 			return nil, d.err
 		}
-		if err := deltaRLEDecode(s.resp[i], rle); err != nil {
+		if err := deltaRLEDecode(row, rle); err != nil {
 			return nil, err
 		}
+		for k := range s.segs {
+			if cells := row[k<<segShift : min(len(row), (k+1)<<segShift)]; !allZero(cells) {
+				copy(s.writable(k).resp[bi<<segShift:], cells)
+			}
+		}
 	}
-	for i := range s.routed {
-		d.u64s(s.routed[i])
+	for bi := range s.blocks {
+		words := d.bytes(8 * len(s.segs))
+		if words == nil {
+			return nil, d.err
+		}
+		for k := range s.segs {
+			if w := binary.LittleEndian.Uint64(words[8*k:]); w != 0 {
+				s.writable(k).routed[bi] = w
+			}
+		}
 	}
 	ntracked := d.u32()
 	if d.err != nil {
@@ -444,6 +496,21 @@ func Load(path string) (*Store, error) {
 	}
 	defer f.Close()
 	return ReadFrom(f)
+}
+
+// allZero reports whether every byte of b is zero, eight bytes per load.
+func allZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 type countingWriter struct {

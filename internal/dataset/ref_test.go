@@ -5,6 +5,10 @@ import (
 	"encoding/binary"
 	"io"
 	"sort"
+
+	"countrymon/internal/netmodel"
+	"countrymon/internal/scanner"
+	"countrymon/internal/timeline"
 )
 
 // The staged v4 coder, kept verbatim as the oracle of appendColumn,
@@ -72,9 +76,208 @@ func deltaRLEAppend(dst, src []byte, scratch *[]byte) []byte {
 	return rleAppend(dst, d)
 }
 
-// refWriteTo is WriteTo with the staged resp section, counting above its
+// refStore is the store as it was before its columns were segmented, kept
+// as the oracle of the segmented Store: every block's resp row and routed
+// bitset and every tracked block's RTT row sized to the planned timeline at
+// creation.
+type refStore struct {
+	tl       *timeline.Timeline
+	blocks   []netmodel.BlockID
+	resp     [][]uint8
+	routed   [][]uint64
+	missing  []bool
+	coverage []uint16
+	done     []bool
+	rtt      map[int][]uint16
+}
+
+// newRefStore is NewStore's oracle over blocks, which must be sorted and
+// distinct.
+func newRefStore(tl *timeline.Timeline, blocks []netmodel.BlockID) *refStore {
+	s := &refStore{
+		tl:       tl,
+		blocks:   blocks,
+		resp:     make([][]uint8, len(blocks)),
+		routed:   make([][]uint64, len(blocks)),
+		missing:  make([]bool, tl.NumRounds()),
+		coverage: make([]uint16, tl.NumRounds()),
+		done:     make([]bool, tl.NumRounds()),
+		rtt:      make(map[int][]uint16),
+	}
+	for r := range s.coverage {
+		s.coverage[r] = coverageFull
+	}
+	words := (tl.NumRounds() + 63) / 64
+	for i := range blocks {
+		s.resp[i] = make([]uint8, tl.NumRounds())
+		s.routed[i] = make([]uint64, words)
+	}
+	return s
+}
+
+func (s *refStore) SetMissing(r int) {
+	s.missing[r] = true
+	s.done[r] = true
+}
+
+func (s *refStore) SetDone(r int) { s.done[r] = true }
+
+func (s *refStore) SetCoverage(r int, frac float64) {
+	s.coverage[r] = uint16(min(max(frac, 0), 1)*coverageFull + 0.5)
+}
+
+func (s *refStore) SetRound(blockIdx, round int, resp int, routed bool) {
+	s.resp[blockIdx][round] = uint8(min(max(resp, 0), RespCap))
+	if routed {
+		s.routed[blockIdx][round/64] |= 1 << (round % 64)
+	} else {
+		s.routed[blockIdx][round/64] &^= 1 << (round % 64)
+	}
+}
+
+func (s *refStore) TrackRTT(blockIdx int) {
+	if _, ok := s.rtt[blockIdx]; !ok {
+		s.rtt[blockIdx] = make([]uint16, s.tl.NumRounds())
+	}
+}
+
+func (s *refStore) SetRTT(blockIdx, round int, ms uint16) {
+	if arr, ok := s.rtt[blockIdx]; ok {
+		arr[round] = ms
+	}
+}
+
+func (s *refStore) AddRoundData(round int, rd *scanner.RoundData) {
+	for i := range rd.Blocks {
+		br := &rd.Blocks[i]
+		bi := sort.Search(len(s.blocks), func(j int) bool { return s.blocks[j] >= br.Block })
+		if bi == len(s.blocks) || s.blocks[bi] != br.Block {
+			continue
+		}
+		s.resp[bi][round] = uint8(min(int(br.RespCount), RespCap))
+		if br.RTTCount > 0 {
+			s.SetRTT(bi, round, uint16(br.MeanRTT().Milliseconds()))
+		}
+	}
+}
+
+func (s *refStore) Resp(blockIdx, round int) int { return int(s.resp[blockIdx][round]) }
+
+func (s *refStore) Routed(blockIdx, round int) bool {
+	return s.routed[blockIdx][round/64]>>(round%64)&1 == 1
+}
+
+func (s *refStore) RTT(blockIdx, round int) uint16 {
+	if arr, ok := s.rtt[blockIdx]; ok {
+		return arr[round]
+	}
+	return 0
+}
+
+func (s *refStore) MonthStats(blockIdx, month int) MonthlyBlockStats {
+	lo, hi := s.tl.MonthRounds(month)
+	var st MonthlyBlockStats
+	var sum int
+	resp := s.resp[blockIdx]
+	for r := lo; r < hi; r++ {
+		if s.missing[r] {
+			continue
+		}
+		st.MeasuredRounds++
+		c := int(resp[r])
+		sum += c
+		if c > st.EverActive {
+			st.EverActive = c
+		}
+		if s.Routed(blockIdx, r) {
+			st.RoutedRounds++
+		}
+	}
+	if st.MeasuredRounds > 0 {
+		st.MeanResp = float64(sum) / float64(st.MeasuredRounds)
+	}
+	if st.EverActive > 0 {
+		st.Availability = st.MeanResp / float64(st.EverActive)
+	}
+	return st
+}
+
+func (s *refStore) EligibleFBS(blockIdx, month, minEver int) bool {
+	return s.MonthStats(blockIdx, month).EverActive >= minEver
+}
+
+func (s *refStore) EligibleTrinocular(blockIdx, month int) (eligible, indeterminate bool) {
+	st := s.MonthStats(blockIdx, month)
+	eligible = st.EverActive >= 15 && st.Availability >= 0.1
+	indeterminate = eligible && st.Availability < 0.3
+	return eligible, indeterminate
+}
+
+// nonzeroSegments counts the SegmentRounds-round segments in which some
+// block has a nonzero count or routed bit: the segments ReadFrom keeps.
+func (s *refStore) nonzeroSegments() int {
+	n := 0
+	for lo := 0; lo < s.tl.NumRounds(); lo += SegmentRounds {
+		for bi := range s.blocks {
+			if s.routed[bi][lo/64] != 0 || byteExtent(s.resp[bi][lo:min(lo+SegmentRounds, len(s.resp[bi]))]) > 0 {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// twin is a Store and its planned-row oracle, written in step: each of its
+// setters writes the same cells to both, and every read goes to the Store.
+type twin struct {
+	*Store
+	ref *refStore
+}
+
+func newTwin(tl *timeline.Timeline, blocks []netmodel.BlockID) *twin {
+	s := NewStore(tl, blocks)
+	return &twin{Store: s, ref: newRefStore(tl, s.Blocks())}
+}
+
+func (w *twin) SetMissing(r int) {
+	w.Store.SetMissing(r)
+	w.ref.SetMissing(r)
+}
+
+func (w *twin) SetDone(r int) {
+	w.Store.SetDone(r)
+	w.ref.SetDone(r)
+}
+
+func (w *twin) SetCoverage(r int, frac float64) {
+	w.Store.SetCoverage(r, frac)
+	w.ref.SetCoverage(r, frac)
+}
+
+func (w *twin) SetRound(blockIdx, round int, resp int, routed bool) {
+	w.Store.SetRound(blockIdx, round, resp, routed)
+	w.ref.SetRound(blockIdx, round, resp, routed)
+}
+
+func (w *twin) TrackRTT(blockIdx int) {
+	w.Store.TrackRTT(blockIdx)
+	w.ref.TrackRTT(blockIdx)
+}
+
+func (w *twin) SetRTT(blockIdx, round int, ms uint16) {
+	w.Store.SetRTT(blockIdx, round, ms)
+	w.ref.SetRTT(blockIdx, round, ms)
+}
+
+func (w *twin) AddRoundData(round int, rd *scanner.RoundData) {
+	w.Store.AddRoundData(round, rd)
+	w.ref.AddRoundData(round, rd)
+}
+
+// writeTo is WriteTo with the staged resp section, counting above its
 // buffer.
-func (s *Store) refWriteTo(w io.Writer) (int64, error) {
+func (s *refStore) writeTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, fileBuf)
 	cw := &countingWriter{w: bw}
 	e := &enc{w: cw}
@@ -151,8 +354,8 @@ func (s *Store) refWriteTo(w io.Writer) (int64, error) {
 
 // refRecord is the body of RoundLog.Append before it took the streamed
 // coder: round's framed journal record, built with the staged one.
-func refRecord(s *Store, round int) []byte {
-	nblocks := s.NumBlocks()
+func refRecord(s *refStore, round int) []byte {
+	nblocks := len(s.blocks)
 	col := make([]uint8, nblocks)
 	var scratch []byte
 	for bi := 0; bi < nblocks; bi++ {

@@ -189,8 +189,12 @@ func (l *RoundLog) Append(s *Store, round int) error {
 
 // record appends round's framed record to b.
 func (l *RoundLog) record(b []byte, s *Store, round int) []byte {
-	for bi := 0; bi < l.nblocks; bi++ {
-		l.col[bi] = s.resp[bi][round]
+	if sg := s.segs[round>>segShift]; sg != nil {
+		for bi := range l.col {
+			l.col[bi] = sg.resp[bi<<segShift|round&segMask]
+		}
+	} else {
+		clear(l.col)
 	}
 	var tmp [4]byte
 	binary.LittleEndian.PutUint32(tmp[:], uint32(round))
@@ -207,7 +211,7 @@ func (l *RoundLog) record(b []byte, s *Store, round int) []byte {
 	b = append(b, tmp[:2]...)
 	lenAt := len(b)
 	b = append(b, 0, 0, 0, 0)
-	b = appendColumn(b, l.col)
+	b = appendColumn(b, l.col, len(l.col))
 	binary.LittleEndian.PutUint32(b[lenAt:], uint32(len(b)-lenAt-4))
 	for base := 0; base < l.nblocks; base += 64 {
 		limit := base + 64

@@ -3,9 +3,14 @@
 // BGP-routed state, and (for tracked blocks) round-trip times. The read side
 // derives everything else on demand: MonthStats gives the monthly aggregates
 // (the ever-active count E(b) and long-term availability A used by
-// block-eligibility rules), EffectiveMissing the no-data mask, NextUndone the
-// resume cursor, and Extent the bound past which a block's column is all
-// zero.
+// block-eligibility rules), EffectiveMissing the no-data mask and NextUndone
+// the resume cursor.
+//
+// A store holds the rounds it recorded, not the rounds it planned: its
+// responsive-count and routed columns are kept in segments of SegmentRounds
+// rounds, and a segment is allocated when its first nonzero cell is
+// written. A cell of a segment never written reads as zero, so a campaign a
+// few days into a three-year timeline costs a few days of cells.
 //
 // Two ingestion paths fill a Store with identical semantics: the packet-level
 // scanner (scanner.RoundData) and the fast statistical generator in
@@ -13,15 +18,34 @@
 package dataset
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"countrymon/internal/netmodel"
 	"countrymon/internal/scanner"
 	"countrymon/internal/timeline"
 )
+
+// SegmentRounds is the number of consecutive rounds one column segment
+// holds: segment k holds rounds k*SegmentRounds up to the next segment.
+const SegmentRounds = 64
+
+const (
+	segShift = 6 // log2(SegmentRounds)
+	segMask  = SegmentRounds - 1
+)
+
+// segment holds every block's cells for SegmentRounds consecutive rounds. A
+// written segment is never copied or resized.
+type segment struct {
+	// resp[bi*SegmentRounds+j] is block bi's responsive count in the
+	// segment's round j, capped at 255 (a /24 has at most 256 probe-able
+	// addresses and real blocks never saturate; the cap is RespCap).
+	resp []uint8
+	// routed[bi] bit j set = block bi was covered by a BGP route during the
+	// segment's round j. A decoded file may set bits past the last round.
+	routed []uint64
+}
 
 // Store holds one campaign's observations. Create with NewStore, fill via
 // SetRound/AddRoundData, then treat as read-only; aggregate methods are safe
@@ -31,13 +55,9 @@ type Store struct {
 	blocks []netmodel.BlockID
 	index  map[netmodel.BlockID]int
 
-	// resp[b][r] is the number of responsive IPs of block b in round r,
-	// capped at 255 (a /24 has at most 256 probe-able addresses and real
-	// blocks never saturate; the cap is recorded by RespCap).
-	resp [][]uint8
-	// routed is a per-block bitset over rounds: bit r set = the block was
-	// covered by a BGP route during round r.
-	routed [][]uint64
+	// segs[k] holds rounds k*SegmentRounds onward; nil until a nonzero
+	// resp or routed cell in it is written.
+	segs []*segment
 	// missing[r] marks vantage-point outages (no data).
 	missing []bool
 	// coverage[r] is the probed-target fraction of round r in 1/65535
@@ -49,7 +69,9 @@ type Store struct {
 	done []bool
 
 	// rtt[b] is per-round mean RTT in milliseconds for tracked blocks
-	// (nil for untracked blocks to bound memory).
+	// (nil for untracked blocks to bound memory). Unlike the segmented
+	// columns it is planned-length: only the generator tracks RTTs, and it
+	// writes every round of the timeline.
 	rtt map[int][]uint16
 }
 
@@ -60,7 +82,8 @@ const RespCap = 255
 const coverageFull = 0xFFFF
 
 // NewStore allocates a store for the given blocks (sorted + deduplicated
-// internally) over the timeline.
+// internally) over the timeline. It allocates no cells: those come a
+// segment at a time as rounds are written.
 func NewStore(tl *timeline.Timeline, blocks []netmodel.BlockID) *Store {
 	bs := append([]netmodel.BlockID(nil), blocks...)
 	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
@@ -74,8 +97,7 @@ func NewStore(tl *timeline.Timeline, blocks []netmodel.BlockID) *Store {
 		tl:       tl,
 		blocks:   out,
 		index:    make(map[netmodel.BlockID]int, len(out)),
-		resp:     make([][]uint8, len(out)),
-		routed:   make([][]uint64, len(out)),
+		segs:     make([]*segment, (tl.NumRounds()+segMask)/SegmentRounds),
 		missing:  make([]bool, tl.NumRounds()),
 		coverage: make([]uint16, tl.NumRounds()),
 		done:     make([]bool, tl.NumRounds()),
@@ -84,13 +106,57 @@ func NewStore(tl *timeline.Timeline, blocks []netmodel.BlockID) *Store {
 	for r := range s.coverage {
 		s.coverage[r] = coverageFull
 	}
-	words := (tl.NumRounds() + 63) / 64
 	for i, b := range out {
 		s.index[b] = i
-		s.resp[i] = make([]uint8, tl.NumRounds())
-		s.routed[i] = make([]uint64, words)
 	}
 	return s
+}
+
+// writable returns segment k for a write, allocating it if it was never
+// written.
+func (s *Store) writable(k int) *segment {
+	if sg := s.segs[k]; sg != nil {
+		return sg
+	}
+	sg := &segment{
+		resp:   make([]uint8, len(s.blocks)*SegmentRounds),
+		routed: make([]uint64, len(s.blocks)),
+	}
+	s.segs[k] = sg
+	return sg
+}
+
+// Reserve allocates the segments that hold rounds [lo, hi). Writes to a
+// reserved segment allocate nothing, so SetRound and SetReserved calls for
+// distinct blocks within it may run concurrently.
+func (s *Store) Reserve(lo, hi int) {
+	for k := lo >> segShift; k < (hi+segMask)>>segShift; k++ {
+		s.writable(k)
+	}
+}
+
+// NumSegments returns the number of SegmentRounds-round segments the
+// timeline spans, written or not.
+func (s *Store) NumSegments() int { return len(s.segs) }
+
+// Segment returns segment k's cells (do not mutate): every block's
+// responsive counts, block bi's for round k*SegmentRounds+j at
+// resp[bi*SegmentRounds+j], and one routed word per block, bit j of
+// routed[bi] for that round. Only the first SegmentLen(k) rounds are the
+// timeline's: cells past them are zero, but a decoded file may set routed
+// bits there. Both are nil for a segment never written: every cell in it is
+// zero, so a walk that sums or maxes over rounds skips it.
+func (s *Store) Segment(k int) (resp []uint8, routed []uint64) {
+	if sg := s.segs[k]; sg != nil {
+		return sg.resp, sg.routed
+	}
+	return nil, nil
+}
+
+// SegmentLen returns the number of the timeline's rounds segment k holds:
+// SegmentRounds, or fewer in the last segment.
+func (s *Store) SegmentLen(k int) int {
+	return min(SegmentRounds, s.tl.NumRounds()-k<<segShift)
 }
 
 // Timeline returns the campaign timeline.
@@ -191,17 +257,27 @@ func coverageThreshold(minCoverage float64) uint16 {
 // SetRound records one block's observation for a round. resp is clamped to
 // RespCap.
 func (s *Store) SetRound(blockIdx, round int, resp int, routed bool) {
-	if resp > RespCap {
-		resp = RespCap
+	if s.segs[round>>segShift] == nil {
+		if resp <= 0 && !routed {
+			return // an unwritten segment reads zero already
+		}
+		s.writable(round >> segShift)
 	}
-	if resp < 0 {
-		resp = 0
-	}
-	s.resp[blockIdx][round] = uint8(resp)
+	s.SetReserved(blockIdx, round, resp, routed)
+}
+
+// SetReserved is SetRound for a round whose segment is allocated already —
+// by Reserve, or by an earlier write. It has no allocation branch, so it
+// inlines into a fill's per-cell loop. It panics on a segment never
+// allocated.
+func (s *Store) SetReserved(blockIdx, round int, resp int, routed bool) {
+	sg := s.segs[round>>segShift]
+	j := round & segMask
+	sg.resp[blockIdx<<segShift|j] = uint8(min(max(resp, 0), RespCap))
 	if routed {
-		s.routed[blockIdx][round/64] |= 1 << (round % 64)
+		sg.routed[blockIdx] |= 1 << j
 	} else {
-		s.routed[blockIdx][round/64] &^= 1 << (round % 64)
+		sg.routed[blockIdx] &^= 1 << j
 	}
 }
 
@@ -236,76 +312,37 @@ func (s *Store) RTTTracked(blockIdx int) bool {
 }
 
 // Resp returns the responsive-IP count of block blockIdx in round r.
-func (s *Store) Resp(blockIdx, round int) int { return int(s.resp[blockIdx][round]) }
-
-// RespSeries returns the block's full per-round series (do not mutate).
-func (s *Store) RespSeries(blockIdx int) []uint8 { return s.resp[blockIdx] }
+func (s *Store) Resp(blockIdx, round int) int {
+	if sg := s.segs[round>>segShift]; sg != nil {
+		return int(sg.resp[blockIdx<<segShift|round&segMask])
+	}
+	return 0 // a segment never written reads zero
+}
 
 // Routed reports whether the block was BGP-routed in round r.
 func (s *Store) Routed(blockIdx, round int) bool {
-	return s.routed[blockIdx][round/64]>>(round%64)&1 == 1
-}
-
-// RoutedWords returns the block's routed bitset, bit r%64 of word r/64 for
-// round r (do not mutate). Bits past the last round may be set.
-func (s *Store) RoutedWords(blockIdx int) []uint64 { return s.routed[blockIdx] }
-
-// Extent returns one past the last round in which the block has a nonzero
-// responsive count or a routed bit (0 for an empty column): every cell at or
-// past it is zero, so a walk that sums or maxes a block's rounds can stop
-// there. It is a stateless backward scan — eight count bytes per load, then
-// the routed words — so no write path has a high-water mark to maintain.
-func (s *Store) Extent(blockIdx int) int {
-	resp := s.resp[blockIdx]
-	n := byteExtent(resp)
-	words := s.routed[blockIdx]
-	for w := len(words) - 1; w >= 0 && w*64+64 > n; w-- {
-		if words[w] != 0 {
-			// Clamped: a decoded file's padding bits past the last round
-			// must not push a walk off the end of the column.
-			return max(n, min(w*64+64-bits.LeadingZeros64(words[w]), len(resp)))
-		}
+	if sg := s.segs[round>>segShift]; sg != nil {
+		return sg.routed[blockIdx]>>(round&segMask)&1 == 1
 	}
-	return n
-}
-
-// byteExtent returns one past the last nonzero byte of b (0 when all are
-// zero), scanning backward eight bytes per load once aligned.
-func byteExtent(b []byte) int {
-	n := len(b)
-	for n%8 != 0 && b[n-1] == 0 {
-		n--
-	}
-	if n%8 == 0 {
-		for n > 0 && binary.LittleEndian.Uint64(b[n-8:n]) == 0 {
-			n -= 8
-		}
-		for n > 0 && b[n-1] == 0 {
-			n--
-		}
-	}
-	return n
+	return false
 }
 
 // AddRoundData ingests a packet-level scan result for the given round.
 // Blocks in rd that are not in the store are ignored. Routedness is not
 // carried by scans; set it separately from BGP snapshots.
 func (s *Store) AddRoundData(round int, rd *scanner.RoundData) {
+	k, j := round>>segShift, round&segMask
 	for i := range rd.Blocks {
 		br := &rd.Blocks[i]
 		bi := s.BlockIndex(br.Block)
 		if bi < 0 {
 			continue
 		}
-		resp := int(br.RespCount)
-		if resp > RespCap {
-			resp = RespCap
+		if resp := min(int(br.RespCount), RespCap); resp > 0 || s.segs[k] != nil {
+			s.writable(k).resp[bi<<segShift|j] = uint8(resp)
 		}
-		s.resp[bi][round] = uint8(resp)
 		if br.RTTCount > 0 {
-			if _, ok := s.rtt[bi]; ok {
-				s.rtt[bi][round] = uint16(br.MeanRTT().Milliseconds())
-			}
+			s.SetRTT(bi, round, uint16(br.MeanRTT().Milliseconds()))
 		}
 	}
 }
@@ -335,19 +372,30 @@ func (s *Store) MonthStats(blockIdx, month int) MonthlyBlockStats {
 	lo, hi := s.tl.MonthRounds(month)
 	var st MonthlyBlockStats
 	var sum int
-	resp := s.resp[blockIdx]
-	for r := lo; r < hi; r++ {
-		if s.missing[r] {
+	for r := lo; r < hi; {
+		sg, end := s.segs[r>>segShift], min(hi, (r|segMask)+1)
+		if sg == nil {
+			for ; r < end; r++ {
+				if !s.missing[r] {
+					st.MeasuredRounds++
+				}
+			}
 			continue
 		}
-		st.MeasuredRounds++
-		c := int(resp[r])
-		sum += c
-		if c > st.EverActive {
-			st.EverActive = c
-		}
-		if s.Routed(blockIdx, r) {
-			st.RoutedRounds++
+		row, routed := sg.resp[blockIdx<<segShift:][:SegmentRounds], sg.routed[blockIdx]
+		for ; r < end; r++ {
+			if s.missing[r] {
+				continue
+			}
+			st.MeasuredRounds++
+			c := int(row[r&segMask])
+			sum += c
+			if c > st.EverActive {
+				st.EverActive = c
+			}
+			if routed>>(r&segMask)&1 == 1 {
+				st.RoutedRounds++
+			}
 		}
 	}
 	if st.MeasuredRounds > 0 {
@@ -376,8 +424,13 @@ func (s *Store) EligibleTrinocular(blockIdx, month int) (eligible, indeterminate
 
 // Validate does basic consistency checks, returning the first problem found.
 func (s *Store) Validate() error {
-	if len(s.blocks) != len(s.resp) || len(s.blocks) != len(s.routed) {
-		return fmt.Errorf("dataset: column length mismatch")
+	if len(s.segs) != (s.tl.NumRounds()+segMask)/SegmentRounds {
+		return fmt.Errorf("dataset: segment table length mismatch")
+	}
+	for _, sg := range s.segs {
+		if sg != nil && (len(sg.resp) != len(s.blocks)*SegmentRounds || len(sg.routed) != len(s.blocks)) {
+			return fmt.Errorf("dataset: column length mismatch")
+		}
 	}
 	for i := 1; i < len(s.blocks); i++ {
 		if s.blocks[i-1] >= s.blocks[i] {

@@ -16,7 +16,10 @@ import (
 // v4Store builds a small store with every kind of state the file format
 // carries: varied resp rows, unrouted stretches, missing and partial and
 // undone rounds, and a couple of RTT-tracked blocks.
-func v4Store(t testing.TB) *Store {
+func v4Store(t testing.TB) *Store { return v4Twin(t).Store }
+
+// v4Twin builds v4Store's cells into a Store and its planned-row oracle.
+func v4Twin(t testing.TB) *twin {
 	t.Helper()
 	start := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
 	tl := timeline.New(start, start.Add(499*2*time.Hour), 2*time.Hour)
@@ -24,7 +27,7 @@ func v4Store(t testing.TB) *Store {
 	for i := range blocks {
 		blocks[i] = netmodel.BlockID(i * 3)
 	}
-	s := NewStore(tl, blocks)
+	s := newTwin(tl, blocks)
 	for bi := range blocks {
 		for r := 0; r < tl.NumRounds(); r++ {
 			s.SetRound(bi, r, (bi*31+r*7)%97, (bi+r)%13 != 0)
@@ -51,13 +54,35 @@ func v4Store(t testing.TB) *Store {
 // so the RLE coder does real work.
 func benchStore(tb testing.TB) *Store {
 	tb.Helper()
+	s := NewStore(benchTimeline(), benchBlocks())
+	fillBench(s)
+	return s
+}
+
+func benchTimeline() *timeline.Timeline {
 	start := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
-	tl := timeline.New(start, start.AddDate(1, 0, 0), 2*time.Hour)
+	return timeline.New(start, start.AddDate(1, 0, 0), 2*time.Hour)
+}
+
+func benchBlocks() []netmodel.BlockID {
 	blocks := make([]netmodel.BlockID, 2048)
 	for i := range blocks {
 		blocks[i] = netmodel.BlockID(i)
 	}
-	s := NewStore(tl, blocks)
+	return blocks
+}
+
+// cellWriter is what the test stores are filled through: a Store, or a
+// twin that fills a Store and its oracle alike.
+type cellWriter interface {
+	SetRound(blockIdx, round int, resp int, routed bool)
+	TrackRTT(blockIdx int)
+	SetRTT(blockIdx, round int, ms uint16)
+}
+
+// fillBench writes benchStore's cells through s.
+func fillBench(s cellWriter) {
+	tl, blocks := benchTimeline(), benchBlocks()
 	for bi := range blocks {
 		for r := 0; r < tl.NumRounds(); r++ {
 			s.SetRound(bi, r, (bi*31+r*7)%97, r%3 != 0)
@@ -69,7 +94,6 @@ func benchStore(tb testing.TB) *Store {
 			}
 		}
 	}
-	return s
 }
 
 func assertStoresEqual(t *testing.T, want, got *Store) {
@@ -80,10 +104,10 @@ func assertStoresEqual(t *testing.T, want, got *Store) {
 	}
 	rounds := want.Timeline().NumRounds()
 	for bi := 0; bi < want.NumBlocks(); bi++ {
-		if !bytes.Equal(got.RespSeries(bi), want.RespSeries(bi)) {
-			t.Fatalf("block %d: resp rows differ", bi)
-		}
 		for r := 0; r < rounds; r++ {
+			if got.Resp(bi, r) != want.Resp(bi, r) {
+				t.Fatalf("block %d round %d: resp %d vs %d", bi, r, got.Resp(bi, r), want.Resp(bi, r))
+			}
 			if got.Routed(bi, r) != want.Routed(bi, r) {
 				t.Fatalf("block %d round %d: routed %v vs %v", bi, r, got.Routed(bi, r), want.Routed(bi, r))
 			}
@@ -221,7 +245,7 @@ func FuzzColumnV4(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Round-trip through the v4 column coding (delta transform + RLE),
 		// bounding the encoding by the reader's plausibility limit.
-		enc := appendColumn(nil, data)
+		enc := appendColumn(nil, data, len(data))
 		if len(enc) > 2*len(data)+64 {
 			t.Fatalf("encoded %d bytes to %d, beyond the reader's 2n+64 limit", len(data), len(enc))
 		}
@@ -251,21 +275,25 @@ func FuzzV4Column(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{42}, 500), uint16(129))
 	f.Add([]byte{0xFF, 0x00, 0x80, 0x7F}, uint16(130))
 	f.Fuzz(func(t *testing.T, data []byte, tail uint16) {
-		assertColumnMatchesReference(t, append(data[:len(data):len(data)], make([]byte, tail%1024)...))
+		assertColumnMatchesReference(t, append(data[:len(data):len(data)], make([]byte, tail%1024)...), len(data))
 	})
 }
 
 // assertColumnMatchesReference checks appendColumn onto a non-empty dst, and
-// columnLen, against the staged deltaRLEAppend.
-func assertColumnMatchesReference(t *testing.T, src []byte) {
+// columnLen, against the staged deltaRLEAppend: given the whole column, and
+// given only its first zeroFrom cells and one zero cell more, every cell
+// from zeroFrom on being zero.
+func assertColumnMatchesReference(t *testing.T, src []byte, zeroFrom int) {
 	t.Helper()
 	var scratch []byte
 	want := deltaRLEAppend([]byte{0xAB}, src, &scratch)
-	if got := appendColumn([]byte{0xAB}, src); !bytes.Equal(got, want) {
-		t.Fatalf("column %v: coded %v, reference %v", src, got, want)
-	}
-	if n := columnLen(src); n != len(want)-1 {
-		t.Fatalf("column %v: columnLen %d, reference coded %d bytes", src, n, len(want)-1)
+	for _, prefix := range []int{len(src), min(len(src), zeroFrom+1)} {
+		if got := appendColumn([]byte{0xAB}, src[:prefix], len(src)); !bytes.Equal(got, want) {
+			t.Fatalf("column %v from a %d-cell prefix: coded %v, reference %v", src, prefix, got, want)
+		}
+		if n := columnLen(src[:prefix], len(src)); n != len(want)-1 {
+			t.Fatalf("column %v from a %d-cell prefix: columnLen %d, reference coded %d bytes", src, prefix, n, len(want)-1)
+		}
 	}
 }
 
@@ -295,7 +323,7 @@ func TestColumnMatchesReference(t *testing.T) {
 			}
 		}
 		for tail := 0; tail <= 260; tail++ {
-			assertColumnMatchesReference(t, append(head[:len(head):len(head)], make([]byte, tail)...))
+			assertColumnMatchesReference(t, append(head[:len(head):len(head)], make([]byte, tail)...), len(head))
 		}
 	}
 }
@@ -305,7 +333,10 @@ func TestColumnMatchesReference(t *testing.T) {
 // end on zeros), partial, missing and done rounds, two RTT-tracked blocks,
 // and the rest of the timeline zero — except block 1, whose one nonzero
 // cell is the final round; block 0 stays all zero.
-func liveStore(t testing.TB, h int) *Store {
+func liveStore(t testing.TB, h int) *Store { return liveTwin(t, h).Store }
+
+// liveTwin builds liveStore's cells into a Store and its planned-row oracle.
+func liveTwin(t testing.TB, h int) *twin {
 	t.Helper()
 	start := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
 	tl := timeline.New(start, start.Add(299*2*time.Hour), 2*time.Hour)
@@ -313,7 +344,7 @@ func liveStore(t testing.TB, h int) *Store {
 	for i := range blocks {
 		blocks[i] = netmodel.BlockID(i)
 	}
-	s := NewStore(tl, blocks)
+	s := newTwin(tl, blocks)
 	s.SetRound(1, tl.NumRounds()-1, 9, true)
 	s.TrackRTT(5)
 	s.TrackRTT(68)
@@ -347,22 +378,24 @@ func liveStore(t testing.TB, h int) *Store {
 
 // testShapes are the stores the streamed writer and the journal records are
 // checked on against the staged reference.
-func testShapes(t *testing.T) map[string]*Store {
+func testShapes(t *testing.T) map[string]*twin {
 	t.Helper()
 	start := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
 	tl := timeline.New(start, start.Add(99*2*time.Hour), 2*time.Hour)
-	one := NewStore(tl, []netmodel.BlockID{7})
+	one := newTwin(tl, []netmodel.BlockID{7})
 	for r := 0; r < 60; r++ {
 		one.SetRound(0, r, 3+r/20, true)
 	}
-	shapes := map[string]*Store{
-		"empty":      NewStore(tl, nil),
+	bench := newTwin(benchTimeline(), benchBlocks())
+	fillBench(bench)
+	shapes := map[string]*twin{
+		"empty":      newTwin(tl, nil),
 		"one block":  one,
-		"v4Store":    v4Store(t),
-		"benchStore": benchStore(t),
+		"v4Store":    v4Twin(t),
+		"benchStore": bench,
 	}
 	for _, h := range []int{0, 1, 7, 8, 63, 64, 128, 129, 130, 299, 300} {
-		shapes[fmt.Sprintf("live h=%d", h)] = liveStore(t, h)
+		shapes[fmt.Sprintf("live h=%d", h)] = liveTwin(t, h)
 	}
 	return shapes
 }
@@ -376,7 +409,7 @@ func TestWriteToMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := s.refWriteTo(&want); err != nil {
+		if _, err := s.ref.writeTo(&want); err != nil {
 			t.Fatalf("%s: reference: %v", name, err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -399,7 +432,7 @@ func TestRoundLogRecordMatchesReference(t *testing.T) {
 			step = 97
 		}
 		for r := 0; r < s.tl.NumRounds(); r += step {
-			if got, want := l.record(nil, s, r), refRecord(s, r); !bytes.Equal(got, want) {
+			if got, want := l.record(nil, s.Store, r), refRecord(s.ref, r); !bytes.Equal(got, want) {
 				t.Fatalf("%s round %d: record %d bytes, the staged reference %d, and they differ", name, r, len(got), len(want))
 			}
 		}

@@ -137,17 +137,17 @@ func ablationRegionalOff(e *Env) *Report {
 		rr := res.Regions[region]
 		for _, bc := range rr.Blocks { // all blocks with any presence
 			bi := bc.Index
-			resp := st.RespSeries(bi)
 			for round := 0; round < tl.NumRounds(); round++ {
 				if es.Missing[round] {
 					continue
 				}
 				m := tl.MonthOfRound(round)
-				es.IPS[round] += float32(resp[round])
+				resp := st.Resp(bi, round)
+				es.IPS[round] += float32(resp)
 				if st.Routed(bi, round) {
 					es.BGP[round]++
 				}
-				if b.Eligible(bi, m) && resp[round] > 0 {
+				if b.Eligible(bi, m) && resp > 0 {
 					es.FBS[round]++
 				}
 			}

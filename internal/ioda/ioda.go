@@ -108,11 +108,13 @@ func (p *Platform) ASSeries(asn netmodel.ASN) *signals.EntitySeries {
 	if trin := p.trin.PerAS[asn]; trin != nil {
 		copy(es.FBS, trin)
 	}
+	var blocks []int
 	for bi, blk := range p.store.Blocks() {
 		if p.space.OriginOf(blk) == asn {
-			countRouted(es.BGP, p.store.RoutedWords(bi), p.measured)
+			blocks = append(blocks, bi)
 		}
 	}
+	countRouted(es.BGP, p.store, blocks, p.measured)
 	return es
 }
 
@@ -130,11 +132,18 @@ func measuredMask(missing []bool) []uint64 {
 }
 
 // countRouted adds one to bgp[r] for every round r set in both a block's
-// routed words and mask, a word at a time.
-func countRouted(bgp []float32, words, mask []uint64) {
-	for w, m := range mask {
-		for x := words[w] & m; x != 0; x &= x - 1 {
-			bgp[w*64+bits.TrailingZeros64(x)]++
+// routed bits and mask, for each of blocks, a segment's word at a time
+// (mask's words are the store's segments).
+func countRouted(bgp []float32, st *dataset.Store, blocks []int, mask []uint64) {
+	for k, m := range mask {
+		_, routed := st.Segment(k)
+		if routed == nil {
+			continue
+		}
+		for _, bi := range blocks {
+			for x := routed[bi] & m; x != 0; x &= x - 1 {
+				bgp[k*dataset.SegmentRounds+bits.TrailingZeros64(x)]++
+			}
 		}
 	}
 }
@@ -170,11 +179,13 @@ func (p *Platform) RegionSeries(region netmodel.Region) *signals.EntitySeries {
 			}
 		}
 	}
+	var blocks []int
 	for bi, blk := range p.store.Blocks() {
 		if member[p.space.OriginOf(blk)] {
-			countRouted(es.BGP, p.store.RoutedWords(bi), p.measured)
+			blocks = append(blocks, bi)
 		}
 	}
+	countRouted(es.BGP, p.store, blocks, p.measured)
 	return es
 }
 

@@ -1,6 +1,8 @@
 package ioda
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -45,9 +47,9 @@ func randomPlatform(space *netmodel.Space, rounds int, seed int64) *Platform {
 		for r := range rounds {
 			st.SetRound(bi, r, 0, rng.Intn(5) > 0)
 		}
-		if words := st.RoutedWords(bi); rounds%64 != 0 {
-			words[len(words)-1] |= ^uint64(0) << (rounds % 64)
-		}
+	}
+	if rounds%64 != 0 {
+		st = withPaddingBits(st)
 	}
 	p := &Platform{
 		store:    st,
@@ -73,6 +75,30 @@ func randomPlatform(space *netmodel.Space, rounds int, seed int64) *Platform {
 		}
 	}
 	return p
+}
+
+// withPaddingBits returns st as ReadFrom gives it back from a file whose
+// every routed row has all its bits past the last round set. The v4 routed
+// section is the file's last but the tracked-RTT count (zero here): one row
+// of a word per segment for each block.
+func withPaddingBits(st *dataset.Store) *dataset.Store {
+	var buf bytes.Buffer
+	if _, err := st.WriteTo(&buf); err != nil {
+		panic(err)
+	}
+	raw := buf.Bytes()
+	words := st.NumSegments()
+	rows := raw[len(raw)-4-8*words*st.NumBlocks() : len(raw)-4]
+	pad := ^uint64(0) << (st.Timeline().NumRounds() % 64)
+	for bi := range st.NumBlocks() {
+		w := rows[8*(bi*words+words-1):]
+		binary.LittleEndian.PutUint64(w, binary.LittleEndian.Uint64(w)|pad)
+	}
+	out, err := dataset.ReadFrom(bytes.NewReader(raw))
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // TestRegionSeriesMatchesRef: reading the routed bitsets a word at a time

@@ -35,7 +35,6 @@ func VolumeSeries(st *dataset.Store, cl *regional.Classifier, rr *regional.Regio
 	tl := st.Timeline()
 	out := make([]float64, tl.NumRounds())
 	for _, bc := range rr.Blocks {
-		resp := st.RespSeries(bc.Index)
 		for r := 0; r < tl.NumRounds(); r++ {
 			if st.Missing(r) {
 				// A passive observer has no vantage outages; interpolate
@@ -52,7 +51,7 @@ func VolumeSeries(st *dataset.Store, cl *regional.Classifier, rr *regional.Regio
 				continue
 			}
 			localHour := (tl.Time(r).Hour() + 2) % 24
-			out[r] += float64(resp[r]) * share * humanDiurnal(localHour) * 7.3
+			out[r] += float64(st.Resp(bc.Index, r)) * share * humanDiurnal(localHour) * 7.3
 		}
 	}
 	return out

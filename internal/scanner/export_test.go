@@ -26,3 +26,6 @@ func PoisonScratch(batch int) {
 	}
 	scratchPool.Put(sc)
 }
+
+// KeptPermutation returns the permutation t keeps for its next scan, or nil.
+func KeptPermutation(t *TargetSet) *Permutation { return t.perm.Load() }

@@ -36,20 +36,30 @@ type Permutation struct {
 // Different seeds give different probe orders; the same seed reproduces a
 // scan exactly.
 func NewPermutation(n uint64, seed uint64) (*Permutation, error) {
+	pm, err := newPermutation(n, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &pm, nil
+}
+
+// newPermutation is NewPermutation by value, so a kept permutation can be
+// re-derived in place.
+func newPermutation(n uint64, seed uint64) (Permutation, error) {
 	if n == 0 {
-		return nil, errors.New("scanner: empty permutation domain")
+		return Permutation{}, errors.New("scanner: empty permutation domain")
 	}
 	if n >= 1<<62 {
-		return nil, fmt.Errorf("scanner: domain %d too large", n)
+		return Permutation{}, fmt.Errorf("scanner: domain %d too large", n)
 	}
 	p := primeAbove(n)
 	g, err := findGenerator(p, seed)
 	if err != nil {
-		return nil, err
+		return Permutation{}, err
 	}
 	// Choose a starting point in [1, p-1] from the seed.
 	first := netmodel.Mix64(seed^0x9e3779b97f4a7c15)%(p-1) + 1
-	pm := &Permutation{n: n, p: p, g: g, first: first, seed: seed}
+	pm := Permutation{n: n, p: p, g: g, first: first, seed: seed}
 	if p < 1<<32 {
 		pm.inv = math.MaxUint64 / p
 	}

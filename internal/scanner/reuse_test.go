@@ -210,8 +210,10 @@ func TestPermutationFollowsSeed(t *testing.T) {
 // index (a block of the fill before that is no longer a member is not
 // found), and the same round under one seed. Only the first 2 ms of a scan
 // are answered, so the round also shows that the probe order is the fresh
-// set's. A list that is empty, unsorted or has a duplicate is rejected and
-// leaves the set as it was.
+// set's; the permutation the refilled set keeps walks the fresh set's order
+// outright, and it is the one the first scan built, re-derived in place. A
+// list that is empty, unsorted or has a duplicate is rejected and leaves the
+// set as it was.
 func TestRefillMatchesNew(t *testing.T) {
 	start := time.Unix(0, 0)
 	early := simnet.ResponderFunc(func(dst netmodel.Addr, at time.Time) simnet.Reply {
@@ -234,8 +236,20 @@ func TestRefillMatchesNew(t *testing.T) {
 		return out
 	}
 
+	order := func(pm *scanner.Permutation) []uint64 {
+		var out []uint64
+		for c := pm.Iterate(); ; {
+			i, ok := c.Next()
+			if !ok {
+				return out
+			}
+			out = append(out, i)
+		}
+	}
+
 	set := newTargets(t, "91.198.4.0/23")
 	scan(set) // leaves a permutation of the first fill's length behind
+	kept := scanner.KeptPermutation(set)
 	prev := set.Blocks()
 	fills := []struct {
 		name  string
@@ -260,6 +274,12 @@ func TestRefillMatchesNew(t *testing.T) {
 		}
 		if got, exp := scan(set), scan(want); !reflect.DeepEqual(got, exp) {
 			t.Fatalf("%s: the refilled set scans differently from a new one:\n got %+v\nwant %+v", f.name, got.Stats, exp.Stats)
+		}
+		if pm := scanner.KeptPermutation(set); pm != kept {
+			t.Fatalf("%s: the refilled set's scan built a new permutation instead of keeping the re-derived one", f.name)
+		}
+		if got, exp := order(kept), order(scanner.KeptPermutation(want)); !reflect.DeepEqual(got, exp) {
+			t.Fatalf("%s: the refilled set walks %d targets in another order than a new set's %d", f.name, len(got), len(exp))
 		}
 		prev = append([]netmodel.BlockID(nil), want.Blocks()...)
 	}

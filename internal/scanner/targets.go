@@ -67,17 +67,27 @@ func (t *TargetSet) Refill(blocks []netmodel.BlockID) error {
 	}
 	t.blocks = append(t.blocks[:0], blocks...)
 	t.index.Reindex(t.blocks)
+	// The kept permutation is re-derived for the new length in place, under
+	// its seed: every scan of a set asks for one seed, so the next scan finds
+	// it ready and nothing is allocated. No scan holds it now.
+	if pm := t.perm.Load(); pm != nil && pm.n != t.Len() {
+		if fresh, err := newPermutation(t.Len(), pm.seed); err == nil {
+			*pm = fresh
+		} else {
+			t.perm.Store(nil)
+		}
+	}
 	return nil
 }
 
 // permutation returns the permutation of t's targets under seed. A campaign
 // scans one set under one seed every round, so the last one built is kept
-// and handed to every scan that asks for the same seed and length (a
-// Permutation depends on nothing else, so a set refilled to its old length
-// keeps it). A Permutation is read-only once built, so concurrent shard scans
-// share it; two scans that race to build it build the same one.
+// and handed to every scan that asks for the same seed (a Permutation
+// depends on nothing else but the set's length, which Refill keeps it
+// matched to). A Permutation is read-only while scans run, so concurrent
+// shard scans share it; two scans that race to build it build the same one.
 func (t *TargetSet) permutation(seed uint64) (*Permutation, error) {
-	if pm := t.perm.Load(); pm != nil && pm.seed == seed && pm.n == t.Len() {
+	if pm := t.perm.Load(); pm != nil && pm.seed == seed {
 		return pm, nil
 	}
 	pm, err := NewPermutation(t.Len(), seed)

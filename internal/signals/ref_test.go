@@ -19,9 +19,9 @@ import (
 )
 
 // The oracle: the ever-active pass, buildAS and buildRegion as they were
-// before each block's walk stopped at its dataset.Store.Extent — every block
-// × every round of the timeline, recorded or not. The bodies are kept
-// verbatim; only the names moved.
+// before each block's walk was bounded by what the store recorded — every
+// block × every round of the timeline, recorded or not, read a cell at a
+// time. Only the names and the cell reads changed.
 
 func refNewBuilderMinCoverage(store *dataset.Store, space *netmodel.Space, minCoverage float64) *Builder {
 	tl := store.Timeline()
@@ -46,14 +46,13 @@ func refNewBuilderMinCoverage(store *dataset.Store, space *netmodel.Space, minCo
 	// aggregation here must too.
 	outage := store.MissingRounds()
 	par.ForEach(store.NumBlocks(), func(bi int) {
-		resp := store.RespSeries(bi)
 		base := bi * months
 		for r := 0; r < rounds; r++ {
 			if outage[r] {
 				continue
 			}
-			if i := base + tl.MonthOfRound(r); resp[r] > b.everMax[i] {
-				b.everMax[i] = resp[r]
+			if i, c := base+tl.MonthOfRound(r), uint8(store.Resp(bi, r)); c > b.everMax[i] {
+				b.everMax[i] = c
 			}
 		}
 		for m := 0; m < months; m++ {
@@ -77,13 +76,12 @@ func (b *Builder) refBuildAS(asn netmodel.ASN) *EntitySeries {
 	es := NewSeries(asn.String(), b.tl, b.missing)
 	rounds := b.tl.NumRounds()
 	for _, bi := range b.asBlocks[asn] {
-		resp := b.store.RespSeries(bi)
 		base := bi * b.months
 		for r := 0; r < rounds; r++ {
 			if es.Missing[r] {
 				continue
 			}
-			c := float32(resp[r])
+			c := float32(b.store.Resp(bi, r))
 			es.IPS[r] += c
 			if b.store.Routed(bi, r) {
 				es.BGP[r]++
@@ -110,9 +108,9 @@ func (b *Builder) refBuildRegion(rr *regional.RegionResult, cl *regional.Classif
 		bi := bc.Index
 		fe.blocks = append(fe.blocks, bi)
 		fe.eval = append(fe.eval, bc.EvalMonths)
-		resp := b.store.RespSeries(bi)
 		base := bi * b.months
 		for r := 0; r < rounds; r++ {
+			resp := b.store.Resp(bi, r)
 			if es.Missing[r] {
 				continue
 			}
@@ -121,12 +119,12 @@ func (b *Builder) refBuildRegion(rr *regional.RegionResult, cl *regional.Classif
 				continue
 			}
 			share := float32(cl.BlockShare(bi, m, rr.Region))
-			c := float32(resp[r]) * share
+			c := float32(resp) * share
 			es.IPS[r] += c
 			if b.store.Routed(bi, r) {
 				es.BGP[r]++
 			}
-			if b.elig[base+m] && resp[r] > 0 {
+			if b.elig[base+m] && resp > 0 {
 				es.FBS[r]++
 			}
 		}
@@ -138,8 +136,8 @@ func (b *Builder) refBuildRegion(rr *regional.RegionResult, cl *regional.Classif
 	return es
 }
 
-// TestBoundedBuildMatchesFullTimelineWalk compares the Extent-bounded
-// builder with the full-timeline oracle bit for bit — every AS, two regions,
+// TestBoundedBuildMatchesFullTimelineWalk compares the builder that walks
+// only the store's written segments with the full-timeline oracle bit for bit — every AS, two regions,
 // the ever-active maxima and Eligible for every block × month — on stores in
 // every state a builder meets: fresh, part-way through a campaign, resumed
 // from a checkpoint, with routed bits written ahead of the scan, with

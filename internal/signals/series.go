@@ -99,8 +99,9 @@ type Builder struct {
 
 // NewBuilder precomputes FBS eligibility for every block and month, gating
 // partial rounds at DefaultMinCoverage. The walk behind it, like every series
-// build, stops at each block's dataset.Store.Extent: it costs O(blocks ×
-// recorded rounds), not O(blocks × timeline), on a partially filled store.
+// build, visits only the store's written segments (dataset.Store.Segment): it
+// costs O(blocks × recorded rounds), not O(blocks × timeline), on a
+// partially filled store.
 func NewBuilder(store *dataset.Store, space *netmodel.Space) *Builder {
 	return NewBuilderMinCoverage(store, space, DefaultMinCoverage)
 }
@@ -125,20 +126,26 @@ func NewBuilderMinCoverage(store *dataset.Store, space *netmodel.Space, minCover
 		nextFold:    store.NextUndone(),
 	}
 	// The ever-active aggregates are independent per block: one pass over
-	// the block's recorded rounds per worker-pool shard (cells past its
-	// Extent are zero and raise no maximum). MonthStats skips only true
-	// vantage outages (not coverage-gated partial rounds), so the aggregation
-	// here must too.
+	// the block's written segments per worker-pool shard (the cells of an
+	// unwritten one are zero and raise no maximum). MonthStats skips only
+	// true vantage outages (not coverage-gated partial rounds), so the
+	// aggregation here must too.
 	outage := store.MissingRounds()
 	par.ForEach(store.NumBlocks(), func(bi int) {
-		resp := store.RespSeries(bi)
 		base := bi * months
-		for r, n := 0, store.Extent(bi); r < n; r++ {
-			if outage[r] {
+		for k := range store.NumSegments() {
+			resp, _ := store.Segment(k)
+			if resp == nil {
 				continue
 			}
-			if i := base + tl.MonthOfRound(r); resp[r] > b.everMax[i] {
-				b.everMax[i] = resp[r]
+			lo := k * dataset.SegmentRounds
+			for j, c := range resp[bi*dataset.SegmentRounds:][:store.SegmentLen(k)] {
+				if outage[lo+j] {
+					continue
+				}
+				if i := base + tl.MonthOfRound(lo+j); c > b.everMax[i] {
+					b.everMax[i] = c
+				}
 			}
 		}
 		for m := 0; m < months; m++ {
@@ -174,22 +181,32 @@ func (b *Builder) AS(asn netmodel.ASN) *EntitySeries {
 func (b *Builder) buildAS(asn netmodel.ASN) *EntitySeries {
 	defer b.metrics.BuildSeconds.ObserveSince(time.Now())
 	es := NewSeries(asn.String(), b.tl, b.missing)
-	// Each block stops at its Extent: the zero cells past it would only add
-	// zero, so the sums match a full-timeline walk bit for bit.
-	for _, bi := range b.asBlocks[asn] {
-		resp := b.store.RespSeries(bi)
-		base := bi * b.months
-		for r, n := 0, b.store.Extent(bi); r < n; r++ {
-			if es.Missing[r] {
-				continue
-			}
-			c := float32(resp[r])
-			es.IPS[r] += c
-			if b.store.Routed(bi, r) {
-				es.BGP[r]++
-			}
-			if b.elig[base+b.tl.MonthOfRound(r)] && c > 0 {
-				es.FBS[r]++
+	// The walk visits only the written segments — the zero cells of the
+	// others would only add zero — and, within one, the blocks in ascending
+	// order, so each round sums its blocks in the order a full-timeline walk
+	// does and the sums match it bit for bit.
+	blocks := b.asBlocks[asn]
+	for k := range b.store.NumSegments() {
+		resp, routed := b.store.Segment(k)
+		if resp == nil {
+			continue
+		}
+		lo, n := k*dataset.SegmentRounds, b.store.SegmentLen(k)
+		missing, ips, bgp, fbs := es.Missing[lo:lo+n], es.IPS[lo:lo+n], es.BGP[lo:lo+n], es.FBS[lo:lo+n]
+		for _, bi := range blocks {
+			base, word := bi*b.months, routed[bi]
+			for j, v := range resp[bi*dataset.SegmentRounds:][:n] {
+				if missing[j] {
+					continue
+				}
+				c := float32(v)
+				ips[j] += c
+				if word>>j&1 == 1 {
+					bgp[j]++
+				}
+				if b.elig[base+b.tl.MonthOfRound(lo+j)] && c > 0 {
+					fbs[j]++
+				}
 			}
 		}
 	}
@@ -215,30 +232,38 @@ func (b *Builder) buildRegion(rr *regional.RegionResult, cl *regional.Classifier
 	es := NewSeries(rr.Region.String(), b.tl, b.missing)
 	fe := &foldEntity{es: es}
 	for _, bc := range rr.Blocks {
-		if !bc.Regional {
+		if bc.Regional {
+			fe.blocks = append(fe.blocks, bc.Index)
+			fe.eval = append(fe.eval, bc.EvalMonths)
+		}
+	}
+	// Segment by segment, blocks ascending within each, as buildAS walks.
+	for k := range b.store.NumSegments() {
+		resp, routed := b.store.Segment(k)
+		if resp == nil {
 			continue
 		}
-		bi := bc.Index
-		fe.blocks = append(fe.blocks, bi)
-		fe.eval = append(fe.eval, bc.EvalMonths)
-		resp := b.store.RespSeries(bi)
-		base := bi * b.months
-		for r, n := 0, b.store.Extent(bi); r < n; r++ {
-			if es.Missing[r] {
-				continue
-			}
-			m := b.tl.MonthOfRound(r)
-			if !bc.EvalMonths[m] {
-				continue
-			}
-			share := float32(cl.BlockShare(bi, m, rr.Region))
-			c := float32(resp[r]) * share
-			es.IPS[r] += c
-			if b.store.Routed(bi, r) {
-				es.BGP[r]++
-			}
-			if b.elig[base+m] && resp[r] > 0 {
-				es.FBS[r]++
+		lo, n := k*dataset.SegmentRounds, b.store.SegmentLen(k)
+		missing, ips, bgp, fbs := es.Missing[lo:lo+n], es.IPS[lo:lo+n], es.BGP[lo:lo+n], es.FBS[lo:lo+n]
+		for i, bi := range fe.blocks {
+			base, word, eval := bi*b.months, routed[bi], fe.eval[i]
+			for j, v := range resp[bi*dataset.SegmentRounds:][:n] {
+				if missing[j] {
+					continue
+				}
+				m := b.tl.MonthOfRound(lo + j)
+				if !eval[m] {
+					continue
+				}
+				share := float32(cl.BlockShare(bi, m, rr.Region))
+				c := float32(v) * share
+				ips[j] += c
+				if word>>j&1 == 1 {
+					bgp[j]++
+				}
+				if b.elig[base+m] && v > 0 {
+					fbs[j]++
+				}
 			}
 		}
 	}

@@ -26,9 +26,10 @@ type foldEntity struct {
 // builds by: every series a Builder builds stays registered, and Fold advances
 // them round by round as the campaign lands data, at O(blocks) per round
 // instead of a full rebuild. On a partially filled store (e.g. after resume,
-// or empty at a campaign's start) the initial build walks each block only up
-// to its dataset.Store.Extent — O(blocks × recorded rounds), not the whole
-// planned timeline — and Fold picks up from the store's resume cursor.
+// or empty at a campaign's start) the initial build walks each block only
+// through the store's written segments — O(blocks × recorded rounds), not
+// the whole planned timeline — and Fold picks up from the store's resume
+// cursor.
 //
 // The contract mirrors a campaign loop: rounds fold in nondecreasing order,
 // a folded round's store cells are immutable afterwards (except the round
@@ -73,7 +74,7 @@ func (b *Builder) Fold(round int) error {
 	var newly []int
 	if !b.store.Missing(round) {
 		for bi := 0; bi < b.store.NumBlocks(); bi++ {
-			c := b.store.RespSeries(bi)[round]
+			c := uint8(b.store.Resp(bi, round))
 			i := bi*b.months + month
 			if c > b.everMax[i] {
 				b.everMax[i] = c
@@ -114,7 +115,7 @@ func (b *Builder) foldEntityRound(fe *foldEntity, round, month int, newly []int)
 		if fe.eval != nil && !fe.eval[i][month] {
 			continue
 		}
-		resp := b.store.RespSeries(bi)[round]
+		resp := b.store.Resp(bi, round)
 		c := float32(resp)
 		if fe.share != nil {
 			c *= fe.share(bi, month)
@@ -154,9 +155,8 @@ func (b *Builder) backfillFBS(fe *foldEntity, round, month int, newly []int) {
 		if fe.eval != nil && !fe.eval[i][month] {
 			continue
 		}
-		resp := b.store.RespSeries(bi)
 		for r := lo; r < round; r++ {
-			if !es.Missing[r] && resp[r] > 0 {
+			if !es.Missing[r] && b.store.Resp(bi, r) > 0 {
 				es.FBS[r]++
 			}
 		}

@@ -431,14 +431,18 @@ func (s *Scenario) GenerateStore(trackRTT []netmodel.BlockID) *dataset.Store {
 	for r := range rounds {
 		if s.Missing[r] {
 			store.SetMissing(r)
+		} else {
+			store.Reserve(r, r+1)
 		}
 	}
 	// The grid cut is a function of (round, region): one table for all blocks.
 	cuts, n := s.gridCuts(rounds), len(s.regionKeys)
 	// The campaign shards per block across the worker pool: every stochastic
 	// decision in stateIn is a pure hash of (seed, block, round), and each
-	// block owns its store rows, so the result is byte-identical to the
-	// sequential order at any worker count.
+	// block owns its cells of every segment, so the result is byte-identical
+	// to the sequential order at any worker count. Every segment a fill
+	// writes is reserved above, so the per-cell write allocates nothing,
+	// takes no lock and inlines.
 	par.ForEach(len(s.blocks), func(bi int) {
 		tracked := store.RTTTracked(bi)
 		keys := s.keysOf(bi)
@@ -449,7 +453,7 @@ func (s *Scenario) GenerateStore(trackRTT []netmodel.BlockID) *dataset.Store {
 			}
 			in := &rounds[r]
 			st := s.stateIn(bi, &keys, in, cuts[r*n:(r+1)*n], spans.at(in.clock))
-			store.SetRound(bi, r, st.Resp, st.Routed)
+			store.SetReserved(bi, r, st.Resp, st.Routed)
 			if tracked && st.Resp > 0 {
 				store.SetRTT(bi, r, st.RTTMS)
 			}
