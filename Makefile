@@ -195,6 +195,7 @@ fuzz-smoke:
 	$(GO) test ./internal/simnet -fuzz '^FuzzReplyQueueMatchesHeap$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/signals -fuzz '^FuzzDetectMatchesOracle$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/signals -fuzz '^FuzzDetectResumeMatchesWhole$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/signals -fuzz '^FuzzStreamingMatchesBatch$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/sim -fuzz '^FuzzStateAtMatchesOracle$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/sim -fuzz '^FuzzGenerateStoreMatchesOracle$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/serve -fuzz '^FuzzServeSchedule$$' -fuzztime 5s -run '^$$'

@@ -754,7 +754,8 @@ type serveASSource struct {
 
 func (s serveASSource) Sample(r int) (bgpV, fbs, ips float32, missing bool) {
 	es := s.m.builder().AS(s.asn)
-	return es.BGP[r], es.FBS[r], es.IPS[r], es.Missing[r]
+	bgpV, fbs, ips = es.At(r)
+	return bgpV, fbs, ips, es.Missing[r]
 }
 
 func (s serveASSource) IPSValidMonth(month int) bool {
@@ -816,17 +817,22 @@ func (m *Monitor) builder() *signals.Builder {
 }
 
 // DetectAS runs outage detection for one AS with the paper's AS-level
-// thresholds.
+// thresholds, over the rounds handled so far (ASSeries).
 func (m *Monitor) DetectAS(asn ASN) *Detection {
-	d := signals.DetectObs(m.builder().AS(asn), signals.ASConfig(), m.sigM)
+	d := signals.DetectObs(m.ASSeries(asn), signals.ASConfig(), m.sigM)
 	if len(d.Outages) > 0 {
 		m.emitDetection(asn.String(), d)
 	}
 	return d
 }
 
-// ASSeries exposes the raw per-round signals of an AS.
-func (m *Monitor) ASSeries(asn ASN) *signals.EntitySeries { return m.builder().AS(asn) }
+// ASSeries exposes the raw per-round signals of an AS over the rounds the
+// campaign has handled, [0, Round()): a round nobody has scanned yet is not
+// a measured zero. It shares the warm builder's arrays, which later folds
+// write or replace: take a fresh view after each round.
+func (m *Monitor) ASSeries(asn ASN) *signals.EntitySeries {
+	return m.builder().AS(asn).View(m.round)
+}
 
 // ClassifyRegions runs the regional classification (§4, M = T_perc = 0.7)
 // against monthly geolocation snapshots, enabling region-level detection.
@@ -843,7 +849,8 @@ func (m *Monitor) ClassifyRegions(db *geodb.DB) error {
 }
 
 // DetectRegion runs regional outage detection with the paper's region-level
-// thresholds. ClassifyRegions must have been called.
+// thresholds over the rounds handled so far. ClassifyRegions must have been
+// called.
 func (m *Monitor) DetectRegion(r Region) (*Detection, error) {
 	if m.classification == nil {
 		return nil, errors.New("countrymon: call ClassifyRegions first")
@@ -852,7 +859,7 @@ func (m *Monitor) DetectRegion(r Region) (*Detection, error) {
 	if rr == nil {
 		return nil, fmt.Errorf("countrymon: no classification for %v", r)
 	}
-	es := m.builder().Region(rr, m.classifier)
+	es := m.builder().Region(rr, m.classifier).View(m.round)
 	d := signals.DetectObs(es, signals.RegionConfig(), m.sigM)
 	if len(d.Outages) > 0 {
 		m.emitDetection(r.String(), d)

@@ -42,18 +42,21 @@ func batchOracle(mon *Monitor) *signals.Builder {
 	return signals.NewBuilderMinCoverage(mon.Store(), mon.buildSpace(), mon.minCoverage())
 }
 
+// sameEntitySeries holds got to want bit for bit at every round of the span
+// (len(Missing)), each read through the zero rule (At).
 func sameEntitySeries(t *testing.T, label string, want, got *signals.EntitySeries) {
 	t.Helper()
-	if len(want.BGP) != len(got.BGP) {
-		t.Fatalf("%s: %d rounds vs %d", label, len(want.BGP), len(got.BGP))
+	if len(want.Missing) != len(got.Missing) {
+		t.Fatalf("%s: a span of %d rounds vs %d", label, len(want.Missing), len(got.Missing))
 	}
-	for r := range want.BGP {
-		if math.Float32bits(want.BGP[r]) != math.Float32bits(got.BGP[r]) ||
-			math.Float32bits(want.FBS[r]) != math.Float32bits(got.FBS[r]) ||
-			math.Float32bits(want.IPS[r]) != math.Float32bits(got.IPS[r]) ||
+	for r := range want.Missing {
+		wb, wf, wi := want.At(r)
+		gb, gf, gi := got.At(r)
+		if math.Float32bits(wb) != math.Float32bits(gb) ||
+			math.Float32bits(wf) != math.Float32bits(gf) ||
+			math.Float32bits(wi) != math.Float32bits(gi) ||
 			want.Missing[r] != got.Missing[r] {
-			t.Fatalf("%s: round %d: batch (%g, %g, %g) vs stream (%g, %g, %g)", label, r,
-				want.BGP[r], want.FBS[r], want.IPS[r], got.BGP[r], got.FBS[r], got.IPS[r])
+			t.Fatalf("%s: round %d: batch (%g, %g, %g) vs stream (%g, %g, %g)", label, r, wb, wf, wi, gb, gf, gi)
 		}
 	}
 	for m := range want.IPSValidMonth {
@@ -96,6 +99,63 @@ func TestMonitorStreamSignalsMatchesBatch(t *testing.T) {
 	sameOutages(t, "DetectAS", mon.DetectAS(25482).Outages, oracle.Outages)
 	if len(oracle.Outages) != 1 {
 		t.Fatalf("scenario outages = %+v, want the scripted one", oracle.Outages)
+	}
+}
+
+// TestLiveDetectionStopsAtRoundCursor: mid-campaign, a steady AS — every
+// host that answers answers every round — shows no outage and emits no
+// detection event, because the rounds nobody has scanned yet are outside
+// the series, not measured zeros. Once the campaign is complete, DetectAS
+// and ASSeries see the whole timeline and agree with the batch oracle.
+func TestLiveDetectionStopsAtRoundCursor(t *testing.T) {
+	const rounds, mid = 360, 200
+	opts := streamOpts(rounds, "")
+	start := opts.Start
+	opts.Transport = simnet.New(netmodel.MustParseAddr("198.51.100.1"), outageResponder(40, start, start), start)
+	opts.Bus = obs.NewBus(0)
+	mon, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	detections := func() int {
+		n := 0
+		for _, ev := range opts.Bus.Since(0) {
+			if ev.Kind == "detection" {
+				n++
+			}
+		}
+		return n
+	}
+	for mon.NextRound() {
+		round := mon.Round()
+		if round == mid {
+			if d := mon.DetectAS(25482); len(d.Outages) != 0 || len(d.Flags) != mid {
+				t.Fatalf("after %d of %d rounds: outages %+v over %d rounds, want none over %d",
+					mid, rounds, d.Outages, len(d.Flags), mid)
+			}
+			if n := len(mon.ASSeries(25482).Missing); n != mid {
+				t.Fatalf("after %d rounds: ASSeries spans %d rounds", mid, n)
+			}
+			if n := detections(); n != 0 {
+				t.Fatalf("after %d rounds: %d detection events", mid, n)
+			}
+		}
+		for _, blk := range mon.Store().Blocks() {
+			mon.SetRouted(blk, round, true, 25482)
+		}
+		if _, err := mon.ScanRound(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	want := batchOracle(mon).AS(25482)
+	sameEntitySeries(t, "AS25482", want, mon.ASSeries(25482))
+	got, oracle := mon.DetectAS(25482), signals.Detect(want, signals.ASConfig())
+	if len(got.Flags) != rounds {
+		t.Fatalf("complete campaign: detection over %d rounds, want %d", len(got.Flags), rounds)
+	}
+	sameOutages(t, "DetectAS", got.Outages, oracle.Outages)
+	if len(got.Outages) != 0 {
+		t.Fatalf("steady AS: outages %+v", got.Outages)
 	}
 }
 

@@ -102,7 +102,14 @@ func TestMonitorApplyBGPSnapshot(t *testing.T) {
 	if st.Routed(st.BlockIndex(netmodel.MustParseBlock("10.0.1.0/24")), 0) {
 		t.Error("unannounced block routed")
 	}
-	// Origins learned: series exists for AS100.
+	// Origins learned: series exists for AS100. It spans the rounds handled
+	// so far, so round 0's routed bit shows once round 0 is scanned.
+	if n := len(mon.ASSeries(100).Missing); n != 0 {
+		t.Fatalf("AS100 series spans %d rounds before the first scan", n)
+	}
+	if _, err := mon.ScanRound(); err != nil {
+		t.Fatal(err)
+	}
 	es := mon.ASSeries(100)
 	if es.BGP[0] != 1 {
 		t.Errorf("AS100 BGP[0] = %f", es.BGP[0])

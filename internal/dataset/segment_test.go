@@ -188,3 +188,51 @@ func TestNewStoreAllocatesNoRounds(t *testing.T) {
 		}
 	}
 }
+
+// TestReadOutOfRangePanics: Resp and Routed panic on a block index past the
+// last block and on a round past the last planned round, as the planned-row
+// store's rows did — in a segment never written as well as a written one,
+// and on a round in the last segment's padding — instead of reading zero or
+// a neighbouring block's cell.
+func TestReadOutOfRangePanics(t *testing.T) {
+	start := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
+	tl := timeline.New(start, start.Add(1000*2*time.Hour), 2*time.Hour) // 1 001 rounds: the last segment is partial
+	s := NewStore(tl, []netmodel.BlockID{10, 20, 30})
+	last := tl.NumRounds() - 1
+	s.SetRound(2, 64, 7, true) // segment 1 written, segment 0 not
+	s.SetRound(0, last, 1, true)
+	reads := []struct {
+		name string
+		read func(bi, r int)
+	}{
+		{"Resp", func(bi, r int) { s.Resp(bi, r) }},
+		{"Routed", func(bi, r int) { s.Routed(bi, r) }},
+	}
+	cases := []struct {
+		name      string
+		block, at int
+	}{
+		{"block past the last, unwritten segment", s.NumBlocks(), 0},
+		{"block past the last, written segment", s.NumBlocks(), 64},
+		{"negative block, written segment", -1, 64},
+		{"round past the last, in the last segment's padding", 0, last + 1},
+		{"round past the last segment", 0, 64 * s.NumSegments()},
+		{"negative round", 0, -1},
+	}
+	for _, rd := range reads {
+		for _, c := range cases {
+			t.Run(rd.name+"/"+c.name, func(t *testing.T) {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d, %d) did not panic", rd.name, c.block, c.at)
+					}
+				}()
+				rd.read(c.block, c.at)
+			})
+		}
+	}
+	// The reads in range still see what was written.
+	if s.Resp(2, 64) != 7 || !s.Routed(2, 64) || s.Resp(0, last) != 1 || s.Resp(2, 0) != 0 {
+		t.Fatal("in-range reads changed")
+	}
+}

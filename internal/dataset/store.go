@@ -311,16 +311,20 @@ func (s *Store) RTTTracked(blockIdx int) bool {
 	return ok
 }
 
-// Resp returns the responsive-IP count of block blockIdx in round r.
+// Resp returns the responsive-IP count of block blockIdx in round r. It
+// panics on a block or round out of range, written or not.
 func (s *Store) Resp(blockIdx, round int) int {
+	_, _ = s.blocks[blockIdx], s.missing[round] // an unwritten segment indexes neither
 	if sg := s.segs[round>>segShift]; sg != nil {
 		return int(sg.resp[blockIdx<<segShift|round&segMask])
 	}
 	return 0 // a segment never written reads zero
 }
 
-// Routed reports whether the block was BGP-routed in round r.
+// Routed reports whether the block was BGP-routed in round r. It panics on
+// a block or round out of range, written or not.
 func (s *Store) Routed(blockIdx, round int) bool {
+	_, _ = s.blocks[blockIdx], s.missing[round] // as in Resp
 	if sg := s.segs[round>>segShift]; sg != nil {
 		return sg.routed[blockIdx]>>(round&segMask)&1 == 1
 	}

@@ -335,14 +335,15 @@ func figure13(e *Env) *Report {
 	minIPS := 10.0
 	var bgpMin, fbsMin float64 = 10, 10
 	for round := from; round <= to; round++ {
-		ratio := func(vals []float32) float64 {
+		ratio := func(vals []float32, v float32) float64 {
 			ma, ok := signals.MovingAverage(vals, es.Missing, round, window)
 			if !ok || ma == 0 {
 				return 1
 			}
-			return float64(vals[round]) / ma
+			return float64(v) / ma
 		}
-		rb, rf, ri := ratio(es.BGP), ratio(es.FBS), ratio(es.IPS)
+		bgp, fbs, ips := es.At(round)
+		rb, rf, ri := ratio(es.BGP, bgp), ratio(es.FBS, fbs), ratio(es.IPS, ips)
 		r.addf("%s  BGP=%.2f FBS=%.2f IPS=%.2f", tl.Time(round).Format("01-02 15:04"), rb, rf, ri)
 		if ri < minIPS {
 			minIPS = ri
@@ -657,10 +658,11 @@ func figure27(e *Env) *Report {
 			if e.Store().Missing(round) {
 				continue
 			}
-			if ourSeries.FBS[round] == 0 || trinSeries[round] == 0 {
+			_, fbs, _ := ourSeries.At(round)
+			if fbs == 0 || trinSeries[round] == 0 {
 				zero = true
 			}
-			ours = append(ours, float64(ourSeries.FBS[round]))
+			ours = append(ours, float64(fbs))
 			theirs = append(theirs, float64(trinSeries[round]))
 		}
 		if zero || len(ours) < 6 {

@@ -204,7 +204,7 @@ func (p *Platform) DetectRegion(region netmodel.Region) *signals.Detection {
 // regional series — shared between DetectRegion and the API server's
 // timeline-store entities, which feed it a sealed store view.
 func detectRegionSeries(es *signals.EntitySeries) *signals.Detection {
-	rounds := len(es.BGP)
+	rounds := len(es.Missing) // the span; a value past the columns reads zero
 	d := &signals.Detection{Flags: make([]signals.Kind, rounds)}
 
 	// Fixed baseline: mean of the first month's measured rounds — of those
@@ -217,8 +217,9 @@ func detectRegionSeries(es *signals.EntitySeries) *signals.Detection {
 		if es.Missing[r] {
 			continue
 		}
-		bgpBase += float64(es.BGP[r])
-		fbsBase += float64(es.FBS[r])
+		bgp, fbs, _ := es.At(r)
+		bgpBase += float64(bgp)
+		fbsBase += float64(fbs)
 		n++
 	}
 	if n == 0 {
@@ -233,10 +234,11 @@ func detectRegionSeries(es *signals.EntitySeries) *signals.Detection {
 			continue
 		}
 		var flags signals.Kind
-		if bgpBase >= 2 && float64(es.BGP[r]) < cfg.BGPFrac*bgpBase {
+		bgp, fbs, _ := es.At(r)
+		if bgpBase >= 2 && float64(bgp) < cfg.BGPFrac*bgpBase {
 			flags |= signals.SignalBGP
 		}
-		if fbsBase >= 2 && float64(es.FBS[r]) < cfg.FBSFrac*fbsBase {
+		if fbsBase >= 2 && float64(fbs) < cfg.FBSFrac*fbsBase {
 			flags |= signals.SignalFBS
 		}
 		d.Flags[r] = flags

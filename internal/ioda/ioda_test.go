@@ -2,6 +2,7 @@ package ioda
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -174,5 +175,16 @@ func TestDetectRegionSeriesShortSealedView(t *testing.T) {
 	}
 	if len(got.Flags) != sealed {
 		t.Errorf("detection covers %d rounds, want %d", len(got.Flags), sealed)
+	}
+
+	// Columns held short of the span read zero past their end: the detector
+	// spans len(Missing), as over the zero-padded full-length series.
+	held := *es
+	held.BGP, held.FBS, held.IPS = es.BGP[:sealed], es.FBS[:sealed], es.IPS[:sealed]
+	padded := *es
+	padded.BGP = append(slices.Clone(es.BGP[:sealed]), make([]float32, len(es.BGP)-sealed)...)
+	padded.FBS = append(slices.Clone(es.FBS[:sealed]), make([]float32, len(es.FBS)-sealed)...)
+	if got, want := detectRegionSeries(&held), detectRegionSeries(&padded); !reflect.DeepEqual(got, want) || len(got.Flags) != len(es.Missing) {
+		t.Errorf("held-short series: detection %+v over %d rounds, zero-padded %+v", got.Outages, len(got.Flags), want.Outages)
 	}
 }

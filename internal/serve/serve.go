@@ -434,7 +434,8 @@ type seriesSource struct{ es *signals.EntitySeries }
 func SeriesSource(es *signals.EntitySeries) Source { return seriesSource{es} }
 
 func (s seriesSource) Sample(r int) (float32, float32, float32, bool) {
-	return s.es.BGP[r], s.es.FBS[r], s.es.IPS[r], s.es.Missing[r]
+	bgp, fbs, ips := s.es.At(r)
+	return bgp, fbs, ips, s.es.Missing[r]
 }
 
 func (s seriesSource) IPSValidMonth(m int) bool { return s.es.IPSValidMonth[m] }

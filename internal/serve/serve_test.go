@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -199,4 +200,54 @@ func TestSealedViewDetection(t *testing.T) {
 			t.Fatalf("outage %d: %+v != %+v", i, got.Outages[i], want.Outages[i])
 		}
 	}
+}
+
+// TestWatermarkViewOfHeldSeries: an entity fed from a series whose columns
+// stop short of its span — a builder's series holds only the months it has
+// folded, and reads zero past them — seals zeros past the columns and
+// detects only through its watermark, as signals.Detect over the series'
+// view at that watermark does, before, at and past the columns' end.
+func TestWatermarkViewOfHeldSeries(t *testing.T) {
+	tl := testTimeline()
+	rounds := tl.NumRounds()
+	_, held := tl.MonthRounds(0)
+	src := patternSource{5}
+	es := &signals.EntitySeries{
+		Name: "asn/42", TL: tl,
+		BGP: make([]float32, held), FBS: make([]float32, held), IPS: make([]float32, held),
+		IPSValidMonth: make([]bool, tl.NumMonths()),
+		Missing:       make([]bool, rounds),
+	}
+	for r := range held {
+		es.BGP[r], es.FBS[r], es.IPS[r], es.Missing[r] = src.Sample(r)
+	}
+	es.IPSValidMonth[0] = true
+	st := NewStore(tl)
+	e, err := st.Register("asn", "42", SeriesSource(es), DetectWith(signals.ASConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wm := range []int{held / 2, held, held + 3, rounds} {
+		if err := st.AdvanceTo(wm); err != nil {
+			t.Fatal(err)
+		}
+		got := st.Detection(e)
+		if len(got.Flags) != wm {
+			t.Fatalf("watermark %d: detection covers %d rounds", wm, len(got.Flags))
+		}
+		want := signals.Detect(es.View(wm), signals.ASConfig())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("watermark %d: detection %+v, over the series' view %+v", wm, got.Outages, want.Outages)
+		}
+	}
+	if len(st.Detection(e).Outages) == 0 {
+		t.Fatal("the zero tail past the columns raised no outage: the test reads nothing")
+	}
+	st.Snapshot(func(int) {
+		for r := held; r < rounds; r++ {
+			if e.BGP(r) != 0 || e.FBS(r) != 0 || e.IPS(r) != 0 {
+				t.Fatalf("round %d past the columns sealed (%g, %g, %g)", r, e.BGP(r), e.FBS(r), e.IPS(r))
+			}
+		}
+	})
 }

@@ -135,19 +135,30 @@ func (d *Detection) CountBySignal() map[Kind]int {
 // MovingAverage computes the mean of the previous window's non-missing
 // values (excluding the current round) — the signals' seven-day baseline.
 // It returns ok=false when fewer than a quarter of the window was measured.
+// A round past the end of vals reads zero (see EntitySeries).
 func MovingAverage(vals []float32, missing []bool, r, window int) (float64, bool) {
 	sum, n := 0.0, 0
 	for i := max(r-window, 0); i < r; i++ {
 		if missing[i] {
 			continue
 		}
-		sum += float64(vals[i])
+		sum += float64(cell(vals, i))
 		n++
 	}
 	if n == 0 || n*4 < window {
 		return 0, false
 	}
 	return sum / float64(n), true
+}
+
+// cell is col[r], or zero for a round past the column's end: the zero rule a
+// series held short of its span reads by (see EntitySeries). Its one
+// comparison stands in for the bounds check col[r] would make.
+func cell(col []float32, r int) float32 {
+	if uint(r) < uint(len(col)) {
+		return col[r]
+	}
+	return 0
 }
 
 // spans folds vals into the bounds that decide whether a running sum over a
@@ -250,8 +261,13 @@ func Detect(es *EntitySeries, cfg Config) *Detection {
 // mark is one of the rounds from from's on). A nil from runs from round 0;
 // so does a pass whose running-sum verdict differs from the one from ran
 // under.
+//
+// The pass spans len(es.Missing) rounds and reads a value past the end of a
+// column as zero, so a series held short of its span detects as its
+// zero-padded full-length twin does.
 func DetectFrom(es *EntitySeries, cfg Config, prev *Detection, from *State, mark int) (*Detection, *State) {
-	rounds := len(es.BGP)
+	rounds := len(es.Missing)
+	bgpCol, fbsCol, ipsCol := es.BGP, es.FBS, es.IPS
 	window := cfg.WindowRounds
 	if window <= 0 {
 		window = es.TL.RoundsPerWeek()
@@ -273,9 +289,11 @@ func DetectFrom(es *EntitySeries, cfg Config, prev *Detection, from *State, mark
 	split := max(mark, start)
 	var hi, q [3]int // at mark
 	exact := true
-	for c, col := range [3][]float32{es.BGP, es.FBS, es.IPS} {
-		hi[c], q[c] = spans(col[start:split], st.hi[c], st.q[c])
-		wholeHi, wholeQ := spans(col[split:], hi[c], q[c])
+	for c, col := range [3][]float32{bgpCol, fbsCol, ipsCol} {
+		// A zero past the column's end sets no bound.
+		lo, mid := min(start, len(col)), min(split, len(col))
+		hi[c], q[c] = spans(col[lo:mid], st.hi[c], st.q[c])
+		wholeHi, wholeQ := spans(col[mid:], hi[c], q[c])
 		exact = exact && slidesWithin(wholeHi, wholeQ, window)
 	}
 	if from != nil && exact != from.exact {
@@ -306,19 +324,20 @@ func DetectFrom(es *EntitySeries, cfg Config, prev *Detection, from *State, mark
 			// never holds more than window values.
 			if out := r - 1 - window; out >= 0 && !es.Missing[out] {
 				n--
-				sumBGP -= float64(es.BGP[out])
-				sumFBS -= float64(es.FBS[out])
-				sumIPS -= float64(es.IPS[out])
+				sumBGP -= float64(cell(bgpCol, out))
+				sumFBS -= float64(cell(fbsCol, out))
+				sumIPS -= float64(cell(ipsCol, out))
 			}
 			if r > 0 && !es.Missing[r-1] {
 				n++
-				sumBGP += float64(es.BGP[r-1])
-				sumFBS += float64(es.FBS[r-1])
-				sumIPS += float64(es.IPS[r-1])
+				sumBGP += float64(cell(bgpCol, r-1))
+				sumFBS += float64(cell(fbsCol, r-1))
+				sumIPS += float64(cell(ipsCol, r-1))
 			}
 			if es.Missing[r] {
 				continue // a missing round neither flags nor ends an outage
 			}
+			bgp, fbs, ips := float64(cell(bgpCol, r)), float64(cell(fbsCol, r)), float64(cell(ipsCol, r))
 			if r >= monthEnd {
 				month = es.TL.MonthOfRound(r)
 				_, monthEnd = es.TL.MonthRounds(month)
@@ -332,25 +351,24 @@ func DetectFrom(es *EntitySeries, cfg Config, prev *Detection, from *State, mark
 			if ok && exact {
 				maBGP, maFBS, maIPS = sumBGP/float64(n), sumFBS/float64(n), sumIPS/float64(n)
 			} else if ok {
-				maBGP, _ = MovingAverage(es.BGP, es.Missing, r, window)
-				maFBS, _ = MovingAverage(es.FBS, es.Missing, r, window)
-				maIPS, _ = MovingAverage(es.IPS, es.Missing, r, window)
+				maBGP, _ = MovingAverage(bgpCol, es.Missing, r, window)
+				maFBS, _ = MovingAverage(fbsCol, es.Missing, r, window)
+				maIPS, _ = MovingAverage(ipsCol, es.Missing, r, window)
 			}
 
 			ipsBelow := func(frac float64) bool {
-				return ok && maIPS >= cfg.MinBaseline && float64(es.IPS[r]) < frac*maIPS
+				return ok && maIPS >= cfg.MinBaseline && ips < frac*maIPS
 			}
 
-			if ok && maBGP >= cfg.MinBaseline && float64(es.BGP[r]) < cfg.BGPFrac*maBGP {
+			if ok && maBGP >= cfg.MinBaseline && bgp < cfg.BGPFrac*maBGP {
 				flags |= SignalBGP
 			}
-			if ok && maFBS >= cfg.MinBaseline && float64(es.FBS[r]) < cfg.FBSFrac*maFBS {
+			if ok && maFBS >= cfg.MinBaseline && fbs < cfg.FBSFrac*maFBS {
 				fires := true
 				if cfg.FBSRequiresIPSBelow > 0 && !ipsBelow(cfg.FBSRequiresIPSBelow) {
 					fires = false
 				}
-				if cfg.AvailabilitySensing && maIPS > 0 &&
-					float64(es.IPS[r]) >= 0.98*maIPS {
+				if cfg.AvailabilitySensing && maIPS > 0 && ips >= 0.98*maIPS {
 					// Blocks vanished but addresses kept answering elsewhere in
 					// the entity: dynamic reallocation, not an outage.
 					fires = false
@@ -366,12 +384,12 @@ func DetectFrom(es *EntitySeries, cfg Config, prev *Detection, from *State, mark
 			// Zero-BGP ongoing flag: once everything is withdrawn, the outage
 			// persists until routes return, regardless of the moving average.
 			hadBGP := ok && maBGP >= cfg.MinBaseline
-			if es.BGP[r] == 0 && (hadBGP || ongoingZeroBGP) {
+			if bgp == 0 && (hadBGP || ongoingZeroBGP) {
 				if flags == 0 {
 					flags |= SignalBGP
 				}
 				ongoingZeroBGP = true
-			} else if es.BGP[r] > 0 {
+			} else if bgp > 0 {
 				ongoingZeroBGP = false
 			}
 			d.Flags[r] = flags
@@ -383,7 +401,7 @@ func DetectFrom(es *EntitySeries, cfg Config, prev *Detection, from *State, mark
 					inOutage = true
 				}
 				cur.Signals |= flags
-				if es.BGP[r] == 0 {
+				if bgp == 0 {
 					cur.Ongoing = true
 				}
 				cur.End = r + 1

@@ -42,6 +42,12 @@ const MinIPSMonthly = 10.0
 const DefaultMinCoverage = 0.8
 
 // EntitySeries holds one entity's (AS or region) per-round signal values.
+//
+// The series spans len(Missing) rounds. The three value columns may be
+// shorter: a value past a column's end reads zero (At), as a cell of a
+// dataset segment never written does. A Builder's series holds its values
+// through the end of the month of the later of its last folded round and
+// its store's last written segment, and Fold grows it a month at a time.
 type EntitySeries struct {
 	Name string
 	TL   *timeline.Timeline
@@ -54,6 +60,21 @@ type EntitySeries struct {
 	// Missing marks rounds without usable data: vantage outages plus
 	// partial rounds below the builder's coverage gate.
 	Missing []bool
+}
+
+// At returns round r's three values, zero past the end of the columns.
+func (es *EntitySeries) At(r int) (bgp, fbs, ips float32) {
+	return cell(es.BGP, r), cell(es.FBS, r), cell(es.IPS, r)
+}
+
+// View returns the series' first rounds rounds: a new EntitySeries sharing
+// es's arrays, as a live series is read up to its round cursor.
+func (es *EntitySeries) View(rounds int) *EntitySeries {
+	v := *es
+	held := min(rounds, len(es.BGP))
+	v.BGP, v.FBS, v.IPS = es.BGP[:held:held], es.FBS[:held:held], es.IPS[:held:held]
+	v.Missing = es.Missing[:rounds:rounds]
+	return &v
 }
 
 // Builder derives entity series from the measurement store.
@@ -180,11 +201,12 @@ func (b *Builder) AS(asn netmodel.ASN) *EntitySeries {
 
 func (b *Builder) buildAS(asn netmodel.ASN) *EntitySeries {
 	defer b.metrics.BuildSeconds.ObserveSince(time.Now())
-	es := NewSeries(asn.String(), b.tl, b.missing)
+	es := b.newSeries(asn.String())
 	// The walk visits only the written segments — the zero cells of the
 	// others would only add zero — and, within one, the blocks in ascending
 	// order, so each round sums its blocks in the order a full-timeline walk
-	// does and the sums match it bit for bit.
+	// does and the sums match it bit for bit. The series holds every written
+	// segment (newSeries).
 	blocks := b.asBlocks[asn]
 	for k := range b.store.NumSegments() {
 		resp, routed := b.store.Segment(k)
@@ -229,7 +251,7 @@ func (b *Builder) Region(rr *regional.RegionResult, cl *regional.Classifier) *En
 
 func (b *Builder) buildRegion(rr *regional.RegionResult, cl *regional.Classifier) *EntitySeries {
 	defer b.metrics.BuildSeconds.ObserveSince(time.Now())
-	es := NewSeries(rr.Region.String(), b.tl, b.missing)
+	es := b.newSeries(rr.Region.String())
 	fe := &foldEntity{es: es}
 	for _, bc := range rr.Blocks {
 		if bc.Regional {
@@ -277,19 +299,55 @@ func (b *Builder) buildRegion(rr *regional.RegionResult, cl *regional.Classifier
 // NewSeries returns an all-zero series over tl with no month's IPS valid.
 // Missing aliases the given per-round mask, it is not copied.
 func NewSeries(name string, tl *timeline.Timeline, missing []bool) *EntitySeries {
-	rounds := tl.NumRounds()
-	// One backing array for all three signals instead of three small
-	// allocations; series construction dominates the sweep hot paths.
-	buf := make([]float32, 3*rounds)
-	return &EntitySeries{
+	return newHeldSeries(name, tl, missing, tl.NumRounds())
+}
+
+// newHeldSeries is NewSeries with columns holding the first held rounds.
+func newHeldSeries(name string, tl *timeline.Timeline, missing []bool, held int) *EntitySeries {
+	es := &EntitySeries{
 		Name:          name,
 		TL:            tl,
-		BGP:           buf[:rounds:rounds],
-		FBS:           buf[rounds : 2*rounds : 2*rounds],
-		IPS:           buf[2*rounds:],
 		IPSValidMonth: make([]bool, tl.NumMonths()),
 		Missing:       missing,
 	}
+	es.grow(held)
+	return es
+}
+
+// grow regrows the columns to hold n rounds, keeping the values held. One
+// backing array for all three signals instead of three small allocations;
+// series construction dominates the sweep hot paths.
+func (es *EntitySeries) grow(n int) {
+	buf := make([]float32, 3*n)
+	bgp, fbs, ips := buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+	copy(bgp, es.BGP)
+	copy(fbs, es.FBS)
+	copy(ips, es.IPS)
+	es.BGP, es.FBS, es.IPS = bgp, fbs, ips
+}
+
+// newSeries is the builder's series, holding its values through the end of
+// the month of the later of the last folded round and the store's last
+// written segment: every round a build or a fold has written.
+func (b *Builder) newSeries(name string) *EntitySeries {
+	last := b.nextFold - 1
+	for k := b.store.NumSegments() - 1; k >= 0; k-- {
+		if resp, _ := b.store.Segment(k); resp != nil {
+			last = max(last, k*dataset.SegmentRounds+b.store.SegmentLen(k)-1)
+			break
+		}
+	}
+	return newHeldSeries(name, b.tl, b.missing, b.monthEnd(max(last, 0)))
+}
+
+// monthEnd returns the round after the last of round's month: the length a
+// series holding round is grown to.
+func (b *Builder) monthEnd(round int) int {
+	if round >= b.tl.NumRounds() {
+		return b.tl.NumRounds()
+	}
+	_, hi := b.tl.MonthRounds(b.tl.MonthOfRound(round))
+	return hi
 }
 
 func (b *Builder) fillIPSValidity(es *EntitySeries) {
@@ -301,9 +359,14 @@ func (b *Builder) fillIPSValidity(es *EntitySeries) {
 // fillIPSValidityMonth recomputes the IPS validity of a single month — the
 // unit of invalidation the streaming fold pays per round. The mean is always
 // accumulated in ascending round order so batch and streaming builds agree
-// bit for bit.
+// bit for bit. A series holds a month whole or not at all, and a month it
+// does not hold reads zero: its mean never passes the gate.
 func (b *Builder) fillIPSValidityMonth(es *EntitySeries, m int) {
 	lo, hi := b.tl.MonthRounds(m)
+	if hi > len(es.IPS) {
+		es.IPSValidMonth[m] = false
+		return
+	}
 	sum, n := 0.0, 0
 	for r := lo; r < hi; r++ {
 		if es.Missing[r] {

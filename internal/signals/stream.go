@@ -100,6 +100,9 @@ func (b *Builder) Fold(round int) error {
 
 func (b *Builder) foldEntityRound(fe *foldEntity, round, month int, newly []int) {
 	es := fe.es
+	if round >= len(es.BGP) {
+		es.grow(b.monthEnd(round))
+	}
 	if len(newly) > 0 {
 		b.backfillFBS(fe, round, month, newly)
 	}

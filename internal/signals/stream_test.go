@@ -57,20 +57,23 @@ func fillSeededRound(s *dataset.Store, seed, r int) {
 	s.SetDone(r)
 }
 
+// assertSeriesEqual holds got to want bit for bit at every round of the span
+// (len(Missing)), reading each through the zero rule (At): the two may hold
+// their columns to different lengths, never span different rounds.
 func assertSeriesEqual(t *testing.T, label string, want, got *EntitySeries) {
 	t.Helper()
-	if len(want.BGP) != len(got.BGP) {
-		t.Fatalf("%s: %d rounds vs %d", label, len(want.BGP), len(got.BGP))
+	if len(want.Missing) != len(got.Missing) {
+		t.Fatalf("%s: a span of %d rounds vs %d", label, len(want.Missing), len(got.Missing))
 	}
-	for r := range want.BGP {
-		if math.Float32bits(want.BGP[r]) != math.Float32bits(got.BGP[r]) ||
-			math.Float32bits(want.FBS[r]) != math.Float32bits(got.FBS[r]) ||
-			math.Float32bits(want.IPS[r]) != math.Float32bits(got.IPS[r]) ||
+	for r := range want.Missing {
+		wb, wf, wi := want.At(r)
+		gb, gf, gi := got.At(r)
+		if math.Float32bits(wb) != math.Float32bits(gb) ||
+			math.Float32bits(wf) != math.Float32bits(gf) ||
+			math.Float32bits(wi) != math.Float32bits(gi) ||
 			want.Missing[r] != got.Missing[r] {
 			t.Fatalf("%s: round %d: batch (%g, %g, %g, missing=%v) vs stream (%g, %g, %g, missing=%v)",
-				label, r,
-				want.BGP[r], want.FBS[r], want.IPS[r], want.Missing[r],
-				got.BGP[r], got.FBS[r], got.IPS[r], got.Missing[r])
+				label, r, wb, wf, wi, want.Missing[r], gb, gf, gi, got.Missing[r])
 		}
 	}
 	for m := range want.IPSValidMonth {
