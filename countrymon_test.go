@@ -111,8 +111,8 @@ func TestMonitorApplyBGPSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	es := mon.ASSeries(100)
-	if es.BGP[0] != 1 {
-		t.Errorf("AS100 BGP[0] = %f", es.BGP[0])
+	if es.BGP.At(0) != 1 {
+		t.Errorf("AS100 BGP[0] = %f", es.BGP.At(0))
 	}
 }
 

@@ -30,39 +30,28 @@ const (
 // steps, so the delta transform turns them into almost-all-zero streams that
 // collapse into maximal runs.
 //
-// appendColumn appends src's coding to dst and columnLen returns its length;
-// both are one token walk (columnWalk) that takes each delta as it goes, so
-// nothing is staged. A column is zero past its last nonzero cell, where the
-// deltas are one step down and then zeros: from there every token is a
-// maximal zero run whose length is known without reading the bytes, so the
-// walk stops scanning at that tail.
+// appendColumn appends src's coding to dst in one token walk that takes
+// each delta as it goes, so nothing is staged. A column is zero past its
+// last nonzero cell, where the deltas are one step down and then zeros: from
+// there every token is a maximal zero run whose length is known without
+// reading the bytes, so the walk stops scanning at that tail.
 //
 // The column is n cells long, and src holds its first ones: every cell past
 // src is zero. src is either the whole column or ends in a zero cell, so the
 // step down to the zero tail lies within it — a store that wrote a few
 // rounds of a long timeline codes its columns from a row of those rounds.
+//
+// The walk tokenizes src's deltas greedily: at each position the run there
+// is taken when it is at least minRun+1 long, or minRun long with no
+// literals pending; otherwise the byte joins the pending literals.
 func appendColumn(dst, src []byte, n int) []byte {
-	dst, _ = columnWalk(dst, src, n, true)
-	return dst
-}
-
-func columnLen(src []byte, n int) int {
-	_, size := columnWalk(nil, src, n, false)
-	return size
-}
-
-// columnWalk tokenizes src's deltas greedily — at each position the run
-// there is taken when it is at least minRun+1 long, or minRun long with no
-// literals pending; otherwise the byte joins the pending literals — and
-// returns the coding's length, appending it to dst only when emit is set.
-func columnWalk(dst, src []byte, n int, emit bool) ([]byte, int) {
 	// Every delta at or past tail is zero: one past the step down from the
 	// last nonzero cell.
 	tail := byteExtent(src)
 	if tail > 0 && tail < n {
 		tail++
 	}
-	size, litStart := 0, -1
+	litStart := -1
 	for i := 0; i < n; {
 		var v byte
 		j := min(n, i+maxRun)
@@ -80,13 +69,10 @@ func columnWalk(dst, src []byte, n int, emit bool) ([]byte, int) {
 		}
 		if j-i >= minRun+1 || (j-i >= minRun && litStart < 0) {
 			if litStart >= 0 {
-				dst, size = appendLiterals(dst, size, src, litStart, i, emit)
+				dst = appendLiterals(dst, src, litStart, i)
 				litStart = -1
 			}
-			if emit {
-				dst = append(dst, byte(j-i-minRun+128), v)
-			}
-			size += 2
+			dst = append(dst, byte(j-i-minRun+128), v)
 			i = j
 			continue
 		}
@@ -96,30 +82,27 @@ func columnWalk(dst, src []byte, n int, emit bool) ([]byte, int) {
 		i++
 	}
 	if litStart >= 0 {
-		dst, size = appendLiterals(dst, size, src, litStart, n, emit)
+		dst = appendLiterals(dst, src, litStart, n)
 	}
-	return dst, size
+	return dst
 }
 
 // appendLiterals codes the deltas of cells [from, to) as literal chunks.
 // Only the column's last cells can lie past src, in the zero tail, where
 // every delta is zero.
-func appendLiterals(dst []byte, size int, src []byte, from, to int, emit bool) ([]byte, int) {
+func appendLiterals(dst, src []byte, from, to int) []byte {
 	for from < to {
 		chunk := min(to-from, maxLiteralChunk)
-		size += 1 + chunk
-		if emit {
-			dst = append(dst, byte(chunk-1))
-			for k := from; k < min(from+chunk, len(src)); k++ {
-				dst = append(dst, delta(src, k))
-			}
-			for k := max(from, len(src)); k < from+chunk; k++ {
-				dst = append(dst, 0)
-			}
+		dst = append(dst, byte(chunk-1))
+		for k := from; k < min(from+chunk, len(src)); k++ {
+			dst = append(dst, delta(src, k))
+		}
+		for k := max(from, len(src)); k < from+chunk; k++ {
+			dst = append(dst, 0)
 		}
 		from += chunk
 	}
-	return dst, size
+	return dst
 }
 
 // byteExtent returns one past the last nonzero byte of b (0 when all are

@@ -6,7 +6,9 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestCoverageDefaultsFull(t *testing.T) {
@@ -164,6 +166,64 @@ func TestWriteToAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 160<<10 {
 		t.Errorf("WriteTo of a 2 048-block × one-year store allocated %d bytes, budget %d", got, 160<<10)
+	}
+}
+
+// TestWriteToKeepsNoWriter: WriteTo's pooled writer goes back Reset(nil),
+// so the io.Writer a caller handed it is garbage once the call returns —
+// the first collection finalizes it — not pinned by the pool until the pool
+// itself is dropped.
+func TestWriteToKeepsNoWriter(t *testing.T) {
+	s := testStore(t)
+	finalized := make(chan struct{})
+	func() {
+		w := new(bytes.Buffer)
+		runtime.SetFinalizer(w, func(*bytes.Buffer) { close(finalized) })
+		if _, err := s.WriteTo(w); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	runtime.GC()
+	select {
+	case <-finalized:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the writer handed to WriteTo outlived a collection: the pool holds it")
+	}
+}
+
+// TestConcurrentWriteTo: concurrent WriteTo calls on one store each take a
+// writer of their own from the pool and write the same bytes (run it under
+// -race).
+func TestConcurrentWriteTo(t *testing.T) {
+	s := benchStore(t)
+	var want bytes.Buffer
+	if _, err := s.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	const writers = 4
+	got := make([]bytes.Buffer, writers)
+	errs := make([]error, writers)
+	var wg sync.WaitGroup
+	for i := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				got[i].Reset()
+				if _, errs[i] = s.WriteTo(&got[i]); errs[i] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range writers {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(got[i].Bytes(), want.Bytes()) {
+			t.Errorf("writer %d: %d bytes differ from a lone WriteTo's %d", i, got[i].Len(), want.Len())
+		}
 	}
 }
 

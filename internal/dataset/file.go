@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"sync"
 	"time"
 
 	"countrymon/internal/netmodel"
@@ -134,12 +135,41 @@ func (e *enc) u64s(vs []uint64) {
 // writes every few rounds — a campaign checkpoint of tens of kilobytes.
 const fileBuf = 64 << 10
 
+// fileWriter is WriteTo's working memory, lent by writerPool from one call
+// to the next: the buffered writer, the encoder's scratch, the coded
+// columns kept from the count pass (at most codedBudget bytes) and one
+// column's scratch. A campaign checkpoints every few rounds, and each call
+// would otherwise allocate a fileBuf-sized buffer for a file of tens of
+// kilobytes.
+type fileWriter struct {
+	bw         *bufio.Writer
+	e          enc
+	coded, col []byte
+}
+
+// codedBudget bounds the coded columns WriteTo keeps between its two passes:
+// a checkpoint's resp section fits, a paper-scale file's does not.
+const codedBudget = 32 << 10
+
+// writerPool holds idle fileWriters, each put back with its writer
+// Reset(nil): a pooled one holds no caller's io.Writer.
+var writerPool = sync.Pool{New: func() any {
+	return &fileWriter{bw: bufio.NewWriterSize(nil, fileBuf), coded: make([]byte, 0, codedBudget)}
+}}
+
 // WriteTo serializes the store. Its count is taken below the buffer, so
 // after a failed write it is what w accepted, not what was buffered.
+// Concurrent calls are safe: each takes its own fileWriter.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
-	bw := bufio.NewWriterSize(cw, fileBuf)
-	e := &enc{w: bw}
+	fw := writerPool.Get().(*fileWriter)
+	defer func() {
+		fw.bw.Reset(nil)
+		writerPool.Put(fw)
+	}()
+	fw.bw.Reset(cw)
+	fw.e = enc{w: fw.bw, scratch: fw.e.scratch}
+	e := &fw.e
 
 	e.raw([]byte(fileMagic))
 	e.u32(fileVersion)
@@ -182,11 +212,14 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	// v4 resp section: the column index precedes the data, so a count pass
-	// fills it, then each column is coded into one reused buffer and written
-	// — the working memory is one row of the written rounds and the longest
-	// coded column, not the file. Every cell past the last written segment
-	// is zero, so the row holds the rounds up to it and one zero cell more,
-	// where a column steps down to its zero tail.
+	// codes every column, from its block's row, and keeps the coded columns
+	// while they fit in codedBudget; the emit pass writes those and codes
+	// only the rest again. A checkpoint's columns fit, so each block's counts
+	// are copied out of the segments once; the working memory stays one row
+	// of the written rounds, the budget and the longest column, not the file.
+	// Every cell past the last written segment is zero, so the row holds the
+	// rounds up to it and one zero cell more, where a column steps down to
+	// its zero tail.
 	rounds := s.tl.NumRounds()
 	written := 0
 	for k, sg := range s.segs {
@@ -196,18 +229,23 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	}
 	row := make([]byte, min(rounds, written+1))
 	lens := make([]uint32, len(s.blocks))
-	longest := 0
+	coded, col := fw.coded[:0], fw.col
+	kept := 0 // blocks [0, kept) are coded in coded
 	for bi := range s.blocks {
-		n := columnLen(s.fillRow(row, bi), rounds)
-		lens[bi] = uint32(n)
-		longest = max(longest, n)
+		col = appendColumn(col[:0], s.fillRow(row, bi), rounds)
+		lens[bi] = uint32(len(col))
+		if kept == bi && len(coded)+len(col) <= cap(coded) {
+			coded = append(coded, col...)
+			kept++
+		}
 	}
 	e.u32s(lens)
-	col := make([]byte, 0, longest)
-	for bi := range s.blocks {
+	e.raw(coded)
+	for bi := kept; bi < len(s.blocks); bi++ {
 		col = appendColumn(col[:0], s.fillRow(row, bi), rounds)
 		e.raw(col)
 	}
+	fw.coded, fw.col = coded, col
 	for bi := range s.blocks {
 		words := e.bytes(8 * len(s.segs))
 		for k, sg := range s.segs {
@@ -230,7 +268,7 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 		e.u16s(s.rtt[bi])
 	}
 	if e.err == nil {
-		e.err = bw.Flush()
+		e.err = fw.bw.Flush()
 	}
 	return cw.n, e.err
 }

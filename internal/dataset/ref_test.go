@@ -11,8 +11,8 @@ import (
 	"countrymon/internal/timeline"
 )
 
-// The staged v4 coder, kept verbatim as the oracle of appendColumn,
-// columnLen and the streamed WriteTo: the column coding went through a
+// The staged v4 coder, kept verbatim as the oracle of appendColumn and the
+// streamed WriteTo: the column coding went through a
 // transformed copy of each column and an RLE pass over every byte of it, and
 // WriteTo staged the whole resp blob before writing the column index.
 

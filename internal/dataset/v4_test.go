@@ -279,10 +279,10 @@ func FuzzV4Column(f *testing.F) {
 	})
 }
 
-// assertColumnMatchesReference checks appendColumn onto a non-empty dst, and
-// columnLen, against the staged deltaRLEAppend: given the whole column, and
-// given only its first zeroFrom cells and one zero cell more, every cell
-// from zeroFrom on being zero.
+// assertColumnMatchesReference checks appendColumn onto a non-empty dst
+// against the staged deltaRLEAppend: given the whole column, and given only
+// its first zeroFrom cells and one zero cell more, every cell from zeroFrom
+// on being zero.
 func assertColumnMatchesReference(t *testing.T, src []byte, zeroFrom int) {
 	t.Helper()
 	var scratch []byte
@@ -290,9 +290,6 @@ func assertColumnMatchesReference(t *testing.T, src []byte, zeroFrom int) {
 	for _, prefix := range []int{len(src), min(len(src), zeroFrom+1)} {
 		if got := appendColumn([]byte{0xAB}, src[:prefix], len(src)); !bytes.Equal(got, want) {
 			t.Fatalf("column %v from a %d-cell prefix: coded %v, reference %v", src, prefix, got, want)
-		}
-		if n := columnLen(src[:prefix], len(src)); n != len(want)-1 {
-			t.Fatalf("column %v from a %d-cell prefix: columnLen %d, reference coded %d bytes", src, prefix, n, len(want)-1)
 		}
 	}
 }

@@ -42,26 +42,33 @@ func ablationProbePolicy(e *Env) *Report {
 			if len(reps) == 0 {
 				continue
 			}
-			for round := 0; round < tl.NumRounds(); round++ {
-				if es.Missing[round] {
-					continue
-				}
-				if probe(reps[0], round) {
-					es.FBS[round]++
+			for m := range tl.NumMonths() {
+				lo, _ := tl.MonthRounds(m)
+				fbs := es.FBS.Month(m)
+				for j := range fbs {
+					if !es.Missing[lo+j] && probe(reps[0], lo+j) {
+						fbs[j]++
+					}
 				}
 			}
 		}
-		copy(es.BGP, e.Signals().AS(asn).BGP)
+		src := e.Signals().AS(asn)
+		for m := range tl.NumMonths() {
+			copy(es.BGP.Month(m), src.BGP.Month(m))
+		}
 		return es
 	}
 
 	trinSeries := func(asn netmodel.ASN) *signals.EntitySeries {
 		es := singleSeries(asn) // reuse BGP/missing scaffolding
-		for i := range es.FBS {
-			es.FBS[i] = 0
-		}
-		if s := trin.PerAS[asn]; s != nil {
-			copy(es.FBS, s)
+		s := trin.PerAS[asn]
+		for m := range tl.NumMonths() {
+			fbs := es.FBS.Month(m)
+			clear(fbs)
+			if s != nil {
+				lo, _ := tl.MonthRounds(m)
+				copy(fbs, s[lo:])
+			}
 		}
 		return es
 	}
@@ -137,18 +144,23 @@ func ablationRegionalOff(e *Env) *Report {
 		rr := res.Regions[region]
 		for _, bc := range rr.Blocks { // all blocks with any presence
 			bi := bc.Index
-			for round := 0; round < tl.NumRounds(); round++ {
-				if es.Missing[round] {
-					continue
-				}
-				m := tl.MonthOfRound(round)
-				resp := st.Resp(bi, round)
-				es.IPS[round] += float32(resp)
-				if st.Routed(bi, round) {
-					es.BGP[round]++
-				}
-				if b.Eligible(bi, m) && resp > 0 {
-					es.FBS[round]++
+			for m := range tl.NumMonths() {
+				lo, _ := tl.MonthRounds(m)
+				bgp, fbs, ips := es.BGP.Month(m), es.FBS.Month(m), es.IPS.Month(m)
+				elig := b.Eligible(bi, m)
+				for j := range ips {
+					round := lo + j
+					if es.Missing[round] {
+						continue
+					}
+					resp := st.Resp(bi, round)
+					ips[j] += float32(resp)
+					if st.Routed(bi, round) {
+						bgp[j]++
+					}
+					if elig && resp > 0 {
+						fbs[j]++
+					}
 				}
 			}
 		}
@@ -300,10 +312,14 @@ func ablationAvailabilitySensing(e *Env) *Report {
 	tl2 := e.Store().Timeline()
 	mk := func() *signals.EntitySeries {
 		es := signals.NewSeries("synthetic", tl2, make([]bool, tl2.NumRounds()))
-		for i := range es.BGP {
-			es.BGP[i], es.FBS[i], es.IPS[i] = 40, 36, 2000
-			if i >= 500 && i < 560 {
-				es.FBS[i] = 16
+		for m := range tl2.NumMonths() {
+			lo, _ := tl2.MonthRounds(m)
+			bgp, fbs, ips := es.BGP.Month(m), es.FBS.Month(m), es.IPS.Month(m)
+			for j := range bgp {
+				bgp[j], fbs[j], ips[j] = 40, 36, 2000
+				if i := lo + j; i >= 500 && i < 560 {
+					fbs[j] = 16
+				}
 			}
 		}
 		for m := range es.IPSValidMonth {

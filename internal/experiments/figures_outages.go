@@ -335,15 +335,15 @@ func figure13(e *Env) *Report {
 	minIPS := 10.0
 	var bgpMin, fbsMin float64 = 10, 10
 	for round := from; round <= to; round++ {
-		ratio := func(vals []float32, v float32) float64 {
-			ma, ok := signals.MovingAverage(vals, es.Missing, round, window)
+		ratio := func(col *signals.Column, v float32) float64 {
+			ma, ok := signals.MovingAverage(col, es.Missing, round, window)
 			if !ok || ma == 0 {
 				return 1
 			}
 			return float64(v) / ma
 		}
 		bgp, fbs, ips := es.At(round)
-		rb, rf, ri := ratio(es.BGP, bgp), ratio(es.FBS, fbs), ratio(es.IPS, ips)
+		rb, rf, ri := ratio(&es.BGP, bgp), ratio(&es.FBS, fbs), ratio(&es.IPS, ips)
 		r.addf("%s  BGP=%.2f FBS=%.2f IPS=%.2f", tl.Time(round).Format("01-02 15:04"), rb, rf, ri)
 		if ri < minIPS {
 			minIPS = ri

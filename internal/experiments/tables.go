@@ -120,8 +120,10 @@ func table2(e *Env) *Report {
 	tl := timeline.New(start, start.Add(1000*2*time.Hour), 2*time.Hour)
 	mk := func() *signals.EntitySeries {
 		es := signals.NewSeries("ctl", tl, make([]bool, tl.NumRounds()))
-		for i := range es.BGP {
-			es.BGP[i], es.FBS[i], es.IPS[i] = 20, 18, 900
+		for i := range tl.NumRounds() {
+			es.BGP.Set(i, 20)
+			es.FBS.Set(i, 18)
+			es.IPS.Set(i, 900)
 		}
 		for m := range es.IPSValidMonth {
 			es.IPSValidMonth[m] = true
@@ -131,8 +133,10 @@ func table2(e *Env) *Report {
 	steady := signals.Detect(mk(), asCfg)
 	es := mk()
 	const stepAt = 600
-	for i := stepAt; i < len(es.BGP); i++ {
-		es.BGP[i], es.FBS[i], es.IPS[i] = 0, 0, 0
+	for i := stepAt; i < es.BGP.Len(); i++ {
+		es.BGP.Set(i, 0)
+		es.FBS.Set(i, 0)
+		es.IPS.Set(i, 0)
 	}
 	stepped := signals.Detect(es, asCfg)
 	latency := -1

@@ -104,9 +104,13 @@ func (p *Platform) HasCoverage(asn netmodel.ASN) bool { return p.trin.PerAS[asn]
 // ASSeries builds the platform's view of one AS: BGP routed /24s and the
 // TRIN■ active-block signal; no IPS signal exists.
 func (p *Platform) ASSeries(asn netmodel.ASN) *signals.EntitySeries {
-	es := signals.NewSeries("IODA/"+asn.String(), p.store.Timeline(), p.store.MissingRounds()) // IPS never valid
+	tl := p.store.Timeline()
+	es := signals.NewSeries("IODA/"+asn.String(), tl, p.store.MissingRounds()) // IPS never valid
 	if trin := p.trin.PerAS[asn]; trin != nil {
-		copy(es.FBS, trin)
+		for m := range tl.NumMonths() {
+			lo, _ := tl.MonthRounds(m)
+			copy(es.FBS.Month(m), trin[lo:])
+		}
 	}
 	var blocks []int
 	for bi, blk := range p.store.Blocks() {
@@ -114,7 +118,7 @@ func (p *Platform) ASSeries(asn netmodel.ASN) *signals.EntitySeries {
 			blocks = append(blocks, bi)
 		}
 	}
-	countRouted(es.BGP, p.store, blocks, p.measured)
+	countRouted(&es.BGP, p.store, blocks, p.measured)
 	return es
 }
 
@@ -131,18 +135,29 @@ func measuredMask(missing []bool) []uint64 {
 	return mask
 }
 
-// countRouted adds one to bgp[r] for every round r set in both a block's
-// routed bits and mask, for each of blocks, a segment's word at a time
-// (mask's words are the store's segments).
-func countRouted(bgp []float32, st *dataset.Store, blocks []int, mask []uint64) {
-	for k, m := range mask {
+// countRouted adds one to bgp's round r for every round r set in both a
+// block's routed bits and mask, for each of blocks, a segment's word at a
+// time (mask's words are the store's segments), split where a month of bgp
+// begins inside the segment.
+func countRouted(bgp *signals.Column, st *dataset.Store, blocks []int, mask []uint64) {
+	tl := st.Timeline()
+	for k, mk := range mask {
 		_, routed := st.Segment(k)
 		if routed == nil {
 			continue
 		}
-		for _, bi := range blocks {
-			for x := routed[bi] & m; x != 0; x &= x - 1 {
-				bgp[k*dataset.SegmentRounds+bits.TrailingZeros64(x)]++
+		lo := k * dataset.SegmentRounds
+		end := min(lo+dataset.SegmentRounds, tl.NumRounds())
+		for a, z := lo, 0; a < end; a = z {
+			m := tl.MonthOfRound(a)
+			mlo, mhi := tl.MonthRounds(m)
+			z = min(mhi, end)
+			seg := bgp.Month(m)[a-mlo:]
+			piece := mk >> (a - lo) & (1<<(z-a) - 1) // a shift by 64 is 0
+			for _, bi := range blocks {
+				for x := routed[bi] >> (a - lo) & piece; x != 0; x &= x - 1 {
+					seg[bits.TrailingZeros64(x)]++
+				}
 			}
 		}
 	}
@@ -162,7 +177,6 @@ func (p *Platform) DetectAS(asn netmodel.ASN) *signals.Detection {
 // per-oblast outages (App. G).
 func (p *Platform) RegionSeries(region netmodel.Region) *signals.EntitySeries {
 	tl := p.store.Timeline()
-	rounds := tl.NumRounds()
 	es := signals.NewSeries("IODA/"+region.String(), tl, p.store.MissingRounds())
 	member := make(map[netmodel.ASN]bool)
 	for asn, regions := range p.presence {
@@ -174,8 +188,12 @@ func (p *Platform) RegionSeries(region netmodel.Region) *signals.EntitySeries {
 	}
 	for asn := range member {
 		if trin := p.trin.PerAS[asn]; trin != nil {
-			for r := 0; r < rounds; r++ {
-				es.FBS[r] += trin[r]
+			for m := range tl.NumMonths() {
+				lo, _ := tl.MonthRounds(m)
+				fbs := es.FBS.Month(m)
+				for j, v := range trin[lo:][:len(fbs)] {
+					fbs[j] += v
+				}
 			}
 		}
 	}
@@ -185,7 +203,7 @@ func (p *Platform) RegionSeries(region netmodel.Region) *signals.EntitySeries {
 			blocks = append(blocks, bi)
 		}
 	}
-	countRouted(es.BGP, p.store, blocks, p.measured)
+	countRouted(&es.BGP, p.store, blocks, p.measured)
 	return es
 }
 
@@ -211,15 +229,15 @@ func detectRegionSeries(es *signals.EntitySeries) *signals.Detection {
 	// sealed so far when the view is shorter than the month.
 	lo, hi := es.TL.MonthRounds(0)
 	hi = min(hi, rounds)
+	bgpCol, fbsCol := es.BGP.Month(0), es.FBS.Month(0)
 	var bgpBase, fbsBase float64
 	n := 0
 	for r := lo; r < hi; r++ {
 		if es.Missing[r] {
 			continue
 		}
-		bgp, fbs, _ := es.At(r)
-		bgpBase += float64(bgp)
-		fbsBase += float64(fbs)
+		bgpBase += float64(cellAt(bgpCol, r-lo))
+		fbsBase += float64(cellAt(fbsCol, r-lo))
 		n++
 	}
 	if n == 0 {
@@ -229,19 +247,25 @@ func detectRegionSeries(es *signals.EntitySeries) *signals.Detection {
 	fbsBase /= float64(n)
 
 	cfg := Config()
-	for r := 0; r < rounds; r++ {
-		if es.Missing[r] {
-			continue
+	for a, z := 0, 0; a < rounds; a = z {
+		m := es.TL.MonthOfRound(a)
+		lo, hi := es.TL.MonthRounds(m)
+		z = min(hi, rounds)
+		bgpCol, fbsCol := es.BGP.Month(m), es.FBS.Month(m)
+		for r := a; r < z; r++ {
+			if es.Missing[r] {
+				continue
+			}
+			var flags signals.Kind
+			bgp, fbs := cellAt(bgpCol, r-lo), cellAt(fbsCol, r-lo)
+			if bgpBase >= 2 && float64(bgp) < cfg.BGPFrac*bgpBase {
+				flags |= signals.SignalBGP
+			}
+			if fbsBase >= 2 && float64(fbs) < cfg.FBSFrac*fbsBase {
+				flags |= signals.SignalFBS
+			}
+			d.Flags[r] = flags
 		}
-		var flags signals.Kind
-		bgp, fbs, _ := es.At(r)
-		if bgpBase >= 2 && float64(bgp) < cfg.BGPFrac*bgpBase {
-			flags |= signals.SignalBGP
-		}
-		if fbsBase >= 2 && float64(fbs) < cfg.FBSFrac*fbsBase {
-			flags |= signals.SignalFBS
-		}
-		d.Flags[r] = flags
 	}
 
 	// Merge flagged runs into events (missing rounds bridge runs).
@@ -267,4 +291,13 @@ func detectRegionSeries(es *signals.EntitySeries) *signals.Detection {
 		d.Outages = append(d.Outages, cur)
 	}
 	return d
+}
+
+// cellAt is seg[j], or zero past the month's cells held: a series' value
+// past its columns reads zero.
+func cellAt(seg []float32, j int) float32 {
+	if j < len(seg) {
+		return seg[j]
+	}
+	return 0
 }

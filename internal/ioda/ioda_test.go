@@ -2,7 +2,6 @@ package ioda
 
 import (
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -83,7 +82,7 @@ func TestNationalBGPOutageBleedsAcrossRegions(t *testing.T) {
 func TestASSeriesShape(t *testing.T) {
 	sc, p := fixture(t)
 	es := p.ASSeries(15895)
-	if len(es.BGP) != sc.TL.NumRounds() {
+	if es.BGP.Len() != sc.TL.NumRounds() {
 		t.Fatal("series length wrong")
 	}
 	// The IPS signal must never be valid for IODA.
@@ -97,10 +96,10 @@ func TestASSeriesShape(t *testing.T) {
 	for fSt.Missing(mid) {
 		mid++
 	}
-	if es.BGP[mid] == 0 {
+	if es.BGP.At(mid) == 0 {
 		t.Error("Kyivstar should have routed blocks mid-campaign")
 	}
-	if es.FBS[mid] == 0 {
+	if es.FBS.At(mid) == 0 {
 		t.Error("Kyivstar should have Trinocular-up blocks mid-campaign")
 	}
 }
@@ -169,7 +168,7 @@ func TestDetectRegionSeriesShortSealedView(t *testing.T) {
 	got := st.Detection(e)
 
 	short := *es
-	short.BGP, short.FBS, short.IPS, short.Missing = es.BGP[:sealed], es.FBS[:sealed], es.IPS[:sealed], es.Missing[:sealed]
+	short.BGP, short.FBS, short.IPS, short.Missing = es.BGP.View(sealed), es.FBS.View(sealed), es.IPS.View(sealed), es.Missing[:sealed]
 	if want := detectRegionSeries(&short); !reflect.DeepEqual(got, want) {
 		t.Errorf("detection over the sealed view = %+v, over the truncated series %+v", got, want)
 	}
@@ -180,11 +179,20 @@ func TestDetectRegionSeriesShortSealedView(t *testing.T) {
 	// Columns held short of the span read zero past their end: the detector
 	// spans len(Missing), as over the zero-padded full-length series.
 	held := *es
-	held.BGP, held.FBS, held.IPS = es.BGP[:sealed], es.FBS[:sealed], es.IPS[:sealed]
+	held.BGP, held.FBS, held.IPS = es.BGP.View(sealed), es.FBS.View(sealed), es.IPS.View(sealed)
 	padded := *es
-	padded.BGP = append(slices.Clone(es.BGP[:sealed]), make([]float32, len(es.BGP)-sealed)...)
-	padded.FBS = append(slices.Clone(es.FBS[:sealed]), make([]float32, len(es.FBS)-sealed)...)
+	padded.BGP = signals.ColumnOf(es.TL, append(flatCol(es.BGP.View(sealed)), make([]float32, es.BGP.Len()-sealed)...))
+	padded.FBS = signals.ColumnOf(es.TL, append(flatCol(es.FBS.View(sealed)), make([]float32, es.FBS.Len()-sealed)...))
 	if got, want := detectRegionSeries(&held), detectRegionSeries(&padded); !reflect.DeepEqual(got, want) || len(got.Flags) != len(es.Missing) {
 		t.Errorf("held-short series: detection %+v over %d rounds, zero-padded %+v", got.Outages, len(got.Flags), want.Outages)
 	}
+}
+
+// flatCol returns col's rounds as one slice.
+func flatCol(col signals.Column) []float32 {
+	out := make([]float32, col.Len())
+	for r := range out {
+		out[r] = col.At(r)
+	}
+	return out
 }

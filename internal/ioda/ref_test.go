@@ -14,7 +14,9 @@ func (p *Platform) refASSeries(asn netmodel.ASN) *signals.EntitySeries {
 	rounds := tl.NumRounds()
 	es := signals.NewSeries("IODA/"+asn.String(), tl, p.store.MissingRounds()) // IPS never valid
 	if trin := p.trin.PerAS[asn]; trin != nil {
-		copy(es.FBS, trin)
+		for r, v := range trin {
+			es.FBS.Set(r, v)
+		}
 	}
 	for bi, blk := range p.store.Blocks() {
 		if p.space.OriginOf(blk) != asn {
@@ -22,7 +24,7 @@ func (p *Platform) refASSeries(asn netmodel.ASN) *signals.EntitySeries {
 		}
 		for r := 0; r < rounds; r++ {
 			if !es.Missing[r] && p.store.Routed(bi, r) {
-				es.BGP[r]++
+				es.BGP.Set(r, es.BGP.At(r)+1)
 			}
 		}
 	}
@@ -44,7 +46,7 @@ func (p *Platform) refRegionSeries(region netmodel.Region) *signals.EntitySeries
 	for asn := range member {
 		if trin := p.trin.PerAS[asn]; trin != nil {
 			for r := 0; r < rounds; r++ {
-				es.FBS[r] += trin[r]
+				es.FBS.Set(r, es.FBS.At(r)+trin[r])
 			}
 		}
 	}
@@ -54,7 +56,7 @@ func (p *Platform) refRegionSeries(region netmodel.Region) *signals.EntitySeries
 		}
 		for r := 0; r < rounds; r++ {
 			if !es.Missing[r] && p.store.Routed(bi, r) {
-				es.BGP[r]++
+				es.BGP.Set(r, es.BGP.At(r)+1)
 			}
 		}
 	}

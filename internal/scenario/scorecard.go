@@ -160,7 +160,7 @@ func (c *Compiled) RunScorecard() (*Scorecard, error) {
 	card.TrinocularProbes = res.ProbesSent
 	rounds := spec.Rounds()
 	for _, asn := range spec.Score.ASes {
-		det := signals.Detect(trinSeries(ASEntity(asn), world.TL, res.PerAS[asn], effMissing, rounds), trinConfig())
+		det := signals.Detect(trinSeries(ASEntity(asn), world.TL, res.PerAS[asn], effMissing), trinConfig())
 		card.Trinocular = append(card.Trinocular,
 			c.scoreEntity(ASEntity(asn), det.Flags, effMissing, warmup, slack))
 	}
@@ -174,7 +174,7 @@ func (c *Compiled) RunScorecard() (*Scorecard, error) {
 				counts[i] += v
 			}
 		}
-		det := signals.Detect(trinSeries(RegionEntity(r), world.TL, counts, effMissing, rounds), trinConfig())
+		det := signals.Detect(trinSeries(RegionEntity(r), world.TL, counts, effMissing), trinConfig())
 		card.Trinocular = append(card.Trinocular,
 			c.scoreEntity(RegionEntity(r), det.Flags, effMissing, warmup, slack))
 	}
@@ -189,15 +189,14 @@ func trinConfig() signals.Config {
 }
 
 // trinSeries wraps a Trinocular per-round up-count as an EntitySeries so the
-// shared detector and scorer apply unchanged. A nil count series (no tracked
-// blocks for the entity) scores as a flat zero — no baseline, no flags.
-func trinSeries(name string, tl *timeline.Timeline, counts []float32, effMissing []bool, rounds int) *signals.EntitySeries {
-	if counts == nil {
-		counts = make([]float32, rounds)
-	}
+// shared detector and scorer apply unchanged: its three columns are one view
+// of counts. A nil count series (no tracked blocks for the entity) holds no
+// rounds and reads zero, so it scores as a flat zero — no baseline, no flags.
+func trinSeries(name string, tl *timeline.Timeline, counts []float32, effMissing []bool) *signals.EntitySeries {
+	col := signals.ColumnOf(tl, counts)
 	return &signals.EntitySeries{
 		Name: name, TL: tl,
-		BGP: counts, FBS: counts, IPS: counts,
+		BGP: col, FBS: col, IPS: col,
 		IPSValidMonth: make([]bool, tl.NumMonths()),
 		Missing:       effMissing,
 	}

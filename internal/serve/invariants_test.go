@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"countrymon/internal/signals"
+	"countrymon/internal/timeline"
 )
 
 // TestSealedBodiesStableAcrossGrowth holds the serve invariants while one
@@ -185,9 +186,10 @@ func TestSealedBodiesStableAcrossGrowth(t *testing.T) {
 }
 
 // TestAdvanceAllocs pins the growth discipline: between growth points an
-// Advance allocates nothing, and crossing one allocates two objects per
-// entity, the float columns and the missing mask, and two for the store, the
-// time column's text and its offsets.
+// Advance allocates nothing, and crossing one allocates one object per
+// entity, the new month's segments of its three float columns, and two for
+// the store, its time text and offsets regrown. The missing mask is
+// planned-length, allocated at Register.
 func TestAdvanceAllocs(t *testing.T) {
 	tl := threeMonths(t)
 	st := NewStore(tl)
@@ -208,7 +210,51 @@ func TestAdvanceAllocs(t *testing.T) {
 		t.Fatalf("fixture: the steady-state Advances reached round %d, past month 1", next)
 	}
 	bounds := []int{732, 1104}
-	if allocs := testing.AllocsPerRun(1, func() { _ = st.AdvanceTo(bounds[0]); bounds = bounds[1:] }); allocs != 2*entities+2 {
-		t.Errorf("an Advance across a month boundary allocates %.1f objects, want %d", allocs, 2*entities+2)
+	if allocs := testing.AllocsPerRun(1, func() { _ = st.AdvanceTo(bounds[0]); bounds = bounds[1:] }); allocs != entities+2 {
+		t.Errorf("an Advance across a month boundary allocates %.1f objects, want %d", allocs, entities+2)
+	}
+}
+
+// TestAdvanceCrossingBytes: the Advance that crosses into month m gives
+// each entity the new month's segments of its three float columns, not a
+// copy of the months sealed, so an entity's share of its bytes does not
+// depend on m. The share is the difference between two stores advanced in
+// step, one with twice the other's entities: what the two have in common,
+// the store's one contiguous time column, regrows with the months sealed.
+// Months 2, 12 and 30 of the paper's timeline; while a crossing regrew
+// every column, the one into month 30 allocated about ten times the one
+// into month 2.
+func TestAdvanceCrossingBytes(t *testing.T) {
+	tl := timeline.Default()
+	const entities = 20
+	stores := [2]*Store{NewStore(tl), NewStore(tl)}
+	for k, st := range stores {
+		for i := range entities << k {
+			if _, err := st.Register("asn", strconv.Itoa(i), patternSource{i}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var got [3]uint64
+	for i, m := range []int{2, 12, 30} {
+		lo, _ := tl.MonthRounds(m)
+		var bytes [2]uint64
+		for k, st := range stores {
+			if err := st.AdvanceTo(lo - 1); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := st.Advance(lo - 1); err != nil { // seals month m-1, opens month m
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			bytes[k] = after.TotalAlloc - before.TotalAlloc
+		}
+		got[i] = (bytes[1] - bytes[0]) / entities
+	}
+	lo, hi := min(got[0], got[1], got[2]), max(got[0], got[1], got[2])
+	if lo == 0 || hi > lo*3/2 {
+		t.Errorf("an entity's share of the Advances into months 2, 12 and 30 is %v bytes: a crossing's cost grows with the months sealed", got)
 	}
 }

@@ -39,12 +39,13 @@ func refMovingAverage(vals []float32, missing []bool, r, window int) (float64, b
 }
 
 func refDetect(es *signals.EntitySeries, cfg signals.Config) *signals.Detection {
-	rounds := len(es.BGP)
+	rounds := es.BGP.Len()
 	window := cfg.WindowRounds
 	if window <= 0 {
 		window = es.TL.RoundsPerWeek()
 	}
 	d := &signals.Detection{Flags: make([]signals.Kind, rounds)}
+	bgpVals, fbsVals, ipsVals := colRange(&es.BGP, 0, rounds), colRange(&es.FBS, 0, rounds), colRange(&es.IPS, 0, rounds)
 
 	ongoingZeroBGP := false
 	for r := 0; r < rounds; r++ {
@@ -53,24 +54,24 @@ func refDetect(es *signals.EntitySeries, cfg signals.Config) *signals.Detection 
 		}
 		var flags signals.Kind
 
-		maBGP, okBGP := refMovingAverage(es.BGP, es.Missing, r, window)
-		maFBS, okFBS := refMovingAverage(es.FBS, es.Missing, r, window)
-		maIPS, okIPS := refMovingAverage(es.IPS, es.Missing, r, window)
+		maBGP, okBGP := refMovingAverage(bgpVals, es.Missing, r, window)
+		maFBS, okFBS := refMovingAverage(fbsVals, es.Missing, r, window)
+		maIPS, okIPS := refMovingAverage(ipsVals, es.Missing, r, window)
 
 		ipsBelow := func(frac float64) bool {
-			return okIPS && maIPS >= cfg.MinBaseline && float64(es.IPS[r]) < frac*maIPS
+			return okIPS && maIPS >= cfg.MinBaseline && float64(es.IPS.At(r)) < frac*maIPS
 		}
 
-		if okBGP && maBGP >= cfg.MinBaseline && float64(es.BGP[r]) < cfg.BGPFrac*maBGP {
+		if okBGP && maBGP >= cfg.MinBaseline && float64(es.BGP.At(r)) < cfg.BGPFrac*maBGP {
 			flags |= signals.SignalBGP
 		}
-		if okFBS && maFBS >= cfg.MinBaseline && float64(es.FBS[r]) < cfg.FBSFrac*maFBS {
+		if okFBS && maFBS >= cfg.MinBaseline && float64(es.FBS.At(r)) < cfg.FBSFrac*maFBS {
 			fires := true
 			if cfg.FBSRequiresIPSBelow > 0 && !ipsBelow(cfg.FBSRequiresIPSBelow) {
 				fires = false
 			}
 			if cfg.AvailabilitySensing && okIPS && maIPS > 0 &&
-				float64(es.IPS[r]) >= 0.98*maIPS {
+				float64(es.IPS.At(r)) >= 0.98*maIPS {
 				fires = false
 			}
 			if fires {
@@ -82,12 +83,12 @@ func refDetect(es *signals.EntitySeries, cfg signals.Config) *signals.Detection 
 		}
 
 		hadBGP := okBGP && maBGP >= cfg.MinBaseline
-		if es.BGP[r] == 0 && (hadBGP || ongoingZeroBGP) {
+		if es.BGP.At(r) == 0 && (hadBGP || ongoingZeroBGP) {
 			if flags == 0 {
 				flags |= signals.SignalBGP
 			}
 			ongoingZeroBGP = true
-		} else if es.BGP[r] > 0 {
+		} else if es.BGP.At(r) > 0 {
 			ongoingZeroBGP = false
 		}
 		d.Flags[r] = flags
@@ -112,7 +113,7 @@ func refDetect(es *signals.EntitySeries, cfg signals.Config) *signals.Detection 
 				inOutage = true
 			}
 			cur.Signals |= d.Flags[r]
-			if es.BGP[r] == 0 {
+			if es.BGP.At(r) == 0 {
 				cur.Ongoing = true
 			}
 			cur.End = r + 1
@@ -165,9 +166,9 @@ func refSeriesBody(e *Entity, tl *timeline.Timeline, wm, total, offset, limit, s
 		}
 		b = strconv.AppendInt(b, tl.Time(r).Unix(), 10)
 	}
-	b = refFloatCol(append(b, `],"bgp":[`...), e.bgp[start:end])
-	b = refFloatCol(append(b, `],"fbs":[`...), e.fbs[start:end])
-	b = refFloatCol(append(b, `],"ips":[`...), e.ips[start:end])
+	b = refFloatCol(append(b, `],"bgp":[`...), colRange(&e.bgp, start, end))
+	b = refFloatCol(append(b, `],"fbs":[`...), colRange(&e.fbs, start, end))
+	b = refFloatCol(append(b, `],"ips":[`...), colRange(&e.ips, start, end))
 	b = bools(b, "missing", func(r int) bool { return e.missing[r] })
 	b = bools(b, "ips_valid", func(r int) bool { return e.ipsValid[tl.MonthIndex(tl.Time(r))] })
 	return append(b, `]}`...)
@@ -364,7 +365,7 @@ func TestDetectionMemoOncePerWatermark(t *testing.T) {
 	runs := make(map[int]int)
 	e, err := st.Register("asn", "1", patternSource{1}, func(es *signals.EntitySeries, prev *signals.Detection, from *signals.State, mark int) (*signals.Detection, *signals.State) {
 		mu.Lock()
-		runs[len(es.BGP)]++
+		runs[es.BGP.Len()]++
 		mu.Unlock()
 		// Long enough for readers at older and newer watermarks to queue up
 		// behind this one.
@@ -468,4 +469,13 @@ func TestDetectionHeldAcrossSeal(t *testing.T) {
 	if extended == 0 {
 		t.Fatal("no outage stayed open across a seal")
 	}
+}
+
+// colRange returns col's rounds [lo, hi) as one slice of their own.
+func colRange(col *signals.Column, lo, hi int) []float32 {
+	out := make([]float32, 0, max(hi-lo, 0))
+	for r := lo; r < hi; r++ {
+		out = append(out, col.At(r))
+	}
+	return out
 }

@@ -15,9 +15,12 @@ import (
 
 // refRegister is Register as it was before an entity's columns grew with the
 // watermark: every column is allocated, zeroed, for the whole planned
-// timeline. The body is kept verbatim; only the name moved. Advance never
-// grows an entity registered this way, so a store of them is the full-length
-// layout the grown columns are held to.
+// timeline. The body is kept as it was but for the name and the columns'
+// type: the value columns are every month of one buffer, and the sealed
+// rounds are copied into them one at a time through Set, not through the
+// month walk Register backfills with. Advance never grows an entity
+// registered this way, so a store of them is the full-length layout the
+// grown columns are held to.
 func (s *Store) refRegister(typ, code string, src Source, detect Detector) (*Entity, error) {
 	if typ == "" || code == "" {
 		return nil, fmt.Errorf("serve: empty entity type or code")
@@ -32,20 +35,21 @@ func (s *Store) refRegister(typ, code string, src Source, detect Detector) (*Ent
 		return e, nil
 	}
 	rounds := s.tl.NumRounds()
-	buf := make([]float32, 3*rounds)
 	e := &Entity{
 		Key: key, Type: typ, Code: code,
 		src:      src,
 		detector: detect,
-		bgp:      buf[:rounds:rounds],
-		fbs:      buf[rounds : 2*rounds : 2*rounds],
-		ips:      buf[2*rounds:],
 		missing:  make([]bool, rounds),
 		ipsValid: make([]bool, s.tl.NumMonths()),
 		detWM:    -1,
 	}
+	signals.GrowColumns(s.tl, s.tl.NumMonths()-1, &e.bgp, &e.fbs, &e.ips)
 	for r := 0; r < s.watermark; r++ {
-		e.copyRound(r)
+		bgp, fbs, ips, missing := src.Sample(r)
+		e.bgp.Set(r, bgp)
+		e.fbs.Set(r, fbs)
+		e.ips.Set(r, ips)
+		e.missing[r] = missing
 	}
 	e.copyIPSValidity()
 	s.entities[key] = e
@@ -109,13 +113,50 @@ type twin struct {
 	rev      int     // the revision every entity's source is at
 	revised  bool    // rev moved since the last Advance that wrote a round
 	// unpublished holds the entities registered since the last Advance that
-	// wrote a round: their columns still hold exactly the sealed rounds.
+	// wrote a round: their columns still hold exactly the sealed rounds'
+	// months.
 	unpublished map[string]bool
+	// segs holds, per entity, the first cell of each month segment seen, at
+	// 3 × month + column (checkSegments).
+	segs map[string]map[int]*float32
 }
 
 func newTwin(tl *timeline.Timeline) *twin {
 	got := NewStore(tl)
-	return &twin{tl: tl, got: got, ref: NewStore(tl), srv: NewServer(got), unpublished: make(map[string]bool)}
+	return &twin{tl: tl, got: got, ref: NewStore(tl), srv: NewServer(got), unpublished: make(map[string]bool), segs: make(map[string]map[int]*float32)}
+}
+
+// checkSegments holds e's columns to the month-segment discipline: a
+// month's segment, once allocated, is the one every later step reads —
+// never copied, never resized. It records the first cell of each column's
+// months the first time it sees them.
+func (w *twin) checkSegments(t *testing.T, step string, e *Entity) {
+	t.Helper()
+	seen := w.segs[e.Key]
+	if seen == nil {
+		seen = make(map[int]*float32)
+		w.segs[e.Key] = seen
+	}
+	for m := 0; m < w.tl.NumMonths(); m++ {
+		lo, hi := w.tl.MonthRounds(m)
+		if hi > e.bgp.Len() {
+			break
+		}
+		for c, col := range []*signals.Column{&e.bgp, &e.fbs, &e.ips} {
+			seg := col.Month(m)
+			if len(seg) != hi-lo || cap(seg) != hi-lo {
+				t.Fatalf("%s: %s column %d month %d holds %d cells (cap %d), want %d", step, e.Key, c, m, len(seg), cap(seg), hi-lo)
+			}
+			if len(seg) == 0 {
+				continue
+			}
+			if first, ok := seen[3*m+c]; !ok {
+				seen[3*m+c] = &seg[0]
+			} else if first != &seg[0] {
+				t.Fatalf("%s: %s column %d month %d moved: a held month was copied", step, e.Key, c, m)
+			}
+		}
+	}
 }
 
 func (w *twin) register(t *testing.T, salt int) {
@@ -196,12 +237,16 @@ func (w *twin) check(t *testing.T, step string) {
 		r := refEnts[i]
 		cols := month
 		if w.unpublished[e.Key] {
-			cols = wm
+			cols = 0 // the months of the sealed rounds
+			if wm > 0 {
+				_, cols = w.tl.MonthRounds(w.tl.MonthOfRound(wm - 1))
+			}
 		}
-		if len(e.bgp) != cols || cap(e.bgp) != cols || len(e.fbs) != cols || len(e.ips) != cols || cap(e.ips) != cols || len(e.missing) != cols {
-			t.Fatalf("%s: %s columns hold %d/%d/%d/%d rounds, want %d (watermark %d of %d)",
-				step, e.Key, len(e.bgp), len(e.fbs), len(e.ips), len(e.missing), cols, wm, rounds)
+		if e.bgp.Len() != cols || e.fbs.Len() != cols || e.ips.Len() != cols || len(e.missing) != rounds {
+			t.Fatalf("%s: %s columns hold %d/%d/%d rounds and %d missing flags, want %d and %d (watermark %d of %d)",
+				step, e.Key, e.bgp.Len(), e.fbs.Len(), e.ips.Len(), len(e.missing), cols, rounds, wm, rounds)
 		}
+		w.checkSegments(t, step, e)
 		for round := 0; round < wm; round++ {
 			if math.Float32bits(e.BGP(round)) != math.Float32bits(r.BGP(round)) ||
 				math.Float32bits(e.FBS(round)) != math.Float32bits(r.FBS(round)) ||
@@ -319,6 +364,10 @@ func FuzzServeSchedule(f *testing.F) {
 	// valid for IPS (salt 12 → 13), which flags the dip at round 61: the next
 	// memo has to start over.
 	f.Add([]byte{0, 12, 2, 70, 4, 0, 4, 0, 1, 2})
+	// AdvanceTo(130) seals months 0 and 1 and opens 2 in one call, a late
+	// Register backfills them, AdvanceTo(185) crosses the third boundary,
+	// and a Register after it backfills all four months.
+	f.Add([]byte{0, 5, 2, 130, 0, 9, 1, 2, 2, 54, 0, 1, 4, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, steps []byte) {
 		if len(steps) > 64 {
 			return

@@ -111,6 +111,11 @@ func FuzzSeriesBodyMatchesOracle(f *testing.F) {
 	// 130, in January, grows the column over rounds whose first and last
 	// print seven bytes wide, and past 0 between them.
 	f.Add(uint8(0), uint8(1), uint32(7_200_000), []byte{0, 2, 1, 80, 1, 50, 2, 2})
+	// December 1969 to March 1970 at 4 h: months from rounds 0, 186, 372 and
+	// 540, the last. AdvanceTo(380) seals two months in one call, the
+	// late Register at 380 backfills three, AdvanceTo(541) crosses the
+	// third boundary, and a Register after it backfills all four.
+	f.Add(uint8(0), uint8(2), uint32(0), []byte{0, 3, 1, 180, 1, 200, 0, 7, 3, 0, 1, 161, 0, 1, 2, 1})
 	f.Fuzz(func(t *testing.T, kind, months uint8, stepMs uint32, steps []byte) {
 		if len(steps) > 32 {
 			return

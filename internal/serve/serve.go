@@ -13,12 +13,16 @@
 // carry strong ETags and `Cache-Control: immutable`, and their rendered
 // bytes are reused verbatim until evicted.
 //
-// The columns hold the sealed rounds plus the rest of the watermark's month,
-// not the planned timeline: a store costs O(entities × sealed rounds), and
-// Advance reallocates them, copying the sealed prefix, once per month. The
-// store's one time column, the series' unix seconds as text, grows at the same
-// points, and Advance formats each round into it once, as it seals the round:
-// a render copies it.
+// The value columns are month segments (signals.Column) holding the sealed
+// rounds plus the rest of the watermark's month, not the planned timeline:
+// they cost O(entities × sealed rounds). Advance allocates a month's
+// segments when it seals the month's first round and never copies a sealed
+// one. The per-round missing mask is one flat column of a byte a planned
+// round, allocated at Register, as the mask a signals.EntitySeries reads is:
+// O(entities × planned rounds). The store's one time column, the series'
+// unix seconds as text, grows at the same points, contiguous, and Advance
+// formats each round into it once, as it seals the round: a render copies
+// it.
 //
 // The intended wiring for a live campaign is the streaming signals builder:
 // Monitor folds each round into the warm series (O(blocks)), then
@@ -75,12 +79,12 @@ type Entity struct {
 	src      Source
 	detector Detector
 
-	// Columns: the sealed rounds at registration, then, from the first
-	// Advance on, through the end of the watermark's month (grow). Cells
-	// below the watermark are sealed. Advance may swap the slices, so they
-	// are read under the store lock: inside Snapshot, or through
-	// BGP/FBS/IPS/Missing called there.
-	bgp, fbs, ips []float32
+	// Columns: the months of the sealed rounds at registration, then, from
+	// the first Advance on, through the end of the watermark's month. Cells
+	// below the watermark are sealed. Advance adds months to the columns, so
+	// they are read under the store lock: inside Snapshot, or through
+	// BGP/FBS/IPS/Missing called there. missing is planned-length.
+	bgp, fbs, ips signals.Column
 	missing       []bool
 	ipsValid      []bool
 
@@ -108,10 +112,11 @@ type Store struct {
 
 	// The series time column: each sealed round's unix seconds, formatted
 	// once, when Advance seals the round, each followed by a comma; round r's
-	// text is timeText[timeOff[r]:timeOff[r+1]-1]. Both grow with the entity
-	// columns, through the end of the watermark's month, so the formatting
-	// appends into spare capacity. Swapped like the columns: read under the
-	// read lock.
+	// text is timeText[timeOff[r]:timeOff[r+1]-1]. Both grow where the
+	// entity columns gain a month, through the end of the watermark's month,
+	// so the formatting appends into spare capacity. Unlike those columns
+	// they are contiguous: growTime swaps them for copies, one column a
+	// store, so they are read under the read lock.
 	timeText []byte
 	timeOff  []uint32
 
@@ -155,12 +160,15 @@ func (s *Store) Register(typ, code string, src Source, detect Detector) (*Entity
 		Key: key, Type: typ, Code: code,
 		src:      src,
 		detector: detect,
+		missing:  make([]bool, s.tl.NumRounds()),
 		ipsValid: make([]bool, s.tl.NumMonths()),
 		detWM:    -1,
 	}
-	e.grow(s.watermark, 0) // the next Advance grows it through its month
-	for r := 0; r < s.watermark; r++ {
-		e.copyRound(r)
+	if s.watermark > 0 {
+		// The sealed months in one buffer; the next Advance adds the
+		// watermark's month if it is a new one.
+		signals.GrowColumns(s.tl, s.tl.MonthOfRound(s.watermark-1), &e.bgp, &e.fbs, &e.ips)
+		e.copyRounds(s.tl, 0, s.watermark)
 	}
 	e.copyIPSValidity()
 	s.entities[key] = e
@@ -176,24 +184,18 @@ func DetectWith(cfg signals.Config) Detector {
 	}
 }
 
-// grow reallocates e's columns to n rounds — one allocation for the three
-// float columns, one for the missing mask — keeping the sealed prefix [0, wm).
-// A view sliced before the swap keeps reading the old arrays, whose sealed
-// cells are the same.
-func (e *Entity) grow(n, wm int) {
-	buf := make([]float32, 3*n)
-	bgp, fbs, ips := buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
-	copy(bgp, e.bgp[:wm])
-	copy(fbs, e.fbs[:wm])
-	copy(ips, e.ips[:wm])
-	missing := make([]bool, n)
-	copy(missing, e.missing[:wm])
-	e.bgp, e.fbs, e.ips, e.missing = bgp, fbs, ips, missing
-}
-
-func (e *Entity) copyRound(r int) {
-	bgp, fbs, ips, missing := e.src.Sample(r)
-	e.bgp[r], e.fbs[r], e.ips[r], e.missing[r] = bgp, fbs, ips, missing
+// copyRounds copies rounds [lo, hi), which e holds, from its Source, a
+// month at a time.
+func (e *Entity) copyRounds(tl *timeline.Timeline, lo, hi int) {
+	for a, z := lo, 0; a < hi; a = z {
+		m := tl.MonthOfRound(a)
+		mlo, mhi := tl.MonthRounds(m)
+		z = min(mhi, hi)
+		bgp, fbs, ips := e.bgp.Month(m), e.fbs.Month(m), e.ips.Month(m)
+		for r := a; r < z; r++ {
+			bgp[r-mlo], fbs[r-mlo], ips[r-mlo], e.missing[r] = e.src.Sample(r)
+		}
+	}
 }
 
 func (e *Entity) copyIPSValidity() {
@@ -222,9 +224,10 @@ func (s *Store) Advance(round int) error {
 		lo = round // idempotent re-publish of the newest sealed round
 	}
 	// Columns reach through the month holding the new watermark, so its
-	// remaining rounds seal without reallocating; past the last month,
-	// MonthRounds clamps to NumRounds.
-	_, n := s.tl.MonthRounds(s.tl.MonthOfRound(round + 1))
+	// remaining rounds seal without allocating; GrowColumns clamps a month
+	// past the last to the last, and MonthRounds clamps to NumRounds.
+	month := s.tl.MonthOfRound(round + 1)
+	_, n := s.tl.MonthRounds(month)
 	if cap(s.timeOff) < n+1 {
 		s.growTime(n)
 	}
@@ -237,12 +240,10 @@ func (s *Store) Advance(round int) error {
 	}
 	for _, key := range s.order {
 		e := s.entities[key]
-		if len(e.bgp) < n {
-			e.grow(n, s.watermark)
+		if e.bgp.Len() < n {
+			signals.GrowColumns(s.tl, month, &e.bgp, &e.fbs, &e.ips)
 		}
-		for r := lo; r <= round; r++ {
-			e.copyRound(r)
-		}
+		e.copyRounds(s.tl, lo, round+1)
 		e.copyIPSValidity()
 	}
 	if round+1 > s.watermark {
@@ -347,30 +348,31 @@ func (s *Store) Snapshot(fn func(watermark int)) {
 	fn(s.watermark)
 }
 
-// view builds the sealed-prefix series view used by detection. Caller must
-// hold the store read lock.
+// view builds the sealed-prefix series view used by detection: it wraps the
+// entity's own month segments, copying none. Caller must hold the store read
+// lock.
 func (e *Entity) view(tl *timeline.Timeline, wm int) *signals.EntitySeries {
 	return &signals.EntitySeries{
 		Name:          e.Key,
 		TL:            tl,
-		BGP:           e.bgp[:wm:wm],
-		FBS:           e.fbs[:wm:wm],
-		IPS:           e.ips[:wm:wm],
+		BGP:           e.bgp.View(wm),
+		FBS:           e.fbs.View(wm),
+		IPS:           e.ips.View(wm),
 		IPSValidMonth: e.ipsValid,
 		Missing:       e.missing[:wm:wm],
 	}
 }
 
 // BGP returns the entity's sealed BGP value at round r (r < Watermark()).
-// Advance may swap the columns, so the four accessors are called inside
+// Advance adds months to the columns, so the four accessors are called inside
 // Snapshot, with r below its watermark, wherever rounds may still land.
-func (e *Entity) BGP(r int) float32 { return e.bgp[r] }
+func (e *Entity) BGP(r int) float32 { return e.bgp.At(r) }
 
 // FBS returns the entity's sealed FBS value at round r; read under Snapshot.
-func (e *Entity) FBS(r int) float32 { return e.fbs[r] }
+func (e *Entity) FBS(r int) float32 { return e.fbs.At(r) }
 
 // IPS returns the entity's sealed IPS value at round r; read under Snapshot.
-func (e *Entity) IPS(r int) float32 { return e.ips[r] }
+func (e *Entity) IPS(r int) float32 { return e.ips.At(r) }
 
 // Missing reports whether sealed round r carries no usable data; read under
 // Snapshot.

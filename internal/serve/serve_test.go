@@ -30,6 +30,43 @@ func (s patternSource) Sample(r int) (float32, float32, float32, bool) {
 
 func (s patternSource) IPSValidMonth(m int) bool { return (m+s.salt)%2 == 0 }
 
+// TestAdvanceCopiesEveryMonth: an AdvanceTo that seals several months, a
+// late Register that backfills them and an Advance across the last boundary
+// each copy every round of every month they reach from the Source, not only
+// the last month's.
+func TestAdvanceCopiesEveryMonth(t *testing.T) {
+	tl := threeMonths(t) // months from rounds 0, 372 and 732, the last round alone
+	st := NewStore(tl)
+	if _, err := st.Register("asn", "0", patternSource{0}, nil); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string) {
+		t.Helper()
+		wm := st.Watermark()
+		for i, e := range st.Entities() {
+			for r := range wm {
+				bgp, fbs, ips, missing := patternSource{i}.Sample(r)
+				if e.BGP(r) != bgp || e.FBS(r) != fbs || e.IPS(r) != ips || e.Missing(r) != missing {
+					t.Fatalf("%s: %s round %d reads (%v, %v, %v, %v), its source (%v, %v, %v, %v)",
+						step, e.Key, r, e.BGP(r), e.FBS(r), e.IPS(r), e.Missing(r), bgp, fbs, ips, missing)
+				}
+			}
+		}
+	}
+	if err := st.AdvanceTo(800); err != nil {
+		t.Fatal(err)
+	}
+	check("AdvanceTo(800)")
+	if _, err := st.Register("asn", "1", patternSource{1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("Register at 800")
+	if err := st.AdvanceTo(tl.NumRounds()); err != nil {
+		t.Fatal(err)
+	}
+	check("AdvanceTo(end)")
+}
+
 func TestStoreAdvanceSeals(t *testing.T) {
 	st := NewStore(testTimeline())
 	e, err := st.Register("asn", "6877", patternSource{1}, DetectWith(signals.ASConfig()))
@@ -142,7 +179,7 @@ func TestDetectionMemoized(t *testing.T) {
 	det := func(es *signals.EntitySeries, _ *signals.Detection, _ *signals.State, _ int) (*signals.Detection, *signals.State) {
 		calls++
 		return &signals.Detection{
-			Flags:   make([]signals.Kind, len(es.BGP)),
+			Flags:   make([]signals.Kind, es.BGP.Len()),
 			Outages: []signals.Outage{{Start: 1, End: 2, Signals: signals.SignalBGP}},
 		}, nil
 	}
@@ -178,14 +215,13 @@ func TestSealedViewDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	es := &signals.EntitySeries{
-		Name: "asn/42", TL: tl,
-		BGP: make([]float32, rounds), FBS: make([]float32, rounds), IPS: make([]float32, rounds),
-		IPSValidMonth: make([]bool, tl.NumMonths()),
-		Missing:       make([]bool, rounds),
-	}
+	es := signals.NewSeries("asn/42", tl, make([]bool, rounds))
 	for r := 0; r < rounds; r++ {
-		es.BGP[r], es.FBS[r], es.IPS[r], es.Missing[r] = src.Sample(r)
+		bgp, fbs, ips, missing := src.Sample(r)
+		es.BGP.Set(r, bgp)
+		es.FBS.Set(r, fbs)
+		es.IPS.Set(r, ips)
+		es.Missing[r] = missing
 	}
 	for m := 0; m < tl.NumMonths(); m++ {
 		es.IPSValidMonth[m] = src.IPSValidMonth(m)
@@ -212,14 +248,16 @@ func TestWatermarkViewOfHeldSeries(t *testing.T) {
 	rounds := tl.NumRounds()
 	_, held := tl.MonthRounds(0)
 	src := patternSource{5}
+	bgp, fbs, ips := make([]float32, held), make([]float32, held), make([]float32, held)
+	missing := make([]bool, rounds)
+	for r := range held {
+		bgp[r], fbs[r], ips[r], missing[r] = src.Sample(r)
+	}
 	es := &signals.EntitySeries{
 		Name: "asn/42", TL: tl,
-		BGP: make([]float32, held), FBS: make([]float32, held), IPS: make([]float32, held),
+		BGP: signals.ColumnOf(tl, bgp), FBS: signals.ColumnOf(tl, fbs), IPS: signals.ColumnOf(tl, ips),
 		IPSValidMonth: make([]bool, tl.NumMonths()),
-		Missing:       make([]bool, rounds),
-	}
-	for r := range held {
-		es.BGP[r], es.FBS[r], es.IPS[r], es.Missing[r] = src.Sample(r)
+		Missing:       missing,
 	}
 	es.IPSValidMonth[0] = true
 	st := NewStore(tl)

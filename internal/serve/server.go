@@ -13,6 +13,7 @@ import (
 	"countrymon/internal/obs"
 	"countrymon/internal/query"
 	"countrymon/internal/signals"
+	"countrymon/internal/timeline"
 )
 
 // Pagination bounds for /v1/series round windows.
@@ -286,11 +287,11 @@ func appendSeriesJSON(b []byte, st *Store, e *Entity, wm, total, offset, limit, 
 	b = append(b, `,"time":[`...)
 	b = st.appendTimes(b, start, end)
 	b = append(b, `],"bgp":[`...)
-	b = appendFloatCol(b, e.bgp[start:end])
+	b = appendFloatCols(b, tl, &e.bgp, start, end)
 	b = append(b, `],"fbs":[`...)
-	b = appendFloatCol(b, e.fbs[start:end])
+	b = appendFloatCols(b, tl, &e.fbs, start, end)
 	b = append(b, `],"ips":[`...)
-	b = appendFloatCol(b, e.ips[start:end])
+	b = appendFloatCols(b, tl, &e.ips, start, end)
 	b = append(b, `],"missing":[`...)
 	for r := start; r < end; r++ {
 		if r > start {
@@ -312,6 +313,21 @@ func appendSeriesJSON(b []byte, st *Store, e *Entity, wm, total, offset, limit, 
 		}
 	}
 	b = append(b, `]}`...)
+	return b
+}
+
+// appendFloatCols appends col's cells of rounds [start, end), which it
+// holds, comma-separated, one appendFloatCol per month the window spans.
+func appendFloatCols(b []byte, tl *timeline.Timeline, col *signals.Column, start, end int) []byte {
+	for a, z := start, 0; a < end; a = z {
+		m := tl.MonthOfRound(a)
+		lo, hi := tl.MonthRounds(m)
+		z = min(hi, end)
+		if a > start {
+			b = append(b, ',')
+		}
+		b = appendFloatCol(b, col.Month(m)[a-lo:z-lo])
+	}
 	return b
 }
 

@@ -263,7 +263,7 @@ func TestOutagesEndpoint(t *testing.T) {
 	st := NewStore(testTimeline())
 	det := func(es *signals.EntitySeries, _ *signals.Detection, _ *signals.State, _ int) (*signals.Detection, *signals.State) {
 		return &signals.Detection{
-			Flags: make([]signals.Kind, len(es.BGP)),
+			Flags: make([]signals.Kind, es.BGP.Len()),
 			Outages: []signals.Outage{
 				{Start: 3, End: 7, Signals: signals.SignalBGP | signals.SignalIPS},
 				{Start: 12, End: 20, Signals: signals.SignalFBS, Ongoing: true},

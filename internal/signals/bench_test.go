@@ -12,18 +12,15 @@ import (
 func BenchmarkDetect(b *testing.B) {
 	tl := timeline.Default()
 	rounds := tl.NumRounds()
-	es := &EntitySeries{
-		Name: "bench", TL: tl,
-		BGP:           make([]float32, rounds),
-		FBS:           make([]float32, rounds),
-		IPS:           make([]float32, rounds),
-		IPSValidMonth: make([]bool, tl.NumMonths()),
-		Missing:       timeline.MissingRounds(tl, timeline.DefaultVantageOutages()),
-	}
+	es := NewSeries("bench", tl, timeline.MissingRounds(tl, timeline.DefaultVantageOutages()))
 	for r := 0; r < rounds; r++ {
-		es.BGP[r], es.FBS[r], es.IPS[r] = 40, 32, 2100
+		es.BGP.Set(r, 40)
+		es.FBS.Set(r, 32)
+		es.IPS.Set(r, 2100)
 		if r%1000 >= 990 { // a 20 h outage every 83 days
-			es.BGP[r], es.FBS[r], es.IPS[r] = 12, 9, 600
+			es.BGP.Set(r, 12)
+			es.FBS.Set(r, 9)
+			es.IPS.Set(r, 600)
 		}
 	}
 	for m := range es.IPSValidMonth {

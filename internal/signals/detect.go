@@ -135,15 +135,27 @@ func (d *Detection) CountBySignal() map[Kind]int {
 // MovingAverage computes the mean of the previous window's non-missing
 // values (excluding the current round) — the signals' seven-day baseline.
 // It returns ok=false when fewer than a quarter of the window was measured.
-// A round past the end of vals reads zero (see EntitySeries).
-func MovingAverage(vals []float32, missing []bool, r, window int) (float64, bool) {
+// A round past the end of col reads zero (see EntitySeries). The window is
+// read a month at a time.
+func MovingAverage(col *Column, missing []bool, r, window int) (float64, bool) {
 	sum, n := 0.0, 0
-	for i := max(r-window, 0); i < r; i++ {
-		if missing[i] {
-			continue
+	held := min(r, col.Len())
+	for a, z := max(r-window, 0), 0; a < r; a = z {
+		lo, vals := a, []float32(nil) // past the rounds held: zeros
+		z = r
+		if a < held {
+			m := col.tl.MonthOfRound(a)
+			lo, z = col.tl.MonthRounds(m)
+			z = min(z, held)
+			vals = col.Month(m)
 		}
-		sum += float64(cell(vals, i))
-		n++
+		for i := a; i < z; i++ {
+			if missing[i] {
+				continue
+			}
+			sum += float64(cell(vals, i-lo))
+			n++
+		}
 	}
 	if n == 0 || n*4 < window {
 		return 0, false
@@ -188,6 +200,19 @@ func spans(vals []float32, hi, q int) (int, int) {
 		hi = unbounded
 	}
 	return hi, q
+}
+
+// columnSpans is spans over col's rounds [lo, hi), a month at a time. A zero
+// past the column's end sets no bound.
+func columnSpans(col *Column, lo, hi, hb, q int) (int, int) {
+	hi = min(hi, col.Len())
+	for a, z := lo, 0; a < hi; a = z {
+		m := col.tl.MonthOfRound(a)
+		mlo, mhi := col.tl.MonthRounds(m)
+		z = min(mhi, hi)
+		hb, q = spans(col.Month(m)[a-mlo:z-mlo], hb, q)
+	}
+	return hb, q
 }
 
 // unbounded is spans' hi for a column holding a value no running sum may
@@ -267,7 +292,6 @@ func Detect(es *EntitySeries, cfg Config) *Detection {
 // zero-padded full-length twin does.
 func DetectFrom(es *EntitySeries, cfg Config, prev *Detection, from *State, mark int) (*Detection, *State) {
 	rounds := len(es.Missing)
-	bgpCol, fbsCol, ipsCol := es.BGP, es.FBS, es.IPS
 	window := cfg.WindowRounds
 	if window <= 0 {
 		window = es.TL.RoundsPerWeek()
@@ -289,11 +313,9 @@ func DetectFrom(es *EntitySeries, cfg Config, prev *Detection, from *State, mark
 	split := max(mark, start)
 	var hi, q [3]int // at mark
 	exact := true
-	for c, col := range [3][]float32{bgpCol, fbsCol, ipsCol} {
-		// A zero past the column's end sets no bound.
-		lo, mid := min(start, len(col)), min(split, len(col))
-		hi[c], q[c] = spans(col[lo:mid], st.hi[c], st.q[c])
-		wholeHi, wholeQ := spans(col[mid:], hi[c], q[c])
+	for c, col := range [3]*Column{&es.BGP, &es.FBS, &es.IPS} {
+		hi[c], q[c] = columnSpans(col, start, split, st.hi[c], st.q[c])
+		wholeHi, wholeQ := columnSpans(col, split, col.Len(), hi[c], q[c])
 		exact = exact && slidesWithin(wholeHi, wholeQ, window)
 	}
 	if from != nil && exact != from.exact {
@@ -317,27 +339,43 @@ func DetectFrom(es *EntitySeries, cfg Config, prev *Detection, from *State, mark
 	if mark >= 0 {
 		end = mark
 	}
+	// The current round and the one leaving the window are each read a month
+	// at a time (monthCells); the round entering the window is the one the
+	// loop read as the current round, its values carried in prev.
+	var curLo, curHi, outLo, outHi int
+	var curB, curF, curI, outB, outF, outI []float32
+	var prevB, prevF, prevI float32
+	if start > 0 {
+		prevB, prevF, prevI = es.At(start - 1)
+	}
 	var at *State
 	for r := start; ; end = rounds {
 		for ; r < end; r++ {
 			// Slide the window to [r-window, r): drop before adding, so a sum
 			// never holds more than window values.
-			if out := r - 1 - window; out >= 0 && !es.Missing[out] {
+			if o := r - 1 - window; o >= 0 && !es.Missing[o] {
+				if o >= outHi {
+					outLo, outHi, outB, outF, outI = es.monthCells(es.TL.MonthOfRound(o))
+				}
 				n--
-				sumBGP -= float64(cell(bgpCol, out))
-				sumFBS -= float64(cell(fbsCol, out))
-				sumIPS -= float64(cell(ipsCol, out))
+				sumBGP -= float64(cell(outB, o-outLo))
+				sumFBS -= float64(cell(outF, o-outLo))
+				sumIPS -= float64(cell(outI, o-outLo))
 			}
 			if r > 0 && !es.Missing[r-1] {
 				n++
-				sumBGP += float64(cell(bgpCol, r-1))
-				sumFBS += float64(cell(fbsCol, r-1))
-				sumIPS += float64(cell(ipsCol, r-1))
+				sumBGP += float64(prevB)
+				sumFBS += float64(prevF)
+				sumIPS += float64(prevI)
 			}
 			if es.Missing[r] {
 				continue // a missing round neither flags nor ends an outage
 			}
-			bgp, fbs, ips := float64(cell(bgpCol, r)), float64(cell(fbsCol, r)), float64(cell(ipsCol, r))
+			if r >= curHi {
+				curLo, curHi, curB, curF, curI = es.monthCells(es.TL.MonthOfRound(r))
+			}
+			prevB, prevF, prevI = cell(curB, r-curLo), cell(curF, r-curLo), cell(curI, r-curLo)
+			bgp, fbs, ips := float64(prevB), float64(prevF), float64(prevI)
 			if r >= monthEnd {
 				month = es.TL.MonthOfRound(r)
 				_, monthEnd = es.TL.MonthRounds(month)
@@ -351,9 +389,9 @@ func DetectFrom(es *EntitySeries, cfg Config, prev *Detection, from *State, mark
 			if ok && exact {
 				maBGP, maFBS, maIPS = sumBGP/float64(n), sumFBS/float64(n), sumIPS/float64(n)
 			} else if ok {
-				maBGP, _ = MovingAverage(bgpCol, es.Missing, r, window)
-				maFBS, _ = MovingAverage(fbsCol, es.Missing, r, window)
-				maIPS, _ = MovingAverage(ipsCol, es.Missing, r, window)
+				maBGP, _ = MovingAverage(&es.BGP, es.Missing, r, window)
+				maFBS, _ = MovingAverage(&es.FBS, es.Missing, r, window)
+				maIPS, _ = MovingAverage(&es.IPS, es.Missing, r, window)
 			}
 
 			ipsBelow := func(frac float64) bool {

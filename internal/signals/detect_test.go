@@ -32,12 +32,13 @@ func refMovingAverage(vals []float32, missing []bool, r, window int) (float64, b
 }
 
 func refDetect(es *EntitySeries, cfg Config) *Detection {
-	rounds := len(es.BGP)
+	rounds := es.BGP.Len()
 	window := cfg.WindowRounds
 	if window <= 0 {
 		window = es.TL.RoundsPerWeek()
 	}
 	d := &Detection{Flags: make([]Kind, rounds)}
+	bgpVals, fbsVals, ipsVals := es.BGP.flat(), es.FBS.flat(), es.IPS.flat()
 
 	ongoingZeroBGP := false
 	for r := 0; r < rounds; r++ {
@@ -46,24 +47,24 @@ func refDetect(es *EntitySeries, cfg Config) *Detection {
 		}
 		var flags Kind
 
-		maBGP, okBGP := refMovingAverage(es.BGP, es.Missing, r, window)
-		maFBS, okFBS := refMovingAverage(es.FBS, es.Missing, r, window)
-		maIPS, okIPS := refMovingAverage(es.IPS, es.Missing, r, window)
+		maBGP, okBGP := refMovingAverage(bgpVals, es.Missing, r, window)
+		maFBS, okFBS := refMovingAverage(fbsVals, es.Missing, r, window)
+		maIPS, okIPS := refMovingAverage(ipsVals, es.Missing, r, window)
 
 		ipsBelow := func(frac float64) bool {
-			return okIPS && maIPS >= cfg.MinBaseline && float64(es.IPS[r]) < frac*maIPS
+			return okIPS && maIPS >= cfg.MinBaseline && float64(es.IPS.At(r)) < frac*maIPS
 		}
 
-		if okBGP && maBGP >= cfg.MinBaseline && float64(es.BGP[r]) < cfg.BGPFrac*maBGP {
+		if okBGP && maBGP >= cfg.MinBaseline && float64(es.BGP.At(r)) < cfg.BGPFrac*maBGP {
 			flags |= SignalBGP
 		}
-		if okFBS && maFBS >= cfg.MinBaseline && float64(es.FBS[r]) < cfg.FBSFrac*maFBS {
+		if okFBS && maFBS >= cfg.MinBaseline && float64(es.FBS.At(r)) < cfg.FBSFrac*maFBS {
 			fires := true
 			if cfg.FBSRequiresIPSBelow > 0 && !ipsBelow(cfg.FBSRequiresIPSBelow) {
 				fires = false
 			}
 			if cfg.AvailabilitySensing && okIPS && maIPS > 0 &&
-				float64(es.IPS[r]) >= 0.98*maIPS {
+				float64(es.IPS.At(r)) >= 0.98*maIPS {
 				fires = false
 			}
 			if fires {
@@ -75,12 +76,12 @@ func refDetect(es *EntitySeries, cfg Config) *Detection {
 		}
 
 		hadBGP := okBGP && maBGP >= cfg.MinBaseline
-		if es.BGP[r] == 0 && (hadBGP || ongoingZeroBGP) {
+		if es.BGP.At(r) == 0 && (hadBGP || ongoingZeroBGP) {
 			if flags == 0 {
 				flags |= SignalBGP
 			}
 			ongoingZeroBGP = true
-		} else if es.BGP[r] > 0 {
+		} else if es.BGP.At(r) > 0 {
 			ongoingZeroBGP = false
 		}
 		d.Flags[r] = flags
@@ -105,7 +106,7 @@ func refDetect(es *EntitySeries, cfg Config) *Detection {
 				inOutage = true
 			}
 			cur.Signals |= d.Flags[r]
-			if es.BGP[r] == 0 {
+			if es.BGP.At(r) == 0 {
 				cur.Ongoing = true
 			}
 			cur.End = r + 1
@@ -124,7 +125,7 @@ func flatSeries(rounds int, bgp, fbs, ips float32) *EntitySeries {
 		return syntheticSeries(rounds, bgp, fbs, ips)
 	}
 	es := syntheticSeries(1, bgp, fbs, ips)
-	es.BGP, es.FBS, es.IPS, es.Missing = es.BGP[:0], es.FBS[:0], es.IPS[:0], es.Missing[:0]
+	es.BGP, es.FBS, es.IPS, es.Missing = es.BGP.View(0), es.FBS.View(0), es.IPS.View(0), es.Missing[:0]
 	return es
 }
 
@@ -150,7 +151,9 @@ func TestDetectMatchesOracleTable(t *testing.T) {
 	withWindow := func(cfg Config, w int) Config { cfg.WindowRounds = w; return cfg }
 	dip := func(es *EntitySeries, lo, hi int, bgp, fbs, ips float32) {
 		for r := lo; r < hi; r++ {
-			es.BGP[r], es.FBS[r], es.IPS[r] = bgp, fbs, ips
+			es.BGP.Set(r, bgp)
+			es.FBS.Set(r, fbs)
+			es.IPS.Set(r, ips)
 		}
 	}
 	miss := func(es *EntitySeries, lo, hi int) {
@@ -329,7 +332,7 @@ func randomOracleSeries(rng *rand.Rand) (*EntitySeries, Config) {
 	levels := []float32{0, 1, 3, 20, 500, 60000}
 	base := [3]float32{levels[rng.Intn(len(levels))], levels[rng.Intn(len(levels))], levels[rng.Intn(len(levels))]}
 	regional := rng.Intn(3) == 0
-	cols := [3][]float32{es.BGP, es.FBS, es.IPS}
+	cols := [3]*Column{&es.BGP, &es.FBS, &es.IPS}
 	for r := 0; r < rounds; r++ {
 		for c, col := range cols {
 			v := base[c]
@@ -343,7 +346,7 @@ func randomOracleSeries(rng *rand.Rand) (*EntitySeries, Config) {
 					v += float32(rng.Intn(256)) * float32(rng.Float64())
 				}
 			}
-			col[r] = v
+			col.Set(r, v)
 		}
 	}
 	for i := rng.Intn(8); i > 0 && rounds > 0; i-- {
@@ -353,11 +356,13 @@ func randomOracleSeries(rng *rand.Rand) (*EntitySeries, Config) {
 		for r := lo; r < hi; r++ {
 			switch rng.Intn(3) {
 			case 0:
-				cols[c][r] = float32(float64(cols[c][r]) * 0.3)
+				cols[c].Set(r, float32(float64(cols[c].At(r))*0.3))
 			case 1:
-				cols[c][r] = 0
+				cols[c].Set(r, 0)
 			default:
-				es.BGP[r], es.FBS[r], es.IPS[r] = 0, 0, 0
+				es.BGP.Set(r, 0)
+				es.FBS.Set(r, 0)
+				es.IPS.Set(r, 0)
 			}
 		}
 	}
@@ -393,7 +398,7 @@ func TestDetectMatchesOracleRandom(t *testing.T) {
 		if window <= 0 {
 			window = es.TL.RoundsPerWeek()
 		}
-		if !slidesExactly(es.BGP, window) || !slidesExactly(es.FBS, window) || !slidesExactly(es.IPS, window) {
+		if !slidesExactly(&es.BGP, window) || !slidesExactly(&es.FBS, window) || !slidesExactly(&es.IPS, window) {
 			fallbacks++
 		}
 	}
@@ -444,14 +449,14 @@ func TestSlidesExactly(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			es := flatSeries(400, 10, 8, 500)
-			for r := range es.IPS {
-				es.BGP[r] = tc.cells[r%len(tc.cells)]
-				es.IPS[r] = tc.cells[(r+1)%len(tc.cells)]
+			for r := range es.IPS.Len() {
+				es.BGP.Set(r, tc.cells[r%len(tc.cells)])
+				es.IPS.Set(r, tc.cells[(r+1)%len(tc.cells)])
 			}
 			for r := 150; r < 170; r++ {
 				es.Missing[r] = true
 			}
-			if got := slidesExactly(es.BGP, tc.window); got != tc.want {
+			if got := slidesExactly(&es.BGP, tc.window); got != tc.want {
 				t.Errorf("slidesExactly = %v, want %v", got, tc.want)
 			}
 			cfg := ASConfig()
@@ -467,14 +472,16 @@ func TestSlidesExactly(t *testing.T) {
 func fuzzSeries(data []byte, window uint8) (*EntitySeries, Config) {
 	const rec = 13
 	es := flatSeries(len(data)/rec, 0, 0, 0)
-	for r := range es.BGP {
+	for r := range es.BGP.Len() {
 		p := data[r*rec:]
-		es.BGP[r] = math.Float32frombits(binary.LittleEndian.Uint32(p))
-		es.FBS[r] = math.Float32frombits(binary.LittleEndian.Uint32(p[4:]))
-		es.IPS[r] = math.Float32frombits(binary.LittleEndian.Uint32(p[8:]))
+		es.BGP.Set(r, math.Float32frombits(binary.LittleEndian.Uint32(p)))
+		es.FBS.Set(r, math.Float32frombits(binary.LittleEndian.Uint32(p[4:])))
+		es.IPS.Set(r, math.Float32frombits(binary.LittleEndian.Uint32(p[8:])))
 		es.Missing[r] = p[12]&1 != 0
 		if p[12]&2 != 0 { // small counts, the common case, at fuzzing speed
-			es.BGP[r], es.FBS[r], es.IPS[r] = float32(p[0]), float32(p[4]), float32(p[8])
+			es.BGP.Set(r, float32(p[0]))
+			es.FBS.Set(r, float32(p[4]))
+			es.IPS.Set(r, float32(p[8]))
 		}
 	}
 	for m := range es.IPSValidMonth {

@@ -16,9 +16,9 @@ func randomSeries(rng *rand.Rand, rounds int) *EntitySeries {
 	baseFBS := float32(rng.Intn(25) + 2)
 	baseIPS := float32(rng.Intn(900) + 50)
 	for r := 0; r < rounds; r++ {
-		es.BGP[r] = baseBGP
-		es.FBS[r] = baseFBS
-		es.IPS[r] = baseIPS
+		es.BGP.Set(r, baseBGP)
+		es.FBS.Set(r, baseFBS)
+		es.IPS.Set(r, baseIPS)
 		if rng.Intn(10) == 0 {
 			es.Missing[r] = true
 		}
@@ -32,11 +32,11 @@ func randomSeries(rng *rand.Rand, rounds int) *EntitySeries {
 		for r := start; r < start+length && r < rounds; r++ {
 			switch rng.Intn(3) {
 			case 0:
-				es.BGP[r] *= depth
+				es.BGP.Set(r, es.BGP.At(r)*depth)
 			case 1:
-				es.FBS[r] *= depth
+				es.FBS.Set(r, es.FBS.At(r)*depth)
 			default:
-				es.IPS[r] *= depth
+				es.IPS.Set(r, es.IPS.At(r)*depth)
 			}
 		}
 	}

@@ -21,7 +21,17 @@ import (
 // The oracle: the ever-active pass, buildAS and buildRegion as they were
 // before each block's walk was bounded by what the store recorded — every
 // block × every round of the timeline, recorded or not, read a cell at a
-// time. Only the names and the cell reads changed.
+// time. Only the names and the cell reads changed, and the IPS gate's bound
+// on the handled rounds was added: a batch build's is the whole timeline.
+
+// refNewStreamingBuilder is the oracle built cold as NewStreamingBuilder
+// builds: a live campaign's IPS gate averages through the store's resume
+// cursor, not over the whole timeline.
+func refNewStreamingBuilder(store *dataset.Store, space *netmodel.Space, minCoverage float64) *Builder {
+	b := refNewBuilderMinCoverage(store, space, minCoverage)
+	b.handled = b.nextFold
+	return b
+}
 
 func refNewBuilderMinCoverage(store *dataset.Store, space *netmodel.Space, minCoverage float64) *Builder {
 	tl := store.Timeline()
@@ -39,6 +49,7 @@ func refNewBuilderMinCoverage(store *dataset.Store, space *netmodel.Space, minCo
 		minCoverage: minCoverage,
 		metrics:     &Metrics{},
 		nextFold:    store.NextUndone(),
+		handled:     rounds,
 	}
 	// The ever-active aggregates are independent per block: one pass over
 	// the block's round series per worker-pool shard. MonthStats skips only
@@ -82,12 +93,12 @@ func (b *Builder) refBuildAS(asn netmodel.ASN) *EntitySeries {
 				continue
 			}
 			c := float32(b.store.Resp(bi, r))
-			es.IPS[r] += c
+			es.IPS.Set(r, es.IPS.At(r)+c)
 			if b.store.Routed(bi, r) {
-				es.BGP[r]++
+				es.BGP.Set(r, es.BGP.At(r)+1)
 			}
 			if b.elig[base+b.tl.MonthOfRound(r)] && c > 0 {
-				es.FBS[r]++
+				es.FBS.Set(r, es.FBS.At(r)+1)
 			}
 		}
 	}
@@ -120,12 +131,12 @@ func (b *Builder) refBuildRegion(rr *regional.RegionResult, cl *regional.Classif
 			}
 			share := float32(cl.BlockShare(bi, m, rr.Region))
 			c := float32(resp) * share
-			es.IPS[r] += c
+			es.IPS.Set(r, es.IPS.At(r)+c)
 			if b.store.Routed(bi, r) {
-				es.BGP[r]++
+				es.BGP.Set(r, es.BGP.At(r)+1)
 			}
 			if b.elig[base+m] && resp > 0 {
-				es.FBS[r]++
+				es.FBS.Set(r, es.FBS.At(r)+1)
 			}
 		}
 	}
@@ -389,14 +400,14 @@ func refSlidesExactly(vals []float32, window int) bool {
 // seven-day baselines are running sums stepped once per round, bit-identical
 // to MovingAverage at every round — which a series failing refSlidesExactly gets.
 func refOnePass(es *EntitySeries, cfg Config) *Detection {
-	rounds := len(es.BGP)
+	rounds := es.BGP.Len()
 	window := cfg.WindowRounds
 	if window <= 0 {
 		window = es.TL.RoundsPerWeek()
 	}
 	d := &Detection{Flags: make([]Kind, rounds)}
 
-	exact := refSlidesExactly(es.BGP, window) && refSlidesExactly(es.FBS, window) && refSlidesExactly(es.IPS, window)
+	exact := refSlidesExactly(es.BGP.flat(), window) && refSlidesExactly(es.FBS.flat(), window) && refSlidesExactly(es.IPS.flat(), window)
 	var sumBGP, sumFBS, sumIPS float64 // over the n measured rounds of [r-window, r)
 	n, month, monthEnd := 0, 0, 0      // month is r's, re-read when r reaches monthEnd
 
@@ -408,15 +419,15 @@ func refOnePass(es *EntitySeries, cfg Config) *Detection {
 		// never holds more than window values.
 		if out := r - 1 - window; out >= 0 && !es.Missing[out] {
 			n--
-			sumBGP -= float64(es.BGP[out])
-			sumFBS -= float64(es.FBS[out])
-			sumIPS -= float64(es.IPS[out])
+			sumBGP -= float64(es.BGP.At(out))
+			sumFBS -= float64(es.FBS.At(out))
+			sumIPS -= float64(es.IPS.At(out))
 		}
 		if r > 0 && !es.Missing[r-1] {
 			n++
-			sumBGP += float64(es.BGP[r-1])
-			sumFBS += float64(es.FBS[r-1])
-			sumIPS += float64(es.IPS[r-1])
+			sumBGP += float64(es.BGP.At(r - 1))
+			sumFBS += float64(es.FBS.At(r - 1))
+			sumIPS += float64(es.IPS.At(r - 1))
 		}
 		if es.Missing[r] {
 			continue // a missing round neither flags nor ends an outage
@@ -434,25 +445,25 @@ func refOnePass(es *EntitySeries, cfg Config) *Detection {
 		if ok && exact {
 			maBGP, maFBS, maIPS = sumBGP/float64(n), sumFBS/float64(n), sumIPS/float64(n)
 		} else if ok {
-			maBGP, _ = MovingAverage(es.BGP, es.Missing, r, window)
-			maFBS, _ = MovingAverage(es.FBS, es.Missing, r, window)
-			maIPS, _ = MovingAverage(es.IPS, es.Missing, r, window)
+			maBGP, _ = MovingAverage(&es.BGP, es.Missing, r, window)
+			maFBS, _ = MovingAverage(&es.FBS, es.Missing, r, window)
+			maIPS, _ = MovingAverage(&es.IPS, es.Missing, r, window)
 		}
 
 		ipsBelow := func(frac float64) bool {
-			return ok && maIPS >= cfg.MinBaseline && float64(es.IPS[r]) < frac*maIPS
+			return ok && maIPS >= cfg.MinBaseline && float64(es.IPS.At(r)) < frac*maIPS
 		}
 
-		if ok && maBGP >= cfg.MinBaseline && float64(es.BGP[r]) < cfg.BGPFrac*maBGP {
+		if ok && maBGP >= cfg.MinBaseline && float64(es.BGP.At(r)) < cfg.BGPFrac*maBGP {
 			flags |= SignalBGP
 		}
-		if ok && maFBS >= cfg.MinBaseline && float64(es.FBS[r]) < cfg.FBSFrac*maFBS {
+		if ok && maFBS >= cfg.MinBaseline && float64(es.FBS.At(r)) < cfg.FBSFrac*maFBS {
 			fires := true
 			if cfg.FBSRequiresIPSBelow > 0 && !ipsBelow(cfg.FBSRequiresIPSBelow) {
 				fires = false
 			}
 			if cfg.AvailabilitySensing && maIPS > 0 &&
-				float64(es.IPS[r]) >= 0.98*maIPS {
+				float64(es.IPS.At(r)) >= 0.98*maIPS {
 				// Blocks vanished but addresses kept answering elsewhere in
 				// the entity: dynamic reallocation, not an outage.
 				fires = false
@@ -468,12 +479,12 @@ func refOnePass(es *EntitySeries, cfg Config) *Detection {
 		// Zero-BGP ongoing flag: once everything is withdrawn, the outage
 		// persists until routes return, regardless of the moving average.
 		hadBGP := ok && maBGP >= cfg.MinBaseline
-		if es.BGP[r] == 0 && (hadBGP || ongoingZeroBGP) {
+		if es.BGP.At(r) == 0 && (hadBGP || ongoingZeroBGP) {
 			if flags == 0 {
 				flags |= SignalBGP
 			}
 			ongoingZeroBGP = true
-		} else if es.BGP[r] > 0 {
+		} else if es.BGP.At(r) > 0 {
 			ongoingZeroBGP = false
 		}
 		d.Flags[r] = flags
@@ -485,7 +496,7 @@ func refOnePass(es *EntitySeries, cfg Config) *Detection {
 				inOutage = true
 			}
 			cur.Signals |= flags
-			if es.BGP[r] == 0 {
+			if es.BGP.At(r) == 0 {
 				cur.Ongoing = true
 			}
 			cur.End = r + 1

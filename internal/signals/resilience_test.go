@@ -40,7 +40,7 @@ func TestMovingAverageSkipsMissing(t *testing.T) {
 	for i := 50; i < 60; i++ {
 		vals[i], missing[i] = 0, true
 	}
-	ma, ok := MovingAverage(vals, missing, 70, 40)
+	ma, ok := MovingAverage(testColumn(vals), missing, 70, 40)
 	if !ok || ma != 10 {
 		t.Errorf("MA = %v ok=%v, want 10 excluding missing rounds", ma, ok)
 	}
@@ -48,7 +48,7 @@ func TestMovingAverageSkipsMissing(t *testing.T) {
 	for i := 5; i < 40; i++ {
 		missing[i] = true
 	}
-	if _, ok := MovingAverage(vals, missing, 41, 40); ok {
+	if _, ok := MovingAverage(testColumn(vals), missing, 41, 40); ok {
 		t.Error("MA ok with <1/4 of the window measured")
 	}
 }
@@ -72,7 +72,7 @@ func TestDetectionQuietAcrossVantageOutage(t *testing.T) {
 	// The first measured round after the gap still has a baseline: the
 	// seven-day MA skips missing rounds rather than dividing by them.
 	window := es.TL.RoundsPerWeek()
-	ma, ok := MovingAverage(es.BGP, es.Missing, 140, window)
+	ma, ok := MovingAverage(&es.BGP, es.Missing, 140, window)
 	if !ok || ma != 4 {
 		t.Errorf("post-gap BGP MA = %v ok=%v, want 4", ma, ok)
 	}
@@ -83,7 +83,9 @@ func TestOngoingOutageBridgesMissingRounds(t *testing.T) {
 	// Total BGP withdrawal for 60 rounds, with a vantage outage in the
 	// middle of it.
 	for r := 200; r < 260; r++ {
-		es.BGP[r], es.FBS[r], es.IPS[r] = 0, 0, 0
+		es.BGP.Set(r, 0)
+		es.FBS.Set(r, 0)
+		es.IPS.Set(r, 0)
 	}
 	for r := 220; r < 240; r++ {
 		es.Missing[r] = true

@@ -10,8 +10,8 @@ import (
 )
 
 // slidesExactly is the whole-series verdict on spans' bounds.
-func slidesExactly(vals []float32, window int) bool {
-	hi, q := spans(vals, 0, noBit)
+func slidesExactly(col *Column, window int) bool {
+	hi, q := columnSpans(col, 0, col.Len(), 0, noBit)
 	return slidesWithin(hi, q, window)
 }
 
@@ -22,14 +22,15 @@ func slidesExactly(vals []float32, window int) bool {
 // that may be resumed over es.
 func staleView(es *EntitySeries, r, w int) *EntitySeries {
 	v := *es
-	v.BGP = append([]float32(nil), es.BGP[:w]...)
-	v.FBS = append([]float32(nil), es.FBS[:w]...)
-	v.IPS = append([]float32(nil), es.IPS[:w]...)
+	bgp, fbs, ips := es.BGP.View(w), es.FBS.View(w), es.IPS.View(w)
+	v.BGP, v.FBS, v.IPS = ColumnOf(es.TL, bgp.flat()), ColumnOf(es.TL, fbs.flat()), ColumnOf(es.TL, ips.flat())
 	v.Missing = append([]bool(nil), es.Missing[:w]...)
 	v.IPSValidMonth = append([]bool(nil), es.IPSValidMonth...)
 	for i := r; i < w; i++ {
 		j := (i * 7) % w
-		v.BGP[i], v.FBS[i], v.IPS[i] = es.FBS[j]*0.5, es.BGP[j], es.IPS[j]*2
+		v.BGP.Set(i, es.FBS.At(j)*0.5)
+		v.FBS.Set(i, es.BGP.At(j))
+		v.IPS.Set(i, es.IPS.At(j)*2)
 		v.Missing[i] = i%5 == 0
 	}
 	first := 0
@@ -135,9 +136,11 @@ func resumeSeries(rng *rand.Rand) (*EntitySeries, Config, int) {
 		base = [3]float32{20.5, 16.5, 800.5} // halves: q = -1
 	}
 	for r := 0; r < rounds; r++ {
-		es.BGP[r], es.FBS[r], es.IPS[r] = base[0], base[1], base[2]
+		es.BGP.Set(r, base[0])
+		es.FBS.Set(r, base[1])
+		es.IPS.Set(r, base[2])
 		if rng.Intn(4) == 0 {
-			es.IPS[r] += float32(rng.Intn(40))
+			es.IPS.Set(r, es.IPS.At(r)+float32(rng.Intn(40)))
 		}
 	}
 	for i := 3 + rng.Intn(6); i > 0; i-- {
@@ -146,9 +149,13 @@ func resumeSeries(rng *rand.Rand) (*EntitySeries, Config, int) {
 		zero := rng.Intn(2) == 0
 		for r := lo; r < hi; r++ {
 			if zero {
-				es.BGP[r], es.FBS[r], es.IPS[r] = 0, 0, 0
+				es.BGP.Set(r, 0)
+				es.FBS.Set(r, 0)
+				es.IPS.Set(r, 0)
 			} else {
-				es.BGP[r], es.FBS[r], es.IPS[r] = es.BGP[r]*0.3, es.FBS[r]*0.3, es.IPS[r]*0.3
+				es.BGP.Set(r, es.BGP.At(r)*0.3)
+				es.FBS.Set(r, es.FBS.At(r)*0.3)
+				es.IPS.Set(r, es.IPS.At(r)*0.3)
 			}
 		}
 	}
@@ -169,20 +176,20 @@ func resumeSeries(rng *rand.Rand) (*EntitySeries, Config, int) {
 	}
 	if rng.Intn(2) == 0 {
 		at := rounds/3 + rng.Intn(rounds/2)
-		col := [3][]float32{es.BGP, es.FBS, es.IPS}[rng.Intn(3)]
+		col := [3]*Column{&es.BGP, &es.FBS, &es.IPS}[rng.Intn(3)]
 		switch rng.Intn(4) {
 		case 0:
-			col[at] = float32(math.NaN())
+			col.Set(at, float32(math.NaN()))
 		case 1:
-			col[at] = -col[at] - 1
+			col.Set(at, -col.At(at)-1)
 		case 2:
-			col[at] = math.Float32frombits(3) // subnormal
+			col.Set(at, math.Float32frombits(3)) // subnormal
 		case 3:
-			for r := range col[:at] {
-				col[r] = float32(int(col[r])) + 0.5
+			for r := range at {
+				col.Set(r, float32(int(col.At(r)))+0.5)
 			}
 			for r := at; r < min(rounds, at+3); r++ {
-				col[r] = 1 << 50
+				col.Set(r, 1<<50)
 			}
 		}
 	}
@@ -206,7 +213,7 @@ func TestDetectResumesAtEveryRound(t *testing.T) {
 		if got := Detect(es, cfg); !reflect.DeepEqual(got, want) {
 			t.Fatalf("series %d: Detect differs from the one-pass oracle", i)
 		}
-		rounds := len(es.BGP)
+		rounds := es.BGP.Len()
 		for r := 0; r < rounds; r++ {
 			w := r + 1 + rng.Intn(rounds-r) // the earlier pass's watermark
 			m := r + rng.Intn(rounds-r)     // the resumed pass's mark
@@ -271,7 +278,7 @@ func FuzzDetectResumeMatchesWhole(f *testing.F) {
 			return
 		}
 		es, cfg := fuzzSeries(data, window)
-		rounds := len(es.BGP)
+		rounds := es.BGP.Len()
 		if rounds == 0 {
 			return
 		}

@@ -43,18 +43,19 @@ const DefaultMinCoverage = 0.8
 
 // EntitySeries holds one entity's (AS or region) per-round signal values.
 //
-// The series spans len(Missing) rounds. The three value columns may be
-// shorter: a value past a column's end reads zero (At), as a cell of a
-// dataset segment never written does. A Builder's series holds its values
-// through the end of the month of the later of its last folded round and
-// its store's last written segment, and Fold grows it a month at a time.
+// The series spans len(Missing) rounds. The three value columns hold them a
+// month at a time (Column) and may stop short of that span: a value past a
+// column's end reads zero (At), as a cell of a dataset segment never written
+// does. A Builder's series holds its values through the end of the month of
+// the later of its last folded round and its store's last written segment,
+// and Fold gives it a month's segments as the month's first round lands.
 type EntitySeries struct {
 	Name string
 	TL   *timeline.Timeline
 	// BGP, FBS and IPS are per-round values (see package doc).
-	BGP []float32
-	FBS []float32
-	IPS []float32
+	BGP Column
+	FBS Column
+	IPS Column
 	// IPSValidMonth marks months where the IPS signal is evaluated.
 	IPSValidMonth []bool
 	// Missing marks rounds without usable data: vantage outages plus
@@ -64,15 +65,14 @@ type EntitySeries struct {
 
 // At returns round r's three values, zero past the end of the columns.
 func (es *EntitySeries) At(r int) (bgp, fbs, ips float32) {
-	return cell(es.BGP, r), cell(es.FBS, r), cell(es.IPS, r)
+	return es.BGP.At(r), es.FBS.At(r), es.IPS.At(r)
 }
 
 // View returns the series' first rounds rounds: a new EntitySeries sharing
-// es's arrays, as a live series is read up to its round cursor.
+// es's segments, as a live series is read up to its round cursor.
 func (es *EntitySeries) View(rounds int) *EntitySeries {
 	v := *es
-	held := min(rounds, len(es.BGP))
-	v.BGP, v.FBS, v.IPS = es.BGP[:held:held], es.FBS[:held:held], es.IPS[:held:held]
+	v.BGP, v.FBS, v.IPS = es.BGP.View(rounds), es.FBS.View(rounds), es.IPS.View(rounds)
 	v.Missing = es.Missing[:rounds:rounds]
 	return &v
 }
@@ -101,6 +101,12 @@ type Builder struct {
 	missing []bool
 	// minCoverage is the partial-round gate the mask was computed with.
 	minCoverage float64
+	// handled bounds the rounds the IPS gate averages over, [0, handled).
+	// A batch builder reads its store as complete: the whole timeline. A
+	// streaming builder reads it as a live campaign's: through the store's
+	// resume cursor, then through each round Fold folds, since a live
+	// month's rounds nobody has scanned yet are not measured zeros.
+	handled int
 	// asCache and regionCache memoize built series. Callers treat returned
 	// series as shared and read-only; anything derived from them (detection,
 	// ablations) allocates its own buffers.
@@ -145,6 +151,7 @@ func NewBuilderMinCoverage(store *dataset.Store, space *netmodel.Space, minCover
 		minCoverage: minCoverage,
 		metrics:     &Metrics{},
 		nextFold:    store.NextUndone(),
+		handled:     tl.NumRounds(),
 	}
 	// The ever-active aggregates are independent per block: one pass over
 	// the block's written segments per worker-pool shard (the cells of an
@@ -213,21 +220,30 @@ func (b *Builder) buildAS(asn netmodel.ASN) *EntitySeries {
 		if resp == nil {
 			continue
 		}
-		lo, n := k*dataset.SegmentRounds, b.store.SegmentLen(k)
-		missing, ips, bgp, fbs := es.Missing[lo:lo+n], es.IPS[lo:lo+n], es.BGP[lo:lo+n], es.FBS[lo:lo+n]
-		for _, bi := range blocks {
-			base, word := bi*b.months, routed[bi]
-			for j, v := range resp[bi*dataset.SegmentRounds:][:n] {
-				if missing[j] {
-					continue
-				}
-				c := float32(v)
-				ips[j] += c
-				if word>>j&1 == 1 {
-					bgp[j]++
-				}
-				if b.elig[base+b.tl.MonthOfRound(lo+j)] && c > 0 {
-					fbs[j]++
+		lo := k * dataset.SegmentRounds
+		end := lo + b.store.SegmentLen(k)
+		// A segment may span months: each month's piece of it goes to that
+		// month's cells.
+		for a, z := lo, 0; a < end; a = z {
+			m := b.tl.MonthOfRound(a)
+			mlo, mhi, bgp, fbs, ips := es.monthCells(m)
+			z = min(mhi, end)
+			missing := es.Missing[a:z]
+			bgp, fbs, ips = bgp[a-mlo:z-mlo], fbs[a-mlo:z-mlo], ips[a-mlo:z-mlo]
+			for _, bi := range blocks {
+				word, elig := routed[bi]>>(a-lo), b.elig[bi*b.months+m]
+				for j, v := range resp[bi*dataset.SegmentRounds+a-lo:][:z-a] {
+					if missing[j] {
+						continue
+					}
+					c := float32(v)
+					ips[j] += c
+					if word>>j&1 == 1 {
+						bgp[j]++
+					}
+					if elig && c > 0 {
+						fbs[j]++
+					}
 				}
 			}
 		}
@@ -259,32 +275,39 @@ func (b *Builder) buildRegion(rr *regional.RegionResult, cl *regional.Classifier
 			fe.eval = append(fe.eval, bc.EvalMonths)
 		}
 	}
-	// Segment by segment, blocks ascending within each, as buildAS walks.
+	// Segment by segment and month by month, blocks ascending within each,
+	// as buildAS walks.
 	for k := range b.store.NumSegments() {
 		resp, routed := b.store.Segment(k)
 		if resp == nil {
 			continue
 		}
-		lo, n := k*dataset.SegmentRounds, b.store.SegmentLen(k)
-		missing, ips, bgp, fbs := es.Missing[lo:lo+n], es.IPS[lo:lo+n], es.BGP[lo:lo+n], es.FBS[lo:lo+n]
-		for i, bi := range fe.blocks {
-			base, word, eval := bi*b.months, routed[bi], fe.eval[i]
-			for j, v := range resp[bi*dataset.SegmentRounds:][:n] {
-				if missing[j] {
+		lo := k * dataset.SegmentRounds
+		end := lo + b.store.SegmentLen(k)
+		for a, z := lo, 0; a < end; a = z {
+			m := b.tl.MonthOfRound(a)
+			mlo, mhi, bgp, fbs, ips := es.monthCells(m)
+			z = min(mhi, end)
+			missing := es.Missing[a:z]
+			bgp, fbs, ips = bgp[a-mlo:z-mlo], fbs[a-mlo:z-mlo], ips[a-mlo:z-mlo]
+			for i, bi := range fe.blocks {
+				if !fe.eval[i][m] {
 					continue
 				}
-				m := b.tl.MonthOfRound(lo + j)
-				if !eval[m] {
-					continue
-				}
+				word, elig := routed[bi]>>(a-lo), b.elig[bi*b.months+m]
 				share := float32(cl.BlockShare(bi, m, rr.Region))
-				c := float32(v) * share
-				ips[j] += c
-				if word>>j&1 == 1 {
-					bgp[j]++
-				}
-				if b.elig[base+m] && v > 0 {
-					fbs[j]++
+				for j, v := range resp[bi*dataset.SegmentRounds+a-lo:][:z-a] {
+					if missing[j] {
+						continue
+					}
+					c := float32(v) * share
+					ips[j] += c
+					if word>>j&1 == 1 {
+						bgp[j]++
+					}
+					if elig && v > 0 {
+						fbs[j]++
+					}
 				}
 			}
 		}
@@ -297,33 +320,22 @@ func (b *Builder) buildRegion(rr *regional.RegionResult, cl *regional.Classifier
 }
 
 // NewSeries returns an all-zero series over tl with no month's IPS valid.
-// Missing aliases the given per-round mask, it is not copied.
+// Missing aliases the given per-round mask, it is not copied. The columns
+// hold every month, in one buffer.
 func NewSeries(name string, tl *timeline.Timeline, missing []bool) *EntitySeries {
-	return newHeldSeries(name, tl, missing, tl.NumRounds())
+	return newHeldSeries(name, tl, missing, tl.NumMonths()-1)
 }
 
-// newHeldSeries is NewSeries with columns holding the first held rounds.
-func newHeldSeries(name string, tl *timeline.Timeline, missing []bool, held int) *EntitySeries {
+// newHeldSeries is NewSeries with columns holding months [0, through].
+func newHeldSeries(name string, tl *timeline.Timeline, missing []bool, through int) *EntitySeries {
 	es := &EntitySeries{
 		Name:          name,
 		TL:            tl,
 		IPSValidMonth: make([]bool, tl.NumMonths()),
 		Missing:       missing,
 	}
-	es.grow(held)
+	GrowColumns(tl, through, &es.BGP, &es.FBS, &es.IPS)
 	return es
-}
-
-// grow regrows the columns to hold n rounds, keeping the values held. One
-// backing array for all three signals instead of three small allocations;
-// series construction dominates the sweep hot paths.
-func (es *EntitySeries) grow(n int) {
-	buf := make([]float32, 3*n)
-	bgp, fbs, ips := buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
-	copy(bgp, es.BGP)
-	copy(fbs, es.FBS)
-	copy(ips, es.IPS)
-	es.BGP, es.FBS, es.IPS = bgp, fbs, ips
 }
 
 // newSeries is the builder's series, holding its values through the end of
@@ -337,17 +349,7 @@ func (b *Builder) newSeries(name string) *EntitySeries {
 			break
 		}
 	}
-	return newHeldSeries(name, b.tl, b.missing, b.monthEnd(max(last, 0)))
-}
-
-// monthEnd returns the round after the last of round's month: the length a
-// series holding round is grown to.
-func (b *Builder) monthEnd(round int) int {
-	if round >= b.tl.NumRounds() {
-		return b.tl.NumRounds()
-	}
-	_, hi := b.tl.MonthRounds(b.tl.MonthOfRound(round))
-	return hi
+	return newHeldSeries(name, b.tl, b.missing, b.tl.MonthOfRound(max(last, 0)))
 }
 
 func (b *Builder) fillIPSValidity(es *EntitySeries) {
@@ -357,22 +359,24 @@ func (b *Builder) fillIPSValidity(es *EntitySeries) {
 }
 
 // fillIPSValidityMonth recomputes the IPS validity of a single month — the
-// unit of invalidation the streaming fold pays per round. The mean is always
-// accumulated in ascending round order so batch and streaming builds agree
-// bit for bit. A series holds a month whole or not at all, and a month it
-// does not hold reads zero: its mean never passes the gate.
+// unit of invalidation the streaming fold pays per round. The mean is over
+// the month's handled rounds only (Builder.handled), always accumulated in
+// ascending round order so batch and streaming builds agree bit for bit. A
+// series holds a month whole or not at all, and a month it does not hold
+// reads zero: its mean never passes the gate.
 func (b *Builder) fillIPSValidityMonth(es *EntitySeries, m int) {
 	lo, hi := b.tl.MonthRounds(m)
-	if hi > len(es.IPS) {
+	ips := es.IPS.Month(m)
+	if len(ips) < hi-lo {
 		es.IPSValidMonth[m] = false
 		return
 	}
 	sum, n := 0.0, 0
-	for r := lo; r < hi; r++ {
-		if es.Missing[r] {
+	for j, missing := range es.Missing[lo:max(lo, min(hi, b.handled))] {
+		if missing {
 			continue
 		}
-		sum += float64(es.IPS[r])
+		sum += float64(ips[j])
 		n++
 	}
 	es.IPSValidMonth[m] = n > 0 && sum/float64(n) > MinIPSMonthly

@@ -38,16 +38,11 @@ func fixture(t *testing.T) (*sim.Scenario, *Builder) {
 func syntheticSeries(rounds int, bgp, fbs, ips float32) *EntitySeries {
 	start := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
 	tl := timeline.New(start, start.Add(time.Duration(rounds-1)*2*time.Hour), 2*time.Hour)
-	es := &EntitySeries{
-		Name: "synthetic", TL: tl,
-		BGP:           make([]float32, rounds),
-		FBS:           make([]float32, rounds),
-		IPS:           make([]float32, rounds),
-		IPSValidMonth: make([]bool, tl.NumMonths()),
-		Missing:       make([]bool, rounds),
-	}
+	es := NewSeries("synthetic", tl, make([]bool, rounds))
 	for r := 0; r < rounds; r++ {
-		es.BGP[r], es.FBS[r], es.IPS[r] = bgp, fbs, ips
+		es.BGP.Set(r, bgp)
+		es.FBS.Set(r, fbs)
+		es.IPS.Set(r, ips)
 	}
 	for m := range es.IPSValidMonth {
 		es.IPSValidMonth[m] = ips > MinIPSMonthly
@@ -58,7 +53,9 @@ func syntheticSeries(rounds int, bgp, fbs, ips float32) *EntitySeries {
 func TestDetectSyntheticBGPOutage(t *testing.T) {
 	es := syntheticSeries(400, 10, 8, 500)
 	for r := 200; r < 212; r++ {
-		es.BGP[r], es.FBS[r], es.IPS[r] = 0, 0, 0
+		es.BGP.Set(r, 0)
+		es.FBS.Set(r, 0)
+		es.IPS.Set(r, 0)
 	}
 	d := Detect(es, ASConfig())
 	if len(d.Outages) != 1 {
@@ -79,7 +76,7 @@ func TestDetectSyntheticBGPOutage(t *testing.T) {
 func TestDetectIPSOnlyPartialOutage(t *testing.T) {
 	es := syntheticSeries(400, 10, 8, 500)
 	for r := 150; r < 160; r++ {
-		es.IPS[r] = 250 // half the IPs gone; blocks still active
+		es.IPS.Set(r, 250) // half the IPs gone; blocks still active
 	}
 	d := Detect(es, ASConfig())
 	if len(d.Outages) != 1 {
@@ -96,7 +93,7 @@ func TestAvailabilitySensingFiltersReallocation(t *testing.T) {
 	mk := func() *EntitySeries {
 		es := syntheticSeries(400, 10, 8, 500)
 		for r := 150; r < 170; r++ {
-			es.FBS[r] = 4 // half the blocks "gone"
+			es.FBS.Set(r, 4) // half the blocks "gone"
 		}
 		return es
 	}
@@ -118,7 +115,9 @@ func TestOngoingZeroBGPOutage(t *testing.T) {
 	// flag keeps the outage open (§3.1).
 	es := syntheticSeries(600, 10, 8, 500)
 	for r := 300; r < 600; r++ {
-		es.BGP[r], es.FBS[r], es.IPS[r] = 0, 0, 0
+		es.BGP.Set(r, 0)
+		es.FBS.Set(r, 0)
+		es.IPS.Set(r, 0)
 	}
 	d := Detect(es, ASConfig())
 	if len(d.Outages) != 1 {
@@ -136,7 +135,9 @@ func TestOngoingZeroBGPOutage(t *testing.T) {
 func TestMissingRoundsBridgeOutages(t *testing.T) {
 	es := syntheticSeries(400, 10, 8, 500)
 	for r := 200; r < 220; r++ {
-		es.BGP[r], es.FBS[r], es.IPS[r] = 0, 0, 0
+		es.BGP.Set(r, 0)
+		es.FBS.Set(r, 0)
+		es.IPS.Set(r, 0)
 	}
 	for r := 205; r < 212; r++ {
 		es.Missing[r] = true
@@ -150,12 +151,12 @@ func TestMissingRoundsBridgeOutages(t *testing.T) {
 func TestMovingAverage(t *testing.T) {
 	vals := []float32{10, 10, 10, 20, 20, 20}
 	missing := make([]bool, 6)
-	ma, ok := MovingAverage(vals, missing, 6, 6)
+	ma, ok := MovingAverage(testColumn(vals), missing, 6, 6)
 	if !ok || ma != 15 {
 		t.Errorf("ma = %f ok=%v", ma, ok)
 	}
 	missing[0], missing[1], missing[2], missing[3], missing[4] = true, true, true, true, true
-	if _, ok := MovingAverage(vals, missing, 6, 6); ok {
+	if _, ok := MovingAverage(testColumn(vals), missing, 6, 6); ok {
 		t.Error("sparse window should not produce a baseline")
 	}
 }
@@ -287,4 +288,22 @@ func TestKindString(t *testing.T) {
 	if Kind(0).String() != "none" {
 		t.Error("zero mask should render none")
 	}
+}
+
+// testColumn wraps vals as a column over a bi-hourly timeline of their
+// length, starting on the first of a month.
+func testColumn(vals []float32) *Column {
+	start := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
+	tl := timeline.New(start, start.Add(time.Duration(len(vals)-1)*2*time.Hour), 2*time.Hour)
+	c := ColumnOf(tl, vals)
+	return &c
+}
+
+// flat returns the column's rounds as one slice of their own.
+func (c *Column) flat() []float32 {
+	out := make([]float32, c.Len())
+	for r := range out {
+		out[r] = c.At(r)
+	}
+	return out
 }

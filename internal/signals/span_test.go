@@ -45,8 +45,8 @@ func TestDarkTailDetectsAsFullLength(t *testing.T) {
 	got := NewBuilderMinCoverage(s, sc.Space, DefaultMinCoverage)
 	check := func(label string, w, g *EntitySeries, cfg Config) bool {
 		t.Helper()
-		if len(g.BGP) >= rounds {
-			t.Fatalf("%s: the series holds %d of %d rounds: no tail to read", label, len(g.BGP), rounds)
+		if g.BGP.Len() >= rounds {
+			t.Fatalf("%s: the series holds %d of %d rounds: no tail to read", label, g.BGP.Len(), rounds)
 		}
 		assertSeriesEqual(t, label, w, g)
 		dw, dg := Detect(w, cfg), Detect(g, cfg)
@@ -104,9 +104,9 @@ func TestStreamingSeriesHoldsFoldedMonths(t *testing.T) {
 	held := func(want int) {
 		t.Helper()
 		for _, es := range series {
-			if len(es.BGP) != want || len(es.FBS) != want || len(es.IPS) != want || len(es.Missing) != tl.NumRounds() {
+			if es.BGP.Len() != want || es.FBS.Len() != want || es.IPS.Len() != want || len(es.Missing) != tl.NumRounds() {
 				t.Fatalf("%s: columns hold (%d, %d, %d) rounds over a span of %d, want %d over %d",
-					es.Name, len(es.BGP), len(es.FBS), len(es.IPS), len(es.Missing), want, tl.NumRounds())
+					es.Name, es.BGP.Len(), es.FBS.Len(), es.IPS.Len(), len(es.Missing), want, tl.NumRounds())
 			}
 		}
 	}
@@ -123,7 +123,7 @@ func TestStreamingSeriesHoldsFoldedMonths(t *testing.T) {
 		t.Fatal(err)
 	}
 	held(month1)
-	oracle := refNewBuilderMinCoverage(st, sc.Space, DefaultMinCoverage)
+	oracle := refNewStreamingBuilder(st, sc.Space, DefaultMinCoverage)
 	for _, as := range sc.Space.ASes() {
 		assertSeriesEqual(t, as.ASN.String(), oracle.refBuildAS(as.ASN), b.AS(as.ASN))
 	}
@@ -141,6 +141,12 @@ func FuzzStreamingMatchesBatch(f *testing.F) {
 	f.Add(int64(2), uint16(120), uint16(119), uint16(0), uint16(60))
 	f.Add(int64(3), uint16(400), uint16(28), uint16(27), uint16(400))
 	f.Add(int64(4), uint16(64), uint16(64), uint16(63), uint16(1))
+	// 400 rounds folded across the month boundaries at rounds 16, 128, 252
+	// and 372, the late series built at round 195, and a resume at round
+	// 300 whose builder takes four months' segments in one buffer.
+	f.Add(int64(5), uint16(399), uint16(399), uint16(300), uint16(390))
+	// A resume just past the third boundary, a dark tail from round 260.
+	f.Add(int64(6), uint16(399), uint16(380), uint16(253), uint16(260))
 	f.Fuzz(func(t *testing.T, seed int64, nRounds, folded, resumeAt, darkFrom uint16) {
 		rounds := 1 + int(nRounds)%400
 		last := int(folded) % rounds // the last round folded
@@ -221,15 +227,16 @@ func FuzzStreamingMatchesBatch(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		batch := NewBuilderMinCoverage(store, space, DefaultMinCoverage)
-		full := refNewBuilderMinCoverage(store, space, DefaultMinCoverage)
+		// Cold builds over the same store, reading it as a live campaign's.
+		batch := NewStreamingBuilder(store, space, DefaultMinCoverage)
+		full := refNewStreamingBuilder(store, space, DefaultMinCoverage)
 		cfg := ASConfig()
 		cfg.WindowRounds = 8
 		for _, asn := range all {
 			got, want, ref := sb.AS(asn), batch.AS(asn), full.refBuildAS(asn)
 			assertSeriesEqual(t, asn.String(), want, got)
 			assertSeriesEqual(t, asn.String()+" (full length)", ref, got)
-			if held := len(got.BGP); held < last+1 || held > tl.NumRounds() {
+			if held := got.BGP.Len(); held < last+1 || held > tl.NumRounds() {
 				t.Fatalf("%v: holds %d rounds after folding %d", asn, held, last+1)
 			}
 			for _, n := range []int{last + 1, tl.NumRounds()} {

@@ -29,13 +29,17 @@ type foldEntity struct {
 // or empty at a campaign's start) the initial build walks each block only
 // through the store's written segments — O(blocks × recorded rounds), not
 // the whole planned timeline — and Fold picks up from the store's resume
-// cursor.
+// cursor. Unlike a batch builder, which reads its store as complete, it
+// reads the store as a live campaign's: its IPS gate averages over the
+// rounds before the resume cursor, then over each round folded.
 //
 // The contract mirrors a campaign loop: rounds fold in nondecreasing order,
 // a folded round's store cells are immutable afterwards (except the round
 // being re-folded), and Fold is not called concurrently with series queries.
 func NewStreamingBuilder(store *dataset.Store, space *netmodel.Space, minCoverage float64) *Builder {
-	return NewBuilderMinCoverage(store, space, minCoverage)
+	b := NewBuilderMinCoverage(store, space, minCoverage)
+	b.handled = b.nextFold
+	return b
 }
 
 // NextFold returns the next round Fold expects (rounds before it are already
@@ -65,6 +69,7 @@ func (b *Builder) Fold(round int) error {
 	defer b.metrics.FoldSeconds.ObserveSince(time.Now())
 
 	b.missing[round] = b.store.EffectiveMissingAt(round, b.minCoverage)
+	b.handled = max(b.handled, round+1)
 	month := b.tl.MonthOfRound(round)
 
 	// Advance the per-block ever-active maxima and collect threshold
@@ -100,16 +105,19 @@ func (b *Builder) Fold(round int) error {
 
 func (b *Builder) foldEntityRound(fe *foldEntity, round, month int, newly []int) {
 	es := fe.es
-	if round >= len(es.BGP) {
-		es.grow(b.monthEnd(round))
+	if round >= es.BGP.Len() {
+		GrowColumns(b.tl, month, &es.BGP, &es.FBS, &es.IPS)
 	}
 	if len(newly) > 0 {
 		b.backfillFBS(fe, round, month, newly)
 	}
+	lo, _ := b.tl.MonthRounds(month)
+	j := round - lo
+	bgpSeg, fbsSeg, ipsSeg := es.BGP.segs[month], es.FBS.segs[month], es.IPS.segs[month]
 	if es.Missing[round] {
 		// The batch build skips missing rounds, leaving zeros — match it
 		// even if an earlier fold of this round saw it non-missing.
-		es.BGP[round], es.FBS[round], es.IPS[round] = 0, 0, 0
+		bgpSeg[j], fbsSeg[j], ipsSeg[j] = 0, 0, 0
 		b.fillIPSValidityMonth(es, month)
 		return
 	}
@@ -131,7 +139,7 @@ func (b *Builder) foldEntityRound(fe *foldEntity, round, month int, newly []int)
 			fbs++
 		}
 	}
-	es.BGP[round], es.FBS[round], es.IPS[round] = bgp, fbs, ips
+	bgpSeg[j], fbsSeg[j], ipsSeg[j] = bgp, fbs, ips
 	b.fillIPSValidityMonth(es, month)
 }
 
@@ -141,8 +149,8 @@ func (b *Builder) foldEntityRound(fe *foldEntity, round, month int, newly []int)
 // bit-identical to a rebuild. The round being folded itself is excluded —
 // foldEntityRound recomputes it wholesale.
 func (b *Builder) backfillFBS(fe *foldEntity, round, month int, newly []int) {
-	es := fe.es
 	lo, _ := b.tl.MonthRounds(month)
+	fbs := fe.es.FBS.segs[month]
 	// Merge-intersect the ascending newly-eligible and entity block lists.
 	j := 0
 	for i, bi := range fe.blocks {
@@ -159,8 +167,8 @@ func (b *Builder) backfillFBS(fe *foldEntity, round, month int, newly []int) {
 			continue
 		}
 		for r := lo; r < round; r++ {
-			if !es.Missing[r] && b.store.Resp(bi, r) > 0 {
-				es.FBS[r]++
+			if !fe.es.Missing[r] && b.store.Resp(bi, r) > 0 {
+				fbs[r-lo]++
 			}
 		}
 	}

@@ -15,13 +15,14 @@ import (
 	"countrymon/internal/timeline"
 )
 
-// The streaming builder's contract is byte-identical equivalence with the
-// batch builder at every fold prefix: a fresh NewBuilderMinCoverage over
-// the same store is the oracle, because un-scanned future rounds are
-// all-zero, non-missing and full-coverage — states that contribute nothing
-// to any series. These tests drive a crafted campaign round by round,
-// folding each round as it lands, and diff the warm series against a cold
-// rebuild at regular checkpoints.
+// The streaming builder's contract is byte-identical equivalence with a
+// cold build at every fold prefix: a fresh NewStreamingBuilder over the
+// same store is the oracle — the batch build, reading the store as a live
+// campaign's (its IPS gate stops at the resume cursor) — because un-scanned
+// future rounds are all-zero, non-missing and full-coverage, states that
+// contribute nothing to any series. These tests drive a crafted campaign
+// round by round, folding each round as it lands, and diff the warm series
+// against a cold rebuild at regular checkpoints.
 
 // craftedResp ramps responsiveness through each ~30-day month (120 rounds
 // at 6h) so many blocks cross the MinEverActive=3 eligibility threshold
@@ -135,7 +136,7 @@ func testStreamingFoldMatchesBatch(t *testing.T, resume bool) {
 
 	check := func(r int) {
 		t.Helper()
-		oracle := NewBuilderMinCoverage(inc, sc.Space, DefaultMinCoverage)
+		oracle := NewStreamingBuilder(inc, sc.Space, DefaultMinCoverage)
 		for _, asn := range asns {
 			assertSeriesEqual(t, fmt.Sprintf("round %d: %v", r, asn), oracle.AS(asn), sb.AS(asn))
 		}
@@ -192,8 +193,8 @@ func testStreamingFoldMatchesBatch(t *testing.T, resume bool) {
 	var sum float64
 	for _, asn := range asns {
 		es := sb.AS(asn)
-		for r := range es.FBS {
-			sum += float64(es.FBS[r]) + float64(es.IPS[r])
+		for r := range es.FBS.Len() {
+			sum += float64(es.FBS.At(r)) + float64(es.IPS.At(r))
 		}
 	}
 	if sum == 0 {
@@ -225,5 +226,79 @@ func TestFoldRejectsBatchBuilder(t *testing.T) {
 	}
 	if got := sb.NextFold(); got != 2 {
 		t.Fatalf("NextFold = %d, want 2", got)
+	}
+}
+
+// TestIPSGateAveragesHandledRounds: a live month's IPS gate averages over
+// the rounds the campaign has handled, not over the month's rounds nobody
+// has scanned yet, which would read as measured zeros. Forty responsive
+// addresses a round pass the gate after the month's first round; averaged
+// over all 372 rounds of March, twenty handled rounds read 2.2 and failed it
+// until the month was nearly over. A streaming builder built cold over the
+// same store, as a resumed campaign's is, agrees, and a month with no round
+// handled stays invalid. A batch build reads the store as complete, the rest
+// of March as measured zeros: it fails the gate.
+func TestIPSGateAveragesHandledRounds(t *testing.T) {
+	space := netmodel.MustBuildSpace([]*netmodel.AS{{
+		ASN: 64500, Prefixes: []netmodel.Prefix{netmodel.MustParsePrefix("10.0.0.0/22")},
+	}})
+	start := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
+	tl := timeline.New(start, start.AddDate(0, 2, 0), 2*time.Hour)
+	st := dataset.NewStore(tl, space.Blocks())
+	b := NewStreamingBuilder(st, space, DefaultMinCoverage)
+	es := b.AS(64500)
+	for r := range 20 {
+		for bi := range st.NumBlocks() {
+			st.SetRound(bi, r, 10, true)
+		}
+		st.SetDone(r)
+		if err := b.Fold(r); err != nil {
+			t.Fatal(err)
+		}
+		if !es.IPSValidMonth[0] {
+			t.Fatalf("after folding round %d, 40 responsive addresses a round fail the IPS gate", r)
+		}
+	}
+	if es.IPSValidMonth[1] {
+		t.Error("a month with no round handled passes the IPS gate")
+	}
+	cold := NewStreamingBuilder(st, space, DefaultMinCoverage).AS(64500)
+	if !cold.IPSValidMonth[0] || cold.IPSValidMonth[1] {
+		t.Errorf("a cold streaming build over the store reads months 0 and 1 as IPS-valid %v and %v, want true and false",
+			cold.IPSValidMonth[0], cold.IPSValidMonth[1])
+	}
+	if NewBuilder(st, space).AS(64500).IPSValidMonth[0] {
+		t.Error("a batch build over the store passes March's IPS gate on twenty rounds of 372")
+	}
+}
+
+// TestIPSGateCountsGeneratedBlackout: a batch build reads its store as
+// complete, so it averages every month's IPS gate over all its rounds,
+// whatever they hold. A total blackout, every block at zero and unrouted, is
+// measured zeros, not rounds nobody scanned: March passes the gate, and
+// April, twenty responsive rounds and then dark to the timeline's end,
+// fails it (2.2 against 10), as do the dark months after. A streaming
+// builder over the same store, which marks no round done, has handled none.
+func TestIPSGateCountsGeneratedBlackout(t *testing.T) {
+	space := netmodel.MustBuildSpace([]*netmodel.AS{{
+		ASN: 64500, Prefixes: []netmodel.Prefix{netmodel.MustParsePrefix("10.0.0.0/22")},
+	}})
+	start := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
+	tl := timeline.New(start, start.AddDate(0, 3, 0), 2*time.Hour)
+	st := dataset.NewStore(tl, space.Blocks())
+	lo, _ := tl.MonthRounds(1)
+	for r := range lo + 20 {
+		for bi := range st.NumBlocks() {
+			st.SetRound(bi, r, 10, true)
+		}
+	}
+	es := NewBuilder(st, space).AS(64500)
+	for m, valid := range es.IPSValidMonth {
+		if valid != (m == 0) {
+			t.Errorf("a generated store dark from April's 21st round reads month %d IPS-valid %v", m, valid)
+		}
+	}
+	if live := NewStreamingBuilder(st, space, DefaultMinCoverage).AS(64500); live.IPSValidMonth[0] {
+		t.Error("a streaming builder that folded no round passes March's IPS gate")
 	}
 }

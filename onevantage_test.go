@@ -3,6 +3,8 @@ package countrymon
 import (
 	"bytes"
 	"context"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -219,6 +221,35 @@ func TestStepAllocs(t *testing.T) {
 	step() // warm-up: the scan's buffers and the wire's reply slab
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
 		t.Errorf("a warm Step allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// TestCheckpointStepAllocBytes: a Step that writes a checkpoint, after the
+// first one, allocates less than the store file's 64 KiB write buffer — the
+// writer is pooled, not taken afresh for a file of a few kilobytes.
+func TestCheckpointStepAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled writers under -race")
+	}
+	opts := smallOpts(t, 32)
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "campaign.cmds")
+	opts.CheckpointEvery = 1
+	mon, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if _, err := mon.Step(context.Background(), RunConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // warm-up: the first checkpoint takes the pool's writer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	step()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("a checkpointing Step allocates %d bytes, want fewer than the 64 KiB write buffer", got)
 	}
 }
 

@@ -63,10 +63,10 @@ func buildDetPipe(t *testing.T, workers string) *detPipe {
 
 func sameSeries(t *testing.T, name string, a, b *signals.EntitySeries) {
 	t.Helper()
-	for r := range a.BGP {
-		if a.BGP[r] != b.BGP[r] || a.FBS[r] != b.FBS[r] || a.IPS[r] != b.IPS[r] {
+	for r := range a.BGP.Len() {
+		if a.BGP.At(r) != b.BGP.At(r) || a.FBS.At(r) != b.FBS.At(r) || a.IPS.At(r) != b.IPS.At(r) {
 			t.Fatalf("%s: series differ at round %d: (%v %v %v) vs (%v %v %v)",
-				name, r, a.BGP[r], a.FBS[r], a.IPS[r], b.BGP[r], b.FBS[r], b.IPS[r])
+				name, r, a.BGP.At(r), a.FBS.At(r), a.IPS.At(r), b.BGP.At(r), b.FBS.At(r), b.IPS.At(r))
 		}
 	}
 	for m := range a.IPSValidMonth {

@@ -69,11 +69,11 @@ func TestMonitorServeStoreLive(t *testing.T) {
 		if ent.Missing(r) != es.Missing[r] {
 			t.Fatalf("round %d: missing %v vs %v", r, ent.Missing(r), es.Missing[r])
 		}
-		if math.Float32bits(ent.BGP(r)) != math.Float32bits(es.BGP[r]) ||
-			math.Float32bits(ent.FBS(r)) != math.Float32bits(es.FBS[r]) ||
-			math.Float32bits(ent.IPS(r)) != math.Float32bits(es.IPS[r]) {
+		if math.Float32bits(ent.BGP(r)) != math.Float32bits(es.BGP.At(r)) ||
+			math.Float32bits(ent.FBS(r)) != math.Float32bits(es.FBS.At(r)) ||
+			math.Float32bits(ent.IPS(r)) != math.Float32bits(es.IPS.At(r)) {
 			t.Fatalf("round %d: sealed (%g, %g, %g) vs series (%g, %g, %g)", r,
-				ent.BGP(r), ent.FBS(r), ent.IPS(r), es.BGP[r], es.FBS[r], es.IPS[r])
+				ent.BGP(r), ent.FBS(r), ent.IPS(r), es.BGP.At(r), es.FBS.At(r), es.IPS.At(r))
 		}
 	}
 	if !ent.Missing(7) || !ent.Missing(8) {
@@ -120,9 +120,9 @@ func TestMonitorAttachServeMidCampaign(t *testing.T) {
 	}
 	es := mon.ASSeries(25482)
 	for r := 0; r < rounds; r++ {
-		if ent.BGP(r) != es.BGP[r] || ent.FBS(r) != es.FBS[r] || ent.IPS(r) != es.IPS[r] {
+		if ent.BGP(r) != es.BGP.At(r) || ent.FBS(r) != es.FBS.At(r) || ent.IPS(r) != es.IPS.At(r) {
 			t.Fatalf("round %d: backfilled (%g, %g, %g) vs series (%g, %g, %g)", r,
-				ent.BGP(r), ent.FBS(r), ent.IPS(r), es.BGP[r], es.FBS[r], es.IPS[r])
+				ent.BGP(r), ent.FBS(r), ent.IPS(r), es.BGP.At(r), es.FBS.At(r), es.IPS.At(r))
 		}
 	}
 }
