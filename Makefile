@@ -202,6 +202,7 @@ fuzz-smoke:
 	$(GO) test ./internal/query -fuzz '^FuzzGetMatchesParseQuery$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/serve -fuzz '^FuzzRenderSeriesMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/serve -fuzz '^FuzzSeriesBodyMatchesOracle$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/serve -fuzz '^FuzzRespCacheMatchesModel$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/geodb -fuzz '^FuzzBlockSharesMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/geodb -fuzz '^FuzzLookupMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/power -fuzz '^FuzzParseReportMatchesRef$$' -fuzztime 5s -run '^$$'

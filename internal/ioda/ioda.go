@@ -138,7 +138,9 @@ func measuredMask(missing []bool) []uint64 {
 // countRouted adds one to bgp's round r for every round r set in both a
 // block's routed bits and mask, for each of blocks, a segment's word at a
 // time (mask's words are the store's segments), split where a month of bgp
-// begins inside the segment.
+// begins inside the segment. A block routed in every measured round of such
+// a piece is counted, not walked: the piece's rounds gain the count once.
+// The sums are exact whatever the order: they are integers below 2²⁴.
 func countRouted(bgp *signals.Column, st *dataset.Store, blocks []int, mask []uint64) {
 	tl := st.Timeline()
 	for k, mk := range mask {
@@ -154,10 +156,22 @@ func countRouted(bgp *signals.Column, st *dataset.Store, blocks []int, mask []ui
 			z = min(mhi, end)
 			seg := bgp.Month(m)[a-mlo:]
 			piece := mk >> (a - lo) & (1<<(z-a) - 1) // a shift by 64 is 0
+			if piece == 0 {
+				continue
+			}
+			full := 0
 			for _, bi := range blocks {
-				for x := routed[bi] >> (a - lo) & piece; x != 0; x &= x - 1 {
+				x := routed[bi] >> (a - lo) & piece
+				if x == piece {
+					full++
+					continue
+				}
+				for ; x != 0; x &= x - 1 {
 					seg[bits.TrailingZeros64(x)]++
 				}
+			}
+			for x := piece; full > 0 && x != 0; x &= x - 1 {
+				seg[bits.TrailingZeros64(x)] += float32(full)
 			}
 		}
 	}

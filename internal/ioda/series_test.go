@@ -31,21 +31,37 @@ func matchesRef(p *Platform) error {
 }
 
 // randomPlatform is a platform over space's blocks and rounds six-hourly
-// rounds: random routed bits and missing rounds, every routed bit past the
-// last round set (a decoded file may carry them), random Trinocular counts
-// for some ASes and each AS present in a random set of regions.
+// rounds: random missing rounds, every routed bit past the last round set (a
+// decoded file may carry them), random Trinocular counts for some ASes and
+// each AS present in a random set of regions. A block's routed bits are
+// random, or set in every round, or in every round but the first, or the
+// last, of each piece countRouted reads (a segment's rounds cut where a month
+// begins), so pieces a block fills, and ones it misses by a round at either
+// end, are common.
 func randomPlatform(space *netmodel.Space, rounds int, seed int64) *Platform {
 	rng := rand.New(rand.NewSource(seed))
 	start := timeline.DefaultStart
-	st := dataset.NewStore(timeline.New(start, start.Add(time.Duration(rounds-1)*6*time.Hour), 6*time.Hour), space.Blocks())
+	tl := timeline.New(start, start.Add(time.Duration(rounds-1)*6*time.Hour), 6*time.Hour)
+	st := dataset.NewStore(tl, space.Blocks())
 	for r := range rounds {
 		if rng.Intn(6) == 0 {
 			st.SetMissing(r)
 		}
 	}
 	for bi := range st.NumBlocks() {
+		shape := rng.Intn(4)
 		for r := range rounds {
-			st.SetRound(bi, r, 0, rng.Intn(5) > 0)
+			lo, hi := tl.MonthRounds(tl.MonthOfRound(r))
+			routed := rng.Intn(5) > 0
+			switch shape {
+			case 1:
+				routed = true
+			case 2:
+				routed = r != lo && r%dataset.SegmentRounds != 0
+			case 3:
+				routed = r+1 != hi && (r+1)%dataset.SegmentRounds != 0
+			}
+			st.SetRound(bi, r, 0, routed)
 		}
 	}
 	if rounds%64 != 0 {
@@ -101,10 +117,11 @@ func withPaddingBits(st *dataset.Store) *dataset.Store {
 	return out
 }
 
-// TestRegionSeriesMatchesRef: reading the routed bitsets a word at a time
-// gives every region and every AS the series the per-bit walk does — on the
-// fixture, and on random stores whose round counts end inside a word, with
-// padding bits set past the last round.
+// TestRegionSeriesMatchesRef: reading the routed bitsets a word at a time,
+// and counting a block that fills a piece once for the piece, gives every
+// region and every AS the series the per-bit walk does — on the fixture, and
+// on random stores whose round counts end inside a word, with padding bits
+// set past the last round.
 func TestRegionSeriesMatchesRef(t *testing.T) {
 	sc, p := fixture(t)
 	if err := matchesRef(p); err != nil {

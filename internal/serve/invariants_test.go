@@ -186,10 +186,10 @@ func TestSealedBodiesStableAcrossGrowth(t *testing.T) {
 }
 
 // TestAdvanceAllocs pins the growth discipline: between growth points an
-// Advance allocates nothing, and crossing one allocates one object per
-// entity, the new month's segments of its three float columns, and two for
-// the store, its time text and offsets regrown. The missing mask is
-// planned-length, allocated at Register.
+// Advance allocates nothing, and crossing one allocates two objects per
+// entity, the new month's segments of its three float columns and of its
+// missing mask, and two for the store, its time text and offsets regrown.
+// (One per entity while the mask was planned-length, allocated at Register.)
 func TestAdvanceAllocs(t *testing.T) {
 	tl := threeMonths(t)
 	st := NewStore(tl)
@@ -210,14 +210,14 @@ func TestAdvanceAllocs(t *testing.T) {
 		t.Fatalf("fixture: the steady-state Advances reached round %d, past month 1", next)
 	}
 	bounds := []int{732, 1104}
-	if allocs := testing.AllocsPerRun(1, func() { _ = st.AdvanceTo(bounds[0]); bounds = bounds[1:] }); allocs != entities+2 {
-		t.Errorf("an Advance across a month boundary allocates %.1f objects, want %d", allocs, entities+2)
+	if allocs := testing.AllocsPerRun(1, func() { _ = st.AdvanceTo(bounds[0]); bounds = bounds[1:] }); allocs != 2*entities+2 {
+		t.Errorf("an Advance across a month boundary allocates %.1f objects, want %d", allocs, 2*entities+2)
 	}
 }
 
 // TestAdvanceCrossingBytes: the Advance that crosses into month m gives
-// each entity the new month's segments of its three float columns, not a
-// copy of the months sealed, so an entity's share of its bytes does not
+// each entity the new month's segments of its three float columns and its
+// mask, not a copy of the months sealed, so an entity's share of its bytes does not
 // depend on m. The share is the difference between two stores advanced in
 // step, one with twice the other's entities: what the two have in common,
 // the store's one contiguous time column, regrows with the months sealed.

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 
 	"countrymon/internal/signals"
 	"countrymon/internal/timeline"
@@ -16,9 +17,9 @@ import (
 // refRegister is Register as it was before an entity's columns grew with the
 // watermark: every column is allocated, zeroed, for the whole planned
 // timeline. The body is kept as it was but for the name and the columns'
-// type: the value columns are every month of one buffer, and the sealed
-// rounds are copied into them one at a time through Set, not through the
-// month walk Register backfills with. Advance never grows an entity
+// type: the value columns are every month of one buffer, the mask a segment
+// a month, each allocated here, and the sealed rounds are copied into them
+// one at a time, not through the month walk Register backfills with. Advance never grows an entity
 // registered this way, so a store of them is the full-length layout the
 // grown columns are held to.
 func (s *Store) refRegister(typ, code string, src Source, detect Detector) (*Entity, error) {
@@ -34,22 +35,26 @@ func (s *Store) refRegister(typ, code string, src Source, detect Detector) (*Ent
 	if e, ok := s.entities[key]; ok {
 		return e, nil
 	}
-	rounds := s.tl.NumRounds()
 	e := &Entity{
 		Key: key, Type: typ, Code: code,
 		src:      src,
 		detector: detect,
-		missing:  make([]bool, rounds),
+		tl:       s.tl,
 		ipsValid: make([]bool, s.tl.NumMonths()),
 		detWM:    -1,
 	}
 	signals.GrowColumns(s.tl, s.tl.NumMonths()-1, &e.bgp, &e.fbs, &e.ips)
+	for m := range s.tl.NumMonths() {
+		lo, hi := s.tl.MonthRounds(m)
+		e.missing = append(e.missing, make([]bool, hi-lo))
+	}
 	for r := 0; r < s.watermark; r++ {
 		bgp, fbs, ips, missing := src.Sample(r)
 		e.bgp.Set(r, bgp)
 		e.fbs.Set(r, fbs)
 		e.ips.Set(r, ips)
-		e.missing[r] = missing
+		lo, _ := s.tl.MonthRounds(s.tl.MonthOfRound(r))
+		e.missing[s.tl.MonthOfRound(r)][r-lo] = missing
 	}
 	e.copyIPSValidity()
 	s.entities[key] = e
@@ -75,12 +80,18 @@ func threeMonths(t testing.TB) *timeline.Timeline {
 	return tl
 }
 
-// wholeRun is d made to run from round 0 at every call: the memo of a store
-// whose entities detect this way is, at each watermark, a detection of the
-// whole sealed view.
-func wholeRun(d Detector) Detector {
+// wholeRun is d made to run from round 0 at every call, over e's mask read
+// round by round: the memo of a store whose entities detect this way is, at
+// each watermark, a detection of the whole sealed view, whose mask owes
+// nothing to the contiguous copy a view keeps.
+func wholeRun(e *Entity, d Detector) Detector {
 	return func(es *signals.EntitySeries, _ *signals.Detection, _ *signals.State, mark int) (*signals.Detection, *signals.State) {
-		return d(es, nil, nil, mark)
+		v := *es
+		v.Missing = make([]bool, len(es.Missing))
+		for r := range v.Missing {
+			v.Missing[r] = e.Missing(r)
+		}
+		return d(&v, nil, nil, mark)
 	}
 }
 
@@ -117,45 +128,50 @@ type twin struct {
 	// months.
 	unpublished map[string]bool
 	// segs holds, per entity, the first cell of each month segment seen, at
-	// 3 × month + column (checkSegments).
-	segs map[string]map[int]*float32
+	// 4 × month + column, the mask's column 3 (checkSegments).
+	segs map[string]map[int]any
 }
 
 func newTwin(tl *timeline.Timeline) *twin {
 	got := NewStore(tl)
-	return &twin{tl: tl, got: got, ref: NewStore(tl), srv: NewServer(got), unpublished: make(map[string]bool), segs: make(map[string]map[int]*float32)}
+	return &twin{tl: tl, got: got, ref: NewStore(tl), srv: NewServer(got), unpublished: make(map[string]bool), segs: make(map[string]map[int]any)}
 }
 
-// checkSegments holds e's columns to the month-segment discipline: a
-// month's segment, once allocated, is the one every later step reads —
+// checkSegments holds e's columns and mask to the month-segment discipline:
+// a month's segment, once allocated, is the one every later step reads —
 // never copied, never resized. It records the first cell of each column's
 // months the first time it sees them.
 func (w *twin) checkSegments(t *testing.T, step string, e *Entity) {
 	t.Helper()
 	seen := w.segs[e.Key]
 	if seen == nil {
-		seen = make(map[int]*float32)
+		seen = make(map[int]any)
 		w.segs[e.Key] = seen
 	}
-	for m := 0; m < w.tl.NumMonths(); m++ {
+	track := func(c, m, n, capacity int, first any) {
 		lo, hi := w.tl.MonthRounds(m)
-		if hi > e.bgp.Len() {
+		if n != hi-lo || capacity != hi-lo {
+			t.Fatalf("%s: %s column %d month %d holds %d cells (cap %d), want %d", step, e.Key, c, m, n, capacity, hi-lo)
+		}
+		if n == 0 {
+			return
+		}
+		if held, ok := seen[4*m+c]; !ok {
+			seen[4*m+c] = first
+		} else if held != first {
+			t.Fatalf("%s: %s column %d month %d moved: a held month was copied", step, e.Key, c, m)
+		}
+	}
+	for m := 0; m < w.tl.NumMonths(); m++ {
+		if _, hi := w.tl.MonthRounds(m); hi > e.bgp.Len() {
 			break
 		}
 		for c, col := range []*signals.Column{&e.bgp, &e.fbs, &e.ips} {
 			seg := col.Month(m)
-			if len(seg) != hi-lo || cap(seg) != hi-lo {
-				t.Fatalf("%s: %s column %d month %d holds %d cells (cap %d), want %d", step, e.Key, c, m, len(seg), cap(seg), hi-lo)
-			}
-			if len(seg) == 0 {
-				continue
-			}
-			if first, ok := seen[3*m+c]; !ok {
-				seen[3*m+c] = &seg[0]
-			} else if first != &seg[0] {
-				t.Fatalf("%s: %s column %d month %d moved: a held month was copied", step, e.Key, c, m)
-			}
+			track(c, m, len(seg), cap(seg), unsafe.SliceData(seg))
 		}
+		mask := e.missing[m]
+		track(3, m, len(mask), cap(mask), unsafe.SliceData(mask))
 	}
 }
 
@@ -169,9 +185,11 @@ func (w *twin) register(t *testing.T, salt int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.ref.refRegister("asn", code, src, wholeRun(detect)); err != nil {
+	re, err := w.ref.refRegister("asn", code, src, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	re.detector = wholeRun(re, detect)
 	w.unpublished[e.Key] = true
 	w.check(t, "Register "+e.Key)
 }
@@ -242,9 +260,13 @@ func (w *twin) check(t *testing.T, step string) {
 				_, cols = w.tl.MonthRounds(w.tl.MonthOfRound(wm - 1))
 			}
 		}
-		if e.bgp.Len() != cols || e.fbs.Len() != cols || e.ips.Len() != cols || len(e.missing) != rounds {
-			t.Fatalf("%s: %s columns hold %d/%d/%d rounds and %d missing flags, want %d and %d (watermark %d of %d)",
-				step, e.Key, e.bgp.Len(), e.fbs.Len(), e.ips.Len(), len(e.missing), cols, rounds, wm, rounds)
+		flags := 0
+		for _, mask := range e.missing {
+			flags += len(mask)
+		}
+		if e.bgp.Len() != cols || e.fbs.Len() != cols || e.ips.Len() != cols || flags != cols {
+			t.Fatalf("%s: %s columns hold %d/%d/%d rounds and %d missing flags, want %d (watermark %d of %d)",
+				step, e.Key, e.bgp.Len(), e.fbs.Len(), e.ips.Len(), flags, cols, wm, rounds)
 		}
 		w.checkSegments(t, step, e)
 		for round := 0; round < wm; round++ {

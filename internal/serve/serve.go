@@ -13,16 +13,14 @@
 // carry strong ETags and `Cache-Control: immutable`, and their rendered
 // bytes are reused verbatim until evicted.
 //
-// The value columns are month segments (signals.Column) holding the sealed
-// rounds plus the rest of the watermark's month, not the planned timeline:
-// they cost O(entities × sealed rounds). Advance allocates a month's
-// segments when it seals the month's first round and never copies a sealed
-// one. The per-round missing mask is one flat column of a byte a planned
-// round, allocated at Register, as the mask a signals.EntitySeries reads is:
-// O(entities × planned rounds). The store's one time column, the series'
-// unix seconds as text, grows at the same points, contiguous, and Advance
-// formats each round into it once, as it seals the round: a render copies
-// it.
+// The value columns and the per-round missing mask are month segments
+// (signals.Column, and a byte a round for the mask) holding the sealed rounds
+// plus the rest of the watermark's month, not the planned timeline: a store
+// costs O(entities × sealed rounds). Advance allocates a month's segments
+// when it seals the month's first round and never copies a sealed one. The
+// store's one time column, the series' unix seconds as text, grows at the
+// same points, contiguous, and Advance formats each round into it once, as
+// it seals the round: a render copies it.
 //
 // The intended wiring for a live campaign is the streaming signals builder:
 // Monitor folds each round into the warm series (O(blocks)), then
@@ -65,7 +63,8 @@ type Source interface {
 // Whatever it resumes from, the detection it returns must be the one a run
 // from round 0 gives, in arrays of its own: readers may still hold prev. The
 // default is signals.DetectFrom with the entity's configured thresholds; the
-// IODA adapter plugs in its fixed-baseline variant.
+// IODA adapter plugs in its fixed-baseline variant. es is good only for the
+// call: the store reuses its mask.
 type Detector func(es *signals.EntitySeries, prev *signals.Detection, from *signals.State, mark int) (*signals.Detection, *signals.State)
 
 // Entity is one registered timeline: a country, region, AS or /24 block.
@@ -83,9 +82,11 @@ type Entity struct {
 	// the first Advance on, through the end of the watermark's month. Cells
 	// below the watermark are sealed. Advance adds months to the columns, so
 	// they are read under the store lock: inside Snapshot, or through
-	// BGP/FBS/IPS/Missing called there. missing is planned-length.
+	// BGP/FBS/IPS/Missing called there. missing[m] is month m's mask, grown
+	// with the value columns.
+	tl            *timeline.Timeline
 	bgp, fbs, ips signals.Column
-	missing       []bool
+	missing       [][]bool
 	ipsValid      []bool
 
 	// Cached detection over the sealed prefix (detMu; recomputed lazily
@@ -97,6 +98,9 @@ type Entity struct {
 	detWM    int
 	detAt    *signals.State
 	detValid []bool
+	// detMissing is the sealed mask in one slice, as a detection view
+	// reads it: view copies the rounds sealed since it last ran.
+	detMissing []bool
 }
 
 // Store is the in-memory columnar timeline store. Registration and Advance
@@ -160,15 +164,16 @@ func (s *Store) Register(typ, code string, src Source, detect Detector) (*Entity
 		Key: key, Type: typ, Code: code,
 		src:      src,
 		detector: detect,
-		missing:  make([]bool, s.tl.NumRounds()),
+		tl:       s.tl,
+		missing:  make([][]bool, 0, s.tl.NumMonths()),
 		ipsValid: make([]bool, s.tl.NumMonths()),
 		detWM:    -1,
 	}
 	if s.watermark > 0 {
 		// The sealed months in one buffer; the next Advance adds the
 		// watermark's month if it is a new one.
-		signals.GrowColumns(s.tl, s.tl.MonthOfRound(s.watermark-1), &e.bgp, &e.fbs, &e.ips)
-		e.copyRounds(s.tl, 0, s.watermark)
+		e.grow(s.tl.MonthOfRound(s.watermark - 1))
+		e.copyRounds(0, s.watermark)
 	}
 	e.copyIPSValidity()
 	s.entities[key] = e
@@ -184,16 +189,34 @@ func DetectWith(cfg signals.Config) Detector {
 	}
 }
 
+// grow extends e's value columns and mask through month m (the timeline's
+// last if m is past it). The mask's months gained share one buffer, as the
+// columns' do; no month held is copied.
+func (e *Entity) grow(m int) {
+	signals.GrowColumns(e.tl, m, &e.bgp, &e.fbs, &e.ips)
+	from, m := len(e.missing), min(m, e.tl.NumMonths()-1)
+	if m < from {
+		return
+	}
+	lo, _ := e.tl.MonthRounds(from)
+	_, hi := e.tl.MonthRounds(m)
+	buf := make([]bool, hi-lo)
+	for k := from; k <= m; k++ {
+		a, b := e.tl.MonthRounds(k)
+		e.missing = append(e.missing, buf[a-lo:b-lo:b-lo])
+	}
+}
+
 // copyRounds copies rounds [lo, hi), which e holds, from its Source, a
 // month at a time.
-func (e *Entity) copyRounds(tl *timeline.Timeline, lo, hi int) {
+func (e *Entity) copyRounds(lo, hi int) {
 	for a, z := lo, 0; a < hi; a = z {
-		m := tl.MonthOfRound(a)
-		mlo, mhi := tl.MonthRounds(m)
+		m := e.tl.MonthOfRound(a)
+		mlo, mhi := e.tl.MonthRounds(m)
 		z = min(mhi, hi)
-		bgp, fbs, ips := e.bgp.Month(m), e.fbs.Month(m), e.ips.Month(m)
+		bgp, fbs, ips, missing := e.bgp.Month(m), e.fbs.Month(m), e.ips.Month(m), e.missing[m]
 		for r := a; r < z; r++ {
-			bgp[r-mlo], fbs[r-mlo], ips[r-mlo], e.missing[r] = e.src.Sample(r)
+			bgp[r-mlo], fbs[r-mlo], ips[r-mlo], missing[r-mlo] = e.src.Sample(r)
 		}
 	}
 }
@@ -241,9 +264,9 @@ func (s *Store) Advance(round int) error {
 	for _, key := range s.order {
 		e := s.entities[key]
 		if e.bgp.Len() < n {
-			signals.GrowColumns(s.tl, month, &e.bgp, &e.fbs, &e.ips)
+			e.grow(month)
 		}
-		e.copyRounds(s.tl, lo, round+1)
+		e.copyRounds(lo, round+1)
 		e.copyIPSValidity()
 	}
 	if round+1 > s.watermark {
@@ -349,17 +372,29 @@ func (s *Store) Snapshot(fn func(watermark int)) {
 }
 
 // view builds the sealed-prefix series view used by detection: it wraps the
-// entity's own month segments, copying none. Caller must hold the store read
+// entity's own value segments, copying none, and the mask in one slice,
+// detMissing, which it first brings up to wm rounds. The rounds detMissing
+// held before are sealed but its last, which may have been the newest sealed
+// round, rewritten since by a re-publish: that one is copied again. The view
+// is good until the next call. Caller must hold detMu and the store read
 // lock.
-func (e *Entity) view(tl *timeline.Timeline, wm int) *signals.EntitySeries {
+func (e *Entity) view(wm int) *signals.EntitySeries {
+	e.detMissing = e.detMissing[:min(max(len(e.detMissing)-1, 0), wm)]
+	for r := len(e.detMissing); r < wm; {
+		m := e.tl.MonthOfRound(r)
+		lo, hi := e.tl.MonthRounds(m)
+		z := min(hi, wm)
+		e.detMissing = append(e.detMissing, e.missing[m][r-lo:z-lo]...)
+		r = z
+	}
 	return &signals.EntitySeries{
 		Name:          e.Key,
-		TL:            tl,
+		TL:            e.tl,
 		BGP:           e.bgp.View(wm),
 		FBS:           e.fbs.View(wm),
 		IPS:           e.ips.View(wm),
 		IPSValidMonth: e.ipsValid,
-		Missing:       e.missing[:wm:wm],
+		Missing:       e.detMissing[:wm:wm],
 	}
 }
 
@@ -376,7 +411,11 @@ func (e *Entity) IPS(r int) float32 { return e.ips.At(r) }
 
 // Missing reports whether sealed round r carries no usable data; read under
 // Snapshot.
-func (e *Entity) Missing(r int) bool { return e.missing[r] }
+func (e *Entity) Missing(r int) bool {
+	m := e.tl.MonthOfRound(r)
+	lo, _ := e.tl.MonthRounds(m)
+	return e.missing[m][r-lo]
+}
 
 // Detection returns the entity's outage detection over the sealed prefix,
 // memoized per watermark: every later query at a watermark reuses the first
@@ -415,7 +454,7 @@ func (s *Store) Detection(e *Entity) *signals.Detection {
 		if wm < s.tl.NumRounds() {
 			mark, _ = s.tl.MonthRounds(s.tl.MonthOfRound(wm - 1))
 		}
-		e.det, e.detAt = e.detector(e.view(s.tl, wm), e.det, from, mark)
+		e.det, e.detAt = e.detector(e.view(wm), e.det, from, mark)
 		if e.detAt != nil {
 			e.detValid = append(e.detValid[:0], e.ipsValid...)
 		}

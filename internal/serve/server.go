@@ -293,11 +293,16 @@ func appendSeriesJSON(b []byte, st *Store, e *Entity, wm, total, offset, limit, 
 	b = append(b, `],"ips":[`...)
 	b = appendFloatCols(b, tl, &e.ips, start, end)
 	b = append(b, `],"missing":[`...)
-	for r := start; r < end; r++ {
-		if r > start {
-			b = append(b, ',')
+	for r := start; r < end; {
+		m := tl.MonthOfRound(r)
+		lo, hi := tl.MonthRounds(m)
+		for _, missing := range e.missing[m][r-lo : min(hi, end)-lo] {
+			if r > start {
+				b = append(b, ',')
+			}
+			b = strconv.AppendBool(b, missing)
+			r++
 		}
-		b = strconv.AppendBool(b, e.missing[r])
 	}
 	b = append(b, `],"ips_valid":[`...)
 	// One month's rounds share a validity: a run at a time.
