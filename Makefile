@@ -161,6 +161,7 @@ metrics-lint:
 
 # Short native-fuzz smoke over the packet parsers, the word-wise checksum,
 # the columnar codecs, the streamed column coder against its staged oracle,
+# the word-fill column decoder against its byte-at-a-time oracle,
 # a store column's extent against its round-at-a-time
 # scan, the scenario parser, the fault-window span memo, the
 # faults wrapper's batch path against its packet-at-a-time oracle, the
@@ -187,6 +188,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dataset -fuzz '^FuzzRLE$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/dataset -fuzz '^FuzzColumnV4$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/dataset -fuzz '^FuzzV4Column$$' -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/dataset -fuzz '^FuzzDecodeMatchesRef$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/dataset -fuzz '^FuzzExtent$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/scenario -fuzz '^FuzzScenarioParse$$' -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/faults -fuzz '^FuzzWindowAt$$' -fuzztime 5s -run '^$$'

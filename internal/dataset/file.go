@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -137,14 +136,16 @@ const fileBuf = 64 << 10
 
 // fileWriter is WriteTo's working memory, lent by writerPool from one call
 // to the next: the buffered writer, the encoder's scratch, the coded
-// columns kept from the count pass (at most codedBudget bytes) and one
-// column's scratch. A campaign checkpoints every few rounds, and each call
+// columns kept from the count pass (at most codedBudget bytes), one
+// column's scratch, the row a block's counts are filled into and the column
+// coder's delta row. A campaign checkpoints every few rounds, and each call
 // would otherwise allocate a fileBuf-sized buffer for a file of tens of
 // kilobytes.
 type fileWriter struct {
-	bw         *bufio.Writer
-	e          enc
-	coded, col []byte
+	bw              *bufio.Writer
+	e               enc
+	coded, col, row []byte
+	cc              columnCoder
 }
 
 // codedBudget bounds the coded columns WriteTo keeps between its two passes:
@@ -216,10 +217,10 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	// while they fit in codedBudget; the emit pass writes those and codes
 	// only the rest again. A checkpoint's columns fit, so each block's counts
 	// are copied out of the segments once; the working memory stays one row
-	// of the written rounds, the budget and the longest column, not the file.
-	// Every cell past the last written segment is zero, so the row holds the
-	// rounds up to it and one zero cell more, where a column steps down to
-	// its zero tail.
+	// of the written rounds, its deltas, the budget and the longest column,
+	// not the file. Every cell past the last written segment is zero, so the
+	// row holds the rounds up to it and one zero cell more, where a column
+	// steps down to its zero tail.
 	rounds := s.tl.NumRounds()
 	written := 0
 	for k, sg := range s.segs {
@@ -227,12 +228,17 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 			written = min(rounds, (k+1)<<segShift)
 		}
 	}
-	row := make([]byte, min(rounds, written+1))
+	need := min(rounds, written+1)
+	if cap(fw.row) < need {
+		fw.row = make([]byte, max(need, 2*cap(fw.row)))
+	}
+	row := fw.row[:need]
+	clear(row) // fillRow leaves the cells of unwritten segments as they are
 	lens := make([]uint32, len(s.blocks))
-	coded, col := fw.coded[:0], fw.col
+	coded, col, cc := fw.coded[:0], fw.col, &fw.cc
 	kept := 0 // blocks [0, kept) are coded in coded
 	for bi := range s.blocks {
-		col = appendColumn(col[:0], s.fillRow(row, bi), rounds)
+		col = cc.appendColumn(col[:0], s.fillRow(row, bi), rounds)
 		lens[bi] = uint32(len(col))
 		if kept == bi && len(coded)+len(col) <= cap(coded) {
 			coded = append(coded, col...)
@@ -242,7 +248,7 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	e.u32s(lens)
 	e.raw(coded)
 	for bi := kept; bi < len(s.blocks); bi++ {
-		col = appendColumn(col[:0], s.fillRow(row, bi), rounds)
+		col = cc.appendColumn(col[:0], s.fillRow(row, bi), rounds)
 		e.raw(col)
 	}
 	fw.coded, fw.col = coded, col
@@ -257,15 +263,18 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 		}
 		e.raw(words)
 	}
-	tracked := make([]int, 0, len(s.rtt))
-	for bi := range s.rtt {
-		tracked = append(tracked, bi)
+	var ntracked uint32
+	for _, arr := range s.rtt {
+		if arr != nil {
+			ntracked++
+		}
 	}
-	sort.Ints(tracked)
-	e.u32(uint32(len(tracked)))
-	for _, bi := range tracked {
-		e.u32(uint32(bi))
-		e.u16s(s.rtt[bi])
+	e.u32(ntracked)
+	for bi, arr := range s.rtt {
+		if arr != nil {
+			e.u32(uint32(bi))
+			e.u16s(arr)
+		}
 	}
 	if e.err == nil {
 		e.err = fw.bw.Flush()
@@ -498,7 +507,10 @@ func ReadFrom(r io.Reader) (*Store, error) {
 		}
 		arr := make([]uint16, rounds)
 		d.u16s(arr)
-		s.rtt[int(bi)] = arr
+		if s.rtt == nil {
+			s.rtt = make([][]uint16, len(s.blocks))
+		}
+		s.rtt[bi] = arr // a block listed twice keeps its last row
 	}
 	if d.err != nil {
 		return nil, d.err

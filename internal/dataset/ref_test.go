@@ -3,6 +3,7 @@ package dataset
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"sort"
 
@@ -11,7 +12,7 @@ import (
 	"countrymon/internal/timeline"
 )
 
-// The staged v4 coder, kept verbatim as the oracle of appendColumn and the
+// The staged v4 coder, kept verbatim as the oracle of columnCoder and the
 // streamed WriteTo: the column coding went through a
 // transformed copy of each column and an RLE pass over every byte of it, and
 // WriteTo staged the whole resp blob before writing the column index.
@@ -74,6 +75,62 @@ func deltaRLEAppend(dst, src []byte, scratch *[]byte) []byte {
 		prev = v
 	}
 	return rleAppend(dst, d)
+}
+
+// The byte-at-a-time decoder, kept verbatim as the oracle of rleDecode and
+// deltaRLEDecode, which fill a run eight bytes per store.
+
+// refDeltaRLEDecode is the inverse of the column coding: RLE-decode into
+// dst, then undo the delta transform with an in-place prefix sum. dst must
+// be exactly the expected length.
+func refDeltaRLEDecode(dst, src []byte) error {
+	if err := refRLEDecode(dst, src); err != nil {
+		return err
+	}
+	var prev byte
+	for i := range dst {
+		prev += dst[i]
+		dst[i] = prev
+	}
+	return nil
+}
+
+// refRLEDecode decompresses src into dst, which must be exactly the expected
+// length.
+func refRLEDecode(dst, src []byte) error {
+	di := 0
+	i := 0
+	for i < len(src) {
+		c := src[i]
+		i++
+		if c < 128 {
+			n := int(c) + 1
+			if i+n > len(src) || di+n > len(dst) {
+				return errRLECorrupt
+			}
+			copy(dst[di:], src[i:i+n])
+			i += n
+			di += n
+		} else {
+			if i >= len(src) {
+				return errRLECorrupt
+			}
+			n := int(c) - 128 + minRun
+			if di+n > len(dst) {
+				return errRLECorrupt
+			}
+			v := src[i]
+			i++
+			for k := 0; k < n; k++ {
+				dst[di+k] = v
+			}
+			di += n
+		}
+	}
+	if di != len(dst) {
+		return fmt.Errorf("%w: decoded %d of %d bytes", errRLECorrupt, di, len(dst))
+	}
+	return nil
 }
 
 // refStore is the store as it was before its columns were segmented, kept

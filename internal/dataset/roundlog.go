@@ -54,6 +54,7 @@ type RoundLog struct {
 	nblocks int
 	col     []uint8 // per-round resp column scratch
 	buf     []byte  // record staging buffer
+	cc      columnCoder
 }
 
 // OpenRoundLog opens (or creates) the journal at path for appending rounds
@@ -211,7 +212,7 @@ func (l *RoundLog) record(b []byte, s *Store, round int) []byte {
 	b = append(b, tmp[:2]...)
 	lenAt := len(b)
 	b = append(b, 0, 0, 0, 0)
-	b = appendColumn(b, l.col, len(l.col))
+	b = l.cc.appendColumn(b, l.col, len(l.col))
 	binary.LittleEndian.PutUint32(b[lenAt:], uint32(len(b)-lenAt-4))
 	for base := 0; base < l.nblocks; base += 64 {
 		limit := base + 64

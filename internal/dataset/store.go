@@ -68,11 +68,12 @@ type Store struct {
 	// missing) — the resume cursor for checkpoint/restart.
 	done []bool
 
-	// rtt[b] is per-round mean RTT in milliseconds for tracked blocks
-	// (nil for untracked blocks to bound memory). Unlike the segmented
-	// columns it is planned-length: only the generator tracks RTTs, and it
-	// writes every round of the timeline.
-	rtt map[int][]uint16
+	// rtt[bi] is block bi's per-round mean RTT in milliseconds if it is
+	// tracked, nil if not (to bound memory); rtt itself is nil until the
+	// first TrackRTT. Unlike the segmented columns a row is planned-length:
+	// only the generator tracks RTTs, and it writes every round of the
+	// timeline.
+	rtt [][]uint16
 }
 
 // RespCap is the saturation value of per-round responsive counts.
@@ -101,7 +102,6 @@ func NewStore(tl *timeline.Timeline, blocks []netmodel.BlockID) *Store {
 		missing:  make([]bool, tl.NumRounds()),
 		coverage: make([]uint16, tl.NumRounds()),
 		done:     make([]bool, tl.NumRounds()),
-		rtt:      make(map[int][]uint16),
 	}
 	for r := range s.coverage {
 		s.coverage[r] = coverageFull
@@ -283,33 +283,41 @@ func (s *Store) SetReserved(blockIdx, round int, resp int, routed bool) {
 
 // TrackRTT enables RTT storage for a block.
 func (s *Store) TrackRTT(blockIdx int) {
-	if _, ok := s.rtt[blockIdx]; !ok {
+	if s.rtt == nil {
+		s.rtt = make([][]uint16, len(s.blocks))
+	}
+	if s.rtt[blockIdx] == nil {
 		s.rtt[blockIdx] = make([]uint16, s.tl.NumRounds())
 	}
+}
+
+// rttRow returns a tracked block's RTT row, nil for a block not tracked.
+func (s *Store) rttRow(blockIdx int) []uint16 {
+	if uint(blockIdx) < uint(len(s.rtt)) {
+		return s.rtt[blockIdx]
+	}
+	return nil
 }
 
 // SetRTT records a tracked block's mean RTT (milliseconds) for a round.
 // It is a no-op for untracked blocks.
 func (s *Store) SetRTT(blockIdx, round int, ms uint16) {
-	if arr, ok := s.rtt[blockIdx]; ok {
-		arr[round] = ms
+	if row := s.rttRow(blockIdx); row != nil {
+		row[round] = ms
 	}
 }
 
 // RTT returns a tracked block's RTT in ms at a round (0 if untracked or no
 // responses).
 func (s *Store) RTT(blockIdx, round int) uint16 {
-	if arr, ok := s.rtt[blockIdx]; ok {
+	if arr := s.rttRow(blockIdx); arr != nil {
 		return arr[round]
 	}
 	return 0
 }
 
 // RTTTracked reports whether RTTs are stored for the block.
-func (s *Store) RTTTracked(blockIdx int) bool {
-	_, ok := s.rtt[blockIdx]
-	return ok
-}
+func (s *Store) RTTTracked(blockIdx int) bool { return s.rttRow(blockIdx) != nil }
 
 // Resp returns the responsive-IP count of block blockIdx in round r. It
 // panics on a block or round out of range, written or not.

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -237,15 +238,55 @@ func FuzzRLE(f *testing.F) {
 	})
 }
 
+// wordBoundaryColumns are the column shapes at the coder's word edges:
+// runs of 2, 3, 8, 9, 129 and 130 equal cells starting at every offset mod
+// 8 after a literal head; literal stretches of 127, 128 and 129 cells;
+// ramps of a nonzero step, two of them wrapping from 255 to 0; and a
+// plateau whose zero tail starts at every offset mod 8.
+func wordBoundaryColumns() [][]byte {
+	// lit(k) is a stretch of k cells whose deltas all differ: no run.
+	lit := func(k int) []byte {
+		b := make([]byte, k)
+		for i := range b {
+			b[i] = byte(7 * i * (i + 1) / 2)
+		}
+		return b
+	}
+	var cols [][]byte
+	for _, l := range []int{2, 3, 8, 9, 129, 130} {
+		for off := range 8 {
+			c := append(lit(off+1), bytes.Repeat([]byte{200}, l)...)
+			cols = append(cols, append(c, 3, 1, 4, 1, 5))
+		}
+	}
+	for _, k := range []int{127, 128, 129} {
+		cols = append(cols, lit(k), append(lit(k), bytes.Repeat([]byte{9}, 12)...))
+	}
+	for _, r := range []struct{ from, step, n int }{{0, 1, 40}, {250, 1, 20}, {240, 3, 30}, {100, 255, 140}} {
+		c := make([]byte, r.n)
+		for i := range c {
+			c[i] = byte(r.from + i*r.step)
+		}
+		cols = append(cols, c)
+	}
+	for off := range 8 {
+		cols = append(cols, append(bytes.Repeat([]byte{60}, 16+off), make([]byte, 20)...))
+	}
+	return cols
+}
+
 func FuzzColumnV4(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 3, 3, 4, 4, 5})
 	f.Add(bytes.Repeat([]byte{42}, 500))
 	f.Add([]byte{0xFF, 0x00, 0x80})
+	for _, c := range wordBoundaryColumns() {
+		f.Add(c)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Round-trip through the v4 column coding (delta transform + RLE),
 		// bounding the encoding by the reader's plausibility limit.
-		enc := appendColumn(nil, data, len(data))
+		enc := new(columnCoder).appendColumn(nil, data, len(data))
 		if len(enc) > 2*len(data)+64 {
 			t.Fatalf("encoded %d bytes to %d, beyond the reader's 2n+64 limit", len(data), len(enc))
 		}
@@ -255,6 +296,10 @@ func FuzzColumnV4(f *testing.F) {
 		}
 		if !bytes.Equal(dec, data) {
 			t.Fatalf("round-trip mismatch for %d bytes", len(data))
+		}
+		var scratch []byte
+		if want := deltaRLEAppend(nil, data, &scratch); !bytes.Equal(enc, want) {
+			t.Fatalf("column %v: coded %v, reference %v", data, enc, want)
 		}
 		// Adversarial decode of arbitrary bytes must never panic and must
 		// reject partial fills.
@@ -274,6 +319,10 @@ func FuzzV4Column(f *testing.F) {
 	f.Add([]byte{3, 3, 3, 4, 4, 5}, uint16(300))
 	f.Add(bytes.Repeat([]byte{42}, 500), uint16(129))
 	f.Add([]byte{0xFF, 0x00, 0x80, 0x7F}, uint16(130))
+	for i, c := range wordBoundaryColumns() {
+		f.Add(c, uint16(i%9))
+		f.Add(c, uint16(127+i%5))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, tail uint16) {
 		assertColumnMatchesReference(t, append(data[:len(data):len(data)], make([]byte, tail%1024)...), len(data))
 	})
@@ -282,13 +331,15 @@ func FuzzV4Column(f *testing.F) {
 // assertColumnMatchesReference checks appendColumn onto a non-empty dst
 // against the staged deltaRLEAppend: given the whole column, and given only
 // its first zeroFrom cells and one zero cell more, every cell from zeroFrom
-// on being zero.
+// on being zero. The coder's delta row starts out holding stale bytes, as a
+// pooled one does.
 func assertColumnMatchesReference(t *testing.T, src []byte, zeroFrom int) {
 	t.Helper()
 	var scratch []byte
 	want := deltaRLEAppend([]byte{0xAB}, src, &scratch)
+	cc := &columnCoder{d: bytes.Repeat([]byte{0xA5}, len(src)+8)}
 	for _, prefix := range []int{len(src), min(len(src), zeroFrom+1)} {
-		if got := appendColumn([]byte{0xAB}, src[:prefix], len(src)); !bytes.Equal(got, want) {
+		if got := cc.appendColumn([]byte{0xAB}, src[:prefix], len(src)); !bytes.Equal(got, want) {
 			t.Fatalf("column %v from a %d-cell prefix: coded %v, reference %v", src, prefix, got, want)
 		}
 	}
@@ -323,6 +374,86 @@ func TestColumnMatchesReference(t *testing.T) {
 			assertColumnMatchesReference(t, append(head[:len(head):len(head)], make([]byte, tail)...), len(head))
 		}
 	}
+	// A noisy plateau the length of the paper's six-hourly timeline: about
+	// half its cells in runs and half in literal chunks, as in a generated
+	// three-year store.
+	col := make([]byte, 4357)
+	level := byte(60)
+	for i := 0; i < len(col); {
+		n := 1 + rng.Intn(16)
+		if rng.Intn(2) == 0 {
+			level = byte(40 + rng.Intn(40))
+			for k := i; k < min(i+n, len(col)); k++ {
+				col[k] = level
+			}
+		} else {
+			for k := i; k < min(i+n, len(col)); k++ {
+				col[k] = level + byte(rng.Intn(5))
+			}
+		}
+		i += n
+	}
+	runCells, litCells := tokenCells(new(columnCoder).appendColumn(nil, col, len(col)))
+	if share := float64(runCells) / float64(runCells+litCells); share < 0.35 || share > 0.65 {
+		t.Fatalf("noisy plateau: %d cells in runs, %d in literals, want about half each", runCells, litCells)
+	}
+	for _, tail := range []int{0, 1, 2, 3, 7, 8, 9, 129, 130} {
+		assertColumnMatchesReference(t, append(col[:len(col):len(col)], make([]byte, tail)...), len(col))
+	}
+}
+
+// tokenCells returns how many cells a coded column's runs and literal chunks
+// hold.
+func tokenCells(coded []byte) (runs, literals int) {
+	for i := 0; i < len(coded); {
+		if c := int(coded[i]); c < 128 {
+			literals += c + 1
+			i += c + 2
+		} else {
+			runs += c - 128 + minRun
+			i += 2
+		}
+	}
+	return runs, literals
+}
+
+// FuzzDecodeMatchesRef: on any stream and output length, rleDecode and
+// deltaRLEDecode write the bytes the byte-at-a-time oracle does, and accept
+// or reject (errRLECorrupt) exactly the streams it does. Both start from a
+// row of stale bytes, as ReadFrom's reused row does.
+func FuzzDecodeMatchesRef(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{200}, uint16(10))
+	f.Add([]byte{5, 1, 2}, uint16(10))
+	f.Add([]byte{255, 7}, uint16(10))
+	f.Add([]byte{0, 1}, uint16(10))
+	f.Add([]byte{2, 1, 2, 3, 128 + 5, 5}, uint16(10))
+	f.Add([]byte{128, 9, 128, 4, 1, 8, 1}, uint16(6))
+	for i, c := range wordBoundaryColumns() {
+		enc := new(columnCoder).appendColumn(nil, c, len(c))
+		f.Add(enc, uint16(len(c)))
+		f.Add(enc, uint16(len(c)+i%3-1))
+	}
+	f.Fuzz(func(t *testing.T, stream []byte, n uint16) {
+		n %= 2048
+		decoders := []struct {
+			name      string
+			got, want func(dst, src []byte) error
+		}{
+			{"rleDecode", rleDecode, refRLEDecode},
+			{"deltaRLEDecode", deltaRLEDecode, refDeltaRLEDecode},
+		}
+		for _, dc := range decoders {
+			got, want := bytes.Repeat([]byte{0xA5}, int(n)), bytes.Repeat([]byte{0xA5}, int(n))
+			gotErr, wantErr := dc.got(got, stream), dc.want(want, stream)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && !errors.Is(gotErr, errRLECorrupt)) {
+				t.Fatalf("%s of %v into %d bytes: err %v, oracle %v", dc.name, stream, n, gotErr, wantErr)
+			}
+			if gotErr == nil && !bytes.Equal(got, want) {
+				t.Fatalf("%s of %v: decoded %v, oracle %v", dc.name, stream, got, want)
+			}
+		}
+	})
 }
 
 // liveStore is a campaign's store h rounds into a 300-round timeline: each
