@@ -48,8 +48,8 @@
 //	2   bad flags
 //	3   -resume or -load named a file of a different campaign
 //	    (countrymon.ResumeMismatchError)
-//	4   campaign completed degraded: a vantage was quarantined or a round ran
-//	    below -quorum (a round the whole fleet was dark for is missing: 1)
+//	4   campaign completed degraded: a vantage was quarantined, a round ran
+//	    below -quorum, or a scripted vantage outage was measured missing
 //	130 interrupted by signal
 package main
 

@@ -23,9 +23,8 @@
 //
 // # Running a campaign
 //
-// Step handles one round under a context — PreRound, then the scan unless
-// PreRound marked the round missing — and returns its Stats; Run loops over
-// Step until the campaign is done:
+// Step handles one round under a context — PreRound, then the scan — and
+// returns its Stats; Run loops over Step until the campaign is done:
 //
 //	rc := countrymon.RunConfig{PreRound: func(round int) error { ... }}
 //	for mon.NextRound() {
@@ -476,27 +475,20 @@ func (m *Monitor) Round() int { return m.round }
 // NextRound reports whether another round remains.
 func (m *Monitor) NextRound() bool { return m.round < m.tl.NumRounds() }
 
-// MarkMissing records the current round as a vantage outage (zero coverage)
-// and skips it. Like ScanRound it returns ErrCampaignComplete once the
-// timeline is exhausted and surfaces the checkpoint error the cadence may
-// produce, so skipped rounds are as durable as scanned ones.
-func (m *Monitor) MarkMissing() error {
-	if !m.NextRound() {
-		return ErrCampaignComplete
-	}
-	return m.recordMissing("vantage")
-}
-
-// recordMissing records the current round as missing with zero coverage —
-// nothing of it was measured — and finishes it.
-func (m *Monitor) recordMissing(reason string) error {
+// recordMissing records the current round as missing, with zero coverage and
+// no routed bits (nothing of it was measured: sim.GenerateStore writes it so),
+// and finishes it.
+func (m *Monitor) recordMissing() error {
 	round := m.round
+	for bi := range m.store.NumBlocks() {
+		m.store.SetRound(bi, round, 0, false)
+	}
 	m.store.SetCoverage(round, 0)
 	m.store.SetMissing(round)
 	m.metrics.roundsMissing.Inc()
 	m.metrics.coverage.Observe(0)
 	m.metrics.lastRound.Set(int64(round))
-	m.bus.Emit("round_missing", func() any { return RoundMissingEvent{Round: round, Reason: reason} })
+	m.bus.Emit("round_missing", func() any { return RoundMissingEvent{Round: round, Reason: "fleet_self_outage"} })
 	return m.finishRound(round)
 }
 
@@ -530,7 +522,7 @@ func (m *Monitor) ScanRound() (Stats, error) {
 // scan probes every target once through the fleet campaign and ingests the
 // results at the current round index. A round on which no vantage produced
 // usable data — every shard below the fleet's heartbeat gate, whatever the
-// cause — is recorded missing, like a vantage outage; a round of usable
+// cause — is recorded missing, a self-outage; a round of usable
 // shards and uncovered holes is salvaged at its coverage (signals gate it via
 // Options.MinCoverage). Only a hard scan failure — or ctx being cancelled
 // mid-round, which discards the partial round so it rescans on resume —
@@ -553,11 +545,10 @@ func (m *Monitor) scan(ctx context.Context) (Stats, error) {
 	}
 	if rep.SelfOutage {
 		// The vantages, not the target, were dark: record the round missing
-		// so signal derivation treats it exactly like a vantage outage and
-		// no block series carries fabricated zeros. What the failed scans
-		// sent still counts.
+		// so signal derivation skips it and no block series carries
+		// fabricated zeros. What the failed scans sent still counts.
 		m.campaign.Add(rep.Failed)
-		return rep.Failed, m.recordMissing("fleet_self_outage")
+		return rep.Failed, m.recordMissing()
 	}
 	outcome := "round_scanned"
 	m.store.AddRoundData(round, rd)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"countrymon/internal/faults"
 	"countrymon/internal/netmodel"
 	"countrymon/internal/obs"
 	"countrymon/internal/signals"
@@ -33,6 +34,18 @@ func streamOpts(rounds int, roundLog string) Options {
 		},
 		RoundLogPath: roundLog,
 	}
+}
+
+// darkRounds puts opts' wire behind a blackout over each of the given
+// rounds: the vantage is dark for them, and the monitor measures that.
+func darkRounds(opts Options, rounds ...int) Options {
+	var prof faults.Profile
+	for _, r := range rounds {
+		from := opts.Start.Add(time.Duration(r) * opts.Interval)
+		prof.Windows = append(prof.Windows, faults.Window{From: from, To: from.Add(opts.Interval), Kind: faults.Blackout})
+	}
+	opts.Transport = faults.NewTransport(opts.Transport, nil, prof)
+	return opts
 }
 
 // batchOracle builds the batch signals builder — the test oracle the Monitor
@@ -160,23 +173,17 @@ func TestLiveDetectionStopsAtRoundCursor(t *testing.T) {
 }
 
 // TestMonitorStreamSignalsWithMissingRounds exercises the fold across
-// MarkMissing rounds: the monitor skips two rounds as vantage outages while
-// keeping its builder warm, and must agree with the batch oracle.
+// missing rounds: the wire is dark for two rounds, which the monitor records
+// missing while keeping its builder warm, and must agree with the batch
+// oracle.
 func TestMonitorStreamSignalsWithMissingRounds(t *testing.T) {
 	const rounds = 120
-	mon, err := New(streamOpts(rounds, ""))
+	mon, err := New(darkRounds(streamOpts(rounds, ""), 50, 51))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for mon.NextRound() {
 		round := mon.Round()
-		if round == 50 || round == 51 {
-			if err := mon.MarkMissing(); err != nil {
-				t.Fatal(err)
-			}
-			mon.ASSeries(25482)
-			continue
-		}
 		for _, blk := range mon.Store().Blocks() {
 			mon.SetRouted(blk, round, true, 25482)
 		}
@@ -188,7 +195,7 @@ func TestMonitorStreamSignalsWithMissingRounds(t *testing.T) {
 	got := mon.ASSeries(25482)
 	sameEntitySeries(t, "AS25482", batchOracle(mon).AS(25482), got)
 	if !got.Missing[50] || !got.Missing[51] {
-		t.Fatal("marked rounds not missing in streamed series")
+		t.Fatal("dark rounds not missing in streamed series")
 	}
 }
 

@@ -181,23 +181,3 @@ func TestFleetTargetsMustMatch(t *testing.T) {
 		})
 	}
 }
-
-func TestMonitorMarkMissing(t *testing.T) {
-	start := time.Unix(0, 0).UTC()
-	net := simnet.New(1, outageResponder(5, start, start), start)
-	mon, err := New(Options{
-		Transport: net,
-		Targets:   []Prefix{netmodel.MustParsePrefix("10.0.0.0/24")},
-		Start:     start, Rounds: 3, Interval: time.Hour, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon.MarkMissing()
-	if !mon.Store().Missing(0) {
-		t.Error("round 0 not missing")
-	}
-	if mon.Round() != 1 {
-		t.Error("round not advanced")
-	}
-}

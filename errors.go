@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// ErrCampaignComplete is returned by ScanRound/MarkMissing once every round
+// ErrCampaignComplete is returned by ScanRound once every round
 // of the timeline has been handled. Check with errors.Is.
 var ErrCampaignComplete = errors.New("countrymon: campaign complete")
 

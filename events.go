@@ -24,8 +24,8 @@ type RoundScannedEvent struct {
 	Valid    uint64  `json:"valid"`
 }
 
-// RoundMissingEvent is a round_missing event: a round recorded missing,
-// Reason "vantage" (scripted by PreRound) or "fleet_self_outage".
+// RoundMissingEvent is a round_missing event: a round recorded missing
+// because no vantage produced usable data (Reason "fleet_self_outage").
 type RoundMissingEvent struct {
 	Reason string `json:"reason"`
 	Round  int    `json:"round"`

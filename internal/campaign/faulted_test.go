@@ -29,7 +29,7 @@ import (
 // packet, so the stores hold which probes each scan lost: a scan whose
 // wrapper did not start from its profile's seed moves them.
 func TestFaultedCampaignGolden(t *testing.T) {
-	co, wrapped := runFaulted(t, Options{}, nil)
+	co, wrapped := runFaulted(t, Options{}, -1)
 
 	var b strings.Builder
 	for _, c := range co.Countries() {
@@ -73,9 +73,10 @@ func TestFaultedCampaignGolden(t *testing.T) {
 }
 
 // runFaulted runs the faulted campaign TestFaultedCampaignGolden pins with
-// opts' registry and bus, after prep (when not nil) has seen it, and returns
-// it with every fault wrapper it built.
-func runFaulted(t *testing.T, opts Options, prep func(*Coordinator)) (*Coordinator, []*faults.Transport) {
+// opts' registry and bus, every vantage of RO's wire also blacked out over
+// round roDark (none when negative), and returns it with every fault wrapper
+// it built.
+func runFaulted(t *testing.T, opts Options, roDark int) (*Coordinator, []*faults.Transport) {
 	t.Helper()
 	spec := testSpec(t, 12)
 	window := func(from, to int, kind faults.Kind) []faults.Window {
@@ -97,6 +98,10 @@ func runFaulted(t *testing.T, opts Options, prep func(*Coordinator)) (*Coordinat
 		case country == "RO" && vantage == "v1":
 			prof.Windows = window(8, 9, faults.Stall)
 		}
+		if country == "RO" && roDark >= 0 {
+			from := spec.Start.Add(time.Duration(roDark) * spec.Interval)
+			prof.Windows = append(prof.Windows, faults.Window{From: from, To: from.Add(spec.Interval), Kind: faults.Blackout})
+		}
 		ftr := faults.NewTransport(tr, nil, prof)
 		mu.Lock()
 		wrapped = append(wrapped, ftr)
@@ -108,9 +113,6 @@ func runFaulted(t *testing.T, opts Options, prep func(*Coordinator)) (*Coordinat
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { co.Close() })
-	if prep != nil {
-		prep(co)
-	}
 	if err := co.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +124,9 @@ func runFaulted(t *testing.T, opts Options, prep func(*Coordinator)) (*Coordinat
 var eventSeqRE = regexp.MustCompile(`"seq":[0-9]+|id: [0-9]+`)
 
 // TestFaultedEventsGolden pins the events of TestFaultedCampaignGolden's
-// campaign, with RO's round 10 scripted as a vantage outage (every round of
-// the campaign is scanned in full otherwise), as /v1/events (UA's, the
+// campaign, with RO's wire dark over round 10 (a fleet self-outage, which
+// opens every shared breaker: round 11 is one for both countries), as
+// /v1/events (UA's, the
 // default country) and /v1/countries/RO/events write them in both wire
 // forms. One field is masked: "time", the wall clock at publication. The
 // shards of a round scan concurrently and each scan publishes its own retry
@@ -133,9 +136,7 @@ var eventSeqRE = regexp.MustCompile(`"seq":[0-9]+|id: [0-9]+`)
 // SSE id masked too, sorted, and each distinct line once after its count.
 func TestFaultedEventsGolden(t *testing.T) {
 	bus := obs.NewBus(1 << 14)
-	co, _ := runFaulted(t, Options{Registry: obs.NewRegistry(), Bus: bus}, func(co *Coordinator) {
-		co.Country("RO").World.Missing[10] = true
-	})
+	co, _ := runFaulted(t, Options{Registry: obs.NewRegistry(), Bus: bus}, 10)
 	all := bus.Since(0)
 	if len(all) == 0 || all[0].Seq != 1 {
 		t.Fatal("the bus ring lost the campaign's first events")

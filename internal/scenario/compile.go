@@ -25,17 +25,13 @@ type TruthWindow struct {
 	Benign   bool
 }
 
-// Compiled is a scenario ready to run: the assembled simulator plus the
-// labels and vantage-degradation plan the scorecard harness consumes.
+// Compiled is a scenario ready to run: the assembled simulator, vantage
+// plan included, plus the labels the scorecard harness consumes.
 type Compiled struct {
 	Spec *Spec
 	Sim  *sim.Scenario
 	// Truth holds every labeled window, benign and outage, per entity.
 	Truth []TruthWindow
-	// Degraded maps round → salvaged coverage fraction (0, 1) for rounds
-	// inside a positive-coverage VantageWindow. Full-outage windows are in
-	// Sim.Missing instead.
-	Degraded map[int]float64
 }
 
 // ASEntity and RegionEntity name scorecard entities consistently everywhere
@@ -109,16 +105,16 @@ func (s *Spec) Compile() (*Compiled, error) {
 	}
 
 	// Vantage plan: full-outage windows become the sim's missing mask,
-	// degraded windows a round → coverage map for the harness.
+	// degraded windows its round → coverage map.
 	rounds := s.Rounds()
-	degraded := make(map[int]float64)
 	spec.Missing = make([]bool, rounds)
+	spec.Degraded = make(map[int]float64)
 	for _, w := range s.Missing {
 		for _, r := range windowRounds(w.From, w.To, s.Start, s.Interval, rounds) {
 			if w.Coverage == 0 {
 				spec.Missing[r] = true
 			} else {
-				degraded[r] = w.Coverage
+				spec.Degraded[r] = w.Coverage
 			}
 		}
 	}
@@ -128,10 +124,9 @@ func (s *Spec) Compile() (*Compiled, error) {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	return &Compiled{
-		Spec:     s,
-		Sim:      world,
-		Truth:    s.truthWindows(regionASes),
-		Degraded: degraded,
+		Spec:  s,
+		Sim:   world,
+		Truth: s.truthWindows(regionASes),
 	}, nil
 }
 

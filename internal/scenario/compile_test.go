@@ -169,10 +169,10 @@ func TestCompileEffects(t *testing.T) {
 	if c.Sim.Missing[62] {
 		t.Fatal("missing window too wide")
 	}
-	if cov := c.Degraded[72]; cov != 0.9 { // 12d
+	if cov := c.Sim.Degraded[72]; cov != 0.9 { // 12d
 		t.Fatalf("degraded[72] = %g", cov)
 	}
-	for r := range c.Degraded {
+	for r := range c.Sim.Degraded {
 		if c.Sim.Missing[r] {
 			t.Fatalf("round %d both missing and degraded", r)
 		}

@@ -44,9 +44,6 @@ func TestTypedErrors(t *testing.T) {
 		if _, err := mon.ScanRound(); !errors.Is(err, ErrCampaignComplete) {
 			t.Errorf("ScanRound past end: %v, want ErrCampaignComplete", err)
 		}
-		if err := mon.MarkMissing(); !errors.Is(err, ErrCampaignComplete) {
-			t.Errorf("MarkMissing past end: %v, want ErrCampaignComplete", err)
-		}
 	})
 
 	t.Run("no checkpoint", func(t *testing.T) {
@@ -358,59 +355,11 @@ func mustGetBody(t *testing.T, url string) []byte {
 	return body
 }
 
-// TestRunPreRoundMarkMissing: a PreRound that marks its round missing has
-// handled that round — Step must not go on to scan the next one, which would
-// run it without its own PreRound — and marking the last round must end the
-// campaign cleanly.
-func TestRunPreRoundMarkMissing(t *testing.T) {
-	mon, err := New(smallOpts(t, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pre, handled []int
-	rc := RunConfig{
-		PreRound: func(round int) error {
-			pre = append(pre, round)
-			if round != 1 {
-				return mon.MarkMissing()
-			}
-			return nil
-		},
-	}
-	for mon.NextRound() {
-		round := mon.Round()
-		st, err := mon.Step(context.Background(), rc)
-		if err != nil {
-			t.Fatalf("Step: %v", err)
-		}
-		handled = append(handled, round)
-		if missing := round != 1; missing != (st.Sent == 0) {
-			t.Errorf("round %d: sent %d", round, st.Sent)
-		}
-	}
-	want := []int{0, 1, 2}
-	if !reflect.DeepEqual(pre, want) || !reflect.DeepEqual(handled, want) {
-		t.Errorf("PreRound rounds %v, Step rounds %v, want both %v", pre, handled, want)
-	}
-	for r, missing := range []bool{true, false, true} {
-		if mon.Store().Missing(r) != missing || !mon.Store().Done(r) {
-			t.Errorf("round %d: missing=%v done=%v", r, mon.Store().Missing(r), mon.Store().Done(r))
-		}
-	}
-}
-
 // TestCampaignCompleteOnce: however the final round is handled, the campaign
 // announces its completion exactly once; a round whose journal write failed
 // is not handled at all.
 func TestCampaignCompleteOnce(t *testing.T) {
-	markLast := func(mon *Monitor) func(int) error {
-		return func(round int) error {
-			if round == mon.Timeline().NumRounds()-1 {
-				return mon.MarkMissing()
-			}
-			return nil
-		}
-	}
+	darkLast := func(t *testing.T, o *Options) { *o = darkRounds(*o, o.Rounds-1) }
 	countComplete := func(bus *obs.Bus) int {
 		n := 0
 		for _, ev := range bus.Since(0) {
@@ -428,13 +377,12 @@ func TestCampaignCompleteOnce(t *testing.T) {
 		}}}, *o, 0)
 	}
 	for _, tc := range []struct {
-		name     string
-		opts     func(*testing.T, *Options)
-		preRound func(*Monitor) func(int) error
-		missing  bool // the final round
+		name    string
+		opts    func(*testing.T, *Options)
+		missing bool // the final round
 	}{
 		{name: "scanned"},
-		{name: "mark missing", preRound: markLast, missing: true},
+		{name: "mark missing", opts: darkLast, missing: true},
 		{name: "fleet self-outage", opts: darkFleet, missing: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -448,11 +396,7 @@ func TestCampaignCompleteOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rc RunConfig
-			if tc.preRound != nil {
-				rc.PreRound = tc.preRound(mon)
-			}
-			if err := mon.Run(context.Background(), rc); err != nil {
+			if err := mon.Run(context.Background(), RunConfig{}); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
 			if complete := countComplete(opts.Bus); complete != 1 {

@@ -67,10 +67,9 @@ func TestRoundOutcomes(t *testing.T) {
 	full := Stats{Sent: 256, Received: 5, Valid: 5, Elapsed: 8024 * time.Millisecond}
 
 	for _, tc := range []struct {
-		name     string
-		rounds   int // the campaign's length; its last round is checked
-		opts     func(*testing.T, *Options)
-		preRound func(*Monitor) func(int) error
+		name   string
+		rounds int // the campaign's length; its last round is checked
+		opts   func(*testing.T, *Options)
 
 		stats    Stats
 		kind     string
@@ -122,20 +121,6 @@ func TestRoundOutcomes(t *testing.T) {
 			outcome: "missing", missing: true,
 		},
 		{
-			name: "marked missing by PreRound", rounds: 2,
-			preRound: func(mon *Monitor) func(int) error {
-				return func(round int) error {
-					if round == 1 {
-						return mon.MarkMissing()
-					}
-					return nil
-				}
-			},
-			kind:    "round_missing",
-			fields:  RoundMissingEvent{Round: 1, Reason: "vantage"},
-			outcome: "missing", missing: true,
-		},
-		{
 			name: "fleet self-outage", rounds: 2,
 			opts: fleetOf(1, func(round, _ int) int {
 				if round == 1 {
@@ -179,10 +164,6 @@ func TestRoundOutcomes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rc RunConfig
-			if tc.preRound != nil {
-				rc.PreRound = tc.preRound(mon)
-			}
 			outcomes := []string{"scanned", "salvaged", "missing"}
 			counter := opts.Registry.CounterVec("monitor_rounds_total", "", "country", "outcome")
 			var (
@@ -196,7 +177,7 @@ func TestRoundOutcomes(t *testing.T) {
 				for _, o := range outcomes {
 					before = append(before, counter.With(mon.Country(), o).Value())
 				}
-				if st, err = mon.Step(context.Background(), rc); err != nil {
+				if st, err = mon.Step(context.Background(), RunConfig{}); err != nil {
 					t.Fatalf("round %d: %v", mon.Round(), err)
 				}
 			}

@@ -10,8 +10,8 @@ import (
 // RunConfig configures one Run or Step invocation.
 type RunConfig struct {
 	// PreRound, when non-nil, runs before each round is scanned — the place
-	// to apply BGP snapshots or decide to MarkMissing. Returning an error
-	// aborts the campaign (after a checkpoint, if one is configured).
+	// to apply BGP snapshots (the scan measures a vantage outage). Returning
+	// an error aborts the campaign (after a checkpoint, if one is configured).
 	PreRound func(round int) error
 }
 
@@ -32,25 +32,19 @@ func (m *Monitor) Run(ctx context.Context, rc RunConfig) error {
 	return nil
 }
 
-// Step handles exactly one round — ctx check, PreRound, then the scan unless
-// PreRound marked the round missing — and returns the round's scan
-// statistics (zero for a round recorded missing without a scan). It is the
-// unit Run loops over; campaign coordinators (internal/campaign) call it
-// directly to interleave rounds of several monitors on one goroutine. A ctx
-// cancellation or PreRound error checkpoints before returning.
+// Step handles exactly one round — ctx check, PreRound, then the scan — and
+// returns the round's scan statistics (for a round recorded missing, what its
+// failed scans sent). It is the unit Run loops over; campaign coordinators
+// (internal/campaign) call it directly to interleave rounds of several
+// monitors on one goroutine. A ctx cancellation or PreRound error
+// checkpoints before returning.
 func (m *Monitor) Step(ctx context.Context, rc RunConfig) (Stats, error) {
 	if ctx.Err() != nil {
 		return Stats{}, m.checkpointBeforeReturn(ctx.Err())
 	}
-	round := m.round
 	if rc.PreRound != nil {
-		if err := rc.PreRound(round); err != nil {
+		if err := rc.PreRound(m.round); err != nil {
 			return Stats{}, m.checkpointBeforeReturn(err)
-		}
-		if m.round > round {
-			// PreRound handled the round itself (MarkMissing): scanning now
-			// would take the next round without its PreRound.
-			return Stats{}, nil
 		}
 	}
 	st, err := m.scan(ctx)
@@ -78,8 +72,7 @@ func (m *Monitor) checkpointBeforeReturn(cause error) error {
 
 // CampaignStats returns the accumulated scan statistics of every round
 // handled so far: what the scans a scanned or salvaged round kept sent and
-// received, and what a fleet self-outage's failed scans did. A round marked
-// missing before its scan adds nothing.
+// received, and what a fleet self-outage's failed scans did.
 func (m *Monitor) CampaignStats() Stats { return m.campaign }
 
 // emitDetection reports a detection run on the bus.

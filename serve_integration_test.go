@@ -21,7 +21,8 @@ import (
 // serve store attached from round 0 and AS 25482 registered as an entity.
 func runServedCampaign(t *testing.T, rounds int) (*Monitor, *serve.Store, *serve.Entity) {
 	t.Helper()
-	mon, err := New(streamOpts(rounds, ""))
+	// A vantage outage over rounds 7 and 8: a missing round is sealed too.
+	mon, err := New(darkRounds(streamOpts(rounds, ""), 7, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,13 +36,6 @@ func runServedCampaign(t *testing.T, rounds int) (*Monitor, *serve.Store, *serve
 		round := mon.Round()
 		for _, blk := range mon.Store().Blocks() {
 			mon.SetRouted(blk, round, true, 25482)
-		}
-		if round == 7 || round == 8 {
-			// A vantage outage: MarkMissing must seal the round too.
-			if err := mon.MarkMissing(); err != nil {
-				t.Fatal(err)
-			}
-			continue
 		}
 		if _, err := mon.ScanRound(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -77,7 +71,7 @@ func TestMonitorServeStoreLive(t *testing.T) {
 		}
 	}
 	if !ent.Missing(7) || !ent.Missing(8) {
-		t.Fatal("MarkMissing rounds not sealed as missing")
+		t.Fatal("dark rounds not sealed as missing")
 	}
 
 	// Store-side detection over the sealed view agrees with the monitor's.
