@@ -418,17 +418,18 @@ func TestSelfOutage(t *testing.T) {
 	if rd != nil || !rep.SelfOutage || !rep.Degraded {
 		t.Fatalf("round 0: rd=%v rep=%+v, want nil data and self-outage", rd, rep)
 	}
-	// With every shard failing over every vantage, all three trip in round 0
-	// and round 1 is a self-outage before a single scan is attempted.
+	// Every shard failed over every vantage, so the fleet is what is dark:
+	// no breaker is charged, as a lone vantage's is not, and round 1 scans
+	// from all three again instead of finding none closed.
 	_, rep, err = c.ScanRound(context.Background(), 1, roundAt(1), truthPrev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.SelfOutage || rep.Eligible != 0 {
-		t.Fatalf("round 1: %+v, want eligible=0 self-outage", rep)
+	if !rep.SelfOutage || rep.Eligible != 3 || rep.Healthy != 3 {
+		t.Fatalf("round 1: %+v, want a self-outage with 3 closed vantages", rep)
 	}
-	if got := s.Report().SelfOutages; got != 2 {
-		t.Fatalf("SelfOutages = %d, want 2", got)
+	if got := s.Report(); got.SelfOutages != 2 || len(got.Quarantined) != 0 {
+		t.Fatalf("report %+v, want 2 self-outages and nobody quarantined", got)
 	}
 }
 
