@@ -122,9 +122,7 @@ type Result struct {
 	// PerAS[asn][round] is the number of the AS's tracked blocks inferred
 	// up — the TRIN■ signal.
 	PerAS map[netmodel.ASN][]float32
-	// States[t][round] is tracker t's inferred state per round.
-	States [][]State
-	// Blocks lists the tracked blocks (aligned with States).
+	// Blocks lists the tracked blocks, in tracker order.
 	Blocks []netmodel.BlockID
 	// ProbesSent counts all probes (scheduled + adaptive).
 	ProbesSent uint64
@@ -136,48 +134,55 @@ type Result struct {
 //
 // A tracker's belief evolution depends only on its own probe history and the
 // probe function is a pure function of (address, round), so the campaign is
-// tracker-major and shards trackers across the worker pool: each goroutine
-// owns one tracker's full timeline. Per-AS counts and the probe total are
-// then aggregated sequentially in tracker order, giving results identical to
-// the round-major sequential sweep.
+// tracker-major. Trackers are grouped by origin AS, in tracker order, and the
+// groups are sharded across the worker pool: each goroutine owns one AS's
+// row of PerAS and adds every state into it as soon as it is inferred, so no
+// per-tracker state history is kept. The row entries are small integer
+// counts, exact in float32 in any order, so the result is identical to the
+// round-major sequential sweep.
 func (r *Runner) Run(probe Probe) *Result {
 	rounds := r.store.Timeline().NumRounds()
 	res := &Result{
 		PerAS:   make(map[netmodel.ASN][]float32),
-		States:  make([][]State, len(r.trackers)),
 		Blocks:  make([]netmodel.BlockID, len(r.trackers)),
 		Missing: r.store.MissingRounds(),
 	}
-	probeCounts := make([]uint64, len(r.trackers))
-	par.ForEach(len(r.trackers), func(t int) {
-		tr := r.trackers[t]
-		states := make([]State, rounds)
-		var sent uint64
-		for round := 0; round < rounds; round++ {
-			if res.Missing[round] {
-				continue
-			}
-			state, probes := tr.Round(probe, round)
-			sent += uint64(probes)
-			states[round] = state
-		}
-		res.States[t] = states
-		probeCounts[t] = sent
-	})
+	var groups [][]*BlockTracker
+	var rows [][]float32
+	group := make(map[netmodel.ASN]int)
 	for t, tr := range r.trackers {
 		res.Blocks[t] = tr.Block
-		res.ProbesSent += probeCounts[t]
 		asn := r.space.OriginOf(tr.Block)
-		perAS := res.PerAS[asn]
-		if perAS == nil {
-			perAS = make([]float32, rounds)
-			res.PerAS[asn] = perAS
+		g, ok := group[asn]
+		if !ok {
+			g = len(groups)
+			group[asn] = g
+			groups = append(groups, nil)
+			rows = append(rows, make([]float32, rounds))
+			res.PerAS[asn] = rows[g]
 		}
-		for round, state := range res.States[t] {
-			if state == StateUp {
-				perAS[round]++
+		groups[g] = append(groups[g], tr)
+	}
+	probeCounts := make([]uint64, len(groups))
+	par.ForEach(len(groups), func(g int) {
+		row := rows[g]
+		var sent uint64
+		for _, tr := range groups[g] {
+			for round := 0; round < rounds; round++ {
+				if res.Missing[round] {
+					continue
+				}
+				state, probes := tr.Round(probe, round)
+				sent += uint64(probes)
+				if state == StateUp {
+					row[round]++
+				}
 			}
 		}
+		probeCounts[g] = sent
+	})
+	for _, sent := range probeCounts {
+		res.ProbesSent += sent
 	}
 	return res
 }

@@ -10,6 +10,7 @@ import (
 
 	"countrymon/internal/dataset"
 	"countrymon/internal/netmodel"
+	"countrymon/internal/par"
 	"countrymon/internal/sim"
 	"countrymon/internal/timeline"
 )
@@ -114,6 +115,46 @@ func runnerFixture(t *testing.T) (*sim.Scenario, *dataset.Store) {
 	return runnerSc, runnerSt
 }
 
+// trackerStates steps copies of the runner's trackers through every
+// non-missing store round, the way Run does, and returns each tracker's
+// state per round (StateUnknown where the round is missing). The runner's
+// own trackers are left as they are, so a runner that has not yet Run
+// gives the states its Run folds.
+func trackerStates(r *Runner, probe Probe) [][]State {
+	rounds := r.store.Timeline().NumRounds()
+	states := make([][]State, len(r.trackers))
+	for t, orig := range r.trackers {
+		tr := *orig
+		states[t] = make([]State, rounds)
+		for round := range rounds {
+			if r.store.Missing(round) {
+				continue
+			}
+			states[t][round], _ = tr.Round(probe, round)
+		}
+	}
+	return states
+}
+
+// foldStates counts, per origin AS and round, the trackers whose state is up.
+func foldStates(r *Runner, states [][]State) map[netmodel.ASN][]float32 {
+	perAS := make(map[netmodel.ASN][]float32)
+	for t, tr := range r.trackers {
+		asn := r.space.OriginOf(tr.Block)
+		row := perAS[asn]
+		if row == nil {
+			row = make([]float32, len(states[t]))
+			perAS[asn] = row
+		}
+		for round, s := range states[t] {
+			if s == StateUp {
+				row[round]++
+			}
+		}
+	}
+	return perAS
+}
+
 func TestRunnerAgainstScenario(t *testing.T) {
 	sc, st := runnerFixture(t)
 	r := NewRunner(st, sc.Space, sc.Representatives, sc.RecordedProbe(st))
@@ -138,18 +179,16 @@ func TestRunnerAgainstScenario(t *testing.T) {
 		t.Errorf("probes %d exceed budget %d", res.ProbesSent, max)
 	}
 	// Sanity: in a random mid-campaign round most eligible blocks are up.
-	mid := len(res.States[0]) / 2
+	mid := len(res.Missing) / 2
 	if st.Missing(mid) {
 		mid++
 	}
-	up := 0
-	for _, states := range res.States {
-		if states[mid] == StateUp {
-			up++
-		}
+	up := float32(0)
+	for _, row := range res.PerAS {
+		up += row[mid]
 	}
 	if float64(up) < float64(r.NumBlocks())/4 {
-		t.Errorf("only %d of %d blocks up mid-campaign", up, r.NumBlocks())
+		t.Errorf("only %v of %d blocks up mid-campaign", up, r.NumBlocks())
 	}
 }
 
@@ -215,14 +254,23 @@ func TestRunnerShortStore(t *testing.T) {
 			if r.NumBlocks() == 0 {
 				t.Fatal("no eligible blocks")
 			}
-			res := r.Run(probe)
-			if len(res.States) != r.NumBlocks() {
-				t.Fatalf("%d state series for %d trackers", len(res.States), r.NumBlocks())
+			states := trackerStates(r, probe)
+			if len(states) != r.NumBlocks() {
+				t.Fatalf("%d state series for %d trackers", len(states), r.NumBlocks())
 			}
-			for tr, states := range res.States {
-				if len(states) != rounds {
-					t.Fatalf("tracker %d: %d states, want %d", tr, len(states), rounds)
+			for tr, s := range states {
+				if len(s) != rounds {
+					t.Fatalf("tracker %d: %d states, want %d", tr, len(s), rounds)
 				}
+			}
+			res := r.Run(probe)
+			for asn, row := range res.PerAS {
+				if len(row) != rounds {
+					t.Fatalf("AS%d: %d counts, want %d", asn, len(row), rounds)
+				}
+			}
+			if !reflect.DeepEqual(res.PerAS, foldStates(r, states)) {
+				t.Fatal("per-AS counts are not the fold of the trackers' states")
 			}
 		})
 	}
@@ -249,15 +297,54 @@ func TestTrinocularRecordedMatchesEvaluated(t *testing.T) {
 			if !reflect.DeepEqual(rr.Indeterminate, re.Indeterminate) || !reflect.DeepEqual(rr.storeIdx, re.storeIdx) {
 				t.Fatalf("recorded runner tracks %d blocks, evaluated %d, or their availabilities differ", rr.NumBlocks(), re.NumBlocks())
 			}
+			if !reflect.DeepEqual(trackerStates(rr, rec), trackerStates(re, eval)) {
+				t.Fatal("states differ")
+			}
 			got, want := rr.Run(rec), re.Run(eval)
 			if got.ProbesSent != want.ProbesSent {
 				t.Fatalf("probes sent: recorded %d, evaluated %d", got.ProbesSent, want.ProbesSent)
 			}
-			if !reflect.DeepEqual(got.States, want.States) {
-				t.Fatal("states differ")
-			}
 			if !reflect.DeepEqual(got.PerAS, want.PerAS) {
 				t.Fatal("per-AS counts differ")
+			}
+		})
+	}
+}
+
+// TestRunFoldsTrackerStates: Run's per-AS counts are the fold of the states
+// its trackers step through, its blocks are theirs in tracker order, and
+// neither the states nor the counts depend on the worker count.
+func TestRunFoldsTrackerStates(t *testing.T) {
+	sc, st := runnerFixture(t)
+	probe := sc.RecordedProbe(st)
+	var first [][]State
+	var firstRes *Result
+	for _, workers := range []string{"1", "8"} {
+		t.Run("workers="+workers, func(t *testing.T) {
+			t.Setenv(par.EnvWorkers, workers)
+			r := NewRunner(st, sc.Space, sc.Representatives, probe)
+			states := trackerStates(r, probe)
+			res := r.Run(probe)
+			if !reflect.DeepEqual(res.PerAS, foldStates(r, states)) {
+				t.Fatal("per-AS counts are not the fold of the trackers' states")
+			}
+			if len(res.Blocks) != len(r.trackers) {
+				t.Fatalf("%d blocks for %d trackers", len(res.Blocks), len(r.trackers))
+			}
+			for i, tr := range r.trackers {
+				if res.Blocks[i] != tr.Block {
+					t.Fatalf("block %d is %v, tracker follows %v", i, res.Blocks[i], tr.Block)
+				}
+			}
+			if first == nil {
+				first, firstRes = states, res
+				return
+			}
+			if !reflect.DeepEqual(states, first) {
+				t.Fatal("tracker states depend on the worker count")
+			}
+			if res.ProbesSent != firstRes.ProbesSent || !reflect.DeepEqual(res.Blocks, firstRes.Blocks) || !reflect.DeepEqual(res.PerAS, firstRes.PerAS) {
+				t.Fatal("the campaign result depends on the worker count")
 			}
 		})
 	}

@@ -116,22 +116,21 @@ func TestParallelPipelineMatchesSequential(t *testing.T) {
 		sameSeries(t, es.Name, es, parl.regSeries[r])
 	}
 
-	// Trinocular: identical states and probe counts.
+	// Trinocular: identical tracked blocks, probe counts and per-AS counts
+	// (per-tracker states are compared in package trinocular).
 	if seq.trin.ProbesSent != parl.trin.ProbesSent {
 		t.Fatalf("probes sent: %d (seq) vs %d (parallel)", seq.trin.ProbesSent, parl.trin.ProbesSent)
 	}
-	if len(seq.trin.States) != len(parl.trin.States) {
-		t.Fatalf("tracked blocks: %d (seq) vs %d (parallel)", len(seq.trin.States), len(parl.trin.States))
+	if len(seq.trin.Blocks) != len(parl.trin.Blocks) {
+		t.Fatalf("tracked blocks: %d (seq) vs %d (parallel)", len(seq.trin.Blocks), len(parl.trin.Blocks))
 	}
-	for ti := range seq.trin.States {
-		if seq.trin.Blocks[ti] != parl.trin.Blocks[ti] {
+	for ti, blk := range seq.trin.Blocks {
+		if parl.trin.Blocks[ti] != blk {
 			t.Fatalf("tracker %d follows different blocks", ti)
 		}
-		for r, s := range seq.trin.States[ti] {
-			if parl.trin.States[ti][r] != s {
-				t.Fatalf("tracker %d round %d: state %v (seq) vs %v (parallel)", ti, r, s, parl.trin.States[ti][r])
-			}
-		}
+	}
+	if len(seq.trin.PerAS) != len(parl.trin.PerAS) {
+		t.Fatalf("TRIN ASes: %d (seq) vs %d (parallel)", len(seq.trin.PerAS), len(parl.trin.PerAS))
 	}
 	for asn, ss := range seq.trin.PerAS {
 		ps := parl.trin.PerAS[asn]
