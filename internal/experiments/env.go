@@ -79,15 +79,20 @@ func (e *Env) Scenario() *sim.Scenario {
 	return e.sc
 }
 
-// Store returns the measurement store, with RTTs tracked for every block of
-// the 34 Kherson ASes (Fig 12/13/14 need them).
+// Store returns the measurement store, with RTTs tracked for the blocks F12
+// averages (the Kherson-homed blocks of f12ASNs) and no others: no other
+// experiment reads an RTT.
 func (e *Env) Store() *dataset.Store {
 	e.storeOnce.Do(func() {
 		sc := e.Scenario()
 		var track []netmodel.BlockID
-		for _, asn := range sim.KhersonASNs() {
+		for _, asn := range f12ASNs {
 			if as := sc.Space.Lookup(asn); as != nil {
-				track = append(track, as.Blocks()...)
+				for _, blk := range as.Blocks() {
+					if khersonHomed(sc, blk) {
+						track = append(track, blk)
+					}
+				}
 			}
 		}
 		e.store = sc.GenerateStore(track)

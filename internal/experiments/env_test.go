@@ -84,3 +84,44 @@ func sameOutages(t *testing.T, what string, warm, lazy *signals.Detection) {
 		}
 	}
 }
+
+// TestEnvTracksF12Blocks: the store tracks RTTs for exactly the blocks F12
+// averages. Every tracked block is Kherson-homed and originated by an AS in
+// f12ASNs, and every block asMonthlyRTT reads is tracked.
+func TestEnvTracksF12Blocks(t *testing.T) {
+	e := New(sim.Config{Seed: 1, Scale: 0.02})
+	sc, st := e.Scenario(), e.Store()
+	f12 := make(map[netmodel.ASN]bool)
+	for _, asn := range f12ASNs {
+		f12[asn] = true
+	}
+	tracked := 0
+	for bi, blk := range st.Blocks() {
+		if !st.RTTTracked(bi) {
+			continue
+		}
+		tracked++
+		if asn := sc.Space.OriginOf(blk); !f12[asn] || !khersonHomed(sc, blk) {
+			t.Errorf("%v (AS%d, Kherson-homed %t) is tracked, but F12 does not read it", blk, asn, khersonHomed(sc, blk))
+		}
+	}
+	read := 0
+	for _, asn := range f12ASNs {
+		as := sc.Space.Lookup(asn)
+		if as == nil {
+			continue
+		}
+		for _, blk := range as.Blocks() {
+			if !khersonHomed(sc, blk) {
+				continue
+			}
+			read++
+			if bi := st.BlockIndex(blk); bi < 0 || !st.RTTTracked(bi) {
+				t.Errorf("F12 averages AS%d's %v, which is not tracked", asn, blk)
+			}
+		}
+	}
+	if read == 0 || tracked != read {
+		t.Errorf("%d blocks tracked, F12 reads %d", tracked, read)
+	}
+}

@@ -250,7 +250,17 @@ func figure11(e *Env) *Report {
 	return r
 }
 
-// asMonthlyRTT averages a Kherson AS's tracked-block RTT per month.
+// f12ASNs are the Kherson ASes F12 follows through the occupation's
+// rerouting; Env.Store tracks RTTs for their Kherson-homed blocks only.
+var f12ASNs = []netmodel.ASN{49465, 56404, 56359, 25482, 15458, 47598, 56446, 25256}
+
+// khersonHomed reports whether a block's home region is Kherson.
+func khersonHomed(sc *sim.Scenario, blk netmodel.BlockID) bool {
+	return sc.BlockTraitsAt(sc.Space.BlockIndex(blk)).HomeRegion == netmodel.Kherson
+}
+
+// asMonthlyRTT averages a Kherson AS's Kherson-homed, tracked-block RTT per
+// month.
 func asMonthlyRTT(e *Env, asn netmodel.ASN, month int) float64 {
 	sc := e.Scenario()
 	st := e.Store()
@@ -262,10 +272,7 @@ func asMonthlyRTT(e *Env, asn netmodel.ASN, month int) float64 {
 	sum, n := 0.0, 0
 	for _, blk := range as.Blocks() {
 		bi := st.BlockIndex(blk)
-		if bi < 0 || !st.RTTTracked(bi) {
-			continue
-		}
-		if sc.BlockTraitsAt(sc.Space.BlockIndex(blk)).HomeRegion != netmodel.Kherson {
+		if bi < 0 || !st.RTTTracked(bi) || !khersonHomed(sc, blk) {
 			continue
 		}
 		for round := lo; round < hi; round++ {
@@ -291,12 +298,11 @@ func figure12(e *Env) *Report {
 	occ := tl.MonthIndex(time.Date(2022, 8, 1, 0, 0, 0, 0, time.UTC))
 	post := tl.MonthIndex(time.Date(2023, 4, 1, 0, 0, 0, 0, time.UTC))
 
-	rerouted := []netmodel.ASN{49465, 56404, 56359, 25482, 15458, 47598, 56446, 25256}
 	leftBank := map[netmodel.ASN]bool{49465: true, 56359: true, 25256: true}
 	var occDelta, postDeltaLeft, postDeltaRight float64
 	var nOcc, nLeft, nRight int
 	r.addf("%-10s %10s %10s %10s", "ASN", "pre (ms)", "occup.", "post-lib")
-	for _, asn := range rerouted {
+	for _, asn := range f12ASNs {
 		p, o, q := asMonthlyRTT(e, asn, pre), asMonthlyRTT(e, asn, occ), asMonthlyRTT(e, asn, post)
 		r.addf("%-10s %10.0f %10.0f %10.0f", asn, p, o, q)
 		if p > 0 && o > 0 {
