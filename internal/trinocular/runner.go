@@ -147,27 +147,30 @@ func (r *Runner) Run(probe Probe) *Result {
 		Blocks:  make([]netmodel.BlockID, len(r.trackers)),
 		Missing: r.store.MissingRounds(),
 	}
-	var groups [][]*BlockTracker
-	var rows [][]float32
-	group := make(map[netmodel.ASN]int)
+	// A group's goroutine is the only writer of its row and probe count.
+	type asGroup struct {
+		trackers []*BlockTracker
+		row      []float32
+		sent     uint64
+	}
+	var groups []asGroup
+	byASN := make(map[netmodel.ASN]int)
 	for t, tr := range r.trackers {
 		res.Blocks[t] = tr.Block
 		asn := r.space.OriginOf(tr.Block)
-		g, ok := group[asn]
+		g, ok := byASN[asn]
 		if !ok {
 			g = len(groups)
-			group[asn] = g
-			groups = append(groups, nil)
-			rows = append(rows, make([]float32, rounds))
-			res.PerAS[asn] = rows[g]
+			byASN[asn] = g
+			groups = append(groups, asGroup{row: make([]float32, rounds)})
+			res.PerAS[asn] = groups[g].row
 		}
-		groups[g] = append(groups[g], tr)
+		groups[g].trackers = append(groups[g].trackers, tr)
 	}
-	probeCounts := make([]uint64, len(groups))
 	par.ForEach(len(groups), func(g int) {
-		row := rows[g]
+		row := groups[g].row
 		var sent uint64
-		for _, tr := range groups[g] {
+		for _, tr := range groups[g].trackers {
 			for round := 0; round < rounds; round++ {
 				if res.Missing[round] {
 					continue
@@ -179,10 +182,10 @@ func (r *Runner) Run(probe Probe) *Result {
 				}
 			}
 		}
-		probeCounts[g] = sent
+		groups[g].sent = sent
 	})
-	for _, sent := range probeCounts {
-		res.ProbesSent += sent
+	for _, g := range groups {
+		res.ProbesSent += g.sent
 	}
 	return res
 }
