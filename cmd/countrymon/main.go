@@ -243,10 +243,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	e.log.Printf("data quality: %d vantage-outage rounds, %d partial rounds below %.0f%% coverage (both gated from signals)",
 		outages, partial, 100**minCov)
 
+	target, _ := netmodel.RegionByName(*region)
+	var targetDet *signals.Detection
 	fmt.Fprintf(stdout, "\n%-16s %8s %8s %10s\n", "region", "events", "rounds", "hours")
 	var rows []render.LabeledDetection
 	for _, r := range netmodel.Regions() {
 		d := signals.DetectObs(b.Region(res.Regions[r], cl), signals.RegionConfig(), sigM)
+		if r == target {
+			targetDet = d
+		}
 		hours := float64(d.TotalRounds()) * tl.Interval().Hours()
 		fl := ""
 		if r.Frontline() {
@@ -258,11 +263,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout)
 	fmt.Fprint(stdout, render.Timeline(tl, rows, 100))
 
-	target, _ := netmodel.RegionByName(*region)
-	if target.Valid() {
+	if targetDet != nil {
 		fmt.Fprintf(stdout, "\n-- %s outage events (regional signal) --\n", target)
-		d := signals.DetectObs(b.Region(res.Regions[target], cl), signals.RegionConfig(), sigM)
-		printOutages(stdout, d, store, 15)
+		printOutages(stdout, targetDet, store, 15)
 	}
 
 	a := netmodel.ASN(*asn)

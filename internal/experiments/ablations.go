@@ -6,6 +6,7 @@ import (
 
 	"countrymon/internal/analysis"
 	"countrymon/internal/netmodel"
+	"countrymon/internal/par"
 	"countrymon/internal/signals"
 	"countrymon/internal/sim"
 	"countrymon/internal/timeline"
@@ -29,15 +30,21 @@ func ablationProbePolicy(e *Env) *Report {
 	trin := e.Trinocular()
 	probe := sc.RecordedProbe(e.Store())
 
+	// Both policies' series share the AS's BGP column and the store's outage
+	// mask; only their FBS differs.
+	scaffold := func(name string, src *signals.EntitySeries) *signals.EntitySeries {
+		es := signals.NewSeries(name, tl, e.Store().MissingRounds())
+		for m := range tl.NumMonths() {
+			copy(es.BGP.Month(m), src.BGP.Month(m))
+		}
+		return es
+	}
+
 	// Single-IP policy: one probe (the block's most reliable address) per
 	// block per round; an AS's signal is its count of responding blocks.
-	singleSeries := func(asn netmodel.ASN) *signals.EntitySeries {
-		es := signals.NewSeries("single/"+asn.String(), tl, e.Store().MissingRounds())
-		as := sc.Space.Lookup(asn)
-		if as == nil {
-			return es
-		}
-		for _, blk := range as.Blocks() {
+	singleSeries := func(asn netmodel.ASN, src *signals.EntitySeries) *signals.EntitySeries {
+		es := scaffold("single/"+asn.String(), src)
+		for _, blk := range sc.Space.Lookup(asn).Blocks() {
 			reps := sc.Representatives(blk, 1)
 			if len(reps) == 0 {
 				continue
@@ -52,22 +59,15 @@ func ablationProbePolicy(e *Env) *Report {
 				}
 			}
 		}
-		src := e.Signals().AS(asn)
-		for m := range tl.NumMonths() {
-			copy(es.BGP.Month(m), src.BGP.Month(m))
-		}
 		return es
 	}
 
-	trinSeries := func(asn netmodel.ASN) *signals.EntitySeries {
-		es := singleSeries(asn) // reuse BGP/missing scaffolding
-		s := trin.PerAS[asn]
-		for m := range tl.NumMonths() {
-			fbs := es.FBS.Month(m)
-			clear(fbs)
-			if s != nil {
+	trinSeries := func(asn netmodel.ASN, src *signals.EntitySeries) *signals.EntitySeries {
+		es := scaffold("trinocular/"+asn.String(), src)
+		if s := trin.PerAS[asn]; s != nil {
+			for m := range tl.NumMonths() {
 				lo, _ := tl.MonthRounds(m)
-				copy(fbs, s[lo:])
+				copy(es.FBS.Month(m), s[lo:])
 			}
 		}
 		return es
@@ -106,8 +106,9 @@ func ablationProbePolicy(e *Env) *Report {
 			continue
 		}
 		ours[asn] = e.OurAS(asn)
-		single[asn] = signals.Detect(singleSeries(asn), cfg)
-		trinD[asn] = signals.Detect(trinSeries(asn), cfg)
+		src := e.Signals().AS(asn)
+		single[asn] = signals.Detect(singleSeries(asn, src), cfg)
+		trinD[asn] = signals.Detect(trinSeries(asn, src), cfg)
 	}
 	oh, ot := count(ours)
 	sh, _ := count(single)
@@ -345,13 +346,15 @@ func ablationWindow(e *Env) *Report {
 	res := e.Classification()
 	cl := e.Classifier()
 	b := e.Signals()
+	series := par.Map(len(nfl), func(i int) *signals.EntitySeries {
+		return b.Region(res.Regions[nfl[i]], cl)
+	})
 
 	for _, days := range []int{3, 7, 14} {
 		var group [][]float64
 		cfg := signals.RegionConfig()
 		cfg.WindowRounds = days * tl.RoundsPerDay()
-		for _, region := range nfl {
-			es := b.Region(res.Regions[region], cl)
+		for _, es := range series {
 			d := signals.Detect(es, cfg)
 			group = append(group, analysis.OutageHoursPerDay(d, tl))
 		}

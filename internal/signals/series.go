@@ -11,9 +11,13 @@
 // for total BGP loss, and ISP availability sensing (Baltra & Heidemann) to
 // filter dynamic-reallocation false positives out of the FBS signal.
 //
-// One Builder serves both uses: built over a complete store it is the batch
-// oracle every test compares against, and over a running campaign's store
-// Fold keeps its already-built series warm, folding each new round in as it
+// One Builder serves both uses, through one build walk; only what it keeps
+// differs. A batch Builder (NewBuilder, NewBuilderMinCoverage) reads its
+// store as complete and keeps no reference to a series it returns: each AS
+// or Region call builds a fresh series the caller owns, so an analysis that
+// keeps only detections drops the columns with them. A streaming Builder
+// (NewStreamingBuilder) reads a running campaign's store: it memoizes every
+// series it builds and Fold keeps them warm, folding each new round in as it
 // lands at O(blocks touched this round) instead of rebuilding the campaign.
 package signals
 
@@ -107,9 +111,13 @@ type Builder struct {
 	// resume cursor, then through each round Fold folds, since a live
 	// month's rounds nobody has scanned yet are not measured zeros.
 	handled int
-	// asCache and regionCache memoize built series. Callers treat returned
-	// series as shared and read-only; anything derived from them (detection,
-	// ablations) allocates its own buffers.
+	// streaming marks a NewStreamingBuilder: only it memoizes and registers
+	// the series it builds, since Fold advances what it registered.
+	streaming bool
+	// asCache and regionCache memoize a streaming builder's series (a batch
+	// builder leaves them empty). Callers treat a memoized series as shared
+	// and read-only; anything derived from it (detection, the serve layer)
+	// allocates its own buffers.
 	asCache     par.Cache[netmodel.ASN, *EntitySeries]
 	regionCache par.Cache[*regional.RegionResult, *EntitySeries]
 	// metrics records series-build timings (see Observe); never nil.
@@ -199,10 +207,14 @@ func (b *Builder) Eligible(bi, m int) bool { return b.elig[bi*b.months+m] }
 func (b *Builder) ASBlocks(asn netmodel.ASN) []int { return b.asBlocks[asn] }
 
 // AS builds the AS-wide series over all the AS's blocks (as §5.4 does for
-// comparability with IODA). Results are memoized per AS and safe to request
-// from concurrent goroutines; the returned series is shared — treat it as
-// read-only.
+// comparability with IODA). It is safe to call from concurrent goroutines.
+// A batch builder returns a fresh series on every call and keeps none of it;
+// a streaming builder memoizes per AS and returns the series Fold advances,
+// shared — treat it as read-only.
 func (b *Builder) AS(asn netmodel.ASN) *EntitySeries {
+	if !b.streaming {
+		return b.buildAS(asn)
+	}
 	return b.asCache.Get(asn, func() *EntitySeries { return b.buildAS(asn) })
 }
 
@@ -249,19 +261,25 @@ func (b *Builder) buildAS(asn netmodel.ASN) *EntitySeries {
 		}
 	}
 	b.fillIPSValidity(es)
-	b.registerFold(&foldEntity{es: es, blocks: b.asBlocks[asn]})
+	if b.streaming {
+		b.registerFold(&foldEntity{es: es, blocks: b.asBlocks[asn]})
+	}
 	return es
 }
 
 // Region builds the regional series: only blocks classified regional for
 // the region contribute, only in the months they meet the share threshold,
 // weighted by their regional share of addresses (§3.1 "Signal Properties").
-// Results are memoized per classification result (keyed by the *RegionResult
-// pointer) and safe to request from concurrent goroutines; the returned
-// series is shared — treat it as read-only. The series is always accumulated
-// in ascending block order by a single goroutine, so float rounding is
-// identical regardless of the worker count.
+// It is safe to call from concurrent goroutines. A batch builder returns a
+// fresh series on every call and keeps none of it; a streaming builder
+// memoizes per classification result (keyed by the *RegionResult pointer) and
+// returns the series Fold advances, shared — treat it as read-only. The
+// series is always accumulated in ascending block order by a single
+// goroutine, so float rounding is identical regardless of the worker count.
 func (b *Builder) Region(rr *regional.RegionResult, cl *regional.Classifier) *EntitySeries {
+	if !b.streaming {
+		return b.buildRegion(rr, cl)
+	}
 	return b.regionCache.Get(rr, func() *EntitySeries { return b.buildRegion(rr, cl) })
 }
 
@@ -312,9 +330,12 @@ func (b *Builder) buildRegion(rr *regional.RegionResult, cl *regional.Classifier
 			}
 		}
 	}
+	b.fillIPSValidity(es)
+	if !b.streaming {
+		return es
+	}
 	region := rr.Region
 	fe.share = func(bi, m int) float32 { return float32(cl.BlockShare(bi, m, region)) }
-	b.fillIPSValidity(es)
 	b.registerFold(fe)
 	return es
 }

@@ -23,13 +23,13 @@ type foldEntity struct {
 }
 
 // NewStreamingBuilder is NewBuilderMinCoverage under the name a live campaign
-// builds by: every series a Builder builds stays registered, and Fold advances
-// them round by round as the campaign lands data, at O(blocks) per round
-// instead of a full rebuild. On a partially filled store (e.g. after resume,
-// or empty at a campaign's start) the initial build walks each block only
-// through the store's written segments — O(blocks × recorded rounds), not
-// the whole planned timeline — and Fold picks up from the store's resume
-// cursor. Unlike a batch builder, which reads its store as complete, it
+// builds by: every series it builds is memoized and stays registered (a batch
+// builder keeps none), and Fold advances them round by round as the campaign
+// lands data, at O(blocks) per round instead of a full rebuild. On a
+// partially filled store (e.g. after resume, or empty at a campaign's start)
+// the initial build walks each block only through the store's written
+// segments — O(blocks × recorded rounds), not the whole planned timeline —
+// and Fold picks up from the store's resume cursor. Unlike a batch builder, which reads its store as complete, it
 // reads the store as a live campaign's: its IPS gate averages over the
 // rounds before the resume cursor, then over each round folded.
 //
@@ -38,6 +38,7 @@ type foldEntity struct {
 // being re-folded), and Fold is not called concurrently with series queries.
 func NewStreamingBuilder(store *dataset.Store, space *netmodel.Space, minCoverage float64) *Builder {
 	b := NewBuilderMinCoverage(store, space, minCoverage)
+	b.streaming = true
 	b.handled = b.nextFold
 	return b
 }
